@@ -27,14 +27,14 @@ use crate::cache::{chunk_bytes, CacheStats, CachedChunk, ChunkCache, ChunkKey, C
 use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
 use amric::pipeline::decompress_field_units;
-use amric::preprocess::{plan_bounding_box, UnitRef};
+use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
 use amric::reader::{read_plotfile_meta, PlotfileMeta};
 use amric::writer::field_dataset;
 use h5lite::index::ChunkIndexEntry;
 use h5lite::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use sz_codec::{Buffer3, Dims3};
+use sz_codec::Buffer3;
 
 /// A rectangular region of interest in index space (alias of the mesh
 /// crate's inclusive [`IntBox`]).
@@ -433,12 +433,7 @@ impl QueryEngine {
         let fetched = self.fetch(&requests)?;
         let mut levels = Vec::with_capacity(regions.len());
         for &(l, region) in &regions {
-            let sz = region.size();
-            let mut out = Buffer3::zeros(Dims3::new(
-                sz.get(0) as usize,
-                sz.get(1) as usize,
-                sz.get(2) as usize,
-            ));
+            let mut out = Buffer3::zeros(region_dims(&region));
             for (key, units) in requests.iter().zip(&fetched) {
                 if key.0 != l {
                     continue;
@@ -591,12 +586,7 @@ impl QueryEngine {
             .map(|rank| (level, field, rank))
             .collect();
         let fetched = self.fetch(&requests)?;
-        let sz = clipped.size();
-        let mut out = Buffer3::zeros(Dims3::new(
-            sz.get(0) as usize,
-            sz.get(1) as usize,
-            sz.get(2) as usize,
-        ));
+        let mut out = Buffer3::zeros(region_dims(&clipped));
         for (key, units) in requests.iter().zip(&fetched) {
             self.paste_units(&self.levels[level].plans[key.2], units, &clipped, &mut out)?;
         }
@@ -763,8 +753,7 @@ impl QueryEngine {
             )));
         }
         for (u, b) in plan.iter().zip(units) {
-            let sz = u.region.size();
-            let want = Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize);
+            let want = region_dims(&u.region);
             if b.dims() != want {
                 return Err(QueryError::Inconsistent(format!(
                     "level {level} rank {rank}: unit at {:?} decoded {:?}, expected {want:?}",

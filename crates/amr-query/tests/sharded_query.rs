@@ -8,8 +8,19 @@ use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::AmricConfig;
-use amric::writer::{write_amric, write_amric_sharded};
+use amric::writer::{write_amric, write_amric_to, WriteReport};
 use h5lite::testutil::TempDir;
+
+/// `write_amric` into a sharded container of `shards` shard files.
+fn write_sharded(
+    path: &std::path::Path,
+    shards: usize,
+    h: &AmrHierarchy,
+    cfg: &AmricConfig,
+) -> WriteReport {
+    let w = h5lite::H5Writer::create_sharded(path, shards).unwrap();
+    write_amric_to(std::sync::Arc::new(w), h, cfg, 8).unwrap()
+}
 
 fn hierarchy(seed: u64) -> AmrHierarchy {
     let s = NyxScenario::new(seed);
@@ -113,7 +124,7 @@ fn sharded_queries_bitwise_match_single_file() {
         let fp = dir.file(&format!("{tag}.h5l"));
         let sp = dir.file(&format!("{tag}.h5ls"));
         let rf = write_amric(&fp, &h, &cfg, 8).unwrap();
-        let rs = write_amric_sharded(&sp, 4, &h, &cfg, 8).unwrap();
+        let rs = write_sharded(&sp, 4, &h, &cfg);
         assert_eq!(rf.stored_bytes, rs.stored_bytes, "{tag}: payload differs");
         // The sharded container really is sharded, with populated shards.
         let manifest = h5lite::read_manifest(&sp).unwrap();
@@ -142,7 +153,7 @@ fn sharded_legacy_fallback_matches_single_file() {
     let fp = dir.file("legacy.h5l");
     let sp = dir.file("legacy.h5ls");
     write_amric(&fp, &h, &cfg, 8).unwrap();
-    write_amric_sharded(&sp, 3, &h, &cfg, 8).unwrap();
+    write_sharded(&sp, 3, &h, &cfg);
     h5lite::strip_chunk_indexes(&fp).unwrap();
     h5lite::strip_chunk_indexes(&sp).unwrap();
     for workers in [1usize, 4] {

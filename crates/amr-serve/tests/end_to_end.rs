@@ -9,7 +9,7 @@ use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amr_serve::prelude::*;
 use amric::config::AmricConfig;
-use amric::writer::{write_amric, write_amric_sharded};
+use amric::writer::{write_amric, write_amric_to};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -393,7 +393,11 @@ fn sharded_container_served_through_catalog_with_generation_tracking() {
         grid_eff: 0.7,
     };
     let h = build_hierarchy(&s, &run, 0.0);
-    write_amric_sharded(&path, 3, &h, &AmricConfig::lr(1e-3), 8).unwrap();
+    let write_sharded = |h: &AmrHierarchy| {
+        let w = h5lite::H5Writer::create_sharded(&path, 3).unwrap();
+        write_amric_to(Arc::new(w), h, &AmricConfig::lr(1e-3), 8).unwrap();
+    };
+    write_sharded(&h);
 
     let catalog = Catalog::new(4 << 20, 4, 1);
     let first = catalog.open(&path).unwrap();
@@ -412,7 +416,7 @@ fn sharded_container_served_through_catalog_with_generation_tracking() {
     // Rewrite the container with different content: generation moves.
     let gen_before = Generation::of(&path).unwrap();
     let h2 = build_hierarchy(&NyxScenario::new(38), &run, 0.0);
-    write_amric_sharded(&path, 3, &h2, &AmricConfig::lr(1e-3), 8).unwrap();
+    write_sharded(&h2);
     let gen_after = Generation::of(&path).unwrap();
     assert_ne!(gen_before, gen_after, "rewrite must change the generation");
     let fresh = catalog.open(&path).unwrap();

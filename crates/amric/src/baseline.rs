@@ -3,33 +3,20 @@
 //! no-compression path.
 
 use crate::config::BaselineConfig;
-use crate::writer::{fold_receipt, ints_to_f64, write_metadata, WriteReport};
+use crate::writer::{fold_receipt, ints_to_f64, run_snapshot_ranks, WriteReport};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use rankpar::prelude::*;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Stage a rank's data for one level in AMReX plotfile layout: for each
 /// owned box (in local order), all fields back to back.
-pub(crate) fn stage_amrex_layout(level: &MultiFab, rank: usize) -> Vec<f64> {
+fn stage_amrex_layout(level: &MultiFab, rank: usize) -> Vec<f64> {
     let mut staged = Vec::new();
     for bi in level.distribution().local_boxes(rank) {
         staged.extend_from_slice(level.fab(bi).data());
     }
     staged
-}
-
-/// Write per-level per-rank element counts (needed to strip chunk padding
-/// on read).
-fn write_rank_elems(writer: &H5Writer, level: usize, elems: &[u64]) -> H5Result<()> {
-    let elems_f = ints_to_f64(elems.iter().copied());
-    writer.write_dataset(
-        &format!("meta/level_{level}/rank_elems"),
-        &elems_f,
-        elems_f.len().max(1),
-        &NoFilter,
-    )
 }
 
 /// AMReX's original compression solution: the box-interleaved layout
@@ -41,125 +28,86 @@ pub fn write_amrex_baseline(
     h: &AmrHierarchy,
     cfg: &BaselineConfig,
 ) -> H5Result<WriteReport> {
-    let nranks = h.level(0).data.distribution().nranks();
-    let writer = Arc::new(H5Writer::create(path)?);
-    let num_levels = h.num_levels();
-
-    let per_rank: Vec<(IoLedger, f64)> = run_ranks(nranks, |comm| {
-        let rank = comm.rank();
-        let mut ledger = IoLedger::default();
-        let mut prep_s = 0.0;
-        for l in 0..num_levels {
-            let level = &h.level(l).data;
-            let t0 = Instant::now();
-            let staged = stage_amrex_layout(level, rank);
-            prep_s += t0.elapsed().as_secs_f64();
-            // H5Z-SZ REL mode: the bound resolves per chunk. Chunks cut
-            // across field boundaries inside a box payload, so different
-            // fields share one bound — the §3.3 Challenge-1 flaw,
-            // reproduced at its real (chunk) granularity.
-            let filter = SzFilter::one_dimensional(cfg.rel_eb);
-            // The small chunk size forces one compressor call per 1024
-            // elements (§4.4's launch-cost analysis).
-            let chunks: Vec<ChunkData> = staged
-                .chunks(cfg.chunk_elems)
-                .map(|c| ChunkData::full(c.to_vec()))
-                .collect();
-            let receipt = collective_write(
-                &comm,
-                &writer,
-                &format!("level_{l}/data"),
-                &chunks,
-                cfg.chunk_elems,
-                &filter,
-                FilterMode::Standard,
-            )
-            .expect("collective write failed");
-            fold_receipt(&mut ledger, &receipt);
-            let elems = comm.allgather(staged.len() as u64);
-            if rank == 0 {
-                write_rank_elems(&writer, l, &elems).expect("rank_elems write failed");
-            }
-        }
-        if rank == 0 {
-            write_metadata(&writer, h, &[0, 0]).expect("metadata write failed");
-        }
-        comm.barrier();
-        (ledger, prep_s)
-    });
-
-    writer.finish()?;
-    let (ledgers, prep_seconds): (Vec<IoLedger>, Vec<f64>) = per_rank.into_iter().unzip();
-    let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-    Ok(WriteReport {
-        nranks,
-        ledgers,
-        prep_seconds,
-        orig_bytes: h.snapshot_bytes(),
-        stored_bytes: stored,
-    })
+    write_amrex_layout(path.as_ref(), h, Some(cfg))
 }
 
 /// The no-compression path: same AMReX layout, raw bytes, one write per
 /// rank per level (no filter pipeline at all).
 pub fn write_nocomp(path: impl AsRef<std::path::Path>, h: &AmrHierarchy) -> H5Result<WriteReport> {
-    let nranks = h.level(0).data.distribution().nranks();
-    let writer = Arc::new(H5Writer::create(path)?);
-    let num_levels = h.num_levels();
+    write_amrex_layout(path.as_ref(), h, None)
+}
 
-    let per_rank: Vec<(IoLedger, f64)> = run_ranks(nranks, |comm| {
-        let rank = comm.rank();
-        let mut ledger = IoLedger::default();
-        let mut prep_s = 0.0;
-        for l in 0..num_levels {
-            let level = &h.level(l).data;
+/// The body both comparison writers share: one `level_{l}/data` dataset
+/// per level in AMReX layout through the same collective engine as the
+/// AMRIC writer. They differ only in the chunking rule — `compress:
+/// Some(cfg)` cuts small standard-mode SZ chunks, `None` stores one raw
+/// size-aware chunk per rank.
+fn write_amrex_layout(
+    path: &std::path::Path,
+    h: &AmrHierarchy,
+    compress: Option<&BaselineConfig>,
+) -> H5Result<WriteReport> {
+    let writer = H5Writer::create(path)?;
+    let body = |comm: &Communicator, ledger: &mut IoLedger, prep_s: &mut f64| {
+        // Rank 0's side tables: a failure there is handed out as the
+        // rank's result, after every rank is past the last collective.
+        let mut tables = Ok(());
+        for l in 0..h.num_levels() {
             let t0 = Instant::now();
-            let staged = stage_amrex_layout(level, rank);
-            prep_s += t0.elapsed().as_secs_f64();
-            let staged_len = staged.len() as u64;
-            let chunk_elems = comm.allreduce_max(staged_len) as usize;
-            let chunks = if staged.is_empty() {
-                Vec::new()
-            } else {
-                vec![ChunkData::full(staged)]
+            let staged = stage_amrex_layout(&h.level(l).data, comm.rank());
+            *prep_s += t0.elapsed().as_secs_f64();
+            let elems = comm.allgather(staged.len() as u64);
+            let name = format!("level_{l}/data");
+            let receipt = match compress {
+                Some(cfg) => {
+                    // H5Z-SZ REL mode: the bound resolves per chunk. Chunks
+                    // cut across field boundaries inside a box payload, so
+                    // different fields share one bound — the §3.3
+                    // Challenge-1 flaw, reproduced at its real (chunk)
+                    // granularity. The small chunk size forces one
+                    // compressor call per 1024 elements (§4.4's
+                    // launch-cost analysis).
+                    let chunks: Vec<ChunkData> = staged
+                        .chunks(cfg.chunk_elems)
+                        .map(|c| ChunkData::full(c.to_vec()))
+                        .collect();
+                    let filter = SzFilter::one_dimensional(cfg.rel_eb);
+                    let (n, mode) = (cfg.chunk_elems, FilterMode::Standard);
+                    collective_write(comm, &writer, &name, &chunks, n, &filter, mode)?
+                }
+                None => {
+                    // Global chunk = biggest rank, no padding stored.
+                    let n = elems.iter().copied().max().unwrap_or(0).max(1) as usize;
+                    let chunks = if staged.is_empty() {
+                        Vec::new()
+                    } else {
+                        vec![ChunkData::full(staged)]
+                    };
+                    let mode = FilterMode::SizeAware;
+                    collective_write(comm, &writer, &name, &chunks, n, &NoFilter, mode)?
+                }
             };
-            let receipt = collective_write(
-                &comm,
-                &writer,
-                &format!("level_{l}/data"),
-                &chunks,
-                chunk_elems.max(1),
-                &NoFilter,
-                FilterMode::SizeAware,
-            )
-            .expect("collective write failed");
-            fold_receipt(&mut ledger, &receipt);
-            // No compression filter runs in this path: the NoFilter pass is
-            // a staging copy, not a compressor launch.
-            ledger.filter_calls = 0;
-            ledger.measured_compute_s = 0.0;
-            let elems = comm.allgather(staged_len);
-            if rank == 0 {
-                write_rank_elems(&writer, l, &elems).expect("rank_elems write failed");
+            fold_receipt(ledger, &receipt);
+            if compress.is_none() {
+                // No compression filter runs in this path: the NoFilter
+                // pass is a staging copy, not a compressor launch.
+                ledger.filter_calls = 0;
+                ledger.measured_compute_s = 0.0;
+            }
+            if comm.rank() == 0 {
+                // Per-rank element counts: the reader strips chunk padding
+                // with them.
+                let table = ints_to_f64(elems);
+                let name = format!("meta/level_{l}/rank_elems");
+                tables = tables.and(writer.write_dataset(&name, &table, table.len(), &NoFilter));
             }
         }
-        if rank == 0 {
-            write_metadata(&writer, h, &[0, 0]).expect("metadata write failed");
-        }
-        comm.barrier();
-        (ledger, prep_s)
-    });
-
+        Ok(tables)
+    };
+    let (report, tables) = run_snapshot_ranks(&writer, h, &[0, 0], body)?;
+    tables.into_iter().collect::<H5Result<()>>()?;
     writer.finish()?;
-    let (ledgers, prep_seconds): (Vec<IoLedger>, Vec<f64>) = per_rank.into_iter().unzip();
-    let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-    Ok(WriteReport {
-        nranks,
-        ledgers,
-        prep_seconds,
-        orig_bytes: h.snapshot_bytes(),
-        stored_bytes: stored,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -10,8 +10,7 @@
 
 use crate::config::{AmricConfig, BaselineConfig};
 use crate::pipeline::{
-    compress_field_units_resolved_pooled, decompress_field_units, local_range, resolve_abs_eb,
-    ResolvedBound,
+    compress_on_thread_scratch, decompress_field_units, local_range, resolve_abs_eb, ResolvedBound,
 };
 use amr_mesh::IntVect;
 use sz_codec::codec::{expect_envelope, write_envelope, FLAG_MULTI};
@@ -72,13 +71,8 @@ impl Codec for AmricCodec {
             None if units.is_empty() => ResolvedBound::Fixed(1.0), // unused: empty marker
             None => ResolvedBound::from_policy(self.cfg.bound, self.cfg.rel_eb, local_range(units)),
         };
-        Ok(compress_field_units_resolved_pooled(
-            units,
-            &self.cfg,
-            self.unit_edge,
-            bound,
-            out,
-        ))
+        let (cfg, edge) = (&self.cfg, self.unit_edge);
+        Ok(compress_on_thread_scratch(units, cfg, edge, bound, out))
     }
 
     fn decompress(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {

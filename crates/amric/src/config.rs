@@ -18,42 +18,6 @@
 
 use sz_codec::SzAlgorithm;
 
-/// How many compression workers the writer's rank-local pool runs — the
-/// overlap policy of the parallel write path.
-///
-/// `Serial` is the reference path (compress, then write, one chunk at a
-/// time). `Workers(n)` compresses on `n` pool threads per rank while the
-/// collective writes are in flight; output streams are byte-identical to
-/// `Serial` for every codec family (enforced by the
-/// `parallel_determinism` suite).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteParallelism {
-    /// One thread per rank: compress chunk, write chunk, repeat.
-    Serial,
-    /// A rank-local pool of `n ≥ 2` workers overlapping compression with
-    /// the collective writes.
-    Workers(usize),
-}
-
-impl WriteParallelism {
-    /// Policy for a requested worker count (`n <= 1` means serial).
-    pub fn from_workers(n: usize) -> Self {
-        if n <= 1 {
-            WriteParallelism::Serial
-        } else {
-            WriteParallelism::Workers(n)
-        }
-    }
-
-    /// Effective worker count (serial = 1).
-    pub fn workers(self) -> usize {
-        match self {
-            WriteParallelism::Serial => 1,
-            WriteParallelism::Workers(n) => n,
-        }
-    }
-}
-
 /// How the writer spends the error budget across unit blocks.
 ///
 /// `Fixed` is the paper's behavior: one absolute bound per (level, field),
@@ -115,10 +79,12 @@ pub struct AmricConfig {
     /// Pass actual per-rank data sizes to the HDF5 filter (§3.3
     /// Solution 2). When false, ranks pad to the global chunk size.
     pub size_aware_filter: bool,
-    /// Rank-local compression parallelism for the write path (overlap of
-    /// compression with the collective writes). Does not affect the
-    /// compressed streams — parallel output is byte-identical to serial.
-    pub parallelism: WriteParallelism,
+    /// Rank-local compression workers of the write path (always ≥ 1).
+    /// With 1 every chunk is compressed inline on the rank thread; with
+    /// more, a pool overlaps compression with the collective writes. Does
+    /// not affect the stored bytes (enforced by the engine-equivalence and
+    /// `parallel_determinism` suites).
+    pub workers: usize,
     /// Error-bound policy: one uniform bound ([`BoundPolicy::Fixed`],
     /// paper behavior, byte-identical to pre-policy streams) or per-unit
     /// gradient-adaptive bounds. Under `GradientAdaptive` the `rel_eb`
@@ -137,7 +103,7 @@ impl AmricConfig {
             cluster_arrangement: false,
             remove_redundancy: true,
             size_aware_filter: true,
-            parallelism: WriteParallelism::Serial,
+            workers: 1,
             bound: BoundPolicy::Fixed,
         }
     }
@@ -152,7 +118,7 @@ impl AmricConfig {
             cluster_arrangement: true,
             remove_redundancy: true,
             size_aware_filter: true,
-            parallelism: WriteParallelism::Serial,
+            workers: 1,
             bound: BoundPolicy::Fixed,
         }
     }
@@ -200,15 +166,9 @@ impl AmricConfig {
     }
 
     /// Set the rank-local compression worker count for the write path
-    /// (`n <= 1` selects the serial reference path).
+    /// (`n <= 1` compresses inline on the rank thread).
     pub fn with_workers(mut self, n: usize) -> Self {
-        self.parallelism = WriteParallelism::from_workers(n);
-        self
-    }
-
-    /// Set the write-path parallelism policy directly.
-    pub fn with_parallelism(mut self, parallelism: WriteParallelism) -> Self {
-        self.parallelism = parallelism;
+        self.workers = n.max(1);
         self
     }
 
@@ -280,7 +240,7 @@ mod tests {
         assert!(lr.adaptive_block_size);
         assert_eq!(lr.merge, MergePolicy::SharedEncoding);
         assert!(lr.remove_redundancy && lr.size_aware_filter);
-        assert_eq!(lr.parallelism, WriteParallelism::Serial);
+        assert_eq!(lr.workers, 1);
         let it = AmricConfig::interp(1e-3);
         assert_eq!(it.algorithm, SzAlgorithm::Interpolation);
         assert!(it.cluster_arrangement);
@@ -288,20 +248,12 @@ mod tests {
 
     #[test]
     fn workers_builder_and_policy() {
+        // 0 and 1 both mean "inline on the rank thread".
         for n in [0, 1] {
-            let cfg = AmricConfig::lr(1e-3).with_workers(n);
-            assert_eq!(cfg.parallelism, WriteParallelism::Serial);
-            assert_eq!(cfg.parallelism.workers(), 1);
+            assert_eq!(AmricConfig::lr(1e-3).with_workers(n).workers, 1);
         }
-        let cfg = AmricConfig::lr(1e-3).with_workers(4);
-        assert_eq!(cfg.parallelism, WriteParallelism::Workers(4));
-        assert_eq!(cfg.parallelism.workers(), 4);
-        let direct = AmricConfig::interp(1e-3).with_parallelism(WriteParallelism::Workers(2));
-        assert_eq!(direct.parallelism.workers(), 2);
-        assert_eq!(
-            WriteParallelism::from_workers(7),
-            WriteParallelism::Workers(7)
-        );
+        assert_eq!(AmricConfig::lr(1e-3).with_workers(4).workers, 4);
+        assert_eq!(AmricConfig::interp(1e-3).with_workers(7).workers, 7);
     }
 
     #[test]

@@ -51,7 +51,6 @@
 pub mod baseline;
 pub mod codec;
 pub mod config;
-pub mod parallel;
 pub mod pipeline;
 pub mod preprocess;
 pub mod reader;
@@ -62,8 +61,7 @@ pub mod writer;
 pub mod zmesh;
 
 pub use codec::{decompress_auto, default_registry};
-pub use config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy, WriteParallelism};
-pub use parallel::compress_chunks_parallel;
+pub use config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
 pub use pipeline::{stream_unit_bounds, ResolvedBound};
 
 /// Commonly used items.
@@ -72,15 +70,11 @@ pub mod prelude {
     pub use crate::codec::{
         decompress_auto, default_registry, AmricCodec, BaselineCodec, TacCodec, ZmeshCodec,
     };
-    pub use crate::config::{
-        AmricConfig, BaselineConfig, BoundPolicy, MergePolicy, WriteParallelism,
-    };
-    pub use crate::parallel::compress_chunks_parallel;
+    pub use crate::config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
     pub use crate::pipeline::{
-        compress_field_units, compress_field_units_resolved, compress_field_units_resolved_into,
-        compress_field_units_resolved_pooled, compress_field_units_with_bound,
-        compress_field_units_with_bound_into, compress_field_units_with_bound_pooled,
-        decompress_field_units, resolve_abs_eb, stream_unit_bounds, AmricScratch, ResolvedBound,
+        compress_field_units, compress_field_units_resolved_into,
+        compress_field_units_with_bound_into, decompress_field_units, resolve_abs_eb,
+        stream_unit_bounds, AmricScratch, ResolvedBound,
     };
     pub use crate::preprocess::{
         extract_units, plan_units, plan_units_layout, scatter_units, unit_activity,
@@ -93,8 +87,5 @@ pub mod prelude {
         read_temporal_hierarchy, read_temporal_meta, TemporalFieldFilter, TemporalMeta,
         TemporalReadState, TemporalSession, TemporalSessionConfig, FILTER_TEMPORAL,
     };
-    pub use crate::writer::{
-        write_amric, write_amric_sharded, write_amric_to, write_field_parallel, FieldWriteJob,
-        WriteReport,
-    };
+    pub use crate::writer::{write_amric, write_amric_to, WriteReport};
 }

@@ -149,63 +149,47 @@ pub(crate) fn local_range(units: &[Buffer3]) -> f64 {
     }
 }
 
-/// Compress one field's unit blocks under the given configuration,
-/// resolving the relative bound against the *local* value range of the
-/// units (offline single-rank studies). The in-situ writer resolves the
-/// bound globally across ranks and calls
-/// [`compress_field_units_with_bound`] instead.
-pub fn compress_field_units(units: &[Buffer3], cfg: &AmricConfig, unit_edge: usize) -> Vec<u8> {
-    let bound = if units.is_empty() {
-        ResolvedBound::Fixed(1.0) // unused: the empty marker short-circuits
-    } else {
-        ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, local_range(units))
-    };
-    compress_field_units_resolved(units, cfg, unit_edge, bound)
-}
-
-/// Compress one field's unit blocks with an explicit resolved bound —
-/// the policy-aware generalization of
-/// [`compress_field_units_with_bound`]. `Fixed` takes the exact legacy
-/// code path (byte-identical streams); `Adaptive` writes the per-unit
-/// bound mode.
-pub fn compress_field_units_resolved(
-    units: &[Buffer3],
-    cfg: &AmricConfig,
-    unit_edge: usize,
-    bound: ResolvedBound,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    AMRIC_POOL.with(|s| {
-        compress_field_units_resolved_into(
-            units,
-            cfg,
-            unit_edge,
-            bound,
-            &mut s.borrow_mut(),
-            &mut out,
-        )
-    });
-    out
-}
-
-/// Like [`compress_field_units_resolved_into`] but reusing a thread-local
-/// scratch — for `&self` contexts that cannot thread a scratch through.
-pub fn compress_field_units_resolved_pooled(
+/// [`compress_field_units_resolved_into`] through this thread's reusable
+/// [`AmricScratch`] — for the `&self` faces of the pipeline (the `Codec`
+/// and `ChunkFilter` impls) that cannot thread an explicit scratch
+/// through. Rank threads and pool workers are all threads, so every
+/// concurrent encoder gets its own scratch.
+pub(crate) fn compress_on_thread_scratch(
     units: &[Buffer3],
     cfg: &AmricConfig,
     unit_edge: usize,
     bound: ResolvedBound,
     out: &mut Vec<u8>,
 ) -> StreamInfo {
-    AMRIC_POOL.with(|s| {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<AmricScratch> = Default::default();
+    }
+    SCRATCH.with(|s| {
         compress_field_units_resolved_into(units, cfg, unit_edge, bound, &mut s.borrow_mut(), out)
     })
 }
 
-/// Policy-dispatching compress core: `Fixed` forwards to the untouched
-/// legacy path ([`compress_field_units_with_bound_into`]); `Adaptive`
-/// appends the `Mode::Adaptive` stream. Both append to `out` and reuse
-/// `scratch`.
+/// Compress one field's unit blocks under the given configuration,
+/// resolving the relative bound against the *local* value range of the
+/// units (offline single-rank studies). The in-situ writer resolves the
+/// bound globally across ranks and calls
+/// [`compress_field_units_resolved_into`] instead.
+pub fn compress_field_units(units: &[Buffer3], cfg: &AmricConfig, unit_edge: usize) -> Vec<u8> {
+    let bound = if units.is_empty() {
+        ResolvedBound::Fixed(1.0) // unused: the empty marker short-circuits
+    } else {
+        ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, local_range(units))
+    };
+    let mut out = Vec::new();
+    compress_on_thread_scratch(units, cfg, unit_edge, bound, &mut out);
+    out
+}
+
+/// Policy-dispatching compress core — what the writer calls with the
+/// globally resolved bound: `Fixed` forwards to the untouched legacy path
+/// ([`compress_field_units_with_bound_into`], byte-identical streams);
+/// `Adaptive` appends the `Mode::Adaptive` stream. Both append to `out`
+/// and reuse `scratch`.
 pub fn compress_field_units_resolved_into(
     units: &[Buffer3],
     cfg: &AmricConfig,
@@ -287,48 +271,6 @@ fn compress_adaptive_into(
         units: units.len(),
         cells: units.iter().map(|u| u.dims().len()).sum(),
     }
-}
-
-/// Compress one field's unit blocks with an explicit absolute error bound
-/// (the bound the writer resolved from the global field range).
-pub fn compress_field_units_with_bound(
-    units: &[Buffer3],
-    cfg: &AmricConfig,
-    unit_edge: usize,
-    abs_eb: f64,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    compress_field_units_with_bound_pooled(units, cfg, unit_edge, abs_eb, &mut out);
-    out
-}
-
-thread_local! {
-    /// Per-thread (= per-rank) scratch pool backing the `&self` entry
-    /// points that cannot hold a scratch of their own.
-    static AMRIC_POOL: std::cell::RefCell<AmricScratch> =
-        std::cell::RefCell::new(AmricScratch::default());
-}
-
-/// Like [`compress_field_units_with_bound_into`] but reusing a
-/// thread-local scratch — for `&self` contexts (the `Codec` impl) that
-/// cannot thread an explicit [`AmricScratch`] through.
-pub fn compress_field_units_with_bound_pooled(
-    units: &[Buffer3],
-    cfg: &AmricConfig,
-    unit_edge: usize,
-    abs_eb: f64,
-    out: &mut Vec<u8>,
-) -> StreamInfo {
-    AMRIC_POOL.with(|s| {
-        compress_field_units_with_bound_into(
-            units,
-            cfg,
-            unit_edge,
-            abs_eb,
-            &mut s.borrow_mut(),
-            out,
-        )
-    })
 }
 
 /// Compress one field's unit blocks with an explicit absolute error
@@ -613,6 +555,20 @@ mod tests {
             .collect()
     }
 
+    fn compress_resolved(units: &[Buffer3], cfg: &AmricConfig, bound: ResolvedBound) -> Vec<u8> {
+        let edge = units.first().map_or(8, |u| u.dims().nx);
+        let mut out = Vec::new();
+        compress_field_units_resolved_into(
+            units,
+            cfg,
+            edge,
+            bound,
+            &mut AmricScratch::default(),
+            &mut out,
+        );
+        out
+    }
+
     fn check_bound(orig: &[Buffer3], back: &[Buffer3], abs_eb: f64) {
         assert_eq!(orig.len(), back.len());
         for (o, b) in orig.iter().zip(back) {
@@ -743,7 +699,7 @@ mod tests {
             tight: 1e-4,
             loose: 1e-2,
         };
-        let bytes = compress_field_units_resolved(&u, &cfg, 8, bound);
+        let bytes = compress_resolved(&u, &cfg, bound);
         let env = expect_envelope(&bytes, CodecId::AmricPipeline, 1).unwrap();
         assert_ne!(env.flags & FLAG_UNIT_BOUNDS, 0, "adaptive flag missing");
         let back = decompress_field_units(&bytes).unwrap();
@@ -774,7 +730,7 @@ mod tests {
             loose: 1e-2,
         };
         let flat = vec![Buffer3::from_vec(Dims3::cube(4), vec![2.5; 64]); 3];
-        let bytes = compress_field_units_resolved(&flat, &cfg, 4, bound);
+        let bytes = compress_resolved(&flat, &cfg, bound);
         let back = decompress_field_units(&bytes).unwrap();
         check_bound(&flat, &back, 1e-2);
         let bounds = stream_unit_bounds(&bytes).unwrap().expect("adaptive");
@@ -788,7 +744,7 @@ mod tests {
             tight: 1e-4,
             loose: 1e-2,
         };
-        let bytes = compress_field_units_resolved(&[], &cfg, 8, bound);
+        let bytes = compress_resolved(&[], &cfg, bound);
         let fixed = compress_field_units(&[], &cfg, 8);
         assert_eq!(bytes, fixed, "empty chunks carry no bound");
         assert_eq!(stream_unit_bounds(&bytes).unwrap(), None);
@@ -853,7 +809,7 @@ mod tests {
             tight: 1e-4,
             loose: 1e-2,
         };
-        let bytes = compress_field_units_resolved(&u, &cfg, 8, bound);
+        let bytes = compress_resolved(&u, &cfg, bound);
         let env = expect_envelope(&bytes, CodecId::AmricPipeline, 1).unwrap();
         // Forge a group id > 1.
         let mut forged = bytes.clone();

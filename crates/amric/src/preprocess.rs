@@ -115,6 +115,12 @@ pub fn plan_bounding_box(plan: &[UnitRef]) -> Option<PlanExtent> {
     ))
 }
 
+/// Buffer shape of an index-space region.
+pub fn region_dims(region: &IntBox) -> Dims3 {
+    let sz = region.size();
+    Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize)
+}
+
 /// Extract the field data of the planned units into compressor buffers
 /// (Fortran order per unit).
 pub fn extract_units(level: &MultiFab, units: &[UnitRef], field: usize) -> Vec<Buffer3> {
@@ -122,12 +128,7 @@ pub fn extract_units(level: &MultiFab, units: &[UnitRef], field: usize) -> Vec<B
         .iter()
         .map(|u| {
             let fab = level.fab(u.box_index);
-            let data = fab.extract_region(&u.region, field);
-            let sz = u.region.size();
-            Buffer3::from_vec(
-                Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize),
-                data,
-            )
+            Buffer3::from_vec(region_dims(&u.region), fab.extract_region(&u.region, field))
         })
         .collect()
 }
@@ -140,7 +141,7 @@ pub fn scatter_units(level: &mut MultiFab, units: &[UnitRef], field: usize, data
         let sz = u.region.size();
         assert_eq!(
             buf.dims(),
-            Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize),
+            region_dims(&u.region),
             "unit shape mismatch at {:?}",
             u.region
         );

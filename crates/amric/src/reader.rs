@@ -4,39 +4,12 @@
 
 use crate::pipeline::{decompress_field_units, resolve_abs_eb};
 use crate::preprocess::{
-    extract_units, plan_units_layout, scatter_units, unit_edge_for_level, UnitRef,
+    extract_units, plan_units_layout, region_dims, scatter_units, unit_edge_for_level, UnitRef,
 };
 use crate::writer::field_dataset;
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use sz_codec::prelude::*;
-
-/// Decode-only filter for AMRIC datasets (the reader-side plugin).
-struct AmricDecoder;
-
-impl ChunkFilter for AmricDecoder {
-    fn id(&self) -> u32 {
-        crate::writer::FILTER_AMRIC
-    }
-    fn encode_into(&self, _chunk: &[f64], _out: &mut Vec<u8>) -> H5Result<()> {
-        Err(H5Error::Format("AmricDecoder is read-only".into()))
-    }
-    fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        let units = decompress_field_units(bytes)?;
-        let mut out = Vec::with_capacity(n_elems);
-        for u in units {
-            out.extend_from_slice(u.data());
-        }
-        if out.len() < n_elems {
-            return Err(H5Error::Format(format!(
-                "decoded {} elems, need {n_elems}",
-                out.len()
-            )));
-        }
-        out.truncate(n_elems);
-        Ok(out)
-    }
-}
 
 /// A plotfile loaded back into memory.
 pub struct Plotfile {
@@ -250,54 +223,79 @@ fn read_level_layout(
     ))
 }
 
-/// Load an AMRIC plotfile (written by [`crate::writer::write_amric`]).
-pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Plotfile> {
-    let r = H5Reader::open(path)?;
-    let meta = read_plotfile_meta(&r)?;
-    let nfields = meta.field_names.len();
-    let domains: Vec<IntBox> = meta.levels.iter().map(|l| l.domain).collect();
-    let mut levels: Vec<MultiFab> = meta
-        .levels
+/// Fresh (zero-filled) per-level data for a plotfile's grids.
+fn empty_levels(meta: &PlotfileMeta) -> Vec<MultiFab> {
+    meta.levels
         .iter()
         .map(|l| MultiFab::new(l.boxes.clone(), l.owners.clone(), meta.field_names.clone()))
-        .collect();
+        .collect()
+}
+
+/// The one full-decode loader behind [`read_amric_hierarchy`] and
+/// [`crate::temporal::read_temporal_hierarchy`] — the same steps
+/// `amr-query` runs per chunk: read the rank's raw chunk, `decode` it
+/// into unit buffers, validate them against the unit plan reconstructed
+/// from metadata (count and dims — a stream that decodes fine but does
+/// not match the layout is a typed error, not a scatter panic), and
+/// scatter them into the level's fabs. `keep` then receives the decoded
+/// units of every `(level, rank, field)` stream (empty for ranks of a
+/// chunk-less level).
+pub(crate) fn load_plotfile(
+    r: &H5Reader,
+    mut decode: impl FnMut(usize, usize, usize, &[u8]) -> H5Result<Vec<Buffer3>>,
+    mut keep: impl FnMut(usize, usize, usize, Vec<Buffer3>),
+) -> H5Result<Plotfile> {
+    let meta = read_plotfile_meta(r)?;
+    let mut levels = empty_levels(&meta);
     // Reconstruct unit plans exactly as the writer made them.
     let unit_plans = meta.unit_plans();
-    // Decode every field of every level and scatter into the fabs.
-    for l in 0..meta.num_levels() {
-        for f in 0..nfields {
-            let data = r.read_dataset_with(&field_dataset(l, f), &AmricDecoder)?;
-            let mut offset = 0usize;
-            for plan in unit_plans[l].iter() {
-                let cells: usize = plan.iter().map(|u| u.region.num_cells() as usize).sum();
-                let seg = data.get(offset..offset + cells).ok_or_else(|| {
-                    H5Error::Format(format!("level {l} field {f}: dataset too short"))
-                })?;
-                // Cut the segment back into unit buffers.
-                let mut bufs = Vec::with_capacity(plan.len());
-                let mut p = 0usize;
-                for u in plan {
-                    let n = u.region.num_cells() as usize;
-                    let sz = u.region.size();
-                    bufs.push(Buffer3::from_vec(
-                        Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize),
-                        seg[p..p + n].to_vec(),
-                    ));
-                    p += n;
+    let mut raw = Vec::new();
+    for (l, level) in levels.iter_mut().enumerate() {
+        for (rank, plan) in unit_plans[l].iter().enumerate() {
+            for f in 0..meta.field_names.len() {
+                let name = field_dataset(l, f);
+                // A level where no rank kept any cells stores no chunks.
+                if rank >= r.meta(&name)?.chunks.len() {
+                    keep(l, rank, f, Vec::new());
+                    continue;
                 }
-                scatter_units(&mut levels[l], plan, f, &bufs);
-                offset += cells;
+                r.read_chunk_raw_into(&name, rank, &mut raw)?;
+                let units = decode(l, rank, f, &raw)?;
+                let matches_plan = units.len() == plan.len()
+                    && units
+                        .iter()
+                        .zip(plan)
+                        .all(|(u, p)| u.dims() == region_dims(&p.region));
+                if !matches_plan {
+                    return Err(H5Error::Codec(CodecError::dims(format!(
+                        "level {l} field {f} rank {rank}: decoded units do not match the \
+                         {}-unit plan",
+                        plan.len()
+                    ))));
+                }
+                scatter_units(level, plan, f, &units);
+                keep(l, rank, f, units);
             }
         }
     }
     Ok(Plotfile {
+        domains: meta.levels.iter().map(|l| l.domain).collect(),
         field_names: meta.field_names,
         levels,
-        domains,
         bf: meta.bf,
         remove_redundancy: meta.remove_redundancy,
         unit_plans,
     })
+}
+
+/// Load an AMRIC plotfile (written by [`crate::writer::write_amric`]).
+pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Plotfile> {
+    let r = H5Reader::open(path)?;
+    load_plotfile(
+        &r,
+        |_, _, _, raw| Ok(decompress_field_units(raw)?),
+        |_, _, _, _| {},
+    )
 }
 
 /// Load a baseline / no-compression plotfile (written by
@@ -308,11 +306,7 @@ pub fn read_baseline_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Pl
     let pmeta = read_plotfile_meta(&r)?;
     let nfields = pmeta.field_names.len();
     let domains: Vec<IntBox> = pmeta.levels.iter().map(|l| l.domain).collect();
-    let mut levels: Vec<MultiFab> = pmeta
-        .levels
-        .iter()
-        .map(|l| MultiFab::new(l.boxes.clone(), l.owners.clone(), pmeta.field_names.clone()))
-        .collect();
+    let mut levels = empty_levels(&pmeta);
     for (l, level) in levels.iter_mut().enumerate() {
         let meta = r.meta(&format!("level_{l}/data"))?.clone();
         let chunk_elems = meta.chunk_elems as usize;

@@ -35,8 +35,11 @@
 use crate::preprocess::{
     extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent, UnitRef,
 };
-use crate::reader::{read_plotfile_meta, Plotfile};
-use crate::writer::{field_dataset, fold_receipt, write_metadata, WriteReport};
+use crate::reader::{load_plotfile, Plotfile};
+use crate::writer::{
+    field_dataset, flatten_units, fold_receipt, global_range, run_snapshot_ranks,
+    write_chunk_indexes, WriteReport,
+};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use rankpar::prelude::*;
@@ -45,7 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use sz_codec::codec::CodecId;
 use sz_codec::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
-use sz_codec::{Buffer3, Codec, CodecError};
+use sz_codec::{Buffer3, Codec, CodecResult};
 
 /// Filter id for the temporal delta filter (registered like the AMRIC
 /// filter, outside h5lite's built-in registry).
@@ -79,21 +82,7 @@ impl ChunkFilter for TemporalFieldFilter {
     }
 
     fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        let units = TemporalCodec::decoder()
-            .decompress(bytes)
-            .map_err(H5Error::Codec)?;
-        let mut out = Vec::with_capacity(n_elems);
-        for u in units {
-            out.extend_from_slice(u.data());
-        }
-        if out.len() < n_elems {
-            return Err(H5Error::Format(format!(
-                "temporal chunk decoded {} elems, need {n_elems}",
-                out.len()
-            )));
-        }
-        out.truncate(n_elems);
-        Ok(out)
+        flatten_units(&TemporalCodec::decoder().decompress(bytes)?, n_elems)
     }
 }
 
@@ -127,17 +116,17 @@ impl TemporalSessionConfig {
 struct PrevSnapshot {
     id: u64,
     nfields: usize,
-    /// `[level][rank]` unit plans of the previous snapshot.
-    plans: Vec<Vec<Vec<UnitRef>>>,
-    /// `[level][rank][field]` decoded reference state.
-    refs: Vec<Vec<Vec<Arc<TemporalReference>>>>,
+    /// `[rank][level]` outcomes, exactly as the rank closures left them.
+    ranks: Vec<Vec<LevelOut>>,
 }
 
 /// Per-(rank, level) outcome carried out of the rank closures.
 struct LevelOut {
     extent: Option<PlanExtent>,
+    /// The rank's unit plan (for region-identity mapping next snapshot).
     plan: Vec<UnitRef>,
     any_delta: bool,
+    /// Per-field decoded state, the next snapshot's reference.
     field_refs: Vec<Arc<TemporalReference>>,
 }
 
@@ -164,6 +153,40 @@ fn region_key(b: &IntBox) -> ([i64; 3], [i64; 3]) {
         [b.lo.get(0), b.lo.get(1), b.lo.get(2)],
         [b.hi.get(0), b.hi.get(1), b.hi.get(2)],
     )
+}
+
+/// Encode one (level, rank, field) stream. Size-aware mode choice: a
+/// surviving region only proves the *layout* held still — violent dynamics
+/// can make residuals cost more than re-coding the field spatially. So
+/// when a region mapping exists (`delta`: the reference plus the per-unit
+/// map into it) the stream is encoded both ways and the smaller one
+/// ships: temporal output is never larger than spatial-only output.
+/// Returns the frame, the decoded state, and whether the delta won.
+fn encode_stream(
+    tcfg: TemporalConfig,
+    bufs: &[Buffer3],
+    delta: Option<(Arc<TemporalReference>, Vec<Option<u32>>)>,
+) -> CodecResult<(EncodedFrame, Vec<Buffer3>, bool)> {
+    let t0 = Instant::now();
+    let mut bytes = Vec::new();
+    let (_, mut decoded) = TemporalCodec::spatial(tcfg).compress_with_state(bufs, &mut bytes)?;
+    let mut shipped_delta = false;
+    if let Some((reference, unit_refs)) = delta {
+        let mut delta_bytes = Vec::new();
+        let (_, delta_decoded) = TemporalCodec::with_reference(tcfg, reference, unit_refs)
+            .compress_with_state(bufs, &mut delta_bytes)?;
+        if delta_bytes.len() < bytes.len() {
+            bytes = delta_bytes;
+            decoded = delta_decoded;
+            shipped_delta = true;
+        }
+    }
+    let frame = EncodedFrame {
+        bytes,
+        logical_elems: bufs.iter().map(|b| b.dims().len() as u64).sum(),
+        encode_seconds: t0.elapsed().as_secs_f64(),
+    };
+    Ok((frame, decoded, shipped_delta))
 }
 
 impl TemporalSession {
@@ -224,7 +247,6 @@ impl TemporalSession {
             self.reset_reference();
         }
         self.since_keyframe += 1;
-        let nranks = h.level(0).data.distribution().nranks();
         let num_levels = h.num_levels();
         let nfields = h.field_names().len();
         let id = self.next_id;
@@ -232,11 +254,9 @@ impl TemporalSession {
         let bf = self.bf;
         let prev = self.prev.as_ref();
 
-        type RankOutcome = (IoLedger, f64, Vec<LevelOut>);
-        let per_rank: Vec<RankOutcome> = run_ranks(nranks, |comm| {
+        let header_extra = [bf as u64, u64::from(cfg.remove_redundancy)];
+        let body = |comm: &Communicator, ledger: &mut IoLedger, prep_s: &mut f64| {
             let rank = comm.rank();
-            let mut ledger = IoLedger::default();
-            let mut prep_s = 0.0;
             let mut levels_out = Vec::with_capacity(num_levels);
             for l in 0..num_levels {
                 let level = &h.level(l).data;
@@ -251,9 +271,13 @@ impl TemporalSession {
                 // snapshot. Any level/layout change (refined away,
                 // coarsened, redistributed, re-truncated) misses the map
                 // and falls back to spatial coding.
-                let unit_refs: Vec<Option<u32>> = match prev {
-                    Some(p) if l < p.plans.len() && p.nfields == nfields => {
-                        let by_region: HashMap<_, u32> = p.plans[l][rank]
+                let prev_level = prev
+                    .filter(|p| p.nfields == nfields)
+                    .and_then(|p| p.ranks.get(rank)?.get(l));
+                let unit_refs: Vec<Option<u32>> = match prev_level {
+                    Some(p) => {
+                        let by_region: HashMap<_, u32> = p
+                            .plan
                             .iter()
                             .enumerate()
                             .map(|(i, u)| (region_key(&u.region), i as u32))
@@ -266,7 +290,7 @@ impl TemporalSession {
                     _ => vec![None; units.len()],
                 };
                 let any_mapped = unit_refs.iter().any(Option::is_some);
-                prep_s += t0.elapsed().as_secs_f64();
+                *prep_s += t0.elapsed().as_secs_f64();
                 // Set iff any field stream of this (level, rank) actually
                 // shipped delta-coded bytes — the chunk index records the
                 // reference only then.
@@ -276,77 +300,47 @@ impl TemporalSession {
                     let t0 = Instant::now();
                     let bufs = extract_units(level, &units, f);
                     let staged_cells: usize = bufs.iter().map(|b| b.dims().len()).sum();
-                    prep_s += t0.elapsed().as_secs_f64();
+                    *prep_s += t0.elapsed().as_secs_f64();
                     // Global REL bound and global chunk size, same
                     // collective sequence as the AMRIC writer.
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for b in &bufs {
-                        for &v in b.data() {
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                        }
-                    }
-                    let ranges = comm.allgather((lo, hi));
-                    let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-                    let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
-                    let range = if ghi > glo { ghi - glo } else { 0.0 };
-                    let abs_eb = sz_codec::quantizer::absolute_bound(cfg.rel_eb, range);
-                    let chunk_elems = comm.allreduce_max(staged_cells as u64) as usize;
+                    let range = global_range(comm, bufs.iter().flat_map(|b| b.data()));
                     let tcfg = TemporalConfig {
-                        abs_eb,
+                        abs_eb: sz_codec::quantizer::absolute_bound(cfg.rel_eb, range),
                         block_size: cfg.block_size,
                     };
-                    let filter = TemporalFieldFilter {
-                        unit_edge: unit as usize,
-                    };
-                    let (frames, decoded) = if chunk_elems == 0 {
-                        (Vec::new(), Vec::new())
+                    let chunk_elems = comm.allreduce_max(staged_cells as u64) as usize;
+                    let encoded = if chunk_elems == 0 {
+                        Ok((Vec::new(), Vec::new(), false))
                     } else {
-                        let t0 = Instant::now();
-                        // Size-aware mode choice: a surviving region only
-                        // proves the *layout* held still — violent dynamics
-                        // can make residuals cost more than re-coding the
-                        // field spatially. Encode both ways when a mapping
-                        // exists and ship the smaller stream, so temporal
-                        // output is never larger than spatial-only output.
-                        let mut bytes = Vec::new();
-                        let (_, mut decoded) = TemporalCodec::spatial(tcfg)
-                            .compress_with_state(&bufs, &mut bytes)
-                            .expect("temporal encode failed");
-                        if any_mapped {
-                            let delta = TemporalCodec::with_reference(
-                                tcfg,
-                                prev.expect("mapping implies prev").refs[l][rank][f].clone(),
-                                unit_refs.clone(),
-                            );
-                            let mut delta_bytes = Vec::new();
-                            let (_, delta_decoded) = delta
-                                .compress_with_state(&bufs, &mut delta_bytes)
-                                .expect("temporal encode failed");
-                            if delta_bytes.len() < bytes.len() {
-                                bytes = delta_bytes;
-                                decoded = delta_decoded;
-                                any_delta = true;
-                            }
-                        }
-                        let frame = EncodedFrame {
-                            bytes,
-                            logical_elems: staged_cells as u64,
-                            encode_seconds: t0.elapsed().as_secs_f64(),
-                        };
-                        (vec![frame], decoded)
+                        let delta = any_mapped.then(|| {
+                            let reference =
+                                &prev_level.expect("mapping implies prev").field_refs[f];
+                            (Arc::clone(reference), unit_refs.clone())
+                        });
+                        encode_stream(tcfg, &bufs, delta)
+                            .map(|(frame, decoded, delta)| (vec![frame], decoded, delta))
+                    };
+                    // A failed encode still joins the collective — with an
+                    // abort vote, so the peers fail in lockstep — and then
+                    // reports its own typed cause.
+                    let (frames, state) = match encoded {
+                        Ok((frames, decoded, delta)) => (Some(frames), Ok((decoded, delta))),
+                        Err(e) => (None, Err(H5Error::Codec(e))),
                     };
                     let receipt = collective_write_frames(
-                        &comm,
+                        comm,
                         &writer,
                         &field_dataset(l, f),
-                        Some(frames),
+                        frames,
                         chunk_elems.max(1),
-                        &filter,
+                        &TemporalFieldFilter {
+                            unit_edge: unit as usize,
+                        },
                         FilterMode::SizeAware,
-                    )
-                    .expect("collective write failed");
-                    fold_receipt(&mut ledger, &receipt);
+                    );
+                    let (decoded, delta) = state?;
+                    fold_receipt(ledger, &receipt?);
+                    any_delta |= delta;
                     field_refs.push(Arc::new(TemporalReference::new(id, decoded)));
                 }
                 levels_out.push(LevelOut {
@@ -356,55 +350,19 @@ impl TemporalSession {
                     field_refs,
                 });
             }
-            if rank == 0 {
-                write_metadata(&writer, h, &[bf as u64, u64::from(cfg.remove_redundancy)])
-                    .expect("metadata write failed");
-            }
-            comm.barrier();
-            (ledger, prep_s, levels_out)
-        });
-
-        // Transpose the rank outcomes into [level][rank] order.
-        let mut ledgers = Vec::with_capacity(nranks);
-        let mut prep_seconds = Vec::with_capacity(nranks);
-        let mut extents: Vec<Vec<Option<PlanExtent>>> = vec![Vec::new(); num_levels];
-        let mut deltas: Vec<Vec<bool>> = vec![Vec::new(); num_levels];
-        let mut plans: Vec<Vec<Vec<UnitRef>>> = vec![Vec::new(); num_levels];
-        let mut refs: Vec<Vec<Vec<Arc<TemporalReference>>>> = vec![Vec::new(); num_levels];
-        for (ledger, prep, levels_out) in per_rank {
-            ledgers.push(ledger);
-            prep_seconds.push(prep);
-            for (l, out) in levels_out.into_iter().enumerate() {
-                extents[l].push(out.extent);
-                deltas[l].push(out.any_delta);
-                plans[l].push(out.plan);
-                refs[l].push(out.field_refs);
-            }
-        }
+            Ok(levels_out)
+        };
+        let (report, per_rank) = run_snapshot_ranks(&writer, h, &header_extra, body)?;
 
         // Chunk index: codec id + extent per rank chunk, plus the
         // reference snapshot id on chunks that delta-code.
         let prev_id = prev.map(|p| p.id);
-        for l in 0..num_levels {
-            let entries: Vec<ChunkIndexEntry> = if extents[l].iter().all(Option::is_none) {
-                Vec::new()
-            } else {
-                extents[l]
-                    .iter()
-                    .zip(&deltas[l])
-                    .map(|(e, &delta)| {
-                        let entry = ChunkIndexEntry::new(CodecId::Temporal as u32, *e);
-                        match (delta, prev_id) {
-                            (true, Some(rid)) => entry.with_reference(rid),
-                            _ => entry,
-                        }
-                    })
-                    .collect()
-            };
-            for f in 0..nfields {
-                writer.set_chunk_index(&field_dataset(l, f), ChunkIndex::new(entries.clone()))?;
-            }
-        }
+        let extents: Vec<Vec<Option<PlanExtent>>> = (0..num_levels)
+            .map(|l| per_rank.iter().map(|levels| levels[l].extent).collect())
+            .collect();
+        write_chunk_indexes(&writer, nfields, CodecId::Temporal, &extents, |l, rank| {
+            prev_id.filter(|_| per_rank[rank][l].any_delta)
+        })?;
         // Whole-file temporal linkage (0 = no reference).
         writer.write_dataset(
             "meta/temporal",
@@ -417,18 +375,10 @@ impl TemporalSession {
         self.prev = Some(PrevSnapshot {
             id,
             nfields,
-            plans,
-            refs,
+            ranks: per_rank,
         });
         self.next_id += 1;
-        let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-        Ok(WriteReport {
-            nranks,
-            ledgers,
-            prep_seconds,
-            orig_bytes: h.snapshot_bytes(),
-            stored_bytes: stored,
-        })
+        Ok(report)
     }
 }
 
@@ -463,8 +413,8 @@ pub fn read_temporal_meta(r: &H5Reader) -> H5Result<TemporalMeta> {
 pub struct TemporalReadState {
     /// Snapshot id of the decoded file.
     pub id: u64,
-    /// `[level][rank][field]` decoded reference state.
-    refs: Vec<Vec<Vec<Arc<TemporalReference>>>>,
+    /// Decoded reference state per `(level, rank, field)` stream.
+    refs: HashMap<(usize, usize, usize), Arc<TemporalReference>>,
 }
 
 /// Load one snapshot of a temporal series from an open container,
@@ -477,7 +427,6 @@ pub fn read_temporal_hierarchy(
     r: &H5Reader,
     prev: Option<&TemporalReadState>,
 ) -> H5Result<(Plotfile, TemporalReadState)> {
-    let meta = read_plotfile_meta(r)?;
     let tmeta = read_temporal_meta(r)?;
     if let (Some(rid), Some(p)) = (tmeta.reference_id, prev) {
         if p.id != rid {
@@ -487,74 +436,21 @@ pub fn read_temporal_hierarchy(
             )));
         }
     }
-    let nfields = meta.field_names.len();
-    let domains: Vec<IntBox> = meta.levels.iter().map(|l| l.domain).collect();
-    let mut levels: Vec<MultiFab> = meta
-        .levels
-        .iter()
-        .map(|l| MultiFab::new(l.boxes.clone(), l.owners.clone(), meta.field_names.clone()))
-        .collect();
-    let unit_plans = meta.unit_plans();
-    let mut refs: Vec<Vec<Vec<Arc<TemporalReference>>>> = Vec::with_capacity(meta.num_levels());
-    for l in 0..meta.num_levels() {
-        let nchunks = r.meta(&field_dataset(l, 0))?.chunks.len();
-        let mut level_refs: Vec<Vec<Arc<TemporalReference>>> = Vec::with_capacity(meta.nranks);
-        for (rank, plan) in unit_plans[l].iter().enumerate().take(meta.nranks) {
-            let mut rank_refs = Vec::with_capacity(nfields);
-            for f in 0..nfields {
-                if rank >= nchunks {
-                    // Chunk-less level: nothing stored, nothing to
-                    // reference next snapshot.
-                    rank_refs.push(Arc::new(TemporalReference::new(
-                        tmeta.snapshot_id,
-                        Vec::new(),
-                    )));
-                    continue;
-                }
-                let raw = r.read_chunk_raw(&field_dataset(l, f), rank)?;
-                let codec = match prev {
-                    Some(p) if l < p.refs.len() && rank < p.refs[l].len() => {
-                        TemporalCodec::decoder_with(p.refs[l][rank][f].clone())
-                    }
-                    _ => TemporalCodec::decoder(),
-                };
-                let units = codec.decompress(&raw).map_err(H5Error::Codec)?;
-                if units.len() != plan.len() {
-                    return Err(H5Error::Codec(CodecError::dims(format!(
-                        "level {l} field {f} rank {rank}: {} units decoded, plan has {}",
-                        units.len(),
-                        plan.len()
-                    ))));
-                }
-                for (u, p) in units.iter().zip(plan) {
-                    let sz = p.region.size();
-                    let want = sz_codec::Dims3::new(
-                        sz.get(0) as usize,
-                        sz.get(1) as usize,
-                        sz.get(2) as usize,
-                    );
-                    if u.dims() != want {
-                        return Err(H5Error::Codec(CodecError::dims(format!(
-                            "level {l} field {f} rank {rank}: unit dims {:?} != plan {want:?}",
-                            u.dims()
-                        ))));
-                    }
-                }
-                scatter_units_checked(&mut levels[l], plan, f, &units);
-                rank_refs.push(Arc::new(TemporalReference::new(tmeta.snapshot_id, units)));
-            }
-            level_refs.push(rank_refs);
-        }
-        refs.push(level_refs);
-    }
-    let pf = Plotfile {
-        field_names: meta.field_names,
-        levels,
-        domains,
-        bf: meta.bf,
-        remove_redundancy: meta.remove_redundancy,
-        unit_plans,
-    };
+    let mut refs = HashMap::new();
+    let pf = load_plotfile(
+        r,
+        |l, rank, f, raw| {
+            let codec = match prev.and_then(|p| p.refs.get(&(l, rank, f))) {
+                Some(reference) => TemporalCodec::decoder_with(Arc::clone(reference)),
+                None => TemporalCodec::decoder(),
+            };
+            Ok(codec.decompress(raw)?)
+        },
+        |l, rank, f, units| {
+            let state = TemporalReference::new(tmeta.snapshot_id, units);
+            refs.insert((l, rank, f), Arc::new(state));
+        },
+    )?;
     Ok((
         pf,
         TemporalReadState {
@@ -564,17 +460,12 @@ pub fn read_temporal_hierarchy(
     ))
 }
 
-/// `scatter_units` behind the dims validation above (units are already
-/// checked against the plan; this is just the paste).
-fn scatter_units_checked(level: &mut MultiFab, plan: &[UnitRef], field: usize, units: &[Buffer3]) {
-    crate::preprocess::scatter_units(level, plan, field, units);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::verify_against;
+    use crate::reader::{read_plotfile_meta, verify_against};
     use amr_apps::prelude::*;
+    use sz_codec::CodecError;
 
     fn series_cfg() -> AmrRunConfig {
         AmrRunConfig {
@@ -772,7 +663,7 @@ mod tests {
                     let raw = reader.read_chunk_raw(&name, rank).unwrap();
                     let mut reg = crate::codec::default_registry();
                     reg.register(Box::new(TemporalCodec::decoder_with(
-                        state0.refs[l][rank][f].clone(),
+                        state0.refs[&(l, rank, f)].clone(),
                     )));
                     let units = reg.decompress_auto(&raw).unwrap();
                     // Bitwise parity with the session reader's scatter.

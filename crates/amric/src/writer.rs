@@ -10,17 +10,17 @@
 //! in the chunk metadata so no padding is ever compressed.
 
 use crate::config::AmricConfig;
-use crate::pipeline::{
-    compress_field_units_resolved_into, compress_field_units_resolved_pooled,
-    decompress_field_units, AmricScratch, ResolvedBound,
+use crate::pipeline::{compress_on_thread_scratch, decompress_field_units, ResolvedBound};
+use crate::preprocess::{
+    extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent,
 };
-use crate::preprocess::{extract_units, plan_units, unit_edge_for_level};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use rankpar::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-use sz_codec::CodecError;
+use sz_codec::codec::CodecId;
+use sz_codec::{Buffer3, CodecError, Dims3};
 
 /// Filter id for the AMRIC application-defined filter (outside h5lite's
 /// built-in registry, like a dynamically loaded HDF5 plugin).
@@ -29,8 +29,9 @@ pub const FILTER_AMRIC: u32 = 100;
 /// The AMRIC chunk filter: the chunk payload is a concatenation of cubic
 /// unit blocks of edge `unit_edge`; encode runs the full §3.1–3.2
 /// pipeline on them. Encoding appends into the caller's buffer through
-/// the thread-local (= per-rank) scratch pool, so the per-chunk hot path
-/// allocates no fresh output `Vec` and no fresh quantization scratch.
+/// the calling thread's scratch (rank threads and pool workers each have
+/// their own), so the per-chunk hot path allocates no fresh quantization
+/// scratch and workers never contend on hot buffers.
 #[derive(Clone, Copy, Debug)]
 pub struct AmricFieldFilter {
     /// Pipeline configuration.
@@ -57,48 +58,23 @@ impl AmricFieldFilter {
             bound: ResolvedBound::Fixed(abs_eb),
         }
     }
+}
 
-    /// Cut the chunk payload into its cubic unit blocks, rejecting chunks
-    /// whose length is not a multiple of the unit volume (typed error,
-    /// never a panic — the PR 2 regression contract).
-    fn cut_units(&self, chunk: &[f64]) -> H5Result<Vec<sz_codec::Buffer3>> {
-        let e3 = self.unit_edge * self.unit_edge * self.unit_edge;
-        if e3 == 0 || !chunk.len().is_multiple_of(e3) {
-            return Err(H5Error::Codec(CodecError::dims(format!(
-                "chunk of {} elems is not a multiple of unit {}³",
-                chunk.len(),
-                self.unit_edge
-            ))));
-        }
-        Ok(chunk
-            .chunks_exact(e3)
-            .map(|u| sz_codec::Buffer3::from_vec(sz_codec::Dims3::cube(self.unit_edge), u.to_vec()))
-            .collect())
+/// Flatten decoded unit blocks back into the chunk payload a generic
+/// `ChunkFilter::decode` caller expects (exactly `n_elems` values).
+pub(crate) fn flatten_units(units: &[Buffer3], n_elems: usize) -> H5Result<Vec<f64>> {
+    let mut out = Vec::with_capacity(n_elems);
+    for u in units {
+        out.extend_from_slice(u.data());
     }
-
-    /// [`ChunkFilter::encode_into`] with an **explicit** scratch pool —
-    /// the parallel engine's entry point, where every pool worker owns
-    /// its own [`AmricScratch`] instead of sharing the thread-local one.
-    /// The produced bytes are identical either way: compression depends
-    /// only on the chunk data and this filter's parameters, never on
-    /// scratch history (the scratch is cleared at entry).
-    pub fn encode_with_scratch(
-        &self,
-        chunk: &[f64],
-        scratch: &mut AmricScratch,
-        out: &mut Vec<u8>,
-    ) -> H5Result<()> {
-        let units = self.cut_units(chunk)?;
-        compress_field_units_resolved_into(
-            &units,
-            &self.cfg,
-            self.unit_edge,
-            self.bound,
-            scratch,
-            out,
-        );
-        Ok(())
+    if out.len() < n_elems {
+        return Err(H5Error::Format(format!(
+            "chunk decoded {} elems, need {n_elems}",
+            out.len()
+        )));
     }
+    out.truncate(n_elems);
+    Ok(out)
 }
 
 impl ChunkFilter for AmricFieldFilter {
@@ -111,25 +87,27 @@ impl ChunkFilter for AmricFieldFilter {
     }
 
     fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
-        let units = self.cut_units(chunk)?;
-        compress_field_units_resolved_pooled(&units, &self.cfg, self.unit_edge, self.bound, out);
+        // Cut the payload into its cubic unit blocks; a length that is not
+        // a multiple of the unit volume is a typed error, never a panic
+        // (the PR 2 regression contract).
+        let e3 = self.unit_edge * self.unit_edge * self.unit_edge;
+        if e3 == 0 || !chunk.len().is_multiple_of(e3) {
+            return Err(H5Error::Codec(CodecError::dims(format!(
+                "chunk of {} elems is not a multiple of unit {}³",
+                chunk.len(),
+                self.unit_edge
+            ))));
+        }
+        let units: Vec<Buffer3> = chunk
+            .chunks_exact(e3)
+            .map(|u| Buffer3::from_vec(Dims3::cube(self.unit_edge), u.to_vec()))
+            .collect();
+        compress_on_thread_scratch(&units, &self.cfg, self.unit_edge, self.bound, out);
         Ok(())
     }
 
     fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        let units = decompress_field_units(bytes)?;
-        let mut out = Vec::with_capacity(n_elems);
-        for u in units {
-            out.extend_from_slice(u.data());
-        }
-        if out.len() < n_elems {
-            return Err(H5Error::Format(format!(
-                "AMRIC chunk decoded {} elems, need {n_elems}",
-                out.len()
-            )));
-        }
-        out.truncate(n_elems);
-        Ok(out)
+        flatten_units(&decompress_field_units(bytes)?, n_elems)
     }
 }
 
@@ -162,6 +140,28 @@ impl WriteReport {
         let prep = self.prep_seconds.iter().cloned().fold(0.0, f64::max);
         let io = job_seconds(&self.ledgers, params, self.nranks);
         (prep, io)
+    }
+}
+
+/// Value range of `values` across **all** ranks (0.0 for constant or
+/// empty fields) — the global range REL bounds resolve against. One
+/// allgather; every rank must call it in the same order.
+pub(crate) fn global_range<'a>(
+    comm: &Communicator,
+    values: impl IntoIterator<Item = &'a f64>,
+) -> f64 {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &v in values {
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    let ranges = comm.allgather((lo, hi));
+    let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+    let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
+    if ghi > glo {
+        ghi - glo
+    } else {
+        0.0
     }
 }
 
@@ -235,239 +235,59 @@ pub fn field_dataset(level: usize, field: usize) -> String {
     format!("level_{level}/field_{field}")
 }
 
-/// One field's fully-staged write work for [`write_field_parallel`]: the
-/// rank's chunks, the resolved filter, and the collective chunk geometry.
-/// All metadata (global chunk size, absolute bound) is pre-computed, so
-/// compression can run on pool workers while earlier fields' collective
-/// writes are still in flight — the paper's one-pass write.
-#[derive(Clone, Debug)]
-pub struct FieldWriteJob {
-    /// Dataset name (identical on every rank).
-    pub name: String,
-    /// This rank's chunks (the AMRIC layout stages exactly one per field;
-    /// empty when no rank on the level holds data).
-    pub chunks: Vec<ChunkData>,
-    /// Collective chunk size in elements (max over ranks, pre-agreed).
-    pub chunk_elems: usize,
-    /// Resolved filter (global absolute bound baked in).
-    pub filter: AmricFieldFilter,
-    /// Standard vs size-aware filter semantics.
-    pub mode: FilterMode,
-}
-
-/// Per-worker compression state of the field pipeline: an explicit
-/// [`AmricScratch`] (quantization-stream buffers) plus the padding
-/// staging buffer. One per pool worker — workers never contend on hot
-/// buffers, and nothing rides on thread-local state.
-#[derive(Default)]
-struct FieldEncodeScratch {
-    scratch: AmricScratch,
-    pad: Vec<f64>,
-}
-
-/// Per-field accumulation while its frames stream to storage: the
-/// receipt under construction, the chunk records already on disk, and
-/// the batch of frames awaiting the next extent reservation.
-struct FieldProgress {
-    receipt: CollectiveReceipt,
-    records: Vec<ChunkRecord>,
-    batch: Vec<EncodedFrame>,
-}
-
-impl FieldProgress {
-    fn new() -> Self {
-        FieldProgress {
-            receipt: CollectiveReceipt {
-                dataset_creates: 1,
-                ..Default::default()
-            },
-            records: Vec::new(),
-            batch: Vec::new(),
-        }
-    }
-
-    fn chunks_done(&self) -> usize {
-        self.records.len() + self.batch.len()
-    }
-}
-
-/// Write the batched frames into one pre-reserved contiguous extent,
-/// folding them into the field's records and receipt.
-fn flush_field_frames(writer: &H5Writer, progress: &mut FieldProgress) -> H5Result<()> {
-    if progress.batch.is_empty() {
-        return Ok(());
-    }
-    let plan = writer.reserve_extent(progress.batch.iter().map(|f| f.bytes.len() as u64));
-    for (frame, &offset) in progress.batch.iter().zip(&plan.offsets) {
-        writer.write_at(offset, &frame.bytes)?;
-        progress.receipt.write_calls += 1;
-        progress.receipt.bytes_written += frame.bytes.len() as u64;
-        progress.records.push(ChunkRecord {
-            offset,
-            stored_bytes: frame.bytes.len() as u64,
-            logical_elems: frame.logical_elems,
-        });
-    }
-    progress.batch.clear();
-    Ok(())
-}
-
-/// Batch-submission write API: compress every field's chunks on a
-/// rank-local pool of `workers` threads and issue the collective writes
-/// in field order, **overlapped** — while field `f`'s frames are inside
-/// the collective commit (and peers may still be compressing), the pool
-/// is already compressing fields `f+1, f+2, …` into the bounded
-/// reassembly window. `workers <= 1` degrades to the serial reference
-/// path with identical output bytes and identical collective sequence.
+/// The scaffolding every snapshot writer shares: run `body` once per rank
+/// — it stages and writes the rank's datasets through the collective
+/// engine, charging `ledger` and the prep-seconds counter — let rank 0 add
+/// the plotfile header, and assemble the [`WriteReport`] plus the per-rank
+/// `body` results in rank order. The caller still owns the container tail
+/// (chunk indexes, `finish`).
 ///
-/// Frames stream to storage as they drain: each batch of `max(workers,
-/// 2)` frames lands in one pre-reserved extent and only its small
-/// [`ChunkRecord`]s are kept until the field's collective commit, so
-/// memory in flight is bounded by the batch plus the reassembly window
-/// regardless of how many chunks a field stages.
-///
-/// Every rank must pass the same field list (names, `chunk_elems`,
-/// modes). The collective contract on errors: a rank whose compression
-/// fails keeps participating in the remaining fields' collectives with an
-/// abort vote, so peers fail together instead of deadlocking; the typed
-/// error surfaces on every rank.
-pub fn write_field_parallel(
-    comm: &Communicator,
+/// The collectives fail in lockstep, so when `body` fails it fails on
+/// *every* rank: the rank at fault with its typed cause, its peers with
+/// the engine's abort notice (`H5Error::Format`). The typed cause is the
+/// one surfaced; nothing panics out of a rank closure.
+pub(crate) fn run_snapshot_ranks<T: Send>(
     writer: &H5Writer,
-    jobs: &[FieldWriteJob],
-    workers: usize,
-) -> H5Result<Vec<CollectiveReceipt>> {
-    // Flatten to (field, chunk) items so the pool load-balances across
-    // fields regardless of how many chunks each one stages.
-    let items: Vec<(usize, usize)> = jobs
-        .iter()
-        .enumerate()
-        .flat_map(|(f, j)| (0..j.chunks.len()).map(move |c| (f, c)))
-        .collect();
-
-    let batch_size = workers.max(2);
-    let mut receipts = Vec::with_capacity(jobs.len());
-    // `written` = number of fields whose collective has *occurred*
-    // (successfully or as a joint abort); the error path below must keep
-    // the remaining fields' collectives running to stay in lockstep.
-    let mut written = 0usize;
-    let mut progress = FieldProgress::new();
-
-    let pool_result: Result<(), H5Error> = rankpar::pool::for_each_ordered(
-        &items,
-        workers,
-        // Double buffer: one batch in the writer's hands, one compressing.
-        (2 * workers).max(2),
-        FieldEncodeScratch::default,
-        |state, _i, &(f, c)| {
-            let job = &jobs[f];
-            writer.count_filter_call();
-            let t0 = Instant::now();
-            let (data, logical_elems) =
-                staged_chunk(&job.chunks[c], job.chunk_elems, job.mode, &mut state.pad)?;
-            let mut bytes = Vec::new();
-            job.filter
-                .encode_with_scratch(data, &mut state.scratch, &mut bytes)?;
-            Ok(EncodedFrame {
-                bytes,
-                logical_elems,
-                encode_seconds: t0.elapsed().as_secs_f64(),
-            })
-        },
-        |_i, frame| {
-            // Frames arrive in submission order, so this frame belongs to
-            // the first unwritten field that has chunks; commit any
-            // zero-chunk fields ahead of it first so `progress` never
-            // mixes fields.
-            while let Some(job) = jobs.get(written) {
-                if !job.chunks.is_empty() {
-                    break;
-                }
-                written += 1;
-                receipts.push(collective_finalize(
-                    comm,
-                    writer,
-                    &job.name,
-                    Vec::new(),
-                    job.chunk_elems,
-                    &job.filter,
-                    job.mode,
-                    None,
-                    FieldProgress::new().receipt,
-                )?);
+    h: &AmrHierarchy,
+    header_extra: &[u64],
+    body: impl Fn(&Communicator, &mut IoLedger, &mut f64) -> H5Result<T> + Sync,
+) -> H5Result<(WriteReport, Vec<T>)> {
+    let nranks = h.level(0).data.distribution().nranks();
+    let per_rank = run_ranks(nranks, |comm| {
+        let mut ledger = IoLedger::default();
+        let mut prep_s = 0.0;
+        let out = body(&comm, &mut ledger, &mut prep_s)?;
+        // A header failure on rank 0 must not strand the peers at the
+        // barrier, so it is reported only after it.
+        let header = match comm.rank() {
+            0 => write_metadata(writer, h, header_extra),
+            _ => Ok(()),
+        };
+        comm.barrier();
+        header.map(|()| (ledger, prep_s, out))
+    });
+    let mut report = WriteReport {
+        nranks,
+        ledgers: Vec::with_capacity(nranks),
+        prep_seconds: Vec::with_capacity(nranks),
+        orig_bytes: h.snapshot_bytes(),
+        stored_bytes: 0,
+    };
+    let mut outs = Vec::with_capacity(nranks);
+    let mut notice = None;
+    for result in per_rank {
+        match result {
+            Ok((ledger, prep_s, out)) => {
+                report.stored_bytes += ledger.bytes_written;
+                report.ledgers.push(ledger);
+                report.prep_seconds.push(prep_s);
+                outs.push(out);
             }
-            let job = &jobs[written];
-            progress.receipt.filter_calls += 1;
-            progress.receipt.encode_seconds += frame.encode_seconds;
-            progress.batch.push(frame);
-            // Stream batches to storage so resident frames stay bounded
-            // by the batch, not the field's chunk count.
-            if progress.batch.len() >= batch_size {
-                flush_field_frames(writer, &mut progress)?;
-            }
-            if progress.chunks_done() == job.chunks.len() {
-                flush_field_frames(writer, &mut progress)?;
-                let done = std::mem::replace(&mut progress, FieldProgress::new());
-                written += 1; // the collective happens now, success or not
-                receipts.push(collective_finalize(
-                    comm,
-                    writer,
-                    &job.name,
-                    done.records,
-                    job.chunk_elems,
-                    &job.filter,
-                    job.mode,
-                    None,
-                    done.receipt,
-                )?);
-            }
-            Ok(())
-        },
-    );
-
-    let mut failure = pool_result.err();
-    if failure.is_none() {
-        // Trailing zero-chunk fields (or an entirely chunk-less level).
-        while written < jobs.len() && jobs[written].chunks.is_empty() {
-            let job = &jobs[written];
-            written += 1;
-            match collective_finalize(
-                comm,
-                writer,
-                &job.name,
-                Vec::new(),
-                job.chunk_elems,
-                &job.filter,
-                job.mode,
-                None,
-                FieldProgress::new().receipt,
-            ) {
-                Ok(r) => receipts.push(r),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
+            Err(e @ H5Error::Format(_)) => notice = notice.or(Some(e)),
+            Err(cause) => return Err(cause),
         }
     }
-    if let Some(e) = failure {
-        // Stay in lockstep: peers will run every remaining field's
-        // collective, so this rank must too — with an abort vote.
-        for job in &jobs[written..] {
-            let _ = collective_write_frames(
-                comm,
-                writer,
-                &job.name,
-                None,
-                job.chunk_elems,
-                &job.filter,
-                job.mode,
-            );
-        }
-        return Err(e);
-    }
-    debug_assert_eq!(written, jobs.len());
-    Ok(receipts)
+    notice.map_or(Ok((report, outs)), Err)
 }
 
 /// Write one snapshot with the full AMRIC pipeline. Returns the per-rank
@@ -482,42 +302,29 @@ pub fn write_amric(
     write_amric_to(Arc::new(H5Writer::create(path)?), h, cfg, bf)
 }
 
-/// [`write_amric`] into a sharded container at `path` (a directory)
-/// spread over `shards` shard files — concurrent rank writers and later
-/// parallel prefetch hit independent shards.
-pub fn write_amric_sharded(
-    path: impl AsRef<std::path::Path>,
-    shards: usize,
-    h: &AmrHierarchy,
-    cfg: &AmricConfig,
-    bf: i64,
-) -> H5Result<WriteReport> {
-    write_amric_to(
-        Arc::new(H5Writer::create_sharded(path, shards)?),
-        h,
-        cfg,
-        bf,
-    )
-}
-
 /// The backend-agnostic AMRIC pipeline: runs the rank collectives against
-/// an already-created writer (any [`h5lite::Storage`] backend) and
-/// finishes the container.
+/// an already-created writer (any [`h5lite::Storage`] backend — e.g.
+/// `H5Writer::create_sharded` or `H5Writer::in_memory`) and finishes the
+/// container. A chunk that fails to encode aborts every rank in lockstep
+/// and surfaces here as the typed error (`H5Error::Codec` for filter
+/// failures), never a panic.
 pub fn write_amric_to(
     writer: Arc<H5Writer>,
     h: &AmrHierarchy,
     cfg: &AmricConfig,
     bf: i64,
 ) -> H5Result<WriteReport> {
-    let nranks = h.level(0).data.distribution().nranks();
     let num_levels = h.num_levels();
     let nfields = h.field_names().len();
+    let mode = if cfg.size_aware_filter {
+        FilterMode::SizeAware
+    } else {
+        FilterMode::Standard
+    };
 
-    type RankOutcome = (IoLedger, f64, Vec<Option<crate::preprocess::PlanExtent>>);
-    let per_rank: Vec<RankOutcome> = run_ranks(nranks, |comm| {
+    let header_extra = [bf as u64, u64::from(cfg.remove_redundancy)];
+    let body = |comm: &Communicator, ledger: &mut IoLedger, prep_s: &mut f64| {
         let rank = comm.rank();
-        let mut ledger = IoLedger::default();
-        let mut prep_s = 0.0;
         // Per-level bounding box of this rank's units — the extent the
         // chunk index persists, collected here so the index costs no
         // second planning pass.
@@ -529,14 +336,14 @@ pub fn write_amric_to(
             let unit = unit_edge_for_level(bf, l, num_levels);
             let t0 = Instant::now();
             let units = plan_units(level, finer, unit, rank, cfg.remove_redundancy);
-            extents.push(crate::preprocess::plan_bounding_box(&units));
-            prep_s += t0.elapsed().as_secs_f64();
+            extents.push(plan_bounding_box(&units));
+            *prep_s += t0.elapsed().as_secs_f64();
             // Pass 1 — stage every field and pre-compute the write
             // metadata (global bound + global chunk size) in one
             // deterministic collective sequence. With the metadata known
             // up front, pass 2 can overlap compression with the writes
             // (the paper's one-pass write).
-            let mut jobs = Vec::with_capacity(nfields);
+            let mut staged_fields = Vec::with_capacity(nfields);
             for f in 0..nfields {
                 // Stage field-major (§3.3 Solution 1): this rank's units of
                 // one field, concatenated.
@@ -546,23 +353,14 @@ pub fn write_amric_to(
                 for b in &bufs {
                     staged.extend_from_slice(b.data());
                 }
-                prep_s += t0.elapsed().as_secs_f64();
+                *prep_s += t0.elapsed().as_secs_f64();
                 // Resolve the relative bound against the field's global
-                // range on this level (allreduce over ranks).
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in &staged {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                let ranges = comm.allgather((lo, hi));
-                let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-                let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
-                let range = if ghi > glo { ghi - glo } else { 0.0 };
-                // Constant (range-0) fields fall back to the raw relative
-                // value — same contract as `resolve_abs_eb`, so quiet
-                // ranks get a well-defined, non-degenerate bound. Under an
-                // adaptive policy both tight and loose resolve against the
-                // same global range.
+                // range on this level. Constant (range-0) fields fall back
+                // to the raw relative value — same contract as
+                // `resolve_abs_eb`, so quiet ranks get a well-defined,
+                // non-degenerate bound. Under an adaptive policy both
+                // tight and loose resolve against the same global range.
+                let range = global_range(comm, &staged);
                 let filter = AmricFieldFilter {
                     cfg: *cfg,
                     unit_edge: unit as usize,
@@ -570,81 +368,79 @@ pub fn write_amric_to(
                 };
                 // Global chunk = biggest rank (§3.3 Solution 2).
                 let chunk_elems = comm.allreduce_max(staged.len() as u64) as usize;
-                let mode = if cfg.size_aware_filter {
-                    FilterMode::SizeAware
-                } else {
-                    FilterMode::Standard
-                };
                 let chunks = if chunk_elems == 0 {
                     Vec::new()
                 } else {
                     vec![ChunkData::full(staged)]
                 };
-                jobs.push(FieldWriteJob {
-                    name: field_dataset(l, f),
+                staged_fields.push((field_dataset(l, f), chunks, chunk_elems.max(1), filter));
+            }
+            // Pass 2 — the write engine: compress on the rank-local pool
+            // (inline at `workers = 1`), commit in field order.
+            let jobs: Vec<DatasetJob> = staged_fields
+                .iter()
+                .map(|(name, chunks, chunk_elems, filter)| DatasetJob {
+                    name,
                     chunks,
-                    chunk_elems: chunk_elems.max(1),
+                    chunk_elems: *chunk_elems,
                     filter,
                     mode,
-                });
-            }
-            // Pass 2 — compress on the rank-local pool, write in field
-            // order; serial when the config says so.
-            let receipts = write_field_parallel(&comm, &writer, &jobs, cfg.parallelism.workers())
-                .expect("collective write failed");
-            for receipt in &receipts {
-                fold_receipt(&mut ledger, receipt);
+                })
+                .collect();
+            for receipt in &collective_write_many(comm, &writer, &jobs, cfg.workers)? {
+                fold_receipt(ledger, receipt);
             }
         }
-        if rank == 0 {
-            write_metadata(&writer, h, &[bf as u64, u64::from(cfg.remove_redundancy)])
-                .expect("metadata write failed");
-        }
-        comm.barrier();
-        (ledger, prep_s, extents)
-    });
+        Ok(extents)
+    };
+    let (report, rank_extents) = run_snapshot_ranks(&writer, h, &header_extra, body)?;
 
-    let rank_extents: Vec<&[Option<crate::preprocess::PlanExtent>]> =
-        per_rank.iter().map(|(_, _, e)| e.as_slice()).collect();
-    write_chunk_indexes(&writer, num_levels, nfields, &rank_extents)?;
+    let extents: Vec<Vec<Option<PlanExtent>>> = (0..num_levels)
+        .map(|l| rank_extents.iter().map(|e| e[l]).collect())
+        .collect();
+    write_chunk_indexes(
+        &writer,
+        nfields,
+        CodecId::AmricPipeline,
+        &extents,
+        |_, _| None,
+    )?;
     writer.finish()?;
-    let (ledgers, prep_seconds): (Vec<IoLedger>, Vec<f64>) = per_rank
-        .iter()
-        .map(|(ledger, prep, _)| (*ledger, *prep))
-        .unzip();
-    let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-    Ok(WriteReport {
-        nranks,
-        ledgers,
-        prep_seconds,
-        orig_bytes: h.snapshot_bytes(),
-        stored_bytes: stored,
-    })
+    Ok(report)
 }
 
 /// Persist the per-dataset chunk index for every field dataset: one entry
-/// per rank chunk carrying the stream's codec id and the bounding box of
-/// the rank's surviving unit blocks on that level (`rank_extents[rank]
-/// [level]`, collected by the rank closures during planning — no second
-/// planning pass). The `amr-query` planner prunes chunks against a
-/// region of interest from these extents without decoding anything;
-/// files written before this index existed are still served through the
-/// reader's fallback scan.
-fn write_chunk_indexes(
+/// per rank chunk carrying the stream's codec id, the bounding box of the
+/// rank's surviving unit blocks on that level (`extents[level][rank]`,
+/// collected by the rank closures during planning — no second planning
+/// pass) and, for delta-coded chunks, the snapshot id `reference(level,
+/// rank)` they predict from. The `amr-query` planner prunes chunks
+/// against a region of interest from these extents without decoding
+/// anything; files written before this index existed are still served
+/// through the reader's fallback scan.
+pub(crate) fn write_chunk_indexes(
     writer: &H5Writer,
-    num_levels: usize,
     nfields: usize,
-    rank_extents: &[&[Option<crate::preprocess::PlanExtent>]],
+    codec: CodecId,
+    extents: &[Vec<Option<PlanExtent>>],
+    reference: impl Fn(usize, usize) -> Option<u64>,
 ) -> H5Result<()> {
-    for l in 0..num_levels {
+    for (l, level_extents) in extents.iter().enumerate() {
         // A level where no rank kept any cells registers zero chunks;
         // otherwise every rank contributed exactly one.
-        let entries: Vec<ChunkIndexEntry> = if rank_extents.iter().all(|e| e[l].is_none()) {
+        let entries: Vec<ChunkIndexEntry> = if level_extents.iter().all(Option::is_none) {
             Vec::new()
         } else {
-            rank_extents
+            level_extents
                 .iter()
-                .map(|e| ChunkIndexEntry::new(sz_codec::codec::CodecId::AmricPipeline as u32, e[l]))
+                .enumerate()
+                .map(|(rank, e)| {
+                    let entry = ChunkIndexEntry::new(codec as u32, *e);
+                    match reference(l, rank) {
+                        Some(id) => entry.with_reference(id),
+                        None => entry,
+                    }
+                })
                 .collect()
         };
         for f in 0..nfields {
@@ -785,28 +581,26 @@ mod tests {
     #[test]
     fn field_jobs_with_leading_and_trailing_empty_fields() {
         // Zero-chunk fields before, between, and after chunked fields
-        // must all register (the flush logic has to ride them along).
+        // must all register (the engine has to ride them along), with the
+        // AMRIC filter encoding on pool workers.
         let (writer, mem) = H5Writer::in_memory();
         let writer = Arc::new(writer);
         let w = Arc::clone(&writer);
         let filter = AmricFieldFilter::fixed(AmricConfig::lr(1e-3), 4, 1e-3);
         let receipts = rankpar::run_ranks(2, move |comm| {
-            let mk = |f: usize, chunks: Vec<ChunkData>| FieldWriteJob {
-                name: format!("f{f}"),
-                chunks,
-                chunk_elems: 128,
-                filter,
-                mode: FilterMode::SizeAware,
-            };
             let data: Vec<f64> = (0..128).map(|i| (i as f64 * 0.03).sin()).collect();
-            let jobs = vec![
-                mk(0, Vec::new()),
-                mk(1, vec![ChunkData::full(data.clone())]),
-                mk(2, Vec::new()),
-                mk(3, vec![ChunkData::full(data)]),
-                mk(4, Vec::new()),
-            ];
-            write_field_parallel(&comm, &w, &jobs, 3).unwrap()
+            let full = [ChunkData::full(data)];
+            let names = ["f0", "f1", "f2", "f3", "f4"];
+            let jobs: Vec<DatasetJob> = (0..5)
+                .map(|f| DatasetJob {
+                    name: names[f],
+                    chunks: if f % 2 == 1 { &full } else { &[] },
+                    chunk_elems: 128,
+                    filter: &filter,
+                    mode: FilterMode::SizeAware,
+                })
+                .collect();
+            collective_write_many(&comm, &w, &jobs, 3).unwrap()
         });
         for r in &receipts {
             assert_eq!(r.len(), 5);
@@ -836,14 +630,15 @@ mod tests {
             let writer = Arc::new(writer);
             let w = Arc::clone(&writer);
             let receipts = rankpar::run_ranks(2, move |comm| {
-                let jobs = vec![FieldWriteJob {
-                    name: "many".into(),
-                    chunks: (0..11).map(|c| chunk(comm.rank(), c)).collect(),
+                let chunks: Vec<ChunkData> = (0..11).map(|c| chunk(comm.rank(), c)).collect();
+                let job = DatasetJob {
+                    name: "many",
+                    chunks: &chunks,
                     chunk_elems: 128,
-                    filter,
+                    filter: &filter,
                     mode: FilterMode::SizeAware,
-                }];
-                write_field_parallel(&comm, &w, &jobs, workers).unwrap()
+                };
+                collective_write_many(&comm, &w, &[job], workers).unwrap()
             });
             writer.finish().unwrap();
             (receipts, H5Reader::from_storage(Box::new(mem)).unwrap())
@@ -866,6 +661,34 @@ mod tests {
             );
             assert_eq!(ma.chunks[i].logical_elems, mb.chunks[i].logical_elems);
         }
+    }
+
+    #[test]
+    fn filter_error_surfaces_as_typed_codec_error() {
+        // A blocking factor that does not match the hierarchy's 8³ grids
+        // stages chunks that are not whole unit blocks: the AMRIC filter
+        // rejects them, every rank aborts in lockstep, and the caller gets
+        // the typed error — not a panic out of the rank closure.
+        let h = small_nyx();
+        for workers in [1, 3] {
+            let (w, _mem) = H5Writer::in_memory();
+            let cfg = AmricConfig::lr(1e-3).with_workers(workers);
+            let err = write_amric_to(Arc::new(w), &h, &cfg, 12).unwrap_err();
+            assert!(
+                matches!(err, H5Error::Codec(CodecError::DimsMismatch { .. })),
+                "workers={workers}: {err:?}"
+            );
+        }
+        // The rank at fault's cause outranks its peers' abort notices.
+        let (w, _mem) = H5Writer::in_memory();
+        let err = run_snapshot_ranks(&w, &h, &[0, 0], |comm, _, _| -> H5Result<()> {
+            Err(match comm.rank() {
+                1 => H5Error::Codec(CodecError::dims("cause")),
+                _ => H5Error::Format("collective write aborted".into()),
+            })
+        })
+        .unwrap_err();
+        assert!(matches!(err, H5Error::Codec(_)), "{err:?}");
     }
 
     #[test]

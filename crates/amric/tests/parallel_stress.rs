@@ -51,30 +51,49 @@ fn good_chunk(seed: usize) -> ChunkData {
     )
 }
 
-/// Field jobs where `poison_field` on `poison_rank` gets a chunk whose
-/// length is not a multiple of the 4³ unit volume.
-fn jobs_with_poison(
+/// One single-chunk field per entry, where `poison_field` on
+/// `poison_rank` gets a chunk whose length is not a multiple of the 4³
+/// unit volume.
+fn chunks_with_poison(
     rank: usize,
     nfields: usize,
     poison_rank: usize,
     poison_field: Option<usize>,
-) -> Vec<FieldWriteJob> {
+) -> Vec<[ChunkData; 1]> {
     (0..nfields)
         .map(|f| {
-            let chunk = if Some(f) == poison_field && rank == poison_rank {
-                ChunkData::full(vec![0.25; 63]) // 4³ = 64 ∤ 63 → typed error
+            if Some(f) == poison_field && rank == poison_rank {
+                [ChunkData::full(vec![0.25; 63])] // 4³ = 64 ∤ 63 → typed error
             } else {
-                good_chunk(rank * nfields + f)
-            };
-            FieldWriteJob {
-                name: format!("level_0/field_{f}"),
-                chunks: vec![chunk],
-                chunk_elems: 128,
-                filter: filter(4),
-                mode: FilterMode::SizeAware,
+                [good_chunk(rank * nfields + f)]
             }
         })
         .collect()
+}
+
+/// Write `fields` as `level_0/field_{f}` through the engine on `workers`.
+fn write_fields(
+    comm: &rankpar::Communicator,
+    writer: &H5Writer,
+    fields: &[[ChunkData; 1]],
+    workers: usize,
+) -> H5Result<Vec<CollectiveReceipt>> {
+    let names: Vec<String> = (0..fields.len())
+        .map(|f| format!("level_0/field_{f}"))
+        .collect();
+    let filter = filter(4);
+    let jobs: Vec<DatasetJob> = fields
+        .iter()
+        .zip(&names)
+        .map(|(chunks, name)| DatasetJob {
+            name,
+            chunks,
+            chunk_elems: 128,
+            filter: &filter,
+            mode: FilterMode::SizeAware,
+        })
+        .collect();
+    collective_write_many(comm, writer, &jobs, workers)
 }
 
 #[test]
@@ -87,8 +106,8 @@ fn failing_chunk_mid_batch_surfaces_typed_error_on_every_rank() {
             run_ranks(2, move |comm| {
                 // Rank 1's field 3 (of 6) is poisoned: fields 0–2 write
                 // collectively, the rest abort in lockstep.
-                let jobs = jobs_with_poison(comm.rank(), 6, 1, Some(3));
-                write_field_parallel(&comm, &w, &jobs, workers)
+                let fields = chunks_with_poison(comm.rank(), 6, 1, Some(3));
+                write_fields(&comm, &w, &fields, workers)
             })
         });
         assert!(results[0].is_err(), "peer rank must see the abort");
@@ -136,8 +155,8 @@ fn both_ranks_failing_still_drain() {
             // Different poison fields per rank: the collectives must stay
             // in lockstep even when the ranks fail at different points.
             let poison = if comm.rank() == 0 { 1 } else { 4 };
-            let jobs = jobs_with_poison(comm.rank(), 6, comm.rank(), Some(poison));
-            write_field_parallel(&comm, &w, &jobs, 4)
+            let fields = chunks_with_poison(comm.rank(), 6, comm.rank(), Some(poison));
+            write_fields(&comm, &w, &fields, 4)
         })
     });
     for (rank, r) in results.iter().enumerate() {
@@ -204,28 +223,26 @@ fn repeated_overlapped_writes_under_contention() {
 }
 
 #[test]
-fn pipelined_collective_failing_chunk_mid_batch() {
-    // The chunk-level pipelined collective (many chunks per rank): a
+fn many_chunk_dataset_failing_chunk_mid_batch() {
+    // One dataset, many chunks per rank on a 4-worker pool: a
     // non-unit-multiple chunk mid-batch aborts both ranks cleanly.
-    let path = tmp("pipelined-abort");
+    let path = tmp("many-chunk-abort");
     let writer = Arc::new(H5Writer::create(&path).unwrap());
     let w = Arc::clone(&writer);
-    let results = with_watchdog("pipelined abort", move || {
+    let results = with_watchdog("many-chunk abort", move || {
         run_ranks(2, move |comm| {
             let mut chunks: Vec<ChunkData> = (0..12).map(good_chunk).collect();
             if comm.rank() == 0 {
                 chunks[7] = ChunkData::full(vec![1.0; 63]); // mid-batch poison
             }
-            collective_write_pipelined(
-                &comm,
-                &w,
-                "d",
-                &chunks,
-                128,
-                &filter(4),
-                FilterMode::SizeAware,
-                4,
-            )
+            let job = DatasetJob {
+                name: "d",
+                chunks: &chunks,
+                chunk_elems: 128,
+                filter: &filter(4),
+                mode: FilterMode::SizeAware,
+            };
+            collective_write_many(&comm, &w, &[job], 4)
         })
     });
     assert!(matches!(

@@ -5,6 +5,8 @@
 use amric::prelude::*;
 use amric_bench::{default_workers, scratch, table1_runs};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use h5lite::H5Writer;
+use std::sync::Arc;
 
 fn bench_writers(c: &mut Criterion) {
     let spec = table1_runs()
@@ -92,9 +94,8 @@ fn bench_writers(c: &mut Criterion) {
     g.bench_function("sharded_write", |b| {
         b.iter(|| {
             let path = scratch("bench-amric-sharded");
-            write_amric_sharded(
-                &path,
-                4,
+            write_amric_to(
+                Arc::new(H5Writer::create_sharded(&path, 4).unwrap()),
                 &h,
                 &AmricConfig::lr(spec.amric_rel_eb),
                 spec.blocking_factor,
@@ -160,9 +161,8 @@ fn bench_read_roi(c: &mut Criterion) {
     // Same ROI against the sharded backend: cold fetch resolves chunk
     // ranges through the manifest and lands on independent shard fds.
     let spath = scratch("bench-read-roi-sharded");
-    write_amric_sharded(
-        &spath,
-        4,
+    write_amric_to(
+        Arc::new(H5Writer::create_sharded(&spath, 4).unwrap()),
         &h,
         &AmricConfig::lr(spec.amric_rel_eb),
         spec.blocking_factor,

@@ -66,8 +66,12 @@ fn main() {
         workers: 1,
         ms_per_iter: file_write_ms,
     });
+    let write_sharded = || {
+        let w = h5lite::H5Writer::create_sharded(&sp, shards)?;
+        write_amric_to(std::sync::Arc::new(w), &h, &cfg, spec.blocking_factor)
+    };
     let sharded_write_ms = time_iters(iters.clamp(1, 5), || {
-        write_amric_sharded(&sp, shards, &h, &cfg, spec.blocking_factor).expect("sharded write");
+        write_sharded().expect("sharded write");
     });
     points.push(Point {
         backend: "sharded",
@@ -76,7 +80,7 @@ fn main() {
         ms_per_iter: sharded_write_ms,
     });
     let rf = write_amric(&fp, &h, &cfg, spec.blocking_factor).expect("file write");
-    let rs = write_amric_sharded(&sp, shards, &h, &cfg, spec.blocking_factor).expect("shard write");
+    let rs = write_sharded().expect("shard write");
     assert_eq!(
         rf.stored_bytes, rs.stored_bytes,
         "backends stored different payloads"

@@ -1,5 +1,14 @@
-//! Collective dataset writes: every rank contributes chunks to one shared
-//! dataset (parallel-HDF5-with-filters semantics).
+//! Collective dataset writes: every rank contributes chunks to shared
+//! datasets (parallel-HDF5-with-filters semantics). This module is the one
+//! place that knows how frames become a committed dataset: `encode_frame`
+//! → `commit_frames` (one extent reservation per batch, one `write_at` and
+//! one `ChunkRecord` per frame) → `finalize` (vote, gather, register).
+//!
+//! [`collective_write_many`] is the engine — many datasets × many chunks,
+//! encoded on a rank-local pool and committed in dataset order.
+//! [`collective_write`] is its one-dataset, one-worker call;
+//! [`collective_write_frames`] enters after the encode step for callers
+//! that produce their frames themselves. DESIGN.md has the stage diagram.
 //!
 //! With compression filters enabled, HDF5 requires collective metadata
 //! operations: *all* ranks participate in every dataset create even when
@@ -10,7 +19,7 @@
 
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
-use crate::file::{encode_chunk, ChunkData, H5Writer};
+use crate::file::{ChunkData, H5Writer};
 use crate::filter::{encode_frame, ChunkFilter, EncodedFrame, FilterMode};
 use rankpar::Communicator;
 
@@ -29,93 +38,62 @@ pub struct CollectiveReceipt {
     pub encode_seconds: f64,
 }
 
-/// Collectively write one dataset. Every rank passes its local chunks (in
-/// rank-local order); the dataset's global chunk order is rank-major. All
-/// ranks must call this with the same `name`, `chunk_elems`, filter
-/// configuration and mode.
-pub fn collective_write(
-    comm: &Communicator,
+/// One dataset's share of a [`collective_write_many`] call: this rank's
+/// chunks plus the collective geometry every rank agreed on beforehand.
+pub struct DatasetJob<'a> {
+    /// Dataset name (identical on every rank).
+    pub name: &'a str,
+    /// This rank's chunks, in rank-local order (may be empty).
+    pub chunks: &'a [ChunkData],
+    /// Collective chunk size in elements.
+    pub chunk_elems: usize,
+    /// The filter every chunk of the dataset runs through.
+    pub filter: &'a dyn ChunkFilter,
+    /// Standard vs size-aware filter semantics.
+    pub mode: FilterMode,
+}
+
+/// Land a batch of encoded frames: one contiguous pre-reserved extent (a
+/// single atomic reservation — sizes are known before any byte moves, the
+/// paper's one-pass write against its compress-then-rewrite two-pass), one
+/// `write_at` and one [`ChunkRecord`] per frame, folded into `receipt`.
+pub(crate) fn commit_frames(
     writer: &H5Writer,
-    name: &str,
-    my_chunks: &[ChunkData],
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-) -> H5Result<CollectiveReceipt> {
-    let mut receipt = CollectiveReceipt {
-        dataset_creates: 1,
-        ..Default::default()
-    };
-    // Encode and write chunk by chunk, reusing one scratch pair across the
-    // whole collective call — the per-chunk hot path allocates no fresh
-    // output `Vec` (the §3.3 writer encodes one chunk per rank per
-    // (level, field); the baseline path pushes hundreds through here).
-    let mut pad = Vec::new();
-    let mut encoded = Vec::new();
-    let mut my_records = Vec::with_capacity(my_chunks.len());
-    let mut failure: Option<H5Error> = None;
-    for chunk in my_chunks {
-        writer.count_filter_call();
+    frames: &[EncodedFrame],
+    records: &mut Vec<ChunkRecord>,
+    receipt: &mut CollectiveReceipt,
+) -> H5Result<()> {
+    let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
+    for (frame, &offset) in frames.iter().zip(&plan.offsets) {
+        writer.write_at(offset, &frame.bytes)?;
         receipt.filter_calls += 1;
-        let t0 = std::time::Instant::now();
-        let result = encode_chunk(chunk, chunk_elems, filter, mode, &mut pad, &mut encoded);
-        receipt.encode_seconds += t0.elapsed().as_secs_f64();
-        let logical = match result {
-            Ok(l) => l,
-            Err(e) => {
-                failure = Some(e);
-                break;
-            }
-        };
-        let offset = writer.reserve(encoded.len() as u64);
-        if let Err(e) = writer.write_at(offset, &encoded) {
-            failure = Some(e);
-            break;
-        }
+        receipt.encode_seconds += frame.encode_seconds;
         receipt.write_calls += 1;
-        receipt.bytes_written += encoded.len() as u64;
-        my_records.push(ChunkRecord {
+        receipt.bytes_written += frame.bytes.len() as u64;
+        records.push(ChunkRecord {
             offset,
-            stored_bytes: encoded.len() as u64,
-            logical_elems: logical,
+            stored_bytes: frame.bytes.len() as u64,
+            logical_elems: frame.logical_elems,
         });
     }
-
-    collective_finalize(
-        comm,
-        writer,
-        name,
-        my_records,
-        chunk_elems,
-        filter,
-        mode,
-        failure,
-        receipt,
-    )
+    Ok(())
 }
 
 /// The shared tail of every collective write: agree on success, gather
-/// chunk records in rank order, register the dataset on rank 0.
-///
-/// Public so callers that stream their frames to storage incrementally
-/// (the overlapped field writer) can commit the dataset once per rank
-/// from the records alone. Every rank must call this exactly once per
-/// dataset, in the same order; `failure: Some(_)` is the abort vote —
-/// the write never registers and every rank returns `Err`.
+/// chunk records in rank order, register the dataset on rank 0. Every rank
+/// calls this exactly once per dataset, in the same order; `failure:
+/// Some(_)` is the abort vote — the dataset never registers and every rank
+/// returns `Err`.
 ///
 /// The agreement runs before the records gather so a rank whose encode
 /// failed must not abandon its peers inside a barrier (the communicator
 /// has no timeout): every rank first learns whether all succeeded and the
 /// whole collective fails together.
-#[allow(clippy::too_many_arguments)]
-pub fn collective_finalize(
+fn finalize(
     comm: &Communicator,
     writer: &H5Writer,
-    name: &str,
+    job: &DatasetJob<'_>,
     my_records: Vec<ChunkRecord>,
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
     failure: Option<H5Error>,
     receipt: CollectiveReceipt,
 ) -> H5Result<CollectiveReceipt> {
@@ -130,50 +108,181 @@ pub fn collective_finalize(
     }
 
     // Gather chunk records in rank order; rank 0 registers the dataset.
-    let all_records: Vec<Vec<(u64, u64, u64)>> = comm.allgather(
-        my_records
-            .iter()
-            .map(|r| (r.offset, r.stored_bytes, r.logical_elems))
-            .collect::<Vec<_>>(),
-    );
+    let all_records: Vec<Vec<ChunkRecord>> = comm.allgather(my_records);
     if comm.rank() == 0 {
-        let chunks: Vec<ChunkRecord> = all_records
-            .into_iter()
-            .flatten()
-            .map(|(offset, stored_bytes, logical_elems)| ChunkRecord {
-                offset,
-                stored_bytes,
-                logical_elems,
-            })
-            .collect();
+        let chunks: Vec<ChunkRecord> = all_records.into_iter().flatten().collect();
         let total = chunks.iter().map(|c| c.logical_elems).sum();
         writer.register_dataset(DatasetMeta {
-            name: name.to_string(),
+            name: job.name.to_string(),
             total_elems: total,
-            chunk_elems: chunk_elems as u64,
-            filter_id: filter.id(),
-            filter_mode: mode,
-            client_data: filter.client_data(),
+            chunk_elems: job.chunk_elems as u64,
+            filter_id: job.filter.id(),
+            filter_mode: job.mode,
+            client_data: job.filter.client_data(),
             chunks,
         })?;
     }
     comm.barrier();
-    Ok(receipt)
+    Ok(CollectiveReceipt {
+        dataset_creates: 1,
+        ..receipt
+    })
 }
 
-/// Collectively write one dataset from **pre-encoded** frames — the write
-/// stage of the overlapped pipeline, where compression already happened
-/// on the pool workers.
+/// This rank's abort vote for a dataset it cannot contribute to.
+fn abort_vote() -> H5Error {
+    H5Error::Format("collective write aborted: this rank failed to encode its frames".into())
+}
+
+/// The write engine: collectively write every dataset of `jobs`, encoding
+/// the chunks on a rank-local pool of `workers` threads and committing the
+/// datasets in order, **overlapped** — while dataset `d`'s frames are
+/// inside the collective commit (and peers may still be encoding), the
+/// pool is already encoding datasets `d+1, d+2, …` into the bounded
+/// reassembly window. `workers <= 1` runs everything inline on the rank
+/// thread; stored bytes, chunk records and the collective sequence are
+/// identical for every worker count.
 ///
-/// `my_frames: None` signals that this rank failed to produce its frames
-/// (its compression error travels separately); the rank still
-/// participates in every collective step so peers abort in lockstep
-/// instead of deadlocking, and every rank returns `Err`.
+/// Frames stream to storage as they drain: each batch of `workers` frames
+/// lands through one `commit_frames` call and only its small
+/// [`ChunkRecord`]s are kept until the dataset commits, so memory in
+/// flight is bounded by the batch plus the reassembly window regardless
+/// of how many chunks a dataset stages. A dataset's global chunk order is
+/// rank-major.
 ///
-/// Because all frame sizes are known up front, the rank's frames land in
-/// **one contiguous pre-reserved extent** (a single atomic reservation —
-/// the paper's one-pass write against its compress-then-rewrite
-/// two-pass).
+/// Every rank must pass the same dataset list (names, `chunk_elems`,
+/// filter configuration, modes). On errors the ranks stay in lockstep: a
+/// rank whose chunk fails keeps participating in the remaining datasets'
+/// collectives with an abort vote, so peers fail together instead of
+/// deadlocking — the failing rank returns its typed error, the peers an
+/// abort notice. Datasets committed before the failure stay registered.
+pub fn collective_write_many(
+    comm: &Communicator,
+    writer: &H5Writer,
+    jobs: &[DatasetJob<'_>],
+    workers: usize,
+) -> H5Result<Vec<CollectiveReceipt>> {
+    // Flatten to (dataset, chunk) items so the pool load-balances across
+    // datasets regardless of how many chunks each one stages.
+    let items: Vec<(usize, usize)> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(d, j)| (0..j.chunks.len()).map(move |c| (d, c)))
+        .collect();
+    let batch_size = workers.max(1);
+    let mut receipts = Vec::with_capacity(jobs.len());
+    // Datasets whose collective has *occurred* (committed or jointly
+    // aborted); whatever is left at the end still has to run.
+    let mut done = 0usize;
+    let mut batch: Vec<EncodedFrame> = Vec::with_capacity(batch_size);
+    let mut records = Vec::new();
+    let mut receipt = CollectiveReceipt::default();
+    let commit_empty = |job| {
+        finalize(
+            comm,
+            writer,
+            job,
+            Vec::new(),
+            None,
+            CollectiveReceipt::default(),
+        )
+    };
+
+    let pool_result: H5Result<()> = rankpar::pool::for_each_ordered(
+        &items,
+        workers,
+        // Double buffer: one batch in the writer's hands, one encoding.
+        2 * batch_size,
+        Vec::new, // per-worker padding buffer
+        |pad: &mut Vec<f64>, _i, &(d, c)| {
+            let job = &jobs[d];
+            writer.count_filter_call();
+            encode_frame(&job.chunks[c], job.chunk_elems, job.filter, job.mode, pad)
+        },
+        |i, frame| {
+            // Frames arrive in submission order, so everything between the
+            // last committed dataset and this frame's is chunk-less here.
+            let (d, c) = items[i];
+            while done < d {
+                done += 1;
+                receipts.push(commit_empty(&jobs[done - 1])?);
+            }
+            batch.push(frame);
+            let last = c + 1 == jobs[d].chunks.len();
+            if last || batch.len() >= batch_size {
+                commit_frames(writer, &batch, &mut records, &mut receipt)?;
+                batch.clear();
+            }
+            if last {
+                done += 1; // the collective happens now, success or not
+                let (records, receipt) =
+                    (std::mem::take(&mut records), std::mem::take(&mut receipt));
+                receipts.push(finalize(comm, writer, &jobs[d], records, None, receipt)?);
+            }
+            Ok(())
+        },
+    );
+
+    // Datasets the frames never reached: trailing chunk-less ones — or,
+    // after a failure, everything left. Peers run those collectives, so
+    // this rank must too (with an abort vote) to stay in lockstep.
+    let mut failure = pool_result.err();
+    for job in &jobs[done..] {
+        let outcome = match failure {
+            None => commit_empty(job),
+            Some(_) => {
+                let vote = Some(abort_vote());
+                finalize(
+                    comm,
+                    writer,
+                    job,
+                    Vec::new(),
+                    vote,
+                    CollectiveReceipt::default(),
+                )
+            }
+        };
+        match outcome {
+            Ok(r) => receipts.push(r),
+            Err(e) => failure = failure.or(Some(e)),
+        }
+    }
+    failure.map_or(Ok(receipts), Err)
+}
+
+/// Collectively write one dataset — [`collective_write_many`] for a single
+/// dataset, encoded inline on the rank thread. Every rank passes its local
+/// chunks (in rank-local order) and the same `name`, `chunk_elems`, filter
+/// configuration and mode.
+pub fn collective_write(
+    comm: &Communicator,
+    writer: &H5Writer,
+    name: &str,
+    my_chunks: &[ChunkData],
+    chunk_elems: usize,
+    filter: &dyn ChunkFilter,
+    mode: FilterMode,
+) -> H5Result<CollectiveReceipt> {
+    let job = DatasetJob {
+        name,
+        chunks: my_chunks,
+        chunk_elems,
+        filter,
+        mode,
+    };
+    let mut receipts = collective_write_many(comm, writer, &[job], 1)?;
+    Ok(receipts.pop().expect("one receipt per dataset"))
+}
+
+/// Collectively write one dataset from **pre-encoded** frames — the entry
+/// past the encode step, for callers whose frames do not come out of a
+/// [`ChunkFilter`] (the temporal session encodes through its codec to get
+/// the decoded state back).
+///
+/// `my_frames: None` is this rank's abort vote (its own error travels
+/// separately); the rank still participates in every collective step so
+/// peers abort in lockstep instead of deadlocking, and every rank returns
+/// `Err`.
 pub fn collective_write_frames(
     comm: &Communicator,
     writer: &H5Writer,
@@ -183,141 +292,20 @@ pub fn collective_write_frames(
     filter: &dyn ChunkFilter,
     mode: FilterMode,
 ) -> H5Result<CollectiveReceipt> {
-    let mut receipt = CollectiveReceipt {
-        dataset_creates: 1,
-        ..Default::default()
-    };
-    let mut my_records = Vec::new();
-    let mut failure: Option<H5Error> = None;
-    match &my_frames {
-        Some(frames) => {
-            receipt.filter_calls = frames.len() as u64;
-            receipt.encode_seconds = frames.iter().map(|f| f.encode_seconds).sum();
-            let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
-            for (frame, &offset) in frames.iter().zip(&plan.offsets) {
-                if let Err(e) = writer.write_at(offset, &frame.bytes) {
-                    failure = Some(e);
-                    break;
-                }
-                receipt.write_calls += 1;
-                receipt.bytes_written += frame.bytes.len() as u64;
-                my_records.push(ChunkRecord {
-                    offset,
-                    stored_bytes: frame.bytes.len() as u64,
-                    logical_elems: frame.logical_elems,
-                });
-            }
-        }
-        None => {
-            failure = Some(H5Error::Format(
-                "collective write aborted: this rank failed to encode its frames".into(),
-            ));
-        }
-    }
-    collective_finalize(
-        comm,
-        writer,
+    let job = DatasetJob {
         name,
-        my_records,
+        chunks: &[],
         chunk_elems,
         filter,
         mode,
-        failure,
-        receipt,
-    )
-}
-
-/// Collectively write one dataset with the chunk compression running on a
-/// rank-local worker pool, overlapped with the writes: while batch `k`'s
-/// frames stream to storage (one pre-reserved extent per batch), the
-/// workers are already compressing batch `k + 1`. The reassembly window
-/// (2 batches) is the double buffer — and the backpressure bound on
-/// frames held in memory.
-///
-/// Output is byte-identical to [`collective_write`]: frames are encoded
-/// per chunk with the same filter and assembled in submission order.
-/// With `workers <= 1` this *is* [`collective_write`].
-#[allow(clippy::too_many_arguments)]
-pub fn collective_write_pipelined(
-    comm: &Communicator,
-    writer: &H5Writer,
-    name: &str,
-    my_chunks: &[ChunkData],
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-    workers: usize,
-) -> H5Result<CollectiveReceipt> {
-    if workers <= 1 {
-        return collective_write(comm, writer, name, my_chunks, chunk_elems, filter, mode);
-    }
-    let mut receipt = CollectiveReceipt {
-        dataset_creates: 1,
-        ..Default::default()
     };
-    let mut my_records: Vec<ChunkRecord> = Vec::new();
-    let batch_size = workers.max(2);
-    let mut batch: Vec<EncodedFrame> = Vec::with_capacity(batch_size);
-
-    fn flush_batch(
-        writer: &H5Writer,
-        batch: &mut Vec<EncodedFrame>,
-        receipt: &mut CollectiveReceipt,
-        records: &mut Vec<ChunkRecord>,
-    ) -> H5Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let plan = writer.reserve_extent(batch.iter().map(|f| f.bytes.len() as u64));
-        for (frame, &offset) in batch.iter().zip(&plan.offsets) {
-            writer.write_at(offset, &frame.bytes)?;
-            receipt.write_calls += 1;
-            receipt.bytes_written += frame.bytes.len() as u64;
-            records.push(ChunkRecord {
-                offset,
-                stored_bytes: frame.bytes.len() as u64,
-                logical_elems: frame.logical_elems,
-            });
-        }
-        batch.clear();
-        Ok(())
-    }
-
-    let pool_result: Result<(), H5Error> = rankpar::pool::for_each_ordered(
-        my_chunks,
-        workers,
-        2 * batch_size,
-        Vec::new, // per-worker padding buffer
-        |pad: &mut Vec<f64>, _i, chunk| {
-            writer.count_filter_call();
-            encode_frame(chunk, chunk_elems, filter, mode, pad)
-        },
-        |_i, frame| {
-            receipt.filter_calls += 1;
-            receipt.encode_seconds += frame.encode_seconds;
-            batch.push(frame);
-            if batch.len() >= batch_size {
-                flush_batch(writer, &mut batch, &mut receipt, &mut my_records)
-            } else {
-                Ok(())
-            }
-        },
-    );
-    let failure = match pool_result {
-        Ok(()) => flush_batch(writer, &mut batch, &mut receipt, &mut my_records).err(),
-        Err(e) => Some(e),
+    let mut receipt = CollectiveReceipt::default();
+    let mut records = Vec::new();
+    let failure = match &my_frames {
+        Some(frames) => commit_frames(writer, frames, &mut records, &mut receipt).err(),
+        None => Some(abort_vote()),
     };
-    collective_finalize(
-        comm,
-        writer,
-        name,
-        my_records,
-        chunk_elems,
-        filter,
-        mode,
-        failure,
-        receipt,
-    )
+    finalize(comm, writer, &job, records, failure, receipt)
 }
 
 #[cfg(test)]
@@ -440,54 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_write_matches_serial_bytes() {
-        // The overlapped path must store byte-identical chunks (offsets
-        // may differ; stored bytes and logical counts may not).
-        let chunk_data: Vec<Vec<f64>> = (0..13)
-            .map(|c| {
-                (0..192)
-                    .map(|i| ((c * 192 + i) as f64 * 0.013).sin() * (c + 1) as f64)
-                    .collect()
-            })
-            .collect();
-        let chunks: Vec<ChunkData> = chunk_data.into_iter().map(ChunkData::full).collect();
-        let f = SzFilter::one_dimensional(1e-3);
-        let write = |workers: usize| {
-            let (writer, mem) = mem_writer();
-            let w = Arc::clone(&writer);
-            let chunks = chunks.clone();
-            run_ranks(2, move |comm| {
-                collective_write_pipelined(
-                    &comm,
-                    &w,
-                    "d",
-                    &chunks,
-                    192,
-                    &f,
-                    FilterMode::SizeAware,
-                    workers,
-                )
-                .unwrap()
-            });
-            writer.finish().unwrap();
-            open(mem)
-        };
-        let rs = write(1);
-        let rp = write(4);
-        let (ms, mp) = (rs.meta("d").unwrap(), rp.meta("d").unwrap());
-        assert_eq!(ms.chunks.len(), mp.chunks.len());
-        for i in 0..ms.chunks.len() {
-            assert_eq!(
-                rs.read_chunk_raw("d", i).unwrap(),
-                rp.read_chunk_raw("d", i).unwrap(),
-                "chunk {i} bytes differ between serial and parallel"
-            );
-            assert_eq!(ms.chunks[i].logical_elems, mp.chunks[i].logical_elems);
-        }
-        assert_eq!(rs.read_dataset("d").unwrap(), rp.read_dataset("d").unwrap());
-    }
-
-    #[test]
     fn frames_path_writes_preencoded_chunks() {
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
@@ -550,33 +490,151 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipelined_failing_chunk_aborts_collective() {
-        // One rank's mid-batch chunk exceeds the chunk size: the pool must
-        // drain, and every rank must return Err.
-        let (writer, _mem) = mem_writer();
+    /// `ndatasets` jobs of `nchunks` chunks each for one rank, every chunk
+    /// distinct in (rank, dataset, chunk).
+    fn engine_chunks(rank: usize, ndatasets: usize, nchunks: usize) -> Vec<Vec<ChunkData>> {
+        (0..ndatasets)
+            .map(|d| {
+                (0..nchunks)
+                    .map(|c| {
+                        // Chunk 0 is short: exercises padding / logical size.
+                        let n = if c == 0 { 100 } else { 192 };
+                        let seed = (rank * 31 + d * 7 + c) * 192;
+                        ChunkData::full(
+                            (0..n)
+                                .map(|i| ((seed + i) as f64 * 0.013).sin() * (d + 1) as f64)
+                                .collect(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One stored chunk as the directory records it: `(logical_elems,
+    /// stored bytes)`.
+    type StoredChunk = (u64, Vec<u8>);
+
+    /// Run the engine on 2 ranks and return every dataset's stored chunks,
+    /// in directory order.
+    fn engine_write(
+        filter: &dyn ChunkFilter,
+        mode: FilterMode,
+        ndatasets: usize,
+        nchunks: usize,
+        workers: usize,
+    ) -> Vec<Vec<StoredChunk>> {
+        let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
-        let results = run_ranks(2, move |comm| {
-            let mut chunks: Vec<ChunkData> = (0..8)
-                .map(|c| ChunkData::full((0..32).map(|i| (c * 32 + i) as f64).collect()))
+        let receipts = run_ranks(2, move |comm| {
+            let chunks = engine_chunks(comm.rank(), ndatasets, nchunks);
+            let names: Vec<String> = (0..ndatasets).map(|d| format!("d{d}")).collect();
+            let jobs: Vec<DatasetJob> = (0..ndatasets)
+                .map(|d| DatasetJob {
+                    name: &names[d],
+                    chunks: &chunks[d],
+                    chunk_elems: 192,
+                    filter,
+                    mode,
+                })
                 .collect();
-            if comm.rank() == 1 {
-                // 64 > chunk size 32, injected mid-batch.
-                chunks[4] = ChunkData::full((0..64).map(|i| i as f64).collect());
-            }
-            collective_write_pipelined(
-                &comm,
-                &w,
-                "d",
-                &chunks,
-                32,
-                &NoFilter,
-                FilterMode::Standard,
-                4,
-            )
+            collective_write_many(&comm, &w, &jobs, workers).unwrap()
         });
-        for (rank, r) in results.iter().enumerate() {
-            assert!(r.is_err(), "rank {rank} must see the collective failure");
+        for per_rank in &receipts {
+            assert_eq!(per_rank.len(), ndatasets);
+            for r in per_rank {
+                assert_eq!(r.dataset_creates, 1);
+                assert_eq!(r.filter_calls, nchunks as u64);
+                assert_eq!(r.write_calls, nchunks as u64);
+            }
+        }
+        // One write_at and one filter call per chunk, whatever the pool.
+        let stats = writer.stats();
+        assert_eq!(stats.write_calls, (2 * ndatasets * nchunks) as u64);
+        assert_eq!(stats.filter_calls, (2 * ndatasets * nchunks) as u64);
+        writer.finish().unwrap();
+        let r = open(mem);
+        let names: Vec<String> = (0..ndatasets).map(|d| format!("d{d}")).collect();
+        assert_eq!(r.dataset_names(), names, "datasets commit in job order");
+        names
+            .iter()
+            .map(|name| {
+                let meta = r.meta(name).unwrap();
+                (0..meta.chunks.len())
+                    .map(|i| {
+                        let raw = r.read_chunk_raw(name, i).unwrap();
+                        assert_eq!(raw.len() as u64, meta.chunks[i].stored_bytes);
+                        (meta.chunks[i].logical_elems, raw)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engine_is_equivalent_for_every_worker_count() {
+        // The one engine invariant: stored chunk bytes and chunk records
+        // (rank-major order, logical sizes) do not depend on `workers` —
+        // for chunk-less, single-chunk, pool-width and wider-than-pool
+        // datasets, one dataset or several, both filter families.
+        let sz = SzFilter::one_dimensional(1e-3);
+        let filters: [(&dyn ChunkFilter, FilterMode); 2] = [
+            (&sz, FilterMode::SizeAware),
+            (&NoFilter, FilterMode::Standard),
+        ];
+        for (filter, mode) in filters {
+            for ndatasets in [1usize, 3] {
+                for nchunks in [0usize, 1, 4, 9] {
+                    let reference = engine_write(filter, mode, ndatasets, nchunks, 1);
+                    assert_eq!(reference.len(), ndatasets);
+                    for chunks in &reference {
+                        assert_eq!(chunks.len(), 2 * nchunks);
+                    }
+                    for workers in [2usize, 4, 7] {
+                        assert_eq!(
+                            engine_write(filter, mode, ndatasets, nchunks, workers),
+                            reference,
+                            "filter {} datasets={ndatasets} chunks={nchunks} workers={workers}",
+                            filter.id()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_failing_chunk_mid_batch_aborts_every_rank() {
+        // One rank's mid-batch chunk exceeds the chunk size in the middle
+        // dataset of three: the pool must drain, every rank must return
+        // Err for every worker count, the dataset before the failure stays
+        // committed and nothing after it registers.
+        for workers in [1usize, 2, 4] {
+            let (writer, mem) = mem_writer();
+            let w = Arc::clone(&writer);
+            let results = run_ranks(2, move |comm| {
+                let mut chunks = engine_chunks(comm.rank(), 3, 8);
+                if comm.rank() == 1 {
+                    // 256 > chunk size 192, injected mid-batch.
+                    chunks[1][4] = ChunkData::full(vec![1.0; 256]);
+                }
+                let names = ["a", "b", "c"];
+                let jobs: Vec<DatasetJob> = (0..3)
+                    .map(|d| DatasetJob {
+                        name: names[d],
+                        chunks: &chunks[d],
+                        chunk_elems: 192,
+                        filter: &NoFilter,
+                        mode: FilterMode::Standard,
+                    })
+                    .collect();
+                collective_write_many(&comm, &w, &jobs, workers)
+            });
+            for (rank, r) in results.iter().enumerate() {
+                assert!(r.is_err(), "workers={workers}: rank {rank} must fail");
+            }
+            writer.finish().unwrap();
+            assert_eq!(open(mem).dataset_names(), vec!["a"], "workers={workers}");
         }
     }
 

@@ -15,9 +15,10 @@
 //! the in-memory and sharded backends carry the same logical byte stream
 //! over different physical layouts.
 
+use crate::collective::{commit_frames, CollectiveReceipt};
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
-use crate::filter::{decoder_for, ChunkFilter, FilterMode};
+use crate::filter::{decoder_for, encode_frame, ChunkFilter, FilterMode};
 use crate::index::{read_index_section, write_index_section, ChunkIndex, ChunkIndexEntry};
 use crate::storage::{open_storage, open_storage_rw, FileStorage, MemStorage, Storage};
 use parking_lot::Mutex;
@@ -120,11 +121,6 @@ impl H5Writer {
         self.storage.kind()
     }
 
-    /// Reserve `bytes` of payload space; returns the logical offset.
-    pub fn reserve(&self, bytes: u64) -> u64 {
-        self.storage.reserve(bytes)
-    }
-
     /// Reserve one contiguous extent for a batch of frames with known
     /// sizes (the one-pass write of AMRIC §3.3: sizes are known before
     /// any byte lands, so the whole batch costs a single atomic
@@ -137,7 +133,7 @@ impl H5Writer {
             offsets.push(total);
             total += s;
         }
-        let base = self.reserve(total);
+        let base = self.storage.reserve(total);
         for o in &mut offsets {
             *o += base;
         }
@@ -222,22 +218,15 @@ impl H5Writer {
         mode: FilterMode,
         total_override: Option<u64>,
     ) -> H5Result<()> {
+        // The serial face of the write engine: same encode step, same
+        // commit step, one frame resident at a time.
         let mut records = Vec::with_capacity(chunks.len());
-        // One scratch pair reused across every chunk of the dataset: the
-        // padded-values staging and the encoded output buffer.
+        let mut receipt = CollectiveReceipt::default();
         let mut pad = Vec::new();
-        let mut encoded = Vec::new();
         for chunk in chunks {
-            let logical_elems =
-                encode_chunk(chunk, chunk_elems, filter, mode, &mut pad, &mut encoded)?;
+            let frame = encode_frame(chunk, chunk_elems, filter, mode, &mut pad)?;
             self.count_filter_call();
-            let offset = self.reserve(encoded.len() as u64);
-            self.write_at(offset, &encoded)?;
-            records.push(ChunkRecord {
-                offset,
-                stored_bytes: encoded.len() as u64,
-                logical_elems,
-            });
+            commit_frames(self, &[frame], &mut records, &mut receipt)?;
         }
         let total = total_override.unwrap_or_else(|| records.iter().map(|r| r.logical_elems).sum());
         self.register_dataset(DatasetMeta {
@@ -320,23 +309,6 @@ impl H5Writer {
         self.storage.finalize()?;
         Ok(dir_offset + bytes.len() as u64)
     }
-}
-
-/// Apply mode semantics and run the filter, writing the encoded bytes
-/// into `out` (cleared first; `pad` is the reusable padding staging
-/// buffer). Returns the logical element count to record.
-pub(crate) fn encode_chunk(
-    chunk: &ChunkData,
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-    pad: &mut Vec<f64>,
-    out: &mut Vec<u8>,
-) -> H5Result<u64> {
-    out.clear();
-    let (data, logical) = crate::filter::staged_chunk(chunk, chunk_elems, mode, pad)?;
-    filter.encode_into(data, out)?;
-    Ok(logical)
 }
 
 /// Parsed container tail: directory entries, aligned chunk indexes, and
@@ -511,21 +483,12 @@ impl H5Reader {
     }
 
     /// Read and decode one chunk of a dataset using the registry decoder.
+    /// Application-defined filters (AMRIC's) are not in the registry:
+    /// their readers take the raw chunk ([`H5Reader::read_chunk_raw_into`])
+    /// and decode it themselves.
     pub fn read_chunk(&self, name: &str, index: usize) -> H5Result<Vec<f64>> {
         let meta = self.meta(name)?;
         let decoder = decoder_for(meta.filter_id, &meta.client_data)?;
-        self.read_chunk_with(name, index, decoder.as_ref())
-    }
-
-    /// Read one chunk through an explicitly supplied decoder — used for
-    /// application-defined filters (e.g. AMRIC's) that are not in the
-    /// built-in registry.
-    pub fn read_chunk_with(
-        &self,
-        name: &str,
-        index: usize,
-        decoder: &dyn crate::filter::ChunkFilter,
-    ) -> H5Result<Vec<f64>> {
         let rec = *self.chunk_record(name, index)?;
         let bytes = self.read_chunk_raw(name, index)?;
         decoder.decode(&bytes, rec.logical_elems as usize)
@@ -556,21 +519,6 @@ impl H5Reader {
         let mut out = Vec::with_capacity(meta.total_elems as usize);
         for i in 0..meta.chunks.len() {
             out.extend_from_slice(&self.read_chunk(name, i)?);
-        }
-        out.truncate(meta.total_elems as usize);
-        Ok(out)
-    }
-
-    /// Read the full dataset through an explicitly supplied decoder.
-    pub fn read_dataset_with(
-        &self,
-        name: &str,
-        decoder: &dyn crate::filter::ChunkFilter,
-    ) -> H5Result<Vec<f64>> {
-        let meta = self.meta(name)?;
-        let mut out = Vec::with_capacity(meta.total_elems as usize);
-        for i in 0..meta.chunks.len() {
-            out.extend_from_slice(&self.read_chunk_with(name, i, decoder)?);
         }
         out.truncate(meta.total_elems as usize);
         Ok(out)
@@ -750,16 +698,12 @@ mod tests {
     fn chunk_out_of_range_is_typed() {
         // Regression: a bad chunk index must surface as the typed
         // `ChunkOutOfRange` carrying the dataset name and index — on the
-        // registry path, the explicit-decoder path, and the raw path.
+        // registry path and the raw path.
         let r = mem_roundtrip(|w| {
             let data: Vec<f64> = (0..512).map(|i| i as f64).collect();
             w.write_dataset("d", &data, 256, &NoFilter).unwrap();
         });
-        for result in [
-            r.read_chunk("d", 2).err(),
-            r.read_chunk_with("d", 7, &NoFilter).err(),
-            r.read_chunk_raw("d", 2).err(),
-        ] {
+        for result in [r.read_chunk("d", 2).err(), r.read_chunk_raw("d", 7).err()] {
             match result.expect("out-of-range must fail") {
                 H5Error::ChunkOutOfRange {
                     dataset,

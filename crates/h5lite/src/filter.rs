@@ -91,9 +91,8 @@ pub struct EncodedFrame {
 /// Resolve which values of `chunk` the filter may see under `mode`, and
 /// the logical element count to record. Standard mode zero-pads short
 /// chunks to `chunk_elems` (into the reusable `pad` buffer); size-aware
-/// mode exposes only the logical prefix. Shared by the serial encode path
-/// and the parallel frame encoders so mode semantics cannot drift.
-pub fn staged_chunk<'a>(
+/// mode exposes only the logical prefix.
+fn staged_chunk<'a>(
     chunk: &'a ChunkData,
     chunk_elems: usize,
     mode: FilterMode,
@@ -127,9 +126,9 @@ pub fn staged_chunk<'a>(
     }
 }
 
-/// Encode one chunk into an owned [`EncodedFrame`] — the job body of the
-/// chunk-level parallel write pipeline. `pad` is the worker's reusable
-/// padding buffer.
+/// Encode one chunk into an owned [`EncodedFrame`] — the encode step of
+/// the write engine ([`crate::collective`]), run inline or on a pool
+/// worker. `pad` is the caller's reusable padding buffer.
 pub fn encode_frame(
     chunk: &ChunkData,
     chunk_elems: usize,

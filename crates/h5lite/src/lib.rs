@@ -49,14 +49,14 @@ pub use storage::{open_storage, open_storage_rw, FileStorage, MemStorage, Storag
 /// Commonly used items.
 pub mod prelude {
     pub use crate::collective::{
-        collective_finalize, collective_write, collective_write_frames, collective_write_pipelined,
-        CollectiveReceipt,
+        collective_write, collective_write_frames, collective_write_many, CollectiveReceipt,
+        DatasetJob,
     };
     pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
     pub use crate::error::{H5Error, H5Result};
     pub use crate::file::{strip_chunk_indexes, ChunkData, H5Reader, H5Writer, WriteStats};
     pub use crate::filter::{
-        encode_frame, staged_chunk, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
+        encode_frame, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
     };
     pub use crate::index::{ChunkIndex, ChunkIndexEntry, CODEC_RAW};
     pub use crate::sharded::{is_sharded, read_manifest, ShardManifest, ShardedStorage};

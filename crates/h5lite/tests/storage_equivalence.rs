@@ -137,8 +137,9 @@ fn serial_write_identical_across_backends_indexed_and_legacy() {
 
 #[test]
 fn collective_write_identical_across_backends_and_worker_counts() {
-    // 4 rank threads, pipelined pool at 1 and 4 workers, both filter
-    // families — all backends, all combinations, one logical content.
+    // 4 rank threads, the write engine at 1 and 4 pool workers, both
+    // filter families — all backends, all combinations, one logical
+    // content.
     let chunkset = |rank: usize| -> Vec<ChunkData> {
         (0..5)
             .map(|c| {
@@ -161,28 +162,23 @@ fn collective_write_identical_across_backends_and_worker_counts() {
                 run_ranks(4, move |comm| {
                     let chunks = chunkset(comm.rank());
                     let f = SzFilter::one_dimensional(1e-3);
-                    collective_write_pipelined(
-                        &comm,
-                        &wc,
-                        "sz",
-                        &chunks,
-                        192,
-                        &f,
-                        FilterMode::SizeAware,
-                        workers,
-                    )
-                    .unwrap();
-                    let raw = chunkset(comm.rank());
-                    collective_write(
-                        &comm,
-                        &wc,
-                        "raw",
-                        &raw,
-                        192,
-                        &NoFilter,
-                        FilterMode::Standard,
-                    )
-                    .unwrap();
+                    let jobs = [
+                        DatasetJob {
+                            name: "sz",
+                            chunks: &chunks,
+                            chunk_elems: 192,
+                            filter: &f,
+                            mode: FilterMode::SizeAware,
+                        },
+                        DatasetJob {
+                            name: "raw",
+                            chunks: &chunks,
+                            chunk_elems: 192,
+                            filter: &NoFilter,
+                            mode: FilterMode::Standard,
+                        },
+                    ];
+                    collective_write_many(&comm, &wc, &jobs, workers).unwrap();
                 });
                 writer.finish().unwrap();
                 (kind, open())

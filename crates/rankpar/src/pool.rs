@@ -415,8 +415,11 @@ mod tests {
         let q2 = std::sync::Arc::clone(&q);
         let h = std::thread::spawn(move || {
             assert!(q2.deposit(0, 0u8));
-            // Window of 1: this deposit blocks until poison.
-            assert!(!q2.deposit(1, 1u8));
+            // Window of 1 and exactly one take below: `next_out` never
+            // passes 1, so index 2 stays outside `next_out + window` for
+            // good — only the poison can release this deposit. (Index 1
+            // would be admitted as soon as the take frees the window.)
+            assert!(!q2.deposit(2, 1u8));
         });
         assert_eq!(q.take_next(), Some(0));
         q.poison();

@@ -30,6 +30,9 @@ pub struct HuffmanCode {
     /// (symbol, code length) for every used symbol, canonical order.
     lens: Vec<(u32, u32)>,
     /// Dense encode table indexed by symbol: (code, len); len = 0 = unused.
+    /// Built only by [`HuffmanCode::from_frequencies`] — books read from a
+    /// stream are decode-only and keep it empty, so nothing on the decode
+    /// path is ever sized by a (forgeable) symbol *value*.
     encode: Vec<(u64, u32)>,
 }
 
@@ -44,28 +47,39 @@ impl HuffmanCode {
         loop {
             let lens = build_lengths(&used, shift);
             if lens.iter().all(|&(_, l)| l <= MAX_CODE_LEN) {
-                return Self::from_lengths(lens);
+                let mut book = Self::from_lengths(lens);
+                book.build_encode_table();
+                return book;
             }
             shift += 4; // flatten frequencies and retry
         }
     }
 
-    /// Build from explicit (symbol, length) pairs (e.g. read from a
-    /// stream header). Lengths define canonical codes.
+    /// Decode-only book from explicit (symbol, length) pairs (e.g. read
+    /// from a stream header). Lengths define canonical codes; every
+    /// allocation is proportional to the entry *count*.
     fn from_lengths(mut lens: Vec<(u32, u32)>) -> Self {
         // Canonical order: by (length, symbol).
         lens.sort_by_key(|&(s, l)| (l, s));
-        let max_symbol = lens.iter().map(|&(s, _)| s).max().unwrap_or(0);
-        let mut encode = vec![(0u64, 0u32); max_symbol as usize + 1];
+        HuffmanCode {
+            lens,
+            encode: Vec::new(),
+        }
+    }
+
+    /// Fill the dense symbol-indexed encode table from the canonical
+    /// lengths. Encode side only: the symbols are the caller's own data.
+    fn build_encode_table(&mut self) {
+        let max_symbol = self.lens.iter().map(|&(s, _)| s).max().unwrap_or(0);
+        self.encode = vec![(0u64, 0u32); max_symbol as usize + 1];
         let mut code = 0u64;
         let mut prev_len = 0u32;
-        for &(sym, len) in &lens {
+        for &(sym, len) in &self.lens {
             code <<= len - prev_len;
             prev_len = len;
-            encode[sym as usize] = (code, len);
+            self.encode[sym as usize] = (code, len);
             code += 1;
         }
-        HuffmanCode { lens, encode }
     }
 
     /// Encode a symbol sequence into a bit-packed byte vector.
@@ -726,6 +740,33 @@ mod tests {
         let code = HuffmanCode::from_frequencies(&freqs);
         let mb = code.mean_bits(&freqs);
         assert!(mb < 1.3, "mean bits {mb}");
+    }
+
+    #[test]
+    fn forged_symbol_id_does_not_size_any_table() {
+        // Regression: a 1-entry table naming symbol 0xFFFF_FFFF used to
+        // allocate a 4-Gi-entry (34 GB) dense encode table on *decode*.
+        // Books read from a stream carry no symbol-indexed table at all.
+        let mut w = Writer::new();
+        w.put_u32(1);
+        w.put_u32(u32::MAX);
+        w.put_u8(1);
+        let table = w.into_bytes();
+        let code = HuffmanCode::read_table(&mut Reader::new(&table)).expect("parses");
+        assert_eq!(code.num_symbols(), 1);
+        assert!(code.encode.len() <= code.num_symbols());
+        // 100 one-bit codes (all zero bits) decode to the forged symbol on
+        // both decoders; the bit-flipped stream fails typed on both.
+        for n in [5usize, 100] {
+            let payload = vec![0u8; n.div_ceil(8)];
+            assert_eq!(code.decode(&payload, n).unwrap(), vec![u32::MAX; n]);
+            assert_eq!(
+                code.decode_reference(&payload, n).unwrap(),
+                vec![u32::MAX; n]
+            );
+            let bad = vec![0xFFu8; n.div_ceil(8)];
+            assert!(code.decode(&bad, n).is_err());
+        }
     }
 
     #[test]
