@@ -1,37 +1,48 @@
 //! [`QueryEngine`]: answer spatial/level queries against an AMRIC
 //! plotfile by touching only the chunks that intersect the query.
 //!
-//! # How a query resolves
+//! # A query is planned once
 //!
-//! 1. **Plan** — the engine reconstructs every rank's unit decomposition
-//!    from the plotfile metadata ([`amric::reader::PlotfileMeta`]), the
-//!    same way the writer's pre-process planned it. The persistent chunk
-//!    index (chunk → codec id + extent bounding box) prunes whole chunks
-//!    by rectangle intersection; the unit plan then gives the exact cell
-//!    layout inside each surviving chunk. Legacy files without an index
-//!    fall back to a scan: codec ids are sniffed from the stored chunk
-//!    envelopes and extents re-derived from the unit plans.
-//! 2. **Fetch** — needed chunks are looked up in the sharded
-//!    decompressed-chunk cache; misses fan out over a `rankpar` worker
-//!    pool (read raw bytes into per-worker scratch, decompress through
-//!    the self-describing stream) with ordered reassembly, so cold reads
-//!    scale with cores like the write path does.
-//! 3. **Assemble** — decoded unit blocks intersecting the query region
-//!    are copied into the result buffer. Cells no unit covers (outside
-//!    every grid, or removed as fine-covered redundancy at write time)
-//!    stay zero — exactly what a full [`amric::reader::read_amric_hierarchy`]
-//!    decode leaves there, so partial and full reads are bitwise
-//!    interchangeable (the equivalence suite enforces it).
+//! The stored chunk is large by design (one per rank per field, paper
+//! §3.3) and every unit position is re-derived from box metadata (§3.1),
+//! so everything a query needs is known before a byte is read. One
+//! planner ([`QueryEngine::plan_roi`] / [`QueryEngine::plan_region`] /
+//! [`QueryEngine::plan_plane`]) validates the arguments, refines and
+//! clips the region per level, and prunes chunks — the persistent chunk
+//! index (chunk → codec id + extent bounding box) by rectangle
+//! intersection, then the reconstructed unit plan exactly. Legacy files
+//! without an index fall back to a scan at open: codec ids are sniffed
+//! from the stored chunk envelopes and extents re-derived from the unit
+//! plans. The resulting [`QueryPlan`] is the query; the rest are views:
+//!
+//! * [`QueryPlan::cost`] — chunks and decoded bytes a cold cache pays
+//!   (what admission control bounds and classifies on).
+//! * [`QueryEngine::warm`] — decode a run of the plan's chunks into the
+//!   sharded decompressed-chunk cache; misses fan out over a `rankpar`
+//!   worker pool (per-worker raw-byte scratch, ordered reassembly)
+//!   through the one chunk loader, [`amric::reader::load_chunk`].
+//! * [`QueryEngine::answer`] — fetch the plan's chunks (cache, else
+//!   decode) and copy every unit's overlap into the per-level result
+//!   buffers. Cells no unit covers (outside every grid, or removed as
+//!   fine-covered redundancy at write time) stay zero — exactly what a
+//!   full [`amric::reader::read_amric_hierarchy`] decode leaves there, so
+//!   partial and full reads are bitwise interchangeable (the equivalence
+//!   suite enforces it).
+//!
+//! [`QueryEngine::roi`], [`QueryEngine::level_region`],
+//! [`QueryEngine::plane_slice`] and [`QueryEngine::roi_cost`] are
+//! plan-then-view wrappers.
 
 use crate::cache::{chunk_bytes, CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore};
 use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
 use amric::pipeline::decompress_field_units;
 use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
-use amric::reader::{read_plotfile_meta, PlotfileMeta};
+use amric::reader::{load_chunk, read_plotfile_meta, PlotfileMeta};
 use amric::writer::field_dataset;
 use h5lite::index::ChunkIndexEntry;
 use h5lite::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use sz_codec::Buffer3;
@@ -56,15 +67,7 @@ pub enum LevelSelect {
 impl LevelSelect {
     /// Resolve to concrete level numbers, validating against the file.
     pub fn resolve(self, num_levels: usize) -> QueryResult<Vec<usize>> {
-        let check = |l: usize| {
-            if l < num_levels {
-                Ok(l)
-            } else {
-                Err(QueryError::BadQuery(format!(
-                    "level {l} out of range (file has {num_levels} levels)"
-                )))
-            }
-        };
+        let check = |l| check_level(l, num_levels);
         Ok(match self {
             LevelSelect::All => (0..num_levels).collect(),
             LevelSelect::Level(l) => vec![check(l)?],
@@ -80,6 +83,18 @@ impl LevelSelect {
                 .checked_sub(1)
                 .ok_or_else(|| QueryError::BadQuery("file has no levels".into()))?],
         })
+    }
+}
+
+/// `level`, or the one "level out of range" error every entry point
+/// reports.
+fn check_level(level: usize, num_levels: usize) -> QueryResult<usize> {
+    if level < num_levels {
+        Ok(level)
+    } else {
+        Err(QueryError::BadQuery(format!(
+            "level {level} out of range (file has {num_levels} levels)"
+        )))
     }
 }
 
@@ -199,6 +214,67 @@ pub struct QueryCost {
     pub chunks: usize,
     /// Decoded bytes those chunks expand to.
     pub decode_bytes: u64,
+}
+
+/// A validated, planned query: which field, which region of each level,
+/// and the pruned list of chunks that hold it. Built only by
+/// [`QueryEngine::plan_roi`] / [`QueryEngine::plan_region`] /
+/// [`QueryEngine::plan_plane`], and meaningful only to the engine that
+/// built it.
+#[derive(Clone, Debug)]
+pub struct QueryPlan {
+    field: usize,
+    /// `(level, region)` — the query region in each selected level's own
+    /// index space, clipped to its domain; coarsest first.
+    regions: Vec<(usize, IntBox)>,
+    /// The chunks whose units intersect a region, level-major then rank.
+    chunks: Vec<ChunkKey>,
+    /// Decoded size of each chunk, aligned with `chunks`.
+    chunk_bytes: Vec<u64>,
+}
+
+impl QueryPlan {
+    /// Queried field (component index).
+    pub fn field(&self) -> usize {
+        self.field
+    }
+
+    /// The per-level regions the answer will cover.
+    pub fn regions(&self) -> &[(usize, IntBox)] {
+        &self.regions
+    }
+
+    /// Decoded bytes of each planned chunk, in fetch order.
+    pub fn chunk_bytes(&self) -> &[u64] {
+        &self.chunk_bytes
+    }
+
+    /// Cold-cache cost of the plan.
+    pub fn cost(&self) -> QueryCost {
+        QueryCost {
+            chunks: self.chunks.len(),
+            decode_bytes: self.chunk_bytes.iter().sum(),
+        }
+    }
+
+    /// Partition the chunk list, in order, into runs whose decoded bytes
+    /// sum to at most `target_bytes` — never fewer than one chunk per
+    /// run, since the chunk is the smallest unit that can be decoded.
+    pub fn batches(&self, target_bytes: u64) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        let (mut start, mut sum) = (0, 0u64);
+        for (i, &bytes) in self.chunk_bytes.iter().enumerate() {
+            if i > start && sum.saturating_add(bytes) > target_bytes {
+                out.push(start..i);
+                (start, sum) = (i, 0);
+            }
+            sum = sum.saturating_add(bytes);
+        }
+        if start < self.chunks.len() {
+            out.push(start..self.chunks.len());
+        }
+        out
+    }
 }
 
 /// Default cache budget: 256 MiB of decoded chunks.
@@ -355,10 +431,8 @@ impl QueryEngine {
     /// extent, and — for delta-coded temporal chunks — the reference
     /// snapshot id). Empty when the level stored no chunks.
     pub fn chunk_entries(&self, level: usize) -> QueryResult<&[ChunkIndexEntry]> {
-        self.levels
-            .get(level)
-            .map(|l| l.extents.as_slice())
-            .ok_or_else(|| QueryError::BadQuery(format!("level {level} out of range")))
+        let level = check_level(level, self.levels.len())?;
+        Ok(&self.levels[level].extents)
     }
 
     /// Reference snapshot id of one chunk, if it is delta-coded — the
@@ -413,39 +487,121 @@ impl QueryEngine {
         }
     }
 
-    /// Answer a region-of-interest query. `roi` is given in **level-0
+    /// Plan a region-of-interest query. `roi` is given in **level-0
     /// (coarsest) index space** and is refined to each selected level;
-    /// levels whose refined ROI misses their domain are omitted from the
-    /// result. Only chunks whose indexed extent intersects the refined
-    /// ROI are read and decoded.
-    pub fn roi(&self, field: usize, roi: Box3, select: LevelSelect) -> QueryResult<RegionView> {
-        self.counters.roi_queries.fetch_add(1, Ordering::Relaxed);
+    /// levels whose refined ROI misses their domain are omitted.
+    pub fn plan_roi(&self, field: usize, roi: Box3, select: LevelSelect) -> QueryResult<QueryPlan> {
         self.check_field(field)?;
-        // Refine + clip per level, then plan the minimal chunk set across
-        // all levels so one prefetch fan-out covers the whole query.
-        let regions = self.roi_regions(roi, select)?;
-        let mut requests: Vec<ChunkKey> = Vec::new();
+        let mut regions = Vec::new();
+        for l in select.resolve(self.meta.num_levels())? {
+            let refined = roi.refined(self.meta.refine_factor(l));
+            if let Some(clipped) = refined.intersection(&self.meta.levels[l].domain) {
+                regions.push((l, clipped));
+            }
+        }
+        Ok(self.plan(field, regions))
+    }
+
+    /// Plan one rectangular region at one level (`region` in that level's
+    /// index space, clipped to its domain; missing the domain is an
+    /// error).
+    pub fn plan_region(&self, field: usize, level: usize, region: Box3) -> QueryResult<QueryPlan> {
+        self.check_field(field)?;
+        let domain = self.meta.levels[check_level(level, self.meta.num_levels())?].domain;
+        let clipped = region.intersection(&domain).ok_or_else(|| {
+            QueryError::BadQuery(format!(
+                "region {region:?} misses level {level}'s domain {domain:?}"
+            ))
+        })?;
+        Ok(self.plan(field, vec![(level, clipped)]))
+    }
+
+    /// Plan a full-domain plane slice at one level: `axis` (0 = x, 1 = y,
+    /// 2 = z) pinned to `coord` in the level's index space.
+    pub fn plan_plane(
+        &self,
+        field: usize,
+        level: usize,
+        axis: usize,
+        coord: i64,
+    ) -> QueryResult<QueryPlan> {
+        self.check_field(field)?;
+        if axis >= 3 {
+            return Err(QueryError::BadQuery(format!("axis {axis} out of range")));
+        }
+        let domain = self.meta.levels[check_level(level, self.meta.num_levels())?].domain;
+        if coord < domain.lo.get(axis) || coord > domain.hi.get(axis) {
+            return Err(QueryError::BadQuery(format!(
+                "plane {coord} outside level {level}'s domain along axis {axis}"
+            )));
+        }
+        let (mut lo, mut hi) = (domain.lo, domain.hi);
+        lo.0[axis] = coord;
+        hi.0[axis] = coord;
+        Ok(self.plan(field, vec![(level, IntBox::new(lo, hi))]))
+    }
+
+    /// The planner proper: prune each level's chunks against its
+    /// (validated, clipped) region so one fetch covers the whole query.
+    fn plan(&self, field: usize, regions: Vec<(usize, IntBox)>) -> QueryPlan {
+        let mut chunks = Vec::new();
+        let mut chunk_bytes = Vec::new();
         for &(l, region) in &regions {
             for rank in self.chunks_for_region(l, &region) {
-                requests.push((l, field, rank));
+                chunks.push((l, field, rank));
+                chunk_bytes.push(self.levels[l].chunk_bytes[rank]);
             }
         }
-        let fetched = self.fetch(&requests)?;
-        let mut levels = Vec::with_capacity(regions.len());
-        for &(l, region) in &regions {
-            let mut out = Buffer3::zeros(region_dims(&region));
-            for (key, units) in requests.iter().zip(&fetched) {
-                if key.0 != l {
-                    continue;
+        QueryPlan {
+            field,
+            regions,
+            chunks,
+            chunk_bytes,
+        }
+    }
+
+    /// Decode chunks `range` of the plan's chunk list into the cache
+    /// without assembling anything (resident chunks are skipped). The
+    /// service tier warms a scan one [`QueryPlan::batches`] run at a
+    /// time, each under the fair gate, before [`QueryEngine::answer`].
+    pub fn warm(&self, plan: &QueryPlan, range: Range<usize>) -> QueryResult<()> {
+        let chunks = plan.chunks.get(range.clone()).ok_or_else(|| {
+            QueryError::BadQuery(format!(
+                "chunk range {range:?} outside the plan's {} chunks",
+                plan.chunks.len()
+            ))
+        })?;
+        self.fetch(chunks).map(drop)
+    }
+
+    /// Answer a plan: fetch its chunks (from the cache, else decoded —
+    /// correctness never depends on residency) and paste them into one
+    /// [`LevelRegion`] per planned region, coarsest first.
+    pub fn answer(&self, plan: &QueryPlan) -> QueryResult<Vec<LevelRegion>> {
+        let fetched = self.fetch(&plan.chunks)?;
+        let mut levels = Vec::with_capacity(plan.regions.len());
+        for &(level, region) in &plan.regions {
+            let mut data = Buffer3::zeros(region_dims(&region));
+            for (key, units) in plan.chunks.iter().zip(&fetched) {
+                if key.0 == level {
+                    paste_units(&self.levels[level].plans[key.2], units, &region, &mut data);
                 }
-                self.paste_units(&self.levels[l].plans[key.2], units, &region, &mut out)?;
             }
             levels.push(LevelRegion {
-                level: l,
+                level,
                 region,
-                data: out,
+                data,
             });
         }
+        Ok(levels)
+    }
+
+    /// Answer a region-of-interest query ([`QueryEngine::plan_roi`] then
+    /// [`QueryEngine::answer`]). Only chunks whose indexed extent
+    /// intersects the refined ROI are read and decoded.
+    pub fn roi(&self, field: usize, roi: Box3, select: LevelSelect) -> QueryResult<RegionView> {
+        self.counters.roi_queries.fetch_add(1, Ordering::Relaxed);
+        let levels = self.answer(&self.plan_roi(field, roi, select)?)?;
         Ok(RegionView {
             field,
             field_name: self.meta.field_names[field].clone(),
@@ -453,99 +609,15 @@ impl QueryEngine {
         })
     }
 
-    /// The per-level regions an ROI query resolves to: the ROI refined
-    /// to each selected level and clipped to the level's domain (levels
-    /// the refined ROI misses are omitted).
-    fn roi_regions(&self, roi: Box3, select: LevelSelect) -> QueryResult<Vec<(usize, IntBox)>> {
-        let selected = select.resolve(self.meta.num_levels())?;
-        let mut regions: Vec<(usize, IntBox)> = Vec::new();
-        for &l in &selected {
-            let refined = roi.refined(self.meta.refine_factor(l));
-            if let Some(clipped) = refined.intersection(&self.meta.levels[l].domain) {
-                regions.push((l, clipped));
-            }
-        }
-        Ok(regions)
-    }
-
     /// Cold-cache cost bound of [`QueryEngine::roi`] with the same
     /// arguments: planning only, no bytes read. Same validation errors as
     /// the query itself.
     pub fn roi_cost(&self, field: usize, roi: Box3, select: LevelSelect) -> QueryResult<QueryCost> {
-        self.check_field(field)?;
-        let mut cost = QueryCost::default();
-        for (l, region) in self.roi_regions(roi, select)? {
-            for rank in self.chunks_for_region(l, &region) {
-                cost.chunks += 1;
-                cost.decode_bytes += self.levels[l].chunk_bytes[rank];
-            }
-        }
-        Ok(cost)
+        Ok(self.plan_roi(field, roi, select)?.cost())
     }
 
-    /// Cold-cache cost bound of [`QueryEngine::level_region`] with the
-    /// same arguments (a region that misses the level's domain costs
-    /// zero rather than erroring — admission control wants a number, the
-    /// query itself still reports the miss).
-    pub fn region_cost(&self, field: usize, level: usize, region: Box3) -> QueryResult<QueryCost> {
-        self.check_field(field)?;
-        if level >= self.meta.num_levels() {
-            return Err(QueryError::BadQuery(format!(
-                "level {level} out of range (file has {} levels)",
-                self.meta.num_levels()
-            )));
-        }
-        let mut cost = QueryCost::default();
-        if let Some(clipped) = region.intersection(&self.meta.levels[level].domain) {
-            for rank in self.chunks_for_region(level, &clipped) {
-                cost.chunks += 1;
-                cost.decode_bytes += self.levels[level].chunk_bytes[rank];
-            }
-        }
-        Ok(cost)
-    }
-
-    /// Decode every chunk an ROI query would touch into the cache
-    /// without assembling a result; returns the number of chunks the
-    /// plan covered. The service tier warms large scans slab by slab
-    /// with this (each slab under the fair gate), then assembles the
-    /// full answer from the warm cache.
-    pub fn prefetch_roi(&self, field: usize, roi: Box3, select: LevelSelect) -> QueryResult<usize> {
-        self.check_field(field)?;
-        let mut requests: Vec<ChunkKey> = Vec::new();
-        for (l, region) in self.roi_regions(roi, select)? {
-            for rank in self.chunks_for_region(l, &region) {
-                requests.push((l, field, rank));
-            }
-        }
-        self.fetch(&requests)?;
-        Ok(requests.len())
-    }
-
-    /// [`QueryEngine::prefetch_roi`] for a single-level region in that
-    /// level's own index space (regions missing the domain are a no-op).
-    pub fn prefetch_region(&self, field: usize, level: usize, region: Box3) -> QueryResult<usize> {
-        self.check_field(field)?;
-        if level >= self.meta.num_levels() {
-            return Err(QueryError::BadQuery(format!(
-                "level {level} out of range (file has {} levels)",
-                self.meta.num_levels()
-            )));
-        }
-        let Some(clipped) = region.intersection(&self.meta.levels[level].domain) else {
-            return Ok(0);
-        };
-        let requests: Vec<ChunkKey> = self
-            .chunks_for_region(level, &clipped)
-            .into_iter()
-            .map(|rank| (level, field, rank))
-            .collect();
-        self.fetch(&requests)?;
-        Ok(requests.len())
-    }
-
-    /// Extract one rectangular region at one specific level (`region` in
-    /// that level's index space, clipped to its domain).
+    /// Extract one rectangular region at one specific level
+    /// ([`QueryEngine::plan_region`] then [`QueryEngine::answer`]).
     pub fn level_region(
         &self,
         field: usize,
@@ -553,52 +625,11 @@ impl QueryEngine {
         region: Box3,
     ) -> QueryResult<LevelRegion> {
         self.counters.region_queries.fetch_add(1, Ordering::Relaxed);
-        self.level_region_impl(field, level, region)
+        self.answer_one(&self.plan_region(field, level, region)?)
     }
 
-    /// [`QueryEngine::level_region`] without the counter bump, shared
-    /// with [`QueryEngine::plane_slice`] so each public entry point
-    /// counts exactly once.
-    fn level_region_impl(
-        &self,
-        field: usize,
-        level: usize,
-        region: Box3,
-    ) -> QueryResult<LevelRegion> {
-        self.check_field(field)?;
-        if level >= self.meta.num_levels() {
-            return Err(QueryError::BadQuery(format!(
-                "level {level} out of range (file has {} levels)",
-                self.meta.num_levels()
-            )));
-        }
-        let clipped = region
-            .intersection(&self.meta.levels[level].domain)
-            .ok_or_else(|| {
-                QueryError::BadQuery(format!(
-                    "region {region:?} misses level {level}'s domain {:?}",
-                    self.meta.levels[level].domain
-                ))
-            })?;
-        let requests: Vec<ChunkKey> = self
-            .chunks_for_region(level, &clipped)
-            .into_iter()
-            .map(|rank| (level, field, rank))
-            .collect();
-        let fetched = self.fetch(&requests)?;
-        let mut out = Buffer3::zeros(region_dims(&clipped));
-        for (key, units) in requests.iter().zip(&fetched) {
-            self.paste_units(&self.levels[level].plans[key.2], units, &clipped, &mut out)?;
-        }
-        Ok(LevelRegion {
-            level,
-            region: clipped,
-            data: out,
-        })
-    }
-
-    /// Full-domain plane slice at one level: `axis` (0 = x, 1 = y,
-    /// 2 = z) pinned to `coord` in the level's index space.
+    /// Full-domain plane slice at one level ([`QueryEngine::plan_plane`]
+    /// then [`QueryEngine::answer`]).
     pub fn plane_slice(
         &self,
         field: usize,
@@ -607,26 +638,15 @@ impl QueryEngine {
         coord: i64,
     ) -> QueryResult<LevelRegion> {
         self.counters.plane_queries.fetch_add(1, Ordering::Relaxed);
-        if axis >= 3 {
-            return Err(QueryError::BadQuery(format!("axis {axis} out of range")));
-        }
-        if level >= self.meta.num_levels() {
-            return Err(QueryError::BadQuery(format!(
-                "level {level} out of range (file has {} levels)",
-                self.meta.num_levels()
-            )));
-        }
-        let domain = self.meta.levels[level].domain;
-        if coord < domain.lo.get(axis) || coord > domain.hi.get(axis) {
-            return Err(QueryError::BadQuery(format!(
-                "plane {coord} outside level {level}'s domain along axis {axis}"
-            )));
-        }
-        let mut lo = domain.lo;
-        let mut hi = domain.hi;
-        lo.0[axis] = coord;
-        hi.0[axis] = coord;
-        self.level_region_impl(field, level, IntBox::new(lo, hi))
+        self.answer_one(&self.plan_plane(field, level, axis, coord)?)
+    }
+
+    /// [`QueryEngine::answer`] for a single-region plan.
+    fn answer_one(&self, plan: &QueryPlan) -> QueryResult<LevelRegion> {
+        let mut levels = self.answer(plan)?;
+        Ok(levels
+            .pop()
+            .expect("region and plane plans hold one region"))
     }
 
     /// Sample the value at a cell given in **finest-level index space**,
@@ -703,99 +723,69 @@ impl QueryEngine {
             }
         }
         if !missing.is_empty() {
-            let mut decoded: Vec<(usize, CachedChunk)> = Vec::with_capacity(missing.len());
-            let pool_result: Result<(), QueryError> = rankpar::pool::for_each_ordered(
+            rankpar::pool::for_each_ordered(
                 &missing,
                 self.workers.min(missing.len()),
                 (2 * self.workers).max(2),
                 Vec::new, // per-worker raw-byte scratch
-                |buf: &mut Vec<u8>, _j, &(slot, (level, field, rank))| {
-                    let name = field_dataset(level, field);
-                    self.reader.read_chunk_raw_into(&name, rank, buf)?;
-                    self.counters
-                        .read_bytes
-                        .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                    let units = decompress_field_units(buf)?;
-                    self.validate_chunk(level, rank, &units)?;
+                |buf: &mut Vec<u8>, _j, &(slot, key @ (level, _, rank))| {
+                    let plan = &self.levels[level].plans[rank];
+                    let units = load_chunk(&self.reader, key, plan, buf, |raw| {
+                        self.counters
+                            .read_bytes
+                            .fetch_add(raw.len() as u64, Ordering::Relaxed);
+                        Ok(decompress_field_units(raw)?)
+                    })
+                    .map_err(|e| match e {
+                        H5Error::Codec(e) => QueryError::Codec(e),
+                        // The loader's own verdict: decoded units that do
+                        // not match the reconstructed plan.
+                        H5Error::Format(m) => QueryError::Inconsistent(m),
+                        other => QueryError::H5(other),
+                    })?;
                     self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
                     self.counters
                         .decoded_bytes
                         .fetch_add(chunk_bytes(&units), Ordering::Relaxed);
-                    Ok((slot, Arc::new(units)))
+                    Ok::<_, QueryError>((slot, Arc::new(units)))
                 },
                 |_j, (slot, value): (usize, CachedChunk)| {
-                    decoded.push((slot, value));
+                    self.cache.insert(requests[slot], Arc::clone(&value));
+                    out[slot] = Some(value);
                     Ok(())
                 },
-            );
-            pool_result?;
-            for (slot, value) in decoded {
-                let key = requests[slot];
-                self.cache.insert(key, Arc::clone(&value));
-                out[slot] = Some(value);
-            }
+            )?;
         }
         Ok(out
             .into_iter()
             .map(|v| v.expect("every request resolved"))
             .collect())
     }
+}
 
-    /// A decoded chunk must match the reconstructed plan exactly — unit
-    /// count and per-unit shapes — or the file contradicts itself.
-    fn validate_chunk(&self, level: usize, rank: usize, units: &[Buffer3]) -> QueryResult<()> {
-        let plan = &self.levels[level].plans[rank];
-        if units.len() != plan.len() {
-            return Err(QueryError::Inconsistent(format!(
-                "level {level} rank {rank}: chunk decoded {} units, plan expects {}",
-                units.len(),
-                plan.len()
-            )));
-        }
-        for (u, b) in plan.iter().zip(units) {
-            let want = region_dims(&u.region);
-            if b.dims() != want {
-                return Err(QueryError::Inconsistent(format!(
-                    "level {level} rank {rank}: unit at {:?} decoded {:?}, expected {want:?}",
-                    u.region,
-                    b.dims()
-                )));
+/// Copy every unit's overlap with `region` into `out` (x-runs, same
+/// traversal as the full decode's scatter).
+fn paste_units(plan: &[UnitRef], units: &[Buffer3], region: &IntBox, out: &mut Buffer3) {
+    let out_dims = out.dims();
+    for (u, buf) in plan.iter().zip(units) {
+        let Some(overlap) = u.region.intersection(region) else {
+            continue;
+        };
+        let run = overlap.size().get(0) as usize;
+        for z in overlap.lo.get(2)..=overlap.hi.get(2) {
+            for y in overlap.lo.get(1)..=overlap.hi.get(1) {
+                let src = buf.dims().idx(
+                    (overlap.lo.get(0) - u.region.lo.get(0)) as usize,
+                    (y - u.region.lo.get(1)) as usize,
+                    (z - u.region.lo.get(2)) as usize,
+                );
+                let dst = out_dims.idx(
+                    (overlap.lo.get(0) - region.lo.get(0)) as usize,
+                    (y - region.lo.get(1)) as usize,
+                    (z - region.lo.get(2)) as usize,
+                );
+                out.data_mut()[dst..dst + run].copy_from_slice(&buf.data()[src..src + run]);
             }
         }
-        Ok(())
-    }
-
-    /// Copy every unit's overlap with `region` into `out` (x-runs, same
-    /// traversal as the full decode's scatter).
-    fn paste_units(
-        &self,
-        plan: &[UnitRef],
-        units: &[Buffer3],
-        region: &IntBox,
-        out: &mut Buffer3,
-    ) -> QueryResult<()> {
-        let out_dims = out.dims();
-        for (u, buf) in plan.iter().zip(units) {
-            let Some(overlap) = u.region.intersection(region) else {
-                continue;
-            };
-            let run = overlap.size().get(0) as usize;
-            for z in overlap.lo.get(2)..=overlap.hi.get(2) {
-                for y in overlap.lo.get(1)..=overlap.hi.get(1) {
-                    let src = buf.dims().idx(
-                        (overlap.lo.get(0) - u.region.lo.get(0)) as usize,
-                        (y - u.region.lo.get(1)) as usize,
-                        (z - u.region.lo.get(2)) as usize,
-                    );
-                    let dst = out_dims.idx(
-                        (overlap.lo.get(0) - region.lo.get(0)) as usize,
-                        (y - region.lo.get(1)) as usize,
-                        (z - region.lo.get(2)) as usize,
-                    );
-                    out.data_mut()[dst..dst + run].copy_from_slice(&buf.data()[src..src + run]);
-                }
-            }
-        }
-        Ok(())
     }
 }

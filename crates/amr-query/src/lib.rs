@@ -50,7 +50,8 @@ pub mod error;
 
 pub use cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey, ShardedLru};
 pub use engine::{
-    Box3, EngineStats, LevelRegion, LevelSelect, PointSample, QueryCost, QueryEngine, RegionView,
+    Box3, EngineStats, LevelRegion, LevelSelect, PointSample, QueryCost, QueryEngine, QueryPlan,
+    RegionView,
 };
 pub use error::{QueryError, QueryResult};
 
@@ -59,7 +60,7 @@ pub mod prelude {
     pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey, ShardedLru};
     pub use crate::engine::{
         Box3, EngineStats, LevelRegion, LevelSelect, PointSample, QueryCost, QueryEngine,
-        RegionView,
+        QueryPlan, RegionView,
     };
     pub use crate::error::{QueryError, QueryResult};
 }

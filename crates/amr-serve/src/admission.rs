@@ -4,29 +4,32 @@
 //! hundreds of megabytes per request, and a naive server would let that
 //! scan monopolize the decode workers while point-sample traffic — the
 //! latency-sensitive workload visualization front-ends generate — waits
-//! behind it. Three mechanisms keep the service fair:
+//! behind it. Three mechanisms keep the service fair, all driven by the
+//! one [`amr_query::QueryPlan`] a request is planned into *before any
+//! byte is read*:
 //!
-//! 1. **Classification** — every query is costed *before any byte is
-//!    read* ([`amr_query::QueryEngine::roi_cost`] /
-//!    [`amr_query::QueryEngine::region_cost`]: planning only). Requests
-//!    whose cold-cache decode estimate stays under
+//! 1. **Classification** — plans whose cold-cache cost
+//!    ([`amr_query::QueryPlan::cost`]) stays under
 //!    [`AdmissionConfig::scan_threshold_bytes`] are **interactive** and
 //!    run immediately; the rest are **scans**.
 //! 2. **Per-connection in-flight bound** — a connection's requests are
 //!    served sequentially, so its in-flight decode volume is exactly the
-//!    current request's estimate; an estimate beyond
+//!    current plan's cost; a cost beyond
 //!    [`AdmissionConfig::max_request_bytes`] is rejected with the typed
 //!    `TooLarge` error instead of being allowed to balloon memory.
-//! 3. **Fair scan gate** — scans execute slab by slab (the server
-//!    slices them so each slab decodes roughly
-//!    [`AdmissionConfig::scan_slab_bytes`]), and every slab must hold
-//!    one of [`AdmissionConfig::scan_slots`] gate permits acquired in
-//!    strict FIFO order ([`FairGate`]). Releasing between slabs sends a
-//!    scan to the back of the queue, so N concurrent scans interleave
-//!    round-robin and the decode workers are returned to the pool at
-//!    slab granularity — a point sample never waits behind more than
-//!    `scan_slots` slabs' worth of decoding, which is what bounds its
-//!    tail latency.
+//! 3. **Fair scan gate** — the unit of decode work is the stored chunk
+//!    (AMRIC makes it large by design: one per rank per field), so a
+//!    scan warms its plan's chunks in batches
+//!    ([`amr_query::QueryPlan::batches`]: consecutive chunks decoding to
+//!    at most [`AdmissionConfig::scan_slab_bytes`], never less than one
+//!    chunk), and every batch must hold one of
+//!    [`AdmissionConfig::scan_slots`] gate permits acquired in strict
+//!    FIFO order ([`FairGate`]). Releasing between batches sends a scan
+//!    to the back of the queue, so N concurrent scans interleave
+//!    round-robin. What the gate bounds: at most `scan_slots` chunk
+//!    batches decode at once, so a point sample — which never queues on
+//!    the gate — competes with at most `scan_slots` batches of decoding,
+//!    each `max(scan_slab_bytes, one chunk)` long, never a whole scan.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -41,10 +44,12 @@ pub struct AdmissionConfig {
     /// Estimates at or above this are scan-class and go through the
     /// fair gate; below it they run immediately.
     pub scan_threshold_bytes: u64,
-    /// Concurrent scan slabs allowed to decode at once.
+    /// Scan chunk batches allowed to decode at once.
     pub scan_slots: usize,
-    /// Target decoded bytes per scan slab (the fairness granularity:
-    /// smaller slabs interleave finer at slightly more overhead).
+    /// Decoded bytes a scan may hold the gate for: its chunks are warmed
+    /// in batches up to this size, never less than one chunk (the
+    /// fairness granularity; below the file's chunk size it has no
+    /// further effect).
     pub scan_slab_bytes: u64,
 }
 
@@ -64,7 +69,7 @@ impl Default for AdmissionConfig {
 pub enum RequestClass {
     /// Small: runs immediately, never queued.
     Interactive,
-    /// Large: sliced into slabs, each slab holding the fair gate.
+    /// Large: warmed in chunk batches, each batch holding the fair gate.
     Scan,
 }
 
@@ -77,11 +82,6 @@ impl AdmissionConfig {
             RequestClass::Interactive
         }
     }
-
-    /// Number of slabs a scan of `decode_bytes` is sliced into (≥ 1).
-    pub fn slab_count(&self, decode_bytes: u64) -> u64 {
-        decode_bytes.div_ceil(self.scan_slab_bytes.max(1)).max(1)
-    }
 }
 
 struct GateState {
@@ -91,7 +91,7 @@ struct GateState {
 }
 
 /// A FIFO-fair counting semaphore: permits are granted in strict
-/// arrival order, so a scan that releases its permit between slabs goes
+/// arrival order, so a scan that releases its permit between batches goes
 /// to the back of the line and concurrent scans round-robin.
 pub struct FairGate {
     state: Mutex<GateState>,
@@ -183,18 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_count_rounds_up() {
-        let cfg = AdmissionConfig {
-            scan_slab_bytes: 10,
-            ..AdmissionConfig::default()
-        };
-        assert_eq!(cfg.slab_count(0), 1);
-        assert_eq!(cfg.slab_count(10), 1);
-        assert_eq!(cfg.slab_count(11), 2);
-        assert_eq!(cfg.slab_count(95), 10);
-    }
-
-    #[test]
     fn gate_excludes_concurrent_holders() {
         let gate = Arc::new(FairGate::new(1));
         let inside = Arc::new(AtomicUsize::new(0));
@@ -257,7 +245,7 @@ mod tests {
         let g2 = Arc::clone(&gate);
         let worker = std::thread::spawn(move || {
             let _g = g2.acquire();
-            panic!("decode worker dies mid-slab");
+            panic!("decode worker dies mid-batch");
         });
         assert!(worker.join().is_err());
         let _g = gate.acquire(); // must not deadlock

@@ -83,7 +83,7 @@ fn run() -> Result<(), String> {
     server.shutdown_and_join();
     let stats = state.stats_report();
     println!(
-        "amr_served: done — {} connections, {} requests ({} interactive, {} scans / {} slabs), {} errors",
+        "amr_served: done — {} connections, {} requests ({} interactive, {} scans / {} gate holds), {} errors",
         stats.connections_total,
         stats.requests,
         stats.interactive_queries,
@@ -102,7 +102,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: amr_served [--tcp ADDR] [--uds PATH] [--cache-mb N] [--max-open N] \
                  [--workers N] [--scan-threshold-kb N] [--slab-kb N] [--scan-slots N] \
-                 [--max-request-mb N]"
+                 [--max-request-mb N]\n  --slab-kb N: decoded KiB a scan warms per fair-gate \
+                 hold — whole chunks, never less than one"
             );
             ExitCode::FAILURE
         }

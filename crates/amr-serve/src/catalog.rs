@@ -167,6 +167,9 @@ pub struct CatalogEntry {
     pub generation: Generation,
     /// The shared engine (queries take `&self`; clone the `Arc` freely).
     pub engine: Arc<QueryEngine>,
+    /// Plane / region / ROI requests served from this entry, in that order
+    /// (planned serving bypasses the engine's per-entry-point counters).
+    pub served: [AtomicU64; 3],
     /// LRU stamp (catalog-internal).
     last_used: AtomicU64,
 }
@@ -282,6 +285,7 @@ impl Catalog {
             file_id,
             generation,
             engine: Arc::new(engine),
+            served: Default::default(),
             last_used: AtomicU64::new(stamp),
         });
         entries.insert(path.to_path_buf(), Arc::clone(&entry));

@@ -11,9 +11,9 @@
 //!   with stat-based invalidation of rewritten snapshots and LRU
 //!   eviction of idle engines; all engines share one
 //!   [`amr_query::ChunkStore`] byte budget.
-//! * [`admission`] — cost-before-I/O classification of requests into
+//! * [`admission`] — plan-before-I/O classification of requests into
 //!   interactive vs scan, the per-connection decode-byte bound, and the
-//!   FIFO [`admission::FairGate`] that round-robins scan slabs.
+//!   FIFO [`admission::FairGate`] that round-robins scans' chunk batches.
 //! * [`protocol`] — the length-prefixed binary wire format (open /
 //!   query / stats / close over TCP or Unix sockets) with typed errors
 //!   and hard frame caps; decoding never trusts a length it has not

@@ -550,8 +550,8 @@ pub struct StatsReport {
     pub interactive_queries: u64,
     /// Scan-class queries admitted.
     pub scan_queries: u64,
-    /// Slabs large scans were sliced into (each slab holds the scan gate
-    /// once; more slabs = finer interleaving).
+    /// Gate holds taken by scans: one per chunk batch warmed (a scan
+    /// never takes more than the chunks it touches).
     pub scan_slabs: u64,
     /// Requests rejected because their decode estimate exceeded the
     /// per-connection bound.

@@ -9,15 +9,16 @@
 //!    survives — the frame boundary is intact), while framing-level
 //!    corruption (oversized or short frames) errors and closes the
 //!    connection, since resynchronization is impossible.
-//! 2. Query requests are **costed before any byte is read** via the
-//!    engine's planner, bounded per connection
-//!    ([`AdmissionConfig::max_request_bytes`] → typed `TooLarge`), and
-//!    classified interactive vs scan.
-//! 3. Interactive queries execute immediately. Scans are sliced into
-//!    slabs; each slab decodes under the FIFO [`FairGate`], releasing
-//!    it between slabs so concurrent scans round-robin and point
-//!    samples only ever wait for a slab, not a whole scan. The final
-//!    answer is then assembled from the warm cache.
+//! 2. A query request is **planned once, before any byte is read**
+//!    ([`amr_query::QueryPlan`]); an invalid request is the planner's
+//!    typed error. The plan's cost is bounded per connection
+//!    ([`AdmissionConfig::max_request_bytes`] → typed `TooLarge`) and
+//!    classifies the request interactive vs scan.
+//! 3. Interactive plans are answered immediately. A scan first warms the
+//!    cache one chunk batch at a time ([`amr_query::QueryPlan::batches`]),
+//!    holding the FIFO [`FairGate`] per batch and releasing it between
+//!    batches so concurrent scans round-robin; the answer is then
+//!    assembled from the warm cache.
 //!
 //! Connections are served sequentially (pipelined requests queue in the
 //! socket), so per-connection in-flight decode volume is exactly the
@@ -29,7 +30,7 @@ use crate::protocol::{
     read_frame, write_frame, ErrorCode, FileStats, OpenInfo, Request, Response, ServeError,
     ServeResult, StatsReport, WireRegion, MAX_REQUEST_FRAME,
 };
-use amr_query::{Box3, LevelRegion, LevelSelect, QueryEngine, QueryError};
+use amr_query::{Box3, LevelRegion, QueryEngine, QueryError, QueryPlan, QueryResult};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -133,9 +134,9 @@ impl ServeState {
                     cache_misses: es.cache.misses,
                     cache_insertions: es.cache.insertions,
                     cache_evictions: es.cache.evictions,
-                    roi_queries: es.roi_queries,
-                    region_queries: es.region_queries,
-                    plane_queries: es.plane_queries,
+                    roi_queries: e.served[2].load(Ordering::Relaxed),
+                    region_queries: e.served[1].load(Ordering::Relaxed),
+                    plane_queries: e.served[0].load(Ordering::Relaxed),
                     point_queries: es.point_queries,
                     chunks_decoded: es.chunks_decoded,
                     decoded_bytes: es.decoded_bytes,
@@ -340,42 +341,19 @@ fn intbox(lo: [i64; 3], hi: [i64; 3]) -> Box3 {
     )
 }
 
-fn wire_region(lr: &LevelRegion) -> WireRegion {
+fn wire_region(lr: LevelRegion) -> WireRegion {
     WireRegion {
         level: lr.level as u32,
         lo: vect(&lr.region.lo),
         hi: vect(&lr.region.hi),
-        data: lr.data.data().to_vec(),
+        data: lr.data.into_vec(),
     }
 }
 
-/// Split `b` into `n` contiguous slabs along its longest axis (fewer
-/// when the axis has fewer cells than `n`). Ties break toward the lowest
-/// axis index — `max_by_key` keeps the *last* maximum, which made cubic
-/// regions slab along z on some call sites and x on others depending on
-/// iteration direction; slab boundaries must be deterministic because
-/// clients resume scans by slab position.
-fn slabs(b: &Box3, n: u64) -> Vec<Box3> {
-    let sz = b.size();
-    let axis = (0..3).fold(
-        0usize,
-        |best, a| if sz.get(a) > sz.get(best) { a } else { best },
-    );
-    let extent = sz.get(axis).max(1) as u64;
-    let n = n.clamp(1, extent);
-    let per = extent.div_ceil(n) as i64;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut z = b.lo.get(axis);
-    while z <= b.hi.get(axis) {
-        let zh = (z + per - 1).min(b.hi.get(axis));
-        let mut lo = b.lo;
-        let mut hi = b.hi;
-        lo.0[axis] = z;
-        hi.0[axis] = zh;
-        out.push(Box3::new(lo, hi));
-        z = zh + 1;
-    }
-    out
+/// The `Region` response of a single-region (region / plane) plan.
+fn region_response(mut levels: Vec<LevelRegion>) -> Response {
+    let one = levels.pop().expect("one region per region/plane plan");
+    Response::Region(wire_region(one))
 }
 
 fn handle_request(
@@ -426,10 +404,8 @@ fn handle_request(
                 return bad_handle(handle);
             };
             // Point samples decode at most one chunk: always interactive.
-            state
-                .counters
-                .interactive_queries
-                .fetch_add(1, Ordering::Relaxed);
+            let c = &state.counters;
+            c.interactive_queries.fetch_add(1, Ordering::Relaxed);
             match entry
                 .engine
                 .point_sample(field as usize, amr_mesh::IntVect::new(p[0], p[1], p[2]))
@@ -449,21 +425,10 @@ fn handle_request(
             let Some(entry) = handles.get(&handle) else {
                 return bad_handle(handle);
             };
-            let engine = Arc::clone(&entry.engine);
-            // Cost the plane as the thin region it resolves to; invalid
-            // parameters cost zero and surface their typed error from
-            // the query itself.
-            let cost = plane_cost(&engine, field as usize, level as usize, axis, coord);
-            run_admitted(state, cost, |warm| {
-                if let Some(region) = warm {
-                    engine.prefetch_region(field as usize, level as usize, region)?;
-                    Ok(None)
-                } else {
-                    engine
-                        .plane_slice(field as usize, level as usize, axis as usize, coord)
-                        .map(|lr| Some(Response::Region(wire_region(&lr))))
-                }
-            })
+            entry.served[0].fetch_add(1, Ordering::Relaxed);
+            let engine = &entry.engine;
+            let plan = engine.plan_plane(field as usize, level as usize, axis as usize, coord);
+            run_admitted(state, engine, plan, region_response)
         }
         Request::Region {
             handle,
@@ -475,21 +440,10 @@ fn handle_request(
             let Some(entry) = handles.get(&handle) else {
                 return bad_handle(handle);
             };
-            let engine = Arc::clone(&entry.engine);
-            let region = intbox(lo, hi);
-            let cost = engine
-                .region_cost(field as usize, level as usize, region)
-                .map(|c| (c.decode_bytes, region));
-            run_admitted(state, cost, |warm| {
-                if let Some(slab) = warm {
-                    engine.prefetch_region(field as usize, level as usize, slab)?;
-                    Ok(None)
-                } else {
-                    engine
-                        .level_region(field as usize, level as usize, region)
-                        .map(|lr| Some(Response::Region(wire_region(&lr))))
-                }
-            })
+            entry.served[1].fetch_add(1, Ordering::Relaxed);
+            let engine = &entry.engine;
+            let plan = engine.plan_region(field as usize, level as usize, intbox(lo, hi));
+            run_admitted(state, engine, plan, region_response)
         }
         Request::Roi {
             handle,
@@ -501,25 +455,13 @@ fn handle_request(
             let Some(entry) = handles.get(&handle) else {
                 return bad_handle(handle);
             };
-            let engine = Arc::clone(&entry.engine);
-            let roi = intbox(lo, hi);
-            let sel: LevelSelect = select.into();
-            let cost = engine
-                .roi_cost(field as usize, roi, sel)
-                .map(|c| (c.decode_bytes, roi));
-            run_admitted(state, cost, |warm| {
-                if let Some(slab) = warm {
-                    engine.prefetch_roi(field as usize, slab, sel)?;
-                    Ok(None)
-                } else {
-                    engine.roi(field as usize, roi, sel).map(|view| {
-                        Some(Response::View {
-                            field: view.field as u32,
-                            field_name: view.field_name.clone(),
-                            levels: view.levels.iter().map(wire_region).collect(),
-                        })
-                    })
-                }
+            entry.served[2].fetch_add(1, Ordering::Relaxed);
+            let engine = &entry.engine;
+            let plan = engine.plan_roi(field as usize, intbox(lo, hi), select.into());
+            run_admitted(state, engine, plan, |levels| Response::View {
+                field,
+                field_name: engine.meta().field_names[field as usize].clone(),
+                levels: levels.into_iter().map(wire_region).collect(),
             })
         }
     }
@@ -532,59 +474,30 @@ fn bad_handle(handle: u32) -> Response {
     }
 }
 
-/// Cost a plane request as the thin region it resolves to; anything
-/// invalid costs zero (the query itself reports the typed error).
-fn plane_cost(
-    engine: &QueryEngine,
-    field: usize,
-    level: usize,
-    axis: u8,
-    coord: i64,
-) -> Result<(u64, Box3), QueryError> {
-    let meta = engine.meta();
-    if (axis as usize) < 3 && level < meta.num_levels() {
-        let domain = meta.levels[level].domain;
-        let mut lo = domain.lo;
-        let mut hi = domain.hi;
-        lo.0[axis as usize] = coord;
-        hi.0[axis as usize] = coord;
-        let plane = Box3::new(lo, hi);
-        engine
-            .region_cost(field, level, plane)
-            .map(|c| (c.decode_bytes, plane))
-    } else {
-        // Let the query surface its own BadQuery.
-        Ok((0, Box3::from_extents(1, 1, 1)))
-    }
-}
-
-/// Admission-control wrapper around a query execution:
+/// Admission control around one planned query: reject on the plan's
+/// cold-cache cost, classify, execute, and `respond` with the answer
+/// (a planning error passes through as its typed response).
 ///
-/// * `cost` — the request's cold-cache decode estimate and the box to
-///   slice if it turns out to be a scan (planning errors pass through
-///   as typed responses).
-/// * `exec(Some(slab))` — warm the cache for one slab (scan path).
-/// * `exec(None)` — produce the final response.
-///
-/// Interactive requests skip straight to `exec(None)`. Scans hold the
-/// FIFO gate once per slab and release it between slabs so concurrent
-/// scans round-robin and interactive traffic never waits behind more
-/// than a slab.
+/// Interactive plans are answered straight away. A scan warms the cache
+/// one chunk batch at a time — consecutive chunks decoding to at most
+/// [`AdmissionConfig::scan_slab_bytes`], never less than one chunk —
+/// holding the FIFO gate per batch and releasing it in between, so
+/// concurrent scans round-robin at batch granularity; then it is
+/// answered from the warm cache.
 fn run_admitted(
     state: &ServeState,
-    cost: Result<(u64, Box3), QueryError>,
-    mut exec: impl FnMut(Option<Box3>) -> Result<Option<Response>, QueryError>,
+    engine: &QueryEngine,
+    plan: QueryResult<QueryPlan>,
+    respond: impl FnOnce(Vec<LevelRegion>) -> Response,
 ) -> Response {
-    let adm = &state.cfg.admission;
-    let (decode_bytes, sliced) = match cost {
-        Ok(c) => c,
+    let (adm, c) = (&state.cfg.admission, &state.counters);
+    let plan = match plan {
+        Ok(p) => p,
         Err(e) => return query_error_response(e),
     };
+    let decode_bytes = plan.cost().decode_bytes;
     if decode_bytes > adm.max_request_bytes {
-        state
-            .counters
-            .rejected_too_large
-            .fetch_add(1, Ordering::Relaxed);
+        c.rejected_too_large.fetch_add(1, Ordering::Relaxed);
         return Response::Error {
             code: ErrorCode::TooLarge,
             message: format!(
@@ -596,76 +509,26 @@ fn run_admitted(
     }
     match adm.classify(decode_bytes) {
         RequestClass::Interactive => {
-            state
-                .counters
-                .interactive_queries
-                .fetch_add(1, Ordering::Relaxed);
-            match exec(None) {
-                Ok(resp) => resp.expect("final pass returns a response"),
-                Err(e) => query_error_response(e),
-            }
+            c.interactive_queries.fetch_add(1, Ordering::Relaxed);
         }
         RequestClass::Scan => {
-            state.counters.scan_queries.fetch_add(1, Ordering::Relaxed);
-            let slab_boxes = slabs(&sliced, adm.slab_count(decode_bytes));
-            state
-                .counters
-                .scan_slabs
-                .fetch_add(slab_boxes.len() as u64, Ordering::Relaxed);
-            for slab in slab_boxes {
+            c.scan_queries.fetch_add(1, Ordering::Relaxed);
+            for batch in plan.batches(adm.scan_slab_bytes) {
+                c.scan_slabs.fetch_add(1, Ordering::Relaxed);
                 let _permit = state.gate.acquire();
-                if let Err(e) = exec(Some(slab)) {
+                if let Err(e) = engine.warm(&plan, batch) {
                     return query_error_response(e);
                 }
                 // Permit drops here: waiting scans (and nothing else —
                 // interactive traffic never queues on the gate) proceed
-                // before our next slab.
-            }
-            // Assemble from the warm cache; chunks evicted meanwhile
-            // are simply re-decoded (correctness never depends on
-            // residency).
-            match exec(None) {
-                Ok(resp) => resp.expect("final pass returns a response"),
-                Err(e) => query_error_response(e),
+                // before our next batch.
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cube(n: i64) -> Box3 {
-        intbox([0, 0, 0], [n - 1, n - 1, n - 1])
-    }
-
-    #[test]
-    fn slab_axis_tie_breaks_to_lowest_index() {
-        // A cubic region must always slab along x; resumable scans rely
-        // on the slab layout being a pure function of the box.
-        let s = slabs(&cube(8), 4);
-        assert_eq!(s.len(), 4);
-        for (i, b) in s.iter().enumerate() {
-            assert_eq!(vect(&b.lo), [2 * i as i64, 0, 0]);
-            assert_eq!(vect(&b.hi), [2 * i as i64 + 1, 7, 7]);
-        }
-        // Two-way tie (y == z > x) picks y, the lower tied index.
-        let tall = intbox([0, 0, 0], [3, 7, 7]);
-        let s = slabs(&tall, 2);
-        assert_eq!(s.len(), 2);
-        assert_eq!(vect(&s[0].hi), [3, 3, 7]);
-        assert_eq!(vect(&s[1].lo), [0, 4, 0]);
-    }
-
-    #[test]
-    fn slabs_cover_exactly_and_respect_short_axes() {
-        let b = intbox([2, -1, 5], [9, 0, 6]);
-        let s = slabs(&b, 100); // x is longest (8 cells) -> 8 slabs max
-        assert_eq!(s.len(), 8);
-        for (x, slab) in (2..).zip(&s) {
-            assert_eq!(vect(&slab.lo), [x, -1, 5]);
-            assert_eq!(vect(&slab.hi), [x, 0, 6]);
-        }
+    // A scan's chunks are warm by now; any evicted meanwhile are simply
+    // re-decoded (correctness never depends on residency).
+    match engine.answer(&plan) {
+        Ok(levels) => respond(levels),
+        Err(e) => query_error_response(e),
     }
 }

@@ -2,7 +2,8 @@
 //! and every wire answer compared **bitwise** against a direct
 //! `QueryEngine` on the same plotfile. Also covers catalog
 //! stale-generation invalidation, the Unix-socket transport, typed
-//! `TooLarge` rejection, and the stats endpoint.
+//! `TooLarge` rejection before any byte is read, one gate hold per chunk
+//! batch of a scan, typed planning errors, and the stats endpoint.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -56,8 +57,8 @@ fn direct_bits(lr: &amr_query::LevelRegion) -> (u32, [i64; 3], [i64; 3], Vec<u64
 }
 
 /// Small-threshold config so the 16^3 test files still exercise the
-/// scan path (slab slicing + fair gate) rather than running everything
-/// interactive.
+/// scan path (chunk batches under the fair gate) rather than running
+/// everything interactive.
 fn test_config() -> ServeConfig {
     ServeConfig {
         cache_bytes: 4 << 20,
@@ -194,7 +195,10 @@ fn concurrent_clients_match_direct_engine_bitwise() {
     );
     assert!(stats.interactive_queries > 0, "points must be interactive");
     assert!(stats.scan_queries > 0, "full-domain ROI must be a scan");
-    assert!(stats.scan_slabs >= stats.scan_queries, "scans are sliced");
+    assert!(
+        stats.scan_slabs >= stats.scan_queries,
+        "scans hold the gate"
+    );
     assert!(stats.cache_hits > 0, "repeat traffic must hit the cache");
     assert_eq!(stats.files.len(), 2);
     assert!(stats.files.iter().all(|f| f.chunks_decoded > 0));
@@ -313,9 +317,149 @@ fn oversized_requests_get_typed_rejection() {
         ServeError::Remote { code, .. } => assert_eq!(code, ErrorCode::TooLarge),
         other => panic!("expected typed TooLarge, got {other}"),
     }
+    // The rejection came from the plan's cost: no stored byte was read,
+    // nothing decoded, and the request was never classified.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.rejected_too_large, 1);
+    assert_eq!((stats.interactive_queries, stats.scan_queries), (0, 0));
+    assert_eq!(
+        (stats.files[0].read_bytes, stats.files[0].chunks_decoded),
+        (0, 0)
+    );
     // Connection is intact and small queries still pass.
     assert!(client.point(info.handle, 0, [1, 1, 1]).is_ok());
-    assert_eq!(client.stats().unwrap().rejected_too_large, 1);
+    client.shutdown_server().unwrap();
+    server.shutdown_and_join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn scans_hold_the_gate_once_per_chunk_batch() {
+    let path = tmp("batches");
+    write_plotfile(97, &path);
+    // Everything is scan-class. A 32 KiB batch holds both of the file's
+    // small coarse chunks but only one ~88 KiB fine chunk, so the three
+    // plans below take fewer holds than chunks, one per chunk, and one.
+    let mut cfg = test_config();
+    cfg.admission.scan_threshold_bytes = 1;
+    let adm = cfg.admission;
+    let mut server = Server::new(cfg);
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let handle = client.open(path.to_str().unwrap()).unwrap().handle;
+    let direct = QueryEngine::open(&path).unwrap();
+
+    // The same three plans the handlers build, planned on a direct engine.
+    let full = IntBox::from_extents(16, 16, 16);
+    let fine = IntBox::from_extents(32, 32, 32);
+    let plans = [
+        direct.plan_roi(0, full, LevelSelect::All).unwrap(),
+        direct.plan_region(1, 1, fine).unwrap(),
+        direct.plan_plane(2, 0, 1, 5).unwrap(),
+    ];
+    let mut seen = client.stats().unwrap();
+    for (i, plan) in plans.iter().enumerate() {
+        match i {
+            0 => drop(
+                client
+                    .roi(handle, 0, [0; 3], [15; 3], WireSelect::All)
+                    .unwrap(),
+            ),
+            1 => drop(client.region(handle, 1, 1, [0; 3], [31; 3]).unwrap()),
+            _ => drop(client.plane(handle, 2, 0, 1, 5).unwrap()),
+        }
+        let now = client.stats().unwrap();
+        let cost = plan.cost();
+        assert_eq!(now.scan_queries - seen.scan_queries, 1, "query {i}");
+        let holds = now.scan_slabs - seen.scan_slabs;
+        assert_eq!(
+            holds,
+            plan.batches(adm.scan_slab_bytes).len() as u64,
+            "query {i}: one gate hold per chunk batch"
+        );
+        assert!(
+            (1..=cost.chunks as u64).contains(&holds),
+            "query {i}: {holds} holds for {} chunks",
+            cost.chunks
+        );
+        // Cold engine, distinct fields: the scan decoded its plan's
+        // chunks exactly once.
+        let (f_now, f_seen) = (&now.files[0], &seen.files[0]);
+        assert_eq!(
+            f_now.chunks_decoded - f_seen.chunks_decoded,
+            cost.chunks as u64,
+            "query {i}"
+        );
+        assert_eq!(
+            f_now.decoded_bytes - f_seen.decoded_bytes,
+            cost.decode_bytes,
+            "query {i}"
+        );
+        seen = now;
+    }
+    client.shutdown_server().unwrap();
+    server.shutdown_and_join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn invalid_query_arguments_are_typed_planning_errors() {
+    let path = tmp("badargs");
+    write_plotfile(98, &path);
+    let mut server = Server::new(test_config());
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let h = client.open(path.to_str().unwrap()).unwrap().handle;
+    let (lo, hi) = ([0; 3], [3; 3]);
+    let far = ([99; 3], [100; 3]);
+    let outcomes = [
+        (
+            "roi: field",
+            client.roi(h, 99, lo, hi, WireSelect::All).err(),
+        ),
+        (
+            "roi: level",
+            client.roi(h, 0, lo, hi, WireSelect::Level(9)).err(),
+        ),
+        (
+            "roi: empty range",
+            client.roi(h, 0, lo, hi, WireSelect::Range(1, 0)).err(),
+        ),
+        ("region: field", client.region(h, 99, 0, lo, hi).err()),
+        ("region: level", client.region(h, 0, 9, lo, hi).err()),
+        (
+            "region: misses the domain",
+            client.region(h, 0, 0, far.0, far.1).err(),
+        ),
+        ("plane: field", client.plane(h, 99, 0, 0, 0).err()),
+        ("plane: level", client.plane(h, 0, 9, 0, 0).err()),
+        ("plane: axis", client.plane(h, 0, 0, 3, 0).err()),
+        ("plane: coord", client.plane(h, 0, 0, 2, -5).err()),
+    ];
+    let n = outcomes.len() as u64;
+    for (what, err) in outcomes {
+        match err {
+            Some(ServeError::Remote { code, .. }) => {
+                assert_eq!(code, ErrorCode::BadQuery, "{what}")
+            }
+            other => panic!("{what}: expected typed BadQuery, got {other:?}"),
+        }
+    }
+    // Planning errors never reach classification, the gate or the file.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.errors, n);
+    assert_eq!(
+        (
+            stats.interactive_queries,
+            stats.scan_queries,
+            stats.scan_slabs
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!(stats.files[0].read_bytes, 0);
+    // A ROI that merely misses every domain is a valid, empty answer.
+    let empty = client.roi(h, 0, far.0, far.1, WireSelect::All).unwrap();
+    assert!(empty.levels.is_empty());
     client.shutdown_server().unwrap();
     server.shutdown_and_join();
     std::fs::remove_file(&path).ok();

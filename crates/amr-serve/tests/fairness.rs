@@ -1,7 +1,7 @@
 //! The fairness acceptance check: point-sample tail latency while a
 //! full-file ROI scan hammers the same server must stay within a small
 //! factor of its solo tail latency — the whole reason admission control
-//! slices scans into gate-bounded slabs.
+//! warms scans one gate-bounded chunk batch at a time.
 
 use amr_apps::prelude::*;
 use amr_serve::prelude::*;
@@ -54,7 +54,7 @@ fn point_latency_survives_concurrent_full_file_scan() {
     write_amric(&path, &h, &AmricConfig::lr(1e-3), 8).unwrap();
 
     // Starved cache: scans must actually decode every pass (a fully
-    // cache-resident scan would make fairness trivial), and fine slabs
+    // cache-resident scan would make fairness trivial), and one-chunk batches
     // keep the gate hold times short.
     let mut server = Server::new(ServeConfig {
         cache_bytes: 256 << 10,
@@ -117,7 +117,7 @@ fn point_latency_survives_concurrent_full_file_scan() {
     );
     assert!(
         stats.scan_slabs > stats.scan_queries,
-        "full-file scans must slice into multiple slabs"
+        "full-file scans must take the gate once per chunk batch"
     );
     point_client.shutdown_server().unwrap();
     server.shutdown_and_join();

@@ -187,6 +187,58 @@ fn queries_on_handles_never_opened_are_typed_errors() {
 }
 
 #[test]
+fn open_on_forged_plotfile_metadata_is_open_failed() {
+    // Well-formed containers whose `meta/*` datasets lie: a level count
+    // that would size an abort-scale allocation, zero ranks, an owner
+    // past the rank count, an inverted box. `Open` parses the metadata on
+    // the connection thread; a panic there would take the connection down.
+    // [nlevels, nfields, nranks, bf, remove_redundancy | nx, ny, nz, nboxes, ratio]
+    let header = [1.0, 1.0, 1.0, 8.0, 1.0, 8.0, 8.0, 8.0, 1.0, 0.0];
+    let boxes = [0.0, 0.0, 0.0, 7.0, 7.0, 7.0, 0.0];
+    let forge = |at: usize, v: f64, box_at: usize, bv: f64| {
+        let (mut h, mut b) = (header, boxes);
+        h[at] = v;
+        b[box_at] = bv;
+        (h, b)
+    };
+    let forged = [
+        forge(0, 1e12, 6, 0.0),
+        forge(2, 0.0, 6, 0.0),
+        forge(0, 1.0, 6, 5.0),
+        forge(0, 1.0, 3, -1.0),
+    ];
+    let (server, addr) = start_server();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let dir = h5lite::testutil::TempDir::new("amr-serve-forged-meta");
+    for (i, (header, boxes)) in forged.iter().enumerate() {
+        let path = dir.file(&format!("forged-{i}.h5l"));
+        let w = h5lite::H5Writer::create(&path).unwrap();
+        for (name, values) in [
+            ("meta/header", &header[..]),
+            ("meta/field_names", &[1.0, f64::from(b'a')][..]),
+            ("meta/level_0/boxes", &boxes[..]),
+        ] {
+            w.write_dataset(name, values, values.len(), &h5lite::NoFilter)
+                .unwrap();
+        }
+        w.finish().unwrap();
+        match client.open(path.to_str().unwrap()).unwrap_err() {
+            ServeError::Remote { code, message } => {
+                assert_eq!(code, ErrorCode::OpenFailed, "forgery {i}: {message}")
+            }
+            other => panic!("forgery {i}: expected OpenFailed, got {other}"),
+        }
+        assert!(
+            client.stats().is_ok(),
+            "forgery {i}: connection must survive"
+        );
+    }
+    assert_eq!(client.stats().unwrap().open_files, 0);
+    assert_server_alive(addr);
+    server.shutdown_and_join();
+}
+
+#[test]
 fn client_rejects_oversized_response_frames() {
     let (server, addr) = start_server();
     // A client with an 8-byte response cap: the stats response is larger,

@@ -28,13 +28,6 @@ pub struct Plotfile {
     pub unit_plans: Vec<Vec<Vec<UnitRef>>>,
 }
 
-struct Header {
-    nlevels: usize,
-    nranks: usize,
-    extra: [u64; 2],
-    levels: Vec<(i64, i64, i64, usize, i64)>, // nx, ny, nz, nboxes, ratio
-}
-
 /// Grid structure of one plotfile level — everything the read side knows
 /// about a level before touching any field data.
 #[derive(Clone, Debug)]
@@ -119,78 +112,78 @@ impl PlotfileMeta {
 }
 
 /// Parse a plotfile's structural metadata (header, field names, level
-/// box tables) from an open reader.
+/// box tables) from an open reader. Total over hostile `meta/*` datasets:
+/// every count is bounded by the values its dataset actually holds before
+/// anything is sized by it, and extents, box corners and owners are
+/// validated here — a forged file is an [`H5Error::Format`], never a
+/// panic or an allocation the file did not pay for.
 pub fn read_plotfile_meta(r: &H5Reader) -> H5Result<PlotfileMeta> {
-    let (header, field_names) = read_header(r)?;
-    let mut levels = Vec::with_capacity(header.nlevels);
-    for (l, &(nx, ny, nz, nboxes, ratio)) in header.levels.iter().enumerate() {
-        let (boxes, owners) = read_level_layout(r, l, nboxes, header.nranks)?;
-        levels.push(LevelLayout {
-            domain: IntBox::from_extents(nx, ny, nz),
-            boxes,
-            owners,
-            ratio_to_finer: ratio,
-        });
-    }
-    Ok(PlotfileMeta {
-        field_names,
-        nranks: header.nranks,
-        bf: header.extra[0] as i64,
-        remove_redundancy: header.extra[1] == 1,
-        levels,
-    })
-}
-
-fn read_header(r: &H5Reader) -> H5Result<(Header, Vec<String>)> {
     let raw = r.read_dataset("meta/header")?;
     let mut it = raw.iter().map(|&v| v as u64);
     let mut next = || {
         it.next()
             .ok_or_else(|| H5Error::Format("short header".into()))
     };
-    let nlevels = next()? as usize;
-    let nfields = next()? as usize;
-    let nranks = next()? as usize;
-    let extra = [next()?, next()?];
-    let mut levels = Vec::with_capacity(nlevels);
-    for _ in 0..nlevels {
-        levels.push((
-            next()? as i64,
-            next()? as i64,
-            next()? as i64,
-            next()? as usize,
-            next()? as i64,
-        ));
+    let (nlevels, nfields, nranks) = (next()? as usize, next()? as usize, next()? as usize);
+    let (bf, remove_redundancy) = (next()? as i64, next()? == 1);
+    // Five values per level follow the five fixed ones.
+    if nlevels > raw.len().saturating_sub(5) / 5 {
+        return Err(H5Error::Format(format!(
+            "header records {nlevels} levels but holds {} values",
+            raw.len()
+        )));
     }
-    // Field names.
-    let raw_names = r.read_dataset("meta/field_names")?;
+    if nranks == 0 {
+        return Err(H5Error::Format("header records zero ranks".into()));
+    }
+    let mut levels = Vec::with_capacity(nlevels);
+    for l in 0..nlevels {
+        let (nx, ny, nz) = (next()? as i64, next()? as i64, next()? as i64);
+        let (nboxes, ratio_to_finer) = (next()? as usize, next()? as i64);
+        if nx < 1 || ny < 1 || nz < 1 {
+            return Err(H5Error::Format(format!(
+                "level {l}: domain extents {nx}x{ny}x{nz} must be positive"
+            )));
+        }
+        let (boxes, owners) = read_level_layout(r, l, nboxes, nranks)?;
+        levels.push(LevelLayout {
+            domain: IntBox::from_extents(nx, ny, nz),
+            boxes,
+            owners,
+            ratio_to_finer,
+        });
+    }
+    Ok(PlotfileMeta {
+        field_names: read_field_names(r, nfields)?,
+        nranks,
+        bf,
+        remove_redundancy,
+        levels,
+    })
+}
+
+/// `nfields` names, each stored as a length value then one value per byte.
+fn read_field_names(r: &H5Reader, nfields: usize) -> H5Result<Vec<String>> {
+    let raw = r.read_dataset("meta/field_names")?;
+    if nfields > raw.len() {
+        return Err(H5Error::Format(format!(
+            "header records {nfields} fields but the name table holds {} values",
+            raw.len()
+        )));
+    }
+    let short = || H5Error::Format("short field names".into());
     let mut names = Vec::with_capacity(nfields);
-    let mut pos = 0usize;
+    let mut rest = raw.as_slice();
     for _ in 0..nfields {
-        let len = *raw_names
-            .get(pos)
-            .ok_or_else(|| H5Error::Format("short field names".into()))? as usize;
-        pos += 1;
-        let bytes: Vec<u8> = raw_names
-            .get(pos..pos + len)
-            .ok_or_else(|| H5Error::Format("short field names".into()))?
-            .iter()
-            .map(|&v| v as u8)
-            .collect();
-        pos += len;
+        let (&len, tail) = rest.split_first().ok_or_else(short)?;
+        let name = tail.get(..len as usize).ok_or_else(short)?;
+        rest = &tail[name.len()..];
         names.push(
-            String::from_utf8(bytes).map_err(|_| H5Error::Format("field name not UTF-8".into()))?,
+            String::from_utf8(name.iter().map(|&v| v as u8).collect())
+                .map_err(|_| H5Error::Format("field name not UTF-8".into()))?,
         );
     }
-    Ok((
-        Header {
-            nlevels,
-            nranks,
-            extra,
-            levels,
-        },
-        names,
-    ))
+    Ok(names)
 }
 
 fn read_level_layout(
@@ -200,22 +193,30 @@ fn read_level_layout(
     nranks: usize,
 ) -> H5Result<(BoxArray, DistributionMapping)> {
     let raw = r.read_dataset(&format!("meta/level_{level}/boxes"))?;
-    if raw.len() != nboxes * 7 {
+    if nboxes.checked_mul(7) != Some(raw.len()) {
         return Err(H5Error::Format(format!(
-            "level {level}: box table holds {} values, expected {}",
-            raw.len(),
-            nboxes * 7
+            "level {level}: box table holds {} values, header records {nboxes} boxes",
+            raw.len()
         )));
     }
     let mut boxes = Vec::with_capacity(nboxes);
     let mut owners = Vec::with_capacity(nboxes);
-    for b in 0..nboxes {
-        let v = &raw[b * 7..(b + 1) * 7];
-        boxes.push(IntBox::new(
-            IntVect::new(v[0] as i64, v[1] as i64, v[2] as i64),
-            IntVect::new(v[3] as i64, v[4] as i64, v[5] as i64),
-        ));
-        owners.push(v[6] as usize);
+    for v in raw.chunks_exact(7) {
+        let lo = IntVect::new(v[0] as i64, v[1] as i64, v[2] as i64);
+        let hi = IntVect::new(v[3] as i64, v[4] as i64, v[5] as i64);
+        let owner = v[6] as usize;
+        if (0..3).any(|d| hi.get(d) < lo.get(d)) {
+            return Err(H5Error::Format(format!(
+                "level {level}: box corners {lo:?}..{hi:?} are inverted"
+            )));
+        }
+        if owner >= nranks {
+            return Err(H5Error::Format(format!(
+                "level {level}: box owner {owner} out of range ({nranks} ranks)"
+            )));
+        }
+        boxes.push(IntBox::new(lo, hi));
+        owners.push(owner);
     }
     Ok((
         BoxArray::new(boxes),
@@ -231,15 +232,42 @@ fn empty_levels(meta: &PlotfileMeta) -> Vec<MultiFab> {
         .collect()
 }
 
+/// The one chunk loader, shared by the full decode ([`read_amric_hierarchy`]) and
+/// `amr-query`'s cache-miss path: read rank `rank`'s raw chunk of
+/// `(level, field)` into `raw`, `decode` it into unit buffers, and check
+/// them against the rank's unit plan reconstructed from metadata (count
+/// and dims). A stream that decodes fine but does not match the layout
+/// means the file contradicts itself — an [`H5Error::Format`], never a
+/// scatter panic.
+pub fn load_chunk(
+    r: &H5Reader,
+    (level, field, rank): (usize, usize, usize),
+    plan: &[UnitRef],
+    raw: &mut Vec<u8>,
+    decode: impl FnOnce(&[u8]) -> H5Result<Vec<Buffer3>>,
+) -> H5Result<Vec<Buffer3>> {
+    r.read_chunk_raw_into(&field_dataset(level, field), rank, raw)?;
+    let units = decode(raw)?;
+    let matches_plan = units.len() == plan.len()
+        && units
+            .iter()
+            .zip(plan)
+            .all(|(u, p)| u.dims() == region_dims(&p.region));
+    if !matches_plan {
+        return Err(H5Error::Format(format!(
+            "level {level} field {field} rank {rank}: decoded units do not match the \
+             {}-unit plan",
+            plan.len()
+        )));
+    }
+    Ok(units)
+}
+
 /// The one full-decode loader behind [`read_amric_hierarchy`] and
-/// [`crate::temporal::read_temporal_hierarchy`] — the same steps
-/// `amr-query` runs per chunk: read the rank's raw chunk, `decode` it
-/// into unit buffers, validate them against the unit plan reconstructed
-/// from metadata (count and dims — a stream that decodes fine but does
-/// not match the layout is a typed error, not a scatter panic), and
-/// scatter them into the level's fabs. `keep` then receives the decoded
-/// units of every `(level, rank, field)` stream (empty for ranks of a
-/// chunk-less level).
+/// [`crate::temporal::read_temporal_hierarchy`]: [`load_chunk`] every
+/// `(level, rank, field)` stream through `decode` and scatter it into the
+/// level's fabs. `keep` then receives the decoded units of every stream
+/// (empty for ranks of a chunk-less level).
 pub(crate) fn load_plotfile(
     r: &H5Reader,
     mut decode: impl FnMut(usize, usize, usize, &[u8]) -> H5Result<Vec<Buffer3>>,
@@ -253,26 +281,14 @@ pub(crate) fn load_plotfile(
     for (l, level) in levels.iter_mut().enumerate() {
         for (rank, plan) in unit_plans[l].iter().enumerate() {
             for f in 0..meta.field_names.len() {
-                let name = field_dataset(l, f);
                 // A level where no rank kept any cells stores no chunks.
-                if rank >= r.meta(&name)?.chunks.len() {
+                if rank >= r.meta(&field_dataset(l, f))?.chunks.len() {
                     keep(l, rank, f, Vec::new());
                     continue;
                 }
-                r.read_chunk_raw_into(&name, rank, &mut raw)?;
-                let units = decode(l, rank, f, &raw)?;
-                let matches_plan = units.len() == plan.len()
-                    && units
-                        .iter()
-                        .zip(plan)
-                        .all(|(u, p)| u.dims() == region_dims(&p.region));
-                if !matches_plan {
-                    return Err(H5Error::Codec(CodecError::dims(format!(
-                        "level {l} field {f} rank {rank}: decoded units do not match the \
-                         {}-unit plan",
-                        plan.len()
-                    ))));
-                }
+                let units = load_chunk(r, (l, f, rank), plan, &mut raw, |raw| {
+                    decode(l, rank, f, raw)
+                })?;
                 scatter_units(level, plan, f, &units);
                 keep(l, rank, f, units);
             }

@@ -325,19 +325,48 @@ pub fn write_amric_to(
     let header_extra = [bf as u64, u64::from(cfg.remove_redundancy)];
     let body = |comm: &Communicator, ledger: &mut IoLedger, prep_s: &mut f64| {
         let rank = comm.rank();
+        // Plan every level before anything is committed. The chunk filter
+        // re-cuts a staged chunk into `unit³` cubes (§3.1: AMReX's blocking
+        // factor guarantees unit-aligned grids), so a hierarchy that plans
+        // any other unit shape is refused here, on every rank in lockstep,
+        // instead of being written into a file nobody can read.
+        let t0 = Instant::now();
+        let plans: Vec<_> = (0..num_levels)
+            .map(|l| {
+                let finer =
+                    (l + 1 < num_levels).then(|| (h.level(l + 1).data.box_array(), h.ref_ratio(l)));
+                let unit = unit_edge_for_level(bf, l, num_levels);
+                let units = plan_units(&h.level(l).data, finer, unit, rank, cfg.remove_redundancy);
+                (unit, units)
+            })
+            .collect();
+        *prep_s += t0.elapsed().as_secs_f64();
+        let unaligned = plans.iter().position(|(unit, units)| {
+            units
+                .iter()
+                .any(|u| u.region.size() != IntVect::new(*unit, *unit, *unit))
+        });
+        // One offending level + 1, the same on every rank (0 = all cubes).
+        let unaligned = comm.allreduce_max(unaligned.map_or(0, |l| l as u64 + 1));
+        if unaligned > 0 {
+            let l = unaligned as usize - 1;
+            let n = h.level(l).domain.size();
+            return Err(H5Error::Format(format!(
+                "level {l}: grids over the {}x{}x{} domain do not cut into {unit}³ unit blocks \
+                 (blocking factor {bf}); AMRIC needs blocking-factor-aligned grids",
+                n.get(0),
+                n.get(1),
+                n.get(2),
+                unit = plans[l].0
+            )));
+        }
         // Per-level bounding box of this rank's units — the extent the
         // chunk index persists, collected here so the index costs no
         // second planning pass.
         let mut extents = Vec::with_capacity(num_levels);
-        for l in 0..num_levels {
+        for (l, (unit, units)) in plans.iter().enumerate() {
             let level = &h.level(l).data;
-            let finer =
-                (l + 1 < num_levels).then(|| (h.level(l + 1).data.box_array(), h.ref_ratio(l)));
-            let unit = unit_edge_for_level(bf, l, num_levels);
-            let t0 = Instant::now();
-            let units = plan_units(level, finer, unit, rank, cfg.remove_redundancy);
-            extents.push(plan_bounding_box(&units));
-            *prep_s += t0.elapsed().as_secs_f64();
+            extents.push(plan_bounding_box(units));
             // Pass 1 — stage every field and pre-compute the write
             // metadata (global bound + global chunk size) in one
             // deterministic collective sequence. With the metadata known
@@ -348,7 +377,7 @@ pub fn write_amric_to(
                 // Stage field-major (§3.3 Solution 1): this rank's units of
                 // one field, concatenated.
                 let t0 = Instant::now();
-                let bufs = extract_units(level, &units, f);
+                let bufs = extract_units(level, units, f);
                 let mut staged = Vec::with_capacity(bufs.iter().map(|b| b.dims().len()).sum());
                 for b in &bufs {
                     staged.extend_from_slice(b.data());
@@ -363,7 +392,7 @@ pub fn write_amric_to(
                 let range = global_range(comm, &staged);
                 let filter = AmricFieldFilter {
                     cfg: *cfg,
-                    unit_edge: unit as usize,
+                    unit_edge: *unit as usize,
                     bound: ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, range),
                 };
                 // Global chunk = biggest rank (§3.3 Solution 2).
@@ -665,30 +694,31 @@ mod tests {
 
     #[test]
     fn filter_error_surfaces_as_typed_codec_error() {
-        // A blocking factor that does not match the hierarchy's 8³ grids
-        // stages chunks that are not whole unit blocks: the AMRIC filter
-        // rejects them, every rank aborts in lockstep, and the caller gets
-        // the typed error — not a panic out of the rank closure.
+        // Rank 1 stages a chunk that is not whole unit blocks: the AMRIC
+        // filter rejects it, every rank aborts in lockstep, and the caller
+        // gets the typed cause — not rank 0's abort notice, and not a
+        // panic out of the rank closure.
         let h = small_nyx();
+        let filter = AmricFieldFilter::fixed(AmricConfig::lr(1e-3), 4, 1e-3);
         for workers in [1, 3] {
             let (w, _mem) = H5Writer::in_memory();
-            let cfg = AmricConfig::lr(1e-3).with_workers(workers);
-            let err = write_amric_to(Arc::new(w), &h, &cfg, 12).unwrap_err();
+            let err = run_snapshot_ranks(&w, &h, &[0, 0], |comm, _, _| {
+                let chunks = [ChunkData::full(vec![0.0; 64 - comm.rank()])];
+                let job = DatasetJob {
+                    name: "f",
+                    chunks: &chunks,
+                    chunk_elems: 64,
+                    filter: &filter,
+                    mode: FilterMode::SizeAware,
+                };
+                collective_write_many(comm, &w, &[job], workers).map(drop)
+            })
+            .unwrap_err();
             assert!(
                 matches!(err, H5Error::Codec(CodecError::DimsMismatch { .. })),
                 "workers={workers}: {err:?}"
             );
         }
-        // The rank at fault's cause outranks its peers' abort notices.
-        let (w, _mem) = H5Writer::in_memory();
-        let err = run_snapshot_ranks(&w, &h, &[0, 0], |comm, _, _| -> H5Result<()> {
-            Err(match comm.rank() {
-                1 => H5Error::Codec(CodecError::dims("cause")),
-                _ => H5Error::Format("collective write aborted".into()),
-            })
-        })
-        .unwrap_err();
-        assert!(matches!(err, H5Error::Codec(_)), "{err:?}");
     }
 
     #[test]

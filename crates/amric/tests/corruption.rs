@@ -6,14 +6,22 @@
 //! let a flipped length field drive an absurd allocation. The tests
 //! derive corrupt inputs from valid streams by truncation and byte
 //! flips; a panic anywhere fails the test by unwinding.
+//!
+//! The same contract holds one layer up: the plotfile metadata parser is
+//! total over forged `meta/*` datasets, and the writer refuses a
+//! hierarchy its own reader could not load.
 
 use amr_apps::prelude::*;
-use amr_mesh::IntVect;
+use amr_mesh::prelude::*;
 use amric::config::AmricConfig;
 use amric::pipeline::{compress_field_units, decompress_field_units};
+use amric::reader::{read_amric_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta};
 use amric::tac::{tac_compress, tac_decompress};
+use amric::writer::{write_amric, write_amric_to};
 use amric::zmesh::{zmesh_compress, zmesh_decompress};
 use amric::MergePolicy;
+use h5lite::prelude::*;
+use std::sync::Arc;
 use sz_codec::prelude::*;
 use sz_codec::CodecError;
 
@@ -170,4 +178,116 @@ fn garbage_and_empty_inputs_rejected() {
     assert!(interp::decompress(&[]).is_err());
     assert!(interp::decompress(&garbage).is_err());
     assert!(sz_codec::lossless::decompress(&garbage).is_err());
+}
+
+/// Parse the metadata of a container holding exactly these `meta/*`
+/// datasets (one level; the parser never touches field data).
+fn parse_meta(header: &[f64], names: &[f64], boxes: &[f64]) -> H5Result<PlotfileMeta> {
+    let (w, mem) = H5Writer::in_memory();
+    for (name, values) in [
+        ("meta/header", header),
+        ("meta/field_names", names),
+        ("meta/level_0/boxes", boxes),
+    ] {
+        w.write_dataset(name, values, values.len().max(1), &NoFilter)?;
+    }
+    w.finish()?;
+    read_plotfile_meta(&H5Reader::from_storage(Box::new(mem))?)
+}
+
+#[test]
+fn forged_plotfile_metadata_is_a_typed_error() {
+    // [nlevels, nfields, nranks, bf, remove_redundancy | nx, ny, nz, nboxes, ratio]
+    let header = [1.0, 1.0, 1.0, 8.0, 1.0, 8.0, 8.0, 8.0, 1.0, 0.0];
+    let names = [1.0, f64::from(b'a')];
+    let boxes = [0.0, 0.0, 0.0, 7.0, 7.0, 7.0, 0.0];
+    let meta = parse_meta(&header, &names, &boxes).expect("pristine metadata parses");
+    assert_eq!((meta.num_levels(), meta.nranks), (1, 1));
+
+    let with = |at: usize, v: f64| {
+        let mut h = header;
+        h[at] = v;
+        h
+    };
+    let mut inverted = boxes;
+    inverted[3] = -1.0; // hi.x < lo.x
+    let mut stray_owner = boxes;
+    stray_owner[6] = 5.0; // one rank, owner 5
+    let forged: [(&str, [f64; 10], [f64; 7]); 8] = [
+        ("level count sized past the header", with(0, 1e18), boxes),
+        ("abort-sized level count", with(0, 1e12), boxes),
+        (
+            "field count sized past the name table",
+            with(1, 1e18),
+            boxes,
+        ),
+        ("box count whose table size overflows", with(8, 3e18), boxes),
+        ("zero ranks", with(2, 0.0), boxes),
+        ("owner beyond the rank count", header, stray_owner),
+        ("zero level extent", with(5, 0.0), boxes),
+        ("box with hi < lo", header, inverted),
+    ];
+    for (what, header, boxes) in forged {
+        let err = parse_meta(&header, &names, &boxes).expect_err(what);
+        assert!(matches!(err, H5Error::Format(_)), "{what}: {err:?}");
+    }
+    // A name length that runs past (or wraps) the table is equally typed.
+    for len in [2.0, 1e19] {
+        let err = parse_meta(&header, &[len, f64::from(b'a')], &boxes).unwrap_err();
+        assert!(
+            matches!(err, H5Error::Format(_)),
+            "name length {len}: {err:?}"
+        );
+    }
+}
+
+/// Two levels over an `nx × ny × nz` coarse domain in 8-cell grids: one
+/// blocking-factor-8-aligned 16³ fine grid over the coarse corner.
+fn two_level_hierarchy((nx, ny, nz): (i64, i64, i64), nranks: usize) -> AmrHierarchy {
+    let domain = IntBox::from_extents(nx, ny, nz);
+    let mut h = AmrHierarchy::new(domain, 8, nranks, vec!["rho".into()]);
+    let fine = BoxArray::new(vec![IntBox::from_extents(16, 16, 16)]);
+    h.push_level(fine, 2, nranks);
+    h.fill_field_physical(0, |x, y, z| (6.0 * x).sin() + y * z);
+    h
+}
+
+#[test]
+fn unaligned_hierarchy_is_refused_before_anything_is_committed() {
+    // Coarse unit edge is 4 (bf 8, two levels): 18 = 4·4 + 2 leaves
+    // 2-wide unit slivers the cube-cutting chunk filter cannot represent:
+    // written anyway, the first shape yields a file `read_amric_hierarchy`
+    // rejects, the second a late, misleading filter error.
+    for (dims, nranks) in [((24, 18, 16), 1), ((18, 16, 16), 2)] {
+        let h = two_level_hierarchy(dims, nranks);
+        let (w, mem) = H5Writer::in_memory();
+        let err = write_amric_to(Arc::new(w), &h, &AmricConfig::lr(1e-3), 8).unwrap_err();
+        let H5Error::Format(msg) = &err else {
+            panic!("{dims:?}: expected a Format error, got {err:?}");
+        };
+        let (nx, ny, nz) = dims;
+        for needle in ["level 0", &format!("{nx}x{ny}x{nz}"), "4³"] {
+            assert!(msg.contains(needle), "{dims:?}: {msg:?} lacks {needle:?}");
+        }
+        let untouched = H5Writer::in_memory().1.to_bytes();
+        assert_eq!(mem.to_bytes(), untouched, "{dims:?}: bytes were committed");
+    }
+}
+
+#[test]
+fn aligned_non_cubic_domain_still_roundtrips() {
+    // 20 = 5·4 and 12 = 3·4: every coarse unit is a 4³ cube even though
+    // the domain is no multiple of the grid size.
+    let h = two_level_hierarchy((20, 16, 12), 2);
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "amric-corruption-{}-aligned.h5l",
+        std::process::id()
+    ));
+    write_amric(&path, &h, &AmricConfig::lr(1e-3), 8).unwrap();
+    let pf = read_amric_hierarchy(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    for check in verify_against(&pf, &h, 1e-3) {
+        assert!(check.bound_ok, "field {} violates its bound", check.field);
+    }
 }
