@@ -5,7 +5,12 @@
 //! baseline these files were generated from — any diff here is a format
 //! or bitstream break, not a perf regression.
 //!
-//! Regenerate after an *intentional* format change with
+//! Next to every `<name>.bin` sits `<name>.digest`: an FNV-1a hash of the
+//! *decoded* values (bit patterns, dims included). "Within bound" would
+//! let a decoder rewrite shift a value by an ulp unnoticed; the digest
+//! pins the decode side as tightly as the `.bin` pins the encode side.
+//!
+//! Regenerate both after an *intentional* format change with
 //! `AMRIC_GOLDEN_BLESS=1 cargo test -p amric --test golden_streams`.
 
 use amr_mesh::geom::IntVect;
@@ -59,12 +64,37 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
+/// FNV-1a (64-bit) over the decoded units: the unit count, then per unit
+/// its dims and every value's `f64::to_bits`, all as little-endian `u64`s.
+fn decoded_digest(units: &[Buffer3]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(units.len() as u64);
+    for u in units {
+        let d = u.dims();
+        for n in [d.nx, d.ny, d.nz] {
+            eat(n as u64);
+        }
+        for &v in u.data() {
+            eat(v.to_bits());
+        }
+    }
+    h
+}
+
 /// Compare `bytes` against the committed golden file (or rewrite it when
 /// blessing), then prove the stream still round-trips through
-/// `decompress_auto` within the error bound.
+/// `decompress_auto` within the error bound and to exactly the committed
+/// decoded values.
 fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
     let path = golden_dir().join(format!("{name}.bin"));
-    if std::env::var("AMRIC_GOLDEN_BLESS").is_ok() {
+    let digest_path = golden_dir().join(format!("{name}.digest"));
+    let bless = std::env::var("AMRIC_GOLDEN_BLESS").is_ok();
+    if bless {
         std::fs::create_dir_all(golden_dir()).expect("mkdir golden");
         std::fs::write(&path, bytes).expect("write golden");
     }
@@ -97,6 +127,21 @@ fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
             s.max_abs_err
         );
     }
+    // The decoded values themselves are pinned, bit for bit.
+    let digest = format!("{:016x}\n", decoded_digest(&back));
+    if bless {
+        std::fs::write(&digest_path, &digest).expect("write golden digest");
+    }
+    let expected = std::fs::read_to_string(&digest_path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden digest {} ({e}); bless first",
+            digest_path.display()
+        )
+    });
+    assert_eq!(
+        expected, digest,
+        "{name}: decoded values diverge from the golden digest"
+    );
 }
 
 fn compress_with(codec: &dyn Codec, units: &[Buffer3]) -> Vec<u8> {

@@ -23,6 +23,7 @@ use crate::kernels;
 use crate::lossless;
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL};
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
+use std::convert::Infallible;
 
 /// SZ_Interp payload format version (rides in the envelope header).
 const VERSION: u8 = 2;
@@ -50,174 +51,26 @@ pub fn compress(data: &Buffer3, cfg: &InterpConfig) -> Vec<u8> {
 
 /// Compress one 3-D buffer, **appending** the stream to `out` (the
 /// buffer-reusing variant of [`compress`]).
-///
-/// Passes run as explicit nested loops in `PassTargets` emission order
-/// (x fastest), so the symbol/outlier streams are byte-identical to the
-/// collect-then-visit formulation. The Y and Z passes at stride 1 — the
-/// bulk of all points — are contiguous x-rows whose predictor kind is
-/// constant per row, so they go through the lane kernels in
-/// [`crate::kernels`]; everything else stays scalar.
 pub fn compress_into(data: &Buffer3, cfg: &InterpConfig, out: &mut Vec<u8>) {
     let dims = data.dims();
-    let q = Quantizer::new(cfg.abs_eb);
-    let mut recon = Buffer3::zeros(dims);
-    let mut syms = Vec::with_capacity(dims.len());
-    let mut outliers = Vec::new();
-    let flat = data.data();
-    let plane = dims.nx * dims.ny;
-    let mut preds = vec![0.0f64; dims.nx];
-    let mut syms_row = vec![0u32; dims.nx];
-
-    // Anchor point.
-    {
-        let (sym, rec) = q.quantize(flat[0], 0.0);
-        if sym == OUTLIER_SYMBOL {
-            outliers.push(flat[0]);
-        }
-        syms.push(sym);
-        recon.data_mut()[0] = rec;
-    }
-
-    for s in strides(dims) {
-        // X pass: targets (odd·s, 2s·b, 2s·c). Prediction reads the row
-        // itself at even multiples of s while writes land on odd
-        // multiples, so a single mutable row slice suffices.
-        let mut z = 0;
-        while z < dims.nz {
-            let mut y = 0;
-            while y < dims.ny {
-                let base = dims.idx(0, y, z);
-                let vals = &flat[base..base + dims.nx];
-                let row = &mut recon.data_mut()[base..base + dims.nx];
-                let mut x = s;
-                while x < dims.nx {
-                    let has_right = x + s < dims.nx;
-                    let pred = if has_right && x >= 3 * s && x + 3 * s < dims.nx {
-                        (-row[x - 3 * s] + 9.0 * row[x - s] + 9.0 * row[x + s] - row[x + 3 * s])
-                            / 16.0
-                    } else if has_right {
-                        0.5 * (row[x - s] + row[x + s])
-                    } else {
-                        row[x - s]
-                    };
-                    let (sym, rec) = q.quantize_select(vals[x], pred);
-                    if sym == OUTLIER_SYMBOL {
-                        outliers.push(vals[x]);
-                    }
-                    syms.push(sym);
-                    row[x] = rec;
-                    x += 2 * s;
-                }
-                y += 2 * s;
-            }
-            z += 2 * s;
-        }
-
-        // Y pass: targets (s·a, odd·s, 2s·c); the predictor kind depends
-        // only on y, so it is constant per x-row.
-        let mut z = 0;
-        while z < dims.nz {
-            let mut y = s;
-            while y < dims.ny {
-                if s == 1 {
-                    let base = dims.idx(0, y, z);
-                    let vals = &flat[base..base + dims.nx];
-                    let (head, tail) = recon.data_mut().split_at_mut(base);
-                    let (wrow, rest) = tail.split_at_mut(dims.nx);
-                    let rm1 = &head[base - dims.nx..];
-                    match row_kind(y, 1, dims.ny) {
-                        RowKind::Cubic => {
-                            let rm3 = &head[base - 3 * dims.nx..base - 2 * dims.nx];
-                            let rp1 = &rest[..dims.nx];
-                            let rp3 = &rest[2 * dims.nx..3 * dims.nx];
-                            kernels::predict_cubic_row(rm3, rm1, rp1, rp3, &mut preds);
-                            kernels::quantize_row(&q, vals, &preds, &mut syms_row, wrow);
-                        }
-                        RowKind::Linear => {
-                            let rp1 = &rest[..dims.nx];
-                            kernels::predict_linear_row(rm1, rp1, &mut preds);
-                            kernels::quantize_row(&q, vals, &preds, &mut syms_row, wrow);
-                        }
-                        RowKind::Prev => kernels::quantize_row(&q, vals, rm1, &mut syms_row, wrow),
-                    }
-                    drain_row(vals, &syms_row, &mut syms, &mut outliers);
-                } else {
-                    let mut x = 0;
-                    while x < dims.nx {
-                        let pred = predict(&recon, dims, s, Axis::Y, x, y, z);
-                        let val = data.get(x, y, z);
-                        let (sym, rec) = q.quantize_select(val, pred);
-                        if sym == OUTLIER_SYMBOL {
-                            outliers.push(val);
-                        }
-                        syms.push(sym);
-                        recon.set(x, y, z, rec);
-                        x += s;
-                    }
-                }
-                y += 2 * s;
-            }
-            z += 2 * s;
-        }
-
-        // Z pass: targets (s·a, s·b, odd·s); the predictor kind depends
-        // only on z, so it is constant per plane.
-        let mut z = s;
-        while z < dims.nz {
-            let kind = row_kind(z, s, dims.nz);
-            let mut y = 0;
-            while y < dims.ny {
-                if s == 1 {
-                    let base = dims.idx(0, y, z);
-                    let vals = &flat[base..base + dims.nx];
-                    let (head, tail) = recon.data_mut().split_at_mut(base);
-                    let (wrow, rest) = tail.split_at_mut(dims.nx);
-                    let rm1 = &head[base - plane..base - plane + dims.nx];
-                    match kind {
-                        RowKind::Cubic => {
-                            let rm3 = &head[base - 3 * plane..base - 3 * plane + dims.nx];
-                            let rp1 = &rest[plane - dims.nx..plane];
-                            let rp3 = &rest[3 * plane - dims.nx..3 * plane];
-                            kernels::predict_cubic_row(rm3, rm1, rp1, rp3, &mut preds);
-                            kernels::quantize_row(&q, vals, &preds, &mut syms_row, wrow);
-                        }
-                        RowKind::Linear => {
-                            let rp1 = &rest[plane - dims.nx..plane];
-                            kernels::predict_linear_row(rm1, rp1, &mut preds);
-                            kernels::quantize_row(&q, vals, &preds, &mut syms_row, wrow);
-                        }
-                        RowKind::Prev => kernels::quantize_row(&q, vals, rm1, &mut syms_row, wrow),
-                    }
-                    drain_row(vals, &syms_row, &mut syms, &mut outliers);
-                } else {
-                    let mut x = 0;
-                    while x < dims.nx {
-                        let pred = predict(&recon, dims, s, Axis::Z, x, y, z);
-                        let val = data.get(x, y, z);
-                        let (sym, rec) = q.quantize_select(val, pred);
-                        if sym == OUTLIER_SYMBOL {
-                            outliers.push(val);
-                        }
-                        syms.push(sym);
-                        recon.set(x, y, z, rec);
-                        x += s;
-                    }
-                }
-                y += s;
-            }
-            z += 2 * s;
-        }
-    }
-    debug_assert_eq!(syms.len(), dims.len());
+    let mut enc = Encoder {
+        q: Quantizer::new(cfg.abs_eb),
+        vals: data.data(),
+        syms: Vec::with_capacity(dims.len()),
+        syms_row: vec![0u32; dims.nx],
+        outliers: Vec::new(),
+    };
+    let Ok(()) = traverse(dims, &mut vec![0.0f64; dims.len()], &mut enc);
+    debug_assert_eq!(enc.syms.len(), dims.len());
 
     let mut w = Writer::new();
     w.put_f64(cfg.abs_eb);
     w.put_u32(dims.nx as u32);
     w.put_u32(dims.ny as u32);
     w.put_u32(dims.nz as u32);
-    huffman::encode_block_into(&syms, &mut w);
-    w.put_u64(outliers.len() as u64);
-    for &v in &outliers {
+    huffman::encode_block_into(&enc.syms, &mut w);
+    w.put_u64(enc.outliers.len() as u64);
+    for &v in &enc.outliers {
         w.put_f64(v);
     }
     let mut env = Writer::from_vec(std::mem::take(out));
@@ -226,10 +79,127 @@ pub fn compress_into(data: &Buffer3, cfg: &InterpConfig, out: &mut Vec<u8>) {
     lossless::compress_into(&w.into_bytes(), out);
 }
 
-/// Which 1-D predictor a whole row of an interpolation pass uses — the
-/// branch in [`predict`] hoisted to row granularity: for Y/Z passes the
-/// neighbour-availability conditions depend only on the coordinate along
-/// the pass axis, never on x.
+/// Decompress a stream produced by [`compress`].
+pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
+    let p = Payload::parse(bytes)?;
+    let mut recon = vec![0.0f64; p.dims.len()];
+    let mut dec = Decoder {
+        q: Quantizer::new(p.abs_eb),
+        syms: &p.syms,
+        outliers: &p.outliers,
+    };
+    traverse(p.dims, &mut recon, &mut dec)?;
+    Ok(Buffer3::from_vec(p.dims, recon))
+}
+
+/// One direction of the codec, driven by [`traverse`]: the encoder turns
+/// each prediction into a symbol, the decoder each symbol back into a
+/// value. Either way the reconstructed value must end up in the slot(s)
+/// handed over — later predictions read it.
+trait Direction {
+    /// What can go wrong ([`Infallible`] for the encoder).
+    type Err;
+    /// The target at flat index `idx`, predicted as `pred`.
+    fn point(&mut self, idx: usize, pred: f64, slot: &mut f64) -> Result<(), Self::Err>;
+    /// The x-row of targets starting at flat index `base`, one prediction
+    /// per slot.
+    fn row(&mut self, base: usize, preds: &[f64], slots: &mut [f64]) -> Result<(), Self::Err>;
+}
+
+/// The SZ_Interp traversal — the emission order that *is* the bitstream
+/// contract, stated once for both directions (statically dispatched, so
+/// each gets its own specialised copy of the nest).
+///
+/// The anchor `(0,0,0)` comes first, predicted as 0. Then, coarse to
+/// fine, every stride runs an X, a Y and a Z pass, each with x fastest,
+/// then y, then z.
+fn traverse<D: Direction>(dims: Dims3, recon: &mut [f64], dir: &mut D) -> Result<(), D::Err> {
+    let mut scratch = vec![0.0f64; dims.nx];
+    dir.point(0, 0.0, &mut recon[0])?;
+    for s in strides(dims) {
+        pass::<0, D>(dims, s, recon, &mut scratch, dir)?;
+        pass::<1, D>(dims, s, recon, &mut scratch, dir)?;
+        pass::<2, D>(dims, s, recon, &mut scratch, dir)?;
+    }
+    Ok(())
+}
+
+/// One interpolation pass along `AXIS` (0 = x, 1 = y, 2 = z) at stride
+/// `s`. Targets sit on odd multiples of `s` along `AXIS`; axes already
+/// interpolated at this level (lower index) run over multiples of `s`,
+/// the others over multiples of `2s`.
+///
+/// At stride 1 the Y and Z passes — ¾ of all points — are whole
+/// contiguous x-rows whose predictor kind is constant and whose
+/// neighbours are *other* rows, already final: no element depends on
+/// another element of its row, in either direction, so they are handed
+/// over as rows with lane-kernel predictions. Every other target is
+/// handed over alone. Prediction reads the buffer at even multiples of
+/// `s` along `AXIS` and writes land on odd ones, so in-place is safe.
+fn pass<const AXIS: usize, D: Direction>(
+    dims: Dims3,
+    s: usize,
+    recon: &mut [f64],
+    scratch: &mut [f64],
+    dir: &mut D,
+) -> Result<(), D::Err> {
+    let nx = dims.nx;
+    let n = [nx, dims.ny, dims.nz][AXIS];
+    // Flat distance between neighbours `s` apart along AXIS.
+    let st = s * [1, nx, nx * dims.ny][AXIS];
+    let first = |axis: usize| if axis == AXIS { s } else { 0 };
+    let step = |axis: usize| if axis < AXIS { s } else { 2 * s };
+    let mut z = first(2);
+    while z < dims.nz {
+        let mut y = first(1);
+        while y < dims.ny {
+            let base = dims.idx(0, y, z);
+            if AXIS != 0 && s == 1 {
+                let (head, tail) = recon.split_at_mut(base);
+                let (slots, rest) = tail.split_at_mut(nx);
+                let before = |k: usize| &head[base - k * st..][..nx];
+                let after = |k: usize| &rest[k * st - nx..][..nx];
+                let preds: &[f64] = match row_kind([0, y, z][AXIS], 1, n) {
+                    RowKind::Cubic => {
+                        let (a, b, c, d) = (before(3), before(1), after(1), after(3));
+                        kernels::predict_cubic_row(a, b, c, d, scratch);
+                        &*scratch
+                    }
+                    RowKind::Linear => {
+                        kernels::predict_linear_row(before(1), after(1), scratch);
+                        &*scratch
+                    }
+                    RowKind::Prev => before(1),
+                };
+                dir.row(base, preds, slots)?;
+            } else {
+                let mut x = first(0);
+                while x < nx {
+                    let i = base + x;
+                    let pred = match row_kind([x, y, z][AXIS], s, n) {
+                        // Cubic spline weights (−1/16, 9/16, 9/16, −1/16).
+                        RowKind::Cubic => {
+                            (-recon[i - 3 * st] + 9.0 * recon[i - st] + 9.0 * recon[i + st]
+                                - recon[i + 3 * st])
+                                / 16.0
+                        }
+                        RowKind::Linear => 0.5 * (recon[i - st] + recon[i + st]),
+                        RowKind::Prev => recon[i - st],
+                    };
+                    dir.point(i, pred, &mut recon[i])?;
+                    x += step(0);
+                }
+            }
+            y += step(1);
+        }
+        z += step(2);
+    }
+    Ok(())
+}
+
+/// Which 1-D predictor a target uses. For Y/Z passes the conditions
+/// depend only on the coordinate along the pass axis, never on x, so the
+/// kind is constant per x-row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RowKind {
     /// Four aligned neighbours at ±s, ±3s: cubic spline.
@@ -241,9 +211,10 @@ enum RowKind {
 }
 
 /// Predictor kind for a target at coordinate `pos` along a pass axis of
-/// extent `n` at stride `s` — the exact condition ladder of [`predict`].
+/// extent `n` at stride `s`.
 #[inline]
 fn row_kind(pos: usize, s: usize, n: usize) -> RowKind {
+    debug_assert!(pos >= s);
     let has_right = pos + s < n;
     if has_right && pos >= 3 * s && pos + 3 * s < n {
         RowKind::Cubic
@@ -254,102 +225,166 @@ fn row_kind(pos: usize, s: usize, n: usize) -> RowKind {
     }
 }
 
-/// Append one quantized row to the symbol stream, routing outlier raw
-/// values in the same per-point order the scalar loop produced.
-#[inline]
-fn drain_row(vals: &[f64], syms_row: &[u32], syms: &mut Vec<u32>, outliers: &mut Vec<f64>) {
-    for (x, &sym) in syms_row.iter().enumerate() {
-        if sym == OUTLIER_SYMBOL {
-            outliers.push(vals[x]);
-        }
-    }
-    syms.extend_from_slice(syms_row);
+/// The encoding [`Direction`]: quantize each value against its
+/// prediction, collecting symbols and the raw values of outliers.
+struct Encoder<'a> {
+    q: Quantizer,
+    vals: &'a [f64],
+    syms: Vec<u32>,
+    syms_row: Vec<u32>,
+    outliers: Vec<f64>,
 }
 
-/// Decompress a stream produced by [`compress`].
-pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
-    let env = expect_envelope(bytes, CodecId::Interp, VERSION)?;
-    if env.flags & FLAG_MULTI != 0 {
-        return Err(CodecError::BadParameter {
-            what: "multi-unit container passed to single-buffer decompress",
-        });
-    }
-    let payload = lossless::decompress(&bytes[env.payload_offset..])?;
-    let mut r = Reader::new(&payload);
-    let abs_eb = r.get_f64()?;
-    if !(abs_eb > 0.0 && abs_eb.is_finite()) {
-        return Err(CodecError::BadParameter {
-            what: "error bound",
-        });
-    }
-    let nx = r.get_u32()? as usize;
-    let ny = r.get_u32()? as usize;
-    let nz = r.get_u32()? as usize;
-    if nx == 0 || ny == 0 || nz == 0 {
-        return Err(CodecError::dims(format!("degenerate dims {nx}x{ny}x{nz}")));
-    }
-    // Each point consumes at least one symbol bit; corrupted dims can't
-    // claim more cells than the remaining payload could encode.
-    let cells = nx as u128 * ny as u128 * nz as u128;
-    if cells > r.remaining() as u128 * 8 + 64 {
-        return Err(CodecError::LimitExceeded {
-            what: "cells",
-            claimed: cells,
-            available: r.remaining() as u128 * 8 + 64,
-        });
-    }
-    let dims = Dims3::new(nx, ny, nz);
-    let syms = huffman::decode_with_table(r.get_block()?)?;
-    if syms.len() != dims.len() {
-        return Err(CodecError::dims(format!(
-            "symbol count {} != {} points",
-            syms.len(),
-            dims.len()
-        )));
-    }
-    let n_out = r.get_u64()? as usize;
-    r.check_count(n_out, 8)?;
-    let mut outliers = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        outliers.push(r.get_f64()?);
-    }
+impl Direction for Encoder<'_> {
+    type Err = Infallible;
 
-    let q = Quantizer::new(abs_eb);
-    let mut recon = Buffer3::zeros(dims);
-    let mut sym_iter = syms.into_iter();
-    let mut out_iter = outliers.into_iter();
-    let truncated = || CodecError::corrupt("SZ_Interp stream truncated");
-    let place = |recon: &mut Buffer3,
-                 i: usize,
-                 j: usize,
-                 k: usize,
-                 pred: f64,
-                 sym_iter: &mut std::vec::IntoIter<u32>,
-                 out_iter: &mut std::vec::IntoIter<f64>|
-     -> CodecResult<()> {
-        let sym = sym_iter.next().ok_or_else(truncated)?;
-        let v = if sym == OUTLIER_SYMBOL {
-            out_iter.next().ok_or_else(truncated)?
-        } else {
-            q.try_reconstruct(sym, pred)?
-        };
-        recon.set(i, j, k, v);
+    #[inline]
+    fn point(&mut self, idx: usize, pred: f64, slot: &mut f64) -> Result<(), Infallible> {
+        let (sym, rec) = self.q.quantize_select(self.vals[idx], pred);
+        if sym == OUTLIER_SYMBOL {
+            self.outliers.push(self.vals[idx]);
+        }
+        self.syms.push(sym);
+        *slot = rec;
         Ok(())
-    };
+    }
 
-    place(&mut recon, 0, 0, 0, 0.0, &mut sym_iter, &mut out_iter)?;
-    for s in strides(dims) {
-        for axis in [Axis::X, Axis::Y, Axis::Z] {
-            // Collect targets first: prediction must read the buffer state
-            // from *before* each point is written, and PassIter borrows it.
-            let targets: Vec<(usize, usize, usize)> = PassTargets::new(dims, s, axis).collect();
-            for (i, j, k) in targets {
-                let pred = predict(&recon, dims, s, axis, i, j, k);
-                place(&mut recon, i, j, k, pred, &mut sym_iter, &mut out_iter)?;
+    #[inline]
+    fn row(&mut self, base: usize, preds: &[f64], slots: &mut [f64]) -> Result<(), Infallible> {
+        let vals = &self.vals[base..base + slots.len()];
+        kernels::quantize_row(&self.q, vals, preds, &mut self.syms_row, slots);
+        // Outlier raw values leave in the same per-point order the
+        // scalar passes produce.
+        for (&v, &sym) in vals.iter().zip(&self.syms_row) {
+            if sym == OUTLIER_SYMBOL {
+                self.outliers.push(v);
             }
         }
+        self.syms.extend_from_slice(&self.syms_row);
+        Ok(())
     }
-    Ok(recon)
+}
+
+/// The decoding [`Direction`]: consume symbols (and outlier raw values)
+/// in emission order.
+struct Decoder<'a> {
+    q: Quantizer,
+    syms: &'a [u32],
+    outliers: &'a [f64],
+}
+
+fn truncated() -> CodecError {
+    CodecError::corrupt("SZ_Interp stream truncated")
+}
+
+impl Decoder<'_> {
+    /// The per-point rule: an outlier marker takes the next raw value,
+    /// anything else must be a valid quantization symbol.
+    #[inline]
+    fn value(&mut self, sym: u32, pred: f64) -> CodecResult<f64> {
+        if sym != OUTLIER_SYMBOL {
+            return self.q.try_reconstruct(sym, pred);
+        }
+        let (&v, rest) = self.outliers.split_first().ok_or_else(truncated)?;
+        self.outliers = rest;
+        Ok(v)
+    }
+}
+
+impl Direction for Decoder<'_> {
+    type Err = CodecError;
+
+    #[inline]
+    fn point(&mut self, _idx: usize, pred: f64, slot: &mut f64) -> CodecResult<()> {
+        let (&sym, rest) = self.syms.split_first().ok_or_else(truncated)?;
+        self.syms = rest;
+        *slot = self.value(sym, pred)?;
+        Ok(())
+    }
+
+    #[inline]
+    fn row(&mut self, _base: usize, preds: &[f64], slots: &mut [f64]) -> CodecResult<()> {
+        let (syms, rest) = self
+            .syms
+            .split_at_checked(slots.len())
+            .ok_or_else(truncated)?;
+        self.syms = rest;
+        if kernels::reconstruct_row(&self.q, syms, preds, slots) {
+            // Some symbol is an outlier marker or out of range: redo the
+            // row by the per-point rule, in row order — the order the
+            // raw values were stored in, and the order in which a
+            // per-point decoder would have met the first bad symbol.
+            for ((&sym, &pred), slot) in syms.iter().zip(preds).zip(slots) {
+                *slot = self.value(sym, pred)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The parsed payload of one stream, with every guard that does not
+/// need the traversal already applied.
+struct Payload {
+    abs_eb: f64,
+    dims: Dims3,
+    syms: Vec<u32>,
+    outliers: Vec<f64>,
+}
+
+impl Payload {
+    fn parse(bytes: &[u8]) -> CodecResult<Payload> {
+        let env = expect_envelope(bytes, CodecId::Interp, VERSION)?;
+        if env.flags & FLAG_MULTI != 0 {
+            return Err(CodecError::BadParameter {
+                what: "multi-unit container passed to single-buffer decompress",
+            });
+        }
+        let payload = lossless::decompress(&bytes[env.payload_offset..])?;
+        let mut r = Reader::new(&payload);
+        let abs_eb = r.get_f64()?;
+        if !(abs_eb > 0.0 && abs_eb.is_finite()) {
+            return Err(CodecError::BadParameter {
+                what: "error bound",
+            });
+        }
+        let nx = r.get_u32()? as usize;
+        let ny = r.get_u32()? as usize;
+        let nz = r.get_u32()? as usize;
+        if nx == 0 || ny == 0 || nz == 0 {
+            return Err(CodecError::dims(format!("degenerate dims {nx}x{ny}x{nz}")));
+        }
+        // Each point consumes at least one symbol bit; corrupted dims can't
+        // claim more cells than the remaining payload could encode.
+        let cells = nx as u128 * ny as u128 * nz as u128;
+        if cells > r.remaining() as u128 * 8 + 64 {
+            return Err(CodecError::LimitExceeded {
+                what: "cells",
+                claimed: cells,
+                available: r.remaining() as u128 * 8 + 64,
+            });
+        }
+        let dims = Dims3::new(nx, ny, nz);
+        let syms = huffman::decode_with_table(r.get_block()?)?;
+        if syms.len() != dims.len() {
+            return Err(CodecError::dims(format!(
+                "symbol count {} != {} points",
+                syms.len(),
+                dims.len()
+            )));
+        }
+        let n_out = r.get_u64()? as usize;
+        r.check_count(n_out, 8)?;
+        let mut outliers = Vec::with_capacity(n_out);
+        for _ in 0..n_out {
+            outliers.push(r.get_f64()?);
+        }
+        Ok(Payload {
+            abs_eb,
+            dims,
+            syms,
+            outliers,
+        })
+    }
 }
 
 /// Strides `2^(L-1), …, 2, 1` with `2^L ≥ max_dim` (so the known set
@@ -368,112 +403,6 @@ fn strides(dims: Dims3) -> Vec<usize> {
         cur >>= 1;
     }
     v
-}
-
-/// The axis a pass interpolates along.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Axis {
-    X,
-    Y,
-    Z,
-}
-
-/// Enumerate the target points of one pass: along `axis`, coordinates are
-/// odd multiples of `s`; on axes already processed this level the
-/// coordinate runs over multiples of `s`, on axes not yet processed over
-/// multiples of `2s`.
-struct PassTargets {
-    s: usize,
-    axis: Axis,
-    idx: usize,
-    counts: (usize, usize, usize),
-}
-
-impl PassTargets {
-    fn new(dims: Dims3, s: usize, axis: Axis) -> Self {
-        // #odd multiples of s below n: positions s, 3s, 5s, … < n.
-        let odd = |n: usize| {
-            if s >= n {
-                0
-            } else {
-                (n - s - 1) / (2 * s) + 1
-            }
-        };
-        // #multiples of step below n: 0, step, 2·step, … < n.
-        let mult = |n: usize, step: usize| (n - 1) / step + 1;
-        let counts = match axis {
-            Axis::X => (odd(dims.nx), mult(dims.ny, 2 * s), mult(dims.nz, 2 * s)),
-            Axis::Y => (mult(dims.nx, s), odd(dims.ny), mult(dims.nz, 2 * s)),
-            Axis::Z => (mult(dims.nx, s), mult(dims.ny, s), odd(dims.nz)),
-        };
-        PassTargets {
-            s,
-            axis,
-            idx: 0,
-            counts,
-        }
-    }
-
-    fn total(&self) -> usize {
-        self.counts.0 * self.counts.1 * self.counts.2
-    }
-}
-
-impl Iterator for PassTargets {
-    type Item = (usize, usize, usize);
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.idx >= self.total() {
-            return None;
-        }
-        let (ci, cj, _ck) = self.counts;
-        let a = self.idx % ci;
-        let b = (self.idx / ci) % cj;
-        let c = self.idx / (ci * cj);
-        self.idx += 1;
-        let s = self.s;
-        Some(match self.axis {
-            Axis::X => (s + 2 * s * a, 2 * s * b, 2 * s * c),
-            Axis::Y => (s * a, s + 2 * s * b, 2 * s * c),
-            Axis::Z => (s * a, s * b, s + 2 * s * c),
-        })
-    }
-}
-
-/// 1-D spline prediction along `axis` at stride `s` from the reconstructed
-/// buffer: cubic when both ±3s neighbours are in range, linear when the +s
-/// neighbour exists, previous value otherwise.
-#[inline]
-fn predict(
-    recon: &Buffer3,
-    dims: Dims3,
-    s: usize,
-    axis: Axis,
-    i: usize,
-    j: usize,
-    k: usize,
-) -> f64 {
-    let (pos, n) = match axis {
-        Axis::X => (i, dims.nx),
-        Axis::Y => (j, dims.ny),
-        Axis::Z => (k, dims.nz),
-    };
-    let at = |p: usize| match axis {
-        Axis::X => recon.get(p, j, k),
-        Axis::Y => recon.get(i, p, k),
-        Axis::Z => recon.get(i, j, p),
-    };
-    debug_assert!(pos >= s);
-    let has_right = pos + s < n;
-    let has_far_left = pos >= 3 * s;
-    let has_far_right = pos + 3 * s < n;
-    if has_right && has_far_left && has_far_right {
-        // Cubic spline weights (−1/16, 9/16, 9/16, −1/16).
-        (-at(pos - 3 * s) + 9.0 * at(pos - s) + 9.0 * at(pos + s) - at(pos + 3 * s)) / 16.0
-    } else if has_right {
-        0.5 * (at(pos - s) + at(pos + s))
-    } else {
-        at(pos - s)
-    }
 }
 
 /// [`Codec`] adapter for SZ_Interp.
@@ -564,6 +493,232 @@ impl Codec for InterpCodec {
 mod tests {
     use super::*;
     use crate::metrics::ErrorStats;
+
+    // The per-point formulation the shipping code replaced, kept as the
+    // oracle: targets enumerated by coordinate, prediction through
+    // bounds-checked `Buffer3::get`, one branch per symbol.
+
+    /// The axis a pass interpolates along.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Axis {
+        X,
+        Y,
+        Z,
+    }
+
+    /// Enumerate the target points of one pass: along `axis`, coordinates
+    /// are odd multiples of `s`; on axes already processed this level the
+    /// coordinate runs over multiples of `s`, on axes not yet processed
+    /// over multiples of `2s`.
+    struct PassTargets {
+        s: usize,
+        axis: Axis,
+        idx: usize,
+        counts: (usize, usize, usize),
+    }
+
+    impl PassTargets {
+        fn new(dims: Dims3, s: usize, axis: Axis) -> Self {
+            // #odd multiples of s below n: positions s, 3s, 5s, … < n.
+            let odd = |n: usize| {
+                if s >= n {
+                    0
+                } else {
+                    (n - s - 1) / (2 * s) + 1
+                }
+            };
+            // #multiples of step below n: 0, step, 2·step, … < n.
+            let mult = |n: usize, step: usize| (n - 1) / step + 1;
+            let counts = match axis {
+                Axis::X => (odd(dims.nx), mult(dims.ny, 2 * s), mult(dims.nz, 2 * s)),
+                Axis::Y => (mult(dims.nx, s), odd(dims.ny), mult(dims.nz, 2 * s)),
+                Axis::Z => (mult(dims.nx, s), mult(dims.ny, s), odd(dims.nz)),
+            };
+            PassTargets {
+                s,
+                axis,
+                idx: 0,
+                counts,
+            }
+        }
+
+        fn total(&self) -> usize {
+            self.counts.0 * self.counts.1 * self.counts.2
+        }
+    }
+
+    impl Iterator for PassTargets {
+        type Item = (usize, usize, usize);
+        fn next(&mut self) -> Option<Self::Item> {
+            if self.idx >= self.total() {
+                return None;
+            }
+            let (ci, cj, _ck) = self.counts;
+            let a = self.idx % ci;
+            let b = (self.idx / ci) % cj;
+            let c = self.idx / (ci * cj);
+            self.idx += 1;
+            let s = self.s;
+            Some(match self.axis {
+                Axis::X => (s + 2 * s * a, 2 * s * b, 2 * s * c),
+                Axis::Y => (s * a, s + 2 * s * b, 2 * s * c),
+                Axis::Z => (s * a, s * b, s + 2 * s * c),
+            })
+        }
+    }
+
+    /// 1-D spline prediction along `axis` at stride `s` from the
+    /// reconstructed buffer: cubic when both ±3s neighbours are in range,
+    /// linear when the +s neighbour exists, previous value otherwise.
+    fn predict(
+        recon: &Buffer3,
+        dims: Dims3,
+        s: usize,
+        axis: Axis,
+        i: usize,
+        j: usize,
+        k: usize,
+    ) -> f64 {
+        let (pos, n) = match axis {
+            Axis::X => (i, dims.nx),
+            Axis::Y => (j, dims.ny),
+            Axis::Z => (k, dims.nz),
+        };
+        let at = |p: usize| match axis {
+            Axis::X => recon.get(p, j, k),
+            Axis::Y => recon.get(i, p, k),
+            Axis::Z => recon.get(i, j, p),
+        };
+        assert!(pos >= s);
+        let has_right = pos + s < n;
+        let has_far_left = pos >= 3 * s;
+        let has_far_right = pos + 3 * s < n;
+        if has_right && has_far_left && has_far_right {
+            // Cubic spline weights (−1/16, 9/16, 9/16, −1/16).
+            (-at(pos - 3 * s) + 9.0 * at(pos - s) + 9.0 * at(pos + s) - at(pos + 3 * s)) / 16.0
+        } else if has_right {
+            0.5 * (at(pos - s) + at(pos + s))
+        } else {
+            at(pos - s)
+        }
+    }
+
+    /// The per-point decoder: collect each pass's targets, then predict,
+    /// branch and place one point at a time.
+    fn decompress_reference(bytes: &[u8]) -> CodecResult<Buffer3> {
+        let p = Payload::parse(bytes)?;
+        let dims = p.dims;
+        let q = Quantizer::new(p.abs_eb);
+        let mut recon = Buffer3::zeros(dims);
+        let mut sym_iter = p.syms.into_iter();
+        let mut out_iter = p.outliers.into_iter();
+        let mut targets = vec![((0, 0, 0), None)];
+        for s in strides(dims) {
+            for axis in [Axis::X, Axis::Y, Axis::Z] {
+                targets.extend(PassTargets::new(dims, s, axis).map(|t| (t, Some((s, axis)))));
+            }
+        }
+        for ((i, j, k), pass) in targets {
+            let pred = pass.map_or(0.0, |(s, axis)| predict(&recon, dims, s, axis, i, j, k));
+            let sym = sym_iter.next().ok_or_else(truncated)?;
+            let v = if sym == OUTLIER_SYMBOL {
+                out_iter.next().ok_or_else(truncated)?
+            } else {
+                q.try_reconstruct(sym, pred)?
+            };
+            recon.set(i, j, k, v);
+        }
+        Ok(recon)
+    }
+
+    /// Smooth trend plus, per `spikes`, isolated and clustered outliers:
+    /// huge finite spikes, NaN and ±∞. Planes with `k % 8 ≥ 5` stay
+    /// clean, so rows with zero, one and many outliers all occur.
+    fn spiky(dims: Dims3, spikes: bool) -> Buffer3 {
+        let mut b = Buffer3::zeros(dims);
+        b.fill_with(|i, j, k| {
+            let v = (i as f64 * 0.31).sin() + (j as f64 * 0.17).cos() * 0.5 + k as f64 * 0.02;
+            if !spikes || k % 8 >= 5 {
+                return v;
+            }
+            match (i + 3 * j + 7 * k) % 41 {
+                0 => 1.0e9,
+                13 if j % 2 == 1 => f64::NAN,
+                20 if k % 2 == 1 => f64::INFINITY,
+                27 if k % 3 == 1 => f64::NEG_INFINITY,
+                _ if j == 3 && k % 4 == 1 => -7.0e5 * (i + 1) as f64, // a whole poisoned row
+                _ => v,
+            }
+        });
+        b
+    }
+
+    #[test]
+    fn row_decoder_matches_per_point_reference_bitwise() {
+        for (nx, ny, nz) in [
+            (1, 1, 1),
+            (5, 1, 3),
+            (16, 4, 7),
+            (9, 9, 9),
+            (64, 8, 3),
+            (32, 32, 64),
+        ] {
+            let dims = Dims3::new(nx, ny, nz);
+            for spikes in [false, true] {
+                let data = spiky(dims, spikes);
+                for eb in [1e-2, 1e-4] {
+                    let stream = compress(&data, &InterpConfig::new(eb));
+                    let fast = decompress(&stream).expect("decode");
+                    let slow = decompress_reference(&stream).expect("reference decode");
+                    assert_eq!(fast.dims(), slow.dims());
+                    for (idx, (a, b)) in fast.data().iter().zip(slow.data()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "dims {dims:?} spikes {spikes} eb {eb}: cell {idx} differs"
+                        );
+                    }
+                    // Outliers are stored raw, so they come back exactly —
+                    // NaN payload bits included.
+                    for (o, r) in data.data().iter().zip(fast.data()) {
+                        if !o.is_finite() || o.abs() > 1.0e5 {
+                            assert_eq!(o.to_bits(), r.to_bits());
+                        } else {
+                            assert!((o - r).abs() <= eb * (1.0 + 1e-12));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outlier_census_covers_clean_single_and_crowded_rows() {
+        // The equivalence test above is only as good as its inputs: make
+        // sure the spiky field really produces stride-1 rows with no, one
+        // and many outliers.
+        let dims = Dims3::new(32, 32, 64);
+        let data = spiky(dims, true);
+        let back = decompress(&compress(&data, &InterpConfig::new(1e-4))).expect("decode");
+        let mut per_row = Vec::new();
+        for k in 0..dims.nz {
+            for j in 0..dims.ny {
+                if j % 2 == 1 || k % 2 == 1 {
+                    let raw = (0..dims.nx)
+                        .filter(|&i| {
+                            let v = data.get(i, j, k);
+                            (!v.is_finite() || v.abs() > 1.0e5)
+                                && v.to_bits() == back.get(i, j, k).to_bits()
+                        })
+                        .count();
+                    per_row.push(raw);
+                }
+            }
+        }
+        assert!(per_row.contains(&0), "no clean row");
+        assert!(per_row.contains(&1), "no single-outlier row");
+        assert!(per_row.iter().any(|&n| n >= 8), "no crowded row");
+    }
 
     #[test]
     fn pass_targets_cover_every_point_once() {

@@ -13,10 +13,10 @@
 //! **Bitstream invariant:** every kernel evaluates exactly the
 //! floating-point expression tree of the scalar code it replaces — same
 //! association, same operand order, same comparison order — so symbols,
-//! outliers, and reconstructions are bit-identical. The `*_reference`
-//! twins keep the original per-point forms as equivalence oracles and as
-//! the "before" series of the kernel benches; the golden-stream corpus
-//! under `crates/amric/tests/golden/` pins the end-to-end bytes.
+//! outliers, and reconstructions are bit-identical. The per-point forms
+//! live on as `#[cfg(test)]` oracles here and in `interp.rs`; the
+//! golden-stream corpus under `crates/amric/tests/golden/` pins the
+//! end-to-end bytes and the decoded values.
 
 use crate::buffer3::{Buffer3, Dims3};
 use crate::quantizer::Quantizer;
@@ -56,27 +56,6 @@ pub fn quantize_affine_row(
     }
 }
 
-/// Per-point form of [`quantize_affine_row`] (original scalar path):
-/// full predict expression and the branchy [`Quantizer::quantize`].
-#[allow(clippy::too_many_arguments)]
-pub fn quantize_affine_row_reference(
-    q: &Quantizer,
-    vals: &[f64],
-    b0: f64,
-    bx: f64,
-    by: f64,
-    bz: f64,
-    syms: &mut [u32],
-    recon: &mut [f64],
-) {
-    for i in 0..vals.len() {
-        let pred = ((b0 + bx * i as f64) + by) + bz;
-        let (sym, rec) = q.quantize(vals[i], pred);
-        syms[i] = sym;
-        recon[i] = rec;
-    }
-}
-
 /// Quantize one row of values against a precomputed prediction row.
 /// The interp passes build `preds` with the row predictors below, then
 /// fuse quantization in a second lane loop (no dependence → vectorizes).
@@ -103,24 +82,27 @@ pub fn quantize_row(
     }
 }
 
-/// Per-point form of [`quantize_row`] through the branchy quantizer.
-pub fn quantize_row_reference(
-    q: &Quantizer,
-    vals: &[f64],
-    preds: &[f64],
-    syms: &mut [u32],
-    recon: &mut [f64],
-) {
-    for i in 0..vals.len() {
-        let (sym, rec) = q.quantize(vals[i], preds[i]);
-        syms[i] = sym;
-        recon[i] = rec;
+/// Reconstruct one row of symbols against a prediction row — the decode
+/// twin of [`quantize_row`], a lane loop over
+/// [`Quantizer::reconstruct_select`]. Returns whether any symbol was the
+/// outlier marker or out of range; the caller then redoes the row point
+/// by point (raw values, typed errors), which is the rare path.
+#[inline]
+pub fn reconstruct_row(q: &Quantizer, syms: &[u32], preds: &[f64], recon: &mut [f64]) -> bool {
+    assert_eq!(syms.len(), preds.len());
+    assert_eq!(syms.len(), recon.len());
+    let mut flagged = false;
+    for ((&s, &p), r) in syms.iter().zip(preds.iter()).zip(recon.iter_mut()) {
+        let (v, bad) = q.reconstruct_select(s, p);
+        *r = v;
+        flagged |= bad;
     }
+    flagged
 }
 
 /// Cubic interpolation predictor over whole rows:
-/// `(-a + 9·b + 9·c - d) / 16` per element — the expression
-/// `interp::predict` evaluates, with the four stride-`s` neighbour rows
+/// `(-a + 9·b + 9·c - d) / 16` per element — the expression the scalar
+/// passes of `interp` evaluate, with the four stride-`s` neighbour rows
 /// passed as contiguous slices.
 #[inline]
 pub fn predict_cubic_row(a: &[f64], b: &[f64], c: &[f64], d: &[f64], out: &mut [f64]) {
@@ -276,8 +258,44 @@ pub fn selection_errors(
 mod tests {
     use super::*;
     use crate::lorenzo::{lorenzo3, lorenzo3_block_error};
-    use crate::quantizer::OUTLIER_SYMBOL;
+    use crate::quantizer::{OUTLIER_SYMBOL, QUANT_RADIUS};
     use crate::regression::{fit_block, regression_block_error};
+
+    /// Per-point form of [`quantize_affine_row`] (original scalar path):
+    /// full predict expression and the branchy [`Quantizer::quantize`].
+    #[allow(clippy::too_many_arguments)]
+    fn quantize_affine_row_reference(
+        q: &Quantizer,
+        vals: &[f64],
+        b0: f64,
+        bx: f64,
+        by: f64,
+        bz: f64,
+        syms: &mut [u32],
+        recon: &mut [f64],
+    ) {
+        for i in 0..vals.len() {
+            let pred = ((b0 + bx * i as f64) + by) + bz;
+            let (sym, rec) = q.quantize(vals[i], pred);
+            syms[i] = sym;
+            recon[i] = rec;
+        }
+    }
+
+    /// Per-point form of [`quantize_row`] through the branchy quantizer.
+    fn quantize_row_reference(
+        q: &Quantizer,
+        vals: &[f64],
+        preds: &[f64],
+        syms: &mut [u32],
+        recon: &mut [f64],
+    ) {
+        for i in 0..vals.len() {
+            let (sym, rec) = q.quantize(vals[i], preds[i]);
+            syms[i] = sym;
+            recon[i] = rec;
+        }
+    }
 
     fn lcg(state: &mut u64) -> f64 {
         *state = state
@@ -332,6 +350,40 @@ mod tests {
         assert_eq!(sy_a, sy_b);
         for (a, b) in re_a.iter().zip(&re_b) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn reconstruct_row_matches_per_point_and_flags_bad_symbols() {
+        let q = Quantizer::new(1e-4);
+        let mut s = 13u64;
+        let preds: Vec<f64> = (0..67).map(|_| lcg(&mut s) * 3.0).collect();
+        // Every in-range symbol class: both ends, the centre, the bulk.
+        let clean: Vec<u32> = (0..67u32)
+            .map(|i| match i {
+                0 => 1,
+                1 => 2 * QUANT_RADIUS as u32 - 1,
+                2 => QUANT_RADIUS as u32,
+                _ => (QUANT_RADIUS as u32 - 33) + i,
+            })
+            .collect();
+        let mut recon = vec![0.0; 67];
+        assert!(!reconstruct_row(&q, &clean, &preds, &mut recon));
+        for ((&sym, &p), r) in clean.iter().zip(&preds).zip(&recon) {
+            assert_eq!(r.to_bits(), q.try_reconstruct(sym, p).unwrap().to_bits());
+        }
+        // One bad symbol anywhere in the row raises the flag; the clean
+        // lanes around it keep their values.
+        for bad in [OUTLIER_SYMBOL, 2 * QUANT_RADIUS as u32, u32::MAX] {
+            for at in [0, 31, 66] {
+                let mut syms = clean.clone();
+                syms[at] = bad;
+                let mut again = vec![0.0; 67];
+                assert!(reconstruct_row(&q, &syms, &preds, &mut again));
+                for x in (0..67).filter(|&x| x != at) {
+                    assert_eq!(again[x].to_bits(), recon[x].to_bits());
+                }
+            }
         }
     }
 

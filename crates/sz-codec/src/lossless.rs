@@ -72,16 +72,7 @@ pub fn decompress(bytes: &[u8]) -> CodecResult<Vec<u8>> {
             Ok(payload.to_vec())
         }
         1 => lz_expand(payload, orig_len),
-        2 => {
-            let tokens = huffman::decode_with_table(payload)?;
-            let token_bytes: Vec<u8> = tokens
-                .into_iter()
-                .map(|t| {
-                    u8::try_from(t).map_err(|_| CodecError::corrupt("token out of byte range"))
-                })
-                .collect::<CodecResult<_>>()?;
-            lz_expand(&token_bytes, orig_len)
-        }
+        2 => lz_expand(&huffman::decode_with_table(payload)?, orig_len),
         m => Err(CodecError::BadMode { found: m }),
     }
 }
@@ -166,13 +157,54 @@ fn put_varint(out: &mut Vec<u8>, mut v: usize) {
     }
 }
 
-fn get_varint(r: &mut std::slice::Iter<'_, u8>) -> CodecResult<usize> {
+/// One element of an LZ token stream: a byte as stored (mode 1), or a
+/// Huffman symbol that has to be one (mode 2). Symbols are narrowed as
+/// the expansion consumes them, so mode 2 needs no byte copy of the
+/// token stream.
+trait Token: Copy + Into<u32> {
+    /// Append a literal run, rejecting any element that is not a byte.
+    fn append_run(run: &[Self], out: &mut Vec<u8>) -> CodecResult<()>;
+}
+
+fn bad_token() -> CodecError {
+    CodecError::corrupt("token out of byte range")
+}
+
+impl Token for u8 {
+    #[inline]
+    fn append_run(run: &[u8], out: &mut Vec<u8>) -> CodecResult<()> {
+        out.extend_from_slice(run);
+        Ok(())
+    }
+}
+
+impl Token for u32 {
+    #[inline]
+    fn append_run(run: &[u32], out: &mut Vec<u8>) -> CodecResult<()> {
+        if run.iter().any(|&t| t > 0xFF) {
+            return Err(bad_token());
+        }
+        out.extend(run.iter().map(|&t| t as u8));
+        Ok(())
+    }
+}
+
+/// Pop one token as a byte; `what` names the field for the truncation
+/// error.
+#[inline]
+fn take<T: Token>(rest: &mut &[T], what: &'static str) -> CodecResult<u8> {
+    let (&t, tail) = rest
+        .split_first()
+        .ok_or_else(|| CodecError::corrupt(what))?;
+    *rest = tail;
+    u8::try_from(t.into()).map_err(|_| bad_token())
+}
+
+fn get_varint<T: Token>(rest: &mut &[T]) -> CodecResult<usize> {
     let mut v = 0usize;
     let mut shift = 0u32;
     loop {
-        let b = *r
-            .next()
-            .ok_or_else(|| CodecError::corrupt("varint truncated"))?;
+        let b = take(rest, "varint truncated")?;
         v |= ((b & 0x7F) as usize) << shift;
         if b & 0x80 == 0 {
             return Ok(v);
@@ -210,43 +242,36 @@ fn emit_match(out: &mut Vec<u8>, len: usize, dist: usize) {
     out.extend_from_slice(&(dist as u16).to_le_bytes());
 }
 
-fn lz_expand(tokens: &[u8], orig_len: usize) -> CodecResult<Vec<u8>> {
+fn lz_expand<T: Token>(tokens: &[T], orig_len: usize) -> CodecResult<Vec<u8>> {
     // Capacity is a hint only: a corrupted `orig_len` must not drive a
     // multi-GB upfront allocation, so cap it; the vec grows as needed for
     // legitimately large (highly repetitive) streams.
     let mut out = Vec::with_capacity(orig_len.min(1 << 24));
-    let mut it = tokens.iter();
+    let mut rest = tokens;
     while out.len() < orig_len {
-        let control = *it
-            .next()
-            .ok_or_else(|| CodecError::corrupt("token stream truncated"))?;
+        let control = take(&mut rest, "token stream truncated")?;
         if control & 0x80 == 0 {
             let mut n = (control & 0x7F) as usize + 1;
             if control & 0x7F == 0x7F {
-                n += get_varint(&mut it)?;
+                n += get_varint(&mut rest)?;
             }
             if n > orig_len - out.len() {
                 return Err(CodecError::corrupt("literal run overflows declared length"));
             }
+            let (run, tail) = rest
+                .split_at_checked(n)
+                .ok_or_else(|| CodecError::corrupt("literal run truncated"))?;
+            rest = tail;
             out.try_reserve(n)
                 .map_err(|_| CodecError::corrupt("literal run exceeds available memory"))?;
-            for _ in 0..n {
-                out.push(
-                    *it.next()
-                        .ok_or_else(|| CodecError::corrupt("literal run truncated"))?,
-                );
-            }
+            T::append_run(run, &mut out)?;
         } else {
             let mut len = (control & 0x7F) as usize + MIN_MATCH;
             if control & 0x7F == 0x7F {
-                len += get_varint(&mut it)?;
+                len += get_varint(&mut rest)?;
             }
-            let lo = *it
-                .next()
-                .ok_or_else(|| CodecError::corrupt("match dist truncated"))?;
-            let hi = *it
-                .next()
-                .ok_or_else(|| CodecError::corrupt("match dist truncated"))?;
+            let lo = take(&mut rest, "match dist truncated")?;
+            let hi = take(&mut rest, "match dist truncated")?;
             let dist = u16::from_le_bytes([lo, hi]) as usize;
             if dist == 0 || dist > out.len() {
                 return Err(CodecError::corrupt(format!(
@@ -259,11 +284,16 @@ fn lz_expand(tokens: &[u8], orig_len: usize) -> CodecResult<Vec<u8>> {
             }
             out.try_reserve(len)
                 .map_err(|_| CodecError::corrupt("match exceeds available memory"))?;
-            // Byte-wise forward copy handles overlapping (RLE-style) matches.
+            // A forward byte copy, done in blocks. Each block is the
+            // whole span written since `start`, so it never overlaps its
+            // source; for an overlapping (RLE-style) match that span is a
+            // whole number of periods and doubles every round, for
+            // `dist ≥ len` the first block is the match.
             let start = out.len() - dist;
-            for p in 0..len {
-                let b = out[start + p];
-                out.push(b);
+            let end = out.len() + len;
+            while out.len() < end {
+                let n = (out.len() - start).min(end - out.len());
+                out.extend_from_within(start..start + n);
             }
         }
     }
@@ -287,15 +317,73 @@ mod tests {
     /// Mode-1 bomb payload: one literal byte, then a match with dist 1
     /// and an enormous varint-extended length.
     fn bomb_stream(declared_len: u64) -> Vec<u8> {
-        let mut w = crate::wire::Writer::new();
-        w.put_u64(declared_len);
-        w.put_u8(1);
         let mut tokens = vec![0x00, 0x41]; // literal run of 1 × 'A'
         tokens.push(0x80 | 0x7F); // match, varint-extended length
         tokens.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]); // huge varint
         tokens.extend_from_slice(&1u16.to_le_bytes()); // dist = 1
-        w.put_block(&tokens);
+        stream(declared_len, 1, &tokens)
+    }
+
+    /// A hand-built stream: declared length, mode, token block.
+    fn stream(declared_len: u64, mode: u8, block: &[u8]) -> Vec<u8> {
+        let mut w = crate::wire::Writer::new();
+        w.put_u64(declared_len);
+        w.put_u8(mode);
+        w.put_block(block);
         w.into_bytes()
+    }
+
+    #[test]
+    fn matches_expand_like_a_byte_by_byte_copy() {
+        // Overlapping (dist < len, RLE-style), touching (dist == len) and
+        // disjoint matches against the definition: out[p] = out[p - dist].
+        let prefix: Vec<u8> = (0..13u8).map(|i| i * 17 + 3).collect();
+        for dist in [1usize, 2, 3, 7, 8, 12, 13] {
+            for len in [4usize, 5, 12, 13, 14, 64, 131, 1000] {
+                let mut tokens = vec![prefix.len() as u8 - 1];
+                tokens.extend_from_slice(&prefix);
+                emit_match(&mut tokens, len, dist);
+                let mut expect = prefix.clone();
+                for _ in 0..len {
+                    expect.push(expect[expect.len() - dist]);
+                }
+                let got = decompress(&stream(expect.len() as u64, 1, &tokens));
+                assert_eq!(got.unwrap(), expect, "dist {dist} len {len}");
+                // The same tokens as Huffman symbols (mode 2).
+                let syms: Vec<u32> = tokens.iter().map(|&b| b as u32).collect();
+                let block = huffman::encode_with_table(&syms);
+                let got = decompress(&stream(expect.len() as u64, 2, &block));
+                assert_eq!(got.unwrap(), expect, "mode 2, dist {dist} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn mode2_symbol_that_is_not_a_byte_is_corrupt() {
+        // Literal run "abcd" then a match; poison, in turn, a control
+        // token, a literal, and a distance byte with a symbol > 0xFF.
+        let mut tokens = vec![3u8];
+        tokens.extend_from_slice(b"abcd");
+        emit_match(&mut tokens, 8, 4);
+        let clean: Vec<u32> = tokens.iter().map(|&b| b as u32).collect();
+        let ok = stream(12, 2, &huffman::encode_with_table(&clean));
+        assert_eq!(decompress(&ok).unwrap(), b"abcdabcdabcd");
+        for at in [0, 2, 5, 6] {
+            let mut syms = clean.clone();
+            syms[at] = 0x100 + at as u32;
+            let bad = stream(12, 2, &huffman::encode_with_table(&syms));
+            match decompress(&bad) {
+                Err(CodecError::Corrupt { .. }) => {}
+                other => panic!("symbol {at} forged: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_literal_run_is_corrupt() {
+        // Run of 8 declared, 3 bytes present.
+        let s = stream(8, 1, &[7, b'x', b'y', b'z']);
+        assert!(matches!(decompress(&s), Err(CodecError::Corrupt { .. })));
     }
 
     #[test]
@@ -315,13 +403,9 @@ mod tests {
 
     #[test]
     fn lying_length_header_rejected() {
-        // Declared length larger than the tokens can produce: truncation
-        // error, not a hang or giant allocation.
-        let mut w = crate::wire::Writer::new();
-        w.put_u64(10_000_000);
-        w.put_u8(1);
-        w.put_block(&[0x00, 0x41]); // a single literal byte
-        assert!(decompress(&w.into_bytes()).is_err());
+        // Declared length larger than the tokens (a single literal byte)
+        // can produce: truncation error, not a hang or giant allocation.
+        assert!(decompress(&stream(10_000_000, 1, &[0x00, 0x41])).is_err());
     }
 
     #[test]

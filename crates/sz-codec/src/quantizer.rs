@@ -123,6 +123,20 @@ impl Quantizer {
         }
         Ok(self.reconstruct(symbol, pred))
     }
+
+    /// Lane form of [`Quantizer::try_reconstruct`]: the reconstruction
+    /// and a flag instead of a branch, so `kernels::reconstruct_row`
+    /// vectorizes. The flag is set exactly when `try_reconstruct` would
+    /// fail (outlier marker, or symbol `≥ 2·radius`); the value is then
+    /// meaningless. Otherwise `symbol < 2·radius` fits an `i32`, the
+    /// packed i32→f64 conversion yields the same `code` the i64 path does,
+    /// and the value is bit-identical to [`Quantizer::reconstruct`].
+    #[inline(always)]
+    pub fn reconstruct_select(&self, symbol: u32, pred: f64) -> (f64, bool) {
+        let flagged = symbol.wrapping_sub(1) >= 2 * self.radius as u32 - 1;
+        let code = (symbol as i32).wrapping_sub(self.radius as i32);
+        (pred + code as f64 * 2.0 * self.eb, flagged)
+    }
 }
 
 /// Convert a relative error bound into an absolute one for data with the

@@ -19,7 +19,7 @@ use sz_codec::interp::{self, InterpConfig};
 use sz_codec::lossless;
 use sz_codec::lr::{self, LrConfig};
 use sz_codec::quantizer::QUANT_RADIUS;
-use sz_codec::wire::Reader;
+use sz_codec::wire::{Reader, Writer};
 
 fn smooth(n: usize) -> Buffer3 {
     let mut b = Buffer3::zeros(Dims3::cube(n));
@@ -139,6 +139,98 @@ fn interp_out_of_range_symbol_is_typed_corrupt() {
 #[test]
 fn interp_symbol_zero_without_raw_value_is_typed_corrupt() {
     assert_corrupt(interp::decompress(&forged_interp_stream(0)));
+}
+
+/// Rebuild an SZ_Interp stream after editing its decoded symbol stream
+/// and outlier list — a forgery at a *chosen* point of the traversal,
+/// with everything around it wire-exact.
+fn edit_interp_stream(stream: &[u8], edit: impl FnOnce(&mut Vec<u32>, &mut Vec<f64>)) -> Vec<u8> {
+    let (prefix, payload) = unwrap_stream(stream);
+    let mut r = Reader::new(&payload);
+    let mut w = Writer::new();
+    w.put_f64(r.get_f64().unwrap()); // error bound
+    for _ in 0..3 {
+        w.put_u32(r.get_u32().unwrap()); // dims
+    }
+    let mut syms = huffman::decode_with_table(r.get_block().unwrap()).unwrap();
+    let n_out = r.get_u64().unwrap();
+    let mut outliers: Vec<f64> = (0..n_out).map(|_| r.get_f64().unwrap()).collect();
+    edit(&mut syms, &mut outliers);
+    huffman::encode_block_into(&syms, &mut w);
+    w.put_u64(outliers.len() as u64);
+    for v in outliers {
+        w.put_f64(v);
+    }
+    rewrap_stream(&prefix, &w.into_bytes())
+}
+
+/// Emission positions in a 12³ stream, by the kind of pass that decodes
+/// them. The even lattice (all coarser levels) is the first 6³ = 216
+/// symbols, the stride-1 X pass the next 216 — both decoded point by
+/// point; the stride-1 Y pass (432 symbols) and Z pass (864) follow and
+/// are decoded as lane rows of 12.
+const SCALAR_POSITIONS: [usize; 4] = [0, 5, 215, 216 + 10];
+const LANE_POSITIONS: [usize; 5] = [432, 432 + 50, 864, 864 + 100, 1727];
+
+fn forged_interp_symbol_at(pos: usize, sym: u32) -> Vec<u8> {
+    let stream = interp::compress(&smooth(12), &InterpConfig::new(1e-3));
+    let forged = edit_interp_stream(&stream, |syms, outliers| {
+        assert_eq!(syms.len(), 12 * 12 * 12);
+        assert!(outliers.is_empty(), "the smooth field stores no raw value");
+        syms[pos] = sym;
+    });
+    assert_ne!(forged, stream);
+    forged
+}
+
+#[test]
+fn interp_edit_roundtrip_is_wire_exact() {
+    // The forging helper itself: an empty edit reproduces the stream.
+    let stream = interp::compress(&smooth(12), &InterpConfig::new(1e-3));
+    assert_eq!(edit_interp_stream(&stream, |_, _| {}), stream);
+}
+
+#[test]
+fn interp_out_of_range_symbol_in_lane_row_and_scalar_pass_is_typed_corrupt() {
+    for pos in SCALAR_POSITIONS.into_iter().chain(LANE_POSITIONS) {
+        for sym in [2 * QUANT_RADIUS as u32, 2 * QUANT_RADIUS as u32 + 4404] {
+            assert_corrupt(interp::decompress(&forged_interp_symbol_at(pos, sym)));
+        }
+    }
+}
+
+#[test]
+fn interp_symbol_zero_without_raw_value_in_lane_row_and_scalar_pass_is_typed_corrupt() {
+    for pos in SCALAR_POSITIONS.into_iter().chain(LANE_POSITIONS) {
+        assert_corrupt(interp::decompress(&forged_interp_symbol_at(pos, 0)));
+    }
+}
+
+#[test]
+fn interp_outlier_list_one_short_in_lane_row_is_typed_corrupt() {
+    // Spikes at odd z are decoded by the stride-1 Z pass, the last one:
+    // two share a lane row, one sits alone in a later row. Dropping the
+    // final raw value leaves that last row one short.
+    let mut data = smooth(12);
+    for (i, j, k) in [(2, 4, 7), (9, 4, 7), (5, 3, 11)] {
+        data.set(i, j, k, 1.0e9);
+    }
+    let stream = interp::compress(&data, &InterpConfig::new(1e-3));
+    let back = interp::decompress(&stream).expect("valid stream decodes");
+    assert_eq!(back.get(5, 3, 11), 1.0e9);
+    let short = edit_interp_stream(&stream, |_, outliers| {
+        assert_eq!(outliers, &[1.0e9; 3]);
+        outliers.pop();
+    });
+    assert_corrupt(interp::decompress(&short));
+    // One *extra* forged marker in the crowded row runs the list dry one
+    // row later instead.
+    let extra = edit_interp_stream(&stream, |syms, _| {
+        let at = 864 + 12 * (4 + 12 * 3); // Z pass, plane z = 7, row y = 4
+        assert_eq!((syms[at + 2], syms[at + 9]), (0, 0));
+        syms[at + 5] = 0;
+    });
+    assert_corrupt(interp::decompress(&extra));
 }
 
 /// Truncate an encoded Huffman stream at every byte boundary and, at each

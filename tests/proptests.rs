@@ -80,6 +80,75 @@ fn degenerate_buffer_strategy() -> impl Strategy<Value = Buffer3> {
     prop_oneof![constant, single_cell, pencil, slab, extreme]
 }
 
+/// SZ_Interp decoded point by point, straight from the format: targets
+/// enumerated by coordinate, one bounds-checked read per neighbour, one
+/// branch per symbol. Shares nothing with the shipping row decoder but
+/// the wire primitives, so it is the oracle for it.
+fn interp_decode_oracle(stream: &[u8]) -> Buffer3 {
+    use sz_codec::quantizer::{Quantizer, OUTLIER_SYMBOL};
+    let env = sz_codec::codec::read_envelope(stream).unwrap();
+    let payload = sz_codec::lossless::decompress(&stream[env.payload_offset..]).unwrap();
+    let mut r = sz_codec::wire::Reader::new(&payload);
+    let q = Quantizer::new(r.get_f64().unwrap());
+    let n = [(); 3].map(|_| r.get_u32().unwrap() as usize);
+    let mut syms = sz_codec::huffman::decode_with_table(r.get_block().unwrap())
+        .unwrap()
+        .into_iter();
+    let n_raw = r.get_u64().unwrap();
+    let mut raw = (0..n_raw).map(|_| r.get_f64().unwrap());
+    let mut out = Buffer3::zeros(Dims3::new(n[0], n[1], n[2]));
+    let mut place = |out: &mut Buffer3, c: [usize; 3], pred: f64| {
+        let sym = syms.next().unwrap();
+        let v = if sym == OUTLIER_SYMBOL {
+            raw.next().unwrap()
+        } else {
+            q.try_reconstruct(sym, pred).unwrap()
+        };
+        out.set(c[0], c[1], c[2], v);
+    };
+    place(&mut out, [0, 0, 0], 0.0);
+    // Strides 2^(L-1), …, 2, 1 with 2^L ≥ the largest extent.
+    let mut s = n.into_iter().max().unwrap().next_power_of_two() / 2;
+    while s >= 1 {
+        for axis in 0..3 {
+            // Odd multiples of s along the pass axis; multiples of s on the
+            // axes this level has finished, of 2s on those still to come.
+            let coords = |a: usize| -> Vec<usize> {
+                let (first, step) = match a.cmp(&axis) {
+                    std::cmp::Ordering::Equal => (s, 2 * s),
+                    std::cmp::Ordering::Less => (0, s),
+                    std::cmp::Ordering::Greater => (0, 2 * s),
+                };
+                (first..n[a]).step_by(step).collect()
+            };
+            for &z in &coords(2) {
+                for &y in &coords(1) {
+                    for &x in &coords(0) {
+                        let c = [x, y, z];
+                        let (pos, len) = (c[axis], n[axis]);
+                        let at = |steps: isize| {
+                            let mut p = c;
+                            p[axis] = (pos as isize + steps * s as isize) as usize;
+                            out.get(p[0], p[1], p[2])
+                        };
+                        let pred = if pos + s >= len {
+                            at(-1)
+                        } else if pos >= 3 * s && pos + 3 * s < len {
+                            (-at(-3) + 9.0 * at(-1) + 9.0 * at(1) - at(3)) / 16.0
+                        } else {
+                            0.5 * (at(-1) + at(1))
+                        };
+                        place(&mut out, c, pred);
+                    }
+                }
+            }
+        }
+        s /= 2;
+    }
+    assert!(syms.next().is_none() && raw.next().is_none());
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -107,6 +176,30 @@ proptest! {
         let back = interp::decompress(&stream).unwrap();
         let stats = ErrorStats::compare(buf.data(), back.data());
         prop_assert!(stats.max_abs_err <= abs_eb * (1.0 + 1e-9));
+    }
+
+    #[test]
+    fn interp_decode_equals_per_point_oracle(
+        buf in buffer_strategy(12),
+        eb_exp in -6i32..-1,
+        poison in proptest::collection::vec((0usize..1728, 0u8..4), 0..6),
+    ) {
+        // Arbitrary data at tight bounds already overflows the quantizer
+        // (outliers); the poison adds non-finite values and huge spikes.
+        let dims = buf.dims();
+        let abs_eb = 10f64.powi(eb_exp) * buf.value_range().max(1.0);
+        let mut data = buf.into_vec();
+        for (at, what) in poison {
+            let at = at % data.len();
+            data[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0e300][what as usize];
+        }
+        let stream = interp::compress(&Buffer3::from_vec(dims, data), &InterpConfig::new(abs_eb));
+        let fast = interp::decompress(&stream).unwrap();
+        let slow = interp_decode_oracle(&stream);
+        prop_assert_eq!(fast.dims(), slow.dims());
+        for (a, b) in fast.data().iter().zip(slow.data()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
