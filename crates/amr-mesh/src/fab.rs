@@ -130,18 +130,32 @@ impl FArrayBox {
     /// Extract the sub-region `region` of component `c` into a new Fortran-
     /// ordered buffer of `region.num_cells()` values.
     pub fn extract_region(&self, region: &IntBox, c: usize) -> Vec<f64> {
-        assert!(self.domain.contains_box(region), "{region:?} outside fab");
         let mut out = Vec::with_capacity(region.num_cells() as usize);
-        let comp = self.comp(c);
-        let run = region.size().get(0) as usize;
-        for z in region.lo.get(2)..=region.hi.get(2) {
-            for y in region.lo.get(1)..=region.hi.get(1) {
-                let start = IntVect::new(region.lo.get(0), y, z);
-                let si = self.domain.linear_index(&start);
-                out.extend_from_slice(&comp[si..si + run]);
-            }
-        }
+        self.append_region(region, c, &mut out);
         out
+    }
+
+    /// Append the sub-region `region` of component `c` to `out` in Fortran
+    /// order — [`FArrayBox::extract_region`] into a caller's buffer, so a
+    /// run of regions stages into one allocation.
+    pub fn append_region(&self, region: &IntBox, c: usize, out: &mut Vec<f64>) {
+        assert!(self.domain.contains_box(region), "{region:?} outside fab");
+        let comp = self.comp(c);
+        let (size, stride) = (region.size(), self.domain.size());
+        let run = size.get(0) as usize;
+        let (row, plane) = (
+            stride.get(0) as usize,
+            (stride.get(0) * stride.get(1)) as usize,
+        );
+        let mut z_start = self.domain.linear_index(&region.lo);
+        for _ in 0..size.get(2) {
+            let mut start = z_start;
+            for _ in 0..size.get(1) {
+                out.extend_from_slice(&comp[start..start + run]);
+                start += row;
+            }
+            z_start += plane;
+        }
     }
 
     /// Min and max of one component. Returns `(f64::INFINITY, -INFINITY)`

@@ -11,19 +11,12 @@ use sz_codec::wire::{Reader, Writer};
 /// AMRIC pipeline payload format version (rides in the envelope header).
 const VERSION: u8 = 1;
 
-/// Reusable compression scratch for the pipeline hot path: holds the
-/// SZ_L/R quantization-stream buffers so repeated `*_into` calls stop
-/// paying per-call allocations. One per writer rank is enough.
-#[derive(Default)]
-pub struct AmricScratch {
-    lr: LrScratch,
-}
-
-impl std::fmt::Debug for AmricScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AmricScratch { .. }")
-    }
-}
+/// Reusable compression scratch for the pipeline hot path: the SZ_L/R
+/// encode scratch, which every stream mode that quantizes through SZ_L/R
+/// reuses so repeated `*_into` calls stop paying per-call allocations.
+/// One per writer rank is enough; [`compress_field_units`] and the
+/// `&self` faces borrow the calling thread's.
+pub type AmricScratch = LrScratch;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
@@ -99,24 +92,25 @@ impl ResolvedBound {
 /// chunk, so constant or uniformly smooth chunks classify all-loose.
 /// Deterministic in the unit data alone — the parallel write path stays
 /// byte-identical to serial with no extra plumbing.
-fn classify_units(units: &[Buffer3]) -> Vec<bool> {
+fn classify_units<U: AsView3>(units: &[U]) -> Vec<bool> {
     let scores: Vec<f64> = units.iter().map(unit_activity).collect();
     let mean = scores.iter().sum::<f64>() / scores.len() as f64;
     scores.iter().map(|&s| s > mean).collect()
 }
 
 /// Can the units be merged along z (uniform x/y footprint)?
-fn uniform_xy(units: &[Buffer3]) -> bool {
-    let d0 = units[0].dims();
+fn uniform_xy<U: AsView3>(units: &[U]) -> bool {
+    let d0 = units[0].view().dims();
     units
         .iter()
-        .all(|u| u.dims().nx == d0.nx && u.dims().ny == d0.ny)
+        .map(|u| u.view().dims())
+        .all(|d| d.nx == d0.nx && d.ny == d0.ny)
 }
 
 /// Are all units identical cubes?
-fn uniform_cubes(units: &[Buffer3]) -> bool {
-    let d0 = units[0].dims();
-    d0.nx == d0.ny && d0.ny == d0.nz && units.iter().all(|u| u.dims() == d0)
+fn uniform_cubes<U: AsView3>(units: &[U]) -> bool {
+    let d0 = units[0].view().dims();
+    d0.nx == d0.ny && d0.ny == d0.nz && units.iter().all(|u| u.view().dims() == d0)
 }
 
 /// Resolve the field's absolute error bound from the rank-local value
@@ -129,16 +123,16 @@ fn uniform_cubes(units: &[Buffer3]) -> bool {
 /// well-defined at the API boundary: the quantizer receives a positive
 /// bound, the constant field round-trips within `rel_eb`, and the in-situ
 /// writer resolves its global bound under the same contract.
-pub fn resolve_abs_eb(units: &[Buffer3], rel_eb: f64) -> f64 {
+pub fn resolve_abs_eb<U: AsView3>(units: &[U], rel_eb: f64) -> f64 {
     absolute_bound(rel_eb, local_range(units))
 }
 
 /// Value range across a unit set (0.0 for constant or empty sets).
-pub(crate) fn local_range(units: &[Buffer3]) -> f64 {
+pub(crate) fn local_range<U: AsView3>(units: &[U]) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for u in units {
-        let (l, h) = u.min_max();
+        let (l, h) = sz_codec::buffer3::min_max(u.view().data());
         lo = lo.min(l);
         hi = hi.max(h);
     }
@@ -149,23 +143,20 @@ pub(crate) fn local_range(units: &[Buffer3]) -> f64 {
     }
 }
 
-/// [`compress_field_units_resolved_into`] through this thread's reusable
-/// [`AmricScratch`] — for the `&self` faces of the pipeline (the `Codec`
-/// and `ChunkFilter` impls) that cannot thread an explicit scratch
-/// through. Rank threads and pool workers are all threads, so every
-/// concurrent encoder gets its own scratch.
-pub(crate) fn compress_on_thread_scratch(
-    units: &[Buffer3],
+/// [`compress_field_units_resolved_into`] on the calling thread's encode
+/// scratch — for the `&self` faces of the pipeline (the `Codec` and
+/// `ChunkFilter` impls) that cannot thread an explicit scratch through.
+/// Rank threads and pool workers are all threads, so every concurrent
+/// encoder gets its own.
+pub(crate) fn compress_on_thread_scratch<U: AsView3>(
+    units: &[U],
     cfg: &AmricConfig,
     unit_edge: usize,
     bound: ResolvedBound,
     out: &mut Vec<u8>,
 ) -> StreamInfo {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<AmricScratch> = Default::default();
-    }
-    SCRATCH.with(|s| {
-        compress_field_units_resolved_into(units, cfg, unit_edge, bound, &mut s.borrow_mut(), out)
+    lr::with_thread_scratch(|scratch| {
+        compress_field_units_resolved_into(units, cfg, unit_edge, bound, scratch, out)
     })
 }
 
@@ -174,7 +165,11 @@ pub(crate) fn compress_on_thread_scratch(
 /// units (offline single-rank studies). The in-situ writer resolves the
 /// bound globally across ranks and calls
 /// [`compress_field_units_resolved_into`] instead.
-pub fn compress_field_units(units: &[Buffer3], cfg: &AmricConfig, unit_edge: usize) -> Vec<u8> {
+pub fn compress_field_units<U: AsView3>(
+    units: &[U],
+    cfg: &AmricConfig,
+    unit_edge: usize,
+) -> Vec<u8> {
     let bound = if units.is_empty() {
         ResolvedBound::Fixed(1.0) // unused: the empty marker short-circuits
     } else {
@@ -190,8 +185,8 @@ pub fn compress_field_units(units: &[Buffer3], cfg: &AmricConfig, unit_edge: usi
 /// ([`compress_field_units_with_bound_into`], byte-identical streams);
 /// `Adaptive` appends the `Mode::Adaptive` stream. Both append to `out`
 /// and reuse `scratch`.
-pub fn compress_field_units_resolved_into(
-    units: &[Buffer3],
+pub fn compress_field_units_resolved_into<U: AsView3>(
+    units: &[U],
     cfg: &AmricConfig,
     unit_edge: usize,
     bound: ResolvedBound,
@@ -218,8 +213,8 @@ pub fn compress_field_units_resolved_into(
 /// stream). Adaptive always sub-codes with LR-SLE — it handles any unit
 /// shapes and keeps per-unit bounds independent — regardless of the
 /// configured algorithm.
-fn compress_adaptive_into(
-    units: &[Buffer3],
+fn compress_adaptive_into<U: AsView3>(
+    units: &[U],
     cfg: &AmricConfig,
     unit_edge: usize,
     tight: f64,
@@ -239,16 +234,11 @@ fn compress_adaptive_into(
         w.put_u8(r as u8);
     }
     let block_size = cfg.sz_block_size(unit_edge);
-    let tight_units: Vec<&Buffer3> = units
-        .iter()
-        .zip(&rough)
-        .filter_map(|(u, &r)| r.then_some(u))
-        .collect();
-    let loose_units: Vec<&Buffer3> = units
-        .iter()
-        .zip(&rough)
-        .filter_map(|(u, &r)| (!r).then_some(u))
-        .collect();
+    let group = |tight: bool| -> Vec<View3<'_>> {
+        let members = units.iter().zip(&rough).filter(|(_, &r)| r == tight);
+        members.map(|(u, _)| u.view()).collect()
+    };
+    let (tight_units, loose_units) = (group(true), group(false));
     // Tight substream, u32-length-prefixed so the loose one can ride raw
     // to the end of the stream. The length is patched in after the
     // substream is appended.
@@ -256,28 +246,28 @@ fn compress_adaptive_into(
     w.put_u32(0);
     if !tight_units.is_empty() {
         let lr_cfg = LrConfig::new(tight).with_block_size(block_size);
-        lr::compress_domains_into(&tight_units, &lr_cfg, &mut scratch.lr, w.buf_mut());
+        lr::compress_domains_into(&tight_units, &lr_cfg, scratch, w.buf_mut());
     }
     let tight_len = (w.buf_mut().len() - len_pos - 4) as u32;
     w.buf_mut()[len_pos..len_pos + 4].copy_from_slice(&tight_len.to_le_bytes());
     if !loose_units.is_empty() {
         let lr_cfg = LrConfig::new(loose).with_block_size(block_size);
-        lr::compress_domains_into(&loose_units, &lr_cfg, &mut scratch.lr, w.buf_mut());
+        lr::compress_domains_into(&loose_units, &lr_cfg, scratch, w.buf_mut());
     }
     *out = w.into_bytes();
     StreamInfo {
         codec: CodecId::AmricPipeline,
         bytes: out.len() - start,
         units: units.len(),
-        cells: units.iter().map(|u| u.dims().len()).sum(),
+        cells: units.iter().map(|u| u.view().dims().len()).sum(),
     }
 }
 
 /// Compress one field's unit blocks with an explicit absolute error
 /// bound, **appending** the stream to `out` and reusing `scratch` — the
 /// writer's per-chunk hot path, which allocates no fresh output `Vec`.
-pub fn compress_field_units_with_bound_into(
-    units: &[Buffer3],
+pub fn compress_field_units_with_bound_into<U: AsView3>(
+    units: &[U],
     cfg: &AmricConfig,
     unit_edge: usize,
     abs_eb: f64,
@@ -305,8 +295,7 @@ pub fn compress_field_units_with_bound_into(
     match mode {
         Mode::LrSle => {
             let lr_cfg = LrConfig::new(abs_eb).with_block_size(cfg.sz_block_size(unit_edge));
-            let refs: Vec<&Buffer3> = units.iter().collect();
-            lr::compress_domains_into(&refs, &lr_cfg, &mut scratch.lr, w.buf_mut());
+            lr::compress_domains_into(units, &lr_cfg, scratch, w.buf_mut());
         }
         Mode::LrLinearMerge => {
             let (merged, extents) = linear_merge(units);
@@ -314,7 +303,7 @@ pub fn compress_field_units_with_bound_into(
                 w.put_u32(*e as u32);
             }
             let lr_cfg = LrConfig::new(abs_eb).with_block_size(cfg.sz_block_size(unit_edge));
-            lr::compress_domains_into(&[&merged], &lr_cfg, &mut scratch.lr, w.buf_mut());
+            lr::compress_domains_into(&[&merged], &lr_cfg, scratch, w.buf_mut());
         }
         Mode::InterpLinear => {
             let (merged, extents) = linear_merge(units);
@@ -327,7 +316,7 @@ pub fn compress_field_units_with_bound_into(
         }
         Mode::InterpCluster => {
             let (packed, grid) = cluster_pack(units);
-            let d0 = units[0].dims();
+            let d0 = units[0].view().dims();
             w.put_u32(d0.nx as u32);
             w.put_u32(grid.gx as u32);
             w.put_u32(grid.gy as u32);
@@ -342,13 +331,13 @@ pub fn compress_field_units_with_bound_into(
         codec: CodecId::AmricPipeline,
         bytes: out.len() - start,
         units: units.len(),
-        cells: units.iter().map(|u| u.dims().len()).sum(),
+        cells: units.iter().map(|u| u.view().dims().len()).sum(),
     }
 }
 
 /// Pick the stream mode the configuration implies, with safe fallbacks
 /// for ragged unit shapes (domain edges that are not unit-aligned).
-fn select_mode(cfg: &AmricConfig, units: &[Buffer3]) -> Mode {
+fn select_mode<U: AsView3>(cfg: &AmricConfig, units: &[U]) -> Mode {
     match cfg.algorithm {
         SzAlgorithm::LorenzoRegression => match cfg.merge {
             MergePolicy::SharedEncoding => Mode::LrSle,
@@ -657,7 +646,7 @@ mod tests {
     #[test]
     fn empty_units() {
         let cfg = AmricConfig::lr(1e-3);
-        let bytes = compress_field_units(&[], &cfg, 8);
+        let bytes = compress_field_units::<Buffer3>(&[], &cfg, 8);
         assert!(bytes.len() < 16);
         assert!(decompress_field_units(&bytes).unwrap().is_empty());
     }
@@ -745,7 +734,7 @@ mod tests {
             loose: 1e-2,
         };
         let bytes = compress_resolved(&[], &cfg, bound);
-        let fixed = compress_field_units(&[], &cfg, 8);
+        let fixed = compress_field_units::<Buffer3>(&[], &cfg, 8);
         assert_eq!(bytes, fixed, "empty chunks carry no bound");
         assert_eq!(stream_unit_bounds(&bytes).unwrap(), None);
     }

@@ -12,7 +12,7 @@
 
 use amr_mesh::overlap::coverage;
 use amr_mesh::prelude::*;
-use sz_codec::{Buffer3, Dims3};
+use sz_codec::{AsView3, Buffer3, Dims3};
 
 /// One unit block extracted from a level: its global index-space origin
 /// and per-field decision to come. Data is extracted per field on demand.
@@ -121,8 +121,24 @@ pub fn region_dims(region: &IntBox) -> Dims3 {
     Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize)
 }
 
-/// Extract the field data of the planned units into compressor buffers
-/// (Fortran order per unit).
+/// Stage the field data of the planned units field-major (§3.3 Solution
+/// 1): every unit in Fortran order, one after the other, copied straight
+/// from the fabs. This is the chunk payload the in-situ writer hands the
+/// filter, which reads the units back as slices of it.
+pub fn stage_units(level: &MultiFab, units: &[UnitRef], field: usize) -> Vec<f64> {
+    let cells = units.iter().map(|u| u.region.num_cells() as usize).sum();
+    let mut staged = Vec::with_capacity(cells);
+    for u in units {
+        level
+            .fab(u.box_index)
+            .append_region(&u.region, field, &mut staged);
+    }
+    staged
+}
+
+/// Extract the field data of the planned units into owned compressor
+/// buffers (Fortran order per unit) — for offline studies that keep the
+/// units around; the writer stages with [`stage_units`].
 pub fn extract_units(level: &MultiFab, units: &[UnitRef], field: usize) -> Vec<Buffer3> {
     units
         .iter()
@@ -171,7 +187,8 @@ pub fn scatter_units(level: &mut MultiFab, units: &[UnitRef], field: usize, data
 ///
 /// Deterministic in the unit data alone, so the parallel write path needs
 /// no extra plumbing to stay byte-identical to serial.
-pub fn unit_activity(unit: &Buffer3) -> f64 {
+pub fn unit_activity(unit: &impl AsView3) -> f64 {
+    let unit = unit.view();
     let d = unit.dims();
     let data = unit.data();
     let mut sum = 0.0f64;

@@ -1,26 +1,27 @@
 //! Reorganization of truncated unit blocks (paper §3.1, Fig. 4 right):
 //! linear stacking for SZ_L/R, cube-like clustering for SZ_Interp.
 
-use sz_codec::{Buffer3, Dims3};
+use sz_codec::{AsView3, Buffer3, Dims3};
 
 /// Stack same-footprint unit blocks along z ("put the unit blocks along
 /// the z-axis", the minimum-operation arrangement for SZ_L/R).
 /// Returns the merged buffer and the per-unit z-extents for splitting.
-pub fn linear_merge(units: &[Buffer3]) -> (Buffer3, Vec<usize>) {
+pub fn linear_merge<U: AsView3>(units: &[U]) -> (Buffer3, Vec<usize>) {
     assert!(!units.is_empty(), "nothing to merge");
-    let d0 = units[0].dims();
+    let d0 = units[0].view().dims();
     assert!(
         units.iter().all(|u| {
-            let d = u.dims();
+            let d = u.view().dims();
             d.nx == d0.nx && d.ny == d0.ny
         }),
         "linear merge needs a uniform x/y footprint"
     );
-    let nz: usize = units.iter().map(|u| u.dims().nz).sum();
+    let nz: usize = units.iter().map(|u| u.view().dims().nz).sum();
     let mut merged = Buffer3::zeros(Dims3::new(d0.nx, d0.ny, nz));
     let mut z = 0;
     let mut extents = Vec::with_capacity(units.len());
     for u in units {
+        let u = u.view();
         merged.paste(u, 0, 0, z);
         z += u.dims().nz;
         extents.push(u.dims().nz);
@@ -89,11 +90,11 @@ pub fn cluster_grid(n: usize) -> ClusterGrid {
 /// (when `n` doesn't factor nicely) are filled with copies of the last
 /// unit so the interpolator sees smooth data; [`cluster_unpack`] drops
 /// them. Returns the packed buffer and the grid used.
-pub fn cluster_pack(units: &[Buffer3]) -> (Buffer3, ClusterGrid) {
+pub fn cluster_pack<U: AsView3>(units: &[U]) -> (Buffer3, ClusterGrid) {
     assert!(!units.is_empty(), "nothing to pack");
-    let d0 = units[0].dims();
+    let d0 = units[0].view().dims();
     assert!(
-        units.iter().all(|u| u.dims() == d0),
+        units.iter().all(|u| u.view().dims() == d0),
         "cluster packing needs uniformly shaped units"
     );
     let grid = cluster_grid(units.len());
@@ -106,7 +107,7 @@ pub fn cluster_pack(units: &[Buffer3]) -> (Buffer3, ClusterGrid) {
     for slot in 0..grid.slots() {
         let u = units.get(slot).unwrap_or(last);
         let (sx, sy, sz) = slot_coords(grid, slot);
-        packed.paste(u, sx * d0.nx, sy * d0.ny, sz * d0.nz);
+        packed.paste(u.view(), sx * d0.nx, sy * d0.ny, sz * d0.nz);
     }
     (packed, grid)
 }

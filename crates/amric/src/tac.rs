@@ -87,7 +87,7 @@ pub fn tac_compress_into(units: &[Buffer3], origins: &[IntVect], rel_eb: f64, ou
     let cfg = LrConfig::new(abs_eb); // stock 6³, black box
     for g in &groups {
         w.put_u32(g.len() as u32);
-        let members: Vec<Buffer3> = g.iter().map(|&i| units[i].clone()).collect();
+        let members: Vec<&Buffer3> = g.iter().map(|&i| &units[i]).collect();
         let (merged, extents) = crate::reorganize::linear_merge(&members);
         for e in &extents {
             w.put_u32(*e as u32);

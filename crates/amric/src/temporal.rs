@@ -303,7 +303,11 @@ impl TemporalSession {
                     *prep_s += t0.elapsed().as_secs_f64();
                     // Global REL bound and global chunk size, same
                     // collective sequence as the AMRIC writer.
-                    let range = global_range(comm, bufs.iter().flat_map(|b| b.data()));
+                    let extremes = bufs.iter().map(Buffer3::min_max);
+                    let local = extremes.fold((f64::INFINITY, f64::NEG_INFINITY), |a, b| {
+                        (a.0.min(b.0), a.1.max(b.1))
+                    });
+                    let range = global_range(comm, local);
                     let tcfg = TemporalConfig {
                         abs_eb: sz_codec::quantizer::absolute_bound(cfg.rel_eb, range),
                         block_size: cfg.block_size,

@@ -12,7 +12,7 @@
 use crate::config::AmricConfig;
 use crate::pipeline::{compress_on_thread_scratch, decompress_field_units, ResolvedBound};
 use crate::preprocess::{
-    extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent,
+    plan_bounding_box, plan_units, stage_units, unit_edge_for_level, PlanExtent,
 };
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
@@ -20,7 +20,7 @@ use rankpar::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 use sz_codec::codec::CodecId;
-use sz_codec::{Buffer3, CodecError, Dims3};
+use sz_codec::{Buffer3, CodecError, Dims3, View3};
 
 /// Filter id for the AMRIC application-defined filter (outside h5lite's
 /// built-in registry, like a dynamically loaded HDF5 plugin).
@@ -98,9 +98,12 @@ impl ChunkFilter for AmricFieldFilter {
                 self.unit_edge
             ))));
         }
-        let units: Vec<Buffer3> = chunk
+        // The units are the chunk's own slices: the staged chunk is the
+        // only copy between the fab and the codec.
+        let cube = Dims3::cube(self.unit_edge);
+        let units: Vec<View3<'_>> = chunk
             .chunks_exact(e3)
-            .map(|u| Buffer3::from_vec(Dims3::cube(self.unit_edge), u.to_vec()))
+            .map(|u| View3::new(cube, u))
             .collect();
         compress_on_thread_scratch(&units, &self.cfg, self.unit_edge, self.bound, out);
         Ok(())
@@ -143,18 +146,11 @@ impl WriteReport {
     }
 }
 
-/// Value range of `values` across **all** ranks (0.0 for constant or
-/// empty fields) — the global range REL bounds resolve against. One
-/// allgather; every rank must call it in the same order.
-pub(crate) fn global_range<'a>(
-    comm: &Communicator,
-    values: impl IntoIterator<Item = &'a f64>,
-) -> f64 {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
+/// Value range across **all** ranks of a field whose rank-local extremes
+/// are `(lo, hi)` (0.0 for constant or empty fields) — the global range
+/// REL bounds resolve against. One allgather; every rank must call it in
+/// the same order.
+pub(crate) fn global_range(comm: &Communicator, (lo, hi): (f64, f64)) -> f64 {
     let ranges = comm.allgather((lo, hi));
     let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
     let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
@@ -377,11 +373,7 @@ pub fn write_amric_to(
                 // Stage field-major (§3.3 Solution 1): this rank's units of
                 // one field, concatenated.
                 let t0 = Instant::now();
-                let bufs = extract_units(level, units, f);
-                let mut staged = Vec::with_capacity(bufs.iter().map(|b| b.dims().len()).sum());
-                for b in &bufs {
-                    staged.extend_from_slice(b.data());
-                }
+                let staged = stage_units(level, units, f);
                 *prep_s += t0.elapsed().as_secs_f64();
                 // Resolve the relative bound against the field's global
                 // range on this level. Constant (range-0) fields fall back
@@ -389,7 +381,7 @@ pub fn write_amric_to(
                 // `resolve_abs_eb`, so quiet ranks get a well-defined,
                 // non-degenerate bound. Under an adaptive policy both
                 // tight and loose resolve against the same global range.
-                let range = global_range(comm, &staged);
+                let range = global_range(comm, sz_codec::buffer3::min_max(&staged));
                 let filter = AmricFieldFilter {
                     cfg: *cfg,
                     unit_edge: *unit as usize,

@@ -256,17 +256,19 @@ impl ChunkFilter for SzFilter {
             Some(d) if d.len() == chunk.len() => d,
             _ => Dims3::new(chunk.len().max(1), 1, 1),
         };
-        let buf = Buffer3::from_vec(dims, chunk.to_vec());
-        let abs_eb = self.eb.to_absolute(buf.value_range());
+        let (lo, hi) = sz_codec::buffer3::min_max(chunk);
+        let abs_eb = self.eb.to_absolute(hi - lo);
         match self.algorithm {
             SzAlgorithm::LorenzoRegression => {
                 let mut cfg = LrConfig::new(abs_eb);
                 if let Some(bs) = self.block_size {
                     cfg = cfg.with_block_size(bs);
                 }
-                lr::compress_domains_pooled(&[&buf], &cfg, out);
+                // SZ_L/R reads the chunk in place.
+                lr::compress_domains_pooled(&[View3::new(dims, chunk)], &cfg, out);
             }
             SzAlgorithm::Interpolation => {
+                let buf = Buffer3::from_vec(dims, chunk.to_vec());
                 interp::compress_into(&buf, &InterpConfig::new(abs_eb), out)
             }
         }

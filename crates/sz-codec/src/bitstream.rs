@@ -1,17 +1,59 @@
-//! Bit-level writer/reader used by the Huffman coder.
+//! Bit-level reader used by the Huffman decoder's canonical walk (and,
+//! for tests, the per-bit writer the encoder's word-wise emit replaced).
 //!
 //! Bits are packed MSB-first within each byte, which keeps canonical
 //! Huffman codes directly comparable as integers while decoding.
 
-/// Append-only bit writer.
+/// Sequential bit reader over a byte slice.
+pub struct BitReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> BitReader<'a> {
+    /// Read from the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        BitReader { bytes, pos: 0 }
+    }
+
+    /// Read one bit. Returns `None` past the end.
+    #[inline]
+    pub fn read_bit(&mut self) -> Option<u64> {
+        let byte = *self.bytes.get(self.pos / 8)?;
+        let bit = (byte >> (7 - (self.pos % 8))) & 1;
+        self.pos += 1;
+        Some(bit as u64)
+    }
+
+    /// Read `nbits` bits MSB-first. Returns `None` if the stream is
+    /// exhausted first.
+    pub fn read_bits(&mut self, nbits: u32) -> Option<u64> {
+        debug_assert!(nbits <= 64);
+        let mut v = 0u64;
+        for _ in 0..nbits {
+            v = (v << 1) | self.read_bit()?;
+        }
+        Some(v)
+    }
+
+    /// Bits consumed so far.
+    pub fn bit_pos(&self) -> usize {
+        self.pos
+    }
+}
+
+/// Append-only per-bit writer: the oracle the Huffman coder's word-wise
+/// emit is checked against.
+#[cfg(test)]
 #[derive(Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     bytes: Vec<u8>,
     /// Bits already used in the last byte (0..8). 0 means the last byte is
     /// full (or the stream is empty).
     used: u32,
 }
 
+#[cfg(test)]
 impl BitWriter {
     /// New empty writer.
     pub fn new() -> Self {
@@ -57,44 +99,6 @@ impl BitWriter {
     /// Finish and return the packed bytes (final byte zero-padded).
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-}
-
-/// Sequential bit reader over a byte slice.
-pub struct BitReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Read from the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
-    }
-
-    /// Read one bit. Returns `None` past the end.
-    #[inline]
-    pub fn read_bit(&mut self) -> Option<u64> {
-        let byte = *self.bytes.get(self.pos / 8)?;
-        let bit = (byte >> (7 - (self.pos % 8))) & 1;
-        self.pos += 1;
-        Some(bit as u64)
-    }
-
-    /// Read `nbits` bits MSB-first. Returns `None` if the stream is
-    /// exhausted first.
-    pub fn read_bits(&mut self, nbits: u32) -> Option<u64> {
-        debug_assert!(nbits <= 64);
-        let mut v = 0u64;
-        for _ in 0..nbits {
-            v = (v << 1) | self.read_bit()?;
-        }
-        Some(v)
-    }
-
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
     }
 }
 

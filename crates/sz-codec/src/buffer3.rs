@@ -1,5 +1,7 @@
 //! [`Buffer3`]: an owned 3-D array of `f64` in Fortran order (x fastest),
-//! the in-memory unit the compressor pipeline works on.
+//! what decoders hand back; and [`View3`], the same shape over borrowed
+//! data, which is what encoders read — a slice of a staged chunk is a unit
+//! block without a copy.
 
 /// Dimensions of a 3-D buffer, `(nx, ny, nz)` with x fastest in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -41,6 +43,83 @@ impl Dims3 {
     /// Largest extent.
     pub fn max_dim(&self) -> usize {
         self.nx.max(self.ny).max(self.nz)
+    }
+}
+
+/// Borrowed 3-D data: dimensions over a Fortran-ordered slice.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct View3<'a> {
+    dims: Dims3,
+    data: &'a [f64],
+}
+
+impl<'a> View3<'a> {
+    /// View `data` as a `dims`-shaped block.
+    pub fn new(dims: Dims3, data: &'a [f64]) -> Self {
+        assert_eq!(data.len(), dims.len(), "data length mismatch");
+        View3 { dims, data }
+    }
+
+    /// Dimensions.
+    pub fn dims(&self) -> Dims3 {
+        self.dims
+    }
+
+    /// Flat data (Fortran order).
+    pub fn data(&self) -> &'a [f64] {
+        self.data
+    }
+}
+
+/// Min and max of a slice, `(∞, −∞)` when it is empty. Four accumulator
+/// lanes: one running `f64::min` is a latency chain the range pass of a
+/// staged chunk spends longer in than in the copy that staged it. The
+/// extremes do not depend on the order they are folded in.
+pub fn min_max(data: &[f64]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let lanes = data.chunks_exact(4);
+    for &v in lanes.remainder() {
+        lo[0] = lo[0].min(v);
+        hi[0] = hi[0].max(v);
+    }
+    for quad in lanes {
+        for l in 0..4 {
+            lo[l] = lo[l].min(quad[l]);
+            hi[l] = hi[l].max(quad[l]);
+        }
+    }
+    (
+        lo.iter().copied().fold(f64::INFINITY, f64::min),
+        hi.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+    )
+}
+
+/// A unit block the encode path can read: owned buffers, references to
+/// them, and views alike.
+pub trait AsView3 {
+    /// The block as dimensions over borrowed data.
+    fn view(&self) -> View3<'_>;
+}
+
+impl AsView3 for Buffer3 {
+    fn view(&self) -> View3<'_> {
+        View3 {
+            dims: self.dims,
+            data: &self.data,
+        }
+    }
+}
+
+impl AsView3 for View3<'_> {
+    fn view(&self) -> View3<'_> {
+        *self
+    }
+}
+
+impl<T: AsView3 + ?Sized> AsView3 for &T {
+    fn view(&self) -> View3<'_> {
+        (**self).view()
     }
 }
 
@@ -113,7 +192,7 @@ impl Buffer3 {
 
     /// Copy a `sub.dims()`-shaped block into this buffer with its origin at
     /// `(oi, oj, ok)`.
-    pub fn paste(&mut self, sub: &Buffer3, oi: usize, oj: usize, ok: usize) {
+    pub fn paste(&mut self, sub: View3<'_>, oi: usize, oj: usize, ok: usize) {
         let sd = sub.dims;
         assert!(
             oi + sd.nx <= self.dims.nx && oj + sd.ny <= self.dims.ny && ok + sd.nz <= self.dims.nz,
@@ -149,13 +228,7 @@ impl Buffer3 {
 
     /// Min and max over the data.
     pub fn min_max(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &v in &self.data {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
+        min_max(&self.data)
     }
 
     /// Value range (max − min); 0 for constant data.
@@ -193,7 +266,7 @@ mod tests {
         let mut big = Buffer3::zeros(Dims3::cube(8));
         let mut small = Buffer3::zeros(Dims3::new(3, 2, 4));
         small.fill_with(|i, j, k| (i + 10 * j + 100 * k) as f64 + 0.25);
-        big.paste(&small, 2, 3, 1);
+        big.paste(small.view(), 2, 3, 1);
         let back = big.extract(2, 3, 1, small.dims());
         assert_eq!(back, small);
         assert_eq!(big.get(0, 0, 0), 0.0);
@@ -224,6 +297,6 @@ mod tests {
     fn paste_bounds_checked() {
         let mut big = Buffer3::zeros(Dims3::cube(4));
         let small = Buffer3::zeros(Dims3::cube(3));
-        big.paste(&small, 2, 0, 0);
+        big.paste(small.view(), 2, 0, 0);
     }
 }

@@ -5,7 +5,7 @@
 //! the table serializes as (symbol, length) pairs and decoding needs only
 //! per-length first-code offsets.
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitReader;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 use std::collections::BinaryHeap;
 
@@ -23,6 +23,9 @@ const DECODE_TABLE_BITS: u32 = 12;
 /// Below this symbol count the lookup-table build costs more than it
 /// saves; decode falls through to the bit-by-bit reference walk.
 const DECODE_TABLE_MIN_SYMBOLS: usize = 64;
+
+/// Stack bytes `encode_into` fills between appends: whole 4-byte words.
+const FLUSH_BLOCK: usize = 1024;
 
 /// A built Huffman code book.
 #[derive(Clone, Debug)]
@@ -82,48 +85,40 @@ impl HuffmanCode {
         }
     }
 
-    /// Encode a symbol sequence into a bit-packed byte vector.
-    pub fn encode(&self, symbols: &[u32]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(symbols, &mut out);
-        out
-    }
-
-    /// Append the bit-packed encoding of `symbols` to `out` through a
-    /// 64-bit accumulator (one shift+or per symbol, one store per byte)
-    /// instead of the per-bit [`BitWriter`] loop. Byte-identical to
-    /// [`HuffmanCode::encode_reference`].
-    pub fn encode_into(&self, symbols: &[u32], out: &mut Vec<u8>) {
-        // Valid bits live in acc[0, nbits); after the drain loop nbits ≤ 7,
-        // so `acc << len` with len ≤ MAX_CODE_LEN = 32 never overflows.
-        // Stale bits above the valid region are cut by the `as u8` casts.
+    /// Append the bit-packed encoding of `symbols` to `out`: one shift+or
+    /// per symbol into a 64-bit accumulator, drained 32 bits at a time
+    /// into a stack block that is appended whole. MSB-first packing of 32
+    /// bits is the big-endian word, so the bytes are those of the per-bit
+    /// [`crate::bitstream::BitWriter`] loop.
+    pub fn encode_into<S: Copy + Into<u32>>(&self, symbols: &[S], out: &mut Vec<u8>) {
+        // Valid bits live in acc[0, nbits) and nbits < 32 before every
+        // add, so `acc << len` with len ≤ MAX_CODE_LEN = 32 keeps them
+        // inside 64 bits. Stale bits above the valid region are cut by
+        // the `as u32` casts.
+        let mut block = [0u8; FLUSH_BLOCK];
+        let mut fill = 0;
         let mut acc = 0u64;
         let mut nbits = 0u32;
         for &s in symbols {
+            let s: u32 = s.into();
             let (code, len) = self.encode[s as usize];
             debug_assert!(len > 0, "symbol {s} not in code book");
             acc = (acc << len) | code;
             nbits += len;
-            while nbits >= 8 {
-                nbits -= 8;
-                out.push((acc >> nbits) as u8);
+            if nbits >= 32 {
+                nbits -= 32;
+                block[fill..fill + 4].copy_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+                fill += 4;
+                if fill == FLUSH_BLOCK {
+                    out.extend_from_slice(&block);
+                    fill = 0;
+                }
             }
         }
-        if nbits > 0 {
-            out.push((acc << (8 - nbits)) as u8);
-        }
-    }
-
-    /// The original per-bit encode loop, kept as the equivalence oracle
-    /// and the "before" series of the kernel benches.
-    pub fn encode_reference(&self, symbols: &[u32]) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        for &s in symbols {
-            let (code, len) = self.encode[s as usize];
-            debug_assert!(len > 0, "symbol {s} not in code book");
-            w.write_bits(code, len);
-        }
-        w.into_bytes()
+        out.extend_from_slice(&block[..fill]);
+        // The last nbits < 32 bits, left-aligned and zero-padded to a byte.
+        let tail = ((acc << (32 - nbits)) as u32).to_be_bytes();
+        out.extend_from_slice(&tail[..nbits.div_ceil(8) as usize]);
     }
 
     /// Code length in bits for `sym`; 0 when the symbol is not in the book.
@@ -298,9 +293,10 @@ impl HuffmanCode {
         }
     }
 
-    /// The original bit-by-bit decode loop, kept verbatim as the
-    /// equivalence oracle and the "before" series of the kernel benches.
-    pub fn decode_reference(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<u32>> {
+    /// The bit-by-bit canonical walk: the decoder of short streams and of
+    /// forged tables the lookup path cannot index, and the equivalence
+    /// oracle of [`HuffmanCode::decode`].
+    fn decode_reference(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<u32>> {
         if n as u128 > bytes.len() as u128 * 8 {
             return Err(CodecError::LimitExceeded {
                 what: "symbol count",
@@ -484,7 +480,7 @@ fn build_lengths(used: &[(u32, u64)], shift: u32) -> Vec<(u32, u32)> {
 }
 
 /// Alphabets up to this bound are counted with a dense histogram; larger
-/// symbols fall back to the HashMap path. Quantization symbols are
+/// symbols fall back to the map path. Quantization symbols are
 /// `< 2·QUANT_RADIUS = 2¹⁶`, well inside the bound.
 const DENSE_HISTOGRAM_MAX: usize = 1 << 17;
 
@@ -493,18 +489,18 @@ const DENSE_HISTOGRAM_MAX: usize = 1 << 17;
 ///
 /// Dense-histogram fast path: one pass bounds the alphabet, one pass
 /// counts into a flat array, and the symbol-ascending sweep yields the
-/// same sorted output the HashMap reference produces.
-pub fn count_frequencies(symbols: &[u32]) -> Vec<(u32, u64)> {
-    let max = match symbols.iter().copied().max() {
+/// same sorted output the map fallback produces.
+pub fn count_frequencies<S: Copy + Into<u32>>(symbols: &[S]) -> Vec<(u32, u64)> {
+    let max = match symbols.iter().map(|&s| s.into()).max() {
         Some(m) => m,
         None => return Vec::new(),
     };
     if (max as usize) >= DENSE_HISTOGRAM_MAX {
-        return count_frequencies_reference(symbols);
+        return count_frequencies_sparse(symbols);
     }
     let mut hist = vec![0u64; max as usize + 1];
     for &s in symbols {
-        hist[s as usize] += 1;
+        hist[s.into() as usize] += 1;
     }
     hist.iter()
         .enumerate()
@@ -513,120 +509,86 @@ pub fn count_frequencies(symbols: &[u32]) -> Vec<(u32, u64)> {
         .collect()
 }
 
-/// HashMap-based frequency count: the general-alphabet fallback, the
-/// equivalence oracle, and the "before" series of the kernel benches.
-pub fn count_frequencies_reference(symbols: &[u32]) -> Vec<(u32, u64)> {
-    let mut map = std::collections::HashMap::new();
+/// Map-based frequency count: the general-alphabet fallback and the
+/// equivalence oracle of the dense path.
+fn count_frequencies_sparse<S: Copy + Into<u32>>(symbols: &[S]) -> Vec<(u32, u64)> {
+    let mut map = std::collections::BTreeMap::new();
     for &s in symbols {
-        *map.entry(s).or_insert(0u64) += 1;
+        *map.entry(s.into()).or_insert(0u64) += 1;
     }
-    let mut v: Vec<(u32, u64)> = map.into_iter().collect();
-    v.sort_unstable();
-    v
+    map.into_iter().collect()
 }
 
-/// Convenience: encode `symbols` as `table ‖ count ‖ bit-length ‖
-/// bitstream`.
+/// The block a symbol stream encodes to — `table ‖ count ‖ byte length ‖
+/// bitstream`, or a lone zero table count for the empty stream — sized
+/// from the histogram (`Σ len(s)·freq(s)` bits) before the first bit is
+/// packed, so callers can write an outer length prefix, or decide against
+/// the block, without an intermediate buffer.
+pub struct BlockPlan {
+    /// `None` for the empty stream.
+    code: Option<HuffmanCode>,
+    payload_bytes: u64,
+}
+
+impl BlockPlan {
+    /// Plan the block of a stream from its exact sorted histogram (what
+    /// [`count_frequencies`] produces for it).
+    pub fn new(freqs: &[(u32, u64)]) -> Self {
+        let code = (!freqs.is_empty()).then(|| HuffmanCode::from_frequencies(freqs));
+        let len_of = |s| code.as_ref().map_or(0, |c| c.code_len(s)) as u64;
+        let total_bits: u64 = freqs.iter().map(|&(s, n)| len_of(s) * n).sum();
+        BlockPlan {
+            code,
+            payload_bytes: total_bits.div_ceil(8),
+        }
+    }
+
+    /// Bytes [`BlockPlan::write`] appends: 5 per table entry behind a
+    /// `u32` count, then two `u64` fields and the bit stream.
+    pub fn byte_len(&self) -> u64 {
+        self.code.as_ref().map_or(4, |c| {
+            4 + 5 * c.lens.len() as u64 + 8 + 8 + self.payload_bytes
+        })
+    }
+
+    /// Append the block for `symbols`, the stream the plan was built for.
+    pub fn write<S: Copy + Into<u32>>(&self, symbols: &[S], w: &mut Writer) {
+        let Some(code) = &self.code else {
+            return w.put_u32(0);
+        };
+        code.write_table(w);
+        w.put_u64(symbols.len() as u64);
+        w.put_u64(self.payload_bytes);
+        let before = w.len();
+        code.encode_into(symbols, w.buf_mut());
+        debug_assert_eq!(
+            (w.len() - before) as u64,
+            self.payload_bytes,
+            "histogram does not match symbol stream"
+        );
+    }
+}
+
+/// Convenience: encode `symbols` as one block.
 pub fn encode_with_table(symbols: &[u32]) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_with_table_into(symbols, &mut w);
+    BlockPlan::new(&count_frequencies(symbols)).write(symbols, &mut w);
     w.into_bytes()
 }
 
-/// Streaming form of [`encode_with_table`]: appends the encoded block
-/// directly to `w`, skipping the intermediate encoded buffer.
-/// Byte-identical output.
-pub fn encode_with_table_into(symbols: &[u32], w: &mut Writer) {
-    if symbols.is_empty() {
-        w.put_u32(0);
-        return;
-    }
-    let freqs = count_frequencies(symbols);
-    encode_with_histogram_into(symbols, &freqs, w);
-}
-
-/// Fused-pass entry point: the caller already histogrammed `symbols`
-/// (e.g. while quantizing), so the counting pass is skipped and the
-/// payload length prefix is computed from the histogram up front —
-/// `Σ len(s)·freq(s)` — letting the bit packer emit straight into `w`.
-///
-/// `freqs` must be the exact sorted histogram [`count_frequencies`] would
-/// produce for `symbols`.
-pub fn encode_with_histogram_into(symbols: &[u32], freqs: &[(u32, u64)], w: &mut Writer) {
-    if symbols.is_empty() {
-        w.put_u32(0);
-        return;
-    }
-    let code = HuffmanCode::from_frequencies(freqs);
-    code.write_table(w);
-    w.put_u64(symbols.len() as u64);
-    let total_bits: u64 = freqs
-        .iter()
-        .map(|&(s, c)| code.code_len(s) as u64 * c)
-        .sum();
-    w.put_u64(total_bits.div_ceil(8));
-    let before = w.buf_mut().len();
-    code.encode_into(symbols, w.buf_mut());
-    debug_assert_eq!(
-        (w.buf_mut().len() - before) as u64,
-        total_bits.div_ceil(8),
-        "histogram does not match symbol stream"
-    );
-}
-
 /// Append `w.put_block(&encode_with_table(symbols))`-equivalent bytes
-/// without materializing the inner block: the outer length prefix is
-/// computed from the histogram up front (table bytes + count + length
-/// prefix + `⌈Σ len(s)·freq(s) / 8⌉` payload bytes), then the table and
-/// bit stream are emitted straight into `w`. Byte-identical output.
+/// without materializing the inner block. `freqs` must be the exact
+/// sorted histogram [`count_frequencies`] would produce for `symbols` —
+/// callers that histogram while quantizing skip the counting pass.
 pub fn encode_block_with_histogram_into(symbols: &[u32], freqs: &[(u32, u64)], w: &mut Writer) {
-    if symbols.is_empty() {
-        // Empty marker block: u64 length 4 + the zero table count.
-        w.put_u64(4);
-        w.put_u32(0);
-        return;
-    }
-    let code = HuffmanCode::from_frequencies(freqs);
-    let total_bits: u64 = freqs
-        .iter()
-        .map(|&(s, c)| code.code_len(s) as u64 * c)
-        .sum();
-    let payload_bytes = total_bits.div_ceil(8);
-    let table_bytes = 4 + 5 * code.lens.len() as u64;
-    w.put_u64(table_bytes + 8 + 8 + payload_bytes);
-    code.write_table(w);
-    w.put_u64(symbols.len() as u64);
-    w.put_u64(payload_bytes);
-    let before = w.buf_mut().len();
-    code.encode_into(symbols, w.buf_mut());
-    debug_assert_eq!(
-        (w.buf_mut().len() - before) as u64,
-        payload_bytes,
-        "histogram does not match symbol stream"
-    );
+    let plan = BlockPlan::new(freqs);
+    w.put_u64(plan.byte_len());
+    plan.write(symbols, w);
 }
 
 /// [`encode_block_with_histogram_into`] with the histogram computed here.
 pub fn encode_block_into(symbols: &[u32], w: &mut Writer) {
-    let freqs = count_frequencies(symbols);
-    encode_block_with_histogram_into(symbols, &freqs, w);
-}
-
-/// The original buffer-building encode path (HashMap count, per-bit
-/// writer, intermediate payload vector), kept as the "before" series of
-/// the kernel benches.
-pub fn encode_with_table_reference(symbols: &[u32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    if symbols.is_empty() {
-        w.put_u32(0);
-        return w.into_bytes();
-    }
-    let freqs = count_frequencies_reference(symbols);
-    let code = HuffmanCode::from_frequencies(&freqs);
-    code.write_table(&mut w);
-    w.put_u64(symbols.len() as u64);
-    w.put_block(&code.encode_reference(symbols));
-    w.into_bytes()
+    encode_block_with_histogram_into(symbols, &count_frequencies(symbols), w);
 }
 
 /// Inverse of [`encode_with_table`].
@@ -646,26 +608,50 @@ pub fn decode_with_table(bytes: &[u8]) -> CodecResult<Vec<u32>> {
     code.decode(payload, n)
 }
 
-/// [`decode_with_table`] through the bit-by-bit reference decoder — the
-/// "before" series of the kernel benches.
-pub fn decode_with_table_reference(bytes: &[u8]) -> CodecResult<Vec<u32>> {
-    let mut r = Reader::new(bytes);
-    let n_table = {
-        let mut peek = Reader::new(bytes);
-        peek.get_u32()?
-    };
-    if n_table == 0 {
-        return Ok(Vec::new());
-    }
-    let code = HuffmanCode::read_table(&mut r)?;
-    let n = r.get_u64()? as usize;
-    let payload = r.get_block()?;
-    code.decode_reference(payload, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitWriter;
+
+    impl HuffmanCode {
+        /// The original per-bit encode loop: the oracle of `encode_into`.
+        fn encode_reference(&self, symbols: &[u32]) -> Vec<u8> {
+            let mut w = BitWriter::new();
+            for &s in symbols {
+                let (code, len) = self.encode[s as usize];
+                assert!(len > 0, "symbol {s} not in code book");
+                w.write_bits(code, len);
+            }
+            w.into_bytes()
+        }
+    }
+
+    /// The original buffer-building encode path (map count, per-bit
+    /// writer, intermediate payload vector).
+    fn encode_with_table_reference(symbols: &[u32]) -> Vec<u8> {
+        let mut w = Writer::new();
+        if symbols.is_empty() {
+            w.put_u32(0);
+            return w.into_bytes();
+        }
+        let freqs = count_frequencies_sparse(symbols);
+        let code = HuffmanCode::from_frequencies(&freqs);
+        code.write_table(&mut w);
+        w.put_u64(symbols.len() as u64);
+        w.put_block(&code.encode_reference(symbols));
+        w.into_bytes()
+    }
+
+    /// [`decode_with_table`] through the bit-by-bit reference decoder.
+    fn decode_with_table_reference(bytes: &[u8]) -> CodecResult<Vec<u32>> {
+        let mut r = Reader::new(bytes);
+        if Reader::new(bytes).get_u32()? == 0 {
+            return Ok(Vec::new());
+        }
+        let code = HuffmanCode::read_table(&mut r)?;
+        let n = r.get_u64()? as usize;
+        code.decode_reference(r.get_block()?, n)
+    }
 
     fn roundtrip(symbols: &[u32]) {
         let bytes = encode_with_table(symbols);
@@ -826,10 +812,10 @@ mod tests {
             skewed_symbols(2000, 4),
             Vec::new(),
             vec![0u32; 10],
-            // Huge symbols force the HashMap fallback.
+            // Huge symbols force the map fallback.
             vec![u32::MAX, 5, u32::MAX, 0],
         ] {
-            assert_eq!(count_frequencies(&syms), count_frequencies_reference(&syms));
+            assert_eq!(count_frequencies(&syms), count_frequencies_sparse(&syms));
         }
     }
 
@@ -856,7 +842,8 @@ mod tests {
         let syms = skewed_symbols(3000, 9);
         let freqs = count_frequencies(&syms);
         let code = HuffmanCode::from_frequencies(&freqs);
-        let payload = code.encode(&syms);
+        let mut payload = Vec::new();
+        code.encode_into(&syms, &mut payload);
         for cut in (0..payload.len()).step_by(7) {
             let fast = code.decode(&payload[..cut], syms.len());
             let slow = code.decode_reference(&payload[..cut], syms.len());
@@ -898,9 +885,8 @@ mod tests {
     #[test]
     fn fused_histogram_encode_matches() {
         let syms = skewed_symbols(4000, 10);
-        let freqs = count_frequencies(&syms);
         let mut w = Writer::new();
-        encode_with_histogram_into(&syms, &freqs, &mut w);
+        BlockPlan::new(&count_frequencies(&syms)).write(&syms, &mut w);
         assert_eq!(w.into_bytes(), encode_with_table_reference(&syms));
         assert_eq!(encode_with_table(&syms), encode_with_table_reference(&syms));
         assert_eq!(
@@ -908,5 +894,85 @@ mod tests {
             encode_with_table_reference(&[]),
             "empty marker"
         );
+        // Byte tokens code exactly like the same values widened.
+        let bytes: Vec<u8> = syms.iter().map(|&s| (s % 251) as u8).collect();
+        let wide: Vec<u32> = bytes.iter().map(|&b| b as u32).collect();
+        let mut w = Writer::new();
+        BlockPlan::new(&count_frequencies(&bytes)).write(&bytes, &mut w);
+        assert_eq!(w.into_bytes(), encode_with_table_reference(&wide));
+    }
+
+    /// A book whose symbol `i` has weight Fibonacci(i): the most skewed
+    /// tree there is, with codes up to `n − 1` bits long.
+    fn fibonacci_book(n: u32) -> HuffmanCode {
+        let (mut a, mut b) = (1u64, 1u64);
+        let freqs: Vec<(u32, u64)> = (0..n)
+            .map(|s| {
+                let f = a;
+                (a, b) = (b, a + b);
+                (s, f)
+            })
+            .collect();
+        HuffmanCode::from_frequencies(&freqs)
+    }
+
+    #[test]
+    fn word_flush_matches_per_bit_oracle_at_the_longest_codes() {
+        // 31 / 32 / 33 Fibonacci weights ⇒ longest codes of 30 / 31 / 32
+        // bits: the add that puts 32 bits on top of 31 pending ones is the
+        // accumulator's worst case.
+        for n in [31u32, 32, 33] {
+            let code = fibonacci_book(n);
+            let longest = code.lens.iter().map(|&(_, l)| l).max().unwrap();
+            assert_eq!(longest, n - 1, "fibonacci tree depth");
+            // Every phase of the accumulator: runs of the two rarest
+            // symbols (longest codes) broken up by 1-, 2- and 3-bit ones.
+            let mut syms = Vec::new();
+            for i in 0..400u32 {
+                syms.push(i % 2);
+                syms.extend((0..i % 7).map(|k| n - 1 - k % 3));
+                syms.push(lcg_symbols(1, n, i as u64)[0]);
+            }
+            let mut fast = vec![0xEE];
+            code.encode_into(&syms, &mut fast);
+            assert_eq!(fast[0], 0xEE, "appends");
+            assert_eq!(&fast[1..], code.encode_reference(&syms), "n={n}");
+            assert_eq!(code.decode(&fast[1..], syms.len()).unwrap(), syms);
+        }
+    }
+
+    #[test]
+    fn word_flush_matches_per_bit_oracle_at_block_edges() {
+        // 256 equally likely symbols ⇒ 8-bit codes, so 1024 symbols fill
+        // the 1024-byte stack block exactly; the counts straddle that
+        // edge, the empty stream and four blocks plus one byte. The
+        // single-symbol book (1-bit codes) leaves 1–7 tail bits at every
+        // count; the Fibonacci book mixes lengths.
+        let flat: Vec<(u32, u64)> = (0..256).map(|s| (s, 1)).collect();
+        let books = [
+            HuffmanCode::from_frequencies(&flat),
+            HuffmanCode::from_frequencies(&[(9, 5)]),
+            fibonacci_book(20),
+        ];
+        for (b, code) in books.iter().enumerate() {
+            let alphabet: Vec<u32> = code.lens.iter().map(|&(s, _)| s).collect();
+            for count in [0usize, 1, 1023, 1024, 1025, 4097] {
+                let syms: Vec<u32> = lcg_symbols(count, alphabet.len() as u32, count as u64)
+                    .iter()
+                    .map(|&i| alphabet[i as usize])
+                    .collect();
+                let mut fast = Vec::new();
+                code.encode_into(&syms, &mut fast);
+                assert_eq!(fast, code.encode_reference(&syms), "book {b} × {count}");
+                assert_eq!(
+                    code.decode(&fast, count).unwrap(),
+                    syms,
+                    "book {b} × {count}"
+                );
+                if b == 0 {
+                    assert_eq!(fast.len(), count, "8-bit codes");
+                }
+            }
+        }
     }
 }

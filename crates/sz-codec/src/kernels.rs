@@ -18,7 +18,7 @@
 //! golden-stream corpus under `crates/amric/tests/golden/` pins the
 //! end-to-end bytes and the decoded values.
 
-use crate::buffer3::{Buffer3, Dims3};
+use crate::buffer3::{Dims3, View3};
 use crate::quantizer::Quantizer;
 use crate::regression::Coefficients;
 
@@ -176,7 +176,7 @@ pub fn lorenzo_quantize_row(
 /// reads outside the *domain* contribute 0 (see `lorenzo.rs` for why
 /// that is the faithful selection statistic).
 pub fn selection_errors(
-    data: &Buffer3,
+    data: View3<'_>,
     oi: usize,
     oj: usize,
     ok: usize,
@@ -257,6 +257,7 @@ pub fn selection_errors(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer3::{AsView3, Buffer3};
     use crate::lorenzo::{lorenzo3, lorenzo3_block_error};
     use crate::quantizer::{OUTLIER_SYMBOL, QUANT_RADIUS};
     use crate::regression::{fit_block, regression_block_error};
@@ -468,8 +469,8 @@ mod tests {
                     while oi < dims.nx {
                         let bx = bs.min(dims.nx - oi);
                         let bd = Dims3::new(bx, by, bz);
-                        let c = fit_block(&data, oi, oj, ok, bd);
-                        let (reg, lor) = selection_errors(&data, oi, oj, ok, bd, &c);
+                        let c = fit_block(data.view(), oi, oj, ok, bd);
+                        let (reg, lor) = selection_errors(data.view(), oi, oj, ok, bd, &c);
                         let reg_ref = regression_block_error(&data, oi, oj, ok, bd, &c);
                         let lor_ref = lorenzo3_block_error(&data, oi, oj, ok, bd);
                         assert_eq!(reg.to_bits(), reg_ref.to_bits(), "block ({oi},{oj},{ok})");

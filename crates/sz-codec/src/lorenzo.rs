@@ -4,7 +4,7 @@
 //! neighbours; in 3-D it is the inclusion–exclusion corner sum over the
 //! unit cube. Out-of-domain neighbours read as 0, matching SZ.
 
-use crate::buffer3::{Buffer3, Dims3};
+use crate::buffer3::Buffer3;
 
 /// 3-D Lorenzo prediction for point `(i, j, k)` of `recon`, treating
 /// indices below `0` as value 0. `recon` must hold reconstructed values for
@@ -26,14 +26,6 @@ pub fn lorenzo3(recon: &Buffer3, i: usize, j: usize, k: usize) -> f64 {
         + g(i - 1, j - 1, k - 1)
 }
 
-/// Same stencil evaluated on the *original* data — used only to estimate
-/// Lorenzo's accuracy during predictor selection (SZ2 does the same; the
-/// true pass uses reconstructed values).
-#[inline]
-pub fn lorenzo3_estimate(data: &Buffer3, i: usize, j: usize, k: usize) -> f64 {
-    lorenzo3(data, i, j, k)
-}
-
 /// 1-D Lorenzo (previous value; 0 for the first point).
 #[inline]
 pub fn lorenzo1(recon: &[f64], i: usize) -> f64 {
@@ -44,8 +36,17 @@ pub fn lorenzo1(recon: &[f64], i: usize) -> f64 {
     }
 }
 
+/// Same stencil evaluated on the *original* data — used only to estimate
+/// Lorenzo's accuracy during predictor selection (SZ2 does the same; the
+/// true pass uses reconstructed values).
+#[cfg(test)]
+fn lorenzo3_estimate(data: &Buffer3, i: usize, j: usize, k: usize) -> f64 {
+    lorenzo3(data, i, j, k)
+}
+
 /// Sum of absolute Lorenzo-prediction errors over a sub-block of the
-/// original data, the selection statistic of SZ2. The sub-block has origin
+/// original data, the selection statistic of SZ2, point by point: the
+/// oracle of [`crate::kernels::selection_errors`]. The sub-block has origin
 /// `(oi, oj, ok)` and shape `bd`; the stencil may reach outside the block
 /// into the rest of the domain (crossing block boundaries, like the real
 /// pass does).
@@ -60,7 +61,14 @@ pub fn lorenzo1(recon: &[f64], i: usize) -> f64 {
 /// origin and one slope-magnitude per domain-edge point (see the
 /// boundary-block test below); changing this to edge-clamping would
 /// silently shift predictor selection and break stream compatibility.
-pub fn lorenzo3_block_error(data: &Buffer3, oi: usize, oj: usize, ok: usize, bd: Dims3) -> f64 {
+#[cfg(test)]
+pub(crate) fn lorenzo3_block_error(
+    data: &Buffer3,
+    oi: usize,
+    oj: usize,
+    ok: usize,
+    bd: crate::buffer3::Dims3,
+) -> f64 {
     let mut err = 0.0;
     for k in ok..ok + bd.nz {
         for j in oj..oj + bd.ny {
@@ -75,6 +83,7 @@ pub fn lorenzo3_block_error(data: &Buffer3, oi: usize, oj: usize, ok: usize, bd:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer3::Dims3;
 
     #[test]
     fn lorenzo3_exact_for_affine() {

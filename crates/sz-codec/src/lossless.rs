@@ -8,12 +8,17 @@
 //! and encoding efficiency grows with buffer size — which is exactly what
 //! makes many small HDF5 chunks lose to one large chunk.
 
-use crate::huffman;
+use crate::huffman::{self, BlockPlan};
+use crate::scratch;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 
 const MIN_MATCH: usize = 4;
 const WINDOW: usize = 1 << 16; // u16 distances
-const HASH_BITS: u32 = 15;
+/// Width of the match finder's hash table. Buckets of a narrower table
+/// are unions of this one's, so a 15-bit chain holds the same candidates
+/// in the same order plus the collisions of three more buckets; the two
+/// parse alike except where `MAX_CHAIN` cuts the longer chain short.
+const HASH_BITS: u32 = 17;
 const MAX_CHAIN: usize = 48;
 
 /// Compress `data`. The output embeds the original length.
@@ -23,25 +28,32 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Compress `data`, appending to `out` (the buffer-reusing hot path).
+/// Compress `data`, appending to `out` (the buffer-reusing hot path). The
+/// match finder is the calling thread's; its state never shows in the
+/// bytes.
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
-    let tokens = lz_parse(data);
-    let entropy = huffman::encode_with_table(&tokens.iter().map(|&b| b as u32).collect::<Vec<_>>());
-    let mut w = Writer::from_vec(std::mem::take(out));
-    w.put_u64(data.len() as u64);
-    // Keep whichever representation is smaller; raw fallback keeps the
-    // worst case bounded (header + data).
-    if entropy.len() < tokens.len() {
-        w.put_u8(2); // LZ + Huffman
-        w.put_block(&entropy);
-    } else if tokens.len() < data.len() {
-        w.put_u8(1); // LZ only
-        w.put_block(&tokens);
-    } else {
-        w.put_u8(0); // stored
-        w.put_block(data);
-    }
-    *out = w.into_bytes();
+    scratch::with_match_finder(|finder| {
+        let tokens = finder.parse::<HASH_BITS>(data);
+        // The byte-Huffman block is sized from the token histogram, so
+        // the choice below needs no trial encoding.
+        let coded = BlockPlan::new(&huffman::count_frequencies(tokens));
+        let mut w = Writer::from_vec(std::mem::take(out));
+        w.put_u64(data.len() as u64);
+        // Keep whichever representation is smaller; raw fallback keeps the
+        // worst case bounded (header + data).
+        if coded.byte_len() < tokens.len() as u64 {
+            w.put_u8(2); // LZ + Huffman
+            w.put_u64(coded.byte_len());
+            coded.write(tokens, &mut w);
+        } else if tokens.len() < data.len() {
+            w.put_u8(1); // LZ only
+            w.put_block(tokens);
+        } else {
+            w.put_u8(0); // stored
+            w.put_block(data);
+        }
+        *out = w.into_bytes();
+    })
 }
 
 /// Ceiling on a stream's declared decompressed length. LZ matches expand
@@ -77,72 +89,131 @@ pub fn decompress(bytes: &[u8]) -> CodecResult<Vec<u8>> {
     }
 }
 
-#[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+/// The hash-chain match finder's reusable state. Positions are `u32`s on
+/// a clock that runs on from input to input, each starting a window past
+/// the end of the one before: whatever earlier inputs left in the tables
+/// reads as out of window, so an input costs O(its length), never
+/// O(table), and parses the same on a fresh finder and a used one.
+#[derive(Default)]
+pub(crate) struct MatchFinder {
+    /// Clock position of the latest insert per hash bucket.
+    head: Vec<u32>,
+    /// `prev[p % WINDOW]`: what `head` held when clock position `p` was
+    /// inserted. A ring suffices — a chain is never followed past the
+    /// window, and nothing within a window of the cursor is overwritten.
+    prev: Vec<u32>,
+    /// Clock position of the current input's first byte.
+    base: u32,
+    tokens: Vec<u8>,
 }
 
-/// Greedy hash-chain LZ77 parse into the token format:
-/// * literal run: control byte `0x00..=0x7F` = run length − 1 (0x7F adds a
-///   varint extension), then the literal bytes;
-/// * match: control byte `0x80 | (len − MIN_MATCH)` (0x7F extension adds a
-///   varint), then a little-endian u16 distance (≥ 1).
-fn lz_parse(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len()];
-    // Insert position p into its hash chain.
-    fn insert(data: &[u8], head: &mut [usize], prev: &mut [usize], p: usize) {
-        let h = hash4(data, p);
-        prev[p] = head[h];
-        head[h] = p;
-    }
-    let hash_limit = data.len().saturating_sub(MIN_MATCH - 1);
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if i < hash_limit {
-            let h = hash4(data, i);
-            let mut cand = head[h];
-            let mut chain = 0;
-            while cand != usize::MAX && i - cand < WINDOW && chain < MAX_CHAIN {
-                let dist = i - cand;
-                let limit = data.len() - i;
-                let mut l = 0usize;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = dist;
-                }
-                cand = prev[cand];
-                chain += 1;
-            }
+impl MatchFinder {
+    /// Greedy hash-chain LZ77 parse of `data` on a `BITS`-wide table into
+    /// the token format:
+    /// * literal run: control byte `0x00..=0x7F` = run length − 1 (0x7F
+    ///   adds a varint extension), then the literal bytes;
+    /// * match: control byte `0x80 | (len − MIN_MATCH)` (0x7F extension
+    ///   adds a varint), then a little-endian u16 distance (≥ 1).
+    ///
+    /// A position takes the nearest of its longest chain candidates, seen
+    /// through two filters that drop only candidates which could not have
+    /// been taken: one whose first four bytes differ from the cursor's
+    /// matches fewer than `MIN_MATCH` and never becomes a token; one that
+    /// differs at offset `best_len` cannot beat the best so far, which
+    /// only a strictly longer match replaces.
+    pub(crate) fn parse<const BITS: u32>(&mut self, data: &[u8]) -> &[u8] {
+        let n = data.len();
+        // Start over where the clock would wrap and bring stale entries
+        // back into the window (also on first use, and on a table of
+        // another width). An input longer than the clock itself parses
+        // with wrapped positions — every candidate is checked against
+        // the data — and leaves a clock that forces the next reset.
+        let end_from = |base: u32| base as u64 + n as u64 + WINDOW as u64;
+        if self.head.len() != 1 << BITS || end_from(self.base) > u32::MAX as u64 {
+            self.head.clear();
+            self.head.resize(1 << BITS, 0);
+            self.prev.resize(WINDOW, 0);
+            self.base = WINDOW as u32;
         }
-        if best_len >= MIN_MATCH {
-            flush_literals(&mut out, &data[lit_start..i]);
-            emit_match(&mut out, best_len, best_dist);
-            // Register the covered positions so later matches can point
-            // into them.
-            let end = (i + best_len).min(hash_limit);
-            for p in i..end {
-                insert(data, &mut head, &mut prev, p);
-            }
-            i += best_len;
-            lit_start = i;
-        } else {
+        let base = self.base;
+        self.base = u32::try_from(end_from(base)).unwrap_or(u32::MAX);
+        let (head, prev) = (&mut self.head[..1 << BITS], &mut self.prev[..WINDOW]);
+        let out = &mut self.tokens;
+        out.clear();
+        let word = |p: usize| u32::from_le_bytes(data[p..p + 4].try_into().expect("4 bytes"));
+        let bucket = |w: u32| (w.wrapping_mul(2654435761) >> (32 - BITS)) as usize;
+        let clock = |p: usize| base.wrapping_add(p as u32);
+        let hash_limit = n.saturating_sub(MIN_MATCH - 1);
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+        while i < n {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            let mut end = i + 1;
             if i < hash_limit {
-                insert(data, &mut head, &mut prev, i);
+                let cur = word(i);
+                let limit = n - i;
+                let mut cand = head[bucket(cur)];
+                for _ in 0..MAX_CHAIN {
+                    let dist = clock(i).wrapping_sub(cand) as usize;
+                    if dist == 0 || dist >= WINDOW || best_len == limit {
+                        break;
+                    }
+                    let c = i - dist;
+                    if word(c) == cur
+                        && (best_len < MIN_MATCH || data[c + best_len] == data[i + best_len])
+                    {
+                        let l = MIN_MATCH
+                            + common_prefix(
+                                &data[c + MIN_MATCH..c + limit],
+                                &data[i + MIN_MATCH..],
+                            );
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = dist;
+                        }
+                    }
+                    cand = prev[cand as usize % WINDOW];
+                }
             }
-            i += 1;
+            if best_len >= MIN_MATCH {
+                flush_literals(out, &data[lit_start..i]);
+                emit_match(out, best_len, best_dist);
+                end = i + best_len;
+                lit_start = end;
+            }
+            // Register the position — all the covered ones behind a match —
+            // so later matches can point into them.
+            for p in i..end.min(hash_limit) {
+                let (h, at) = (bucket(word(p)), clock(p));
+                prev[at as usize % WINDOW] = head[h];
+                head[h] = at;
+            }
+            i = end;
         }
+        flush_literals(out, &data[lit_start..]);
+        out
     }
-    flush_literals(&mut out, &data[lit_start..]);
-    out
+}
+
+/// Length of the common prefix of two equally long slices, compared eight
+/// bytes at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(y.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: usize) {
@@ -306,6 +377,234 @@ fn lz_expand<T: Token>(tokens: &[T], orig_len: usize) -> CodecResult<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecId;
+
+    /// The byte-wise parser this module shipped before the candidate
+    /// filter: `usize` positions, fresh 15-bit tables per call, every
+    /// chain candidate compared byte by byte from offset 0. Kept verbatim
+    /// as the oracle of [`MatchFinder::parse`].
+    fn lz_parse_reference(data: &[u8]) -> Vec<u8> {
+        const HASH_BITS: u32 = 15;
+        fn hash4(data: &[u8], i: usize) -> usize {
+            let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+            (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+        }
+        let mut out = Vec::with_capacity(data.len() / 2 + 16);
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; data.len()];
+        fn insert(data: &[u8], head: &mut [usize], prev: &mut [usize], p: usize) {
+            let h = hash4(data, p);
+            prev[p] = head[h];
+            head[h] = p;
+        }
+        let hash_limit = data.len().saturating_sub(MIN_MATCH - 1);
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i < hash_limit {
+                let h = hash4(data, i);
+                let mut cand = head[h];
+                let mut chain = 0;
+                while cand != usize::MAX && i - cand < WINDOW && chain < MAX_CHAIN {
+                    let dist = i - cand;
+                    let limit = data.len() - i;
+                    let mut l = 0usize;
+                    while l < limit && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                    }
+                    cand = prev[cand];
+                    chain += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                flush_literals(&mut out, &data[lit_start..i]);
+                emit_match(&mut out, best_len, best_dist);
+                let end = (i + best_len).min(hash_limit);
+                for p in i..end {
+                    insert(data, &mut head, &mut prev, p);
+                }
+                i += best_len;
+                lit_start = i;
+            } else {
+                if i < hash_limit {
+                    insert(data, &mut head, &mut prev, i);
+                }
+                i += 1;
+            }
+        }
+        flush_literals(&mut out, &data[lit_start..]);
+        out
+    }
+
+    /// Splitmix-style byte source for the parser corpora.
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// `head ‖ gap ‖ head`: a 300-byte phrase repeating at distance
+    /// `dist`, everything else incompressible.
+    fn repeat_at(dist: usize) -> Vec<u8> {
+        let mut data = noise(dist + 300, dist as u64);
+        let (first, second) = data.split_at_mut(dist);
+        second.copy_from_slice(&first[..300]);
+        data.extend(noise(500, 3));
+        data
+    }
+
+    /// Inputs that exercise every branch of the match finder.
+    fn parser_corpus() -> Vec<(String, Vec<u8>)> {
+        let mut corpus: Vec<(String, Vec<u8>)> = (0..=7)
+            .map(|n| (format!("{n} bytes"), b"abababa"[..n].to_vec()))
+            .collect();
+        corpus.push(("single-byte run".into(), vec![7u8; 100_000]));
+        // One bucket collects a position per period: the 48-candidate
+        // cut-off decides from the 49th repeat on.
+        let period: Vec<u8> = (0..64u32).map(|i| (i as u8).wrapping_mul(3)).collect();
+        corpus.push(("period 64 × 120".into(), period.repeat(120)));
+        let mut drifting = Vec::new();
+        for rep in 0..200u32 {
+            drifting.extend_from_slice(&period);
+            drifting[rep as usize * 64 + (rep as usize * 7) % 60 + 4] ^= rep as u8;
+        }
+        corpus.push(("period 64, one byte off per repeat".into(), drifting));
+        for dist in [WINDOW - 1, WINDOW, WINDOW + 1] {
+            corpus.push((format!("repeat at distance {dist}"), repeat_at(dist)));
+        }
+        corpus.push(("high entropy".into(), noise(70_000, 11)));
+        let mut mixed = Vec::new();
+        for i in 0..3000u32 {
+            mixed.extend_from_slice(b"headerheaderheader");
+            mixed.push(i as u8);
+            mixed.extend_from_slice(&(i as u64 * 77).to_le_bytes());
+            if i % 5 == 0 {
+                mixed.extend(noise(i as usize % 23, i as u64));
+            }
+        }
+        corpus.push(("mixed structure".into(), mixed));
+        corpus.extend((0..150u64).map(|seed| (format!("mixture {seed}"), mixture(seed))));
+        corpus
+    }
+
+    /// Literals, runs and repeats of earlier output in seeded proportions
+    /// and lengths, a few hundred bytes to ~100 KB.
+    fn mixture(seed: u64) -> Vec<u8> {
+        let draws: Vec<usize> = noise(4 * (20 + seed as usize * 3), seed)
+            .chunks(2)
+            .map(|b| b[0] as usize | (b[1] as usize) << 8)
+            .collect();
+        let mut data = Vec::new();
+        for op in draws.chunks(2) {
+            let len = op[1] % if seed.is_multiple_of(4) { 2000 } else { 40 };
+            match op[0] % 3 {
+                0 => data.extend(noise(len, op[1] as u64)),
+                1 => data.extend(std::iter::repeat_n(op[1] as u8, len)),
+                _ if data.is_empty() => data.push(op[0] as u8),
+                _ => {
+                    let dist = 1 + op[0] / 3 % data.len().min(70_000);
+                    for _ in 0..len {
+                        data.push(data[data.len() - dist]);
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    /// The pre-lossless SZ payloads inside the golden stream corpus: what
+    /// the parser sees in production. Every SZ_L/R or SZ_Interp stream —
+    /// bare or nested in a pipeline, TAC, zMesh or baseline container — is
+    /// an envelope followed by a lossless stream.
+    fn golden_payloads() -> Vec<(String, Vec<u8>)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../amric/tests/golden");
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("golden corpus") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|e| e != "bin") {
+                continue;
+            }
+            let bytes = std::fs::read(&path).expect("golden stream");
+            for at in 0..bytes.len().saturating_sub(8) {
+                let Ok(env) = crate::codec::read_envelope(&bytes[at..]) else {
+                    continue;
+                };
+                let sz = [CodecId::LrSle as u16, CodecId::Interp as u16].contains(&env.codec);
+                if let (true, Ok(payload)) = (sz, decompress(&bytes[at + env.payload_offset..])) {
+                    found.push((format!("{} @ {at}", path.display()), payload));
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn filtered_parser_makes_the_reference_parse() {
+        let golden = golden_payloads();
+        assert!(golden.len() >= 12, "found {} SZ payloads", golden.len());
+        let mut finder = MatchFinder::default();
+        for (name, data) in parser_corpus().into_iter().chain(golden) {
+            let expect = lz_parse_reference(&data);
+            // One finder carried across all inputs, and a fresh one.
+            assert!(finder.parse::<15>(&data) == expect, "{name} (used finder)");
+            assert!(
+                MatchFinder::default().parse::<15>(&data) == expect,
+                "{name} (fresh finder)"
+            );
+            // The shipping width makes a parse that expands to the input.
+            let tokens = finder.parse::<HASH_BITS>(&data).to_vec();
+            assert!(lz_expand(&tokens, data.len()).unwrap() == data, "{name}");
+        }
+    }
+
+    #[test]
+    fn clock_wrap_resets_the_tables() {
+        // A finder whose clock is about to run out starts over instead of
+        // letting positions wrap into the window of stale entries.
+        let data = mixture(8);
+        let expect = lz_parse_reference(&data);
+        let mut finder = MatchFinder::default();
+        finder.parse::<15>(&data);
+        for base in [
+            u32::MAX - data.len() as u32,
+            u32::MAX - WINDOW as u32,
+            u32::MAX,
+        ] {
+            finder.base = base;
+            assert!(finder.parse::<15>(&data) == expect, "base {base}");
+            assert!(finder.base < u32::MAX / 2, "clock restarted");
+        }
+    }
+
+    #[test]
+    fn bytes_do_not_depend_on_what_the_thread_compressed_before() {
+        let corpus = parser_corpus();
+        let (a, b) = (&corpus[9].1, &corpus[15].1);
+        let fresh = std::thread::scope(|s| s.spawn(|| compress(a)).join().expect("no panic"));
+        let used = std::thread::scope(|s| {
+            let run = || {
+                let first = compress(a);
+                compress(b);
+                (first, compress(a))
+            };
+            s.spawn(run).join().expect("no panic")
+        });
+        assert_eq!(used.0, fresh);
+        assert_eq!(used.1, fresh, "A after B differs from A on a fresh thread");
+        assert_eq!(decompress(&fresh).unwrap(), *a);
+    }
 
     fn roundtrip(data: &[u8]) -> usize {
         let c = compress(data);

@@ -16,7 +16,7 @@
 //! (LM) baseline; calling it per-unit with separate invocations is the
 //! "compress each box individually" strawman the paper rejects.
 
-use crate::buffer3::{Buffer3, Dims3};
+use crate::buffer3::{AsView3, Buffer3, Dims3, View3};
 use crate::codec::{
     expect_envelope, total_cells, write_envelope, Codec, CodecId, StreamInfo, FLAG_EMPTY,
 };
@@ -26,6 +26,7 @@ use crate::lorenzo::lorenzo3;
 use crate::lossless;
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL, QUANT_RADIUS};
 use crate::regression::{fit_block, CoefficientCodec};
+pub use crate::scratch::with_lr_scratch as with_thread_scratch;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 
 /// SZ_L/R payload format version (rides in the envelope header).
@@ -129,42 +130,47 @@ impl Streams {
     }
 }
 
-/// Reusable compression scratch: the quantization-symbol streams and the
-/// pre-lossless payload buffer. Hot paths (the in-situ writer encoding one
-/// chunk per (rank, level, field)) hold one of these per rank and stop
-/// paying per-call allocations for the symbol vectors.
+/// Reusable compression scratch: the quantization-symbol streams, the
+/// pre-lossless payload buffer, and the reconstruction the Lorenzo
+/// stencil reads. Hot paths (the in-situ writer encoding one chunk per
+/// (rank, level, field)) reuse one across calls and stop paying per-call —
+/// and per-unit — allocations; [`with_thread_scratch`] lends the calling
+/// thread's.
 #[derive(Default)]
 pub struct LrScratch {
     streams: Streams,
     payload: Vec<u8>,
+    /// Reconstruction of the domain being predicted. Every cell is written
+    /// before a later cell's stencil reads it, so it is sized per domain
+    /// and never cleared.
+    recon: Vec<f64>,
 }
+
+/// Zero row standing in for out-of-domain stencil neighbours.
+static ZEROS: [f64; MAX_BLOCK_EDGE] = [0.0; MAX_BLOCK_EDGE];
 
 /// Compress a set of prediction domains with one shared encoding (SLE).
 /// A single-element slice reproduces plain SZ_L/R on that buffer.
-pub fn compress_domains(domains: &[&Buffer3], cfg: &LrConfig) -> Vec<u8> {
+pub fn compress_domains<U: AsView3>(domains: &[U], cfg: &LrConfig) -> Vec<u8> {
     let mut out = Vec::new();
     compress_domains_pooled(domains, cfg, &mut out);
     out
 }
 
-thread_local! {
-    /// Per-thread (= per-rank) scratch pool backing the `&self` entry
-    /// points that cannot hold a scratch of their own.
-    static LR_POOL: std::cell::RefCell<LrScratch> = std::cell::RefCell::new(LrScratch::default());
-}
-
-/// Like [`compress_domains_into`] but reusing a thread-local scratch —
+/// Like [`compress_domains_into`] but on the calling thread's scratch —
 /// the zero-alloc path for `&self` contexts (`Codec` impls, chunk
 /// filters) that cannot thread an explicit [`LrScratch`] through.
-pub fn compress_domains_pooled(domains: &[&Buffer3], cfg: &LrConfig, out: &mut Vec<u8>) {
-    LR_POOL.with(|s| compress_domains_into(domains, cfg, &mut s.borrow_mut(), out));
+pub fn compress_domains_pooled<U: AsView3>(domains: &[U], cfg: &LrConfig, out: &mut Vec<u8>) {
+    with_thread_scratch(|s| compress_domains_into(domains, cfg, s, out));
 }
 
 /// Compress a set of prediction domains with one shared encoding (SLE),
 /// **appending** the stream to `out` and reusing `scratch` across calls —
-/// the zero-alloc variant of [`compress_domains`].
-pub fn compress_domains_into(
-    domains: &[&Buffer3],
+/// the zero-alloc variant of [`compress_domains`]. Domains are read in
+/// place: owned buffers, references and [`View3`]s over a staged chunk
+/// all do.
+pub fn compress_domains_into<U: AsView3>(
+    domains: &[U],
     cfg: &LrConfig,
     scratch: &mut LrScratch,
     out: &mut Vec<u8>,
@@ -175,12 +181,47 @@ pub fn compress_domains_into(
         "block size must fit the u8 stream field"
     );
     scratch.streams.clear();
+    scratch.payload.clear();
+    let mut w = Writer::from_vec(std::mem::take(&mut scratch.payload));
+    w.put_f64(cfg.abs_eb);
+    w.put_u8(cfg.block_size as u8);
+    w.put_u32(domains.len() as u32);
     let mut coeff_codec = CoefficientCodec::new(cfg.abs_eb, cfg.block_size);
     let q = Quantizer::new(cfg.abs_eb);
     for domain in domains {
-        compress_one_domain(domain, cfg, &q, &mut coeff_codec, &mut scratch.streams);
+        let domain = domain.view();
+        let dims = domain.dims();
+        w.put_u32(dims.nx as u32);
+        w.put_u32(dims.ny as u32);
+        w.put_u32(dims.nz as u32);
+        compress_one_domain(domain, cfg, &q, &mut coeff_codec, scratch);
     }
-    encode_container(domains, cfg, scratch, out)
+    // The header and domain dims are in; the selection bitmap and the
+    // four symbol/outlier streams follow.
+    let s = &scratch.streams;
+    w.put_u64(s.selection.len() as u64);
+    for bits in s.selection.chunks(8) {
+        let packed = bits.iter().enumerate().map(|(i, &b)| (b as u8) << (7 - i));
+        w.put_u8(packed.fold(0, |acc, bit| acc | bit));
+    }
+    huffman::encode_block_into(&s.coeff_syms, &mut w);
+    w.put_u64(s.coeff_outliers.len() as u64);
+    for &v in &s.coeff_outliers {
+        w.put_f64(v);
+    }
+    // Fused pass: the histogram was accumulated during quantization, so
+    // the entropy stage emits straight into the payload writer with no
+    // counting pass and no intermediate encoded buffer.
+    huffman::encode_block_with_histogram_into(&s.data_syms, &s.data_freqs(), &mut w);
+    w.put_u64(s.data_outliers.len() as u64);
+    for &v in &s.data_outliers {
+        w.put_f64(v);
+    }
+    scratch.payload = w.into_bytes();
+    let mut env = Writer::from_vec(std::mem::take(out));
+    write_envelope(&mut env, CodecId::LrSle, VERSION, 0);
+    *out = env.into_bytes();
+    lossless::compress_into(&scratch.payload, out);
 }
 
 /// Convenience wrapper: single domain.
@@ -192,20 +233,10 @@ pub fn compress(data: &Buffer3, cfg: &LrConfig) -> Vec<u8> {
 /// way); internally a `(n,1,1)` domain, so the Lorenzo stencil degenerates
 /// to previous-value prediction.
 pub fn compress_1d(data: &[f64], abs_eb: f64) -> Vec<u8> {
-    let buf = Buffer3::from_vec(Dims3::new(data.len().max(1), 1, 1), {
-        let mut v = data.to_vec();
-        if v.is_empty() {
-            v.push(0.0);
-        }
-        v
-    });
-    compress(
-        &buf,
-        &LrConfig {
-            abs_eb,
-            block_size: 6,
-        },
-    )
+    // An empty array goes in as one zero.
+    let data = if data.is_empty() { &[0.0][..] } else { data };
+    let row = View3::new(Dims3::new(data.len(), 1, 1), data);
+    compress_domains(&[row], &LrConfig::new(abs_eb))
 }
 
 /// Decompress a stream produced by any of the `compress*` functions.
@@ -314,39 +345,45 @@ pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
 
 /// Iterate the blocks of a domain in x-fastest block order, yielding
 /// `(origin, block_dims)`.
-fn blocks_of(dims: Dims3, bs: usize) -> Vec<((usize, usize, usize), Dims3)> {
-    let mut out = Vec::new();
-    let mut ok = 0;
-    while ok < dims.nz {
-        let bz = bs.min(dims.nz - ok);
-        let mut oj = 0;
-        while oj < dims.ny {
-            let by = bs.min(dims.ny - oj);
-            let mut oi = 0;
-            while oi < dims.nx {
-                let bx = bs.min(dims.nx - oi);
-                out.push(((oi, oj, ok), Dims3::new(bx, by, bz)));
-                oi += bs;
-            }
-            oj += bs;
+fn blocks_of(dims: Dims3, bs: usize) -> impl Iterator<Item = ((usize, usize, usize), Dims3)> {
+    let (mut oi, mut oj, mut ok) = (0, 0, 0);
+    std::iter::from_fn(move || {
+        if ok >= dims.nz {
+            return None;
         }
-        ok += bs;
-    }
-    out
+        let extent = |o: usize, n: usize| bs.min(n - o);
+        let block = (
+            (oi, oj, ok),
+            Dims3::new(
+                extent(oi, dims.nx),
+                extent(oj, dims.ny),
+                extent(ok, dims.nz),
+            ),
+        );
+        oi += bs;
+        if oi >= dims.nx {
+            (oi, oj) = (0, oj + bs);
+            if oj >= dims.ny {
+                (oj, ok) = (0, ok + bs);
+            }
+        }
+        Some(block)
+    })
 }
 
 fn compress_one_domain(
-    data: &Buffer3,
+    data: View3<'_>,
     cfg: &LrConfig,
     q: &Quantizer,
     coeff_codec: &mut CoefficientCodec,
-    s: &mut Streams,
+    scratch: &mut LrScratch,
 ) {
+    let LrScratch {
+        streams: s, recon, ..
+    } = scratch;
     let dims = data.dims();
     let plane = dims.nx * dims.ny;
-    let mut recon = Buffer3::zeros(dims);
-    // Zero row standing in for out-of-domain stencil neighbours.
-    let zeros = vec![0.0f64; cfg.block_size];
+    recon.resize(dims.len(), 0.0);
     let mut syms_row = [0u32; MAX_BLOCK_EDGE];
     for ((oi, oj, ok), bd) in blocks_of(dims, cfg.block_size) {
         // Predictor selection on the original data (SZ2 style): one fit,
@@ -376,7 +413,7 @@ fn compress_one_domain(
                         by,
                         bz,
                         &mut syms_row[..bd.nx],
-                        &mut recon.data_mut()[base..base + bd.nx],
+                        &mut recon[base..base + bd.nx],
                     );
                     s.drain_row(vals, &syms_row[..bd.nx]);
                 }
@@ -391,21 +428,21 @@ fn compress_one_domain(
                     // All stencil neighbours live strictly before this
                     // row in traversal order, so splitting at the row
                     // start gives aliasing-free read slices.
-                    let (head, tail) = recon.data_mut().split_at_mut(base);
+                    let (head, tail) = recon.split_at_mut(base);
                     let jm = if ja > 0 {
                         &head[base - dims.nx..base - dims.nx + bd.nx]
                     } else {
-                        &zeros[..bd.nx]
+                        &ZEROS[..bd.nx]
                     };
                     let km = if ka > 0 {
                         &head[base - plane..base - plane + bd.nx]
                     } else {
-                        &zeros[..bd.nx]
+                        &ZEROS[..bd.nx]
                     };
                     let jkm = if ja > 0 && ka > 0 {
                         &head[base - plane - dims.nx..base - plane - dims.nx + bd.nx]
                     } else {
-                        &zeros[..bd.nx]
+                        &ZEROS[..bd.nx]
                     };
                     let left = if oi > 0 {
                         [
@@ -496,52 +533,6 @@ fn decompress_one_domain(
     Ok(recon)
 }
 
-fn encode_container(
-    domains: &[&Buffer3],
-    cfg: &LrConfig,
-    scratch: &mut LrScratch,
-    out: &mut Vec<u8>,
-) {
-    let s = &scratch.streams;
-    scratch.payload.clear();
-    let mut w = Writer::from_vec(std::mem::take(&mut scratch.payload));
-    w.put_f64(cfg.abs_eb);
-    w.put_u8(cfg.block_size as u8);
-    w.put_u32(domains.len() as u32);
-    for d in domains {
-        let dims = d.dims();
-        w.put_u32(dims.nx as u32);
-        w.put_u32(dims.ny as u32);
-        w.put_u32(dims.nz as u32);
-    }
-    w.put_u64(s.selection.len() as u64);
-    let mut sel_bytes = vec![0u8; s.selection.len().div_ceil(8)];
-    for (i, &b) in s.selection.iter().enumerate() {
-        if b {
-            sel_bytes[i / 8] |= 1 << (7 - i % 8);
-        }
-    }
-    w.put_raw(&sel_bytes);
-    huffman::encode_block_into(&s.coeff_syms, &mut w);
-    w.put_u64(s.coeff_outliers.len() as u64);
-    for &v in &s.coeff_outliers {
-        w.put_f64(v);
-    }
-    // Fused pass: the histogram was accumulated during quantization, so
-    // the entropy stage emits straight into the payload writer with no
-    // counting pass and no intermediate encoded buffer.
-    huffman::encode_block_with_histogram_into(&s.data_syms, &s.data_freqs(), &mut w);
-    w.put_u64(s.data_outliers.len() as u64);
-    for &v in &s.data_outliers {
-        w.put_f64(v);
-    }
-    scratch.payload = w.into_bytes();
-    let mut env = Writer::from_vec(std::mem::take(out));
-    write_envelope(&mut env, CodecId::LrSle, VERSION, 0);
-    *out = env.into_bytes();
-    lossless::compress_into(&scratch.payload, out);
-}
-
 /// [`Codec`] adapter for SZ_L/R with Shared Lossless Encoding: every unit
 /// block becomes one prediction domain under a single shared Huffman tree.
 #[derive(Clone, Copy, Debug)]
@@ -577,8 +568,7 @@ impl Codec for LrCodec {
             write_envelope(&mut w, CodecId::LrSle, VERSION, FLAG_EMPTY);
             *out = w.into_bytes();
         } else {
-            let refs: Vec<&Buffer3> = units.iter().collect();
-            compress_domains_pooled(&refs, &self.cfg, out);
+            compress_domains_pooled(units, &self.cfg, out);
         }
         Ok(StreamInfo {
             codec: CodecId::LrSle,
@@ -739,7 +729,7 @@ mod tests {
     #[test]
     fn block_partition_covers_domain() {
         let dims = Dims3::new(13, 7, 9);
-        let blocks = blocks_of(dims, 6);
+        let blocks: Vec<_> = blocks_of(dims, 6).collect();
         let total: usize = blocks.iter().map(|(_, bd)| bd.len()).sum();
         assert_eq!(total, dims.len());
         // 13 → 6+6+1, 7 → 6+1, 9 → 6+3 ⇒ 3×2×2 blocks.

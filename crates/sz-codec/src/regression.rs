@@ -6,7 +6,7 @@
 //! against the previous regression block, as SZ2 does) so they ride in the
 //! compressed stream at a few bits each instead of 32 raw bytes per block.
 
-use crate::buffer3::{Buffer3, Dims3};
+use crate::buffer3::{Dims3, View3};
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL};
 use crate::wire::{CodecError, CodecResult};
 
@@ -29,7 +29,7 @@ impl Coefficients {
 
 /// Least-squares fit over the block with origin `(oi, oj, ok)` and shape
 /// `bd` inside `data`. Degenerate axes (extent 1) get slope 0.
-pub fn fit_block(data: &Buffer3, oi: usize, oj: usize, ok: usize, bd: Dims3) -> Coefficients {
+pub fn fit_block(data: View3<'_>, oi: usize, oj: usize, ok: usize, bd: Dims3) -> Coefficients {
     let n = bd.len() as f64;
     let mean_axis = |len: usize| (len as f64 - 1.0) / 2.0;
     let (mx, my, mz) = (mean_axis(bd.nx), mean_axis(bd.ny), mean_axis(bd.nz));
@@ -73,27 +73,6 @@ pub fn fit_block(data: &Buffer3, oi: usize, oj: usize, ok: usize, bd: Dims3) -> 
         b0: mean - b1 * mx - b2 * my - b3 * mz,
         b: [b1, b2, b3],
     }
-}
-
-/// Sum of absolute errors of the regression prediction over the block —
-/// the selection statistic compared against Lorenzo's.
-pub fn regression_block_error(
-    data: &Buffer3,
-    oi: usize,
-    oj: usize,
-    ok: usize,
-    bd: Dims3,
-    c: &Coefficients,
-) -> f64 {
-    let mut err = 0.0;
-    for k in 0..bd.nz {
-        for j in 0..bd.ny {
-            for i in 0..bd.nx {
-                err += (data.get(oi + i, oj + j, ok + k) - c.predict(i, j, k)).abs();
-            }
-        }
-    }
-    err
 }
 
 /// Delta-quantizing codec for coefficient streams. The encoder and decoder
@@ -173,15 +152,39 @@ impl CoefficientCodec {
     }
 }
 
+/// Sum of absolute errors of the regression prediction over the block —
+/// the selection statistic compared against Lorenzo's, point by point: the
+/// oracle of [`crate::kernels::selection_errors`].
+#[cfg(test)]
+pub(crate) fn regression_block_error(
+    data: &crate::buffer3::Buffer3,
+    oi: usize,
+    oj: usize,
+    ok: usize,
+    bd: Dims3,
+    c: &Coefficients,
+) -> f64 {
+    let mut err = 0.0;
+    for k in 0..bd.nz {
+        for j in 0..bd.ny {
+            for i in 0..bd.nx {
+                err += (data.get(oi + i, oj + j, ok + k) - c.predict(i, j, k)).abs();
+            }
+        }
+    }
+    err
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer3::{AsView3, Buffer3};
 
     #[test]
     fn exact_fit_for_affine_block() {
         let mut b = Buffer3::zeros(Dims3::cube(8));
         b.fill_with(|i, j, k| 1.5 + 2.0 * i as f64 - 0.25 * j as f64 + 3.0 * k as f64);
-        let c = fit_block(&b, 1, 2, 0, Dims3::new(6, 6, 6));
+        let c = fit_block(b.view(), 1, 2, 0, Dims3::new(6, 6, 6));
         // Intercept is at block-local origin (1,2,0) → 1.5 + 2 − 0.5 = 3.0.
         assert!((c.b0 - 3.0).abs() < 1e-9, "{c:?}");
         assert!((c.b[0] - 2.0).abs() < 1e-9);
@@ -194,7 +197,7 @@ mod tests {
     fn degenerate_axis_slope_zero() {
         let mut b = Buffer3::zeros(Dims3::new(4, 1, 4));
         b.fill_with(|i, _, k| i as f64 + k as f64);
-        let c = fit_block(&b, 0, 0, 0, Dims3::new(4, 1, 4));
+        let c = fit_block(b.view(), 0, 0, 0, Dims3::new(4, 1, 4));
         assert_eq!(c.b[1], 0.0);
         assert!((c.b[0] - 1.0).abs() < 1e-9);
     }
