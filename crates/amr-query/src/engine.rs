@@ -16,7 +16,9 @@
 //! plans. The resulting [`QueryPlan`] is the query; the rest are views:
 //!
 //! * [`QueryPlan::cost`] — chunks and decoded bytes a cold cache pays
-//!   (what admission control bounds and classifies on).
+//!   (what admission control bounds and classifies on), and
+//!   [`QueryPlan::answer_bytes`] — the dense boxes the answer allocates
+//!   (bounded too: a sparse level decodes little and answers a lot).
 //! * [`QueryEngine::warm`] — decode a run of the plan's chunks into the
 //!   sharded decompressed-chunk cache; misses fan out over a `rankpar`
 //!   worker pool (per-worker raw-byte scratch, ordered reassembly)
@@ -255,6 +257,19 @@ impl QueryPlan {
             chunks: self.chunks.len(),
             decode_bytes: self.chunk_bytes.iter().sum(),
         }
+    }
+
+    /// Bytes of the answer itself: one dense `f64` box per planned region,
+    /// however little of it the chunks cover (saturating: a box too large
+    /// to count is too large to answer).
+    pub fn answer_bytes(&self) -> u64 {
+        self.regions.iter().fold(0, |sum: u64, (_, region)| {
+            let size = region.size();
+            let bytes = (0..3).try_fold(8u64, |bytes, d| {
+                bytes.checked_mul(u64::try_from(size.get(d)).ok()?)
+            });
+            sum.saturating_add(bytes.unwrap_or(u64::MAX))
+        })
     }
 
     /// Partition the chunk list, in order, into runs whose decoded bytes

@@ -3,7 +3,8 @@
 //! pipeline stream modes × workers {1, 2} × cold and warm caches:
 //!
 //! * `plan.cost()` is exactly what a cold engine then pays
-//!   (`EngineStats.chunks_decoded` / `decoded_bytes` deltas);
+//!   (`EngineStats.chunks_decoded` / `decoded_bytes` deltas), and
+//!   `plan.answer_bytes()` exactly what the answer then holds;
 //! * `plan.batches(b)` partitions the chunk list in order, and no batch
 //!   exceeds `b` unless it is a single chunk;
 //! * `warm` over those batches then `answer` decodes every chunk exactly
@@ -219,6 +220,10 @@ fn cost_warm_and_answer_are_views_of_one_plan() {
 
                     let regions: Vec<_> = answered.iter().map(|lr| (lr.level, lr.region)).collect();
                     assert_eq!(regions, plan.regions(), "{ctx}");
+                    // …and allocates exactly what the plan said it would.
+                    let answer_bytes: usize =
+                        answered.iter().map(|lr| lr.data.data().len() * 8).sum();
+                    assert_eq!(plan.answer_bytes(), answer_bytes as u64, "{ctx}");
                     assert_eq!(bits(&answered), reference(&pf, field, &answered), "{ctx}");
 
                     // The public entry point: same bits from the warm
@@ -268,6 +273,7 @@ fn roi_cost_is_the_plans_cost_and_planning_reads_nothing() {
     let outside = IntBox::new(IntVect::new(40, 40, 40), IntVect::new(50, 50, 50));
     let empty = engine.plan_roi(0, outside, LevelSelect::All).unwrap();
     assert_eq!(empty.cost(), QueryCost::default());
+    assert_eq!(empty.answer_bytes(), 0);
     assert!(empty.batches(1).is_empty());
     assert!(engine.answer(&empty).unwrap().is_empty());
     assert_eq!(

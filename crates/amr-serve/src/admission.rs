@@ -13,8 +13,11 @@
 //!    [`AdmissionConfig::scan_threshold_bytes`] are **interactive** and
 //!    run immediately; the rest are **scans**.
 //! 2. **Per-connection in-flight bound** — a connection's requests are
-//!    served sequentially, so its in-flight decode volume is exactly the
-//!    current plan's cost; a cost beyond
+//!    served sequentially, so its in-flight volume is exactly the
+//!    current plan's: the chunks it decodes (its cost) and the dense
+//!    per-level boxes it answers with
+//!    ([`amr_query::QueryPlan::answer_bytes`] — a sparsely refined level
+//!    decodes little and answers its whole box). Either one beyond
 //!    [`AdmissionConfig::max_request_bytes`] is rejected with the typed
 //!    `TooLarge` error instead of being allowed to balloon memory.
 //! 3. **Fair scan gate** — the unit of decode work is the stored chunk
@@ -37,9 +40,9 @@ use std::sync::{Condvar, Mutex};
 /// Admission-control policy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionConfig {
-    /// Reject a request whose cold-cache decode estimate exceeds this
-    /// (the per-connection in-flight decode-byte bound; connections are
-    /// served one request at a time).
+    /// Reject a request whose cold-cache decode estimate, or whose
+    /// answer, exceeds this (the per-connection in-flight byte bound;
+    /// connections are served one request at a time).
     pub max_request_bytes: u64,
     /// Estimates at or above this are scan-class and go through the
     /// fair gate; below it they run immediately.

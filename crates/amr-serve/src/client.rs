@@ -3,42 +3,12 @@
 //! clients for concurrency (the server is thread-per-connection).
 
 use crate::protocol::{
-    read_frame, write_frame, OpenInfo, Request, Response, ServeError, ServeResult, StatsReport,
-    WireRegion, WireSelect, DEFAULT_MAX_RESPONSE_FRAME,
+    read_frame, write_frame, Conn, OpenInfo, Request, Response, ServeError, ServeResult,
+    StatsReport, WireRegion, WireSelect, DEFAULT_MAX_RESPONSE_FRAME,
 };
-use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-
-enum ClientStream {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            ClientStream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            ClientStream::Uds(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            ClientStream::Uds(s) => s.flush(),
-        }
-    }
-}
 
 /// A decoded multi-level ROI answer (client-side view of
 /// [`Response::View`]).
@@ -53,8 +23,16 @@ pub struct RoiView {
 }
 
 /// Blocking protocol client.
+///
+/// Fails fast once framing is lost: after any error writing a request or
+/// reading a response frame (transport failure, a frame over the cap) the
+/// unread tail of that frame would be taken for the next length prefix,
+/// so the stream is dropped and every later call is
+/// [`ServeError::Disconnected`]. A typed [`ServeError::Remote`] answer or
+/// a malformed body inside an intact frame leaves the client usable.
 pub struct Client {
-    stream: ClientStream,
+    /// `None` once framing is lost.
+    stream: Option<Box<dyn Conn>>,
     max_response_frame: u32,
 }
 
@@ -63,18 +41,19 @@ impl Client {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> ServeResult<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client {
-            stream: ClientStream::Tcp(stream),
-            max_response_frame: DEFAULT_MAX_RESPONSE_FRAME,
-        })
+        Ok(Self::over(Box::new(stream)))
     }
 
     /// Connect over a Unix-domain socket.
     pub fn connect_uds(path: &Path) -> ServeResult<Client> {
-        Ok(Client {
-            stream: ClientStream::Uds(UnixStream::connect(path)?),
+        Ok(Self::over(Box::new(UnixStream::connect(path)?)))
+    }
+
+    fn over(stream: Box<dyn Conn>) -> Client {
+        Client {
+            stream: Some(stream),
             max_response_frame: DEFAULT_MAX_RESPONSE_FRAME,
-        })
+        }
     }
 
     /// Lower (or raise) the largest response frame this client will
@@ -85,8 +64,16 @@ impl Client {
     }
 
     fn call(&mut self, req: &Request) -> ServeResult<Response> {
-        write_frame(&mut self.stream, &req.encode())?;
-        let payload = read_frame(&mut self.stream, self.max_response_frame)?;
+        let stream = self.stream.as_mut().ok_or(ServeError::Disconnected)?;
+        let framed = write_frame(stream, &req.encode())
+            .and_then(|()| read_frame(stream, self.max_response_frame));
+        let payload = match framed {
+            Ok(payload) => payload,
+            Err(e) => {
+                self.stream = None;
+                return Err(e);
+            }
+        };
         match Response::decode(&payload)? {
             Response::Error { code, message } => Err(ServeError::Remote { code, message }),
             resp => Ok(resp),

@@ -14,9 +14,10 @@
 //!
 //! * A declared length beyond the reader's cap is rejected **before any
 //!   allocation** ([`ServeError::FrameTooLarge`]).
-//! * Payload bytes are read incrementally in bounded steps, so a lying
-//!   length never produces an absurd up-front allocation; a peer that
-//!   disconnects mid-frame surfaces as [`ServeError::Disconnected`].
+//! * Payload bytes are read straight into the payload buffer, which
+//!   grows only as bytes arrive, so a lying length never produces an
+//!   absurd up-front allocation; a peer that disconnects mid-frame
+//!   surfaces as [`ServeError::Disconnected`].
 //! * Every body decode is bounds-checked through [`sz_codec::wire::Reader`];
 //!   malformed bodies surface as [`ServeError::Frame`], never a panic.
 //! * Array counts are validated against the bytes actually present
@@ -27,8 +28,12 @@
 //! data and use the client's configurable cap
 //! ([`DEFAULT_MAX_RESPONSE_FRAME`]).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use sz_codec::wire::{Reader, Writer};
+
+/// Anything a connection runs over (TCP or Unix-domain stream).
+pub(crate) trait Conn: Read + Write + Send {}
+impl<T: Read + Write + Send> Conn for T {}
 
 /// Hard cap on request frames (requests are tiny; anything bigger is a
 /// confused or malicious peer).
@@ -37,10 +42,6 @@ pub const MAX_REQUEST_FRAME: u32 = 1 << 20;
 /// Default cap a client accepts for one response frame (decoded region
 /// payloads ride in responses, so this is generous).
 pub const DEFAULT_MAX_RESPONSE_FRAME: u32 = 1 << 30;
-
-/// Incremental read step while draining a frame body: bounds transient
-/// allocation growth under lying length prefixes.
-const READ_STEP: usize = 64 << 10;
 
 /// Typed error code carried by [`Response::Error`] frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,8 +63,8 @@ pub enum ErrorCode {
     Codec = 7,
     /// Filesystem/network error while answering.
     Io = 8,
-    /// Admission control: the request's estimated decode bytes exceed
-    /// the per-connection in-flight bound.
+    /// Admission control: the request's estimated decode bytes, or its
+    /// answer, exceed the per-connection in-flight bound.
     TooLarge = 9,
     /// The server is shutting down.
     Shutdown = 10,
@@ -451,15 +452,22 @@ pub struct WireRegion {
     pub data: Vec<f64>,
 }
 
+/// Encoded bytes of a [`WireRegion`] before its values: level, two
+/// corners, value count.
+const REGION_HEADER: usize = 4 + 48 + 8;
+
 impl WireRegion {
+    /// Encoded size in bytes.
+    fn wire_len(&self) -> usize {
+        REGION_HEADER + 8 * self.data.len()
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.level);
         put_vect(w, &self.lo);
         put_vect(w, &self.hi);
         w.put_u64(self.data.len() as u64);
-        for v in &self.data {
-            w.put_f64(*v);
-        }
+        w.put_f64s(&self.data);
     }
 
     fn decode(r: &mut Reader) -> ServeResult<WireRegion> {
@@ -467,13 +475,10 @@ impl WireRegion {
         let lo = get_vect(r)?;
         let hi = get_vect(r)?;
         let n = r.get_u64()? as usize;
-        // Validate the count against bytes actually present before any
-        // reservation (a lying count must not allocate).
-        let n = r.check_count(n, 8)?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.get_f64()?);
-        }
+        // `get_f64s` validates the count against the bytes actually
+        // present before any reservation (a lying count must not
+        // allocate).
+        let data = r.get_f64s(n)?;
         Ok(WireRegion {
             level,
             lo,
@@ -761,7 +766,10 @@ impl Response {
                     }
                 }
             }
+            // The two answers that carry field data size the buffer
+            // once, exactly, instead of doubling their way up to it.
             Response::Region(region) => {
+                w.buf_mut().reserve_exact(1 + region.wire_len());
                 w.put_u8(OP_REGION_RESULT);
                 region.encode(&mut w);
             }
@@ -770,6 +778,10 @@ impl Response {
                 field_name,
                 levels,
             } => {
+                // Opcode, field, name block, region count, regions.
+                let regions: usize = levels.iter().map(WireRegion::wire_len).sum();
+                w.buf_mut()
+                    .reserve_exact(1 + 4 + 8 + field_name.len() + 4 + regions);
                 w.put_u8(OP_VIEW_RESULT);
                 w.put_u32(*field);
                 put_string(&mut w, field_name);
@@ -834,7 +846,7 @@ impl Response {
                 let field = r.get_u32()?;
                 let field_name = get_string(&mut r)?;
                 let n = r.get_u32()? as usize;
-                let n = r.check_count(n, 4 + 48 + 8)?;
+                let n = r.check_count(n, REGION_HEADER)?;
                 let mut levels = Vec::with_capacity(n);
                 for _ in 0..n {
                     levels.push(WireRegion::decode(&mut r)?);
@@ -872,21 +884,41 @@ impl Response {
     }
 }
 
-/// Write one frame: length prefix + payload.
+/// Write one frame: length prefix + payload, handed to the transport
+/// together (one `writev` on a socket: under `TCP_NODELAY` a prefix
+/// written on its own leaves as its own segment and wake-up). Loops only
+/// after a short write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> ServeResult<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| ServeError::Frame("payload exceeds u32 framing".into()))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = len.to_le_bytes();
+    let mut bufs = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ServeError::Disconnected),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
 
 /// Read one frame's payload, enforcing `cap` on the declared length
-/// before allocating and growing the buffer incrementally while bytes
-/// actually arrive (a lying length prefix can therefore never force an
-/// absurd allocation — EOF mid-body is [`ServeError::Disconnected`]).
+/// before allocating and growing the buffer only while bytes actually
+/// arrive (a lying length prefix can therefore never force an absurd
+/// allocation — EOF mid-body is [`ServeError::Disconnected`]).
 pub fn read_frame(r: &mut impl Read, cap: u32) -> ServeResult<Vec<u8>> {
+    let mut payload = Vec::new();
+    read_frame_into(r, cap, &mut payload)?;
+    Ok(payload)
+}
+
+/// [`read_frame`] into the caller's (empty) buffer, so a test can look at
+/// what a failed read allocated.
+fn read_frame_into(r: &mut impl Read, cap: u32, payload: &mut Vec<u8>) -> ServeResult<()> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes);
@@ -896,15 +928,13 @@ pub fn read_frame(r: &mut impl Read, cap: u32) -> ServeResult<Vec<u8>> {
     if len > cap {
         return Err(ServeError::FrameTooLarge { len, cap });
     }
-    let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(READ_STEP));
-    let mut step = vec![0u8; READ_STEP.min(len)];
-    while payload.len() < len {
-        let want = (len - payload.len()).min(step.len());
-        r.read_exact(&mut step[..want])?;
-        payload.extend_from_slice(&step[..want]);
+    // `read_to_end` reads into the vector's spare capacity and grows it
+    // as bytes arrive: the declared length is a limit, never a size.
+    r.by_ref().take(u64::from(len)).read_to_end(payload)?;
+    if payload.len() < len as usize {
+        return Err(ServeError::Disconnected);
     }
-    Ok(payload)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -921,31 +951,42 @@ mod tests {
         assert_eq!(Response::decode(&enc).expect("decode"), resp);
     }
 
-    #[test]
-    fn request_roundtrips() {
-        roundtrip_request(Request::Open {
-            path: "/data/plt0001.h5l".into(),
-        });
-        roundtrip_request(Request::Close { handle: 7 });
-        roundtrip_request(Request::Point {
-            handle: 1,
-            field: 2,
-            p: [5, -3, 11],
-        });
-        roundtrip_request(Request::Plane {
-            handle: 1,
-            field: 0,
-            level: 1,
-            axis: 2,
-            coord: -4,
-        });
+    /// Every request variant (and every level-select tag).
+    fn all_requests() -> Vec<Request> {
+        let mut all = vec![
+            Request::Open {
+                path: "/data/plt0001.h5l".into(),
+            },
+            Request::Close { handle: 7 },
+            Request::Point {
+                handle: 1,
+                field: 2,
+                p: [5, -3, 11],
+            },
+            Request::Plane {
+                handle: 1,
+                field: 0,
+                level: 1,
+                axis: 2,
+                coord: -4,
+            },
+            Request::Region {
+                handle: 3,
+                field: 1,
+                level: 1,
+                lo: [-2, 0, 4],
+                hi: [9, 9, 9],
+            },
+            Request::Stats,
+            Request::Shutdown,
+        ];
         for select in [
             WireSelect::All,
             WireSelect::Level(2),
             WireSelect::Range(0, 1),
             WireSelect::Finest,
         ] {
-            roundtrip_request(Request::Roi {
+            all.push(Request::Roi {
                 handle: 3,
                 field: 1,
                 lo: [0, 0, 0],
@@ -953,54 +994,11 @@ mod tests {
                 select,
             });
         }
-        roundtrip_request(Request::Region {
-            handle: 3,
-            field: 1,
-            level: 1,
-            lo: [-2, 0, 4],
-            hi: [9, 9, 9],
-        });
-        roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Shutdown);
+        all
     }
 
-    #[test]
-    fn response_roundtrips() {
-        roundtrip_response(Response::Opened(OpenInfo {
-            handle: 4,
-            file_id: 19,
-            generation: (12345, 999),
-            levels: 2,
-            fields: vec!["density".into(), "vx".into()],
-            indexed: true,
-        }));
-        roundtrip_response(Response::Closed);
-        roundtrip_response(Response::Point(None));
-        roundtrip_response(Response::Point(Some((1, [8, 9, 10], 3.25))));
-        roundtrip_response(Response::Region(WireRegion {
-            level: 0,
-            lo: [0, 0, 0],
-            hi: [1, 1, 0],
-            data: vec![1.0, 2.0, 3.0, 4.0],
-        }));
-        roundtrip_response(Response::View {
-            field: 0,
-            field_name: "density".into(),
-            levels: vec![
-                WireRegion {
-                    level: 0,
-                    lo: [0, 0, 0],
-                    hi: [0, 0, 0],
-                    data: vec![42.0],
-                },
-                WireRegion {
-                    level: 1,
-                    lo: [0, 0, 0],
-                    hi: [1, 0, 0],
-                    data: vec![1.5, 2.5],
-                },
-            ],
-        });
+    /// Every response variant.
+    fn all_responses() -> Vec<Response> {
         let mut stats = StatsReport {
             requests: 10,
             cache_hits: 3,
@@ -1014,12 +1012,291 @@ mod tests {
             roi_queries: 4,
             ..FileStats::default()
         });
-        roundtrip_response(Response::Stats(stats));
-        roundtrip_response(Response::ShutdownAck);
-        roundtrip_response(Response::Error {
-            code: ErrorCode::BadQuery,
-            message: "field 9 out of range".into(),
-        });
+        vec![
+            Response::Opened(OpenInfo {
+                handle: 4,
+                file_id: 19,
+                generation: (12345, 999),
+                levels: 2,
+                fields: vec!["density".into(), "vx".into()],
+                indexed: true,
+            }),
+            Response::Closed,
+            Response::Point(None),
+            Response::Point(Some((1, [8, 9, 10], 3.25))),
+            Response::Region(WireRegion {
+                level: 0,
+                lo: [0, 0, 0],
+                hi: [1, 1, 0],
+                data: vec![1.0, 2.0, 3.0, 4.0],
+            }),
+            Response::View {
+                field: 0,
+                field_name: "density".into(),
+                levels: vec![
+                    WireRegion {
+                        level: 0,
+                        lo: [0, 0, 0],
+                        hi: [0, 0, 0],
+                        data: vec![42.0],
+                    },
+                    WireRegion {
+                        level: 1,
+                        lo: [0, 0, 0],
+                        hi: [1, 0, 0],
+                        data: vec![1.5, 2.5],
+                    },
+                ],
+            },
+            Response::Stats(stats),
+            Response::ShutdownAck,
+            Response::Error {
+                code: ErrorCode::BadQuery,
+                message: "field 9 out of range".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn request_roundtrips() {
+        all_requests().into_iter().for_each(roundtrip_request);
+    }
+
+    #[test]
+    fn response_roundtrips() {
+        all_responses().into_iter().for_each(roundtrip_response);
+    }
+
+    /// `n` values cycling through everything a bit-exact path can lose:
+    /// NaNs with payload bits, -0.0, subnormals, infinities.
+    fn awkward_values(n: usize) -> Vec<f64> {
+        let specials = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        (0..n)
+            .map(|i| match specials.get(i % 13) {
+                Some(&v) => v,
+                None => (i as f64 - 1e5) * 0.37,
+            })
+            .collect()
+    }
+
+    fn awkward_region(level: u32, n: usize) -> WireRegion {
+        WireRegion {
+            level,
+            lo: [-3, 0, 7],
+            hi: [n as i64 - 4, 0, 7],
+            data: awkward_values(n),
+        }
+    }
+
+    /// The per-value encoder `WireRegion::encode` had before `put_f64s`,
+    /// into a writer that regrows from empty: the wire-format oracle.
+    fn encode_per_value(resp: &Response) -> Vec<u8> {
+        fn region(r: &WireRegion, w: &mut Writer) {
+            w.put_u32(r.level);
+            put_vect(w, &r.lo);
+            put_vect(w, &r.hi);
+            w.put_u64(r.data.len() as u64);
+            for value in &r.data {
+                w.put_f64(*value);
+            }
+        }
+        let mut w = Writer::new();
+        match resp {
+            Response::Region(r) => {
+                w.put_u8(OP_REGION_RESULT);
+                region(r, &mut w);
+            }
+            Response::View {
+                field,
+                field_name,
+                levels,
+            } => {
+                w.put_u8(OP_VIEW_RESULT);
+                w.put_u32(*field);
+                put_string(&mut w, field_name);
+                w.put_u32(levels.len() as u32);
+                levels.iter().for_each(|r| region(r, &mut w));
+            }
+            other => panic!("no field data in {other:?}"),
+        }
+        w.into_bytes()
+    }
+
+    /// A region with its values as bit patterns (NaN never equals NaN).
+    type RegionBits = (u32, [i64; 3], [i64; 3], Vec<u64>);
+
+    fn region_bits(resp: &Response) -> Vec<RegionBits> {
+        let regions = match resp {
+            Response::Region(r) => std::slice::from_ref(r),
+            Response::View { levels, .. } => levels,
+            other => panic!("no field data in {other:?}"),
+        };
+        let bits = |r: &WireRegion| r.data.iter().map(|v| v.to_bits()).collect();
+        regions
+            .iter()
+            .map(|r| (r.level, r.lo, r.hi, bits(r)))
+            .collect()
+    }
+
+    #[test]
+    fn lane_encoder_writes_the_per_value_bytes_and_decodes_bit_for_bit() {
+        // Stack-block edges of `put_f64s`, and a many-block answer.
+        for n in [0, 1, 511, 512, 513, 300_001] {
+            let answers = [
+                Response::Region(awkward_region(1, n)),
+                Response::View {
+                    field: 2,
+                    field_name: "baryon_density".into(),
+                    levels: vec![awkward_region(0, n), awkward_region(1, n / 2)],
+                },
+            ];
+            for resp in answers {
+                let enc = resp.encode();
+                assert_eq!(enc.capacity(), enc.len(), "n = {n}: sized once, exactly");
+                assert!(enc == encode_per_value(&resp), "n = {n}: wire bytes moved");
+                let back = Response::decode(&enc).expect("decode");
+                assert!(region_bits(&back) == region_bits(&resp), "n = {n}");
+            }
+        }
+    }
+
+    /// A transport that moves a few bytes per call: reads yield 1–7
+    /// bytes, `write` / `write_vectored` accept 1–13 (so a frame splits
+    /// inside its prefix and across the prefix/payload seam), and every
+    /// ninth call is `Interrupted` first.
+    struct Trickle {
+        bytes: Vec<u8>,
+        read_at: usize,
+        calls: usize,
+    }
+
+    impl Trickle {
+        fn new(bytes: Vec<u8>) -> Trickle {
+            Trickle {
+                bytes,
+                read_at: 0,
+                calls: 0,
+            }
+        }
+
+        /// How many bytes this call may move (`Interrupted`: none yet).
+        fn quota(&mut self, most: usize) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(9) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            Ok(1 + self.calls % most)
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let quota = self.quota(7)?;
+            let rest = &self.bytes[self.read_at..];
+            let n = quota.min(buf.len()).min(rest.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.read_at += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut left = self.quota(13)?;
+            let before = self.bytes.len();
+            for buf in bufs {
+                let n = left.min(buf.len());
+                self.bytes.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `payload` framed through a trickling writer and back through a
+    /// trickling reader.
+    fn trickle_frame(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Trickle::new(Vec::new());
+        write_frame(&mut wire, payload).expect("write");
+        assert_eq!(wire.bytes[..4], (payload.len() as u32).to_le_bytes());
+        assert!(&wire.bytes[4..] == payload, "frame bytes differ");
+        let back = read_frame(&mut wire, DEFAULT_MAX_RESPONSE_FRAME).expect("read");
+        assert_eq!(wire.read_at, wire.bytes.len(), "frame read to its end");
+        back
+    }
+
+    #[test]
+    fn frames_survive_transports_that_move_a_few_bytes_per_call() {
+        for req in all_requests() {
+            let back = trickle_frame(&req.encode());
+            assert_eq!(Request::decode(&back).expect("decode"), req);
+        }
+        for resp in all_responses() {
+            let back = trickle_frame(&resp.encode());
+            assert_eq!(Response::decode(&back).expect("decode"), resp);
+        }
+        // A 3 MB view: hundreds of thousands of short writes and reads.
+        let view = Response::View {
+            field: 0,
+            field_name: "density".into(),
+            levels: vec![awkward_region(0, 131_072), awkward_region(1, 262_144)],
+        };
+        let enc = view.encode();
+        assert!(enc.len() > 3_000_000);
+        let back = trickle_frame(&enc);
+        assert!(back == enc, "3 MB payload differs");
+        let decoded = Response::decode(&back).expect("decode");
+        assert!(region_bits(&decoded) == region_bits(&view));
+    }
+
+    #[test]
+    fn writer_that_accepts_nothing_is_a_disconnect_not_a_spin() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(matches!(
+            write_frame(&mut Full, &Request::Stats.encode()),
+            Err(ServeError::Disconnected)
+        ));
+    }
+
+    #[test]
+    fn lying_length_allocates_for_delivered_bytes_only() {
+        // 1 GiB declared under a 1 GiB cap, 100 KB delivered, then EOF.
+        const DELIVERED: usize = 100_000;
+        let mut wire = (1u32 << 30).to_le_bytes().to_vec();
+        wire.resize(4 + DELIVERED, 0x5A);
+        let mut payload = Vec::new();
+        let err = read_frame_into(&mut &wire[..], 1 << 30, &mut payload);
+        assert!(matches!(err, Err(ServeError::Disconnected)), "{err:?}");
+        assert_eq!(payload.len(), DELIVERED);
+        assert!(
+            payload.capacity() <= 2 * DELIVERED + (64 << 10),
+            "{} bytes reserved for {DELIVERED} delivered",
+            payload.capacity()
+        );
     }
 
     #[test]

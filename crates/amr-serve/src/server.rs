@@ -11,9 +11,10 @@
 //!    connection, since resynchronization is impossible.
 //! 2. A query request is **planned once, before any byte is read**
 //!    ([`amr_query::QueryPlan`]); an invalid request is the planner's
-//!    typed error. The plan's cost is bounded per connection
-//!    ([`AdmissionConfig::max_request_bytes`] → typed `TooLarge`) and
-//!    classifies the request interactive vs scan.
+//!    typed error. The plan's cost and the size of its answer are
+//!    bounded per connection ([`AdmissionConfig::max_request_bytes`] →
+//!    typed `TooLarge`); the cost classifies the request interactive vs
+//!    scan.
 //! 3. Interactive plans are answered immediately. A scan first warms the
 //!    cache one chunk batch at a time ([`amr_query::QueryPlan::batches`]),
 //!    holding the FIFO [`FairGate`] per batch and releasing it between
@@ -27,12 +28,11 @@
 use crate::admission::{AdmissionConfig, FairGate, RequestClass};
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, FileStats, OpenInfo, Request, Response, ServeError,
+    read_frame, write_frame, Conn, ErrorCode, FileStats, OpenInfo, Request, Response, ServeError,
     ServeResult, StatsReport, WireRegion, MAX_REQUEST_FRAME,
 };
 use amr_query::{Box3, LevelRegion, QueryEngine, QueryError, QueryPlan, QueryResult};
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::Path;
@@ -238,10 +238,6 @@ impl Server {
         }
     }
 }
-
-/// Anything a connection runs over.
-trait Conn: Read + Write + Send {}
-impl<T: Read + Write + Send> Conn for T {}
 
 /// Poll-accept until shutdown; each connection gets a detached thread.
 fn accept_loop(state: Arc<ServeState>, mut accept: impl FnMut() -> Option<Box<dyn Conn>>) {
@@ -475,8 +471,8 @@ fn bad_handle(handle: u32) -> Response {
 }
 
 /// Admission control around one planned query: reject on the plan's
-/// cold-cache cost, classify, execute, and `respond` with the answer
-/// (a planning error passes through as its typed response).
+/// cold-cache cost or answer size, classify, execute, and `respond` with
+/// the answer (a planning error passes through as its typed response).
 ///
 /// Interactive plans are answered straight away. A scan warms the cache
 /// one chunk batch at a time — consecutive chunks decoding to at most
@@ -495,14 +491,19 @@ fn run_admitted(
         Ok(p) => p,
         Err(e) => return query_error_response(e),
     };
-    let decode_bytes = plan.cost().decode_bytes;
-    if decode_bytes > adm.max_request_bytes {
+    // The bound covers what the request makes resident either way: the
+    // decoded chunks, and the dense per-level boxes of the answer (a
+    // sparsely refined level decodes one small chunk and answers its
+    // whole box). Classification stays on decode bytes — the gate
+    // protects decode work.
+    let (decode_bytes, answer_bytes) = (plan.cost().decode_bytes, plan.answer_bytes());
+    if decode_bytes.max(answer_bytes) > adm.max_request_bytes {
         c.rejected_too_large.fetch_add(1, Ordering::Relaxed);
         return Response::Error {
             code: ErrorCode::TooLarge,
             message: format!(
-                "request would decode {decode_bytes} bytes; per-connection bound is {} \
-                 (split the query into smaller regions)",
+                "request would decode {decode_bytes} bytes and answer {answer_bytes}; \
+                 per-connection bound is {} (split the query into smaller regions)",
                 adm.max_request_bytes
             ),
         };

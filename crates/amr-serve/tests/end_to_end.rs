@@ -2,8 +2,10 @@
 //! and every wire answer compared **bitwise** against a direct
 //! `QueryEngine` on the same plotfile. Also covers catalog
 //! stale-generation invalidation, the Unix-socket transport, typed
-//! `TooLarge` rejection before any byte is read, one gate hold per chunk
-//! batch of a scan, typed planning errors, and the stats endpoint.
+//! `TooLarge` rejection before any byte is read (on the decode estimate
+//! and on the size of the answer), one gate hold per chunk batch of a
+//! scan, typed planning errors, multi-MB frames counted to the byte, and
+//! the stats endpoint.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -21,9 +23,14 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn write_plotfile(seed: u64, path: &std::path::Path) {
+    write_plotfile_sized(seed, path, 16)
+}
+
+/// A two-level plotfile over a `coarse`³ level-0 domain.
+fn write_plotfile_sized(seed: u64, path: &std::path::Path, coarse: i64) {
     let s = NyxScenario::new(seed);
     let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
+        coarse_dims: (coarse, coarse, coarse),
         max_grid_size: 8,
         blocking_factor: 8,
         nranks: 2,
@@ -244,6 +251,77 @@ fn uds_transport_answers_identically_to_tcp() {
 }
 
 #[test]
+fn multi_megabyte_answers_cross_both_transports_bitwise_and_counted() {
+    // 32³ under a 64³ fine domain: a full-domain ROI answers 2.36 MB of
+    // dense boxes — hundreds of `put_f64s` blocks, a frame the socket
+    // delivers in many pieces.
+    let path = tmp("multi-mb");
+    write_plotfile_sized(99, &path, 32);
+    let mut sock = std::env::temp_dir();
+    sock.push(format!("amr-serve-e2e-{}-mb.sock", std::process::id()));
+    let mut server = Server::new(test_config());
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    server.listen_uds(&sock).unwrap();
+
+    let direct = QueryEngine::open(&path).unwrap();
+    let view = direct
+        .roi(1, IntBox::from_extents(32, 32, 32), LevelSelect::All)
+        .unwrap();
+    let expect: Vec<_> = view.levels.iter().map(direct_bits).collect();
+    // The payload the server must send for it, byte for byte.
+    let payload = amr_serve::Response::View {
+        field: 1,
+        field_name: view.field_name.clone(),
+        levels: view
+            .levels
+            .iter()
+            .map(|lr| WireRegion {
+                level: lr.level as u32,
+                lo: lr.region.lo.0,
+                hi: lr.region.hi.0,
+                data: lr.data.data().to_vec(),
+            })
+            .collect(),
+    }
+    .encode();
+    assert!(
+        payload.len() > 2 << 20,
+        "{} B is not multi-MB",
+        payload.len()
+    );
+
+    let clients = [
+        ("tcp", Client::connect_tcp(addr).unwrap()),
+        ("uds", Client::connect_uds(&sock).unwrap()),
+    ];
+    for (transport, mut client) in clients {
+        let handle = client.open(path.to_str().unwrap()).unwrap().handle;
+        // A stats reply counts itself after the snapshot it carries, so
+        // two back-to-back readings give its (fixed) size.
+        let idle = client.stats().unwrap().response_bytes;
+        let before = client.stats().unwrap().response_bytes;
+        let got = client
+            .roi(handle, 1, [0; 3], [31; 3], WireSelect::All)
+            .unwrap();
+        let after = client.stats().unwrap().response_bytes;
+        assert_eq!(
+            got.levels.iter().map(wire_bits).collect::<Vec<_>>(),
+            expect,
+            "{transport}"
+        );
+        assert_eq!(
+            after - before - (before - idle),
+            payload.len() as u64,
+            "{transport}: response bytes counted"
+        );
+    }
+
+    server.shutdown_and_join();
+    std::fs::remove_file(&sock).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn rewritten_plotfile_invalidates_stale_engine() {
     let path = tmp("stale");
     write_plotfile(94, &path);
@@ -328,6 +406,62 @@ fn oversized_requests_get_typed_rejection() {
     );
     // Connection is intact and small queries still pass.
     assert!(client.point(info.handle, 0, [1, 1, 1]).is_ok());
+    client.shutdown_server().unwrap();
+    server.shutdown_and_join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn admission_charges_the_answer_not_only_the_decode() {
+    // A sparsely refined level decodes little and answers its whole dense
+    // box: the full fine domain costs two small chunks to decode but a
+    // 32³ box to answer. A bound between the two must refuse it, before
+    // any byte is read, and still answer a patch-sized region.
+    let path = tmp("answer-bytes");
+    write_plotfile(99, &path);
+    let direct = QueryEngine::open(&path).unwrap();
+    let fine = direct.meta().levels[1].domain;
+    let patch = *direct.meta().levels[1].boxes.get(0);
+    let full_plan = direct.plan_region(0, 1, fine).unwrap();
+    let patch_plan = direct.plan_region(0, 1, patch).unwrap();
+    let (decode, answer) = (full_plan.cost().decode_bytes, full_plan.answer_bytes());
+    assert_eq!(answer, fine.num_cells() * 8);
+    assert!(
+        patch_plan.cost().decode_bytes <= decode && decode < answer,
+        "fixture must be sparse: decodes {decode} B, answers {answer} B"
+    );
+    let mut cfg = test_config();
+    cfg.admission.max_request_bytes = (decode + answer) / 2;
+    assert!(patch_plan.answer_bytes() <= cfg.admission.max_request_bytes);
+
+    let mut server = Server::new(cfg);
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let handle = client.open(path.to_str().unwrap()).unwrap().handle;
+    let corners = |b: &IntBox| (b.lo.0, b.hi.0);
+    let (lo, hi) = corners(&fine);
+    match client.region(handle, 0, 1, lo, hi).unwrap_err() {
+        ServeError::Remote { code, message } => {
+            assert_eq!(code, ErrorCode::TooLarge, "{message}");
+            assert!(message.contains(&answer.to_string()), "{message}");
+        }
+        other => panic!("expected typed TooLarge, got {other}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.rejected_too_large, 1);
+    assert_eq!((stats.interactive_queries, stats.scan_queries), (0, 0));
+    assert_eq!(
+        (stats.files[0].read_bytes, stats.files[0].chunks_decoded),
+        (0, 0),
+        "refused before any byte was read"
+    );
+    // Same connection, same level, one patch: answered, bitwise.
+    let (lo, hi) = corners(&patch);
+    let got = client.region(handle, 0, 1, lo, hi).unwrap();
+    let expect = direct.level_region(0, 1, patch).unwrap();
+    assert_eq!(wire_bits(&got), direct_bits(&expect));
+    assert_eq!(client.stats().unwrap().rejected_too_large, 1);
+
     client.shutdown_server().unwrap();
     server.shutdown_and_join();
     std::fs::remove_file(&path).ok();

@@ -238,6 +238,16 @@ fn open_on_forged_plotfile_metadata_is_open_failed() {
     server.shutdown_and_join();
 }
 
+/// `f` on its own thread, failing the test if it has not returned within
+/// ten seconds (a client that lost framing used to block on a length
+/// that never arrives).
+fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()).ok());
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("call hung")
+}
+
 #[test]
 fn client_rejects_oversized_response_frames() {
     let (server, addr) = start_server();
@@ -250,8 +260,73 @@ fn client_rejects_oversized_response_frames() {
         ServeError::FrameTooLarge { cap, .. } => assert_eq!(cap, 8),
         other => panic!("expected FrameTooLarge, got {other}"),
     }
+    // The refused frame is still in the socket: a second call must not
+    // take its bytes for a length prefix.
+    let second = within_watchdog(move || client.stats());
+    assert!(
+        matches!(second, Err(ServeError::Disconnected)),
+        "{second:?}"
+    );
     assert_server_alive(addr);
     server.shutdown_and_join();
+}
+
+#[test]
+fn client_survives_body_errors_and_fails_fast_after_framing_errors() {
+    // A scripted peer: a well-framed body that does not decode, a typed
+    // error answer, a good answer, then a frame that ends after 10 of its
+    // 100 bytes.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let bad_query = Response::Error {
+            code: ErrorCode::BadQuery,
+            message: "field 99 out of range".into(),
+        };
+        let replies = [
+            vec![0x7E, 1, 2, 3],
+            bad_query.encode(),
+            Response::Closed.encode(),
+        ];
+        for reply in &replies {
+            read_frame(&mut stream, 1 << 20).unwrap();
+            write_frame(&mut stream, reply).unwrap();
+        }
+        read_frame(&mut stream, 1 << 20).unwrap();
+        stream.write_all(&100u32.to_le_bytes()).unwrap();
+        stream.write_all(&[0x86; 10]).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        // Requests that still arrive before the client hangs up.
+        std::iter::from_fn(|| read_frame(&mut stream, 1 << 20).ok()).count()
+    });
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let results = within_watchdog(move || {
+        [
+            client.close_handle(1), // body error inside an intact frame
+            client.close_handle(1), // typed error answer
+            client.close_handle(1), // the same client still works
+            client.close_handle(1), // the response breaks off mid-frame
+            client.close_handle(1), // broken: the socket is not touched
+        ]
+    });
+    assert!(
+        matches!(
+            results,
+            [
+                Err(ServeError::Frame(_)),
+                Err(ServeError::Remote {
+                    code: ErrorCode::BadQuery,
+                    ..
+                }),
+                Ok(()),
+                Err(ServeError::Disconnected),
+                Err(ServeError::Disconnected),
+            ]
+        ),
+        "{results:?}"
+    );
+    assert_eq!(peer.join().unwrap(), 0, "the fifth call sent nothing");
 }
 
 #[test]

@@ -70,9 +70,7 @@ pub fn compress_into(data: &Buffer3, cfg: &InterpConfig, out: &mut Vec<u8>) {
     w.put_u32(dims.nz as u32);
     huffman::encode_block_into(&enc.syms, &mut w);
     w.put_u64(enc.outliers.len() as u64);
-    for &v in &enc.outliers {
-        w.put_f64(v);
-    }
+    w.put_f64s(&enc.outliers);
     let mut env = Writer::from_vec(std::mem::take(out));
     write_envelope(&mut env, CodecId::Interp, VERSION, 0);
     *out = env.into_bytes();
@@ -373,11 +371,7 @@ impl Payload {
             )));
         }
         let n_out = r.get_u64()? as usize;
-        r.check_count(n_out, 8)?;
-        let mut outliers = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            outliers.push(r.get_f64()?);
-        }
+        let outliers = r.get_f64s(n_out)?;
         Ok(Payload {
             abs_eb,
             dims,

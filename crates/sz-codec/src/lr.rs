@@ -206,17 +206,13 @@ pub fn compress_domains_into<U: AsView3>(
     }
     huffman::encode_block_into(&s.coeff_syms, &mut w);
     w.put_u64(s.coeff_outliers.len() as u64);
-    for &v in &s.coeff_outliers {
-        w.put_f64(v);
-    }
+    w.put_f64s(&s.coeff_outliers);
     // Fused pass: the histogram was accumulated during quantization, so
     // the entropy stage emits straight into the payload writer with no
     // counting pass and no intermediate encoded buffer.
     huffman::encode_block_with_histogram_into(&s.data_syms, &s.data_freqs(), &mut w);
     w.put_u64(s.data_outliers.len() as u64);
-    for &v in &s.data_outliers {
-        w.put_f64(v);
-    }
+    w.put_f64s(&s.data_outliers);
     scratch.payload = w.into_bytes();
     let mut env = Writer::from_vec(std::mem::take(out));
     write_envelope(&mut env, CodecId::LrSle, VERSION, 0);
@@ -291,19 +287,11 @@ pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
     // Coefficient stream.
     let coeff_syms = huffman::decode_with_table(r.get_block()?)?;
     let n_coeff_out = r.get_u64()? as usize;
-    r.check_count(n_coeff_out, 8)?;
-    let mut coeff_outliers = Vec::with_capacity(n_coeff_out);
-    for _ in 0..n_coeff_out {
-        coeff_outliers.push(r.get_f64()?);
-    }
+    let coeff_outliers = r.get_f64s(n_coeff_out)?;
     // Data stream.
     let data_syms = huffman::decode_with_table(r.get_block()?)?;
     let n_out = r.get_u64()? as usize;
-    r.check_count(n_out, 8)?;
-    let mut data_outliers = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        data_outliers.push(r.get_f64()?);
-    }
+    let data_outliers = r.get_f64s(n_out)?;
 
     let cfg = LrConfig { abs_eb, block_size };
     let q = Quantizer::new(abs_eb);

@@ -365,9 +365,7 @@ impl TemporalCodec {
         if n_delta > 0 {
             huffman::encode_block_into(&delta_syms, &mut w);
             w.put_u64(delta_outliers.len() as u64);
-            for &v in &delta_outliers {
-                w.put_f64(v);
-            }
+            w.put_f64s(&delta_outliers);
         }
         let payload = w.into_bytes();
         let flags = if n_delta > 0 { FLAG_REFERENCED } else { 0 };
@@ -495,11 +493,7 @@ impl Codec for TemporalCodec {
                 )));
             }
             let n_out = r.get_u64()? as usize;
-            r.check_count(n_out, 8)?;
-            let mut outliers = Vec::with_capacity(n_out);
-            for _ in 0..n_out {
-                outliers.push(r.get_f64()?);
-            }
+            let outliers = r.get_f64s(n_out)?;
             (syms, outliers)
         } else {
             (Vec::new(), Vec::new())

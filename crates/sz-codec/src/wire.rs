@@ -45,6 +45,19 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A run of doubles, no count prefix: one reservation, then whole
+    /// stack blocks of little-endian lanes (no per-value append).
+    pub fn put_f64s(&mut self, values: &[f64]) {
+        self.buf.reserve(values.len() * 8);
+        let mut block = [0u8; 4096];
+        for run in values.chunks(block.len() / 8) {
+            for (lane, v) in block.chunks_exact_mut(8).zip(run) {
+                lane.copy_from_slice(&v.to_le_bytes());
+            }
+            self.buf.extend_from_slice(&block[..run.len() * 8]);
+        }
+    }
+
     /// Length-prefixed (u64) byte block.
     pub fn put_block(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
@@ -123,6 +136,16 @@ impl<'a> Reader<'a> {
 
     pub fn get_f64(&mut self) -> CodecResult<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// `n` doubles (see [`Writer::put_f64s`]). `n` is checked against
+    /// the bytes present before anything is reserved, so a forged count
+    /// is [`CodecError::LimitExceeded`], never an allocation.
+    pub fn get_f64s(&mut self, n: usize) -> CodecResult<Vec<f64>> {
+        let lanes = self.take(self.check_count(n, 8)? * 8)?.chunks_exact(8);
+        Ok(lanes
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
 
     /// Length-prefixed byte block (see [`Writer::put_block`]).
@@ -218,6 +241,67 @@ mod tests {
             Err(CodecError::LimitExceeded { .. })
         ));
         assert_eq!(r.check_count(4, 1).unwrap(), 4);
+    }
+
+    #[test]
+    fn f64_runs_match_the_per_value_calls_bit_for_bit() {
+        let specials = [
+            f64::from_bits(0x7ff8_dead_beef_0001), // quiet NaN with payload
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN, sign set
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Around the 512-value stack block, and several blocks plus a tail.
+        for n in [0, 1, 511, 512, 513, 3 * 512 + 7] {
+            let values: Vec<f64> = (0..n)
+                .map(|i| match specials.get(i % 11) {
+                    Some(&v) => v,
+                    None => i as f64 * -1.25e-3,
+                })
+                .collect();
+            let mut w = Writer::from_vec(vec![0xEE]);
+            w.put_f64s(&values);
+            let mut per_value = Writer::from_vec(vec![0xEE]);
+            values.iter().for_each(|&x| per_value.put_f64(x));
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, per_value.into_bytes(), "n = {n}");
+
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.get_u8().unwrap(), 0xEE);
+            let back = r.get_f64s(n).unwrap();
+            assert_eq!(back.capacity(), n, "collected at exact size");
+            assert!(back
+                .iter()
+                .zip(&values)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!((back.len(), r.remaining()), (n, 0));
+        }
+    }
+
+    #[test]
+    fn forged_f64_count_is_limit_exceeded_and_consumes_nothing() {
+        let mut w = Writer::new();
+        w.put_f64s(&[1.0, 2.0]);
+        w.put_u8(9);
+        let bytes = w.into_bytes();
+        // 2^60 values over an empty tail, over a short tail, and one
+        // value more than the 17 bytes hold.
+        for (skip, n) in [(17, 1usize << 60), (0, 1 << 60), (0, 3), (16, 1)] {
+            let mut r = Reader::new(&bytes);
+            r.get_raw(skip).unwrap();
+            assert!(
+                matches!(r.get_f64s(n), Err(CodecError::LimitExceeded { .. })),
+                "skip {skip}, n {n}"
+            );
+            assert_eq!(r.remaining(), bytes.len() - skip, "nothing consumed");
+        }
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.get_f64s(2).unwrap(), [1.0, 2.0]);
+        assert!(r.get_f64s(0).unwrap().is_empty());
+        assert_eq!(r.get_u8().unwrap(), 9);
     }
 
     #[test]
