@@ -158,6 +158,35 @@ impl FArrayBox {
         }
     }
 
+    /// Overwrite the sub-region `region` of component `c` with `src`, its
+    /// `region.num_cells()` values in Fortran order — the inverse of
+    /// [`FArrayBox::append_region`].
+    pub fn paste_region(&mut self, region: &IntBox, c: usize, src: &[f64]) {
+        assert!(self.domain.contains_box(region), "{region:?} outside fab");
+        assert_eq!(
+            src.len(),
+            region.num_cells() as usize,
+            "source length does not match {region:?}"
+        );
+        let (size, stride) = (region.size(), self.domain.size());
+        let run = size.get(0) as usize;
+        let (row, plane) = (
+            stride.get(0) as usize,
+            (stride.get(0) * stride.get(1)) as usize,
+        );
+        let mut z_start = self.domain.linear_index(&region.lo);
+        let comp = self.comp_mut(c);
+        let mut rows = src.chunks_exact(run);
+        for _ in 0..size.get(2) {
+            let mut start = z_start;
+            for _ in 0..size.get(1) {
+                comp[start..start + run].copy_from_slice(rows.next().expect("length checked"));
+                start += row;
+            }
+            z_start += plane;
+        }
+    }
+
     /// Min and max of one component. Returns `(f64::INFINITY, -INFINITY)`
     /// for empty data (cannot happen for a valid box).
     pub fn min_max(&self, c: usize) -> (f64, f64) {
@@ -214,6 +243,87 @@ mod tests {
         }
         // Outside the region stays zero.
         assert_eq!(dst.get(&IntVect::new(0, 0, 0), 0), 0.0);
+    }
+
+    /// A 3-component fab over an off-origin box, every value distinct.
+    fn numbered_fab() -> FArrayBox {
+        let domain = IntBox::new(IntVect::new(-2, 3, 1), IntVect::new(6, 7, 5));
+        let n = domain.num_cells() as usize * 3;
+        FArrayBox::from_data(domain, 3, (0..n).map(|i| i as f64 + 0.5).collect())
+    }
+
+    /// Whole domain, one cell, a single row, the clipped corners, and
+    /// seeded boxes in between.
+    fn regions_inside(domain: &IntBox) -> Vec<IntBox> {
+        let (lo, hi) = (domain.lo, domain.hi);
+        let mut regions = vec![
+            *domain,
+            IntBox::new(IntVect::new(1, 4, 2), IntVect::new(1, 4, 2)),
+            IntBox::new(IntVect::new(lo.get(0), 5, 3), IntVect::new(hi.get(0), 5, 3)),
+            IntBox::new(lo, IntVect::new(lo.get(0) + 2, lo.get(1) + 1, lo.get(2))),
+            IntBox::new(IntVect::new(hi.get(0) - 3, hi.get(1), hi.get(2) - 2), hi),
+        ];
+        let mut x = 7u64;
+        let mut below = |n: i64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % n as u64) as i64
+        };
+        for _ in 0..40 {
+            let mut corner = |axis: usize| {
+                let a = lo.get(axis) + below(domain.size().get(axis));
+                (a, a + below(hi.get(axis) - a + 1))
+            };
+            let (x, y, z) = (corner(0), corner(1), corner(2));
+            regions.push(IntBox::new(
+                IntVect::new(x.0, y.0, z.0),
+                IntVect::new(x.1, y.1, z.1),
+            ));
+        }
+        regions
+    }
+
+    #[test]
+    fn paste_region_inverts_append_region() {
+        let fab = numbered_fab();
+        for region in regions_inside(fab.domain()) {
+            for c in 0..3 {
+                // Pasting what was extracted changes nothing.
+                let src = fab.extract_region(&region, c);
+                let mut same = fab.clone();
+                same.paste_region(&region, c, &src);
+                assert_eq!(same, fab, "{region:?} comp {c}");
+                // Into a zero fab: the region reads back as the source,
+                // every other cell and component stays zero.
+                let mut zero = FArrayBox::new(*fab.domain(), 3);
+                zero.paste_region(&region, c, &src);
+                assert_eq!(zero.extract_region(&region, c), src, "{region:?} comp {c}");
+                for p in fab.domain().iter_points() {
+                    for other in 0..3 {
+                        let pasted = other == c && region.contains(&p);
+                        let expect = if pasted { fab.get(&p, c) } else { 0.0 };
+                        assert_eq!(zero.get(&p, other), expect, "{region:?} {p:?} comp {other}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside fab")]
+    fn paste_region_outside_the_domain_panics() {
+        let mut fab = numbered_fab();
+        let region = IntBox::new(IntVect::new(5, 3, 1), IntVect::new(7, 3, 1));
+        fab.paste_region(&region, 0, &[0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "source length does not match")]
+    fn paste_region_with_a_wrong_length_source_panics() {
+        let mut fab = numbered_fab();
+        let region = IntBox::new(IntVect::new(0, 3, 1), IntVect::new(2, 4, 1));
+        fab.paste_region(&region, 0, &[0.0; 5]);
     }
 
     #[test]

@@ -154,27 +154,15 @@ pub fn extract_units(level: &MultiFab, units: &[UnitRef], field: usize) -> Vec<B
 pub fn scatter_units(level: &mut MultiFab, units: &[UnitRef], field: usize, data: &[Buffer3]) {
     assert_eq!(units.len(), data.len(), "unit/data count mismatch");
     for (u, buf) in units.iter().zip(data) {
-        let sz = u.region.size();
         assert_eq!(
             buf.dims(),
             region_dims(&u.region),
             "unit shape mismatch at {:?}",
             u.region
         );
-        let fab = level.fab_mut(u.box_index);
-        // Write x-runs.
-        let run = sz.get(0) as usize;
-        let comp = *fab.domain();
-        for (zi, z) in (u.region.lo.get(2)..=u.region.hi.get(2)).enumerate() {
-            for (yi, y) in (u.region.lo.get(1)..=u.region.hi.get(1)).enumerate() {
-                let start = IntVect::new(u.region.lo.get(0), y, z);
-                let di = comp.linear_index(&start);
-                let src_off = buf.dims().idx(0, yi, zi);
-                let cells = fab.cells();
-                fab.data_mut()[field * cells + di..field * cells + di + run]
-                    .copy_from_slice(&buf.data()[src_off..src_off + run]);
-            }
-        }
+        level
+            .fab_mut(u.box_index)
+            .paste_region(&u.region, field, buf.data());
     }
 }
 

@@ -327,34 +327,41 @@ pub fn read_baseline_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Pl
         let meta = r.meta(&format!("level_{l}/data"))?.clone();
         let chunk_elems = meta.chunk_elems as usize;
         let data = r.read_dataset(&format!("level_{l}/data"))?;
-        let rank_elems: Vec<u64> = r
-            .read_dataset(&format!("meta/level_{l}/rank_elems"))?
-            .iter()
-            .map(|&v| v as u64)
-            .collect();
-        // Standard-mode chunks pad each rank's tail to the chunk boundary.
-        let padded = |n: u64| -> usize {
-            if meta.filter_mode == FilterMode::Standard {
-                (n as usize).div_ceil(chunk_elems) * chunk_elems
-            } else {
-                n as usize
-            }
+        let rank_elems = r.read_dataset(&format!("meta/level_{l}/rank_elems"))?;
+        // `rank_elems` is the file's word against the box table's: every
+        // offset derived from it is checked, never trusted.
+        let contradiction = |rank: usize| {
+            H5Error::Format(format!(
+                "level {l} rank {rank}: rank_elems contradicts the box table or the data"
+            ))
         };
         let mut offset = 0usize;
         for (rank, &elems) in rank_elems.iter().enumerate() {
-            let seg = data
-                .get(offset..offset + elems as usize)
-                .ok_or_else(|| H5Error::Format(format!("level {l}: short data segment")))?;
+            let elems = elems as usize;
+            let seg = offset
+                .checked_add(elems)
+                .and_then(|end| data.get(offset..end))
+                .ok_or_else(|| contradiction(rank))?;
             // Unpack box payloads (fields interleaved per box).
             let mut p = 0usize;
             for bi in level.distribution().local_boxes(rank) {
-                let cells = level.box_array().get(bi).num_cells() as usize;
-                let n = cells * nfields;
-                let payload = &seg[p..p + n];
+                let n = level.box_array().get(bi).num_cells() as usize * nfields;
+                let payload = seg.get(p..p + n).ok_or_else(|| contradiction(rank))?;
                 level.fab_mut(bi).data_mut().copy_from_slice(payload);
                 p += n;
             }
-            offset += padded(elems);
+            if p != seg.len() {
+                return Err(contradiction(rank));
+            }
+            // Standard-mode chunks pad each rank's tail to the chunk boundary.
+            let stride = if meta.filter_mode == FilterMode::Standard {
+                elems.checked_next_multiple_of(chunk_elems)
+            } else {
+                Some(elems)
+            };
+            offset = stride
+                .and_then(|s| offset.checked_add(s))
+                .ok_or_else(|| contradiction(rank))?;
         }
     }
     Ok(Plotfile {

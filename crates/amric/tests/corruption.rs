@@ -15,7 +15,9 @@ use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amric::config::AmricConfig;
 use amric::pipeline::{compress_field_units, decompress_field_units};
-use amric::reader::{read_amric_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta};
+use amric::reader::{
+    read_amric_hierarchy, read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta,
+};
 use amric::tac::{tac_compress, tac_decompress};
 use amric::writer::{write_amric, write_amric_to};
 use amric::zmesh::{zmesh_compress, zmesh_decompress};
@@ -238,6 +240,68 @@ fn forged_plotfile_metadata_is_a_typed_error() {
             matches!(err, H5Error::Format(_)),
             "name length {len}: {err:?}"
         );
+    }
+}
+
+/// Read back a baseline-layout container built by hand: one level, one
+/// field, two ranks owning one 8³ box each side by side; `level_0/data` in
+/// 64-element standard chunks and `meta/level_0/rank_elems` as given.
+fn read_baseline(data: &[f64], rank_elems: &[f64]) -> H5Result<amric::reader::Plotfile> {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "amric-corruption-{}-base{id}.h5l",
+        std::process::id()
+    ));
+    let w = H5Writer::create(&path)?;
+    // [nlevels, nfields, nranks, bf, remove_redundancy | nx, ny, nz, nboxes, ratio]
+    let header = [1.0, 1.0, 2.0, 8.0, 0.0, 16.0, 8.0, 8.0, 2.0, 0.0];
+    let names = [1.0, f64::from(b'a')];
+    #[rustfmt::skip]
+    let boxes = [
+        0.0, 0.0, 0.0,  7.0, 7.0, 7.0, 0.0,
+        8.0, 0.0, 0.0, 15.0, 7.0, 7.0, 1.0,
+    ];
+    for (name, values, chunk) in [
+        ("meta/header", &header[..], header.len()),
+        ("meta/field_names", &names[..], names.len()),
+        ("meta/level_0/boxes", &boxes[..], boxes.len()),
+        ("meta/level_0/rank_elems", rank_elems, rank_elems.len()),
+        ("level_0/data", data, 64),
+    ] {
+        w.write_dataset(name, values, chunk, &NoFilter)?;
+    }
+    w.finish()?;
+    let result = read_baseline_hierarchy(&path);
+    std::fs::remove_file(&path).ok();
+    result
+}
+
+#[test]
+fn forged_rank_elems_is_a_typed_error() {
+    let data: Vec<f64> = (0..1024).map(|i| i as f64 + 0.25).collect();
+    let pf = read_baseline(&data, &[512.0, 512.0]).expect("pristine container loads");
+    assert_eq!(pf.levels[0].fab(0).data(), &data[..512]);
+    assert_eq!(pf.levels[0].fab(1).data(), &data[512..]);
+
+    let forged: [(&str, &[f64], &[f64]); 7] = [
+        ("understated", &data, &[10.0, 512.0]),
+        ("overstated", &data, &[600.0, 424.0]),
+        ("overstated past the data", &data, &[512.0, 600.0]),
+        ("1.8e19 on the first rank", &data, &[1.8e19, 512.0]),
+        // `offset + elems` and the padded stride both leave `usize`.
+        ("1.8e19 behind a valid rank", &data, &[512.0, 1.8e19]),
+        (
+            "data shorter than rank_elems claims",
+            &data[..700],
+            &[512.0, 512.0],
+        ),
+        ("not a count", &data, &[f64::NAN, -512.0]),
+    ];
+    for (what, data, rank_elems) in forged {
+        let err = read_baseline(data, rank_elems).err();
+        assert!(matches!(err, Some(H5Error::Format(_))), "{what}: {err:?}");
     }
 }
 

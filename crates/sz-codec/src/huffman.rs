@@ -146,7 +146,8 @@ impl HuffmanCode {
         }
     }
 
-    /// Decode exactly `n` symbols from the bit stream.
+    /// Decode exactly `n` symbols from the bit stream into the symbol type
+    /// the caller stores; a symbol that does not fit it is corrupt.
     ///
     /// Table-driven: codes of length ≤ `DECODE_TABLE_BITS` resolve with
     /// a single lookup on the next 12 peeked bits; longer codes continue
@@ -156,7 +157,7 @@ impl HuffmanCode {
     /// the code is prefix-free, the table lookup selects the same unique
     /// code the reference walk finds, so results (including the typed
     /// errors on truncated or invalid streams) are identical.
-    pub fn decode(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<u32>> {
+    pub fn decode<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
         // Every symbol costs at least one bit, so a count beyond 8 bits
         // per payload byte can only come from a corrupted header.
         if n as u128 > bytes.len() as u128 * 8 {
@@ -203,57 +204,80 @@ impl HuffmanCode {
         let total_bits = bytes.len() * 8;
         let mut out = Vec::with_capacity(n);
         // Persistent bit buffer: the next unconsumed bits sit left-aligned
-        // in `buf` (`nbits` of them valid), refilled a byte at a time from
-        // `byte_pos`. Peeking `tb` bits is then one shift per symbol
-        // instead of a fresh unaligned load + byte-swap, and the refill
-        // amortizes to one load per ~7 decoded-code bytes.
+        // in `buf`, `nbits` of them counted, the byte after them at
+        // `byte_pos`. Whatever `buf` holds below the counted bits is zero
+        // or the stream bits that follow them, so a refill may OR bits in
+        // that are already there.
         let mut buf: u64 = 0;
         let mut nbits: u32 = 0;
         let mut byte_pos = 0usize;
+        // A word refill leaves ≥ 56 counted bits: this many table hits of
+        // ≤ `tb` bits each need no refill test between them.
+        let group = (56 / tb) as usize;
         while out.len() < n {
+            // Fast phase, while a whole word and a whole group remain.
+            // `nbits ≤ 63` here (a symbol has been taken since any byte
+            // refill to 64), and the word supplies whole bytes up to 56–63
+            // counted bits: `nbits + 8·((63 − nbits) >> 3) = nbits | 56`.
+            if let (true, Some(word)) = (n - out.len() >= group, bytes.get(byte_pos..byte_pos + 8))
+            {
+                buf |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> nbits;
+                byte_pos += ((63 - nbits) >> 3) as usize;
+                nbits |= 56;
+                let mut hits = 0;
+                while hits < group {
+                    let (sym, hit_len) = lut[(buf >> (64 - tb)) as usize];
+                    if hit_len == 0 {
+                        break;
+                    }
+                    out.push(narrow(sym)?);
+                    buf <<= hit_len;
+                    nbits -= hit_len as u32;
+                    hits += 1;
+                }
+                if hits == group {
+                    continue;
+                }
+            }
+            // One symbol, refilled a byte at a time: a long code (the
+            // group above stopped at it with ≥ `tb` bits still counted),
+            // the last < 8 bytes and the last few symbols.
             while nbits <= 56 && byte_pos < bytes.len() {
                 buf |= (bytes[byte_pos] as u64) << (56 - nbits);
                 nbits += 8;
                 byte_pos += 1;
             }
-            if nbits >= tb {
+            // With ≥ `tb` bits buffered, a table hit — or, when no code of
+            // length ≤ tb matches the peeked bits, the canonical walk on
+            // the raw stream with those tb bits already consumed. With
+            // fewer, the stream is drained: the exact reference bit-by-bit
+            // walk for the tail symbols.
+            let pos = byte_pos * 8 - nbits as usize;
+            let (prefix, len0) = if nbits >= tb {
                 let idx = (buf >> (64 - tb)) as usize;
                 let (sym, hit_len) = lut[idx];
                 if hit_len != 0 {
-                    out.push(sym);
+                    out.push(narrow(sym)?);
                     buf <<= hit_len;
                     nbits -= hit_len as u32;
                     continue;
                 }
-                // No code of length ≤ tb matches the peeked bits: resume
-                // the canonical walk on the raw stream with those tb bits
-                // already consumed, then re-sync the buffer. Long codes
-                // are rare by construction, so the re-sync cost is noise.
-                let pos = byte_pos * 8 - nbits as usize;
-                let (sym, new_pos) =
-                    self.walk_one(bytes, total_bits, pos + tb as usize, idx as u64, tb, &canon)?;
-                out.push(sym);
-                byte_pos = new_pos.div_ceil(8);
-                nbits = (byte_pos * 8 - new_pos) as u32;
-                buf = if nbits == 0 {
-                    0
-                } else {
-                    (bytes[byte_pos - 1] as u64) << (56 + (8 - nbits))
-                };
+                (idx as u64, tb)
             } else {
-                // Fewer than `tb` buffered bits and the stream is drained:
-                // exact reference bit-by-bit walk for the tail symbols.
-                let pos = byte_pos * 8 - nbits as usize;
-                let (sym, new_pos) = self.walk_one(bytes, total_bits, pos, 0, 0, &canon)?;
-                out.push(sym);
-                byte_pos = new_pos.div_ceil(8);
-                nbits = (byte_pos * 8 - new_pos) as u32;
-                buf = if nbits == 0 {
-                    0
-                } else {
-                    (bytes[byte_pos - 1] as u64) << (56 + (8 - nbits))
-                };
-            }
+                (0, 0)
+            };
+            let (sym, new_pos) =
+                self.walk_one(bytes, total_bits, pos + len0 as usize, prefix, len0, &canon)?;
+            out.push(narrow(sym)?);
+            // Re-sync the buffer to the walk's position. Long codes are
+            // rare by construction, so the cost is noise.
+            byte_pos = new_pos.div_ceil(8);
+            nbits = (byte_pos * 8 - new_pos) as u32;
+            buf = if nbits == 0 {
+                0
+            } else {
+                (bytes[byte_pos - 1] as u64) << (56 + (8 - nbits))
+            };
         }
         Ok(out)
     }
@@ -296,7 +320,7 @@ impl HuffmanCode {
     /// The bit-by-bit canonical walk: the decoder of short streams and of
     /// forged tables the lookup path cannot index, and the equivalence
     /// oracle of [`HuffmanCode::decode`].
-    fn decode_reference(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<u32>> {
+    fn decode_reference<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
         if n as u128 > bytes.len() as u128 * 8 {
             return Err(CodecError::LimitExceeded {
                 what: "symbol count",
@@ -339,7 +363,7 @@ impl HuffmanCode {
                 }
                 let rel = code.wrapping_sub(first_code[len]);
                 if count[len] > 0 && code >= first_code[len] && (rel as usize) < count[len] {
-                    out.push(self.lens[first_index[len] + rel as usize].0);
+                    out.push(narrow(self.lens[first_index[len] + rel as usize].0)?);
                     break;
                 }
             }
@@ -380,6 +404,14 @@ impl HuffmanCode {
     pub fn num_symbols(&self) -> usize {
         self.lens.len()
     }
+}
+
+/// A decoded symbol as the caller's symbol type. A book read from a
+/// stream can name any `u32`, so one that does not fit (a byte-token book
+/// emitting a symbol above `0xFF`) is corrupt, never a truncating cast.
+#[inline(always)]
+fn narrow<S: TryFrom<u32>>(sym: u32) -> CodecResult<S> {
+    S::try_from(sym).map_err(|_| CodecError::corrupt("token out of byte range"))
 }
 
 /// Per-length canonical decode arrays shared by the table decoder's slow
@@ -593,6 +625,13 @@ pub fn encode_block_into(symbols: &[u32], w: &mut Writer) {
 
 /// Inverse of [`encode_with_table`].
 pub fn decode_with_table(bytes: &[u8]) -> CodecResult<Vec<u32>> {
+    decode_with_table_as(bytes)
+}
+
+/// [`decode_with_table`] into the symbol type the caller stores — the twin
+/// of the encode side's `S: Into<u32>`: the lossless stage's tokens are
+/// bytes and decode straight to bytes.
+pub fn decode_with_table_as<S: TryFrom<u32>>(bytes: &[u8]) -> CodecResult<Vec<S>> {
     let mut r = Reader::new(bytes);
     // Peek the symbol count; 0 means the empty-stream marker.
     let n_table = {
@@ -745,13 +784,13 @@ mod tests {
         // both decoders; the bit-flipped stream fails typed on both.
         for n in [5usize, 100] {
             let payload = vec![0u8; n.div_ceil(8)];
-            assert_eq!(code.decode(&payload, n).unwrap(), vec![u32::MAX; n]);
+            assert_eq!(code.decode::<u32>(&payload, n).unwrap(), vec![u32::MAX; n]);
             assert_eq!(
-                code.decode_reference(&payload, n).unwrap(),
+                code.decode_reference::<u32>(&payload, n).unwrap(),
                 vec![u32::MAX; n]
             );
             let bad = vec![0xFFu8; n.div_ceil(8)];
-            assert!(code.decode(&bad, n).is_err());
+            assert!(code.decode::<u32>(&bad, n).is_err());
         }
     }
 
@@ -834,36 +873,166 @@ mod tests {
         }
     }
 
+    /// The table decoder against the bit-by-bit walk on the same bytes and
+    /// count: the same symbols, or the same error — variant and text.
+    fn assert_parity(code: &HuffmanCode, bytes: &[u8], n: usize, what: &str) {
+        let fast = code.decode::<u32>(bytes, n);
+        let slow = code.decode_reference::<u32>(bytes, n);
+        assert_eq!(fast, slow, "{what}");
+    }
+
+    /// A book, and its encoding of a stream.
+    fn coded(syms: &[u32]) -> (HuffmanCode, Vec<u8>) {
+        let code = HuffmanCode::from_frequencies(&count_frequencies(syms));
+        let mut payload = Vec::new();
+        code.encode_into(syms, &mut payload);
+        (code, payload)
+    }
+
     #[test]
     fn table_decode_error_parity_on_damage() {
-        // Truncations and bit flips must produce the same Ok/Err outcome
-        // as the reference decoder (zero padding can legitimately decode,
-        // so "is error" alone is not enough — compare both ways).
-        let syms = skewed_symbols(3000, 9);
-        let freqs = count_frequencies(&syms);
-        let code = HuffmanCode::from_frequencies(&freqs);
-        let mut payload = Vec::new();
-        code.encode_into(&syms, &mut payload);
-        for cut in (0..payload.len()).step_by(7) {
-            let fast = code.decode(&payload[..cut], syms.len());
-            let slow = code.decode_reference(&payload[..cut], syms.len());
-            match (&fast, &slow) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "cut={cut}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("cut={cut}: fast={fast:?} slow={slow:?}"),
+        // Truncations and bit flips must produce the same outcome as the
+        // reference decoder (zero padding can legitimately decode, so "is
+        // error" alone is not enough — compare both ways). Both streams
+        // are long enough for the word-refill phase; the wide alphabet
+        // adds codes the table misses.
+        for syms in [skewed_symbols(3000, 9), lcg_symbols(3000, 65536, 10)] {
+            let (code, payload) = coded(&syms);
+            for cut in (0..payload.len()).step_by(7) {
+                assert_parity(&code, &payload[..cut], syms.len(), &format!("cut={cut}"));
+            }
+            let mut flipped = payload.clone();
+            for i in (0..flipped.len()).step_by(11) {
+                flipped[i] ^= 0x40;
+                assert_parity(&code, &flipped, syms.len(), &format!("flip={i}"));
+                flipped[i] ^= 0x40;
             }
         }
-        let mut flipped = payload.clone();
-        for i in (0..flipped.len()).step_by(11) {
-            flipped[i] ^= 0x40;
-            let fast = code.decode(&flipped, syms.len());
-            let slow = code.decode_reference(&flipped, syms.len());
-            match (&fast, &slow) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "flip={i}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("flip={i}: fast={fast:?} slow={slow:?}"),
+    }
+
+    #[test]
+    fn word_refill_parity_on_short_payloads_and_odd_counts() {
+        // The fast phase needs 8 stream bytes and a whole group of
+        // symbols (4 at 12 table bits, 56 under the one-symbol book's
+        // 1-bit table): payloads of 0–17 bytes sit either side of the
+        // first test, the counts either side of the second and of the
+        // 64-symbol table threshold. Most of these fail — equally.
+        let books = [
+            coded(&skewed_symbols(4000, 21)),
+            coded(&lcg_symbols(4000, 17, 22)),
+            (fibonacci_book(33), vec![0x55; 64]),
+            coded(&[9; 4000]),
+        ];
+        for (b, (code, payload)) in books.iter().enumerate() {
+            for len in 0..=17 {
+                for n in [1, 63, 64, 65, 66, 67, 8 * len, 8 * len + 1] {
+                    assert_parity(
+                        code,
+                        &payload[..len],
+                        n,
+                        &format!("book {b}: {len} B × {n}"),
+                    );
+                }
             }
-            flipped[i] ^= 0x40;
+        }
+        // Whole streams of every count mod 4, decoded to the last symbol.
+        for n in [63usize, 64, 65, 66, 67, 1001, 1002, 1003, 1004] {
+            for syms in [skewed_symbols(n, n as u64), lcg_symbols(n, 300, n as u64)] {
+                let (code, payload) = coded(&syms);
+                assert_eq!(code.decode::<u32>(&payload, n).unwrap(), syms, "n={n}");
+                assert_parity(&code, &payload, n, &format!("n={n}"));
+                assert_parity(&code, &payload, n - 1, &format!("n={n}, one short"));
+            }
+        }
+    }
+
+    #[test]
+    fn table_miss_lands_on_every_slot_of_a_refill_group() {
+        // Fibonacci weights: a 1-bit code and codes of every length up to
+        // 32, so lengths 13–32 miss the 12-bit table. A group restarts
+        // after each miss, so `slot` one-bit symbols before every long one
+        // put the miss on that slot of its group, at every bit phase.
+        let code = fibonacci_book(33);
+        let short = code.lens[0].0;
+        assert_eq!(code.lens[0].1, 1, "the heaviest symbol has the 1-bit code");
+        let long: Vec<u32> = code
+            .lens
+            .iter()
+            .filter(|&&(_, l)| l > DECODE_TABLE_BITS)
+            .map(|&(s, _)| s)
+            .collect();
+        assert_eq!(long.len(), 21, "lengths 13..=32, the last one twice");
+        for slot in 0..4 {
+            let mut syms = Vec::new();
+            for rep in 0..3 {
+                for &l in &long {
+                    syms.extend(std::iter::repeat_n(short, slot));
+                    syms.push(l);
+                    // Back-to-back misses too.
+                    syms.extend(std::iter::repeat_n(l, rep));
+                }
+            }
+            syms.extend(std::iter::repeat_n(short, 70));
+            let mut payload = Vec::new();
+            code.encode_into(&syms, &mut payload);
+            assert_eq!(
+                code.decode::<u32>(&payload, syms.len()).unwrap(),
+                syms,
+                "slot {slot}"
+            );
+            for cut in 0..payload.len() {
+                assert_parity(
+                    &code,
+                    &payload[..cut],
+                    syms.len(),
+                    &format!("slot {slot} cut {cut}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_4k_stream_matches_the_reference() {
+        let syms = skewed_symbols(16_200, 31);
+        let (code, payload) = coded(&syms);
+        assert!((4096..4400).contains(&payload.len()), "{} B", payload.len());
+        assert_eq!(code.decode::<u32>(&payload, syms.len()).unwrap(), syms);
+        for cut in 0..payload.len() {
+            assert_parity(&code, &payload[..cut], syms.len(), &format!("cut={cut}"));
+            // A count the shortened stream can back: how far it gets, and
+            // what it says there, is the reference's.
+            assert_parity(
+                &code,
+                &payload[..cut],
+                cut,
+                &format!("cut={cut}, count {cut}"),
+            );
+        }
+    }
+
+    #[test]
+    fn symbol_above_a_byte_decodes_wide_and_is_corrupt_narrow() {
+        // Both decoders, both sides of the 64-symbol table threshold.
+        let bad_token = Err(CodecError::corrupt("token out of byte range"));
+        for n in [10usize, 500] {
+            let mut syms: Vec<u32> = (0..n).map(|i| 65 + (i % 3) as u32).collect();
+            let (code, payload) = coded(&syms);
+            let bytes: Vec<u8> = syms.iter().map(|&s| s as u8).collect();
+            assert_eq!(code.decode::<u8>(&payload, n), Ok(bytes.clone()));
+            assert_eq!(code.decode_reference::<u8>(&payload, n), Ok(bytes));
+            syms[n / 2] = 256;
+            let (code, payload) = coded(&syms);
+            assert_eq!(code.decode::<u32>(&payload, n).as_ref(), Ok(&syms));
+            assert_eq!(code.decode::<u8>(&payload, n), bad_token);
+            assert_eq!(code.decode_reference::<u8>(&payload, n), bad_token);
+            assert_eq!(
+                decode_with_table(&encode_with_table(&syms)),
+                Ok(syms.clone())
+            );
+            assert_eq!(
+                decode_with_table_as::<u8>(&encode_with_table(&syms)),
+                bad_token
+            );
         }
     }
 
@@ -937,7 +1106,7 @@ mod tests {
             code.encode_into(&syms, &mut fast);
             assert_eq!(fast[0], 0xEE, "appends");
             assert_eq!(&fast[1..], code.encode_reference(&syms), "n={n}");
-            assert_eq!(code.decode(&fast[1..], syms.len()).unwrap(), syms);
+            assert_eq!(code.decode::<u32>(&fast[1..], syms.len()).unwrap(), syms);
         }
     }
 
@@ -965,7 +1134,7 @@ mod tests {
                 code.encode_into(&syms, &mut fast);
                 assert_eq!(fast, code.encode_reference(&syms), "book {b} × {count}");
                 assert_eq!(
-                    code.decode(&fast, count).unwrap(),
+                    code.decode::<u32>(&fast, count).unwrap(),
                     syms,
                     "book {b} × {count}"
                 );

@@ -19,7 +19,7 @@ use crate::codec::{
     FLAG_MULTI,
 };
 use crate::huffman;
-use crate::kernels;
+use crate::kernels::{self, SymbolReader};
 use crate::lossless;
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL};
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
@@ -81,10 +81,11 @@ pub fn compress_into(data: &Buffer3, cfg: &InterpConfig, out: &mut Vec<u8>) {
 pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
     let p = Payload::parse(bytes)?;
     let mut recon = vec![0.0f64; p.dims.len()];
-    let mut dec = Decoder {
+    let mut dec = SymbolReader {
         q: Quantizer::new(p.abs_eb),
         syms: &p.syms,
         outliers: &p.outliers,
+        truncated: TRUNCATED,
     };
     traverse(p.dims, &mut recon, &mut dec)?;
     Ok(Buffer3::from_vec(p.dims, recon))
@@ -263,60 +264,23 @@ impl Direction for Encoder<'_> {
     }
 }
 
+const TRUNCATED: &str = "SZ_Interp stream truncated";
+
 /// The decoding [`Direction`]: consume symbols (and outlier raw values)
 /// in emission order.
-struct Decoder<'a> {
-    q: Quantizer,
-    syms: &'a [u32],
-    outliers: &'a [f64],
-}
-
-fn truncated() -> CodecError {
-    CodecError::corrupt("SZ_Interp stream truncated")
-}
-
-impl Decoder<'_> {
-    /// The per-point rule: an outlier marker takes the next raw value,
-    /// anything else must be a valid quantization symbol.
-    #[inline]
-    fn value(&mut self, sym: u32, pred: f64) -> CodecResult<f64> {
-        if sym != OUTLIER_SYMBOL {
-            return self.q.try_reconstruct(sym, pred);
-        }
-        let (&v, rest) = self.outliers.split_first().ok_or_else(truncated)?;
-        self.outliers = rest;
-        Ok(v)
-    }
-}
-
-impl Direction for Decoder<'_> {
+impl Direction for SymbolReader<'_> {
     type Err = CodecError;
 
     #[inline]
     fn point(&mut self, _idx: usize, pred: f64, slot: &mut f64) -> CodecResult<()> {
-        let (&sym, rest) = self.syms.split_first().ok_or_else(truncated)?;
-        self.syms = rest;
+        let sym = self.take(1)?[0];
         *slot = self.value(sym, pred)?;
         Ok(())
     }
 
     #[inline]
     fn row(&mut self, _base: usize, preds: &[f64], slots: &mut [f64]) -> CodecResult<()> {
-        let (syms, rest) = self
-            .syms
-            .split_at_checked(slots.len())
-            .ok_or_else(truncated)?;
-        self.syms = rest;
-        if kernels::reconstruct_row(&self.q, syms, preds, slots) {
-            // Some symbol is an outlier marker or out of range: redo the
-            // row by the per-point rule, in row order — the order the
-            // raw values were stored in, and the order in which a
-            // per-point decoder would have met the first bad symbol.
-            for ((&sym, &pred), slot) in syms.iter().zip(preds).zip(slots) {
-                *slot = self.value(sym, pred)?;
-            }
-        }
-        Ok(())
+        SymbolReader::row(self, preds, slots)
     }
 }
 
@@ -484,7 +448,7 @@ impl Codec for InterpCodec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::ErrorStats;
 
@@ -606,6 +570,7 @@ mod tests {
         let mut recon = Buffer3::zeros(dims);
         let mut sym_iter = p.syms.into_iter();
         let mut out_iter = p.outliers.into_iter();
+        let truncated = || CodecError::corrupt(TRUNCATED);
         let mut targets = vec![((0, 0, 0), None)];
         for s in strides(dims) {
             for axis in [Axis::X, Axis::Y, Axis::Z] {
@@ -628,7 +593,7 @@ mod tests {
     /// Smooth trend plus, per `spikes`, isolated and clustered outliers:
     /// huge finite spikes, NaN and ±∞. Planes with `k % 8 ≥ 5` stay
     /// clean, so rows with zero, one and many outliers all occur.
-    fn spiky(dims: Dims3, spikes: bool) -> Buffer3 {
+    pub(crate) fn spiky(dims: Dims3, spikes: bool) -> Buffer3 {
         let mut b = Buffer3::zeros(dims);
         b.fill_with(|i, j, k| {
             let v = (i as f64 * 0.31).sin() + (j as f64 * 0.17).cos() * 0.5 + k as f64 * 0.02;

@@ -14,13 +14,14 @@
 //! floating-point expression tree of the scalar code it replaces — same
 //! association, same operand order, same comparison order — so symbols,
 //! outliers, and reconstructions are bit-identical. The per-point forms
-//! live on as `#[cfg(test)]` oracles here and in `interp.rs`; the
+//! live on as `#[cfg(test)]` oracles here, in `interp.rs` and in `lr.rs`; the
 //! golden-stream corpus under `crates/amric/tests/golden/` pins the
 //! end-to-end bytes and the decoded values.
 
 use crate::buffer3::{Dims3, View3};
-use crate::quantizer::Quantizer;
+use crate::quantizer::{Quantizer, OUTLIER_SYMBOL};
 use crate::regression::Coefficients;
+use crate::wire::{CodecError, CodecResult};
 
 /// Fused affine-predict + quantize over one x-row of a regression block.
 ///
@@ -98,6 +99,93 @@ pub fn reconstruct_row(q: &Quantizer, syms: &[u32], preds: &[f64], recon: &mut [
         flagged |= bad;
     }
     flagged
+}
+
+/// The decode side of a quantized stream: its symbols and the raw values
+/// of its outliers, consumed in emission order.
+pub(crate) struct SymbolReader<'a> {
+    pub q: Quantizer,
+    pub syms: &'a [u32],
+    pub outliers: &'a [f64],
+    /// What a stream that runs out of either is reported as.
+    pub truncated: &'static str,
+}
+
+impl<'a> SymbolReader<'a> {
+    /// The next `n` symbols.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> CodecResult<&'a [u32]> {
+        let (syms, rest) = self
+            .syms
+            .split_at_checked(n)
+            .ok_or_else(|| CodecError::corrupt(self.truncated))?;
+        self.syms = rest;
+        Ok(syms)
+    }
+
+    /// The per-point rule: an outlier marker takes the next raw value,
+    /// anything else must be a valid quantization symbol.
+    #[inline]
+    pub fn value(&mut self, sym: u32, pred: f64) -> CodecResult<f64> {
+        if sym != OUTLIER_SYMBOL {
+            return self.q.try_reconstruct(sym, pred);
+        }
+        let (&v, rest) = self
+            .outliers
+            .split_first()
+            .ok_or_else(|| CodecError::corrupt(self.truncated))?;
+        self.outliers = rest;
+        Ok(v)
+    }
+
+    /// One row of values whose predictions do not depend on each other:
+    /// [`reconstruct_row`], and when it flags an outlier marker or an
+    /// out-of-range symbol the row again by the per-point rule, in row
+    /// order — the order the raw values were stored in, and the order in
+    /// which a per-point decoder would have met the first bad symbol.
+    #[inline]
+    pub fn row(&mut self, preds: &[f64], recon: &mut [f64]) -> CodecResult<()> {
+        let syms = self.take(recon.len())?;
+        if reconstruct_row(&self.q, syms, preds, recon) {
+            for ((&sym, &pred), slot) in syms.iter().zip(preds).zip(recon) {
+                *slot = self.value(sym, pred)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One x-row of the Lorenzo decode pass: the mirror of
+    /// [`lorenzo_quantize_row`], same neighbour rows, rolling registers
+    /// and sum order. A flagged symbol is settled in the row — a raw
+    /// outlier feeds the next cell's prediction, so it cannot wait.
+    #[inline]
+    pub fn lorenzo_row(
+        &mut self,
+        jm: &[f64],
+        km: &[f64],
+        jkm: &[f64],
+        left: [f64; 4],
+        recon: &mut [f64],
+    ) -> CodecResult<()> {
+        let syms = self.take(recon.len())?;
+        assert_eq!(syms.len(), jm.len());
+        assert_eq!(syms.len(), km.len());
+        assert_eq!(syms.len(), jkm.len());
+        let [mut l00, mut l10, mut l01, mut l11] = left;
+        for i in 0..syms.len() {
+            let pred = l00 + jm[i] + km[i] - l10 - l01 - jkm[i] + l11;
+            let (mut v, flagged) = self.q.reconstruct_select(syms[i], pred);
+            if flagged {
+                v = self.value(syms[i], pred)?;
+            }
+            recon[i] = v;
+            l00 = v;
+            l10 = jm[i];
+            l01 = km[i];
+            l11 = jkm[i];
+        }
+        Ok(())
+    }
 }
 
 /// Cubic interpolation predictor over whole rows:

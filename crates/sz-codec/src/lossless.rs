@@ -84,7 +84,7 @@ pub fn decompress(bytes: &[u8]) -> CodecResult<Vec<u8>> {
             Ok(payload.to_vec())
         }
         1 => lz_expand(payload, orig_len),
-        2 => lz_expand(&huffman::decode_with_table(payload)?, orig_len),
+        2 => lz_expand(&huffman::decode_with_table_as::<u8>(payload)?, orig_len),
         m => Err(CodecError::BadMode { found: m }),
     }
 }
@@ -228,50 +228,17 @@ fn put_varint(out: &mut Vec<u8>, mut v: usize) {
     }
 }
 
-/// One element of an LZ token stream: a byte as stored (mode 1), or a
-/// Huffman symbol that has to be one (mode 2). Symbols are narrowed as
-/// the expansion consumes them, so mode 2 needs no byte copy of the
-/// token stream.
-trait Token: Copy + Into<u32> {
-    /// Append a literal run, rejecting any element that is not a byte.
-    fn append_run(run: &[Self], out: &mut Vec<u8>) -> CodecResult<()>;
-}
-
-fn bad_token() -> CodecError {
-    CodecError::corrupt("token out of byte range")
-}
-
-impl Token for u8 {
-    #[inline]
-    fn append_run(run: &[u8], out: &mut Vec<u8>) -> CodecResult<()> {
-        out.extend_from_slice(run);
-        Ok(())
-    }
-}
-
-impl Token for u32 {
-    #[inline]
-    fn append_run(run: &[u32], out: &mut Vec<u8>) -> CodecResult<()> {
-        if run.iter().any(|&t| t > 0xFF) {
-            return Err(bad_token());
-        }
-        out.extend(run.iter().map(|&t| t as u8));
-        Ok(())
-    }
-}
-
-/// Pop one token as a byte; `what` names the field for the truncation
-/// error.
+/// Pop one token; `what` names the field for the truncation error.
 #[inline]
-fn take<T: Token>(rest: &mut &[T], what: &'static str) -> CodecResult<u8> {
+fn take(rest: &mut &[u8], what: &'static str) -> CodecResult<u8> {
     let (&t, tail) = rest
         .split_first()
         .ok_or_else(|| CodecError::corrupt(what))?;
     *rest = tail;
-    u8::try_from(t.into()).map_err(|_| bad_token())
+    Ok(t)
 }
 
-fn get_varint<T: Token>(rest: &mut &[T]) -> CodecResult<usize> {
+fn get_varint(rest: &mut &[u8]) -> CodecResult<usize> {
     let mut v = 0usize;
     let mut shift = 0u32;
     loop {
@@ -313,7 +280,7 @@ fn emit_match(out: &mut Vec<u8>, len: usize, dist: usize) {
     out.extend_from_slice(&(dist as u16).to_le_bytes());
 }
 
-fn lz_expand<T: Token>(tokens: &[T], orig_len: usize) -> CodecResult<Vec<u8>> {
+fn lz_expand(tokens: &[u8], orig_len: usize) -> CodecResult<Vec<u8>> {
     // Capacity is a hint only: a corrupted `orig_len` must not drive a
     // multi-GB upfront allocation, so cap it; the vec grows as needed for
     // legitimately large (highly repetitive) streams.
@@ -335,7 +302,7 @@ fn lz_expand<T: Token>(tokens: &[T], orig_len: usize) -> CodecResult<Vec<u8>> {
             rest = tail;
             out.try_reserve(n)
                 .map_err(|_| CodecError::corrupt("literal run exceeds available memory"))?;
-            T::append_run(run, &mut out)?;
+            out.extend_from_slice(run);
         } else {
             let mut len = (control & 0x7F) as usize + MIN_MATCH;
             if control & 0x7F == 0x7F {
@@ -671,11 +638,18 @@ mod tests {
             let mut syms = clean.clone();
             syms[at] = 0x100 + at as u32;
             let bad = stream(12, 2, &huffman::encode_with_table(&syms));
-            match decompress(&bad) {
-                Err(CodecError::Corrupt { .. }) => {}
-                other => panic!("symbol {at} forged: expected Corrupt, got {other:?}"),
-            }
+            let bad_token = Err(CodecError::corrupt("token out of byte range"));
+            assert_eq!(decompress(&bad), bad_token, "symbol {at} forged");
         }
+        // A token stream long enough for the table decoder (≥ 64 symbols).
+        let mut long: Vec<u32> = vec![99];
+        long.extend((0..100u32).map(|i| i % 7 + 48));
+        let ok = stream(100, 2, &huffman::encode_with_table(&long));
+        assert_eq!(decompress(&ok).unwrap().len(), 100);
+        long[77] = 256;
+        let bad = stream(100, 2, &huffman::encode_with_table(&long));
+        let bad_token = Err(CodecError::corrupt("token out of byte range"));
+        assert_eq!(decompress(&bad), bad_token);
     }
 
     #[test]

@@ -21,13 +21,13 @@ use crate::codec::{
     expect_envelope, total_cells, write_envelope, Codec, CodecId, StreamInfo, FLAG_EMPTY,
 };
 use crate::huffman;
-use crate::kernels;
-use crate::lorenzo::lorenzo3;
+use crate::kernels::{self, SymbolReader};
 use crate::lossless;
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL, QUANT_RADIUS};
-use crate::regression::{fit_block, CoefficientCodec};
+use crate::regression::{fit_block, CoefficientCodec, Coefficients};
 pub use crate::scratch::with_lr_scratch as with_thread_scratch;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
+use std::convert::Infallible;
 
 /// SZ_L/R payload format version (rides in the envelope header).
 const VERSION: u8 = 2;
@@ -186,15 +186,21 @@ pub fn compress_domains_into<U: AsView3>(
     w.put_f64(cfg.abs_eb);
     w.put_u8(cfg.block_size as u8);
     w.put_u32(domains.len() as u32);
-    let mut coeff_codec = CoefficientCodec::new(cfg.abs_eb, cfg.block_size);
-    let q = Quantizer::new(cfg.abs_eb);
+    let mut enc = Encoder {
+        data: domains[0].view(),
+        q: Quantizer::new(cfg.abs_eb),
+        coeff_codec: CoefficientCodec::new(cfg.abs_eb, cfg.block_size),
+        s: &mut scratch.streams,
+        syms_row: [0; MAX_BLOCK_EDGE],
+    };
     for domain in domains {
-        let domain = domain.view();
-        let dims = domain.dims();
+        enc.data = domain.view();
+        let dims = enc.data.dims();
         w.put_u32(dims.nx as u32);
         w.put_u32(dims.ny as u32);
         w.put_u32(dims.nz as u32);
-        compress_one_domain(domain, cfg, &q, &mut coeff_codec, scratch);
+        scratch.recon.resize(dims.len(), 0.0);
+        let Ok(()) = traverse(dims, cfg.block_size, &mut scratch.recon, &mut enc);
     }
     // The header and domain dims are in; the selection bitmap and the
     // four symbol/outlier streams follow.
@@ -278,12 +284,9 @@ pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
             available: r.remaining() as u128 * 8 + 64,
         });
     }
-    // Selection bitmap.
+    // Selection bitmap: one bit per block, MSB first.
     let nblocks = r.get_u64()? as usize;
     let sel_bytes = r.get_raw(nblocks.div_ceil(8))?;
-    let selection: Vec<bool> = (0..nblocks)
-        .map(|i| sel_bytes[i / 8] >> (7 - i % 8) & 1 == 1)
-        .collect();
     // Coefficient stream.
     let coeff_syms = huffman::decode_with_table(r.get_block()?)?;
     let n_coeff_out = r.get_u64()? as usize;
@@ -293,31 +296,29 @@ pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
     let n_out = r.get_u64()? as usize;
     let data_outliers = r.get_f64s(n_out)?;
 
-    let cfg = LrConfig { abs_eb, block_size };
-    let q = Quantizer::new(abs_eb);
-    let mut coeff_codec = CoefficientCodec::new(abs_eb, block_size);
-    let mut sel_iter = selection.into_iter();
-    let mut sym_iter = data_syms.into_iter();
-    let mut out_iter = data_outliers.into_iter();
-    let mut csym_iter = coeff_syms.into_iter();
-    let mut cout_iter = coeff_outliers.into_iter();
+    let mut dec = Decoder {
+        coeff_codec: CoefficientCodec::new(abs_eb, block_size),
+        selection: (0..nblocks).map(|i| sel_bytes[i / 8] >> (7 - i % 8) & 1 == 1),
+        coeff_syms: coeff_syms.into_iter(),
+        coeff_outliers: coeff_outliers.into_iter(),
+        data: SymbolReader {
+            q: Quantizer::new(abs_eb),
+            syms: &data_syms,
+            outliers: &data_outliers,
+            truncated: TRUNCATED,
+        },
+        preds: [0.0; MAX_BLOCK_EDGE],
+    };
     let mut result = Vec::with_capacity(ndomains);
     for d in dims {
-        let buf = decompress_one_domain(
-            d,
-            &cfg,
-            &q,
-            &mut coeff_codec,
-            &mut sel_iter,
-            &mut sym_iter,
-            &mut out_iter,
-            &mut csym_iter,
-            &mut cout_iter,
-        )?;
-        result.push(buf);
+        let mut recon = vec![0.0; d.len()];
+        traverse(d, block_size, &mut recon, &mut dec)?;
+        result.push(Buffer3::from_vec(d, recon));
     }
     Ok(result)
 }
+
+const TRUNCATED: &str = "SZ_L/R stream truncated";
 
 /// Convenience wrapper: single-domain decompress.
 pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
@@ -359,166 +360,227 @@ fn blocks_of(dims: Dims3, bs: usize) -> impl Iterator<Item = ((usize, usize, usi
     })
 }
 
-fn compress_one_domain(
-    data: View3<'_>,
-    cfg: &LrConfig,
-    q: &Quantizer,
-    coeff_codec: &mut CoefficientCodec,
-    scratch: &mut LrScratch,
-) {
-    let LrScratch {
-        streams: s, recon, ..
-    } = scratch;
-    let dims = data.dims();
+/// One direction of the codec, driven by [`traverse`]: the encoder turns
+/// each row of values into symbols, the decoder each row of symbols back
+/// into values. Either way the reconstruction must end up in the row
+/// handed over — later Lorenzo stencils read it.
+trait Direction {
+    /// What can go wrong ([`Infallible`] for the encoder).
+    type Err;
+    /// The predictor of the block at `(oi, oj, ok)`: the quantized
+    /// regression coefficients, or `None` for Lorenzo — chosen by the
+    /// encoder, read back by the decoder.
+    fn block(
+        &mut self,
+        origin: (usize, usize, usize),
+        bd: Dims3,
+    ) -> Result<Option<Coefficients>, Self::Err>;
+    /// The x-row of a regression block at flat index `base`, predicted
+    /// `((b0 + bx·i) + by) + bz` at its `i`-th cell.
+    fn affine_row(&mut self, base: usize, b: [f64; 4], row: &mut [f64]) -> Result<(), Self::Err>;
+    /// The x-row of a Lorenzo block at flat index `base`, with its three
+    /// neighbour rows and `left`, the four stencil rows' values one cell
+    /// before the row, in [`kernels::lorenzo_quantize_row`]'s order.
+    fn lorenzo_row(
+        &mut self,
+        base: usize,
+        above: [&[f64]; 3],
+        left: [f64; 4],
+        row: &mut [f64],
+    ) -> Result<(), Self::Err>;
+}
+
+/// The SZ_L/R traversal of one domain — block order, row order and the
+/// Lorenzo stencil geometry, stated once for both directions (statically
+/// dispatched, so each gets its own specialised copy of the nest).
+///
+/// Blocks run x-fastest, their rows y then z. A Lorenzo row reads the
+/// reconstruction at `(i − 1, ·)`, `(·, j − 1, ·)`, `(·, ·, k − 1)` and
+/// their corners, across block boundaries and zero beyond the domain's
+/// faces. All of them lie strictly before the row in flat order, so
+/// splitting `recon` at the row start gives aliasing-free read slices.
+fn traverse<D: Direction>(
+    dims: Dims3,
+    block_size: usize,
+    recon: &mut [f64],
+    dir: &mut D,
+) -> Result<(), D::Err> {
     let plane = dims.nx * dims.ny;
-    recon.resize(dims.len(), 0.0);
-    let mut syms_row = [0u32; MAX_BLOCK_EDGE];
-    for ((oi, oj, ok), bd) in blocks_of(dims, cfg.block_size) {
-        // Predictor selection on the original data (SZ2 style): one fit,
-        // then both selection statistics in a single fused sweep while
-        // the block is cache-resident.
-        let regression = if bd.len() >= MIN_REGRESSION_CELLS {
-            let coeffs = fit_block(data, oi, oj, ok, bd);
-            let (reg_err, lor_err) = kernels::selection_errors(data, oi, oj, ok, bd, &coeffs);
-            (reg_err < lor_err).then_some(coeffs)
-        } else {
-            None
-        };
-        s.selection.push(regression.is_some());
-        if let Some(coeffs) = regression {
-            let qc = coeff_codec.encode(&coeffs, &mut s.coeff_syms, &mut s.coeff_outliers);
+    for ((oi, oj, ok), bd) in blocks_of(dims, block_size) {
+        if let Some(qc) = dir.block((oi, oj, ok), bd)? {
             for k in 0..bd.nz {
                 let bz = qc.b[2] * k as f64;
                 for j in 0..bd.ny {
                     let by = qc.b[1] * j as f64;
                     let base = dims.idx(oi, oj + j, ok + k);
-                    let vals = &data.data()[base..base + bd.nx];
-                    kernels::quantize_affine_row(
-                        q,
-                        vals,
-                        qc.b0,
-                        qc.b[0],
-                        by,
-                        bz,
-                        &mut syms_row[..bd.nx],
+                    dir.affine_row(
+                        base,
+                        [qc.b0, qc.b[0], by, bz],
                         &mut recon[base..base + bd.nx],
-                    );
-                    s.drain_row(vals, &syms_row[..bd.nx]);
+                    )?;
                 }
             }
-        } else {
-            for k in 0..bd.nz {
-                let ka = ok + k;
-                for j in 0..bd.ny {
-                    let ja = oj + j;
-                    let base = dims.idx(oi, ja, ka);
-                    let vals = &data.data()[base..base + bd.nx];
-                    // All stencil neighbours live strictly before this
-                    // row in traversal order, so splitting at the row
-                    // start gives aliasing-free read slices.
-                    let (head, tail) = recon.split_at_mut(base);
-                    let jm = if ja > 0 {
-                        &head[base - dims.nx..base - dims.nx + bd.nx]
+            continue;
+        }
+        for k in 0..bd.nz {
+            let ka = ok + k;
+            for j in 0..bd.ny {
+                let ja = oj + j;
+                let base = dims.idx(oi, ja, ka);
+                let (head, tail) = recon.split_at_mut(base);
+                // The stencil row `back` cells before this one, and its
+                // value one cell before the block; zeros outside the domain.
+                let row = |back: usize, inside: bool| {
+                    if inside {
+                        &head[base - back..][..bd.nx]
                     } else {
                         &ZEROS[..bd.nx]
-                    };
-                    let km = if ka > 0 {
-                        &head[base - plane..base - plane + bd.nx]
+                    }
+                };
+                let left = |back: usize, inside: bool| {
+                    if inside && oi > 0 {
+                        head[base - back - 1]
                     } else {
-                        &ZEROS[..bd.nx]
-                    };
-                    let jkm = if ja > 0 && ka > 0 {
-                        &head[base - plane - dims.nx..base - plane - dims.nx + bd.nx]
-                    } else {
-                        &ZEROS[..bd.nx]
-                    };
-                    let left = if oi > 0 {
-                        [
-                            head[base - 1],
-                            if ja > 0 {
-                                head[base - dims.nx - 1]
-                            } else {
-                                0.0
-                            },
-                            if ka > 0 { head[base - plane - 1] } else { 0.0 },
-                            if ja > 0 && ka > 0 {
-                                head[base - plane - dims.nx - 1]
-                            } else {
-                                0.0
-                            },
-                        ]
-                    } else {
-                        [0.0; 4]
-                    };
-                    kernels::lorenzo_quantize_row(
-                        q,
-                        vals,
-                        jm,
-                        km,
-                        jkm,
-                        left,
-                        &mut syms_row[..bd.nx],
-                        &mut tail[..bd.nx],
-                    );
-                    s.drain_row(vals, &syms_row[..bd.nx]);
-                }
+                        0.0
+                    }
+                };
+                let (jm, km, jkm) = (dims.nx, plane, plane + dims.nx);
+                let (has_j, has_k) = (ja > 0, ka > 0);
+                dir.lorenzo_row(
+                    base,
+                    [row(jm, has_j), row(km, has_k), row(jkm, has_j && has_k)],
+                    [
+                        left(0, true),
+                        left(jm, has_j),
+                        left(km, has_k),
+                        left(jkm, has_j && has_k),
+                    ],
+                    &mut tail[..bd.nx],
+                )?;
             }
         }
+    }
+    Ok(())
+}
+
+/// The encoding [`Direction`]: select each block's predictor on the
+/// original data, quantize each row against its prediction.
+struct Encoder<'a> {
+    data: View3<'a>,
+    q: Quantizer,
+    coeff_codec: CoefficientCodec,
+    s: &'a mut Streams,
+    syms_row: [u32; MAX_BLOCK_EDGE],
+}
+
+impl Direction for Encoder<'_> {
+    type Err = Infallible;
+
+    fn block(
+        &mut self,
+        (oi, oj, ok): (usize, usize, usize),
+        bd: Dims3,
+    ) -> Result<Option<Coefficients>, Infallible> {
+        // Predictor selection on the original data (SZ2 style): one fit,
+        // then both selection statistics in a single fused sweep while
+        // the block is cache-resident.
+        let regression = if bd.len() >= MIN_REGRESSION_CELLS {
+            let coeffs = fit_block(self.data, oi, oj, ok, bd);
+            let (reg_err, lor_err) = kernels::selection_errors(self.data, oi, oj, ok, bd, &coeffs);
+            (reg_err < lor_err).then_some(coeffs)
+        } else {
+            None
+        };
+        let s = &mut *self.s;
+        s.selection.push(regression.is_some());
+        Ok(regression.map(|c| {
+            self.coeff_codec
+                .encode(&c, &mut s.coeff_syms, &mut s.coeff_outliers)
+        }))
+    }
+
+    #[inline]
+    fn affine_row(
+        &mut self,
+        base: usize,
+        [b0, bx, by, bz]: [f64; 4],
+        row: &mut [f64],
+    ) -> Result<(), Infallible> {
+        let vals = &self.data.data()[base..base + row.len()];
+        let syms = &mut self.syms_row[..row.len()];
+        kernels::quantize_affine_row(&self.q, vals, b0, bx, by, bz, syms, row);
+        self.s.drain_row(vals, syms);
+        Ok(())
+    }
+
+    #[inline]
+    fn lorenzo_row(
+        &mut self,
+        base: usize,
+        [jm, km, jkm]: [&[f64]; 3],
+        left: [f64; 4],
+        row: &mut [f64],
+    ) -> Result<(), Infallible> {
+        let vals = &self.data.data()[base..base + row.len()];
+        let syms = &mut self.syms_row[..row.len()];
+        kernels::lorenzo_quantize_row(&self.q, vals, jm, km, jkm, left, syms, row);
+        self.s.drain_row(vals, syms);
+        Ok(())
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn decompress_one_domain(
-    dims: Dims3,
-    cfg: &LrConfig,
-    q: &Quantizer,
-    coeff_codec: &mut CoefficientCodec,
-    sel_iter: &mut impl Iterator<Item = bool>,
-    sym_iter: &mut impl Iterator<Item = u32>,
-    out_iter: &mut impl Iterator<Item = f64>,
-    csym_iter: &mut impl Iterator<Item = u32>,
-    cout_iter: &mut impl Iterator<Item = f64>,
-) -> CodecResult<Buffer3> {
-    let mut recon = Buffer3::zeros(dims);
-    let truncated = || CodecError::corrupt("SZ_L/R stream truncated");
-    for ((oi, oj, ok), bd) in blocks_of(dims, cfg.block_size) {
-        let use_regression = sel_iter.next().ok_or_else(truncated)?;
-        if use_regression {
-            let qc = coeff_codec.decode(csym_iter, cout_iter)?;
-            for k in 0..bd.nz {
-                for j in 0..bd.ny {
-                    for i in 0..bd.nx {
-                        let sym = sym_iter.next().ok_or_else(truncated)?;
-                        let v = if sym == OUTLIER_SYMBOL {
-                            out_iter.next().ok_or_else(truncated)?
-                        } else {
-                            // try_reconstruct: a corrupt Huffman table can
-                            // smuggle any u32 here — typed error, not
-                            // silent garbage.
-                            q.try_reconstruct(sym, qc.predict(i, j, k))?
-                        };
-                        recon.set(oi + i, oj + j, ok + k, v);
-                    }
-                }
-            }
-        } else {
-            for k in 0..bd.nz {
-                for j in 0..bd.ny {
-                    for i in 0..bd.nx {
-                        let sym = sym_iter.next().ok_or_else(truncated)?;
-                        let v = if sym == OUTLIER_SYMBOL {
-                            out_iter.next().ok_or_else(truncated)?
-                        } else {
-                            let pred = lorenzo3(&recon, oi + i, oj + j, ok + k);
-                            q.try_reconstruct(sym, pred)?
-                        };
-                        recon.set(oi + i, oj + j, ok + k, v);
-                    }
-                }
-            }
+/// The decoding [`Direction`]: consume the selection bits, the
+/// coefficient stream and the data symbols in emission order.
+struct Decoder<'a, S> {
+    coeff_codec: CoefficientCodec,
+    selection: S,
+    coeff_syms: std::vec::IntoIter<u32>,
+    coeff_outliers: std::vec::IntoIter<f64>,
+    data: SymbolReader<'a>,
+    preds: [f64; MAX_BLOCK_EDGE],
+}
+
+impl<S: Iterator<Item = bool>> Direction for Decoder<'_, S> {
+    type Err = CodecError;
+
+    fn block(
+        &mut self,
+        _origin: (usize, usize, usize),
+        _bd: Dims3,
+    ) -> CodecResult<Option<Coefficients>> {
+        let truncated = || CodecError::corrupt(TRUNCATED);
+        if !self.selection.next().ok_or_else(truncated)? {
+            return Ok(None);
         }
+        let (syms, outliers) = (&mut self.coeff_syms, &mut self.coeff_outliers);
+        self.coeff_codec.decode(syms, outliers).map(Some)
     }
-    Ok(recon)
+
+    #[inline]
+    fn affine_row(
+        &mut self,
+        _base: usize,
+        [b0, bx, by, bz]: [f64; 4],
+        row: &mut [f64],
+    ) -> CodecResult<()> {
+        // The tree `quantize_affine_row` evaluates, as a prediction row.
+        let preds = &mut self.preds[..row.len()];
+        for (i, p) in preds.iter_mut().enumerate() {
+            *p = ((b0 + bx * i as f64) + by) + bz;
+        }
+        self.data.row(preds, row)
+    }
+
+    #[inline]
+    fn lorenzo_row(
+        &mut self,
+        _base: usize,
+        [jm, km, jkm]: [&[f64]; 3],
+        left: [f64; 4],
+        row: &mut [f64],
+    ) -> CodecResult<()> {
+        self.data.lorenzo_row(jm, km, jkm, left, row)
+    }
 }
 
 /// [`Codec`] adapter for SZ_L/R with Shared Lossless Encoding: every unit
@@ -578,7 +640,304 @@ impl Codec for LrCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lorenzo::lorenzo3;
     use crate::metrics::ErrorStats;
+
+    /// The per-point decoder the shipping code replaced, kept whole as the
+    /// oracle — its own copy of every header guard, symbols pulled one at
+    /// a time through iterators, prediction through
+    /// `Coefficients::predict` or the bounds-checked `lorenzo3`, one
+    /// branch and one `Buffer3::set` per cell.
+    fn decompress_domains_reference(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+        let env = expect_envelope(bytes, CodecId::LrSle, VERSION)?;
+        let payload = lossless::decompress(&bytes[env.payload_offset..])?;
+        let mut r = Reader::new(&payload);
+        let abs_eb = r.get_f64()?;
+        if !(abs_eb > 0.0 && abs_eb.is_finite()) {
+            return Err(CodecError::BadParameter {
+                what: "error bound",
+            });
+        }
+        let block_size = r.get_u8()? as usize;
+        if block_size == 0 {
+            return Err(CodecError::BadParameter { what: "block size" });
+        }
+        let ndomains = r.get_u32()? as usize;
+        r.check_count(ndomains, 12)?;
+        let mut dims = Vec::with_capacity(ndomains);
+        let mut total_cells: u128 = 0;
+        for _ in 0..ndomains {
+            let nx = r.get_u32()? as usize;
+            let ny = r.get_u32()? as usize;
+            let nz = r.get_u32()? as usize;
+            if nx == 0 || ny == 0 || nz == 0 {
+                return Err(CodecError::dims(format!(
+                    "degenerate domain dims {nx}x{ny}x{nz}"
+                )));
+            }
+            total_cells += nx as u128 * ny as u128 * nz as u128;
+            dims.push(Dims3::new(nx, ny, nz));
+        }
+        if total_cells > r.remaining() as u128 * 8 + 64 {
+            return Err(CodecError::LimitExceeded {
+                what: "domain cells",
+                claimed: total_cells,
+                available: r.remaining() as u128 * 8 + 64,
+            });
+        }
+        let nblocks = r.get_u64()? as usize;
+        let sel_bytes = r.get_raw(nblocks.div_ceil(8))?;
+        let selection: Vec<bool> = (0..nblocks)
+            .map(|i| sel_bytes[i / 8] >> (7 - i % 8) & 1 == 1)
+            .collect();
+        let coeff_syms = huffman::decode_with_table(r.get_block()?)?;
+        let n_coeff_out = r.get_u64()? as usize;
+        let coeff_outliers = r.get_f64s(n_coeff_out)?;
+        let data_syms = huffman::decode_with_table(r.get_block()?)?;
+        let n_out = r.get_u64()? as usize;
+        let data_outliers = r.get_f64s(n_out)?;
+
+        let q = Quantizer::new(abs_eb);
+        let mut coeff_codec = CoefficientCodec::new(abs_eb, block_size);
+        let mut sel_iter = selection.into_iter();
+        let mut sym_iter = data_syms.into_iter();
+        let mut out_iter = data_outliers.into_iter();
+        let mut csym_iter = coeff_syms.into_iter();
+        let mut cout_iter = coeff_outliers.into_iter();
+        let truncated = || CodecError::corrupt("SZ_L/R stream truncated");
+        let mut result = Vec::with_capacity(ndomains);
+        for dims in dims {
+            let mut recon = Buffer3::zeros(dims);
+            for ((oi, oj, ok), bd) in blocks_of(dims, block_size) {
+                let use_regression = sel_iter.next().ok_or_else(truncated)?;
+                if use_regression {
+                    let qc = coeff_codec.decode(&mut csym_iter, &mut cout_iter)?;
+                    for k in 0..bd.nz {
+                        for j in 0..bd.ny {
+                            for i in 0..bd.nx {
+                                let sym = sym_iter.next().ok_or_else(truncated)?;
+                                let v = if sym == OUTLIER_SYMBOL {
+                                    out_iter.next().ok_or_else(truncated)?
+                                } else {
+                                    q.try_reconstruct(sym, qc.predict(i, j, k))?
+                                };
+                                recon.set(oi + i, oj + j, ok + k, v);
+                            }
+                        }
+                    }
+                } else {
+                    for k in 0..bd.nz {
+                        for j in 0..bd.ny {
+                            for i in 0..bd.nx {
+                                let sym = sym_iter.next().ok_or_else(truncated)?;
+                                let v = if sym == OUTLIER_SYMBOL {
+                                    out_iter.next().ok_or_else(truncated)?
+                                } else {
+                                    let pred = lorenzo3(&recon, oi + i, oj + j, ok + k);
+                                    q.try_reconstruct(sym, pred)?
+                                };
+                                recon.set(oi + i, oj + j, ok + k, v);
+                            }
+                        }
+                    }
+                }
+            }
+            result.push(recon);
+        }
+        Ok(result)
+    }
+
+    /// The test fields: a smooth trend, the same under uniform noise of
+    /// amplitude 1, and [`crate::interp::tests::spiky`]'s outliers (huge
+    /// spikes, NaN, ±∞, a whole poisoned row, planes left clean). `unit`
+    /// shifts the field so the domains of one stream differ.
+    fn field(kind: usize, dims: Dims3, unit: usize) -> Buffer3 {
+        let mut b = crate::interp::tests::spiky(dims, kind == 2);
+        let mut x = 17 + unit as u64;
+        for v in b.data_mut() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let noise = (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            *v += unit as f64 * 0.37 + if kind == 1 { noise } else { 0.0 };
+        }
+        b
+    }
+
+    /// Stored raw: non-finite, or far beyond anything the trend predicts.
+    fn is_spike(v: f64) -> bool {
+        !v.is_finite() || v.abs() > 1.0e5
+    }
+
+    const ORACLE_DIMS: [(usize, usize, usize); 5] =
+        [(1, 1, 1), (5, 1, 3), (17, 9, 5), (13, 7, 9), (20, 20, 20)];
+
+    /// The selection bits of a stream, one per block in traversal order.
+    fn selection_bits(stream: &[u8]) -> Vec<bool> {
+        let env = expect_envelope(stream, CodecId::LrSle, VERSION).unwrap();
+        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
+        let mut r = Reader::new(&payload);
+        r.get_raw(8 + 1).unwrap();
+        let ndomains = r.get_u32().unwrap() as usize;
+        r.get_raw(12 * ndomains).unwrap();
+        let nblocks = r.get_u64().unwrap() as usize;
+        let bytes = r.get_raw(nblocks.div_ceil(8)).unwrap();
+        (0..nblocks)
+            .map(|i| bytes[i / 8] >> (7 - i % 8) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn row_decoder_matches_per_point_reference_bitwise() {
+        // census[regression as usize][min(outliers in the row, 2)]
+        let mut census = [[0usize; 3]; 2];
+        for ndomains in [1usize, 5, 64] {
+            // One domain: each shape on its own; several: the shapes in
+            // turn (the 20³ one only where it is alone or one of five).
+            let shapes = if ndomains == 64 { 4 } else { 5 };
+            let sets: Vec<Vec<usize>> = match ndomains {
+                1 => (0..shapes).map(|d| vec![d]).collect(),
+                n => vec![(0..n).map(|u| u % shapes).collect()],
+            };
+            for (set, kind, bs, eb) in sets.iter().flat_map(|set| {
+                (0..3).flat_map(move |kind| {
+                    [4usize, 6, 255]
+                        .into_iter()
+                        .flat_map(move |bs| [1e-2, 1e-4].map(|eb| (set, kind, bs, eb)))
+                })
+            }) {
+                let what = format!("{ndomains} domains {set:?} kind {kind} bs {bs} eb {eb}");
+                let domains: Vec<Buffer3> = set
+                    .iter()
+                    .enumerate()
+                    .map(|(u, &d)| {
+                        let (nx, ny, nz) = ORACLE_DIMS[d];
+                        field(kind, Dims3::new(nx, ny, nz), u)
+                    })
+                    .collect();
+                let cfg = LrConfig::new(eb).with_block_size(bs);
+                let stream = compress_domains(&domains, &cfg);
+                let fast = decompress_domains(&stream).expect("decode");
+                let slow = decompress_domains_reference(&stream).expect("reference decode");
+                assert_eq!(fast.len(), domains.len(), "{what}");
+                let mut selection = selection_bits(&stream).into_iter();
+                for ((orig, a), b) in domains.iter().zip(&fast).zip(&slow) {
+                    assert_eq!(a.dims(), orig.dims(), "{what}");
+                    assert_eq!(b.dims(), orig.dims(), "{what}");
+                    for (idx, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}: cell {idx} differs");
+                    }
+                    // Outliers are stored raw, so they come back exactly —
+                    // NaN payload bits included; everything else within
+                    // the bound.
+                    for (o, r) in orig.data().iter().zip(a.data()) {
+                        if is_spike(*o) {
+                            assert_eq!(o.to_bits(), r.to_bits(), "{what}");
+                        } else {
+                            assert!((o - r).abs() <= eb * (1.0 + 1e-12), "{what}");
+                        }
+                    }
+                    for ((oi, oj, ok), bd) in blocks_of(orig.dims(), bs) {
+                        let regression = selection.next().expect("one bit per block");
+                        for (j, k) in (0..bd.nz).flat_map(|k| (0..bd.ny).map(move |j| (j, k))) {
+                            let raw = (0..bd.nx)
+                                .filter(|i| is_spike(orig.get(oi + i, oj + j, ok + k)))
+                                .count();
+                            census[regression as usize][raw.min(2)] += 1;
+                        }
+                    }
+                }
+                assert_eq!(selection.next(), None, "{what}");
+            }
+        }
+        // The equivalence above is only as good as its inputs: both
+        // predictors must have met rows with no, one and many outliers.
+        for (predictor, rows) in ["Lorenzo", "regression"].iter().zip(census) {
+            for (outliers, n) in ["no", "one", "many"].iter().zip(rows) {
+                assert!(n > 0, "no {predictor} row with {outliers} outliers");
+            }
+        }
+    }
+
+    /// An SZ_L/R stream around a hand-edited payload, stored (lossless
+    /// mode 0) rather than parsed again for every edit.
+    fn wrap(payload: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        write_envelope(&mut w, CodecId::LrSle, VERSION, 0);
+        w.put_u64(payload.len() as u64);
+        w.put_u8(0);
+        w.put_block(payload);
+        w.into_bytes()
+    }
+
+    /// Both decoders on one hostile stream: the same values bit for bit,
+    /// or the same error variant. A panic in either fails the test.
+    ///
+    /// One exception: a NaN that a damaged stream makes a decoder
+    /// *compute* (a valid symbol on a prediction that is NaN, which no
+    /// encoder emits — a NaN prediction always quantizes to an outlier)
+    /// compares as NaN only. When two NaNs meet in one add, which one's
+    /// sign and payload survive depends on the operand order the compiler
+    /// picked, and optimised builds pick differently for the two loops.
+    fn assert_same_outcome(stream: &[u8], what: &str) {
+        let fast = decompress_domains(stream);
+        let slow = decompress_domains_reference(stream);
+        match (&fast, &slow) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.len(), b.len(), "{what}");
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.dims(), y.dims(), "{what}");
+                    for (p, q) in x.data().iter().zip(y.data()) {
+                        assert!(
+                            p.to_bits() == q.to_bits() || p.is_nan() && q.is_nan(),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "{what}: {a:?} vs {b:?}"
+            ),
+            _ => panic!("{what}: row decoder {fast:?}, reference {slow:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_streams_get_the_reference_outcome() {
+        // Regression and Lorenzo blocks, ragged edges, outliers of every
+        // kind, five domains under one tree.
+        let domains: Vec<Buffer3> = (0..5).map(|u| field(2, Dims3::new(13, 7, 9), u)).collect();
+        let stream = compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(6));
+        let env = expect_envelope(&stream, CodecId::LrSle, VERSION).unwrap();
+        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
+        assert_same_outcome(&wrap(&payload), "pristine");
+        assert!(decompress_domains(&wrap(&payload)).is_ok());
+        assert!(
+            selection_bits(&stream).contains(&true) && selection_bits(&stream).contains(&false)
+        );
+        // Every truncation of the payload (the streams run dry mid-row,
+        // mid-table, mid-header) and of the stream around it.
+        for cut in 0..payload.len() {
+            assert_same_outcome(&wrap(&payload[..cut]), &format!("payload cut at {cut}"));
+        }
+        for cut in 0..stream.len() {
+            assert_same_outcome(&stream[..cut], &format!("stream cut at {cut}"));
+        }
+        // Seeded bit flips: header fields, selection bits, both Huffman
+        // tables and bit streams, outlier counts and raw values.
+        let mut x = 2024u64;
+        for _ in 0..2000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (at, bit) = ((x >> 33) as usize % payload.len(), (x >> 8) % 8);
+            let mut damaged = payload.clone();
+            damaged[at] ^= 1 << bit;
+            assert_same_outcome(&wrap(&damaged), &format!("bit {bit} of byte {at}"));
+        }
+    }
 
     fn smooth_cube(n: usize) -> Buffer3 {
         let mut b = Buffer3::zeros(Dims3::cube(n));

@@ -203,6 +203,37 @@ proptest! {
     }
 
     #[test]
+    fn lr_roundtrips_within_bound_with_outliers_exact(
+        buf in buffer_strategy(12),
+        block_size in prop_oneof![1usize..=13, Just(255usize)],
+        eb_exp in -6i32..-1,
+        poison in proptest::collection::vec((0usize..1728, 0u8..4), 0..24),
+    ) {
+        // Ragged edge blocks at every block size, regression and Lorenzo
+        // blocks as the data falls, and from none to a couple of dozen
+        // raw-stored cells: NaN with payload bits, ±∞, a huge spike.
+        let dims = buf.dims();
+        let abs_eb = 10f64.powi(eb_exp) * buf.value_range().max(1.0);
+        let mut data = buf.into_vec();
+        let raw = [f64::from_bits(0x7ff8_0000_dead_beef), f64::INFINITY, f64::NEG_INFINITY, 1.0e300];
+        for (at, what) in poison {
+            let at = at % data.len();
+            data[at] = raw[what as usize];
+        }
+        let cfg = LrConfig::new(abs_eb).with_block_size(block_size);
+        let stream = lr::compress(&Buffer3::from_vec(dims, data.clone()), &cfg);
+        let back = lr::decompress(&stream).unwrap();
+        prop_assert_eq!(back.dims(), dims);
+        for (o, r) in data.iter().zip(back.data()) {
+            if o.abs() <= 1.0e6 {
+                prop_assert!((o - r).abs() <= abs_eb * (1.0 + 1e-9), "{} decoded as {}", o, r);
+            } else {
+                prop_assert_eq!(o.to_bits(), r.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn sle_multi_domain_bound(
         bufs in proptest::collection::vec(buffer_strategy(6), 1..6),
         eb_exp in -5i32..-1,
