@@ -162,29 +162,31 @@ impl FArrayBox {
     /// `region.num_cells()` values in Fortran order — the inverse of
     /// [`FArrayBox::append_region`].
     pub fn paste_region(&mut self, region: &IntBox, c: usize, src: &[f64]) {
-        assert!(self.domain.contains_box(region), "{region:?} outside fab");
+        let (dst, row, plane) = self.region_mut(region, c);
         assert_eq!(
             src.len(),
             region.num_cells() as usize,
             "source length does not match {region:?}"
         );
-        let (size, stride) = (region.size(), self.domain.size());
+        let size = region.size();
         let run = size.get(0) as usize;
-        let (row, plane) = (
-            stride.get(0) as usize,
-            (stride.get(0) * stride.get(1)) as usize,
-        );
-        let mut z_start = self.domain.linear_index(&region.lo);
-        let comp = self.comp_mut(c);
         let mut rows = src.chunks_exact(run);
-        for _ in 0..size.get(2) {
-            let mut start = z_start;
-            for _ in 0..size.get(1) {
-                comp[start..start + run].copy_from_slice(rows.next().expect("length checked"));
-                start += row;
+        for k in 0..size.get(2) as usize {
+            for j in 0..size.get(1) as usize {
+                let at = j * row + k * plane;
+                dst[at..at + run].copy_from_slice(rows.next().expect("length checked"));
             }
-            z_start += plane;
         }
+    }
+
+    /// Component `c` from `region.lo` on, with the box's row and plane
+    /// strides: cell `(i, j, k)` of `region` is at `i + j·row + k·plane` —
+    /// where a decoder reconstructs a unit in place.
+    pub fn region_mut(&mut self, region: &IntBox, c: usize) -> (&mut [f64], usize, usize) {
+        assert!(self.domain.contains_box(region), "{region:?} outside fab");
+        let (start, stride) = (self.domain.linear_index(&region.lo), self.domain.size());
+        let (row, plane) = (stride.get(0), stride.get(0) * stride.get(1));
+        (&mut self.comp_mut(c)[start..], row as usize, plane as usize)
     }
 
     /// Min and max of one component. Returns `(f64::INFINITY, -INFINITY)`

@@ -39,31 +39,35 @@ impl BoxCoverage {
 /// list is parallel to `coarse.boxes()`.
 pub fn coverage(coarse: &BoxArray, fine: &BoxArray, ratio: i64) -> Vec<BoxCoverage> {
     let fine_coarsened = fine.coarsened(ratio);
-    coarse
-        .iter()
-        .enumerate()
-        .map(|(i, cb)| {
-            let covered: Vec<IntBox> = fine_coarsened
-                .intersections(cb)
-                .into_iter()
-                .map(|(_, ib)| ib)
-                .collect();
-            // valid = cb \ union(covered), computed by iterated subtraction.
-            let mut valid = vec![*cb];
-            for cov in &covered {
-                let mut next = Vec::with_capacity(valid.len() + 4);
-                for v in valid {
-                    next.extend(v.subtract(cov));
-                }
-                valid = next;
-            }
-            BoxCoverage {
-                box_index: i,
-                covered,
-                valid,
-            }
-        })
+    (0..coarse.len())
+        .map(|i| box_coverage(coarse, i, &fine_coarsened))
         .collect()
+}
+
+/// Coverage of box `box_index` of `coarse` alone, by fine grids already
+/// coarsened to its index space — what [`coverage`] computes per box, for
+/// callers that need a few boxes of a level and not the level.
+pub fn box_coverage(coarse: &BoxArray, box_index: usize, fine_coarsened: &BoxArray) -> BoxCoverage {
+    let cb = coarse.get(box_index);
+    let covered: Vec<IntBox> = fine_coarsened
+        .intersections(cb)
+        .into_iter()
+        .map(|(_, ib)| ib)
+        .collect();
+    // valid = cb \ union(covered), computed by iterated subtraction.
+    let mut valid = vec![*cb];
+    for cov in &covered {
+        let mut next = Vec::with_capacity(valid.len() + 4);
+        for v in valid {
+            next.extend(v.subtract(cov));
+        }
+        valid = next;
+    }
+    BoxCoverage {
+        box_index,
+        covered,
+        valid,
+    }
 }
 
 /// Summary of how much of a level is redundant.

@@ -38,7 +38,7 @@
 use crate::cache::{chunk_bytes, CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore};
 use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
-use amric::pipeline::decompress_field_units;
+use amric::pipeline::decompress_field_units_into;
 use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
 use amric::reader::{load_chunk, read_plotfile_meta, PlotfileMeta};
 use amric::writer::field_dataset;
@@ -46,7 +46,7 @@ use h5lite::index::ChunkIndexEntry;
 use h5lite::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sz_codec::Buffer3;
 
 /// A rectangular region of interest in index space (alias of the mesh
@@ -169,6 +169,36 @@ struct LevelPlan {
     /// `[rank] -> decoded size in bytes` of the rank's chunk (sum of its
     /// unit volumes × 8), precomputed for cost estimation.
     chunk_bytes: Vec<u64>,
+    /// `(tile, rank, unit index)` of every unit of a rank that stored a
+    /// chunk, sorted — built by the first point sample, never at open.
+    by_tile: OnceLock<Vec<([i64; 3], u32, u32)>>,
+}
+
+impl LevelPlan {
+    /// The units that may hold `cell`, as `(rank, unit index)` in rank
+    /// then plan order. `IntBox::tiles` anchors tiles at multiples of the
+    /// level's unit `edge`, so a planned unit lies inside the one global
+    /// tile `lo.coarsened(edge)` and the candidates are the units
+    /// keyed by the cell's tile: one on an aligned plan, a few clipped ones
+    /// on an unaligned legacy plan. The table is only as large as the
+    /// plans the engine already holds, whatever domain a file claims.
+    fn units_near(&self, cell: &IntVect, edge: i64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let table = self.by_tile.get_or_init(|| {
+            let mut table = Vec::new();
+            for (rank, plan) in self.plans.iter().enumerate().take(self.extents.len()) {
+                for (ui, u) in plan.iter().enumerate() {
+                    table.push((u.region.lo.coarsened(edge).0, rank as u32, ui as u32));
+                }
+            }
+            table.sort_unstable();
+            table
+        });
+        let tile = cell.coarsened(edge).0;
+        table[table.partition_point(|entry| entry.0 < tile)..]
+            .iter()
+            .take_while(move |entry| entry.0 == tile)
+            .map(|&(_, rank, ui)| (rank as usize, ui as usize))
+    }
 }
 
 /// Lock-free snapshot of an engine's lifetime counters (the satellite
@@ -394,6 +424,7 @@ impl QueryEngine {
                 plans,
                 extents,
                 chunk_bytes,
+                by_tile: OnceLock::new(),
             });
         }
         Ok(QueryEngine {
@@ -679,32 +710,24 @@ impl QueryEngine {
                 continue;
             }
             let lp = &self.levels[l];
-            let probe = [cell.get(0), cell.get(1), cell.get(2)];
-            for (rank, plan) in lp.plans.iter().enumerate() {
-                if !lp
-                    .extents
-                    .get(rank)
-                    .map(|e| e.intersects(probe, probe))
-                    .unwrap_or(false)
-                {
-                    continue;
-                }
-                if let Some(ui) = plan.iter().position(|u| u.region.contains(&cell)) {
-                    let units = self
-                        .fetch(std::slice::from_ref(&(l, field, rank)))?
-                        .pop()
-                        .expect("one request, one chunk");
-                    let u = &plan[ui];
-                    let buf = &units[ui];
-                    let d = (cell.get(0) - u.region.lo.get(0)) as usize;
-                    let e = (cell.get(1) - u.region.lo.get(1)) as usize;
-                    let g = (cell.get(2) - u.region.lo.get(2)) as usize;
-                    return Ok(Some(PointSample {
-                        level: l,
-                        cell,
-                        value: buf.get(d, e, g),
-                    }));
-                }
+            let holder = lp
+                .units_near(&cell, self.meta.unit_edge(l))
+                .find(|&(rank, ui)| {
+                    lp.extents[rank].intersects(cell.0, cell.0)
+                        && lp.plans[rank][ui].region.contains(&cell)
+                });
+            if let Some((rank, ui)) = holder {
+                let units = self
+                    .fetch(std::slice::from_ref(&(l, field, rank)))?
+                    .pop()
+                    .expect("one request, one chunk");
+                let at = cell - lp.plans[rank][ui].region.lo;
+                let (d, e, g) = (at.get(0) as usize, at.get(1) as usize, at.get(2) as usize);
+                return Ok(Some(PointSample {
+                    level: l,
+                    cell,
+                    value: units[ui].get(d, e, g),
+                }));
             }
         }
         Ok(None)
@@ -745,11 +768,12 @@ impl QueryEngine {
                 Vec::new, // per-worker raw-byte scratch
                 |buf: &mut Vec<u8>, _j, &(slot, key @ (level, _, rank))| {
                     let plan = &self.levels[level].plans[rank];
-                    let units = load_chunk(&self.reader, key, plan, buf, |raw| {
+                    let mut units = Vec::with_capacity(plan.len());
+                    load_chunk(&self.reader, key, plan, buf, &mut units, |raw, dest| {
                         self.counters
                             .read_bytes
                             .fetch_add(raw.len() as u64, Ordering::Relaxed);
-                        Ok(decompress_field_units(raw)?)
+                        Ok(decompress_field_units_into(raw, dest)?)
                     })
                     .map_err(|e| match e {
                         H5Error::Codec(e) => QueryError::Codec(e),

@@ -1,0 +1,315 @@
+//! A point-sample oracle that shares no code with the engine's lookup.
+//!
+//! `QueryEngine::point_sample` finds the unit that holds a cell by the
+//! cell's tile key. The oracle here does what the engine used to: walk
+//! `PlotfileMeta::unit_plan` of every rank, finest level first, until a
+//! unit's region contains the cell, and read the value out of the full
+//! decode. **Every** cell of the finest index space is sampled, so a unit
+//! the table misplaces, a tile with more than one unit (unaligned legacy
+//! layouts), a rank that stored no chunk and cells no level holds are all
+//! visited.
+
+use amr_apps::prelude::*;
+use amr_mesh::prelude::*;
+use amr_query::prelude::*;
+use amric::config::AmricConfig;
+use amric::pipeline::compress_field_units;
+use amric::preprocess::{region_dims, UnitRef};
+use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile, PlotfileMeta};
+use amric::writer::{field_dataset, write_amric};
+use h5lite::prelude::*;
+use std::sync::{Arc, Barrier};
+use sz_codec::View3;
+
+fn tmp(name: &str) -> std::path::PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("amr-query-point-{}-{name}.h5l", std::process::id()));
+    p
+}
+
+/// What a point sample must answer, found the slow way.
+struct Oracle {
+    meta: PlotfileMeta,
+    /// `[level][rank]`, for the ranks that stored a chunk only.
+    plans: Vec<Vec<Vec<UnitRef>>>,
+    decoded: Plotfile,
+}
+
+impl Oracle {
+    fn open(path: &std::path::Path) -> Oracle {
+        let reader = H5Reader::open(path).expect("open");
+        let meta = read_plotfile_meta(&reader).expect("metadata");
+        let plans = (0..meta.num_levels())
+            .map(|l| {
+                let stored = reader.meta(&field_dataset(l, 0)).expect("dataset");
+                (0..stored.chunks.len())
+                    .map(|rank| meta.unit_plan(l, rank))
+                    .collect()
+            })
+            .collect();
+        let decoded = read_amric_hierarchy(path).expect("full decode");
+        Oracle {
+            meta,
+            plans,
+            decoded,
+        }
+    }
+
+    /// The finest index space.
+    fn finest_domain(&self) -> IntBox {
+        self.meta.levels[self.meta.num_levels() - 1].domain
+    }
+
+    /// `(level, cell, value bits)` of the finest level with a unit over `p`.
+    fn sample(&self, field: usize, p: IntVect) -> Option<(usize, IntVect, u64)> {
+        let n = self.meta.num_levels();
+        for l in (0..n).rev() {
+            let cell = p.coarsened(self.meta.refine_factor(n - 1) / self.meta.refine_factor(l));
+            for u in self.plans[l].iter().flatten() {
+                if u.region.contains(&cell) {
+                    let value = self.decoded.levels[l].fab(u.box_index).get(&cell, field);
+                    return Some((l, cell, value.to_bits()));
+                }
+            }
+        }
+        None
+    }
+}
+
+fn answer(engine: &QueryEngine, field: usize, p: IntVect) -> Option<(usize, IntVect, u64)> {
+    let sample = engine.point_sample(field, p).expect("point sample");
+    sample.map(|s| (s.level, s.cell, s.value.to_bits()))
+}
+
+/// Sample every cell of the finest index space (and a rim around it)
+/// through `engine`; returns how many cells each level answered, `None`s
+/// last.
+fn check_every_cell(engine: &QueryEngine, oracle: &Oracle, field: usize, what: &str) -> Vec<u64> {
+    let domain = oracle.finest_domain();
+    let rim = IntBox::new(domain.lo - IntVect::ONE, domain.hi + IntVect::ONE);
+    let mut answered = vec![0u64; oracle.meta.num_levels() + 1];
+    for p in rim.iter_points() {
+        let want = oracle.sample(field, p);
+        assert_eq!(
+            answer(engine, field, p),
+            want,
+            "{what}: field {field} at {p:?}"
+        );
+        assert!(domain.contains(&p) || want.is_none(), "{what}: {p:?}");
+        answered[want.map_or(oracle.meta.num_levels(), |(l, ..)| l)] += 1;
+    }
+    answered
+}
+
+fn nyx(coarse: i64, num_levels: usize, nranks: usize, seed: u64) -> AmrHierarchy {
+    let cfg = AmrRunConfig {
+        coarse_dims: (coarse, coarse, coarse),
+        max_grid_size: 8,
+        blocking_factor: 8,
+        nranks,
+        num_levels,
+        fine_fraction: 0.05,
+        grid_eff: 0.7,
+    };
+    build_hierarchy(&NyxScenario::new(seed), &cfg, 0.0)
+}
+
+#[test]
+fn every_cell_of_written_hierarchies_samples_like_the_linear_scan() {
+    // (coarse edge, levels, ranks, redundancy removal, config)
+    let lr = AmricConfig::lr(1e-3);
+    let cases = [
+        (16, 2, 1, true, lr),
+        (16, 2, 2, true, AmricConfig::interp(1e-3)),
+        (16, 2, 3, false, lr),
+        (8, 3, 1, true, lr),
+        // One 8³ coarse box on three ranks: two of them plan nothing there.
+        (8, 3, 3, true, lr),
+        (16, 3, 2, true, lr),
+    ];
+    for (coarse, levels, nranks, redundancy, cfg) in cases {
+        let what = format!("{coarse}³ coarse, {levels} levels, {nranks} ranks, {redundancy}");
+        let h = nyx(coarse, levels, nranks, 300 + nranks as u64);
+        assert_eq!(h.num_levels(), levels, "{what}: the scenario refined less");
+        let path = tmp(&format!("w-{coarse}-{levels}-{nranks}"));
+        write_amric(&path, &h, &cfg.with_remove_redundancy(redundancy), 8).unwrap();
+        let oracle = Oracle::open(&path);
+        let engine = QueryEngine::open(&path).unwrap();
+        let answered = check_every_cell(&engine, &oracle, 0, &what);
+        // A second field rides the same table.
+        if levels == 2 {
+            check_every_cell(&engine, &oracle, 4, &what);
+        }
+        std::fs::remove_file(&path).ok();
+        // The finest level and a coarser one answer somewhere (on the 8³
+        // domains the first fine level can cover level 0 whole, which then
+        // stores no chunks and answers nothing); inside the domain nothing
+        // is unheld, the rim around it always is.
+        let finest = oracle.finest_domain();
+        let rim = (finest.size() + IntVect::splat(2)).volume() - finest.num_cells();
+        let answering = answered[..levels].iter().filter(|&&n| n > 0).count();
+        assert!(
+            answered[levels - 1] > 0 && answering >= 2,
+            "{what}: {answered:?}"
+        );
+        assert_eq!(answered[levels], rim, "{what}: {answered:?}");
+    }
+}
+
+/// A chunk filter that cuts each chunk into the ragged units of whichever
+/// plan has its length — the writer refuses layouts like this one, so the
+/// file is built by hand, as a pre-alignment-check writer would have.
+struct RaggedFilter {
+    plans: Vec<Vec<UnitRef>>,
+}
+
+impl ChunkFilter for RaggedFilter {
+    fn id(&self) -> u32 {
+        amric::writer::FILTER_AMRIC
+    }
+
+    fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
+        let cells = |plan: &&Vec<UnitRef>| {
+            let cells: u64 = plan.iter().map(|u| u.region.num_cells()).sum();
+            cells as usize == chunk.len()
+        };
+        let plan = self.plans.iter().find(cells).expect("a plan of this size");
+        let mut rest = chunk;
+        let mut units = Vec::new();
+        for u in plan {
+            let (unit, tail) = rest.split_at(u.region.num_cells() as usize);
+            units.push(View3::new(region_dims(&u.region), unit));
+            rest = tail;
+        }
+        out.extend(compress_field_units(&units, &AmricConfig::lr(1e-3), 4));
+        Ok(())
+    }
+
+    fn decode(&self, _bytes: &[u8], _n_elems: usize) -> H5Result<Vec<f64>> {
+        unreachable!("the read path decodes chunks itself")
+    }
+}
+
+/// One level, blocking factor 4, three boxes on two ranks whose faces sit
+/// off the 4-cell tile grid, and a strip of the 12×8×4 domain no box
+/// covers. Tile (0, 1, 0) holds three clipped units from both ranks.
+fn write_unaligned_legacy_file(path: &std::path::Path) {
+    let corners = |b: &IntBox| [b.lo.0, b.hi.0].concat();
+    let boxes = [
+        (IntBox::new(IntVect::new(0, 0, 0), IntVect::new(2, 7, 3)), 0),
+        (IntBox::new(IntVect::new(3, 0, 0), IntVect::new(7, 4, 3)), 1),
+        (IntBox::new(IntVect::new(3, 5, 0), IntVect::new(7, 7, 3)), 0),
+    ];
+    let w = H5Writer::create(path).unwrap();
+    // [nlevels, nfields, nranks, bf, remove_redundancy | nx, ny, nz, nboxes, ratio]
+    let header = [1.0, 1.0, 2.0, 4.0, 1.0, 12.0, 8.0, 4.0, 3.0, 0.0];
+    let names = [1.0, f64::from(b'a')];
+    let table: Vec<f64> = boxes
+        .iter()
+        .flat_map(|(b, owner)| corners(b).into_iter().chain([*owner]))
+        .map(|v| v as f64)
+        .collect();
+    for (name, values) in [
+        ("meta/header", &header[..]),
+        ("meta/field_names", &names[..]),
+        ("meta/level_0/boxes", &table[..]),
+    ] {
+        w.write_dataset(name, values, values.len(), &NoFilter)
+            .unwrap();
+    }
+    w.finish().unwrap();
+    // Plan from the metadata just written, exactly as a reader will.
+    let meta = read_plotfile_meta(&H5Reader::open(path).unwrap()).unwrap();
+    let plans = vec![meta.unit_plan(0, 0), meta.unit_plan(0, 1)];
+    let shares_a_tile = |plan: &[UnitRef]| {
+        let tile = IntVect::new(0, 1, 0);
+        plan.iter()
+            .filter(|u| u.region.lo.coarsened(4) == tile)
+            .count()
+    };
+    assert_eq!((shares_a_tile(&plans[0]), shares_a_tile(&plans[1])), (2, 1));
+    assert!(plans.iter().flatten().any(|u| !u.region.is_aligned(4)));
+    let value = |p: &IntVect| (p.get(0) + 16 * p.get(1) + 256 * p.get(2)) as f64 * 0.37 + 1.0;
+    let chunks: Vec<ChunkData> = plans
+        .iter()
+        .map(|plan| {
+            let cells = plan.iter().flat_map(|u| u.region.iter_points());
+            ChunkData::full(cells.map(|p| value(&p)).collect())
+        })
+        .collect();
+    let chunk_elems = chunks.iter().map(|c| c.logical).max().unwrap();
+    // Rewrite the container whole: metadata, then the field dataset.
+    let w = H5Writer::create(path).unwrap();
+    for (name, values) in [
+        ("meta/header", &header[..]),
+        ("meta/field_names", &names[..]),
+        ("meta/level_0/boxes", &table[..]),
+    ] {
+        w.write_dataset(name, values, values.len(), &NoFilter)
+            .unwrap();
+    }
+    let filter = RaggedFilter { plans };
+    w.write_dataset_chunks(
+        &field_dataset(0, 0),
+        &chunks,
+        chunk_elems,
+        &filter,
+        FilterMode::SizeAware,
+        None,
+    )
+    .unwrap();
+    w.finish().unwrap();
+}
+
+#[test]
+fn clipped_units_that_share_a_tile_sample_like_the_linear_scan() {
+    let path = tmp("unaligned");
+    write_unaligned_legacy_file(&path);
+    let oracle = Oracle::open(&path);
+    let engine = QueryEngine::open(&path).unwrap();
+    assert!(!engine.has_persistent_index(), "a hand-built legacy file");
+    let answered = check_every_cell(&engine, &oracle, 0, "unaligned legacy plan");
+    std::fs::remove_file(&path).ok();
+    // 8×8×4 cells under the boxes; the 4×8×4 strip and the rim are unheld.
+    assert_eq!(answered, [256, 14 * 10 * 6 - 256]);
+    // The decode under it is the planted field, within the bound.
+    let p = IntVect::new(3, 4, 2);
+    let (_, _, bits) = oracle.sample(0, p).unwrap();
+    let planted = (3 + 16 * 4 + 256 * 2) as f64 * 0.37 + 1.0;
+    assert!((f64::from_bits(bits) - planted).abs() < 1.0, "{p:?}");
+}
+
+#[test]
+fn four_concurrent_first_callers_build_one_table() {
+    // The lookup table is built by the first point sample of a level, not
+    // by `open`: four threads released together all make that first call.
+    // `OnceLock` runs one of their builders; whichever it is, every thread
+    // must see every cell answered as the linear scan answers it.
+    let h = nyx(16, 2, 2, 400);
+    let path = tmp("first-callers");
+    write_amric(&path, &h, &AmricConfig::lr(1e-3), 8).unwrap();
+    let oracle = Arc::new(Oracle::open(&path));
+    for round in 0..3 {
+        let engine = Arc::new(QueryEngine::open(&path).unwrap());
+        let gate = Arc::new(Barrier::new(4));
+        let callers: Vec<_> = (0..4)
+            .map(|t| {
+                let (engine, oracle, gate) = (engine.clone(), oracle.clone(), gate.clone());
+                std::thread::spawn(move || {
+                    gate.wait();
+                    check_every_cell(
+                        &engine,
+                        &oracle,
+                        t % 2,
+                        &format!("round {round} caller {t}"),
+                    )
+                })
+            })
+            .collect();
+        let answered: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+        assert!(answered.iter().all(|a| a == &answered[0]), "{answered:?}");
+        let samples: u64 = answered[0].iter().sum();
+        assert_eq!(engine.stats().point_queries, 4 * samples);
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -3,7 +3,8 @@
 
 use crate::config::{AmricConfig, BoundPolicy, MergePolicy};
 use crate::preprocess::unit_activity;
-use crate::reorganize::{cluster_pack, cluster_unpack, linear_merge, linear_split, ClusterGrid};
+use crate::reorganize::{cluster_pack, cluster_place, linear_merge, linear_place, ClusterGrid};
+use sz_codec::buffer3::place_unit;
 use sz_codec::codec::{expect_envelope, write_envelope, StreamInfo, FLAG_UNIT_BOUNDS};
 use sz_codec::prelude::*;
 use sz_codec::wire::{Reader, Writer};
@@ -360,23 +361,35 @@ fn select_mode<U: AsView3>(cfg: &AmricConfig, units: &[U]) -> Mode {
 /// Decompress a stream produced by [`compress_field_units`], returning the
 /// unit buffers in their original order.
 pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+    let mut units = Vec::new();
+    decompress_field_units_into(bytes, &mut units)?;
+    Ok(units)
+}
+
+/// Decompress a stream produced by [`compress_field_units`] to where
+/// `dest` says each unit goes, in the units' original order. The modes
+/// that carry the traffic place directly: SZ_L/R with SLE
+/// ([`AmricConfig::lr`]) reconstructs in the destination, cluster-packed
+/// SZ_Interp ([`AmricConfig::interp`] on cubes) copies each slot's rows out
+/// of the packed buffer. The LM ablation, the ragged SZ_Interp fallback and
+/// the adaptive extension decode to units of their own and copy those.
+pub fn decompress_field_units_into(bytes: &[u8], dest: &mut dyn UnitDest) -> CodecResult<()> {
     let env = expect_envelope(bytes, CodecId::AmricPipeline, VERSION)?;
     let mut r = Reader::new(&bytes[env.payload_offset..]);
     let mode = Mode::from_u8(r.get_u8()?)?;
     if mode == Mode::Empty {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let n = r.get_u32()? as usize;
     match mode {
         Mode::LrSle => {
-            let units = lr::decompress_domains(r.get_raw(r.remaining())?)?;
-            if units.len() != n {
+            let held = lr::decompress_domains_into(r.get_raw(r.remaining())?, dest)?;
+            if held != n {
                 return Err(CodecError::dims(format!(
-                    "expected {n} units, stream holds {}",
-                    units.len()
+                    "expected {n} units, stream holds {held}"
                 )));
             }
-            Ok(units)
+            Ok(())
         }
         Mode::LrLinearMerge | Mode::InterpLinear => {
             // Each extent is a u32; reject counts the stream can't hold.
@@ -399,7 +412,7 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
             if merged.dims().nz != extents.iter().sum::<usize>() {
                 return Err(CodecError::dims("merged extents mismatch"));
             }
-            Ok(linear_split(&merged, &extents))
+            linear_place(&merged, &extents, dest)
         }
         Mode::InterpCluster => {
             let edge = r.get_u32()? as usize;
@@ -421,7 +434,7 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
             if n > grid.slots() {
                 return Err(CodecError::dims("unit count exceeds cluster slots"));
             }
-            Ok(cluster_unpack(&packed, grid, Dims3::cube(edge), n))
+            cluster_place(&packed, grid, Dims3::cube(edge), n, dest)
         }
         Mode::Adaptive => {
             let (_bounds, rough, mut r) = read_adaptive_header(&mut r, n)?;
@@ -450,18 +463,12 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
                     loose_units.len()
                 )));
             }
-            let mut tight_it = tight_units.into_iter();
-            let mut loose_it = loose_units.into_iter();
-            Ok(rough
-                .iter()
-                .map(|&g| {
-                    if g {
-                        tight_it.next().expect("counted")
-                    } else {
-                        loose_it.next().expect("counted")
-                    }
-                })
-                .collect())
+            let (mut tight_it, mut loose_it) = (tight_units.iter(), loose_units.iter());
+            for (i, &g) in rough.iter().enumerate() {
+                let group = if g { &mut tight_it } else { &mut loose_it };
+                place_unit(dest, i, group.next().expect("counted").view())?;
+            }
+            Ok(())
         }
         Mode::Empty => unreachable!("handled above"),
     }

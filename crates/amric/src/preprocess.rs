@@ -10,7 +10,7 @@
 //! box metadata plus the finer level's boxes, exactly the paper's
 //! "positions inferred from the box position of level ℓ+1".
 
-use amr_mesh::overlap::coverage;
+use amr_mesh::overlap::box_coverage;
 use amr_mesh::prelude::*;
 use sz_codec::{AsView3, Buffer3, Dims3};
 
@@ -71,16 +71,19 @@ pub fn plan_units_layout(
     rank: usize,
     remove_redundancy: bool,
 ) -> Vec<UnitRef> {
-    let valid_per_box: Vec<Vec<IntBox>> = match finer {
-        Some((fine_ba, ratio)) if remove_redundancy => coverage(ba, fine_ba, ratio)
-            .into_iter()
-            .map(|c| c.valid)
-            .collect(),
-        _ => ba.iter().map(|b| vec![*b]).collect(),
+    // Only the rank's own boxes are subtracted: planning every rank of a
+    // level costs one pass over the level, not one per rank.
+    let fine_coarsened = match finer {
+        Some((fine_ba, ratio)) if remove_redundancy => Some(fine_ba.coarsened(ratio)),
+        _ => None,
     };
     let mut units = Vec::new();
     for bi in dm.local_boxes(rank) {
-        for rect in &valid_per_box[bi] {
+        let valid = match &fine_coarsened {
+            Some(fine) => box_coverage(ba, bi, fine).valid,
+            None => vec![*ba.get(bi)],
+        };
+        for rect in &valid {
             for tile in rect.tiles(unit) {
                 units.push(UnitRef {
                     box_index: bi,
@@ -260,6 +263,73 @@ mod tests {
             IntVect::new(23, 23, 23),
         )]);
         (mf, fine)
+    }
+
+    /// `plan_units_layout` as it was before it planned only the rank's own
+    /// boxes: the whole level's coverage, then the rank's share of it.
+    fn plan_units_layout_reference(
+        ba: &BoxArray,
+        dm: &DistributionMapping,
+        finer: Option<(&BoxArray, i64)>,
+        unit: i64,
+        rank: usize,
+        remove_redundancy: bool,
+    ) -> Vec<UnitRef> {
+        let valid_per_box: Vec<Vec<IntBox>> = match finer {
+            Some((fine_ba, ratio)) if remove_redundancy => {
+                amr_mesh::overlap::coverage(ba, fine_ba, ratio)
+                    .into_iter()
+                    .map(|c| c.valid)
+                    .collect()
+            }
+            _ => ba.iter().map(|b| vec![*b]).collect(),
+        };
+        let mut units = Vec::new();
+        for bi in dm.local_boxes(rank) {
+            for rect in &valid_per_box[bi] {
+                for tile in rect.tiles(unit) {
+                    units.push(UnitRef {
+                        box_index: bi,
+                        region: tile,
+                    });
+                }
+            }
+        }
+        units
+    }
+
+    #[test]
+    fn rank_local_planning_makes_the_whole_level_plan() {
+        // Three levels on five ranks: 32³ in 8³ boxes; two fine patches
+        // over it, one straddling coarse boxes; a finest patch inside one.
+        let cube = |lo: i64, hi: i64| IntBox::new(IntVect::splat(lo), IntVect::splat(hi));
+        let levels = [
+            BoxArray::decompose(IntBox::from_extents(32, 32, 32), 8),
+            BoxArray::new(
+                [cube(8, 39).tiles(16), cube(48, 63).tiles(8)]
+                    .into_iter()
+                    .flatten()
+                    .collect(),
+            ),
+            BoxArray::new(cube(40, 71).tiles(16)),
+        ];
+        let mut planned = 0;
+        for (l, ba) in levels.iter().enumerate() {
+            let finer = levels.get(l + 1).map(|fine| (fine, 2));
+            let unit = unit_edge_for_level(8, l, levels.len());
+            for dm in [
+                DistributionMapping::round_robin(ba.len(), 5),
+                DistributionMapping::knapsack(ba, 5),
+            ] {
+                for (rank, remove) in (0..5).flat_map(|r| [(r, true), (r, false)]) {
+                    let plan = plan_units_layout(ba, &dm, finer, unit, rank, remove);
+                    let reference = plan_units_layout_reference(ba, &dm, finer, unit, rank, remove);
+                    assert_eq!(plan, reference, "level {l} rank {rank} remove {remove}");
+                    planned += plan.len();
+                }
+            }
+        }
+        assert!(planned > 10_000, "{planned} units planned");
     }
 
     #[test]

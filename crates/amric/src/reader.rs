@@ -2,9 +2,9 @@
 //! plotfile back into a hierarchy of [`MultiFab`]s and verify error
 //! bounds against the original data.
 
-use crate::pipeline::{decompress_field_units, resolve_abs_eb};
+use crate::pipeline::{decompress_field_units_into, resolve_abs_eb};
 use crate::preprocess::{
-    extract_units, plan_units_layout, region_dims, scatter_units, unit_edge_for_level, UnitRef,
+    extract_units, plan_units_layout, region_dims, unit_edge_for_level, UnitRef,
 };
 use crate::writer::field_dataset;
 use amr_mesh::prelude::*;
@@ -232,46 +232,83 @@ fn empty_levels(meta: &PlotfileMeta) -> Vec<MultiFab> {
         .collect()
 }
 
+/// A destination held to a rank's unit plan, reconstructed from metadata:
+/// unit `i` is passed on only if the plan has an `i`-th unit of exactly
+/// that shape, so nothing is written that the layout does not expect.
+struct Planned<'a> {
+    plan: &'a [UnitRef],
+    dest: &'a mut dyn UnitDest,
+    placed: usize,
+    refused: bool,
+}
+
+impl UnitDest for Planned<'_> {
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        let planned = self.plan.get(i).map(|u| region_dims(&u.region));
+        if planned != Some(dims) {
+            self.refused = true;
+            return Err(CodecError::dims(format!(
+                "unit {i} decodes as {dims:?}, the plan holds {planned:?}"
+            )));
+        }
+        self.placed += 1;
+        self.dest.unit(i, dims)
+    }
+}
+
+/// A level's fabs as a destination: unit `i` of the plan goes to its
+/// region of one component of the box it was cut from.
+struct FabDest<'a>(&'a mut MultiFab, &'a [UnitRef], usize);
+
+impl UnitDest for FabDest<'_> {
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        let FabDest(level, plan, field) = self;
+        let fab = level.fab_mut(plan[i].box_index);
+        let (data, row, plane) = fab.region_mut(&plan[i].region, *field);
+        StridedMut::new(dims, data, row, plane)
+    }
+}
+
 /// The one chunk loader, shared by the full decode ([`read_amric_hierarchy`]) and
 /// `amr-query`'s cache-miss path: read rank `rank`'s raw chunk of
-/// `(level, field)` into `raw`, `decode` it into unit buffers, and check
-/// them against the rank's unit plan reconstructed from metadata (count
-/// and dims). A stream that decodes fine but does not match the layout
-/// means the file contradicts itself — an [`H5Error::Format`], never a
-/// scatter panic.
+/// `(level, field)` into `raw` and `decode` it to `dest`, every unit
+/// checked against the rank's unit plan reconstructed from metadata (count
+/// and dims) before it is placed. A stream that decodes fine but does not
+/// match the layout means the file contradicts itself — an
+/// [`H5Error::Format`], never a write outside the plan.
 pub fn load_chunk(
     r: &H5Reader,
     (level, field, rank): (usize, usize, usize),
     plan: &[UnitRef],
     raw: &mut Vec<u8>,
-    decode: impl FnOnce(&[u8]) -> H5Result<Vec<Buffer3>>,
-) -> H5Result<Vec<Buffer3>> {
+    dest: &mut dyn UnitDest,
+    decode: impl FnOnce(&[u8], &mut dyn UnitDest) -> H5Result<()>,
+) -> H5Result<()> {
     r.read_chunk_raw_into(&field_dataset(level, field), rank, raw)?;
-    let units = decode(raw)?;
-    let matches_plan = units.len() == plan.len()
-        && units
-            .iter()
-            .zip(plan)
-            .all(|(u, p)| u.dims() == region_dims(&p.region));
-    if !matches_plan {
+    let mut planned = Planned {
+        plan,
+        dest,
+        placed: 0,
+        refused: false,
+    };
+    let decoded = decode(raw, &mut planned);
+    if planned.refused || (decoded.is_ok() && planned.placed != plan.len()) {
         return Err(H5Error::Format(format!(
             "level {level} field {field} rank {rank}: decoded units do not match the \
              {}-unit plan",
             plan.len()
         )));
     }
-    Ok(units)
+    decoded
 }
 
 /// The one full-decode loader behind [`read_amric_hierarchy`] and
 /// [`crate::temporal::read_temporal_hierarchy`]: [`load_chunk`] every
-/// `(level, rank, field)` stream through `decode` and scatter it into the
-/// level's fabs. `keep` then receives the decoded units of every stream
-/// (empty for ranks of a chunk-less level).
+/// stored `(level, rank, field)` stream through `decode`, straight into
+/// the level's fabs.
 pub(crate) fn load_plotfile(
     r: &H5Reader,
-    mut decode: impl FnMut(usize, usize, usize, &[u8]) -> H5Result<Vec<Buffer3>>,
-    mut keep: impl FnMut(usize, usize, usize, Vec<Buffer3>),
+    mut decode: impl FnMut(usize, usize, usize, &[u8], &mut dyn UnitDest) -> H5Result<()>,
 ) -> H5Result<Plotfile> {
     let meta = read_plotfile_meta(r)?;
     let mut levels = empty_levels(&meta);
@@ -283,14 +320,12 @@ pub(crate) fn load_plotfile(
             for f in 0..meta.field_names.len() {
                 // A level where no rank kept any cells stores no chunks.
                 if rank >= r.meta(&field_dataset(l, f))?.chunks.len() {
-                    keep(l, rank, f, Vec::new());
                     continue;
                 }
-                let units = load_chunk(r, (l, f, rank), plan, &mut raw, |raw| {
-                    decode(l, rank, f, raw)
+                let mut fabs = FabDest(&mut *level, plan, f);
+                load_chunk(r, (l, f, rank), plan, &mut raw, &mut fabs, |raw, dest| {
+                    decode(l, rank, f, raw, dest)
                 })?;
-                scatter_units(level, plan, f, &units);
-                keep(l, rank, f, units);
             }
         }
     }
@@ -307,11 +342,9 @@ pub(crate) fn load_plotfile(
 /// Load an AMRIC plotfile (written by [`crate::writer::write_amric`]).
 pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Plotfile> {
     let r = H5Reader::open(path)?;
-    load_plotfile(
-        &r,
-        |_, _, _, raw| Ok(decompress_field_units(raw)?),
-        |_, _, _, _| {},
-    )
+    load_plotfile(&r, |_, _, _, raw, dest| {
+        Ok(decompress_field_units_into(raw, dest)?)
+    })
 }
 
 /// Load a baseline / no-compression plotfile (written by

@@ -1,7 +1,8 @@
 //! Reorganization of truncated unit blocks (paper §3.1, Fig. 4 right):
 //! linear stacking for SZ_L/R, cube-like clustering for SZ_Interp.
 
-use sz_codec::{AsView3, Buffer3, Dims3};
+use sz_codec::buffer3::{place_rows, place_unit};
+use sz_codec::{AsView3, Buffer3, CodecResult, Dims3, UnitDest, View3};
 
 /// Stack same-footprint unit blocks along z ("put the unit blocks along
 /// the z-axis", the minimum-operation arrangement for SZ_L/R).
@@ -29,17 +30,23 @@ pub fn linear_merge<U: AsView3>(units: &[U]) -> (Buffer3, Vec<usize>) {
     (merged, extents)
 }
 
-/// Split a linear merge back into units.
-pub fn linear_split(merged: &Buffer3, z_extents: &[usize]) -> Vec<Buffer3> {
+/// Split a linear merge back into units, each copied to where `dest`
+/// says it goes (a `Vec<Buffer3>` collects them): unit `i` is the
+/// `z_extents[i]` planes after its predecessors', contiguous in `merged`.
+pub fn linear_place(
+    merged: &Buffer3,
+    z_extents: &[usize],
+    dest: &mut dyn UnitDest,
+) -> CodecResult<()> {
     let d = merged.dims();
-    let mut out = Vec::with_capacity(z_extents.len());
-    let mut z = 0;
-    for &nz in z_extents {
-        out.push(merged.extract(0, 0, z, Dims3::new(d.nx, d.ny, nz)));
+    let (plane, mut z) = (d.nx * d.ny, 0);
+    for (i, &nz) in z_extents.iter().enumerate() {
+        let slab = &merged.data()[z * plane..(z + nz) * plane];
+        place_unit(dest, i, View3::new(Dims3::new(d.nx, d.ny, nz), slab))?;
         z += nz;
     }
     assert_eq!(z, d.nz, "extents do not cover the merged buffer");
-    out
+    Ok(())
 }
 
 /// Grid shape of a cluster arrangement: `(gx, gy, gz)` unit slots.
@@ -88,7 +95,7 @@ pub fn cluster_grid(n: usize) -> ClusterGrid {
 
 /// Pack cubic unit blocks of edge `b` into a near-cube buffer. Slack slots
 /// (when `n` doesn't factor nicely) are filled with copies of the last
-/// unit so the interpolator sees smooth data; [`cluster_unpack`] drops
+/// unit so the interpolator sees smooth data; [`cluster_place`] drops
 /// them. Returns the packed buffer and the grid used.
 pub fn cluster_pack<U: AsView3>(units: &[U]) -> (Buffer3, ClusterGrid) {
     assert!(!units.is_empty(), "nothing to pack");
@@ -112,15 +119,25 @@ pub fn cluster_pack<U: AsView3>(units: &[U]) -> (Buffer3, ClusterGrid) {
     (packed, grid)
 }
 
-/// Extract the first `n` units back out of a packed cluster buffer.
-pub fn cluster_unpack(packed: &Buffer3, grid: ClusterGrid, unit: Dims3, n: usize) -> Vec<Buffer3> {
+/// Extract the first `n` units back out of a packed cluster buffer, each
+/// slot's rows copied straight to where `dest` says the unit goes (a
+/// `Vec<Buffer3>` collects them).
+pub fn cluster_place(
+    packed: &Buffer3,
+    grid: ClusterGrid,
+    unit: Dims3,
+    n: usize,
+    dest: &mut dyn UnitDest,
+) -> CodecResult<()> {
     assert!(n <= grid.slots());
-    (0..n)
-        .map(|slot| {
-            let (sx, sy, sz) = slot_coords(grid, slot);
-            packed.extract(sx * unit.nx, sy * unit.ny, sz * unit.nz, unit)
-        })
-        .collect()
+    let pd = packed.dims();
+    for slot in 0..n {
+        let (sx, sy, sz) = slot_coords(grid, slot);
+        let origin = pd.idx(sx * unit.nx, sy * unit.ny, sz * unit.nz);
+        let strides = (pd.nx, pd.nx * pd.ny);
+        place_rows(dest, slot, unit, &packed.data()[origin..], strides)?;
+    }
+    Ok(())
 }
 
 #[inline]
@@ -134,6 +151,12 @@ fn slot_coords(grid: ClusterGrid, slot: usize) -> (usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn linear_split(merged: &Buffer3, z_extents: &[usize]) -> Vec<Buffer3> {
+        let mut units = Vec::new();
+        linear_place(merged, z_extents, &mut units).expect("fresh buffers take any unit");
+        units
+    }
 
     fn unit(v: f64, edge: usize) -> Buffer3 {
         let mut b = Buffer3::zeros(Dims3::cube(edge));
@@ -187,7 +210,8 @@ mod tests {
         let units: Vec<Buffer3> = (0..10).map(|i| unit(i as f64 * 3.0, 4)).collect();
         let (packed, grid) = cluster_pack(&units);
         assert!(grid.slots() >= 10);
-        let back = cluster_unpack(&packed, grid, Dims3::cube(4), 10);
+        let mut back = Vec::new();
+        cluster_place(&packed, grid, Dims3::cube(4), 10, &mut back).expect("fresh buffers");
         assert_eq!(back, units);
     }
 

@@ -126,12 +126,14 @@ pub fn tac_decompress(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
             extents.push(e);
         }
         let merged = lr::decompress(r.get_block()?)?;
-        // Validate before linear_split, whose extent-coverage check is an
+        // Validate before linear_place, whose extent-coverage check is an
         // assert (its callers are trusted; the wire format is not).
         if extents.iter().sum::<usize>() != merged.dims().nz {
             return Err(CodecError::dims("TAC group extents mismatch"));
         }
-        sorted_units.extend(crate::reorganize::linear_split(&merged, &extents));
+        let mut group = Vec::with_capacity(glen);
+        crate::reorganize::linear_place(&merged, &extents, &mut group)?;
+        sorted_units.append(&mut group);
     }
     if sorted_units.len() != n {
         return Err(CodecError::dims("TAC unit count mismatch"));

@@ -46,9 +46,10 @@ use rankpar::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use sz_codec::buffer3::place_unit;
 use sz_codec::codec::CodecId;
 use sz_codec::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
-use sz_codec::{Buffer3, Codec, CodecResult};
+use sz_codec::{AsView3, Buffer3, Codec, CodecResult};
 
 /// Filter id for the temporal delta filter (registered like the AMRIC
 /// filter, outside h5lite's built-in registry).
@@ -441,20 +442,29 @@ pub fn read_temporal_hierarchy(
         }
     }
     let mut refs = HashMap::new();
-    let pf = load_plotfile(
-        r,
-        |l, rank, f, raw| {
-            let codec = match prev.and_then(|p| p.refs.get(&(l, rank, f))) {
-                Some(reference) => TemporalCodec::decoder_with(Arc::clone(reference)),
-                None => TemporalCodec::decoder(),
-            };
-            Ok(codec.decompress(raw)?)
-        },
-        |l, rank, f, units| {
-            let state = TemporalReference::new(tmeta.snapshot_id, units);
-            refs.insert((l, rank, f), Arc::new(state));
-        },
-    )?;
+    let pf = load_plotfile(r, |l, rank, f, raw, dest| {
+        let codec = match prev.and_then(|p| p.refs.get(&(l, rank, f))) {
+            Some(reference) => TemporalCodec::decoder_with(Arc::clone(reference)),
+            None => TemporalCodec::decoder(),
+        };
+        // The decoded units are the next snapshot's reference, so they are
+        // kept whole and copied to the fabs.
+        let units = codec.decompress(raw)?;
+        for (i, unit) in units.iter().enumerate() {
+            place_unit(dest, i, unit.view())?;
+        }
+        let state = TemporalReference::new(tmeta.snapshot_id, units);
+        refs.insert((l, rank, f), Arc::new(state));
+        Ok(())
+    })?;
+    // Ranks of a level that stored no chunks hold an empty reference.
+    let nfields = pf.field_names.len();
+    for (l, ranks) in pf.unit_plans.iter().enumerate() {
+        for key in (0..ranks.len()).flat_map(|r| (0..nfields).map(move |f| (l, r, f))) {
+            let empty = || Arc::new(TemporalReference::new(tmeta.snapshot_id, Vec::new()));
+            refs.entry(key).or_insert_with(empty);
+        }
+    }
     Ok((
         pf,
         TemporalReadState {

@@ -138,7 +138,11 @@ fn reorganize_inverses_are_exact() {
     use amric::reorganize::*;
     let units = discontiguous_units(13, 4);
     let (merged, ext) = linear_merge(&units);
-    assert_eq!(linear_split(&merged, &ext), units);
+    let mut split = Vec::new();
+    linear_place(&merged, &ext, &mut split).unwrap();
+    assert_eq!(split, units);
     let (packed, grid) = cluster_pack(&units);
-    assert_eq!(cluster_unpack(&packed, grid, Dims3::cube(4), 13), units);
+    let mut unpacked = Vec::new();
+    cluster_place(&packed, grid, Dims3::cube(4), 13, &mut unpacked).unwrap();
+    assert_eq!(unpacked, units);
 }

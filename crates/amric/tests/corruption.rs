@@ -355,3 +355,50 @@ fn aligned_non_cubic_domain_still_roundtrips() {
         assert!(check.bound_ok, "field {} violates its bound", check.field);
     }
 }
+
+#[test]
+fn streams_that_contradict_the_plan_are_a_format_error() {
+    // Every stream of the file is valid; the header is edited so that the
+    // unit plan reconstructed from it no longer describes them. The restart
+    // reconstructs in place, so the plan check stands in front of every
+    // write: the file is refused, with the loader's own message.
+    let h = two_level_hierarchy((16, 16, 16), 2);
+    let mut path = std::env::temp_dir();
+    path.push(format!("amric-corruption-{}-plan.h5l", std::process::id()));
+    for cfg in [AmricConfig::lr(1e-3), AmricConfig::interp(1e-3)] {
+        write_amric(&path, &h, &cfg, 8).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        assert!(
+            read_amric_hierarchy(&path).is_ok(),
+            "pristine file restarts"
+        );
+        // `meta/header` is stored raw: [nlevels, nfields, nranks, bf,
+        // remove_redundancy, …] as little-endian doubles.
+        let header_at = {
+            let r = H5Reader::open(&path).unwrap();
+            r.meta("meta/header").unwrap().chunks[0].offset as usize
+        };
+        let forged: [(&str, usize, f64); 2] = [
+            // More units planned than stored: the count is short.
+            ("redundancy removal switched off", 4, 0.0),
+            // 8³ units planned where 4³ ones are stored: the first is refused.
+            ("blocking factor doubled", 3, 16.0),
+        ];
+        for (what, slot, value) in forged {
+            let mut bytes = pristine.clone();
+            let at = header_at + 8 * slot;
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match read_amric_hierarchy(&path) {
+                Err(H5Error::Format(msg)) => assert!(
+                    msg.starts_with("level 0 field 0 rank 0: decoded units do not match the")
+                        && msg.ends_with("-unit plan"),
+                    "{what}: {msg:?}"
+                ),
+                Err(other) => panic!("{what}: expected a Format error, got {other:?}"),
+                Ok(_) => panic!("{what}: a self-contradicting file restarted"),
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -1,7 +1,10 @@
 //! [`Buffer3`]: an owned 3-D array of `f64` in Fortran order (x fastest),
-//! what decoders hand back; and [`View3`], the same shape over borrowed
+//! what decoders hand back; [`View3`], the same shape over borrowed
 //! data, which is what encoders read — a slice of a staged chunk is a unit
-//! block without a copy.
+//! block without a copy; and [`UnitDest`] / [`StridedMut`], where decoders
+//! write — a unit reconstructs in place inside whatever holds it.
+
+use crate::error::{CodecError, CodecResult};
 
 /// Dimensions of a 3-D buffer, `(nx, ny, nz)` with x fastest in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -69,6 +72,104 @@ impl<'a> View3<'a> {
     pub fn data(&self) -> &'a [f64] {
         self.data
     }
+}
+
+/// Where one decoded unit goes: cell `(i, j, k)` of a `dims`-shaped unit
+/// lives at `data[i + j·row + k·plane]` — a dense buffer of its own, or a
+/// box-shaped hole in a larger array. Decoders index it only through the
+/// slice [`StridedMut::new`] admitted and write every cell of the unit
+/// before reading it: what the slice held, and the cells between the
+/// unit's rows, are never read or written.
+pub struct StridedMut<'a> {
+    pub(crate) dims: Dims3,
+    pub(crate) data: &'a mut [f64],
+    pub(crate) row: usize,
+    pub(crate) plane: usize,
+}
+
+impl<'a> StridedMut<'a> {
+    /// The one guard between a decoder and memory it does not own: rows
+    /// and planes must not overlap (`row ≥ nx`, `plane ≥ row·ny`) and the
+    /// unit's last cell must lie inside `data`, in checked arithmetic.
+    pub fn new(dims: Dims3, data: &'a mut [f64], row: usize, plane: usize) -> CodecResult<Self> {
+        let span = || {
+            if row < dims.nx || plane < row.checked_mul(dims.ny)? {
+                return None;
+            }
+            let last_plane = plane.checked_mul(dims.nz.checked_sub(1)?)?;
+            let last_row = row.checked_mul(dims.ny.checked_sub(1)?)?;
+            last_plane.checked_add(last_row)?.checked_add(dims.nx)
+        };
+        match span() {
+            Some(span) if span <= data.len() => Ok(StridedMut {
+                dims,
+                data: &mut data[..span],
+                row,
+                plane,
+            }),
+            _ => Err(CodecError::dims(format!(
+                "a destination of {} values at strides {row} / {plane} cannot hold a {dims:?} unit",
+                data.len()
+            ))),
+        }
+    }
+
+    /// The destination, unless it was made for another shape than the
+    /// `dims` the decoder asked for.
+    pub(crate) fn for_dims(self, dims: Dims3) -> CodecResult<Self> {
+        let made = self.dims;
+        let refused = || CodecError::dims(format!("destination made for {made:?}, not {dims:?}"));
+        (made == dims).then_some(self).ok_or_else(refused)
+    }
+}
+
+/// "Where does unit `i`, of shape `dims`, go?" — asked by a decoder once
+/// per unit, after the guards on the stream's header have admitted `dims`
+/// and before the unit's first cell is written. A destination can only
+/// answer or refuse: a restart answers with the unit's box inside a fab,
+/// `Vec<Buffer3>` with a fresh buffer per unit.
+pub trait UnitDest {
+    /// The destination of unit `i`.
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>>;
+}
+
+/// The allocating destination: one owned buffer per unit, in order.
+impl UnitDest for Vec<Buffer3> {
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        if i != self.len() {
+            return Err(CodecError::dims(format!("unit {i} arrived out of order")));
+        }
+        self.push(Buffer3::zeros(dims));
+        let unit = self.last_mut().expect("just pushed");
+        StridedMut::new(dims, &mut unit.data, dims.nx, dims.nx * dims.ny)
+    }
+}
+
+/// Copy a unit that was reconstructed elsewhere to its destination — the
+/// one step shared by every decoder that does not reconstruct in place.
+/// Row `(j, k)` of the unit starts at `src[j·src_row + k·src_plane]`, so
+/// the source may itself be a box inside a packed buffer.
+pub fn place_rows(
+    dest: &mut dyn UnitDest,
+    i: usize,
+    dims: Dims3,
+    src: &[f64],
+    (src_row, src_plane): (usize, usize),
+) -> CodecResult<()> {
+    let to = dest.unit(i, dims)?.for_dims(dims)?;
+    for k in 0..dims.nz {
+        for j in 0..dims.ny {
+            let (at, from) = (j * to.row + k * to.plane, j * src_row + k * src_plane);
+            to.data[at..at + dims.nx].copy_from_slice(&src[from..from + dims.nx]);
+        }
+    }
+    Ok(())
+}
+
+/// [`place_rows`] for a dense unit.
+pub fn place_unit(dest: &mut dyn UnitDest, i: usize, unit: View3<'_>) -> CodecResult<()> {
+    let d = unit.dims;
+    place_rows(dest, i, d, unit.data, (d.nx, d.nx * d.ny))
 }
 
 /// Min and max of a slice, `(∞, −∞)` when it is empty. Four accumulator
@@ -207,25 +308,6 @@ impl Buffer3 {
         }
     }
 
-    /// Extract an `(nx, ny, nz)`-shaped block with origin `(oi, oj, ok)`.
-    pub fn extract(&self, oi: usize, oj: usize, ok: usize, dims: Dims3) -> Buffer3 {
-        assert!(
-            oi + dims.nx <= self.dims.nx
-                && oj + dims.ny <= self.dims.ny
-                && ok + dims.nz <= self.dims.nz,
-            "extract out of bounds"
-        );
-        let mut out = Buffer3::zeros(dims);
-        for k in 0..dims.nz {
-            for j in 0..dims.ny {
-                let src = self.dims.idx(oi, oj + j, ok + k);
-                let dst = dims.idx(0, j, k);
-                out.data[dst..dst + dims.nx].copy_from_slice(&self.data[src..src + dims.nx]);
-            }
-        }
-        out
-    }
-
     /// Min and max over the data.
     pub fn min_max(&self) -> (f64, f64) {
         min_max(&self.data)
@@ -267,7 +349,8 @@ mod tests {
         let mut small = Buffer3::zeros(Dims3::new(3, 2, 4));
         small.fill_with(|i, j, k| (i + 10 * j + 100 * k) as f64 + 0.25);
         big.paste(small.view(), 2, 3, 1);
-        let back = big.extract(2, 3, 1, small.dims());
+        let mut back = Buffer3::zeros(small.dims());
+        back.fill_with(|i, j, k| big.get(2 + i, 3 + j, 1 + k));
         assert_eq!(back, small);
         assert_eq!(big.get(0, 0, 0), 0.0);
         assert_eq!(big.get(2, 3, 1), 0.25);

@@ -89,7 +89,7 @@ impl HuffmanCode {
     /// per symbol into a 64-bit accumulator, drained 32 bits at a time
     /// into a stack block that is appended whole. MSB-first packing of 32
     /// bits is the big-endian word, so the bytes are those of the per-bit
-    /// [`crate::bitstream::BitWriter`] loop.
+    /// `bitstream::BitWriter` loop (the test oracle).
     pub fn encode_into<S: Copy + Into<u32>>(&self, symbols: &[S], out: &mut Vec<u8>) {
         // Valid bits live in acc[0, nbits) and nbits < 32 before every
         // add, so `acc << len` with len ≤ MAX_CODE_LEN = 32 keeps them
@@ -153,7 +153,7 @@ impl HuffmanCode {
     /// a single lookup on the next 12 peeked bits; longer codes continue
     /// the canonical per-length walk from the peeked prefix, and the final
     /// few bytes fall back to the bit-by-bit walk so end-of-stream
-    /// handling matches [`HuffmanCode::decode_reference`] exactly. Because
+    /// handling matches the private `decode_reference` walk exactly. Because
     /// the code is prefix-free, the table lookup selects the same unique
     /// code the reference walk finds, so results (including the typed
     /// errors on truncated or invalid streams) are identical.

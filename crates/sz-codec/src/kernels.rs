@@ -254,9 +254,9 @@ pub fn lorenzo_quantize_row(
 }
 
 /// Fused single-sweep predictor-selection statistics for one block:
-/// returns `(regression_error, lorenzo_error)` — the values
-/// [`crate::regression::regression_block_error`] and
-/// [`crate::lorenzo::lorenzo3_block_error`] produce, accumulated in the
+/// returns `(regression_error, lorenzo_error)` — the values the test
+/// oracles `regression::regression_block_error` and
+/// `lorenzo::lorenzo3_block_error` produce, accumulated in the
 /// same sequential point order but in one pass over the block instead of
 /// two (the block is walked once while it is L1-resident).
 ///

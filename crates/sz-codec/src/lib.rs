@@ -74,7 +74,7 @@ mod scratch;
 pub mod temporal;
 pub mod wire;
 
-pub use buffer3::{AsView3, Buffer3, Dims3, View3};
+pub use buffer3::{AsView3, Buffer3, Dims3, StridedMut, UnitDest, View3};
 pub use codec::{Codec, CodecId, CodecRegistry, StreamInfo};
 pub use error::{CodecError, CodecResult};
 pub use metrics::ErrorStats;
@@ -113,7 +113,7 @@ pub enum SzAlgorithm {
 /// Commonly used items.
 pub mod prelude {
     pub use crate::adaptive::adaptive_block_size;
-    pub use crate::buffer3::{AsView3, Buffer3, Dims3, View3};
+    pub use crate::buffer3::{AsView3, Buffer3, Dims3, StridedMut, UnitDest, View3};
     pub use crate::codec::{Codec, CodecId, CodecRegistry, StreamInfo};
     pub use crate::error::{CodecError, CodecResult};
     pub use crate::interp::{self, InterpCodec, InterpConfig};

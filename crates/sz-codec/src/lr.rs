@@ -16,7 +16,7 @@
 //! (LM) baseline; calling it per-unit with separate invocations is the
 //! "compress each box individually" strawman the paper rejects.
 
-use crate::buffer3::{AsView3, Buffer3, Dims3, View3};
+use crate::buffer3::{AsView3, Buffer3, Dims3, UnitDest, View3};
 use crate::codec::{
     expect_envelope, total_cells, write_envelope, Codec, CodecId, StreamInfo, FLAG_EMPTY,
 };
@@ -200,7 +200,9 @@ pub fn compress_domains_into<U: AsView3>(
         w.put_u32(dims.ny as u32);
         w.put_u32(dims.nz as u32);
         scratch.recon.resize(dims.len(), 0.0);
-        let Ok(()) = traverse(dims, cfg.block_size, &mut scratch.recon, &mut enc);
+        // Dense strides: a row's base is the same in `recon` and the input.
+        let dense = (dims.nx, dims.nx * dims.ny);
+        let Ok(()) = traverse(dims, cfg.block_size, dense, &mut scratch.recon, &mut enc);
     }
     // The header and domain dims are in; the selection bitmap and the
     // four symbol/outlier streams follow.
@@ -244,6 +246,17 @@ pub fn compress_1d(data: &[f64], abs_eb: f64) -> Vec<u8> {
 /// Decompress a stream produced by any of the `compress*` functions.
 /// Returns one buffer per prediction domain, in input order.
 pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+    let mut domains = Vec::new();
+    decompress_domains_into(bytes, &mut domains)?;
+    Ok(domains)
+}
+
+/// [`decompress_domains`], reconstructing each prediction domain where
+/// `dest` says it goes and returning how many there were. The destination
+/// is asked domain by domain, after every header guard and before the
+/// domain's first cell is written; a stencil never leaves its domain, so
+/// the neighbouring cells of a larger destination are not even read.
+pub fn decompress_domains_into(bytes: &[u8], dest: &mut dyn UnitDest) -> CodecResult<usize> {
     let env = expect_envelope(bytes, CodecId::LrSle, VERSION)?;
     let payload = lossless::decompress(&bytes[env.payload_offset..])?;
     let mut r = Reader::new(&payload);
@@ -309,13 +322,11 @@ pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
         },
         preds: [0.0; MAX_BLOCK_EDGE],
     };
-    let mut result = Vec::with_capacity(ndomains);
-    for d in dims {
-        let mut recon = vec![0.0; d.len()];
-        traverse(d, block_size, &mut recon, &mut dec)?;
-        result.push(Buffer3::from_vec(d, recon));
+    for (i, d) in dims.into_iter().enumerate() {
+        let to = dest.unit(i, d)?.for_dims(d)?;
+        traverse(d, block_size, (to.row, to.plane), to.data, &mut dec)?;
     }
-    Ok(result)
+    Ok(ndomains)
 }
 
 const TRUNCATED: &str = "SZ_L/R stream truncated";
@@ -394,25 +405,28 @@ trait Direction {
 /// Lorenzo stencil geometry, stated once for both directions (statically
 /// dispatched, so each gets its own specialised copy of the nest).
 ///
-/// Blocks run x-fastest, their rows y then z. A Lorenzo row reads the
-/// reconstruction at `(i − 1, ·)`, `(·, j − 1, ·)`, `(·, ·, k − 1)` and
-/// their corners, across block boundaries and zero beyond the domain's
-/// faces. All of them lie strictly before the row in flat order, so
-/// splitting `recon` at the row start gives aliasing-free read slices.
+/// Blocks run x-fastest, their rows y then z. Cell `(i, j, k)` lives at
+/// `recon[i + j·row + k·plane]`: dense for the encoder, a box inside a
+/// larger array when a decoder reconstructs in place. A Lorenzo row reads
+/// the reconstruction at `(i − 1, ·)`, `(·, j − 1, ·)`, `(·, ·, k − 1)` and
+/// their corners, across block boundaries and zero beyond the *domain's*
+/// faces, whatever `recon` holds there. All of them lie strictly before
+/// the row in flat order, so splitting `recon` at the row start gives
+/// aliasing-free read slices.
 fn traverse<D: Direction>(
     dims: Dims3,
     block_size: usize,
+    (row, plane): (usize, usize),
     recon: &mut [f64],
     dir: &mut D,
 ) -> Result<(), D::Err> {
-    let plane = dims.nx * dims.ny;
     for ((oi, oj, ok), bd) in blocks_of(dims, block_size) {
         if let Some(qc) = dir.block((oi, oj, ok), bd)? {
             for k in 0..bd.nz {
                 let bz = qc.b[2] * k as f64;
                 for j in 0..bd.ny {
                     let by = qc.b[1] * j as f64;
-                    let base = dims.idx(oi, oj + j, ok + k);
+                    let base = oi + (oj + j) * row + (ok + k) * plane;
                     dir.affine_row(
                         base,
                         [qc.b0, qc.b[0], by, bz],
@@ -426,11 +440,11 @@ fn traverse<D: Direction>(
             let ka = ok + k;
             for j in 0..bd.ny {
                 let ja = oj + j;
-                let base = dims.idx(oi, ja, ka);
+                let base = oi + ja * row + ka * plane;
                 let (head, tail) = recon.split_at_mut(base);
                 // The stencil row `back` cells before this one, and its
                 // value one cell before the block; zeros outside the domain.
-                let row = |back: usize, inside: bool| {
+                let up = |back: usize, inside: bool| {
                     if inside {
                         &head[base - back..][..bd.nx]
                     } else {
@@ -444,11 +458,11 @@ fn traverse<D: Direction>(
                         0.0
                     }
                 };
-                let (jm, km, jkm) = (dims.nx, plane, plane + dims.nx);
+                let (jm, km, jkm) = (row, plane, plane + row);
                 let (has_j, has_k) = (ja > 0, ka > 0);
                 dir.lorenzo_row(
                     base,
-                    [row(jm, has_j), row(km, has_k), row(jkm, has_j && has_k)],
+                    [up(jm, has_j), up(km, has_k), up(jkm, has_j && has_k)],
                     [
                         left(0, true),
                         left(jm, has_j),
