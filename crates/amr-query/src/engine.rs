@@ -23,11 +23,15 @@
 //!   sharded decompressed-chunk cache; misses fan out over a `rankpar`
 //!   worker pool (per-worker raw-byte scratch, ordered reassembly)
 //!   through the one chunk loader, [`amric::reader::load_chunk`].
-//! * [`QueryEngine::answer`] — fetch the plan's chunks (cache, else
-//!   decode) and copy every unit's overlap into the per-level result
-//!   buffers. Cells no unit covers (outside every grid, or removed as
-//!   fine-covered redundancy at write time) stay zero — exactly what a
-//!   full [`amric::reader::read_amric_hierarchy`] decode leaves there, so
+//! * [`QueryEngine::pieces`] — fetch the plan's chunks (cache, else
+//!   decode) and visit every stored unit's overlap with a planned region:
+//!   the answer before it is pasted anywhere. The service tier ships the
+//!   [`Piece`]s as they are; nothing dense is built on the server.
+//! * [`QueryEngine::answer`] — the dense sink of that walk: one zeroed
+//!   box per planned region, every piece pasted in. Cells no unit covers
+//!   (outside every grid, or removed as fine-covered redundancy at write
+//!   time) stay zero — exactly what a full
+//!   [`amric::reader::read_amric_hierarchy`] decode leaves there, so
 //!   partial and full reads are bitwise interchangeable (the equivalence
 //!   suite enforces it).
 //!
@@ -156,6 +160,55 @@ pub struct PointSample {
     pub cell: IntVect,
     /// The decoded value.
     pub value: f64,
+}
+
+/// One stored unit's overlap with one planned region, as
+/// [`QueryEngine::pieces`] visits it: the cells of an answer that are
+/// actually stored, before anything is pasted into a dense box.
+#[derive(Clone, Copy, Debug)]
+pub struct Piece<'a> {
+    /// Index of the region in [`QueryPlan::regions`].
+    pub region: usize,
+    /// The stored unit, in the level's index space.
+    pub unit: IntBox,
+    /// `unit` ∩ the planned region: never empty.
+    pub overlap: IntBox,
+    /// The unit's decoded values (Fortran order over `unit`).
+    values: &'a Buffer3,
+}
+
+impl Piece<'_> {
+    /// The overlap's x-runs out of the unit's buffer, y then z: `row`
+    /// gets `(y, z, values)` with `y` / `z` in the level's index space
+    /// and `values` covering `overlap.lo.x ..= overlap.hi.x`.
+    #[inline]
+    pub fn for_each_row(&self, mut row: impl FnMut(i64, i64, &[f64])) {
+        let (dims, data) = (self.values.dims(), self.values.data());
+        let at = self.overlap.lo - self.unit.lo;
+        let run = self.overlap.size().get(0) as usize;
+        for z in self.overlap.lo.get(2)..=self.overlap.hi.get(2) {
+            for y in self.overlap.lo.get(1)..=self.overlap.hi.get(1) {
+                let src = dims.idx(
+                    at.get(0) as usize,
+                    (y - self.unit.lo.get(1)) as usize,
+                    (z - self.unit.lo.get(2)) as usize,
+                );
+                row(y, z, &data[src..src + run]);
+            }
+        }
+    }
+
+    /// The overlap's values, x-fastest, as contiguous runs of the unit's
+    /// buffer: the whole buffer at once when the unit lies inside the
+    /// region (most units of a region do), its x-runs otherwise.
+    #[inline]
+    pub fn for_each_run(&self, mut run: impl FnMut(&[f64])) {
+        if self.overlap == self.unit {
+            run(self.values.data());
+        } else {
+            self.for_each_row(|_, _, row| run(row));
+        }
+    }
 }
 
 /// Per-level planning state: the reconstructed unit plans and the chunk
@@ -620,25 +673,67 @@ impl QueryEngine {
         self.fetch(chunks).map(drop)
     }
 
-    /// Answer a plan: fetch its chunks (from the cache, else decoded —
-    /// correctness never depends on residency) and paste them into one
-    /// [`LevelRegion`] per planned region, coarsest first.
-    pub fn answer(&self, plan: &QueryPlan) -> QueryResult<Vec<LevelRegion>> {
+    /// Visit the plan's answer piece by piece: fetch its chunks once (from
+    /// the cache, else decoded — correctness never depends on residency;
+    /// they stay alive for the whole walk), then call `visit` for every
+    /// stored unit that meets a planned region — regions in plan order,
+    /// chunks in plan order, units in unit-plan order. A region no unit
+    /// meets yields no piece.
+    #[inline]
+    pub fn pieces(&self, plan: &QueryPlan, mut visit: impl FnMut(Piece<'_>)) -> QueryResult<()> {
         let fetched = self.fetch(&plan.chunks)?;
-        let mut levels = Vec::with_capacity(plan.regions.len());
-        for &(level, region) in &plan.regions {
-            let mut data = Buffer3::zeros(region_dims(&region));
+        for (region, &(level, bounds)) in plan.regions.iter().enumerate() {
             for (key, units) in plan.chunks.iter().zip(&fetched) {
-                if key.0 == level {
-                    paste_units(&self.levels[level].plans[key.2], units, &region, &mut data);
+                if key.0 != level {
+                    continue;
+                }
+                for (u, values) in self.levels[level].plans[key.2].iter().zip(units.iter()) {
+                    if let Some(overlap) = u.region.intersection(&bounds) {
+                        visit(Piece {
+                            region,
+                            unit: u.region,
+                            overlap,
+                            values,
+                        });
+                    }
                 }
             }
-            levels.push(LevelRegion {
-                level,
-                region,
-                data,
-            });
         }
+        Ok(())
+    }
+
+    /// Answer a plan densely: one zeroed [`LevelRegion`] per planned
+    /// region, coarsest first, with every [`Piece`] pasted in (plan order:
+    /// a later piece overwrites an earlier one).
+    pub fn answer(&self, plan: &QueryPlan) -> QueryResult<Vec<LevelRegion>> {
+        let mut levels: Vec<LevelRegion> = Vec::with_capacity(plan.regions.len());
+        // A box is zeroed when the walk reaches its region, not before:
+        // a small coarse box zeroed ahead of a large fine one is evicted
+        // by that fill before it is pasted.
+        let open = |levels: &mut Vec<LevelRegion>, upto: usize| {
+            for &(level, region) in &plan.regions[levels.len()..upto] {
+                levels.push(LevelRegion {
+                    level,
+                    region,
+                    data: Buffer3::zeros(region_dims(&region)),
+                });
+            }
+        };
+        self.pieces(plan, |piece| {
+            open(&mut levels, piece.region + 1);
+            let LevelRegion { region, data, .. } = &mut levels[piece.region];
+            let (dims, x) = (data.dims(), piece.overlap.lo.get(0) - region.lo.get(0));
+            let out = data.data_mut();
+            piece.for_each_row(|y, z, row| {
+                let dst = dims.idx(
+                    x as usize,
+                    (y - region.lo.get(1)) as usize,
+                    (z - region.lo.get(2)) as usize,
+                );
+                out[dst..dst + row.len()].copy_from_slice(row);
+            });
+        })?;
+        open(&mut levels, plan.regions.len());
         Ok(levels)
     }
 
@@ -799,32 +894,5 @@ impl QueryEngine {
             .into_iter()
             .map(|v| v.expect("every request resolved"))
             .collect())
-    }
-}
-
-/// Copy every unit's overlap with `region` into `out` (x-runs, same
-/// traversal as the full decode's scatter).
-fn paste_units(plan: &[UnitRef], units: &[Buffer3], region: &IntBox, out: &mut Buffer3) {
-    let out_dims = out.dims();
-    for (u, buf) in plan.iter().zip(units) {
-        let Some(overlap) = u.region.intersection(region) else {
-            continue;
-        };
-        let run = overlap.size().get(0) as usize;
-        for z in overlap.lo.get(2)..=overlap.hi.get(2) {
-            for y in overlap.lo.get(1)..=overlap.hi.get(1) {
-                let src = buf.dims().idx(
-                    (overlap.lo.get(0) - u.region.lo.get(0)) as usize,
-                    (y - u.region.lo.get(1)) as usize,
-                    (z - u.region.lo.get(2)) as usize,
-                );
-                let dst = out_dims.idx(
-                    (overlap.lo.get(0) - region.lo.get(0)) as usize,
-                    (y - region.lo.get(1)) as usize,
-                    (z - region.lo.get(2)) as usize,
-                );
-                out.data_mut()[dst..dst + run].copy_from_slice(&buf.data()[src..src + run]);
-            }
-        }
     }
 }

@@ -50,8 +50,8 @@ pub mod error;
 
 pub use cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey, ShardedLru};
 pub use engine::{
-    Box3, EngineStats, LevelRegion, LevelSelect, PointSample, QueryCost, QueryEngine, QueryPlan,
-    RegionView,
+    Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample, QueryCost, QueryEngine,
+    QueryPlan, RegionView,
 };
 pub use error::{QueryError, QueryResult};
 
@@ -59,7 +59,7 @@ pub use error::{QueryError, QueryResult};
 pub mod prelude {
     pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey, ShardedLru};
     pub use crate::engine::{
-        Box3, EngineStats, LevelRegion, LevelSelect, PointSample, QueryCost, QueryEngine,
+        Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample, QueryCost, QueryEngine,
         QueryPlan, RegionView,
     };
     pub use crate::error::{QueryError, QueryResult};

@@ -11,14 +11,21 @@
 //!   once and is bitwise equal to `roi` / `level_region` / `plane_slice`
 //!   and to slicing the full decode;
 //! * `plan_*`, `warm` and `answer` bump no query counter; each public
-//!   entry point bumps its own exactly once.
+//!   entry point bumps its own exactly once;
+//! * `pieces` is the answer before it is pasted: the pieces of a region
+//!   are disjoint, lie inside the region and their unit, cover exactly
+//!   the cells the unit plans cover, and zero-fill + paste of them is
+//!   `answer`, bit for bit.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::{AmricConfig, MergePolicy};
-use amric::reader::{read_amric_hierarchy, Plotfile};
-use amric::writer::write_amric;
+use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile};
+use amric::writer::{field_dataset, write_amric};
+use h5lite::prelude::*;
+
+mod common;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -115,7 +122,10 @@ fn io_counters(s: &EngineStats) -> (u64, u64, u64) {
     (s.chunks_decoded, s.decoded_bytes, s.read_bytes)
 }
 
-fn bits(levels: &[LevelRegion]) -> Vec<(usize, IntBox, Vec<u64>)> {
+/// Dense answers as `(level, region, value bits)`.
+type AnswerBits = Vec<(usize, IntBox, Vec<u64>)>;
+
+fn bits(levels: &[LevelRegion]) -> AnswerBits {
     levels
         .iter()
         .map(|lr| {
@@ -127,11 +137,7 @@ fn bits(levels: &[LevelRegion]) -> Vec<(usize, IntBox, Vec<u64>)> {
 
 /// Reference: the same regions sliced out of the full decode (cells no
 /// unit covers read as 0.0 there too).
-fn reference(
-    pf: &Plotfile,
-    field: usize,
-    levels: &[LevelRegion],
-) -> Vec<(usize, IntBox, Vec<u64>)> {
+fn reference(pf: &Plotfile, field: usize, levels: &[LevelRegion]) -> AnswerBits {
     levels
         .iter()
         .map(|lr| {
@@ -336,5 +342,197 @@ fn planning_errors_are_typed_and_name_the_argument() {
         Err(QueryError::BadQuery(_))
     ));
     assert_eq!(io_counters(&engine.stats()), (0, 0, 0), "nothing was read");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Every stored unit of every level, from the file's metadata alone (the
+/// ranks that stored a chunk only) — what `pieces` may draw from.
+fn stored_units(path: &std::path::Path) -> Vec<Vec<IntBox>> {
+    let reader = H5Reader::open(path).unwrap();
+    let meta = read_plotfile_meta(&reader).unwrap();
+    (0..meta.num_levels())
+        .map(|l| {
+            let stored = reader.meta(&field_dataset(l, 0)).unwrap().chunks.len();
+            (0..stored)
+                .flat_map(|rank| meta.unit_plan(l, rank))
+                .map(|u| u.region)
+                .collect()
+        })
+        .collect()
+}
+
+/// Walk `plan`'s pieces and hold them to everything the dense answer and
+/// the unit plans say about them; returns zero-fill + paste(pieces) as
+/// bit patterns, and how many pieces each region got.
+fn check_pieces(
+    engine: &QueryEngine,
+    plan: &QueryPlan,
+    units: &[Vec<IntBox>],
+    ctx: &str,
+) -> (AnswerBits, Vec<usize>) {
+    let regions = plan.regions();
+    // Bits of -0.0 would survive a paste; a box starts as +0.0.
+    let mut boxes: Vec<Vec<u64>> = regions
+        .iter()
+        .map(|(_, r)| vec![0f64.to_bits(); r.num_cells() as usize])
+        .collect();
+    let mut pasted: Vec<Vec<bool>> = boxes.iter().map(|b| vec![false; b.len()]).collect();
+    let mut counts = vec![0usize; regions.len()];
+    let mut last_region = 0;
+    engine
+        .pieces(plan, |piece| {
+            let (level, region) = regions[piece.region];
+            assert!(piece.region >= last_region, "{ctx}: regions in plan order");
+            last_region = piece.region;
+            counts[piece.region] += 1;
+            assert!(region.contains_box(&piece.overlap), "{ctx}: {piece:?}");
+            assert!(piece.unit.contains_box(&piece.overlap), "{ctx}: {piece:?}");
+            assert_eq!(
+                piece.unit.intersection(&region),
+                Some(piece.overlap),
+                "{ctx}"
+            );
+            assert!(units[level].contains(&piece.unit), "{ctx}: {piece:?}");
+            // Rows: y then z, each the overlap's whole x-run.
+            let mut cells = piece.overlap.iter_points();
+            piece.for_each_row(|y, z, row| {
+                assert_eq!(row.len() as i64, piece.overlap.size().get(0), "{ctx}");
+                for (i, v) in row.iter().enumerate() {
+                    let p = cells.next().expect("more values than cells");
+                    assert_eq!(p, IntVect::new(piece.overlap.lo.get(0) + i as i64, y, z));
+                    let at = region.linear_index(&p);
+                    assert!(!pasted[piece.region][at], "{ctx}: {p:?} in two pieces");
+                    pasted[piece.region][at] = true;
+                    boxes[piece.region][at] = v.to_bits();
+                }
+            });
+            assert!(cells.next().is_none(), "{ctx}: fewer values than cells");
+            // The runs are the same values in the same order.
+            let mut by_run = Vec::new();
+            piece.for_each_run(|run| by_run.extend(run.iter().map(|v| v.to_bits())));
+            let mut by_row = Vec::new();
+            piece.for_each_row(|_, _, row| by_row.extend(row.iter().map(|v| v.to_bits())));
+            assert_eq!(by_run, by_row, "{ctx}: {piece:?}");
+        })
+        .unwrap();
+    // Exactly the cells some stored unit covers were pasted.
+    for (ri, (level, region)) in regions.iter().enumerate() {
+        for p in region.iter_points() {
+            let covered = units[*level].iter().any(|u| u.contains(&p));
+            assert_eq!(
+                pasted[ri][region.linear_index(&p)],
+                covered,
+                "{ctx}: level {level} {p:?}"
+            );
+        }
+    }
+    let answer = regions
+        .iter()
+        .zip(boxes)
+        .map(|(&(level, region), data)| (level, region, data))
+        .collect();
+    (answer, counts)
+}
+
+#[test]
+fn pieces_are_the_answer_before_it_is_pasted() {
+    let h = hierarchy(85);
+    let field = 2;
+    for (tag, cfg) in codec_configs() {
+        let path = tmp(&format!("pieces-{tag}"));
+        write_amric(&path, &h, &cfg, 8).unwrap();
+        let units = stored_units(&path);
+        for workers in [1usize, 2] {
+            for q in queries() {
+                let engine = QueryEngine::open(&path).unwrap().with_workers(workers);
+                let plan = plan(&engine, field, q);
+                let ctx = format!("{tag} workers={workers} {q:?}");
+                // Cold: the walk decodes what it visits, and nothing else.
+                let (cold, counts) = check_pieces(&engine, &plan, &units, &ctx);
+                let s = engine.stats();
+                assert_eq!(s.chunks_decoded, plan.cost().chunks as u64, "{ctx}");
+                assert_eq!(query_counters(&s), (0, 0, 0), "{ctx}: not a counted query");
+                assert!(
+                    counts.iter().sum::<usize>() > 0,
+                    "{ctx}: probe meets nothing"
+                );
+                // Warm: the same pieces, no decode.
+                let (warm, warm_counts) = check_pieces(&engine, &plan, &units, &ctx);
+                assert_eq!(engine.stats().chunks_decoded, s.chunks_decoded, "{ctx}");
+                assert_eq!((&warm, &warm_counts), (&cold, &counts), "{ctx}");
+                // Zero-fill + paste(pieces) is the dense answer and the
+                // public entry point, bit for bit.
+                assert_eq!(cold, bits(&engine.answer(&plan).unwrap()), "{ctx}");
+                assert_eq!(cold, bits(&direct(&engine, field, q)), "{ctx}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn a_region_no_unit_meets_yields_no_piece_and_a_zero_box() {
+    let path = tmp("no-piece");
+    write_amric(&path, &hierarchy(86), &AmricConfig::lr(1e-3), 8).unwrap();
+    let units = stored_units(&path);
+    let engine = QueryEngine::open(&path).unwrap();
+    // A fine-level block the refinement left out (fine_fraction 0.05).
+    let fine = engine.meta().levels[1].domain;
+    let hole = fine
+        .tiles(8)
+        .into_iter()
+        .find(|t| !units[1].iter().any(|u| u.intersects(t)))
+        .expect("an unrefined block");
+    let plan = engine.plan_region(0, 1, hole).unwrap();
+    assert_eq!(plan.cost(), QueryCost::default());
+    assert_eq!(plan.answer_bytes(), 8 * 8 * 8 * 8);
+    let (answer, counts) = check_pieces(&engine, &plan, &units, "hole");
+    assert_eq!(counts, [0]);
+    assert_eq!(answer, bits(&engine.answer(&plan).unwrap()));
+    assert!(answer[0].2.iter().all(|&b| b == 0), "+0.0 everywhere");
+    // In a multi-level ROI the hole is one region among others: its box
+    // is there, zeroed, between regions that got pieces.
+    let roi = engine
+        .plan_roi(0, hole.coarsened(2), LevelSelect::All)
+        .unwrap();
+    let (answer, counts) = check_pieces(&engine, &roi, &units, "roi over the hole");
+    assert!(counts[0] > 0 && counts[1] == 0, "{counts:?}");
+    assert_eq!(answer, bits(&engine.answer(&roi).unwrap()));
+    assert_eq!(io_counters(&engine.stats()).0, roi.cost().chunks as u64);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn clipped_units_of_two_ranks_in_one_tile_come_out_as_disjoint_pieces() {
+    // The hand-built legacy file of `point_oracle.rs`: units clipped off
+    // the tile grid, three of them from both ranks inside one tile, and a
+    // strip no box covers.
+    let path = tmp("unaligned-pieces");
+    common::write_unaligned_legacy_file(&path);
+    let units = stored_units(&path);
+    let engine = QueryEngine::open(&path).unwrap();
+    let pf = read_amric_hierarchy(&path).unwrap();
+    let domain = engine.meta().levels[0].domain;
+    let probes = [
+        engine.plan_region(0, 0, domain).unwrap(),
+        // Inside the shared tile and across its faces.
+        engine
+            .plan_region(
+                0,
+                0,
+                IntBox::new(IntVect::new(1, 3, 1), IntVect::new(5, 6, 2)),
+            )
+            .unwrap(),
+        engine.plan_plane(0, 0, 1, 5).unwrap(),
+        engine.plan_roi(0, domain, LevelSelect::All).unwrap(),
+    ];
+    for plan in &probes {
+        let ctx = format!("{:?}", plan.regions());
+        let (pasted, counts) = check_pieces(&engine, plan, &units, &ctx);
+        assert!(counts[0] > 1, "{ctx}");
+        let answered = engine.answer(plan).unwrap();
+        assert_eq!(pasted, bits(&answered), "{ctx}");
+        assert_eq!(pasted, reference(&pf, 0, &answered), "{ctx}");
+    }
     std::fs::remove_file(&path).ok();
 }

@@ -1,6 +1,14 @@
 //! Blocking client for the amr-serve wire protocol, over TCP or a
 //! Unix-domain socket. One request in flight per connection; open more
 //! clients for concurrency (the server is thread-per-connection).
+//!
+//! Region, plane and ROI answers arrive as the stored pieces of each
+//! level ([`crate::protocol`], "Region body"); decoding zero-fills each
+//! level's box once and pastes the pieces, so a [`WireRegion`] is always
+//! the dense box its corners span. That box is the one thing a response
+//! can make this client allocate beyond the bytes it received, so it is
+//! charged against the same cap as the frame
+//! ([`Client::with_max_response_frame`]).
 
 use crate::protocol::{
     read_frame, write_frame, Conn, OpenInfo, Request, Response, ServeError, ServeResult,
@@ -56,8 +64,12 @@ impl Client {
         }
     }
 
-    /// Lower (or raise) the largest response frame this client will
-    /// accept before treating the stream as corrupt.
+    /// Lower (or raise) the most one response may make this client
+    /// allocate: the largest frame it reads before treating the stream as
+    /// corrupt, and the dense boxes (summed over the regions of a
+    /// response) it zero-fills to paste the patches into. A response over
+    /// the second bound is a [`ServeError::Frame`] inside an intact frame:
+    /// the client stays usable.
     pub fn with_max_response_frame(mut self, cap: u32) -> Self {
         self.max_response_frame = cap;
         self
@@ -74,7 +86,7 @@ impl Client {
                 return Err(e);
             }
         };
-        match Response::decode(&payload)? {
+        match Response::decode_within(&payload, self.max_response_frame)? {
             Response::Error { code, message } => Err(ServeError::Remote { code, message }),
             resp => Ok(resp),
         }
@@ -103,8 +115,10 @@ impl Client {
         }
     }
 
-    /// Finest-available sample at a level-0 cell; `None` outside the
-    /// domain.
+    /// Sample the cell `p`, given in **finest-level** index space, at the
+    /// finest level whose stored data covers it: `(level, cell in that
+    /// level's index space, value)`, or `None` where no level holds the
+    /// cell.
     pub fn point(
         &mut self,
         handle: u32,
@@ -138,7 +152,7 @@ impl Client {
         }
     }
 
-    /// Dense box of one level.
+    /// Dense box of one level (cells no unit stores read zero).
     pub fn region(
         &mut self,
         handle: u32,

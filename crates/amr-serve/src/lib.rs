@@ -17,8 +17,12 @@
 //! * [`protocol`] — the length-prefixed binary wire format (open /
 //!   query / stats / close over TCP or Unix sockets) with typed errors
 //!   and hard frame caps; decoding never trusts a length it has not
-//!   bounds-checked.
-//! * [`server`] — the accept loops and per-connection request loop.
+//!   bounds-checked. An answer crosses the wire as the cells that are
+//!   stored — one patch per stored unit overlap — and the client pastes
+//!   them into the dense box.
+//! * [`server`] — the accept loops and per-connection request loop;
+//!   replies are payloads written straight from the cache
+//!   ([`amr_query::QueryEngine::pieces`]), never a dense box.
 //! * [`client`] — a small blocking client used by the tests, the load
 //!   generator, and anything else that wants typed calls instead of raw
 //!   frames.

@@ -22,11 +22,40 @@
 //!   malformed bodies surface as [`ServeError::Frame`], never a panic.
 //! * Array counts are validated against the bytes actually present
 //!   (`check_count`) before any `Vec` reservation.
+//! * A count may size an allocation the bytes present do not bound only
+//!   under the cap: the dense box of a region body (below) is charged
+//!   against the response cap before it is allocated.
 //!
 //! Requests are deliberately small (paths and a few coordinates): the
 //! request cap is [`MAX_REQUEST_FRAME`]. Responses carry decoded field
 //! data and use the client's configurable cap
 //! ([`DEFAULT_MAX_RESPONSE_FRAME`]).
+//!
+//! # Region body
+//!
+//! A `Region` / `Plane` / `Roi` answer crosses the wire as the cells that
+//! are stored, not as a dense box: AMR stores fine data only where the
+//! mesh is refined, and most of a multi-level answer's box is cells no
+//! unit holds. One region is
+//!
+//! ```text
+//! level u32 | lo 3×i64 | hi 3×i64 | npatches u32
+//! npatches × ( offset 3×u32 (from lo) | size 3×u32 | size.product() × f64, rows x-fastest )
+//! ```
+//!
+//! and the decoder zero-fills the inclusive box `lo..=hi` once and pastes
+//! the patches in order (a later patch overwrites an earlier one), so
+//! [`WireRegion::data`] is the dense box by construction. The server
+//! writes one patch per stored unit overlap; [`Response::encode`], which
+//! tests and tools build from dense data, writes the box as one patch —
+//! same header writers, same decoder. Guards, each before the allocation
+//! it protects: every extent `hi − lo + 1` is checked (`> 0`, fits `u32`),
+//! then `cells × 8`, summed over the regions of a response, against the
+//! response cap; `npatches` against the bytes present; per patch and per
+//! axis `size > 0` and `offset + size ≤ extent` before any product; the
+//! values against the bytes present. Opcodes `0x84` / `0x85`, which
+//! carried one dense box per region, are retired rather than re-meant:
+//! they decode as unknown opcodes.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use sz_codec::wire::{Reader, Writer};
@@ -288,11 +317,14 @@ const OP_SHUTDOWN: u8 = 0x08;
 const OP_OPENED: u8 = 0x81;
 const OP_CLOSED: u8 = 0x82;
 const OP_POINT_RESULT: u8 = 0x83;
-const OP_REGION_RESULT: u8 = 0x84;
-const OP_VIEW_RESULT: u8 = 0x85;
+// 0x84 / 0x85 carried one dense box per region and are retired, not
+// re-meant: a peer that still speaks them gets a typed unknown-opcode
+// error instead of a misparse.
 const OP_STATS_RESULT: u8 = 0x86;
 const OP_SHUTDOWN_ACK: u8 = 0x87;
-const OP_ERROR: u8 = 0xFF;
+const OP_REGION_RESULT: u8 = 0x88;
+const OP_VIEW_RESULT: u8 = 0x89;
+pub(crate) const OP_ERROR: u8 = 0xFF;
 
 fn put_vect(w: &mut Writer, v: &[i64; 3]) {
     for c in v {
@@ -448,37 +480,170 @@ pub struct WireRegion {
     pub lo: [i64; 3],
     /// Inclusive upper corner.
     pub hi: [i64; 3],
-    /// Values in Fortran order over `lo..=hi`.
+    /// Values in Fortran order over `lo..=hi` (cells no unit stores read
+    /// zero). A decoded region always holds exactly its box; one built
+    /// with any other length encodes to bytes the decoder refuses.
     pub data: Vec<f64>,
 }
 
-/// Encoded bytes of a [`WireRegion`] before its values: level, two
-/// corners, value count.
-const REGION_HEADER: usize = 4 + 48 + 8;
+/// Encoded bytes of a region before its patches: level, two corners,
+/// patch count.
+const REGION_HEADER: usize = 4 + 48 + 4;
+
+/// Encoded bytes of a patch before its values: offset and size.
+const PATCH_HEADER: usize = 12 + 12;
+
+/// Incremental encoder of a `Region` / `View` payload: the one set of
+/// header writers. [`Response::encode`] writes each dense box as one
+/// patch; the server writes one patch per stored unit overlap and never
+/// holds a dense box.
+pub(crate) struct AnswerWriter {
+    w: Writer,
+    /// Lower corner of the open region (patch offsets count from it).
+    lo: [i64; 3],
+    /// Where the open region's patch count sits (kept current as patches
+    /// are opened), and the count so far.
+    count_at: usize,
+    npatches: u32,
+}
+
+impl AnswerWriter {
+    fn new(reserve: usize) -> AnswerWriter {
+        AnswerWriter {
+            w: Writer::from_vec(Vec::with_capacity(reserve)),
+            lo: [0; 3],
+            count_at: 0,
+            npatches: 0,
+        }
+    }
+
+    /// A `Region` payload; `reserve` is the encoded size of its region.
+    pub(crate) fn region(reserve: usize) -> AnswerWriter {
+        let mut out = AnswerWriter::new(1 + reserve);
+        out.w.put_u8(OP_REGION_RESULT);
+        out
+    }
+
+    /// A `View` payload of `nregions` regions; `reserve` is their encoded
+    /// size.
+    pub(crate) fn view(field: u32, field_name: &str, nregions: usize, reserve: usize) -> Self {
+        // Opcode, field, name block, region count, regions.
+        let mut out = AnswerWriter::new(1 + 4 + 8 + field_name.len() + 4 + reserve);
+        out.w.put_u8(OP_VIEW_RESULT);
+        out.w.put_u32(field);
+        put_string(&mut out.w, field_name);
+        out.w.put_u32(nregions as u32);
+        out
+    }
+
+    /// Open the next region over `lo..=hi` (inclusive) with no patch yet.
+    pub(crate) fn begin_region(&mut self, level: u32, lo: &[i64; 3], hi: &[i64; 3]) {
+        self.w.put_u32(level);
+        put_vect(&mut self.w, lo);
+        put_vect(&mut self.w, hi);
+        (self.lo, self.count_at, self.npatches) = (*lo, self.w.len(), 0);
+        self.w.put_u32(0);
+    }
+
+    /// Open a patch over `lo..=hi` inside the open region; its
+    /// `(hi − lo + 1).product()` values follow through
+    /// [`AnswerWriter::values`], rows x-fastest. Offsets and sizes that do
+    /// not fit the format's `u32`s wrap: no such region has corners the
+    /// decoder accepts, so it is refused there before a patch is read.
+    pub(crate) fn begin_patch(&mut self, lo: &[i64; 3], hi: &[i64; 3]) {
+        self.npatches += 1;
+        let count = self.npatches.to_le_bytes();
+        self.w.buf_mut()[self.count_at..self.count_at + 4].copy_from_slice(&count);
+        let offset = [0, 1, 2].map(|d| lo[d].wrapping_sub(self.lo[d]) as u32);
+        let size = [0, 1, 2].map(|d| hi[d].wrapping_sub(lo[d]).wrapping_add(1) as u32);
+        for word in offset.into_iter().chain(size) {
+            self.w.put_u32(word);
+        }
+    }
+
+    /// The next values of the open patch.
+    #[inline]
+    pub(crate) fn values(&mut self, run: &[f64]) {
+        self.w.put_f64s(run);
+    }
+
+    /// The finished payload.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.w.into_bytes()
+    }
+}
 
 impl WireRegion {
-    /// Encoded size in bytes.
+    /// Encoded size in bytes (the dense box as one patch).
     fn wire_len(&self) -> usize {
-        REGION_HEADER + 8 * self.data.len()
+        REGION_HEADER + PATCH_HEADER + 8 * self.data.len()
     }
 
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.level);
-        put_vect(w, &self.lo);
-        put_vect(w, &self.hi);
-        w.put_u64(self.data.len() as u64);
-        w.put_f64s(&self.data);
+    fn encode(&self, out: &mut AnswerWriter) {
+        out.begin_region(self.level, &self.lo, &self.hi);
+        out.begin_patch(&self.lo, &self.hi);
+        out.values(&self.data);
     }
 
-    fn decode(r: &mut Reader) -> ServeResult<WireRegion> {
+    /// Decode one region body: zero-fill the box the corners span, paste
+    /// the patches in order (a later patch overwrites an earlier one).
+    /// `budget` is what is left of the response's allocation cap; the box
+    /// is charged against it **before** it is allocated — it is the one
+    /// allocation here that the bytes present do not bound.
+    fn decode(r: &mut Reader, budget: &mut u64) -> ServeResult<WireRegion> {
         let level = r.get_u32()?;
         let lo = get_vect(r)?;
         let hi = get_vect(r)?;
-        let n = r.get_u64()? as usize;
-        // `get_f64s` validates the count against the bytes actually
-        // present before any reservation (a lying count must not
-        // allocate).
-        let data = r.get_f64s(n)?;
+        let extent = |d: usize| {
+            hi[d]
+                .checked_sub(lo[d])
+                .and_then(|span| span.checked_add(1))
+                .filter(|&cells| cells > 0)
+                .and_then(|cells| u32::try_from(cells).ok())
+                .ok_or_else(|| {
+                    ServeError::Frame(format!("region corners {lo:?}..={hi:?} span no valid box"))
+                })
+        };
+        let extent = [extent(0)?, extent(1)?, extent(2)?];
+        let bytes = extent
+            .iter()
+            .try_fold(8u64, |bytes, &e| bytes.checked_mul(u64::from(e)))
+            .filter(|bytes| *bytes <= *budget)
+            .ok_or_else(|| {
+                ServeError::Frame(format!(
+                    "region of {extent:?} cells exceeds the {budget} bytes left of the response cap"
+                ))
+            })?;
+        *budget -= bytes;
+        let npatches = r.get_u32()? as usize;
+        let npatches = r.check_count(npatches, PATCH_HEADER)?;
+        // `bytes` is under a `u32` cap: the count fits any `usize`.
+        let mut data = vec![0.0; (bytes / 8) as usize];
+        let [ex, ey, _] = extent.map(|e| e as usize);
+        for _ in 0..npatches {
+            let offset = [r.get_u32()?, r.get_u32()?, r.get_u32()?];
+            let size = [r.get_u32()?, r.get_u32()?, r.get_u32()?];
+            // Per axis, before any product: inside the box, so the
+            // product is at most the box's (already bounded) cell count.
+            let inside = |d: usize| {
+                let end = offset[d].checked_add(size[d]);
+                size[d] > 0 && end.is_some_and(|end| end <= extent[d])
+            };
+            if !(inside(0) && inside(1) && inside(2)) {
+                return Err(ServeError::Frame(format!(
+                    "patch {offset:?} + {size:?} is empty or leaves its {extent:?} box"
+                )));
+            }
+            let [ox, oy, oz] = offset.map(|o| o as usize);
+            let [sx, sy, sz] = size.map(|s| s as usize);
+            r.check_count(sx * sy * sz, 8)?;
+            for z in oz..oz + sz {
+                for y in oy..oy + sy {
+                    let dst = (z * ey + y) * ex + ox;
+                    r.get_f64s_into(&mut data[dst..dst + sx])?;
+                }
+            }
+        }
         Ok(WireRegion {
             level,
             lo,
@@ -766,29 +931,24 @@ impl Response {
                     }
                 }
             }
-            // The two answers that carry field data size the buffer
-            // once, exactly, instead of doubling their way up to it.
+            // The two answers that carry field data: each dense box as one
+            // patch, in a buffer sized once, exactly.
             Response::Region(region) => {
-                w.buf_mut().reserve_exact(1 + region.wire_len());
-                w.put_u8(OP_REGION_RESULT);
-                region.encode(&mut w);
+                let mut out = AnswerWriter::region(region.wire_len());
+                region.encode(&mut out);
+                return out.finish();
             }
             Response::View {
                 field,
                 field_name,
                 levels,
             } => {
-                // Opcode, field, name block, region count, regions.
-                let regions: usize = levels.iter().map(WireRegion::wire_len).sum();
-                w.buf_mut()
-                    .reserve_exact(1 + 4 + 8 + field_name.len() + 4 + regions);
-                w.put_u8(OP_VIEW_RESULT);
-                w.put_u32(*field);
-                put_string(&mut w, field_name);
-                w.put_u32(levels.len() as u32);
+                let regions = levels.iter().map(WireRegion::wire_len).sum();
+                let mut out = AnswerWriter::view(*field, field_name, levels.len(), regions);
                 for l in levels {
-                    l.encode(&mut w);
+                    l.encode(&mut out);
                 }
+                return out.finish();
             }
             Response::Stats(report) => {
                 w.put_u8(OP_STATS_RESULT);
@@ -804,9 +964,19 @@ impl Response {
         w.into_bytes()
     }
 
-    /// Decode a frame payload.
+    /// Decode a frame payload under [`DEFAULT_MAX_RESPONSE_FRAME`] as its
+    /// allocation cap (see "Region body" in the module docs).
     pub fn decode(payload: &[u8]) -> ServeResult<Response> {
+        Self::decode_within(payload, DEFAULT_MAX_RESPONSE_FRAME)
+    }
+
+    /// Decode a frame payload that may make the caller allocate at most
+    /// `cap` bytes of dense boxes, summed over the regions it carries:
+    /// the zero-filled box of a region is sized by its corners, not by
+    /// the bytes present, so it gets the bound the frame itself has.
+    pub(crate) fn decode_within(payload: &[u8], cap: u32) -> ServeResult<Response> {
         let mut r = Reader::new(payload);
+        let mut budget = u64::from(cap);
         let op = r.get_u8()?;
         let resp = match op {
             OP_OPENED => {
@@ -841,7 +1011,7 @@ impl Response {
                 }
                 t => return Err(ServeError::Frame(format!("bad point-option tag {t}"))),
             },
-            OP_REGION_RESULT => Response::Region(WireRegion::decode(&mut r)?),
+            OP_REGION_RESULT => Response::Region(WireRegion::decode(&mut r, &mut budget)?),
             OP_VIEW_RESULT => {
                 let field = r.get_u32()?;
                 let field_name = get_string(&mut r)?;
@@ -849,7 +1019,7 @@ impl Response {
                 let n = r.check_count(n, REGION_HEADER)?;
                 let mut levels = Vec::with_capacity(n);
                 for _ in 0..n {
-                    levels.push(WireRegion::decode(&mut r)?);
+                    levels.push(WireRegion::decode(&mut r, &mut budget)?);
                 }
                 Response::View {
                     field,
@@ -1096,22 +1266,37 @@ mod tests {
         }
     }
 
-    /// The per-value encoder `WireRegion::encode` had before `put_f64s`,
-    /// into a writer that regrows from empty: the wire-format oracle.
-    fn encode_per_value(resp: &Response) -> Vec<u8> {
-        fn region(r: &WireRegion, w: &mut Writer) {
-            w.put_u32(r.level);
-            put_vect(w, &r.lo);
-            put_vect(w, &r.hi);
-            w.put_u64(r.data.len() as u64);
-            for value in &r.data {
+    /// `(offset, size, values)`.
+    type Patch = ([u32; 3], [u32; 3], Vec<f64>);
+
+    /// One region written the slow way, straight from the format's
+    /// definition: header, then every patch with a `put_f64` per value,
+    /// into a writer that regrows from empty. The wire-format oracle, and
+    /// the writer of the decoder's test inputs.
+    fn write_region(w: &mut Writer, level: u32, lo: [i64; 3], hi: [i64; 3], patches: &[Patch]) {
+        w.put_u32(level);
+        put_vect(w, &lo);
+        put_vect(w, &hi);
+        w.put_u32(patches.len() as u32);
+        for (offset, size, values) in patches {
+            offset.iter().chain(size).for_each(|&v| w.put_u32(v));
+            for value in values {
                 w.put_f64(*value);
             }
+        }
+    }
+
+    /// What `Response::encode` must produce for a dense answer: opcodes
+    /// `0x88` / `0x89`, each region's box as its one patch.
+    fn encode_per_value(resp: &Response) -> Vec<u8> {
+        fn region(r: &WireRegion, w: &mut Writer) {
+            let size = [0, 1, 2].map(|d| (r.hi[d] - r.lo[d] + 1) as u32);
+            write_region(w, r.level, r.lo, r.hi, &[([0; 3], size, r.data.clone())]);
         }
         let mut w = Writer::new();
         match resp {
             Response::Region(r) => {
-                w.put_u8(OP_REGION_RESULT);
+                w.put_u8(0x88);
                 region(r, &mut w);
             }
             Response::View {
@@ -1119,7 +1304,7 @@ mod tests {
                 field_name,
                 levels,
             } => {
-                w.put_u8(OP_VIEW_RESULT);
+                w.put_u8(0x89);
                 w.put_u32(*field);
                 put_string(&mut w, field_name);
                 w.put_u32(levels.len() as u32);
@@ -1149,13 +1334,13 @@ mod tests {
     #[test]
     fn lane_encoder_writes_the_per_value_bytes_and_decodes_bit_for_bit() {
         // Stack-block edges of `put_f64s`, and a many-block answer.
-        for n in [0, 1, 511, 512, 513, 300_001] {
+        for n in [1, 511, 512, 513, 300_001] {
             let answers = [
                 Response::Region(awkward_region(1, n)),
                 Response::View {
                     field: 2,
                     field_name: "baryon_density".into(),
-                    levels: vec![awkward_region(0, n), awkward_region(1, n / 2)],
+                    levels: vec![awkward_region(0, n), awkward_region(1, n.div_ceil(2))],
                 },
             ];
             for resp in answers {
@@ -1165,6 +1350,33 @@ mod tests {
                 let back = Response::decode(&enc).expect("decode");
                 assert!(region_bits(&back) == region_bits(&resp), "n = {n}");
             }
+        }
+        // The layout around the values, byte for byte: a 2×1×1 box at
+        // level 7 is a 56-byte header, a 24-byte patch header, 16 bytes.
+        let enc = Response::Region(WireRegion {
+            level: 7,
+            lo: [-1, 2, 3],
+            hi: [0, 2, 3],
+            data: vec![1.0, -0.0],
+        })
+        .encode();
+        let mut want = vec![0x88, 7, 0, 0, 0];
+        for corner in [-1i64, 2, 3, 0, 2, 3] {
+            want.extend(corner.to_le_bytes());
+        }
+        for word in [1u32, 0, 0, 0, 2, 1, 1] {
+            want.extend(word.to_le_bytes()); // npatches, offset, size
+        }
+        want.extend(1f64.to_le_bytes());
+        want.extend((-0f64).to_le_bytes());
+        assert_eq!(enc, want);
+        assert_eq!(enc.len(), 1 + REGION_HEADER + PATCH_HEADER + 16);
+        // An inclusive box has no empty form: what used to be the
+        // 0-value region has inverted corners, and those are refused.
+        let empty = Response::Region(awkward_region(1, 0)).encode();
+        match Response::decode(&empty) {
+            Err(ServeError::Frame(m)) => assert!(m.contains("span no valid box"), "{m}"),
+            other => panic!("inverted corners decoded: {other:?}"),
         }
     }
 
@@ -1263,6 +1475,122 @@ mod tests {
         assert!(back == enc, "3 MB payload differs");
         let decoded = Response::decode(&back).expect("decode");
         assert!(region_bits(&decoded) == region_bits(&view));
+    }
+
+    /// SplitMix64: the tests' own generator.
+    struct Prng(u64);
+
+    impl Prng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn between(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+    }
+
+    /// A seeded region (extents 1–40, corners either side of zero) with a
+    /// seeded patch list — none, the full box, or up to twelve patches
+    /// that may be disjoint, touch or overlap — and the dense box it must
+    /// decode to: zero-fill, then paste in order. `(level, lo, hi, patches,
+    /// dense bits)`.
+    type Case = (u32, [i64; 3], [i64; 3], Vec<Patch>, Vec<u64>);
+
+    fn random_region(rng: &mut Prng) -> Case {
+        let extent = [0; 3].map(|_| rng.between(1, 40) as usize);
+        let lo = [0; 3].map(|_| rng.between(0, 2000) as i64 - 1000);
+        let hi = [0, 1, 2].map(|d| lo[d] + extent[d] as i64 - 1);
+        let mut patches: Vec<Patch> = Vec::new();
+        let npatches = match rng.between(0, 5) {
+            0 => 0,
+            1 => {
+                let values = awkward_values(extent.iter().product());
+                patches.push(([0; 3], extent.map(|e| e as u32), values));
+                0
+            }
+            _ => rng.between(1, 12),
+        };
+        for _ in 0..npatches {
+            let offset = extent.map(|e| rng.between(0, e as u64 - 1) as usize);
+            let size = [0, 1, 2].map(|d| rng.between(1, (extent[d] - offset[d]) as u64) as usize);
+            let mut values = awkward_values(size.iter().product());
+            let shift = rng.between(0, 12) as usize % values.len();
+            values.rotate_left(shift);
+            patches.push((offset.map(|o| o as u32), size.map(|s| s as u32), values));
+        }
+        let mut dense = vec![0f64.to_bits(); extent.iter().product()];
+        for (offset, size, values) in &patches {
+            let mut next = values.iter();
+            for z in 0..size[2] {
+                for y in 0..size[1] {
+                    for x in 0..size[0] {
+                        let at = [x + offset[0], y + offset[1], z + offset[2]].map(|v| v as usize);
+                        dense[(at[2] * extent[1] + at[1]) * extent[0] + at[0]] =
+                            next.next().expect("a value per cell").to_bits();
+                    }
+                }
+            }
+        }
+        (rng.between(0, 3) as u32, lo, hi, patches, dense)
+    }
+
+    #[test]
+    fn patch_decoder_is_zero_fill_then_paste_in_order() {
+        let mut rng = Prng(0x5eed_0020);
+        let (mut overlapping, mut empty) = (0, 0);
+        for case in 0..300 {
+            // A lone region, or a view of one to three of them.
+            let nregions = rng.between(0, 3) as usize;
+            let regions: Vec<_> = (0..nregions.max(1))
+                .map(|_| random_region(&mut rng))
+                .collect();
+            let mut w = Writer::new();
+            if nregions == 0 {
+                w.put_u8(0x88);
+            } else {
+                w.put_u8(0x89);
+                w.put_u32(case);
+                put_string(&mut w, "temperature");
+                w.put_u32(nregions as u32);
+            }
+            for (level, lo, hi, patches, _) in &regions {
+                write_region(&mut w, *level, *lo, *hi, patches);
+                let boxes: Vec<_> = patches.iter().map(|(o, s, _)| (*o, *s)).collect();
+                let meet = |a: &([u32; 3], [u32; 3]), b: &([u32; 3], [u32; 3])| {
+                    (0..3).all(|d| a.0[d] < b.0[d] + b.1[d] && b.0[d] < a.0[d] + a.1[d])
+                };
+                let overlaps = (0..boxes.len())
+                    .any(|i| boxes[..i].iter().any(|earlier| meet(earlier, &boxes[i])));
+                overlapping += usize::from(overlaps);
+                empty += usize::from(patches.is_empty());
+            }
+            let bytes = w.into_bytes();
+            // Straight, and through a transport that moves 1–13 bytes a call.
+            for payload in [bytes.clone(), trickle_frame(&bytes)] {
+                let decoded = match Response::decode(&payload).expect("decode") {
+                    Response::Region(r) => vec![r],
+                    Response::View { levels, .. } => levels,
+                    other => panic!("{other:?}"),
+                };
+                assert_eq!(decoded.len(), regions.len(), "case {case}");
+                for (got, (level, lo, hi, _, dense)) in decoded.iter().zip(&regions) {
+                    assert_eq!(
+                        (got.level, got.lo, got.hi),
+                        (*level, *lo, *hi),
+                        "case {case}"
+                    );
+                    let bits: Vec<u64> = got.data.iter().map(|v| v.to_bits()).collect();
+                    assert!(&bits == dense, "case {case}: {lo:?}..={hi:?} differs");
+                }
+            }
+        }
+        assert!(overlapping > 20 && empty > 20, "{overlapping} {empty}");
     }
 
     #[test]
@@ -1366,16 +1694,19 @@ mod tests {
 
     #[test]
     fn absurd_region_count_does_not_allocate() {
-        // A WireRegion whose count field claims 2^60 values but carries
-        // none: decode must fail without reserving.
+        // A region whose patch count claims 2^32 - 1 patches but carries
+        // none: decode must fail on the count, before the first patch.
         let mut w = Writer::new();
         w.put_u8(OP_REGION_RESULT);
         w.put_u32(0);
         for _ in 0..6 {
             w.put_u64(0);
         }
-        w.put_u64(1 << 60); // data count
+        w.put_u32(u32::MAX); // patch count
         let enc = w.into_bytes();
-        assert!(Response::decode(&enc).is_err());
+        match Response::decode(&enc) {
+            Err(ServeError::Frame(m)) => assert!(m.contains("element count"), "{m}"),
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -18,8 +18,13 @@
 //! 3. Interactive plans are answered immediately. A scan first warms the
 //!    cache one chunk batch at a time ([`amr_query::QueryPlan::batches`]),
 //!    holding the FIFO [`FairGate`] per batch and releasing it between
-//!    batches so concurrent scans round-robin; the answer is then
-//!    assembled from the warm cache.
+//!    batches so concurrent scans round-robin.
+//! 4. **The reply is a payload, built in one walk.** The answer crosses
+//!    the wire as the cells that are stored: [`QueryEngine::pieces`]
+//!    visits every stored unit's overlap with a planned region and each
+//!    goes straight from the cache into the frame as one patch
+//!    ([`crate::protocol`], "Region body"). The server never allocates,
+//!    zero-fills or pastes a dense box — the client does, once.
 //!
 //! Connections are served sequentially (pipelined requests queue in the
 //! socket), so per-connection in-flight decode volume is exactly the
@@ -28,10 +33,10 @@
 use crate::admission::{AdmissionConfig, FairGate, RequestClass};
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::protocol::{
-    read_frame, write_frame, Conn, ErrorCode, FileStats, OpenInfo, Request, Response, ServeError,
-    ServeResult, StatsReport, WireRegion, MAX_REQUEST_FRAME,
+    read_frame, write_frame, AnswerWriter, Conn, ErrorCode, FileStats, OpenInfo, Request, Response,
+    ServeError, ServeResult, StatsReport, MAX_REQUEST_FRAME, OP_ERROR,
 };
-use amr_query::{Box3, LevelRegion, QueryEngine, QueryError, QueryPlan, QueryResult};
+use amr_query::{Box3, QueryEngine, QueryError, QueryPlan, QueryResult};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
@@ -265,19 +270,12 @@ fn handle_connection(state: Arc<ServeState>, mut stream: Box<dyn Conn>) {
             Err(ServeError::FrameTooLarge { len, cap }) => {
                 // The unread payload is still in the stream; framing is
                 // lost. Answer once, then close.
-                let resp = Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: format!("request frame of {len} bytes exceeds cap of {cap}"),
-                };
-                send(&state, &mut stream, &resp).ok();
+                let message = format!("request frame of {len} bytes exceeds cap of {cap}");
+                send(&state, &mut stream, &error(ErrorCode::BadFrame, message)).ok();
                 break;
             }
             Err(ServeError::Frame(m)) => {
-                let resp = Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: m,
-                };
-                send(&state, &mut stream, &resp).ok();
+                send(&state, &mut stream, &error(ErrorCode::BadFrame, m)).ok();
                 break;
             }
             // Clean or mid-frame disconnect, transport error: drop the
@@ -285,45 +283,44 @@ fn handle_connection(state: Arc<ServeState>, mut stream: Box<dyn Conn>) {
             Err(_) => break,
         };
         c.requests.fetch_add(1, Ordering::Relaxed);
-        let resp = match Request::decode(&payload) {
+        let reply = match Request::decode(&payload) {
             // A malformed body inside a well-framed payload is
             // recoverable: answer the typed error, keep the connection.
-            Err(e) => Response::Error {
-                code: ErrorCode::BadFrame,
-                message: e.to_string(),
-            },
+            Err(e) => error(ErrorCode::BadFrame, e.to_string()),
             Ok(req) => handle_request(&state, &mut handles, &mut next_handle, req),
         };
-        if matches!(resp, Response::Error { .. }) {
+        if reply[0] == OP_ERROR {
             c.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if send(&state, &mut stream, &resp).is_err() {
+        if send(&state, &mut stream, &reply).is_err() {
             break;
         }
     }
     c.connections_active.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn send(state: &ServeState, stream: &mut Box<dyn Conn>, resp: &Response) -> ServeResult<()> {
-    let payload = resp.encode();
+/// Write one reply payload as a frame, counted.
+fn send(state: &ServeState, stream: &mut Box<dyn Conn>, payload: &[u8]) -> ServeResult<()> {
     state
         .counters
         .response_bytes
         .fetch_add(payload.len() as u64, Ordering::Relaxed);
-    write_frame(stream, &payload)
+    write_frame(stream, payload)
 }
 
-fn query_error_response(e: QueryError) -> Response {
+/// The payload of a typed error reply.
+fn error(code: ErrorCode, message: String) -> Vec<u8> {
+    Response::Error { code, message }.encode()
+}
+
+fn query_error(e: QueryError) -> Vec<u8> {
     let code = match &e {
         QueryError::BadQuery(_) => ErrorCode::BadQuery,
         QueryError::Inconsistent(_) => ErrorCode::Inconsistent,
         QueryError::Codec(_) => ErrorCode::Codec,
         QueryError::H5(_) => ErrorCode::Io,
     };
-    Response::Error {
-        code,
-        message: e.to_string(),
-    }
+    error(code, e.to_string())
 }
 
 fn vect(v: &amr_mesh::IntVect) -> [i64; 3] {
@@ -337,27 +334,13 @@ fn intbox(lo: [i64; 3], hi: [i64; 3]) -> Box3 {
     )
 }
 
-fn wire_region(lr: LevelRegion) -> WireRegion {
-    WireRegion {
-        level: lr.level as u32,
-        lo: vect(&lr.region.lo),
-        hi: vect(&lr.region.hi),
-        data: lr.data.into_vec(),
-    }
-}
-
-/// The `Region` response of a single-region (region / plane) plan.
-fn region_response(mut levels: Vec<LevelRegion>) -> Response {
-    let one = levels.pop().expect("one region per region/plane plan");
-    Response::Region(wire_region(one))
-}
-
+/// Answer one decoded request with its reply payload.
 fn handle_request(
     state: &ServeState,
     handles: &mut HashMap<u32, Arc<CatalogEntry>>,
     next_handle: &mut u32,
     req: Request,
-) -> Response {
+) -> Vec<u8> {
     match req {
         Request::Open { path } => match state.catalog.open(Path::new(&path)) {
             Ok(entry) => {
@@ -373,27 +356,21 @@ fn handle_request(
                     indexed: entry.engine.has_persistent_index(),
                 };
                 handles.insert(handle, entry);
-                Response::Opened(info)
+                Response::Opened(info).encode()
             }
-            Err(e) => Response::Error {
-                code: ErrorCode::OpenFailed,
-                message: format!("cannot open {path}: {e}"),
-            },
+            Err(e) => error(ErrorCode::OpenFailed, format!("cannot open {path}: {e}")),
         },
         Request::Close { handle } => {
             if handles.remove(&handle).is_some() {
-                Response::Closed
+                Response::Closed.encode()
             } else {
-                Response::Error {
-                    code: ErrorCode::BadHandle,
-                    message: format!("unknown handle {handle}"),
-                }
+                error(ErrorCode::BadHandle, format!("unknown handle {handle}"))
             }
         }
-        Request::Stats => Response::Stats(state.stats_report()),
+        Request::Stats => Response::Stats(state.stats_report()).encode(),
         Request::Shutdown => {
             state.request_shutdown();
-            Response::ShutdownAck
+            Response::ShutdownAck.encode()
         }
         Request::Point { handle, field, p } => {
             let Some(entry) = handles.get(&handle) else {
@@ -406,9 +383,11 @@ fn handle_request(
                 .engine
                 .point_sample(field as usize, amr_mesh::IntVect::new(p[0], p[1], p[2]))
             {
-                Ok(None) => Response::Point(None),
-                Ok(Some(s)) => Response::Point(Some((s.level as u32, vect(&s.cell), s.value))),
-                Err(e) => query_error_response(e),
+                Ok(sample) => {
+                    Response::Point(sample.map(|s| (s.level as u32, vect(&s.cell), s.value)))
+                        .encode()
+                }
+                Err(e) => query_error(e),
             }
         }
         Request::Plane {
@@ -424,7 +403,7 @@ fn handle_request(
             entry.served[0].fetch_add(1, Ordering::Relaxed);
             let engine = &entry.engine;
             let plan = engine.plan_plane(field as usize, level as usize, axis as usize, coord);
-            run_admitted(state, engine, plan, region_response)
+            run_admitted(state, engine, plan, None)
         }
         Request::Region {
             handle,
@@ -439,7 +418,7 @@ fn handle_request(
             entry.served[1].fetch_add(1, Ordering::Relaxed);
             let engine = &entry.engine;
             let plan = engine.plan_region(field as usize, level as usize, intbox(lo, hi));
-            run_admitted(state, engine, plan, region_response)
+            run_admitted(state, engine, plan, None)
         }
         Request::Roi {
             handle,
@@ -454,25 +433,23 @@ fn handle_request(
             entry.served[2].fetch_add(1, Ordering::Relaxed);
             let engine = &entry.engine;
             let plan = engine.plan_roi(field as usize, intbox(lo, hi), select.into());
-            run_admitted(state, engine, plan, |levels| Response::View {
-                field,
-                field_name: engine.meta().field_names[field as usize].clone(),
-                levels: levels.into_iter().map(wire_region).collect(),
-            })
+            run_admitted(state, engine, plan, Some(field))
         }
     }
 }
 
-fn bad_handle(handle: u32) -> Response {
-    Response::Error {
-        code: ErrorCode::BadHandle,
-        message: format!("unknown handle {handle} (open the file first)"),
-    }
+fn bad_handle(handle: u32) -> Vec<u8> {
+    error(
+        ErrorCode::BadHandle,
+        format!("unknown handle {handle} (open the file first)"),
+    )
 }
 
 /// Admission control around one planned query: reject on the plan's
-/// cold-cache cost or answer size, classify, execute, and `respond` with
-/// the answer (a planning error passes through as its typed response).
+/// cold-cache cost or answer size, classify, execute, and reply with a
+/// `View` of field `view` or, without one, the `Region` of a
+/// single-region plan (a planning error passes through as its typed
+/// reply).
 ///
 /// Interactive plans are answered straight away. A scan warms the cache
 /// one chunk batch at a time — consecutive chunks decoding to at most
@@ -484,29 +461,29 @@ fn run_admitted(
     state: &ServeState,
     engine: &QueryEngine,
     plan: QueryResult<QueryPlan>,
-    respond: impl FnOnce(Vec<LevelRegion>) -> Response,
-) -> Response {
+    view: Option<u32>,
+) -> Vec<u8> {
     let (adm, c) = (&state.cfg.admission, &state.counters);
     let plan = match plan {
         Ok(p) => p,
-        Err(e) => return query_error_response(e),
+        Err(e) => return query_error(e),
     };
-    // The bound covers what the request makes resident either way: the
-    // decoded chunks, and the dense per-level boxes of the answer (a
-    // sparsely refined level decodes one small chunk and answers its
-    // whole box). Classification stays on decode bytes — the gate
-    // protects decode work.
+    // The bound covers what the request makes resident on either side:
+    // the decoded chunks here, and the dense per-level boxes the client
+    // zero-fills to paste the answer into (a sparsely refined level
+    // decodes one small chunk and answers its whole box). Classification
+    // stays on decode bytes — the gate protects decode work.
     let (decode_bytes, answer_bytes) = (plan.cost().decode_bytes, plan.answer_bytes());
     if decode_bytes.max(answer_bytes) > adm.max_request_bytes {
         c.rejected_too_large.fetch_add(1, Ordering::Relaxed);
-        return Response::Error {
-            code: ErrorCode::TooLarge,
-            message: format!(
+        return error(
+            ErrorCode::TooLarge,
+            format!(
                 "request would decode {decode_bytes} bytes and answer {answer_bytes}; \
                  per-connection bound is {} (split the query into smaller regions)",
                 adm.max_request_bytes
             ),
-        };
+        );
     }
     match adm.classify(decode_bytes) {
         RequestClass::Interactive => {
@@ -518,7 +495,7 @@ fn run_admitted(
                 c.scan_slabs.fetch_add(1, Ordering::Relaxed);
                 let _permit = state.gate.acquire();
                 if let Err(e) = engine.warm(&plan, batch) {
-                    return query_error_response(e);
+                    return query_error(e);
                 }
                 // Permit drops here: waiting scans (and nothing else —
                 // interactive traffic never queues on the gate) proceed
@@ -526,10 +503,40 @@ fn run_admitted(
             }
         }
     }
-    // A scan's chunks are warm by now; any evicted meanwhile are simply
-    // re-decoded (correctness never depends on residency).
-    match engine.answer(&plan) {
-        Ok(levels) => respond(levels),
-        Err(e) => query_error_response(e),
+    // One walk from the cache into the frame (a scan's chunks are warm by
+    // now; any evicted meanwhile are simply re-decoded). The pieces of a
+    // region are disjoint parts of its box and of the decoded units, so
+    // their values fit in the smaller of the two; a sixteenth on top
+    // covers the headers (24 B a patch, against the 512 B of a 4³ unit).
+    let values = decode_bytes.min(answer_bytes) as usize;
+    let regions = plan.regions();
+    let reserve = values + values / 16 + 64 * regions.len();
+    let mut out = match view {
+        // A plan exists, so the planner has checked the field.
+        Some(field) => {
+            let name = &engine.meta().field_names[field as usize];
+            AnswerWriter::view(field, name, regions.len(), reserve)
+        }
+        None => AnswerWriter::region(reserve),
+    };
+    let mut opened = 0;
+    let mut open = |out: &mut AnswerWriter, upto: usize| {
+        for (level, region) in &regions[opened..upto] {
+            out.begin_region(*level as u32, &region.lo.0, &region.hi.0);
+        }
+        opened = upto;
+    };
+    let walked = engine.pieces(&plan, |piece| {
+        open(&mut out, piece.region + 1);
+        out.begin_patch(&piece.overlap.lo.0, &piece.overlap.hi.0);
+        piece.for_each_run(|run| out.values(run));
+    });
+    match walked {
+        Ok(()) => {
+            // Regions no unit met: a header and no patch.
+            open(&mut out, regions.len());
+            out.finish()
+        }
+        Err(e) => query_error(e),
     }
 }

@@ -4,8 +4,9 @@
 //! stale-generation invalidation, the Unix-socket transport, typed
 //! `TooLarge` rejection before any byte is read (on the decode estimate
 //! and on the size of the answer), one gate hold per chunk batch of a
-//! scan, typed planning errors, multi-MB frames counted to the byte, and
-//! the stats endpoint.
+//! scan, typed planning errors, multi-MB answers shipped as their stored
+//! pieces and counted to the byte, regions no unit meets, a legacy file
+//! whose clipped units share a tile, and the stats endpoint.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -15,6 +16,9 @@ use amric::config::AmricConfig;
 use amric::writer::{write_amric, write_amric_to};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+#[path = "../../amr-query/tests/common/mod.rs"]
+mod common;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -211,6 +215,23 @@ fn concurrent_clients_match_direct_engine_bitwise() {
     assert!(stats.files.iter().all(|f| f.chunks_decoded > 0));
     assert_eq!(stats.rejected_too_large, 0);
 
+    // A point is a cell of the **finest** index space (32³ here), not of
+    // level 0 (16³): one beyond the coarse extent is answered by whichever
+    // level holds it, in that level's own index space; one beyond the
+    // finest domain is held by no level.
+    let h = client.open(path_a.to_str().unwrap()).unwrap().handle;
+    let beyond_coarse = IntVect::new(21, 30, 17);
+    let expect = direct_a.point_sample(0, beyond_coarse).unwrap().unwrap();
+    assert_eq!(
+        expect.cell,
+        beyond_coarse.coarsened(if expect.level == 0 { 2 } else { 1 })
+    );
+    assert_eq!(
+        client.point(h, 0, beyond_coarse.0).unwrap(),
+        Some((expect.level as u32, expect.cell.0, expect.value))
+    );
+    assert_eq!(client.point(h, 0, [32, 30, 17]).unwrap(), None);
+
     client.shutdown_server().unwrap();
     server.shutdown_and_join();
     std::fs::remove_file(&path_a).ok();
@@ -253,8 +274,9 @@ fn uds_transport_answers_identically_to_tcp() {
 #[test]
 fn multi_megabyte_answers_cross_both_transports_bitwise_and_counted() {
     // 32³ under a 64³ fine domain: a full-domain ROI answers 2.36 MB of
-    // dense boxes — hundreds of `put_f64s` blocks, a frame the socket
-    // delivers in many pieces.
+    // dense boxes, most of it fine cells no unit stores. What crosses the
+    // wire is the stored pieces — still hundreds of `put_f64s` runs, a
+    // frame the socket delivers in many reads.
     let path = tmp("multi-mb");
     write_plotfile_sized(99, &path, 32);
     let mut sock = std::env::temp_dir();
@@ -264,12 +286,21 @@ fn multi_megabyte_answers_cross_both_transports_bitwise_and_counted() {
     server.listen_uds(&sock).unwrap();
 
     let direct = QueryEngine::open(&path).unwrap();
-    let view = direct
-        .roi(1, IntBox::from_extents(32, 32, 32), LevelSelect::All)
-        .unwrap();
+    let roi = IntBox::from_extents(32, 32, 32);
+    let view = direct.roi(1, roi, LevelSelect::All).unwrap();
     let expect: Vec<_> = view.levels.iter().map(direct_bits).collect();
-    // The payload the server must send for it, byte for byte.
-    let payload = amr_serve::Response::View {
+    // The payload the server must send for it, to the byte, from the
+    // direct engine's pieces: the view header (opcode, field, name block,
+    // region count), 56 B a region, 24 B + 8 B a cell a piece.
+    let plan = direct.plan_roi(1, roi, LevelSelect::All).unwrap();
+    let mut payload = 1 + 4 + (8 + view.field_name.len()) + 4 + 56 * plan.regions().len();
+    direct
+        .pieces(&plan, |piece| {
+            payload += 24 + 8 * piece.overlap.num_cells() as usize
+        })
+        .unwrap();
+    // The dense encoding of the same answer.
+    let dense = amr_serve::Response::View {
         field: 1,
         field_name: view.field_name.clone(),
         levels: view
@@ -284,10 +315,13 @@ fn multi_megabyte_answers_cross_both_transports_bitwise_and_counted() {
             .collect(),
     }
     .encode();
+    assert!(dense.len() > 2 << 20, "{} B is not multi-MB", dense.len());
+    // Still most of a megabyte, and well under half of the dense bytes
+    // (this fixture refines 31 % of its fine domain).
     assert!(
-        payload.len() > 2 << 20,
-        "{} B is not multi-MB",
-        payload.len()
+        (800_000..dense.len() * 2 / 5).contains(&payload),
+        "{payload} B of pieces against {} B dense",
+        dense.len()
     );
 
     let clients = [
@@ -311,7 +345,7 @@ fn multi_megabyte_answers_cross_both_transports_bitwise_and_counted() {
         );
         assert_eq!(
             after - before - (before - idle),
-            payload.len() as u64,
+            payload as u64,
             "{transport}: response bytes counted"
         );
     }
@@ -319,6 +353,76 @@ fn multi_megabyte_answers_cross_both_transports_bitwise_and_counted() {
     server.shutdown_and_join();
     std::fs::remove_file(&sock).ok();
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn holes_and_clipped_legacy_units_are_served_like_the_direct_engine() {
+    let corners = |b: &IntBox| (b.lo.0, b.hi.0);
+    let mut server = Server::new(test_config());
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+
+    // A fine-level block the refinement left out: no unit meets it, so
+    // its reply is a region header and nothing else, and its box is +0.0
+    // everywhere — as the direct engine answers it.
+    let path = tmp("hole");
+    write_plotfile(99, &path);
+    let direct = QueryEngine::open(&path).unwrap();
+    let fine = &direct.meta().levels[1];
+    let hole = fine
+        .domain
+        .tiles(8)
+        .into_iter()
+        .find(|t| !fine.boxes.intersects(t))
+        .expect("an unrefined block");
+    let handle = client.open(path.to_str().unwrap()).unwrap().handle;
+    let idle = client.stats().unwrap().response_bytes;
+    let before = client.stats().unwrap().response_bytes;
+    let (lo, hi) = corners(&hole);
+    let got = client.region(handle, 0, 1, lo, hi).unwrap();
+    let after = client.stats().unwrap().response_bytes;
+    assert_eq!(after - before - (before - idle), 1 + 56, "a bare header");
+    assert_eq!(got.data.len(), 512);
+    assert!(got.data.iter().all(|v| v.to_bits() == 0));
+    let expect = direct.level_region(0, 1, hole).unwrap();
+    assert_eq!(wire_bits(&got), direct_bits(&expect));
+    assert_eq!(client.stats().unwrap().files[0].chunks_decoded, 0);
+    std::fs::remove_file(&path).ok();
+
+    // The hand-built legacy file of `amr-query`'s point oracle: units
+    // clipped off the tile grid, three of them from two ranks inside one
+    // tile, a strip no box covers. Region, plane and ROI, served against
+    // direct.
+    let path = tmp("legacy");
+    common::write_unaligned_legacy_file(&path);
+    let direct = QueryEngine::open(&path).unwrap();
+    let info = client.open(path.to_str().unwrap()).unwrap();
+    assert!(!info.indexed, "a hand-built legacy file");
+    let domain = direct.meta().levels[0].domain;
+    let across_the_tile = IntBox::new(IntVect::new(1, 3, 1), IntVect::new(5, 6, 2));
+    for region in [domain, across_the_tile] {
+        let (lo, hi) = corners(&region);
+        let got = client.region(info.handle, 0, 0, lo, hi).unwrap();
+        let expect = direct.level_region(0, 0, region).unwrap();
+        assert_eq!(wire_bits(&got), direct_bits(&expect), "{region:?}");
+        assert!(got.data.iter().any(|&v| v != 0.0), "{region:?}");
+    }
+    let got = client.plane(info.handle, 0, 0, 1, 5).unwrap();
+    assert_eq!(
+        wire_bits(&got),
+        direct_bits(&direct.plane_slice(0, 0, 1, 5).unwrap())
+    );
+    let (lo, hi) = corners(&domain);
+    let got = client.roi(info.handle, 0, lo, hi, WireSelect::All).unwrap();
+    let expect = direct.roi(0, domain, LevelSelect::All).unwrap();
+    assert_eq!(
+        got.levels.iter().map(wire_bits).collect::<Vec<_>>(),
+        expect.levels.iter().map(direct_bits).collect::<Vec<_>>()
+    );
+    std::fs::remove_file(&path).ok();
+
+    client.shutdown_server().unwrap();
+    server.shutdown_and_join();
 }
 
 #[test]

@@ -3,12 +3,16 @@
 //! truncated frames, lying length prefixes, garbage opcodes, absurd
 //! element counts, and mid-request disconnects must produce typed
 //! errors or clean connection drops — never a panic, never a
-//! length-prefix-sized allocation, and never a wedged server.
+//! length-prefix-sized allocation, and never a wedged server. The client
+//! side is held to the same: a region body sizes a dense box from its
+//! corners, so hostile corners, patch headers and counts must be typed
+//! errors before anything is allocated for them.
 
 use amr_serve::prelude::*;
 use amr_serve::protocol::{read_frame, write_frame, Request, Response};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use sz_codec::wire::Writer;
 
 fn start_server() -> (Server, SocketAddr) {
     let mut server = Server::new(ServeConfig::default());
@@ -353,4 +357,238 @@ fn mid_request_disconnect_storm_leaves_server_healthy() {
     }
     assert_server_alive(addr);
     server.shutdown_and_join();
+}
+
+/// `(offset, size, values)` of one patch.
+type Patch = ([u32; 3], [u32; 3], Vec<f64>);
+
+/// One region body, byte for byte as the format defines it — with
+/// whatever patch count, patch headers and values the caller likes.
+fn put_region(w: &mut Writer, lo: [i64; 3], hi: [i64; 3], npatches: u32, patches: &[Patch]) {
+    w.put_u32(0); // level
+    lo.iter().chain(&hi).for_each(|&c| w.put_u64(c as u64));
+    w.put_u32(npatches);
+    for (offset, size, values) in patches {
+        offset.iter().chain(size).for_each(|&v| w.put_u32(v));
+        w.put_f64s(values);
+    }
+}
+
+/// A `Region` payload (opcode `0x88`) holding one such body.
+fn region_payload(lo: [i64; 3], hi: [i64; 3], npatches: u32, patches: &[Patch]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(0x88);
+    put_region(&mut w, lo, hi, npatches, patches);
+    w.into_bytes()
+}
+
+/// A `View` payload (opcode `0x89`) of patch-less regions.
+fn view_payload(boxes: &[([i64; 3], [i64; 3])]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(0x89);
+    w.put_u32(0);
+    w.put_block(b"density");
+    w.put_u32(boxes.len() as u32);
+    for (lo, hi) in boxes {
+        put_region(&mut w, *lo, *hi, 0, &[]);
+    }
+    w.into_bytes()
+}
+
+fn frame_error(payload: &[u8]) -> String {
+    match Response::decode(payload) {
+        Err(ServeError::Frame(m)) => m,
+        other => panic!("expected a typed Frame error, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_region_bodies_are_typed_errors_before_any_allocation() {
+    let ok = region_payload(
+        [0; 3],
+        [3, 1, 0],
+        1,
+        &[([1, 0, 0], [2, 2, 1], vec![1.0; 4])],
+    );
+    match Response::decode(&ok).unwrap() {
+        Response::Region(r) => {
+            assert_eq!(r.data, [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
+        }
+        other => panic!("{other:?}"),
+    }
+    // Corners that span no box a `u32` per axis can index.
+    let m = i64::MAX;
+    for (what, lo, hi) in [
+        ("inverted", [0, 0, 0], [3, -1, 3]),
+        ("inverted by one", [5, 5, 5], [5, 5, 4]),
+        ("an extent of 2^32", [0, 0, 0], [0, (1 << 32) - 1, 0]),
+        ("an extent past i64", [-2, 0, 0], [m, 0, 0]),
+        ("hi - lo overflows", [i64::MIN, 0, 0], [m, 0, 0]),
+    ] {
+        let err = frame_error(&region_payload(lo, hi, 0, &[]));
+        assert!(err.contains("span no valid box"), "{what}: {err}");
+    }
+    // Every extent fits, the box does not: `cells x 8` over the cap, and
+    // overflowing a `u64` on the way.
+    let u = i64::from(u32::MAX) - 1;
+    for (what, hi) in [
+        ("1 GiB + 8", [(1 << 27), 0, 0]),
+        ("2^67 bytes", [u, u, 0]),
+        ("2^99 bytes", [u, u, u]),
+    ] {
+        let err = frame_error(&region_payload([0; 3], hi, 0, &[]));
+        assert!(err.contains("response cap"), "{what}: {err}");
+    }
+    // A patch count the tail cannot hold: refused on the count.
+    let err = frame_error(&region_payload([0; 3], [3, 3, 3], u32::MAX, &[]));
+    assert!(err.contains("element count"), "{err}");
+    let one = [([0; 3], [1, 1, 1], vec![2.0])];
+    let err = frame_error(&region_payload([0; 3], [3, 3, 3], 2, &one));
+    assert!(err.contains("element count"), "{err}");
+    // Patches that are empty or leave the 4 x 3 x 2 box, per axis: one
+    // past the extent, and wrapping `u32`.
+    for d in 0..3 {
+        let extent = [4u32, 3, 2];
+        let (mut empty, mut past, mut wraps, mut outside) = ([1; 3], [1; 3], [1; 3], [0; 3]);
+        empty[d] = 0;
+        past[d] = extent[d] + 1;
+        wraps[d] = u32::MAX;
+        outside[d] = extent[d];
+        for (what, offset, size) in [
+            ("zero-sized", [0; 3], empty),
+            ("one past the extent", [0; 3], past),
+            ("offset at the extent", outside, [1; 3]),
+            ("offset + size wraps", [1; 3], wraps),
+        ] {
+            // Enough values that only the header can be at fault.
+            let patch = [(offset, size, vec![0.5; 64])];
+            let err = frame_error(&region_payload([0; 3], [3, 2, 1], 1, &patch));
+            assert!(err.contains("leaves its"), "axis {d}, {what}: {err}");
+        }
+    }
+    // Values cut mid-patch, and a byte too many.
+    let patch = [([0; 3], [4, 3, 2], vec![1.5; 24])];
+    let whole = region_payload([0; 3], [3, 2, 1], 1, &patch);
+    assert!(Response::decode(&whole).is_ok());
+    for cut in [1, 8, 9, 24 * 8 - 1, 24 * 8 + 12] {
+        let err = frame_error(&whole[..whole.len() - cut]);
+        assert!(
+            err.contains("element count") || err.contains("truncated"),
+            "{err}"
+        );
+    }
+    let mut long = whole.clone();
+    long.push(0);
+    assert!(frame_error(&long).contains("trailing"));
+    // The retired dense opcodes are unknown, not re-meant.
+    for op in [0x84u8, 0x85] {
+        let mut old = whole.clone();
+        old[0] = op;
+        let err = frame_error(&old);
+        assert!(err.contains("unknown response opcode"), "{op:#x}: {err}");
+    }
+}
+
+#[test]
+fn a_region_built_with_the_wrong_length_encodes_and_is_refused() {
+    let region = |lo, hi, n| WireRegion {
+        level: 1,
+        lo,
+        hi,
+        data: vec![1.0; n],
+    };
+    for (what, r) in [
+        ("one value short", region([0; 3], [1, 1, 1], 7)),
+        ("one value long", region([0; 3], [1, 1, 1], 9)),
+        ("empty", region([0; 3], [1, 1, 1], 0)),
+        ("inverted corners", region([2, 0, 0], [1, 0, 0], 0)),
+        ("corners 2^32 apart", region([0; 3], [1 << 32, 0, 0], 1)),
+        ("corners i64 apart", region([i64::MIN; 3], [i64::MAX; 3], 3)),
+    ] {
+        // No panic (debug builds check the arithmetic) …
+        let alone = Response::Region(r.clone()).encode();
+        let in_view = Response::View {
+            field: 0,
+            field_name: "density".into(),
+            levels: vec![region([0; 3], [0, 0, 0], 1), r],
+        }
+        .encode();
+        // … and bytes no decoder takes for an answer.
+        for payload in [alone, in_view] {
+            assert!(
+                matches!(Response::decode(&payload), Err(ServeError::Frame(_))),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// A peer that answers every request with the next scripted payload,
+/// then one `Closed` for the call that shows the client still works.
+fn scripted_peer(replies: Vec<Vec<u8>>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        for reply in replies.iter().chain([&Response::Closed.encode()]) {
+            read_frame(&mut stream, 1 << 20).unwrap();
+            write_frame(&mut stream, reply).unwrap();
+        }
+    });
+    (addr, peer)
+}
+
+#[test]
+fn the_response_cap_bounds_the_boxes_a_client_allocates() {
+    // 8 000 bytes: a 10 x 10 x 10 box exactly. None of these frames is
+    // anywhere near the cap — only what they would make the client
+    // allocate is.
+    const CAP: u32 = 8_000;
+    let replies = vec![
+        region_payload([0; 3], [9, 9, 9], 0, &[]),    // at the cap
+        region_payload([0; 3], [1000, 0, 0], 0, &[]), // one value over
+        region_payload([-5; 3], [4, 4, 4], 1, &[([9; 3], [1; 3], vec![7.0])]),
+        // Each fits alone (4 000 B + 4 000 B + 8 B), together they do not.
+        view_payload(&[([0; 3], [9, 9, 4]), ([0; 3], [4, 9, 9]), ([0; 3], [0; 3])]),
+        view_payload(&[([0; 3], [9, 9, 4]), ([0; 3], [4, 9, 9])]),
+    ];
+    let (addr, peer) = scripted_peer(replies);
+    let mut client = Client::connect_tcp(addr)
+        .unwrap()
+        .with_max_response_frame(CAP);
+    let results = within_watchdog(move || {
+        let mut region = || client.region(1, 0, 0, [0; 3], [0; 3]);
+        let at_cap = region();
+        let over = region();
+        let pasted = region();
+        let mut roi = || client.roi(1, 0, [0; 3], [0; 3], WireSelect::All);
+        let summed_over = roi().map(|v| v.levels.len());
+        let summed_at = roi().map(|v| v.levels.len());
+        (
+            at_cap,
+            over,
+            pasted,
+            summed_over,
+            summed_at,
+            client.close_handle(1),
+        )
+    });
+    let (at_cap, over, pasted, summed_over, summed_at, still_usable) = results;
+    let at_cap = at_cap.expect("a box of exactly the cap");
+    assert!(at_cap.data.len() == 1000 && at_cap.data.iter().all(|v| v.to_bits() == 0));
+    match over {
+        Err(ServeError::Frame(m)) => assert!(m.contains("response cap"), "{m}"),
+        other => panic!("8 008 bytes under a cap of 8 000: {other:?}"),
+    }
+    let pasted = pasted.expect("a patch in the far corner");
+    assert_eq!(pasted.data.iter().sum::<f64>(), 7.0);
+    assert_eq!(pasted.data[999], 7.0);
+    match summed_over {
+        Err(ServeError::Frame(m)) => assert!(m.contains("response cap"), "{m}"),
+        other => panic!("8 008 bytes over three regions: {other:?}"),
+    }
+    assert_eq!(summed_at.expect("two regions, 8 000 bytes"), 2);
+    // Body errors inside intact frames: the same client went on working.
+    still_usable.expect("client usable after refused bodies");
+    peer.join().unwrap();
 }

@@ -148,6 +148,20 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
+    /// The next `out.len()` doubles into `out` (the lanes of
+    /// [`Reader::get_f64s`], for a caller that owns the destination).
+    /// Too few bytes: [`CodecError::Truncated`], nothing consumed or
+    /// written.
+    #[inline]
+    pub fn get_f64s_into(&mut self, out: &mut [f64]) -> CodecResult<()> {
+        // A slice that exists is at most `isize::MAX` bytes long.
+        let lanes = self.take(out.len() * 8)?.chunks_exact(8);
+        for (v, b) in out.iter_mut().zip(lanes) {
+            *v = f64::from_le_bytes(b.try_into().unwrap());
+        }
+        Ok(())
+    }
+
     /// Length-prefixed byte block (see [`Writer::put_block`]).
     pub fn get_block(&mut self) -> CodecResult<&'a [u8]> {
         let n = self.get_u64()? as usize;
@@ -278,7 +292,44 @@ mod tests {
                 .zip(&values)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
             assert_eq!((back.len(), r.remaining()), (n, 0));
+
+            // The same lanes into a slice the caller owns, sentinels
+            // either side untouched.
+            let mut r = Reader::new(&bytes[1..]);
+            let mut owned = vec![f64::from_bits(0xA5A5); n + 2];
+            r.get_f64s_into(&mut owned[1..=n]).unwrap();
+            assert_eq!(
+                (owned[0].to_bits(), owned[n + 1].to_bits()),
+                (0xA5A5, 0xA5A5)
+            );
+            assert!(owned[1..=n]
+                .iter()
+                .zip(&values)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(r.remaining(), 0);
         }
+    }
+
+    #[test]
+    fn f64s_into_a_slice_longer_than_the_tail_is_truncated_and_writes_nothing() {
+        let mut w = Writer::new();
+        w.put_f64s(&[1.0, 2.0]);
+        w.put_u8(9);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let mut out = [-1.0; 3];
+        assert!(matches!(
+            r.get_f64s_into(&mut out),
+            Err(CodecError::Truncated {
+                offset: 0,
+                need: 24,
+                have: 17
+            })
+        ));
+        assert_eq!((out, r.remaining()), ([-1.0; 3], 17));
+        r.get_f64s_into(&mut out[..2]).unwrap();
+        r.get_f64s_into(&mut []).unwrap();
+        assert_eq!((out, r.get_u8().unwrap()), ([1.0, 2.0, -1.0], 9));
     }
 
     #[test]
