@@ -575,25 +575,29 @@ mod tests {
     fn parallel_write_is_byte_identical_to_serial() {
         // The tentpole invariant at the writer level: every dataset's
         // stored chunk bytes match between the serial path and the
-        // overlapped pool path, for both codec families.
+        // overlapped pool path, for both codec families, at every
+        // worker count.
         let h = small_nyx();
         for (tag, cfg) in [
             ("lr", AmricConfig::lr(1e-3)),
             ("interp", AmricConfig::interp(1e-3)),
         ] {
             let (rs, a) = write_mem(&h, &cfg, 8);
-            let (rp, b) = write_mem(&h, &cfg.with_workers(4), 8);
-            assert_eq!(rs.stored_bytes, rp.stored_bytes, "{tag}");
-            assert_eq!(a.dataset_names(), b.dataset_names(), "{tag}");
-            for name in a.dataset_names() {
-                let (ma, mb) = (a.meta(name).unwrap(), b.meta(name).unwrap());
-                assert_eq!(ma.chunks.len(), mb.chunks.len(), "{tag}/{name}");
-                for i in 0..ma.chunks.len() {
-                    assert_eq!(
-                        a.read_chunk_raw(name, i).unwrap(),
-                        b.read_chunk_raw(name, i).unwrap(),
-                        "{tag}/{name} chunk {i} bytes differ"
-                    );
+            for workers in [2, 4] {
+                let (rp, b) = write_mem(&h, &cfg.with_workers(workers), 8);
+                let tag = format!("{tag} workers={workers}");
+                assert_eq!(rs.stored_bytes, rp.stored_bytes, "{tag}");
+                assert_eq!(a.dataset_names(), b.dataset_names(), "{tag}");
+                for name in a.dataset_names() {
+                    let (ma, mb) = (a.meta(name).unwrap(), b.meta(name).unwrap());
+                    assert_eq!(ma.chunks.len(), mb.chunks.len(), "{tag}/{name}");
+                    for i in 0..ma.chunks.len() {
+                        assert_eq!(
+                            a.read_chunk_raw(name, i).unwrap(),
+                            b.read_chunk_raw(name, i).unwrap(),
+                            "{tag}/{name} chunk {i} bytes differ"
+                        );
+                    }
                 }
             }
         }

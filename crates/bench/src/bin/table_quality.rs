@@ -19,15 +19,15 @@
 //! MSE-optimal for a uniform metric); both numbers are reported.
 //!
 //! Emits `BENCH_quality.json` (`AMRIC_BENCH_OUT` overrides the path).
-//! `--smoke` (or `AMRIC_QUALITY_SMOKE=1`) shrinks the domains for CI.
+//! `--smoke` (or `AMRIC_QUALITY_SMOKE=1`) shrinks the domains for CI and
+//! writes only the file `AMRIC_BENCH_OUT` names.
 
 use amr_apps::prelude::*;
 use amr_quality::{Psnr, QualityReport};
 use amr_query::QueryEngine;
 use amric::config::BoundPolicy;
 use amric::prelude::*;
-use amric_bench::print_table;
-use std::io::Write;
+use amric_bench::{print_table, scratch};
 
 const TIGHT: f64 = 1e-4;
 const LOOSE: f64 = 8e-3;
@@ -54,12 +54,6 @@ struct ScenarioResult {
     /// range-normalized per (level, field). Positive = adaptive wins.
     tagged_gap_db: f64,
     rows: Vec<FieldRow>,
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("table-quality-{}-{name}.h5l", std::process::id()));
-    p
 }
 
 fn stored(path: &std::path::Path, h: &amr_mesh::AmrHierarchy, cfg: &AmricConfig, bf: i64) -> u64 {
@@ -102,9 +96,9 @@ fn run_scenario(
     iters: usize,
 ) -> ScenarioResult {
     let h = build_hierarchy(s, &cfg, 0.0);
-    let reference = tmp(&format!("{scenario}-ref"));
-    let adaptive = tmp(&format!("{scenario}-adaptive"));
-    let fixed = tmp(&format!("{scenario}-fixed"));
+    let reference = scratch(&format!("quality-{scenario}-ref"));
+    let adaptive = scratch(&format!("quality-{scenario}-adaptive"));
+    let fixed = scratch(&format!("quality-{scenario}-fixed"));
     stored(&reference, &h, &AmricConfig::lr(REFERENCE_EB), bf);
     let adaptive_cfg = AmricConfig::lr(1e-3).with_bound_policy(BoundPolicy::GradientAdaptive {
         tight: TIGHT,
@@ -306,9 +300,9 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = std::env::var("AMRIC_BENCH_OUT").unwrap_or_else(|_| "BENCH_quality.json".into());
-    std::fs::File::create(&out)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write quality trajectory");
-    println!("wrote {out}");
+    let committed = (!smoke).then(|| "BENCH_quality.json".into());
+    if let Some(out) = std::env::var("AMRIC_BENCH_OUT").ok().or(committed) {
+        std::fs::write(&out, json).expect("write quality trajectory");
+        println!("wrote {out}");
+    }
 }

@@ -1,5 +1,5 @@
 //! Shared experiment harness for the paper-reproduction binaries
-//! (`src/bin/table*.rs`, `src/bin/fig*.rs`) and the Criterion benches.
+//! (`src/bin/table*.rs`, `src/bin/fig*.rs`); see `REPRODUCE.md`.
 //!
 //! Everything here is deterministic (fixed seeds); the binaries print the
 //! same rows/series the paper reports, scaled per README.md. Absolute

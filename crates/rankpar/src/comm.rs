@@ -2,9 +2,8 @@
 //!
 //! The AMRIC paper runs on MPI ranks; here every "rank" is a thread and
 //! [`Communicator`] provides the collective operations the I/O pipeline
-//! needs (barrier, allgather, allreduce, gather, broadcast). Semantics
-//! follow MPI: every rank of the world must call each collective in the
-//! same order.
+//! needs (barrier, allgather, max-allreduce). Semantics follow MPI: every
+//! rank of the world must call each collective in the same order.
 
 use parking_lot::Mutex;
 use std::sync::{Arc, Barrier};
@@ -89,42 +88,9 @@ impl Communicator {
         out
     }
 
-    /// Element-wise sum reduction of a `u64` across ranks.
-    pub fn allreduce_sum(&self, value: u64) -> u64 {
-        self.allgather(value).into_iter().sum()
-    }
-
     /// Max reduction across ranks.
     pub fn allreduce_max(&self, value: u64) -> u64 {
         self.allgather(value).into_iter().max().unwrap_or(0)
-    }
-
-    /// Max reduction for f64 (used for timing reductions).
-    pub fn allreduce_max_f64(&self, value: f64) -> f64 {
-        self.allgather(value)
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Gather to `root`: root receives all values (rank order), others get
-    /// `None`.
-    pub fn gather<T: Clone + Send + 'static>(&self, value: T, root: usize) -> Option<Vec<T>> {
-        let all = self.allgather(value);
-        (self.rank == root).then_some(all)
-    }
-
-    /// Broadcast `value` from `root` to every rank.
-    pub fn bcast<T: Clone + Send + 'static>(&self, value: Option<T>, root: usize) -> T {
-        // Every rank contributes an Option; only root's is Some.
-        debug_assert_eq!(value.is_some(), self.rank == root);
-        let all = self.allgather(value);
-        all[root].clone().expect("root provided a value")
-    }
-
-    /// Exclusive prefix sum across ranks (rank r receives the sum over
-    /// ranks < r) — the offset computation pattern of collective I/O.
-    pub fn exscan_sum(&self, value: u64) -> u64 {
-        self.allgather(value)[..self.rank].iter().sum()
     }
 }
 
@@ -142,35 +108,8 @@ mod tests {
 
     #[test]
     fn reductions() {
-        let results = run_ranks(4, |comm| {
-            (
-                comm.allreduce_sum(comm.rank() as u64 + 1),
-                comm.allreduce_max(comm.rank() as u64),
-                comm.exscan_sum(10),
-            )
-        });
-        for (rank, (sum, max, scan)) in results.into_iter().enumerate() {
-            assert_eq!(sum, 10);
-            assert_eq!(max, 3);
-            assert_eq!(scan, 10 * rank as u64);
-        }
-    }
-
-    #[test]
-    fn gather_only_root() {
-        let results = run_ranks(3, |comm| comm.gather(comm.rank() as u64, 1));
-        assert_eq!(results[0], None);
-        assert_eq!(results[1], Some(vec![0, 1, 2]));
-        assert_eq!(results[2], None);
-    }
-
-    #[test]
-    fn bcast_from_root() {
-        let results = run_ranks(3, |comm| {
-            let v = (comm.rank() == 2).then(|| "payload".to_string());
-            comm.bcast(v, 2)
-        });
-        assert!(results.iter().all(|r| r == "payload"));
+        let results = run_ranks(4, |comm| comm.allreduce_max(comm.rank() as u64));
+        assert_eq!(results, vec![3; 4]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The MPI / parallel-filesystem substrate of the AMRIC reproduction:
 //! * [`comm`] — an MPI-flavoured [`comm::Communicator`] (barrier,
-//!   allgather, reductions, exscan) where ranks are threads;
+//!   allgather, max-reduction) where ranks are threads;
 //! * [`runner`] — `mpirun` equivalent: spawn N rank threads, collect
 //!   results in rank order;
 //! * [`pool`] — rank-local work-stealing compression pool with an
@@ -15,8 +15,8 @@
 //! ```
 //! use rankpar::prelude::*;
 //!
-//! let sums = run_ranks(4, |comm| comm.allreduce_sum(comm.rank() as u64));
-//! assert_eq!(sums, vec![6, 6, 6, 6]);
+//! let maxes = run_ranks(4, |comm| comm.allreduce_max(comm.rank() as u64));
+//! assert_eq!(maxes, vec![3, 3, 3, 3]);
 //! ```
 
 pub mod comm;

@@ -318,15 +318,6 @@ impl Buffer3 {
         let (lo, hi) = self.min_max();
         hi - lo
     }
-
-    /// An axis-aligned 2-D slice at `k = plane` (row-major `[j][i]`),
-    /// handy for the paper's error-visualization figures.
-    pub fn slice_z(&self, plane: usize) -> Vec<Vec<f64>> {
-        assert!(plane < self.dims.nz);
-        (0..self.dims.ny)
-            .map(|j| (0..self.dims.nx).map(|i| self.get(i, j, plane)).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -364,15 +355,6 @@ mod tests {
         assert_eq!(lo, -3.0);
         assert_eq!(hi, 6.0);
         assert_eq!(b.value_range(), 9.0);
-    }
-
-    #[test]
-    fn slice_extraction() {
-        let mut b = Buffer3::zeros(Dims3::new(2, 2, 2));
-        b.set(1, 0, 1, 5.0);
-        let s = b.slice_z(1);
-        assert_eq!(s[0][1], 5.0);
-        assert_eq!(s[1][1], 0.0);
     }
 
     #[test]

@@ -126,26 +126,6 @@ impl HuffmanCode {
         self.encode.get(sym as usize).map(|&(_, l)| l).unwrap_or(0)
     }
 
-    /// Mean code length in bits, frequency-weighted by `freqs` — used by
-    /// size estimators.
-    pub fn mean_bits(&self, freqs: &[(u32, u64)]) -> f64 {
-        let mut bits = 0u128;
-        let mut count = 0u128;
-        for &(s, c) in freqs {
-            if c == 0 {
-                continue;
-            }
-            let (_, len) = self.encode[s as usize];
-            bits += (len as u128) * c as u128;
-            count += c as u128;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            bits as f64 / count as f64
-        }
-    }
-
     /// Decode exactly `n` symbols from the bit stream into the symbol type
     /// the caller stores; a symbol that does not fit it is corrupt.
     ///
@@ -757,14 +737,6 @@ mod tests {
             assert!(seen.insert((c, ll)));
         }
         assert!(kraft <= 1.0 + 1e-9, "kraft {kraft}");
-    }
-
-    #[test]
-    fn mean_bits_reasonable() {
-        let freqs = vec![(0u32, 900u64), (1, 50), (2, 50)];
-        let code = HuffmanCode::from_frequencies(&freqs);
-        let mb = code.mean_bits(&freqs);
-        assert!(mb < 1.3, "mean bits {mb}");
     }
 
     #[test]
