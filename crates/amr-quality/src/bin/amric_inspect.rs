@@ -6,7 +6,6 @@
 //! amric_inspect <file.h5l> --header     # decoded AMR header/box metadata
 //! amric_inspect <file.h5l> --index      # chunk index + per-level ratios
 //! amric_inspect <file.h5l> --stats      # query-engine counters after probes
-//! amric_inspect <dir.h5ls> --shards     # shard manifest: per-shard bytes + extent map
 //! amric_inspect --quality <ref> <cmp>   # per-level PSNR/SSIM table of cmp vs ref
 //! ```
 //!
@@ -14,7 +13,6 @@
 //! a pair of `QueryEngine`s, the layer above the `amric` pipeline crate.)
 
 use h5lite::prelude::*;
-use h5lite::sharded::shard_name;
 use std::process::ExitCode;
 
 fn human(bytes: u64) -> String {
@@ -252,59 +250,6 @@ fn print_stats(path: &str) {
     println!("  cache: {} hits / {} misses (rate {:.1}%), {} insertions, {} evictions, resident {} of {}", c.hits, c.misses, c.hit_rate() * 100.0, c.insertions, c.evictions, human(c.resident_bytes), human(c.capacity_bytes));
 }
 
-/// Dump the sharded container's manifest: shard population and the
-/// logical→physical extent map. Works from the manifest alone — no shard
-/// file is opened, so it also serves as a forensics view of a container
-/// whose shards are damaged.
-fn print_shards(path: &str) {
-    if !h5lite::is_sharded(path) {
-        println!("{path}: single-file container (no shard manifest)");
-        return;
-    }
-    let m = match h5lite::read_manifest(path) {
-        Ok(m) => m,
-        Err(e) => {
-            println!("cannot read shard manifest: {e}");
-            return;
-        }
-    };
-    println!(
-        "sharded container: {} shards, logical {} in {} extents",
-        m.shard_count,
-        human(m.logical_len),
-        m.extents.len()
-    );
-    let bytes = m.shard_bytes();
-    println!(
-        "{:<8} {:>12} {:>8} {:>7}",
-        "shard", "bytes", "extents", "fill"
-    );
-    for (i, b) in bytes.iter().enumerate() {
-        let n = m.extents.iter().filter(|e| e.shard as usize == i).count();
-        println!(
-            "{:<8} {:>12} {:>8} {:>6.1}%",
-            shard_name(i),
-            human(*b),
-            n,
-            *b as f64 / m.logical_len.max(1) as f64 * 100.0
-        );
-    }
-    println!(
-        "\n{:>12} {:>12} {:>8} {:>12}  ({} extents)",
-        "logical",
-        "len",
-        "shard",
-        "offset",
-        m.extents.len()
-    );
-    for e in &m.extents {
-        println!(
-            "{:>12} {:>12} {:>8} {:>12}",
-            e.logical, e.len, e.shard, e.offset
-        );
-    }
-}
-
 /// Compare `cmp` against `ref` and print the per-level PSNR/SSIM table.
 fn print_quality(reference: &str, candidate: &str) -> ExitCode {
     use amr_query::QueryEngine;
@@ -344,7 +289,7 @@ fn main() -> ExitCode {
     }
     let Some(path) = paths.first().copied() else {
         eprintln!(
-            "usage: amric_inspect <file.h5l|dir.h5ls> [--chunks] [--header] [--index] [--stats] [--shards]\n       amric_inspect --quality <reference.h5l> <candidate.h5l>"
+            "usage: amric_inspect <file.h5l> [--chunks] [--header] [--index] [--stats]\n       amric_inspect --quality <reference.h5l> <candidate.h5l>"
         );
         return ExitCode::FAILURE;
     };
@@ -356,10 +301,6 @@ fn main() -> ExitCode {
         }
     };
     print_datasets(&r, args.iter().any(|a| a == "--chunks"));
-    if args.iter().any(|a| a == "--shards") {
-        println!();
-        print_shards(path);
-    }
     if args.iter().any(|a| a == "--index") {
         println!();
         print_index(&r);

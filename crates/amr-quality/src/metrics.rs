@@ -12,20 +12,13 @@ use sz_codec::{Buffer3, ErrorStats};
 /// windows are included, so every cell of the plane contributes.
 pub const SSIM_WINDOW: usize = 8;
 
-/// Peak signal-to-noise ratio with a **defined degenerate case**.
+/// Peak signal-to-noise ratio, [`ErrorStats::psnr`] with its perfect
+/// reconstruction made an explicit variant.
 ///
-/// The raw paper formula `20·log10(range) − 10·log10(MSE)` has two
-/// hazards on the slices the query engine hands back: a perfect
-/// reconstruction (`MSE = 0`, common once a plane of a quiet field
-/// round-trips exactly) divides by zero, and a **constant** reference
-/// plane (`range = 0`, e.g. any slice of an untouched ghost field) takes
-/// `log10(0) = −∞`. Both are real outputs of
-/// `QueryEngine::plane_slice`/`point_sample` on constant fields, so the
-/// type makes them explicit instead of letting NaN/−∞ leak into reports:
-///
-/// * `MSE == 0` ⇒ [`Psnr::Infinite`], whatever the range;
-/// * `range == 0 && MSE > 0` ⇒ finite, computed with the range floored
-///   to 1.0 (pure-noise-power PSNR) — defined, never NaN.
+/// Both degenerate cases are real outputs of
+/// `QueryEngine::plane_slice`/`point_sample` on quiet or constant
+/// fields: `MSE == 0` ⇒ [`Psnr::Infinite`], whatever the range; a
+/// constant reference with error is finite, its range floored to 1.0.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Psnr {
     /// Perfect reconstruction (zero mean-squared error).
@@ -46,14 +39,10 @@ impl Psnr {
     /// PSNR from precomputed error statistics.
     pub fn from_stats(stats: &ErrorStats) -> Psnr {
         if stats.mse == 0.0 {
-            return Psnr::Infinite;
-        }
-        let range = if stats.value_range > 0.0 {
-            stats.value_range
+            Psnr::Infinite
         } else {
-            1.0
-        };
-        Psnr::Finite(20.0 * range.log10() - 10.0 * stats.mse.log10())
+            Psnr::Finite(stats.psnr())
+        }
     }
 
     /// The value in dB (`f64::INFINITY` for [`Psnr::Infinite`]).

@@ -408,16 +408,13 @@ const _: () = {
 
 impl QueryEngine {
     /// Open a plotfile and build the query plans from its metadata. No
-    /// field data is read or decoded here. The storage backend is
-    /// auto-detected: a directory holding a shard manifest opens sharded,
-    /// anything else as a single file.
+    /// field data is read or decoded here.
     pub fn open(path: impl AsRef<std::path::Path>) -> QueryResult<Self> {
         Self::from_reader(H5Reader::open(path)?)
     }
 
-    /// Build an engine over an already-open container — any storage
-    /// backend, including a [`h5lite::MemStorage`] image that never
-    /// touched a filesystem.
+    /// Build an engine over an already-open container — a file, or a
+    /// [`h5lite::MemStorage`] image that never touched a filesystem.
     pub fn from_reader(reader: H5Reader) -> QueryResult<Self> {
         let meta = read_plotfile_meta(&reader)?;
         if meta.bf <= 0 {

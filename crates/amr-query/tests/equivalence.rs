@@ -123,6 +123,27 @@ fn roi_queries_match_full_decode_bitwise() {
     }
 }
 
+/// Point answers as `(level, value bits)` and plane slices as bits.
+type Probes = (Vec<Option<(usize, u64)>>, Vec<Vec<u64>>);
+
+/// Point samples over a lattice of finest-level cells and plane slices on
+/// every axis of both levels.
+fn points_and_planes(e: &QueryEngine) -> Probes {
+    let points = (0..32)
+        .step_by(7)
+        .flat_map(|x| (0..32).step_by(9).map(move |y| IntVect::new(x, y, 16)))
+        .map(|p| {
+            let s = e.point_sample(0, p).unwrap();
+            s.map(|s| (s.level, s.value.to_bits()))
+        })
+        .collect();
+    let planes = (0..2)
+        .flat_map(|level| (0..3).map(move |axis| (level, axis)))
+        .map(|(level, axis)| view_bits(&e.plane_slice(1, level, axis, 3).unwrap()))
+        .collect();
+    (points, planes)
+}
+
 #[test]
 fn legacy_index_less_files_answer_identically() {
     let h = hierarchy(72);
@@ -133,6 +154,7 @@ fn legacy_index_less_files_answer_identically() {
         let indexed = QueryEngine::open(&path).unwrap().with_workers(2);
         let roi = IntBox::new(IntVect::new(3, 2, 5), IntVect::new(12, 13, 11));
         let from_indexed = indexed.roi(1, roi, LevelSelect::All).unwrap();
+        let probes_indexed = points_and_planes(&indexed);
         // Downgrade the file to the pre-index layout and re-query.
         strip_chunk_indexes(&path).unwrap();
         let legacy = QueryEngine::open(&path).unwrap().with_workers(2);
@@ -151,6 +173,10 @@ fn legacy_index_less_files_answer_identically() {
                 "{tag}: legacy differs from full decode"
             );
         }
+        assert!(
+            points_and_planes(&legacy) == probes_indexed,
+            "{tag}: legacy points / planes differ"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -57,58 +57,18 @@ const FINGERPRINT_INTERIOR_PROBE_LEN: usize = 512;
 
 impl Generation {
     /// Stat `path` (and sample its content) into a generation stamp.
-    ///
-    /// A sharded container (a directory holding a shard manifest) is
-    /// stamped through its manifest: the manifest is rewritten on every
-    /// finalize, so its `(len, mtime, fingerprint)` moves whenever the
-    /// container's logical content does; shard file lengths are folded
-    /// into the fingerprint as a cross-check against a manifest-less
-    /// rewrite of shard bytes.
     pub fn of(path: &Path) -> std::io::Result<Generation> {
-        if h5lite::is_sharded(path) {
-            return Generation::of_sharded(path);
-        }
         let md = std::fs::metadata(path)?;
         Ok(Generation {
             len: md.len(),
-            mtime_ns: mtime_ns(&md),
+            mtime_ns: md
+                .modified()
+                .ok()
+                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+                .map_or(0, |d| d.as_nanos() as u64),
             fingerprint: content_fingerprint(path, md.len())?,
         })
     }
-
-    fn of_sharded(dir: &Path) -> std::io::Result<Generation> {
-        let manifest = dir.join(h5lite::sharded::MANIFEST_NAME);
-        let md = std::fs::metadata(&manifest)?;
-        let mut fingerprint = content_fingerprint(&manifest, md.len())?;
-        // Logical length (sum of shard bytes) stands in for the single
-        // file's byte length; shard lengths also perturb the fingerprint.
-        let mut logical = 0u64;
-        let mut shard = 0u64;
-        loop {
-            let p = dir.join(h5lite::sharded::shard_name(shard as usize));
-            let Ok(smd) = std::fs::metadata(&p) else {
-                break;
-            };
-            logical += smd.len();
-            fnv1a(&mut fingerprint, &smd.len().to_le_bytes());
-            shard += 1;
-        }
-        Ok(Generation {
-            len: logical,
-            mtime_ns: mtime_ns(&md),
-            fingerprint,
-        })
-    }
-}
-
-/// Modification time of `md` in nanoseconds since the epoch (0 when the
-/// filesystem reports none).
-fn mtime_ns(md: &std::fs::Metadata) -> u64 {
-    md.modified()
-        .ok()
-        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
 }
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {

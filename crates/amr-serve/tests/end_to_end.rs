@@ -13,7 +13,7 @@ use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amr_serve::prelude::*;
 use amric::config::AmricConfig;
-use amric::writer::{write_amric, write_amric_to};
+use amric::writer::write_amric;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -754,54 +754,4 @@ fn same_stat_rewrite_is_detected_by_fingerprint() {
     assert_eq!(catalog.stats().reopens_stale, 1);
     assert_eq!(catalog.stats().open_hits, 0);
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn sharded_container_served_through_catalog_with_generation_tracking() {
-    // A sharded plotfile opens through the same catalog path as a single
-    // file, answers bitwise like a direct engine, and a rewrite of the
-    // container (new finalize → new manifest) is seen as a new
-    // generation, not served stale.
-    let dir = h5lite::testutil::TempDir::new("amr-serve-sharded");
-    let path = dir.file("pf.h5ls");
-    let s = NyxScenario::new(37);
-    let run = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let h = build_hierarchy(&s, &run, 0.0);
-    let write_sharded = |h: &AmrHierarchy| {
-        let w = h5lite::H5Writer::create_sharded(&path, 3).unwrap();
-        write_amric_to(Arc::new(w), h, &AmricConfig::lr(1e-3), 8).unwrap();
-    };
-    write_sharded(&h);
-
-    let catalog = Catalog::new(4 << 20, 4, 1);
-    let first = catalog.open(&path).unwrap();
-    let direct = QueryEngine::open(&path).unwrap();
-    let roi = IntBox::new(IntVect::new(2, 2, 2), IntVect::new(12, 12, 12));
-    let a = first.engine.roi(0, roi, LevelSelect::All).unwrap();
-    let b = direct.roi(0, roi, LevelSelect::All).unwrap();
-    for (la, lb) in a.levels.iter().zip(&b.levels) {
-        assert_eq!(direct_bits(la), direct_bits(lb), "catalog vs direct");
-    }
-    // Same generation → pooled engine is reused.
-    let again = catalog.open(&path).unwrap();
-    assert_eq!(again.file_id, first.file_id);
-    assert_eq!(catalog.stats().open_hits, 1);
-
-    // Rewrite the container with different content: generation moves.
-    let gen_before = Generation::of(&path).unwrap();
-    let h2 = build_hierarchy(&NyxScenario::new(38), &run, 0.0);
-    write_sharded(&h2);
-    let gen_after = Generation::of(&path).unwrap();
-    assert_ne!(gen_before, gen_after, "rewrite must change the generation");
-    let fresh = catalog.open(&path).unwrap();
-    assert_ne!(fresh.file_id, first.file_id);
-    assert_eq!(catalog.stats().reopens_stale, 1);
 }

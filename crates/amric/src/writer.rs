@@ -298,9 +298,8 @@ pub fn write_amric(
     write_amric_to(Arc::new(H5Writer::create(path)?), h, cfg, bf)
 }
 
-/// The backend-agnostic AMRIC pipeline: runs the rank collectives against
-/// an already-created writer (any [`h5lite::Storage`] backend — e.g.
-/// `H5Writer::create_sharded` or `H5Writer::in_memory`) and finishes the
+/// The AMRIC pipeline over an already-created writer (a file, or
+/// `H5Writer::in_memory`): runs the rank collectives and finishes the
 /// container. A chunk that fails to encode aborts every rank in lockstep
 /// and surfaces here as the typed error (`H5Error::Codec` for filter
 /// failures), never a panic.

@@ -89,7 +89,7 @@ impl DatasetMeta {
         let filter_mode = FilterMode::from_u8(r.get_u8()?)?;
         let client_data = r.get_block()?.to_vec();
         let nchunks = r.get_u32()? as usize;
-        let mut chunks = Vec::with_capacity(nchunks);
+        let mut chunks = Vec::with_capacity(r.check_count(nchunks, 24)?);
         for _ in 0..nchunks {
             chunks.push(ChunkRecord {
                 offset: r.get_u64()?,

@@ -7,20 +7,18 @@
 //! "H5LT" u8-version | chunk payloads ... | directory | dir_offset u64 "H5LE"
 //! ```
 //!
-//! The byte space underneath is a pluggable [`Storage`]: chunk payloads
-//! are written at reserved logical offsets (threads write concurrently
-//! via positioned writes), the directory is written once by
-//! [`H5Writer::finish`]. The single-file backend keeps the historical
-//! on-disk layout byte for byte (pinned by the golden fixture suite);
-//! the in-memory and sharded backends carry the same logical byte stream
-//! over different physical layouts.
+//! The bytes live in a [`Storage`] — one file, or one byte vector in
+//! memory: chunk payloads are written at reserved offsets (threads write
+//! concurrently via positioned writes), the directory is written once by
+//! [`H5Writer::finish`]. Both backends hold the same bytes (the file
+//! layout is pinned by the golden fixture suite).
 
 use crate::collective::{commit_frames, CollectiveReceipt};
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
 use crate::filter::{decoder_for, encode_frame, ChunkFilter, FilterMode};
 use crate::index::{read_index_section, write_index_section, ChunkIndex, ChunkIndexEntry};
-use crate::storage::{open_storage, open_storage_rw, FileStorage, MemStorage, Storage};
+use crate::storage::{FileStorage, MemStorage, Storage};
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,17 +72,9 @@ pub struct H5Writer {
 
 impl H5Writer {
     /// Create (truncate) a single-file container and write the
-    /// superblock — the classic backend.
+    /// superblock.
     pub fn create(path: impl AsRef<Path>) -> H5Result<Self> {
         Self::with_storage(Box::new(FileStorage::create(path)?))
-    }
-
-    /// Create a sharded container at `path` (a directory) spreading
-    /// extents across `shards` shard files.
-    pub fn create_sharded(path: impl AsRef<Path>, shards: usize) -> H5Result<Self> {
-        Self::with_storage(Box::new(crate::sharded::ShardedStorage::create(
-            path, shards,
-        )?))
     }
 
     /// Create an in-memory container; the returned [`MemStorage`] handle
@@ -114,11 +104,6 @@ impl H5Writer {
             finished: AtomicU64::new(0),
             stats: Mutex::new(WriteStats::default()),
         })
-    }
-
-    /// The storage backend underneath ("file", "mem", "sharded").
-    pub fn storage_kind(&self) -> &'static str {
-        self.storage.kind()
     }
 
     /// Reserve one contiguous extent for a batch of frames with known
@@ -278,9 +263,8 @@ impl H5Writer {
         *self.stats.lock()
     }
 
-    /// Write the directory + footer and finalize the storage (data flush
-    /// plus backend metadata such as the shard manifest). Idempotent;
-    /// returns the final logical container size.
+    /// Write the directory + footer and flush the storage. Errors on a
+    /// second call; returns the final container size.
     pub fn finish(&self) -> H5Result<u64> {
         if self.finished.swap(1, Ordering::SeqCst) == 1 {
             return Err(H5Error::Format("finish() called twice".into()));
@@ -306,7 +290,7 @@ impl H5Writer {
         let at = self.storage.reserve(bytes.len() as u64);
         debug_assert_eq!(at, dir_offset);
         self.storage.write_at(at, &bytes)?;
-        self.storage.finalize()?;
+        self.storage.flush()?;
         Ok(dir_offset + bytes.len() as u64)
     }
 }
@@ -345,9 +329,23 @@ fn parse_container(
     storage.read_at(dir_offset, &mut dir_bytes)?;
     let mut r = sz_codec::wire::Reader::new(&dir_bytes);
     let n = r.get_u32()? as usize;
-    let mut datasets = Vec::with_capacity(n);
+    // A directory entry is at least 35 bytes (name length, counts, ids,
+    // mode, client-data length, chunk count).
+    let mut datasets = Vec::with_capacity(r.check_count(n, 35)?);
     for _ in 0..n {
-        datasets.push(DatasetMeta::read_from(&mut r)?);
+        let meta = DatasetMeta::read_from(&mut r)?;
+        // Every chunk lies between the superblock and the directory.
+        for c in &meta.chunks {
+            if c.offset < 5
+                || !matches!(c.offset.checked_add(c.stored_bytes), Some(end) if end <= dir_offset)
+            {
+                return Err(H5Error::Format(format!(
+                    "chunk of {} at {} (+{} bytes) lies outside the payload 5..{dir_offset}",
+                    meta.name, c.offset, c.stored_bytes
+                )));
+            }
+        }
+        datasets.push(meta);
     }
     let mut indexes: Vec<Option<ChunkIndex>> = vec![None; datasets.len()];
     if let Some(named) = read_index_section(&mut r)? {
@@ -383,11 +381,9 @@ pub struct H5Reader {
 }
 
 impl H5Reader {
-    /// Open and parse the directory, auto-detecting the backend: a
-    /// directory holding a shard manifest opens sharded, anything else as
-    /// a single file.
+    /// Open a single-file container and parse its directory.
     pub fn open(path: impl AsRef<Path>) -> H5Result<Self> {
-        Self::from_storage(open_storage(path)?)
+        Self::from_storage(Box::new(FileStorage::open(path)?))
     }
 
     /// Open a container over an explicit storage (e.g. the
@@ -402,12 +398,7 @@ impl H5Reader {
         })
     }
 
-    /// The storage backend underneath ("file", "mem", "sharded").
-    pub fn storage_kind(&self) -> &'static str {
-        self.storage.kind()
-    }
-
-    /// Logical offset where the directory begins (payload bytes end).
+    /// Offset where the directory begins (payload bytes end).
     pub fn dir_offset(&self) -> u64 {
         self.dir_offset
     }
@@ -516,7 +507,9 @@ impl H5Reader {
     /// `total_elems`).
     pub fn read_dataset(&self, name: &str) -> H5Result<Vec<f64>> {
         let meta = self.meta(name)?;
-        let mut out = Vec::with_capacity(meta.total_elems as usize);
+        // `total_elems` is a hint from the directory: beyond 16 M values
+        // the vector grows only with what the chunks decode to.
+        let mut out = Vec::with_capacity((meta.total_elems as usize).min(1 << 24));
         for i in 0..meta.chunks.len() {
             out.extend_from_slice(&self.read_chunk(name, i)?);
         }
@@ -528,11 +521,10 @@ impl H5Reader {
 /// Rewrite a container's directory without its chunk-index section,
 /// producing the byte layout pre-index writers emitted. A downgrade tool
 /// for sharing files with old readers — and the honest way to manufacture
-/// legacy files for fallback tests. Works on any backend (the sharded
-/// manifest is rewritten alongside the clipped tail). No-op on containers
-/// without an index. Returns the resulting logical container size.
+/// legacy files for fallback tests. No-op on containers without an index.
+/// Returns the resulting container size.
 pub fn strip_chunk_indexes(path: impl AsRef<Path>) -> H5Result<u64> {
-    strip_chunk_indexes_in(&*open_storage_rw(path)?)
+    strip_chunk_indexes_in(&FileStorage::open_rw(path)?)
 }
 
 /// [`strip_chunk_indexes`] against an already-open storage.
@@ -553,7 +545,7 @@ pub fn strip_chunk_indexes_in(storage: &dyn Storage) -> H5Result<u64> {
     let at = storage.reserve(bytes.len() as u64);
     debug_assert_eq!(at, dir_offset);
     storage.write_at(at, &bytes)?;
-    storage.finalize()?;
+    storage.flush()?;
     Ok(dir_offset + bytes.len() as u64)
 }
 
@@ -584,7 +576,6 @@ mod tests {
         let meta = r.meta("a/b").unwrap();
         assert_eq!(meta.chunks.len(), 4);
         assert_eq!(meta.stored_bytes(), 4 * 256 * 8);
-        assert_eq!(r.storage_kind(), "mem");
     }
 
     #[test]
@@ -877,29 +868,5 @@ mod tests {
             H5Writer::with_storage(Box::new(mem)),
             Err(H5Error::Format(_))
         ));
-    }
-
-    #[test]
-    fn sharded_container_roundtrip() {
-        let dir = TempDir::new("h5lite-file-sharded");
-        let path = dir.path().join("c.h5ls");
-        let w = H5Writer::create_sharded(&path, 3).unwrap();
-        assert_eq!(w.storage_kind(), "sharded");
-        let data: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.002).sin()).collect();
-        w.write_dataset("raw", &data, 512, &NoFilter).unwrap();
-        w.write_dataset("sz", &data, 512, &SzFilter::one_dimensional(1e-3))
-            .unwrap();
-        w.finish().unwrap();
-        // Auto-detected on open; logical content identical to any backend.
-        let r = H5Reader::open(&path).unwrap();
-        assert_eq!(r.storage_kind(), "sharded");
-        assert_eq!(r.read_dataset("raw").unwrap(), data);
-        let back = r.read_dataset("sz").unwrap();
-        for (o, v) in data.iter().zip(&back) {
-            assert!((o - v).abs() <= 1e-3 * 2.0 + 1e-12);
-        }
-        let manifest = crate::sharded::read_manifest(&path).unwrap();
-        assert_eq!(manifest.shard_count, 3);
-        assert!(manifest.shard_bytes().iter().all(|&b| b > 0));
     }
 }

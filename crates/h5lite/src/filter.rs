@@ -165,11 +165,12 @@ impl ChunkFilter for NoFilter {
     }
 
     fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        if bytes.len() != n_elems * 8 {
+        // `n_elems` comes from the directory: checked, a forged count is a
+        // size mismatch, not an overflow.
+        if n_elems.checked_mul(8) != Some(bytes.len()) {
             return Err(H5Error::Format(format!(
-                "raw chunk is {} bytes, expected {}",
-                bytes.len(),
-                n_elems * 8
+                "raw chunk is {} bytes, expected {n_elems} values",
+                bytes.len()
             )));
         }
         Ok(bytes

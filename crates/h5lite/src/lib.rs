@@ -32,7 +32,6 @@ pub mod error;
 pub mod file;
 pub mod filter;
 pub mod index;
-pub mod sharded;
 pub mod storage;
 pub mod testutil;
 
@@ -43,8 +42,7 @@ pub use file::{
 };
 pub use filter::{ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter};
 pub use index::{ChunkIndex, ChunkIndexEntry, CODEC_RAW};
-pub use sharded::{is_sharded, read_manifest, ShardExtent, ShardManifest, ShardedStorage};
-pub use storage::{open_storage, open_storage_rw, FileStorage, MemStorage, Storage};
+pub use storage::{FileStorage, MemStorage, Storage};
 
 /// Commonly used items.
 pub mod prelude {
@@ -59,6 +57,5 @@ pub mod prelude {
         encode_frame, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
     };
     pub use crate::index::{ChunkIndex, ChunkIndexEntry, CODEC_RAW};
-    pub use crate::sharded::{is_sharded, read_manifest, ShardManifest, ShardedStorage};
-    pub use crate::storage::{open_storage, FileStorage, MemStorage, Storage};
+    pub use crate::storage::{FileStorage, MemStorage, Storage};
 }

@@ -1,31 +1,25 @@
-//! Pluggable storage: the byte-level backend under the h5lite container.
+//! Storage: the byte-level backend under the h5lite container.
 //!
-//! [`H5Writer`](crate::H5Writer) and [`H5Reader`](crate::H5Reader) no
-//! longer own a `File` — they own a [`Storage`], which is the complete
-//! contract between the container format and whatever holds its bytes:
+//! [`H5Writer`](crate::H5Writer) and [`H5Reader`](crate::H5Reader) own a
+//! [`Storage`], the complete contract between the container format and
+//! whatever holds its bytes:
 //!
-//! * **reserve** — atomically claim the next `n` logical bytes (the
-//!   one-pass write of AMRIC §3.3: every extent is sized before any byte
-//!   lands, so concurrent rank threads never contend on a file lock);
-//! * **write extent / read range** — positioned I/O against logical
-//!   offsets returned by `reserve`;
-//! * **flush / finalize** — durability points (`finalize` additionally
-//!   commits backend metadata such as the shard manifest);
-//! * **byte-length / truncate** — the logical length, used by the footer
-//!   parser and the tail-rewriting downgrade tools.
+//! * **reserve** — atomically claim the next `n` bytes (the one-pass
+//!   write of AMRIC §3.3: every extent is sized before any byte lands, so
+//!   concurrent rank threads never contend on a file lock);
+//! * **write extent / read range** — positioned I/O against offsets
+//!   returned by `reserve`;
+//! * **flush** — the durability point at container finish;
+//! * **byte-length / truncate** — the length, used by the footer parser
+//!   and the tail-rewriting downgrade tool.
 //!
-//! Three backends implement it:
+//! Two backends implement it:
 //!
 //! * [`FileStorage`] — one local POSIX file, `pwrite`/`pread` positioned
-//!   I/O. Byte-identical to the pre-trait writer (pinned by the golden
-//!   fixture suite).
+//!   I/O; the layout is pinned by the golden fixture suite.
 //! * [`MemStorage`] — a shared, growable byte vector. Fast tests and a
 //!   cache tier; cloning shares the underlying bytes, so a writer and a
 //!   reader can hand the same container around without touching a disk.
-//! * [`crate::sharded::ShardedStorage`] — spreads reserved extents
-//!   round-robin across N shard files with a versioned manifest mapping
-//!   logical offsets to `(shard, offset)`, so concurrent writers and
-//!   parallel prefetch land on independent file descriptors.
 
 use crate::error::{H5Error, H5Result};
 use parking_lot::RwLock;
@@ -39,11 +33,8 @@ use std::sync::Arc;
 /// take `&self`: a storage is shared across rank threads exactly like the
 /// writer that owns it.
 pub trait Storage: Send + Sync {
-    /// Short backend name for diagnostics ("file", "mem", "sharded").
-    fn kind(&self) -> &'static str;
-
-    /// Atomically reserve the next `bytes` logical bytes; returns the
-    /// logical offset where the extent starts. Reservations are dense:
+    /// Atomically reserve the next `bytes` bytes; returns the offset
+    /// where the extent starts. Reservations are dense:
     /// every logical byte below [`Storage::reserved_len`] belongs to
     /// exactly one reserved extent.
     fn reserve(&self, bytes: u64) -> u64;
@@ -71,13 +62,6 @@ pub trait Storage: Send + Sync {
 
     /// Push written data to durable storage.
     fn flush(&self) -> H5Result<()>;
-
-    /// Durability point at container finish: flush data **and** commit
-    /// backend metadata (the shard manifest). Defaults to
-    /// [`Storage::flush`] for backends without metadata of their own.
-    fn finalize(&self) -> H5Result<()> {
-        self.flush()
-    }
 
     /// Cut the logical length back to `len`, discarding reservations and
     /// bytes beyond it. Tail-rewriting tools (the chunk-index stripper)
@@ -132,10 +116,6 @@ impl FileStorage {
 }
 
 impl Storage for FileStorage {
-    fn kind(&self) -> &'static str {
-        "file"
-    }
-
     fn reserve(&self, bytes: u64) -> u64 {
         self.cursor.fetch_add(bytes, Ordering::Relaxed)
     }
@@ -206,10 +186,6 @@ impl MemStorage {
 }
 
 impl Storage for MemStorage {
-    fn kind(&self) -> &'static str {
-        "mem"
-    }
-
     fn reserve(&self, bytes: u64) -> u64 {
         self.cursor.fetch_add(bytes, Ordering::Relaxed)
     }
@@ -230,8 +206,10 @@ impl Storage for MemStorage {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> H5Result<()> {
         let data = self.data.read();
-        let end = offset as usize + buf.len();
-        if end > data.len() {
+        // `offset` may come from a forged chunk record: checked, so an
+        // absurd one is the same short read `FileStorage` reports.
+        let end = (offset as usize).checked_add(buf.len());
+        let Some(end) = end.filter(|&end| end <= data.len()) else {
             return Err(H5Error::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 format!(
@@ -241,7 +219,7 @@ impl Storage for MemStorage {
                     data.len()
                 ),
             )));
-        }
+        };
         buf.copy_from_slice(&data[offset as usize..end]);
         Ok(())
     }
@@ -262,30 +240,6 @@ impl Storage for MemStorage {
     }
 }
 
-/// Open whatever backend lives at `path`, read-only: a directory holding
-/// a shard manifest opens as [`crate::sharded::ShardedStorage`], anything
-/// else as [`FileStorage`]. The detection every path-taking reader
-/// ([`crate::H5Reader::open`], the query engine, the service catalog)
-/// goes through.
-pub fn open_storage(path: impl AsRef<Path>) -> H5Result<Box<dyn Storage>> {
-    let path = path.as_ref();
-    if crate::sharded::is_sharded(path) {
-        Ok(Box::new(crate::sharded::ShardedStorage::open(path)?))
-    } else {
-        Ok(Box::new(FileStorage::open(path)?))
-    }
-}
-
-/// Open whatever backend lives at `path` for in-place tail rewrites.
-pub fn open_storage_rw(path: impl AsRef<Path>) -> H5Result<Box<dyn Storage>> {
-    let path = path.as_ref();
-    if crate::sharded::is_sharded(path) {
-        Ok(Box::new(crate::sharded::ShardedStorage::open_rw(path)?))
-    } else {
-        Ok(Box::new(FileStorage::open_rw(path)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +247,6 @@ mod tests {
     #[test]
     fn mem_storage_reserve_write_read() {
         let s = MemStorage::new();
-        assert_eq!(s.kind(), "mem");
         let a = s.reserve(4);
         let b = s.reserve(6);
         assert_eq!((a, b), (0, 4));
@@ -326,6 +279,11 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(matches!(s.read_at(0, &mut buf), Err(H5Error::Io(_))));
         assert!(matches!(s.read_at(3, &mut [0u8; 1]), Err(H5Error::Io(_))));
+        // An offset whose end wraps the address space is a short read too.
+        assert!(matches!(
+            s.read_at(u64::MAX - 3, &mut buf),
+            Err(H5Error::Io(_))
+        ));
         s.read_at(1, &mut buf[..2]).unwrap();
         assert_eq!(&buf[..2], &[2, 3]);
     }
@@ -346,7 +304,6 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("h5lite-storage-file-{}", std::process::id()));
         let s = FileStorage::create(&path).unwrap();
-        assert_eq!(s.kind(), "file");
         let off = s.reserve(5);
         s.write_at(off, b"hello").unwrap();
         s.flush().unwrap();

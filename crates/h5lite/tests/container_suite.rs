@@ -2,9 +2,10 @@
 //! geometry extremes, parallel writers, and byte-level robustness.
 //!
 //! These run on [`MemStorage`] — writer and reader share one in-memory
-//! image, so the suite touches no filesystem and leaks nothing on panic.
-//! Byte-layout behavior on real files is pinned separately by
-//! `storage_golden.rs` and `storage_equivalence.rs`.
+//! image, so the suite leaks nothing on panic — except the check that a
+//! directory is not a container, which needs one on disk. Byte-layout
+//! behavior on real files is pinned separately by `storage_golden.rs`
+//! and `storage_equivalence.rs`.
 
 use h5lite::prelude::*;
 use rankpar::run_ranks;
@@ -165,6 +166,41 @@ fn truncated_file_detected() {
     });
     let half = bytes[..bytes.len() / 2].to_vec();
     assert!(H5Reader::from_storage(Box::new(MemStorage::from_bytes(half))).is_err());
+}
+
+#[test]
+fn directory_is_not_a_container() {
+    // A plotfile is one file: neither a plain directory nor the layout of
+    // a former `*.h5ls` container (a directory holding `manifest.h5sm`)
+    // opens through any path-taking reader, and none of them panics.
+    let dir = h5lite::testutil::TempDir::new("h5lite-dir-not-container");
+    let plain = dir.file("plain");
+    let former = dir.file("old.h5ls");
+    std::fs::create_dir_all(&plain).unwrap();
+    std::fs::create_dir_all(&former).unwrap();
+    std::fs::write(former.join("manifest.h5sm"), b"H5SM\x01").unwrap();
+    let catalog = amr_serve::Catalog::new(1 << 20, 2, 1);
+    for path in [&plain, &former] {
+        assert!(
+            matches!(
+                H5Reader::open(path),
+                Err(H5Error::Io(_)) | Err(H5Error::Format(_))
+            ),
+            "{path:?}: H5Reader"
+        );
+        assert!(
+            matches!(
+                amr_query::QueryEngine::open(path),
+                Err(amr_query::QueryError::H5(_))
+            ),
+            "{path:?}: QueryEngine"
+        );
+        assert!(
+            matches!(catalog.open(path), Err(amr_query::QueryError::H5(_))),
+            "{path:?}: Catalog"
+        );
+    }
+    assert_eq!(catalog.stats().open_files, 0);
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Fuzz-lite robustness suite for the persistent chunk-index section
-//! (mirrors the `amric` crate's `corruption.rs` style): every malformed
-//! index must surface as a typed `H5Error` or read as an index-less
-//! legacy file — never a panic, never an absurd allocation.
+//! Fuzz-lite robustness suite for the container tail — the dataset
+//! directory, the persistent chunk-index section and the footer (mirrors
+//! the `amric` crate's `corruption.rs` style): every malformed tail must
+//! surface as a typed `H5Error` or read as an index-less legacy file —
+//! never a panic, never an absurd allocation.
 //!
 //! Runs on [`MemStorage`] images: thousands of mutants open without a
 //! single filesystem write, and a panicking case leaks nothing.
@@ -61,12 +62,18 @@ fn exercise(bytes: &[u8]) {
     }
 }
 
+/// Where the container directory begins (the footer's `dir_offset`).
+fn dir_offset(bytes: &[u8]) -> usize {
+    let n = bytes.len();
+    u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize
+}
+
 #[test]
 fn index_section_is_total_over_byte_flips() {
+    // The whole tail — directory, index section and footer: every count,
+    // offset and length a reader trusts before touching a chunk.
     let indexed = build(true);
-    let legacy = build(false);
-    let span = section_span(&indexed, &legacy);
-    for pos in span.clone() {
+    for pos in dir_offset(&indexed)..indexed.len() {
         for mask in [0x01u8, 0x80, 0xFF] {
             let mut corrupt = indexed.clone();
             corrupt[pos] ^= mask;
@@ -129,6 +136,46 @@ fn absurd_index_counts_rejected_without_allocation() {
             Ok(_) => panic!("absurd count must be a typed error"),
         }
     }
+    // The directory's own fields. Its first entry is "a/raw" (NoFilter,
+    // no client data, 3 chunks of 1024): u16 name length, 5 name bytes,
+    // total_elems, chunk_elems, filter id, mode, client-data length, the
+    // chunk count, then (offset, stored_bytes, logical_elems) per chunk.
+    let total_elems = dir_offset(&legacy) + 4 + 2 + 5;
+    let nchunks = total_elems + 8 + 8 + 4 + 1 + 8;
+    let chunk0 = nchunks + 4;
+    let forge = |at: usize, field: &[u8]| {
+        let mut bytes = legacy.clone();
+        bytes[at..at + field.len()].copy_from_slice(field);
+        bytes
+    };
+    for (ctx, forged) in [
+        (
+            "chunk count u32::MAX",
+            forge(nchunks, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "chunk offset u64::MAX - 3",
+            forge(chunk0, &(u64::MAX - 3).to_le_bytes()),
+        ),
+        (
+            "chunk offset inside the superblock",
+            forge(chunk0, &2u64.to_le_bytes()),
+        ),
+        (
+            "stored_bytes 2^38",
+            forge(chunk0 + 8, &(1u64 << 38).to_le_bytes()),
+        ),
+    ] {
+        match open_bytes(forged) {
+            Err(H5Error::Format(_)) | Err(H5Error::Codec(_)) => {}
+            Err(other) => panic!("{ctx}: unexpected error class {other:?}"),
+            Ok(_) => panic!("{ctx}: forged directory must not open"),
+        }
+    }
+    // A forged total is a capacity hint, not a structure: the dataset
+    // reads back as what its stored chunks decode to.
+    let r = open_bytes(forge(total_elems, &(1u64 << 40).to_le_bytes())).unwrap();
+    assert_eq!(r.read_dataset("a/raw").unwrap().len(), 3 * 1024);
 }
 
 #[test]

@@ -1,40 +1,43 @@
-//! Backend-equivalence suite: the same write sequence through
-//! file/mem/sharded storage must yield byte-identical **logical** content
-//! — same dataset directory, same stored chunk bytes, same chunk
-//! indexes — for every filter family, for parallel rank writers at 1 and
-//! 4 pool workers, and for both indexed and (stripped) legacy tails.
-//!
-//! Physical layouts differ (one file vs N shard files + manifest); the
-//! logical byte stream and everything parsed from it may not.
+//! Backend-equivalence suite: the same write sequence through file and
+//! mem storage must yield byte-identical **logical** content — same
+//! dataset directory, same stored chunk bytes, same chunk indexes — for
+//! every filter family, for parallel rank writers at 1 and 4 pool
+//! workers, and for indexed, legacy and stripped tails.
 
 use h5lite::prelude::*;
 use h5lite::testutil::TempDir;
 use rankpar::run_ranks;
 use std::sync::Arc;
 
-type Backend = (&'static str, H5Writer, Box<dyn Fn() -> H5Reader>);
+/// A backend's name, its writer, and how to open what it wrote (after
+/// stripping the chunk indexes when the flag is set).
+type Backend = (&'static str, H5Writer, Box<dyn Fn(bool) -> H5Reader>);
 
-/// Every backend under test, built fresh inside `dir`.
+/// Both backends, built fresh inside `dir`.
 fn backends(dir: &TempDir, tag: &str) -> Vec<Backend> {
     let file_path = dir.file(&format!("{tag}.h5l"));
-    let shard_path = dir.file(&format!("{tag}.h5ls"));
     let (mem_w, mem) = H5Writer::in_memory();
     let fp = file_path.clone();
-    let sp = shard_path.clone();
     vec![
         (
             "file",
             H5Writer::create(&file_path).unwrap(),
-            Box::new(move || H5Reader::open(&fp).unwrap()),
+            Box::new(move |strip| {
+                if strip {
+                    strip_chunk_indexes(&fp).unwrap();
+                }
+                H5Reader::open(&fp).unwrap()
+            }),
         ),
-        ("mem", mem_w, {
-            let mem = mem.clone();
-            Box::new(move || H5Reader::from_storage(Box::new(mem.clone())).unwrap())
-        }),
         (
-            "sharded",
-            H5Writer::create_sharded(&shard_path, 3).unwrap(),
-            Box::new(move || H5Reader::open(&sp).unwrap()),
+            "mem",
+            mem_w,
+            Box::new(move |strip| {
+                if strip {
+                    h5lite::strip_chunk_indexes_in(&mem).unwrap();
+                }
+                H5Reader::from_storage(Box::new(mem.clone())).unwrap()
+            }),
         ),
     ]
 }
@@ -117,7 +120,9 @@ fn write_serial(w: &H5Writer, with_index: bool) {
 
 #[test]
 fn serial_write_identical_across_backends_indexed_and_legacy() {
-    for with_index in [true, false] {
+    // The third case runs the downgrade tool on each backend: the tail it
+    // rewrites through the trait must agree too, with no index left.
+    for (with_index, strip) in [(true, false), (false, false), (true, true)] {
         let dir = TempDir::new("h5lite-eq-serial");
         let built = backends(&dir, "serial");
         let readers: Vec<(&str, H5Reader)> = built
@@ -125,12 +130,19 @@ fn serial_write_identical_across_backends_indexed_and_legacy() {
             .map(|(kind, w, open)| {
                 write_serial(&w, with_index);
                 drop(w);
-                (kind, open())
+                (kind, open(strip))
             })
             .collect();
         let (_, base) = &readers[0];
+        if strip {
+            assert!(base.chunk_index("eq/aware").unwrap().is_none());
+        }
         for (kind, r) in &readers[1..] {
-            assert_logically_identical(base, r, &format!("indexed={with_index} file vs {kind}"));
+            assert_logically_identical(
+                base,
+                r,
+                &format!("indexed={with_index} stripped={strip} file vs {kind}"),
+            );
         }
     }
 }
@@ -181,7 +193,7 @@ fn collective_write_identical_across_backends_and_worker_counts() {
                     collective_write_many(&comm, &wc, &jobs, workers).unwrap();
                 });
                 writer.finish().unwrap();
-                (kind, open())
+                (kind, open(false))
             })
             .collect();
         let (_, base) = &readers[0];
@@ -189,54 +201,4 @@ fn collective_write_identical_across_backends_and_worker_counts() {
             assert_logically_identical(base, r, &format!("workers={workers} file vs {kind}"));
         }
     }
-}
-
-#[test]
-fn strip_chunk_indexes_equivalent_on_file_and_sharded() {
-    // The downgrade tool must produce the same logical legacy content on
-    // both persistent backends (it rewrites the tail through the trait).
-    let dir = TempDir::new("h5lite-eq-strip");
-    let fp = dir.file("s.h5l");
-    let sp = dir.file("s.h5ls");
-    for (path, shards) in [(&fp, None), (&sp, Some(3))] {
-        let w = match shards {
-            None => H5Writer::create(path).unwrap(),
-            Some(n) => H5Writer::create_sharded(path, n).unwrap(),
-        };
-        write_serial(&w, true);
-    }
-    strip_chunk_indexes(&fp).unwrap();
-    strip_chunk_indexes(&sp).unwrap();
-    let a = H5Reader::open(&fp).unwrap();
-    let b = H5Reader::open(&sp).unwrap();
-    assert!(a.chunk_index("eq/aware").unwrap().is_none());
-    assert!(b.chunk_index("eq/aware").unwrap().is_none());
-    assert_logically_identical(&a, &b, "stripped file vs sharded");
-    // And the stripped sharded container reopens for appending tools —
-    // the manifest was rewritten consistently.
-    let m = read_manifest(&sp).unwrap();
-    assert_eq!(
-        m.logical_len,
-        m.shard_bytes().iter().sum::<u64>(),
-        "manifest logical length must equal shard payload total"
-    );
-}
-
-#[test]
-fn sharded_reopen_roundtrip_preserves_content() {
-    // Close and reopen through the auto-detecting path; also verify the
-    // manifest maps every logical byte (dense coverage already enforced
-    // by the parser — this checks total length against the reader).
-    let dir = TempDir::new("h5lite-eq-reopen");
-    let sp = dir.file("c.h5ls");
-    let w = H5Writer::create_sharded(&sp, 5).unwrap();
-    write_serial(&w, true);
-    drop(w);
-    let r = H5Reader::open(&sp).unwrap();
-    assert_eq!(r.storage_kind(), "sharded");
-    assert_eq!(r.read_dataset("eq/raw").unwrap().len(), 1000);
-    let m = read_manifest(&sp).unwrap();
-    assert_eq!(m.shard_count, 5);
-    // Logical length covers everything up to and including the footer.
-    assert!(m.logical_len > r.dir_offset());
 }

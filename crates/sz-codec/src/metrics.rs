@@ -43,13 +43,19 @@ impl ErrorStats {
     }
 
     /// PSNR in dB using the paper's definition (footnote 2):
-    /// `20·log10(R) − 10·log10(MSE)` with `R` the value range.
-    /// `f64::INFINITY` for a perfect reconstruction.
+    /// `20·log10(R) − 10·log10(MSE)` with `R` the value range. Total:
+    /// `f64::INFINITY` for a perfect reconstruction, and a constant
+    /// original (`R = 0`) floors `R` to 1.0 instead of taking `log10(0)`.
     pub fn psnr(&self) -> f64 {
         if self.mse == 0.0 {
             return f64::INFINITY;
         }
-        20.0 * self.value_range.log10() - 10.0 * self.mse.log10()
+        let range = if self.value_range > 0.0 {
+            self.value_range
+        } else {
+            1.0
+        };
+        20.0 * range.log10() - 10.0 * self.mse.log10()
     }
 }
 
@@ -98,6 +104,10 @@ mod tests {
         let s = ErrorStats::compare(&orig, &recon);
         assert!((s.psnr() - 40.0).abs() < 1e-9, "psnr={}", s.psnr());
         assert!((s.max_abs_err - 0.1).abs() < 1e-12);
+        // Constant original, error 1e-3: range floors to 1.0 → 60 dB, not
+        // the −inf of log10(0).
+        let flat = ErrorStats::compare(&[3.5; 64], &[3.501; 64]);
+        assert!((flat.psnr() - 60.0).abs() < 1e-9, "psnr={}", flat.psnr());
     }
 
     #[test]
