@@ -95,25 +95,19 @@ fn codec_name(id: u32) -> String {
         .unwrap_or_else(|| format!("#{id}"))
 }
 
-/// Dump every dataset's chunk index (persistent when the writer stored
-/// one, otherwise the legacy fallback scan) plus a per-level compression
-/// summary.
+/// Dump every dataset's stored chunk index (one `-` row for a dataset
+/// the writer did not index: `meta/*`, baseline files) plus a per-level
+/// compression summary.
 fn print_index(r: &H5Reader) {
     println!(
-        "{:<28} {:>5} {:>10} {:>10} {:>10} {:>12} {:>7}  extent",
-        "dataset", "chunk", "offset", "stored", "logical", "codec", "source"
+        "{:<28} {:>5} {:>10} {:>10} {:>10} {:>12}  extent",
+        "dataset", "chunk", "offset", "stored", "logical", "codec"
     );
     for name in r.dataset_names() {
         let m = r.meta(name).expect("listed dataset");
-        let (index, source) = match r.chunk_index(name) {
-            Ok(Some(idx)) => (idx.clone(), "index"),
-            _ => match r.scan_chunk_index(name) {
-                Ok(idx) => (idx, "scan"),
-                Err(e) => {
-                    println!("{name:<28} <unreadable: {e}>");
-                    continue;
-                }
-            },
+        let Some(index) = r.chunk_index(name).expect("listed dataset") else {
+            println!("{name:<28} {:>5}", "-");
+            continue;
         };
         for (i, (rec, e)) in m.chunks.iter().zip(&index.entries).enumerate() {
             let extent = match e.extent {
@@ -124,14 +118,13 @@ fn print_index(r: &H5Reader) {
                 None => "-".into(),
             };
             println!(
-                "{:<28} {:>5} {:>10} {:>10} {:>10} {:>12} {:>7}  {}",
+                "{:<28} {:>5} {:>10} {:>10} {:>10} {:>12}  {}",
                 if i == 0 { name } else { "" },
                 i,
                 rec.offset,
                 rec.stored_bytes,
                 rec.logical_elems,
                 codec_name(e.codec_id),
-                source,
                 extent
             );
         }

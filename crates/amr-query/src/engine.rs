@@ -8,12 +8,11 @@
 //! so everything a query needs is known before a byte is read. One
 //! planner ([`QueryEngine::plan_roi`] / [`QueryEngine::plan_region`] /
 //! [`QueryEngine::plan_plane`]) validates the arguments, refines and
-//! clips the region per level, and prunes chunks — the persistent chunk
-//! index (chunk → codec id + extent bounding box) by rectangle
-//! intersection, then the reconstructed unit plan exactly. Legacy files
-//! without an index fall back to a scan at open: codec ids are sniffed
-//! from the stored chunk envelopes and extents re-derived from the unit
-//! plans. The resulting [`QueryPlan`] is the query; the rest are views:
+//! clips the region per level, and prunes chunks — the stored chunk index
+//! (chunk → codec id + extent bounding box, checked against the unit
+//! plans at open) by rectangle intersection, then the reconstructed unit
+//! plan exactly. The resulting [`QueryPlan`] is the query; the rest are
+//! views:
 //!
 //! * [`QueryPlan::cost`] — chunks and decoded bytes a cold cache pays
 //!   (what admission control bounds and classifies on), and
@@ -216,8 +215,7 @@ impl Piece<'_> {
 struct LevelPlan {
     /// `[rank] -> units`, in chunk layout order.
     plans: Vec<Vec<UnitRef>>,
-    /// One pruning entry per chunk (persisted index, or re-derived for
-    /// legacy files).
+    /// One pruning entry per chunk: the stored index, checked at open.
     extents: Vec<ChunkIndexEntry>,
     /// `[rank] -> decoded size in bytes` of the rank's chunk (sum of its
     /// unit volumes × 8), precomputed for cost estimation.
@@ -233,7 +231,7 @@ impl LevelPlan {
     /// level's unit `edge`, so a planned unit lies inside the one global
     /// tile `lo.coarsened(edge)` and the candidates are the units
     /// keyed by the cell's tile: one on an aligned plan, a few clipped ones
-    /// on an unaligned legacy plan. The table is only as large as the
+    /// on an unaligned plan. The table is only as large as the
     /// plans the engine already holds, whatever domain a file claims.
     fn units_near(&self, cell: &IntVect, edge: i64) -> impl Iterator<Item = (usize, usize)> + '_ {
         let table = self.by_tile.get_or_init(|| {
@@ -390,9 +388,6 @@ pub struct QueryEngine {
     reader: H5Reader,
     meta: PlotfileMeta,
     levels: Vec<LevelPlan>,
-    /// Whether the file carried a persistent chunk index (false = legacy
-    /// fallback scan).
-    indexed: bool,
     cache: ChunkCache,
     workers: usize,
     counters: EngineCounters,
@@ -414,7 +409,9 @@ impl QueryEngine {
     }
 
     /// Build an engine over an already-open container — a file, or a
-    /// [`h5lite::MemStorage`] image that never touched a filesystem.
+    /// [`h5lite::MemStorage`] image that never touched a filesystem. Every
+    /// level's chunk index must be present, and every stored extent must
+    /// equal the bounding box of its rank's re-derived unit plan.
     pub fn from_reader(reader: H5Reader) -> QueryResult<Self> {
         let meta = read_plotfile_meta(&reader)?;
         if meta.bf <= 0 {
@@ -430,7 +427,6 @@ impl QueryEngine {
             ));
         }
         let mut levels = Vec::with_capacity(meta.num_levels());
-        let mut indexed = true;
         for l in 0..meta.num_levels() {
             let plans: Vec<Vec<UnitRef>> = (0..meta.nranks).map(|r| meta.unit_plan(l, r)).collect();
             // All fields of a level share one layout; dataset 0 speaks for
@@ -449,30 +445,28 @@ impl QueryEngine {
                     meta.nranks
                 )));
             }
-            let extents = match reader.chunk_index(&name)? {
-                Some(idx) => idx.entries.clone(),
-                None => {
-                    // Legacy file: sniff codec ids from the stored chunk
-                    // envelopes, re-derive extents from the unit plans.
-                    indexed = false;
-                    let scanned = reader.scan_chunk_index(&name)?;
-                    scanned
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .map(|(rank, e)| {
-                            ChunkIndexEntry::new(e.codec_id, plan_bounding_box(&plans[rank]))
-                        })
-                        .collect()
+            let index = reader.chunk_index(&name)?.ok_or_else(|| {
+                QueryError::BadQuery(format!("not an AMRIC plotfile ({name} has no chunk index)"))
+            })?;
+            // Pruning trusts the stored extents: each must be the writer's
+            // own bounding box of the rank's units (h5lite already holds the
+            // index to one entry per chunk).
+            for (rank, entry) in index.entries.iter().enumerate() {
+                let derived = plan_bounding_box(&plans[rank]);
+                if entry.extent != derived {
+                    return Err(QueryError::Inconsistent(format!(
+                        "level {l} rank {rank}: chunk index extent {:?}, unit plan {derived:?}",
+                        entry.extent
+                    )));
                 }
-            };
+            }
             let chunk_bytes = plans
                 .iter()
                 .map(|p| p.iter().map(|u| u.region.num_cells() * 8).sum())
                 .collect();
             levels.push(LevelPlan {
                 plans,
-                extents,
+                extents: index.entries.clone(),
                 chunk_bytes,
                 by_tile: OnceLock::new(),
             });
@@ -481,7 +475,6 @@ impl QueryEngine {
             reader,
             meta,
             levels,
-            indexed,
             cache: ChunkCache::new(DEFAULT_CACHE_BYTES),
             workers: 1,
             counters: EngineCounters::default(),
@@ -515,12 +508,6 @@ impl QueryEngine {
     /// The plotfile's structural metadata.
     pub fn meta(&self) -> &PlotfileMeta {
         &self.meta
-    }
-
-    /// Did the file carry a persistent chunk index (`false` = answered
-    /// through the legacy fallback scan)?
-    pub fn has_persistent_index(&self) -> bool {
-        self.indexed
     }
 
     /// The per-chunk index entries of one level (codec id, pruning

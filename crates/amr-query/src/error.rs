@@ -13,8 +13,9 @@ pub enum QueryError {
     /// The query itself is invalid for this file (bad field, level out of
     /// range, coordinate outside the domain, …).
     BadQuery(String),
-    /// The file's stored layout contradicts its own metadata (a decoded
-    /// chunk does not match the reconstructed unit plan).
+    /// The file's stored layout contradicts its own metadata (a stored
+    /// chunk extent or a decoded chunk does not match the reconstructed
+    /// unit plan).
     Inconsistent(String),
 }
 

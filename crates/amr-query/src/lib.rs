@@ -8,11 +8,10 @@
 //! one slice plane. This crate serves exactly those queries while
 //! touching only the chunks that intersect the query:
 //!
-//! * **Indexed partial reads** — the h5lite container persists a
-//!   per-dataset chunk index (codec id + extent bounding box per chunk);
-//!   the planner prunes chunks by rectangle intersection before any byte
-//!   is read. Files written before the index existed are still served
-//!   through a fallback scan.
+//! * **Indexed partial reads** — every AMRIC plotfile persists a
+//!   per-dataset chunk index (codec id + extent bounding box per chunk),
+//!   checked against the box metadata at open; the planner prunes chunks
+//!   by rectangle intersection before any byte is read.
 //! * **ROI / level / point / plane queries** —
 //!   [`QueryEngine::roi`] (a [`Box3`] in coarse coordinates refined to
 //!   every selected level), [`QueryEngine::level_region`],
@@ -28,8 +27,7 @@
 //!
 //! Results are **bitwise-identical** to slicing the corresponding region
 //! out of a full [`amric::reader::read_amric_hierarchy`] decode — cold or
-//! warm cache, any worker count, indexed or legacy file (enforced by
-//! `tests/equivalence.rs`).
+//! warm cache, any worker count (enforced by `tests/equivalence.rs`).
 //!
 //! ```no_run
 //! use amr_query::prelude::*;

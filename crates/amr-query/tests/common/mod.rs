@@ -1,13 +1,16 @@
-//! A fixture shared by the test binaries of `amr-query` and (by path)
-//! `amr-serve`: a plotfile no current writer produces.
+//! Fixtures shared by the test binaries of `amr-query` and (by path)
+//! `amr-serve`: a plotfile no current writer produces, and a copy of a
+//! plotfile with its chunk indexes replaced.
 
 use amr_mesh::prelude::*;
 use amric::config::AmricConfig;
 use amric::pipeline::compress_field_units;
-use amric::preprocess::{region_dims, UnitRef};
+use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
 use amric::reader::read_plotfile_meta;
 use amric::writer::field_dataset;
 use h5lite::prelude::*;
+use std::path::Path;
+use sz_codec::codec::CodecId;
 use sz_codec::View3;
 
 /// A chunk filter that cuts each chunk into the ragged units of whichever
@@ -46,8 +49,10 @@ impl ChunkFilter for RaggedFilter {
 
 /// One level, blocking factor 4, three boxes on two ranks whose faces sit
 /// off the 4-cell tile grid, and a strip of the 12×8×4 domain no box
-/// covers. Tile (0, 1, 0) holds three clipped units from both ranks.
-pub fn write_unaligned_legacy_file(path: &std::path::Path) {
+/// covers. Tile (0, 1, 0) holds three clipped units from both ranks. Its
+/// chunk index records each rank's `plan_bounding_box`, as the writer's
+/// does.
+pub fn write_unaligned_file(path: &Path) {
     let corners = |b: &IntBox| [b.lo.0, b.hi.0].concat();
     let boxes = [
         (IntBox::new(IntVect::new(0, 0, 0), IntVect::new(2, 7, 3)), 0),
@@ -92,6 +97,14 @@ pub fn write_unaligned_legacy_file(path: &std::path::Path) {
         })
         .collect();
     let chunk_elems = chunks.iter().map(|c| c.logical).max().unwrap();
+    let index = ChunkIndex::new(
+        plans
+            .iter()
+            .map(|plan| {
+                ChunkIndexEntry::new(CodecId::AmricPipeline as u32, plan_bounding_box(plan))
+            })
+            .collect(),
+    );
     // Rewrite the container whole: metadata, then the field dataset.
     let w = H5Writer::create(path).unwrap();
     for (name, values) in [
@@ -112,5 +125,37 @@ pub fn write_unaligned_legacy_file(path: &std::path::Path) {
         None,
     )
     .unwrap();
+    w.set_chunk_index(&field_dataset(0, 0), index).unwrap();
+    w.finish().unwrap();
+}
+
+/// Copy the plotfile `src` to `dst` dataset by dataset, stored bytes
+/// unchanged, with each dataset's chunk index replaced by what `index`
+/// returns for `(name, stored index)` (`None` = no index).
+pub fn rewrite_with_index(
+    src: &Path,
+    dst: &Path,
+    index: impl Fn(&str, Option<&ChunkIndex>) -> Option<ChunkIndex>,
+) {
+    let r = H5Reader::open(src).unwrap();
+    let w = H5Writer::create(dst).unwrap();
+    for name in r.dataset_names() {
+        let meta = r.meta(name).unwrap();
+        let mut chunks = Vec::with_capacity(meta.chunks.len());
+        for (i, rec) in meta.chunks.iter().enumerate() {
+            let bytes = r.read_chunk_raw(name, i).unwrap();
+            let offset = w.reserve_extent([bytes.len() as u64]).offsets[0];
+            w.write_at(offset, &bytes).unwrap();
+            chunks.push(ChunkRecord { offset, ..*rec });
+        }
+        w.register_dataset(DatasetMeta {
+            chunks,
+            ..meta.clone()
+        })
+        .unwrap();
+        if let Some(idx) = index(name, r.chunk_index(name).unwrap()) {
+            w.set_chunk_index(name, idx).unwrap();
+        }
+    }
     w.finish().unwrap();
 }

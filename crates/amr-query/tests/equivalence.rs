@@ -1,9 +1,9 @@
 //! The query subsystem's hard invariant: any ROI/level query answered
 //! through `QueryEngine` is **bitwise-identical** to slicing the same
 //! region out of a full `read_amric_hierarchy` decode — under a cold
-//! cache, a warm cache, prefetch worker counts {1, 2, 4}, and for legacy
-//! (index-less) files served through the fallback scan. Enforced for
-//! every codec configuration a plotfile can contain.
+//! cache, a warm cache and prefetch worker counts {1, 2, 4}. Enforced for
+//! every codec configuration a plotfile can contain. A file whose chunk
+//! index is missing or contradicts its metadata does not open.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -11,7 +11,9 @@ use amr_query::prelude::*;
 use amric::config::{AmricConfig, MergePolicy};
 use amric::reader::{read_amric_hierarchy, Plotfile};
 use amric::writer::write_amric;
-use h5lite::strip_chunk_indexes;
+
+#[allow(dead_code)] // shared with suites that use the unaligned fixture
+mod common;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -90,7 +92,6 @@ fn roi_queries_match_full_decode_bitwise() {
         let pf = read_amric_hierarchy(&path).unwrap();
         for workers in [1usize, 2, 4] {
             let engine = QueryEngine::open(&path).unwrap().with_workers(workers);
-            assert!(engine.has_persistent_index(), "{tag}: index missing");
             for (ri, roi) in probe_rois().into_iter().enumerate() {
                 for field in [0usize, 3] {
                     // Cold pass (fresh regions may still share chunks with
@@ -119,64 +120,6 @@ fn roi_queries_match_full_decode_bitwise() {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-/// Point answers as `(level, value bits)` and plane slices as bits.
-type Probes = (Vec<Option<(usize, u64)>>, Vec<Vec<u64>>);
-
-/// Point samples over a lattice of finest-level cells and plane slices on
-/// every axis of both levels.
-fn points_and_planes(e: &QueryEngine) -> Probes {
-    let points = (0..32)
-        .step_by(7)
-        .flat_map(|x| (0..32).step_by(9).map(move |y| IntVect::new(x, y, 16)))
-        .map(|p| {
-            let s = e.point_sample(0, p).unwrap();
-            s.map(|s| (s.level, s.value.to_bits()))
-        })
-        .collect();
-    let planes = (0..2)
-        .flat_map(|level| (0..3).map(move |axis| (level, axis)))
-        .map(|(level, axis)| view_bits(&e.plane_slice(1, level, axis, 3).unwrap()))
-        .collect();
-    (points, planes)
-}
-
-#[test]
-fn legacy_index_less_files_answer_identically() {
-    let h = hierarchy(72);
-    for (tag, cfg) in codec_configs() {
-        let path = tmp(&format!("legacy-{tag}"));
-        write_amric(&path, &h, &cfg, 8).unwrap();
-        let pf = read_amric_hierarchy(&path).unwrap();
-        let indexed = QueryEngine::open(&path).unwrap().with_workers(2);
-        let roi = IntBox::new(IntVect::new(3, 2, 5), IntVect::new(12, 13, 11));
-        let from_indexed = indexed.roi(1, roi, LevelSelect::All).unwrap();
-        let probes_indexed = points_and_planes(&indexed);
-        // Downgrade the file to the pre-index layout and re-query.
-        strip_chunk_indexes(&path).unwrap();
-        let legacy = QueryEngine::open(&path).unwrap().with_workers(2);
-        assert!(
-            !legacy.has_persistent_index(),
-            "{tag}: stripped file should fall back to the scan"
-        );
-        let from_legacy = legacy.roi(1, roi, LevelSelect::All).unwrap();
-        assert_eq!(from_indexed.levels.len(), from_legacy.levels.len());
-        for (a, b) in from_indexed.levels.iter().zip(&from_legacy.levels) {
-            assert_eq!(a.region, b.region, "{tag}");
-            assert_eq!(view_bits(a), view_bits(b), "{tag}: legacy differs");
-            assert_eq!(
-                view_bits(a),
-                reference_slice(&pf, a.level, &a.region, 1),
-                "{tag}: legacy differs from full decode"
-            );
-        }
-        assert!(
-            points_and_planes(&legacy) == probes_indexed,
-            "{tag}: legacy points / planes differ"
-        );
         std::fs::remove_file(&path).ok();
     }
 }
@@ -336,6 +279,41 @@ fn invalid_queries_and_files_are_typed_errors() {
         engine.plane_slice(0, 0, 2, -5),
         Err(QueryError::BadQuery(_))
     ));
+    // Copies of the file with its chunk indexes replaced. Kept as stored,
+    // the copy answers as the original does.
+    let copy = tmp("errors-copy");
+    common::rewrite_with_index(&path, &copy, |_, stored| stored.cloned());
+    let bits = |e: &QueryEngine| {
+        let view = e.roi(0, IntBox::from_extents(16, 16, 16), LevelSelect::All);
+        view.unwrap()
+            .levels
+            .iter()
+            .map(view_bits)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&QueryEngine::open(&copy).unwrap()), bits(&engine));
+    // A level-0 extent that contradicts the box metadata would prune stored
+    // cells out of answers: the file does not open.
+    common::rewrite_with_index(&path, &copy, |name, stored| {
+        let mut index = stored?.clone();
+        if name.starts_with("level_0/") {
+            for e in &mut index.entries {
+                e.extent = Some(([1000; 3], [1001; 3]));
+            }
+        }
+        Some(index)
+    });
+    assert!(matches!(
+        QueryEngine::open(&copy),
+        Err(QueryError::Inconsistent(_))
+    ));
+    // Without a chunk index it is not an AMRIC plotfile.
+    common::rewrite_with_index(&path, &copy, |_, _| None);
+    assert!(matches!(
+        QueryEngine::open(&copy),
+        Err(QueryError::BadQuery(_))
+    ));
+    std::fs::remove_file(&copy).ok();
     std::fs::remove_file(&path).ok();
     // Baseline files have no unit layout to query.
     let bpath = tmp("errors-baseline");

@@ -25,6 +25,7 @@ use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile};
 use amric::writer::{field_dataset, write_amric};
 use h5lite::prelude::*;
 
+#[allow(dead_code)] // shared with the suites that rewrite chunk indexes
 mod common;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -504,11 +505,11 @@ fn a_region_no_unit_meets_yields_no_piece_and_a_zero_box() {
 
 #[test]
 fn clipped_units_of_two_ranks_in_one_tile_come_out_as_disjoint_pieces() {
-    // The hand-built legacy file of `point_oracle.rs`: units clipped off
+    // The hand-built file of `point_oracle.rs`: units clipped off
     // the tile grid, three of them from both ranks inside one tile, and a
     // strip no box covers.
     let path = tmp("unaligned-pieces");
-    common::write_unaligned_legacy_file(&path);
+    common::write_unaligned_file(&path);
     let units = stored_units(&path);
     let engine = QueryEngine::open(&path).unwrap();
     let pf = read_amric_hierarchy(&path).unwrap();

@@ -5,7 +5,7 @@
 //! `PlotfileMeta::unit_plan` of every rank, finest level first, until a
 //! unit's region contains the cell, and read the value out of the full
 //! decode. **Every** cell of the finest index space is sampled, so a unit
-//! the table misplaces, a tile with more than one unit (unaligned legacy
+//! the table misplaces, a tile with more than one unit (unaligned
 //! layouts), a rank that stored no chunk and cells no level holds are all
 //! visited.
 
@@ -16,10 +16,11 @@ use amric::config::AmricConfig;
 use amric::preprocess::UnitRef;
 use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile, PlotfileMeta};
 use amric::writer::{field_dataset, write_amric};
-use common::write_unaligned_legacy_file;
+use common::write_unaligned_file;
 use h5lite::prelude::*;
 use std::sync::{Arc, Barrier};
 
+#[allow(dead_code)] // shared with the suites that rewrite chunk indexes
 mod common;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -160,11 +161,10 @@ fn every_cell_of_written_hierarchies_samples_like_the_linear_scan() {
 #[test]
 fn clipped_units_that_share_a_tile_sample_like_the_linear_scan() {
     let path = tmp("unaligned");
-    write_unaligned_legacy_file(&path);
+    write_unaligned_file(&path);
     let oracle = Oracle::open(&path);
     let engine = QueryEngine::open(&path).unwrap();
-    assert!(!engine.has_persistent_index(), "a hand-built legacy file");
-    let answered = check_every_cell(&engine, &oracle, 0, "unaligned legacy plan");
+    let answered = check_every_cell(&engine, &oracle, 0, "unaligned plan");
     std::fs::remove_file(&path).ok();
     // 8×8×4 cells under the boxes; the 4×8×4 strip and the rim are unheld.
     assert_eq!(answered, [256, 14 * 10 * 6 - 256]);

@@ -35,7 +35,6 @@ fn chunk_references_resolve_without_decoding() {
     let engines = engines_over_series(2);
     // First snapshot: spatial-only, no chunk references anything.
     let first = &engines[0];
-    assert!(first.has_persistent_index());
     for l in 0..first.meta().num_levels() {
         for e in first.chunk_entries(l).unwrap() {
             assert_eq!(e.codec_id, CodecId::Temporal as u32);

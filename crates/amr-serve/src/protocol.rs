@@ -666,8 +666,6 @@ pub struct OpenInfo {
     pub levels: u32,
     /// Field names in component order.
     pub fields: Vec<String>,
-    /// Whether the file carries a persistent chunk index.
-    pub indexed: bool,
 }
 
 /// One file's row in a stats report: identity, the per-tenant cache
@@ -916,7 +914,6 @@ impl Response {
                 for f in &info.fields {
                     put_string(&mut w, f);
                 }
-                w.put_u8(info.indexed as u8);
             }
             Response::Closed => w.put_u8(OP_CLOSED),
             Response::Point(p) => {
@@ -990,14 +987,12 @@ impl Response {
                 for _ in 0..n {
                     fields.push(get_string(&mut r)?);
                 }
-                let indexed = r.get_u8()? != 0;
                 Response::Opened(OpenInfo {
                     handle,
                     file_id,
                     generation,
                     levels,
                     fields,
-                    indexed,
                 })
             }
             OP_CLOSED => Response::Closed,
@@ -1189,7 +1184,6 @@ mod tests {
                 generation: (12345, 999),
                 levels: 2,
                 fields: vec!["density".into(), "vx".into()],
-                indexed: true,
             }),
             Response::Closed,
             Response::Point(None),

@@ -353,7 +353,6 @@ fn handle_request(
                     generation: (entry.generation.len, entry.generation.mtime_ns),
                     levels: meta.num_levels() as u32,
                     fields: meta.field_names.clone(),
-                    indexed: entry.engine.has_persistent_index(),
                 };
                 handles.insert(handle, entry);
                 Response::Opened(info).encode()

@@ -5,8 +5,8 @@
 //! `TooLarge` rejection before any byte is read (on the decode estimate
 //! and on the size of the answer), one gate hold per chunk batch of a
 //! scan, typed planning errors, multi-MB answers shipped as their stored
-//! pieces and counted to the byte, regions no unit meets, a legacy file
-//! whose clipped units share a tile, and the stats endpoint.
+//! pieces and counted to the byte, regions no unit meets, a hand-built
+//! file whose clipped units share a tile, and the stats endpoint.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 #[path = "../../amr-query/tests/common/mod.rs"]
+#[allow(dead_code)] // shared with the suites that rewrite chunk indexes
 mod common;
 
 fn tmp(name: &str) -> PathBuf {
@@ -389,15 +390,14 @@ fn holes_and_clipped_legacy_units_are_served_like_the_direct_engine() {
     assert_eq!(client.stats().unwrap().files[0].chunks_decoded, 0);
     std::fs::remove_file(&path).ok();
 
-    // The hand-built legacy file of `amr-query`'s point oracle: units
+    // The hand-built file of `amr-query`'s point oracle: units
     // clipped off the tile grid, three of them from two ranks inside one
     // tile, a strip no box covers. Region, plane and ROI, served against
     // direct.
-    let path = tmp("legacy");
-    common::write_unaligned_legacy_file(&path);
+    let path = tmp("unaligned");
+    common::write_unaligned_file(&path);
     let direct = QueryEngine::open(&path).unwrap();
     let info = client.open(path.to_str().unwrap()).unwrap();
-    assert!(!info.indexed, "a hand-built legacy file");
     let domain = direct.meta().levels[0].domain;
     let across_the_tile = IntBox::new(IntVect::new(1, 3, 1), IntVect::new(5, 6, 2));
     for region in [domain, across_the_tile] {

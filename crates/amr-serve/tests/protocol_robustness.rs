@@ -194,8 +194,10 @@ fn queries_on_handles_never_opened_are_typed_errors() {
 fn open_on_forged_plotfile_metadata_is_open_failed() {
     // Well-formed containers whose `meta/*` datasets lie: a level count
     // that would size an abort-scale allocation, zero ranks, an owner
-    // past the rank count, an inverted box. `Open` parses the metadata on
-    // the connection thread; a panic there would take the connection down.
+    // past the rank count, an inverted box — and sound metadata over a
+    // field dataset that carries no chunk index. `Open` parses the
+    // metadata on the connection thread; a panic there would take the
+    // connection down.
     // [nlevels, nfields, nranks, bf, remove_redundancy | nx, ny, nz, nboxes, ratio]
     let header = [1.0, 1.0, 1.0, 8.0, 1.0, 8.0, 8.0, 8.0, 1.0, 0.0];
     let boxes = [0.0, 0.0, 0.0, 7.0, 7.0, 7.0, 0.0];
@@ -203,32 +205,41 @@ fn open_on_forged_plotfile_metadata_is_open_failed() {
         let (mut h, mut b) = (header, boxes);
         h[at] = v;
         b[box_at] = bv;
-        (h, b)
+        (h, b, None)
     };
+    let field = [0.0; 512];
     let forged = [
         forge(0, 1e12, 6, 0.0),
         forge(2, 0.0, 6, 0.0),
         forge(0, 1.0, 6, 5.0),
         forge(0, 1.0, 3, -1.0),
+        (header, boxes, Some(&field[..])),
     ];
     let (server, addr) = start_server();
     let mut client = Client::connect_tcp(addr).unwrap();
     let dir = h5lite::testutil::TempDir::new("amr-serve-forged-meta");
-    for (i, (header, boxes)) in forged.iter().enumerate() {
+    for (i, (header, boxes, field)) in forged.iter().enumerate() {
         let path = dir.file(&format!("forged-{i}.h5l"));
         let w = h5lite::H5Writer::create(&path).unwrap();
         for (name, values) in [
             ("meta/header", &header[..]),
             ("meta/field_names", &[1.0, f64::from(b'a')][..]),
             ("meta/level_0/boxes", &boxes[..]),
-        ] {
+        ]
+        .into_iter()
+        .chain(field.map(|f| ("level_0/field_0", f)))
+        {
             w.write_dataset(name, values, values.len(), &h5lite::NoFilter)
                 .unwrap();
         }
         w.finish().unwrap();
         match client.open(path.to_str().unwrap()).unwrap_err() {
             ServeError::Remote { code, message } => {
-                assert_eq!(code, ErrorCode::OpenFailed, "forgery {i}: {message}")
+                assert_eq!(code, ErrorCode::OpenFailed, "forgery {i}: {message}");
+                assert!(
+                    field.is_none() || message.contains("no chunk index"),
+                    "{message}"
+                );
             }
             other => panic!("forgery {i}: expected OpenFailed, got {other}"),
         }

@@ -101,9 +101,8 @@ pub type PlanExtent = ([i64; 3], [i64; 3]);
 
 /// Bounding box of a plan's unit regions as inclusive index-space
 /// corners (`None` for an empty plan). This is the extent the writer
-/// persists in the chunk index and the extent the query engine
-/// re-derives for legacy index-less files — one definition, so the two
-/// can never drift.
+/// persists in the chunk index and the extent the query engine checks
+/// every stored one against at open — one definition for both.
 pub fn plan_bounding_box(plan: &[UnitRef]) -> Option<PlanExtent> {
     let first = plan.first()?;
     let mut lo = first.region.lo;

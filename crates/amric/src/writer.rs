@@ -434,10 +434,9 @@ pub fn write_amric_to(
 /// rank's surviving unit blocks on that level (`extents[level][rank]`,
 /// collected by the rank closures during planning — no second planning
 /// pass) and, for delta-coded chunks, the snapshot id `reference(level,
-/// rank)` they predict from. The `amr-query` planner prunes chunks
-/// against a region of interest from these extents without decoding
-/// anything; files written before this index existed are still served
-/// through the reader's fallback scan.
+/// rank)` they predict from. The `amr-query` engine requires this index,
+/// checks its extents against the unit plans at open, and prunes chunks
+/// against a region of interest from them without decoding anything.
 pub(crate) fn write_chunk_indexes(
     writer: &H5Writer,
     nfields: usize,

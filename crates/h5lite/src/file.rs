@@ -17,7 +17,7 @@ use crate::collective::{commit_frames, CollectiveReceipt};
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
 use crate::filter::{decoder_for, encode_frame, ChunkFilter, FilterMode};
-use crate::index::{read_index_section, write_index_section, ChunkIndex, ChunkIndexEntry};
+use crate::index::{read_index_section, write_index_section, ChunkIndex};
 use crate::storage::{FileStorage, MemStorage, Storage};
 use parking_lot::Mutex;
 use std::path::Path;
@@ -295,12 +295,9 @@ impl H5Writer {
     }
 }
 
-/// Parsed container tail: directory entries, aligned chunk indexes, and
-/// the directory offset. Shared by [`H5Reader::from_storage`] and the
-/// tail-rewriting tools.
-fn parse_container(
-    storage: &dyn Storage,
-) -> H5Result<(Vec<DatasetMeta>, Vec<Option<ChunkIndex>>, u64)> {
+/// Parsed container tail: directory entries and the chunk indexes
+/// aligned with them (`None` where a dataset has none).
+fn parse_container(storage: &dyn Storage) -> H5Result<(Vec<DatasetMeta>, Vec<Option<ChunkIndex>>)> {
     let len = storage.len()?;
     if len < 17 {
         return Err(H5Error::Format("file too short for footer".into()));
@@ -366,7 +363,7 @@ fn parse_container(
             indexes[pos] = Some(idx);
         }
     }
-    Ok((datasets, indexes, dir_offset))
+    Ok((datasets, indexes))
 }
 
 /// Reader over a finished h5lite container on any storage backend.
@@ -374,10 +371,8 @@ pub struct H5Reader {
     storage: Box<dyn Storage>,
     datasets: Vec<DatasetMeta>,
     /// Parsed chunk indexes, aligned with `datasets` (`None` for datasets
-    /// the writer did not index — all of them in legacy files).
+    /// the writer did not index).
     indexes: Vec<Option<ChunkIndex>>,
-    /// Directory offset, kept for tooling that rewrites the tail.
-    dir_offset: u64,
 }
 
 impl H5Reader {
@@ -389,18 +384,12 @@ impl H5Reader {
     /// Open a container over an explicit storage (e.g. the
     /// [`MemStorage`] handle a writer just filled).
     pub fn from_storage(storage: Box<dyn Storage>) -> H5Result<Self> {
-        let (datasets, indexes, dir_offset) = parse_container(&*storage)?;
+        let (datasets, indexes) = parse_container(&*storage)?;
         Ok(H5Reader {
             storage,
             datasets,
             indexes,
-            dir_offset,
         })
-    }
-
-    /// Offset where the directory begins (payload bytes end).
-    pub fn dir_offset(&self) -> u64 {
-        self.dir_offset
     }
 
     /// Names of all datasets, in creation order.
@@ -416,8 +405,8 @@ impl H5Reader {
             .ok_or_else(|| H5Error::NotFound(name.to_string()))
     }
 
-    /// The persistent chunk index of a dataset, when the writer stored
-    /// one (`None` for unindexed datasets and all legacy files).
+    /// The chunk index the writer stored for a dataset (`None` for a
+    /// dataset it did not index, e.g. `meta/*` and baseline datasets).
     pub fn chunk_index(&self, name: &str) -> H5Result<Option<&ChunkIndex>> {
         let pos = self
             .datasets
@@ -425,39 +414,6 @@ impl H5Reader {
             .position(|d| d.name == name)
             .ok_or_else(|| H5Error::NotFound(name.to_string()))?;
         Ok(self.indexes[pos].as_ref())
-    }
-
-    /// Chunk index of a dataset, falling back to a storage scan when the
-    /// writer stored none: each chunk's leading bytes are read and its
-    /// stream envelope sniffed for the codec id
-    /// ([`crate::index::CODEC_RAW`] when the chunk carries no envelope).
-    /// Extents cannot be reconstructed from the container alone and come
-    /// back `None`; format-aware callers (the AMRIC query planner)
-    /// re-derive geometry from their own metadata.
-    pub fn chunk_index_or_scan(&self, name: &str) -> H5Result<ChunkIndex> {
-        if let Some(idx) = self.chunk_index(name)? {
-            return Ok(idx.clone());
-        }
-        self.scan_chunk_index(name)
-    }
-
-    /// The legacy fallback scan behind [`H5Reader::chunk_index_or_scan`],
-    /// exposed for tooling that wants to compare stored and scanned
-    /// views.
-    pub fn scan_chunk_index(&self, name: &str) -> H5Result<ChunkIndex> {
-        let meta = self.meta(name)?;
-        let mut entries = Vec::with_capacity(meta.chunks.len());
-        let mut head = [0u8; 8];
-        for rec in &meta.chunks {
-            let n = (rec.stored_bytes as usize).min(head.len());
-            self.storage.read_at(rec.offset, &mut head[..n])?;
-            let codec_id = match sz_codec::codec::read_envelope(&head[..n]) {
-                Ok(env) => env.codec as u32,
-                Err(_) => crate::index::CODEC_RAW,
-            };
-            entries.push(ChunkIndexEntry::new(codec_id, None));
-        }
-        Ok(ChunkIndex::new(entries))
     }
 
     /// The chunk record for `(name, index)` with a typed out-of-range
@@ -518,42 +474,11 @@ impl H5Reader {
     }
 }
 
-/// Rewrite a container's directory without its chunk-index section,
-/// producing the byte layout pre-index writers emitted. A downgrade tool
-/// for sharing files with old readers — and the honest way to manufacture
-/// legacy files for fallback tests. No-op on containers without an index.
-/// Returns the resulting container size.
-pub fn strip_chunk_indexes(path: impl AsRef<Path>) -> H5Result<u64> {
-    strip_chunk_indexes_in(&FileStorage::open_rw(path)?)
-}
-
-/// [`strip_chunk_indexes`] against an already-open storage.
-pub fn strip_chunk_indexes_in(storage: &dyn Storage) -> H5Result<u64> {
-    let (datasets, indexes, dir_offset) = parse_container(storage)?;
-    if indexes.iter().all(|i| i.is_none()) {
-        return storage.len();
-    }
-    let mut w = sz_codec::wire::Writer::new();
-    w.put_u32(datasets.len() as u32);
-    for d in &datasets {
-        d.write_to(&mut w);
-    }
-    w.put_u64(dir_offset);
-    w.put_raw(MAGIC_TAIL);
-    let bytes = w.into_bytes();
-    storage.truncate(dir_offset)?;
-    let at = storage.reserve(bytes.len() as u64);
-    debug_assert_eq!(at, dir_offset);
-    storage.write_at(at, &bytes)?;
-    storage.flush()?;
-    Ok(dir_offset + bytes.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::{NoFilter, SzFilter};
-    use crate::testutil::TempDir;
+    use crate::index::ChunkIndexEntry;
 
     /// Write-then-read entirely in memory — the fast-test idiom.
     fn mem_roundtrip(build: impl FnOnce(&H5Writer)) -> H5Reader {
@@ -730,75 +655,16 @@ mod tests {
                     w.set_chunk_index("d", ChunkIndex::default()),
                     Err(H5Error::Format(_)) | Err(H5Error::Duplicate(_))
                 ));
+                // A dataset registered without an index stays unindexed.
+                w.write_dataset("raw", &data, 256, &NoFilter).unwrap();
             })
         };
         let back = r.chunk_index("d").unwrap().expect("index persisted");
         assert_eq!(*back, idx);
         assert_eq!(back.intersecting([0, 0, 0], [7, 7, 2]), vec![0]);
         assert_eq!(back.intersecting([0, 0, 3], [7, 7, 5]), vec![0, 1]);
-    }
-
-    #[test]
-    fn unindexed_files_scan_and_strip_is_noop() {
-        // A file written with no index: chunk_index is None, the fallback
-        // scan reconstructs codec ids from the stored envelopes, and
-        // stripping changes nothing.
-        let dir = TempDir::new("h5lite-index-scan");
-        let path = dir.path().join("f.h5l");
-        let w = H5Writer::create(&path).unwrap();
-        let data: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.002).sin()).collect();
-        w.write_dataset("raw", &data, 1024, &NoFilter).unwrap();
-        w.write_dataset("sz", &data, 1024, &SzFilter::one_dimensional(1e-3))
-            .unwrap();
-        w.finish().unwrap();
-        let before = std::fs::metadata(&path).unwrap().len();
-        let r = H5Reader::open(&path).unwrap();
         assert!(r.chunk_index("raw").unwrap().is_none());
-        let scanned = r.chunk_index_or_scan("sz").unwrap();
-        assert_eq!(scanned.entries.len(), 2);
-        for e in &scanned.entries {
-            assert_eq!(e.codec_id, sz_codec::codec::CodecId::LrSle as u32);
-            assert!(e.extent.is_none());
-        }
-        let raw_scanned = r.scan_chunk_index("raw").unwrap();
-        assert!(raw_scanned
-            .entries
-            .iter()
-            .all(|e| e.codec_id == crate::index::CODEC_RAW));
-        drop(r);
-        assert_eq!(super::strip_chunk_indexes(&path).unwrap(), before);
-    }
-
-    #[test]
-    fn strip_chunk_indexes_produces_legacy_layout() {
-        let dir = TempDir::new("h5lite-strip");
-        let indexed = dir.path().join("a.h5l");
-        let legacy = dir.path().join("b.h5l");
-        let build = |path: &std::path::Path, with_index: bool| {
-            let w = H5Writer::create(path).unwrap();
-            let data: Vec<f64> = (0..512).map(|i| (i as f64 * 0.01).cos()).collect();
-            w.write_dataset("d", &data, 256, &NoFilter).unwrap();
-            if with_index {
-                w.set_chunk_index("d", ChunkIndex::new(vec![ChunkIndexEntry::new(1, None); 2]))
-                    .unwrap();
-            }
-            w.finish().unwrap();
-        };
-        build(&indexed, true);
-        build(&legacy, false);
-        assert_ne!(
-            std::fs::read(&indexed).unwrap(),
-            std::fs::read(&legacy).unwrap()
-        );
-        super::strip_chunk_indexes(&indexed).unwrap();
-        // Stripped bytes == the file a pre-index writer produces.
-        assert_eq!(
-            std::fs::read(&indexed).unwrap(),
-            std::fs::read(&legacy).unwrap()
-        );
-        let r = H5Reader::open(&indexed).unwrap();
-        assert!(r.chunk_index("d").unwrap().is_none());
-        assert_eq!(r.read_dataset("d").unwrap().len(), 512);
+        assert_eq!(r.read_dataset("raw").unwrap().len(), 512);
     }
 
     #[test]

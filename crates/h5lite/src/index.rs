@@ -17,15 +17,11 @@
 //!   from — random access can resolve exactly which prior file a delta
 //!   chunk needs without decoding anything.
 //!
-//! The index is written by [`crate::file::H5Writer::finish`] as an
-//! optional section *after* the dataset entries inside the directory
-//! block. Readers that predate the index parse the dataset entries and
-//! never look further, so indexed files stay readable by old tooling;
-//! files with no index registered are byte-identical to pre-index files.
-//! [`crate::file::H5Reader`] exposes the parsed index per dataset and a
-//! fallback scan ([`crate::file::H5Reader::scan_chunk_index`]) that
-//! reconstructs codec ids from the stored chunk envelopes of legacy
-//! files.
+//! The index is written by [`crate::file::H5Writer::finish`] as a section
+//! *after* the dataset entries inside the directory block, one index per
+//! dataset that registered one; a container where none did has no
+//! section at all. [`crate::file::H5Reader::chunk_index`] exposes the
+//! parsed index per dataset (`None` where the writer stored none).
 
 use crate::error::{H5Error, H5Result};
 use sz_codec::wire::{Reader, Writer};
@@ -35,7 +31,7 @@ use sz_codec::wire::{Reader, Writer};
 pub(crate) const INDEX_MAGIC: u32 = 0x5844_4943;
 
 /// Codec id recorded for chunks whose payload carries no stream envelope
-/// (raw/unfiltered data, or unrecognizable legacy bytes).
+/// (raw/unfiltered data).
 pub const CODEC_RAW: u32 = u32::MAX;
 
 /// Index entry for one chunk of a dataset (position matches the chunk's
@@ -194,8 +190,8 @@ pub(crate) fn write_index_section(w: &mut Writer, indexes: &[(String, ChunkIndex
 }
 
 /// Parse the index section if the reader is positioned at one. Returns
-/// `None` when the remaining bytes hold no index (legacy file or an
-/// unknown trailing section — both read as "no index").
+/// `None` when the remaining bytes hold no index (no dataset registered
+/// one, or an unknown trailing section — both read as "no index").
 pub(crate) fn read_index_section(
     r: &mut Reader<'_>,
 ) -> H5Result<Option<Vec<(String, ChunkIndex)>>> {

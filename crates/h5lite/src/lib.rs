@@ -37,9 +37,7 @@ pub mod testutil;
 
 pub use dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
 pub use error::{H5Error, H5Result};
-pub use file::{
-    strip_chunk_indexes, strip_chunk_indexes_in, ChunkData, H5Reader, H5Writer, WriteStats,
-};
+pub use file::{ChunkData, H5Reader, H5Writer, WriteStats};
 pub use filter::{ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter};
 pub use index::{ChunkIndex, ChunkIndexEntry, CODEC_RAW};
 pub use storage::{FileStorage, MemStorage, Storage};
@@ -52,7 +50,7 @@ pub mod prelude {
     };
     pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
     pub use crate::error::{H5Error, H5Result};
-    pub use crate::file::{strip_chunk_indexes, ChunkData, H5Reader, H5Writer, WriteStats};
+    pub use crate::file::{ChunkData, H5Reader, H5Writer, WriteStats};
     pub use crate::filter::{
         encode_frame, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
     };

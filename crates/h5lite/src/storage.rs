@@ -10,8 +10,9 @@
 //! * **write extent / read range** — positioned I/O against offsets
 //!   returned by `reserve`;
 //! * **flush** — the durability point at container finish;
-//! * **byte-length / truncate** — the length, used by the footer parser
-//!   and the tail-rewriting downgrade tool.
+//! * **byte-length** — what the footer parser works against.
+//!
+//! A container is write-once: create → write → finish, then open → read.
 //!
 //! Two backends implement it:
 //!
@@ -62,11 +63,6 @@ pub trait Storage: Send + Sync {
 
     /// Push written data to durable storage.
     fn flush(&self) -> H5Result<()>;
-
-    /// Cut the logical length back to `len`, discarding reservations and
-    /// bytes beyond it. Tail-rewriting tools (the chunk-index stripper)
-    /// truncate, re-reserve, and rewrite the directory in place.
-    fn truncate(&self, len: u64) -> H5Result<()>;
 }
 
 // ---------------------------------------------------------------------------
@@ -93,20 +89,6 @@ impl FileStorage {
     /// Open an existing file read-only.
     pub fn open(path: impl AsRef<Path>) -> H5Result<Self> {
         let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        Ok(FileStorage {
-            file,
-            cursor: AtomicU64::new(len),
-        })
-    }
-
-    /// Open an existing file for in-place tail rewrites (read + write,
-    /// no truncation on open).
-    pub fn open_rw(path: impl AsRef<Path>) -> H5Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
         let len = file.metadata()?.len();
         Ok(FileStorage {
             file,
@@ -140,12 +122,6 @@ impl Storage for FileStorage {
 
     fn flush(&self) -> H5Result<()> {
         self.file.sync_data()?;
-        Ok(())
-    }
-
-    fn truncate(&self, len: u64) -> H5Result<()> {
-        self.file.set_len(len)?;
-        self.cursor.store(len, Ordering::SeqCst);
         Ok(())
     }
 }
@@ -231,13 +207,6 @@ impl Storage for MemStorage {
     fn flush(&self) -> H5Result<()> {
         Ok(())
     }
-
-    fn truncate(&self, len: u64) -> H5Result<()> {
-        let mut data = self.data.write();
-        data.truncate(len as usize);
-        self.cursor.store(len, Ordering::SeqCst);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -289,17 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_storage_truncate_resets_cursor() {
-        let s = MemStorage::new();
-        let off = s.reserve(8);
-        s.write_at(off, &[7u8; 8]).unwrap();
-        s.truncate(3).unwrap();
-        assert_eq!(s.len().unwrap(), 3);
-        assert_eq!(s.reserved_len(), 3);
-        assert_eq!(s.reserve(2), 3);
-    }
-
-    #[test]
     fn file_storage_roundtrip_and_truncate() {
         let mut path = std::env::temp_dir();
         path.push(format!("h5lite-storage-file-{}", std::process::id()));
@@ -314,10 +272,9 @@ mod tests {
         let mut buf = [0u8; 5];
         r.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"hello");
-        let rw = FileStorage::open_rw(&path).unwrap();
-        rw.truncate(2).unwrap();
-        assert_eq!(rw.len().unwrap(), 2);
-        assert_eq!(rw.reserve(1), 2);
+        // Creating over an existing file truncates it.
+        let fresh = FileStorage::create(&path).unwrap();
+        assert_eq!((fresh.len().unwrap(), fresh.reserved_len()), (0, 0));
         std::fs::remove_file(&path).ok();
     }
 }

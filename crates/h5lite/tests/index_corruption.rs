@@ -1,8 +1,8 @@
 //! Fuzz-lite robustness suite for the container tail — the dataset
 //! directory, the persistent chunk-index section and the footer (mirrors
 //! the `amric` crate's `corruption.rs` style): every malformed tail must
-//! surface as a typed `H5Error` or read as an index-less legacy file —
-//! never a panic, never an absurd allocation.
+//! surface as a typed `H5Error` or read as a container without an index
+//! section — never a panic, never an absurd allocation.
 //!
 //! Runs on [`MemStorage`] images: thousands of mutants open without a
 //! single filesystem write, and a panicking case leaks nothing.
@@ -56,7 +56,6 @@ fn exercise(bytes: &[u8]) {
     if let Ok(r) = open_bytes(bytes.to_vec()) {
         for name in r.dataset_names() {
             let _ = r.chunk_index(name).map(|i| i.cloned());
-            let _ = r.chunk_index_or_scan(name);
             let _ = r.read_dataset(name);
         }
     }
@@ -102,7 +101,7 @@ fn truncated_index_streams_are_typed_errors() {
             Ok(_) => panic!("cut {k}: truncated index must not parse"),
         }
     }
-    // Splicing the whole section out reads as a legacy file.
+    // Splicing the whole section out reads as a container without one.
     let mut stripped = Vec::new();
     stripped.extend_from_slice(&indexed[..span.start]);
     stripped.extend_from_slice(&indexed[span.end..]);

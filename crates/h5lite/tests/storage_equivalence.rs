@@ -2,16 +2,15 @@
 //! mem storage must yield byte-identical **logical** content — same
 //! dataset directory, same stored chunk bytes, same chunk indexes — for
 //! every filter family, for parallel rank writers at 1 and 4 pool
-//! workers, and for indexed, legacy and stripped tails.
+//! workers, and with and without a chunk-index section.
 
 use h5lite::prelude::*;
 use h5lite::testutil::TempDir;
 use rankpar::run_ranks;
 use std::sync::Arc;
 
-/// A backend's name, its writer, and how to open what it wrote (after
-/// stripping the chunk indexes when the flag is set).
-type Backend = (&'static str, H5Writer, Box<dyn Fn(bool) -> H5Reader>);
+/// A backend's name, its writer, and how to open what it wrote.
+type Backend = (&'static str, H5Writer, Box<dyn Fn() -> H5Reader>);
 
 /// Both backends, built fresh inside `dir`.
 fn backends(dir: &TempDir, tag: &str) -> Vec<Backend> {
@@ -22,22 +21,12 @@ fn backends(dir: &TempDir, tag: &str) -> Vec<Backend> {
         (
             "file",
             H5Writer::create(&file_path).unwrap(),
-            Box::new(move |strip| {
-                if strip {
-                    strip_chunk_indexes(&fp).unwrap();
-                }
-                H5Reader::open(&fp).unwrap()
-            }),
+            Box::new(move || H5Reader::open(&fp).unwrap()),
         ),
         (
             "mem",
             mem_w,
-            Box::new(move |strip| {
-                if strip {
-                    h5lite::strip_chunk_indexes_in(&mem).unwrap();
-                }
-                H5Reader::from_storage(Box::new(mem.clone())).unwrap()
-            }),
+            Box::new(move || H5Reader::from_storage(Box::new(mem.clone())).unwrap()),
         ),
     ]
 }
@@ -120,9 +109,7 @@ fn write_serial(w: &H5Writer, with_index: bool) {
 
 #[test]
 fn serial_write_identical_across_backends_indexed_and_legacy() {
-    // The third case runs the downgrade tool on each backend: the tail it
-    // rewrites through the trait must agree too, with no index left.
-    for (with_index, strip) in [(true, false), (false, false), (true, true)] {
+    for with_index in [true, false] {
         let dir = TempDir::new("h5lite-eq-serial");
         let built = backends(&dir, "serial");
         let readers: Vec<(&str, H5Reader)> = built
@@ -130,19 +117,13 @@ fn serial_write_identical_across_backends_indexed_and_legacy() {
             .map(|(kind, w, open)| {
                 write_serial(&w, with_index);
                 drop(w);
-                (kind, open(strip))
+                (kind, open())
             })
             .collect();
         let (_, base) = &readers[0];
-        if strip {
-            assert!(base.chunk_index("eq/aware").unwrap().is_none());
-        }
+        assert_eq!(base.chunk_index("eq/aware").unwrap().is_some(), with_index);
         for (kind, r) in &readers[1..] {
-            assert_logically_identical(
-                base,
-                r,
-                &format!("indexed={with_index} stripped={strip} file vs {kind}"),
-            );
+            assert_logically_identical(base, r, &format!("indexed={with_index} file vs {kind}"));
         }
     }
 }
@@ -193,7 +174,7 @@ fn collective_write_identical_across_backends_and_worker_counts() {
                     collective_write_many(&comm, &wc, &jobs, workers).unwrap();
                 });
                 writer.finish().unwrap();
-                (kind, open(false))
+                (kind, open())
             })
             .collect();
         let (_, base) = &readers[0];
