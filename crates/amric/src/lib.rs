@@ -5,29 +5,25 @@
 //! See README.md at the repository root for the full system inventory and
 //! the experiment index.
 //!
-//! ## The `Codec` API
+//! ## The plug point: the HDF5 filter
 //!
-//! AMRIC is a *framework* hosting several error-bounded compressors, so
-//! the public surface is organized around `sz_codec`'s `Codec` trait:
-//! compress unit blocks into a caller-provided buffer
-//! (`compress_into(&units, &mut out)`), decompress any self-describing
-//! stream back. [`codec`] implements the trait for the four families this
-//! crate owns — [`codec::AmricCodec`] (the full pipeline),
-//! [`codec::TacCodec`], [`codec::ZmeshCodec`], and
-//! [`codec::BaselineCodec`] — and `sz-codec` contributes SZ_L/R and
-//! SZ_Interp. All six share one stream envelope, so
-//! [`codec::decompress_auto`] decodes any stream produced anywhere in the
-//! workspace:
+//! AMRIC plugs its compressor into the I/O library as an HDF5 filter, and
+//! so does this crate: [`writer::AmricFieldFilter`] and
+//! [`temporal::TemporalFieldFilter`] implement `h5lite`'s `ChunkFilter`,
+//! and every writer and reader goes through them. Beneath the filter each
+//! family is a pair of functions over unit blocks — the pipeline's
+//! [`pipeline::compress_field_units`] / [`pipeline::decompress_field_units`]
+//! (with `_into` variants that append to a reused buffer), the TAC
+//! comparator's [`tac::tac_compress`] / [`tac::tac_decompress`] — and every
+//! stream opens with `sz_codec`'s shared envelope:
 //!
 //! ```
 //! use amric::prelude::*;
 //! use sz_codec::prelude::*;
 //!
 //! let units = vec![Buffer3::zeros(Dims3::cube(8)); 4];
-//! let codec = AmricCodec::new(AmricConfig::lr(1e-3), 8);
-//! let mut stream = Vec::new(); // reused across chunks in hot paths
-//! codec.compress_into(&units, &mut stream).unwrap();
-//! assert_eq!(decompress_auto(&stream).unwrap().len(), 4);
+//! let stream = compress_field_units(&units, &AmricConfig::lr(1e-3), 8);
+//! assert_eq!(decompress_field_units(&stream).unwrap().len(), 4);
 //! ```
 //!
 //! Malformed streams fail through the typed `CodecError` hierarchy
@@ -46,10 +42,9 @@
 //! 4. [`writer`]/[`reader`] — the in-situ HDF5-filter path with AMRIC's
 //!    field-major layout and size-aware global chunking;
 //! 5. [`baseline`] — AMReX's stock 1-D small-chunk compression for
-//!    comparison, plus [`tac`] and [`zmesh`] offline comparators.
+//!    comparison, plus the [`tac`] offline comparator.
 
 pub mod baseline;
-pub mod codec;
 pub mod config;
 pub mod pipeline;
 pub mod preprocess;
@@ -58,18 +53,13 @@ pub mod reorganize;
 pub mod tac;
 pub mod temporal;
 pub mod writer;
-pub mod zmesh;
 
-pub use codec::{decompress_auto, default_registry};
 pub use config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
 pub use pipeline::{stream_unit_bounds, ResolvedBound};
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::baseline::{write_amrex_baseline, write_nocomp};
-    pub use crate::codec::{
-        decompress_auto, default_registry, AmricCodec, BaselineCodec, TacCodec, ZmeshCodec,
-    };
     pub use crate::config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
     pub use crate::pipeline::{
         compress_field_units, compress_field_units_resolved_into,

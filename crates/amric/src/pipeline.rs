@@ -5,7 +5,7 @@ use crate::config::{AmricConfig, BoundPolicy, MergePolicy};
 use crate::preprocess::unit_activity;
 use crate::reorganize::{cluster_pack, cluster_place, linear_merge, linear_place, ClusterGrid};
 use sz_codec::buffer3::place_unit;
-use sz_codec::codec::{expect_envelope, write_envelope, StreamInfo, FLAG_UNIT_BOUNDS};
+use sz_codec::codec::{expect_envelope, write_envelope, FLAG_UNIT_BOUNDS};
 use sz_codec::prelude::*;
 use sz_codec::wire::{Reader, Writer};
 
@@ -15,8 +15,8 @@ const VERSION: u8 = 1;
 /// Reusable compression scratch for the pipeline hot path: the SZ_L/R
 /// encode scratch, which every stream mode that quantizes through SZ_L/R
 /// reuses so repeated `*_into` calls stop paying per-call allocations.
-/// One per writer rank is enough; [`compress_field_units`] and the
-/// `&self` faces borrow the calling thread's.
+/// One per writer rank is enough; [`compress_field_units`] and the chunk
+/// filter borrow the calling thread's.
 pub type AmricScratch = LrScratch;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,7 +129,7 @@ pub fn resolve_abs_eb<U: AsView3>(units: &[U], rel_eb: f64) -> f64 {
 }
 
 /// Value range across a unit set (0.0 for constant or empty sets).
-pub(crate) fn local_range<U: AsView3>(units: &[U]) -> f64 {
+fn local_range<U: AsView3>(units: &[U]) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for u in units {
@@ -145,17 +145,17 @@ pub(crate) fn local_range<U: AsView3>(units: &[U]) -> f64 {
 }
 
 /// [`compress_field_units_resolved_into`] on the calling thread's encode
-/// scratch — for the `&self` faces of the pipeline (the `Codec` and
-/// `ChunkFilter` impls) that cannot thread an explicit scratch through.
-/// Rank threads and pool workers are all threads, so every concurrent
-/// encoder gets its own.
+/// scratch — for the `&self` face of the pipeline (the AMRIC
+/// `ChunkFilter`) and [`compress_field_units`], which cannot thread an
+/// explicit scratch through. Rank threads and pool workers are all
+/// threads, so every concurrent encoder gets its own.
 pub(crate) fn compress_on_thread_scratch<U: AsView3>(
     units: &[U],
     cfg: &AmricConfig,
     unit_edge: usize,
     bound: ResolvedBound,
     out: &mut Vec<u8>,
-) -> StreamInfo {
+) {
     lr::with_thread_scratch(|scratch| {
         compress_field_units_resolved_into(units, cfg, unit_edge, bound, scratch, out)
     })
@@ -193,7 +193,7 @@ pub fn compress_field_units_resolved_into<U: AsView3>(
     bound: ResolvedBound,
     scratch: &mut AmricScratch,
     out: &mut Vec<u8>,
-) -> StreamInfo {
+) {
     match bound {
         ResolvedBound::Fixed(abs_eb) => {
             compress_field_units_with_bound_into(units, cfg, unit_edge, abs_eb, scratch, out)
@@ -222,8 +222,7 @@ fn compress_adaptive_into<U: AsView3>(
     loose: f64,
     scratch: &mut AmricScratch,
     out: &mut Vec<u8>,
-) -> StreamInfo {
-    let start = out.len();
+) {
     let rough = classify_units(units);
     let mut w = Writer::from_vec(std::mem::take(out));
     write_envelope(&mut w, CodecId::AmricPipeline, VERSION, FLAG_UNIT_BOUNDS);
@@ -256,12 +255,6 @@ fn compress_adaptive_into<U: AsView3>(
         lr::compress_domains_into(&loose_units, &lr_cfg, scratch, w.buf_mut());
     }
     *out = w.into_bytes();
-    StreamInfo {
-        codec: CodecId::AmricPipeline,
-        bytes: out.len() - start,
-        units: units.len(),
-        cells: units.iter().map(|u| u.view().dims().len()).sum(),
-    }
 }
 
 /// Compress one field's unit blocks with an explicit absolute error
@@ -274,19 +267,13 @@ pub fn compress_field_units_with_bound_into<U: AsView3>(
     abs_eb: f64,
     scratch: &mut AmricScratch,
     out: &mut Vec<u8>,
-) -> StreamInfo {
-    let start = out.len();
+) {
     let mut w = Writer::from_vec(std::mem::take(out));
     write_envelope(&mut w, CodecId::AmricPipeline, VERSION, 0);
     if units.is_empty() {
         w.put_u8(Mode::Empty as u8);
         *out = w.into_bytes();
-        return StreamInfo {
-            codec: CodecId::AmricPipeline,
-            bytes: out.len() - start,
-            units: 0,
-            cells: 0,
-        };
+        return;
     }
     let mode = select_mode(cfg, units);
     w.put_u8(mode as u8);
@@ -328,12 +315,6 @@ pub fn compress_field_units_with_bound_into<U: AsView3>(
         Mode::Empty => unreachable!("handled above"),
     }
     *out = w.into_bytes();
-    StreamInfo {
-        codec: CodecId::AmricPipeline,
-        bytes: out.len() - start,
-        units: units.len(),
-        cells: units.iter().map(|u| u.view().dims().len()).sum(),
-    }
 }
 
 /// Pick the stream mode the configuration implies, with safe fallbacks

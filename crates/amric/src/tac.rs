@@ -37,21 +37,12 @@ pub fn morton3(p: &IntVect) -> u128 {
 /// Compress unit blocks TAC-style: Morton-sort by origin, group, linearly
 /// merge each group, stock SZ_L/R per group.
 pub fn tac_compress(units: &[Buffer3], origins: &[IntVect], rel_eb: f64) -> Vec<u8> {
-    let mut out = Vec::new();
-    tac_compress_into(units, origins, rel_eb, &mut out);
-    out
-}
-
-/// Compress unit blocks TAC-style, **appending** the stream to `out`
-/// (the buffer-reusing variant of [`tac_compress`]).
-pub fn tac_compress_into(units: &[Buffer3], origins: &[IntVect], rel_eb: f64, out: &mut Vec<u8>) {
     assert_eq!(units.len(), origins.len());
-    let mut w = Writer::from_vec(std::mem::take(out));
+    let mut w = Writer::new();
     write_envelope(&mut w, CodecId::Tac, VERSION, 0);
     w.put_u32(units.len() as u32);
     if units.is_empty() {
-        *out = w.into_bytes();
-        return;
+        return w.into_bytes();
     }
     let abs_eb = crate::pipeline::resolve_abs_eb(units, rel_eb);
     // Spatial ordering.
@@ -95,7 +86,7 @@ pub fn tac_compress_into(units: &[Buffer3], origins: &[IntVect], rel_eb: f64, ou
         // Separate SZ call per group — the black-box behaviour.
         w.put_block(&lr::compress(&merged, &cfg));
     }
-    *out = w.into_bytes();
+    w.into_bytes()
 }
 
 /// Decompress a TAC stream back to units in the original input order.

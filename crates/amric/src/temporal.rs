@@ -27,10 +27,10 @@
 //! * the small `meta/temporal` dataset stores
 //!   `[snapshot_id, reference_id]` for the whole file (0 = none).
 //!
-//! `decompress_auto` keeps working stream-by-stream: spatial-only
-//! temporal streams are self-contained, and delta streams fail with a
-//! typed error naming the missing reference rather than decoding wrong
-//! data (see the `sz_codec::temporal` module docs).
+//! Spatial-only temporal streams are self-contained, and delta streams
+//! decoded without their reference fail with a typed error naming it
+//! rather than decoding wrong data (see the `sz_codec::temporal` module
+//! docs).
 
 use crate::preprocess::{
     extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent, UnitRef,
@@ -49,7 +49,7 @@ use std::time::Instant;
 use sz_codec::buffer3::place_unit;
 use sz_codec::codec::CodecId;
 use sz_codec::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
-use sz_codec::{AsView3, Buffer3, Codec, CodecResult};
+use sz_codec::{AsView3, Buffer3, CodecResult};
 
 /// Filter id for the temporal delta filter (registered like the AMRIC
 /// filter, outside h5lite's built-in registry).
@@ -170,11 +170,11 @@ fn encode_stream(
 ) -> CodecResult<(EncodedFrame, Vec<Buffer3>, bool)> {
     let t0 = Instant::now();
     let mut bytes = Vec::new();
-    let (_, mut decoded) = TemporalCodec::spatial(tcfg).compress_with_state(bufs, &mut bytes)?;
+    let mut decoded = TemporalCodec::spatial(tcfg).compress_with_state(bufs, &mut bytes)?;
     let mut shipped_delta = false;
     if let Some((reference, unit_refs)) = delta {
         let mut delta_bytes = Vec::new();
-        let (_, delta_decoded) = TemporalCodec::with_reference(tcfg, reference, unit_refs)
+        let delta_decoded = TemporalCodec::with_reference(tcfg, reference, unit_refs)
             .compress_with_state(bufs, &mut delta_bytes)?;
         if delta_bytes.len() < bytes.len() {
             bytes = delta_bytes;
@@ -659,11 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn decompress_auto_handles_every_stream_given_reference() {
-        // Acceptance criterion: every temporal stream round-trips bitwise
-        // through decompress_auto given its reference — a registry with
-        // the right reference installed returns exactly what the session
-        // reader reconstructs.
+    fn every_stream_decodes_given_its_reference() {
+        // Every temporal stream round-trips bitwise given its reference: a
+        // decoder with the right reference installed returns exactly what
+        // the session reader reconstructs.
         let series = write_series(0.02, 2, 1e-3);
         let (_, state0) = read_temporal_hierarchy(&series[0].1, None).unwrap();
         let (pf1, _) = read_temporal_hierarchy(&series[1].1, Some(&state0)).unwrap();
@@ -675,11 +674,10 @@ mod tests {
                 let nchunks = reader.meta(&name).unwrap().chunks.len();
                 for rank in 0..nchunks {
                     let raw = reader.read_chunk_raw(&name, rank).unwrap();
-                    let mut reg = crate::codec::default_registry();
-                    reg.register(Box::new(TemporalCodec::decoder_with(
-                        state0.refs[&(l, rank, f)].clone(),
-                    )));
-                    let units = reg.decompress_auto(&raw).unwrap();
+                    let reference = state0.refs[&(l, rank, f)].clone();
+                    let units = TemporalCodec::decoder_with(reference)
+                        .decompress(&raw)
+                        .unwrap();
                     // Bitwise parity with the session reader's scatter.
                     let plan = &pf1.unit_plans[l][rank];
                     for (u, p) in units.iter().zip(plan) {

@@ -62,18 +62,19 @@ impl AmricFieldFilter {
 
 /// Flatten decoded unit blocks back into the chunk payload a generic
 /// `ChunkFilter::decode` caller expects (exactly `n_elems` values).
+/// `n_elems` is the directory's record, so a stream holding any other
+/// count contradicts the file.
 pub(crate) fn flatten_units(units: &[Buffer3], n_elems: usize) -> H5Result<Vec<f64>> {
+    let held: usize = units.iter().map(|u| u.dims().len()).sum();
+    if held != n_elems {
+        return Err(H5Error::Format(format!(
+            "chunk decoded {held} elems, chunk record says {n_elems}"
+        )));
+    }
     let mut out = Vec::with_capacity(n_elems);
     for u in units {
         out.extend_from_slice(u.data());
     }
-    if out.len() < n_elems {
-        return Err(H5Error::Format(format!(
-            "chunk decoded {} elems, need {n_elems}",
-            out.len()
-        )));
-    }
-    out.truncate(n_elems);
     Ok(out)
 }
 
@@ -545,6 +546,11 @@ mod tests {
         let range = chunk.len() as f64 * 0.01;
         for (o, r) in chunk.iter().zip(&dec) {
             assert!((o - r).abs() <= 1e-3 * range + 1e-12);
+        }
+        // A chunk record that contradicts its stream is a format error
+        // either way, never a silent cut.
+        for n in [chunk.len() - 1, chunk.len() + 1] {
+            assert!(matches!(filter.decode(&enc, n), Err(H5Error::Format(_))));
         }
     }
 

@@ -2,12 +2,10 @@
 //! `AmricConfig` must move the metrics in the direction the paper claims,
 //! on data where the mechanism applies.
 
-use amr_apps::prelude::*;
 use amr_mesh::IntVect;
 use amric::config::{AmricConfig, MergePolicy};
 use amric::pipeline::{compress_field_units, decompress_field_units};
 use amric::tac::{tac_compress, tac_decompress};
-use amric::zmesh;
 use sz_codec::prelude::*;
 
 /// Unit blocks with strong per-unit offsets (discontiguous sampling).
@@ -107,30 +105,6 @@ fn tac_stream_smaller_than_per_unit_but_larger_than_amric() {
     // And TAC roundtrips.
     let back = tac_decompress(&tac_compress(&units, &origins, 1e-3)).unwrap();
     assert_eq!(back.len(), units.len());
-}
-
-#[test]
-fn zmesh_bound_holds_across_fields() {
-    let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let h = build_hierarchy(&NyxScenario::new(77), &cfg, 0.0);
-    for field in 0..3 {
-        let stream = zmesh::zmesh_compress(&h, field, 1e-3);
-        let back = zmesh::zmesh_decompress(&h, field, &stream).unwrap();
-        let reference = zmesh::zmesh_reference(&h, field);
-        let stats = ErrorStats::compare(&reference, &back);
-        assert!(
-            stats.max_abs_err <= 1e-3 * stats.value_range * (1.0 + 1e-9),
-            "field {field}"
-        );
-    }
 }
 
 #[test]

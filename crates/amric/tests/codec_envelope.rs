@@ -1,11 +1,11 @@
-//! The unified-envelope contract: every codec family in the workspace
-//! writes the shared 8-byte envelope, `decompress_auto` dispatches any of
-//! their streams without out-of-band context, and malformed streams fail
-//! with the *specific* [`CodecError`] variant — not just "is_err".
+//! The shared-envelope contract: every codec family writes the same 8-byte
+//! envelope naming itself, each family's own decoder restores its streams,
+//! and malformed streams fail with the *specific* [`CodecError`] variant —
+//! not just "is_err" — whichever of the five decoders they reach.
 
 use amr_mesh::IntVect;
-use amric::config::{AmricConfig, BaselineConfig};
 use amric::prelude::*;
+use amric::tac::{tac_compress, tac_decompress};
 use sz_codec::codec::{read_envelope, ENVELOPE_MAGIC};
 use sz_codec::prelude::*;
 
@@ -30,114 +30,117 @@ fn origins(n: usize, edge: usize) -> Vec<IntVect> {
         .collect()
 }
 
-/// One compressor instance per codec id, covering all six families.
-fn all_codecs(n: usize, edge: usize) -> Vec<Box<dyn Codec>> {
-    vec![
-        Box::new(LrCodec::new(LrConfig::new(1e-3))),
-        Box::new(InterpCodec::new(InterpConfig::new(1e-3))),
-        Box::new(AmricCodec::new(AmricConfig::lr(1e-3), edge)),
-        Box::new(TacCodec::new(1e-3, origins(n, edge))),
-        Box::new(ZmeshCodec::new(1e-3, origins(n, edge))),
-        Box::new(BaselineCodec::new(BaselineConfig::new(1e-3))),
+/// One surviving family: the id its envelope carries and its own encode /
+/// decode pair, both at a value-range-relative bound of 1e-3.
+struct Family {
+    id: CodecId,
+    encode: fn(&[Buffer3]) -> Vec<u8>,
+    decode: fn(&[u8]) -> CodecResult<Vec<Buffer3>>,
+}
+
+fn families() -> [Family; 5] {
+    [
+        Family {
+            id: CodecId::LrSle,
+            encode: |u| lr::compress_domains(u, &LrConfig::new(resolve_abs_eb(u, 1e-3))),
+            decode: lr::decompress_domains,
+        },
+        Family {
+            // SZ_Interp holds one buffer per stream: the first unit.
+            id: CodecId::Interp,
+            encode: |u| interp::compress(&u[0], &InterpConfig::new(resolve_abs_eb(u, 1e-3))),
+            decode: |b| interp::decompress(b).map(|u| vec![u]),
+        },
+        Family {
+            id: CodecId::AmricPipeline,
+            encode: |u| compress_field_units(u, &AmricConfig::lr(1e-3), u[0].dims().nx),
+            decode: decompress_field_units,
+        },
+        Family {
+            id: CodecId::Tac,
+            encode: |u| tac_compress(u, &origins(u.len(), u[0].dims().nx), 1e-3),
+            decode: tac_decompress,
+        },
+        Family {
+            id: CodecId::Temporal,
+            encode: |u| {
+                let cfg = TemporalConfig::new(resolve_abs_eb(u, 1e-3));
+                let mut out = Vec::new();
+                TemporalCodec::spatial(cfg)
+                    .compress_with_state(u, &mut out)
+                    .expect("spatial temporal encode");
+                out
+            },
+            decode: |b| TemporalCodec::decoder().decompress(b),
+        },
     ]
 }
 
 #[test]
 fn dispatch_matrix_roundtrips_every_family() {
-    // One stream per codec id, decoded twice: through the producing codec
-    // and through the registry's auto-dispatch. Both must restore the
-    // units exactly alike, and the envelope must name the right family.
+    // One stream per family: the envelope names the family that wrote it,
+    // and the family's own decoder restores the units within the bound.
     let u = units(6, 8);
     let abs = resolve_abs_eb(&u, 1e-3);
     let mut seen = Vec::new();
-    for codec in all_codecs(6, 8) {
-        let mut stream = Vec::new();
-        let info = codec.compress_into(&u, &mut stream).unwrap();
-        assert_eq!(info.codec, codec.id());
-        assert_eq!(info.bytes, stream.len());
-        assert_eq!(info.units, 6);
-        assert_eq!(info.cells, 6 * 512);
-
+    for f in families() {
+        let stream = (f.encode)(&u);
         let env = read_envelope(&stream).unwrap();
-        assert_eq!(env.codec, codec.id() as u16, "{}", codec.id().name());
+        assert_eq!(env.codec, f.id as u16, "{}", f.id.name());
         seen.push(env.codec);
 
-        let direct = codec.decompress(&stream).unwrap();
-        let auto = decompress_auto(&stream).unwrap();
-        assert_eq!(direct.len(), 6);
-        assert_eq!(auto.len(), 6);
-        for ((o, d), a) in u.iter().zip(&direct).zip(&auto) {
+        let back = (f.decode)(&stream).unwrap();
+        let n = if f.id == CodecId::Interp { 1 } else { u.len() };
+        let expected = &u[..n];
+        assert_eq!(back.len(), expected.len(), "{}", f.id.name());
+        for (o, d) in expected.iter().zip(&back) {
             assert_eq!(o.dims(), d.dims());
-            assert_eq!(d.data(), a.data(), "{}: auto ≠ direct", codec.id().name());
             let s = ErrorStats::compare(o.data(), d.data());
-            // The baseline resolves REL per 1024-elem chunk whose range
-            // can only be ≤ the global range, so `abs` bounds all six.
             assert!(
                 s.max_abs_err <= abs * (1.0 + 1e-9),
                 "{}: max err {}",
-                codec.id().name(),
+                f.id.name(),
                 s.max_abs_err
             );
         }
     }
-    seen.sort_unstable();
-    assert_eq!(seen, vec![1, 2, 3, 4, 5, 6], "all six ids exercised");
-}
-
-#[test]
-fn registry_covers_all_seven_ids() {
-    let reg = default_registry();
-    let mut ids: Vec<u16> = reg.ids().iter().map(|&i| i as u16).collect();
-    ids.sort_unstable();
-    assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(seen, vec![1, 2, 3, 4, 7], "all five ids exercised");
 }
 
 #[test]
 fn truncation_is_reported_as_truncated() {
     // Cutting inside the envelope header must surface the Truncated
     // variant (with honest need/have accounting), for every family.
-    for codec in all_codecs(4, 8) {
-        let stream = codec.compress(&units(4, 8)).unwrap();
+    for f in families() {
+        let stream = (f.encode)(&units(4, 8));
         for cut in [0, 1, 5, 7] {
-            let err = decompress_auto(&stream[..cut]).unwrap_err();
+            let err = (f.decode)(&stream[..cut]).unwrap_err();
             assert!(
                 matches!(err, CodecError::Truncated { .. }),
                 "{} cut at {cut}: {err:?}",
-                codec.id().name()
+                f.id.name()
             );
         }
         // An empty input is the degenerate truncation.
-        let err = codec.decompress(&[]).unwrap_err();
+        let err = (f.decode)(&[]).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { have: 0, .. }));
     }
 }
 
 #[test]
 fn wrong_magic_is_reported_as_bad_magic() {
-    for codec in all_codecs(4, 8) {
-        let mut stream = codec.compress(&units(4, 8)).unwrap();
+    for f in families() {
+        let mut stream = (f.encode)(&units(4, 8));
         stream[0] ^= 0xFF;
         let found = u32::from_le_bytes(stream[..4].try_into().unwrap());
         assert_ne!(found, ENVELOPE_MAGIC);
-        let err = decompress_auto(&stream).unwrap_err();
+        let err = (f.decode)(&stream).unwrap_err();
         assert!(
             matches!(err, CodecError::BadMagic { found: f } if f == found),
             "{}: {err:?}",
-            codec.id().name()
+            f.id.name()
         );
     }
-}
-
-#[test]
-fn unknown_codec_id_is_reported_as_unknown_codec() {
-    let mut stream = LrCodec::default().compress(&units(3, 8)).unwrap();
-    // Patch the envelope's codec id (bytes 4..6) to an unregistered value.
-    stream[4..6].copy_from_slice(&999u16.to_le_bytes());
-    let err = decompress_auto(&stream).unwrap_err();
-    assert!(
-        matches!(err, CodecError::UnknownCodec { id: 999 }),
-        "{err:?}"
-    );
 }
 
 #[test]
@@ -148,59 +151,37 @@ fn bad_amric_mode_is_reported_as_bad_mode() {
     stream[8] = 9;
     let err = decompress_field_units(&stream).unwrap_err();
     assert!(matches!(err, CodecError::BadMode { found: 9 }), "{err:?}");
-    let err = decompress_auto(&stream).unwrap_err();
-    assert!(matches!(err, CodecError::BadMode { found: 9 }), "{err:?}");
 }
 
 #[test]
 fn wrong_family_decoder_is_reported_as_wrong_codec() {
-    // Handing an interp stream to the LR decoder (and vice versa) is a
-    // typed family mismatch naming both sides, not a parse explosion and
-    // not a bogus "unregistered id" report.
-    let lr_stream = LrCodec::default().compress(&units(3, 8)).unwrap();
-    let err = InterpCodec::default().decompress(&lr_stream).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            CodecError::WrongCodec {
-                expected: 2,
-                found: 1
-            }
-        ),
-        "{err:?}"
-    );
-    let interp_stream = InterpCodec::default().compress(&units(3, 8)).unwrap();
-    let err = LrCodec::default().decompress(&interp_stream).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            CodecError::WrongCodec {
-                expected: 1,
-                found: 2
-            }
-        ),
-        "{err:?}"
-    );
-}
-
-#[test]
-fn hierarchy_zmesh_stream_dispatches_too() {
-    // The hierarchy-level zMesh writer shares the envelope: its streams
-    // decode through the registry into the locality-ordered 1-D buffer.
-    use amr_apps::prelude::*;
-    let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let h = build_hierarchy(&NyxScenario::new(5), &cfg, 0.0);
-    let bytes = amric::zmesh::zmesh_compress(&h, 0, 1e-3);
-    let decoded = decompress_auto(&bytes).unwrap();
-    let reference = amric::zmesh::zmesh_reference(&h, 0);
-    assert_eq!(decoded.len(), 1);
-    assert_eq!(decoded[0].dims().len(), reference.len());
+    // Every family's stream handed to every other family's decoder is a
+    // typed mismatch naming both sides, not a parse explosion — both ways
+    // round for each pair.
+    let u = units(3, 8);
+    for writer in families() {
+        let stream = (writer.encode)(&u);
+        for reader in families().into_iter().filter(|r| r.id != writer.id) {
+            let err = (reader.decode)(&stream).unwrap_err();
+            assert_eq!(
+                err,
+                CodecError::WrongCodec {
+                    expected: reader.id as u16,
+                    found: writer.id as u16
+                },
+                "{} stream to the {} decoder",
+                writer.id.name(),
+                reader.id.name()
+            );
+        }
+        // Ids 5 and 6 are retired: no decoder takes them either.
+        for retired in [5u16, 6] {
+            let mut forged = stream.clone();
+            forged[4..6].copy_from_slice(&retired.to_le_bytes());
+            assert!(matches!(
+                (writer.decode)(&forged),
+                Err(CodecError::WrongCodec { found, .. }) if found == retired
+            ));
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Fuzz-lite robustness suite for the self-describing wire formats.
 //!
 //! Every decoder must be total over `&[u8]`: corrupted or truncated
-//! AMRIC, TAC, and zMesh streams (and the underlying SZ_L/R / SZ_Interp
+//! AMRIC and TAC streams (and the underlying SZ_L/R / SZ_Interp
 //! containers) return `Err` — they never panic, never assert, and never
 //! let a flipped length field drive an absurd allocation. The tests
 //! derive corrupt inputs from valid streams by truncation and byte
@@ -11,7 +11,6 @@
 //! total over forged `meta/*` datasets, and the writer refuses a
 //! hierarchy its own reader could not load.
 
-use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amric::config::AmricConfig;
 use amric::pipeline::{compress_field_units, decompress_field_units};
@@ -20,7 +19,6 @@ use amric::reader::{
 };
 use amric::tac::{tac_compress, tac_decompress};
 use amric::writer::{write_amric, write_amric_to};
-use amric::zmesh::{zmesh_compress, zmesh_decompress};
 use amric::MergePolicy;
 use h5lite::prelude::*;
 use std::sync::Arc;
@@ -132,22 +130,6 @@ fn tac_stream_total() {
     let o = origins(20, 8);
     let bytes = tac_compress(&u, &o, 1e-3);
     assault("tac", &bytes, tac_decompress);
-}
-
-#[test]
-fn zmesh_stream_total() {
-    let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let h = build_hierarchy(&NyxScenario::new(3), &cfg, 0.0);
-    let bytes = zmesh_compress(&h, 0, 1e-3);
-    assault("zmesh", &bytes, |b| zmesh_decompress(&h, 0, b));
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Golden-stream corpus: small fixed inputs compressed through every
-//! codec family, with the expected stream bytes committed under
+//! stream shape a file, a bin or the benchmark writes — SZ_L/R, bare
+//! SZ_Interp, the four AMRIC pipeline modes and its empty marker, and TAC —
+//! with the expected stream bytes committed under
 //! `tests/golden/`. Kernel rewrites (vectorization, cache blocking,
 //! fused passes) must keep every stream byte-identical to the scalar
 //! baseline these files were generated from — any diff here is a format
@@ -14,12 +16,9 @@
 //! `AMRIC_GOLDEN_BLESS=1 cargo test -p amric --test golden_streams`.
 
 use amr_mesh::geom::IntVect;
-use amric::codec::{AmricCodec, BaselineCodec, TacCodec, ZmeshCodec};
 use amric::prelude::*;
+use amric::tac::{tac_compress, tac_decompress};
 use std::path::PathBuf;
-use sz_codec::codec::Codec;
-use sz_codec::interp::InterpCodec;
-use sz_codec::lr::LrCodec;
 use sz_codec::prelude::*;
 
 /// Deterministic LCG in [-0.5, 0.5).
@@ -48,8 +47,8 @@ fn units(n: usize, dims: Dims3, seed: u64) -> Vec<Buffer3> {
 }
 
 fn origins(n: usize) -> Vec<IntVect> {
-    // Scattered (non-contiguous) origins so TAC's Morton grouping and
-    // zMesh's locality ordering both do real work.
+    // Scattered (non-contiguous) origins so TAC's Morton grouping does
+    // real work.
     (0..n)
         .map(|u| {
             let u = u as i64;
@@ -87,10 +86,16 @@ fn decoded_digest(units: &[Buffer3]) -> u64 {
 }
 
 /// Compare `bytes` against the committed golden file (or rewrite it when
-/// blessing), then prove the stream still round-trips through
-/// `decompress_auto` within the error bound and to exactly the committed
-/// decoded values.
-fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
+/// blessing), then prove the stream still round-trips through its
+/// family's own `decode` within the error bound and to exactly the
+/// committed decoded values.
+fn check(
+    name: &str,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> CodecResult<Vec<Buffer3>>,
+    orig: &[Buffer3],
+    abs_eb: f64,
+) {
     let path = golden_dir().join(format!("{name}.bin"));
     let digest_path = golden_dir().join(format!("{name}.digest"));
     let bless = std::env::var("AMRIC_GOLDEN_BLESS").is_ok();
@@ -116,7 +121,7 @@ fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
         panic!("{name}: stream bytes diverge from golden at offset {first_diff}");
     }
     // Sanity: the pinned stream is decodable and within bound.
-    let back = decompress_auto(bytes).expect("golden stream decodes");
+    let back = decode(bytes).expect("golden stream decodes");
     assert_eq!(back.len(), orig.len(), "{name}: unit count");
     for (o, b) in orig.iter().zip(&back) {
         assert_eq!(o.dims(), b.dims(), "{name}: dims");
@@ -144,9 +149,16 @@ fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
     );
 }
 
-fn compress_with(codec: &dyn Codec, units: &[Buffer3]) -> Vec<u8> {
+/// SZ_Interp holds one buffer per stream.
+fn interp_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+    interp::decompress(bytes).map(|u| vec![u])
+}
+
+/// The pipeline stream the writer's filter emits at a resolved bound.
+fn pipeline(units: &[Buffer3], cfg: &AmricConfig, abs_eb: f64) -> Vec<u8> {
     let mut out = Vec::new();
-    codec.compress_into(units, &mut out).expect("compress");
+    let scratch = &mut AmricScratch::default();
+    compress_field_units_with_bound_into(units, cfg, 8, abs_eb, scratch, &mut out);
     out
 }
 
@@ -154,8 +166,8 @@ fn compress_with(codec: &dyn Codec, units: &[Buffer3]) -> Vec<u8> {
 fn golden_lr_sle() {
     let u = units(6, Dims3::cube(10), 0xA001);
     let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = LrCodec::new(LrConfig::new(abs));
-    check("lr_sle", &compress_with(&codec, &u), &u, abs);
+    let stream = lr::compress_domains(&u, &LrConfig::new(abs));
+    check("lr_sle", &stream, lr::decompress_domains, &u, abs);
 }
 
 #[test]
@@ -166,24 +178,16 @@ fn golden_lr_ragged() {
     u.extend(units(1, Dims3::new(8, 8, 3), 0xA003));
     u.extend(units(1, Dims3::new(5, 7, 8), 0xA004));
     let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = LrCodec::new(LrConfig::new(abs));
-    check("lr_ragged", &compress_with(&codec, &u), &u, abs);
+    let stream = lr::compress_domains(&u, &LrConfig::new(abs));
+    check("lr_ragged", &stream, lr::decompress_domains, &u, abs);
 }
 
 #[test]
 fn golden_interp() {
     let u = units(1, Dims3::new(17, 12, 9), 0xB001);
     let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = InterpCodec::new(InterpConfig::new(abs));
-    check("interp", &compress_with(&codec, &u), &u, abs);
-}
-
-#[test]
-fn golden_interp_multi() {
-    let u = units(3, Dims3::cube(9), 0xB002);
-    let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = InterpCodec::new(InterpConfig::new(abs));
-    check("interp_multi", &compress_with(&codec, &u), &u, abs);
+    let stream = interp::compress(&u[0], &InterpConfig::new(abs));
+    check("interp", &stream, interp_units, &u, abs);
 }
 
 #[test]
@@ -204,8 +208,8 @@ fn golden_pipeline_modes() {
         ),
     ];
     for (name, cfg) in cases {
-        let codec = AmricCodec::with_bound(cfg, 8, abs);
-        check(name, &compress_with(&codec, &u), &u, abs);
+        let stream = pipeline(&u, &cfg, abs);
+        check(name, &stream, decompress_field_units, &u, abs);
     }
 }
 
@@ -213,34 +217,14 @@ fn golden_pipeline_modes() {
 fn golden_tac() {
     let u = units(6, Dims3::cube(8), 0xD001);
     let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = TacCodec::new(1e-3, origins(6));
-    check("tac", &compress_with(&codec, &u), &u, abs);
-}
-
-#[test]
-fn golden_zmesh() {
-    let u = units(6, Dims3::cube(8), 0xE001);
-    let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = ZmeshCodec::new(1e-3, origins(6));
-    check("zmesh", &compress_with(&codec, &u), &u, abs);
-}
-
-#[test]
-fn golden_amrex_baseline() {
-    let u = units(4, Dims3::cube(8), 0xF001);
-    let abs = resolve_abs_eb(&u, 1e-3);
-    let codec = BaselineCodec::new(BaselineConfig::new(1e-3));
-    check("amrex_baseline", &compress_with(&codec, &u), &u, abs);
+    let stream = tac_compress(&u, &origins(6), 1e-3);
+    check("tac", &stream, tac_decompress, &u, abs);
 }
 
 #[test]
 fn golden_empty_streams() {
-    // Zero-unit streams are format too.
-    let abs = 1e-3;
-    let lr = LrCodec::new(LrConfig::new(abs));
-    check("lr_empty", &compress_with(&lr, &[]), &[], abs);
-    let interp = InterpCodec::new(InterpConfig::new(abs));
-    check("interp_empty", &compress_with(&interp, &[]), &[], abs);
-    let pipe = AmricCodec::with_bound(AmricConfig::lr(1e-3), 8, abs);
-    check("pipeline_empty", &compress_with(&pipe, &[]), &[], abs);
+    // The zero-unit pipeline stream (a rank with no units on a level) is
+    // format too.
+    let stream = pipeline(&[], &AmricConfig::lr(1e-3), 1e-3);
+    check("pipeline_empty", &stream, decompress_field_units, &[], 1e-3);
 }

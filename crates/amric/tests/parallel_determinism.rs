@@ -1,24 +1,28 @@
 //! Determinism matrix for compression on the write engine's pool
 //! (`rankpar::pool::for_each_ordered`): for every codec family × worker
 //! count × chunk count, the streams the pool hands back must be
-//! **byte-identical** to the serial `compress_into` path, and every
-//! stream must round-trip through `decompress_auto`.
+//! **byte-identical** to the serial path, and every stream must
+//! round-trip through its family's own decoder.
 //!
 //! This is the invariant that makes the overlapped write path safe to
 //! ship: turning on `with_workers(n)` may change wall-clock, never bytes.
 
 use amr_mesh::prelude::IntVect;
-use amric::codec::{AmricCodec, BaselineCodec, TacCodec, ZmeshCodec};
 use amric::prelude::*;
+use amric::tac::{tac_compress, tac_decompress};
 use rankpar::pool::for_each_ordered;
-use sz_codec::codec::Codec;
 use sz_codec::prelude::*;
 
-/// Compress each chunk through `codec` on a pool of `workers` threads —
+/// A family's encoder over one chunk's units.
+type Encode = Box<dyn Fn(&[Buffer3]) -> CodecResult<Vec<u8>> + Sync>;
+/// A family's decoder back to units.
+type Decode = fn(&[u8]) -> CodecResult<Vec<Buffer3>>;
+
+/// Compress each chunk through `encode` on a pool of `workers` threads —
 /// exactly how the write engine drives its filters — returning one stream
 /// per chunk in submission order.
 fn compress_chunks_on_pool(
-    codec: &dyn Codec,
+    encode: &(dyn Fn(&[Buffer3]) -> CodecResult<Vec<u8>> + Sync),
     chunks: &[Vec<Buffer3>],
     workers: usize,
 ) -> CodecResult<Vec<Vec<u8>>> {
@@ -28,11 +32,7 @@ fn compress_chunks_on_pool(
         workers,
         workers.max(1) * 2,
         || (),
-        |_state, _i, units| {
-            let mut out = Vec::new();
-            codec.compress_into(units, &mut out)?;
-            Ok(out)
-        },
+        |_state, _i, units| encode(units),
         |_i, stream| {
             streams.push(stream);
             Ok(())
@@ -41,7 +41,7 @@ fn compress_chunks_on_pool(
     Ok(streams)
 }
 
-/// Units per chunk — fixed because TAC/zMesh carry one origin per unit.
+/// Units per chunk — fixed because TAC carries one origin per unit.
 const UNITS_PER_CHUNK: usize = 3;
 const EDGE: usize = 6;
 
@@ -71,51 +71,62 @@ fn origins() -> Vec<IntVect> {
         .collect()
 }
 
-/// Every codec family in the workspace, behind the unified trait.
-fn families() -> Vec<(&'static str, Box<dyn Codec>)> {
+/// The pipeline stream at a locally resolved bound.
+fn amric(cfg: AmricConfig) -> Encode {
+    Box::new(move |u| Ok(compress_field_units(u, &cfg, EDGE)))
+}
+
+fn temporal_decode(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+    TemporalCodec::decoder().decompress(bytes)
+}
+
+/// Every family a chunk is stored through, as `(name, encode, decode)`.
+fn families() -> Vec<(&'static str, Encode, Decode)> {
     vec![
         (
             "sz-lr",
-            Box::new(sz_codec::lr::LrCodec::new(LrConfig::new(1e-3))) as Box<dyn Codec>,
-        ),
-        (
-            "sz-interp",
-            Box::new(sz_codec::interp::InterpCodec::new(InterpConfig::new(1e-3))),
+            Box::new(|u| Ok(lr::compress_domains(u, &LrConfig::new(1e-3)))),
+            lr::decompress_domains,
         ),
         (
             "amric-lr",
-            Box::new(AmricCodec::new(AmricConfig::lr(1e-3), EDGE)),
+            amric(AmricConfig::lr(1e-3)),
+            decompress_field_units,
         ),
         (
             "amric-interp",
-            Box::new(AmricCodec::new(AmricConfig::interp(1e-3), EDGE)),
+            amric(AmricConfig::interp(1e-3)),
+            decompress_field_units,
         ),
-        ("tac", Box::new(TacCodec::new(1e-3, origins()))),
-        ("zmesh", Box::new(ZmeshCodec::new(1e-3, origins()))),
         (
-            "amrex-baseline",
-            Box::new(BaselineCodec::new(BaselineConfig::new(1e-3))),
+            "tac",
+            Box::new(|u| Ok(tac_compress(u, &origins(), 1e-3))),
+            tac_decompress,
+        ),
+        (
+            "temporal",
+            Box::new(|u| {
+                let mut out = Vec::new();
+                TemporalCodec::spatial(TemporalConfig::new(1e-3))
+                    .compress_with_state(u, &mut out)?;
+                Ok(out)
+            }),
+            temporal_decode,
         ),
     ]
 }
 
 #[test]
 fn parallel_streams_are_byte_identical_to_serial() {
-    for (name, codec) in families() {
+    for (name, encode, _) in families() {
         for workers in [1usize, 2, 4, 7] {
             // Chunk counts: empty, single, exactly the pool width, and
             // more chunks than workers (forces stealing + reassembly).
             for nchunks in [0usize, 1, workers, 2 * workers + 3] {
                 let chunks = make_chunks(nchunks);
-                // Serial reference: plain compress_into, one stream per
-                // chunk, shared output buffer reuse like the hot path.
-                let mut serial: Vec<Vec<u8>> = Vec::with_capacity(nchunks);
-                for units in &chunks {
-                    let mut out = Vec::new();
-                    codec.compress_into(units, &mut out).unwrap();
-                    serial.push(out);
-                }
-                let parallel = compress_chunks_on_pool(codec.as_ref(), &chunks, workers).unwrap();
+                // Serial reference: one plain encode call per chunk.
+                let serial: Vec<Vec<u8>> = chunks.iter().map(|u| encode(u).unwrap()).collect();
+                let parallel = compress_chunks_on_pool(&encode, &chunks, workers).unwrap();
                 assert_eq!(
                     serial, parallel,
                     "{name}: workers={workers} chunks={nchunks} streams differ"
@@ -126,14 +137,14 @@ fn parallel_streams_are_byte_identical_to_serial() {
 }
 
 #[test]
-fn parallel_streams_round_trip_through_decompress_auto() {
-    for (name, codec) in families() {
+fn parallel_streams_round_trip_through_their_decoder() {
+    for (name, encode, decode) in families() {
         let chunks = make_chunks(9);
-        let streams = compress_chunks_on_pool(codec.as_ref(), &chunks, 4).unwrap();
+        let streams = compress_chunks_on_pool(&encode, &chunks, 4).unwrap();
         assert_eq!(streams.len(), chunks.len());
         for (c, (units, stream)) in chunks.iter().zip(&streams).enumerate() {
-            let back = decompress_auto(stream)
-                .unwrap_or_else(|e| panic!("{name} chunk {c}: decompress_auto failed: {e:?}"));
+            let back =
+                decode(stream).unwrap_or_else(|e| panic!("{name} chunk {c}: decode failed: {e:?}"));
             assert_eq!(back.len(), units.len(), "{name} chunk {c} unit count");
             for (o, r) in units.iter().zip(&back) {
                 assert_eq!(o.dims(), r.dims(), "{name} chunk {c} dims");
@@ -155,11 +166,11 @@ fn parallel_streams_round_trip_through_decompress_auto() {
 fn repeated_parallel_runs_are_stable() {
     // Same input, same workers, repeated runs: streams never vary with
     // scheduling (per-worker scratch leaves no history).
-    let codec = AmricCodec::new(AmricConfig::lr(1e-3), EDGE);
+    let encode = amric(AmricConfig::lr(1e-3));
     let chunks = make_chunks(11);
-    let first = compress_chunks_on_pool(&codec, &chunks, 4).unwrap();
+    let first = compress_chunks_on_pool(&encode, &chunks, 4).unwrap();
     for _ in 0..5 {
-        let again = compress_chunks_on_pool(&codec, &chunks, 4).unwrap();
+        let again = compress_chunks_on_pool(&encode, &chunks, 4).unwrap();
         assert_eq!(first, again);
     }
 }
@@ -168,15 +179,15 @@ fn repeated_parallel_runs_are_stable() {
 fn worker_count_does_not_leak_into_stream_metadata() {
     // The envelope and payload carry no trace of how many workers built
     // them: streams from every worker count decode identically.
-    let codec = AmricCodec::new(AmricConfig::interp(1e-3), EDGE);
+    let encode = amric(AmricConfig::interp(1e-3));
     let chunks = make_chunks(6);
-    let reference = compress_chunks_on_pool(&codec, &chunks, 1).unwrap();
+    let reference = compress_chunks_on_pool(&encode, &chunks, 1).unwrap();
     for workers in [2, 4, 7] {
-        let streams = compress_chunks_on_pool(&codec, &chunks, workers).unwrap();
+        let streams = compress_chunks_on_pool(&encode, &chunks, workers).unwrap();
         for (a, b) in reference.iter().zip(&streams) {
             assert_eq!(a, b);
-            let ra = decompress_auto(a).unwrap();
-            let rb = decompress_auto(b).unwrap();
+            let ra = decompress_field_units(a).unwrap();
+            let rb = decompress_field_units(b).unwrap();
             assert_eq!(ra.len(), rb.len());
             for (x, y) in ra.iter().zip(&rb) {
                 assert_eq!(x.data(), y.data());
@@ -187,12 +198,19 @@ fn worker_count_does_not_leak_into_stream_metadata() {
 
 #[test]
 fn error_surfaces_and_pool_drains() {
-    // TAC with a fixed origin count rejects mismatched chunks; inject one
-    // mid-batch. The first error in submission order surfaces typed and
-    // the pool drains instead of hanging.
-    let codec = TacCodec::new(1e-3, origins());
+    // A TAC encoder holding one origin per unit rejects a chunk of another
+    // size with a typed error; inject one mid-batch. The first error in
+    // submission order surfaces typed and the pool drains instead of
+    // hanging.
+    let encode = |units: &[Buffer3]| {
+        if units.len() != UNITS_PER_CHUNK {
+            let detail = format!("{} units for {UNITS_PER_CHUNK} origins", units.len());
+            return Err(CodecError::dims(detail));
+        }
+        Ok(tac_compress(units, &origins(), 1e-3))
+    };
     let mut chunks = make_chunks(8);
     chunks[5].pop(); // 2 units vs 3 origins → typed error
-    let err = compress_chunks_on_pool(&codec, &chunks, 4).unwrap_err();
+    let err = compress_chunks_on_pool(&encode, &chunks, 4).unwrap_err();
     assert!(matches!(err, CodecError::DimsMismatch { .. }), "{err:?}");
 }

@@ -162,12 +162,11 @@ fn golden_corpus_places_to_its_committed_digests() {
         let stream = std::fs::read(&path).expect("golden stream");
         let env = read_envelope(&stream).expect("golden envelope");
         // The streams with a placing decoder: SZ_L/R and the pipeline.
-        // Empty-marker streams place nothing; the rest of the corpus
-        // (SZ_Interp, TAC, zMesh, the AMReX baseline) only decodes owned.
+        // The rest of the corpus (SZ_Interp, TAC) only decodes owned.
         let mut placed = Embedded::default();
         if env.codec == CodecId::AmricPipeline as u16 {
             decompress_field_units_into(&stream, &mut placed).expect("pipeline golden decodes");
-        } else if env.codec == CodecId::LrSle as u16 && !name.ends_with("_empty") {
+        } else if env.codec == CodecId::LrSle as u16 {
             lr::decompress_domains_into(&stream, &mut placed).expect("SZ_L/R golden decodes");
         } else {
             continue;

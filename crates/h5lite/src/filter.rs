@@ -14,7 +14,6 @@
 use crate::error::{H5Error, H5Result};
 use crate::file::ChunkData;
 use sz_codec::prelude::*;
-use sz_codec::ErrorBound;
 
 /// Filter id for "no filter" (raw little-endian f64 bytes).
 pub const FILTER_NONE: u32 = 0;
@@ -180,47 +179,25 @@ impl ChunkFilter for NoFilter {
     }
 }
 
-/// SZ error-bounded lossy filter (H5Z-SZ equivalent). The chunk is treated
-/// as a 1-D stream unless `dims_hint` reshapes it — AMRIC's pre-processing
-/// hands 3-D-arranged buffers through this hint, the AMReX baseline leaves
-/// it unset and gets 1-D compression.
-///
-/// With a relative bound, the bound resolves against **each chunk's own
-/// value range** — exactly H5Z-SZ's `REL` mode, where the range is taken
-/// per compression call.
+/// SZ error-bounded lossy filter (H5Z-SZ equivalent), as AMReX's stock
+/// integration runs it: every chunk is one 1-D SZ_L/R stream, and the
+/// relative bound resolves against **each chunk's own value range** —
+/// exactly H5Z-SZ's `REL` mode, where the range is taken per compression
+/// call.
 #[derive(Clone, Copy, Debug)]
 pub struct SzFilter {
-    /// Which SZ algorithm to run.
-    pub algorithm: SzAlgorithm,
-    /// Error bound applied inside the filter.
-    pub eb: ErrorBound,
-    /// Optional 3-D shape of the incoming chunk. Element count must match
-    /// the chunk exactly when set.
-    pub dims_hint: Option<Dims3>,
-    /// SZ_L/R block size override (None = stock 6).
-    pub block_size: Option<usize>,
+    /// Value-range-relative error bound.
+    pub rel_eb: f64,
 }
 
-impl SzFilter {
-    /// 1-D range-relative SZ_L/R filter — what AMReX's stock integration
-    /// uses.
-    pub fn one_dimensional(rel_eb: f64) -> Self {
-        SzFilter {
-            algorithm: SzAlgorithm::LorenzoRegression,
-            eb: ErrorBound::Rel(rel_eb),
-            dims_hint: None,
-            block_size: None,
-        }
-    }
+/// The client data an [`SzFilter`] stores: SZ_L/R tag 0, bound mode 1
+/// (REL), then the bound as a little-endian `f64`.
+const SZ_CLIENT_TAG: [u8; 2] = [0, 1];
 
-    /// 3-D filter with a shape hint and absolute bound (AMRIC path).
-    pub fn three_dimensional(algorithm: SzAlgorithm, abs_eb: f64, dims: Dims3) -> Self {
-        SzFilter {
-            algorithm,
-            eb: ErrorBound::Abs(abs_eb),
-            dims_hint: Some(dims),
-            block_size: None,
-        }
+impl SzFilter {
+    /// 1-D range-relative SZ_L/R filter.
+    pub fn one_dimensional(rel_eb: f64) -> Self {
+        SzFilter { rel_eb }
     }
 }
 
@@ -230,20 +207,9 @@ impl ChunkFilter for SzFilter {
     }
 
     fn client_data(&self) -> Vec<u8> {
-        // algorithm tag + bound mode + value, informational (streams are
-        // self-describing).
-        let (mode, value) = match self.eb {
-            ErrorBound::Abs(v) => (0u8, v),
-            ErrorBound::Rel(v) => (1u8, v),
-        };
-        let mut cd = vec![
-            match self.algorithm {
-                SzAlgorithm::LorenzoRegression => 0u8,
-                SzAlgorithm::Interpolation => 1u8,
-            },
-            mode,
-        ];
-        cd.extend_from_slice(&value.to_le_bytes());
+        // Informational (streams are self-describing).
+        let mut cd = SZ_CLIENT_TAG.to_vec();
+        cd.extend_from_slice(&self.rel_eb.to_le_bytes());
         cd
     }
 
@@ -253,26 +219,11 @@ impl ChunkFilter for SzFilter {
             // symmetrically without touching the SZ layer.
             return Ok(());
         }
-        let dims = match self.dims_hint {
-            Some(d) if d.len() == chunk.len() => d,
-            _ => Dims3::new(chunk.len().max(1), 1, 1),
-        };
         let (lo, hi) = sz_codec::buffer3::min_max(chunk);
-        let abs_eb = self.eb.to_absolute(hi - lo);
-        match self.algorithm {
-            SzAlgorithm::LorenzoRegression => {
-                let mut cfg = LrConfig::new(abs_eb);
-                if let Some(bs) = self.block_size {
-                    cfg = cfg.with_block_size(bs);
-                }
-                // SZ_L/R reads the chunk in place.
-                lr::compress_domains_pooled(&[View3::new(dims, chunk)], &cfg, out);
-            }
-            SzAlgorithm::Interpolation => {
-                let buf = Buffer3::from_vec(dims, chunk.to_vec());
-                interp::compress_into(&buf, &InterpConfig::new(abs_eb), out)
-            }
-        }
+        let cfg = LrConfig::new(absolute_bound(self.rel_eb, hi - lo));
+        // SZ_L/R reads the chunk in place.
+        let row = View3::new(Dims3::new(chunk.len(), 1, 1), chunk);
+        lr::compress_domains_pooled(&[row], &cfg, out);
         Ok(())
     }
 
@@ -280,19 +231,15 @@ impl ChunkFilter for SzFilter {
         if n_elems == 0 {
             return Ok(Vec::new());
         }
-        let buf = match self.algorithm {
-            SzAlgorithm::LorenzoRegression => lr::decompress(bytes)?,
-            SzAlgorithm::Interpolation => interp::decompress(bytes)?,
-        };
-        let mut data = buf.into_vec();
-        if data.len() < n_elems {
+        let data = lr::decompress(bytes)?.into_vec();
+        // `n_elems` is the directory's record: a stream that disagrees
+        // with it, either way, contradicts the file.
+        if data.len() != n_elems {
             return Err(H5Error::Format(format!(
-                "decoded {} elems, need {}",
-                data.len(),
-                n_elems
+                "decoded {} elems, chunk record says {n_elems}",
+                data.len()
             )));
         }
-        data.truncate(n_elems);
         Ok(data)
     }
 }
@@ -302,31 +249,15 @@ impl ChunkFilter for SzFilter {
 pub fn decoder_for(filter_id: u32, client_data: &[u8]) -> H5Result<Box<dyn ChunkFilter>> {
     match filter_id {
         FILTER_NONE => Ok(Box::new(NoFilter)),
-        FILTER_SZ => {
-            let algorithm = match client_data.first() {
-                Some(0) => SzAlgorithm::LorenzoRegression,
-                Some(1) => SzAlgorithm::Interpolation,
-                _ => return Err(H5Error::Format("bad SZ filter client data".into())),
-            };
-            let mode = client_data
-                .get(1)
-                .ok_or_else(|| H5Error::Format("short SZ filter client data".into()))?;
-            let value = client_data
-                .get(2..10)
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte value")))
-                .ok_or_else(|| H5Error::Format("short SZ filter client data".into()))?;
-            let eb = match mode {
-                0 => ErrorBound::Abs(value),
-                1 => ErrorBound::Rel(value),
-                _ => return Err(H5Error::Format("bad SZ bound mode".into())),
-            };
-            Ok(Box::new(SzFilter {
-                algorithm,
-                eb,
-                dims_hint: None,
-                block_size: None,
-            }))
-        }
+        FILTER_SZ => match client_data
+            .strip_prefix(&SZ_CLIENT_TAG)
+            .map(<[u8; 8]>::try_from)
+        {
+            Some(Ok(rel)) => Ok(Box::new(SzFilter {
+                rel_eb: f64::from_le_bytes(rel),
+            })),
+            _ => Err(H5Error::Format("bad SZ filter client data".into())),
+        },
         other => Err(H5Error::UnknownFilter(other)),
     }
 }
@@ -357,41 +288,10 @@ mod tests {
         for (o, r) in data.iter().zip(&dec) {
             assert!((o - r).abs() <= 1e-3 * range + 1e-12);
         }
-    }
-
-    #[test]
-    fn sz_filter_3d_hint_beats_1d() {
-        // 3-D structure exploited through the dims hint → better ratio on
-        // spatially smooth data. This is the heart of AMRIC's "3-D vs 1-D"
-        // argument.
-        let dims = Dims3::cube(24);
-        let mut buf = Buffer3::zeros(dims);
-        buf.fill_with(|i, j, k| {
-            ((i as f64) * 0.2).sin() * ((j as f64) * 0.15).cos() + (k as f64 * 0.1).sin()
-        });
-        let data = buf.data().to_vec();
-        let f1 = SzFilter::one_dimensional(1e-3);
-        let f3 = SzFilter::three_dimensional(SzAlgorithm::LorenzoRegression, 1e-3, dims);
-        let e1 = f1.encode(&data).unwrap().len();
-        let e3 = f3.encode(&data).unwrap().len();
-        assert!(e3 < e1, "3-D ({e3}) should beat 1-D ({e1})");
-        let dec = f3.decode(&f3.encode(&data).unwrap(), data.len()).unwrap();
-        for (o, r) in data.iter().zip(&dec) {
-            assert!((o - r).abs() <= 1e-3);
-        }
-    }
-
-    #[test]
-    fn interp_filter_roundtrip() {
-        let dims = Dims3::cube(16);
-        let mut buf = Buffer3::zeros(dims);
-        buf.fill_with(|i, j, k| (i + 2 * j + 3 * k) as f64 * 0.05);
-        let f = SzFilter::three_dimensional(SzAlgorithm::Interpolation, 1e-4, dims);
-        let enc = f.encode(buf.data()).unwrap();
-        let dec = f.decode(&enc, dims.len()).unwrap();
-        for (o, r) in buf.data().iter().zip(&dec) {
-            assert!((o - r).abs() <= 1e-4);
-        }
+        // The chunk record is outside input: a stream holding more
+        // values than it claims is a contradiction, not a prefix.
+        assert!(f.decode(&enc, 1999).is_err());
+        assert!(f.decode(&enc, 2001).is_err());
     }
 
     #[test]
@@ -419,5 +319,20 @@ mod tests {
             decoder_for(99, &[]),
             Err(H5Error::UnknownFilter(99))
         ));
+        // Only the client data `SzFilter` writes decodes: any other tag,
+        // bound mode or length is a format error.
+        let cd = f.client_data();
+        let mut other_algorithm = cd.clone();
+        other_algorithm[0] = 1;
+        let mut abs_bound = cd.clone();
+        abs_bound[1] = 0;
+        let mut longer = cd.clone();
+        longer.push(0);
+        for bad in [&[][..], &cd[..9], &other_algorithm, &abs_bound, &longer] {
+            assert!(
+                matches!(decoder_for(FILTER_SZ, bad), Err(H5Error::Format(_))),
+                "{bad:?}"
+            );
+        }
     }
 }

@@ -1,33 +1,21 @@
-//! The unified [`Codec`] abstraction: one trait, one self-describing
-//! stream envelope, and a registry-backed auto-dispatching decoder shared
-//! by every compressor family in the workspace.
+//! The stream envelope every compressor family in the workspace writes.
 //!
-//! # The envelope
-//!
-//! Every compressed stream produced anywhere in the workspace starts with
-//! the same 8-byte header:
+//! Every compressed stream starts with the same 8-byte header:
 //!
 //! ```text
 //! magic  u32  = AMEC ("AMric Envelope Codec")
 //! codec  u16  — which family wrote the payload (see [`CodecId`])
 //! version u8  — format version of that family's payload
-//! flags  u8   — family-independent stream flags ([`FLAG_EMPTY`], …)
+//! flags  u8   — family-independent stream flags ([`FLAG_REFERENCED`], …)
 //! ```
 //!
-//! The payload that follows is family-specific, but because the id rides
-//! in the header, a [`CodecRegistry`] can dispatch *any* workspace stream
-//! to the right decoder without out-of-band context.
-//!
-//! # The trait
-//!
-//! [`Codec`] is the pluggable compressor interface AMRIC (a *framework*
-//! hosting several error-bounded compressors) needs: compress a set of
-//! unit blocks into a caller-provided output buffer, decompress any of
-//! your own streams back. `compress_into` **appends** to `out` so hot
-//! paths can reuse one buffer across calls instead of allocating a fresh
-//! `Vec<u8>` per chunk.
+//! The payload that follows is family-specific. Each family is a pair of
+//! functions (`lr::compress_domains` / `lr::decompress_domains`, …) whose
+//! decoder opens with [`expect_envelope`], so a stream handed to the wrong
+//! family fails as [`CodecError::WrongCodec`] naming both ids. Stored
+//! chunks name their family through the container's filter id; the
+//! envelope id is the stream's own check.
 
-use crate::buffer3::Buffer3;
 use crate::error::{CodecError, CodecResult};
 use crate::wire::{Reader, Writer};
 
@@ -36,20 +24,15 @@ use crate::wire::{Reader, Writer};
 /// layout change would come with a new magic.
 pub const ENVELOPE_MAGIC: u32 = 0x4345_4D41;
 
-/// Flag bit: the stream encodes zero unit blocks and carries no payload.
+/// Flag bit: the stream encodes zero unit blocks and carries no payload
+/// (temporal streams of an empty chunk).
 pub const FLAG_EMPTY: u8 = 0b0000_0001;
-
-/// Flag bit: the payload is a multi-unit container (a `u32` unit count
-/// followed by length-prefixed single-unit payloads) rather than one bare
-/// single-unit payload. Used by families whose native stream holds exactly
-/// one buffer (e.g. SZ_Interp).
-pub const FLAG_MULTI: u8 = 0b0000_0010;
 
 /// Flag bit: the payload depends on a **reference snapshot** — at least
 /// one unit is delta-coded against previously decoded data identified by
 /// the reference id in the payload header. Streams without this flag are
-/// self-contained and decode through any registry; streams with it need
-/// their reference installed in the decoder (see the `temporal` module).
+/// self-contained; streams with it need their reference installed in the
+/// decoder (see the `temporal` module).
 pub const FLAG_REFERENCED: u8 = 0b0000_0100;
 
 /// Flag bit: the payload header records a **per-unit error bound** — the
@@ -63,8 +46,8 @@ pub const FLAG_UNIT_BOUNDS: u8 = 0b0000_1000;
 ///
 /// These ids are part of the on-disk format and must never be renumbered.
 /// Families implemented outside this crate (the AMRIC pipeline and the
-/// offline comparators) still take their ids from here so the namespace
-/// stays collision-free workspace-wide.
+/// TAC comparator) still take their ids from here so the namespace stays
+/// collision-free workspace-wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[repr(u16)]
@@ -77,10 +60,8 @@ pub enum CodecId {
     AmricPipeline = 3,
     /// The TAC offline comparator (Morton grouping + black-box SZ).
     Tac = 4,
-    /// The zMesh offline comparator (locality-ordered 1-D stream).
-    Zmesh = 5,
-    /// The AMReX baseline (1-D SZ through small chunks).
-    AmrexBaseline = 6,
+    // Ids 5 and 6 named two retired offline stream formats; they stay
+    // unknown and are not reused.
     /// Cross-snapshot temporal delta coding (this crate,
     /// [`crate::temporal`]).
     Temporal = 7,
@@ -94,8 +75,6 @@ impl CodecId {
             2 => CodecId::Interp,
             3 => CodecId::AmricPipeline,
             4 => CodecId::Tac,
-            5 => CodecId::Zmesh,
-            6 => CodecId::AmrexBaseline,
             7 => CodecId::Temporal,
             _ => return None,
         })
@@ -108,8 +87,6 @@ impl CodecId {
             CodecId::Interp => "sz-interp",
             CodecId::AmricPipeline => "amric",
             CodecId::Tac => "tac",
-            CodecId::Zmesh => "zmesh",
-            CodecId::AmrexBaseline => "amrex-baseline",
             CodecId::Temporal => "temporal",
         }
     }
@@ -118,11 +95,11 @@ impl CodecId {
 /// Parsed envelope header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Envelope {
-    /// Raw codec id (kept raw so registries can report unknown ids).
+    /// Raw codec id (kept raw so decoders can report unknown ids).
     pub codec: u16,
     /// Payload format version.
     pub version: u8,
-    /// Stream flags ([`FLAG_EMPTY`], [`FLAG_MULTI`], …).
+    /// Stream flags ([`FLAG_EMPTY`], [`FLAG_REFERENCED`], …).
     pub flags: u8,
     /// Byte offset where the family payload starts.
     pub payload_offset: usize,
@@ -168,109 +145,6 @@ pub fn expect_envelope(bytes: &[u8], id: CodecId, version: u8) -> CodecResult<En
         return Err(CodecError::BadVersion { found: env.version });
     }
     Ok(env)
-}
-
-/// Accounting for one `compress_into` call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamInfo {
-    /// Which family wrote the stream.
-    pub codec: CodecId,
-    /// Bytes appended to the output buffer (envelope included).
-    pub bytes: usize,
-    /// Unit blocks encoded.
-    pub units: usize,
-    /// Total cells encoded.
-    pub cells: usize,
-}
-
-/// A pluggable error-bounded compressor over unit blocks.
-///
-/// Implementations carry their own configuration (error bound, merge
-/// policy, spatial metadata, …); the trait surface is deliberately just
-/// "units in, self-describing envelope stream out" so the writer, the
-/// benches, and the comparators can treat all six families uniformly.
-pub trait Codec: Send + Sync {
-    /// The family id written into the envelope.
-    fn id(&self) -> CodecId;
-
-    /// Compress `units`, **appending** the envelope + payload to `out`.
-    ///
-    /// `out` is not cleared: callers own the buffer and decide when to
-    /// reuse it, which is what keeps per-chunk hot paths allocation-free.
-    fn compress_into(&self, units: &[Buffer3], out: &mut Vec<u8>) -> CodecResult<StreamInfo>;
-
-    /// Decompress a stream this codec produced, returning the unit blocks
-    /// in their original order.
-    fn decompress(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>>;
-
-    /// Convenience: compress into a fresh buffer.
-    fn compress(&self, units: &[Buffer3]) -> CodecResult<Vec<u8>> {
-        let mut out = Vec::new();
-        self.compress_into(units, &mut out)?;
-        Ok(out)
-    }
-}
-
-/// A set of decoders keyed by codec id, powering
-/// [`decompress_auto`](CodecRegistry::decompress_auto) dispatch of any
-/// envelope stream.
-///
-/// This crate's [`CodecRegistry::sz_only`] covers the two SZ families
-/// implemented here; the `amric` crate layers the pipeline and comparator
-/// families on top in its `default_registry()`.
-#[derive(Default)]
-pub struct CodecRegistry {
-    entries: Vec<Box<dyn Codec>>,
-}
-
-impl CodecRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry with this crate's families (SZ_L/R + SZ_Interp).
-    pub fn sz_only() -> Self {
-        let mut reg = Self::new();
-        reg.register(Box::new(crate::lr::LrCodec::default()));
-        reg.register(Box::new(crate::interp::InterpCodec::default()));
-        reg
-    }
-
-    /// Add a decoder. A later registration for the same id wins.
-    pub fn register(&mut self, codec: Box<dyn Codec>) -> &mut Self {
-        self.entries.retain(|c| c.id() != codec.id());
-        self.entries.push(codec);
-        self
-    }
-
-    /// Look up the decoder for a raw envelope id.
-    pub fn get(&self, id: u16) -> Option<&dyn Codec> {
-        self.entries
-            .iter()
-            .find(|c| c.id() as u16 == id)
-            .map(|c| c.as_ref())
-    }
-
-    /// Registered ids, in registration order.
-    pub fn ids(&self) -> Vec<CodecId> {
-        self.entries.iter().map(|c| c.id()).collect()
-    }
-
-    /// Parse the envelope of `bytes` and dispatch to the registered
-    /// decoder for its codec id.
-    pub fn decompress_auto(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
-        let env = read_envelope(bytes)?;
-        let codec = self
-            .get(env.codec)
-            .ok_or(CodecError::UnknownCodec { id: env.codec })?;
-        codec.decompress(bytes)
-    }
-}
-
-/// Sum of cells across unit blocks (StreamInfo helper).
-pub(crate) fn total_cells(units: &[Buffer3]) -> usize {
-    units.iter().map(|u| u.dims().len()).sum()
 }
 
 #[cfg(test)]
@@ -329,27 +203,15 @@ mod tests {
             CodecId::Interp,
             CodecId::AmricPipeline,
             CodecId::Tac,
-            CodecId::Zmesh,
-            CodecId::AmrexBaseline,
             CodecId::Temporal,
         ] {
             assert_eq!(CodecId::from_u16(id as u16), Some(id));
             assert!(!id.name().is_empty());
         }
-        assert_eq!(CodecId::from_u16(0), None);
+        // 5 and 6 are retired, never reassigned.
+        for retired in [0, 5, 6] {
+            assert_eq!(CodecId::from_u16(retired), None);
+        }
         assert_eq!(CodecId::from_u16(999), None);
-    }
-
-    #[test]
-    fn registry_dispatches_and_reports_unknown() {
-        let reg = CodecRegistry::sz_only();
-        assert!(reg.get(CodecId::LrSle as u16).is_some());
-        assert!(reg.get(CodecId::Tac as u16).is_none());
-        let mut w = Writer::new();
-        write_envelope(&mut w, CodecId::Tac, 1, 0);
-        assert!(matches!(
-            reg.decompress_auto(&w.into_bytes()),
-            Err(CodecError::UnknownCodec { id }) if id == CodecId::Tac as u16
-        ));
     }
 }

@@ -38,11 +38,6 @@ pub enum CodecError {
         /// The mode byte found in the stream.
         found: u8,
     },
-    /// The envelope names a codec id no registry entry handles.
-    UnknownCodec {
-        /// The codec id found in the envelope.
-        id: u16,
-    },
     /// The stream belongs to a different (known) codec family than the
     /// decoder it was handed to.
     WrongCodec {
@@ -106,7 +101,6 @@ impl std::fmt::Display for CodecError {
             CodecError::BadMagic { found } => write!(f, "bad stream magic {found:#010x}"),
             CodecError::BadVersion { found } => write!(f, "unsupported format version {found}"),
             CodecError::BadMode { found } => write!(f, "unknown stream mode {found}"),
-            CodecError::UnknownCodec { id } => write!(f, "no registered codec for id {id}"),
             CodecError::WrongCodec { expected, found } => write!(
                 f,
                 "stream belongs to codec id {found}, decoder expected {expected}"

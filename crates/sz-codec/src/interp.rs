@@ -14,10 +14,7 @@
 //! block-based SZ_L/R better (§4.3 insight).
 
 use crate::buffer3::{Buffer3, Dims3};
-use crate::codec::{
-    expect_envelope, total_cells, write_envelope, Codec, CodecId, StreamInfo, FLAG_EMPTY,
-    FLAG_MULTI,
-};
+use crate::codec::{expect_envelope, write_envelope, CodecId};
 use crate::huffman;
 use crate::kernels::{self, SymbolReader};
 use crate::lossless;
@@ -296,9 +293,10 @@ struct Payload {
 impl Payload {
     fn parse(bytes: &[u8]) -> CodecResult<Payload> {
         let env = expect_envelope(bytes, CodecId::Interp, VERSION)?;
-        if env.flags & FLAG_MULTI != 0 {
+        // The encoder sets no flag bit: any one is a foreign stream shape.
+        if env.flags != 0 {
             return Err(CodecError::BadParameter {
-                what: "multi-unit container passed to single-buffer decompress",
+                what: "SZ_Interp stream flags",
             });
         }
         let payload = lossless::decompress(&bytes[env.payload_offset..])?;
@@ -361,90 +359,6 @@ fn strides(dims: Dims3) -> Vec<usize> {
         cur >>= 1;
     }
     v
-}
-
-/// [`Codec`] adapter for SZ_Interp.
-///
-/// The native SZ_Interp stream holds exactly one 3-D buffer, so the
-/// adapter distinguishes three shapes via envelope flags: a bare
-/// single-buffer stream (no flags), an empty stream ([`FLAG_EMPTY`]), and
-/// a multi-unit container ([`FLAG_MULTI`]: a `u32` unit count followed by
-/// length-prefixed bare streams). `decompress` accepts all three, so any
-/// stream [`compress`] ever produced dispatches through the registry.
-#[derive(Clone, Copy, Debug)]
-pub struct InterpCodec {
-    /// The SZ_Interp configuration used for compression (ignored on
-    /// decode — streams are self-describing).
-    pub cfg: InterpConfig,
-}
-
-impl InterpCodec {
-    /// Build from a configuration.
-    pub fn new(cfg: InterpConfig) -> Self {
-        InterpCodec { cfg }
-    }
-}
-
-impl Default for InterpCodec {
-    /// Decode-capable default (compression uses a 1e-3 absolute bound).
-    fn default() -> Self {
-        InterpCodec::new(InterpConfig::new(1e-3))
-    }
-}
-
-impl Codec for InterpCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Interp
-    }
-
-    fn compress_into(&self, units: &[Buffer3], out: &mut Vec<u8>) -> CodecResult<StreamInfo> {
-        let start = out.len();
-        match units {
-            [] => {
-                let mut w = Writer::from_vec(std::mem::take(out));
-                write_envelope(&mut w, CodecId::Interp, VERSION, FLAG_EMPTY);
-                *out = w.into_bytes();
-            }
-            [one] => compress_into(one, &self.cfg, out),
-            many => {
-                let mut w = Writer::from_vec(std::mem::take(out));
-                write_envelope(&mut w, CodecId::Interp, VERSION, FLAG_MULTI);
-                w.put_u32(many.len() as u32);
-                let mut scratch = Vec::new();
-                for u in many {
-                    scratch.clear();
-                    compress_into(u, &self.cfg, &mut scratch);
-                    w.put_block(&scratch);
-                }
-                *out = w.into_bytes();
-            }
-        }
-        Ok(StreamInfo {
-            codec: CodecId::Interp,
-            bytes: out.len() - start,
-            units: units.len(),
-            cells: total_cells(units),
-        })
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
-        let env = expect_envelope(bytes, CodecId::Interp, VERSION)?;
-        if env.flags & FLAG_EMPTY != 0 {
-            return Ok(Vec::new());
-        }
-        if env.flags & FLAG_MULTI == 0 {
-            return Ok(vec![decompress(bytes)?]);
-        }
-        let mut r = Reader::new(&bytes[env.payload_offset..]);
-        let n = r.get_u32()? as usize;
-        // Every unit stream is at least an envelope + lossless header.
-        r.check_count(n, 8)?;
-        let mut units = Vec::with_capacity(n);
-        for _ in 0..n {
-            units.push(decompress(r.get_block()?)?);
-        }
-        Ok(units)
-    }
 }
 
 #[cfg(test)]

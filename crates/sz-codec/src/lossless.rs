@@ -491,16 +491,19 @@ mod tests {
         data
     }
 
-    /// The pre-lossless SZ payloads inside the golden stream corpus: what
-    /// the parser sees in production. Every SZ_L/R or SZ_Interp stream —
-    /// bare or nested in a pipeline, TAC, zMesh or baseline container — is
-    /// an envelope followed by a lossless stream.
+    /// The pre-lossless SZ payloads inside the golden stream corpus and
+    /// the golden container (whose SZ filter chunks are the 1-D streams
+    /// of the AMReX baseline): what the parser sees in production. Every
+    /// SZ_L/R or SZ_Interp stream — bare, in a chunk, or nested in a
+    /// pipeline or TAC container — is an envelope followed by a lossless
+    /// stream.
     fn golden_payloads() -> Vec<(String, Vec<u8>)> {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../amric/tests/golden");
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+        let golden = |dir: &str| std::fs::read_dir(format!("{root}/{dir}")).expect("golden");
         let mut found = Vec::new();
-        for entry in std::fs::read_dir(dir).expect("golden corpus") {
+        for entry in golden("amric/tests/golden").chain(golden("h5lite/tests/golden")) {
             let path = entry.expect("dir entry").path();
-            if path.extension().is_none_or(|e| e != "bin") {
+            if path.extension().is_none_or(|e| e != "bin" && e != "h5l") {
                 continue;
             }
             let bytes = std::fs::read(&path).expect("golden stream");

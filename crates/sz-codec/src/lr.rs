@@ -17,9 +17,7 @@
 //! "compress each box individually" strawman the paper rejects.
 
 use crate::buffer3::{AsView3, Buffer3, Dims3, UnitDest, View3};
-use crate::codec::{
-    expect_envelope, total_cells, write_envelope, Codec, CodecId, StreamInfo, FLAG_EMPTY,
-};
+use crate::codec::{expect_envelope, write_envelope, CodecId};
 use crate::huffman;
 use crate::kernels::{self, SymbolReader};
 use crate::lossless;
@@ -158,8 +156,8 @@ pub fn compress_domains<U: AsView3>(domains: &[U], cfg: &LrConfig) -> Vec<u8> {
 }
 
 /// Like [`compress_domains_into`] but on the calling thread's scratch —
-/// the zero-alloc path for `&self` contexts (`Codec` impls, chunk
-/// filters) that cannot thread an explicit [`LrScratch`] through.
+/// the zero-alloc path for `&self` contexts (`ChunkFilter` impls) that
+/// cannot thread an explicit [`LrScratch`] through.
 pub fn compress_domains_pooled<U: AsView3>(domains: &[U], cfg: &LrConfig, out: &mut Vec<u8>) {
     with_thread_scratch(|s| compress_domains_into(domains, cfg, s, out));
 }
@@ -594,60 +592,6 @@ impl<S: Iterator<Item = bool>> Direction for Decoder<'_, S> {
         row: &mut [f64],
     ) -> CodecResult<()> {
         self.data.lorenzo_row(jm, km, jkm, left, row)
-    }
-}
-
-/// [`Codec`] adapter for SZ_L/R with Shared Lossless Encoding: every unit
-/// block becomes one prediction domain under a single shared Huffman tree.
-#[derive(Clone, Copy, Debug)]
-pub struct LrCodec {
-    /// The SZ_L/R configuration used for compression (ignored on decode —
-    /// streams are self-describing).
-    pub cfg: LrConfig,
-}
-
-impl LrCodec {
-    /// Build from a configuration.
-    pub fn new(cfg: LrConfig) -> Self {
-        LrCodec { cfg }
-    }
-}
-
-impl Default for LrCodec {
-    /// Decode-capable default (compression uses a 1e-3 absolute bound).
-    fn default() -> Self {
-        LrCodec::new(LrConfig::new(1e-3))
-    }
-}
-
-impl Codec for LrCodec {
-    fn id(&self) -> CodecId {
-        CodecId::LrSle
-    }
-
-    fn compress_into(&self, units: &[Buffer3], out: &mut Vec<u8>) -> CodecResult<StreamInfo> {
-        let start = out.len();
-        if units.is_empty() {
-            let mut w = Writer::from_vec(std::mem::take(out));
-            write_envelope(&mut w, CodecId::LrSle, VERSION, FLAG_EMPTY);
-            *out = w.into_bytes();
-        } else {
-            compress_domains_pooled(units, &self.cfg, out);
-        }
-        Ok(StreamInfo {
-            codec: CodecId::LrSle,
-            bytes: out.len() - start,
-            units: units.len(),
-            cells: total_cells(units),
-        })
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
-        let env = expect_envelope(bytes, CodecId::LrSle, VERSION)?;
-        if env.flags & FLAG_EMPTY != 0 {
-            return Ok(Vec::new());
-        }
-        decompress_domains(bytes)
     }
 }
 

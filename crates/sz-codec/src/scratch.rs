@@ -1,7 +1,7 @@
 //! The one encode scratch a thread owns: the SZ_L/R working set and the
 //! lossless stage's match-finder tables. The `&self` faces of the encoders
-//! (`Codec` impls, chunk filters, the free `compress*` functions) cannot
-//! thread a scratch through; rank threads and pool workers are all
+//! (chunk filters, the free `compress*` functions) cannot thread a scratch
+//! through; rank threads and pool workers are all
 //! threads, so every concurrent encoder finds its own here. The halves
 //! are borrowed apart: an SZ_L/R call holds its half while its last step,
 //! the lossless stage, takes the tables.

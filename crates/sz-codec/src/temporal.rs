@@ -33,22 +33,17 @@
 //!
 //! # Decode contract
 //!
-//! A stream **without** [`FLAG_REFERENCED`] is fully self-contained — any
-//! registry holding [`TemporalCodec::decoder`] (the `amric` default
-//! registry does) decodes it like any other envelope stream; this is what
-//! keeps `decompress_auto` working stream-by-stream on temporal files. A
-//! stream **with** the flag needs its reference snapshot installed in the
-//! decoder ([`TemporalCodec::decoder_with`]); decoding without one fails
+//! A stream **without** [`FLAG_REFERENCED`] is fully self-contained — a
+//! bare [`TemporalCodec::decoder`] decodes it. A stream **with** the flag
+//! needs its reference snapshot installed in the decoder
+//! ([`TemporalCodec::decoder_with`]); decoding without one fails
 //! with a typed [`CodecError::BadParameter`], and a reference whose id
 //! does not match the stream's recorded id is rejected as
 //! [`CodecError::Corrupt`] — a forged or mis-resolved reference can never
 //! silently reconstruct garbage.
 
 use crate::buffer3::{Buffer3, Dims3};
-use crate::codec::{
-    expect_envelope, total_cells, write_envelope, Codec, CodecId, StreamInfo, FLAG_EMPTY,
-    FLAG_REFERENCED,
-};
+use crate::codec::{expect_envelope, write_envelope, CodecId, FLAG_EMPTY, FLAG_REFERENCED};
 use crate::huffman;
 use crate::lorenzo::lorenzo3;
 use crate::lossless;
@@ -118,7 +113,7 @@ impl TemporalReference {
     }
 }
 
-/// [`Codec`] adapter for temporal delta coding.
+/// The temporal delta family: one encoder configuration or one decoder.
 ///
 /// Compression needs a per-unit mapping (`unit_refs[i] = Some(j)` means
 /// unit `i` delta-codes against `reference.units[j]`; `None` falls back
@@ -132,13 +127,14 @@ pub struct TemporalCodec {
     /// Previous snapshot's decoded units, if any.
     pub reference: Option<Arc<TemporalReference>>,
     /// Per-unit reference mapping, index-aligned with the units passed to
-    /// `compress_into`. Empty for decode-only instances.
+    /// [`compress_with_state`](TemporalCodec::compress_with_state). Empty
+    /// for decode-only instances.
     pub unit_refs: Vec<Option<u32>>,
 }
 
 impl TemporalCodec {
-    /// Decode-only instance for registries. Decodes any self-contained
-    /// (spatial-only) temporal stream; referenced streams fail typed.
+    /// Decode-only instance. Decodes any self-contained (spatial-only)
+    /// temporal stream; referenced streams fail typed.
     pub fn decoder() -> Self {
         TemporalCodec {
             cfg: TemporalConfig::new(1e-3),
@@ -147,10 +143,8 @@ impl TemporalCodec {
         }
     }
 
-    /// Decode-only instance with a reference snapshot installed —
-    /// registering this in a [`crate::codec::CodecRegistry`] (a later
-    /// registration for the same id wins) lets `decompress_auto` resolve
-    /// referenced streams too.
+    /// Decode-only instance with a reference snapshot installed: decodes
+    /// the streams that reference it as well as self-contained ones.
     pub fn decoder_with(reference: Arc<TemporalReference>) -> Self {
         TemporalCodec {
             cfg: TemporalConfig::new(1e-3),
@@ -184,37 +178,20 @@ impl TemporalCodec {
         }
     }
 
-    /// Like [`Codec::compress_into`] but also returns the units **as the
-    /// decoder will reconstruct them** — the state a write driver must
-    /// retain to serve as the next snapshot's reference without re-reading
-    /// its own output.
+    /// Compress `units`, **appending** the stream to `out`, and return the
+    /// units **as the decoder will reconstruct them** — the state a write
+    /// driver must retain to serve as the next snapshot's reference
+    /// without re-reading its own output.
     pub fn compress_with_state(
         &self,
         units: &[Buffer3],
         out: &mut Vec<u8>,
-    ) -> CodecResult<(StreamInfo, Vec<Buffer3>)> {
-        let mut state = Vec::with_capacity(units.len());
-        let info = self.encode(units, out, Some(&mut state))?;
-        Ok((info, state))
-    }
-
-    fn encode(
-        &self,
-        units: &[Buffer3],
-        out: &mut Vec<u8>,
-        state: Option<&mut Vec<Buffer3>>,
-    ) -> CodecResult<StreamInfo> {
-        let start = out.len();
+    ) -> CodecResult<Vec<Buffer3>> {
         if units.is_empty() {
             let mut w = Writer::from_vec(std::mem::take(out));
             write_envelope(&mut w, CodecId::Temporal, VERSION, FLAG_EMPTY);
             *out = w.into_bytes();
-            return Ok(StreamInfo {
-                codec: CodecId::Temporal,
-                bytes: out.len() - start,
-                units: 0,
-                cells: 0,
-            });
+            return Ok(Vec::new());
         }
         if !(self.cfg.abs_eb > 0.0 && self.cfg.abs_eb.is_finite()) {
             return Err(CodecError::BadParameter {
@@ -317,24 +294,23 @@ impl TemporalCodec {
         } else {
             lr::compress_domains(&spatial_units, &self.cfg.spatial())
         };
-        if let Some(state) = state {
-            // Spatial units reconstruct through the embedded stream —
-            // decode what was just written so retained state is exactly
-            // what any reader will see.
-            let mut spatial_decoded = if spatial_stream.is_empty() {
-                Vec::new()
-            } else {
-                lr::decompress_domains(&spatial_stream)?
-            }
-            .into_iter();
-            for d in decoded {
-                state.push(match d {
-                    Some(b) => b,
-                    None => spatial_decoded.next().ok_or_else(|| {
-                        CodecError::corrupt("embedded spatial stream lost a unit")
-                    })?,
-                });
-            }
+        // Spatial units reconstruct through the embedded stream — decode
+        // what was just written so retained state is exactly what any
+        // reader will see.
+        let mut spatial_decoded = if spatial_stream.is_empty() {
+            Vec::new()
+        } else {
+            lr::decompress_domains(&spatial_stream)?
+        }
+        .into_iter();
+        let mut state = Vec::with_capacity(units.len());
+        for d in decoded {
+            state.push(match d {
+                Some(b) => b,
+                None => spatial_decoded
+                    .next()
+                    .ok_or_else(|| CodecError::corrupt("embedded spatial stream lost a unit"))?,
+            });
         }
 
         // Assemble the payload, envelope it, lossless-wrap it.
@@ -373,25 +349,13 @@ impl TemporalCodec {
         write_envelope(&mut env, CodecId::Temporal, VERSION, flags);
         *out = env.into_bytes();
         lossless::compress_into(&payload, out);
-        Ok(StreamInfo {
-            codec: CodecId::Temporal,
-            bytes: out.len() - start,
-            units: units.len(),
-            cells: total_cells(units),
-        })
-    }
-}
-
-impl Codec for TemporalCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Temporal
+        Ok(state)
     }
 
-    fn compress_into(&self, units: &[Buffer3], out: &mut Vec<u8>) -> CodecResult<StreamInfo> {
-        self.encode(units, out, None)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+    /// Decompress a temporal stream back to its units, in order. A
+    /// referenced stream needs the decoder's installed reference to carry
+    /// the id the stream records.
+    pub fn decompress(&self, bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
         let env = expect_envelope(bytes, CodecId::Temporal, VERSION)?;
         if env.flags & FLAG_EMPTY != 0 {
             return Ok(Vec::new());
@@ -564,8 +528,14 @@ impl Codec for TemporalCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CodecRegistry;
     use crate::metrics::ErrorStats;
+
+    /// The stream alone, the decoded state dropped.
+    fn encode(codec: &TemporalCodec, units: &[Buffer3]) -> CodecResult<Vec<u8>> {
+        let mut out = Vec::new();
+        codec.compress_with_state(units, &mut out)?;
+        Ok(out)
+    }
 
     /// Deterministic per-cell roughness, constant in time — the fine
     /// structure real fields carry that spatial codecs must re-code
@@ -609,7 +579,7 @@ mod tests {
         let reference = Arc::new(TemporalReference::new(7, prev));
         let codec =
             TemporalCodec::with_reference(TemporalConfig::new(eb), reference.clone(), all_delta(4));
-        let stream = codec.compress(&next).unwrap();
+        let stream = encode(&codec, &next).unwrap();
         let back = codec.decompress(&stream).unwrap();
         assert_eq!(back.len(), 4);
         for (o, r) in next.iter().zip(&back) {
@@ -634,7 +604,7 @@ mod tests {
         ));
         let refs = vec![Some(0), None, Some(1), None];
         let codec = TemporalCodec::with_reference(TemporalConfig::new(eb), reference, refs);
-        let stream = codec.compress(&next).unwrap();
+        let stream = encode(&codec, &next).unwrap();
         let env = expect_envelope(&stream, CodecId::Temporal, 1).unwrap();
         assert!(env.flags & FLAG_REFERENCED != 0);
         let back = codec.decompress(&stream).unwrap();
@@ -649,7 +619,7 @@ mod tests {
     fn spatial_only_stream_is_self_contained() {
         let units = snapshot(8, 0.5);
         let codec = TemporalCodec::spatial(TemporalConfig::new(1e-3));
-        let stream = codec.compress(&units).unwrap();
+        let stream = encode(&codec, &units).unwrap();
         let env = expect_envelope(&stream, CodecId::Temporal, 1).unwrap();
         assert_eq!(env.flags & FLAG_REFERENCED, 0);
         // A bare decoder (no reference) handles it.
@@ -677,8 +647,8 @@ mod tests {
                 Some(r) => TemporalCodec::with_reference(cfg, r.clone(), all_delta(4)),
             };
             let mut stream = Vec::new();
-            let (info, decoded) = codec.compress_with_state(&units, &mut stream).unwrap();
-            assert_eq!(info.units, 4);
+            let decoded = codec.compress_with_state(&units, &mut stream).unwrap();
+            assert_eq!(decoded.len(), 4);
             temporal_bytes += stream.len();
             let refs: Vec<&Buffer3> = units.iter().collect();
             lr_bytes += lr::compress_domains(&refs, &LrConfig::new(eb)).len();
@@ -698,7 +668,7 @@ mod tests {
         let refs = vec![Some(0), None, Some(2), Some(3)];
         let codec = TemporalCodec::with_reference(TemporalConfig::new(1e-3), reference, refs);
         let mut stream = Vec::new();
-        let (_, state) = codec.compress_with_state(&next, &mut stream).unwrap();
+        let state = codec.compress_with_state(&next, &mut stream).unwrap();
         let back = codec.decompress(&stream).unwrap();
         assert_eq!(state.len(), back.len());
         for (s, b) in state.iter().zip(&back) {
@@ -710,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_dispatches_with_installed_reference() {
+    fn decoder_with_installed_reference_decodes() {
         let prev = snapshot(8, 0.0);
         let next = snapshot(8, 0.01);
         let reference = Arc::new(TemporalReference::new(42, prev));
@@ -719,22 +689,21 @@ mod tests {
             reference.clone(),
             all_delta(4),
         );
-        let stream = codec.compress(&next).unwrap();
+        let stream = encode(&codec, &next).unwrap();
 
-        // Bare registry: typed failure naming the missing reference.
-        let mut reg = CodecRegistry::sz_only();
-        reg.register(Box::new(TemporalCodec::decoder()));
+        // Bare decoder: typed failure naming the missing reference.
         assert!(matches!(
-            reg.decompress_auto(&stream),
+            TemporalCodec::decoder().decompress(&stream),
             Err(CodecError::BadParameter { .. })
         ));
-        // Installing the reference (later registration wins) resolves it,
-        // bitwise-identical to the codec's own decode.
-        reg.register(Box::new(TemporalCodec::decoder_with(reference)));
-        let via_registry = reg.decompress_auto(&stream).unwrap();
+        // Installing the reference resolves it, bitwise-identical to the
+        // codec's own decode.
+        let installed = TemporalCodec::decoder_with(reference)
+            .decompress(&stream)
+            .unwrap();
         let direct = codec.decompress(&stream).unwrap();
-        assert_eq!(via_registry.len(), direct.len());
-        for (a, b) in via_registry.iter().zip(&direct) {
+        assert_eq!(installed.len(), direct.len());
+        for (a, b) in installed.iter().zip(&direct) {
             for (x, y) in a.data().iter().zip(b.data()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
@@ -748,7 +717,7 @@ mod tests {
         let reference = Arc::new(TemporalReference::new(5, prev.clone()));
         let codec =
             TemporalCodec::with_reference(TemporalConfig::new(1e-3), reference, all_delta(4));
-        let stream = codec.compress(&next).unwrap();
+        let stream = encode(&codec, &next).unwrap();
         let wrong = Arc::new(TemporalReference::new(6, prev));
         assert!(matches!(
             TemporalCodec::decoder_with(wrong).decompress(&stream),
@@ -759,7 +728,7 @@ mod tests {
     #[test]
     fn empty_stream_roundtrip() {
         let codec = TemporalCodec::spatial(TemporalConfig::new(1e-3));
-        let stream = codec.compress(&[]).unwrap();
+        let stream = encode(&codec, &[]).unwrap();
         assert_eq!(stream.len(), 8); // bare envelope
         assert_eq!(codec.decompress(&stream).unwrap(), Vec::new());
     }
@@ -774,18 +743,18 @@ mod tests {
             reference.clone(),
             vec![Some(0)],
         );
-        assert!(codec.compress(&units).is_err());
+        assert!(encode(&codec, &units).is_err());
         // Out-of-range target.
         let codec = TemporalCodec::with_reference(
             TemporalConfig::new(1e-3),
             reference.clone(),
             vec![Some(9), None, None, None],
         );
-        assert!(codec.compress(&units).is_err());
+        assert!(encode(&codec, &units).is_err());
         // Dims mismatch against the reference.
         let small = Arc::new(TemporalReference::new(1, snapshot(4, 0.0)));
         let codec = TemporalCodec::with_reference(TemporalConfig::new(1e-3), small, all_delta(4));
-        assert!(codec.compress(&units).is_err());
+        assert!(encode(&codec, &units).is_err());
         // Delta mapping but no reference installed.
         let codec = TemporalCodec {
             cfg: TemporalConfig::new(1e-3),
@@ -793,7 +762,7 @@ mod tests {
             unit_refs: all_delta(4),
         };
         assert!(matches!(
-            codec.compress(&units),
+            encode(&codec, &units),
             Err(CodecError::BadParameter { .. })
         ));
     }
@@ -810,7 +779,7 @@ mod tests {
         let reference = Arc::new(TemporalReference::new(2, vec![a]));
         let codec =
             TemporalCodec::with_reference(TemporalConfig::new(1e-6), reference, vec![Some(0)]);
-        let stream = codec.compress(std::slice::from_ref(&b)).unwrap();
+        let stream = encode(&codec, std::slice::from_ref(&b)).unwrap();
         let back = codec.decompress(&stream).unwrap();
         for (x, y) in b.data().iter().zip(back[0].data()) {
             assert_eq!(x.to_bits(), y.to_bits());

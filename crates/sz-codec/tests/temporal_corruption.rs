@@ -38,6 +38,13 @@ fn snapshot(n: usize, t: f64) -> Vec<Buffer3> {
         .collect()
 }
 
+/// `codec`'s stream over `units`, the decoded state dropped.
+fn encode(codec: &TemporalCodec, units: &[Buffer3]) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec.compress_with_state(units, &mut out).unwrap();
+    out
+}
+
 /// A referenced stream (units 1 and 3 spatial, 0 and 2 delta) plus the
 /// reference its decoder needs.
 fn mixed_stream() -> (Vec<u8>, Arc<TemporalReference>) {
@@ -49,13 +56,12 @@ fn mixed_stream() -> (Vec<u8>, Arc<TemporalReference>) {
         reference.clone(),
         vec![Some(0), None, Some(2), None],
     );
-    (codec.compress(&next).unwrap(), reference)
+    (encode(&codec, &next), reference)
 }
 
 fn spatial_stream() -> Vec<u8> {
-    TemporalCodec::spatial(TemporalConfig::new(1e-3))
-        .compress(&snapshot(8, 0.5))
-        .unwrap()
+    let codec = TemporalCodec::spatial(TemporalConfig::new(1e-3));
+    encode(&codec, &snapshot(8, 0.5))
 }
 
 /// Truncation lengths to probe: every short prefix, then an even spread.
@@ -205,9 +211,8 @@ fn forged_out_of_range_ref_unit_is_corrupt() {
         let mut next = Buffer3::zeros(Dims3::cube(2));
         next.fill_with(|i, j, k| (i + j + k) as f64 * 1e-4);
         let r = Arc::new(TemporalReference::new(3, prev));
-        TemporalCodec::with_reference(TemporalConfig::new(1e-3), r, vec![Some(0)])
-            .compress(std::slice::from_ref(&next))
-            .unwrap()
+        let codec = TemporalCodec::with_reference(TemporalConfig::new(1e-3), r, vec![Some(0)]);
+        encode(&codec, std::slice::from_ref(&next))
     };
     // Splice the real stream's delta block onto the forged header by
     // reusing its payload past the identical-length unit table.

@@ -4,35 +4,45 @@
 
 use amric_repro::prelude::*;
 
-/// Every codec family is reachable as a `Codec` trait object through the
-/// prelude alone.
-fn assert_codec<C: Codec>() {}
-
 #[test]
 fn prelude_exposes_the_codec_api() {
-    assert_codec::<LrCodec>();
-    assert_codec::<InterpCodec>();
-    assert_codec::<AmricCodec>();
-    assert_codec::<TacCodec>();
-    assert_codec::<ZmeshCodec>();
-    assert_codec::<BaselineCodec>();
+    // Each family is its own pair of functions, reachable from the
+    // prelude alone: SZ_L/R, SZ_Interp, the AMRIC pipeline, temporal.
+    let units = vec![Buffer3::zeros(Dims3::cube(4)); 2];
+    let lr_stream = lr::compress_domains(&units, &LrConfig::new(1e-3));
+    assert_eq!(lr::decompress_domains(&lr_stream).expect("lr").len(), 2);
+    let interp_stream = interp::compress(&units[0], &InterpConfig::new(1e-3));
+    assert!(interp::decompress(&interp_stream).is_ok());
+    let pipeline_stream = compress_field_units(&units, &AmricConfig::lr(1e-3), 4);
+    assert_eq!(
+        decompress_field_units(&pipeline_stream)
+            .expect("amric")
+            .len(),
+        2
+    );
+    let mut temporal_stream = Vec::new();
+    TemporalCodec::spatial(TemporalConfig::new(1e-3))
+        .compress_with_state(&units, &mut temporal_stream)
+        .expect("temporal");
+    assert_eq!(
+        TemporalCodec::decoder()
+            .decompress(&temporal_stream)
+            .expect("temporal")
+            .len(),
+        2
+    );
 
-    // The registry path: all six ids registered, auto-dispatch works.
-    let reg: CodecRegistry = default_registry();
-    for id in [
-        CodecId::LrSle,
-        CodecId::Interp,
-        CodecId::AmricPipeline,
-        CodecId::Tac,
-        CodecId::Zmesh,
-        CodecId::AmrexBaseline,
+    // The envelope they share names the family that wrote each stream.
+    for (stream, id) in [
+        (&lr_stream, CodecId::LrSle),
+        (&interp_stream, CodecId::Interp),
+        (&pipeline_stream, CodecId::AmricPipeline),
+        (&temporal_stream, CodecId::Temporal),
     ] {
-        assert!(reg.get(id as u16).is_some(), "{} unregistered", id.name());
+        let env = codec::read_envelope(stream).expect("envelope");
+        assert_eq!(CodecId::from_u16(env.codec), Some(id));
+        assert!(codec::expect_envelope(stream, id, env.version).is_ok());
     }
-    let stream = AmricCodec::new(AmricConfig::lr(1e-3), 8)
-        .compress(&[])
-        .expect("compress");
-    assert!(decompress_auto(&stream).expect("dispatch").is_empty());
 }
 
 #[test]
@@ -58,7 +68,7 @@ fn prelude_exposes_configs_filters_and_pipeline() {
     let units = vec![Buffer3::zeros(Dims3::cube(4))];
     let abs = resolve_abs_eb(&units, 1e-3);
     let mut out = Vec::new();
-    let info: StreamInfo = compress_field_units_with_bound_into(
+    compress_field_units_with_bound_into(
         &units,
         &cfg,
         4,
@@ -66,7 +76,6 @@ fn prelude_exposes_configs_filters_and_pipeline() {
         &mut AmricScratch::default(),
         &mut out,
     );
-    assert_eq!(info.codec, CodecId::AmricPipeline);
     assert_eq!(decompress_field_units(&out).expect("decode").len(), 1);
     assert_eq!(compress_field_units(&units, &cfg, 4), out);
 
