@@ -71,18 +71,6 @@ impl BoxArray {
         self.boxes.iter().map(|b| b.num_cells()).sum()
     }
 
-    /// The smallest box containing every grid (AMReX `minimalBox`).
-    pub fn minimal_box(&self) -> Option<IntBox> {
-        let first = self.boxes.first()?;
-        let mut lo = first.lo;
-        let mut hi = first.hi;
-        for b in &self.boxes[1..] {
-            lo = lo.min(&b.lo);
-            hi = hi.max(&b.hi);
-        }
-        Some(IntBox::new(lo, hi))
-    }
-
     /// Indices of boxes intersecting `region` together with the
     /// intersection pieces. This is the AMReX `BoxArray::intersections`
     /// fast-path used by AMRIC to find redundant coarse data (§3.1).
@@ -216,7 +204,6 @@ mod tests {
         assert_eq!(ba.len(), 8);
         assert_eq!(ba.num_cells(), domain.num_cells());
         assert!(ba.check_blocking_factor(32));
-        assert_eq!(ba.minimal_box(), Some(domain));
     }
 
     #[test]

@@ -30,20 +30,6 @@ impl FArrayBox {
         }
     }
 
-    /// Construct from existing component-slowest data.
-    pub fn from_data(domain: IntBox, ncomp: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            domain.num_cells() as usize * ncomp,
-            "data length does not match box volume × ncomp"
-        );
-        FArrayBox {
-            domain,
-            ncomp,
-            data,
-        }
-    }
-
     /// The index-space region this fab covers.
     pub fn domain(&self) -> &IntBox {
         &self.domain
@@ -250,8 +236,11 @@ mod tests {
     /// A 3-component fab over an off-origin box, every value distinct.
     fn numbered_fab() -> FArrayBox {
         let domain = IntBox::new(IntVect::new(-2, 3, 1), IntVect::new(6, 7, 5));
-        let n = domain.num_cells() as usize * 3;
-        FArrayBox::from_data(domain, 3, (0..n).map(|i| i as f64 + 0.5).collect())
+        let mut fab = FArrayBox::new(domain, 3);
+        for (i, v) in fab.data_mut().iter_mut().enumerate() {
+            *v = i as f64 + 0.5;
+        }
+        fab
     }
 
     /// Whole domain, one cell, a single row, the clipped corners, and

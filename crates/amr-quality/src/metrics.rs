@@ -52,11 +52,6 @@ impl Psnr {
             Psnr::Finite(db) => db,
         }
     }
-
-    /// Is this the perfect-reconstruction case?
-    pub fn is_infinite(&self) -> bool {
-        matches!(self, Psnr::Infinite)
-    }
 }
 
 impl std::fmt::Display for Psnr {
@@ -175,15 +170,6 @@ pub struct ErrorHistogram {
 }
 
 impl ErrorHistogram {
-    /// Bin label for reports (`i < HISTOGRAM_BINS`).
-    pub fn bin_label(i: usize) -> String {
-        match i {
-            0 => "0".into(),
-            8 => ">1e-1".into(),
-            _ => format!("<=1e-{}", 8 - i),
-        }
-    }
-
     /// Histogram of `|reference − candidate| / scale`.
     pub fn collect(reference: &[f64], candidate: &[f64], scale: f64) -> Self {
         assert_eq!(reference.len(), candidate.len(), "length mismatch");
@@ -238,7 +224,7 @@ mod tests {
         let recon: Vec<f64> = orig.iter().map(|v| v + 1e-3).collect();
         let p = Psnr::compute(&orig, &recon);
         let s = ErrorStats::compare(&orig, &recon);
-        assert!(!p.is_infinite());
+        assert_ne!(p, Psnr::Infinite);
         assert!((p.db() - s.psnr()).abs() < 1e-12);
     }
 
@@ -325,6 +311,5 @@ mod tests {
         let mut merged = h;
         merged.merge(&h10);
         assert_eq!(merged.total(), 10);
-        assert!(!ErrorHistogram::bin_label(4).is_empty());
     }
 }

@@ -549,11 +549,6 @@ impl QueryEngine {
         }
     }
 
-    /// Drop all cached chunks (for cold-read measurements).
-    pub fn clear_cache(&self) {
-        self.cache.clear()
-    }
-
     /// Component index of a named field.
     pub fn field_index(&self, name: &str) -> Option<usize> {
         self.meta.field_names.iter().position(|n| n == name)

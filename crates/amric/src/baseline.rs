@@ -3,7 +3,7 @@
 //! no-compression path.
 
 use crate::config::BaselineConfig;
-use crate::writer::{fold_receipt, ints_to_f64, run_snapshot_ranks, WriteReport};
+use crate::writer::{ints_to_f64, run_snapshot_ranks, WriteReport};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use rankpar::prelude::*;
@@ -57,37 +57,39 @@ fn write_amrex_layout(
             let staged = stage_amrex_layout(&h.level(l).data, comm.rank());
             *prep_s += t0.elapsed().as_secs_f64();
             let elems = comm.allgather(staged.len() as u64);
-            let name = format!("level_{l}/data");
-            let receipt = match compress {
+            // H5Z-SZ REL mode: the bound resolves per chunk. Chunks cut
+            // across field boundaries inside a box payload, so different
+            // fields share one bound — the §3.3 Challenge-1 flaw, reproduced
+            // at its real (chunk) granularity. The small chunk size forces
+            // one compressor call per 1024 elements (§4.4's launch-cost
+            // analysis). Without compression the global chunk is the
+            // biggest rank's payload, no padding stored.
+            let sz = compress.map(|cfg| SzFilter::one_dimensional(cfg.rel_eb));
+            let (chunks, chunk_elems, mode) = match compress {
                 Some(cfg) => {
-                    // H5Z-SZ REL mode: the bound resolves per chunk. Chunks
-                    // cut across field boundaries inside a box payload, so
-                    // different fields share one bound — the §3.3
-                    // Challenge-1 flaw, reproduced at its real (chunk)
-                    // granularity. The small chunk size forces one
-                    // compressor call per 1024 elements (§4.4's
-                    // launch-cost analysis).
-                    let chunks: Vec<ChunkData> = staged
+                    let chunks = staged
                         .chunks(cfg.chunk_elems)
-                        .map(|c| ChunkData::full(c.to_vec()))
-                        .collect();
-                    let filter = SzFilter::one_dimensional(cfg.rel_eb);
-                    let (n, mode) = (cfg.chunk_elems, FilterMode::Standard);
-                    collective_write(comm, &writer, &name, &chunks, n, &filter, mode)?
+                        .map(|c| ChunkData::full(c.to_vec()));
+                    (chunks.collect(), cfg.chunk_elems, FilterMode::Standard)
                 }
                 None => {
-                    // Global chunk = biggest rank, no padding stored.
                     let n = elems.iter().copied().max().unwrap_or(0).max(1) as usize;
                     let chunks = if staged.is_empty() {
                         Vec::new()
                     } else {
                         vec![ChunkData::full(staged)]
                     };
-                    let mode = FilterMode::SizeAware;
-                    collective_write(comm, &writer, &name, &chunks, n, &NoFilter, mode)?
+                    (chunks, n, FilterMode::SizeAware)
                 }
             };
-            fold_receipt(ledger, &receipt);
+            let job = DatasetJob {
+                name: &format!("level_{l}/data"),
+                chunks: &chunks,
+                chunk_elems,
+                filter: sz.as_ref().map_or(&NoFilter as &dyn ChunkFilter, |f| f),
+                mode,
+            };
+            ledger.merge(&collective_write_many(comm, &writer, &[job], 1)?);
             if compress.is_none() {
                 // No compression filter runs in this path: the NoFilter
                 // pass is a staging copy, not a compressor launch.

@@ -76,9 +76,6 @@ pub struct AmricConfig {
     /// Remove coarse data covered by finer levels (§3.1). Disabling keeps
     /// the redundant cells (ablation).
     pub remove_redundancy: bool,
-    /// Pass actual per-rank data sizes to the HDF5 filter (§3.3
-    /// Solution 2). When false, ranks pad to the global chunk size.
-    pub size_aware_filter: bool,
     /// Rank-local compression workers of the write path (always ≥ 1).
     /// With 1 every chunk is compressed inline on the rank thread; with
     /// more, a pool overlaps compression with the collective writes. Does
@@ -102,7 +99,6 @@ impl AmricConfig {
             adaptive_block_size: true,
             cluster_arrangement: false,
             remove_redundancy: true,
-            size_aware_filter: true,
             workers: 1,
             bound: BoundPolicy::Fixed,
         }
@@ -117,7 +113,6 @@ impl AmricConfig {
             adaptive_block_size: false,
             cluster_arrangement: true,
             remove_redundancy: true,
-            size_aware_filter: true,
             workers: 1,
             bound: BoundPolicy::Fixed,
         }
@@ -156,12 +151,6 @@ impl AmricConfig {
     /// Toggle coarse-redundancy removal (ablation switch).
     pub fn with_remove_redundancy(mut self, on: bool) -> Self {
         self.remove_redundancy = on;
-        self
-    }
-
-    /// Toggle the size-aware HDF5 filter (ablation switch).
-    pub fn with_size_aware_filter(mut self, on: bool) -> Self {
-        self.size_aware_filter = on;
         self
     }
 
@@ -239,7 +228,7 @@ mod tests {
         assert_eq!(lr.algorithm, SzAlgorithm::LorenzoRegression);
         assert!(lr.adaptive_block_size);
         assert_eq!(lr.merge, MergePolicy::SharedEncoding);
-        assert!(lr.remove_redundancy && lr.size_aware_filter);
+        assert!(lr.remove_redundancy);
         assert_eq!(lr.workers, 1);
         let it = AmricConfig::interp(1e-3);
         assert_eq!(it.algorithm, SzAlgorithm::Interpolation);
@@ -264,15 +253,13 @@ mod tests {
             .with_merge(MergePolicy::LinearMerge)
             .with_adaptive_block_size(false)
             .with_cluster_arrangement(true)
-            .with_remove_redundancy(false)
-            .with_size_aware_filter(false);
+            .with_remove_redundancy(false);
         assert_eq!(cfg.algorithm, SzAlgorithm::Interpolation);
         assert_eq!(cfg.rel_eb, 1e-4);
         assert_eq!(cfg.merge, MergePolicy::LinearMerge);
         assert!(!cfg.adaptive_block_size);
         assert!(cfg.cluster_arrangement);
         assert!(!cfg.remove_redundancy);
-        assert!(!cfg.size_aware_filter);
         let base = BaselineConfig::new(1e-2)
             .with_chunk_elems(4096)
             .with_rel_eb(5e-3);

@@ -37,8 +37,7 @@ use crate::preprocess::{
 };
 use crate::reader::{load_plotfile, Plotfile};
 use crate::writer::{
-    field_dataset, flatten_units, fold_receipt, global_range, run_snapshot_ranks,
-    write_chunk_indexes, WriteReport,
+    agree_level, field_dataset, flatten_units, run_snapshot_ranks, write_chunk_indexes, WriteReport,
 };
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
@@ -291,63 +290,67 @@ impl TemporalSession {
                     _ => vec![None; units.len()],
                 };
                 let any_mapped = unit_refs.iter().any(Option::is_some);
+                let fields: Vec<Vec<Buffer3>> = (0..nfields)
+                    .map(|f| extract_units(level, &units, f))
+                    .collect();
                 *prep_s += t0.elapsed().as_secs_f64();
-                // Set iff any field stream of this (level, rank) actually
-                // shipped delta-coded bytes — the chunk index records the
-                // reference only then.
-                let mut any_delta = false;
-                let mut field_refs = Vec::with_capacity(nfields);
-                for f in 0..nfields {
-                    let t0 = Instant::now();
-                    let bufs = extract_units(level, &units, f);
-                    let staged_cells: usize = bufs.iter().map(|b| b.dims().len()).sum();
-                    *prep_s += t0.elapsed().as_secs_f64();
-                    // Global REL bound and global chunk size, same
-                    // collective sequence as the AMRIC writer.
+                // Global REL bound and global chunk size per field, agreed
+                // in one collective like the AMRIC writer.
+                let local = fields.iter().map(|bufs| {
                     let extremes = bufs.iter().map(Buffer3::min_max);
-                    let local = extremes.fold((f64::INFINITY, f64::NEG_INFINITY), |a, b| {
+                    let (lo, hi) = extremes.fold((f64::INFINITY, f64::NEG_INFINITY), |a, b| {
                         (a.0.min(b.0), a.1.max(b.1))
                     });
-                    let range = global_range(comm, local);
+                    (lo, hi, bufs.iter().map(|b| b.dims().len() as u64).sum())
+                });
+                let agreed = agree_level(comm, local.collect());
+                // Encode every field stream, keeping its decoded state (the
+                // next snapshot's reference) and whether any stream shipped
+                // delta-coded bytes (the chunk index records the reference
+                // only then). The first failure stops the level and becomes
+                // this rank's vote, so the peers abort with it.
+                let mut any_delta = false;
+                let mut field_refs = Vec::with_capacity(nfields);
+                let mut encode = |f: usize, (range, chunk_elems)| {
                     let tcfg = TemporalConfig {
                         abs_eb: sz_codec::quantizer::absolute_bound(cfg.rel_eb, range),
                         block_size: cfg.block_size,
                     };
-                    let chunk_elems = comm.allreduce_max(staged_cells as u64) as usize;
-                    let encoded = if chunk_elems == 0 {
-                        Ok((Vec::new(), Vec::new(), false))
-                    } else {
-                        let delta = any_mapped.then(|| {
-                            let reference =
-                                &prev_level.expect("mapping implies prev").field_refs[f];
-                            (Arc::clone(reference), unit_refs.clone())
-                        });
-                        encode_stream(tcfg, &bufs, delta)
-                            .map(|(frame, decoded, delta)| (vec![frame], decoded, delta))
+                    let delta = any_mapped.then(|| {
+                        let reference = &prev_level.expect("mapping implies prev").field_refs[f];
+                        (Arc::clone(reference), unit_refs.clone())
+                    });
+                    let (frames, decoded) = match chunk_elems {
+                        0 => (Vec::new(), Vec::new()),
+                        _ => {
+                            let (frame, decoded, delta) = encode_stream(tcfg, &fields[f], delta)?;
+                            any_delta |= delta;
+                            (vec![frame], decoded)
+                        }
                     };
-                    // A failed encode still joins the collective — with an
-                    // abort vote, so the peers fail in lockstep — and then
-                    // reports its own typed cause.
-                    let (frames, state) = match encoded {
-                        Ok((frames, decoded, delta)) => (Some(frames), Ok((decoded, delta))),
-                        Err(e) => (None, Err(H5Error::Codec(e))),
-                    };
-                    let receipt = collective_write_frames(
-                        comm,
-                        &writer,
-                        &field_dataset(l, f),
-                        frames,
-                        chunk_elems.max(1),
-                        &TemporalFieldFilter {
-                            unit_edge: unit as usize,
-                        },
-                        FilterMode::SizeAware,
-                    );
-                    let (decoded, delta) = state?;
-                    fold_receipt(ledger, &receipt?);
-                    any_delta |= delta;
                     field_refs.push(Arc::new(TemporalReference::new(id, decoded)));
-                }
+                    Ok(frames)
+                };
+                let frames = (0..nfields)
+                    .map(|f| encode(f, agreed[f]))
+                    .collect::<CodecResult<Vec<_>>>()
+                    .map_err(H5Error::Codec);
+                let filter = TemporalFieldFilter {
+                    unit_edge: unit as usize,
+                };
+                let names: Vec<String> = (0..nfields).map(|f| field_dataset(l, f)).collect();
+                let jobs: Vec<DatasetJob> = names
+                    .iter()
+                    .zip(&agreed)
+                    .map(|(name, &(_, chunk_elems))| DatasetJob {
+                        name,
+                        chunks: &[],
+                        chunk_elems: chunk_elems.max(1),
+                        filter: &filter,
+                        mode: FilterMode::SizeAware,
+                    })
+                    .collect();
+                ledger.merge(&collective_write_frames(comm, &writer, &jobs, frames)?);
                 levels_out.push(LevelOut {
                     extent,
                     plan: units,

@@ -131,6 +131,9 @@ pub struct WriteReport {
     pub orig_bytes: u64,
     /// Stored payload bytes of the field datasets.
     pub stored_bytes: u64,
+    /// Collectives each rank entered for the snapshot (rank 0's count;
+    /// every rank enters the same sequence).
+    pub collectives: u64,
 }
 
 impl WriteReport {
@@ -147,19 +150,22 @@ impl WriteReport {
     }
 }
 
-/// Value range across **all** ranks of a field whose rank-local extremes
-/// are `(lo, hi)` (0.0 for constant or empty fields) — the global range
-/// REL bounds resolve against. One allgather; every rank must call it in
-/// the same order.
-pub(crate) fn global_range(comm: &Communicator, (lo, hi): (f64, f64)) -> f64 {
-    let ranges = comm.allgather((lo, hi));
-    let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
-    if ghi > glo {
-        ghi - glo
-    } else {
-        0.0
-    }
+/// The one agreement of a level: every rank brings each field's local
+/// `(min, max, staged elems)` to one allgather and gets back, per field,
+/// the value range across **all** ranks (0.0 for constant or empty fields)
+/// — the range REL bounds resolve against — and the global chunk size, the
+/// largest rank's staged length (§3.3 Solution 2).
+pub(crate) fn agree_level(comm: &Communicator, local: Vec<(f64, f64, u64)>) -> Vec<(f64, usize)> {
+    let nfields = local.len();
+    let all = comm.allgather(local);
+    (0..nfields)
+        .map(|f| {
+            let glo = all.iter().map(|r| r[f].0).fold(f64::INFINITY, f64::min);
+            let ghi = all.iter().map(|r| r[f].1).fold(f64::NEG_INFINITY, f64::max);
+            let elems = all.iter().map(|r| r[f].2).max().unwrap_or(0);
+            (if ghi > glo { ghi - glo } else { 0.0 }, elems as usize)
+        })
+        .collect()
 }
 
 /// Encode a u64 list as f64s (exact below 2⁵³) for metadata datasets.
@@ -239,10 +245,10 @@ pub fn field_dataset(level: usize, field: usize) -> String {
 /// `body` results in rank order. The caller still owns the container tail
 /// (chunk indexes, `finish`).
 ///
-/// The collectives fail in lockstep, so when `body` fails it fails on
-/// *every* rank: the rank at fault with its typed cause, its peers with
-/// the engine's abort notice (`H5Error::Format`). The typed cause is the
-/// one surfaced; nothing panics out of a rank closure.
+/// A write call commits or aborts on every rank at once, so when `body`
+/// fails it fails on *every* rank: the rank at fault with its typed cause,
+/// its peers with the engine's abort notice (`H5Error::Format`). The typed
+/// cause is the one surfaced; nothing panics out of a rank closure.
 pub(crate) fn run_snapshot_ranks<T: Send>(
     writer: &H5Writer,
     h: &AmrHierarchy,
@@ -254,14 +260,12 @@ pub(crate) fn run_snapshot_ranks<T: Send>(
         let mut ledger = IoLedger::default();
         let mut prep_s = 0.0;
         let out = body(&comm, &mut ledger, &mut prep_s)?;
-        // A header failure on rank 0 must not strand the peers at the
-        // barrier, so it is reported only after it.
-        let header = match comm.rank() {
-            0 => write_metadata(writer, h, header_extra),
-            _ => Ok(()),
-        };
-        comm.barrier();
-        header.map(|()| (ledger, prep_s, out))
+        // No collective follows: rank 0 adds the header after its last
+        // vote, when every dataset is registered.
+        if comm.rank() == 0 {
+            write_metadata(writer, h, header_extra)?;
+        }
+        Ok((ledger, prep_s, out, comm.collectives()))
     });
     let mut report = WriteReport {
         nranks,
@@ -269,12 +273,15 @@ pub(crate) fn run_snapshot_ranks<T: Send>(
         prep_seconds: Vec::with_capacity(nranks),
         orig_bytes: h.snapshot_bytes(),
         stored_bytes: 0,
+        collectives: 0,
     };
     let mut outs = Vec::with_capacity(nranks);
     let mut notice = None;
     for result in per_rank {
         match result {
-            Ok((ledger, prep_s, out)) => {
+            Ok((ledger, prep_s, out, collectives)) => {
+                debug_assert!(outs.is_empty() || collectives == report.collectives);
+                report.collectives = collectives;
                 report.stored_bytes += ledger.bytes_written;
                 report.ledgers.push(ledger);
                 report.prep_seconds.push(prep_s);
@@ -301,9 +308,9 @@ pub fn write_amric(
 
 /// The AMRIC pipeline over an already-created writer (a file, or
 /// `H5Writer::in_memory`): runs the rank collectives and finishes the
-/// container. A chunk that fails to encode aborts every rank in lockstep
-/// and surfaces here as the typed error (`H5Error::Codec` for filter
-/// failures), never a panic.
+/// container. A chunk that fails to encode aborts its level's write call
+/// on every rank and surfaces here as the typed error (`H5Error::Codec`
+/// for filter failures), never a panic.
 pub fn write_amric_to(
     writer: Arc<H5Writer>,
     h: &AmrHierarchy,
@@ -312,12 +319,6 @@ pub fn write_amric_to(
 ) -> H5Result<WriteReport> {
     let num_levels = h.num_levels();
     let nfields = h.field_names().len();
-    let mode = if cfg.size_aware_filter {
-        FilterMode::SizeAware
-    } else {
-        FilterMode::Standard
-    };
-
     let header_extra = [bf as u64, u64::from(cfg.remove_redundancy)];
     let body = |comm: &Communicator, ledger: &mut IoLedger, prep_s: &mut f64| {
         let rank = comm.rank();
@@ -363,32 +364,34 @@ pub fn write_amric_to(
         for (l, (unit, units)) in plans.iter().enumerate() {
             let level = &h.level(l).data;
             extents.push(plan_bounding_box(units));
-            // Pass 1 — stage every field and pre-compute the write
-            // metadata (global bound + global chunk size) in one
-            // deterministic collective sequence. With the metadata known
-            // up front, pass 2 can overlap compression with the writes
-            // (the paper's one-pass write).
+            // Pass 1 — stage every field field-major (§3.3 Solution 1:
+            // this rank's units of one field, concatenated) and agree on
+            // the write metadata (global bound + global chunk size) in
+            // one collective. With the metadata known up front, pass 2
+            // can overlap compression with the writes (the paper's
+            // one-pass write).
+            let t0 = Instant::now();
+            let staged: Vec<Vec<f64>> =
+                (0..nfields).map(|f| stage_units(level, units, f)).collect();
+            *prep_s += t0.elapsed().as_secs_f64();
+            let local = staged.iter().map(|s| {
+                let (lo, hi) = sz_codec::buffer3::min_max(s);
+                (lo, hi, s.len() as u64)
+            });
+            let agreed = agree_level(comm, local.collect());
             let mut staged_fields = Vec::with_capacity(nfields);
-            for f in 0..nfields {
-                // Stage field-major (§3.3 Solution 1): this rank's units of
-                // one field, concatenated.
-                let t0 = Instant::now();
-                let staged = stage_units(level, units, f);
-                *prep_s += t0.elapsed().as_secs_f64();
+            for (f, (staged, (range, chunk_elems))) in staged.into_iter().zip(agreed).enumerate() {
                 // Resolve the relative bound against the field's global
                 // range on this level. Constant (range-0) fields fall back
                 // to the raw relative value — same contract as
                 // `resolve_abs_eb`, so quiet ranks get a well-defined,
                 // non-degenerate bound. Under an adaptive policy both
                 // tight and loose resolve against the same global range.
-                let range = global_range(comm, sz_codec::buffer3::min_max(&staged));
                 let filter = AmricFieldFilter {
                     cfg: *cfg,
                     unit_edge: *unit as usize,
                     bound: ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, range),
                 };
-                // Global chunk = biggest rank (§3.3 Solution 2).
-                let chunk_elems = comm.allreduce_max(staged.len() as u64) as usize;
                 let chunks = if chunk_elems == 0 {
                     Vec::new()
                 } else {
@@ -397,7 +400,7 @@ pub fn write_amric_to(
                 staged_fields.push((field_dataset(l, f), chunks, chunk_elems.max(1), filter));
             }
             // Pass 2 — the write engine: compress on the rank-local pool
-            // (inline at `workers = 1`), commit in field order.
+            // (inline at `workers = 1`), commit in field order, one vote.
             let jobs: Vec<DatasetJob> = staged_fields
                 .iter()
                 .map(|(name, chunks, chunk_elems, filter)| DatasetJob {
@@ -405,12 +408,10 @@ pub fn write_amric_to(
                     chunks,
                     chunk_elems: *chunk_elems,
                     filter,
-                    mode,
+                    mode: FilterMode::SizeAware,
                 })
                 .collect();
-            for receipt in &collective_write_many(comm, &writer, &jobs, cfg.workers)? {
-                fold_receipt(ledger, receipt);
-            }
+            ledger.merge(&collective_write_many(comm, &writer, &jobs, cfg.workers)?);
         }
         Ok(extents)
     };
@@ -470,19 +471,10 @@ pub(crate) fn write_chunk_indexes(
     Ok(())
 }
 
-/// Fold a collective receipt into a rank ledger (encode time counts as
-/// measured compute inside the I/O phase, matching the paper's breakdown).
-pub(crate) fn fold_receipt(ledger: &mut IoLedger, r: &CollectiveReceipt) {
-    ledger.filter_calls += r.filter_calls;
-    ledger.write_calls += r.write_calls;
-    ledger.bytes_written += r.bytes_written;
-    ledger.dataset_creates += r.dataset_creates;
-    ledger.add_measured_compute(r.encode_seconds);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temporal::{TemporalSession, TemporalSessionConfig};
     use amr_apps::prelude::*;
 
     /// Run the full pipeline into an in-memory container and reopen it —
@@ -493,9 +485,8 @@ mod tests {
         (report, H5Reader::from_storage(Box::new(mem)).unwrap())
     }
 
-    fn small_nyx() -> AmrHierarchy {
-        let s = NyxScenario::new(11);
-        let cfg = AmrRunConfig {
+    fn small_nyx_cfg() -> AmrRunConfig {
+        AmrRunConfig {
             coarse_dims: (16, 16, 16),
             max_grid_size: 8,
             blocking_factor: 8,
@@ -503,8 +494,11 @@ mod tests {
             num_levels: 2,
             fine_fraction: 0.05,
             grid_eff: 0.7,
-        };
-        build_hierarchy(&s, &cfg, 0.0)
+        }
+    }
+
+    fn small_nyx() -> AmrHierarchy {
+        build_hierarchy(&NyxScenario::new(11), &small_nyx_cfg(), 0.0)
     }
 
     #[test]
@@ -616,7 +610,7 @@ mod tests {
         let writer = Arc::new(writer);
         let w = Arc::clone(&writer);
         let filter = AmricFieldFilter::fixed(AmricConfig::lr(1e-3), 4, 1e-3);
-        let receipts = rankpar::run_ranks(2, move |comm| {
+        let ledgers = rankpar::run_ranks(2, move |comm| {
             let data: Vec<f64> = (0..128).map(|i| (i as f64 * 0.03).sin()).collect();
             let full = [ChunkData::full(data)];
             let names = ["f0", "f1", "f2", "f3", "f4"];
@@ -631,8 +625,9 @@ mod tests {
                 .collect();
             collective_write_many(&comm, &w, &jobs, 3).unwrap()
         });
-        for r in &receipts {
-            assert_eq!(r.len(), 5);
+        for l in &ledgers {
+            assert_eq!(l.dataset_creates, 5);
+            assert_eq!(l.filter_calls, 2);
         }
         writer.finish().unwrap();
         let rd = H5Reader::from_storage(Box::new(mem)).unwrap();
@@ -658,7 +653,7 @@ mod tests {
             let (writer, mem) = H5Writer::in_memory();
             let writer = Arc::new(writer);
             let w = Arc::clone(&writer);
-            let receipts = rankpar::run_ranks(2, move |comm| {
+            let ledgers = rankpar::run_ranks(2, move |comm| {
                 let chunks: Vec<ChunkData> = (0..11).map(|c| chunk(comm.rank(), c)).collect();
                 let job = DatasetJob {
                     name: "many",
@@ -670,14 +665,14 @@ mod tests {
                 collective_write_many(&comm, &w, &[job], workers).unwrap()
             });
             writer.finish().unwrap();
-            (receipts, H5Reader::from_storage(Box::new(mem)).unwrap())
+            (ledgers, H5Reader::from_storage(Box::new(mem)).unwrap())
         };
         let (r1, a) = write(1);
         let (r4, b) = write(4);
         for (rs, rp) in r1.iter().zip(&r4) {
-            assert_eq!(rs[0].filter_calls, 11);
-            assert_eq!(rp[0].filter_calls, 11);
-            assert_eq!(rs[0].bytes_written, rp[0].bytes_written);
+            assert_eq!(rs.filter_calls, 11);
+            assert_eq!(rp.filter_calls, 11);
+            assert_eq!(rs.bytes_written, rp.bytes_written);
         }
         let (ma, mb) = (a.meta("many").unwrap(), b.meta("many").unwrap());
         assert_eq!(ma.chunks.len(), 22);
@@ -695,7 +690,7 @@ mod tests {
     #[test]
     fn filter_error_surfaces_as_typed_codec_error() {
         // Rank 1 stages a chunk that is not whole unit blocks: the AMRIC
-        // filter rejects it, every rank aborts in lockstep, and the caller
+        // filter rejects it, the call's vote aborts every rank, and the caller
         // gets the typed cause — not rank 0's abort notice, and not a
         // panic out of the rank closure.
         let h = small_nyx();
@@ -718,6 +713,38 @@ mod tests {
                 matches!(err, H5Error::Codec(CodecError::DimsMismatch { .. })),
                 "workers={workers}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_snapshot_costs_two_collectives_per_level() {
+        // 2 levels × 6 fields at every rank count: AMRIC agrees on the
+        // grid alignment once, then per level on its bounds (one gather)
+        // and on its write call (one vote); the temporal session and the
+        // baseline skip the alignment check. `run_snapshot_ranks` checks
+        // in debug builds that every rank entered the same count.
+        let dir = h5lite::testutil::TempDir::new("amric-collectives");
+        for nranks in [1, 2, 4, 16] {
+            let cfg = AmrRunConfig {
+                nranks,
+                ..small_nyx_cfg()
+            };
+            let h = build_hierarchy(&NyxScenario::new(11), &cfg, 0.0);
+            assert_eq!((h.num_levels(), h.field_names().len()), (2, 6));
+            let (amric, _) = write_mem(&h, &AmricConfig::lr(1e-3), 8);
+            let mut session = TemporalSession::new(TemporalSessionConfig::new(1e-3), 8);
+            let temporal = session.write_to(Arc::new(H5Writer::in_memory().0), &h);
+            let baseline = crate::baseline::write_amrex_baseline(
+                dir.file(&format!("b{nranks}.h5l")),
+                &h,
+                &crate::config::BaselineConfig::new(1e-2),
+            );
+            let counts = (
+                amric.collectives,
+                temporal.unwrap().collectives,
+                baseline.unwrap().collectives,
+            );
+            assert_eq!(counts, (5, 4, 4), "nranks={nranks}");
         }
     }
 

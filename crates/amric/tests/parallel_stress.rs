@@ -1,8 +1,8 @@
 //! Concurrency stress suite for the overlapped write path: a failing
-//! chunk injected mid-batch (the non-unit-multiple regression from the
-//! PR 2 filter hardening) must drain the pool cleanly, abort the
-//! collective without deadlocking peer ranks, and surface the typed
-//! `CodecError` on every rank.
+//! chunk injected mid-batch (a chunk that is not whole unit blocks) must
+//! drain the pool cleanly, abort the write call on every rank without
+//! deadlocking peers, register none of the call's datasets, and surface
+//! the typed `CodecError` on the failing rank.
 //!
 //! The suite is written to pass under both `--test-threads=1` and the
 //! default parallel test runner (CI runs both): nothing here depends on
@@ -10,7 +10,7 @@
 //! watchdog so a deadlock fails loudly instead of hanging the run.
 
 use amric::prelude::*;
-use amric::writer::AmricFieldFilter;
+use amric::writer::{field_dataset, AmricFieldFilter};
 use h5lite::prelude::*;
 use rankpar::run_ranks;
 use std::sync::mpsc;
@@ -71,16 +71,16 @@ fn chunks_with_poison(
         .collect()
 }
 
-/// Write `fields` as `level_0/field_{f}` through the engine on `workers`.
+/// Write `fields` as `level_{level}/field_{f}` through one engine call on
+/// `workers` — the writer's per-level shape.
 fn write_fields(
     comm: &rankpar::Communicator,
     writer: &H5Writer,
+    level: usize,
     fields: &[[ChunkData; 1]],
     workers: usize,
-) -> H5Result<Vec<CollectiveReceipt>> {
-    let names: Vec<String> = (0..fields.len())
-        .map(|f| format!("level_0/field_{f}"))
-        .collect();
+) -> H5Result<rankpar::IoLedger> {
+    let names: Vec<String> = (0..fields.len()).map(|f| field_dataset(level, f)).collect();
     let filter = filter(4);
     let jobs: Vec<DatasetJob> = fields
         .iter()
@@ -104,10 +104,10 @@ fn failing_chunk_mid_batch_surfaces_typed_error_on_every_rank() {
         let w = Arc::clone(&writer);
         let results = with_watchdog("mid-batch abort", move || {
             run_ranks(2, move |comm| {
-                // Rank 1's field 3 (of 6) is poisoned: fields 0–2 write
-                // collectively, the rest abort in lockstep.
+                // Rank 1's field 3 (of 6) is poisoned: the call's one vote
+                // aborts all six fields on both ranks.
                 let fields = chunks_with_poison(comm.rank(), 6, 1, Some(3));
-                write_fields(&comm, &w, &fields, workers)
+                write_fields(&comm, &w, 0, &fields, workers)
             })
         });
         assert!(results[0].is_err(), "peer rank must see the abort");
@@ -121,27 +121,56 @@ fn failing_chunk_mid_batch_surfaces_typed_error_on_every_rank() {
             matches!(own_err.as_codec(), Some(CodecError::DimsMismatch { .. })),
             "failing rank surfaces the typed CodecError: {own_err:?}"
         );
-        // The fields before the poison completed collectively and are
-        // readable; the file itself stays consistent.
+        // The call registers all of its datasets or none — not even the
+        // fields whose frames landed before the poison; the file itself
+        // stays consistent.
         writer.finish().unwrap();
         let rd = H5Reader::open(&path).unwrap();
-        for f in 0..3 {
-            let name = format!("level_0/field_{f}");
-            assert!(
-                rd.dataset_names().contains(&name.as_str()),
-                "pre-failure field {f} must be registered"
-            );
-            let meta = rd.meta(&name).unwrap();
-            assert_eq!(meta.chunks.len(), 2);
-        }
-        for f in 3..6 {
-            let name = format!("level_0/field_{f}");
-            assert!(
-                !rd.dataset_names().contains(&name.as_str()),
-                "post-failure field {f} must not be registered"
-            );
-        }
+        assert!(rd.dataset_names().is_empty(), "{:?}", rd.dataset_names());
         std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn sixteen_ranks_failing_level_one_field_three_registers_no_level_one_dataset() {
+    // The writer's shape at 16 ranks: two levels of six fields, one engine
+    // call per level. Rank 5's AMRIC filter fails in level 1, field 3:
+    // level 0 stays registered whole, level 1 registers nothing, every
+    // rank returns, and only the failing rank holds the typed cause.
+    const RANKS: usize = 16;
+    for workers in [1usize, 3] {
+        let (writer, mem) = H5Writer::in_memory();
+        let writer = Arc::new(writer);
+        let w = Arc::clone(&writer);
+        let results = with_watchdog("16-rank level-1 abort", move || {
+            run_ranks(RANKS, move |comm| {
+                let level0 = chunks_with_poison(comm.rank(), 6, 5, None);
+                write_fields(&comm, &w, 0, &level0, workers)?;
+                let level1 = chunks_with_poison(comm.rank(), 6, 5, Some(3));
+                write_fields(&comm, &w, 1, &level1, workers)
+            })
+        });
+        for (rank, r) in results.iter().enumerate() {
+            let err = r.as_ref().unwrap_err();
+            if rank == 5 {
+                assert!(
+                    matches!(err, H5Error::Codec(CodecError::DimsMismatch { .. })),
+                    "workers={workers}: failing rank: {err:?}"
+                );
+            } else {
+                assert!(
+                    matches!(err, H5Error::Format(_)),
+                    "workers={workers}: rank {rank} gets the abort notice: {err:?}"
+                );
+            }
+        }
+        writer.finish().unwrap();
+        let rd = H5Reader::from_storage(Box::new(mem)).unwrap();
+        let level0: Vec<String> = (0..6).map(|f| field_dataset(0, f)).collect();
+        assert_eq!(rd.dataset_names(), level0, "workers={workers}");
+        for name in &level0 {
+            assert_eq!(rd.meta(name).unwrap().chunks.len(), RANKS);
+        }
     }
 }
 
@@ -156,7 +185,7 @@ fn both_ranks_failing_still_drain() {
             // in lockstep even when the ranks fail at different points.
             let poison = if comm.rank() == 0 { 1 } else { 4 };
             let fields = chunks_with_poison(comm.rank(), 6, comm.rank(), Some(poison));
-            write_fields(&comm, &w, &fields, 4)
+            write_fields(&comm, &w, 0, &fields, 4)
         })
     });
     for (rank, r) in results.iter().enumerate() {

@@ -1,45 +1,31 @@
 //! Collective dataset writes: every rank contributes chunks to shared
 //! datasets (parallel-HDF5-with-filters semantics). This module is the one
-//! place that knows how frames become a committed dataset: `encode_frame`
+//! place that knows how frames become committed datasets: `encode_frame`
 //! → `commit_frames` (one extent reservation per batch, one `write_at` and
-//! one `ChunkRecord` per frame) → `finalize` (vote, gather, register).
+//! one `ChunkRecord` per frame) → `agree` (one vote per write call).
 //!
 //! [`collective_write_many`] is the engine — many datasets × many chunks,
 //! encoded on a rank-local pool and committed in dataset order.
-//! [`collective_write`] is its one-dataset, one-worker call;
 //! [`collective_write_frames`] enters after the encode step for callers
-//! that produce their frames themselves. DESIGN.md has the stage diagram.
+//! that produce their frames themselves. Either call is **one** collective
+//! at its end, and registers all of its datasets or none. DESIGN.md has
+//! the stage diagram.
 //!
 //! With compression filters enabled, HDF5 requires collective metadata
 //! operations: *all* ranks participate in every dataset create even when
 //! they contribute no data — the effect that makes the one-dataset-per-rank
 //! workaround of the paper's §3.3 serialize badly. That cost is captured by
 //! counting a dataset-create participation per rank per dataset in the
-//! returned receipt.
+//! returned ledger.
 
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
 use crate::file::{ChunkData, H5Writer};
 use crate::filter::{encode_frame, ChunkFilter, EncodedFrame, FilterMode};
-use rankpar::Communicator;
+use rankpar::{Communicator, IoLedger};
 
-/// Per-rank accounting of one collective write, in PFS-model units.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CollectiveReceipt {
-    /// Filter invocations on this rank.
-    pub filter_calls: u64,
-    /// Write calls on this rank.
-    pub write_calls: u64,
-    /// Payload bytes this rank wrote.
-    pub bytes_written: u64,
-    /// Collective dataset creates this rank participated in (always ≥ 1).
-    pub dataset_creates: u64,
-    /// Seconds this rank spent inside filter encode calls.
-    pub encode_seconds: f64,
-}
-
-/// One dataset's share of a [`collective_write_many`] call: this rank's
-/// chunks plus the collective geometry every rank agreed on beforehand.
+/// One dataset's share of a collective write call: this rank's chunks
+/// plus the collective geometry every rank agreed on beforehand.
 pub struct DatasetJob<'a> {
     /// Dataset name (identical on every rank).
     pub name: &'a str,
@@ -56,20 +42,22 @@ pub struct DatasetJob<'a> {
 /// Land a batch of encoded frames: one contiguous pre-reserved extent (a
 /// single atomic reservation — sizes are known before any byte moves, the
 /// paper's one-pass write against its compress-then-rewrite two-pass), one
-/// `write_at` and one [`ChunkRecord`] per frame, folded into `receipt`.
+/// `write_at` and one [`ChunkRecord`] per frame, charged to `ledger`
+/// (encode time counts as measured compute inside the I/O phase, matching
+/// the paper's breakdown).
 pub(crate) fn commit_frames(
     writer: &H5Writer,
     frames: &[EncodedFrame],
     records: &mut Vec<ChunkRecord>,
-    receipt: &mut CollectiveReceipt,
+    ledger: &mut IoLedger,
 ) -> H5Result<()> {
     let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
     for (frame, &offset) in frames.iter().zip(&plan.offsets) {
         writer.write_at(offset, &frame.bytes)?;
-        receipt.filter_calls += 1;
-        receipt.encode_seconds += frame.encode_seconds;
-        receipt.write_calls += 1;
-        receipt.bytes_written += frame.bytes.len() as u64;
+        ledger.filter_calls += 1;
+        ledger.measured_compute_s += frame.encode_seconds;
+        ledger.write_calls += 1;
+        ledger.bytes_written += frame.bytes.len() as u64;
         records.push(ChunkRecord {
             offset,
             stored_bytes: frame.bytes.len() as u64,
@@ -79,89 +67,81 @@ pub(crate) fn commit_frames(
     Ok(())
 }
 
-/// The shared tail of every collective write: agree on success, gather
-/// chunk records in rank order, register the dataset on rank 0. Every rank
-/// calls this exactly once per dataset, in the same order; `failure:
-/// Some(_)` is the abort vote — the dataset never registers and every rank
-/// returns `Err`.
-///
-/// The agreement runs before the records gather so a rank whose encode
-/// failed must not abandon its peers inside a barrier (the communicator
-/// has no timeout): every rank first learns whether all succeeded and the
-/// whole collective fails together.
-fn finalize(
+/// The one vote of a write call, and its only collective. Every rank
+/// brings its per-job chunk records — or the error that stopped it — and
+/// one allgather tells every rank whether all succeeded. If so, rank 0
+/// registers every dataset in job order (chunk records rank-major) and
+/// each rank's ledger is charged one create per dataset. Otherwise nothing
+/// registers and every rank returns `Err`: the failing rank its own cause,
+/// its peers the abort notice. A failing rank has entered no collective
+/// before this one, so it strands no peer in a barrier.
+fn agree(
     comm: &Communicator,
     writer: &H5Writer,
-    job: &DatasetJob<'_>,
-    my_records: Vec<ChunkRecord>,
-    failure: Option<H5Error>,
-    receipt: CollectiveReceipt,
-) -> H5Result<CollectiveReceipt> {
-    let all_ok = comm.allgather(failure.is_none());
+    jobs: &[DatasetJob<'_>],
+    mine: H5Result<Vec<Vec<ChunkRecord>>>,
+    ledger: IoLedger,
+) -> H5Result<IoLedger> {
+    let (vote, failure) = match mine {
+        Ok(records) => (Some(records), None),
+        Err(e) => (None, Some(e)),
+    };
+    let votes = comm.allgather(vote);
     if let Some(e) = failure {
         return Err(e);
     }
-    if all_ok.contains(&false) {
+    let Some(all) = votes.into_iter().collect::<Option<Vec<_>>>() else {
         return Err(H5Error::Format(
-            "collective write aborted: a peer rank's chunk failed to encode".into(),
+            "collective write aborted: a peer rank failed to encode its frames".into(),
         ));
-    }
-
-    // Gather chunk records in rank order; rank 0 registers the dataset.
-    let all_records: Vec<Vec<ChunkRecord>> = comm.allgather(my_records);
+    };
     if comm.rank() == 0 {
-        let chunks: Vec<ChunkRecord> = all_records.into_iter().flatten().collect();
-        let total = chunks.iter().map(|c| c.logical_elems).sum();
-        writer.register_dataset(DatasetMeta {
-            name: job.name.to_string(),
-            total_elems: total,
-            chunk_elems: job.chunk_elems as u64,
-            filter_id: job.filter.id(),
-            filter_mode: job.mode,
-            client_data: job.filter.client_data(),
-            chunks,
-        })?;
+        for (d, job) in jobs.iter().enumerate() {
+            let chunks: Vec<ChunkRecord> = all.iter().flat_map(|r| r[d].iter().copied()).collect();
+            writer.register_dataset(DatasetMeta {
+                name: job.name.to_string(),
+                total_elems: chunks.iter().map(|c| c.logical_elems).sum(),
+                chunk_elems: job.chunk_elems as u64,
+                filter_id: job.filter.id(),
+                filter_mode: job.mode,
+                client_data: job.filter.client_data(),
+                chunks,
+            })?;
+        }
     }
-    comm.barrier();
-    Ok(CollectiveReceipt {
-        dataset_creates: 1,
-        ..receipt
+    Ok(IoLedger {
+        dataset_creates: jobs.len() as u64,
+        ..ledger
     })
 }
 
-/// This rank's abort vote for a dataset it cannot contribute to.
-fn abort_vote() -> H5Error {
-    H5Error::Format("collective write aborted: this rank failed to encode its frames".into())
-}
-
 /// The write engine: collectively write every dataset of `jobs`, encoding
-/// the chunks on a rank-local pool of `workers` threads and committing the
-/// datasets in order, **overlapped** — while dataset `d`'s frames are
-/// inside the collective commit (and peers may still be encoding), the
-/// pool is already encoding datasets `d+1, d+2, …` into the bounded
-/// reassembly window. `workers <= 1` runs everything inline on the rank
-/// thread; stored bytes, chunk records and the collective sequence are
-/// identical for every worker count.
+/// the chunks on a rank-local pool of `workers` threads and committing
+/// them in dataset order, **overlapped** — while one batch of frames lands
+/// in storage, the pool is already encoding the chunks behind it into the
+/// bounded reassembly window. `workers <= 1` runs everything inline on
+/// the rank thread; stored bytes and chunk records are identical for every
+/// worker count.
 ///
 /// Frames stream to storage as they drain: each batch of `workers` frames
-/// lands through one `commit_frames` call and only its small
-/// [`ChunkRecord`]s are kept until the dataset commits, so memory in
-/// flight is bounded by the batch plus the reassembly window regardless
+/// (never spanning two datasets) lands through one `commit_frames` call
+/// and only its small [`ChunkRecord`]s are kept until the vote, so memory
+/// in flight is bounded by the batch plus the reassembly window regardless
 /// of how many chunks a dataset stages. A dataset's global chunk order is
 /// rank-major.
 ///
 /// Every rank must pass the same dataset list (names, `chunk_elems`,
-/// filter configuration, modes). On errors the ranks stay in lockstep: a
-/// rank whose chunk fails keeps participating in the remaining datasets'
-/// collectives with an abort vote, so peers fail together instead of
-/// deadlocking — the failing rank returns its typed error, the peers an
-/// abort notice. Datasets committed before the failure stay registered.
+/// filter configuration, modes). The call ends in one vote: it registers
+/// every dataset or — when any rank's chunk failed — none, and then every
+/// rank returns `Err` (the failing rank its typed cause, the peers an
+/// abort notice). A failing chunk stops the pool from scheduling more;
+/// the rank drains and goes straight to the vote.
 pub fn collective_write_many(
     comm: &Communicator,
     writer: &H5Writer,
     jobs: &[DatasetJob<'_>],
     workers: usize,
-) -> H5Result<Vec<CollectiveReceipt>> {
+) -> H5Result<IoLedger> {
     // Flatten to (dataset, chunk) items so the pool load-balances across
     // datasets regardless of how many chunks each one stages.
     let items: Vec<(usize, usize)> = jobs
@@ -170,25 +150,10 @@ pub fn collective_write_many(
         .flat_map(|(d, j)| (0..j.chunks.len()).map(move |c| (d, c)))
         .collect();
     let batch_size = workers.max(1);
-    let mut receipts = Vec::with_capacity(jobs.len());
-    // Datasets whose collective has *occurred* (committed or jointly
-    // aborted); whatever is left at the end still has to run.
-    let mut done = 0usize;
     let mut batch: Vec<EncodedFrame> = Vec::with_capacity(batch_size);
-    let mut records = Vec::new();
-    let mut receipt = CollectiveReceipt::default();
-    let commit_empty = |job| {
-        finalize(
-            comm,
-            writer,
-            job,
-            Vec::new(),
-            None,
-            CollectiveReceipt::default(),
-        )
-    };
-
-    let pool_result: H5Result<()> = rankpar::pool::for_each_ordered(
+    let mut records = vec![Vec::new(); jobs.len()];
+    let mut ledger = IoLedger::default();
+    let committed = rankpar::pool::for_each_ordered(
         &items,
         workers,
         // Double buffer: one batch in the writer's hands, one encoding.
@@ -200,112 +165,41 @@ pub fn collective_write_many(
             encode_frame(&job.chunks[c], job.chunk_elems, job.filter, job.mode, pad)
         },
         |i, frame| {
-            // Frames arrive in submission order, so everything between the
-            // last committed dataset and this frame's is chunk-less here.
+            // Frames arrive in submission order; a dataset's last chunk
+            // closes its batch.
             let (d, c) = items[i];
-            while done < d {
-                done += 1;
-                receipts.push(commit_empty(&jobs[done - 1])?);
-            }
             batch.push(frame);
-            let last = c + 1 == jobs[d].chunks.len();
-            if last || batch.len() >= batch_size {
-                commit_frames(writer, &batch, &mut records, &mut receipt)?;
+            if c + 1 == jobs[d].chunks.len() || batch.len() >= batch_size {
+                commit_frames(writer, &batch, &mut records[d], &mut ledger)?;
                 batch.clear();
-            }
-            if last {
-                done += 1; // the collective happens now, success or not
-                let (records, receipt) =
-                    (std::mem::take(&mut records), std::mem::take(&mut receipt));
-                receipts.push(finalize(comm, writer, &jobs[d], records, None, receipt)?);
             }
             Ok(())
         },
     );
-
-    // Datasets the frames never reached: trailing chunk-less ones — or,
-    // after a failure, everything left. Peers run those collectives, so
-    // this rank must too (with an abort vote) to stay in lockstep.
-    let mut failure = pool_result.err();
-    for job in &jobs[done..] {
-        let outcome = match failure {
-            None => commit_empty(job),
-            Some(_) => {
-                let vote = Some(abort_vote());
-                finalize(
-                    comm,
-                    writer,
-                    job,
-                    Vec::new(),
-                    vote,
-                    CollectiveReceipt::default(),
-                )
-            }
-        };
-        match outcome {
-            Ok(r) => receipts.push(r),
-            Err(e) => failure = failure.or(Some(e)),
-        }
-    }
-    failure.map_or(Ok(receipts), Err)
+    agree(comm, writer, jobs, committed.map(|()| records), ledger)
 }
 
-/// Collectively write one dataset — [`collective_write_many`] for a single
-/// dataset, encoded inline on the rank thread. Every rank passes its local
-/// chunks (in rank-local order) and the same `name`, `chunk_elems`, filter
-/// configuration and mode.
-pub fn collective_write(
-    comm: &Communicator,
-    writer: &H5Writer,
-    name: &str,
-    my_chunks: &[ChunkData],
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-) -> H5Result<CollectiveReceipt> {
-    let job = DatasetJob {
-        name,
-        chunks: my_chunks,
-        chunk_elems,
-        filter,
-        mode,
-    };
-    let mut receipts = collective_write_many(comm, writer, &[job], 1)?;
-    Ok(receipts.pop().expect("one receipt per dataset"))
-}
-
-/// Collectively write one dataset from **pre-encoded** frames — the entry
+/// Collectively write datasets from **pre-encoded** frames — the entry
 /// past the encode step, for callers whose frames do not come out of a
 /// [`ChunkFilter`] (the temporal session encodes through its codec to get
-/// the decoded state back).
-///
-/// `my_frames: None` is this rank's abort vote (its own error travels
-/// separately); the rank still participates in every collective step so
-/// peers abort in lockstep instead of deadlocking, and every rank returns
-/// `Err`.
+/// the decoded state back). `frames[d]` holds this rank's frames of
+/// `jobs[d]`, whose `chunks` are not read. `Err` is this rank's failure:
+/// the rank still brings it to the vote, so its peers abort with it.
 pub fn collective_write_frames(
     comm: &Communicator,
     writer: &H5Writer,
-    name: &str,
-    my_frames: Option<Vec<EncodedFrame>>,
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-) -> H5Result<CollectiveReceipt> {
-    let job = DatasetJob {
-        name,
-        chunks: &[],
-        chunk_elems,
-        filter,
-        mode,
-    };
-    let mut receipt = CollectiveReceipt::default();
-    let mut records = Vec::new();
-    let failure = match &my_frames {
-        Some(frames) => commit_frames(writer, frames, &mut records, &mut receipt).err(),
-        None => Some(abort_vote()),
-    };
-    finalize(comm, writer, &job, records, failure, receipt)
+    jobs: &[DatasetJob<'_>],
+    frames: H5Result<Vec<Vec<EncodedFrame>>>,
+) -> H5Result<IoLedger> {
+    let mut ledger = IoLedger::default();
+    let committed = frames.and_then(|frames| {
+        let mut records = vec![Vec::new(); frames.len()];
+        for (frames, records) in frames.iter().zip(&mut records) {
+            commit_frames(writer, frames, records, &mut ledger)?;
+        }
+        Ok(records)
+    });
+    agree(comm, writer, jobs, committed, ledger)
 }
 
 #[cfg(test)]
@@ -336,17 +230,14 @@ mod tests {
         run_ranks(4, move |comm| {
             let rank = comm.rank();
             let data: Vec<f64> = (0..256).map(|i| (rank * 1000 + i) as f64).collect();
-            let chunks = vec![ChunkData::full(data)];
-            collective_write(
-                &comm,
-                &w,
-                "d",
-                &chunks,
-                256,
-                &NoFilter,
-                FilterMode::Standard,
-            )
-            .unwrap();
+            let job = DatasetJob {
+                name: "d",
+                chunks: &[ChunkData::full(data)],
+                chunk_elems: 256,
+                filter: &NoFilter,
+                mode: FilterMode::Standard,
+            };
+            collective_write_many(&comm, &w, &[job], 1).unwrap();
         });
         writer.finish().unwrap();
         let r = open(mem);
@@ -365,7 +256,7 @@ mod tests {
         // size; size-aware mode stores no padding (paper Fig. 12).
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
-        let receipts = run_ranks(4, move |comm| {
+        let ledgers = run_ranks(4, move |comm| {
             let rank = comm.rank();
             let n = (rank + 1) * 128;
             let data: Vec<f64> = (0..n)
@@ -374,21 +265,17 @@ mod tests {
             let my_elems = data.len() as u64;
             let chunk_elems = comm.allreduce_max(my_elems) as usize;
             assert_eq!(chunk_elems, 512);
-            let chunks = vec![ChunkData::full(data)];
-            let f = SzFilter::one_dimensional(1e-3);
-            collective_write(
-                &comm,
-                &w,
-                "d",
-                &chunks,
+            let job = DatasetJob {
+                name: "d",
+                chunks: &[ChunkData::full(data)],
                 chunk_elems,
-                &f,
-                FilterMode::SizeAware,
-            )
-            .unwrap()
+                filter: &SzFilter::one_dimensional(1e-3),
+                mode: FilterMode::SizeAware,
+            };
+            collective_write_many(&comm, &w, &[job], 1).unwrap()
         });
         writer.finish().unwrap();
-        for (rank, r) in receipts.iter().enumerate() {
+        for (rank, r) in ledgers.iter().enumerate() {
             assert_eq!(r.filter_calls, 1, "rank {rank}");
             assert_eq!(r.dataset_creates, 1);
         }
@@ -412,82 +299,91 @@ mod tests {
         let results = run_ranks(2, move |comm| {
             let n = if comm.rank() == 1 { 512 } else { 64 }; // 512 > chunk 64
             let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            collective_write(
-                &comm,
-                &w,
-                "d",
-                &[ChunkData::full(data)],
-                64,
-                &NoFilter,
-                FilterMode::Standard,
-            )
+            let job = DatasetJob {
+                name: "d",
+                chunks: &[ChunkData::full(data)],
+                chunk_elems: 64,
+                filter: &NoFilter,
+                mode: FilterMode::Standard,
+            };
+            collective_write_many(&comm, &w, &[job], 1)
         });
         for (rank, r) in results.iter().enumerate() {
             assert!(r.is_err(), "rank {rank} must see the collective failure");
         }
     }
 
+    /// Two pre-encoded datasets `p` and `q` of one 64-value frame per
+    /// rank, distinct in (rank, dataset).
+    fn frames_jobs<'a>() -> Vec<DatasetJob<'a>> {
+        ["p", "q"]
+            .into_iter()
+            .map(|name| DatasetJob {
+                name,
+                chunks: &[],
+                chunk_elems: 64,
+                filter: &NoFilter,
+                mode: FilterMode::SizeAware,
+            })
+            .collect()
+    }
+
+    fn frame_of(rank: usize, d: usize) -> EncodedFrame {
+        let data: Vec<f64> = (0..64)
+            .map(|i| (rank * 100 + d * 1000 + i) as f64)
+            .collect();
+        let chunk = ChunkData::full(data);
+        encode_frame(
+            &chunk,
+            64,
+            &NoFilter,
+            FilterMode::SizeAware,
+            &mut Vec::new(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn frames_path_writes_preencoded_chunks() {
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
-        let receipts = run_ranks(2, move |comm| {
-            let rank = comm.rank();
-            let data: Vec<f64> = (0..64).map(|i| (rank * 100 + i) as f64).collect();
-            let f = NoFilter;
-            let frame = crate::filter::encode_frame(
-                &ChunkData::full(data),
-                64,
-                &f,
-                FilterMode::SizeAware,
-                &mut Vec::new(),
-            )
-            .unwrap();
-            collective_write_frames(
-                &comm,
-                &w,
-                "d",
-                Some(vec![frame]),
-                64,
-                &f,
-                FilterMode::SizeAware,
-            )
-            .unwrap()
+        let ledgers = run_ranks(2, move |comm| {
+            let frames = (0..2).map(|d| vec![frame_of(comm.rank(), d)]).collect();
+            collective_write_frames(&comm, &w, &frames_jobs(), Ok(frames)).unwrap()
         });
         writer.finish().unwrap();
-        for r in &receipts {
-            assert_eq!(r.filter_calls, 1);
-            assert_eq!(r.write_calls, 1);
+        for l in &ledgers {
+            assert_eq!(l.filter_calls, 2);
+            assert_eq!(l.write_calls, 2);
+            assert_eq!(l.dataset_creates, 2);
         }
         let r = open(mem);
-        let all = r.read_dataset("d").unwrap();
-        assert_eq!(all.len(), 128);
-        assert_eq!(all[64], 100.0);
+        assert_eq!(r.dataset_names(), vec!["p", "q"]);
+        for (d, name) in ["p", "q"].into_iter().enumerate() {
+            let all = r.read_dataset(name).unwrap();
+            assert_eq!(all.len(), 128);
+            assert_eq!(all[64], (100 + d * 1000) as f64, "rank 1 follows rank 0");
+        }
     }
 
     #[test]
     fn frames_path_none_aborts_all_ranks_without_deadlock() {
-        let (writer, _mem) = mem_writer();
+        // Rank 1's compression "failed": it brings the error to the vote,
+        // every rank returns Err and neither dataset registers.
+        let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
         let results = run_ranks(3, move |comm| {
-            let frames = if comm.rank() == 1 {
-                None // this rank's compression "failed"
-            } else {
-                let data: Vec<f64> = (0..16).map(|i| i as f64).collect();
-                Some(vec![crate::filter::encode_frame(
-                    &ChunkData::full(data),
-                    16,
-                    &NoFilter,
-                    FilterMode::SizeAware,
-                    &mut Vec::new(),
-                )
-                .unwrap()])
+            let frames = match comm.rank() {
+                1 => Err(H5Error::Format("rank 1 failed to encode".into())),
+                r => Ok((0..2).map(|d| vec![frame_of(r, d)]).collect()),
             };
-            collective_write_frames(&comm, &w, "d", frames, 16, &NoFilter, FilterMode::SizeAware)
+            collective_write_frames(&comm, &w, &frames_jobs(), frames)
         });
         for (rank, r) in results.iter().enumerate() {
             assert!(r.is_err(), "rank {rank} must see the abort");
         }
+        writer.finish().unwrap();
+        assert!(open(mem).dataset_names().is_empty());
     }
 
     /// `ndatasets` jobs of `nchunks` chunks each for one rank, every chunk
@@ -526,7 +422,7 @@ mod tests {
     ) -> Vec<Vec<StoredChunk>> {
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
-        let receipts = run_ranks(2, move |comm| {
+        let ledgers = run_ranks(2, move |comm| {
             let chunks = engine_chunks(comm.rank(), ndatasets, nchunks);
             let names: Vec<String> = (0..ndatasets).map(|d| format!("d{d}")).collect();
             let jobs: Vec<DatasetJob> = (0..ndatasets)
@@ -540,13 +436,10 @@ mod tests {
                 .collect();
             collective_write_many(&comm, &w, &jobs, workers).unwrap()
         });
-        for per_rank in &receipts {
-            assert_eq!(per_rank.len(), ndatasets);
-            for r in per_rank {
-                assert_eq!(r.dataset_creates, 1);
-                assert_eq!(r.filter_calls, nchunks as u64);
-                assert_eq!(r.write_calls, nchunks as u64);
-            }
+        for l in &ledgers {
+            assert_eq!(l.dataset_creates, ndatasets as u64);
+            assert_eq!(l.filter_calls, (ndatasets * nchunks) as u64);
+            assert_eq!(l.write_calls, (ndatasets * nchunks) as u64);
         }
         // One write_at and one filter call per chunk, whatever the pool.
         let stats = writer.stats();
@@ -607,8 +500,8 @@ mod tests {
     fn engine_failing_chunk_mid_batch_aborts_every_rank() {
         // One rank's mid-batch chunk exceeds the chunk size in the middle
         // dataset of three: the pool must drain, every rank must return
-        // Err for every worker count, the dataset before the failure stays
-        // committed and nothing after it registers.
+        // Err for every worker count, and the call registers nothing — not
+        // even the dataset whose frames all landed before the failure.
         for workers in [1usize, 2, 4] {
             let (writer, mem) = mem_writer();
             let w = Arc::clone(&writer);
@@ -634,7 +527,8 @@ mod tests {
                 assert!(r.is_err(), "workers={workers}: rank {rank} must fail");
             }
             writer.finish().unwrap();
-            assert_eq!(open(mem).dataset_names(), vec!["a"], "workers={workers}");
+            let names = open(mem).dataset_names().len();
+            assert_eq!(names, 0, "workers={workers}");
         }
     }
 
@@ -642,31 +536,31 @@ mod tests {
     fn several_collective_datasets() {
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
-        let receipts = run_ranks(2, move |comm| {
-            let mut total = CollectiveReceipt::default();
-            for field in ["rho", "T", "vx"] {
-                let data: Vec<f64> = (0..64).map(|i| i as f64 + comm.rank() as f64).collect();
-                let rec = collective_write(
-                    &comm,
-                    &w,
-                    field,
-                    &[ChunkData::full(data)],
-                    64,
-                    &NoFilter,
-                    FilterMode::Standard,
-                )
-                .unwrap();
-                total.dataset_creates += rec.dataset_creates;
-                total.filter_calls += rec.filter_calls;
-            }
-            total
+        let ledgers = run_ranks(2, move |comm| {
+            let data: Vec<f64> = (0..64).map(|i| i as f64 + comm.rank() as f64).collect();
+            let chunks = [ChunkData::full(data)];
+            let jobs: Vec<DatasetJob> = ["rho", "T", "vx"]
+                .into_iter()
+                .map(|name| DatasetJob {
+                    name,
+                    chunks: &chunks,
+                    chunk_elems: 64,
+                    filter: &NoFilter,
+                    mode: FilterMode::Standard,
+                })
+                .collect();
+            let ledger = collective_write_many(&comm, &w, &jobs, 1).unwrap();
+            (ledger, comm.collectives())
         });
         writer.finish().unwrap();
-        // The §3.3 pathology: every rank pays a create per dataset.
-        for r in &receipts {
-            assert_eq!(r.dataset_creates, 3);
+        for (l, collectives) in &ledgers {
+            // The §3.3 pathology: every rank pays a create per dataset —
+            // and the whole call is one collective.
+            assert_eq!(l.dataset_creates, 3);
+            assert_eq!(l.filter_calls, 3);
+            assert_eq!(*collectives, 1);
         }
         let rd = open(mem);
-        assert_eq!(rd.dataset_names().len(), 3);
+        assert_eq!(rd.dataset_names(), vec!["rho", "T", "vx"]);
     }
 }

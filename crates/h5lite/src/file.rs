@@ -13,7 +13,7 @@
 //! [`H5Writer::finish`]. Both backends hold the same bytes (the file
 //! layout is pinned by the golden fixture suite).
 
-use crate::collective::{commit_frames, CollectiveReceipt};
+use crate::collective::commit_frames;
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
 use crate::filter::{decoder_for, encode_frame, ChunkFilter, FilterMode};
@@ -206,12 +206,12 @@ impl H5Writer {
         // The serial face of the write engine: same encode step, same
         // commit step, one frame resident at a time.
         let mut records = Vec::with_capacity(chunks.len());
-        let mut receipt = CollectiveReceipt::default();
+        let mut ledger = rankpar::IoLedger::default();
         let mut pad = Vec::new();
         for chunk in chunks {
             let frame = encode_frame(chunk, chunk_elems, filter, mode, &mut pad)?;
             self.count_filter_call();
-            commit_frames(self, &[frame], &mut records, &mut receipt)?;
+            commit_frames(self, &[frame], &mut records, &mut ledger)?;
         }
         let total = total_override.unwrap_or_else(|| records.iter().map(|r| r.logical_elems).sum());
         self.register_dataset(DatasetMeta {

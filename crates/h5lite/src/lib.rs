@@ -9,8 +9,9 @@
 //! * a **filter pipeline** applied per chunk ([`filter::ChunkFilter`]),
 //!   with both stock semantics (filters see padded chunks) and AMRIC's
 //!   size-aware modification (filters see the actual data size);
-//! * **collective writes** across thread-ranks ([`collective`]), with
-//!   per-rank accounting for the PFS cost model.
+//! * **collective writes** across thread-ranks ([`collective`]): one
+//!   vote per write call, which registers all of its datasets or none,
+//!   with per-rank accounting for the PFS cost model.
 //!
 //! ```no_run
 //! use h5lite::prelude::*;
@@ -44,10 +45,7 @@ pub use storage::{FileStorage, MemStorage, Storage};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::collective::{
-        collective_write, collective_write_frames, collective_write_many, CollectiveReceipt,
-        DatasetJob,
-    };
+    pub use crate::collective::{collective_write_frames, collective_write_many, DatasetJob};
     pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
     pub use crate::error::{H5Error, H5Result};
     pub use crate::file::{ChunkData, H5Reader, H5Writer, WriteStats};

@@ -98,16 +98,14 @@ fn eight_rank_concurrent_collective_writes() {
             let data: Vec<f64> = (0..128)
                 .map(|i| (rank * 10000 + field * 1000 + i) as f64)
                 .collect();
-            collective_write(
-                &comm,
-                &w,
-                &format!("f{field}"),
-                &[ChunkData::full(data)],
-                128,
-                &NoFilter,
-                FilterMode::Standard,
-            )
-            .unwrap();
+            let job = DatasetJob {
+                name: &format!("f{field}"),
+                chunks: &[ChunkData::full(data)],
+                chunk_elems: 128,
+                filter: &NoFilter,
+                mode: FilterMode::Standard,
+            };
+            collective_write_many(&comm, &w, &[job], 1).unwrap();
         }
     });
     writer.finish().unwrap();
@@ -210,16 +208,14 @@ fn stats_track_collective_and_serial_writes() {
     let w = Arc::clone(&writer);
     run_ranks(2, move |comm| {
         let data = vec![comm.rank() as f64; 64];
-        collective_write(
-            &comm,
-            &w,
-            "d",
-            &[ChunkData::full(data)],
-            64,
-            &NoFilter,
-            FilterMode::SizeAware,
-        )
-        .unwrap();
+        let job = DatasetJob {
+            name: "d",
+            chunks: &[ChunkData::full(data)],
+            chunk_elems: 64,
+            filter: &NoFilter,
+            mode: FilterMode::SizeAware,
+        };
+        collective_write_many(&comm, &w, &[job], 1).unwrap();
     });
     let s = writer.stats();
     assert_eq!(s.dataset_creates, 1);

@@ -2,7 +2,7 @@
 //!
 //! The MPI / parallel-filesystem substrate of the AMRIC reproduction:
 //! * [`comm`] — an MPI-flavoured [`comm::Communicator`] (barrier,
-//!   allgather, max-reduction) where ranks are threads;
+//!   allgather, max-reduction) where ranks are threads, one barrier each;
 //! * [`runner`] — `mpirun` equivalent: spawn N rank threads, collect
 //!   results in rank order;
 //! * [`pool`] — rank-local work-stealing compression pool with an

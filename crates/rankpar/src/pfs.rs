@@ -43,8 +43,8 @@ impl Default for PfsParams {
 }
 
 /// Per-rank ledger of storage-path events, convertible into modeled
-/// seconds. Real compute (compression, buffer packing) is added as
-/// measured seconds via [`IoLedger::add_measured_compute`].
+/// seconds. Real compute (compression, buffer packing) rides along as
+/// measured seconds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IoLedger {
     /// Bytes this rank wrote to storage.
@@ -60,27 +60,6 @@ pub struct IoLedger {
 }
 
 impl IoLedger {
-    /// Record one write call of `bytes`.
-    pub fn record_write(&mut self, bytes: u64) {
-        self.bytes_written += bytes;
-        self.write_calls += 1;
-    }
-
-    /// Record one compressor/filter invocation.
-    pub fn record_filter_call(&mut self) {
-        self.filter_calls += 1;
-    }
-
-    /// Record participation in a collective dataset create.
-    pub fn record_dataset_create(&mut self) {
-        self.dataset_creates += 1;
-    }
-
-    /// Fold in measured compute seconds (compression CPU time etc.).
-    pub fn add_measured_compute(&mut self, seconds: f64) {
-        self.measured_compute_s += seconds;
-    }
-
     /// Merge another ledger into this one.
     pub fn merge(&mut self, other: &IoLedger) {
         self.bytes_written += other.bytes_written;
@@ -117,17 +96,29 @@ pub fn job_seconds(ledgers: &[IoLedger], params: &PfsParams, nranks: usize) -> f
 mod tests {
     use super::*;
 
+    /// `calls` write calls of `bytes` each, every one behind one filter
+    /// call.
+    fn writes(calls: u64, bytes: u64) -> IoLedger {
+        IoLedger {
+            bytes_written: calls * bytes,
+            write_calls: calls,
+            filter_calls: calls,
+            ..IoLedger::default()
+        }
+    }
+
     #[test]
     fn ledger_accumulates() {
-        let mut l = IoLedger::default();
-        l.record_write(1000);
-        l.record_write(500);
-        l.record_filter_call();
-        l.record_dataset_create();
-        l.add_measured_compute(0.25);
+        let mut l = writes(1, 1000);
+        l.merge(&writes(1, 500));
+        l.merge(&IoLedger {
+            dataset_creates: 1,
+            measured_compute_s: 0.25,
+            ..IoLedger::default()
+        });
         assert_eq!(l.bytes_written, 1500);
         assert_eq!(l.write_calls, 2);
-        assert_eq!(l.filter_calls, 1);
+        assert_eq!(l.filter_calls, 2);
         assert_eq!(l.dataset_creates, 1);
         assert_eq!(l.measured_compute_s, 0.25);
     }
@@ -137,14 +128,8 @@ mod tests {
         // The paper's §4.4 analysis: 2048 calls × 0.03 s ≈ 61 s of pure
         // launch overhead.
         let params = PfsParams::default();
-        let mut few = IoLedger::default();
-        few.record_filter_call();
-        few.record_write(100 << 20);
-        let mut many = IoLedger::default();
-        for _ in 0..2048 {
-            many.record_filter_call();
-            many.record_write((100 << 20) / 2048);
-        }
+        let few = writes(1, 100 << 20);
+        let many = writes(2048, (100 << 20) / 2048);
         let t_few = few.modeled_seconds(&params, 64);
         let t_many = many.modeled_seconds(&params, 64);
         assert!(t_many > t_few + 50.0, "few={t_few}, many={t_many}");
@@ -154,8 +139,7 @@ mod tests {
     fn weak_scaling_grows_bandwidth_term() {
         // Same per-rank bytes, more ranks → smaller share → longer write.
         let params = PfsParams::default();
-        let mut l = IoLedger::default();
-        l.record_write(1 << 30);
+        let l = writes(1, 1 << 30);
         let t64 = l.modeled_seconds(&params, 64);
         let t512 = l.modeled_seconds(&params, 512);
         assert!(t512 > t64 * 7.0 && t512 < t64 * 9.0);
@@ -164,22 +148,22 @@ mod tests {
     #[test]
     fn job_time_is_slowest_rank() {
         let params = PfsParams::default();
-        let mut a = IoLedger::default();
-        a.record_write(10);
-        let mut b = IoLedger::default();
-        b.record_write(1 << 30);
+        let (a, b) = (writes(1, 10), writes(1, 1 << 30));
         let t = job_seconds(&[a, b], &params, 2);
         assert!((t - b.modeled_seconds(&params, 2)).abs() < 1e-12);
     }
 
     #[test]
     fn merge_combines() {
-        let mut a = IoLedger::default();
-        a.record_write(10);
-        let mut b = IoLedger::default();
-        b.record_filter_call();
-        b.add_measured_compute(1.0);
-        a.merge(&b);
+        let mut a = IoLedger {
+            bytes_written: 10,
+            ..IoLedger::default()
+        };
+        a.merge(&IoLedger {
+            filter_calls: 1,
+            measured_compute_s: 1.0,
+            ..IoLedger::default()
+        });
         assert_eq!(a.bytes_written, 10);
         assert_eq!(a.filter_calls, 1);
         assert_eq!(a.measured_compute_s, 1.0);

@@ -26,16 +26,6 @@ pub fn lorenzo3(recon: &Buffer3, i: usize, j: usize, k: usize) -> f64 {
         + g(i - 1, j - 1, k - 1)
 }
 
-/// 1-D Lorenzo (previous value; 0 for the first point).
-#[inline]
-pub fn lorenzo1(recon: &[f64], i: usize) -> f64 {
-    if i == 0 {
-        0.0
-    } else {
-        recon[i - 1]
-    }
-}
-
 /// Same stencil evaluated on the *original* data — used only to estimate
 /// Lorenzo's accuracy during predictor selection (SZ2 does the same; the
 /// true pass uses reconstructed values).
@@ -114,13 +104,6 @@ mod tests {
         assert_eq!(lorenzo3(&b, 0, 0, 0), 0.0);
         // Along an edge the 2-D stencil degenerates to the previous value.
         assert_eq!(lorenzo3(&b, 1, 0, 0), 5.0);
-    }
-
-    #[test]
-    fn lorenzo1_basics() {
-        let r = [4.0, 6.0];
-        assert_eq!(lorenzo1(&r, 0), 0.0);
-        assert_eq!(lorenzo1(&r, 1), 4.0);
     }
 
     #[test]

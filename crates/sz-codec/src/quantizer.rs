@@ -33,11 +33,6 @@ impl Quantizer {
         }
     }
 
-    /// The absolute error bound.
-    pub fn error_bound(&self) -> f64 {
-        self.eb
-    }
-
     /// Quantize `val` against `pred`.
     ///
     /// Returns `(symbol, reconstructed)`. If the point is unpredictable the
