@@ -13,12 +13,20 @@ use std::collections::BinaryHeap;
 /// rebuilt if a longer code appears (pathological skew).
 const MAX_CODE_LEN: u32 = 32;
 
-/// Width of the primary decode lookup table. Every code of length
-/// ≤ `DECODE_TABLE_BITS` resolves with one table load; longer codes fall
-/// back to the canonical per-length walk. 12 bits ⇒ a 4096-entry table
-/// (32 KiB) that stays L1/L2-resident while covering the entire hot
-/// symbol mass of quantization streams.
+/// Width of the decode table: one slot per value of the next 12 peeked
+/// bits. The slot's meta byte (4 KiB for the table) is the only load on
+/// the bit chain; its symbols (`SLOT_SYMBOLS` of the caller's type each)
+/// are copied out beside it. Codes longer than the window are read from
+/// the bit buffer against per-length canonical limits.
 const DECODE_TABLE_BITS: u32 = 12;
+
+/// Most whole codes one slot yields.
+const SLOT_SYMBOLS: usize = 4;
+
+/// The mode rule, in whole codes per 16 slots: slots hold several codes
+/// only when, every window equally likely (the code's own model), a
+/// lookup would yield at least this many / 16 of them on average.
+const SEVERAL_MIN_PER_16_SLOTS: usize = 24;
 
 /// Below this symbol count the lookup-table build costs more than it
 /// saves; decode falls through to the bit-by-bit reference walk.
@@ -129,15 +137,21 @@ impl HuffmanCode {
     /// Decode exactly `n` symbols from the bit stream into the symbol type
     /// the caller stores; a symbol that does not fit it is corrupt.
     ///
-    /// Table-driven: codes of length ≤ `DECODE_TABLE_BITS` resolve with
-    /// a single lookup on the next 12 peeked bits; longer codes continue
-    /// the canonical per-length walk from the peeked prefix, and the final
-    /// few bytes fall back to the bit-by-bit walk so end-of-stream
-    /// handling matches the private `decode_reference` walk exactly. Because
-    /// the code is prefix-free, the table lookup selects the same unique
-    /// code the reference walk finds, so results (including the typed
-    /// errors on truncated or invalid streams) are identical.
-    pub fn decode<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
+    /// Table-driven: the next 12 peeked bits select a slot holding every
+    /// whole code they start with (up to four, or one when the mode rule
+    /// says several do not pay), taken with one lookup. Anything else — a
+    /// code longer than the window, a symbol that does not fit `S`, the
+    /// last bytes and the last symbols — takes the one-symbol step, which
+    /// finds the code length by comparing the buffered bits with the
+    /// canonical limits and, short of bits, fails with the error the
+    /// private `decode_reference` walk meets there. Both resolve the unique
+    /// code the reference walk finds, so results, typed errors included,
+    /// are identical.
+    pub fn decode<S: TryFrom<u32> + Copy + Default>(
+        &self,
+        bytes: &[u8],
+        n: usize,
+    ) -> CodecResult<Vec<S>> {
         // Every symbol costs at least one bit, so a count beyond 8 bits
         // per payload byte can only come from a corrupted header.
         if n as u128 > bytes.len() as u128 * 8 {
@@ -151,38 +165,12 @@ impl HuffmanCode {
             return self.decode_reference(bytes, n);
         }
         let canon = Canonical::build(&self.lens);
-        let max_len = canon.max_len;
-        let tb = DECODE_TABLE_BITS.min(max_len as u32);
-        // lut[next tb bits] = (symbol, code length); length 0 = long code.
-        // Canonical codes are assigned in (length, symbol) order, so every
-        // slot sharing a code's prefix is filled exactly once.
-        let mut lut = vec![(0u32, 0u8); 1usize << tb];
-        {
-            let mut code = 0u64;
-            let mut prev_len = 0u32;
-            for &(sym, len) in &self.lens {
-                code <<= len - prev_len;
-                prev_len = len;
-                if len <= tb {
-                    // A forged table can over-subscribe the code space
-                    // (Kraft sum > 1), spilling the canonical assignment
-                    // past `len` bits and off the end of the LUT. The
-                    // reference walk is total over such tables and is
-                    // this decoder's behavioural contract, so defer to
-                    // it rather than index out of range.
-                    if code >> len != 0 {
-                        return self.decode_reference(bytes, n);
-                    }
-                    let base = (code << (tb - len)) as usize;
-                    for e in &mut lut[base..base + (1usize << (tb - len))] {
-                        *e = (sym, len as u8);
-                    }
-                }
-                code += 1;
-            }
-        }
-        let total_bits = bytes.len() * 8;
-        let mut out = Vec::with_capacity(n);
+        let slots = Slots::<S>::build(&self.lens, &canon);
+        let per_slot = if slots.several { SLOT_SYMBOLS } else { 1 };
+        // A slot is copied whole and `o` advanced by its count, so `out`
+        // has `SLOT_SYMBOLS − 1` spare symbols past the last one.
+        let mut out = vec![S::default(); n + SLOT_SYMBOLS - 1];
+        let mut o = 0;
         // Persistent bit buffer: the next unconsumed bits sit left-aligned
         // in `buf`, `nbits` of them counted, the byte after them at
         // `byte_pos`. Whatever `buf` holds below the counted bits is zero
@@ -191,115 +179,80 @@ impl HuffmanCode {
         let mut buf: u64 = 0;
         let mut nbits: u32 = 0;
         let mut byte_pos = 0usize;
-        // A word refill leaves ≥ 56 counted bits: this many table hits of
-        // ≤ `tb` bits each need no refill test between them.
-        let group = (56 / tb) as usize;
-        while out.len() < n {
-            // Fast phase, while a whole word and a whole group remain.
-            // `nbits ≤ 63` here (a symbol has been taken since any byte
-            // refill to 64), and the word supplies whole bytes up to 56–63
-            // counted bits: `nbits + 8·((63 − nbits) >> 3) = nbits | 56`.
-            if let (true, Some(word)) = (n - out.len() >= group, bytes.get(byte_pos..byte_pos + 8))
-            {
+        while o < n {
+            if let Some(word) = bytes.get(byte_pos..byte_pos + 8) {
+                // Word refill. `nbits ≤ 63` here (a symbol has been taken
+                // since any byte refill to 64), and the word supplies whole
+                // bytes up to 56–63 counted bits:
+                // `nbits + 8·((63 − nbits) >> 3) = nbits | 56`.
                 buf |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> nbits;
                 byte_pos += ((63 - nbits) >> 3) as usize;
                 nbits |= 56;
-                let mut hits = 0;
-                while hits < group {
-                    let (sym, hit_len) = lut[(buf >> (64 - tb)) as usize];
-                    if hit_len == 0 {
-                        break;
+                // Fast phase: a group of lookups with no refill test
+                // between them, while a whole group of symbols remains.
+                // It stops at a slot without a whole code of type `S`;
+                // after a refill that slot takes the one-symbol step.
+                if n - o >= slots.group * per_slot {
+                    let mut hits = 0;
+                    while hits < slots.group {
+                        let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
+                        let meta = slots.meta[slot];
+                        if meta < 16 {
+                            break;
+                        }
+                        out[o..o + SLOT_SYMBOLS].copy_from_slice(&slots.syms[slot]);
+                        o += (meta >> 4) as usize;
+                        buf <<= meta & 15;
+                        nbits -= (meta & 15) as u32;
+                        hits += 1;
                     }
-                    out.push(narrow(sym)?);
-                    buf <<= hit_len;
-                    nbits -= hit_len as u32;
-                    hits += 1;
+                    if hits > 0 {
+                        continue;
+                    }
                 }
-                if hits == group {
-                    continue;
+            } else {
+                // The last bytes, one at a time: then either > 56 bits
+                // are counted or all that remain are.
+                while nbits <= 56 && byte_pos < bytes.len() {
+                    buf |= (bytes[byte_pos] as u64) << (56 - nbits);
+                    nbits += 8;
+                    byte_pos += 1;
                 }
             }
-            // One symbol, refilled a byte at a time: a long code (the
-            // group above stopped at it with ≥ `tb` bits still counted),
-            // the last < 8 bytes and the last few symbols.
-            while nbits <= 56 && byte_pos < bytes.len() {
-                buf |= (bytes[byte_pos] as u64) << (56 - nbits);
-                nbits += 8;
-                byte_pos += 1;
+            // One symbol: a code longer than the window or not of type
+            // `S`, the last bytes, the last symbols. Its length is the
+            // smallest whose canonical limit the left-aligned bits are
+            // below (the limits never decrease, so that is one count),
+            // looked for from where the slot's own entry leaves off.
+            let meta = slots.meta[(buf >> (64 - DECODE_TABLE_BITS)) as usize];
+            let from = match meta {
+                0 => DECODE_TABLE_BITS as usize + 1,
+                1..16 => meta as usize,
+                _ => 1,
+            };
+            let top = buf >> 32;
+            let len = from + canon.limit.iter().skip(from).filter(|&&l| top >= l).count();
+            // No code within the counted bits: if they are the last ones
+            // and no more than the longest code, the walk runs out first.
+            if len > canon.max_len || len > nbits as usize {
+                return Err(CodecError::corrupt(if nbits as usize <= canon.max_len {
+                    "huffman stream exhausted"
+                } else {
+                    "invalid huffman code"
+                }));
             }
-            // With ≥ `tb` bits buffered, a table hit — or, when no code of
-            // length ≤ tb matches the peeked bits, the canonical walk on
-            // the raw stream with those tb bits already consumed. With
-            // fewer, the stream is drained: the exact reference bit-by-bit
-            // walk for the tail symbols.
-            let pos = byte_pos * 8 - nbits as usize;
-            let (prefix, len0) = if nbits >= tb {
-                let idx = (buf >> (64 - tb)) as usize;
-                let (sym, hit_len) = lut[idx];
-                if hit_len != 0 {
-                    out.push(narrow(sym)?);
-                    buf <<= hit_len;
-                    nbits -= hit_len as u32;
-                    continue;
-                }
-                (idx as u64, tb)
-            } else {
-                (0, 0)
-            };
-            let (sym, new_pos) =
-                self.walk_one(bytes, total_bits, pos + len0 as usize, prefix, len0, &canon)?;
-            out.push(narrow(sym)?);
-            // Re-sync the buffer to the walk's position. Long codes are
-            // rare by construction, so the cost is noise.
-            byte_pos = new_pos.div_ceil(8);
-            nbits = (byte_pos * 8 - new_pos) as u32;
-            buf = if nbits == 0 {
-                0
-            } else {
-                (bytes[byte_pos - 1] as u64) << (56 + (8 - nbits))
-            };
+            let rel = (top >> (32 - len)) - canon.first_code[len];
+            out[o] = narrow(self.lens[canon.first_index[len] + rel as usize].0)?;
+            o += 1;
+            buf <<= len;
+            nbits -= len as u32;
         }
+        out.truncate(n);
         Ok(out)
     }
 
-    /// One symbol of the canonical bit-by-bit walk, starting `len0` bits
-    /// into a code whose prefix is `code0`. Bit-for-bit the reference
-    /// decode loop, including the order of the exhausted/invalid checks.
-    fn walk_one(
-        &self,
-        bytes: &[u8],
-        total_bits: usize,
-        mut pos: usize,
-        code0: u64,
-        len0: u32,
-        canon: &Canonical,
-    ) -> CodecResult<(u32, usize)> {
-        let mut code = code0;
-        let mut len = len0 as usize;
-        loop {
-            if pos >= total_bits {
-                return Err(CodecError::corrupt("huffman stream exhausted"));
-            }
-            let bit = ((bytes[pos >> 3] >> (7 - (pos & 7))) & 1) as u64;
-            pos += 1;
-            code = (code << 1) | bit;
-            len += 1;
-            if len > canon.max_len {
-                return Err(CodecError::corrupt("invalid huffman code"));
-            }
-            let rel = code.wrapping_sub(canon.first_code[len]);
-            if canon.count[len] > 0
-                && code >= canon.first_code[len]
-                && (rel as usize) < canon.count[len]
-            {
-                return Ok((self.lens[canon.first_index[len] + rel as usize].0, pos));
-            }
-        }
-    }
-
-    /// The bit-by-bit canonical walk: the decoder of short streams and of
-    /// forged tables the lookup path cannot index, and the equivalence
-    /// oracle of [`HuffmanCode::decode`].
+    /// The bit-by-bit canonical walk: the decoder of short streams, and
+    /// the equivalence oracle of [`HuffmanCode::decode`].
     fn decode_reference<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
         if n as u128 > bytes.len() as u128 * 8 {
             return Err(CodecError::LimitExceeded {
@@ -308,24 +261,13 @@ impl HuffmanCode {
                 available: bytes.len() as u128 * 8,
             });
         }
-        // Per-length canonical decode tables.
-        let max_len = self.lens.last().map(|&(_, l)| l).unwrap_or(0);
-        // first_code[len], first_index[len] into self.lens.
-        let mut first_code = vec![0u64; max_len as usize + 2];
-        let mut first_index = vec![0usize; max_len as usize + 2];
-        let mut count = vec![0usize; max_len as usize + 2];
-        for &(_, l) in &self.lens {
-            count[l as usize] += 1;
-        }
-        let mut code = 0u64;
-        let mut index = 0usize;
-        for len in 1..=max_len as usize {
-            code <<= 1;
-            first_code[len] = code;
-            first_index[len] = index;
-            code += count[len] as u64;
-            index += count[len];
-        }
+        let Canonical {
+            max_len,
+            first_code,
+            first_index,
+            count,
+            ..
+        } = Canonical::build(&self.lens);
         let mut out = Vec::with_capacity(n);
         let mut r = BitReader::new(bytes);
         // Single-symbol streams use 1-bit codes; the general path handles it.
@@ -338,7 +280,7 @@ impl HuffmanCode {
                     .ok_or_else(|| CodecError::corrupt("huffman stream exhausted"))?;
                 code = (code << 1) | bit;
                 len += 1;
-                if len > max_len as usize {
+                if len > max_len {
                     return Err(CodecError::corrupt("invalid huffman code"));
                 }
                 let rel = code.wrapping_sub(first_code[len]);
@@ -389,14 +331,22 @@ fn narrow<S: TryFrom<u32>>(sym: u32) -> CodecResult<S> {
     S::try_from(sym).map_err(|_| CodecError::corrupt("token out of byte range"))
 }
 
-/// Per-length canonical decode arrays shared by the table decoder's slow
-/// paths: `first_code[len]` / `first_index[len]` into the canonical
-/// (length, symbol)-ordered code list, `count[len]` codes per length.
+/// Per-length canonical decode arrays: `first_code[len]` /
+/// `first_index[len]` into the canonical (length, symbol)-ordered code
+/// list, `count[len]` codes per length.
+///
+/// `limit[len]` is `first_code[len] + count[len]` left-aligned in 32 bits.
+/// The reference walk stops at the first length whose code is below that
+/// sum (a code that is not is ≥ the next length's `first_code` once
+/// doubled), and the limits never decrease, so a code's length is the
+/// smallest whose limit the next 32 stream bits are below — on any book,
+/// over-subscribed ones included.
 struct Canonical {
     max_len: usize,
     first_code: Vec<u64>,
     first_index: Vec<usize>,
     count: Vec<usize>,
+    limit: Vec<u64>,
 }
 
 impl Canonical {
@@ -405,6 +355,7 @@ impl Canonical {
         let mut first_code = vec![0u64; max_len + 2];
         let mut first_index = vec![0usize; max_len + 2];
         let mut count = vec![0usize; max_len + 2];
+        let mut limit = vec![0u64; max_len + 1];
         for &(_, l) in lens {
             count[l as usize] += 1;
         }
@@ -416,14 +367,113 @@ impl Canonical {
             first_index[len] = index;
             code += count[len] as u64;
             index += count[len];
+            // < 2³² entries, so code < 2^(len + 32) and this cannot wrap.
+            limit[len] = code << (32 - len);
         }
         Canonical {
             max_len,
             first_code,
             first_index,
             count,
+            limit,
         }
     }
+}
+
+/// The table of [`HuffmanCode::decode`], built per call from the book.
+struct Slots<S> {
+    /// Per window: `count << 4 | bits` of the whole codes its slot holds;
+    /// count 0 sends the lookup to the one-symbol step, with the length of
+    /// a code the window starts with that does not fit `S` in `bits`, or
+    /// 0 when its code is longer than the window.
+    meta: Box<[u8; 1 << DECODE_TABLE_BITS]>,
+    /// Per window: its codes' symbols, narrowed; lanes past count unused.
+    syms: Box<[[S; SLOT_SYMBOLS]; 1 << DECODE_TABLE_BITS]>,
+    /// The mode rule's verdict: slots hold several codes, or one.
+    several: bool,
+    /// Lookups a word refill feeds: it leaves ≥ 56 counted bits, and no
+    /// slot takes more than the widest.
+    group: usize,
+}
+
+impl<S: TryFrom<u32> + Copy + Default> Slots<S> {
+    fn build(lens: &[(u32, u32)], canon: &Canonical) -> Self {
+        const TB: usize = DECODE_TABLE_BITS as usize;
+        // One code per slot first: each code of ≤ TB bits fills the
+        // windows it starts (canonical order gives each its own range);
+        // `placed[len]` counts the codes that got windows.
+        let mut meta = Box::new([0u8; 1 << TB]);
+        let mut syms = Box::new([[S::default(); SLOT_SYMBOLS]; 1 << TB]);
+        let mut placed = [0u64; TB + 1];
+        for len in 1..=TB.min(canon.max_len) {
+            for i in 0..canon.count[len] {
+                let code = (canon.first_code[len] + i as u64) as usize;
+                // An over-subscribed book assigns codes past `len` bits:
+                // no window starts with those.
+                if code >> len != 0 {
+                    break;
+                }
+                placed[len] += 1;
+                let windows = code << (TB - len)..(code + 1) << (TB - len);
+                let (m, sym) = match S::try_from(lens[canon.first_index[len] + i].0) {
+                    Ok(sym) => (1 << 4 | len as u8, sym),
+                    Err(_) => (len as u8, S::default()),
+                };
+                meta[windows.clone()].fill(m);
+                for slot in &mut syms[windows] {
+                    slot[0] = sym;
+                }
+            }
+        }
+        let several = whole_codes(&placed) * 16 >= (SEVERAL_MIN_PER_16_SLOTS << TB) as u64;
+        // Several codes per slot: lane k takes the one-code entry (lane 0)
+        // of the window after the codes before it, counted while the codes
+        // are whole and fit `S`. `ends[k]`: bits before lane k. Past the
+        // slot's end the lanes read on unchecked (a branch there costs
+        // more than the reads), and nothing of them is kept.
+        let mut multi = meta.clone();
+        if several {
+            for w in 0..1 << TB {
+                let (mut ends, mut taken, mut whole) = ([0u8; SLOT_SYMBOLS + 1], 0, true);
+                for k in 0..SLOT_SYMBOLS {
+                    let next = (w << ends[k]) & ((1 << TB) - 1);
+                    ends[k + 1] = ends[k] + (meta[next] & 15);
+                    whole &= (meta[next] >= 16) & (ends[k + 1] as usize <= TB);
+                    syms[w][k] = syms[next][0];
+                    taken += whole as usize;
+                }
+                if taken > 0 {
+                    multi[w] = (taken << 4) as u8 | ends[taken];
+                }
+            }
+        }
+        let widest = multi.iter().filter(|&&m| m >= 16).map(|&m| m & 15).max();
+        Slots {
+            meta: multi,
+            syms,
+            several,
+            group: 56 / widest.unwrap_or(1) as usize,
+        }
+    }
+}
+
+/// The whole codes of all slots together, at most `SLOT_SYMBOLS` per slot,
+/// from the code lengths alone: `placed[len]` codes of each length start
+/// some window. `ways[s]` windows start with k whole codes of s bits in
+/// all; each code of length l takes 2^−l of the windows that reach it.
+fn whole_codes(placed: &[u64; DECODE_TABLE_BITS as usize + 1]) -> u64 {
+    let mut ways = [0u64; DECODE_TABLE_BITS as usize + 1];
+    ways[0] = 1 << DECODE_TABLE_BITS;
+    let mut whole = 0;
+    for _ in 0..SLOT_SYMBOLS {
+        let mut next = [0u64; DECODE_TABLE_BITS as usize + 1];
+        for (s, n) in next.iter_mut().enumerate() {
+            *n = (1..=s).map(|l| (ways[s - l] >> l) * placed[l]).sum();
+        }
+        whole += next.iter().sum::<u64>();
+        ways = next;
+    }
+    whole
 }
 
 /// Compute code lengths by building the Huffman tree over (possibly
@@ -606,7 +656,7 @@ pub fn decode_with_table(bytes: &[u8]) -> CodecResult<Vec<u32>> {
 /// [`decode_with_table`] into the symbol type the caller stores — the twin
 /// of the encode side's `S: Into<u32>`: the lossless stage's tokens are
 /// bytes and decode straight to bytes.
-pub fn decode_with_table_as<S: TryFrom<u32>>(bytes: &[u8]) -> CodecResult<Vec<S>> {
+pub fn decode_with_table_as<S: TryFrom<u32> + Copy + Default>(bytes: &[u8]) -> CodecResult<Vec<S>> {
     let mut r = Reader::new(bytes);
     // Peek the symbol count; 0 means the empty-stream marker.
     let n_table = {
@@ -1107,6 +1157,294 @@ mod tests {
                 );
                 if b == 0 {
                     assert_eq!(fast.len(), count, "8-bit codes");
+                }
+            }
+        }
+    }
+
+    /// An encodable book with the given code lengths, symbols from 0 in
+    /// canonical order.
+    fn book_of_lengths(lens: &[u32]) -> HuffmanCode {
+        let mut code = HuffmanCode::from_lengths(
+            lens.iter()
+                .enumerate()
+                .map(|(s, &l)| (s as u32, l))
+                .collect(),
+        );
+        code.build_encode_table();
+        code
+    }
+
+    /// A complete book: one code of each length in `short`, then as many
+    /// codes of `long` bits as fill the code space.
+    fn filled_book(short: &[u32], long: u32) -> HuffmanCode {
+        let used: u64 = short.iter().map(|&l| 1u64 << (long - l)).sum();
+        let mut lens = short.to_vec();
+        lens.extend(std::iter::repeat_n(long, ((1u64 << long) - used) as usize));
+        book_of_lengths(&lens)
+    }
+
+    fn payload(code: &HuffmanCode, syms: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        code.encode_into(syms, &mut out);
+        out
+    }
+
+    /// Both decoders as `u32` and as `u8`: the same symbols, or the same
+    /// error, on `bytes` read as `n` symbols.
+    fn assert_parity_both_widths(code: &HuffmanCode, bytes: &[u8], n: usize, what: &str) {
+        assert_parity(code, bytes, n, what);
+        assert_eq!(
+            code.decode::<u8>(bytes, n),
+            code.decode_reference::<u8>(bytes, n),
+            "{what} as u8"
+        );
+    }
+
+    /// [`assert_parity`] on every `step`-th truncation of `bytes`, and on
+    /// `bytes` with every `step`-th bit flipped.
+    fn assert_parity_when_damaged(code: &HuffmanCode, bytes: &[u8], n: usize, step: usize) {
+        for cut in (0..bytes.len()).step_by(step) {
+            assert_parity(code, &bytes[..cut], n, &format!("cut {cut}"));
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in (0..bytes.len() * 8).step_by(step) {
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+            assert_parity(code, &flipped, n, &format!("flip {bit}"));
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+        }
+    }
+
+    fn several<S: TryFrom<u32> + Copy + Default>(code: &HuffmanCode) -> bool {
+        Slots::<S>::build(&code.lens, &Canonical::build(&code.lens)).several
+    }
+
+    #[test]
+    fn one_bit_books_decode_like_the_reference() {
+        // One symbol (code `0`, and `1` is no code at all: under the
+        // uniform-window model half the slots are empty, so one code a
+        // slot), and two symbols of one bit each (12 codes a slot, capped).
+        for code in [book_of_lengths(&[1]), book_of_lengths(&[1, 1])] {
+            assert_eq!(several::<u32>(&code), code.lens.len() == 2);
+            let alphabet = code.lens.len() as u32;
+            let syms = lcg_symbols(1200, alphabet, 40);
+            let bytes = payload(&code, &syms);
+            assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+            assert_parity_when_damaged(&code, &bytes, syms.len(), 1);
+            for cut in 0..bytes.len() {
+                for n in [8 * cut, 8 * cut + 1] {
+                    assert_parity_both_widths(&code, &bytes[..cut], n, &format!("cut {cut} × {n}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn codes_exactly_as_wide_as_the_table_decode_like_the_reference() {
+        // Every code 12 bits (one code per slot, the one-symbol mode), and
+        // 1-, 2- and 3-bit codes among 12-bit ones (several codes per
+        // slot, and slots of a single 12-bit code).
+        let flat = filled_book(&[], DECODE_TABLE_BITS);
+        let mixed = filled_book(&[1, 2, 3], DECODE_TABLE_BITS);
+        assert!(!several::<u32>(&flat) && several::<u32>(&mixed));
+        for code in [flat, mixed] {
+            let syms: Vec<u32> = lcg_symbols(1500, 9, 41)
+                .iter()
+                .zip(lcg_symbols(1500, code.lens.len() as u32, 42))
+                .map(|(&coin, wide)| if coin < 5 { 0 } else { wide })
+                .collect();
+            let bytes = payload(&code, &syms);
+            assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+            assert_parity_when_damaged(&code, &bytes, syms.len(), 5);
+        }
+    }
+
+    #[test]
+    fn a_long_code_after_the_last_whole_code_of_a_slot_is_read_from_the_buffer() {
+        // 1-, 2- and 3-bit codes, the rest of the code space 13 and 20
+        // bits long: `k` short codes, then a long one, at every phase.
+        let code = book_of_lengths(&[vec![1, 2, 3], vec![13; 1022], vec![20; 256]].concat());
+        assert!(several::<u32>(&code));
+        let long = [3u32, 500, 1024, 1025, 1280];
+        let mut syms = Vec::new();
+        for k in 0..8 {
+            for &l in &long {
+                syms.extend(lcg_symbols(k, 3, k as u64));
+                syms.push(l);
+            }
+        }
+        syms.extend(lcg_symbols(100, 3, 43));
+        let bytes = payload(&code, &syms);
+        assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+        assert_parity_when_damaged(&code, &bytes, syms.len(), 1);
+    }
+
+    #[test]
+    fn a_wide_symbol_ends_a_byte_slot_and_fails_where_the_reference_does() {
+        // 'A' has the 1-bit code, 300 the 2-bit one: `k` A's and then 300
+        // put the symbol that does not fit a byte at lane k + 1 of the
+        // first slot.
+        let mut code = HuffmanCode::from_lengths(vec![(65, 1), (300, 2), (66, 3), (67, 3)]);
+        code.build_encode_table();
+        assert!(several::<u8>(&code));
+        let bad_token = Err(CodecError::corrupt("token out of byte range"));
+        for k in 1..SLOT_SYMBOLS {
+            let mut syms = vec![65; k];
+            syms.push(300);
+            syms.extend(lcg_symbols(200, 2, k as u64).iter().map(|&c| 66 + c));
+            let bytes = payload(&code, &syms);
+            let slots = Slots::<u8>::build(&code.lens, &Canonical::build(&code.lens));
+            let first = (u16::from_be_bytes([bytes[0], bytes[1]]) >> 4) as usize;
+            assert_eq!(slots.meta[first] >> 4, k as u8, "lane {}", k + 1);
+            assert_eq!(code.decode::<u32>(&bytes, syms.len()).as_ref(), Ok(&syms));
+            assert_eq!(code.decode::<u8>(&bytes, syms.len()), bad_token);
+            assert_parity_both_widths(&code, &bytes, syms.len(), &format!("lane {}", k + 1));
+        }
+    }
+
+    #[test]
+    fn several_symbol_phase_hands_over_at_every_count() {
+        // The fast phase runs while a whole group of slots can be taken
+        // (`group · SLOT_SYMBOLS` symbols); counts around that point and
+        // its multiples, decoded whole and one short.
+        let code = filled_book(&[1, 3, 3, 4], 8);
+        assert!(several::<u32>(&code));
+        let group = Slots::<u32>::build(&code.lens, &Canonical::build(&code.lens)).group;
+        let edge = group * SLOT_SYMBOLS;
+        for n in (64..edge + 4)
+            .chain(2 * edge - 3..2 * edge + 3)
+            .chain(500..520)
+        {
+            let syms: Vec<u32> = lcg_symbols(n, 100, n as u64)
+                .iter()
+                .map(|&r| {
+                    if r < 70 {
+                        0
+                    } else {
+                        r % code.lens.len() as u32
+                    }
+                })
+                .collect();
+            let bytes = payload(&code, &syms);
+            assert_eq!(code.decode::<u32>(&bytes, n).unwrap(), syms, "n={n}");
+            assert_parity(&code, &bytes, n - 1, &format!("n={n}, one short"));
+            assert_parity(
+                &code,
+                &bytes[..bytes.len() - 1],
+                n,
+                &format!("n={n}, a byte short"),
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_4k_stream_in_each_mode() {
+        // One mode each: a byte-token-like stream (≈ 8 bits a symbol)
+        // with a tail of long codes, and a quantization-like one.
+        let tokens: Vec<u32> = lcg_symbols(4900, 100, 44)
+            .iter()
+            .zip(lcg_symbols(4900, 65536, 45))
+            .map(|(&r, wide)| if r < 97 { r * 2 } else { 1000 + wide })
+            .collect();
+        // Five hot symbols of 1–4 bits, 7 % spread over 4096 long codes.
+        let quant: Vec<u32> = lcg_symbols(11_000, 100, 46)
+            .iter()
+            .zip(lcg_symbols(11_000, 4096, 47))
+            .map(|(&r, wide)| match r {
+                0..40 => 0,
+                40..60 => 1,
+                60..75 => 2,
+                75..86 => 3,
+                86..93 => 4,
+                _ => 5 + wide,
+            })
+            .collect();
+        for (syms, several_mode) in [(tokens, false), (quant, true)] {
+            let (code, bytes) = coded(&syms);
+            assert_eq!(several::<u32>(&code), several_mode);
+            assert!((4000..4400).contains(&bytes.len()), "{} B", bytes.len());
+            assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+            for cut in 0..bytes.len() {
+                assert_parity(&code, &bytes[..cut], syms.len(), &format!("cut={cut}"));
+            }
+            // Every bit optimised (CI runs this filter in release too);
+            // unoptimised, where each flip costs ~2 ms, every 61st.
+            let mut flipped = bytes.clone();
+            for bit in (0..bytes.len() * 8).step_by(if cfg!(debug_assertions) { 61 } else { 1 }) {
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                assert_parity(&code, &flipped, syms.len(), &format!("flip={bit}"));
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn the_mode_rule_depends_on_the_code_lengths_alone() {
+        // The rule's count is the slots' greedy count of whole codes
+        // (capped), found here by the reference walk on every window.
+        for code in [
+            coded(&skewed_symbols(5000, 47)).0,
+            coded(&lcg_symbols(5000, 300, 48)).0,
+            filled_book(&[1, 3, 3, 4], 8),
+            filled_book(&[2, 2, 3], 13),
+            book_of_lengths(&[1]),
+        ] {
+            let canon = Canonical::build(&code.lens);
+            let mut placed = [0u64; DECODE_TABLE_BITS as usize + 1];
+            for (len, p) in placed.iter_mut().enumerate().skip(1) {
+                *p = canon.count.get(len).copied().unwrap_or(0) as u64;
+            }
+            let greedy: usize = (0..1u32 << DECODE_TABLE_BITS)
+                .map(|w| {
+                    let window = ((w << 4) as u16).to_be_bytes();
+                    (1..=SLOT_SYMBOLS)
+                        .take_while(|&k| {
+                            let bits: u32 = match code.decode_reference::<u32>(&window, k) {
+                                Ok(s) => s.iter().map(|&s| code.code_len(s)).sum(),
+                                Err(_) => u32::MAX,
+                            };
+                            bits <= DECODE_TABLE_BITS
+                        })
+                        .count()
+                })
+                .sum();
+            assert_eq!(whole_codes(&placed), greedy as u64);
+            // Relabelled, and with every symbol too wide for a byte: the
+            // slots change, the verdict does not.
+            let wide = HuffmanCode::from_lengths(
+                code.lens
+                    .iter()
+                    .map(|&(s, l)| (s.wrapping_mul(7) | 0x100, l))
+                    .collect(),
+            );
+            assert_eq!(several::<u32>(&code), several::<u32>(&wide));
+            assert_eq!(several::<u32>(&code), several::<u8>(&wide));
+        }
+    }
+
+    #[test]
+    fn forged_books_decode_like_the_reference() {
+        // Over-subscribed (three 1-bit codes; 2-bit codes past two 1-bit
+        // ones) and incomplete books: the table decoder is total on them.
+        for lens in [
+            vec![1, 1, 1],
+            vec![1, 1, 2, 2, 5],
+            vec![2, 3, 13],
+            vec![1, 14, 14],
+        ] {
+            let code = book_of_lengths(&lens);
+            let bytes: Vec<u8> = lcg_symbols(600, 256, lens.len() as u64)
+                .iter()
+                .map(|&b| b as u8)
+                .collect();
+            for n in [64, 100, 1000, 4800] {
+                for cut in (0..bytes.len()).step_by(13) {
+                    assert_parity_both_widths(
+                        &code,
+                        &bytes[..cut],
+                        n,
+                        &format!("{lens:?} {cut}×{n}"),
+                    );
                 }
             }
         }
