@@ -37,20 +37,30 @@
 //! [`QueryEngine::roi`], [`QueryEngine::level_region`],
 //! [`QueryEngine::plane_slice`] and [`QueryEngine::roi_cost`] are
 //! plan-then-view wrappers.
+//!
+//! # Temporal snapshots
+//!
+//! A snapshot written by `amric::temporal::TemporalSession` is an ordinary
+//! plotfile whose chunks may be delta streams against the previous
+//! snapshot. Such an engine is given the referenced snapshot's engine
+//! ([`QueryEngine::with_reference`]), and a delta chunk's reference comes
+//! through that engine's own fetch and cache: a cold query at chain depth
+//! *d* decodes at most *d* + 1 chunks per chunk it touches.
 
 use crate::cache::{chunk_bytes, CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore};
 use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
-use amric::pipeline::decompress_field_units_into;
+use amric::pipeline::{decompress_field_units_into, no_reference};
 use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
 use amric::reader::{load_chunk, read_plotfile_meta, PlotfileMeta};
+use amric::temporal::{read_temporal_meta, TemporalMeta};
 use amric::writer::field_dataset;
 use h5lite::index::ChunkIndexEntry;
 use h5lite::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use sz_codec::Buffer3;
+use sz_codec::{Buffer3, CodecError};
 
 /// A rectangular region of interest in index space (alias of the mesh
 /// crate's inclusive [`IntBox`]).
@@ -391,6 +401,10 @@ pub struct QueryEngine {
     cache: ChunkCache,
     workers: usize,
     counters: EngineCounters,
+    /// Temporal linkage of the file (`None` for a plain plotfile).
+    temporal: Option<TemporalMeta>,
+    /// The engine of the snapshot this file's delta chunks predict from.
+    reference: Option<Arc<QueryEngine>>,
 }
 
 // Compile-time guarantee that the engine stays shareable across threads;
@@ -414,6 +428,7 @@ impl QueryEngine {
     /// equal the bounding box of its rank's re-derived unit plan.
     pub fn from_reader(reader: H5Reader) -> QueryResult<Self> {
         let meta = read_plotfile_meta(&reader)?;
+        let temporal = read_temporal_meta(&reader)?;
         if meta.bf <= 0 {
             return Err(QueryError::BadQuery(
                 "not an AMRIC plotfile (no blocking factor recorded; \
@@ -478,7 +493,26 @@ impl QueryEngine {
             cache: ChunkCache::new(DEFAULT_CACHE_BYTES),
             workers: 1,
             counters: EngineCounters::default(),
+            temporal,
+            reference: None,
         })
+    }
+
+    /// Give a temporal snapshot's engine the engine of the snapshot its
+    /// delta chunks predict from. The reference must be the snapshot this
+    /// file names in its `meta/temporal` linkage — anything else is refused
+    /// here, before a chunk is read. Without a reference, a query that
+    /// touches a delta chunk fails with [`QueryError::Codec`].
+    pub fn with_reference(mut self, reference: Arc<QueryEngine>) -> QueryResult<Self> {
+        let named = self.temporal.and_then(|t| t.reference_id);
+        let held = reference.temporal.map(|t| t.snapshot_id);
+        if named.is_none() || held != named {
+            return Err(QueryError::BadQuery(format!(
+                "file references snapshot {named:?}, the reference engine holds snapshot {held:?}"
+            )));
+        }
+        self.reference = Some(reference);
+        Ok(self)
     }
 
     /// Set the prefetch worker count (`n <= 1` fetches serially). Decoded
@@ -819,9 +853,22 @@ impl QueryEngine {
             .collect()
     }
 
+    /// The decoded chunk `key` as a delta chunk of the next snapshot asks
+    /// for it: through [`QueryEngine::fetch`], after checking that this
+    /// file holds such a chunk at all.
+    fn reference_chunk(&self, key @ (level, field, rank): ChunkKey) -> QueryResult<CachedChunk> {
+        let stored = self.levels.get(level).map_or(0, |lp| lp.extents.len());
+        if field >= self.meta.field_names.len() || rank >= stored {
+            let msg = format!("the reference holds no chunk {key:?} (level, field, rank)");
+            return Err(QueryError::Codec(CodecError::corrupt(msg)));
+        }
+        Ok(self.fetch(&[key])?.pop().expect("one request, one chunk"))
+    }
+
     /// Fetch the requested chunks, serving from the cache and decoding
     /// misses on the worker pool (ordered reassembly; per-worker byte
-    /// scratch). Returns decoded chunks aligned with `requests`.
+    /// scratch). Returns decoded chunks aligned with `requests`. A delta
+    /// chunk takes its reference from the reference engine.
     fn fetch(&self, requests: &[ChunkKey]) -> QueryResult<Vec<CachedChunk>> {
         let mut out: Vec<Option<CachedChunk>> = Vec::with_capacity(requests.len());
         let mut missing: Vec<(usize, ChunkKey)> = Vec::new();
@@ -843,18 +890,32 @@ impl QueryEngine {
                 |buf: &mut Vec<u8>, _j, &(slot, key @ (level, _, rank))| {
                     let plan = &self.levels[level].plans[rank];
                     let mut units = Vec::with_capacity(plan.len());
+                    // The reference engine's own failure, reported as is.
+                    let mut failed = None;
+                    let named = self.temporal.and_then(|t| t.reference_id);
+                    let mut source = || match (&self.reference, named) {
+                        (Some(engine), Some(id)) => match engine.reference_chunk(key) {
+                            Ok(chunk) => Ok((id, chunk)),
+                            Err(e) => {
+                                failed = Some(e);
+                                Err(CodecError::corrupt("reference chunk unavailable"))
+                            }
+                        },
+                        _ => no_reference(),
+                    };
                     load_chunk(&self.reader, key, plan, buf, &mut units, |raw, dest| {
                         self.counters
                             .read_bytes
                             .fetch_add(raw.len() as u64, Ordering::Relaxed);
-                        Ok(decompress_field_units_into(raw, dest)?)
+                        Ok(decompress_field_units_into(raw, dest, &mut source)?)
                     })
-                    .map_err(|e| match e {
-                        H5Error::Codec(e) => QueryError::Codec(e),
+                    .map_err(|e| match (failed.take(), e) {
+                        (Some(cause), _) => cause,
+                        (None, H5Error::Codec(e)) => QueryError::Codec(e),
                         // The loader's own verdict: decoded units that do
                         // not match the reconstructed plan.
-                        H5Error::Format(m) => QueryError::Inconsistent(m),
-                        other => QueryError::H5(other),
+                        (None, H5Error::Format(m)) => QueryError::Inconsistent(m),
+                        (None, other) => QueryError::H5(other),
                     })?;
                     self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
                     self.counters

@@ -8,12 +8,13 @@
 //! ## The plug point: the HDF5 filter
 //!
 //! AMRIC plugs its compressor into the I/O library as an HDF5 filter, and
-//! so does this crate: [`writer::AmricFieldFilter`] and
-//! [`temporal::TemporalFieldFilter`] implement `h5lite`'s `ChunkFilter`,
-//! and every writer and reader goes through them. Beneath the filter each
-//! family is a pair of functions over unit blocks — the pipeline's
+//! so does this crate: [`writer::AmricFieldFilter`] implements `h5lite`'s
+//! `ChunkFilter` under one filter id, and every field dataset of every
+//! snapshot — temporal ones included — goes through it. Beneath the filter
+//! each family is a pair of functions over unit blocks — the pipeline's
 //! [`pipeline::compress_field_units`] / [`pipeline::decompress_field_units`]
-//! (with `_into` variants that append to a reused buffer), the TAC
+//! (with `_into` variants that append to a reused buffer and, for the
+//! pipeline's temporal delta mode, take the reference snapshot), the TAC
 //! comparator's [`tac::tac_compress`] / [`tac::tac_decompress`] — and every
 //! stream opens with `sz_codec`'s shared envelope:
 //!
@@ -42,7 +43,11 @@
 //! 4. [`writer`]/[`reader`] — the in-situ HDF5-filter path with AMRIC's
 //!    field-major layout and size-aware global chunking;
 //! 5. [`baseline`] — AMReX's stock 1-D small-chunk compression for
-//!    comparison, plus the [`tac`] offline comparator.
+//!    comparison, plus the [`tac`] offline comparator;
+//! 6. [`temporal`] — a write session whose chunks may delta-code against
+//!    the previous snapshot (the pipeline's delta mode): a series of
+//!    ordinary plotfiles that restart and queries read given the
+//!    referenced snapshot.
 
 pub mod baseline;
 pub mod config;
@@ -62,20 +67,18 @@ pub mod prelude {
     pub use crate::baseline::{write_amrex_baseline, write_nocomp};
     pub use crate::config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
     pub use crate::pipeline::{
-        compress_field_units, compress_field_units_resolved_into,
-        compress_field_units_with_bound_into, decompress_field_units, resolve_abs_eb,
-        stream_unit_bounds, AmricScratch, ResolvedBound,
+        compress_delta_into, compress_field_units, compress_field_units_resolved_into,
+        compress_field_units_with_bound_into, decompress_field_units, decompress_field_units_into,
+        no_reference, resolve_abs_eb, stream_unit_bounds, AmricScratch, Reference, ResolvedBound,
     };
     pub use crate::preprocess::{
         extract_units, plan_units, plan_units_layout, scatter_units, unit_activity,
         unit_edge_for_level, UnitRef,
     };
     pub use crate::reader::{
-        read_amric_hierarchy, read_plotfile_meta, verify_against, LevelLayout, PlotfileMeta,
+        read_amric_from, read_amric_hierarchy, read_plotfile_meta, verify_against, LevelLayout,
+        Plotfile, PlotfileMeta,
     };
-    pub use crate::temporal::{
-        read_temporal_hierarchy, read_temporal_meta, TemporalFieldFilter, TemporalMeta,
-        TemporalReadState, TemporalSession, TemporalSessionConfig, FILTER_TEMPORAL,
-    };
+    pub use crate::temporal::{read_temporal_meta, TemporalMeta, TemporalSession};
     pub use crate::writer::{write_amric, write_amric_to, WriteReport};
 }

@@ -1,12 +1,39 @@
 //! The AMRIC compression pipeline for one (rank, level, field) unit-block
 //! set: reorganize (§3.1) → optimized SZ (§3.2) → self-describing stream.
+//!
+//! Every stream opens with the `AmricPipeline` envelope and a mode byte.
+//! Modes 0–3 are the paper's layouts, mode 4 the adaptive-bound extension
+//! and mode 5 temporal delta coding against a previous snapshot:
+//!
+//! ```text
+//! envelope(AmricPipeline, 1, FLAG_REFERENCED)
+//! mode       u8  = 5
+//! nested     u32 length, then a pipeline stream (modes 0–3, whatever the
+//!            configuration picks) over the spatial units in order; length
+//!            0 when every unit is delta-coded
+//! lossless-compressed to the end of the stream:
+//!   reference u64        snapshot id the delta units predict from
+//!   abs_eb    f64
+//!   n         u32        units
+//!   map       n × u32    0 = spatial, j + 1 = delta against reference unit j
+//!   delta block          `sz_codec::temporal`: Huffman symbols, outliers
+//! ```
+//!
+//! No unit dims are stored: a delta unit has its reference unit's, a
+//! spatial unit the nested stream's, and a reader holds both to its plan.
+//! Only a delta stream asks its caller for the reference: the same chunk
+//! of the referenced snapshot, decoded.
 
 use crate::config::{AmricConfig, BoundPolicy, MergePolicy};
 use crate::preprocess::unit_activity;
 use crate::reorganize::{cluster_pack, cluster_place, linear_merge, linear_place, ClusterGrid};
+use std::ops::Range;
+use std::sync::Arc;
 use sz_codec::buffer3::place_unit;
-use sz_codec::codec::{expect_envelope, write_envelope, FLAG_UNIT_BOUNDS};
+use sz_codec::codec::{expect_envelope, write_envelope, FLAG_REFERENCED, FLAG_UNIT_BOUNDS};
+use sz_codec::lossless;
 use sz_codec::prelude::*;
+use sz_codec::temporal::{DeltaDecoder, DeltaEncoder};
 use sz_codec::wire::{Reader, Writer};
 
 /// AMRIC pipeline payload format version (rides in the envelope header).
@@ -28,6 +55,9 @@ enum Mode {
     /// Per-unit adaptive bounds: two LR-SLE substreams (tight group,
     /// loose group) plus a group table mapping units back to input order.
     Adaptive = 4,
+    /// Temporal delta coding against a reference snapshot, with a nested
+    /// stream for the units that have no reference (module docs).
+    Delta = 5,
     Empty = 255,
 }
 
@@ -39,6 +69,7 @@ impl Mode {
             2 => Mode::InterpLinear,
             3 => Mode::InterpCluster,
             4 => Mode::Adaptive,
+            5 => Mode::Delta,
             255 => Mode::Empty,
             _ => return Err(CodecError::BadMode { found: v }),
         })
@@ -311,10 +342,102 @@ pub fn compress_field_units_with_bound_into<U: AsView3>(
             w.put_u32(grid.gz as u32);
             interp::compress_into(&packed, &InterpConfig::new(abs_eb), w.buf_mut());
         }
-        Mode::Adaptive => unreachable!("select_mode never picks Adaptive"),
+        Mode::Adaptive | Mode::Delta => unreachable!("select_mode never picks {mode:?}"),
         Mode::Empty => unreachable!("handled above"),
     }
     *out = w.into_bytes();
+}
+
+/// The decoded units a delta stream predicts from: the id of the snapshot
+/// they belong to, and the units of the same `(level, field, rank)` chunk
+/// of that snapshot, in plan order.
+pub type Reference = (u64, Arc<Vec<Buffer3>>);
+
+/// The answer of a caller without a reference: a delta stream fails typed.
+pub fn no_reference() -> CodecResult<Reference> {
+    Err(CodecError::BadParameter {
+        what: "temporal reference (delta stream decoded without its reference snapshot)",
+    })
+}
+
+/// What [`compress_delta_into`] hands back: the delta units as the decoder
+/// rebuilds them, and where in the output the nested stream lies.
+pub struct DeltaEncoded(Vec<Option<Buffer3>>, Range<usize>);
+
+impl DeltaEncoded {
+    /// The decoded state of every unit of `stream`, the output the encoder
+    /// appended to: delta units from the encoder, spatial units from one
+    /// decode of the nested stream.
+    pub fn into_state(self, stream: &[u8]) -> CodecResult<Vec<Buffer3>> {
+        let mut nested = match &stream[self.1] {
+            [] => Vec::new(),
+            nested => decompress_field_units(nested)?,
+        }
+        .into_iter();
+        let lost = || CodecError::corrupt("nested stream lost a unit");
+        let state = self.0.into_iter().map(|d| d.or_else(|| nested.next()));
+        state.map(|unit| unit.ok_or_else(lost)).collect()
+    }
+}
+
+/// Append the delta-mode stream of `units` (module docs): unit `i`
+/// delta-codes against `reference.1[j]` when `map[i] == Some(j)` (same
+/// dims), every other unit goes to a nested stream in the mode `cfg` picks.
+#[allow(clippy::too_many_arguments)]
+pub fn compress_delta_into<U: AsView3>(
+    units: &[U],
+    cfg: &AmricConfig,
+    unit_edge: usize,
+    abs_eb: f64,
+    (reference_id, reference): (u64, &[Buffer3]),
+    map: &[Option<u32>],
+    scratch: &mut AmricScratch,
+    out: &mut Vec<u8>,
+) -> CodecResult<DeltaEncoded> {
+    if map.len() != units.len() || !(abs_eb > 0.0 && abs_eb.is_finite()) {
+        return Err(CodecError::BadParameter {
+            what: "delta map or error bound",
+        });
+    }
+    let mut payload = Writer::new();
+    payload.put_u64(reference_id);
+    payload.put_f64(abs_eb);
+    payload.put_u32(units.len() as u32);
+    let (mut enc, mut spatial) = (DeltaEncoder::new(abs_eb), Vec::new());
+    let mut delta = Vec::with_capacity(units.len());
+    for (i, (u, &m)) in units.iter().zip(map).enumerate() {
+        let unit = u.view();
+        payload.put_u32(m.map_or(0, |j| j + 1));
+        let Some(j) = m else {
+            spatial.push(unit);
+            delta.push(None);
+            continue;
+        };
+        match reference.get(j as usize) {
+            Some(prev) if prev.dims() == unit.dims() => {
+                delta.push(Some(enc.push(unit, prev.view())));
+            }
+            _ => {
+                let msg = format!("unit {i} has no reference unit {j} of its dims");
+                return Err(CodecError::dims(msg));
+            }
+        }
+    }
+    enc.finish(&mut payload);
+    let mut w = Writer::from_vec(std::mem::take(out));
+    write_envelope(&mut w, CodecId::AmricPipeline, VERSION, FLAG_REFERENCED);
+    w.put_u8(Mode::Delta as u8);
+    let at = w.buf_mut().len() + 4;
+    w.put_u32(0);
+    if !spatial.is_empty() {
+        let (eb, nested) = (abs_eb, w.buf_mut());
+        compress_field_units_with_bound_into(&spatial, cfg, unit_edge, eb, scratch, nested);
+    }
+    let nested = at..w.buf_mut().len();
+    w.buf_mut()[at - 4..at].copy_from_slice(&(nested.len() as u32).to_le_bytes());
+    *out = w.into_bytes();
+    lossless::compress_into(&payload.into_bytes(), out);
+    Ok(DeltaEncoded(delta, nested))
 }
 
 /// Pick the stream mode the configuration implies, with safe fallbacks
@@ -339,11 +462,12 @@ fn select_mode<U: AsView3>(cfg: &AmricConfig, units: &[U]) -> Mode {
     }
 }
 
-/// Decompress a stream produced by [`compress_field_units`], returning the
-/// unit buffers in their original order.
+/// Decompress a self-contained pipeline stream, returning the unit buffers
+/// in their original order (a delta stream fails: it has no reference
+/// here).
 pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
     let mut units = Vec::new();
-    decompress_field_units_into(bytes, &mut units)?;
+    decompress_field_units_into(bytes, &mut units, &mut no_reference)?;
     Ok(units)
 }
 
@@ -354,12 +478,22 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
 /// SZ_Interp ([`AmricConfig::interp`] on cubes) copies each slot's rows out
 /// of the packed buffer. The LM ablation, the ragged SZ_Interp fallback and
 /// the adaptive extension decode to units of their own and copy those.
-pub fn decompress_field_units_into(bytes: &[u8], dest: &mut dyn UnitDest) -> CodecResult<()> {
+///
+/// A delta-mode stream asks `reference` once for the units it
+/// predicts from (see [`Reference`]; [`no_reference`] when the caller has
+/// none); no other stream calls it.
+pub fn decompress_field_units_into(
+    bytes: &[u8],
+    dest: &mut dyn UnitDest,
+    reference: &mut dyn FnMut() -> CodecResult<Reference>,
+) -> CodecResult<()> {
     let env = expect_envelope(bytes, CodecId::AmricPipeline, VERSION)?;
     let mut r = Reader::new(&bytes[env.payload_offset..]);
     let mode = Mode::from_u8(r.get_u8()?)?;
-    if mode == Mode::Empty {
-        return Ok(());
+    match mode {
+        Mode::Empty => return Ok(()),
+        Mode::Delta => return decompress_delta(&mut r, dest, reference),
+        _ => {}
     }
     let n = r.get_u32()? as usize;
     match mode {
@@ -451,8 +585,67 @@ pub fn decompress_field_units_into(bytes: &[u8], dest: &mut dyn UnitDest) -> Cod
             }
             Ok(())
         }
-        Mode::Empty => unreachable!("handled above"),
+        Mode::Empty | Mode::Delta => unreachable!("handled above"),
     }
+}
+
+/// The [`Mode::Delta`] payload after its mode byte. Every count is bounded
+/// by the input before it sizes anything, the reference must carry the id
+/// the stream records, and every map entry must name a reference unit.
+fn decompress_delta(
+    r: &mut Reader<'_>,
+    dest: &mut dyn UnitDest,
+    reference: &mut dyn FnMut() -> CodecResult<Reference>,
+) -> CodecResult<()> {
+    let nested_len = r.get_u32()? as usize;
+    let nested = r.get_raw(nested_len)?;
+    let payload = lossless::decompress(r.get_raw(r.remaining())?)?;
+    let mut r = Reader::new(&payload);
+    let (reference_id, abs_eb) = (r.get_u64()?, r.get_f64()?);
+    let n = r.get_u32()? as usize;
+    r.check_count(n, 4)?;
+    let map = (0..n)
+        .map(|_| r.get_u32())
+        .collect::<CodecResult<Vec<u32>>>()?;
+    let (id, units) = reference()?;
+    if id != reference_id {
+        let msg = format!("stream references snapshot {reference_id}, the reference is {id}");
+        return Err(CodecError::corrupt(msg));
+    }
+    let mut cells = 0u128;
+    for (i, j) in map
+        .iter()
+        .enumerate()
+        .filter_map(|(i, m)| Some((i, m.checked_sub(1)?)))
+    {
+        let prev = units.get(j as usize).ok_or_else(|| {
+            let held = units.len();
+            CodecError::corrupt(format!("unit {i} references unit {j} of {held} in {id}"))
+        })?;
+        cells += prev.dims().len() as u128;
+    }
+    let mut delta = DeltaDecoder::read(&mut r, abs_eb, cells)?;
+    let mut spatial = Vec::new();
+    if !nested.is_empty() {
+        decompress_field_units_into(nested, &mut spatial, &mut no_reference)?;
+    }
+    let n_spatial = map.iter().filter(|&&m| m == 0).count();
+    if spatial.len() != n_spatial {
+        let held = spatial.len();
+        let msg = format!("nested stream holds {held} units, the map {n_spatial}");
+        return Err(CodecError::dims(msg));
+    }
+    let mut spatial = spatial.iter();
+    for (i, &m) in map.iter().enumerate() {
+        match m.checked_sub(1) {
+            None => place_unit(dest, i, spatial.next().expect("counted").view())?,
+            Some(j) => {
+                let prev = units[j as usize].view();
+                delta.unit(prev, dest.unit(i, prev.dims())?)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Parse the adaptive payload header after the unit count: the tight and

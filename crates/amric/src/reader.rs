@@ -2,13 +2,15 @@
 //! plotfile back into a hierarchy of [`MultiFab`]s and verify error
 //! bounds against the original data.
 
-use crate::pipeline::{decompress_field_units_into, resolve_abs_eb};
+use crate::pipeline::{decompress_field_units_into, no_reference, resolve_abs_eb};
 use crate::preprocess::{
     extract_units, plan_units_layout, region_dims, unit_edge_for_level, UnitRef,
 };
+use crate::temporal::{read_temporal_meta, TemporalMeta};
 use crate::writer::field_dataset;
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
+use std::sync::Arc;
 use sz_codec::prelude::*;
 
 /// A plotfile loaded back into memory.
@@ -26,6 +28,32 @@ pub struct Plotfile {
     pub remove_redundancy: bool,
     /// Unit plans per `[level][rank]`, as reconstructed from metadata.
     pub unit_plans: Vec<Vec<Vec<UnitRef>>>,
+    /// Temporal linkage, for a snapshot a temporal session wrote.
+    pub temporal: Option<TemporalMeta>,
+}
+
+impl Plotfile {
+    /// The decoded units of one `(level, rank)` chunk of `field`, in plan
+    /// order — what a delta chunk of the next snapshot predicts from.
+    pub fn chunk_units(
+        &self,
+        level: usize,
+        rank: usize,
+        field: usize,
+    ) -> CodecResult<Vec<Buffer3>> {
+        let plan = self.unit_plans.get(level).and_then(|ranks| ranks.get(rank));
+        let Some(plan) = plan.filter(|_| field < self.field_names.len()) else {
+            return Err(CodecError::corrupt(format!(
+                "the reference holds no chunk of level {level} rank {rank} field {field}"
+            )));
+        };
+        let fabs = &self.levels[level];
+        let unit = |u: &UnitRef| {
+            let values = fabs.fab(u.box_index).extract_region(&u.region, field);
+            Buffer3::from_vec(region_dims(&u.region), values)
+        };
+        Ok(plan.iter().map(unit).collect())
+    }
 }
 
 /// Grid structure of one plotfile level — everything the read side knows
@@ -302,11 +330,10 @@ pub fn load_chunk(
     decoded
 }
 
-/// The one full-decode loader behind [`read_amric_hierarchy`] and
-/// [`crate::temporal::read_temporal_hierarchy`]: [`load_chunk`] every
-/// stored `(level, rank, field)` stream through `decode`, straight into
-/// the level's fabs.
-pub(crate) fn load_plotfile(
+/// The full-decode loader behind [`read_amric_from`]: [`load_chunk`] every
+/// stored `(level, rank, field)` stream through `decode`, straight into the
+/// level's fabs.
+fn load_plotfile(
     r: &H5Reader,
     mut decode: impl FnMut(usize, usize, usize, &[u8], &mut dyn UnitDest) -> H5Result<()>,
 ) -> H5Result<Plotfile> {
@@ -336,15 +363,40 @@ pub(crate) fn load_plotfile(
         bf: meta.bf,
         remove_redundancy: meta.remove_redundancy,
         unit_plans,
+        temporal: None,
     })
 }
 
 /// Load an AMRIC plotfile (written by [`crate::writer::write_amric`]).
 pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Plotfile> {
-    let r = H5Reader::open(path)?;
-    load_plotfile(&r, |_, _, _, raw, dest| {
-        Ok(decompress_field_units_into(raw, dest)?)
-    })
+    read_amric_from(&H5Reader::open(path)?, None)
+}
+
+/// Load an AMRIC plotfile from an open container, given the snapshot its
+/// delta chunks predict from: `reference` is that snapshot's own restart.
+/// A reference the file does not name is refused before any chunk is read;
+/// without one, a delta chunk fails typed (`CodecError::BadParameter`)
+/// and a plain or keyframe file loads as usual.
+pub fn read_amric_from(r: &H5Reader, reference: Option<&Plotfile>) -> H5Result<Plotfile> {
+    let temporal = read_temporal_meta(r)?;
+    let named = temporal.and_then(|t| t.reference_id);
+    if let Some(p) = reference {
+        let held = p.temporal.map(|t| t.snapshot_id);
+        if held.is_none() || held != named {
+            return Err(H5Error::Format(format!(
+                "file references snapshot {named:?}, the reference is snapshot {held:?}"
+            )));
+        }
+    }
+    let mut pf = load_plotfile(r, |l, rank, f, raw, dest| {
+        let mut source = || match (reference, named) {
+            (Some(p), Some(id)) => Ok((id, Arc::new(p.chunk_units(l, rank, f)?))),
+            _ => no_reference(),
+        };
+        Ok(decompress_field_units_into(raw, dest, &mut source)?)
+    })?;
+    pf.temporal = temporal;
+    Ok(pf)
 }
 
 /// Load a baseline / no-compression plotfile (written by
@@ -404,6 +456,7 @@ pub fn read_baseline_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Pl
         bf: 0,
         remove_redundancy: false,
         unit_plans: Vec::new(),
+        temporal: None,
     })
 }
 

@@ -1,198 +1,66 @@
-//! Cross-snapshot temporal compression sessions — threading the
-//! `sz_codec::temporal` delta family through the AMRIC write/read paths.
+//! Cross-snapshot temporal compression: a [`TemporalSession`] writes a
+//! series of ordinary AMRIC plotfiles whose chunks may delta-code against
+//! the previous snapshot.
 //!
-//! A [`TemporalSession`] writes a *series* of snapshots. For each one it
-//! plans units exactly like [`crate::writer::write_amric_to`], then maps
-//! every unit against the previous snapshot's plan **by region identity**
-//! (same level, same rank, same index-space box): units whose region
-//! survived regridding delta-code against the previous snapshot's
-//! *decoded* values; units whose region changed level or layout fall back
-//! to the spatial-only path inside the same stream. Mapped streams are
-//! additionally **size-gated**: a surviving region only proves the layout
-//! held still, so each (level, rank, field) stream is encoded both ways
-//! and the smaller one ships — temporal output is never larger than
-//! spatial-only output, even under dynamics violent enough that residuals
-//! cost more than the field itself. The session retains
-//! the decoded state of everything it writes (returned by the codec
-//! during encoding — never a second decode pass), so the next snapshot
-//! predicts from exactly what any reader will reconstruct and error never
-//! accumulates across steps.
+//! The session holds state only — snapshot ids, the keyframe cadence and
+//! what the last write kept — and writes through the one snapshot writer
+//! behind [`crate::writer::write_amric_to`]. Per chunk that writer maps
+//! every unit against the previous snapshot's plan of the same rank and
+//! level **by region identity** (same index-space box). A chunk with a
+//! mapped unit is encoded twice, as the plain pipeline stream and as the
+//! pipeline's delta mode (mapped units as residuals against the previous
+//! snapshot's *decoded* values, the rest in a nested stream of the
+//! configured mode), and the smaller ships, ties to plain: a chunk is never
+//! larger than `write_amric_to`'s, and a keyframe's field datasets are
+//! byte-identical to it. The decoded state of what shipped comes back
+//! through the chunk filter — delta units from the encoder, the rest from
+//! one decode of the stream — so the next snapshot predicts from exactly
+//! what any reader reconstructs, and error never accumulates across steps.
+//! Delta coding applies under [`BoundPolicy::Fixed`]; a
+//! `GradientAdaptive` session writes the plain adaptive stream.
 //!
-//! Reference linkage is recorded twice, at different granularities:
+//! Reference linkage is recorded twice:
 //!
-//! * the per-chunk **chunk index** entry carries the reference snapshot
-//!   id ([`h5lite::ChunkIndexEntry::reference`]) so random access — the
-//!   `amr-query` planner — can resolve which prior file a delta chunk
-//!   needs without decoding anything, and
-//! * the small `meta/temporal` dataset stores
-//!   `[snapshot_id, reference_id]` for the whole file (0 = none).
+//! * the chunk index entry of a chunk that shipped a delta stream carries
+//!   the reference snapshot id ([`h5lite::ChunkIndexEntry::reference`]),
+//!   so a planner sees which prior file a chunk needs without decoding;
+//! * the `meta/temporal` dataset stores `[snapshot_id, reference_id]` for
+//!   the whole file (0 = none), read back by [`read_temporal_meta`].
 //!
-//! Spatial-only temporal streams are self-contained, and delta streams
-//! decoded without their reference fail with a typed error naming it
-//! rather than decoding wrong data (see the `sz_codec::temporal` module
-//! docs).
+//! Reading needs the referenced snapshot: a restart passes its
+//! [`crate::reader::Plotfile`] to [`crate::reader::read_amric_from`], a
+//! query engine gets the reference snapshot's engine. Each checks the id
+//! before any chunk is read; a delta chunk decoded without its reference
+//! fails typed.
 
-use crate::preprocess::{
-    extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent, UnitRef,
-};
-use crate::reader::{load_plotfile, Plotfile};
-use crate::writer::{
-    agree_level, field_dataset, flatten_units, run_snapshot_ranks, write_chunk_indexes, WriteReport,
-};
+use crate::config::{AmricConfig, BoundPolicy};
+use crate::writer::{write_snapshot, Previous, WriteReport};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
-use rankpar::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-use sz_codec::buffer3::place_unit;
-use sz_codec::codec::CodecId;
-use sz_codec::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
-use sz_codec::{AsView3, Buffer3, CodecResult};
 
-/// Filter id for the temporal delta filter (registered like the AMRIC
-/// filter, outside h5lite's built-in registry).
-pub const FILTER_TEMPORAL: u32 = 101;
-
-/// Chunk-filter face of the temporal family — carries the dataset
-/// metadata (filter id, unit edge) and decodes **self-contained** chunks
-/// for generic readers. Delta chunks need their reference and are decoded
-/// by [`read_temporal_hierarchy`], which resolves references per rank.
-#[derive(Clone, Copy, Debug)]
-pub struct TemporalFieldFilter {
-    /// Unit-block edge for the level being written.
-    pub unit_edge: usize,
-}
-
-impl ChunkFilter for TemporalFieldFilter {
-    fn id(&self) -> u32 {
-        FILTER_TEMPORAL
-    }
-
-    fn client_data(&self) -> Vec<u8> {
-        vec![self.unit_edge as u8]
-    }
-
-    fn encode_into(&self, _chunk: &[f64], _out: &mut Vec<u8>) -> H5Result<()> {
-        // The session encodes through the codec directly (it needs the
-        // decoded state back); the filter only describes the dataset.
-        Err(H5Error::Format(
-            "TemporalFieldFilter encodes through TemporalSession".into(),
-        ))
-    }
-
-    fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        flatten_units(&TemporalCodec::decoder().decompress(bytes)?, n_elems)
-    }
-}
-
-/// Session-level configuration (a snapshot's streams are still fully
-/// self-describing; this drives the write side only).
-#[derive(Clone, Copy, Debug)]
-pub struct TemporalSessionConfig {
-    /// Value-range-relative error bound, resolved per (level, field)
-    /// against the global range — same REL semantics as the AMRIC writer.
-    pub rel_eb: f64,
-    /// Remove redundant coarse data under finer levels (paper §3.1).
-    pub remove_redundancy: bool,
-    /// SZ block size of the spatial fallback streams.
-    pub block_size: usize,
-}
-
-impl TemporalSessionConfig {
-    /// Stock configuration at the given relative bound.
-    pub fn new(rel_eb: f64) -> Self {
-        TemporalSessionConfig {
-            rel_eb,
-            remove_redundancy: true,
-            block_size: 6,
-        }
-    }
-}
-
-/// Everything the session retains about the previous snapshot: its id,
-/// its unit plans (for region-identity mapping), and the decoded units of
-/// every (level, rank, field) stream, already wrapped as codec references.
-struct PrevSnapshot {
-    id: u64,
-    nfields: usize,
-    /// `[rank][level]` outcomes, exactly as the rank closures left them.
-    ranks: Vec<Vec<LevelOut>>,
-}
-
-/// Per-(rank, level) outcome carried out of the rank closures.
-struct LevelOut {
-    extent: Option<PlanExtent>,
-    /// The rank's unit plan (for region-identity mapping next snapshot).
-    plan: Vec<UnitRef>,
-    any_delta: bool,
-    /// Per-field decoded state, the next snapshot's reference.
-    field_refs: Vec<Arc<TemporalReference>>,
-}
-
-/// A multi-snapshot temporal write session. Create one per series, call
+/// A multi-snapshot temporal write session. Create one per series and call
 /// [`TemporalSession::write`] once per snapshot (each snapshot is its own
-/// container file); the first snapshot — and any unit whose region the
-/// regrid schedule moved — is coded spatially, everything else as deltas.
+/// container); the first snapshot — and any chunk whose regions the regrid
+/// schedule moved — is coded spatially, everything else as deltas where
+/// that is smaller.
 pub struct TemporalSession {
-    cfg: TemporalSessionConfig,
+    cfg: AmricConfig,
     bf: i64,
     next_id: u64,
-    prev: Option<PrevSnapshot>,
+    prev: Option<Previous>,
     /// Automatic keyframe cadence: every `n`-th write drops the retained
     /// reference first (0 = never, the default).
     keyframe_interval: u64,
-    /// Writes since the last keyframe (a spatial-only snapshot).
+    /// Writes since the last keyframe (a snapshot with no reference).
     since_keyframe: u64,
 }
 
-/// Corner-tuple key for region-identity unit mapping (IntBox carries no
-/// Hash impl; the corners are the identity that matters).
-fn region_key(b: &IntBox) -> ([i64; 3], [i64; 3]) {
-    (
-        [b.lo.get(0), b.lo.get(1), b.lo.get(2)],
-        [b.hi.get(0), b.hi.get(1), b.hi.get(2)],
-    )
-}
-
-/// Encode one (level, rank, field) stream. Size-aware mode choice: a
-/// surviving region only proves the *layout* held still — violent dynamics
-/// can make residuals cost more than re-coding the field spatially. So
-/// when a region mapping exists (`delta`: the reference plus the per-unit
-/// map into it) the stream is encoded both ways and the smaller one
-/// ships: temporal output is never larger than spatial-only output.
-/// Returns the frame, the decoded state, and whether the delta won.
-fn encode_stream(
-    tcfg: TemporalConfig,
-    bufs: &[Buffer3],
-    delta: Option<(Arc<TemporalReference>, Vec<Option<u32>>)>,
-) -> CodecResult<(EncodedFrame, Vec<Buffer3>, bool)> {
-    let t0 = Instant::now();
-    let mut bytes = Vec::new();
-    let mut decoded = TemporalCodec::spatial(tcfg).compress_with_state(bufs, &mut bytes)?;
-    let mut shipped_delta = false;
-    if let Some((reference, unit_refs)) = delta {
-        let mut delta_bytes = Vec::new();
-        let delta_decoded = TemporalCodec::with_reference(tcfg, reference, unit_refs)
-            .compress_with_state(bufs, &mut delta_bytes)?;
-        if delta_bytes.len() < bytes.len() {
-            bytes = delta_bytes;
-            decoded = delta_decoded;
-            shipped_delta = true;
-        }
-    }
-    let frame = EncodedFrame {
-        bytes,
-        logical_elems: bufs.iter().map(|b| b.dims().len() as u64).sum(),
-        encode_seconds: t0.elapsed().as_secs_f64(),
-    };
-    Ok((frame, decoded, shipped_delta))
-}
-
 impl TemporalSession {
-    /// New session; `bf` is the blocking factor of the hierarchies the
-    /// session will write (drives unit sizes, fixed across the series).
-    pub fn new(cfg: TemporalSessionConfig, bf: i64) -> Self {
+    /// New session writing with `cfg`; `bf` is the blocking factor of the
+    /// hierarchies the session will write (drives unit sizes, fixed across
+    /// the series).
+    pub fn new(cfg: AmricConfig, bf: i64) -> Self {
         TemporalSession {
             cfg,
             bf,
@@ -204,24 +72,18 @@ impl TemporalSession {
     }
 
     /// Automatic [`reset_reference`](TemporalSession::reset_reference)
-    /// cadence: every `n`-th snapshot is written spatial-only (a
-    /// keyframe), bounding every delta chain to `n - 1` links so a reader
-    /// never has to walk more than `n` files and a lost snapshot orphans
-    /// at most one interval. `n = 1` disables delta coding entirely;
-    /// `n = 0` means no automatic cadence (the default). A manual
-    /// `reset_reference` call restarts the interval count.
+    /// cadence: every `n`-th snapshot is a keyframe, bounding every delta
+    /// chain to `n - 1` links so a reader never walks more than `n` files
+    /// and a lost snapshot orphans at most one interval. `n = 1` disables
+    /// delta coding; `n = 0` means no automatic cadence (the default). A
+    /// manual `reset_reference` call restarts the interval count.
     pub fn with_keyframe_interval(mut self, n: u64) -> Self {
         self.keyframe_interval = n;
         self
     }
 
-    /// Snapshot id the next [`TemporalSession::write`] call will record.
-    pub fn next_snapshot_id(&self) -> u64 {
-        self.next_id
-    }
-
-    /// Drop the retained reference state: the next snapshot is written
-    /// spatial-only, starting a fresh delta chain.
+    /// Drop the retained reference state: the next snapshot is a keyframe,
+    /// starting a fresh delta chain.
     pub fn reset_reference(&mut self) {
         self.prev = None;
         self.since_keyframe = 0;
@@ -236,155 +98,30 @@ impl TemporalSession {
         self.write_to(Arc::new(H5Writer::create(path)?), h)
     }
 
-    /// Backend-agnostic variant of [`TemporalSession::write`]: runs the
-    /// rank collectives against an already-created writer and finishes
-    /// the container.
+    /// Backend-agnostic variant of [`TemporalSession::write`]: writes the
+    /// snapshot through an already-created writer and finishes the
+    /// container.
     pub fn write_to(&mut self, writer: Arc<H5Writer>, h: &AmrHierarchy) -> H5Result<WriteReport> {
-        // Keyframe cadence: due snapshots drop the reference *before*
-        // encoding, so the stream, chunk index, and `meta/temporal` all
-        // record a self-contained snapshot (no reference anywhere).
+        // Keyframe cadence: a due snapshot drops the reference *before*
+        // encoding, so its chunks, chunk index and `meta/temporal` all
+        // record a self-contained snapshot.
         if self.keyframe_interval > 0 && self.since_keyframe >= self.keyframe_interval {
             self.reset_reference();
         }
         self.since_keyframe += 1;
-        let num_levels = h.num_levels();
-        let nfields = h.field_names().len();
         let id = self.next_id;
-        let cfg = self.cfg;
-        let bf = self.bf;
+        let keep = self.cfg.bound == BoundPolicy::Fixed;
         let prev = self.prev.as_ref();
-
-        let header_extra = [bf as u64, u64::from(cfg.remove_redundancy)];
-        let body = |comm: &Communicator, ledger: &mut IoLedger, prep_s: &mut f64| {
-            let rank = comm.rank();
-            let mut levels_out = Vec::with_capacity(num_levels);
-            for l in 0..num_levels {
-                let level = &h.level(l).data;
-                let finer =
-                    (l + 1 < num_levels).then(|| (h.level(l + 1).data.box_array(), h.ref_ratio(l)));
-                let unit = unit_edge_for_level(bf, l, num_levels);
-                let t0 = Instant::now();
-                let units = plan_units(level, finer, unit, rank, cfg.remove_redundancy);
-                let extent = plan_bounding_box(&units);
-                // Regrid-aware mapping: a unit delta-codes iff the same
-                // region existed in this rank's plan for this level last
-                // snapshot. Any level/layout change (refined away,
-                // coarsened, redistributed, re-truncated) misses the map
-                // and falls back to spatial coding.
-                let prev_level = prev
-                    .filter(|p| p.nfields == nfields)
-                    .and_then(|p| p.ranks.get(rank)?.get(l));
-                let unit_refs: Vec<Option<u32>> = match prev_level {
-                    Some(p) => {
-                        let by_region: HashMap<_, u32> = p
-                            .plan
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| (region_key(&u.region), i as u32))
-                            .collect();
-                        units
-                            .iter()
-                            .map(|u| by_region.get(&region_key(&u.region)).copied())
-                            .collect()
-                    }
-                    _ => vec![None; units.len()],
-                };
-                let any_mapped = unit_refs.iter().any(Option::is_some);
-                let fields: Vec<Vec<Buffer3>> = (0..nfields)
-                    .map(|f| extract_units(level, &units, f))
-                    .collect();
-                *prep_s += t0.elapsed().as_secs_f64();
-                // Global REL bound and global chunk size per field, agreed
-                // in one collective like the AMRIC writer.
-                let local = fields.iter().map(|bufs| {
-                    let extremes = bufs.iter().map(Buffer3::min_max);
-                    let (lo, hi) = extremes.fold((f64::INFINITY, f64::NEG_INFINITY), |a, b| {
-                        (a.0.min(b.0), a.1.max(b.1))
-                    });
-                    (lo, hi, bufs.iter().map(|b| b.dims().len() as u64).sum())
-                });
-                let agreed = agree_level(comm, local.collect());
-                // Encode every field stream, keeping its decoded state (the
-                // next snapshot's reference) and whether any stream shipped
-                // delta-coded bytes (the chunk index records the reference
-                // only then). The first failure stops the level and becomes
-                // this rank's vote, so the peers abort with it.
-                let mut any_delta = false;
-                let mut field_refs = Vec::with_capacity(nfields);
-                let mut encode = |f: usize, (range, chunk_elems)| {
-                    let tcfg = TemporalConfig {
-                        abs_eb: sz_codec::quantizer::absolute_bound(cfg.rel_eb, range),
-                        block_size: cfg.block_size,
-                    };
-                    let delta = any_mapped.then(|| {
-                        let reference = &prev_level.expect("mapping implies prev").field_refs[f];
-                        (Arc::clone(reference), unit_refs.clone())
-                    });
-                    let (frames, decoded) = match chunk_elems {
-                        0 => (Vec::new(), Vec::new()),
-                        _ => {
-                            let (frame, decoded, delta) = encode_stream(tcfg, &fields[f], delta)?;
-                            any_delta |= delta;
-                            (vec![frame], decoded)
-                        }
-                    };
-                    field_refs.push(Arc::new(TemporalReference::new(id, decoded)));
-                    Ok(frames)
-                };
-                let frames = (0..nfields)
-                    .map(|f| encode(f, agreed[f]))
-                    .collect::<CodecResult<Vec<_>>>()
-                    .map_err(H5Error::Codec);
-                let filter = TemporalFieldFilter {
-                    unit_edge: unit as usize,
-                };
-                let names: Vec<String> = (0..nfields).map(|f| field_dataset(l, f)).collect();
-                let jobs: Vec<DatasetJob> = names
-                    .iter()
-                    .zip(&agreed)
-                    .map(|(name, &(_, chunk_elems))| DatasetJob {
-                        name,
-                        chunks: &[],
-                        chunk_elems: chunk_elems.max(1),
-                        filter: &filter,
-                        mode: FilterMode::SizeAware,
-                    })
-                    .collect();
-                ledger.merge(&collective_write_frames(comm, &writer, &jobs, frames)?);
-                levels_out.push(LevelOut {
-                    extent,
-                    plan: units,
-                    any_delta,
-                    field_refs,
-                });
-            }
-            Ok(levels_out)
-        };
-        let (report, per_rank) = run_snapshot_ranks(&writer, h, &header_extra, body)?;
-
-        // Chunk index: codec id + extent per rank chunk, plus the
-        // reference snapshot id on chunks that delta-code.
-        let prev_id = prev.map(|p| p.id);
-        let extents: Vec<Vec<Option<PlanExtent>>> = (0..num_levels)
-            .map(|l| per_rank.iter().map(|levels| levels[l].extent).collect())
-            .collect();
-        write_chunk_indexes(&writer, nfields, CodecId::Temporal, &extents, |l, rank| {
-            prev_id.filter(|_| per_rank[rank][l].any_delta)
-        })?;
-        // Whole-file temporal linkage (0 = no reference).
+        let (report, ranks) = write_snapshot(&writer, h, &self.cfg, self.bf, prev, keep)?;
+        let reference = prev.map_or(0, |p| p.id);
         writer.write_dataset(
             "meta/temporal",
-            &[id as f64, prev_id.unwrap_or(0) as f64],
+            &[id as f64, reference as f64],
             2,
             &NoFilter,
         )?;
         writer.finish()?;
-
-        self.prev = Some(PrevSnapshot {
-            id,
-            nfields,
-            ranks: per_rank,
-        });
+        self.prev = keep.then_some(Previous { id, ranks });
         self.next_id += 1;
         Ok(report)
     }
@@ -393,96 +130,57 @@ impl TemporalSession {
 /// Temporal linkage of one file, from its `meta/temporal` dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TemporalMeta {
-    /// This snapshot's id within its write session.
+    /// This snapshot's id within its write session (never 0).
     pub snapshot_id: u64,
     /// Snapshot id this file's delta chunks predict from, if any.
     pub reference_id: Option<u64>,
 }
 
-/// Read the temporal linkage of an open container. Errors on files
-/// without a `meta/temporal` dataset (non-temporal plotfiles).
-pub fn read_temporal_meta(r: &H5Reader) -> H5Result<TemporalMeta> {
-    let raw = r.read_dataset("meta/temporal")?;
-    if raw.len() < 2 {
+/// Read the temporal linkage of an open container: `None` for a file
+/// without a `meta/temporal` dataset (a plain AMRIC plotfile). Total over
+/// forged values: an id that is not a finite non-negative integer of at
+/// most 2⁵³, or a snapshot id of 0, is an [`H5Error::Format`].
+pub fn read_temporal_meta(r: &H5Reader) -> H5Result<Option<TemporalMeta>> {
+    let raw = match r.read_dataset("meta/temporal") {
+        Err(H5Error::NotFound(_)) => return Ok(None),
+        raw => raw?,
+    };
+    let id = |v: f64| {
+        let exact = v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= (1u64 << 53) as f64;
+        exact
+            .then_some(v as u64)
+            .ok_or_else(|| H5Error::Format(format!("meta/temporal holds {v}, not a snapshot id")))
+    };
+    let &[snapshot, reference] = raw.as_slice() else {
         return Err(H5Error::Format(format!(
             "meta/temporal holds {} values, expected 2",
             raw.len()
         )));
+    };
+    let (snapshot_id, reference) = (id(snapshot)?, id(reference)?);
+    if snapshot_id == 0 {
+        return Err(H5Error::Format(
+            "meta/temporal records snapshot id 0".into(),
+        ));
     }
-    let reference = raw[1] as u64;
-    Ok(TemporalMeta {
-        snapshot_id: raw[0] as u64,
+    Ok(Some(TemporalMeta {
+        snapshot_id,
         reference_id: (reference != 0).then_some(reference),
-    })
-}
-
-/// Decoded reference state carried between [`read_temporal_hierarchy`]
-/// calls — the read-side mirror of the session's retained state.
-pub struct TemporalReadState {
-    /// Snapshot id of the decoded file.
-    pub id: u64,
-    /// Decoded reference state per `(level, rank, field)` stream.
-    refs: HashMap<(usize, usize, usize), Arc<TemporalReference>>,
-}
-
-/// Load one snapshot of a temporal series from an open container,
-/// resolving delta chunks against `prev` (the state returned by decoding
-/// the referenced snapshot). Pass `None` for the first snapshot of a
-/// chain; a delta file decoded without its reference fails with a typed
-/// error, and a `prev` whose id does not match the file's recorded
-/// reference id is rejected before any chunk is touched.
-pub fn read_temporal_hierarchy(
-    r: &H5Reader,
-    prev: Option<&TemporalReadState>,
-) -> H5Result<(Plotfile, TemporalReadState)> {
-    let tmeta = read_temporal_meta(r)?;
-    if let (Some(rid), Some(p)) = (tmeta.reference_id, prev) {
-        if p.id != rid {
-            return Err(H5Error::Format(format!(
-                "file references snapshot {rid}, reader holds {}",
-                p.id
-            )));
-        }
-    }
-    let mut refs = HashMap::new();
-    let pf = load_plotfile(r, |l, rank, f, raw, dest| {
-        let codec = match prev.and_then(|p| p.refs.get(&(l, rank, f))) {
-            Some(reference) => TemporalCodec::decoder_with(Arc::clone(reference)),
-            None => TemporalCodec::decoder(),
-        };
-        // The decoded units are the next snapshot's reference, so they are
-        // kept whole and copied to the fabs.
-        let units = codec.decompress(raw)?;
-        for (i, unit) in units.iter().enumerate() {
-            place_unit(dest, i, unit.view())?;
-        }
-        let state = TemporalReference::new(tmeta.snapshot_id, units);
-        refs.insert((l, rank, f), Arc::new(state));
-        Ok(())
-    })?;
-    // Ranks of a level that stored no chunks hold an empty reference.
-    let nfields = pf.field_names.len();
-    for (l, ranks) in pf.unit_plans.iter().enumerate() {
-        for key in (0..ranks.len()).flat_map(|r| (0..nfields).map(move |f| (l, r, f))) {
-            let empty = || Arc::new(TemporalReference::new(tmeta.snapshot_id, Vec::new()));
-            refs.entry(key).or_insert_with(empty);
-        }
-    }
-    Ok((
-        pf,
-        TemporalReadState {
-            id: tmeta.snapshot_id,
-            refs,
-        },
-    ))
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{read_plotfile_meta, verify_against};
+    use crate::pipeline::{
+        compress_delta_into, compress_field_units, decompress_field_units,
+        decompress_field_units_into, no_reference, AmricScratch, Reference,
+    };
+    use crate::reader::{read_amric_from, read_plotfile_meta, verify_against, Plotfile};
+    use crate::writer::{field_dataset, write_amric_to};
     use amr_apps::prelude::*;
-    use sz_codec::CodecError;
+    use sz_codec::codec::{expect_envelope, CodecId, FLAG_REFERENCED};
+    use sz_codec::{Buffer3, CodecError, CodecResult, Dims3, ErrorStats};
 
     fn series_cfg() -> AmrRunConfig {
         AmrRunConfig {
@@ -496,11 +194,13 @@ mod tests {
         }
     }
 
-    fn write_series(dt: f64, nsteps: usize, rel_eb: f64) -> Vec<(AmrHierarchy, H5Reader)> {
-        let scenario = NyxScenario::new(11);
-        let cfg = series_cfg();
-        let mut session = TemporalSession::new(TemporalSessionConfig::new(rel_eb), 8);
-        TimeSeries::new(&scenario, cfg, dt, nsteps)
+    /// Write `nsteps` snapshots of a Nyx series through `session`.
+    fn write_with(
+        session: &mut TemporalSession,
+        dt: f64,
+        nsteps: usize,
+    ) -> Vec<(AmrHierarchy, H5Reader)> {
+        TimeSeries::new(&NyxScenario::new(11), series_cfg(), dt, nsteps)
             .map(|(_, _, h)| {
                 let (w, mem) = H5Writer::in_memory();
                 session.write_to(Arc::new(w), &h).unwrap();
@@ -509,30 +209,278 @@ mod tests {
             .collect()
     }
 
+    fn write_series(dt: f64, nsteps: usize, rel_eb: f64) -> Vec<(AmrHierarchy, H5Reader)> {
+        write_with(
+            &mut TemporalSession::new(AmricConfig::lr(rel_eb), 8),
+            dt,
+            nsteps,
+        )
+    }
+
+    fn linkage(r: &H5Reader) -> TemporalMeta {
+        read_temporal_meta(r).unwrap().expect("a temporal snapshot")
+    }
+
+    /// Restart every snapshot of a chain, each given the one before it
+    /// when it names one.
+    fn restart_chain(series: &[(AmrHierarchy, H5Reader)]) -> Vec<Plotfile> {
+        let mut chain: Vec<Plotfile> = Vec::new();
+        for (_, r) in series {
+            let reference = linkage(r).reference_id.and(chain.last());
+            chain.push(read_amric_from(r, reference).unwrap());
+        }
+        chain
+    }
+
+    /// Deterministic per-cell roughness, constant in time.
+    fn grain(i: usize, j: usize, k: usize) -> f64 {
+        let h =
+            (i.wrapping_mul(73_856_093) ^ j.wrapping_mul(19_349_663) ^ k.wrapping_mul(83_492_791))
+                % 1024;
+        h as f64 / 1024.0 - 0.5
+    }
+
+    fn snapshot(n: usize, t: f64) -> Vec<Buffer3> {
+        (0..4)
+            .map(|u| {
+                let mut b = Buffer3::zeros(Dims3::cube(n));
+                b.fill_with(|i, j, k| {
+                    let (x, y, z) = (
+                        i as f64 / n as f64,
+                        j as f64 / n as f64,
+                        k as f64 / n as f64,
+                    );
+                    (6.0 * (x + t)).sin() * (5.0 * y).cos()
+                        + 0.5 * (4.0 * (z - t)).sin()
+                        + 0.05 * grain(i, j, k)
+                        + u as f64 * 0.1
+                });
+                b
+            })
+            .collect()
+    }
+
+    /// The delta stream of `units` against `reference` (snapshot `id`).
+    fn delta_stream(
+        units: &[Buffer3],
+        eb: f64,
+        id: u64,
+        reference: &[Buffer3],
+        map: &[Option<u32>],
+    ) -> CodecResult<Vec<u8>> {
+        let mut out = Vec::new();
+        let edge = units.first().map_or(8, |u| u.dims().nx);
+        let cfg = AmricConfig::lr(eb);
+        let mut scratch = AmricScratch::default();
+        compress_delta_into(
+            units,
+            &cfg,
+            edge,
+            eb,
+            (id, reference),
+            map,
+            &mut scratch,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    fn decode_with(stream: &[u8], reference: Reference) -> CodecResult<Vec<Buffer3>> {
+        let mut units = Vec::new();
+        decompress_field_units_into(stream, &mut units, &mut || Ok(reference.clone()))?;
+        Ok(units)
+    }
+
+    fn assert_within(orig: &[Buffer3], back: &[Buffer3], eb: f64) {
+        assert_eq!(orig.len(), back.len());
+        for (o, r) in orig.iter().zip(back) {
+            assert_eq!(o.dims(), r.dims());
+            let stats = ErrorStats::compare(o.data(), r.data());
+            assert!(
+                stats.max_abs_err <= eb * (1.0 + 1e-12),
+                "{}",
+                stats.max_abs_err
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_spatial_and_delta_roundtrip() {
+        let eb = 5e-4;
+        let prev = snapshot(8, 0.0);
+        let next = snapshot(8, 0.02);
+        // Units 1 and 3 regridded away: only 0 and 2 have references.
+        let reference = vec![prev[0].clone(), prev[2].clone()];
+        let stream = delta_stream(&next, eb, 3, &reference, &[Some(0), None, Some(1), None]);
+        let stream = stream.unwrap();
+        let env = expect_envelope(&stream, CodecId::AmricPipeline, 1).unwrap();
+        assert_ne!(env.flags & FLAG_REFERENCED, 0);
+        assert_within(
+            &next,
+            &decode_with(&stream, (3, Arc::new(reference))).unwrap(),
+            eb,
+        );
+    }
+
+    #[test]
+    fn spatial_only_stream_is_self_contained() {
+        // A keyframe chunk is the plain pipeline stream: no reference
+        // flag, and a decoder with no reference handles it.
+        let units = snapshot(8, 0.5);
+        let stream = compress_field_units(&units, &AmricConfig::lr(1e-3), 8);
+        let env = expect_envelope(&stream, CodecId::AmricPipeline, 1).unwrap();
+        assert_eq!(env.flags & FLAG_REFERENCED, 0);
+        let eb = crate::pipeline::resolve_abs_eb(&units, 1e-3);
+        assert_within(&units, &decompress_field_units(&stream).unwrap(), eb);
+    }
+
+    #[test]
+    fn stable_series_beats_per_snapshot_lr() {
+        // The mode's reason to exist: on a slowly evolving series the
+        // delta symbols concentrate near zero and compress far better
+        // than re-coding the spatial structure every step.
+        let eb = 1e-3;
+        let cfg = AmricConfig::lr(eb);
+        let mut reference: Option<Vec<Buffer3>> = None;
+        let (mut temporal_bytes, mut lr_bytes) = (0, 0);
+        for step in 0..4 {
+            let units = snapshot(12, step as f64 * 0.005);
+            let plain = compress_field_units(&units, &cfg, 12);
+            lr_bytes += plain.len();
+            let (stream, state) = match &reference {
+                None => (plain.clone(), decompress_field_units(&plain).unwrap()),
+                Some(r) => {
+                    let mut out = Vec::new();
+                    let map = [Some(0), Some(1), Some(2), Some(3)];
+                    let mut scratch = AmricScratch::default();
+                    let encoded = compress_delta_into(
+                        &units,
+                        &cfg,
+                        12,
+                        eb,
+                        (step, r),
+                        &map,
+                        &mut scratch,
+                        &mut out,
+                    )
+                    .unwrap();
+                    let state = encoded.into_state(&out).unwrap();
+                    (out, state)
+                }
+            };
+            temporal_bytes += stream.len();
+            reference = Some(state);
+        }
+        assert!(
+            temporal_bytes < lr_bytes,
+            "temporal {temporal_bytes} B should beat per-snapshot LR {lr_bytes} B"
+        );
+    }
+
+    #[test]
+    fn decoder_with_installed_reference_decodes() {
+        let prev = snapshot(8, 0.0);
+        let next = snapshot(8, 0.01);
+        let map = [Some(0), Some(1), None, Some(3)];
+        let stream = delta_stream(&next, 1e-3, 42, &prev, &map).unwrap();
+        // No reference: a typed failure naming the missing reference.
+        assert!(matches!(
+            decompress_field_units(&stream),
+            Err(CodecError::BadParameter { .. })
+        ));
+        let mut units = Vec::new();
+        let err = decompress_field_units_into(&stream, &mut units, &mut no_reference);
+        assert!(matches!(err, Err(CodecError::BadParameter { .. })));
+        // The reference resolves it, and the encoder's own state is
+        // bitwise what the decoder rebuilds.
+        let mut out = Vec::new();
+        let cfg = AmricConfig::lr(1e-3);
+        let mut scratch = AmricScratch::default();
+        let encoded = compress_delta_into(
+            &next,
+            &cfg,
+            8,
+            1e-3,
+            (42, &prev),
+            &map,
+            &mut scratch,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out, stream);
+        let state = encoded.into_state(&out).unwrap();
+        let back = decode_with(&stream, (42, Arc::new(prev))).unwrap();
+        for (a, b) in state.iter().zip(&back) {
+            for (x, y) in a.data().iter().zip(b.data()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn forged_reference_id_is_corrupt() {
+        let prev = snapshot(8, 0.0);
+        let next = snapshot(8, 0.01);
+        let map = [Some(0), Some(1), Some(2), Some(3)];
+        let stream = delta_stream(&next, 1e-3, 5, &prev, &map).unwrap();
+        assert!(matches!(
+            decode_with(&stream, (6, Arc::new(prev))),
+            Err(CodecError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn empty_stream_roundtrip() {
+        // An empty chunk is the pipeline's empty marker, with or without a
+        // previous snapshot: the session never writes an empty delta.
+        let units: Vec<Buffer3> = Vec::new();
+        let stream = compress_field_units(&units, &AmricConfig::lr(1e-3), 8);
+        assert_eq!(stream.len(), 9);
+        assert!(decompress_field_units(&stream).unwrap().is_empty());
+        let empty = delta_stream(&units, 1e-3, 1, &[], &[]).unwrap();
+        assert!(decode_with(&empty, (1, Arc::default())).unwrap().is_empty());
+    }
+
+    #[test]
+    fn encode_rejects_bad_mapping() {
+        let units = snapshot(8, 0.0);
+        let reference = snapshot(8, 0.0);
+        // Mapping length mismatch.
+        assert!(delta_stream(&units, 1e-3, 1, &reference, &[Some(0)]).is_err());
+        // Out-of-range target.
+        let map = [Some(9), None, None, None];
+        assert!(delta_stream(&units, 1e-3, 1, &reference, &map).is_err());
+        // Dims mismatch against the reference.
+        let small = snapshot(4, 0.0);
+        let map = [Some(0), Some(1), Some(2), Some(3)];
+        assert!(delta_stream(&units, 1e-3, 1, &small, &map).is_err());
+        // A degenerate bound.
+        assert!(matches!(
+            delta_stream(&units, 0.0, 1, &reference, &map),
+            Err(CodecError::BadParameter { .. })
+        ));
+    }
+
     #[test]
     fn series_roundtrip_respects_bounds() {
         let rel_eb = 1e-3;
         let series = write_series(0.02, 3, rel_eb);
-        let mut state: Option<TemporalReadState> = None;
-        for (step, (h, reader)) in series.iter().enumerate() {
-            let (pf, next) = read_temporal_hierarchy(reader, state.as_ref()).unwrap();
+        for (step, ((h, _), pf)) in series.iter().zip(restart_chain(&series)).enumerate() {
             for c in verify_against(&pf, h, rel_eb) {
                 assert!(c.bound_ok, "step {step} field {} violates bound", c.field);
             }
-            state = Some(next);
         }
     }
 
     #[test]
     fn later_snapshots_record_reference_linkage() {
         let series = write_series(0.02, 2, 1e-3);
-        let first = read_temporal_meta(&series[0].1).unwrap();
-        assert_eq!(first.snapshot_id, 1);
-        assert_eq!(first.reference_id, None);
-        let second = read_temporal_meta(&series[1].1).unwrap();
-        assert_eq!(second.snapshot_id, 2);
-        assert_eq!(second.reference_id, Some(1));
-        // The chunk index carries the reference per chunk.
+        let first = linkage(&series[0].1);
+        assert_eq!((first.snapshot_id, first.reference_id), (1, None));
+        let second = linkage(&series[1].1);
+        assert_eq!((second.snapshot_id, second.reference_id), (2, Some(1)));
+        // The chunk index carries the reference per chunk that shipped a
+        // delta stream, under the pipeline's one codec id.
         let idx = series[1].1.chunk_index("level_0/field_0").unwrap().unwrap();
         assert!(!idx.entries.is_empty());
         assert!(
@@ -540,16 +488,19 @@ mod tests {
             "no chunk records its reference: {:?}",
             idx.entries
         );
-        assert!(idx
-            .entries
-            .iter()
-            .all(|e| e.codec_id == CodecId::Temporal as u32));
+        let pipeline = CodecId::AmricPipeline as u32;
+        assert!(idx.entries.iter().all(|e| e.codec_id == pipeline));
+        // A plain plotfile has no linkage at all.
+        let (w, mem) = H5Writer::in_memory();
+        write_amric_to(Arc::new(w), &series[0].0, &AmricConfig::lr(1e-3), 8).unwrap();
+        let plain = H5Reader::from_storage(Box::new(mem)).unwrap();
+        assert_eq!(read_temporal_meta(&plain).unwrap(), None);
     }
 
     #[test]
     fn delta_file_without_reference_fails_typed() {
         let series = write_series(0.02, 2, 1e-3);
-        let err = match read_temporal_hierarchy(&series[1].1, None) {
+        let err = match read_amric_from(&series[1].1, None) {
             Err(e) => e,
             Ok(_) => panic!("delta file must not decode without its reference"),
         };
@@ -557,31 +508,44 @@ mod tests {
             matches!(err.as_codec(), Some(CodecError::BadParameter { .. })),
             "{err:?}"
         );
-        // Mismatched reference state is rejected up front.
-        let (_, state0) = read_temporal_hierarchy(&series[0].1, None).unwrap();
-        let (_, state1) = read_temporal_hierarchy(&series[1].1, Some(&state0)).unwrap();
-        assert!(read_temporal_hierarchy(&series[1].1, Some(&state1)).is_err());
+        // A reference the file does not name is refused up front: the
+        // file itself, and a plain restart with no linkage.
+        let chain = restart_chain(&series);
+        for wrong in [&chain[1], &read_amric_from(&series[0].1, None).unwrap()] {
+            let mut unlinked = read_amric_from(&series[0].1, None).unwrap();
+            unlinked.temporal = None;
+            for reference in [wrong, &unlinked] {
+                if reference.temporal.map(|t| t.snapshot_id) == Some(1) {
+                    continue;
+                }
+                let refused = read_amric_from(&series[1].1, Some(reference));
+                assert!(matches!(refused, Err(H5Error::Format(_))));
+            }
+        }
+        // And a keyframe names no reference, so none is accepted.
+        assert!(matches!(
+            read_amric_from(&series[0].1, Some(&chain[0])),
+            Err(H5Error::Format(_))
+        ));
     }
 
     #[test]
     fn session_reset_starts_fresh_chain() {
-        let scenario = NyxScenario::new(11);
-        let cfg = series_cfg();
-        let mut session = TemporalSession::new(TemporalSessionConfig::new(1e-3), 8);
-        let h = build_hierarchy(&scenario, &cfg, 0.0);
-        let (w1, m1) = H5Writer::in_memory();
-        session.write_to(Arc::new(w1), &h).unwrap();
+        let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8);
+        let h = build_hierarchy(&NyxScenario::new(11), &series_cfg(), 0.0);
+        session
+            .write_to(Arc::new(H5Writer::in_memory().0), &h)
+            .unwrap();
         session.reset_reference();
         let (w2, m2) = H5Writer::in_memory();
         session.write_to(Arc::new(w2), &h).unwrap();
         let r2 = H5Reader::from_storage(Box::new(m2)).unwrap();
-        assert_eq!(read_temporal_meta(&r2).unwrap().reference_id, None);
+        assert_eq!(linkage(&r2).reference_id, None);
         // Self-contained: decodes with no prior state.
-        let (pf, _) = read_temporal_hierarchy(&r2, None).unwrap();
+        let pf = read_amric_from(&r2, None).unwrap();
         for c in verify_against(&pf, &h, 1e-3) {
             assert!(c.bound_ok);
         }
-        drop(m1);
     }
 
     #[test]
@@ -590,20 +554,11 @@ mod tests {
         // contract for a keyframe is total — `meta/temporal` records no
         // reference, every chunk index entry carries none, and the file
         // decodes with no prior state.
-        let scenario = NyxScenario::new(11);
-        let cfg = series_cfg();
-        let mut session =
-            TemporalSession::new(TemporalSessionConfig::new(1e-3), 8).with_keyframe_interval(2);
-        let series: Vec<(AmrHierarchy, H5Reader)> = TimeSeries::new(&scenario, cfg, 0.02, 5)
-            .map(|(_, _, h)| {
-                let (w, mem) = H5Writer::in_memory();
-                session.write_to(Arc::new(w), &h).unwrap();
-                (h, H5Reader::from_storage(Box::new(mem)).unwrap())
-            })
-            .collect();
+        let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(2);
+        let series = write_with(&mut session, 0.02, 5);
         let refs: Vec<Option<u64>> = series
             .iter()
-            .map(|(_, r)| read_temporal_meta(r).unwrap().reference_id)
+            .map(|(_, r)| linkage(r).reference_id)
             .collect();
         assert_eq!(refs, vec![None, Some(1), None, Some(3), None]);
         for keyframe in [2usize, 4] {
@@ -617,42 +572,36 @@ mod tests {
                     }
                 }
             }
-            // Self-contained: decodes with no prior state, within bound.
-            let (pf, _) = read_temporal_hierarchy(reader, None).unwrap();
+            let pf = read_amric_from(reader, None).unwrap();
             for c in verify_against(&pf, h, 1e-3) {
                 assert!(c.bound_ok);
             }
         }
         // A delta snapshot in between still needs its reference.
-        assert!(read_temporal_hierarchy(&series[1].1, None).is_err());
+        assert!(read_amric_from(&series[1].1, None).is_err());
     }
 
     #[test]
     fn keyframe_interval_one_disables_deltas_and_manual_reset_restarts_count() {
-        let scenario = NyxScenario::new(11);
-        let cfg = series_cfg();
-        let mut every =
-            TemporalSession::new(TemporalSessionConfig::new(1e-3), 8).with_keyframe_interval(1);
-        for (_, _, h) in TimeSeries::new(&scenario, cfg, 0.02, 3) {
-            let (w, mem) = H5Writer::in_memory();
-            every.write_to(Arc::new(w), &h).unwrap();
-            let r = H5Reader::from_storage(Box::new(mem)).unwrap();
-            assert_eq!(read_temporal_meta(&r).unwrap().reference_id, None);
+        let mut every = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(1);
+        for (_, r) in write_with(&mut every, 0.02, 3) {
+            assert_eq!(linkage(&r).reference_id, None);
         }
         // Manual reset restarts the interval: with interval 3, snapshots
         // 1 and 4 would be keyframes, but a reset before #3 makes the
         // cadence 1, 3, 6.
-        let mut session =
-            TemporalSession::new(TemporalSessionConfig::new(1e-3), 8).with_keyframe_interval(3);
+        let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(3);
         let mut refs = Vec::new();
-        for (i, (_, _, h)) in TimeSeries::new(&scenario, cfg, 0.02, 6).enumerate() {
+        for (i, (_, _, h)) in
+            TimeSeries::new(&NyxScenario::new(11), series_cfg(), 0.02, 6).enumerate()
+        {
             if i == 2 {
                 session.reset_reference();
             }
             let (w, mem) = H5Writer::in_memory();
             session.write_to(Arc::new(w), &h).unwrap();
             let r = H5Reader::from_storage(Box::new(mem)).unwrap();
-            refs.push(read_temporal_meta(&r).unwrap().reference_id);
+            refs.push(linkage(&r).reference_id);
         }
         assert_eq!(
             refs,
@@ -663,34 +612,133 @@ mod tests {
 
     #[test]
     fn every_stream_decodes_given_its_reference() {
-        // Every temporal stream round-trips bitwise given its reference: a
-        // decoder with the right reference installed returns exactly what
-        // the session reader reconstructs.
+        // Every stored stream decodes bitwise given the referenced
+        // snapshot's chunk, exactly as the chain restart places it, and a
+        // chunk that shipped a delta stream is the one its index says.
         let series = write_series(0.02, 2, 1e-3);
-        let (_, state0) = read_temporal_hierarchy(&series[0].1, None).unwrap();
-        let (pf1, _) = read_temporal_hierarchy(&series[1].1, Some(&state0)).unwrap();
+        let chain = restart_chain(&series);
         let reader = &series[1].1;
         let meta = read_plotfile_meta(reader).unwrap();
+        let mut deltas = 0;
         for l in 0..meta.num_levels() {
+            let entries = &reader
+                .chunk_index(&field_dataset(l, 0))
+                .unwrap()
+                .unwrap()
+                .entries;
             for f in 0..meta.field_names.len() {
                 let name = field_dataset(l, f);
-                let nchunks = reader.meta(&name).unwrap().chunks.len();
-                for rank in 0..nchunks {
+                for (rank, entry) in entries.iter().enumerate() {
                     let raw = reader.read_chunk_raw(&name, rank).unwrap();
-                    let reference = state0.refs[&(l, rank, f)].clone();
-                    let units = TemporalCodec::decoder_with(reference)
-                        .decompress(&raw)
-                        .unwrap();
-                    // Bitwise parity with the session reader's scatter.
-                    let plan = &pf1.unit_plans[l][rank];
-                    for (u, p) in units.iter().zip(plan) {
-                        let recon = pf1.levels[l].fab(p.box_index).extract_region(&p.region, f);
-                        for (a, b) in u.data().iter().zip(&recon) {
-                            assert_eq!(a.to_bits(), b.to_bits());
-                        }
+                    let env = expect_envelope(&raw, CodecId::AmricPipeline, 1).unwrap();
+                    let delta = env.flags & FLAG_REFERENCED != 0;
+                    deltas += usize::from(delta);
+                    if delta {
+                        assert_eq!(entry.reference, Some(1));
                     }
+                    let reference = Arc::new(chain[0].chunk_units(l, rank, f).unwrap());
+                    let units = decode_with(&raw, (1, reference)).unwrap();
+                    assert_eq!(units, chain[1].chunk_units(l, rank, f).unwrap());
                 }
             }
+        }
+        assert!(
+            deltas > 0,
+            "no chunk of a stable series shipped a delta stream"
+        );
+    }
+
+    /// Every field dataset's stored chunks, in name order.
+    fn field_chunks(r: &H5Reader) -> Vec<(String, Vec<Vec<u8>>)> {
+        let names = r
+            .dataset_names()
+            .into_iter()
+            .filter(|n| n.starts_with("level_"));
+        names
+            .map(|name| {
+                let n = r.meta(name).unwrap().chunks.len();
+                let chunks = (0..n).map(|i| r.read_chunk_raw(name, i).unwrap()).collect();
+                (name.to_string(), chunks)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyframe_field_datasets_equal_the_plain_writer() {
+        let h = build_hierarchy(&NyxScenario::new(11), &series_cfg(), 0.0);
+        for cfg in [AmricConfig::lr(1e-3), AmricConfig::interp(1e-3)] {
+            let (w, mem) = H5Writer::in_memory();
+            let plain = write_amric_to(Arc::new(w), &h, &cfg, 8).unwrap();
+            let plain_reader = H5Reader::from_storage(Box::new(mem)).unwrap();
+            let (w, mem) = H5Writer::in_memory();
+            let keyframe = TemporalSession::new(cfg, 8)
+                .write_to(Arc::new(w), &h)
+                .unwrap();
+            let key_reader = H5Reader::from_storage(Box::new(mem)).unwrap();
+            assert_eq!(plain.stored_bytes, keyframe.stored_bytes);
+            assert_eq!(field_chunks(&plain_reader), field_chunks(&key_reader));
+            for name in plain_reader
+                .dataset_names()
+                .into_iter()
+                .filter(|n| n.starts_with("level_"))
+            {
+                assert_eq!(
+                    plain_reader.chunk_index(name).unwrap(),
+                    key_reader.chunk_index(name).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn session_containers_do_not_depend_on_workers() {
+        // One rank: the whole container is byte-identical. Two ranks race
+        // for chunk offsets, so there the stored chunks are compared.
+        for nranks in [1, 2] {
+            let run = AmrRunConfig {
+                nranks,
+                ..series_cfg()
+            };
+            let images = |workers: usize| {
+                let cfg = AmricConfig::lr(1e-3).with_workers(workers);
+                let mut session = TemporalSession::new(cfg, 8);
+                TimeSeries::new(&NyxScenario::new(11), run, 0.02, 3)
+                    .map(|(_, _, h)| {
+                        let (w, mem) = H5Writer::in_memory();
+                        session.write_to(Arc::new(w), &h).unwrap();
+                        let r = H5Reader::from_storage(Box::new(mem.clone())).unwrap();
+                        (mem.to_bytes(), field_chunks(&r))
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let serial = images(1);
+            for workers in [2, 4] {
+                for (t, (a, b)) in serial.iter().zip(images(workers)).enumerate() {
+                    let what = format!("nranks={nranks} workers={workers} snapshot {t}");
+                    assert!(a.1 == b.1, "{what}: chunks differ");
+                    assert!(nranks > 1 || a.0 == b.0, "{what}: containers differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_adaptive_session_writes_no_delta_stream() {
+        let policy = BoundPolicy::GradientAdaptive {
+            tight: 1e-4,
+            loose: 1e-2,
+        };
+        let mut session = TemporalSession::new(AmricConfig::lr(1e-3).with_bound_policy(policy), 8);
+        let series = write_with(&mut session, 0.02, 3);
+        for (step, (_, r)) in series.iter().enumerate() {
+            assert_eq!(linkage(r).reference_id, None, "step {step}");
+            for (name, chunks) in field_chunks(r) {
+                for raw in chunks {
+                    let env = expect_envelope(&raw, CodecId::AmricPipeline, 1).unwrap();
+                    assert_eq!(env.flags & FLAG_REFERENCED, 0, "step {step} {name}");
+                }
+            }
+            assert!(read_amric_from(r, None).is_ok());
         }
     }
 }

@@ -10,16 +10,21 @@
 //! in the chunk metadata so no padding is ever compressed.
 
 use crate::config::AmricConfig;
-use crate::pipeline::{compress_on_thread_scratch, decompress_field_units, ResolvedBound};
+use crate::pipeline::{
+    compress_delta_into, compress_on_thread_scratch, decompress_field_units, Reference,
+    ResolvedBound,
+};
 use crate::preprocess::{
-    plan_bounding_box, plan_units, stage_units, unit_edge_for_level, PlanExtent,
+    plan_bounding_box, plan_units, stage_units, unit_edge_for_level, PlanExtent, UnitRef,
 };
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use rankpar::prelude::*;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use sz_codec::codec::CodecId;
+use sz_codec::lr;
 use sz_codec::{Buffer3, CodecError, Dims3, View3};
 
 /// Filter id for the AMRIC application-defined filter (outside h5lite's
@@ -64,7 +69,7 @@ impl AmricFieldFilter {
 /// `ChunkFilter::decode` caller expects (exactly `n_elems` values).
 /// `n_elems` is the directory's record, so a stream holding any other
 /// count contradicts the file.
-pub(crate) fn flatten_units(units: &[Buffer3], n_elems: usize) -> H5Result<Vec<f64>> {
+fn flatten_units(units: &[Buffer3], n_elems: usize) -> H5Result<Vec<f64>> {
     let held: usize = units.iter().map(|u| u.dims().len()).sum();
     if held != n_elems {
         return Err(H5Error::Format(format!(
@@ -78,6 +83,25 @@ pub(crate) fn flatten_units(units: &[Buffer3], n_elems: usize) -> H5Result<Vec<f
     Ok(out)
 }
 
+/// Cut a staged chunk into its cubic unit blocks of edge `edge` — the
+/// chunk's own slices, so the staged chunk is the only copy between the fab
+/// and the codec. A length that is not a multiple of the unit volume is a
+/// typed error, never a panic (the PR 2 regression contract).
+fn unit_views(chunk: &[f64], edge: usize) -> H5Result<Vec<View3<'_>>> {
+    let e3 = edge * edge * edge;
+    if e3 == 0 || !chunk.len().is_multiple_of(e3) {
+        return Err(H5Error::Codec(CodecError::dims(format!(
+            "chunk of {} elems is not a multiple of unit {edge}³",
+            chunk.len()
+        ))));
+    }
+    let cube = Dims3::cube(edge);
+    Ok(chunk
+        .chunks_exact(e3)
+        .map(|u| View3::new(cube, u))
+        .collect())
+}
+
 impl ChunkFilter for AmricFieldFilter {
     fn id(&self) -> u32 {
         FILTER_AMRIC
@@ -88,24 +112,7 @@ impl ChunkFilter for AmricFieldFilter {
     }
 
     fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
-        // Cut the payload into its cubic unit blocks; a length that is not
-        // a multiple of the unit volume is a typed error, never a panic
-        // (the PR 2 regression contract).
-        let e3 = self.unit_edge * self.unit_edge * self.unit_edge;
-        if e3 == 0 || !chunk.len().is_multiple_of(e3) {
-            return Err(H5Error::Codec(CodecError::dims(format!(
-                "chunk of {} elems is not a multiple of unit {}³",
-                chunk.len(),
-                self.unit_edge
-            ))));
-        }
-        // The units are the chunk's own slices: the staged chunk is the
-        // only copy between the fab and the codec.
-        let cube = Dims3::cube(self.unit_edge);
-        let units: Vec<View3<'_>> = chunk
-            .chunks_exact(e3)
-            .map(|u| View3::new(cube, u))
-            .collect();
+        let units = unit_views(chunk, self.unit_edge)?;
         compress_on_thread_scratch(&units, &self.cfg, self.unit_edge, self.bound, out);
         Ok(())
     }
@@ -113,6 +120,98 @@ impl ChunkFilter for AmricFieldFilter {
     fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
         flatten_units(&decompress_field_units(bytes)?, n_elems)
     }
+}
+
+/// One field dataset's filter in a snapshot write: an [`AmricFieldFilter`]
+/// (its id, client data and stream) that a temporal session extends. With
+/// a `delta` plan (previous snapshot id, its decoded units of this chunk,
+/// the unit map into them) it also encodes the delta stream and ships the
+/// smaller, ties to plain: a chunk is never larger than the plain writer's.
+/// With `keep` it records what shipped: decoded state, and if it was delta.
+struct SnapshotFilter {
+    plain: AmricFieldFilter,
+    delta: Option<(Reference, Arc<[Option<u32>]>)>,
+    keep: bool,
+    shipped: OnceLock<(Vec<Buffer3>, bool)>,
+}
+
+impl ChunkFilter for SnapshotFilter {
+    fn id(&self) -> u32 {
+        self.plain.id()
+    }
+
+    fn client_data(&self) -> Vec<u8> {
+        self.plain.client_data()
+    }
+
+    fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
+        let start = out.len();
+        self.plain.encode_into(chunk, out)?;
+        if !self.keep {
+            return Ok(());
+        }
+        let mut shipped = None;
+        if let (Some(((id, reference), map)), ResolvedBound::Fixed(eb)) =
+            (&self.delta, self.plain.bound)
+        {
+            let (cfg, edge) = (&self.plain.cfg, self.plain.unit_edge);
+            let (units, mut stream) = (unit_views(chunk, edge)?, Vec::new());
+            let reference = (*id, reference.as_slice());
+            let encoded = lr::with_thread_scratch(|scratch| {
+                compress_delta_into(&units, cfg, edge, eb, reference, map, scratch, &mut stream)
+            })?;
+            if stream.len() < out.len() - start {
+                shipped = Some((encoded.into_state(&stream)?, true));
+                out.truncate(start);
+                out.extend_from_slice(&stream);
+            }
+        }
+        let shipped = match shipped {
+            Some(shipped) => shipped,
+            None => (decompress_field_units(&out[start..])?, false),
+        };
+        // One chunk per rank and field: the cell is still empty.
+        let _ = self.shipped.set(shipped);
+        Ok(())
+    }
+
+    fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
+        self.plain.decode(bytes, n_elems)
+    }
+}
+
+/// The unit map of a plan against the previous snapshot's plan of the same
+/// rank and level, by region identity: unit `i` maps to the previous unit
+/// with the same index-space box. Any level or layout change (refined
+/// away, coarsened, redistributed) misses the map. `None` when no unit
+/// maps.
+fn region_map(plan: &[UnitRef], prev: &[UnitRef]) -> Option<Arc<[Option<u32>]>> {
+    let key = |b: &IntBox| (b.lo.0, b.hi.0);
+    let by_region: HashMap<_, u32> = (prev.iter().enumerate())
+        .map(|(i, u)| (key(&u.region), i as u32))
+        .collect();
+    let map: Arc<[Option<u32>]> = plan
+        .iter()
+        .map(|u| by_region.get(&key(&u.region)).copied())
+        .collect();
+    map.iter().any(Option::is_some).then_some(map)
+}
+
+/// The previous snapshot a temporal write codes against: its id and what
+/// its write kept, `[rank][level]`.
+pub(crate) struct Previous {
+    pub(crate) id: u64,
+    pub(crate) ranks: Vec<Vec<LevelState>>,
+}
+
+/// What a snapshot write keeps of one `(rank, level)`: its chunk-index
+/// extent, whether any field's chunk shipped the delta stream, and — when
+/// the write keeps state — the unit plan and each field's decoded units.
+pub(crate) struct LevelState {
+    extent: Option<PlanExtent>,
+    delta: bool,
+    plan: Vec<UnitRef>,
+    fields: Vec<Arc<Vec<Buffer3>>>,
 }
 
 /// Outcome of one snapshot write: per-rank cost ledgers plus size
@@ -155,7 +254,7 @@ impl WriteReport {
 /// the value range across **all** ranks (0.0 for constant or empty fields)
 /// — the range REL bounds resolve against — and the global chunk size, the
 /// largest rank's staged length (§3.3 Solution 2).
-pub(crate) fn agree_level(comm: &Communicator, local: Vec<(f64, f64, u64)>) -> Vec<(f64, usize)> {
+fn agree_level(comm: &Communicator, local: Vec<(f64, f64, u64)>) -> Vec<(f64, usize)> {
     let nfields = local.len();
     let all = comm.allgather(local);
     (0..nfields)
@@ -317,6 +416,26 @@ pub fn write_amric_to(
     cfg: &AmricConfig,
     bf: i64,
 ) -> H5Result<WriteReport> {
+    let (report, _) = write_snapshot(&writer, h, cfg, bf, None, false)?;
+    writer.finish()?;
+    Ok(report)
+}
+
+/// The one snapshot writer, under [`write_amric_to`] and
+/// [`crate::temporal::TemporalSession`]: plan, stage and agree per level,
+/// write every field dataset through the collective engine, and persist
+/// the chunk indexes (the caller finishes the container). With `prev`, a
+/// chunk whose units map into the previous snapshot's plan also tries the
+/// delta stream against it; with `keep`, each `(rank, level)` comes back
+/// with its plan and decoded fields, the next snapshot's reference.
+pub(crate) fn write_snapshot(
+    writer: &H5Writer,
+    h: &AmrHierarchy,
+    cfg: &AmricConfig,
+    bf: i64,
+    prev: Option<&Previous>,
+    keep: bool,
+) -> H5Result<(WriteReport, Vec<Vec<LevelState>>)> {
     let num_levels = h.num_levels();
     let nfields = h.field_names().len();
     let header_extra = [bf as u64, u64::from(cfg.remove_redundancy)];
@@ -357,13 +476,12 @@ pub fn write_amric_to(
                 unit = plans[l].0
             )));
         }
-        // Per-level bounding box of this rank's units — the extent the
+        // Per level: the bounding box of this rank's units — the extent the
         // chunk index persists, collected here so the index costs no
-        // second planning pass.
-        let mut extents = Vec::with_capacity(num_levels);
-        for (l, (unit, units)) in plans.iter().enumerate() {
+        // second planning pass — and what the write keeps.
+        let mut levels = Vec::with_capacity(num_levels);
+        for (l, (unit, units)) in plans.into_iter().enumerate() {
             let level = &h.level(l).data;
-            extents.push(plan_bounding_box(units));
             // Pass 1 — stage every field field-major (§3.3 Solution 1:
             // this rank's units of one field, concatenated) and agree on
             // the write metadata (global bound + global chunk size) in
@@ -371,14 +489,21 @@ pub fn write_amric_to(
             // can overlap compression with the writes (the paper's
             // one-pass write).
             let t0 = Instant::now();
-            let staged: Vec<Vec<f64>> =
-                (0..nfields).map(|f| stage_units(level, units, f)).collect();
+            let staged: Vec<Vec<f64>> = (0..nfields)
+                .map(|f| stage_units(level, &units, f))
+                .collect();
             *prep_s += t0.elapsed().as_secs_f64();
             let local = staged.iter().map(|s| {
                 let (lo, hi) = sz_codec::buffer3::min_max(s);
                 (lo, hi, s.len() as u64)
             });
             let agreed = agree_level(comm, local.collect());
+            // The previous snapshot's state of this rank and level, and the
+            // unit map into its plan.
+            let prev_level = prev
+                .and_then(|p| Some((p.id, p.ranks.get(rank)?.get(l)?)))
+                .filter(|(_, p)| p.fields.len() == nfields);
+            let map = prev_level.and_then(|(_, p)| region_map(&units, &p.plan));
             let mut staged_fields = Vec::with_capacity(nfields);
             for (f, (staged, (range, chunk_elems))) in staged.into_iter().zip(agreed).enumerate() {
                 // Resolve the relative bound against the field's global
@@ -387,10 +512,17 @@ pub fn write_amric_to(
                 // `resolve_abs_eb`, so quiet ranks get a well-defined,
                 // non-degenerate bound. Under an adaptive policy both
                 // tight and loose resolve against the same global range.
-                let filter = AmricFieldFilter {
-                    cfg: *cfg,
-                    unit_edge: *unit as usize,
-                    bound: ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, range),
+                let filter = SnapshotFilter {
+                    plain: AmricFieldFilter {
+                        cfg: *cfg,
+                        unit_edge: unit as usize,
+                        bound: ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, range),
+                    },
+                    delta: prev_level
+                        .zip(map.as_ref())
+                        .map(|((id, p), map)| ((id, Arc::clone(&p.fields[f])), Arc::clone(map))),
+                    keep,
+                    shipped: OnceLock::new(),
                 };
                 let chunks = if chunk_elems == 0 {
                     Vec::new()
@@ -411,70 +543,59 @@ pub fn write_amric_to(
                     mode: FilterMode::SizeAware,
                 })
                 .collect();
-            ledger.merge(&collective_write_many(comm, &writer, &jobs, cfg.workers)?);
+            ledger.merge(&collective_write_many(comm, writer, &jobs, cfg.workers)?);
+            let mut state = LevelState {
+                extent: plan_bounding_box(&units),
+                delta: false,
+                plan: Vec::new(),
+                fields: Vec::new(),
+            };
+            for (.., filter) in staged_fields {
+                let (units, delta) = filter.shipped.into_inner().unwrap_or_default();
+                state.delta |= delta;
+                state.fields.extend(keep.then(|| Arc::new(units)));
+            }
+            if keep {
+                state.plan = units;
+            }
+            levels.push(state);
         }
-        Ok(extents)
+        Ok(levels)
     };
-    let (report, rank_extents) = run_snapshot_ranks(&writer, h, &header_extra, body)?;
+    let (report, ranks) = run_snapshot_ranks(writer, h, &header_extra, body)?;
 
-    let extents: Vec<Vec<Option<PlanExtent>>> = (0..num_levels)
-        .map(|l| rank_extents.iter().map(|e| e[l]).collect())
-        .collect();
-    write_chunk_indexes(
-        &writer,
-        nfields,
-        CodecId::AmricPipeline,
-        &extents,
-        |_, _| None,
-    )?;
-    writer.finish()?;
-    Ok(report)
-}
-
-/// Persist the per-dataset chunk index for every field dataset: one entry
-/// per rank chunk carrying the stream's codec id, the bounding box of the
-/// rank's surviving unit blocks on that level (`extents[level][rank]`,
-/// collected by the rank closures during planning — no second planning
-/// pass) and, for delta-coded chunks, the snapshot id `reference(level,
-/// rank)` they predict from. The `amr-query` engine requires this index,
-/// checks its extents against the unit plans at open, and prunes chunks
-/// against a region of interest from them without decoding anything.
-pub(crate) fn write_chunk_indexes(
-    writer: &H5Writer,
-    nfields: usize,
-    codec: CodecId,
-    extents: &[Vec<Option<PlanExtent>>],
-    reference: impl Fn(usize, usize) -> Option<u64>,
-) -> H5Result<()> {
-    for (l, level_extents) in extents.iter().enumerate() {
-        // A level where no rank kept any cells registers zero chunks;
-        // otherwise every rank contributed exactly one.
-        let entries: Vec<ChunkIndexEntry> = if level_extents.iter().all(Option::is_none) {
+    // The chunk index of every field dataset: one entry per rank chunk
+    // with the pipeline's codec id, the bounding box of the rank's units
+    // and, for a chunk that shipped a delta stream, the snapshot id it
+    // predicts from. The `amr-query` engine requires this index, checks
+    // its extents against the unit plans at open, and prunes chunks with
+    // it without decoding anything. A level where no rank kept any cells
+    // registers zero chunks; otherwise every rank contributed exactly one.
+    for l in 0..num_levels {
+        let states = || ranks.iter().map(|levels| &levels[l]);
+        let entries: Vec<ChunkIndexEntry> = if states().all(|s| s.extent.is_none()) {
             Vec::new()
         } else {
-            level_extents
-                .iter()
-                .enumerate()
-                .map(|(rank, e)| {
-                    let entry = ChunkIndexEntry::new(codec as u32, *e);
-                    match reference(l, rank) {
-                        Some(id) => entry.with_reference(id),
-                        None => entry,
-                    }
-                })
-                .collect()
+            let entry = |s: &LevelState| {
+                let entry = ChunkIndexEntry::new(CodecId::AmricPipeline as u32, s.extent);
+                match prev.filter(|_| s.delta) {
+                    Some(p) => entry.with_reference(p.id),
+                    None => entry,
+                }
+            };
+            states().map(entry).collect()
         };
         for f in 0..nfields {
             writer.set_chunk_index(&field_dataset(l, f), ChunkIndex::new(entries.clone()))?;
         }
     }
-    Ok(())
+    Ok((report, ranks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::temporal::{TemporalSession, TemporalSessionConfig};
+    use crate::temporal::TemporalSession;
     use amr_apps::prelude::*;
 
     /// Run the full pipeline into an in-memory container and reopen it —
@@ -720,9 +841,10 @@ mod tests {
     fn a_snapshot_costs_two_collectives_per_level() {
         // 2 levels × 6 fields at every rank count: AMRIC agrees on the
         // grid alignment once, then per level on its bounds (one gather)
-        // and on its write call (one vote); the temporal session and the
-        // baseline skip the alignment check. `run_snapshot_ranks` checks
-        // in debug builds that every rank entered the same count.
+        // and on its write call (one vote); the temporal session is the
+        // same writer, and the baseline skips the alignment check.
+        // `run_snapshot_ranks` checks in debug builds that every rank
+        // entered the same count.
         let dir = h5lite::testutil::TempDir::new("amric-collectives");
         for nranks in [1, 2, 4, 16] {
             let cfg = AmrRunConfig {
@@ -732,7 +854,7 @@ mod tests {
             let h = build_hierarchy(&NyxScenario::new(11), &cfg, 0.0);
             assert_eq!((h.num_levels(), h.field_names().len()), (2, 6));
             let (amric, _) = write_mem(&h, &AmricConfig::lr(1e-3), 8);
-            let mut session = TemporalSession::new(TemporalSessionConfig::new(1e-3), 8);
+            let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8);
             let temporal = session.write_to(Arc::new(H5Writer::in_memory().0), &h);
             let baseline = crate::baseline::write_amrex_baseline(
                 dir.file(&format!("b{nranks}.h5l")),
@@ -744,7 +866,7 @@ mod tests {
                 temporal.unwrap().collectives,
                 baseline.unwrap().collectives,
             );
-            assert_eq!(counts, (5, 4, 4), "nranks={nranks}");
+            assert_eq!(counts, (5, 5, 4), "nranks={nranks}");
         }
     }
 

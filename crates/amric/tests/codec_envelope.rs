@@ -1,7 +1,8 @@
 //! The shared-envelope contract: every codec family writes the same 8-byte
 //! envelope naming itself, each family's own decoder restores its streams,
 //! and malformed streams fail with the *specific* [`CodecError`] variant —
-//! not just "is_err" — whichever of the five decoders they reach.
+//! not just "is_err" — whichever of the decoders they reach, the
+//! pipeline's temporal delta mode included.
 
 use amr_mesh::IntVect;
 use amric::prelude::*;
@@ -38,6 +39,16 @@ struct Family {
     decode: fn(&[u8]) -> CodecResult<Vec<Buffer3>>,
 }
 
+/// The snapshot the delta family predicts from: every probe's units,
+/// slightly moved, and a few more.
+fn delta_reference() -> Reference {
+    let mut moved = units(8, 8);
+    for u in &mut moved {
+        u.data_mut().iter_mut().for_each(|v| *v += 1e-3);
+    }
+    (3, std::sync::Arc::new(moved))
+}
+
 fn families() -> [Family; 5] {
     [
         Family {
@@ -62,16 +73,36 @@ fn families() -> [Family; 5] {
             decode: tac_decompress,
         },
         Family {
-            id: CodecId::Temporal,
+            // The pipeline's delta mode: every other unit against the
+            // reference, the rest in the nested stream.
+            id: CodecId::AmricPipeline,
             encode: |u| {
-                let cfg = TemporalConfig::new(resolve_abs_eb(u, 1e-3));
+                let (id, reference) = delta_reference();
+                let map: Vec<Option<u32>> = (0..u.len() as u32)
+                    .map(|i| (i % 2 == 0).then_some(i))
+                    .collect();
+                let (cfg, edge) = (AmricConfig::lr(1e-3), u[0].dims().nx);
                 let mut out = Vec::new();
-                TemporalCodec::spatial(cfg)
-                    .compress_with_state(u, &mut out)
-                    .expect("spatial temporal encode");
+                let mut scratch = AmricScratch::default();
+                let abs = resolve_abs_eb(u, 1e-3);
+                compress_delta_into(
+                    u,
+                    &cfg,
+                    edge,
+                    abs,
+                    (id, &reference),
+                    &map,
+                    &mut scratch,
+                    &mut out,
+                )
+                .expect("delta encode");
                 out
             },
-            decode: |b| TemporalCodec::decoder().decompress(b),
+            decode: |b| {
+                let mut units = Vec::new();
+                decompress_field_units_into(b, &mut units, &mut || Ok(delta_reference()))?;
+                Ok(units)
+            },
         },
     ]
 }
@@ -104,7 +135,11 @@ fn dispatch_matrix_roundtrips_every_family() {
             );
         }
     }
-    assert_eq!(seen, vec![1, 2, 3, 4, 7], "all five ids exercised");
+    assert_eq!(
+        seen,
+        vec![1, 2, 3, 4, 3],
+        "every live id and the delta mode exercised"
+    );
 }
 
 #[test]
@@ -174,8 +209,8 @@ fn wrong_family_decoder_is_reported_as_wrong_codec() {
                 reader.id.name()
             );
         }
-        // Ids 5 and 6 are retired: no decoder takes them either.
-        for retired in [5u16, 6] {
+        // Ids 5, 6 and 7 are retired: no decoder takes them either.
+        for retired in [5u16, 6, 7] {
             let mut forged = stream.clone();
             forged[4..6].copy_from_slice(&retired.to_le_bytes());
             assert!(matches!(

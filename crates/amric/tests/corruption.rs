@@ -18,6 +18,7 @@ use amric::reader::{
     read_amric_hierarchy, read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta,
 };
 use amric::tac::{tac_compress, tac_decompress};
+use amric::temporal::{read_temporal_meta, TemporalMeta};
 use amric::writer::{write_amric, write_amric_to};
 use amric::MergePolicy;
 use h5lite::prelude::*;
@@ -222,6 +223,48 @@ fn forged_plotfile_metadata_is_a_typed_error() {
             matches!(err, H5Error::Format(_)),
             "name length {len}: {err:?}"
         );
+    }
+}
+
+/// `meta/temporal` as written into an otherwise empty in-memory
+/// container, read back through the linkage parser.
+fn parse_temporal(values: &[f64]) -> H5Result<Option<TemporalMeta>> {
+    let (w, mem) = H5Writer::in_memory();
+    w.write_dataset("meta/temporal", values, values.len().max(1), &NoFilter)?;
+    w.finish()?;
+    read_temporal_meta(&H5Reader::from_storage(Box::new(mem))?)
+}
+
+#[test]
+fn forged_temporal_linkage_is_a_typed_error() {
+    // The restart entry and the query engine trust this dataset before
+    // they read a chunk, so every id must be an exact snapshot id.
+    let linked = parse_temporal(&[2.0, 1.0]).expect("pristine linkage parses");
+    let linked = linked.expect("present");
+    assert_eq!((linked.snapshot_id, linked.reference_id), (2, Some(1)));
+    let keyframe = parse_temporal(&[1.0, 0.0]).unwrap().unwrap();
+    assert_eq!(keyframe.reference_id, None);
+    let top = (1u64 << 53) as f64;
+    assert_eq!(
+        parse_temporal(&[top, 0.0]).unwrap().unwrap().snapshot_id,
+        1 << 53
+    );
+    let forged: [(&str, &[f64]); 11] = [
+        ("negative reference", &[2.0, -1.0]),
+        ("NaN reference", &[2.0, f64::NAN]),
+        ("fractional reference", &[2.0, 0.5]),
+        ("infinite reference", &[2.0, f64::INFINITY]),
+        ("reference above 2^53", &[2.0, 2.0 * top]),
+        ("negative snapshot id", &[-3.0, 0.0]),
+        ("NaN snapshot id", &[f64::NAN, 0.0]),
+        ("fractional snapshot id", &[1.5, 0.0]),
+        ("snapshot id 0", &[0.0, 0.0]),
+        ("one value", &[2.0]),
+        ("three values", &[2.0, 1.0, 0.0]),
+    ];
+    for (what, values) in forged {
+        let err = parse_temporal(values).expect_err(what);
+        assert!(matches!(err, H5Error::Format(_)), "{what}: {err:?}");
     }
 }
 

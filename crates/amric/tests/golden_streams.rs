@@ -1,6 +1,7 @@
 //! Golden-stream corpus: small fixed inputs compressed through every
 //! stream shape a file, a bin or the benchmark writes — SZ_L/R, bare
-//! SZ_Interp, the four AMRIC pipeline modes and its empty marker, and TAC —
+//! SZ_Interp, the four AMRIC pipeline modes, its empty marker and its
+//! temporal delta mode, and TAC —
 //! with the expected stream bytes committed under
 //! `tests/golden/`. Kernel rewrites (vectorization, cache blocking,
 //! fused passes) must keep every stream byte-identical to the scalar
@@ -211,6 +212,71 @@ fn golden_pipeline_modes() {
         let stream = pipeline(&u, &cfg, abs);
         check(name, &stream, decompress_field_units, &u, abs);
     }
+}
+
+/// The snapshot after `units(8, cube 8, 0xC001)`: every value drifted a
+/// little, as a slowly evolving field does between two steps.
+fn drifted(u: &[Buffer3]) -> Vec<Buffer3> {
+    let mut next = u.to_vec();
+    for (n, b) in next.iter_mut().enumerate() {
+        let d = b.dims();
+        for k in 0..d.nz {
+            for j in 0..d.ny {
+                for i in 0..d.nx {
+                    let v = b.get(i, j, k) + 0.01 * ((i + 2 * j + 3 * k + n) as f64 * 0.3).sin();
+                    b.set(i, j, k, v);
+                }
+            }
+        }
+    }
+    next
+}
+
+#[test]
+fn golden_pipeline_delta() {
+    // The delta mode against the decode of `pipeline_lr_sle` as snapshot
+    // 1 (the corpus pins that decode by its digest): six units delta-code,
+    // two go to a nested SZ_Interp cluster stream.
+    let prev = units(8, Dims3::cube(8), 0xC001);
+    let reference = decompress_field_units(&pipeline(
+        &prev,
+        &AmricConfig::lr(1e-3),
+        resolve_abs_eb(&prev, 1e-3),
+    ))
+    .expect("reference decodes");
+    let u = drifted(&prev);
+    let abs = resolve_abs_eb(&u, 1e-3);
+    let map = [
+        Some(0),
+        None,
+        Some(2),
+        Some(3),
+        None,
+        Some(5),
+        Some(7),
+        Some(6),
+    ];
+    let mut stream = Vec::new();
+    let cfg = AmricConfig::interp(1e-3);
+    let scratch = &mut AmricScratch::default();
+    compress_delta_into(
+        &u,
+        &cfg,
+        8,
+        abs,
+        (1, &reference),
+        &map,
+        scratch,
+        &mut stream,
+    )
+    .expect("delta encode");
+    let reference: Reference = (1, std::sync::Arc::new(reference));
+    let decode = |bytes: &[u8]| {
+        let mut units = Vec::new();
+        decompress_field_units_into(bytes, &mut units, &mut || Ok(reference.clone()))?;
+        Ok(units)
+    };
+    check("pipeline_delta", &stream, decode, &u, abs);
 }
 
 #[test]

@@ -76,8 +76,44 @@ fn amric(cfg: AmricConfig) -> Encode {
     Box::new(move |u| Ok(compress_field_units(u, &cfg, EDGE)))
 }
 
+/// The snapshot every temporal chunk of the matrix predicts from.
+fn reference() -> Reference {
+    let unit = |u: usize| {
+        let mut b = Buffer3::zeros(Dims3::cube(EDGE));
+        b.fill_with(|i, j, k| (i as f64 * 0.7).sin() * (u + 1) as f64 + (j + 2 * k) as f64 * 0.04);
+        b
+    };
+    (
+        1,
+        std::sync::Arc::new((0..UNITS_PER_CHUNK).map(unit).collect()),
+    )
+}
+
+/// The pipeline's delta mode: the first and last unit against the
+/// reference, the middle one in the nested stream.
+fn temporal(units: &[Buffer3]) -> CodecResult<Vec<u8>> {
+    let (id, reference) = reference();
+    let map = [Some(0), None, Some(2)];
+    let mut out = Vec::new();
+    let cfg = AmricConfig::lr(1e-3);
+    let mut scratch = AmricScratch::default();
+    compress_delta_into(
+        units,
+        &cfg,
+        EDGE,
+        1e-3,
+        (id, &reference),
+        &map,
+        &mut scratch,
+        &mut out,
+    )?;
+    Ok(out)
+}
+
 fn temporal_decode(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
-    TemporalCodec::decoder().decompress(bytes)
+    let mut units = Vec::new();
+    decompress_field_units_into(bytes, &mut units, &mut || Ok(reference()))?;
+    Ok(units)
 }
 
 /// Every family a chunk is stored through, as `(name, encode, decode)`.
@@ -103,16 +139,7 @@ fn families() -> Vec<(&'static str, Encode, Decode)> {
             Box::new(|u| Ok(tac_compress(u, &origins(), 1e-3))),
             tac_decompress,
         ),
-        (
-            "temporal",
-            Box::new(|u| {
-                let mut out = Vec::new();
-                TemporalCodec::spatial(TemporalConfig::new(1e-3))
-                    .compress_with_state(u, &mut out)?;
-                Ok(out)
-            }),
-            temporal_decode,
-        ),
+        ("amric-delta", Box::new(temporal), temporal_decode),
     ]
 }
 

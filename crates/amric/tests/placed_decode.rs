@@ -13,7 +13,7 @@ mod embedded;
 use amric::config::{AmricConfig, MergePolicy};
 use amric::pipeline::{
     compress_field_units, compress_field_units_resolved_into, decompress_field_units,
-    decompress_field_units_into, AmricScratch, ResolvedBound,
+    decompress_field_units_into, no_reference, AmricScratch, ResolvedBound,
 };
 use embedded::{assert_placed_matches_owned, lcg, rewrap_stored as rewrap, same_units, Embedded};
 use sz_codec::codec::{read_envelope, CodecId};
@@ -46,7 +46,7 @@ fn mode_of(stream: &[u8]) -> u8 {
 }
 
 fn decode_pipeline(stream: &[u8]) -> impl Fn(&mut dyn UnitDest) -> CodecResult<()> + '_ {
-    move |dest| decompress_field_units_into(stream, dest)
+    move |dest| decompress_field_units_into(stream, dest, &mut no_reference)
 }
 
 fn adaptive(units: &[Buffer3]) -> Vec<u8> {
@@ -162,10 +162,17 @@ fn golden_corpus_places_to_its_committed_digests() {
         let stream = std::fs::read(&path).expect("golden stream");
         let env = read_envelope(&stream).expect("golden envelope");
         // The streams with a placing decoder: SZ_L/R and the pipeline.
-        // The rest of the corpus (SZ_Interp, TAC) only decodes owned.
+        // The rest of the corpus (SZ_Interp, TAC) only decodes owned. The
+        // delta golden predicts from the decode of `pipeline_lr_sle`, as
+        // snapshot 1.
         let mut placed = Embedded::default();
+        let mut reference = || {
+            let sle = std::fs::read(dir.join("pipeline_lr_sle.bin")).expect("golden stream");
+            Ok((1, std::sync::Arc::new(decompress_field_units(&sle)?)))
+        };
         if env.codec == CodecId::AmricPipeline as u16 {
-            decompress_field_units_into(&stream, &mut placed).expect("pipeline golden decodes");
+            decompress_field_units_into(&stream, &mut placed, &mut reference)
+                .expect("pipeline golden decodes");
         } else if env.codec == CodecId::LrSle as u16 {
             lr::decompress_domains_into(&stream, &mut placed).expect("SZ_L/R golden decodes");
         } else {
@@ -185,6 +192,7 @@ fn golden_corpus_places_to_its_committed_digests() {
         [
             "lr_ragged",
             "lr_sle",
+            "pipeline_delta",
             "pipeline_empty",
             "pipeline_interp_cluster",
             "pipeline_interp_linear",

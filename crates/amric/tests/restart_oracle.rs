@@ -3,20 +3,19 @@
 //! `read_amric_hierarchy` reconstructs every unit where the fabs hold it;
 //! before that it decoded each chunk to owned units and scattered them.
 //! The old path is rebuilt here from public parts only —
-//! `read_plotfile_meta`, `read_chunk_raw`, `decompress_field_units` (or
-//! the temporal codec), `scatter_units` — and the two restarts must agree
-//! bit for bit, cell for cell, on every configuration a plotfile can hold.
+//! `read_plotfile_meta`, `read_chunk_raw`, `decompress_field_units` (for
+//! a temporal chain, `decompress_field_units_into` given the oracle's own
+//! decoded units of the previous link), `scatter_units` — and the two
+//! restarts must agree bit for bit, cell for cell, on every configuration
+//! a plotfile can hold.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amric::config::{AmricConfig, BoundPolicy, MergePolicy};
-use amric::pipeline::decompress_field_units;
+use amric::pipeline::{decompress_field_units, decompress_field_units_into, no_reference};
 use amric::preprocess::scatter_units;
-use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile};
-use amric::temporal::{
-    read_temporal_hierarchy, read_temporal_meta, TemporalReadState, TemporalSession,
-    TemporalSessionConfig,
-};
+use amric::reader::{read_amric_from, read_amric_hierarchy, read_plotfile_meta, Plotfile};
+use amric::temporal::{read_temporal_meta, TemporalSession};
 use amric::writer::{field_dataset, write_amric};
 use h5lite::{H5Reader, H5Writer};
 use std::collections::HashMap;
@@ -187,27 +186,30 @@ fn check_temporal_chain(
     bf: i64,
     what: &str,
 ) -> usize {
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(1e-3), bf);
-    let mut state: Option<TemporalReadState> = None;
-    // The oracle's own reference chain: decoded units per stream.
-    let mut prev: HashMap<(usize, usize, usize), Arc<TemporalReference>> = HashMap::new();
+    let mut session = TemporalSession::new(AmricConfig::lr(1e-3), bf);
+    let mut restart: Option<Plotfile> = None;
+    // The oracle's own reference chain: decoded units per stream, and the
+    // id of the snapshot they belong to.
+    type Kept = HashMap<(usize, usize, usize), Arc<Vec<Buffer3>>>;
+    let mut prev: (u64, Kept) = (0, HashMap::new());
     let mut deltas = 0;
     for (step, h) in snapshots.enumerate() {
         let (w, mem) = H5Writer::in_memory();
         session.write_to(Arc::new(w), &h).unwrap();
         let reader = H5Reader::from_storage(Box::new(mem)).unwrap();
-        let tmeta = read_temporal_meta(&reader).unwrap();
+        let tmeta = read_temporal_meta(&reader).unwrap().expect("linkage");
         deltas += usize::from(tmeta.reference_id.is_some());
-        let (pf, next) = read_temporal_hierarchy(&reader, state.as_ref()).unwrap();
-        let mut refs = HashMap::new();
+        let named = tmeta.reference_id.and(restart.as_ref());
+        let pf = read_amric_from(&reader, named).unwrap();
+        let mut kept = HashMap::new();
         let reference = scattered_restart(&reader, |l, rank, f, raw| {
-            let codec = match prev.get(&(l, rank, f)) {
-                Some(reference) => TemporalCodec::decoder_with(Arc::clone(reference)),
-                None => TemporalCodec::decoder(),
+            let mut units = Vec::new();
+            let mut source = || match prev.1.get(&(l, rank, f)) {
+                Some(units) => Ok((prev.0, Arc::clone(units))),
+                None => no_reference(),
             };
-            let units = codec.decompress(raw).expect("temporal decode");
-            let kept = TemporalReference::new(tmeta.snapshot_id, units.clone());
-            refs.insert((l, rank, f), Arc::new(kept));
+            decompress_field_units_into(raw, &mut units, &mut source).expect("temporal decode");
+            kept.insert((l, rank, f), Arc::new(units.clone()));
             units
         });
         let nonzero = assert_same_restart(&pf, &reference, &format!("{what}, step {step}"));
@@ -215,7 +217,7 @@ fn check_temporal_chain(
             nonzero > 1000,
             "{what}, step {step}: {nonzero} nonzero cells"
         );
-        (state, prev) = (Some(next), refs);
+        (restart, prev) = (Some(pf), (tmeta.snapshot_id, kept));
     }
     deltas
 }
@@ -235,8 +237,8 @@ fn temporal_chains_restart_alike() {
     let series = TimeSeries::new(&scenario, cfg, 0.02, 3).map(|(_, _, h)| h);
     let deltas = check_temporal_chain(series, 8, "nyx series");
     assert_eq!(deltas, 2, "snapshots 2 and 3 must delta-code");
-    // A chain whose level 0 stores no chunks: its ranks hold empty
-    // references from one link to the next.
+    // A chain whose level 0 stores no chunks: level 1 still delta-codes
+    // from one link to the next.
     let covered = || {
         let fine = BoxArray::decompose(IntBox::from_extents(32, 32, 32), 16);
         two_levels((16, 16, 16), fine, 2)

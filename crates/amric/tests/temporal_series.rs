@@ -7,7 +7,7 @@
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amric::prelude::*;
-use amric::temporal::{TemporalReadState, TemporalSession, TemporalSessionConfig};
+use amric::reader::Plotfile;
 use h5lite::{H5Reader, H5Writer};
 use std::sync::Arc;
 
@@ -19,11 +19,17 @@ fn write_snapshot(session: &mut TemporalSession, h: &AmrHierarchy) -> H5Reader {
     H5Reader::from_storage(Box::new(mem)).unwrap()
 }
 
-/// Decode the whole chain in order, checking the bound at every step.
+fn linkage(r: &H5Reader) -> TemporalMeta {
+    read_temporal_meta(r).unwrap().expect("a temporal snapshot")
+}
+
+/// Decode the whole chain in order, each snapshot given the one before
+/// it when it names one, checking the bound at every step.
 fn verify_chain(series: &[(AmrHierarchy, H5Reader)], rel_eb: f64) {
-    let mut state: Option<TemporalReadState> = None;
+    let mut prev: Option<Plotfile> = None;
     for (step, (h, reader)) in series.iter().enumerate() {
-        let (pf, next) = read_temporal_hierarchy(reader, state.as_ref()).unwrap();
+        let reference = linkage(reader).reference_id.and(prev.as_ref());
+        let pf = read_amric_from(reader, reference).unwrap();
         for c in verify_against(&pf, h, rel_eb) {
             assert!(
                 c.bound_ok,
@@ -31,7 +37,7 @@ fn verify_chain(series: &[(AmrHierarchy, H5Reader)], rel_eb: f64) {
                 c.field, c.stats.max_abs_err
             );
         }
-        state = Some(next);
+        prev = Some(pf);
     }
 }
 
@@ -46,7 +52,7 @@ fn stable_schedule_roundtrips_with_linkage() {
         fine_fraction: 0.05,
         grid_eff: 0.7,
     };
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(REL_EB), 8);
+    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
     let series: Vec<_> = TimeSeries::new(&NyxScenario::new(11), cfg, 0.02, 4)
         .map(|(_, _, h)| {
             let r = write_snapshot(&mut session, &h);
@@ -56,7 +62,7 @@ fn stable_schedule_roundtrips_with_linkage() {
     // A slow dt keeps the hierarchy stable: every snapshot after the
     // first must actually link back.
     for (step, (_, r)) in series.iter().enumerate() {
-        let meta = read_temporal_meta(r).unwrap();
+        let meta = linkage(r);
         assert_eq!(meta.snapshot_id, step as u64 + 1);
         assert_eq!(meta.reference_id, (step > 0).then_some(step as u64));
     }
@@ -76,7 +82,7 @@ fn heavy_regrid_schedule_stays_within_bound() {
         fine_fraction: 0.03,
         grid_eff: 0.7,
     };
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(REL_EB), 4);
+    let mut session = TemporalSession::new(AmricConfig::interp(REL_EB), 4);
     let series: Vec<_> = TimeSeries::new(&WarpXScenario::new(4), cfg, 0.4, 4)
         .map(|(_, _, h)| {
             let r = write_snapshot(&mut session, &h);
@@ -116,7 +122,7 @@ fn growing_hierarchy_codes_new_level_spatially() {
     };
     let h1 = build_hierarchy(&scenario, &base, 0.0);
     let h2 = build_hierarchy(&scenario, &grown, 0.02);
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(REL_EB), 8);
+    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
     let r1 = write_snapshot(&mut session, &h1);
     let r2 = write_snapshot(&mut session, &h2);
     let fine_idx = r2.chunk_index("level_1/field_0").unwrap().unwrap();
@@ -148,7 +154,7 @@ fn collapsing_hierarchy_roundtrips() {
     };
     let h1 = build_hierarchy(&scenario, &deep, 0.0);
     let h2 = build_hierarchy(&scenario, &shallow, 0.01);
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(REL_EB), 8);
+    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
     let r1 = write_snapshot(&mut session, &h1);
     let r2 = write_snapshot(&mut session, &h2);
     verify_chain(&[(h1, r1), (h2, r2)], REL_EB);
@@ -156,8 +162,9 @@ fn collapsing_hierarchy_roundtrips() {
 
 #[test]
 fn skipping_a_snapshot_in_the_chain_is_rejected() {
-    // Decoding snapshot 3 against snapshot 1's state (operator dropped a
-    // file) must fail typed, not reconstruct from the wrong base.
+    // Decoding snapshot 3 against snapshot 1 (operator dropped a file)
+    // must fail typed before any chunk is read, not reconstruct from the
+    // wrong base.
     let cfg = AmrRunConfig {
         coarse_dims: (16, 16, 16),
         max_grid_size: 8,
@@ -167,10 +174,13 @@ fn skipping_a_snapshot_in_the_chain_is_rejected() {
         fine_fraction: 0.05,
         grid_eff: 0.7,
     };
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(REL_EB), 8);
+    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
     let series: Vec<_> = TimeSeries::new(&NyxScenario::new(11), cfg, 0.02, 3)
         .map(|(_, _, h)| write_snapshot(&mut session, &h))
         .collect();
-    let (_, s1) = read_temporal_hierarchy(&series[0], None).unwrap();
-    assert!(read_temporal_hierarchy(&series[2], Some(&s1)).is_err());
+    let s1 = read_amric_from(&series[0], None).unwrap();
+    assert!(matches!(
+        read_amric_from(&series[2], Some(&s1)),
+        Err(h5lite::H5Error::Format(_))
+    ));
 }

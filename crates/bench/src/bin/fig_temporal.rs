@@ -1,9 +1,9 @@
-//! Temporal-compression study: a time series written three ways at the
-//! same error bound — the cross-snapshot temporal session (delta coding
-//! against the previous snapshot's decoded state), per-snapshot SZ_L/R
-//! (the AMRIC pipeline, re-coding every snapshot from scratch), and a
-//! spatial-only temporal session (fresh reference chain every snapshot,
-//! isolating the envelope overhead from the delta win).
+//! Temporal-compression study: a time series written two ways at the
+//! same error bound and the same pipeline configuration (SZ_L/R) — the
+//! cross-snapshot temporal session (a chunk ships the pipeline's delta
+//! stream against the previous snapshot's decoded state when that is
+//! smaller) and per-snapshot SZ_L/R (the AMRIC pipeline, re-coding every
+//! snapshot from scratch).
 //!
 //! Two regrid regimes bracket the design space:
 //!
@@ -11,9 +11,9 @@
 //!   every unit delta-codes, and the temporal session must beat
 //!   per-snapshot LR outright.
 //! * `regrid` — WarpX at a dt violent enough that the fine level
-//!   relocates every step; most units fall back to the spatial path and
-//!   the session must cost no more than spatial-only coding (the
-//!   fallback rule's overhead bound).
+//!   relocates every step; most units have no reference and the session
+//!   must cost no more than per-snapshot LR (the per-chunk size gate makes
+//!   every chunk at most the plain writer's).
 //!
 //! Emits `BENCH_temporal.json` at the committed step count; any other
 //! count writes only the file `AMRIC_BENCH_OUT` names. Both acceptance
@@ -23,7 +23,6 @@
 use amr_apps::prelude::*;
 use amr_mesh::AmrHierarchy;
 use amric::prelude::*;
-use amric::temporal::{TemporalSession, TemporalSessionConfig};
 use amric_bench::print_table;
 use h5lite::H5Writer;
 use std::sync::Arc;
@@ -39,7 +38,6 @@ struct SchedulePoint {
     orig_bytes: u64,
     temporal_bytes: u64,
     lr_bytes: u64,
-    spatial_only_bytes: u64,
 }
 
 fn temporal_in_memory(session: &mut TemporalSession, h: &AmrHierarchy) -> u64 {
@@ -66,14 +64,11 @@ fn run_schedule(
     nsteps: usize,
     points: &mut Vec<SchedulePoint>,
 ) {
-    let mut session = TemporalSession::new(TemporalSessionConfig::new(REL_EB), bf);
-    let mut spatial_only = TemporalSession::new(TemporalSessionConfig::new(REL_EB), bf);
+    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), bf);
     let mut prev: Option<AmrHierarchy> = None;
     for (step, _, h) in TimeSeries::new(scenario, cfg, dt, nsteps) {
         let change = prev.as_ref().map_or(0.0, |p| regrid_change(p, &h));
         let temporal_bytes = temporal_in_memory(&mut session, &h);
-        spatial_only.reset_reference();
-        let spatial_only_bytes = temporal_in_memory(&mut spatial_only, &h);
         points.push(SchedulePoint {
             schedule,
             step,
@@ -81,23 +76,18 @@ fn run_schedule(
             orig_bytes: h.snapshot_bytes(),
             temporal_bytes,
             lr_bytes: lr_in_memory(&h, bf),
-            spatial_only_bytes,
         });
         prev = Some(h);
     }
 }
 
-fn totals(points: &[SchedulePoint], schedule: &str) -> (u64, u64, u64, u64) {
+/// Total `(temporal, lr)` bytes of one schedule.
+fn totals(points: &[SchedulePoint], schedule: &str) -> (u64, u64) {
     points
         .iter()
         .filter(|p| p.schedule == schedule)
-        .fold((0, 0, 0, 0), |acc, p| {
-            (
-                acc.0 + p.orig_bytes,
-                acc.1 + p.temporal_bytes,
-                acc.2 + p.lr_bytes,
-                acc.3 + p.spatial_only_bytes,
-            )
+        .fold((0, 0), |acc, p| {
+            (acc.0 + p.temporal_bytes, acc.1 + p.lr_bytes)
         })
 }
 
@@ -156,38 +146,30 @@ fn main() {
                 format!("{:.3}", p.regrid_change),
                 format!("{:.2}", p.orig_bytes as f64 / p.temporal_bytes as f64),
                 format!("{:.2}", p.orig_bytes as f64 / p.lr_bytes as f64),
-                format!("{:.2}", p.orig_bytes as f64 / p.spatial_only_bytes as f64),
             ]
         })
         .collect();
     print_table(
         &format!("Temporal vs per-snapshot compression (rel_eb {REL_EB}, {nsteps} steps)"),
-        &[
-            "schedule",
-            "step",
-            "regrid",
-            "CR temporal",
-            "CR lr",
-            "CR spatial-only",
-        ],
+        &["schedule", "step", "regrid", "CR temporal", "CR lr"],
         &rows,
     );
 
-    // Acceptance inequalities (the fallback rule's contract).
-    let (_, stable_t, stable_lr, _) = totals(&points, "stable");
+    // Acceptance inequalities (the size gate's contract).
+    let (stable_t, stable_lr) = totals(&points, "stable");
     assert!(
         stable_t < stable_lr,
         "stable series: temporal {stable_t} B must beat per-snapshot LR {stable_lr} B"
     );
-    let (_, regrid_t, _, regrid_sp) = totals(&points, "regrid");
+    let (regrid_t, regrid_lr) = totals(&points, "regrid");
     assert!(
-        regrid_t as f64 <= regrid_sp as f64 * 1.03,
-        "regrid series: temporal {regrid_t} B must stay within 3% of spatial-only {regrid_sp} B"
+        regrid_t <= regrid_lr,
+        "regrid series: temporal {regrid_t} B must not exceed per-snapshot LR {regrid_lr} B"
     );
     println!(
-        "\nstable: temporal/lr = {:.3}   regrid: temporal/spatial-only = {:.3}",
+        "\nstable: temporal/lr = {:.4}   regrid: temporal/lr = {:.4}",
         stable_t as f64 / stable_lr as f64,
-        regrid_t as f64 / regrid_sp as f64
+        regrid_t as f64 / regrid_lr as f64
     );
 
     // Trajectory file: hand-rolled JSON (no serde in-tree).
@@ -200,22 +182,21 @@ fn main() {
     ));
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"schedule\": \"{}\", \"step\": {}, \"regrid_change\": {:.4}, \"orig_bytes\": {}, \"temporal_bytes\": {}, \"lr_bytes\": {}, \"spatial_only_bytes\": {}}}{}\n",
+            "    {{\"schedule\": \"{}\", \"step\": {}, \"regrid_change\": {:.4}, \"orig_bytes\": {}, \"temporal_bytes\": {}, \"lr_bytes\": {}}}{}\n",
             p.schedule,
             p.step,
             p.regrid_change,
             p.orig_bytes,
             p.temporal_bytes,
             p.lr_bytes,
-            p.spatial_only_bytes,
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"stable_temporal_over_lr\": {:.4},\n  \"regrid_temporal_over_spatial_only\": {:.4}\n}}\n",
+        "  \"stable_temporal_over_lr\": {:.4},\n  \"regrid_temporal_over_lr\": {:.4}\n}}\n",
         stable_t as f64 / stable_lr as f64,
-        regrid_t as f64 / regrid_sp as f64
+        regrid_t as f64 / regrid_lr as f64
     ));
     let committed = (nsteps == COMMITTED_STEPS).then(|| "BENCH_temporal.json".into());
     if let Some(out) = std::env::var("AMRIC_BENCH_OUT").ok().or(committed) {

@@ -4,12 +4,10 @@
 //! → `commit_frames` (one extent reservation per batch, one `write_at` and
 //! one `ChunkRecord` per frame) → `agree` (one vote per write call).
 //!
-//! [`collective_write_many`] is the engine — many datasets × many chunks,
-//! encoded on a rank-local pool and committed in dataset order.
-//! [`collective_write_frames`] enters after the encode step for callers
-//! that produce their frames themselves. Either call is **one** collective
-//! at its end, and registers all of its datasets or none. DESIGN.md has
-//! the stage diagram.
+//! [`collective_write_many`] is the engine and the one write entry — many
+//! datasets × many chunks, encoded on a rank-local pool and committed in
+//! dataset order. A call is **one** collective at its end, and registers
+//! all of its datasets or none. DESIGN.md has the stage diagram.
 //!
 //! With compression filters enabled, HDF5 requires collective metadata
 //! operations: *all* ranks participate in every dataset create even when
@@ -179,29 +177,6 @@ pub fn collective_write_many(
     agree(comm, writer, jobs, committed.map(|()| records), ledger)
 }
 
-/// Collectively write datasets from **pre-encoded** frames — the entry
-/// past the encode step, for callers whose frames do not come out of a
-/// [`ChunkFilter`] (the temporal session encodes through its codec to get
-/// the decoded state back). `frames[d]` holds this rank's frames of
-/// `jobs[d]`, whose `chunks` are not read. `Err` is this rank's failure:
-/// the rank still brings it to the vote, so its peers abort with it.
-pub fn collective_write_frames(
-    comm: &Communicator,
-    writer: &H5Writer,
-    jobs: &[DatasetJob<'_>],
-    frames: H5Result<Vec<Vec<EncodedFrame>>>,
-) -> H5Result<IoLedger> {
-    let mut ledger = IoLedger::default();
-    let committed = frames.and_then(|frames| {
-        let mut records = vec![Vec::new(); frames.len()];
-        for (frames, records) in frames.iter().zip(&mut records) {
-            commit_frames(writer, frames, records, &mut ledger)?;
-        }
-        Ok(records)
-    });
-    agree(comm, writer, jobs, committed, ledger)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,79 +286,6 @@ mod tests {
         for (rank, r) in results.iter().enumerate() {
             assert!(r.is_err(), "rank {rank} must see the collective failure");
         }
-    }
-
-    /// Two pre-encoded datasets `p` and `q` of one 64-value frame per
-    /// rank, distinct in (rank, dataset).
-    fn frames_jobs<'a>() -> Vec<DatasetJob<'a>> {
-        ["p", "q"]
-            .into_iter()
-            .map(|name| DatasetJob {
-                name,
-                chunks: &[],
-                chunk_elems: 64,
-                filter: &NoFilter,
-                mode: FilterMode::SizeAware,
-            })
-            .collect()
-    }
-
-    fn frame_of(rank: usize, d: usize) -> EncodedFrame {
-        let data: Vec<f64> = (0..64)
-            .map(|i| (rank * 100 + d * 1000 + i) as f64)
-            .collect();
-        let chunk = ChunkData::full(data);
-        encode_frame(
-            &chunk,
-            64,
-            &NoFilter,
-            FilterMode::SizeAware,
-            &mut Vec::new(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn frames_path_writes_preencoded_chunks() {
-        let (writer, mem) = mem_writer();
-        let w = Arc::clone(&writer);
-        let ledgers = run_ranks(2, move |comm| {
-            let frames = (0..2).map(|d| vec![frame_of(comm.rank(), d)]).collect();
-            collective_write_frames(&comm, &w, &frames_jobs(), Ok(frames)).unwrap()
-        });
-        writer.finish().unwrap();
-        for l in &ledgers {
-            assert_eq!(l.filter_calls, 2);
-            assert_eq!(l.write_calls, 2);
-            assert_eq!(l.dataset_creates, 2);
-        }
-        let r = open(mem);
-        assert_eq!(r.dataset_names(), vec!["p", "q"]);
-        for (d, name) in ["p", "q"].into_iter().enumerate() {
-            let all = r.read_dataset(name).unwrap();
-            assert_eq!(all.len(), 128);
-            assert_eq!(all[64], (100 + d * 1000) as f64, "rank 1 follows rank 0");
-        }
-    }
-
-    #[test]
-    fn frames_path_none_aborts_all_ranks_without_deadlock() {
-        // Rank 1's compression "failed": it brings the error to the vote,
-        // every rank returns Err and neither dataset registers.
-        let (writer, mem) = mem_writer();
-        let w = Arc::clone(&writer);
-        let results = run_ranks(3, move |comm| {
-            let frames = match comm.rank() {
-                1 => Err(H5Error::Format("rank 1 failed to encode".into())),
-                r => Ok((0..2).map(|d| vec![frame_of(r, d)]).collect()),
-            };
-            collective_write_frames(&comm, &w, &frames_jobs(), frames)
-        });
-        for (rank, r) in results.iter().enumerate() {
-            assert!(r.is_err(), "rank {rank} must see the abort");
-        }
-        writer.finish().unwrap();
-        assert!(open(mem).dataset_names().is_empty());
     }
 
     /// `ndatasets` jobs of `nchunks` chunks each for one rank, every chunk

@@ -45,7 +45,7 @@ pub use storage::{FileStorage, MemStorage, Storage};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::collective::{collective_write_frames, collective_write_many, DatasetJob};
+    pub use crate::collective::{collective_write_many, DatasetJob};
     pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
     pub use crate::error::{H5Error, H5Result};
     pub use crate::file::{ChunkData, H5Reader, H5Writer, WriteStats};

@@ -24,15 +24,14 @@ use crate::wire::{Reader, Writer};
 /// layout change would come with a new magic.
 pub const ENVELOPE_MAGIC: u32 = 0x4345_4D41;
 
-/// Flag bit: the stream encodes zero unit blocks and carries no payload
-/// (temporal streams of an empty chunk).
-pub const FLAG_EMPTY: u8 = 0b0000_0001;
+// Bit 0 flagged a payload-less empty stream of a retired format; it stays
+// unassigned.
 
 /// Flag bit: the payload depends on a **reference snapshot** — at least
 /// one unit is delta-coded against previously decoded data identified by
-/// the reference id in the payload header. Streams without this flag are
-/// self-contained; streams with it need their reference installed in the
-/// decoder (see the `temporal` module).
+/// the reference id in the payload (the AMRIC pipeline's delta mode).
+/// Streams without this flag are self-contained; streams with it decode
+/// only given their reference.
 pub const FLAG_REFERENCED: u8 = 0b0000_0100;
 
 /// Flag bit: the payload header records a **per-unit error bound** — the
@@ -60,11 +59,9 @@ pub enum CodecId {
     AmricPipeline = 3,
     /// The TAC offline comparator (Morton grouping + black-box SZ).
     Tac = 4,
-    // Ids 5 and 6 named two retired offline stream formats; they stay
-    // unknown and are not reused.
-    /// Cross-snapshot temporal delta coding (this crate,
-    /// [`crate::temporal`]).
-    Temporal = 7,
+    // Ids 5 and 6 named two retired offline stream formats, id 7 the
+    // retired stand-alone temporal family (temporal delta coding is a mode
+    // of the AMRIC pipeline); they stay unknown and are not reused.
 }
 
 impl CodecId {
@@ -75,7 +72,6 @@ impl CodecId {
             2 => CodecId::Interp,
             3 => CodecId::AmricPipeline,
             4 => CodecId::Tac,
-            7 => CodecId::Temporal,
             _ => return None,
         })
     }
@@ -87,7 +83,6 @@ impl CodecId {
             CodecId::Interp => "sz-interp",
             CodecId::AmricPipeline => "amric",
             CodecId::Tac => "tac",
-            CodecId::Temporal => "temporal",
         }
     }
 }
@@ -99,7 +94,7 @@ pub struct Envelope {
     pub codec: u16,
     /// Payload format version.
     pub version: u8,
-    /// Stream flags ([`FLAG_EMPTY`], [`FLAG_REFERENCED`], …).
+    /// Stream flags ([`FLAG_REFERENCED`], [`FLAG_UNIT_BOUNDS`]).
     pub flags: u8,
     /// Byte offset where the family payload starts.
     pub payload_offset: usize,
@@ -154,13 +149,13 @@ mod tests {
     #[test]
     fn envelope_roundtrip() {
         let mut w = Writer::new();
-        write_envelope(&mut w, CodecId::Tac, 3, FLAG_EMPTY);
+        write_envelope(&mut w, CodecId::Tac, 3, FLAG_REFERENCED);
         w.put_u8(0xAB);
         let bytes = w.into_bytes();
         let env = read_envelope(&bytes).unwrap();
         assert_eq!(env.codec, CodecId::Tac as u16);
         assert_eq!(env.version, 3);
-        assert_eq!(env.flags, FLAG_EMPTY);
+        assert_eq!(env.flags, FLAG_REFERENCED);
         assert_eq!(bytes[env.payload_offset], 0xAB);
     }
 
@@ -203,13 +198,12 @@ mod tests {
             CodecId::Interp,
             CodecId::AmricPipeline,
             CodecId::Tac,
-            CodecId::Temporal,
         ] {
             assert_eq!(CodecId::from_u16(id as u16), Some(id));
             assert!(!id.name().is_empty());
         }
-        // 5 and 6 are retired, never reassigned.
-        for retired in [0, 5, 6] {
+        // 5, 6 and 7 are retired, never reassigned.
+        for retired in [0, 5, 6, 7] {
             assert_eq!(CodecId::from_u16(retired), None);
         }
         assert_eq!(CodecId::from_u16(999), None);

@@ -17,8 +17,8 @@
 //! * [`interp`] — **SZ_Interp** (SZ3 dynamic spline, Zhao et al. 2021):
 //!   global multi-level cubic/linear interpolation prediction over one
 //!   buffer.
-//! * [`temporal`] — cross-snapshot delta coding against a decoded
-//!   reference ([`temporal::TemporalCodec`] carries that reference).
+//! * [`temporal`] — the cross-snapshot delta kernel (residuals against a
+//!   decoded reference), which the AMRIC pipeline's delta mode carries.
 //! * [`adaptive`] — the paper's adaptive SZ-block-size rule (Equation 1).
 //! * [`metrics`] — PSNR (paper formula), MSE, max-error, rate helpers.
 //!
@@ -88,6 +88,5 @@ pub mod prelude {
     pub use crate::lr::{self, LrConfig, LrScratch};
     pub use crate::metrics::{bit_rate, compression_ratio, ErrorStats, RatePoint};
     pub use crate::quantizer::absolute_bound;
-    pub use crate::temporal::{self, TemporalCodec, TemporalConfig, TemporalReference};
     pub use crate::SzAlgorithm;
 }

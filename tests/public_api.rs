@@ -7,7 +7,8 @@ use amric_repro::prelude::*;
 #[test]
 fn prelude_exposes_the_codec_api() {
     // Each family is its own pair of functions, reachable from the
-    // prelude alone: SZ_L/R, SZ_Interp, the AMRIC pipeline, temporal.
+    // prelude alone: SZ_L/R, SZ_Interp, the AMRIC pipeline and its
+    // temporal delta mode.
     let units = vec![Buffer3::zeros(Dims3::cube(4)); 2];
     let lr_stream = lr::compress_domains(&units, &LrConfig::new(1e-3));
     assert_eq!(lr::decompress_domains(&lr_stream).expect("lr").len(), 2);
@@ -20,16 +21,25 @@ fn prelude_exposes_the_codec_api() {
             .len(),
         2
     );
+    let reference: Reference = (7, std::sync::Arc::new(units.clone()));
     let mut temporal_stream = Vec::new();
-    TemporalCodec::spatial(TemporalConfig::new(1e-3))
-        .compress_with_state(&units, &mut temporal_stream)
+    compress_delta_into(
+        &units,
+        &AmricConfig::lr(1e-3),
+        4,
+        1e-3,
+        (7, &reference.1),
+        &[Some(1), None],
+        &mut AmricScratch::default(),
+        &mut temporal_stream,
+    )
+    .expect("temporal");
+    let mut back = Vec::new();
+    decompress_field_units_into(&temporal_stream, &mut back, &mut || Ok(reference.clone()))
         .expect("temporal");
-    assert_eq!(
-        TemporalCodec::decoder()
-            .decompress(&temporal_stream)
-            .expect("temporal")
-            .len(),
-        2
+    assert_eq!(back.len(), 2);
+    assert!(
+        decompress_field_units_into(&temporal_stream, &mut Vec::new(), &mut no_reference).is_err()
     );
 
     // The envelope they share names the family that wrote each stream.
@@ -37,7 +47,7 @@ fn prelude_exposes_the_codec_api() {
         (&lr_stream, CodecId::LrSle),
         (&interp_stream, CodecId::Interp),
         (&pipeline_stream, CodecId::AmricPipeline),
-        (&temporal_stream, CodecId::Temporal),
+        (&temporal_stream, CodecId::AmricPipeline),
     ] {
         let env = codec::read_envelope(stream).expect("envelope");
         assert_eq!(CodecId::from_u16(env.codec), Some(id));
