@@ -12,6 +12,8 @@
 //! (Hosted by `amr-quality` — `--quality` compares two plotfiles through
 //! a pair of `QueryEngine`s, the layer above the `amric` pipeline crate.)
 
+use amric::pipeline::{stream_layout, StreamLayout};
+use amric::writer::FILTER_AMRIC;
 use h5lite::prelude::*;
 use std::process::ExitCode;
 
@@ -36,6 +38,28 @@ fn filter_name(id: u32) -> &'static str {
         1 => "sz",
         100 => "amric",
         _ => "custom",
+    }
+}
+
+/// Why an AMRIC chunk is stored the way it is: its stream mode, and for
+/// the placed mode the clusters it compressed in place.
+fn stream_mode(r: &H5Reader, name: &str, chunk: usize) -> String {
+    let layout = r
+        .read_chunk_raw(name, chunk)
+        .map_err(|e| e.to_string())
+        .and_then(|raw| stream_layout(&raw).map_err(|e| e.to_string()));
+    match layout {
+        Ok(StreamLayout {
+            mode,
+            placed: Some(p),
+        }) => format!(
+            "  mode {mode}  clusters {}  cells {}  holes {:.1}%",
+            p.clusters,
+            p.cells,
+            100.0 * p.holes as f64 / p.cells.max(1) as f64
+        ),
+        Ok(StreamLayout { mode, .. }) => format!("  mode {mode}"),
+        Err(e) => format!("  mode ? ({e})"),
     }
 }
 
@@ -66,8 +90,12 @@ fn print_datasets(r: &H5Reader, chunks: bool) {
         );
         if chunks {
             for (i, c) in m.chunks.iter().enumerate() {
+                let layout = match m.filter_id {
+                    FILTER_AMRIC => stream_mode(r, name, i),
+                    _ => String::new(),
+                };
                 println!(
-                    "    chunk {:<4} offset {:>10}  stored {:>10}  logical {:>10}",
+                    "    chunk {:<4} offset {:>10}  stored {:>10}  logical {:>10}{layout}",
                     i,
                     c.offset,
                     human(c.stored_bytes),

@@ -11,6 +11,7 @@ use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::AmricConfig;
+use amric::pipeline::stream_layout;
 use amric::reader::{read_amric_from, verify_against, Plotfile};
 use amric::temporal::{read_temporal_meta, TemporalSession};
 use h5lite::{H5Reader, H5Writer, MemStorage};
@@ -241,7 +242,20 @@ fn stable_chain_answers_equal_the_chain_restart() {
 
 #[test]
 fn regrid_chain_answers_equal_the_chain_restart() {
-    check_chain("regrid/interp", &regrid());
+    let chain = regrid();
+    // The keyframe's dense level 0 is stored where it lies (the placed
+    // SZ_Interp mode), so the chain carries placed chunks too.
+    let r = chain.reader(0);
+    let name = amric::writer::field_dataset(0, 0);
+    let modes: Vec<_> = (0..r.meta(&name).unwrap().chunks.len())
+        .map(|c| {
+            stream_layout(&r.read_chunk_raw(&name, c).unwrap())
+                .unwrap()
+                .mode
+        })
+        .collect();
+    assert!(modes.contains(&"interp-placed"), "{modes:?}");
+    check_chain("regrid/interp", &chain);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! and on the size of the answer), one gate hold per chunk batch of a
 //! scan, typed planning errors, multi-MB answers shipped as their stored
 //! pieces and counted to the byte, regions no unit meets, a hand-built
-//! file whose clipped units share a tile, and the stats endpoint.
+//! file whose clipped units share a tile, a file of placed SZ_Interp
+//! chunks, and the stats endpoint.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -423,6 +424,54 @@ fn holes_and_clipped_legacy_units_are_served_like_the_direct_engine() {
 
     client.shutdown_server().unwrap();
     server.shutdown_and_join();
+}
+
+#[test]
+fn placed_interp_chunks_are_served_like_the_direct_engine() {
+    // A WarpX file whose dense level-0 chunks are stored as unit clusters
+    // compressed where they lie (pipeline mode 6): region, plane and ROI
+    // answers cross the wire bit for bit as the direct engine gives them.
+    let cfg = AmrRunConfig {
+        coarse_dims: (16, 16, 256),
+        max_grid_size: 16,
+        blocking_factor: 8,
+        nranks: 2,
+        num_levels: 2,
+        fine_fraction: 0.02,
+        grid_eff: 0.7,
+    };
+    let h = build_hierarchy(&WarpXScenario::new(1), &cfg, 0.0);
+    let path = tmp("placed");
+    write_amric(&path, &h, &AmricConfig::interp(1e-3), 8).unwrap();
+    let direct = QueryEngine::open(&path).unwrap();
+    let mut server = Server::new(test_config());
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let handle = client.open(path.to_str().unwrap()).unwrap().handle;
+    let corners = |b: &IntBox| (b.lo.0, b.hi.0);
+    let domain = direct.meta().levels[0].domain;
+    let slab = IntBox::new(IntVect::new(3, 5, 100), IntVect::new(12, 9, 170));
+    for field in [0u32, 3] {
+        for region in [domain, slab] {
+            let (lo, hi) = corners(&region);
+            let got = client.region(handle, field, 0, lo, hi).unwrap();
+            let expect = direct.level_region(field as usize, 0, region).unwrap();
+            assert_eq!(wire_bits(&got), direct_bits(&expect), "{region:?}");
+        }
+        let got = client.plane(handle, field, 0, 2, 37).unwrap();
+        let expect = direct.plane_slice(field as usize, 0, 2, 37).unwrap();
+        assert_eq!(wire_bits(&got), direct_bits(&expect));
+        let (lo, hi) = corners(&slab);
+        let got = client.roi(handle, field, lo, hi, WireSelect::All).unwrap();
+        let expect = direct.roi(field as usize, slab, LevelSelect::All).unwrap();
+        assert_eq!(
+            got.levels.iter().map(wire_bits).collect::<Vec<_>>(),
+            expect.levels.iter().map(direct_bits).collect::<Vec<_>>()
+        );
+    }
+    client.shutdown_server().unwrap();
+    server.shutdown_and_join();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -68,8 +68,9 @@ pub mod prelude {
     pub use crate::config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
     pub use crate::pipeline::{
         compress_delta_into, compress_field_units, compress_field_units_resolved_into,
-        compress_field_units_with_bound_into, decompress_field_units, decompress_field_units_into,
-        no_reference, resolve_abs_eb, stream_unit_bounds, AmricScratch, Reference, ResolvedBound,
+        compress_field_units_with_bound_into, compress_placed_into, decompress_field_units,
+        decompress_field_units_into, no_reference, resolve_abs_eb, stream_layout,
+        stream_unit_bounds, AmricScratch, Reference, ResolvedBound, StreamLayout, UnitOrigins,
     };
     pub use crate::preprocess::{
         extract_units, plan_units, plan_units_layout, scatter_units, unit_activity,

@@ -2,15 +2,16 @@
 //! set: reorganize (§3.1) → optimized SZ (§3.2) → self-describing stream.
 //!
 //! Every stream opens with the `AmricPipeline` envelope and a mode byte.
-//! Modes 0–3 are the paper's layouts, mode 4 the adaptive-bound extension
-//! and mode 5 temporal delta coding against a previous snapshot:
+//! Modes 0–3 are the paper's layouts, mode 4 the adaptive-bound extension,
+//! mode 5 temporal delta coding against a previous snapshot, and mode 6
+//! SZ_Interp over dense clusters of units compressed where they lie:
 //!
 //! ```text
 //! envelope(AmricPipeline, 1, FLAG_REFERENCED)
 //! mode       u8  = 5
-//! nested     u32 length, then a pipeline stream (modes 0–3, whatever the
-//!            configuration picks) over the spatial units in order; length
-//!            0 when every unit is delta-coded
+//! nested     u32 length, then a pipeline stream (modes 0–3 or 6, whatever
+//!            the configuration picks) over the spatial units in order;
+//!            length 0 when every unit is delta-coded
 //! lossless-compressed to the end of the stream:
 //!   reference u64        snapshot id the delta units predict from
 //!   abs_eb    f64
@@ -23,12 +24,35 @@
 //! spatial unit the nested stream's, and a reader holds both to its plan.
 //! Only a delta stream asks its caller for the reference: the same chunk
 //! of the referenced snapshot, decoded.
+//!
+//! ```text
+//! envelope(AmricPipeline, 1, 0)
+//! mode       u8  = 6
+//! n          u32 units
+//! edge       u32 unit edge
+//! k          u32 clusters
+//! dims       k × (gx, gy, gz) u32   each cluster's shape in units
+//! slot map   u32 length, then a lossless block: per unit in order, zig-zag
+//!            varints of its cluster's change from the unit before and its
+//!            slot's distance past the last slot taken in that cluster
+//! payload    to the end: `interp::compress_domains_into` over the k
+//!            clusters (index-space order, holes zero), one shared encoding
+//! ```
+//!
+//! Only a caller that knows where its units lie ([`UnitOrigins`]) gets
+//! mode 6, and only on a chunk mode 3 would take whose units cluster
+//! densely (Berger–Rigoutsos at efficiency 3/4, ≥ 8 units per cluster on
+//! average); the slot map returns the units in their order, so a reader
+//! needs no plan.
 
 use crate::config::{AmricConfig, BoundPolicy, MergePolicy};
 use crate::preprocess::unit_activity;
-use crate::reorganize::{cluster_pack, cluster_place, linear_merge, linear_place, ClusterGrid};
+use crate::reorganize::{
+    cluster_pack, cluster_place, linear_merge, linear_place, ClusterGrid, Placement,
+};
+use amr_mesh::geom::IntVect;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sz_codec::buffer3::place_unit;
 use sz_codec::codec::{expect_envelope, write_envelope, FLAG_REFERENCED, FLAG_UNIT_BOUNDS};
 use sz_codec::lossless;
@@ -58,10 +82,26 @@ enum Mode {
     /// Temporal delta coding against a reference snapshot, with a nested
     /// stream for the units that have no reference (module docs).
     Delta = 5,
+    /// SZ_Interp over dense clusters of units where they lie, plus a slot
+    /// map back to the units' order (module docs).
+    InterpPlaced = 6,
     Empty = 255,
 }
 
 impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::LrSle => "lr-sle",
+            Mode::LrLinearMerge => "lr-lm",
+            Mode::InterpLinear => "interp-linear",
+            Mode::InterpCluster => "interp-cluster",
+            Mode::Adaptive => "adaptive",
+            Mode::Delta => "delta",
+            Mode::InterpPlaced => "interp-placed",
+            Mode::Empty => "empty",
+        }
+    }
+
     fn from_u8(v: u8) -> CodecResult<Mode> {
         Ok(match v {
             0 => Mode::LrSle,
@@ -70,6 +110,7 @@ impl Mode {
             3 => Mode::InterpCluster,
             4 => Mode::Adaptive,
             5 => Mode::Delta,
+            6 => Mode::InterpPlaced,
             255 => Mode::Empty,
             _ => return Err(CodecError::BadMode { found: v }),
         })
@@ -175,28 +216,28 @@ fn local_range<U: AsView3>(units: &[U]) -> f64 {
     }
 }
 
-/// [`compress_field_units_resolved_into`] on the calling thread's encode
-/// scratch — for the `&self` face of the pipeline (the AMRIC
-/// `ChunkFilter`) and [`compress_field_units`], which cannot thread an
-/// explicit scratch through. Rank threads and pool workers are all
-/// threads, so every concurrent encoder gets its own.
+/// [`compress_placed_into`] on the calling thread's encode scratch — for
+/// the `&self` face of the pipeline (the AMRIC `ChunkFilter`) and
+/// [`compress_field_units`], which cannot thread an explicit scratch
+/// through. Rank threads and pool workers are all threads, so every
+/// concurrent encoder gets its own.
 pub(crate) fn compress_on_thread_scratch<U: AsView3>(
     units: &[U],
+    origins: Option<&UnitOrigins>,
     cfg: &AmricConfig,
     unit_edge: usize,
     bound: ResolvedBound,
     out: &mut Vec<u8>,
 ) {
     lr::with_thread_scratch(|scratch| {
-        compress_field_units_resolved_into(units, cfg, unit_edge, bound, scratch, out)
+        compress_placed_into(units, origins, cfg, unit_edge, bound, scratch, out)
     })
 }
 
 /// Compress one field's unit blocks under the given configuration,
 /// resolving the relative bound against the *local* value range of the
 /// units (offline single-rank studies). The in-situ writer resolves the
-/// bound globally across ranks and calls
-/// [`compress_field_units_resolved_into`] instead.
+/// bound globally across ranks and calls [`compress_placed_into`] instead.
 pub fn compress_field_units<U: AsView3>(
     units: &[U],
     cfg: &AmricConfig,
@@ -208,15 +249,12 @@ pub fn compress_field_units<U: AsView3>(
         ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, local_range(units))
     };
     let mut out = Vec::new();
-    compress_on_thread_scratch(units, cfg, unit_edge, bound, &mut out);
+    compress_on_thread_scratch(units, None, cfg, unit_edge, bound, &mut out);
     out
 }
 
-/// Policy-dispatching compress core — what the writer calls with the
-/// globally resolved bound: `Fixed` forwards to the untouched legacy path
-/// ([`compress_field_units_with_bound_into`], byte-identical streams);
-/// `Adaptive` appends the `Mode::Adaptive` stream. Both append to `out`
-/// and reuse `scratch`.
+/// [`compress_placed_into`] over bare units, whose positions are unknown:
+/// modes 0–4.
 pub fn compress_field_units_resolved_into<U: AsView3>(
     units: &[U],
     cfg: &AmricConfig,
@@ -225,19 +263,49 @@ pub fn compress_field_units_resolved_into<U: AsView3>(
     scratch: &mut AmricScratch,
     out: &mut Vec<u8>,
 ) {
+    compress_placed_into(units, None, cfg, unit_edge, bound, scratch, out)
+}
+
+/// The policy-dispatching compress core — what the writer calls with the
+/// globally resolved bound and each unit's index-space origin (`origins`,
+/// one per unit, when the caller knows where its units lie). `Fixed` takes
+/// the paper path, where known origins let dense SZ_Interp chunks take the
+/// placed mode; `Adaptive` appends the `Mode::Adaptive` stream. Both
+/// append to `out` and reuse `scratch`.
+pub fn compress_placed_into<U: AsView3>(
+    units: &[U],
+    origins: Option<&UnitOrigins>,
+    cfg: &AmricConfig,
+    unit_edge: usize,
+    bound: ResolvedBound,
+    scratch: &mut AmricScratch,
+    out: &mut Vec<u8>,
+) {
+    if let Some(origins) = origins {
+        assert_eq!(origins.origins.len(), units.len(), "one origin per unit");
+    }
     match bound {
         ResolvedBound::Fixed(abs_eb) => {
-            compress_field_units_with_bound_into(units, cfg, unit_edge, abs_eb, scratch, out)
+            compress_fixed_into(units, origins, cfg, unit_edge, abs_eb, scratch, out)
         }
         // An empty chunk carries no bound: the plain empty marker is the
         // canonical stream either way.
         ResolvedBound::Adaptive { .. } if units.is_empty() => {
-            compress_field_units_with_bound_into(units, cfg, unit_edge, 1.0, scratch, out)
+            compress_fixed_into(units, None, cfg, unit_edge, 1.0, scratch, out)
         }
         ResolvedBound::Adaptive { tight, loose } => {
             compress_adaptive_into(units, cfg, unit_edge, tight, loose, scratch, out)
         }
     }
+}
+
+/// Append what `body` writes to `w`, behind its `u32` length.
+fn put_len_prefixed(w: &mut Writer, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = w.buf_mut().len() + 4;
+    w.put_u32(0);
+    body(w.buf_mut());
+    let len = (w.buf_mut().len() - at) as u32;
+    w.buf_mut()[at - 4..at].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Write the [`Mode::Adaptive`] stream: group table + two LR-SLE
@@ -271,16 +339,13 @@ fn compress_adaptive_into<U: AsView3>(
     };
     let (tight_units, loose_units) = (group(true), group(false));
     // Tight substream, u32-length-prefixed so the loose one can ride raw
-    // to the end of the stream. The length is patched in after the
-    // substream is appended.
-    let len_pos = w.buf_mut().len();
-    w.put_u32(0);
-    if !tight_units.is_empty() {
-        let lr_cfg = LrConfig::new(tight).with_block_size(block_size);
-        lr::compress_domains_into(&tight_units, &lr_cfg, scratch, w.buf_mut());
-    }
-    let tight_len = (w.buf_mut().len() - len_pos - 4) as u32;
-    w.buf_mut()[len_pos..len_pos + 4].copy_from_slice(&tight_len.to_le_bytes());
+    // to the end of the stream.
+    put_len_prefixed(&mut w, |out| {
+        if !tight_units.is_empty() {
+            let lr_cfg = LrConfig::new(tight).with_block_size(block_size);
+            lr::compress_domains_into(&tight_units, &lr_cfg, scratch, out);
+        }
+    });
     if !loose_units.is_empty() {
         let lr_cfg = LrConfig::new(loose).with_block_size(block_size);
         lr::compress_domains_into(&loose_units, &lr_cfg, scratch, w.buf_mut());
@@ -288,11 +353,26 @@ fn compress_adaptive_into<U: AsView3>(
     *out = w.into_bytes();
 }
 
-/// Compress one field's unit blocks with an explicit absolute error
-/// bound, **appending** the stream to `out` and reusing `scratch` — the
-/// writer's per-chunk hot path, which allocates no fresh output `Vec`.
+/// Compress one field's bare unit blocks with an explicit absolute error
+/// bound, **appending** the stream to `out` and reusing `scratch` (modes
+/// 0–3).
 pub fn compress_field_units_with_bound_into<U: AsView3>(
     units: &[U],
+    cfg: &AmricConfig,
+    unit_edge: usize,
+    abs_eb: f64,
+    scratch: &mut AmricScratch,
+    out: &mut Vec<u8>,
+) {
+    compress_fixed_into(units, None, cfg, unit_edge, abs_eb, scratch, out)
+}
+
+/// The one fixed-bound body under every compress entry: the stream of the
+/// mode [`select_mode`] picks, appended to `out` with no intermediate
+/// buffer.
+fn compress_fixed_into<U: AsView3>(
+    units: &[U],
+    origins: Option<&UnitOrigins>,
     cfg: &AmricConfig,
     unit_edge: usize,
     abs_eb: f64,
@@ -306,7 +386,7 @@ pub fn compress_field_units_with_bound_into<U: AsView3>(
         *out = w.into_bytes();
         return;
     }
-    let mode = select_mode(cfg, units);
+    let (mode, placement) = select_mode(cfg, units, origins);
     w.put_u8(mode as u8);
     w.put_u32(units.len() as u32);
     // The SZ payload is the stream's final field: appended raw (no length
@@ -341,6 +421,21 @@ pub fn compress_field_units_with_bound_into<U: AsView3>(
             w.put_u32(grid.gy as u32);
             w.put_u32(grid.gz as u32);
             interp::compress_into(&packed, &InterpConfig::new(abs_eb), w.buf_mut());
+        }
+        Mode::InterpPlaced => {
+            let placement = placement.expect("select_mode places every placed chunk");
+            let edge = units[0].view().dims().nx;
+            w.put_u32(edge as u32);
+            w.put_u32(placement.clusters.len() as u32);
+            for g in &placement.clusters {
+                w.put_u32(g.gx as u32);
+                w.put_u32(g.gy as u32);
+                w.put_u32(g.gz as u32);
+            }
+            let slots = placement.encode_slots();
+            put_len_prefixed(&mut w, |out| lossless::compress_into(&slots, out));
+            let packed = placement.pack(units, edge);
+            interp::compress_domains_into(&packed, &InterpConfig::new(abs_eb), w.buf_mut());
         }
         Mode::Adaptive | Mode::Delta => unreachable!("select_mode never picks {mode:?}"),
         Mode::Empty => unreachable!("handled above"),
@@ -382,10 +477,12 @@ impl DeltaEncoded {
 
 /// Append the delta-mode stream of `units` (module docs): unit `i`
 /// delta-codes against `reference.1[j]` when `map[i] == Some(j)` (same
-/// dims), every other unit goes to a nested stream in the mode `cfg` picks.
+/// dims), every other unit goes to a nested stream in the mode `cfg` picks
+/// — placed when `origins` (one per unit) say where they lie.
 #[allow(clippy::too_many_arguments)]
 pub fn compress_delta_into<U: AsView3>(
     units: &[U],
+    origins: Option<&UnitOrigins>,
     cfg: &AmricConfig,
     unit_edge: usize,
     abs_eb: f64,
@@ -394,9 +491,10 @@ pub fn compress_delta_into<U: AsView3>(
     scratch: &mut AmricScratch,
     out: &mut Vec<u8>,
 ) -> CodecResult<DeltaEncoded> {
-    if map.len() != units.len() || !(abs_eb > 0.0 && abs_eb.is_finite()) {
+    let origins_fit = origins.is_none_or(|o| o.origins.len() == units.len());
+    if map.len() != units.len() || !origins_fit || !(abs_eb > 0.0 && abs_eb.is_finite()) {
         return Err(CodecError::BadParameter {
-            what: "delta map or error bound",
+            what: "delta map, unit origins or error bound",
         });
     }
     let mut payload = Writer::new();
@@ -404,12 +502,14 @@ pub fn compress_delta_into<U: AsView3>(
     payload.put_f64(abs_eb);
     payload.put_u32(units.len() as u32);
     let (mut enc, mut spatial) = (DeltaEncoder::new(abs_eb), Vec::new());
+    let mut spatial_origins = Vec::new();
     let mut delta = Vec::with_capacity(units.len());
     for (i, (u, &m)) in units.iter().zip(map).enumerate() {
         let unit = u.view();
         payload.put_u32(m.map_or(0, |j| j + 1));
         let Some(j) = m else {
             spatial.push(unit);
+            spatial_origins.extend(origins.map(|o| o.origins[i]));
             delta.push(None);
             continue;
         };
@@ -428,22 +528,86 @@ pub fn compress_delta_into<U: AsView3>(
     write_envelope(&mut w, CodecId::AmricPipeline, VERSION, FLAG_REFERENCED);
     w.put_u8(Mode::Delta as u8);
     let at = w.buf_mut().len() + 4;
-    w.put_u32(0);
-    if !spatial.is_empty() {
-        let (eb, nested) = (abs_eb, w.buf_mut());
-        compress_field_units_with_bound_into(&spatial, cfg, unit_edge, eb, scratch, nested);
-    }
+    put_len_prefixed(&mut w, |nested| {
+        if !spatial.is_empty() {
+            let origins = origins.map(|o| UnitOrigins::new(spatial_origins, o.edge));
+            let origins = origins.as_ref();
+            compress_fixed_into(&spatial, origins, cfg, unit_edge, abs_eb, scratch, nested);
+        }
+    });
     let nested = at..w.buf_mut().len();
-    w.buf_mut()[at - 4..at].copy_from_slice(&(nested.len() as u32).to_le_bytes());
     *out = w.into_bytes();
     lossless::compress_into(&payload.into_bytes(), out);
     Ok(DeltaEncoded(delta, nested))
 }
 
+/// Tagging efficiency the placed mode clusters a chunk's unit grid at
+/// (blocking factor 1 unit, no size cap). *Probe*, `warpx_interp` seed 1
+/// at the writer's bounds: at 3/4 level 0 is one cluster (32×32×512
+/// cells, 3.7 % holes) and level 1 27 clusters (303 units, 187 904 cells
+/// for 155 136 valid); at 1/2 level 1 is two clusters and 128 576 B but
+/// 68 % more cells; at 0.9 it is 76 clusters and 227 506 B. Per-box
+/// domains store 288 463 B.
+const PLACED_GRID_EFF: f64 = 0.75;
+
+/// Units a placed cluster must hold on average — a 2³ block of units — for
+/// the chunk to take the placed mode; sparser chunks keep the cluster
+/// pack.
+const PLACED_MIN_UNITS_PER_CLUSTER: usize = 8;
+
+/// Where a chunk's units lie — one index-space origin per unit, in the
+/// units' order, for cubes of edge `edge` — and, worked out on first use
+/// and then shared by every field of the chunk, whether and how they
+/// cluster for the placed mode.
+#[derive(Debug)]
+pub struct UnitOrigins {
+    origins: Vec<IntVect>,
+    edge: usize,
+    placement: OnceLock<Option<Placement>>,
+}
+
+impl UnitOrigins {
+    /// The origins of a chunk's unit cubes of edge `edge`.
+    pub fn new(origins: Vec<IntVect>, edge: usize) -> Self {
+        UnitOrigins {
+            origins,
+            edge,
+            placement: OnceLock::new(),
+        }
+    }
+
+    /// Units described.
+    pub fn len(&self) -> usize {
+        self.origins.len()
+    }
+
+    /// No units described.
+    pub fn is_empty(&self) -> bool {
+        self.origins.is_empty()
+    }
+
+    /// The placed layout, when the units cluster densely enough to take it.
+    fn placement(&self) -> Option<&Placement> {
+        self.placement
+            .get_or_init(|| {
+                let placement = Placement::cluster(&self.origins, self.edge, PLACED_GRID_EFF);
+                placement
+                    .filter(|p| p.slots.len() >= PLACED_MIN_UNITS_PER_CLUSTER * p.clusters.len())
+            })
+            .as_ref()
+    }
+}
+
 /// Pick the stream mode the configuration implies, with safe fallbacks
-/// for ragged unit shapes (domain edges that are not unit-aligned).
-fn select_mode<U: AsView3>(cfg: &AmricConfig, units: &[U]) -> Mode {
-    match cfg.algorithm {
+/// for ragged unit shapes (domain edges that are not unit-aligned). A
+/// chunk that would be cluster-packed is compressed where its units lie
+/// instead when their `origins` are known and cluster densely enough.
+fn select_mode<'a, U: AsView3>(
+    cfg: &AmricConfig,
+    units: &[U],
+    origins: Option<&'a UnitOrigins>,
+) -> (Mode, Option<&'a Placement>) {
+    let mode = match cfg.algorithm {
         SzAlgorithm::LorenzoRegression => match cfg.merge {
             MergePolicy::SharedEncoding => Mode::LrSle,
             MergePolicy::LinearMerge if uniform_xy(units) => Mode::LrLinearMerge,
@@ -459,6 +623,13 @@ fn select_mode<U: AsView3>(cfg: &AmricConfig, units: &[U]) -> Mode {
                 Mode::LrSle
             }
         }
+    };
+    let placement = origins
+        .filter(|o| mode == Mode::InterpCluster && o.edge == units[0].view().dims().nx)
+        .and_then(UnitOrigins::placement);
+    match placement {
+        Some(p) => (Mode::InterpPlaced, Some(p)),
+        None => (mode, None),
     }
 }
 
@@ -551,6 +722,30 @@ pub fn decompress_field_units_into(
             }
             cluster_place(&packed, grid, Dims3::cube(edge), n, dest)
         }
+        Mode::InterpPlaced => {
+            let (edge, clusters) = read_placed_header(&mut r, n)?;
+            let map_len = r.get_u32()? as usize;
+            let map = lossless::decompress(r.get_raw(map_len)?)?;
+            let placement = Placement::decode_slots(clusters, n, &map)?;
+            let packed = interp::decompress_domains(r.get_raw(r.remaining())?)?;
+            if packed.len() != placement.clusters.len() {
+                let held = packed.len();
+                return Err(CodecError::dims(format!(
+                    "{held} clusters decoded, {k} stored",
+                    k = placement.clusters.len()
+                )));
+            }
+            for (c, (g, cluster)) in placement.clusters.iter().zip(&packed).enumerate() {
+                let d = cluster.dims();
+                let matches = [(g.gx, d.nx), (g.gy, d.ny), (g.gz, d.nz)]
+                    .iter()
+                    .all(|&(g, n)| g as u128 * edge as u128 == n as u128);
+                if !matches {
+                    return Err(CodecError::dims(format!("cluster {c} decodes to {d:?}")));
+                }
+            }
+            placement.place(&packed, edge, dest)
+        }
         Mode::Adaptive => {
             let (_bounds, rough, mut r) = read_adaptive_header(&mut r, n)?;
             let n_tight = rough.iter().filter(|&&g| g).count();
@@ -587,6 +782,50 @@ pub fn decompress_field_units_into(
         }
         Mode::Empty | Mode::Delta => unreachable!("handled above"),
     }
+}
+
+/// The [`Mode::InterpPlaced`] header after the unit count: the unit edge
+/// and each cluster's shape in units. The clusters hold at most twice as
+/// many slots as there are units — the rule's efficiency of 3/4 keeps
+/// them under 4/3 — so forged dims are refused here, before anything is
+/// sized by them.
+fn read_placed_header(r: &mut Reader<'_>, n: usize) -> CodecResult<(usize, Vec<ClusterGrid>)> {
+    let edge = r.get_u32()? as usize;
+    let k = r.get_u32()? as usize;
+    if edge == 0 || k == 0 || k > n {
+        return Err(CodecError::dims(format!(
+            "{k} clusters of {edge}³ units for {n} units"
+        )));
+    }
+    r.check_count(k, 12)?;
+    let mut clusters = Vec::with_capacity(k);
+    let mut slots = 0u128;
+    for _ in 0..k {
+        let g = ClusterGrid {
+            gx: r.get_u32()? as usize,
+            gy: r.get_u32()? as usize,
+            gz: r.get_u32()? as usize,
+        };
+        if g.gx == 0 || g.gy == 0 || g.gz == 0 {
+            return Err(CodecError::dims("empty cluster"));
+        }
+        slots += g.gx as u128 * g.gy as u128 * g.gz as u128;
+        clusters.push(g);
+    }
+    if slots < n as u128 {
+        return Err(CodecError::dims(format!(
+            "{slots} cluster slots for {n} units"
+        )));
+    }
+    let cell = (edge as u128).pow(3);
+    if slots > 2 * n as u128 {
+        return Err(CodecError::LimitExceeded {
+            what: "cluster cells",
+            claimed: slots * cell,
+            available: 2 * n as u128 * cell,
+        });
+    }
+    Ok((edge, clusters))
 }
 
 /// The [`Mode::Delta`] payload after its mode byte. Every count is bounded
@@ -704,6 +943,54 @@ pub fn stream_unit_bounds(bytes: &[u8]) -> CodecResult<Option<Vec<f64>>> {
             .map(|&g| if g { tight } else { loose })
             .collect(),
     ))
+}
+
+/// What a pipeline stream's header says about its layout — for
+/// inspection (`amric_inspect --chunks`), without decoding a payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StreamLayout {
+    /// The stream mode's name: `lr-sle`, `lr-lm`, `interp-linear`,
+    /// `interp-cluster`, `adaptive`, `delta`, `interp-placed` or `empty`.
+    pub mode: &'static str,
+    /// Placed streams only: the clusters, their cells, and how many of
+    /// those cells are holes.
+    pub placed: Option<PlacedShape>,
+}
+
+/// The cluster shape of an `interp-placed` stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlacedShape {
+    /// Clusters, each one SZ_Interp domain.
+    pub clusters: usize,
+    /// Cells over every cluster, units and holes.
+    pub cells: u64,
+    /// Hole cells: cluster cells no unit fills.
+    pub holes: u64,
+}
+
+/// Read a pipeline stream's [`StreamLayout`] from its header.
+pub fn stream_layout(bytes: &[u8]) -> CodecResult<StreamLayout> {
+    let env = expect_envelope(bytes, CodecId::AmricPipeline, VERSION)?;
+    let mut r = Reader::new(&bytes[env.payload_offset..]);
+    let mode = Mode::from_u8(r.get_u8()?)?;
+    let placed = if mode == Mode::InterpPlaced {
+        let n = r.get_u32()? as usize;
+        let (edge, clusters) = read_placed_header(&mut r, n)?;
+        let cells = |slots: usize| u64::try_from(slots as u128 * (edge as u128).pow(3));
+        let slots: usize = clusters.iter().map(ClusterGrid::slots).sum();
+        let too_big = |_| CodecError::dims("cluster cells overflow");
+        Some(PlacedShape {
+            clusters: clusters.len(),
+            cells: cells(slots).map_err(too_big)?,
+            holes: cells(slots - n).map_err(too_big)?,
+        })
+    } else {
+        None
+    };
+    Ok(StreamLayout {
+        mode: mode.name(),
+        placed,
+    })
 }
 
 #[cfg(test)]

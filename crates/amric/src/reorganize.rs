@@ -1,8 +1,13 @@
 //! Reorganization of truncated unit blocks (paper §3.1, Fig. 4 right):
-//! linear stacking for SZ_L/R, cube-like clustering for SZ_Interp.
+//! linear stacking for SZ_L/R, cube-like clustering for SZ_Interp, and —
+//! where the writer knows where its units lie — dense clusters of units
+//! kept where they lie (the pipeline's placed mode).
 
+use amr_mesh::cluster::{berger_rigoutsos, ClusterParams};
+use amr_mesh::geom::{IntBox, IntVect};
+use amr_mesh::tagging::TagField;
 use sz_codec::buffer3::{place_rows, place_unit};
-use sz_codec::{AsView3, Buffer3, CodecResult, Dims3, UnitDest, View3};
+use sz_codec::{AsView3, Buffer3, CodecError, CodecResult, Dims3, UnitDest, View3};
 
 /// Stack same-footprint unit blocks along z ("put the unit blocks along
 /// the z-axis", the minimum-operation arrangement for SZ_L/R).
@@ -138,6 +143,209 @@ pub fn cluster_place(
         place_rows(dest, slot, unit, &packed.data()[origin..], strides)?;
     }
     Ok(())
+}
+
+/// A chunk's units clustered where they lie: the Berger–Rigoutsos boxes of
+/// the chunk's unit grid (one cell per unit, tagged where a unit is), each
+/// compressed as one domain in index-space order with its hole cells
+/// filled, and every unit's slot in its box. Nothing but the units'
+/// origins decides it, so the encoder's clustering is deterministic.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Placement {
+    /// Each cluster's shape in units, in cluster order.
+    pub(crate) clusters: Vec<ClusterGrid>,
+    /// Per unit, in the chunk's order: its cluster, and its slot in that
+    /// cluster (x fastest, as [`cluster_pack`] numbers slots).
+    pub(crate) slots: Vec<(u32, u32)>,
+}
+
+impl Placement {
+    /// Cluster the unit cubes of edge `edge` whose index-space origins
+    /// are `origins` at tagging efficiency `grid_eff` (blocking factor 1
+    /// unit, no size cap). `None` when there is no unit, an origin is off
+    /// the `edge` grid or two units share one.
+    pub(crate) fn cluster(origins: &[IntVect], edge: usize, grid_eff: f64) -> Option<Placement> {
+        let e = i64::try_from(edge).ok().filter(|&e| e > 0)?;
+        let aligned = |o: &IntVect| (0..3).all(|d| o.get(d).rem_euclid(e) == 0);
+        if !origins.iter().all(aligned) {
+            return None;
+        }
+        let cells: Vec<IntVect> = origins.iter().map(|o| o.coarsened(e)).collect();
+        let first = *cells.first()?;
+        let (lo, hi) = cells[1..]
+            .iter()
+            .fold((first, first), |(lo, hi), c| (lo.min(c), hi.max(c)));
+        let grid = IntBox::new(lo, hi);
+        let mut tags = TagField::new(grid);
+        for c in &cells {
+            if tags.get(c) {
+                return None;
+            }
+            tags.set(c, true);
+        }
+        let params = ClusterParams {
+            grid_eff,
+            blocking_factor: 1,
+            max_grid_size: i64::MAX,
+        };
+        let boxes = berger_rigoutsos(&tags, &params);
+        let mut owner = vec![u32::MAX; grid.num_cells() as usize];
+        for (b, bx) in boxes.iter().enumerate() {
+            for p in bx.iter_points() {
+                owner[grid.linear_index(&p)] = b as u32;
+            }
+        }
+        let slots = cells
+            .iter()
+            .map(|c| {
+                let b = owner[grid.linear_index(c)];
+                (b, boxes[b as usize].linear_index(c) as u32)
+            })
+            .collect();
+        let clusters = boxes
+            .iter()
+            .map(|b| {
+                let n = |d: usize| b.size().get(d) as usize;
+                ClusterGrid {
+                    gx: n(0),
+                    gy: n(1),
+                    gz: n(2),
+                }
+            })
+            .collect();
+        Some(Placement { clusters, slots })
+    }
+
+    /// Pack `units` (cubes of edge `edge`) into their clusters, each one
+    /// buffer in index-space order; hole cells read zero.
+    pub(crate) fn pack<U: AsView3>(&self, units: &[U], edge: usize) -> Vec<Buffer3> {
+        let shape = |g: &ClusterGrid| Dims3::new(g.gx * edge, g.gy * edge, g.gz * edge);
+        let mut packed: Vec<Buffer3> = self
+            .clusters
+            .iter()
+            .map(|g| Buffer3::zeros(shape(g)))
+            .collect();
+        for (u, &(c, s)) in units.iter().zip(&self.slots) {
+            let (sx, sy, sz) = slot_coords(self.clusters[c as usize], s as usize);
+            packed[c as usize].paste(u.view(), sx * edge, sy * edge, sz * edge);
+        }
+        packed
+    }
+
+    /// The slot map as the stream stores it: per unit, the change of
+    /// cluster from the unit before and the slot's distance past the last
+    /// slot taken in its cluster, both zig-zag LEB128 varints. Units that
+    /// follow each other along a row cost two zero bytes, which the
+    /// lossless stage then folds.
+    pub(crate) fn encode_slots(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(2 * self.slots.len());
+        let mut next = vec![0i64; self.clusters.len()];
+        let mut prev_cluster = 0i64;
+        for &(c, s) in &self.slots {
+            put_zigzag(&mut out, c as i64 - prev_cluster);
+            put_zigzag(&mut out, s as i64 - next[c as usize]);
+            prev_cluster = c as i64;
+            next[c as usize] = s as i64 + 1;
+        }
+        out
+    }
+
+    /// Inverse of [`Placement::encode_slots`] for `n` units over
+    /// `clusters`. Every unit must land on a slot inside its cluster, no
+    /// two on one, and the map must hold exactly `n` units. The caller has
+    /// bounded the clusters' slots.
+    pub(crate) fn decode_slots(
+        clusters: Vec<ClusterGrid>,
+        n: usize,
+        bytes: &[u8],
+    ) -> CodecResult<Placement> {
+        // Two varint bytes at least per unit: reject counts the map can't hold.
+        if n as u128 * 2 > bytes.len() as u128 {
+            return Err(CodecError::dims(format!(
+                "slot map of {} bytes cannot hold {n} units",
+                bytes.len()
+            )));
+        }
+        let mut starts = Vec::with_capacity(clusters.len());
+        let mut total = 0usize;
+        for g in &clusters {
+            starts.push(total);
+            total += g.slots();
+        }
+        let mut taken = vec![false; total];
+        let mut next = vec![0i64; clusters.len()];
+        let (mut rest, mut cluster) = (bytes, 0i64);
+        let mut slots = Vec::with_capacity(n);
+        for i in 0..n {
+            cluster = cluster
+                .checked_add(get_zigzag(&mut rest)?)
+                .filter(|c| (0..clusters.len() as i64).contains(c))
+                .ok_or_else(|| CodecError::corrupt(format!("unit {i} names no cluster")))?;
+            let c = cluster as usize;
+            let slot = next[c]
+                .checked_add(get_zigzag(&mut rest)?)
+                .filter(|s| (0..clusters[c].slots() as i64).contains(s))
+                .ok_or_else(|| CodecError::corrupt(format!("unit {i} lies outside cluster {c}")))?;
+            let at = &mut taken[starts[c] + slot as usize];
+            if std::mem::replace(at, true) {
+                return Err(CodecError::corrupt(format!(
+                    "unit {i} takes slot {slot} of cluster {c} twice"
+                )));
+            }
+            next[c] = slot + 1;
+            slots.push((c as u32, slot as u32));
+        }
+        if !rest.is_empty() {
+            return Err(CodecError::corrupt(format!(
+                "slot map holds more than {n} units"
+            )));
+        }
+        Ok(Placement { clusters, slots })
+    }
+
+    /// Copy every unit out of its decoded cluster (`packed[c]`, the
+    /// clusters in order) to where `dest` says it goes, in the chunk's
+    /// order.
+    pub(crate) fn place(
+        &self,
+        packed: &[Buffer3],
+        edge: usize,
+        dest: &mut dyn UnitDest,
+    ) -> CodecResult<()> {
+        for (i, &(c, s)) in self.slots.iter().enumerate() {
+            let (grid, buf) = (self.clusters[c as usize], &packed[c as usize]);
+            let (sx, sy, sz) = slot_coords(grid, s as usize);
+            let pd = buf.dims();
+            let origin = pd.idx(sx * edge, sy * edge, sz * edge);
+            let strides = (pd.nx, pd.nx * pd.ny);
+            place_rows(dest, i, Dims3::cube(edge), &buf.data()[origin..], strides)?;
+        }
+        Ok(())
+    }
+}
+
+fn put_zigzag(out: &mut Vec<u8>, v: i64) {
+    let mut z = ((v << 1) ^ (v >> 63)) as u64;
+    while z >= 0x80 {
+        out.push(z as u8 | 0x80);
+        z >>= 7;
+    }
+    out.push(z as u8);
+}
+
+fn get_zigzag(rest: &mut &[u8]) -> CodecResult<i64> {
+    let mut z = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&b, tail) = rest
+            .split_first()
+            .ok_or_else(|| CodecError::corrupt("slot map truncated"))?;
+        *rest = tail;
+        z |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            return Ok((z >> 1) as i64 ^ -((z & 1) as i64));
+        }
+    }
+    Err(CodecError::corrupt("slot map varint overflow"))
 }
 
 #[inline]

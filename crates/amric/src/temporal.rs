@@ -274,6 +274,7 @@ mod tests {
         let mut scratch = AmricScratch::default();
         compress_delta_into(
             units,
+            None,
             &cfg,
             edge,
             eb,
@@ -355,6 +356,7 @@ mod tests {
                     let mut scratch = AmricScratch::default();
                     let encoded = compress_delta_into(
                         &units,
+                        None,
                         &cfg,
                         12,
                         eb,
@@ -398,6 +400,7 @@ mod tests {
         let mut scratch = AmricScratch::default();
         let encoded = compress_delta_into(
             &next,
+            None,
             &cfg,
             8,
             1e-3,

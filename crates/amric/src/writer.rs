@@ -12,7 +12,7 @@
 use crate::config::AmricConfig;
 use crate::pipeline::{
     compress_delta_into, compress_on_thread_scratch, decompress_field_units, Reference,
-    ResolvedBound,
+    ResolvedBound, UnitOrigins,
 };
 use crate::preprocess::{
     plan_bounding_box, plan_units, stage_units, unit_edge_for_level, PlanExtent, UnitRef,
@@ -113,7 +113,7 @@ impl ChunkFilter for AmricFieldFilter {
 
     fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
         let units = unit_views(chunk, self.unit_edge)?;
-        compress_on_thread_scratch(&units, &self.cfg, self.unit_edge, self.bound, out);
+        compress_on_thread_scratch(&units, None, &self.cfg, self.unit_edge, self.bound, out);
         Ok(())
     }
 
@@ -123,13 +123,17 @@ impl ChunkFilter for AmricFieldFilter {
 }
 
 /// One field dataset's filter in a snapshot write: an [`AmricFieldFilter`]
-/// (its id, client data and stream) that a temporal session extends. With
-/// a `delta` plan (previous snapshot id, its decoded units of this chunk,
-/// the unit map into them) it also encodes the delta stream and ships the
-/// smaller, ties to plain: a chunk is never larger than the plain writer's.
-/// With `keep` it records what shipped: decoded state, and if it was delta.
+/// (its id, client data and bound) that knows where its units lie — the
+/// `(rank, level)` plan's unit origins, so dense SZ_Interp chunks are
+/// compressed in place — and that a temporal session extends. With a
+/// `delta` plan (previous snapshot id, its decoded units of this chunk, the
+/// unit map into them) it also encodes the delta stream and ships the
+/// smaller, ties to spatial: a chunk is never larger than the spatial
+/// stream. With `keep` it records what shipped: decoded state, and if it
+/// was delta.
 struct SnapshotFilter {
     plain: AmricFieldFilter,
+    origins: Arc<UnitOrigins>,
     delta: Option<(Reference, Arc<[Option<u32>]>)>,
     keep: bool,
     shipped: OnceLock<(Vec<Buffer3>, bool)>,
@@ -146,7 +150,17 @@ impl ChunkFilter for SnapshotFilter {
 
     fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
         let start = out.len();
-        self.plain.encode_into(chunk, out)?;
+        let (cfg, edge) = (&self.plain.cfg, self.plain.unit_edge);
+        let units = unit_views(chunk, edge)?;
+        if units.len() != self.origins.len() {
+            return Err(H5Error::Codec(CodecError::dims(format!(
+                "chunk holds {} units, its plan {}",
+                units.len(),
+                self.origins.len()
+            ))));
+        }
+        let origins = Some(&*self.origins);
+        compress_on_thread_scratch(&units, origins, cfg, edge, self.plain.bound, out);
         if !self.keep {
             return Ok(());
         }
@@ -154,11 +168,12 @@ impl ChunkFilter for SnapshotFilter {
         if let (Some(((id, reference), map)), ResolvedBound::Fixed(eb)) =
             (&self.delta, self.plain.bound)
         {
-            let (cfg, edge) = (&self.plain.cfg, self.plain.unit_edge);
-            let (units, mut stream) = (unit_views(chunk, edge)?, Vec::new());
-            let reference = (*id, reference.as_slice());
+            let (reference, mut stream) = ((*id, reference.as_slice()), Vec::new());
             let encoded = lr::with_thread_scratch(|scratch| {
-                compress_delta_into(&units, cfg, edge, eb, reference, map, scratch, &mut stream)
+                let stream = &mut stream;
+                compress_delta_into(
+                    &units, origins, cfg, edge, eb, reference, map, scratch, stream,
+                )
             })?;
             if stream.len() < out.len() - start {
                 shipped = Some((encoded.into_state(&stream)?, true));
@@ -504,6 +519,8 @@ pub(crate) fn write_snapshot(
                 .and_then(|p| Some((p.id, p.ranks.get(rank)?.get(l)?)))
                 .filter(|(_, p)| p.fields.len() == nfields);
             let map = prev_level.and_then(|(_, p)| region_map(&units, &p.plan));
+            let origins = units.iter().map(|u| u.region.lo).collect();
+            let origins = Arc::new(UnitOrigins::new(origins, unit as usize));
             let mut staged_fields = Vec::with_capacity(nfields);
             for (f, (staged, (range, chunk_elems))) in staged.into_iter().zip(agreed).enumerate() {
                 // Resolve the relative bound against the field's global
@@ -518,6 +535,7 @@ pub(crate) fn write_snapshot(
                         unit_edge: unit as usize,
                         bound: ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, range),
                     },
+                    origins: Arc::clone(&origins),
                     delta: prev_level
                         .zip(map.as_ref())
                         .map(|((id, p), map)| ((id, Arc::clone(&p.fields[f])), Arc::clone(map))),

@@ -87,6 +87,7 @@ fn families() -> [Family; 5] {
                 let abs = resolve_abs_eb(u, 1e-3);
                 compress_delta_into(
                     u,
+                    None,
                     &cfg,
                     edge,
                     abs,

@@ -13,7 +13,10 @@
 
 use amr_mesh::prelude::*;
 use amric::config::AmricConfig;
-use amric::pipeline::{compress_field_units, decompress_field_units};
+use amric::pipeline::{
+    compress_field_units, compress_placed_into, decompress_field_units, stream_layout,
+    AmricScratch, ResolvedBound, UnitOrigins,
+};
 use amric::reader::{
     read_amric_hierarchy, read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta,
 };
@@ -123,6 +126,142 @@ fn amric_stream_interp_linear_total() {
     let cfg = AmricConfig::interp(1e-3).with_cluster_arrangement(false);
     let bytes = compress_field_units(&u, &cfg, 8);
     assault("amric/interp-linear", &bytes, decompress_field_units);
+}
+
+/// A placed-mode stream (pipeline mode 6): 16 units of 4³ in a 2×2×4
+/// block, handed over column by column — one cluster of 16 slots.
+fn placed_stream() -> Vec<u8> {
+    let u = units(16, 4);
+    let origins = (0..16)
+        .map(|i| IntVect::new(i / 8 * 4, i / 4 % 2 * 4, i % 4 * 4))
+        .collect();
+    let origins = UnitOrigins::new(origins, 4);
+    let (cfg, scratch) = (AmricConfig::interp(1e-3), &mut AmricScratch::default());
+    let mut out = Vec::new();
+    let bound = ResolvedBound::Fixed(1e-3);
+    compress_placed_into(&u, Some(&origins), &cfg, 4, bound, scratch, &mut out);
+    assert_eq!(stream_layout(&out).unwrap().mode, "interp-placed");
+    out
+}
+
+/// Where the fields of a placed stream sit: after the 8-byte envelope, the
+/// mode byte, then `n`, the unit edge and the cluster count (u32s), the
+/// clusters' dims (3 × u32 each) and the length-prefixed slot map.
+const PLACED_N: usize = 9;
+const PLACED_K: usize = 17;
+const PLACED_DIMS: usize = 21;
+
+/// `stream` with its one cluster's slot map replaced by `pairs` of
+/// (cluster change, slot skip), zig-zag varints as the encoder writes them.
+fn with_slot_map(stream: &[u8], pairs: &[(i64, i64)]) -> Vec<u8> {
+    let at = PLACED_DIMS + 12;
+    let old_len = u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+    let mut map = Vec::new();
+    for &(dc, ds) in pairs {
+        for v in [dc, ds] {
+            let mut z = ((v << 1) ^ (v >> 63)) as u64;
+            while z >= 0x80 {
+                map.push(z as u8 | 0x80);
+                z >>= 7;
+            }
+            map.push(z as u8);
+        }
+    }
+    let map = sz_codec::lossless::compress(&map);
+    let mut out = stream[..at].to_vec();
+    out.extend_from_slice(&(map.len() as u32).to_le_bytes());
+    out.extend_from_slice(&map);
+    out.extend_from_slice(&stream[at + 4 + old_len..]);
+    out
+}
+
+#[test]
+fn amric_stream_interp_placed_total() {
+    let bytes = placed_stream();
+    assault("amric/interp-placed", &bytes, decompress_field_units);
+    for cut in 0..bytes.len() {
+        assert!(
+            decompress_field_units(&bytes[..cut]).is_err(),
+            "truncation to {cut}/{} bytes must be rejected",
+            bytes.len()
+        );
+    }
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 1 << bit;
+            let _ = decompress_field_units(&flipped);
+            let _ = stream_layout(&flipped);
+        }
+    }
+}
+
+#[test]
+fn forged_placed_headers_and_slot_maps_are_typed_errors() {
+    let bytes = placed_stream();
+    let put = |at: usize, v: u32| {
+        let mut forged = bytes.clone();
+        forged[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        forged
+    };
+    // Cluster dims over the budget (twice the units' slots) are refused
+    // before anything is sized by them.
+    for (what, forged) in [
+        ("a wide cluster", put(PLACED_DIMS, 1000)),
+        ("a 2^96-slot cluster", {
+            let mut f = put(PLACED_DIMS, u32::MAX);
+            f[PLACED_DIMS + 4..PLACED_DIMS + 12].fill(0xFF);
+            f
+        }),
+    ] {
+        let err = decompress_field_units(&forged).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::LimitExceeded {
+                    what: "cluster cells",
+                    ..
+                }
+            ),
+            "{what}: {err:?}"
+        );
+        assert!(stream_layout(&forged).is_err(), "{what}");
+    }
+    // A map in slot order is valid too; each forgery below differs from
+    // it in one entry.
+    let column: Vec<(i64, i64)> = (0..16).map(|_| (0, 0)).collect();
+    let mut inside = column.clone();
+    inside[3] = (0, 12); // unit 3 at slot 15, unit 4 would land at 16
+    let mut twice = column.clone();
+    twice[9] = (0, -1); // unit 9 on unit 8's slot
+    let mut stray = column.clone();
+    stray[5] = (1, 0); // a second cluster that does not exist
+    let forged: [(&str, Vec<u8>); 7] = [
+        ("a slot outside its cluster", with_slot_map(&bytes, &inside)),
+        ("two units on one slot", with_slot_map(&bytes, &twice)),
+        ("a unit in no cluster", with_slot_map(&bytes, &stray)),
+        ("a map of 15 units", with_slot_map(&bytes, &column[..15])),
+        (
+            "a map of 17 units",
+            with_slot_map(&bytes, &[&column[..], &[(0, -16)]].concat()),
+        ),
+        ("a unit count above the map's", put(PLACED_N, 17)),
+        ("a cluster count of 0", put(PLACED_K, 0)),
+    ];
+    let natural: Vec<(i64, i64)> = vec![(0, 0); 16];
+    assert!(decompress_field_units(&with_slot_map(&bytes, &natural)).is_ok());
+    for (what, forged) in forged {
+        let err = decompress_field_units(&forged).expect_err(what);
+        assert!(
+            matches!(
+                err,
+                CodecError::Corrupt { .. } | CodecError::DimsMismatch { .. }
+            ),
+            "{what}: {err:?}"
+        );
+    }
+    // A unit count below the map's leaves map entries over.
+    assert!(decompress_field_units(&put(PLACED_N, 15)).is_err());
 }
 
 #[test]

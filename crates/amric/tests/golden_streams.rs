@@ -1,7 +1,7 @@
 //! Golden-stream corpus: small fixed inputs compressed through every
 //! stream shape a file, a bin or the benchmark writes — SZ_L/R, bare
-//! SZ_Interp, the four AMRIC pipeline modes, its empty marker and its
-//! temporal delta mode, and TAC —
+//! SZ_Interp, the four AMRIC pipeline modes, its empty marker, its
+//! temporal delta mode and its placed SZ_Interp mode, and TAC —
 //! with the expected stream bytes committed under
 //! `tests/golden/`. Kernel rewrites (vectorization, cache blocking,
 //! fused passes) must keep every stream byte-identical to the scalar
@@ -214,6 +214,41 @@ fn golden_pipeline_modes() {
     }
 }
 
+#[test]
+fn golden_pipeline_interp_placed() {
+    // The placed mode: 15 units of 8³ fill a 4×2×2 block of unit slots but
+    // slot 6, handed over out of index-space order — one cluster with a
+    // hole, and a slot map that jumps.
+    let u = units(15, Dims3::cube(8), 0xC002);
+    let abs = resolve_abs_eb(&u, 1e-3);
+    let mut slots: Vec<i64> = (0..16).filter(|&s| s != 6).collect();
+    slots.sort_by_key(|s| (s * 7) % 16);
+    let origins = slots
+        .iter()
+        .map(|s| IntVect::new(s % 4 * 8, s / 4 % 2 * 8, s / 8 * 8))
+        .collect();
+    let origins = UnitOrigins::new(origins, 8);
+    let mut stream = Vec::new();
+    let cfg = AmricConfig::interp(1e-3);
+    let scratch = &mut AmricScratch::default();
+    let bound = ResolvedBound::Fixed(abs);
+    compress_placed_into(&u, Some(&origins), &cfg, 8, bound, scratch, &mut stream);
+    let layout = stream_layout(&stream).expect("layout");
+    assert_eq!(layout.mode, "interp-placed");
+    let shape = layout.placed.expect("placed");
+    assert_eq!(
+        (shape.clusters, shape.cells, shape.holes),
+        (1, 16 * 512, 512)
+    );
+    check(
+        "pipeline_interp_placed",
+        &stream,
+        decompress_field_units,
+        &u,
+        abs,
+    );
+}
+
 /// The snapshot after `units(8, cube 8, 0xC001)`: every value drifted a
 /// little, as a slowly evolving field does between two steps.
 fn drifted(u: &[Buffer3]) -> Vec<Buffer3> {
@@ -261,6 +296,7 @@ fn golden_pipeline_delta() {
     let scratch = &mut AmricScratch::default();
     compress_delta_into(
         &u,
+        None,
         &cfg,
         8,
         abs,

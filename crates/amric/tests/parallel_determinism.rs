@@ -7,10 +7,14 @@
 //! This is the invariant that makes the overlapped write path safe to
 //! ship: turning on `with_workers(n)` may change wall-clock, never bytes.
 
-use amr_mesh::prelude::IntVect;
+use amr_apps::prelude::*;
+use amr_mesh::prelude::{AmrHierarchy, IntVect};
 use amric::prelude::*;
 use amric::tac::{tac_compress, tac_decompress};
+use amric::writer::field_dataset;
+use h5lite::prelude::*;
 use rankpar::pool::for_each_ordered;
+use std::sync::Arc;
 use sz_codec::prelude::*;
 
 /// A family's encoder over one chunk's units.
@@ -99,6 +103,7 @@ fn temporal(units: &[Buffer3]) -> CodecResult<Vec<u8>> {
     let mut scratch = AmricScratch::default();
     compress_delta_into(
         units,
+        None,
         &cfg,
         EDGE,
         1e-3,
@@ -240,4 +245,68 @@ fn error_surfaces_and_pool_drains() {
     chunks[5].pop(); // 2 units vs 3 origins → typed error
     let err = compress_chunks_on_pool(&encode, &chunks, 4).unwrap_err();
     assert!(matches!(err, CodecError::DimsMismatch { .. }), "{err:?}");
+}
+
+/// A small WarpX hierarchy whose dense level 0 compresses in place.
+fn warpx(nranks: usize) -> AmrHierarchy {
+    let cfg = AmrRunConfig {
+        coarse_dims: (16, 16, 256),
+        max_grid_size: 16,
+        blocking_factor: 8,
+        nranks,
+        num_levels: 2,
+        fine_fraction: 0.02,
+        grid_eff: 0.7,
+    };
+    build_hierarchy(&WarpXScenario::new(1), &cfg, 0.0)
+}
+
+#[test]
+fn placed_containers_are_byte_identical_at_every_worker_count() {
+    // The placed mode clusters each chunk once and shares the clustering
+    // among the fields the pool compresses side by side: no worker count
+    // may show in a byte. At one rank the whole container is compared; at
+    // four, where the ranks' chunk offsets follow their commit order,
+    // every chunk's stored bytes.
+    for nranks in [1, 4] {
+        let h = warpx(nranks);
+        let write = |workers: usize| {
+            let (w, mem) = H5Writer::in_memory();
+            let cfg = AmricConfig::interp(1e-3).with_workers(workers);
+            write_amric_to(Arc::new(w), &h, &cfg, 8).unwrap();
+            mem.to_bytes()
+        };
+        let chunks = |bytes: Vec<u8>| {
+            let r = H5Reader::from_storage(Box::new(MemStorage::from_bytes(bytes))).unwrap();
+            let mut all = Vec::new();
+            for name in r.dataset_names() {
+                for c in 0..r.meta(name).unwrap().chunks.len() {
+                    all.push((name.to_string(), r.read_chunk_raw(name, c).unwrap()));
+                }
+            }
+            all
+        };
+        let serial = write(1);
+        let stored = chunks(serial.clone());
+        let level0 = field_dataset(0, 0);
+        let placed = stored.iter().filter(|(name, _)| *name == level0);
+        let modes: Vec<_> = placed
+            .map(|(_, raw)| stream_layout(raw).unwrap().mode)
+            .collect();
+        assert!(
+            modes.contains(&"interp-placed"),
+            "nranks={nranks}: {modes:?}"
+        );
+        for workers in [2, 4] {
+            let parallel = write(workers);
+            if nranks == 1 {
+                assert!(parallel == serial, "workers={workers}: containers differ");
+            } else {
+                assert!(
+                    chunks(parallel) == stored,
+                    "nranks={nranks} workers={workers}"
+                );
+            }
+        }
+    }
 }

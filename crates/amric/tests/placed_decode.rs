@@ -10,10 +10,12 @@
 #[path = "../../sz-codec/tests/common/embedded.rs"]
 mod embedded;
 
+use amr_mesh::prelude::IntVect;
 use amric::config::{AmricConfig, MergePolicy};
 use amric::pipeline::{
-    compress_field_units, compress_field_units_resolved_into, decompress_field_units,
-    decompress_field_units_into, no_reference, AmricScratch, ResolvedBound,
+    compress_field_units, compress_field_units_resolved_into, compress_placed_into,
+    decompress_field_units, decompress_field_units_into, no_reference, AmricScratch, ResolvedBound,
+    UnitOrigins,
 };
 use embedded::{assert_placed_matches_owned, lcg, rewrap_stored as rewrap, same_units, Embedded};
 use sz_codec::codec::{read_envelope, CodecId};
@@ -67,6 +69,21 @@ fn adaptive(units: &[Buffer3]) -> Vec<u8> {
     out
 }
 
+/// The placed-mode stream of 64 cubes of edge 6 filling a 4³ block of
+/// unit slots, handed over in a scrambled order.
+fn placed(units: &[Buffer3]) -> Vec<u8> {
+    let origins = (0..64i64)
+        .map(|i| (i * 29) % 64)
+        .map(|s| IntVect::new(s % 4 * 6, s / 4 % 4 * 6, s / 16 * 6))
+        .collect();
+    let origins = UnitOrigins::new(origins, 6);
+    let (cfg, bound) = (AmricConfig::interp(1e-3), ResolvedBound::Fixed(1e-3));
+    let mut out = Vec::new();
+    let scratch = &mut AmricScratch::default();
+    compress_placed_into(units, Some(&origins), &cfg, 6, bound, scratch, &mut out);
+    out
+}
+
 #[test]
 fn every_pipeline_mode_places_what_it_returns() {
     let ragged = |u: usize| match u % 4 {
@@ -82,7 +99,7 @@ fn every_pipeline_mode_places_what_it_returns() {
     let interp_linear = interp.with_cluster_arrangement(false);
     for n in [1usize, 5, 64] {
         let seed = n as u64;
-        let cases: Vec<(&str, u8, Vec<u8>)> = vec![
+        let mut cases: Vec<(&str, u8, Vec<u8>)> = vec![
             (
                 "LR-SLE, ragged",
                 0,
@@ -115,6 +132,10 @@ fn every_pipeline_mode_places_what_it_returns() {
             ),
             ("adaptive, ragged", 4, adaptive(&units(n, ragged, seed))),
         ];
+        if n == 64 {
+            let cubes = units(n, |_| Dims3::cube(6), seed);
+            cases.push(("interp placed, 6³", 6, placed(&cubes)));
+        }
         for (name, mode, stream) in cases {
             let what = format!("{name}, {n} units");
             assert_eq!(mode_of(&stream), mode, "{what}: stream mode");
@@ -196,6 +217,7 @@ fn golden_corpus_places_to_its_committed_digests() {
             "pipeline_empty",
             "pipeline_interp_cluster",
             "pipeline_interp_linear",
+            "pipeline_interp_placed",
             "pipeline_lr_lm",
             "pipeline_lr_sle",
         ]
@@ -213,6 +235,18 @@ fn unwrap_pipeline(stream: &[u8], header: usize) -> (Vec<u8>, Vec<u8>) {
     (stream[..payload_at].to_vec(), payload)
 }
 
+/// Mode 6 for the hostile-stream test: the stream, and the bytes of its
+/// header between the unit count and the SZ_Interp stream (edge, cluster
+/// count, cluster dims, the length-prefixed slot map).
+fn placed_case() -> (&'static str, usize, Vec<u8>) {
+    let stream = placed(&units(64, |_| Dims3::cube(6), 79));
+    let at = read_envelope(&stream).expect("envelope").payload_offset + 1 + 4;
+    let word = |at: usize| u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+    let k = word(at + 4);
+    let map_len = word(at + 8 + 12 * k);
+    ("mode 6", 8 + 12 * k + 4 + map_len, stream)
+}
+
 #[test]
 fn hostile_pipeline_streams_get_one_outcome_through_both_destinations() {
     let lr_units = units(5, |_| Dims3::new(13, 7, 9), 77);
@@ -228,6 +262,7 @@ fn hostile_pipeline_streams_get_one_outcome_through_both_destinations() {
             16,
             compress_field_units(&cubes, &AmricConfig::interp(1e-3), 6),
         ),
+        placed_case(),
     ];
     for (name, header, stream) in cases {
         assert!(assert_placed_matches_owned(decode_pipeline(&stream), false, name).is_ok());

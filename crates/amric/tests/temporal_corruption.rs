@@ -51,6 +51,7 @@ fn mixed_stream() -> (Vec<u8>, Reference) {
     let mut scratch = AmricScratch::default();
     compress_delta_into(
         &next,
+        None,
         &cfg,
         8,
         1e-3,
@@ -208,10 +209,10 @@ fn a_missing_reference_is_a_typed_error() {
 fn forged_mode_byte_is_typed_bad_mode() {
     let (stream, reference) = mixed_stream();
     let mut forged = stream.clone();
-    forged[8] = 6;
+    forged[8] = 7;
     assert!(matches!(
         decode(&forged, Some(&reference)),
-        Err(CodecError::BadMode { found: 6 })
+        Err(CodecError::BadMode { found: 7 })
     ));
     // A nested stream may not be a delta stream itself: it would need a
     // reference of its own, and gets none.

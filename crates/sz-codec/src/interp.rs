@@ -13,17 +13,23 @@
 //! (§3.1, Fig. 5) and why block-structured AMR data ultimately suits the
 //! block-based SZ_L/R better (§4.3 insight).
 
-use crate::buffer3::{Buffer3, Dims3};
+use crate::buffer3::{AsView3, Buffer3, Dims3, View3};
 use crate::codec::{expect_envelope, write_envelope, CodecId};
 use crate::huffman;
 use crate::kernels::{self, SymbolReader};
 use crate::lossless;
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL};
+use crate::scratch;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 use std::convert::Infallible;
 
 /// SZ_Interp payload format version (rides in the envelope header).
 const VERSION: u8 = 2;
+
+/// The payload of several domains under one shared encoding
+/// ([`compress_domains_into`]): a domain count and each domain's dims
+/// where [`VERSION`] holds the one domain's dims.
+const DOMAINS_VERSION: u8 = 3;
 
 /// Configuration for SZ_Interp.
 #[derive(Clone, Copy, Debug)]
@@ -47,45 +53,122 @@ pub fn compress(data: &Buffer3, cfg: &InterpConfig) -> Vec<u8> {
 }
 
 /// Compress one 3-D buffer, **appending** the stream to `out` (the
-/// buffer-reusing variant of [`compress`]).
+/// buffer-reusing variant of [`compress`]). The symbol stream, the
+/// reconstruction and the payload are the calling thread's scratch.
 pub fn compress_into(data: &Buffer3, cfg: &InterpConfig, out: &mut Vec<u8>) {
-    let dims = data.dims();
+    let domain = [data.view()];
+    scratch::with_interp_scratch(|s| compress_with(&domain, VERSION, cfg, s, out))
+}
+
+/// Compress several 3-D buffers as independent domains under one shared
+/// encoding, appending the stream to `out`: each domain is interpolated
+/// on its own — no prediction crosses from one into another — and their
+/// symbols share one Huffman code and one lossless stage, as SZ_L/R's
+/// unit domains do (paper §3.2 Solution 1). Each domain's own code book
+/// and lossless header would cost more than many a small domain's data.
+pub fn compress_domains_into<U: AsView3>(domains: &[U], cfg: &InterpConfig, out: &mut Vec<u8>) {
+    let domains: Vec<View3<'_>> = domains.iter().map(AsView3::view).collect();
+    scratch::with_interp_scratch(|s| compress_with(&domains, DOMAINS_VERSION, cfg, s, out))
+}
+
+/// The SZ_Interp encode working set a thread keeps between calls: the
+/// symbol stream, the reconstruction the predictions read, the symbol
+/// histogram and the payload before its lossless stage. Every cell of the
+/// reconstruction is written before a later prediction reads it, so it is
+/// sized per call and never cleared; the histogram is all zero between
+/// calls.
+#[derive(Default)]
+pub(crate) struct InterpScratch {
+    syms: Vec<u32>,
+    recon: Vec<f64>,
+    hist: Vec<u64>,
+    payload: Vec<u8>,
+}
+
+impl InterpScratch {
+    /// The sorted `(symbol, count)` histogram of `syms` —
+    /// [`huffman::count_frequencies`]'s answer — counted into the reused
+    /// dense array, which the sweep that reads it leaves zero again.
+    fn frequencies(&mut self, syms: &[u32]) -> Vec<(u32, u64)> {
+        let Some(&max) = syms.iter().max() else {
+            return Vec::new();
+        };
+        let n = max as usize + 1;
+        if self.hist.len() < n {
+            self.hist.resize(n, 0);
+        }
+        for &sym in syms {
+            self.hist[sym as usize] += 1;
+        }
+        let counts = self.hist[..n].iter_mut().enumerate();
+        let used = counts.filter(|(_, count)| **count > 0);
+        used.map(|(sym, count)| (sym as u32, std::mem::take(count)))
+            .collect()
+    }
+}
+
+fn compress_with(
+    domains: &[View3<'_>],
+    version: u8,
+    cfg: &InterpConfig,
+    s: &mut InterpScratch,
+    out: &mut Vec<u8>,
+) {
+    let mut syms = std::mem::take(&mut s.syms);
+    syms.clear();
     let mut enc = Encoder {
         q: Quantizer::new(cfg.abs_eb),
-        vals: data.data(),
-        syms: Vec::with_capacity(dims.len()),
-        syms_row: vec![0u32; dims.nx],
+        vals: &[],
+        syms,
+        syms_row: Vec::new(),
         outliers: Vec::new(),
     };
-    let Ok(()) = traverse(dims, &mut vec![0.0f64; dims.len()], &mut enc);
-    debug_assert_eq!(enc.syms.len(), dims.len());
+    for domain in domains {
+        let dims = domain.dims();
+        enc.vals = domain.data();
+        enc.syms_row.resize(dims.nx, 0);
+        if s.recon.len() < dims.len() {
+            s.recon.resize(dims.len(), 0.0);
+        }
+        let Ok(()) = traverse(dims, &mut s.recon[..dims.len()], &mut enc);
+    }
+    debug_assert_eq!(enc.syms.len(), domains.iter().map(|d| d.dims().len()).sum());
 
-    let mut w = Writer::new();
+    let mut payload = std::mem::take(&mut s.payload);
+    payload.clear();
+    let mut w = Writer::from_vec(payload);
     w.put_f64(cfg.abs_eb);
-    w.put_u32(dims.nx as u32);
-    w.put_u32(dims.ny as u32);
-    w.put_u32(dims.nz as u32);
-    huffman::encode_block_into(&enc.syms, &mut w);
+    if version == DOMAINS_VERSION {
+        w.put_u32(domains.len() as u32);
+    }
+    for domain in domains {
+        let dims = domain.dims();
+        w.put_u32(dims.nx as u32);
+        w.put_u32(dims.ny as u32);
+        w.put_u32(dims.nz as u32);
+    }
+    let freqs = s.frequencies(&enc.syms);
+    huffman::encode_block_with_histogram_into(&enc.syms, &freqs, &mut w);
     w.put_u64(enc.outliers.len() as u64);
     w.put_f64s(&enc.outliers);
     let mut env = Writer::from_vec(std::mem::take(out));
-    write_envelope(&mut env, CodecId::Interp, VERSION, 0);
+    write_envelope(&mut env, CodecId::Interp, version, 0);
     *out = env.into_bytes();
-    lossless::compress_into(&w.into_bytes(), out);
+    s.payload = w.into_bytes();
+    lossless::compress_into(&s.payload, out);
+    s.syms = enc.syms;
 }
 
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
-    let p = Payload::parse(bytes)?;
-    let mut recon = vec![0.0f64; p.dims.len()];
-    let mut dec = SymbolReader {
-        q: Quantizer::new(p.abs_eb),
-        syms: &p.syms,
-        outliers: &p.outliers,
-        truncated: TRUNCATED,
-    };
-    traverse(p.dims, &mut recon, &mut dec)?;
-    Ok(Buffer3::from_vec(p.dims, recon))
+    let mut domains = Payload::parse(bytes, VERSION)?.decode()?;
+    Ok(domains.pop().expect("one domain"))
+}
+
+/// Decompress a stream produced by [`compress_domains_into`], its domains
+/// in order.
+pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
+    Payload::parse(bytes, DOMAINS_VERSION)?.decode()
 }
 
 /// One direction of the codec, driven by [`traverse`]: the encoder turns
@@ -285,14 +368,14 @@ impl Direction for SymbolReader<'_> {
 /// need the traversal already applied.
 struct Payload {
     abs_eb: f64,
-    dims: Dims3,
+    dims: Vec<Dims3>,
     syms: Vec<u32>,
     outliers: Vec<f64>,
 }
 
 impl Payload {
-    fn parse(bytes: &[u8]) -> CodecResult<Payload> {
-        let env = expect_envelope(bytes, CodecId::Interp, VERSION)?;
+    fn parse(bytes: &[u8], version: u8) -> CodecResult<Payload> {
+        let env = expect_envelope(bytes, CodecId::Interp, version)?;
         // The encoder sets no flag bit: any one is a foreign stream shape.
         if env.flags != 0 {
             return Err(CodecError::BadParameter {
@@ -307,15 +390,27 @@ impl Payload {
                 what: "error bound",
             });
         }
-        let nx = r.get_u32()? as usize;
-        let ny = r.get_u32()? as usize;
-        let nz = r.get_u32()? as usize;
-        if nx == 0 || ny == 0 || nz == 0 {
-            return Err(CodecError::dims(format!("degenerate dims {nx}x{ny}x{nz}")));
+        let k = match version {
+            DOMAINS_VERSION => match r.get_u32()? as usize {
+                0 => return Err(CodecError::dims("no domain")),
+                k => r.check_count(k, 12)?,
+            },
+            _ => 1,
+        };
+        let mut dims = Vec::with_capacity(k);
+        let mut cells = 0u128;
+        for _ in 0..k {
+            let nx = r.get_u32()? as usize;
+            let ny = r.get_u32()? as usize;
+            let nz = r.get_u32()? as usize;
+            if nx == 0 || ny == 0 || nz == 0 {
+                return Err(CodecError::dims(format!("degenerate dims {nx}x{ny}x{nz}")));
+            }
+            cells += nx as u128 * ny as u128 * nz as u128;
+            dims.push(Dims3::new(nx, ny, nz));
         }
         // Each point consumes at least one symbol bit; corrupted dims can't
         // claim more cells than the remaining payload could encode.
-        let cells = nx as u128 * ny as u128 * nz as u128;
         if cells > r.remaining() as u128 * 8 + 64 {
             return Err(CodecError::LimitExceeded {
                 what: "cells",
@@ -323,13 +418,11 @@ impl Payload {
                 available: r.remaining() as u128 * 8 + 64,
             });
         }
-        let dims = Dims3::new(nx, ny, nz);
         let syms = huffman::decode_with_table(r.get_block()?)?;
-        if syms.len() != dims.len() {
+        if syms.len() as u128 != cells {
             return Err(CodecError::dims(format!(
-                "symbol count {} != {} points",
+                "symbol count {} != {cells} points",
                 syms.len(),
-                dims.len()
             )));
         }
         let n_out = r.get_u64()? as usize;
@@ -340,6 +433,23 @@ impl Payload {
             syms,
             outliers,
         })
+    }
+
+    /// Reconstruct every domain, in order, from the shared symbols.
+    fn decode(&self) -> CodecResult<Vec<Buffer3>> {
+        let mut dec = SymbolReader {
+            q: Quantizer::new(self.abs_eb),
+            syms: &self.syms,
+            outliers: &self.outliers,
+            truncated: TRUNCATED,
+        };
+        let mut domains = Vec::with_capacity(self.dims.len());
+        for &dims in &self.dims {
+            let mut recon = vec![0.0f64; dims.len()];
+            traverse(dims, &mut recon, &mut dec)?;
+            domains.push(Buffer3::from_vec(dims, recon));
+        }
+        Ok(domains)
     }
 }
 
@@ -478,8 +588,8 @@ pub(crate) mod tests {
     /// The per-point decoder: collect each pass's targets, then predict,
     /// branch and place one point at a time.
     fn decompress_reference(bytes: &[u8]) -> CodecResult<Buffer3> {
-        let p = Payload::parse(bytes)?;
-        let dims = p.dims;
+        let p = Payload::parse(bytes, VERSION)?;
+        let dims = p.dims[0];
         let q = Quantizer::new(p.abs_eb);
         let mut recon = Buffer3::zeros(dims);
         let mut sym_iter = p.syms.into_iter();
@@ -680,6 +790,84 @@ pub(crate) mod tests {
         let back = decompress(&c).expect("decode");
         let stats = ErrorStats::compare(b.data(), back.data());
         assert!(stats.max_abs_err <= 1e-3 * (1.0 + 1e-12));
+    }
+
+    #[test]
+    fn a_used_scratch_encodes_like_a_fresh_one() {
+        // The reused reconstruction is never cleared: a scratch left
+        // larger and full of NaN by earlier calls must not show in the
+        // bytes, whatever the order of shapes.
+        let shapes = [Dims3::cube(15), Dims3::new(64, 8, 3), Dims3::new(3, 9, 17)];
+        let buffers: Vec<Buffer3> = shapes
+            .iter()
+            .map(|&d| {
+                let mut b = Buffer3::zeros(d);
+                b.fill_with(|i, j, k| (i as f64 * 0.3).sin() + (j * k) as f64 * 0.01);
+                b
+            })
+            .collect();
+        let cfg = InterpConfig::new(1e-3);
+        let fresh: Vec<Vec<u8>> = buffers
+            .iter()
+            .map(|b| {
+                let mut out = Vec::new();
+                compress_with(
+                    &[b.view()],
+                    VERSION,
+                    &cfg,
+                    &mut InterpScratch::default(),
+                    &mut out,
+                );
+                out
+            })
+            .collect();
+        let mut used = InterpScratch {
+            recon: vec![f64::NAN; 4096],
+            ..InterpScratch::default()
+        };
+        for (b, fresh) in buffers.iter().zip(&fresh).rev() {
+            let mut out = vec![7u8];
+            compress_with(&[b.view()], VERSION, &cfg, &mut used, &mut out);
+            assert_eq!(out[0], 7, "appends");
+            assert_eq!(&out[1..], &fresh[..], "dims {:?}", b.dims());
+            assert_eq!(compress(b, &cfg), *fresh, "thread scratch");
+        }
+    }
+
+    #[test]
+    fn domains_share_one_encoding_and_predict_alone() {
+        let shapes = [Dims3::cube(8), Dims3::new(16, 4, 9), Dims3::new(1, 1, 1)];
+        let domains: Vec<Buffer3> = shapes
+            .iter()
+            .enumerate()
+            .map(|(d, &dims)| {
+                let mut b = Buffer3::zeros(dims);
+                b.fill_with(|i, j, k| (i as f64 * 0.2 + d as f64).sin() * 5.0 + (j + k) as f64);
+                b
+            })
+            .collect();
+        let cfg = InterpConfig::new(1e-3);
+        let mut stream = vec![9u8];
+        compress_domains_into(&domains, &cfg, &mut stream);
+        assert_eq!(stream[0], 9, "appends");
+        let stream = &stream[1..];
+        let back = decompress_domains(stream).expect("decode");
+        assert_eq!(back.len(), domains.len());
+        for (o, b) in domains.iter().zip(&back) {
+            assert_eq!(o.dims(), b.dims());
+            let stats = ErrorStats::compare(o.data(), b.data());
+            assert!(stats.max_abs_err <= 1e-3 * (1.0 + 1e-12));
+        }
+        // No prediction crosses a domain: each decodes as it would alone.
+        for (o, b) in domains.iter().zip(&back) {
+            assert_eq!(decompress(&compress(o, &cfg)).unwrap(), *b);
+        }
+        // One shape is not the other's.
+        assert!(decompress(stream).is_err());
+        assert!(decompress_domains(&compress(&domains[0], &cfg)).is_err());
+        for cut in 0..stream.len() {
+            assert!(decompress_domains(&stream[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ fn prelude_exposes_the_codec_api() {
     let mut temporal_stream = Vec::new();
     compress_delta_into(
         &units,
+        None,
         &AmricConfig::lr(1e-3),
         4,
         1e-3,
