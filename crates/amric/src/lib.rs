@@ -36,8 +36,9 @@
 //!
 //! 1. [`preprocess`] — remove redundant coarse data via box intersections,
 //!    truncate the remainder into unit blocks;
-//! 2. [`reorganize`] — arrange unit blocks linearly (SZ_L/R) or as a
-//!    near-cube cluster (SZ_Interp);
+//! 2. [`reorganize`] — one unit layout, [`reorganize::Placement`]: units
+//!    stacked along z (SZ_L/R), packed into a near-cube (SZ_Interp) or
+//!    clustered where they lie (placed SZ_Interp);
 //! 3. [`pipeline`] — the optimized SZ compression (Shared Lossless
 //!    Encoding + adaptive block size) producing self-describing streams;
 //! 4. [`writer`]/[`reader`] — the in-situ HDF5-filter path with AMRIC's

@@ -4,7 +4,31 @@
 //! Every stream opens with the `AmricPipeline` envelope and a mode byte.
 //! Modes 0–3 are the paper's layouts, mode 4 the adaptive-bound extension,
 //! mode 5 temporal delta coding against a previous snapshot, and mode 6
-//! SZ_Interp over dense clusters of units compressed where they lie:
+//! SZ_Interp over dense clusters of units compressed where they lie.
+//! Modes 1, 2, 3 and 6 lay their units out with one [`Placement`]: the
+//! header is the layout, the payload its clusters' reconstruction.
+//!
+//! ```text
+//! envelope(AmricPipeline, 1, 0)
+//! mode       u8  = 1 (lr-lm) or 2 (interp-linear)
+//! n          u32 units
+//! extents    n × u32   each unit's depth; units stacked along z in order
+//! footprint  mode 2 only: nx, ny u32 of every unit
+//! payload    to the end, the merged buffer: mode 1
+//!            `lr::compress_domains_into`, mode 2 `interp::compress_into`
+//!
+//! envelope(AmricPipeline, 1, 0)
+//! mode       u8  = 3 (interp-cluster)
+//! n          u32 units
+//! edge       u32 unit edge
+//! grid       (gx, gy, gz) u32   `cluster_grid(n)`: exactly n slots, unit i
+//!            in slot i (x fastest)
+//! payload    to the end: `interp::compress_into` of the packed grid
+//! ```
+//!
+//! A zero extent, footprint or edge, or a grid of fewer than `n` or more
+//! than `2n` slots, is refused — by modes 2 and 3 before the payload is
+//! decoded; mode 1 takes its footprint from the decoded buffer.
 //!
 //! ```text
 //! envelope(AmricPipeline, 1, FLAG_REFERENCED)
@@ -43,13 +67,12 @@
 //! mode 6, and only on a chunk mode 3 would take whose units cluster
 //! densely (Berger–Rigoutsos at efficiency 3/4, ≥ 8 units per cluster on
 //! average); the slot map returns the units in their order, so a reader
-//! needs no plan.
+//! needs no plan. Its clusters are held to the same slot bounds as mode 3's
+//! grid.
 
 use crate::config::{AmricConfig, BoundPolicy, MergePolicy};
 use crate::preprocess::unit_activity;
-use crate::reorganize::{
-    cluster_pack, cluster_place, linear_merge, linear_place, ClusterGrid, Placement,
-};
+use crate::reorganize::{cluster_pack, linear_merge, read_extents, Placement};
 use amr_mesh::geom::IntVect;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -299,6 +322,13 @@ pub fn compress_placed_into<U: AsView3>(
     }
 }
 
+/// Write `d` in units of `edge` cells: `(nx, ny, nz) / edge` as u32s.
+fn put_dims(w: &mut Writer, d: Dims3, edge: usize) {
+    for n in [d.nx, d.ny, d.nz] {
+        w.put_u32((n / edge) as u32);
+    }
+}
+
 /// Append what `body` writes to `w`, behind its `u32` length.
 fn put_len_prefixed(w: &mut Writer, body: impl FnOnce(&mut Vec<u8>)) {
     let at = w.buf_mut().len() + 4;
@@ -396,45 +426,37 @@ fn compress_fixed_into<U: AsView3>(
             let lr_cfg = LrConfig::new(abs_eb).with_block_size(cfg.sz_block_size(unit_edge));
             lr::compress_domains_into(units, &lr_cfg, scratch, w.buf_mut());
         }
-        Mode::LrLinearMerge => {
+        Mode::LrLinearMerge | Mode::InterpLinear => {
             let (merged, extents) = linear_merge(units);
-            for e in &extents {
-                w.put_u32(*e as u32);
+            for e in extents {
+                w.put_u32(e as u32);
             }
-            let lr_cfg = LrConfig::new(abs_eb).with_block_size(cfg.sz_block_size(unit_edge));
-            lr::compress_domains_into(&[&merged], &lr_cfg, scratch, w.buf_mut());
-        }
-        Mode::InterpLinear => {
-            let (merged, extents) = linear_merge(units);
-            for e in &extents {
-                w.put_u32(*e as u32);
+            if mode == Mode::LrLinearMerge {
+                let lr_cfg = LrConfig::new(abs_eb).with_block_size(cfg.sz_block_size(unit_edge));
+                lr::compress_domains_into(&[&merged], &lr_cfg, scratch, w.buf_mut());
+            } else {
+                w.put_u32(merged.dims().nx as u32);
+                w.put_u32(merged.dims().ny as u32);
+                interp::compress_into(&merged, &InterpConfig::new(abs_eb), w.buf_mut());
             }
-            w.put_u32(merged.dims().nx as u32);
-            w.put_u32(merged.dims().ny as u32);
-            interp::compress_into(&merged, &InterpConfig::new(abs_eb), w.buf_mut());
         }
         Mode::InterpCluster => {
             let (packed, grid) = cluster_pack(units);
-            let d0 = units[0].view().dims();
-            w.put_u32(d0.nx as u32);
-            w.put_u32(grid.gx as u32);
-            w.put_u32(grid.gy as u32);
-            w.put_u32(grid.gz as u32);
+            w.put_u32(units[0].view().dims().nx as u32);
+            put_dims(&mut w, grid, 1);
             interp::compress_into(&packed, &InterpConfig::new(abs_eb), w.buf_mut());
         }
         Mode::InterpPlaced => {
             let placement = placement.expect("select_mode places every placed chunk");
             let edge = units[0].view().dims().nx;
             w.put_u32(edge as u32);
-            w.put_u32(placement.clusters.len() as u32);
-            for g in &placement.clusters {
-                w.put_u32(g.gx as u32);
-                w.put_u32(g.gy as u32);
-                w.put_u32(g.gz as u32);
+            w.put_u32(placement.clusters().len() as u32);
+            for &cluster in placement.clusters() {
+                put_dims(&mut w, cluster, edge);
             }
             let slots = placement.encode_slots();
             put_len_prefixed(&mut w, |out| lossless::compress_into(&slots, out));
-            let packed = placement.pack(units, edge);
+            let packed = placement.pack(units);
             interp::compress_domains_into(&packed, &InterpConfig::new(abs_eb), w.buf_mut());
         }
         Mode::Adaptive | Mode::Delta => unreachable!("select_mode never picks {mode:?}"),
@@ -591,8 +613,7 @@ impl UnitOrigins {
         self.placement
             .get_or_init(|| {
                 let placement = Placement::cluster(&self.origins, self.edge, PLACED_GRID_EFF);
-                placement
-                    .filter(|p| p.slots.len() >= PLACED_MIN_UNITS_PER_CLUSTER * p.clusters.len())
+                placement.filter(|p| p.units() >= PLACED_MIN_UNITS_PER_CLUSTER * p.clusters().len())
             })
             .as_ref()
     }
@@ -643,12 +664,11 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
 }
 
 /// Decompress a stream produced by [`compress_field_units`] to where
-/// `dest` says each unit goes, in the units' original order. The modes
-/// that carry the traffic place directly: SZ_L/R with SLE
-/// ([`AmricConfig::lr`]) reconstructs in the destination, cluster-packed
-/// SZ_Interp ([`AmricConfig::interp`] on cubes) copies each slot's rows out
-/// of the packed buffer. The LM ablation, the ragged SZ_Interp fallback and
-/// the adaptive extension decode to units of their own and copy those.
+/// `dest` says each unit goes, in the units' original order. SZ_L/R with
+/// SLE ([`AmricConfig::lr`]) reconstructs in the destination; modes 1, 2,
+/// 3 and 6 copy each unit's rows out of their clusters' reconstruction
+/// ([`Placement::place`]); the adaptive extension decodes units of its
+/// own and copies those.
 ///
 /// A delta-mode stream asks `reference` once for the units it
 /// predicts from (see [`Reference`]; [`no_reference`] when the caller has
@@ -667,7 +687,7 @@ pub fn decompress_field_units_into(
         _ => {}
     }
     let n = r.get_u32()? as usize;
-    match mode {
+    let (layout, decoded) = match mode {
         Mode::LrSle => {
             let held = lr::decompress_domains_into(r.get_raw(r.remaining())?, dest)?;
             if held != n {
@@ -675,76 +695,32 @@ pub fn decompress_field_units_into(
                     "expected {n} units, stream holds {held}"
                 )));
             }
-            Ok(())
+            return Ok(());
         }
-        Mode::LrLinearMerge | Mode::InterpLinear => {
-            // Each extent is a u32; reject counts the stream can't hold.
-            r.check_count(n, 4)?;
-            let mut extents = Vec::with_capacity(n);
-            for _ in 0..n {
-                let e = r.get_u32()? as usize;
-                if e == 0 {
-                    return Err(CodecError::dims("zero unit extent"));
-                }
-                extents.push(e);
-            }
-            let merged = if mode == Mode::LrLinearMerge {
-                lr::decompress(r.get_raw(r.remaining())?)?
-            } else {
-                let _nx = r.get_u32()?;
-                let _ny = r.get_u32()?;
-                interp::decompress(r.get_raw(r.remaining())?)?
-            };
-            if merged.dims().nz != extents.iter().sum::<usize>() {
-                return Err(CodecError::dims("merged extents mismatch"));
-            }
-            linear_place(&merged, &extents, dest)
+        Mode::LrLinearMerge => {
+            let extents = read_extents(&mut r, n)?;
+            let merged = lr::decompress(r.get_raw(r.remaining())?)?;
+            let d = merged.dims();
+            (Placement::linear(d.nx, d.ny, &extents)?, vec![merged])
+        }
+        Mode::InterpLinear => {
+            let extents = read_extents(&mut r, n)?;
+            let (nx, ny) = (r.get_u32()? as usize, r.get_u32()? as usize);
+            let layout = Placement::linear(nx, ny, &extents)?;
+            (layout, vec![interp::decompress(r.get_raw(r.remaining())?)?])
         }
         Mode::InterpCluster => {
-            let edge = r.get_u32()? as usize;
-            let grid = ClusterGrid {
-                gx: r.get_u32()? as usize,
-                gy: r.get_u32()? as usize,
-                gz: r.get_u32()? as usize,
-            };
-            let packed = interp::decompress(r.get_raw(r.remaining())?)?;
-            // Compare in u128 so corrupted grid/edge fields can neither
-            // overflow the products nor hit Dims3's nonzero assertion.
-            let pd = packed.dims();
-            let matches = grid.gx as u128 * edge as u128 == pd.nx as u128
-                && grid.gy as u128 * edge as u128 == pd.ny as u128
-                && grid.gz as u128 * edge as u128 == pd.nz as u128;
-            if !matches {
-                return Err(CodecError::dims("cluster grid mismatch"));
-            }
-            if n > grid.slots() {
-                return Err(CodecError::dims("unit count exceeds cluster slots"));
-            }
-            cluster_place(&packed, grid, Dims3::cube(edge), n, dest)
+            let (edge, grids) = read_cluster_header(&mut r, n, mode)?;
+            let layout = Placement::grid(grids[0], n, Dims3::cube(edge));
+            (layout, vec![interp::decompress(r.get_raw(r.remaining())?)?])
         }
         Mode::InterpPlaced => {
-            let (edge, clusters) = read_placed_header(&mut r, n)?;
+            let (edge, grids) = read_cluster_header(&mut r, n, mode)?;
             let map_len = r.get_u32()? as usize;
             let map = lossless::decompress(r.get_raw(map_len)?)?;
-            let placement = Placement::decode_slots(clusters, n, &map)?;
-            let packed = interp::decompress_domains(r.get_raw(r.remaining())?)?;
-            if packed.len() != placement.clusters.len() {
-                let held = packed.len();
-                return Err(CodecError::dims(format!(
-                    "{held} clusters decoded, {k} stored",
-                    k = placement.clusters.len()
-                )));
-            }
-            for (c, (g, cluster)) in placement.clusters.iter().zip(&packed).enumerate() {
-                let d = cluster.dims();
-                let matches = [(g.gx, d.nx), (g.gy, d.ny), (g.gz, d.nz)]
-                    .iter()
-                    .all(|&(g, n)| g as u128 * edge as u128 == n as u128);
-                if !matches {
-                    return Err(CodecError::dims(format!("cluster {c} decodes to {d:?}")));
-                }
-            }
-            placement.place(&packed, edge, dest)
+            let layout = Placement::decode_slots(grids, Dims3::cube(edge), n, &map)?;
+            let decoded = interp::decompress_domains(r.get_raw(r.remaining())?)?;
+            (layout, decoded)
         }
         Mode::Adaptive => {
             let (_bounds, rough, mut r) = read_adaptive_header(&mut r, n)?;
@@ -756,16 +732,11 @@ pub fn decompress_field_units_into(
             if (n_tight == 0) != tight_raw.is_empty() || (n_loose == 0) != loose_raw.is_empty() {
                 return Err(CodecError::dims("adaptive substream/group mismatch"));
             }
-            let tight_units = if n_tight == 0 {
-                Vec::new()
-            } else {
-                lr::decompress_domains(tight_raw)?
+            let decode = |raw: &[u8]| match raw {
+                [] => Ok(Vec::new()),
+                raw => lr::decompress_domains(raw),
             };
-            let loose_units = if n_loose == 0 {
-                Vec::new()
-            } else {
-                lr::decompress_domains(loose_raw)?
-            };
+            let (tight_units, loose_units) = (decode(tight_raw)?, decode(loose_raw)?);
             if tight_units.len() != n_tight || loose_units.len() != n_loose {
                 return Err(CodecError::dims(format!(
                     "adaptive groups hold {}+{} units, expected {n_tight}+{n_loose}",
@@ -778,54 +749,62 @@ pub fn decompress_field_units_into(
                 let group = if g { &mut tight_it } else { &mut loose_it };
                 place_unit(dest, i, group.next().expect("counted").view())?;
             }
-            Ok(())
+            return Ok(());
         }
         Mode::Empty | Mode::Delta => unreachable!("handled above"),
-    }
+    };
+    layout.place(&decoded, dest)
 }
 
-/// The [`Mode::InterpPlaced`] header after the unit count: the unit edge
-/// and each cluster's shape in units. The clusters hold at most twice as
-/// many slots as there are units — the rule's efficiency of 3/4 keeps
-/// them under 4/3 — so forged dims are refused here, before anything is
-/// sized by them.
-fn read_placed_header(r: &mut Reader<'_>, n: usize) -> CodecResult<(usize, Vec<ClusterGrid>)> {
+/// The cluster header of modes 3 and 6 after the unit count: the unit
+/// edge, for mode 6 the cluster count, and each cluster's shape in units.
+/// The clusters hold between `n` and `2n` slots — mode 3 exactly `n`,
+/// mode 6's efficiency of 3/4 under 4/3 `n` — and cells memory can
+/// address, so forged shapes are refused here, before anything is sized by
+/// them.
+fn read_cluster_header(
+    r: &mut Reader<'_>,
+    n: usize,
+    mode: Mode,
+) -> CodecResult<(usize, Vec<Dims3>)> {
     let edge = r.get_u32()? as usize;
-    let k = r.get_u32()? as usize;
+    let k = match mode {
+        Mode::InterpPlaced => r.get_u32()? as usize,
+        _ => 1,
+    };
     if edge == 0 || k == 0 || k > n {
         return Err(CodecError::dims(format!(
             "{k} clusters of {edge}³ units for {n} units"
         )));
     }
     r.check_count(k, 12)?;
-    let mut clusters = Vec::with_capacity(k);
+    let mut grids = Vec::with_capacity(k);
     let mut slots = 0u128;
     for _ in 0..k {
-        let g = ClusterGrid {
-            gx: r.get_u32()? as usize,
-            gy: r.get_u32()? as usize,
-            gz: r.get_u32()? as usize,
-        };
-        if g.gx == 0 || g.gy == 0 || g.gz == 0 {
+        let [gx, gy, gz] = [r.get_u32()?, r.get_u32()?, r.get_u32()?].map(|g| g as usize);
+        if gx == 0 || gy == 0 || gz == 0 {
             return Err(CodecError::dims("empty cluster"));
         }
-        slots += g.gx as u128 * g.gy as u128 * g.gz as u128;
-        clusters.push(g);
+        slots += gx as u128 * gy as u128 * gz as u128;
+        grids.push(Dims3::new(gx, gy, gz));
     }
     if slots < n as u128 {
         return Err(CodecError::dims(format!(
             "{slots} cluster slots for {n} units"
         )));
     }
+    // Cells, not slots: the same bound then keeps them addressable.
     let cell = (edge as u128).pow(3);
-    if slots > 2 * n as u128 {
+    let claimed = slots.saturating_mul(cell);
+    let available = (2 * n as u128).saturating_mul(cell).min(usize::MAX as u128);
+    if claimed > available {
         return Err(CodecError::LimitExceeded {
             what: "cluster cells",
-            claimed: slots * cell,
-            available: 2 * n as u128 * cell,
+            claimed,
+            available,
         });
     }
-    Ok((edge, clusters))
+    Ok((edge, grids))
 }
 
 /// The [`Mode::Delta`] payload after its mode byte. Every count is bounded
@@ -975,14 +954,14 @@ pub fn stream_layout(bytes: &[u8]) -> CodecResult<StreamLayout> {
     let mode = Mode::from_u8(r.get_u8()?)?;
     let placed = if mode == Mode::InterpPlaced {
         let n = r.get_u32()? as usize;
-        let (edge, clusters) = read_placed_header(&mut r, n)?;
-        let cells = |slots: usize| u64::try_from(slots as u128 * (edge as u128).pow(3));
-        let slots: usize = clusters.iter().map(ClusterGrid::slots).sum();
-        let too_big = |_| CodecError::dims("cluster cells overflow");
+        let (edge, grids) = read_cluster_header(&mut r, n, mode)?;
+        // The header guard has bounded the cells to what memory addresses.
+        let cells = |slots: usize| (slots * edge.pow(3)) as u64;
+        let slots: usize = grids.iter().map(Dims3::len).sum();
         Some(PlacedShape {
-            clusters: clusters.len(),
-            cells: cells(slots).map_err(too_big)?,
-            holes: cells(slots - n).map_err(too_big)?,
+            clusters: grids.len(),
+            cells: cells(slots),
+            holes: cells(slots - n),
         })
     } else {
         None

@@ -10,6 +10,7 @@
 //! block boundaries). AMRIC optimizes both away with SLE and the adaptive
 //! block size.
 
+use crate::reorganize::{linear_merge, read_extents, Placement};
 use amr_mesh::IntVect;
 use sz_codec::codec::{expect_envelope, write_envelope};
 use sz_codec::prelude::*;
@@ -52,34 +53,20 @@ pub fn tac_compress(units: &[Buffer3], origins: &[IntVect], rel_eb: f64) -> Vec<
     for &i in &order {
         w.put_u32(i as u32);
     }
-    // Group consecutive (spatially adjacent) units; groups with mixed
-    // footprints split into singletons (TAC pads instead; merging only
-    // uniform footprints is the equivalent regularization).
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for chunk in order.chunks(GROUP) {
-        let mut current: Vec<usize> = Vec::new();
-        for &i in chunk {
-            let matches = current.first().is_none_or(|&f| {
-                let (a, b) = (units[f].dims(), units[i].dims());
-                a.nx == b.nx && a.ny == b.ny
-            });
-            if matches {
-                current.push(i);
-            } else {
-                groups.push(std::mem::take(&mut current));
-                current.push(i);
-            }
-        }
-        if !current.is_empty() {
-            groups.push(current);
-        }
-    }
+    // Group consecutive (spatially adjacent) units; a group splits where
+    // the footprint changes (TAC pads instead; merging only uniform
+    // footprints is the equivalent regularization).
+    let footprint = |&i: &usize| (units[i].dims().nx, units[i].dims().ny);
+    let groups: Vec<&[usize]> = order
+        .chunks(GROUP)
+        .flat_map(|chunk| chunk.chunk_by(|a, b| footprint(a) == footprint(b)))
+        .collect();
     w.put_u32(groups.len() as u32);
     let cfg = LrConfig::new(abs_eb); // stock 6³, black box
     for g in &groups {
         w.put_u32(g.len() as u32);
         let members: Vec<&Buffer3> = g.iter().map(|&i| &units[i]).collect();
-        let (merged, extents) = crate::reorganize::linear_merge(&members);
+        let (merged, extents) = linear_merge(&members);
         for e in &extents {
             w.put_u32(*e as u32);
         }
@@ -107,23 +94,11 @@ pub fn tac_decompress(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
     let mut sorted_units = Vec::with_capacity(n);
     for _ in 0..ngroups {
         let glen = r.get_u32()? as usize;
-        r.check_count(glen, 4)?;
-        let mut extents = Vec::with_capacity(glen);
-        for _ in 0..glen {
-            let e = r.get_u32()? as usize;
-            if e == 0 {
-                return Err(CodecError::dims("zero unit extent in TAC group"));
-            }
-            extents.push(e);
-        }
+        let extents = read_extents(&mut r, glen)?;
         let merged = lr::decompress(r.get_block()?)?;
-        // Validate before linear_place, whose extent-coverage check is an
-        // assert (its callers are trusted; the wire format is not).
-        if extents.iter().sum::<usize>() != merged.dims().nz {
-            return Err(CodecError::dims("TAC group extents mismatch"));
-        }
+        let d = merged.dims();
         let mut group = Vec::with_capacity(glen);
-        crate::reorganize::linear_place(&merged, &extents, &mut group)?;
+        Placement::linear(d.nx, d.ny, &extents)?.place(&[merged], &mut group)?;
         sorted_units.append(&mut group);
     }
     if sorted_units.len() != n {

@@ -110,13 +110,39 @@ fn tac_stream_smaller_than_per_unit_but_larger_than_amric() {
 #[test]
 fn reorganize_inverses_are_exact() {
     use amric::reorganize::*;
+    let roundtrip = |layout: &Placement, units: &[Buffer3]| {
+        let mut back = Vec::new();
+        layout.place(&layout.pack(units), &mut back).unwrap();
+        back
+    };
+    // Linear, mixed depths: 4³ units and one 4×4×2 slab.
+    let mut units = discontiguous_units(13, 4);
+    let mut slab = Buffer3::zeros(Dims3::new(4, 4, 2));
+    slab.fill_with(|i, j, k| (i + 2 * j + 3 * k) as f64 * 0.3);
+    units.insert(5, slab);
+    let extents: Vec<usize> = units.iter().map(|u| u.dims().nz).collect();
+    let linear = Placement::linear(4, 4, &extents).unwrap();
+    assert_eq!(roundtrip(&linear, &units), units);
+    // The near-cube grid.
     let units = discontiguous_units(13, 4);
-    let (merged, ext) = linear_merge(&units);
-    let mut split = Vec::new();
-    linear_place(&merged, &ext, &mut split).unwrap();
-    assert_eq!(split, units);
-    let (packed, grid) = cluster_pack(&units);
-    let mut unpacked = Vec::new();
-    cluster_place(&packed, grid, Dims3::cube(4), 13, &mut unpacked).unwrap();
-    assert_eq!(unpacked, units);
+    let grid = Placement::grid(cluster_grid(13), 13, Dims3::cube(4));
+    assert_eq!(roundtrip(&grid, &units), units);
+    // Clusters where the units lie: a 3×3×1 sheet missing its centre and
+    // a 2×2×1 block far off, handed over out of index-space order.
+    let mut origins: Vec<IntVect> = (0..9)
+        .filter(|&i| i != 4)
+        .map(|i| IntVect::new(i % 3 * 4, i / 3 * 4, 0))
+        .collect();
+    origins.extend((0..4).map(|i| IntVect::new(80 + i % 2 * 4, i / 2 * 4, 40)));
+    origins.reverse();
+    let units = discontiguous_units(origins.len(), 4);
+    let clustered = Placement::cluster(&origins, 4, 0.75).expect("aligned, distinct");
+    let packed = clustered.pack(&units);
+    let cells: usize = packed.iter().map(|p| p.dims().len()).sum();
+    assert_eq!(
+        cells,
+        (origins.len() + 1) * 64,
+        "one hole, the sheet's centre"
+    );
+    assert_eq!(roundtrip(&clustered, &units), units);
 }

@@ -264,6 +264,82 @@ fn forged_placed_headers_and_slot_maps_are_typed_errors() {
     assert!(decompress_field_units(&put(PLACED_N, 15)).is_err());
 }
 
+/// Where the fields of a cluster-packed stream (mode 3) sit: after the
+/// envelope and mode byte, `n`, the unit edge and the grid (u32s); the
+/// SZ_Interp payload follows.
+const CLUSTER_EDGE: usize = 13;
+const CLUSTER_GRID: usize = 17;
+const CLUSTER_PAYLOAD: usize = 29;
+
+#[test]
+fn forged_cluster_grids_are_refused_before_the_payload() {
+    let bytes = compress_field_units(&units(27, 8), &AmricConfig::interp(1e-3), 8);
+    assert_eq!(stream_layout(&bytes).unwrap().mode, "interp-cluster");
+    let grid = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    assert_eq!([0, 4, 8].map(|d| grid(CLUSTER_GRID + d)), [3, 3, 3]);
+    let put = |at: usize, v: u32| {
+        let mut forged = bytes.clone();
+        forged[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        forged
+    };
+    // `true`: the cells are over budget; `false`: the header contradicts
+    // itself.
+    let typed = |err: &CodecError, over: bool| match err {
+        CodecError::LimitExceeded { what, .. } => over && *what == "cluster cells",
+        CodecError::DimsMismatch { .. } => !over,
+        _ => false,
+    };
+    for (what, forged, over) in [
+        ("18 slots for 27 units", put(CLUSTER_GRID, 2), false),
+        ("63 slots for 27 units", put(CLUSTER_GRID, 7), true),
+        ("a zero unit edge", put(CLUSTER_EDGE, 0), false),
+        ("an empty grid axis", put(CLUSTER_GRID + 4, 0), false),
+    ] {
+        let err = decompress_field_units(&forged).expect_err(what);
+        assert!(typed(&err, over), "{what}: {err:?}");
+        // The same answer with no payload at all: the header is judged
+        // before anything is decoded or sized.
+        let err = decompress_field_units(&forged[..CLUSTER_PAYLOAD]).expect_err(what);
+        assert!(typed(&err, over), "{what}, payload cut: {err:?}");
+    }
+    // Spare slots pass the header; the payload's shape then disagrees.
+    let err = decompress_field_units(&put(CLUSTER_GRID, 4)).unwrap_err();
+    assert!(typed(&err, false), "36 slots for 27 units: {err:?}");
+}
+
+#[test]
+fn forged_linear_headers_are_typed_errors() {
+    // Modes 1 and 2 over 27 units of 8³: `n` at 9, then 27 u32 extents;
+    // mode 2 follows them with the footprint `nx, ny`.
+    let (extents, footprint) = (13, 13 + 27 * 4);
+    let lm = AmricConfig::lr(1e-3).with_merge(MergePolicy::LinearMerge);
+    let linear = AmricConfig::interp(1e-3).with_cluster_arrangement(false);
+    for (name, cfg) in [("lr-lm", lm), ("interp-linear", linear)] {
+        let bytes = compress_field_units(&units(27, 8), &cfg, 8);
+        assert_eq!(stream_layout(&bytes).unwrap().mode, name);
+        let put = |at: usize, v: u32| {
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            forged
+        };
+        let mut forged = vec![
+            ("a zero extent", put(extents + 8, 0)),
+            ("extents one plane deeper", put(extents + 8, 9)),
+        ];
+        if name == "interp-linear" {
+            forged.push(("a narrower footprint", put(footprint, 4)));
+            forged.push(("a zero footprint", put(footprint + 4, 0)));
+        }
+        for (what, forged) in forged {
+            let err = decompress_field_units(&forged).expect_err(what);
+            assert!(
+                matches!(err, CodecError::DimsMismatch { .. }),
+                "{name}, {what}: {err:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn tac_stream_total() {
     let u = units(20, 8);

@@ -510,9 +510,7 @@ proptest! {
     #[test]
     fn cluster_grid_covers(n in 1usize..500) {
         let g = amric::reorganize::cluster_grid(n);
-        prop_assert!(g.slots() >= n);
-        // Slack stays bounded (never more than one extra layer).
-        prop_assert!(g.slots() - n < g.gx * g.gy + g.gx * g.gz + g.gy * g.gz + 1,
-            "n={} grid=({},{},{})", n, g.gx, g.gy, g.gz);
+        // Every n has a slack-free grid, (n, 1, 1) at worst.
+        prop_assert_eq!(g.len(), n, "n={} grid=({},{},{})", n, g.nx, g.ny, g.nz);
     }
 }
