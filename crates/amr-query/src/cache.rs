@@ -10,8 +10,8 @@
 //!
 //! Two layers:
 //!
-//! * [`ShardedLru<K>`] — the storage engine, generic over the key. Keys
-//!   hash onto independently-locked shards; the byte budget is split
+//! * [`ChunkStore`] — the storage engine, keyed by [`GlobalChunkKey`].
+//!   Keys hash onto independently-locked shards; the byte budget is split
 //!   evenly across shards; an insert evicts that shard's
 //!   least-recently-used entries until the newcomer fits (the newest
 //!   entry of a shard is never evicted by its own insert, so a single
@@ -20,7 +20,7 @@
 //!   never invalidates data a query is still assembling from.
 //! * [`ChunkCache`] — the engine-facing handle: a key prefix (the
 //!   *file id*) plus its own atomic hit/miss/insert/evict counters over
-//!   a [`ShardedLru`] that may be private ([`ChunkCache::new`]) or
+//!   a [`ChunkStore`] that may be its own ([`ChunkCache::new`]) or
 //!   shared ([`ChunkCache::shared`]). Sharing the store while keeping
 //!   counters on the handle is what gives the service tier per-tenant
 //!   statistics under one global byte budget.
@@ -41,9 +41,6 @@ pub type ChunkKey = (usize, usize, usize);
 /// Store-wide key: a [`ChunkKey`] qualified by the owning file's id, so
 /// many open plotfiles can share one byte budget without colliding.
 pub type GlobalChunkKey = (u64, ChunkKey);
-
-/// The store type every [`ChunkCache`] handle points at.
-pub type ChunkStore = ShardedLru<GlobalChunkKey>;
 
 /// A cached decoded chunk: the unit blocks of one rank's chunk, in plan
 /// order.
@@ -86,25 +83,17 @@ struct Entry {
     last_used: u64,
 }
 
-struct Shard<K> {
-    entries: HashMap<K, Entry>,
+#[derive(Default)]
+struct Shard {
+    entries: HashMap<GlobalChunkKey, Entry>,
     bytes: u64,
 }
 
-impl<K> Default for Shard<K> {
-    fn default() -> Self {
-        Shard {
-            entries: HashMap::new(),
-            bytes: 0,
-        }
-    }
-}
-
-/// The sharded LRU storage engine. All methods take `&self`; the store
-/// is shared by prefetch workers and, in the service tier, by every open
-/// plotfile's engine.
-pub struct ShardedLru<K> {
-    shards: Vec<Mutex<Shard<K>>>,
+/// The sharded LRU storage engine every [`ChunkCache`] handle points at.
+/// All methods take `&self`; the store is shared by prefetch workers and,
+/// in the service tier, by every open plotfile's engine.
+pub struct ChunkStore {
+    shards: Vec<Mutex<Shard>>,
     shard_capacity: u64,
     capacity: u64,
     clock: AtomicU64,
@@ -124,11 +113,11 @@ pub fn chunk_bytes(units: &[Buffer3]) -> u64 {
     units.iter().map(|u| u.dims().len() as u64 * 8).sum()
 }
 
-impl<K: Hash + Eq + Copy> ShardedLru<K> {
+impl ChunkStore {
     /// Store bounded by `max_bytes` of decoded data (split evenly across
     /// the shards).
     pub fn new(max_bytes: u64) -> Self {
-        ShardedLru {
+        ChunkStore {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: max_bytes / SHARDS as u64,
             capacity: max_bytes,
@@ -140,14 +129,14 @@ impl<K: Hash + Eq + Copy> ShardedLru<K> {
         }
     }
 
-    fn shard_for(&self, key: &K) -> &Mutex<Shard<K>> {
+    fn shard_for(&self, key: &GlobalChunkKey) -> &Mutex<Shard> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// Look a chunk up, refreshing its recency on a hit.
-    pub fn get(&self, key: &K) -> Option<CachedChunk> {
+    pub fn get(&self, key: &GlobalChunkKey) -> Option<CachedChunk> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(key).lock();
         match shard.entries.get_mut(key) {
@@ -167,7 +156,7 @@ impl<K: Hash + Eq + Copy> ShardedLru<K> {
     /// entries until it fits (the newcomer itself is never evicted by its
     /// own insert). Re-inserting an existing key refreshes it. Returns
     /// the number of entries evicted to make room.
-    pub fn insert(&self, key: K, value: CachedChunk) -> u64 {
+    pub fn insert(&self, key: GlobalChunkKey, value: CachedChunk) -> u64 {
         let bytes = chunk_bytes(&value);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(&key).lock();
@@ -203,11 +192,12 @@ impl<K: Hash + Eq + Copy> ShardedLru<K> {
     /// Drop every entry whose key matches `pred`; returns the count
     /// removed. The service catalog uses this to invalidate a stale
     /// file's chunks when a plotfile is reopened under a new generation.
-    pub fn remove_matching(&self, pred: impl Fn(&K) -> bool) -> u64 {
+    pub fn remove_matching(&self, pred: impl Fn(&GlobalChunkKey) -> bool) -> u64 {
         let mut removed = 0u64;
         for s in &self.shards {
             let mut s = s.lock();
-            let victims: Vec<K> = s.entries.keys().filter(|k| pred(k)).copied().collect();
+            let victims: Vec<GlobalChunkKey> =
+                s.entries.keys().filter(|k| pred(k)).copied().collect();
             for k in victims {
                 let e = s.entries.remove(&k).expect("listed key present");
                 s.bytes -= e.bytes;
@@ -224,7 +214,7 @@ impl<K: Hash + Eq + Copy> ShardedLru<K> {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.shards.iter().map(|s| s.lock().bytes).sum(),
+            resident_bytes: self.resident_bytes(),
             capacity_bytes: self.capacity,
         }
     }
@@ -233,38 +223,20 @@ impl<K: Hash + Eq + Copy> ShardedLru<K> {
     pub fn resident_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.lock().bytes).sum()
     }
-
-    /// Configured byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Drop every entry (counters survive).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.lock();
-            s.entries.clear();
-            s.bytes = 0;
-        }
-    }
 }
 
 /// Engine-facing cache handle: a file-id key prefix plus per-handle
-/// counters over a private or shared [`ChunkStore`].
+/// counters over a [`ChunkStore`].
 ///
 /// Every [`crate::QueryEngine`] owns one handle. With
-/// [`ChunkCache::new`] the store is private and the behavior is the
-/// classic per-engine cache. With [`ChunkCache::shared`] many engines
-/// point at one store under one global byte budget while each handle
-/// still counts its own hits/misses/insertions/evictions — the
+/// [`ChunkCache::new`] the handle is file id 0 over a store of its own:
+/// the classic per-engine cache. With [`ChunkCache::shared`] many
+/// engines point at one store under one global byte budget while each
+/// handle still counts its own hits/misses/insertions/evictions — the
 /// per-tenant statistics the service tier reports.
 pub struct ChunkCache {
     store: Arc<ChunkStore>,
     file_id: u64,
-    /// Whether this handle owns the store exclusively (`clear` semantics:
-    /// a private handle clears the whole store, a shared handle drops
-    /// only its own file's entries).
-    private: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -272,17 +244,10 @@ pub struct ChunkCache {
 }
 
 impl ChunkCache {
-    /// Private cache bounded by `max_bytes` of decoded data.
+    /// Cache bounded by `max_bytes` of decoded data: file id 0 over a
+    /// fresh store.
     pub fn new(max_bytes: u64) -> Self {
-        ChunkCache {
-            store: Arc::new(ShardedLru::new(max_bytes)),
-            file_id: 0,
-            private: true,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        ChunkCache::shared(Arc::new(ChunkStore::new(max_bytes)), 0)
     }
 
     /// Handle into a shared store, qualifying every key with `file_id`.
@@ -292,22 +257,11 @@ impl ChunkCache {
         ChunkCache {
             store,
             file_id,
-            private: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The underlying store (shared or private).
-    pub fn store(&self) -> &Arc<ChunkStore> {
-        &self.store
-    }
-
-    /// The file-id prefix this handle qualifies keys with.
-    pub fn file_id(&self) -> u64 {
-        self.file_id
     }
 
     /// Look a chunk up, refreshing its recency on a hit.
@@ -336,18 +290,7 @@ impl ChunkCache {
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_bytes: self.store.resident_bytes(),
-            capacity_bytes: self.store.capacity_bytes(),
-        }
-    }
-
-    /// Drop cached chunks: the whole store for a private handle, only
-    /// this file's entries for a shared one (counters survive).
-    pub fn clear(&self) {
-        if self.private {
-            self.store.clear();
-        } else {
-            let fid = self.file_id;
-            self.store.remove_matching(|(f, _)| *f == fid);
+            capacity_bytes: self.store.capacity,
         }
     }
 }
@@ -381,7 +324,7 @@ mod tests {
     fn lru_eviction_respects_budget() {
         // One shard's budget holds two 64-cell chunks; pin every key to
         // the same shard by brute-force search (the store hashes the
-        // global `(file_id, key)` tuple; a private handle uses id 0).
+        // global `(file_id, key)` tuple; `ChunkCache::new` uses id 0).
         let c = ChunkCache::new((64 * 8 * 2) * SHARDS as u64);
         let shard_of = |key: &ChunkKey| {
             let mut h = DefaultHasher::new();
@@ -417,21 +360,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_counters() {
-        let c = ChunkCache::new(1 << 20);
-        c.insert((1, 2, 3), chunk(8, 0.5));
-        assert!(c.get(&(1, 2, 3)).is_some());
-        c.clear();
-        assert!(c.get(&(1, 2, 3)).is_none());
-        let s = c.stats();
-        assert_eq!(s.resident_bytes, 0);
-        assert_eq!(s.insertions, 1);
-        assert_eq!(s.hits, 1);
-    }
-
-    #[test]
     fn shared_store_isolates_files_and_counters() {
-        let store: Arc<ChunkStore> = Arc::new(ShardedLru::new(1 << 20));
+        let store: Arc<ChunkStore> = Arc::new(ChunkStore::new(1 << 20));
         let a = ChunkCache::shared(Arc::clone(&store), 1);
         let b = ChunkCache::shared(Arc::clone(&store), 2);
         a.insert((0, 0, 0), chunk(16, 1.0));
@@ -451,21 +381,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_clear_drops_only_own_file() {
-        let store: Arc<ChunkStore> = Arc::new(ShardedLru::new(1 << 20));
-        let a = ChunkCache::shared(Arc::clone(&store), 7);
-        let b = ChunkCache::shared(Arc::clone(&store), 8);
-        a.insert((0, 0, 0), chunk(8, 1.0));
-        b.insert((0, 0, 0), chunk(8, 2.0));
-        a.clear();
-        assert!(a.get(&(0, 0, 0)).is_none(), "a's entries dropped");
-        assert!(b.get(&(0, 0, 0)).is_some(), "b's entries survive");
-        assert_eq!(store.resident_bytes(), 8 * 8);
-    }
-
-    #[test]
     fn remove_matching_invalidates_a_generation() {
-        let store: Arc<ChunkStore> = Arc::new(ShardedLru::new(1 << 20));
+        let store: Arc<ChunkStore> = Arc::new(ChunkStore::new(1 << 20));
         let old = ChunkCache::shared(Arc::clone(&store), 3);
         for r in 0..5 {
             old.insert((0, 0, r), chunk(8, r as f64));

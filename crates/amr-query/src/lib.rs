@@ -46,7 +46,7 @@ pub mod cache;
 pub mod engine;
 pub mod error;
 
-pub use cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey, ShardedLru};
+pub use cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey};
 pub use engine::{
     Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample, QueryCost, QueryEngine,
     QueryPlan, RegionView,
@@ -55,7 +55,7 @@ pub use error::{QueryError, QueryResult};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey, ShardedLru};
+    pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey};
     pub use crate::engine::{
         Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample, QueryCost, QueryEngine,
         QueryPlan, RegionView,

@@ -41,10 +41,6 @@ impl ChunkFilter for RaggedFilter {
         out.extend(compress_field_units(&units, &AmricConfig::lr(1e-3), 4));
         Ok(())
     }
-
-    fn decode(&self, _bytes: &[u8], _n_elems: usize) -> H5Result<Vec<f64>> {
-        unreachable!("the read path decodes chunks itself")
-    }
 }
 
 /// One level, blocking factor 4, three boxes on two ranks whose faces sit

@@ -111,7 +111,7 @@ fn shared_store_isolates_per_file_stats() {
     let path_b = tmp("shared-b");
     write_plotfile(82, &path_a);
     write_plotfile(83, &path_b);
-    let store: Arc<ChunkStore> = Arc::new(ShardedLru::new(8 << 20));
+    let store = Arc::new(ChunkStore::new(8 << 20));
     let a = QueryEngine::open(&path_a)
         .unwrap()
         .with_shared_cache(Arc::clone(&store), 1);

@@ -19,7 +19,7 @@
 //!   soft under pathological concurrency and the eviction counter says
 //!   when that happened.
 
-use amr_query::{ChunkStore, QueryEngine, ShardedLru};
+use amr_query::{ChunkStore, QueryEngine};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,7 +178,7 @@ impl Catalog {
     /// workers per engine.
     pub fn new(cache_bytes: u64, max_open: usize, workers: usize) -> Self {
         Catalog {
-            store: Arc::new(ShardedLru::new(cache_bytes)),
+            store: Arc::new(ChunkStore::new(cache_bytes)),
             entries: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             next_file_id: AtomicU64::new(1),

@@ -22,7 +22,12 @@
 //!   them into the dense box.
 //! * [`server`] — the accept loops and per-connection request loop;
 //!   replies are payloads written straight from the cache
-//!   ([`amr_query::QueryEngine::pieces`]), never a dense box.
+//!   ([`amr_query::QueryEngine::pieces`]), never a dense box. Its
+//!   `Stats` answer, a [`StatsReport`], is composed of the snapshots
+//!   that already count: the server's nine request counters, the shared
+//!   store's [`amr_query::CacheStats`], the catalog's [`CatalogStats`]
+//!   and, per open file, a [`FileStats`] row holding the file's
+//!   [`amr_query::EngineStats`].
 //! * [`client`] — a small blocking client used by the tests, the load
 //!   generator, and anything else that wants typed calls instead of raw
 //!   frames.

@@ -57,6 +57,8 @@
 //! carried one dense box per region, are retired rather than re-meant:
 //! they decode as unknown opcodes.
 
+use crate::catalog::CatalogStats;
+use amr_query::{CacheStats, EngineStats};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use sz_codec::wire::{Reader, Writer};
 
@@ -668,9 +670,8 @@ pub struct OpenInfo {
     pub fields: Vec<String>,
 }
 
-/// One file's row in a stats report: identity, the per-tenant cache
-/// counters of its handle into the shared store, and its engine
-/// counters.
+/// One file's row in a stats report: the file's identity and its
+/// engine's counters, the engine's handle into the shared store included.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FileStats {
     /// Path the catalog opened.
@@ -679,31 +680,15 @@ pub struct FileStats {
     pub file_id: u64,
     /// Generation stamp `(len_bytes, mtime_ns)`.
     pub generation: (u64, u64),
-    /// This file's cache hits.
-    pub cache_hits: u64,
-    /// This file's cache misses.
-    pub cache_misses: u64,
-    /// This file's cache insertions.
-    pub cache_insertions: u64,
-    /// Evictions charged to this file's inserts.
-    pub cache_evictions: u64,
-    /// ROI queries answered.
-    pub roi_queries: u64,
-    /// Level-region queries answered.
-    pub region_queries: u64,
-    /// Plane queries answered.
-    pub plane_queries: u64,
-    /// Point queries answered.
-    pub point_queries: u64,
-    /// Chunks decoded.
-    pub chunks_decoded: u64,
-    /// Decoded bytes produced.
-    pub decoded_bytes: u64,
-    /// Stored bytes read.
-    pub read_bytes: u64,
+    /// The engine's counters. On a server, plane, region and ROI counts
+    /// are the requests the catalog entry served
+    /// ([`crate::CatalogEntry::served`]), and the cache's resident and
+    /// capacity bytes are the report's store snapshot.
+    pub engine: EngineStats,
 }
 
-/// Whole-server statistics snapshot.
+/// Whole-server statistics snapshot: the server's own counters, then the
+/// snapshots of the shared store, the catalog and each open file.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsReport {
     /// Connections accepted over the server's lifetime.
@@ -726,31 +711,84 @@ pub struct StatsReport {
     pub rejected_too_large: u64,
     /// Payload bytes written in responses.
     pub response_bytes: u64,
-    /// Global shared-store hits.
-    pub cache_hits: u64,
-    /// Global shared-store misses.
-    pub cache_misses: u64,
-    /// Global shared-store insertions.
-    pub cache_insertions: u64,
-    /// Global shared-store evictions.
-    pub cache_evictions: u64,
-    /// Decoded bytes resident in the shared store.
-    pub cache_resident_bytes: u64,
-    /// The shared store's byte budget.
-    pub cache_capacity_bytes: u64,
-    /// Plotfiles currently open in the catalog.
-    pub open_files: u64,
-    /// Catalog opens that built a new engine.
-    pub catalog_opens: u64,
-    /// Catalog opens answered by an existing engine.
-    pub catalog_open_hits: u64,
-    /// Reopens that found a stale generation and invalidated it.
-    pub catalog_reopens_stale: u64,
-    /// Idle engines evicted to respect the open-file bound.
-    pub catalog_evicted_idle: u64,
+    /// The shared chunk store, whole-store.
+    pub store: CacheStats,
+    /// The engine catalog.
+    pub catalog: CatalogStats,
     /// Per-file rows.
     pub files: Vec<FileStats>,
 }
+
+/// A counter snapshot that crosses the wire as `N` little-endian `u64`s.
+/// [`WireCounters::slots`] names its fields once, in wire order; `put`
+/// and `get` both walk that list.
+trait WireCounters<const N: usize>: Copy + Default {
+    fn slots(&mut self) -> [&mut u64; N];
+
+    fn put(mut self, w: &mut Writer) {
+        for v in self.slots() {
+            w.put_u64(*v);
+        }
+    }
+
+    fn get(r: &mut Reader) -> ServeResult<Self> {
+        let mut snapshot = Self::default();
+        for v in snapshot.slots() {
+            *v = r.get_u64()?;
+        }
+        Ok(snapshot)
+    }
+}
+
+impl WireCounters<6> for CacheStats {
+    fn slots(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.hits,
+            &mut self.misses,
+            &mut self.insertions,
+            &mut self.evictions,
+            &mut self.resident_bytes,
+            &mut self.capacity_bytes,
+        ]
+    }
+}
+
+impl WireCounters<5> for CatalogStats {
+    fn slots(&mut self) -> [&mut u64; 5] {
+        [
+            &mut self.open_files,
+            &mut self.opens,
+            &mut self.open_hits,
+            &mut self.reopens_stale,
+            &mut self.evicted_idle,
+        ]
+    }
+}
+
+/// A file row carries its cache handle's four counters and the engine's
+/// seven. The resident and capacity bytes describe the whole store: the
+/// report's `store` carries them once.
+impl WireCounters<11> for EngineStats {
+    fn slots(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.cache.hits,
+            &mut self.cache.misses,
+            &mut self.cache.insertions,
+            &mut self.cache.evictions,
+            &mut self.roi_queries,
+            &mut self.region_queries,
+            &mut self.plane_queries,
+            &mut self.point_queries,
+            &mut self.chunks_decoded,
+            &mut self.decoded_bytes,
+            &mut self.read_bytes,
+        ]
+    }
+}
+
+/// Least encoded bytes of a file row: an empty path's length word, the
+/// file id, the generation pair and eleven counters.
+const FILE_ROW_MIN: usize = 8 * 15;
 
 impl StatsReport {
     fn encode(&self, w: &mut Writer) {
@@ -764,104 +802,49 @@ impl StatsReport {
             self.scan_slabs,
             self.rejected_too_large,
             self.response_bytes,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-            self.cache_resident_bytes,
-            self.cache_capacity_bytes,
-            self.open_files,
-            self.catalog_opens,
-            self.catalog_open_hits,
-            self.catalog_reopens_stale,
-            self.catalog_evicted_idle,
         ] {
             w.put_u64(v);
         }
+        self.store.put(w);
+        self.catalog.put(w);
         w.put_u32(self.files.len() as u32);
         for f in &self.files {
             put_string(w, &f.path);
-            w.put_u64(f.file_id);
-            w.put_u64(f.generation.0);
-            w.put_u64(f.generation.1);
-            for v in [
-                f.cache_hits,
-                f.cache_misses,
-                f.cache_insertions,
-                f.cache_evictions,
-                f.roi_queries,
-                f.region_queries,
-                f.plane_queries,
-                f.point_queries,
-                f.chunks_decoded,
-                f.decoded_bytes,
-                f.read_bytes,
-            ] {
+            for v in [f.file_id, f.generation.0, f.generation.1] {
                 w.put_u64(v);
             }
+            f.engine.put(w);
         }
     }
 
     fn decode(r: &mut Reader) -> ServeResult<StatsReport> {
-        let mut s = StatsReport::default();
-        let fields: [&mut u64; 20] = [
-            &mut s.connections_total,
-            &mut s.connections_active,
-            &mut s.requests,
-            &mut s.errors,
-            &mut s.interactive_queries,
-            &mut s.scan_queries,
-            &mut s.scan_slabs,
-            &mut s.rejected_too_large,
-            &mut s.response_bytes,
-            &mut s.cache_hits,
-            &mut s.cache_misses,
-            &mut s.cache_insertions,
-            &mut s.cache_evictions,
-            &mut s.cache_resident_bytes,
-            &mut s.cache_capacity_bytes,
-            &mut s.open_files,
-            &mut s.catalog_opens,
-            &mut s.catalog_open_hits,
-            &mut s.catalog_reopens_stale,
-            &mut s.catalog_evicted_idle,
-        ];
-        for slot in fields {
-            *slot = r.get_u64()?;
-        }
+        let mut report = StatsReport {
+            connections_total: r.get_u64()?,
+            connections_active: r.get_u64()?,
+            requests: r.get_u64()?,
+            errors: r.get_u64()?,
+            interactive_queries: r.get_u64()?,
+            scan_queries: r.get_u64()?,
+            scan_slabs: r.get_u64()?,
+            rejected_too_large: r.get_u64()?,
+            response_bytes: r.get_u64()?,
+            store: CacheStats::get(r)?,
+            catalog: CatalogStats::get(r)?,
+            files: Vec::new(),
+        };
         let n = r.get_u32()? as usize;
-        let n = r.check_count(n, 8 * 15)?;
-        let mut files = Vec::with_capacity(n);
-        for _ in 0..n {
-            let path = get_string(r)?;
-            let file_id = r.get_u64()?;
-            let generation = (r.get_u64()?, r.get_u64()?);
-            let mut f = FileStats {
-                path,
-                file_id,
-                generation,
-                ..FileStats::default()
+        for _ in 0..r.check_count(n, FILE_ROW_MIN)? {
+            let mut row = FileStats {
+                path: get_string(r)?,
+                file_id: r.get_u64()?,
+                generation: (r.get_u64()?, r.get_u64()?),
+                engine: EngineStats::get(r)?,
             };
-            let counters: [&mut u64; 11] = [
-                &mut f.cache_hits,
-                &mut f.cache_misses,
-                &mut f.cache_insertions,
-                &mut f.cache_evictions,
-                &mut f.roi_queries,
-                &mut f.region_queries,
-                &mut f.plane_queries,
-                &mut f.point_queries,
-                &mut f.chunks_decoded,
-                &mut f.decoded_bytes,
-                &mut f.read_bytes,
-            ];
-            for slot in counters {
-                *slot = r.get_u64()?;
-            }
-            files.push(f);
+            row.engine.cache.resident_bytes = report.store.resident_bytes;
+            row.engine.cache.capacity_bytes = report.store.capacity_bytes;
+            report.files.push(row);
         }
-        s.files = files;
-        Ok(s)
+        Ok(report)
     }
 }
 
@@ -1166,16 +1149,19 @@ mod tests {
     fn all_responses() -> Vec<Response> {
         let mut stats = StatsReport {
             requests: 10,
-            cache_hits: 3,
             ..StatsReport::default()
         };
+        stats.store.hits = 3;
+        let mut engine = EngineStats {
+            roi_queries: 4,
+            ..EngineStats::default()
+        };
+        engine.cache.hits = 1;
         stats.files.push(FileStats {
             path: "/a.h5l".into(),
             file_id: 2,
             generation: (100, 200),
-            cache_hits: 1,
-            roi_queries: 4,
-            ..FileStats::default()
+            engine,
         });
         vec![
             Response::Opened(OpenInfo {
@@ -1219,6 +1205,89 @@ mod tests {
                 message: "field 9 out of range".into(),
             },
         ]
+    }
+
+    /// A report with a distinct value in every counter and two file rows,
+    /// and its `OP_STATS_RESULT` payload written field by field from the
+    /// format, not by the encoder. The frame carries no version: a peer of
+    /// any build must read these bytes.
+    fn stats_fixture() -> (StatsReport, Vec<u8>) {
+        let store = CacheStats {
+            hits: 10,
+            misses: 11,
+            insertions: 12,
+            evictions: 13,
+            resident_bytes: 14,
+            capacity_bytes: 15,
+        };
+        let row = |path: &str, base: u64| FileStats {
+            path: path.into(),
+            file_id: base,
+            generation: (base + 1, base + 2),
+            engine: EngineStats {
+                roi_queries: base + 7,
+                region_queries: base + 8,
+                plane_queries: base + 9,
+                point_queries: base + 10,
+                chunks_decoded: base + 11,
+                decoded_bytes: base + 12,
+                read_bytes: base + 13,
+                cache: CacheStats {
+                    hits: base + 3,
+                    misses: base + 4,
+                    insertions: base + 5,
+                    evictions: base + 6,
+                    ..store
+                },
+            },
+        };
+        let report = StatsReport {
+            connections_total: 1,
+            connections_active: 2,
+            requests: 3,
+            errors: 4,
+            interactive_queries: 5,
+            scan_queries: 6,
+            scan_slabs: 7,
+            rejected_too_large: 8,
+            response_bytes: 9,
+            store,
+            catalog: CatalogStats {
+                open_files: 16,
+                opens: 17,
+                open_hits: 18,
+                reopens_stale: 19,
+                evicted_idle: 20,
+            },
+            files: vec![row("/data/a.h5l", 100), row("/b", 200)],
+        };
+        // Opcode 0x86; server counters, store and catalog are 1..=20 in
+        // wire order; then the row count and each row: path block, file
+        // id, generation, cache hits / misses / insertions / evictions,
+        // ROI / region / plane / point queries, chunks decoded, decoded
+        // bytes, read bytes — `base + 0..=13` in that order.
+        let mut image = vec![0x86];
+        let words = |image: &mut Vec<u8>, words: std::ops::Range<u64>| {
+            for v in words {
+                image.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        words(&mut image, 1..21);
+        image.extend_from_slice(&2u32.to_le_bytes());
+        for (path, base) in [("/data/a.h5l", 100), ("/b", 200)] {
+            image.extend_from_slice(&(path.len() as u64).to_le_bytes());
+            image.extend_from_slice(path.as_bytes());
+            words(&mut image, base..base + 14);
+        }
+        (report, image)
+    }
+
+    #[test]
+    fn stats_frame_bytes_are_pinned() {
+        let (report, image) = stats_fixture();
+        let response = Response::Stats(report);
+        assert_eq!(response.encode(), image);
+        assert_eq!(Response::decode(&image).expect("decode"), response);
     }
 
     #[test]

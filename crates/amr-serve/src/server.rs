@@ -120,56 +120,47 @@ impl ServeState {
         self.stopping.store(true, Ordering::Release);
     }
 
-    /// Whole-server statistics snapshot.
+    /// Whole-server statistics snapshot. The store is read once, and
+    /// every file row carries that snapshot's resident and capacity bytes.
     pub fn stats_report(&self) -> StatsReport {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
         let c = &self.counters;
         let store = self.catalog.store().stats();
-        let cat = self.catalog.stats();
         let files = self
             .catalog
             .entries()
             .iter()
             .map(|e| {
-                let es = e.engine.stats();
+                let mut engine = e.engine.stats();
+                // Planned serving bypasses the engine's per-entry-point
+                // counters; the entry counts what it served.
+                [
+                    engine.plane_queries,
+                    engine.region_queries,
+                    engine.roi_queries,
+                ] = e.served.each_ref().map(load);
+                engine.cache.resident_bytes = store.resident_bytes;
+                engine.cache.capacity_bytes = store.capacity_bytes;
                 FileStats {
                     path: e.path.display().to_string(),
                     file_id: e.file_id,
                     generation: (e.generation.len, e.generation.mtime_ns),
-                    cache_hits: es.cache.hits,
-                    cache_misses: es.cache.misses,
-                    cache_insertions: es.cache.insertions,
-                    cache_evictions: es.cache.evictions,
-                    roi_queries: e.served[2].load(Ordering::Relaxed),
-                    region_queries: e.served[1].load(Ordering::Relaxed),
-                    plane_queries: e.served[0].load(Ordering::Relaxed),
-                    point_queries: es.point_queries,
-                    chunks_decoded: es.chunks_decoded,
-                    decoded_bytes: es.decoded_bytes,
-                    read_bytes: es.read_bytes,
+                    engine,
                 }
             })
             .collect();
         StatsReport {
-            connections_total: c.connections_total.load(Ordering::Relaxed),
-            connections_active: c.connections_active.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-            interactive_queries: c.interactive_queries.load(Ordering::Relaxed),
-            scan_queries: c.scan_queries.load(Ordering::Relaxed),
-            scan_slabs: c.scan_slabs.load(Ordering::Relaxed),
-            rejected_too_large: c.rejected_too_large.load(Ordering::Relaxed),
-            response_bytes: c.response_bytes.load(Ordering::Relaxed),
-            cache_hits: store.hits,
-            cache_misses: store.misses,
-            cache_insertions: store.insertions,
-            cache_evictions: store.evictions,
-            cache_resident_bytes: store.resident_bytes,
-            cache_capacity_bytes: store.capacity_bytes,
-            open_files: cat.open_files,
-            catalog_opens: cat.opens,
-            catalog_open_hits: cat.open_hits,
-            catalog_reopens_stale: cat.reopens_stale,
-            catalog_evicted_idle: cat.evicted_idle,
+            connections_total: load(&c.connections_total),
+            connections_active: load(&c.connections_active),
+            requests: load(&c.requests),
+            errors: load(&c.errors),
+            interactive_queries: load(&c.interactive_queries),
+            scan_queries: load(&c.scan_queries),
+            scan_slabs: load(&c.scan_slabs),
+            rejected_too_large: load(&c.rejected_too_large),
+            response_bytes: load(&c.response_bytes),
+            store,
+            catalog: self.catalog.stats(),
             files,
         }
     }

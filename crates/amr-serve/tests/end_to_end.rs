@@ -200,10 +200,10 @@ fn concurrent_clients_match_direct_engine_bitwise() {
     // interactive and scan traffic, and a shared cache doing real work.
     let mut client = Client::connect_tcp(addr).unwrap();
     let stats = client.stats().unwrap();
-    assert_eq!(stats.open_files, 2, "one pooled engine per file");
-    assert_eq!(stats.catalog_opens, 2);
+    assert_eq!(stats.catalog.open_files, 2, "one pooled engine per file");
+    assert_eq!(stats.catalog.opens, 2);
     assert_eq!(
-        stats.catalog_open_hits, 10,
+        stats.catalog.open_hits, 10,
         "6 clients x 2 files minus 2 builds"
     );
     assert!(stats.interactive_queries > 0, "points must be interactive");
@@ -212,9 +212,9 @@ fn concurrent_clients_match_direct_engine_bitwise() {
         stats.scan_slabs >= stats.scan_queries,
         "scans hold the gate"
     );
-    assert!(stats.cache_hits > 0, "repeat traffic must hit the cache");
+    assert!(stats.store.hits > 0, "repeat traffic must hit the cache");
     assert_eq!(stats.files.len(), 2);
-    assert!(stats.files.iter().all(|f| f.chunks_decoded > 0));
+    assert!(stats.files.iter().all(|f| f.engine.chunks_decoded > 0));
     assert_eq!(stats.rejected_too_large, 0);
 
     // A point is a cell of the **finest** index space (32³ here), not of
@@ -388,7 +388,7 @@ fn holes_and_clipped_legacy_units_are_served_like_the_direct_engine() {
     assert!(got.data.iter().all(|v| v.to_bits() == 0));
     let expect = direct.level_region(0, 1, hole).unwrap();
     assert_eq!(wire_bits(&got), direct_bits(&expect));
-    assert_eq!(client.stats().unwrap().files[0].chunks_decoded, 0);
+    assert_eq!(client.stats().unwrap().files[0].engine.chunks_decoded, 0);
     std::fs::remove_file(&path).ok();
 
     // The hand-built file of `amr-query`'s point oracle: units
@@ -513,8 +513,11 @@ fn rewritten_plotfile_invalidates_stale_engine() {
     );
 
     let stats = client.stats().unwrap();
-    assert_eq!(stats.catalog_reopens_stale, 1);
-    assert_eq!(stats.open_files, 1, "stale entry replaced, not accumulated");
+    assert_eq!(stats.catalog.reopens_stale, 1);
+    assert_eq!(
+        stats.catalog.open_files, 1,
+        "stale entry replaced, not accumulated"
+    );
 
     // The *old* handle now points at a dropped catalog entry — still
     // answers (the engine lives while the handle holds it), from the old
@@ -554,7 +557,10 @@ fn oversized_requests_get_typed_rejection() {
     assert_eq!(stats.rejected_too_large, 1);
     assert_eq!((stats.interactive_queries, stats.scan_queries), (0, 0));
     assert_eq!(
-        (stats.files[0].read_bytes, stats.files[0].chunks_decoded),
+        (
+            stats.files[0].engine.read_bytes,
+            stats.files[0].engine.chunks_decoded
+        ),
         (0, 0)
     );
     // Connection is intact and small queries still pass.
@@ -604,7 +610,10 @@ fn admission_charges_the_answer_not_only_the_decode() {
     assert_eq!(stats.rejected_too_large, 1);
     assert_eq!((stats.interactive_queries, stats.scan_queries), (0, 0));
     assert_eq!(
-        (stats.files[0].read_bytes, stats.files[0].chunks_decoded),
+        (
+            stats.files[0].engine.read_bytes,
+            stats.files[0].engine.chunks_decoded
+        ),
         (0, 0),
         "refused before any byte was read"
     );
@@ -671,7 +680,7 @@ fn scans_hold_the_gate_once_per_chunk_batch() {
         );
         // Cold engine, distinct fields: the scan decoded its plan's
         // chunks exactly once.
-        let (f_now, f_seen) = (&now.files[0], &seen.files[0]);
+        let (f_now, f_seen) = (&now.files[0].engine, &seen.files[0].engine);
         assert_eq!(
             f_now.chunks_decoded - f_seen.chunks_decoded,
             cost.chunks as u64,
@@ -743,7 +752,7 @@ fn invalid_query_arguments_are_typed_planning_errors() {
         ),
         (0, 0, 0)
     );
-    assert_eq!(stats.files[0].read_bytes, 0);
+    assert_eq!(stats.files[0].engine.read_bytes, 0);
     // A ROI that merely misses every domain is a valid, empty answer.
     let empty = client.roi(h, 0, far.0, far.1, WireSelect::All).unwrap();
     assert!(empty.levels.is_empty());

@@ -248,7 +248,7 @@ fn open_on_forged_plotfile_metadata_is_open_failed() {
             "forgery {i}: connection must survive"
         );
     }
-    assert_eq!(client.stats().unwrap().open_files, 0);
+    assert_eq!(client.stats().unwrap().catalog.open_files, 0);
     assert_server_alive(addr);
     server.shutdown_and_join();
 }

@@ -219,32 +219,6 @@ pub fn unit_activity(unit: &impl AsView3) -> f64 {
     }
 }
 
-/// Summary of a level's pre-processing for reporting.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PreprocessSummary {
-    /// Cells owned by the rank before redundancy removal.
-    pub owned_cells: u64,
-    /// Cells surviving redundancy removal (== sum of unit volumes).
-    pub kept_cells: u64,
-    /// Number of unit blocks.
-    pub num_units: usize,
-}
-
-/// Compute the summary for a planned decomposition.
-pub fn summarize_units(level: &MultiFab, units: &[UnitRef], rank: usize) -> PreprocessSummary {
-    let owned: u64 = level
-        .distribution()
-        .local_boxes(rank)
-        .iter()
-        .map(|&bi| level.box_array().get(bi).num_cells())
-        .sum();
-    PreprocessSummary {
-        owned_cells: owned,
-        kept_cells: units.iter().map(|u| u.region.num_cells()).sum(),
-        num_units: units.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +318,6 @@ mod tests {
         let (mf, fine) = fixture();
         for rank in 0..2 {
             let units = plan_units(&mf, Some((&fine, 2)), 4, rank, true);
-            let s = summarize_units(&mf, &units, rank);
-            // Units tile exactly the valid region.
-            assert_eq!(
-                s.kept_cells,
-                units.iter().map(|u| u.region.num_cells()).sum::<u64>()
-            );
             // Unit regions are disjoint and miss the covered cube [4..12)³.
             let covered = IntBox::new(IntVect::new(4, 4, 4), IntVect::new(11, 11, 11));
             for (i, u) in units.iter().enumerate() {
@@ -363,7 +331,7 @@ mod tests {
         let total_kept: u64 = (0..2)
             .map(|r| {
                 let units = plan_units(&mf, Some((&fine, 2)), 4, r, true);
-                summarize_units(&mf, &units, r).kept_cells
+                units.iter().map(|u| u.region.num_cells()).sum::<u64>()
             })
             .sum();
         assert_eq!(total_kept, 16 * 16 * 16 - 8 * 8 * 8);
@@ -375,7 +343,7 @@ mod tests {
         let kept: u64 = (0..2)
             .map(|r| {
                 let units = plan_units(&mf, Some((&fine, 2)), 4, r, false);
-                summarize_units(&mf, &units, r).kept_cells
+                units.iter().map(|u| u.region.num_cells()).sum::<u64>()
             })
             .sum();
         assert_eq!(kept, 16 * 16 * 16);
@@ -387,7 +355,7 @@ mod tests {
         let kept: u64 = (0..2)
             .map(|r| {
                 let units = plan_units(&mf, None, 8, r, true);
-                summarize_units(&mf, &units, r).kept_cells
+                units.iter().map(|u| u.region.num_cells()).sum::<u64>()
             })
             .sum();
         assert_eq!(kept, 16 * 16 * 16);

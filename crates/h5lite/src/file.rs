@@ -16,29 +16,17 @@
 use crate::collective::commit_frames;
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
-use crate::filter::{decoder_for, encode_frame, ChunkFilter, FilterMode};
+use crate::filter::{decode_chunk, encode_frame, ChunkFilter, FilterMode};
 use crate::index::{read_index_section, write_index_section, ChunkIndex};
 use crate::storage::{FileStorage, MemStorage, Storage};
 use parking_lot::Mutex;
+use rankpar::IoLedger;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC_HEAD: &[u8; 4] = b"H5LT";
 const MAGIC_TAIL: &[u8; 4] = b"H5LE";
 const VERSION: u8 = 1;
-
-/// Aggregate write-side counters (inputs to the PFS cost model).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteStats {
-    /// Filter invocations (= compressor launches).
-    pub filter_calls: u64,
-    /// Write calls issued.
-    pub write_calls: u64,
-    /// Payload bytes written (excludes directory).
-    pub bytes_written: u64,
-    /// Dataset creates.
-    pub dataset_creates: u64,
-}
 
 /// One chunk of data heading to storage: the values plus how many of them
 /// are real (the rest is padding the caller added to reach the uniform
@@ -67,7 +55,7 @@ pub struct H5Writer {
     directory: Mutex<Vec<DatasetMeta>>,
     indexes: Mutex<Vec<(String, ChunkIndex)>>,
     finished: AtomicU64,
-    stats: Mutex<WriteStats>,
+    stats: Mutex<IoLedger>,
 }
 
 impl H5Writer {
@@ -102,7 +90,7 @@ impl H5Writer {
             directory: Mutex::new(Vec::new()),
             indexes: Mutex::new(Vec::new()),
             finished: AtomicU64::new(0),
-            stats: Mutex::new(WriteStats::default()),
+            stats: Mutex::new(IoLedger::default()),
         })
     }
 
@@ -206,7 +194,7 @@ impl H5Writer {
         // The serial face of the write engine: same encode step, same
         // commit step, one frame resident at a time.
         let mut records = Vec::with_capacity(chunks.len());
-        let mut ledger = rankpar::IoLedger::default();
+        let mut ledger = IoLedger::default();
         let mut pad = Vec::new();
         for chunk in chunks {
             let frame = encode_frame(chunk, chunk_elems, filter, mode, &mut pad)?;
@@ -258,8 +246,10 @@ impl H5Writer {
         Ok(())
     }
 
-    /// Snapshot of the write counters.
-    pub fn stats(&self) -> WriteStats {
+    /// Snapshot of the whole container's write counters: filter calls,
+    /// write calls, payload bytes (the directory excluded) and dataset
+    /// creates. The writer times nothing, so `measured_compute_s` is 0.
+    pub fn stats(&self) -> IoLedger {
         *self.stats.lock()
     }
 
@@ -429,16 +419,20 @@ impl H5Reader {
             })
     }
 
-    /// Read and decode one chunk of a dataset using the registry decoder.
-    /// Application-defined filters (AMRIC's) are not in the registry:
-    /// their readers take the raw chunk ([`H5Reader::read_chunk_raw_into`])
-    /// and decode it themselves.
+    /// Read and decode one chunk of a dataset stored through a built-in
+    /// filter ([`decode_chunk`]). Application-defined filters (AMRIC's)
+    /// are not built in: their readers take the raw chunk
+    /// ([`H5Reader::read_chunk_raw_into`]) and decode it themselves.
     pub fn read_chunk(&self, name: &str, index: usize) -> H5Result<Vec<f64>> {
         let meta = self.meta(name)?;
-        let decoder = decoder_for(meta.filter_id, &meta.client_data)?;
         let rec = *self.chunk_record(name, index)?;
         let bytes = self.read_chunk_raw(name, index)?;
-        decoder.decode(&bytes, rec.logical_elems as usize)
+        decode_chunk(
+            meta.filter_id,
+            &meta.client_data,
+            &bytes,
+            rec.logical_elems as usize,
+        )
     }
 
     /// Read the stored (encoded) bytes of one chunk without filtering.
@@ -614,7 +608,7 @@ mod tests {
     fn chunk_out_of_range_is_typed() {
         // Regression: a bad chunk index must surface as the typed
         // `ChunkOutOfRange` carrying the dataset name and index — on the
-        // registry path and the raw path.
+        // decoding path and the raw path.
         let r = mem_roundtrip(|w| {
             let data: Vec<f64> = (0..512).map(|i| i as f64).collect();
             w.write_dataset("d", &data, 256, &NoFilter).unwrap();

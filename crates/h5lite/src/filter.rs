@@ -46,7 +46,9 @@ impl FilterMode {
     }
 }
 
-/// A bidirectional chunk transform.
+/// A chunk transform on the write path. Reading decodes the built-in
+/// filters through [`decode_chunk`]; an application-defined filter's
+/// reader decodes its raw chunks itself.
 ///
 /// `encode_into` is the primary entry point: it **appends** to a
 /// caller-provided buffer (the writer reuses one buffer across chunks, so
@@ -69,8 +71,6 @@ pub trait ChunkFilter: Send + Sync {
         self.encode_into(chunk, &mut out)?;
         Ok(out)
     }
-    /// Decode to exactly `n_elems` values.
-    fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>>;
 }
 
 /// One chunk's encoded bytes plus the metadata the collective write path
@@ -162,21 +162,6 @@ impl ChunkFilter for NoFilter {
         }
         Ok(())
     }
-
-    fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        // `n_elems` comes from the directory: checked, a forged count is a
-        // size mismatch, not an overflow.
-        if n_elems.checked_mul(8) != Some(bytes.len()) {
-            return Err(H5Error::Format(format!(
-                "raw chunk is {} bytes, expected {n_elems} values",
-                bytes.len()
-            )));
-        }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect())
-    }
 }
 
 /// SZ error-bounded lossy filter (H5Z-SZ equivalent), as AMReX's stock
@@ -226,38 +211,51 @@ impl ChunkFilter for SzFilter {
         lr::compress_domains_pooled(&[row], &cfg, out);
         Ok(())
     }
-
-    fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
-        if n_elems == 0 {
-            return Ok(Vec::new());
-        }
-        let data = lr::decompress(bytes)?.into_vec();
-        // `n_elems` is the directory's record: a stream that disagrees
-        // with it, either way, contradicts the file.
-        if data.len() != n_elems {
-            return Err(H5Error::Format(format!(
-                "decoded {} elems, chunk record says {n_elems}",
-                data.len()
-            )));
-        }
-        Ok(data)
-    }
 }
 
-/// Decoder lookup for reading: maps a stored `(filter_id, client_data)`
-/// pair back to a filter instance.
-pub fn decoder_for(filter_id: u32, client_data: &[u8]) -> H5Result<Box<dyn ChunkFilter>> {
+/// Decode one chunk stored through a built-in filter ([`NoFilter`],
+/// [`SzFilter`]) to exactly `n_elems` values; the stored
+/// `(filter_id, client_data)` pair names the filter. `n_elems` is the
+/// directory's record: a stream that disagrees with it, either way,
+/// contradicts the file.
+pub fn decode_chunk(
+    filter_id: u32,
+    client_data: &[u8],
+    bytes: &[u8],
+    n_elems: usize,
+) -> H5Result<Vec<f64>> {
     match filter_id {
-        FILTER_NONE => Ok(Box::new(NoFilter)),
-        FILTER_SZ => match client_data
-            .strip_prefix(&SZ_CLIENT_TAG)
-            .map(<[u8; 8]>::try_from)
-        {
-            Some(Ok(rel)) => Ok(Box::new(SzFilter {
-                rel_eb: f64::from_le_bytes(rel),
-            })),
-            _ => Err(H5Error::Format("bad SZ filter client data".into())),
-        },
+        FILTER_NONE => {
+            // Checked: a forged count is a size mismatch, not an overflow.
+            if n_elems.checked_mul(8) != Some(bytes.len()) {
+                return Err(H5Error::Format(format!(
+                    "raw chunk is {} bytes, expected {n_elems} values",
+                    bytes.len()
+                )));
+            }
+            Ok(bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+                .collect())
+        }
+        FILTER_SZ => {
+            // The stream is self-describing and the bound informational,
+            // but only the client data `SzFilter` writes names this filter.
+            if client_data.strip_prefix(&SZ_CLIENT_TAG).map(<[u8]>::len) != Some(8) {
+                return Err(H5Error::Format("bad SZ filter client data".into()));
+            }
+            if n_elems == 0 {
+                return Ok(Vec::new());
+            }
+            let data = lr::decompress(bytes)?.into_vec();
+            if data.len() != n_elems {
+                return Err(H5Error::Format(format!(
+                    "decoded {} elems, chunk record says {n_elems}",
+                    data.len()
+                )));
+            }
+            Ok(data)
+        }
         other => Err(H5Error::UnknownFilter(other)),
     }
 }
@@ -266,14 +264,18 @@ pub fn decoder_for(filter_id: u32, client_data: &[u8]) -> H5Result<Box<dyn Chunk
 mod tests {
     use super::*;
 
+    fn decode(f: &dyn ChunkFilter, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
+        decode_chunk(f.id(), &f.client_data(), bytes, n_elems)
+    }
+
     #[test]
     fn no_filter_roundtrip() {
         let data = vec![1.5, -2.25, 1e300, 0.0];
         let f = NoFilter;
         let enc = f.encode(&data).unwrap();
         assert_eq!(enc.len(), 32);
-        assert_eq!(f.decode(&enc, 4).unwrap(), data);
-        assert!(f.decode(&enc, 3).is_err());
+        assert_eq!(decode(&f, &enc, 4).unwrap(), data);
+        assert!(decode(&f, &enc, 3).is_err());
     }
 
     #[test]
@@ -282,7 +284,7 @@ mod tests {
         let f = SzFilter::one_dimensional(1e-3);
         let enc = f.encode(&data).unwrap();
         assert!(enc.len() < data.len() * 8);
-        let dec = f.decode(&enc, 2000).unwrap();
+        let dec = decode(&f, &enc, 2000).unwrap();
         // REL mode: bound resolves against the chunk's own range.
         let range = 2.0;
         for (o, r) in data.iter().zip(&dec) {
@@ -290,8 +292,8 @@ mod tests {
         }
         // The chunk record is outside input: a stream holding more
         // values than it claims is a contradiction, not a prefix.
-        assert!(f.decode(&enc, 1999).is_err());
-        assert!(f.decode(&enc, 2001).is_err());
+        assert!(decode(&f, &enc, 1999).is_err());
+        assert!(decode(&f, &enc, 2001).is_err());
     }
 
     #[test]
@@ -301,22 +303,20 @@ mod tests {
         let f = SzFilter::one_dimensional(1e-3);
         let enc = f.encode(&[]).unwrap();
         assert!(enc.is_empty());
-        assert_eq!(f.decode(&enc, 0).unwrap(), Vec::<f64>::new());
+        assert_eq!(decode(&f, &enc, 0).unwrap(), Vec::<f64>::new());
     }
 
     #[test]
     fn decoder_registry_roundtrip() {
         let f = SzFilter::one_dimensional(5e-3);
-        let d = decoder_for(f.id(), &f.client_data()).unwrap();
-        assert_eq!(d.id(), FILTER_SZ);
         let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let enc = f.encode(&data).unwrap();
-        let dec = d.decode(&enc, 100).unwrap();
+        let dec = decode_chunk(FILTER_SZ, &f.client_data(), &enc, 100).unwrap();
         for (o, r) in data.iter().zip(&dec) {
             assert!((o - r).abs() <= 5e-3 * 99.0 + 1e-12);
         }
         assert!(matches!(
-            decoder_for(99, &[]),
+            decode_chunk(99, &[], &enc, 100),
             Err(H5Error::UnknownFilter(99))
         ));
         // Only the client data `SzFilter` writes decodes: any other tag,
@@ -330,7 +330,10 @@ mod tests {
         longer.push(0);
         for bad in [&[][..], &cd[..9], &other_algorithm, &abs_bound, &longer] {
             assert!(
-                matches!(decoder_for(FILTER_SZ, bad), Err(H5Error::Format(_))),
+                matches!(
+                    decode_chunk(FILTER_SZ, bad, &enc, 100),
+                    Err(H5Error::Format(_))
+                ),
                 "{bad:?}"
             );
         }

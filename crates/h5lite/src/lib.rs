@@ -38,7 +38,7 @@ pub mod testutil;
 
 pub use dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
 pub use error::{H5Error, H5Result};
-pub use file::{ChunkData, H5Reader, H5Writer, WriteStats};
+pub use file::{ChunkData, H5Reader, H5Writer};
 pub use filter::{ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter};
 pub use index::{ChunkIndex, ChunkIndexEntry, CODEC_RAW};
 pub use storage::{FileStorage, MemStorage, Storage};
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::collective::{collective_write_many, DatasetJob};
     pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
     pub use crate::error::{H5Error, H5Result};
-    pub use crate::file::{ChunkData, H5Reader, H5Writer, WriteStats};
+    pub use crate::file::{ChunkData, H5Reader, H5Writer};
     pub use crate::filter::{
         encode_frame, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
     };
