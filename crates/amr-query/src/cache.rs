@@ -96,6 +96,9 @@ pub struct ChunkStore {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: u64,
     capacity: u64,
+    /// Sum of the shards' `bytes`, moved under the shard lock by every
+    /// change to one, so reading it locks nothing.
+    resident: AtomicU64,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -121,6 +124,7 @@ impl ChunkStore {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: max_bytes / SHARDS as u64,
             capacity: max_bytes,
+            resident: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -133,6 +137,16 @@ impl ChunkStore {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
+    }
+
+    /// Carry a shard's change from `before` to `after` bytes into the
+    /// store-wide total; called with that shard's lock held.
+    fn account(&self, before: u64, after: u64) {
+        if after >= before {
+            self.resident.fetch_add(after - before, Ordering::Relaxed);
+        } else {
+            self.resident.fetch_sub(before - after, Ordering::Relaxed);
+        }
     }
 
     /// Look a chunk up, refreshing its recency on a hit.
@@ -160,6 +174,7 @@ impl ChunkStore {
         let bytes = chunk_bytes(&value);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(&key).lock();
+        let before = shard.bytes;
         if let Some(old) = shard.entries.remove(&key) {
             shard.bytes -= old.bytes;
         }
@@ -184,6 +199,7 @@ impl ChunkStore {
                 last_used: stamp,
             },
         );
+        self.account(before, shard.bytes);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted_here, Ordering::Relaxed);
         evicted_here
@@ -196,6 +212,7 @@ impl ChunkStore {
         let mut removed = 0u64;
         for s in &self.shards {
             let mut s = s.lock();
+            let before = s.bytes;
             let victims: Vec<GlobalChunkKey> =
                 s.entries.keys().filter(|k| pred(k)).copied().collect();
             for k in victims {
@@ -203,6 +220,7 @@ impl ChunkStore {
                 s.bytes -= e.bytes;
                 removed += 1;
             }
+            self.account(before, s.bytes);
         }
         removed
     }
@@ -219,9 +237,10 @@ impl ChunkStore {
         }
     }
 
-    /// Decoded bytes currently resident across all shards.
+    /// Decoded bytes currently resident across all shards (no shard lock
+    /// taken).
     pub fn resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.resident.load(Ordering::Relaxed)
     }
 }
 
@@ -390,5 +409,44 @@ mod tests {
         assert_eq!(store.remove_matching(|(f, _)| *f == 3), 5);
         assert_eq!(store.resident_bytes(), 0);
         assert!(old.get(&(0, 0, 0)).is_none());
+    }
+
+    /// The store's resident total against its entries, summed afresh.
+    fn assert_resident_is_entry_sum(store: &ChunkStore, what: &str) {
+        let sum: u64 = store
+            .shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .entries
+                    .values()
+                    .map(|e| chunk_bytes(&e.value))
+                    .sum::<u64>()
+            })
+            .sum();
+        assert_eq!(store.resident_bytes(), sum, "{what}");
+    }
+
+    #[test]
+    fn resident_total_follows_every_shard_change() {
+        // Two 64-cell chunks fill a shard; three keys of shard 0.
+        let store = ChunkStore::new((64 * 8 * 2) * SHARDS as u64);
+        let keys: Vec<GlobalChunkKey> = (0..1000usize)
+            .map(|i| (1, (i, 0, 0)))
+            .filter(|k| std::ptr::eq(store.shard_for(k), &store.shards[0]))
+            .take(3)
+            .collect();
+        assert_eq!(keys.len(), 3);
+        store.insert(keys[0], chunk(64, 0.0));
+        store.insert(keys[1], chunk(32, 1.0));
+        assert_resident_is_entry_sum(&store, "insert");
+        store.insert(keys[1], chunk(48, 1.5));
+        assert_resident_is_entry_sum(&store, "re-insert of the same key");
+        assert_eq!(store.insert(keys[2], chunk(64, 2.0)), 1);
+        assert_resident_is_entry_sum(&store, "eviction");
+        store.insert((2, (0, 0, 0)), chunk(16, 3.0));
+        assert_eq!(store.remove_matching(|(f, _)| *f == 1), 2);
+        assert_resident_is_entry_sum(&store, "remove_matching");
+        assert_eq!(store.resident_bytes(), 16 * 8);
     }
 }

@@ -149,18 +149,23 @@ pub struct CatalogStats {
     pub evicted_idle: u64,
 }
 
+/// What the entries guard holds: the open entries by path, and the
+/// counters `open` moves with them (`stats.open_files` stays 0: the map's
+/// length is the count).
+#[derive(Default)]
+struct Pool {
+    map: HashMap<PathBuf, Arc<CatalogEntry>>,
+    stats: CatalogStats,
+}
+
 /// The engine pool. All methods take `&self`.
 pub struct Catalog {
     store: Arc<ChunkStore>,
-    entries: Mutex<HashMap<PathBuf, Arc<CatalogEntry>>>,
+    entries: Mutex<Pool>,
     clock: AtomicU64,
     next_file_id: AtomicU64,
     max_open: usize,
     workers: usize,
-    opens: AtomicU64,
-    open_hits: AtomicU64,
-    reopens_stale: AtomicU64,
-    evicted_idle: AtomicU64,
 }
 
 impl Catalog {
@@ -169,7 +174,7 @@ impl Catalog {
     /// request. The map is only ever mutated through insert/remove, both
     /// of which leave it structurally sound even if the panicking thread
     /// died mid-`open`, so the inner value is safe to adopt.
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, HashMap<PathBuf, Arc<CatalogEntry>>> {
+    fn lock_entries(&self) -> std::sync::MutexGuard<'_, Pool> {
         self.entries.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -179,15 +184,11 @@ impl Catalog {
     pub fn new(cache_bytes: u64, max_open: usize, workers: usize) -> Self {
         Catalog {
             store: Arc::new(ChunkStore::new(cache_bytes)),
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::default(),
             clock: AtomicU64::new(0),
             next_file_id: AtomicU64::new(1),
             max_open: max_open.max(1),
             workers: workers.max(1),
-            opens: AtomicU64::new(0),
-            open_hits: AtomicU64::new(0),
-            reopens_stale: AtomicU64::new(0),
-            evicted_idle: AtomicU64::new(0),
         }
     }
 
@@ -202,34 +203,36 @@ impl Catalog {
     pub fn open(&self, path: &Path) -> Result<Arc<CatalogEntry>, amr_query::QueryError> {
         let generation = Generation::of(path).map_err(h5lite::H5Error::Io)?;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.lock_entries();
-        if let Some(entry) = entries.get(path) {
+        let mut pool = self.lock_entries();
+        if let Some(entry) = pool.map.get(path) {
             if entry.generation == generation {
                 entry.last_used.store(stamp, Ordering::Relaxed);
-                self.open_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(entry));
+                let entry = Arc::clone(entry);
+                pool.stats.open_hits += 1;
+                return Ok(entry);
             }
             // Same path, different bytes: the snapshot was rewritten.
             // Purge the stale generation's chunks so the shared budget
             // never serves bytes from a file that no longer exists.
-            let stale = entries.remove(path).expect("entry just observed");
+            let stale = pool.map.remove(path).expect("entry just observed");
             self.store.remove_matching(|(fid, _)| *fid == stale.file_id);
-            self.reopens_stale.fetch_add(1, Ordering::Relaxed);
+            pool.stats.reopens_stale += 1;
         }
         // Respect the open-file bound before adding a new engine: drop
         // idle entries (no connection holds them) oldest-first.
-        while entries.len() >= self.max_open {
-            let victim = entries
+        while pool.map.len() >= self.max_open {
+            let victim = pool
+                .map
                 .iter()
                 .filter(|(_, e)| Arc::strong_count(e) == 1)
                 .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
                 .map(|(p, _)| p.clone());
             match victim {
                 Some(p) => {
-                    let evicted = entries.remove(&p).expect("victim present");
+                    let evicted = pool.map.remove(&p).expect("victim present");
                     self.store
                         .remove_matching(|(fid, _)| *fid == evicted.file_id);
-                    self.evicted_idle.fetch_add(1, Ordering::Relaxed);
+                    pool.stats.evicted_idle += 1;
                 }
                 // Every entry is in use: exceed the bound rather than
                 // fail the open (soft bound; the stats surface shows it).
@@ -248,31 +251,27 @@ impl Catalog {
             served: Default::default(),
             last_used: AtomicU64::new(stamp),
         });
-        entries.insert(path.to_path_buf(), Arc::clone(&entry));
-        self.opens.fetch_add(1, Ordering::Relaxed);
+        pool.map.insert(path.to_path_buf(), Arc::clone(&entry));
+        pool.stats.opens += 1;
         Ok(entry)
     }
 
     /// Snapshot of every open entry (stats reporting).
     pub fn entries(&self) -> Vec<Arc<CatalogEntry>> {
-        let entries = self.lock_entries();
-        let mut v: Vec<_> = entries.values().cloned().collect();
+        let mut v: Vec<_> = self.lock_entries().map.values().cloned().collect();
         v.sort_by_key(|e| e.file_id);
         v
     }
 
-    /// Counter snapshot. Every counter is read while the entries guard
-    /// is held: `open` bumps the counters under that same guard, so the
-    /// snapshot is a consistent point-in-time view — `open_files` can
-    /// never disagree with the opens/evictions that produced it.
+    /// Counter snapshot. The counters live beside the map under the one
+    /// entries guard, so the snapshot is a consistent point-in-time view —
+    /// `open_files` can never disagree with the opens/evictions that
+    /// produced it.
     pub fn stats(&self) -> CatalogStats {
-        let entries = self.lock_entries();
+        let pool = self.lock_entries();
         CatalogStats {
-            open_files: entries.len() as u64,
-            opens: self.opens.load(Ordering::Relaxed),
-            open_hits: self.open_hits.load(Ordering::Relaxed),
-            reopens_stale: self.reopens_stale.load(Ordering::Relaxed),
-            evicted_idle: self.evicted_idle.load(Ordering::Relaxed),
+            open_files: pool.map.len() as u64,
+            ..pool.stats
         }
     }
 }

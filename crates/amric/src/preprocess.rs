@@ -152,7 +152,10 @@ pub fn extract_units(level: &MultiFab, units: &[UnitRef], field: usize) -> Vec<B
 }
 
 /// Scatter decompressed units back into a level's fabs (inverse of
-/// [`extract_units`]); used by the read path.
+/// [`extract_units`]). A restart never calls it — `reader` decodes each
+/// unit straight into its fab — so it serves offline callers that hold
+/// owned unit buffers, and is the second half of the restart oracle
+/// (decode the units owned, then scatter).
 pub fn scatter_units(level: &mut MultiFab, units: &[UnitRef], field: usize, data: &[Buffer3]) {
     assert_eq!(units.len(), data.len(), "unit/data count mismatch");
     for (u, buf) in units.iter().zip(data) {

@@ -1,15 +1,19 @@
-//! Bit-level reader used by the Huffman decoder's canonical walk (and,
-//! for tests, the per-bit writer the encoder's word-wise emit replaced).
+//! Per-bit reader and writer: the oracles the Huffman coder's word-wise
+//! decode and emit are held to. The library itself reads and writes bits
+//! in 64-bit words; nothing here is compiled outside tests.
 //!
 //! Bits are packed MSB-first within each byte, which keeps canonical
 //! Huffman codes directly comparable as integers while decoding.
 
-/// Sequential bit reader over a byte slice.
-pub struct BitReader<'a> {
+/// Sequential bit reader over a byte slice: the bit-by-bit canonical
+/// walk's input.
+#[cfg(test)]
+pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
+#[cfg(test)]
 impl<'a> BitReader<'a> {
     /// Read from the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
@@ -17,7 +21,6 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read one bit. Returns `None` past the end.
-    #[inline]
     pub fn read_bit(&mut self) -> Option<u64> {
         let byte = *self.bytes.get(self.pos / 8)?;
         let bit = (byte >> (7 - (self.pos % 8))) & 1;
@@ -35,15 +38,10 @@ impl<'a> BitReader<'a> {
         }
         Some(v)
     }
-
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
 }
 
-/// Append-only per-bit writer: the oracle the Huffman coder's word-wise
-/// emit is checked against.
+/// Append-only per-bit writer: the oracle of the Huffman coder's
+/// word-wise emit.
 #[cfg(test)]
 #[derive(Default)]
 pub(crate) struct BitWriter {

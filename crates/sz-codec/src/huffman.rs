@@ -5,7 +5,6 @@
 //! the table serializes as (symbol, length) pairs and decoding needs only
 //! per-length first-code offsets.
 
-use crate::bitstream::BitReader;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 use std::collections::BinaryHeap;
 
@@ -29,7 +28,7 @@ const SLOT_SYMBOLS: usize = 4;
 const SEVERAL_MIN_PER_16_SLOTS: usize = 24;
 
 /// Below this symbol count the lookup-table build costs more than it
-/// saves; decode falls through to the bit-by-bit reference walk.
+/// saves; decode runs without the table, every symbol a one-symbol step.
 const DECODE_TABLE_MIN_SYMBOLS: usize = 64;
 
 /// Stack bytes `encode_into` fills between appends: whole 4-byte words.
@@ -137,16 +136,17 @@ impl HuffmanCode {
     /// Decode exactly `n` symbols from the bit stream into the symbol type
     /// the caller stores; a symbol that does not fit it is corrupt.
     ///
-    /// Table-driven: the next 12 peeked bits select a slot holding every
-    /// whole code they start with (up to four, or one when the mode rule
-    /// says several do not pay), taken with one lookup. Anything else — a
-    /// code longer than the window, a symbol that does not fit `S`, the
-    /// last bytes and the last symbols — takes the one-symbol step, which
-    /// finds the code length by comparing the buffered bits with the
-    /// canonical limits and, short of bits, fails with the error the
-    /// private `decode_reference` walk meets there. Both resolve the unique
-    /// code the reference walk finds, so results, typed errors included,
-    /// are identical.
+    /// One loop for every block. From `DECODE_TABLE_MIN_SYMBOLS` symbols
+    /// on it builds a table: the next 12 peeked bits select a slot holding
+    /// every whole code they start with (up to four, or one when the mode
+    /// rule says several do not pay), taken with one lookup. Anything else
+    /// — every symbol of a shorter block, a code longer than the window, a
+    /// symbol that does not fit `S`, the last bytes and the last symbols —
+    /// takes the one-symbol step, which finds the code length by comparing
+    /// the buffered bits with the canonical limits and, short of bits,
+    /// fails with the error the bit-by-bit canonical walk meets there.
+    /// Both resolve the unique code that walk finds, so results, typed
+    /// errors included, are the walk's.
     pub fn decode<S: TryFrom<u32> + Copy + Default>(
         &self,
         bytes: &[u8],
@@ -161,12 +161,12 @@ impl HuffmanCode {
                 available: bytes.len() as u128 * 8,
             });
         }
-        if n < DECODE_TABLE_MIN_SYMBOLS || self.lens.is_empty() {
-            return self.decode_reference(bytes, n);
-        }
         let canon = Canonical::build(&self.lens);
-        let slots = Slots::<S>::build(&self.lens, &canon);
-        let per_slot = if slots.several { SLOT_SYMBOLS } else { 1 };
+        let slots = (n >= DECODE_TABLE_MIN_SYMBOLS).then(|| Slots::<S>::build(&self.lens, &canon));
+        let per_slot = match &slots {
+            Some(slots) if slots.several => SLOT_SYMBOLS,
+            _ => 1,
+        };
         // A slot is copied whole and `o` advanced by its count, so `out`
         // has `SLOT_SYMBOLS − 1` spare symbols past the last one.
         let mut out = vec![S::default(); n + SLOT_SYMBOLS - 1];
@@ -188,11 +188,12 @@ impl HuffmanCode {
                 buf |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> nbits;
                 byte_pos += ((63 - nbits) >> 3) as usize;
                 nbits |= 56;
-                // Fast phase: a group of lookups with no refill test
-                // between them, while a whole group of symbols remains.
-                // It stops at a slot without a whole code of type `S`;
-                // after a refill that slot takes the one-symbol step.
-                if n - o >= slots.group * per_slot {
+                // Fast phase, with a table: a group of lookups with no
+                // refill test between them, while a whole group of
+                // symbols remains. It stops at a slot without a whole
+                // code of type `S`; after a refill that slot takes the
+                // one-symbol step.
+                if let Some(slots) = slots.as_ref().filter(|s| n - o >= s.group * per_slot) {
                     let mut hits = 0;
                     while hits < slots.group {
                         let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
@@ -219,15 +220,16 @@ impl HuffmanCode {
                     byte_pos += 1;
                 }
             }
-            // One symbol: a code longer than the window or not of type
-            // `S`, the last bytes, the last symbols. Its length is the
-            // smallest whose canonical limit the left-aligned bits are
-            // below (the limits never decrease, so that is one count),
-            // looked for from where the slot's own entry leaves off.
-            let meta = slots.meta[(buf >> (64 - DECODE_TABLE_BITS)) as usize];
-            let from = match meta {
-                0 => DECODE_TABLE_BITS as usize + 1,
-                1..16 => meta as usize,
+            // One symbol: any symbol without a table, else a code longer
+            // than the window or not of type `S`, the last bytes, the
+            // last symbols. Its length is the smallest whose canonical
+            // limit the left-aligned bits are below (the limits never
+            // decrease, so that is one count), looked for from where the
+            // slot's own entry leaves off, or from length 1.
+            let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
+            let from = match slots.as_ref().map(|slots| slots.meta[slot]) {
+                Some(0) => DECODE_TABLE_BITS as usize + 1,
+                Some(meta @ 1..16) => meta as usize,
                 _ => 1,
             };
             let top = buf >> 32;
@@ -248,48 +250,6 @@ impl HuffmanCode {
             nbits -= len as u32;
         }
         out.truncate(n);
-        Ok(out)
-    }
-
-    /// The bit-by-bit canonical walk: the decoder of short streams, and
-    /// the equivalence oracle of [`HuffmanCode::decode`].
-    fn decode_reference<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
-        if n as u128 > bytes.len() as u128 * 8 {
-            return Err(CodecError::LimitExceeded {
-                what: "symbol count",
-                claimed: n as u128,
-                available: bytes.len() as u128 * 8,
-            });
-        }
-        let Canonical {
-            max_len,
-            first_code,
-            first_index,
-            count,
-            ..
-        } = Canonical::build(&self.lens);
-        let mut out = Vec::with_capacity(n);
-        let mut r = BitReader::new(bytes);
-        // Single-symbol streams use 1-bit codes; the general path handles it.
-        for _ in 0..n {
-            let mut code = 0u64;
-            let mut len = 0usize;
-            loop {
-                let bit = r
-                    .read_bit()
-                    .ok_or_else(|| CodecError::corrupt("huffman stream exhausted"))?;
-                code = (code << 1) | bit;
-                len += 1;
-                if len > max_len {
-                    return Err(CodecError::corrupt("invalid huffman code"));
-                }
-                let rel = code.wrapping_sub(first_code[len]);
-                if count[len] > 0 && code >= first_code[len] && (rel as usize) < count[len] {
-                    out.push(narrow(self.lens[first_index[len] + rel as usize].0)?);
-                    break;
-                }
-            }
-        }
         Ok(out)
     }
 
@@ -675,7 +635,7 @@ pub fn decode_with_table_as<S: TryFrom<u32> + Copy + Default>(bytes: &[u8]) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstream::BitWriter;
+    use crate::bitstream::{BitReader, BitWriter};
 
     impl HuffmanCode {
         /// The original per-bit encode loop: the oracle of `encode_into`.
@@ -687,6 +647,47 @@ mod tests {
                 w.write_bits(code, len);
             }
             w.into_bytes()
+        }
+
+        /// The bit-by-bit canonical walk: the oracle of `decode`.
+        fn decode_reference<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
+            if n as u128 > bytes.len() as u128 * 8 {
+                return Err(CodecError::LimitExceeded {
+                    what: "symbol count",
+                    claimed: n as u128,
+                    available: bytes.len() as u128 * 8,
+                });
+            }
+            let Canonical {
+                max_len,
+                first_code,
+                first_index,
+                count,
+                ..
+            } = Canonical::build(&self.lens);
+            let mut out = Vec::with_capacity(n);
+            let mut r = BitReader::new(bytes);
+            // Single-symbol streams use 1-bit codes; the general path handles it.
+            for _ in 0..n {
+                let mut code = 0u64;
+                let mut len = 0usize;
+                loop {
+                    let bit = r
+                        .read_bit()
+                        .ok_or_else(|| CodecError::corrupt("huffman stream exhausted"))?;
+                    code = (code << 1) | bit;
+                    len += 1;
+                    if len > max_len {
+                        return Err(CodecError::corrupt("invalid huffman code"));
+                    }
+                    let rel = code.wrapping_sub(first_code[len]);
+                    if count[len] > 0 && code >= first_code[len] && (rel as usize) < count[len] {
+                        out.push(narrow(self.lens[first_index[len] + rel as usize].0)?);
+                        break;
+                    }
+                }
+            }
+            Ok(out)
         }
     }
 
@@ -959,6 +960,51 @@ mod tests {
                 assert_eq!(code.decode::<u32>(&payload, n).unwrap(), syms, "n={n}");
                 assert_parity(&code, &payload, n, &format!("n={n}"));
                 assert_parity(&code, &payload, n - 1, &format!("n={n}, one short"));
+            }
+        }
+        // Blocks of 1..=65 symbols, below the table's threshold and just
+        // past it, under the one-bit book, a Fibonacci book (codes up to
+        // 19 bits), a byte book holding 300, and an over-subscribed forged
+        // book: every truncation and every bit flip, as `u32` and as `u8`.
+        let bytes_and_300: Vec<(u32, u64)> = (0..256)
+            .map(|s| (s, 1 + s as u64 % 7))
+            .chain([(300, 40)])
+            .collect();
+        let short_books = [
+            book_of_lengths(&[1]),
+            fibonacci_book(20),
+            HuffmanCode::from_frequencies(&bytes_and_300),
+            book_of_lengths(&[1, 1, 2, 2, 5]),
+        ];
+        for (b, code) in short_books.iter().enumerate() {
+            let forged = b == 3;
+            for n in 1..=65usize {
+                // The book's symbols in a stride-7 cycle, so every length
+                // (and 300) turns up across the counts; the forged book
+                // encodes nothing, so its stream is seeded bytes.
+                let mut bytes = if forged {
+                    lcg_symbols(n.div_ceil(2), 256, n as u64)
+                        .iter()
+                        .map(|&r| r as u8)
+                        .collect()
+                } else {
+                    let syms: Vec<u32> = (0..n)
+                        .map(|i| code.lens[(7 * i + n) % code.lens.len()].0)
+                        .collect();
+                    let bytes = payload(code, &syms);
+                    assert_eq!(code.decode::<u32>(&bytes, n).as_ref(), Ok(&syms));
+                    bytes
+                };
+                for cut in 0..bytes.len() {
+                    let what = format!("book {b}: {n} symbols, cut {cut}");
+                    assert_parity_both_widths(code, &bytes[..cut], n, &what);
+                }
+                for bit in 0..bytes.len() * 8 {
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                    let what = format!("book {b}: {n} symbols, flip {bit}");
+                    assert_parity_both_widths(code, &bytes, n, &what);
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                }
             }
         }
     }

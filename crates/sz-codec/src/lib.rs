@@ -22,6 +22,12 @@
 //! * [`adaptive`] — the paper's adaptive SZ-block-size rule (Equation 1).
 //! * [`metrics`] — PSNR (paper formula), MSE, max-error, rate helpers.
 //!
+//! Quantization symbols, and the [`lossless`] stage's byte tokens, are
+//! coded with [`huffman`]'s canonical code: one word-wise encoder and one
+//! decode loop, [`huffman::HuffmanCode::decode`], for blocks of every
+//! length. The per-bit reader and writer they are held to exist only in
+//! tests.
+//!
 //! All streams share one 8-byte **envelope** (magic, codec id, version,
 //! flags — see [`codec`]); a decoder handed another family's stream fails
 //! as [`CodecError::WrongCodec`]. The pluggable interface sits one layer
@@ -47,7 +53,7 @@
 //! ```
 
 pub mod adaptive;
-pub mod bitstream;
+mod bitstream;
 pub mod buffer3;
 pub mod codec;
 pub mod error;

@@ -644,7 +644,7 @@ mod tests {
             let bad_token = Err(CodecError::corrupt("token out of byte range"));
             assert_eq!(decompress(&bad), bad_token, "symbol {at} forged");
         }
-        // A token stream long enough for the table decoder (≥ 64 symbols).
+        // A token stream long enough for the slot table (≥ 64 symbols).
         let mut long: Vec<u32> = vec![99];
         long.extend((0..100u32).map(|i| i % 7 + 48));
         let ok = stream(100, 2, &huffman::encode_with_table(&long));
