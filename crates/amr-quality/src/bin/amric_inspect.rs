@@ -194,7 +194,7 @@ fn print_index(r: &H5Reader) {
 }
 
 fn print_header(path: &str) {
-    match amric::reader::read_amric_hierarchy(path) {
+    match amr_query::read_amric_hierarchy(path) {
         Ok(pf) => {
             println!(
                 "AMRIC plotfile: {} levels, fields {:?}",

@@ -5,8 +5,8 @@
 //! the data is rough" payoff, measured end to end through plotfiles.
 
 use amr_apps::prelude::*;
+use amr_query::read_amric_hierarchy;
 use amric::config::{AmricConfig, BoundPolicy};
-use amric::reader::read_amric_hierarchy;
 use amric::writer::write_amric;
 use sz_codec::prelude::absolute_bound;
 

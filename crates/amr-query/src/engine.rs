@@ -29,8 +29,7 @@
 //! * [`QueryEngine::answer`] — the dense sink of that walk: one zeroed
 //!   box per planned region, every piece pasted in. Cells no unit covers
 //!   (outside every grid, or removed as fine-covered redundancy at write
-//!   time) stay zero — exactly what a full
-//!   [`amric::reader::read_amric_hierarchy`] decode leaves there, so
+//!   time) stay zero — exactly what the full decode leaves there, so
 //!   partial and full reads are bitwise interchangeable (the equivalence
 //!   suite enforces it).
 //!
@@ -38,21 +37,30 @@
 //! [`QueryEngine::plane_slice`] and [`QueryEngine::roi_cost`] are
 //! plan-then-view wrappers.
 //!
+//! # The restart is the engine's too
+//!
+//! A full decode ([`QueryEngine::restart`], [`read_amric_hierarchy`])
+//! walks the chunks the engine found at open and runs each through the
+//! same per-chunk step as a cache miss — [`amric::reader::load_chunk`],
+//! the reference source, the error mapping — but decodes straight into
+//! fresh per-level fabs, serially, past the cache.
+//!
 //! # Temporal snapshots
 //!
 //! A snapshot written by `amric::temporal::TemporalSession` is an ordinary
 //! plotfile whose chunks may be delta streams against the previous
 //! snapshot. Such an engine is given the referenced snapshot's engine
-//! ([`QueryEngine::with_reference`]), and a delta chunk's reference comes
-//! through that engine's own fetch and cache: a cold query at chain depth
-//! *d* decodes at most *d* + 1 chunks per chunk it touches.
+//! ([`QueryEngine::with_reference`], the one place a reference id is
+//! checked), and a delta chunk's reference comes through that engine's own
+//! fetch and cache: a cold query or a restart at chain depth *d* decodes
+//! at most *d* + 1 chunks per chunk it touches.
 
-use crate::cache::{chunk_bytes, CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore};
+use crate::cache::{CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore};
 use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
 use amric::pipeline::{decompress_field_units_into, no_reference};
 use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
-use amric::reader::{load_chunk, read_plotfile_meta, PlotfileMeta};
+use amric::reader::{load_chunk, read_plotfile_meta, Plotfile, PlotfileMeta};
 use amric::temporal::{read_temporal_meta, TemporalMeta};
 use amric::writer::field_dataset;
 use h5lite::index::ChunkIndexEntry;
@@ -60,7 +68,7 @@ use h5lite::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use sz_codec::{Buffer3, CodecError};
+use sz_codec::{Buffer3, CodecError, CodecResult, Dims3, StridedMut, UnitDest};
 
 /// A rectangular region of interest in index space (alias of the mesh
 /// crate's inclusive [`IntBox`]).
@@ -841,6 +849,36 @@ impl QueryEngine {
         Ok(None)
     }
 
+    /// Restart: decode every stored chunk straight into fresh per-level
+    /// fabs, serially through one raw-byte buffer and past the cache;
+    /// cells no unit covers stay zero. A delta file restarts only through
+    /// an engine given its reference ([`QueryEngine::with_reference`]);
+    /// without one its first delta chunk is a [`QueryError::Codec`].
+    pub fn restart(&self) -> QueryResult<Plotfile> {
+        let meta = &self.meta;
+        let mut raw = Vec::new();
+        let mut levels = Vec::with_capacity(self.levels.len());
+        for (l, (layout, lp)) in meta.levels.iter().zip(&self.levels).enumerate() {
+            let names = meta.field_names.clone();
+            let mut fabs = MultiFab::new(layout.boxes.clone(), layout.owners.clone(), names);
+            for (rank, plan) in lp.plans.iter().enumerate().take(lp.extents.len()) {
+                for field in 0..meta.field_names.len() {
+                    let mut dest = FabDest(&mut fabs, plan, field);
+                    self.decode_chunk((l, field, rank), &mut raw, &mut dest)?;
+                }
+            }
+            levels.push(fabs);
+        }
+        Ok(Plotfile {
+            field_names: meta.field_names.clone(),
+            levels,
+            domains: meta.levels.iter().map(|l| l.domain).collect(),
+            bf: meta.bf,
+            remove_redundancy: meta.remove_redundancy,
+            unit_plans: self.levels.iter().map(|lp| lp.plans.clone()).collect(),
+        })
+    }
+
     /// Chunk positions (= ranks) of a level whose indexed extent
     /// intersects `region`, refined by an exact unit-plan check.
     fn chunks_for_region(&self, level: usize, region: &IntBox) -> Vec<usize> {
@@ -865,10 +903,55 @@ impl QueryEngine {
         Ok(self.fetch(&[key])?.pop().expect("one request, one chunk"))
     }
 
+    /// The one per-chunk step of a restart and of a cache miss: read chunk
+    /// `key` into `raw` and decode it to `dest` through the one chunk
+    /// loader, [`load_chunk`]. A delta chunk takes its reference from the
+    /// reference engine, and a failure there is reported as that engine's
+    /// own error.
+    fn decode_chunk(
+        &self,
+        key @ (level, _, rank): ChunkKey,
+        raw: &mut Vec<u8>,
+        dest: &mut dyn UnitDest,
+    ) -> QueryResult<()> {
+        let mut failed = None;
+        let named = self.temporal.and_then(|t| t.reference_id);
+        let mut source = || match (&self.reference, named) {
+            (Some(engine), Some(id)) => match engine.reference_chunk(key) {
+                Ok(chunk) => Ok((id, chunk)),
+                Err(e) => {
+                    failed = Some(e);
+                    Err(CodecError::corrupt("reference chunk unavailable"))
+                }
+            },
+            _ => no_reference(),
+        };
+        let lp = &self.levels[level];
+        let plan = &lp.plans[rank];
+        load_chunk(&self.reader, key, plan, raw, dest, |raw, dest| {
+            self.counters
+                .read_bytes
+                .fetch_add(raw.len() as u64, Ordering::Relaxed);
+            Ok(decompress_field_units_into(raw, dest, &mut source)?)
+        })
+        .map_err(|e| match (failed.take(), e) {
+            (Some(cause), _) => cause,
+            (None, H5Error::Codec(e)) => QueryError::Codec(e),
+            // The loader's own verdict: decoded units that do not match
+            // the reconstructed plan.
+            (None, H5Error::Format(m)) => QueryError::Inconsistent(m),
+            (None, other) => QueryError::H5(other),
+        })?;
+        self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .decoded_bytes
+            .fetch_add(lp.chunk_bytes[rank], Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Fetch the requested chunks, serving from the cache and decoding
     /// misses on the worker pool (ordered reassembly; per-worker byte
-    /// scratch). Returns decoded chunks aligned with `requests`. A delta
-    /// chunk takes its reference from the reference engine.
+    /// scratch). Returns decoded chunks aligned with `requests`.
     fn fetch(&self, requests: &[ChunkKey]) -> QueryResult<Vec<CachedChunk>> {
         let mut out: Vec<Option<CachedChunk>> = Vec::with_capacity(requests.len());
         let mut missing: Vec<(usize, ChunkKey)> = Vec::new();
@@ -888,39 +971,8 @@ impl QueryEngine {
                 (2 * self.workers).max(2),
                 Vec::new, // per-worker raw-byte scratch
                 |buf: &mut Vec<u8>, _j, &(slot, key @ (level, _, rank))| {
-                    let plan = &self.levels[level].plans[rank];
-                    let mut units = Vec::with_capacity(plan.len());
-                    // The reference engine's own failure, reported as is.
-                    let mut failed = None;
-                    let named = self.temporal.and_then(|t| t.reference_id);
-                    let mut source = || match (&self.reference, named) {
-                        (Some(engine), Some(id)) => match engine.reference_chunk(key) {
-                            Ok(chunk) => Ok((id, chunk)),
-                            Err(e) => {
-                                failed = Some(e);
-                                Err(CodecError::corrupt("reference chunk unavailable"))
-                            }
-                        },
-                        _ => no_reference(),
-                    };
-                    load_chunk(&self.reader, key, plan, buf, &mut units, |raw, dest| {
-                        self.counters
-                            .read_bytes
-                            .fetch_add(raw.len() as u64, Ordering::Relaxed);
-                        Ok(decompress_field_units_into(raw, dest, &mut source)?)
-                    })
-                    .map_err(|e| match (failed.take(), e) {
-                        (Some(cause), _) => cause,
-                        (None, H5Error::Codec(e)) => QueryError::Codec(e),
-                        // The loader's own verdict: decoded units that do
-                        // not match the reconstructed plan.
-                        (None, H5Error::Format(m)) => QueryError::Inconsistent(m),
-                        (None, other) => QueryError::H5(other),
-                    })?;
-                    self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .decoded_bytes
-                        .fetch_add(chunk_bytes(&units), Ordering::Relaxed);
+                    let mut units = Vec::with_capacity(self.levels[level].plans[rank].len());
+                    self.decode_chunk(key, buf, &mut units)?;
                     Ok::<_, QueryError>((slot, Arc::new(units)))
                 },
                 |_j, (slot, value): (usize, CachedChunk)| {
@@ -935,4 +987,24 @@ impl QueryEngine {
             .map(|v| v.expect("every request resolved"))
             .collect())
     }
+}
+
+/// A level's fabs as a destination: unit `i` of the plan goes to its
+/// region of one component of the box it was cut from.
+struct FabDest<'a>(&'a mut MultiFab, &'a [UnitRef], usize);
+
+impl UnitDest for FabDest<'_> {
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        let FabDest(level, plan, field) = self;
+        let fab = level.fab_mut(plan[i].box_index);
+        let (data, row, plane) = fab.region_mut(&plan[i].region, *field);
+        StridedMut::new(dims, data, row, plane)
+    }
+}
+
+/// Restart an AMRIC plotfile: [`QueryEngine::open`] then
+/// [`QueryEngine::restart`]. A delta snapshot of a temporal series
+/// restarts through an engine given its reference instead.
+pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> QueryResult<Plotfile> {
+    QueryEngine::open(path)?.restart()
 }

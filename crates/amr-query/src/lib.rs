@@ -25,9 +25,15 @@
 //!   worker pool with ordered reassembly and per-worker scratch, the same
 //!   engine the overlapped write path uses.
 //!
-//! Results are **bitwise-identical** to slicing the corresponding region
-//! out of a full [`amric::reader::read_amric_hierarchy`] decode — cold or
-//! warm cache, any worker count (enforced by `tests/equivalence.rs`).
+//! * **Restart** — [`QueryEngine::restart`] ([`read_amric_hierarchy`] for
+//!   a path) decodes every stored chunk into a full
+//!   [`amric::reader::Plotfile`] through the same per-chunk step as a
+//!   query; a delta snapshot restarts through an engine given its
+//!   reference ([`QueryEngine::with_reference`]).
+//!
+//! Query results are **bitwise-identical** to slicing the corresponding
+//! region out of that full decode — cold or warm cache, any worker count
+//! (enforced by `tests/equivalence.rs`).
 //!
 //! ```no_run
 //! use amr_query::prelude::*;
@@ -48,8 +54,8 @@ pub mod error;
 
 pub use cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey};
 pub use engine::{
-    Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample, QueryCost, QueryEngine,
-    QueryPlan, RegionView,
+    read_amric_hierarchy, Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample,
+    QueryCost, QueryEngine, QueryPlan, RegionView,
 };
 pub use error::{QueryError, QueryResult};
 
@@ -57,8 +63,8 @@ pub use error::{QueryError, QueryResult};
 pub mod prelude {
     pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey};
     pub use crate::engine::{
-        Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample, QueryCost, QueryEngine,
-        QueryPlan, RegionView,
+        read_amric_hierarchy, Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample,
+        QueryCost, QueryEngine, QueryPlan, RegionView,
     };
     pub use crate::error::{QueryError, QueryResult};
 }

@@ -9,7 +9,7 @@ use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::{AmricConfig, MergePolicy};
-use amric::reader::{read_amric_hierarchy, Plotfile};
+use amric::reader::Plotfile;
 use amric::writer::write_amric;
 
 #[allow(dead_code)] // shared with suites that use the unaligned fixture

@@ -8,7 +8,7 @@ use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::AmricConfig;
 use amric::pipeline::stream_layout;
-use amric::reader::{read_amric_hierarchy, verify_against, Plotfile};
+use amric::reader::{verify_against, Plotfile};
 use amric::writer::{field_dataset, write_amric};
 use h5lite::prelude::*;
 

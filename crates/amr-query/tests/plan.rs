@@ -21,7 +21,7 @@ use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::{AmricConfig, MergePolicy};
-use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile};
+use amric::reader::{read_plotfile_meta, Plotfile};
 use amric::writer::{field_dataset, write_amric};
 use h5lite::prelude::*;
 

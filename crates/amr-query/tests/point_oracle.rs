@@ -14,7 +14,7 @@ use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::AmricConfig;
 use amric::preprocess::UnitRef;
-use amric::reader::{read_amric_hierarchy, read_plotfile_meta, Plotfile, PlotfileMeta};
+use amric::reader::{read_plotfile_meta, Plotfile, PlotfileMeta};
 use amric::writer::{field_dataset, write_amric};
 use common::write_unaligned_file;
 use h5lite::prelude::*;

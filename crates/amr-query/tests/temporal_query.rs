@@ -1,8 +1,8 @@
 //! Temporal snapshots are plotfiles: a `TemporalSession` chain, on both
 //! regrid schedules, answers ROI, plane, point and `pieces` queries
-//! bitwise equal to the chain restart (`read_amric_from` given the
-//! previous snapshot) on every snapshot, and every stored cell is within
-//! the error bound. A delta chunk's reference comes through the reference
+//! bitwise equal to the chain restart (`QueryEngine::restart` over a
+//! separate chain of engines) on every snapshot, and every stored cell is
+//! within the error bound. A delta chunk's reference comes through the reference
 //! engine's cache, so a cold ROI at chain depth d decodes at most d + 1
 //! chunks per touched chunk; a delta engine without its reference fails
 //! typed, and a wrong reference is refused before any chunk is read.
@@ -12,7 +12,7 @@ use amr_mesh::prelude::*;
 use amr_query::prelude::*;
 use amric::config::AmricConfig;
 use amric::pipeline::stream_layout;
-use amric::reader::{read_amric_from, verify_against, Plotfile};
+use amric::reader::{verify_against, Plotfile};
 use amric::temporal::{read_temporal_meta, TemporalSession};
 use h5lite::{H5Reader, H5Writer, MemStorage};
 use std::sync::Arc;
@@ -54,16 +54,10 @@ impl Chain {
         H5Reader::from_storage(Box::new(self.images[t].clone())).unwrap()
     }
 
-    /// Restart every snapshot, each given the one before it when it names
-    /// one.
+    /// Restart every snapshot through its own cold chain of engines.
     fn restart(&self) -> Vec<Plotfile> {
-        let mut chain: Vec<Plotfile> = Vec::new();
-        for t in 0..self.images.len() {
-            let r = self.reader(t);
-            let named = read_temporal_meta(&r).unwrap().unwrap().reference_id;
-            chain.push(read_amric_from(&r, named.and(chain.last())).unwrap());
-        }
-        chain
+        let engines = self.engines();
+        engines.iter().map(|e| e.restart().unwrap()).collect()
     }
 
     /// Fresh (cold) engines over the chain, each holding the one before.

@@ -158,6 +158,22 @@ struct Pool {
     stats: CatalogStats,
 }
 
+impl Pool {
+    /// The entry of `path` if it was opened under `generation`, stamped
+    /// and counted as an open hit.
+    fn hit(
+        &mut self,
+        path: &Path,
+        generation: Generation,
+        stamp: u64,
+    ) -> Option<Arc<CatalogEntry>> {
+        let entry = self.map.get(path).filter(|e| e.generation == generation)?;
+        entry.last_used.store(stamp, Ordering::Relaxed);
+        self.stats.open_hits += 1;
+        Some(Arc::clone(entry))
+    }
+}
+
 /// The engine pool. All methods take `&self`.
 pub struct Catalog {
     store: Arc<ChunkStore>,
@@ -200,45 +216,49 @@ impl Catalog {
     /// Open `path`, reusing the pooled engine while the file's
     /// generation matches; a stale generation is invalidated (engine
     /// dropped, cached chunks purged) and reopened fresh.
+    ///
+    /// Only the decision — hit, stale, which idle entries to evict — and
+    /// the final insert hold the entries guard: the store purge (all
+    /// eight shard locks) and the engine open run outside it, so a slow
+    /// open never stalls the opens, hits and stats of other files. When
+    /// a concurrent opener of the same path and generation inserts
+    /// first, its entry is returned (an open hit) and this engine dropped.
     pub fn open(&self, path: &Path) -> Result<Arc<CatalogEntry>, amr_query::QueryError> {
         let generation = Generation::of(path).map_err(h5lite::H5Error::Io)?;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut pool = self.lock_entries();
-        if let Some(entry) = pool.map.get(path) {
-            if entry.generation == generation {
-                entry.last_used.store(stamp, Ordering::Relaxed);
-                let entry = Arc::clone(entry);
-                pool.stats.open_hits += 1;
+        let mut purge = Vec::new();
+        {
+            let mut pool = self.lock_entries();
+            if let Some(entry) = pool.hit(path, generation, stamp) {
                 return Ok(entry);
             }
             // Same path, different bytes: the snapshot was rewritten.
-            // Purge the stale generation's chunks so the shared budget
-            // never serves bytes from a file that no longer exists.
-            let stale = pool.map.remove(path).expect("entry just observed");
-            self.store.remove_matching(|(fid, _)| *fid == stale.file_id);
-            pool.stats.reopens_stale += 1;
-        }
-        // Respect the open-file bound before adding a new engine: drop
-        // idle entries (no connection holds them) oldest-first.
-        while pool.map.len() >= self.max_open {
-            let victim = pool
-                .map
-                .iter()
-                .filter(|(_, e)| Arc::strong_count(e) == 1)
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(p, _)| p.clone());
-            match victim {
-                Some(p) => {
-                    let evicted = pool.map.remove(&p).expect("victim present");
-                    self.store
-                        .remove_matching(|(fid, _)| *fid == evicted.file_id);
-                    pool.stats.evicted_idle += 1;
+            if let Some(stale) = pool.map.remove(path) {
+                purge.push(stale.file_id);
+                pool.stats.reopens_stale += 1;
+            }
+            // Respect the open-file bound before adding a new engine: drop
+            // idle entries (no connection holds them) oldest-first.
+            while pool.map.len() >= self.max_open {
+                let victim = pool
+                    .map
+                    .iter()
+                    .filter(|(_, e)| Arc::strong_count(e) == 1)
+                    .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                    .map(|(p, _)| p.clone());
+                match victim {
+                    Some(p) => {
+                        purge.push(pool.map.remove(&p).expect("victim present").file_id);
+                        pool.stats.evicted_idle += 1;
+                    }
+                    // Every entry is in use: exceed the bound rather than
+                    // fail the open (soft bound; the stats surface shows it).
+                    None => break,
                 }
-                // Every entry is in use: exceed the bound rather than
-                // fail the open (soft bound; the stats surface shows it).
-                None => break,
             }
         }
+        // The shared budget must never serve bytes of a dropped entry.
+        self.purge(&purge);
         let file_id = self.next_file_id.fetch_add(1, Ordering::Relaxed);
         let engine = QueryEngine::open(path)?
             .with_shared_cache(Arc::clone(&self.store), file_id)
@@ -251,9 +271,26 @@ impl Catalog {
             served: Default::default(),
             last_used: AtomicU64::new(stamp),
         });
-        pool.map.insert(path.to_path_buf(), Arc::clone(&entry));
+        let mut pool = self.lock_entries();
+        if let Some(entry) = pool.hit(path, generation, stamp) {
+            return Ok(entry);
+        }
         pool.stats.opens += 1;
+        // A concurrent opener saw other bytes at this path: last one wins.
+        let replaced = pool.map.insert(path.to_path_buf(), Arc::clone(&entry));
+        drop(pool);
+        if let Some(old) = replaced {
+            self.purge(&[old.file_id]);
+        }
         Ok(entry)
+    }
+
+    /// Drop every cached chunk of the given file ids from the shared store.
+    fn purge(&self, file_ids: &[u64]) {
+        if !file_ids.is_empty() {
+            self.store
+                .remove_matching(|(fid, _)| file_ids.contains(fid));
+        }
     }
 
     /// Snapshot of every open entry (stats reporting).
@@ -330,6 +367,33 @@ mod tests {
         assert_eq!(cat.entries().len(), 1);
         let again = cat.open(&path).unwrap();
         assert_eq!(again.file_id, first.file_id);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_first_opens_share_one_engine() {
+        const N: usize = 8;
+        let path = tmp("concurrent");
+        write_plotfile(&path);
+        let cat = Catalog::new(8 << 20, 4, 1);
+        let start = std::sync::Barrier::new(N);
+        let ids: Vec<u64> = std::thread::scope(|s| {
+            let opens: Vec<_> = (0..N)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cat.open(&path).unwrap().file_id
+                    })
+                })
+                .collect();
+            opens.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let entries = cat.entries();
+        assert_eq!(entries.len(), 1);
+        assert!(ids.iter().all(|&id| id == entries[0].file_id), "{ids:?}");
+        let st = cat.stats();
+        assert_eq!(st.opens, 1);
+        assert_eq!(st.opens + st.open_hits, N as u64);
         std::fs::remove_file(&path).ok();
     }
 

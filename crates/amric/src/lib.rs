@@ -42,13 +42,15 @@
 //! 3. [`pipeline`] — the optimized SZ compression (Shared Lossless
 //!    Encoding + adaptive block size) producing self-describing streams;
 //! 4. [`writer`]/[`reader`] — the in-situ HDF5-filter path with AMRIC's
-//!    field-major layout and size-aware global chunking;
+//!    field-major layout and size-aware global chunking; the reader holds
+//!    the metadata, the unit plans and the one chunk loader, and the
+//!    restart itself is `amr_query`'s (`QueryEngine::restart`);
 //! 5. [`baseline`] — AMReX's stock 1-D small-chunk compression for
 //!    comparison, plus the [`tac`] offline comparator;
 //! 6. [`temporal`] — a write session whose chunks may delta-code against
 //!    the previous snapshot (the pipeline's delta mode): a series of
-//!    ordinary plotfiles that restart and queries read given the
-//!    referenced snapshot.
+//!    ordinary plotfiles that a query engine restarts and queries given
+//!    the referenced snapshot's engine.
 
 pub mod baseline;
 pub mod config;
@@ -78,8 +80,7 @@ pub mod prelude {
         unit_edge_for_level, UnitRef,
     };
     pub use crate::reader::{
-        read_amric_from, read_amric_hierarchy, read_plotfile_meta, verify_against, LevelLayout,
-        Plotfile, PlotfileMeta,
+        read_plotfile_meta, verify_against, LevelLayout, Plotfile, PlotfileMeta,
     };
     pub use crate::temporal::{read_temporal_meta, TemporalMeta, TemporalSession};
     pub use crate::writer::{write_amric, write_amric_to, WriteReport};

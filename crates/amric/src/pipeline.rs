@@ -239,24 +239,6 @@ fn local_range<U: AsView3>(units: &[U]) -> f64 {
     }
 }
 
-/// [`compress_placed_into`] on the calling thread's encode scratch — for
-/// the `&self` face of the pipeline (the AMRIC `ChunkFilter`) and
-/// [`compress_field_units`], which cannot thread an explicit scratch
-/// through. Rank threads and pool workers are all threads, so every
-/// concurrent encoder gets its own.
-pub(crate) fn compress_on_thread_scratch<U: AsView3>(
-    units: &[U],
-    origins: Option<&UnitOrigins>,
-    cfg: &AmricConfig,
-    unit_edge: usize,
-    bound: ResolvedBound,
-    out: &mut Vec<u8>,
-) {
-    lr::with_thread_scratch(|scratch| {
-        compress_placed_into(units, origins, cfg, unit_edge, bound, scratch, out)
-    })
-}
-
 /// Compress one field's unit blocks under the given configuration,
 /// resolving the relative bound against the *local* value range of the
 /// units (offline single-rank studies). The in-situ writer resolves the
@@ -272,7 +254,9 @@ pub fn compress_field_units<U: AsView3>(
         ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, local_range(units))
     };
     let mut out = Vec::new();
-    compress_on_thread_scratch(units, None, cfg, unit_edge, bound, &mut out);
+    lr::with_thread_scratch(|scratch| {
+        compress_placed_into(units, None, cfg, unit_edge, bound, scratch, &mut out)
+    });
     out
 }
 

@@ -1,16 +1,17 @@
-//! Read/decompress/reassemble path: load an AMRIC (or baseline/no-comp)
-//! plotfile back into a hierarchy of [`MultiFab`]s and verify error
-//! bounds against the original data.
+//! Read side: a plotfile's structural metadata and unit plans, the one
+//! chunk loader ([`load_chunk`]), the baseline / no-compression reader,
+//! and error-bound verification against the original data.
+//!
+//! An AMRIC plotfile restarts through `amr_query`: `QueryEngine::restart`
+//! runs every stored chunk through [`load_chunk`] into a [`Plotfile`].
 
-use crate::pipeline::{decompress_field_units_into, no_reference, resolve_abs_eb};
+use crate::pipeline::resolve_abs_eb;
 use crate::preprocess::{
     extract_units, plan_units_layout, region_dims, unit_edge_for_level, UnitRef,
 };
-use crate::temporal::{read_temporal_meta, TemporalMeta};
 use crate::writer::field_dataset;
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
-use std::sync::Arc;
 use sz_codec::prelude::*;
 
 /// A plotfile loaded back into memory.
@@ -28,32 +29,6 @@ pub struct Plotfile {
     pub remove_redundancy: bool,
     /// Unit plans per `[level][rank]`, as reconstructed from metadata.
     pub unit_plans: Vec<Vec<Vec<UnitRef>>>,
-    /// Temporal linkage, for a snapshot a temporal session wrote.
-    pub temporal: Option<TemporalMeta>,
-}
-
-impl Plotfile {
-    /// The decoded units of one `(level, rank)` chunk of `field`, in plan
-    /// order — what a delta chunk of the next snapshot predicts from.
-    pub fn chunk_units(
-        &self,
-        level: usize,
-        rank: usize,
-        field: usize,
-    ) -> CodecResult<Vec<Buffer3>> {
-        let plan = self.unit_plans.get(level).and_then(|ranks| ranks.get(rank));
-        let Some(plan) = plan.filter(|_| field < self.field_names.len()) else {
-            return Err(CodecError::corrupt(format!(
-                "the reference holds no chunk of level {level} rank {rank} field {field}"
-            )));
-        };
-        let fabs = &self.levels[level];
-        let unit = |u: &UnitRef| {
-            let values = fabs.fab(u.box_index).extract_region(&u.region, field);
-            Buffer3::from_vec(region_dims(&u.region), values)
-        };
-        Ok(plan.iter().map(unit).collect())
-    }
 }
 
 /// Grid structure of one plotfile level — everything the read side knows
@@ -73,9 +48,9 @@ pub struct LevelLayout {
 /// Structural metadata of a plotfile: fields, level layouts, and the
 /// write-time settings needed to reconstruct unit plans — parsed from the
 /// `meta/*` datasets alone, without decoding any field payload. This is
-/// the planning substrate of the `amr-query` random-access subsystem;
-/// [`read_amric_hierarchy`] builds on the same reconstruction, so partial
-/// and full reads can never disagree about where data lives.
+/// the planning substrate of the `amr-query` random-access subsystem, whose
+/// queries and restart share it, so partial and full reads can never
+/// disagree about where data lives.
 #[derive(Clone, Debug)]
 pub struct PlotfileMeta {
     /// Field names in component order.
@@ -252,14 +227,6 @@ fn read_level_layout(
     ))
 }
 
-/// Fresh (zero-filled) per-level data for a plotfile's grids.
-fn empty_levels(meta: &PlotfileMeta) -> Vec<MultiFab> {
-    meta.levels
-        .iter()
-        .map(|l| MultiFab::new(l.boxes.clone(), l.owners.clone(), meta.field_names.clone()))
-        .collect()
-}
-
 /// A destination held to a rank's unit plan, reconstructed from metadata:
 /// unit `i` is passed on only if the plan has an `i`-th unit of exactly
 /// that shape, so nothing is written that the layout does not expect.
@@ -284,26 +251,13 @@ impl UnitDest for Planned<'_> {
     }
 }
 
-/// A level's fabs as a destination: unit `i` of the plan goes to its
-/// region of one component of the box it was cut from.
-struct FabDest<'a>(&'a mut MultiFab, &'a [UnitRef], usize);
-
-impl UnitDest for FabDest<'_> {
-    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
-        let FabDest(level, plan, field) = self;
-        let fab = level.fab_mut(plan[i].box_index);
-        let (data, row, plane) = fab.region_mut(&plan[i].region, *field);
-        StridedMut::new(dims, data, row, plane)
-    }
-}
-
-/// The one chunk loader, shared by the full decode ([`read_amric_hierarchy`]) and
-/// `amr-query`'s cache-miss path: read rank `rank`'s raw chunk of
-/// `(level, field)` into `raw` and `decode` it to `dest`, every unit
-/// checked against the rank's unit plan reconstructed from metadata (count
-/// and dims) before it is placed. A stream that decodes fine but does not
-/// match the layout means the file contradicts itself — an
-/// [`H5Error::Format`], never a write outside the plan.
+/// The one chunk loader, behind `amr-query`'s restart and cache misses
+/// alike: read rank `rank`'s raw chunk of `(level, field)` into `raw` and
+/// `decode` it to `dest`, every unit checked against the rank's unit plan
+/// reconstructed from metadata (count and dims) before it is placed. A
+/// stream that decodes fine but does not match the layout means the file
+/// contradicts itself — an [`H5Error::Format`], never a write outside the
+/// plan.
 pub fn load_chunk(
     r: &H5Reader,
     (level, field, rank): (usize, usize, usize),
@@ -330,75 +284,6 @@ pub fn load_chunk(
     decoded
 }
 
-/// The full-decode loader behind [`read_amric_from`]: [`load_chunk`] every
-/// stored `(level, rank, field)` stream through `decode`, straight into the
-/// level's fabs.
-fn load_plotfile(
-    r: &H5Reader,
-    mut decode: impl FnMut(usize, usize, usize, &[u8], &mut dyn UnitDest) -> H5Result<()>,
-) -> H5Result<Plotfile> {
-    let meta = read_plotfile_meta(r)?;
-    let mut levels = empty_levels(&meta);
-    // Reconstruct unit plans exactly as the writer made them.
-    let unit_plans = meta.unit_plans();
-    let mut raw = Vec::new();
-    for (l, level) in levels.iter_mut().enumerate() {
-        for (rank, plan) in unit_plans[l].iter().enumerate() {
-            for f in 0..meta.field_names.len() {
-                // A level where no rank kept any cells stores no chunks.
-                if rank >= r.meta(&field_dataset(l, f))?.chunks.len() {
-                    continue;
-                }
-                let mut fabs = FabDest(&mut *level, plan, f);
-                load_chunk(r, (l, f, rank), plan, &mut raw, &mut fabs, |raw, dest| {
-                    decode(l, rank, f, raw, dest)
-                })?;
-            }
-        }
-    }
-    Ok(Plotfile {
-        domains: meta.levels.iter().map(|l| l.domain).collect(),
-        field_names: meta.field_names,
-        levels,
-        bf: meta.bf,
-        remove_redundancy: meta.remove_redundancy,
-        unit_plans,
-        temporal: None,
-    })
-}
-
-/// Load an AMRIC plotfile (written by [`crate::writer::write_amric`]).
-pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Plotfile> {
-    read_amric_from(&H5Reader::open(path)?, None)
-}
-
-/// Load an AMRIC plotfile from an open container, given the snapshot its
-/// delta chunks predict from: `reference` is that snapshot's own restart.
-/// A reference the file does not name is refused before any chunk is read;
-/// without one, a delta chunk fails typed (`CodecError::BadParameter`)
-/// and a plain or keyframe file loads as usual.
-pub fn read_amric_from(r: &H5Reader, reference: Option<&Plotfile>) -> H5Result<Plotfile> {
-    let temporal = read_temporal_meta(r)?;
-    let named = temporal.and_then(|t| t.reference_id);
-    if let Some(p) = reference {
-        let held = p.temporal.map(|t| t.snapshot_id);
-        if held.is_none() || held != named {
-            return Err(H5Error::Format(format!(
-                "file references snapshot {named:?}, the reference is snapshot {held:?}"
-            )));
-        }
-    }
-    let mut pf = load_plotfile(r, |l, rank, f, raw, dest| {
-        let mut source = || match (reference, named) {
-            (Some(p), Some(id)) => Ok((id, Arc::new(p.chunk_units(l, rank, f)?))),
-            _ => no_reference(),
-        };
-        Ok(decompress_field_units_into(raw, dest, &mut source)?)
-    })?;
-    pf.temporal = temporal;
-    Ok(pf)
-}
-
 /// Load a baseline / no-compression plotfile (written by
 /// [`crate::baseline::write_amrex_baseline`] or
 /// [`crate::baseline::write_nocomp`]).
@@ -407,7 +292,11 @@ pub fn read_baseline_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Pl
     let pmeta = read_plotfile_meta(&r)?;
     let nfields = pmeta.field_names.len();
     let domains: Vec<IntBox> = pmeta.levels.iter().map(|l| l.domain).collect();
-    let mut levels = empty_levels(&pmeta);
+    let mut levels: Vec<MultiFab> = pmeta
+        .levels
+        .iter()
+        .map(|l| MultiFab::new(l.boxes.clone(), l.owners.clone(), pmeta.field_names.clone()))
+        .collect();
     for (l, level) in levels.iter_mut().enumerate() {
         let meta = r.meta(&format!("level_{l}/data"))?.clone();
         let chunk_elems = meta.chunk_elems as usize;
@@ -456,7 +345,6 @@ pub fn read_baseline_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Pl
         bf: 0,
         remove_redundancy: false,
         unit_plans: Vec::new(),
-        temporal: None,
     })
 }
 
@@ -538,8 +426,7 @@ pub fn verify_against(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AmricConfig, BaselineConfig};
-    use crate::writer::write_amric;
+    use crate::config::BaselineConfig;
     use amr_apps::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -560,40 +447,6 @@ mod tests {
             grid_eff: 0.7,
         };
         build_hierarchy(&s, &cfg, 0.0)
-    }
-
-    #[test]
-    fn amric_roundtrip_respects_bounds() {
-        let h = small_h(31);
-        let path = tmp("rt-lr");
-        write_amric(&path, &h, &AmricConfig::lr(1e-3), 8).unwrap();
-        let pf = read_amric_hierarchy(&path).unwrap();
-        assert_eq!(pf.field_names.len(), 6);
-        assert_eq!(pf.levels.len(), 2);
-        let checks = verify_against(&pf, &h, 1e-3);
-        for c in &checks {
-            assert!(c.bound_ok, "field {} violates bound", c.field);
-            assert!(
-                c.stats.psnr() > 40.0,
-                "field {} PSNR {}",
-                c.field,
-                c.stats.psnr()
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn amric_interp_roundtrip() {
-        let h = small_h(32);
-        let path = tmp("rt-interp");
-        write_amric(&path, &h, &AmricConfig::interp(1e-3), 8).unwrap();
-        let pf = read_amric_hierarchy(&path).unwrap();
-        let checks = verify_against(&pf, &h, 1e-3);
-        for c in &checks {
-            assert!(c.bound_ok, "field {} violates bound", c.field);
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

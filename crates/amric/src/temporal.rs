@@ -27,11 +27,11 @@
 //! * the `meta/temporal` dataset stores `[snapshot_id, reference_id]` for
 //!   the whole file (0 = none), read back by [`read_temporal_meta`].
 //!
-//! Reading needs the referenced snapshot: a restart passes its
-//! [`crate::reader::Plotfile`] to [`crate::reader::read_amric_from`], a
-//! query engine gets the reference snapshot's engine. Each checks the id
-//! before any chunk is read; a delta chunk decoded without its reference
-//! fails typed.
+//! Reading needs the referenced snapshot: an `amr_query::QueryEngine` over
+//! a delta snapshot is given the reference snapshot's engine
+//! (`QueryEngine::with_reference`, which checks the id before any chunk is
+//! read), and its queries and restart alike take a delta chunk's reference
+//! from there. A delta chunk decoded without its reference fails typed.
 
 use crate::config::{AmricConfig, BoundPolicy};
 use crate::writer::{write_snapshot, Previous, WriteReport};
@@ -176,8 +176,7 @@ mod tests {
         compress_delta_into, compress_field_units, decompress_field_units,
         decompress_field_units_into, no_reference, AmricScratch, Reference,
     };
-    use crate::reader::{read_amric_from, read_plotfile_meta, verify_against, Plotfile};
-    use crate::writer::{field_dataset, write_amric_to};
+    use crate::writer::write_amric_to;
     use amr_apps::prelude::*;
     use sz_codec::codec::{expect_envelope, CodecId, FLAG_REFERENCED};
     use sz_codec::{Buffer3, CodecError, CodecResult, Dims3, ErrorStats};
@@ -219,17 +218,6 @@ mod tests {
 
     fn linkage(r: &H5Reader) -> TemporalMeta {
         read_temporal_meta(r).unwrap().expect("a temporal snapshot")
-    }
-
-    /// Restart every snapshot of a chain, each given the one before it
-    /// when it names one.
-    fn restart_chain(series: &[(AmrHierarchy, H5Reader)]) -> Vec<Plotfile> {
-        let mut chain: Vec<Plotfile> = Vec::new();
-        for (_, r) in series {
-            let reference = linkage(r).reference_id.and(chain.last());
-            chain.push(read_amric_from(r, reference).unwrap());
-        }
-        chain
     }
 
     /// Deterministic per-cell roughness, constant in time.
@@ -465,17 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn series_roundtrip_respects_bounds() {
-        let rel_eb = 1e-3;
-        let series = write_series(0.02, 3, rel_eb);
-        for (step, ((h, _), pf)) in series.iter().zip(restart_chain(&series)).enumerate() {
-            for c in verify_against(&pf, h, rel_eb) {
-                assert!(c.bound_ok, "step {step} field {} violates bound", c.field);
-            }
-        }
-    }
-
-    #[test]
     fn later_snapshots_record_reference_linkage() {
         let series = write_series(0.02, 2, 1e-3);
         let first = linkage(&series[0].1);
@@ -498,90 +475,6 @@ mod tests {
         write_amric_to(Arc::new(w), &series[0].0, &AmricConfig::lr(1e-3), 8).unwrap();
         let plain = H5Reader::from_storage(Box::new(mem)).unwrap();
         assert_eq!(read_temporal_meta(&plain).unwrap(), None);
-    }
-
-    #[test]
-    fn delta_file_without_reference_fails_typed() {
-        let series = write_series(0.02, 2, 1e-3);
-        let err = match read_amric_from(&series[1].1, None) {
-            Err(e) => e,
-            Ok(_) => panic!("delta file must not decode without its reference"),
-        };
-        assert!(
-            matches!(err.as_codec(), Some(CodecError::BadParameter { .. })),
-            "{err:?}"
-        );
-        // A reference the file does not name is refused up front: the
-        // file itself, and a plain restart with no linkage.
-        let chain = restart_chain(&series);
-        for wrong in [&chain[1], &read_amric_from(&series[0].1, None).unwrap()] {
-            let mut unlinked = read_amric_from(&series[0].1, None).unwrap();
-            unlinked.temporal = None;
-            for reference in [wrong, &unlinked] {
-                if reference.temporal.map(|t| t.snapshot_id) == Some(1) {
-                    continue;
-                }
-                let refused = read_amric_from(&series[1].1, Some(reference));
-                assert!(matches!(refused, Err(H5Error::Format(_))));
-            }
-        }
-        // And a keyframe names no reference, so none is accepted.
-        assert!(matches!(
-            read_amric_from(&series[0].1, Some(&chain[0])),
-            Err(H5Error::Format(_))
-        ));
-    }
-
-    #[test]
-    fn session_reset_starts_fresh_chain() {
-        let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8);
-        let h = build_hierarchy(&NyxScenario::new(11), &series_cfg(), 0.0);
-        session
-            .write_to(Arc::new(H5Writer::in_memory().0), &h)
-            .unwrap();
-        session.reset_reference();
-        let (w2, m2) = H5Writer::in_memory();
-        session.write_to(Arc::new(w2), &h).unwrap();
-        let r2 = H5Reader::from_storage(Box::new(m2)).unwrap();
-        assert_eq!(linkage(&r2).reference_id, None);
-        // Self-contained: decodes with no prior state.
-        let pf = read_amric_from(&r2, None).unwrap();
-        for c in verify_against(&pf, &h, 1e-3) {
-            assert!(c.bound_ok);
-        }
-    }
-
-    #[test]
-    fn keyframe_interval_resets_chain_automatically() {
-        // Interval 2: snapshots 1, 3, 5, … are keyframes. The chain
-        // contract for a keyframe is total — `meta/temporal` records no
-        // reference, every chunk index entry carries none, and the file
-        // decodes with no prior state.
-        let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(2);
-        let series = write_with(&mut session, 0.02, 5);
-        let refs: Vec<Option<u64>> = series
-            .iter()
-            .map(|(_, r)| linkage(r).reference_id)
-            .collect();
-        assert_eq!(refs, vec![None, Some(1), None, Some(3), None]);
-        for keyframe in [2usize, 4] {
-            let (h, reader) = &series[keyframe];
-            let meta = read_plotfile_meta(reader).unwrap();
-            for l in 0..meta.num_levels() {
-                for f in 0..meta.field_names.len() {
-                    let idx = reader.chunk_index(&field_dataset(l, f)).unwrap().unwrap();
-                    for e in &idx.entries {
-                        assert_eq!(e.reference, None, "keyframe chunk carries a reference");
-                    }
-                }
-            }
-            let pf = read_amric_from(reader, None).unwrap();
-            for c in verify_against(&pf, h, 1e-3) {
-                assert!(c.bound_ok);
-            }
-        }
-        // A delta snapshot in between still needs its reference.
-        assert!(read_amric_from(&series[1].1, None).is_err());
     }
 
     #[test]
@@ -610,44 +503,6 @@ mod tests {
             refs,
             vec![None, Some(1), None, Some(3), Some(4), None],
             "manual reset must restart the keyframe count"
-        );
-    }
-
-    #[test]
-    fn every_stream_decodes_given_its_reference() {
-        // Every stored stream decodes bitwise given the referenced
-        // snapshot's chunk, exactly as the chain restart places it, and a
-        // chunk that shipped a delta stream is the one its index says.
-        let series = write_series(0.02, 2, 1e-3);
-        let chain = restart_chain(&series);
-        let reader = &series[1].1;
-        let meta = read_plotfile_meta(reader).unwrap();
-        let mut deltas = 0;
-        for l in 0..meta.num_levels() {
-            let entries = &reader
-                .chunk_index(&field_dataset(l, 0))
-                .unwrap()
-                .unwrap()
-                .entries;
-            for f in 0..meta.field_names.len() {
-                let name = field_dataset(l, f);
-                for (rank, entry) in entries.iter().enumerate() {
-                    let raw = reader.read_chunk_raw(&name, rank).unwrap();
-                    let env = expect_envelope(&raw, CodecId::AmricPipeline, 1).unwrap();
-                    let delta = env.flags & FLAG_REFERENCED != 0;
-                    deltas += usize::from(delta);
-                    if delta {
-                        assert_eq!(entry.reference, Some(1));
-                    }
-                    let reference = Arc::new(chain[0].chunk_units(l, rank, f).unwrap());
-                    let units = decode_with(&raw, (1, reference)).unwrap();
-                    assert_eq!(units, chain[1].chunk_units(l, rank, f).unwrap());
-                }
-            }
-        }
-        assert!(
-            deltas > 0,
-            "no chunk of a stable series shipped a delta stream"
         );
     }
 
@@ -722,26 +577,6 @@ mod tests {
                     assert!(nranks > 1 || a.0 == b.0, "{what}: containers differ");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn gradient_adaptive_session_writes_no_delta_stream() {
-        let policy = BoundPolicy::GradientAdaptive {
-            tight: 1e-4,
-            loose: 1e-2,
-        };
-        let mut session = TemporalSession::new(AmricConfig::lr(1e-3).with_bound_policy(policy), 8);
-        let series = write_with(&mut session, 0.02, 3);
-        for (step, (_, r)) in series.iter().enumerate() {
-            assert_eq!(linkage(r).reference_id, None, "step {step}");
-            for (name, chunks) in field_chunks(r) {
-                for raw in chunks {
-                    let env = expect_envelope(&raw, CodecId::AmricPipeline, 1).unwrap();
-                    assert_eq!(env.flags & FLAG_REFERENCED, 0, "step {step} {name}");
-                }
-            }
-            assert!(read_amric_from(r, None).is_ok());
         }
     }
 }

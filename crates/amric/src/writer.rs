@@ -11,8 +11,8 @@
 
 use crate::config::AmricConfig;
 use crate::pipeline::{
-    compress_delta_into, compress_on_thread_scratch, decompress_field_units, Reference,
-    ResolvedBound, UnitOrigins,
+    compress_delta_into, compress_placed_into, decompress_field_units, Reference, ResolvedBound,
+    UnitOrigins,
 };
 use crate::preprocess::{
     plan_bounding_box, plan_units, stage_units, unit_edge_for_level, PlanExtent, UnitRef,
@@ -95,7 +95,8 @@ impl ChunkFilter for AmricFieldFilter {
 
     fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()> {
         let units = unit_views(chunk, self.unit_edge)?;
-        compress_on_thread_scratch(&units, None, &self.cfg, self.unit_edge, self.bound, out);
+        let (cfg, edge, bound) = (&self.cfg, self.unit_edge, self.bound);
+        lr::with_thread_scratch(|s| compress_placed_into(&units, None, cfg, edge, bound, s, out));
         Ok(())
     }
 }
@@ -138,7 +139,10 @@ impl ChunkFilter for SnapshotFilter {
             ))));
         }
         let origins = Some(&*self.origins);
-        compress_on_thread_scratch(&units, origins, cfg, edge, self.plain.bound, out);
+        let bound = self.plain.bound;
+        lr::with_thread_scratch(|s| {
+            compress_placed_into(&units, origins, cfg, edge, bound, s, out)
+        });
         if !self.keep {
             return Ok(());
         }

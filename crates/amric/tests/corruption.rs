@@ -12,14 +12,13 @@
 //! hierarchy its own reader could not load.
 
 use amr_mesh::prelude::*;
+use amr_query::{read_amric_hierarchy, QueryError};
 use amric::config::AmricConfig;
 use amric::pipeline::{
     compress_field_units, compress_placed_into, decompress_field_units, stream_layout,
     AmricScratch, ResolvedBound, UnitOrigins,
 };
-use amric::reader::{
-    read_amric_hierarchy, read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta,
-};
+use amric::reader::{read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta};
 use amric::tac::{tac_compress, tac_decompress};
 use amric::temporal::{read_temporal_meta, TemporalMeta};
 use amric::writer::{write_amric, write_amric_to};
@@ -601,7 +600,8 @@ fn streams_that_contradict_the_plan_are_a_format_error() {
     // Every stream of the file is valid; the header is edited so that the
     // unit plan reconstructed from it no longer describes them. The restart
     // reconstructs in place, so the plan check stands in front of every
-    // write: the file is refused, with the loader's own message.
+    // write: the file is refused as inconsistent, with the loader's own
+    // message.
     let h = two_level_hierarchy((16, 16, 16), 2);
     let mut path = std::env::temp_dir();
     path.push(format!("amric-corruption-{}-plan.h5l", std::process::id()));
@@ -630,12 +630,12 @@ fn streams_that_contradict_the_plan_are_a_format_error() {
             bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             match read_amric_hierarchy(&path) {
-                Err(H5Error::Format(msg)) => assert!(
+                Err(QueryError::Inconsistent(msg)) => assert!(
                     msg.starts_with("level 0 field 0 rank 0: decoded units do not match the")
                         && msg.ends_with("-unit plan"),
                     "{what}: {msg:?}"
                 ),
-                Err(other) => panic!("{what}: expected a Format error, got {other:?}"),
+                Err(other) => panic!("{what}: expected an Inconsistent error, got {other:?}"),
                 Ok(_) => panic!("{what}: a self-contradicting file restarted"),
             }
         }

@@ -1,7 +1,8 @@
 //! Golden-stream corpus: small fixed inputs compressed through every
 //! stream shape a file, a bin or the benchmark writes — SZ_L/R, bare
 //! SZ_Interp, the four AMRIC pipeline modes, its empty marker, its
-//! temporal delta mode and its placed SZ_Interp mode, and TAC —
+//! gradient-adaptive mode, its temporal delta mode and its placed
+//! SZ_Interp mode, and TAC —
 //! with the expected stream bytes committed under
 //! `tests/golden/`. Kernel rewrites (vectorization, cache blocking,
 //! fused passes) must keep every stream byte-identical to the scalar
@@ -212,6 +213,36 @@ fn golden_pipeline_modes() {
         let stream = pipeline(&u, &cfg, abs);
         check(name, &stream, decompress_field_units, &u, abs);
     }
+}
+
+#[test]
+fn golden_pipeline_adaptive() {
+    // Mode 4: the gradient-adaptive stream, its rough units under the
+    // tight bound and its smooth ones under the loose bound, each group
+    // one SZ_L/R substream.
+    let u = units(8, Dims3::cube(8), 0xC003);
+    let (tight, loose) = (resolve_abs_eb(&u, 1e-4), resolve_abs_eb(&u, 1e-2));
+    let mut stream = Vec::new();
+    let cfg = AmricConfig::lr(1e-3);
+    let scratch = &mut AmricScratch::default();
+    let bound = ResolvedBound::Adaptive { tight, loose };
+    compress_placed_into(&u, None, &cfg, 8, bound, scratch, &mut stream);
+    let layout = stream_layout(&stream).expect("layout");
+    assert_eq!(layout.mode, "adaptive");
+    let bounds = stream_unit_bounds(&stream)
+        .expect("unit bounds")
+        .expect("adaptive");
+    assert!(
+        bounds.contains(&tight) && bounds.contains(&loose),
+        "{bounds:?}"
+    );
+    check(
+        "pipeline_adaptive",
+        &stream,
+        decompress_field_units,
+        &u,
+        loose,
+    );
 }
 
 #[test]

@@ -7,6 +7,7 @@
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
+use amr_query::QueryEngine;
 use amric::prelude::*;
 use amric::reader::verify_against;
 use amric::writer::field_dataset;
@@ -205,7 +206,7 @@ fn restart_holds_the_bound_on_every_cell_of_placed_chunks() {
             modes.contains(&"interp-placed"),
             "nranks={nranks}: level 0 stores {modes:?}"
         );
-        let pf = read_amric_from(&r, None).unwrap();
+        let pf = QueryEngine::from_reader(r).unwrap().restart().unwrap();
         for check in verify_against(&pf, &h, REL_EB) {
             assert!(
                 check.bound_ok,

@@ -213,6 +213,7 @@ fn golden_corpus_places_to_its_committed_digests() {
         [
             "lr_ragged",
             "lr_sle",
+            "pipeline_adaptive",
             "pipeline_delta",
             "pipeline_empty",
             "pipeline_interp_cluster",

@@ -1,7 +1,8 @@
 //! A restart oracle that shares no code with the placed restart.
 //!
-//! `read_amric_hierarchy` reconstructs every unit where the fabs hold it;
-//! before that it decoded each chunk to owned units and scattered them.
+//! `QueryEngine::restart` (`amr_query::read_amric_hierarchy` for a path)
+//! reconstructs every unit where the fabs hold it; before that the
+//! restart decoded each chunk to owned units and scattered them.
 //! The old path is rebuilt here from public parts only —
 //! `read_plotfile_meta`, `read_chunk_raw`, `decompress_field_units` (for
 //! a temporal chain, `decompress_field_units_into` given the oracle's own
@@ -11,13 +12,14 @@
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
+use amr_query::{read_amric_hierarchy, QueryEngine, QueryError};
 use amric::config::{AmricConfig, BoundPolicy, MergePolicy};
 use amric::pipeline::{decompress_field_units, decompress_field_units_into, no_reference};
 use amric::preprocess::scatter_units;
-use amric::reader::{read_amric_from, read_amric_hierarchy, read_plotfile_meta, Plotfile};
+use amric::reader::{read_plotfile_meta, verify_against, FieldVerification, Plotfile};
 use amric::temporal::{read_temporal_meta, TemporalSession};
 use amric::writer::{field_dataset, write_amric};
-use h5lite::{H5Reader, H5Writer};
+use h5lite::{H5Reader, H5Writer, MemStorage};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sz_codec::prelude::*;
@@ -179,30 +181,36 @@ fn a_level_that_stores_no_chunks_restarts_alike() {
     }
 }
 
-/// Write `snapshots` as one temporal chain and restart every link both
-/// ways; returns how many links recorded a reference.
-fn check_temporal_chain(
-    snapshots: impl Iterator<Item = AmrHierarchy>,
-    bf: i64,
-    what: &str,
-) -> usize {
+/// Write `snapshots` as one temporal chain into memory.
+fn write_chain(snapshots: impl Iterator<Item = AmrHierarchy>, bf: i64) -> Vec<MemStorage> {
     let mut session = TemporalSession::new(AmricConfig::lr(1e-3), bf);
-    let mut restart: Option<Plotfile> = None;
+    snapshots
+        .map(|h| {
+            let (w, mem) = H5Writer::in_memory();
+            session.write_to(Arc::new(w), &h).unwrap();
+            mem
+        })
+        .collect()
+}
+
+fn reader(image: &MemStorage) -> H5Reader {
+    H5Reader::from_storage(Box::new(image.clone())).unwrap()
+}
+
+/// The oracle's restart of every link of a chain: each stream decoded to
+/// owned units given the oracle's own decoded units of the previous link,
+/// then scattered.
+fn oracle_chain(images: &[MemStorage]) -> Vec<Vec<MultiFab>> {
     // The oracle's own reference chain: decoded units per stream, and the
     // id of the snapshot they belong to.
     type Kept = HashMap<(usize, usize, usize), Arc<Vec<Buffer3>>>;
     let mut prev: (u64, Kept) = (0, HashMap::new());
-    let mut deltas = 0;
-    for (step, h) in snapshots.enumerate() {
-        let (w, mem) = H5Writer::in_memory();
-        session.write_to(Arc::new(w), &h).unwrap();
-        let reader = H5Reader::from_storage(Box::new(mem)).unwrap();
+    let mut chain = Vec::new();
+    for image in images {
+        let reader = reader(image);
         let tmeta = read_temporal_meta(&reader).unwrap().expect("linkage");
-        deltas += usize::from(tmeta.reference_id.is_some());
-        let named = tmeta.reference_id.and(restart.as_ref());
-        let pf = read_amric_from(&reader, named).unwrap();
         let mut kept = HashMap::new();
-        let reference = scattered_restart(&reader, |l, rank, f, raw| {
+        chain.push(scattered_restart(&reader, |l, rank, f, raw| {
             let mut units = Vec::new();
             let mut source = || match prev.1.get(&(l, rank, f)) {
                 Some(units) => Ok((prev.0, Arc::clone(units))),
@@ -211,13 +219,51 @@ fn check_temporal_chain(
             decompress_field_units_into(raw, &mut units, &mut source).expect("temporal decode");
             kept.insert((l, rank, f), Arc::new(units.clone()));
             units
-        });
-        let nonzero = assert_same_restart(&pf, &reference, &format!("{what}, step {step}"));
+        }));
+        prev = (tmeta.snapshot_id, kept);
+    }
+    chain
+}
+
+/// Engines over a chain, each given the engine of the link before it when
+/// its file names one.
+fn chain_engines(images: &[MemStorage]) -> Vec<Arc<QueryEngine>> {
+    let mut engines: Vec<Arc<QueryEngine>> = Vec::new();
+    for image in images {
+        let mut engine = QueryEngine::from_reader(reader(image)).unwrap();
+        let tmeta = read_temporal_meta(&reader(image))
+            .unwrap()
+            .expect("linkage");
+        if tmeta.reference_id.is_some() {
+            engine = engine
+                .with_reference(Arc::clone(engines.last().unwrap()))
+                .unwrap();
+        }
+        engines.push(Arc::new(engine));
+    }
+    engines
+}
+
+/// Write `snapshots` as one temporal chain and restart every link both
+/// ways; returns how many links recorded a reference.
+fn check_temporal_chain(
+    snapshots: impl Iterator<Item = AmrHierarchy>,
+    bf: i64,
+    what: &str,
+) -> usize {
+    let images = write_chain(snapshots, bf);
+    let oracle = oracle_chain(&images);
+    let engines = chain_engines(&images);
+    let mut deltas = 0;
+    for (step, (engine, reference)) in engines.iter().zip(&oracle).enumerate() {
+        let tmeta = read_temporal_meta(&reader(&images[step])).unwrap().unwrap();
+        deltas += usize::from(tmeta.reference_id.is_some());
+        let pf = engine.restart().unwrap();
+        let nonzero = assert_same_restart(&pf, reference, &format!("{what}, step {step}"));
         assert!(
             nonzero > 1000,
             "{what}, step {step}: {nonzero} nonzero cells"
         );
-        (restart, prev) = (Some(pf), (tmeta.snapshot_id, kept));
     }
     deltas
 }
@@ -245,4 +291,81 @@ fn temporal_chains_restart_alike() {
     };
     let deltas = check_temporal_chain((0..3).map(|_| covered()), 8, "chunk-less level 0");
     assert_eq!(deltas, 2);
+}
+
+#[test]
+fn a_chain_restart_decodes_at_most_depth_plus_one_chunks_per_chunk() {
+    let cfg = AmrRunConfig {
+        coarse_dims: (16, 16, 16),
+        max_grid_size: 8,
+        blocking_factor: 8,
+        nranks: 2,
+        num_levels: 2,
+        fine_fraction: 0.05,
+        grid_eff: 0.7,
+    };
+    let scenario = NyxScenario::new(11);
+    let series = TimeSeries::new(&scenario, cfg, 0.02, 3).map(|(_, _, h)| h);
+    let images = write_chain(series, 8);
+    let oracle = oracle_chain(&images);
+    // A reference the file does not name is refused before any chunk of
+    // either file is read.
+    let open = |t: usize| QueryEngine::from_reader(reader(&images[t])).unwrap();
+    let wrong = Arc::new(open(0));
+    match open(2).with_reference(Arc::clone(&wrong)) {
+        Err(QueryError::BadQuery(_)) => {}
+        Err(e) => panic!("wrong error {e:?}"),
+        Ok(_) => panic!("snapshot 1 accepted as the reference of snapshot 3"),
+    }
+    let stats = wrong.stats();
+    assert_eq!((stats.read_bytes, stats.chunks_decoded), (0, 0));
+
+    let engines = chain_engines(&images);
+    let decoded = || -> u64 { engines.iter().map(|e| e.stats().chunks_decoded).sum() };
+    for (depth, (engine, reference)) in engines.iter().zip(&oracle).enumerate() {
+        let nfields = engine.meta().field_names.len();
+        let per_restart: usize = (0..engine.meta().num_levels())
+            .map(|l| engine.chunk_entries(l).unwrap().len() * nfields)
+            .sum();
+        let before = decoded();
+        let pf = engine.restart().unwrap();
+        let spent = decoded() - before;
+        assert_same_restart(&pf, reference, &format!("depth {depth}"));
+        let (least, most) = (per_restart as u64, ((depth + 1) * per_restart) as u64);
+        assert!(
+            (least..=most).contains(&spent),
+            "depth {depth}: {spent} chunks decoded for a {per_restart}-chunk restart"
+        );
+        assert_eq!(depth > 0, spent > least, "depth {depth}: {spent} chunks");
+    }
+}
+
+/// The AMRIC round trip: every field of a written hierarchy restarts
+/// within its bound.
+fn roundtrip(cfg: &AmricConfig, seed: u64) -> Vec<FieldVerification> {
+    let h = nyx(2, seed);
+    let path = tmp(&format!("roundtrip-{seed}"));
+    write_amric(&path, &h, cfg, 8).unwrap();
+    let pf = read_amric_hierarchy(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(pf.field_names.len(), 6);
+    assert_eq!(pf.levels.len(), 2);
+    let checks = verify_against(&pf, &h, 1e-3);
+    for c in &checks {
+        assert!(c.bound_ok, "field {} violates bound", c.field);
+    }
+    checks
+}
+
+#[test]
+fn amric_roundtrip_respects_bounds() {
+    for c in roundtrip(&AmricConfig::lr(1e-3), 31) {
+        let psnr = c.stats.psnr();
+        assert!(psnr > 40.0, "field {} PSNR {psnr}", c.field);
+    }
+}
+
+#[test]
+fn amric_interp_roundtrip() {
+    roundtrip(&AmricConfig::interp(1e-3), 32);
 }

@@ -3,47 +3,76 @@
 //! level, collapses one — every snapshot must round-trip within the error
 //! bound, and reference linkage must appear exactly where delta coding
 //! actually happened.
+//!
+//! A snapshot restarts through `amr_query`: a chain is a list of engines,
+//! each given the engine of the snapshot it names
+//! (`QueryEngine::with_reference`), and `QueryEngine::restart` decodes it.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
+use amr_query::{QueryEngine, QueryError};
 use amric::prelude::*;
-use amric::reader::Plotfile;
-use h5lite::{H5Reader, H5Writer};
+use amric::preprocess::region_dims;
+use amric::writer::field_dataset;
+use h5lite::{H5Reader, H5Writer, MemStorage};
 use std::sync::Arc;
+use sz_codec::codec::{expect_envelope, CodecId, FLAG_REFERENCED};
+use sz_codec::prelude::*;
 
 const REL_EB: f64 = 1e-3;
 
-fn write_snapshot(session: &mut TemporalSession, h: &AmrHierarchy) -> H5Reader {
+fn write_snapshot(session: &mut TemporalSession, h: &AmrHierarchy) -> MemStorage {
     let (w, mem) = H5Writer::in_memory();
     session.write_to(Arc::new(w), h).unwrap();
-    H5Reader::from_storage(Box::new(mem)).unwrap()
+    mem
 }
 
-fn linkage(r: &H5Reader) -> TemporalMeta {
-    read_temporal_meta(r).unwrap().expect("a temporal snapshot")
+fn reader(image: &MemStorage) -> H5Reader {
+    H5Reader::from_storage(Box::new(image.clone())).unwrap()
 }
 
-/// Decode the whole chain in order, each snapshot given the one before
-/// it when it names one, checking the bound at every step.
-fn verify_chain(series: &[(AmrHierarchy, H5Reader)], rel_eb: f64) {
-    let mut prev: Option<Plotfile> = None;
-    for (step, (h, reader)) in series.iter().enumerate() {
-        let reference = linkage(reader).reference_id.and(prev.as_ref());
-        let pf = read_amric_from(reader, reference).unwrap();
-        for c in verify_against(&pf, h, rel_eb) {
+fn engine(image: &MemStorage) -> QueryEngine {
+    QueryEngine::from_reader(reader(image)).unwrap()
+}
+
+fn linkage(image: &MemStorage) -> TemporalMeta {
+    read_temporal_meta(&reader(image))
+        .unwrap()
+        .expect("a temporal snapshot")
+}
+
+/// Restart every snapshot of a chain, each through an engine given the
+/// engine of the snapshot before it when it names one.
+fn restart_chain<'a>(images: impl IntoIterator<Item = &'a MemStorage>) -> Vec<Plotfile> {
+    let mut engines: Vec<Arc<QueryEngine>> = Vec::new();
+    for image in images {
+        let mut e = engine(image);
+        if linkage(image).reference_id.is_some() {
+            e = e
+                .with_reference(Arc::clone(engines.last().unwrap()))
+                .unwrap();
+        }
+        engines.push(Arc::new(e));
+    }
+    engines.iter().map(|e| e.restart().unwrap()).collect()
+}
+
+/// Restart the whole chain, checking the bound at every step.
+fn verify_chain(series: &[(AmrHierarchy, MemStorage)], rel_eb: f64) {
+    let chain = restart_chain(series.iter().map(|(_, image)| image));
+    for (step, ((h, _), pf)) in series.iter().zip(&chain).enumerate() {
+        for c in verify_against(pf, h, rel_eb) {
             assert!(
                 c.bound_ok,
                 "step {step} field {} violates the bound (max err {})",
                 c.field, c.stats.max_abs_err
             );
         }
-        prev = Some(pf);
     }
 }
 
-#[test]
-fn stable_schedule_roundtrips_with_linkage() {
-    let cfg = AmrRunConfig {
+fn series_cfg() -> AmrRunConfig {
+    AmrRunConfig {
         coarse_dims: (16, 16, 16),
         max_grid_size: 8,
         blocking_factor: 8,
@@ -51,18 +80,70 @@ fn stable_schedule_roundtrips_with_linkage() {
         num_levels: 2,
         fine_fraction: 0.05,
         grid_eff: 0.7,
-    };
-    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
-    let series: Vec<_> = TimeSeries::new(&NyxScenario::new(11), cfg, 0.02, 4)
+    }
+}
+
+/// Write `nsteps` snapshots of a Nyx series through `session`.
+fn write_with(
+    session: &mut TemporalSession,
+    dt: f64,
+    nsteps: usize,
+) -> Vec<(AmrHierarchy, MemStorage)> {
+    TimeSeries::new(&NyxScenario::new(11), series_cfg(), dt, nsteps)
         .map(|(_, _, h)| {
-            let r = write_snapshot(&mut session, &h);
-            (h, r)
+            let image = write_snapshot(session, &h);
+            (h, image)
+        })
+        .collect()
+}
+
+fn write_series(dt: f64, nsteps: usize, rel_eb: f64) -> Vec<(AmrHierarchy, MemStorage)> {
+    write_with(
+        &mut TemporalSession::new(AmricConfig::lr(rel_eb), 8),
+        dt,
+        nsteps,
+    )
+}
+
+/// Every field dataset's stored chunks, in name order.
+fn field_chunks(r: &H5Reader) -> Vec<(String, Vec<Vec<u8>>)> {
+    let names = r
+        .dataset_names()
+        .into_iter()
+        .filter(|n| n.starts_with("level_"));
+    names
+        .map(|name| {
+            let n = r.meta(name).unwrap().chunks.len();
+            let chunks = (0..n).map(|i| r.read_chunk_raw(name, i).unwrap()).collect();
+            (name.to_string(), chunks)
+        })
+        .collect()
+}
+
+/// The units of one `(level, rank)` chunk of `field` as a restart holds
+/// them, in plan order.
+fn restart_units(pf: &Plotfile, level: usize, rank: usize, field: usize) -> Vec<Buffer3> {
+    let fabs = &pf.levels[level];
+    let unit = |u: &UnitRef| {
+        let values = fabs.fab(u.box_index).extract_region(&u.region, field);
+        Buffer3::from_vec(region_dims(&u.region), values)
+    };
+    pf.unit_plans[level][rank].iter().map(unit).collect()
+}
+
+#[test]
+fn stable_schedule_roundtrips_with_linkage() {
+    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
+    let series: Vec<_> = TimeSeries::new(&NyxScenario::new(11), series_cfg(), 0.02, 4)
+        .map(|(_, _, h)| {
+            let image = write_snapshot(&mut session, &h);
+            (h, image)
         })
         .collect();
     // A slow dt keeps the hierarchy stable: every snapshot after the
     // first must actually link back.
-    for (step, (_, r)) in series.iter().enumerate() {
-        let meta = linkage(r);
+    for (step, (_, image)) in series.iter().enumerate() {
+        let meta = linkage(image);
         assert_eq!(meta.snapshot_id, step as u64 + 1);
         assert_eq!(meta.reference_id, (step > 0).then_some(step as u64));
     }
@@ -85,8 +166,8 @@ fn heavy_regrid_schedule_stays_within_bound() {
     let mut session = TemporalSession::new(AmricConfig::interp(REL_EB), 4);
     let series: Vec<_> = TimeSeries::new(&WarpXScenario::new(4), cfg, 0.4, 4)
         .map(|(_, _, h)| {
-            let r = write_snapshot(&mut session, &h);
-            (h, r)
+            let image = write_snapshot(&mut session, &h);
+            (h, image)
         })
         .collect();
     let max_change = series
@@ -108,24 +189,16 @@ fn growing_hierarchy_codes_new_level_spatially() {
     // coarse level may still delta-code.
     let scenario = NyxScenario::new(11);
     let base = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
         num_levels: 1,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let grown = AmrRunConfig {
-        num_levels: 2,
-        ..base
+        ..series_cfg()
     };
     let h1 = build_hierarchy(&scenario, &base, 0.0);
-    let h2 = build_hierarchy(&scenario, &grown, 0.02);
+    let h2 = build_hierarchy(&scenario, &series_cfg(), 0.02);
     let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
     let r1 = write_snapshot(&mut session, &h1);
     let r2 = write_snapshot(&mut session, &h2);
-    let fine_idx = r2.chunk_index("level_1/field_0").unwrap().unwrap();
+    let second = reader(&r2);
+    let fine_idx = second.chunk_index("level_1/field_0").unwrap().unwrap();
     assert!(
         fine_idx.entries.iter().all(|e| e.reference.is_none()),
         "a level that did not exist last snapshot cannot reference it"
@@ -139,20 +212,11 @@ fn collapsing_hierarchy_roundtrips() {
     // vanished level must simply be ignored, and the survivors still
     // delta-code where their regions held still.
     let scenario = NyxScenario::new(11);
-    let deep = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
     let shallow = AmrRunConfig {
         num_levels: 1,
-        ..deep
+        ..series_cfg()
     };
-    let h1 = build_hierarchy(&scenario, &deep, 0.0);
+    let h1 = build_hierarchy(&scenario, &series_cfg(), 0.0);
     let h2 = build_hierarchy(&scenario, &shallow, 0.01);
     let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
     let r1 = write_snapshot(&mut session, &h1);
@@ -165,22 +229,165 @@ fn skipping_a_snapshot_in_the_chain_is_rejected() {
     // Decoding snapshot 3 against snapshot 1 (operator dropped a file)
     // must fail typed before any chunk is read, not reconstruct from the
     // wrong base.
-    let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let mut session = TemporalSession::new(AmricConfig::lr(REL_EB), 8);
-    let series: Vec<_> = TimeSeries::new(&NyxScenario::new(11), cfg, 0.02, 3)
-        .map(|(_, _, h)| write_snapshot(&mut session, &h))
-        .collect();
-    let s1 = read_amric_from(&series[0], None).unwrap();
+    let series = write_series(0.02, 3, REL_EB);
+    let s1 = Arc::new(engine(&series[0].1));
     assert!(matches!(
-        read_amric_from(&series[2], Some(&s1)),
-        Err(h5lite::H5Error::Format(_))
+        engine(&series[2].1).with_reference(Arc::clone(&s1)),
+        Err(QueryError::BadQuery(_))
     ));
+    assert_eq!(s1.stats().read_bytes, 0);
+}
+
+#[test]
+fn series_roundtrip_respects_bounds() {
+    let rel_eb = 1e-3;
+    let series = write_series(0.02, 3, rel_eb);
+    let chain = restart_chain(series.iter().map(|(_, image)| image));
+    for (step, ((h, _), pf)) in series.iter().zip(&chain).enumerate() {
+        for c in verify_against(pf, h, rel_eb) {
+            assert!(c.bound_ok, "step {step} field {} violates bound", c.field);
+        }
+    }
+}
+
+#[test]
+fn delta_file_without_reference_fails_typed() {
+    let series = write_series(0.02, 2, 1e-3);
+    let err = match engine(&series[1].1).restart() {
+        Err(e) => e,
+        Ok(_) => panic!("delta file must not decode without its reference"),
+    };
+    assert!(
+        matches!(err, QueryError::Codec(CodecError::BadParameter { .. })),
+        "{err:?}"
+    );
+    // A reference the file does not name is refused up front: the file
+    // itself, and a plain plotfile with no linkage.
+    let (w, mem) = H5Writer::in_memory();
+    write_amric_to(Arc::new(w), &series[0].0, &AmricConfig::lr(1e-3), 8).unwrap();
+    assert_eq!(read_temporal_meta(&reader(&mem)).unwrap(), None);
+    for wrong in [&series[1].1, &mem] {
+        let refused = engine(&series[1].1).with_reference(Arc::new(engine(wrong)));
+        assert!(matches!(refused, Err(QueryError::BadQuery(_))));
+    }
+    // And a keyframe names no reference, so none is accepted.
+    let keyframe = engine(&series[0].1);
+    assert!(matches!(
+        keyframe.with_reference(Arc::new(engine(&series[0].1))),
+        Err(QueryError::BadQuery(_))
+    ));
+}
+
+#[test]
+fn session_reset_starts_fresh_chain() {
+    let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8);
+    let h = build_hierarchy(&NyxScenario::new(11), &series_cfg(), 0.0);
+    write_snapshot(&mut session, &h);
+    session.reset_reference();
+    let r2 = write_snapshot(&mut session, &h);
+    assert_eq!(linkage(&r2).reference_id, None);
+    // Self-contained: decodes with no prior state.
+    let pf = engine(&r2).restart().unwrap();
+    for c in verify_against(&pf, &h, 1e-3) {
+        assert!(c.bound_ok);
+    }
+}
+
+#[test]
+fn keyframe_interval_resets_chain_automatically() {
+    // Interval 2: snapshots 1, 3, 5, … are keyframes. The chain
+    // contract for a keyframe is total — `meta/temporal` records no
+    // reference, every chunk index entry carries none, and the file
+    // decodes with no prior state.
+    let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(2);
+    let series = write_with(&mut session, 0.02, 5);
+    let refs: Vec<Option<u64>> = series
+        .iter()
+        .map(|(_, image)| linkage(image).reference_id)
+        .collect();
+    assert_eq!(refs, vec![None, Some(1), None, Some(3), None]);
+    for keyframe in [2usize, 4] {
+        let (h, image) = &series[keyframe];
+        let r = reader(image);
+        let meta = read_plotfile_meta(&r).unwrap();
+        for l in 0..meta.num_levels() {
+            for f in 0..meta.field_names.len() {
+                let idx = r.chunk_index(&field_dataset(l, f)).unwrap().unwrap();
+                for e in &idx.entries {
+                    assert_eq!(e.reference, None, "keyframe chunk carries a reference");
+                }
+            }
+        }
+        let pf = engine(image).restart().unwrap();
+        for c in verify_against(&pf, h, 1e-3) {
+            assert!(c.bound_ok);
+        }
+    }
+    // A delta snapshot in between still needs its reference.
+    assert!(engine(&series[1].1).restart().is_err());
+}
+
+#[test]
+fn every_stream_decodes_given_its_reference() {
+    // Every stored stream decodes bitwise given the referenced
+    // snapshot's chunk — decoded here, by the stream decoder alone —
+    // exactly as the chain restart places it, and a chunk that shipped a
+    // delta stream is the one its index says.
+    let series = write_series(0.02, 2, 1e-3);
+    let chain = restart_chain(series.iter().map(|(_, image)| image));
+    let (first, r) = (reader(&series[0].1), reader(&series[1].1));
+    let meta = read_plotfile_meta(&r).unwrap();
+    let mut deltas = 0;
+    for l in 0..meta.num_levels() {
+        let entries = &r
+            .chunk_index(&field_dataset(l, 0))
+            .unwrap()
+            .unwrap()
+            .entries;
+        for f in 0..meta.field_names.len() {
+            let name = field_dataset(l, f);
+            for (rank, entry) in entries.iter().enumerate() {
+                let raw = r.read_chunk_raw(&name, rank).unwrap();
+                let env = expect_envelope(&raw, CodecId::AmricPipeline, 1).unwrap();
+                let delta = env.flags & FLAG_REFERENCED != 0;
+                deltas += usize::from(delta);
+                if delta {
+                    assert_eq!(entry.reference, Some(1));
+                }
+                let keyframe = first.read_chunk_raw(&name, rank).unwrap();
+                let reference = Arc::new(decompress_field_units(&keyframe).unwrap());
+                assert_eq!(*reference, restart_units(&chain[0], l, rank, f));
+                let mut units = Vec::new();
+                decompress_field_units_into(&raw, &mut units, &mut || {
+                    Ok((1, Arc::clone(&reference)))
+                })
+                .unwrap();
+                assert_eq!(units, restart_units(&chain[1], l, rank, f));
+            }
+        }
+    }
+    assert!(
+        deltas > 0,
+        "no chunk of a stable series shipped a delta stream"
+    );
+}
+
+#[test]
+fn gradient_adaptive_session_writes_no_delta_stream() {
+    let policy = BoundPolicy::GradientAdaptive {
+        tight: 1e-4,
+        loose: 1e-2,
+    };
+    let mut session = TemporalSession::new(AmricConfig::lr(1e-3).with_bound_policy(policy), 8);
+    let series = write_with(&mut session, 0.02, 3);
+    for (step, (_, image)) in series.iter().enumerate() {
+        assert_eq!(linkage(image).reference_id, None, "step {step}");
+        for (name, chunks) in field_chunks(&reader(image)) {
+            for raw in chunks {
+                let env = expect_envelope(&raw, CodecId::AmricPipeline, 1).unwrap();
+                assert_eq!(env.flags & FLAG_REFERENCED, 0, "step {step} {name}");
+            }
+        }
+        assert!(engine(image).restart().is_ok());
+    }
 }

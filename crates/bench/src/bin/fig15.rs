@@ -3,8 +3,9 @@
 //! AMReX's error visibly higher; we report per-field RMSE / max error of
 //! both solutions at the paper's Table-1 bounds, plus a CSV slice.
 
+use amr_query::read_amric_hierarchy;
 use amric::prelude::*;
-use amric::reader::{read_amric_hierarchy, read_baseline_hierarchy};
+use amric::reader::read_baseline_hierarchy;
 use amric_bench::{amric_lr, print_table, scratch, table1_runs};
 use std::io::Write;
 

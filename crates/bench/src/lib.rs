@@ -8,8 +8,9 @@
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
+use amr_query::read_amric_hierarchy;
 use amric::prelude::*;
-use amric::reader::{read_amric_hierarchy, read_baseline_hierarchy};
+use amric::reader::read_baseline_hierarchy;
 use sz_codec::prelude::*;
 
 /// Which synthetic application drives a run.

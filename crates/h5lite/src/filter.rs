@@ -208,7 +208,7 @@ impl ChunkFilter for SzFilter {
         let cfg = LrConfig::new(absolute_bound(self.rel_eb, hi - lo));
         // SZ_L/R reads the chunk in place.
         let row = View3::new(Dims3::new(chunk.len(), 1, 1), chunk);
-        lr::compress_domains_pooled(&[row], &cfg, out);
+        lr::with_thread_scratch(|s| lr::compress_domains_into(&[row], &cfg, s, out));
         Ok(())
     }
 }

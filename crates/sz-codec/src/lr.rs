@@ -151,15 +151,8 @@ static ZEROS: [f64; MAX_BLOCK_EDGE] = [0.0; MAX_BLOCK_EDGE];
 /// A single-element slice reproduces plain SZ_L/R on that buffer.
 pub fn compress_domains<U: AsView3>(domains: &[U], cfg: &LrConfig) -> Vec<u8> {
     let mut out = Vec::new();
-    compress_domains_pooled(domains, cfg, &mut out);
+    with_thread_scratch(|s| compress_domains_into(domains, cfg, s, &mut out));
     out
-}
-
-/// Like [`compress_domains_into`] but on the calling thread's scratch —
-/// the zero-alloc path for `&self` contexts (`ChunkFilter` impls) that
-/// cannot thread an explicit [`LrScratch`] through.
-pub fn compress_domains_pooled<U: AsView3>(domains: &[U], cfg: &LrConfig, out: &mut Vec<u8>) {
-    with_thread_scratch(|s| compress_domains_into(domains, cfg, s, out));
 }
 
 /// Compress a set of prediction domains with one shared encoding (SLE),

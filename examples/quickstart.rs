@@ -1,11 +1,12 @@
 //! Quickstart: build a small two-level AMR hierarchy, write it with AMRIC
-//! in-situ compression, read it back, and verify the error bound.
+//! in-situ compression, restart it through the query engine
+//! (`amr_query::read_amric_hierarchy`), and verify the error bound.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use amr_apps::prelude::*;
+use amr_query::read_amric_hierarchy;
 use amric::prelude::*;
-use amric::reader::read_amric_hierarchy;
 
 fn main() {
     // 1. A "simulation": the synthetic Nyx scenario on a 32³ coarse grid
@@ -42,7 +43,8 @@ fn main() {
         report.ledgers.iter().map(|l| l.filter_calls).sum::<u64>()
     );
 
-    // 3. Read it back and verify the error-bound contract per field.
+    // 3. Restart it (`QueryEngine::open` + `restart`) and verify the
+    //    error-bound contract per field.
     let plotfile = read_amric_hierarchy(&path).expect("read back");
     let checks = verify_against(&plotfile, &hierarchy, config.rel_eb);
     for (check, name) in checks.iter().zip(plotfile.field_names.iter()) {

@@ -1,13 +1,13 @@
-//! Post-hoc analysis on a compressed plotfile: read an AMRIC file back,
-//! flatten the AMR hierarchy to uniform resolution (the paper's Fig. 3
+//! Post-hoc analysis on a compressed plotfile: restart an AMRIC file
+//! through the query engine (`amr_query::read_amric_hierarchy`), flatten the AMR hierarchy to uniform resolution (the paper's Fig. 3
 //! workflow), and compute simple statistics — without ever materializing
 //! the uncompressed plotfile on disk.
 //!
 //! Run with: `cargo run --release --example readback_analysis`
 
 use amr_apps::prelude::*;
+use amr_query::read_amric_hierarchy;
 use amric::prelude::*;
-use amric::reader::read_amric_hierarchy;
 
 fn main() {
     // Produce a compressed snapshot.
@@ -25,7 +25,8 @@ fn main() {
     let path = std::env::temp_dir().join("amric-readback.h5l");
     write_amric(&path, &h, &AmricConfig::lr(1e-3), mesh.blocking_factor).expect("write");
 
-    // Read back: reconstructs per-level MultiFabs from the compressed file.
+    // Restart: the query engine decodes every stored chunk into per-level
+    // MultiFabs.
     let pf = read_amric_hierarchy(&path).expect("read");
     println!("fields: {:?}", pf.field_names);
 

@@ -4,8 +4,9 @@
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
+use amr_query::read_amric_hierarchy;
 use amric::prelude::*;
-use amric::reader::{read_amric_hierarchy, read_baseline_hierarchy};
+use amric::reader::read_baseline_hierarchy;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -246,7 +247,7 @@ fn three_level_amric_roundtrip() {
     let path = tmp("three-level");
     let report = write_amric(&path, &h, &AmricConfig::lr(1e-3), 16).unwrap();
     assert!(report.compression_ratio() > 1.0);
-    let pf = amric::reader::read_amric_hierarchy(&path).unwrap();
+    let pf = read_amric_hierarchy(&path).unwrap();
     assert_eq!(pf.levels.len(), 3);
     for c in verify_against(&pf, &h, 1e-3) {
         assert!(c.bound_ok, "field {} out of bound", c.field);
