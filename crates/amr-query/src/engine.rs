@@ -40,10 +40,10 @@
 //! # The restart is the engine's too
 //!
 //! A full decode ([`QueryEngine::restart`], [`read_amric_hierarchy`])
-//! walks the chunks the engine found at open and runs each through the
-//! same per-chunk step as a cache miss — [`amric::reader::load_chunk`],
-//! the reference source, the error mapping — but decodes straight into
-//! fresh per-level fabs, serially, past the cache.
+//! drives [`amric::reader::restart_with`] over the chunks the engine found
+//! at open and runs each through the same per-chunk step as a cache miss —
+//! [`amric::reader::load_chunk`], the reference source, the error mapping
+//! — decoding straight into fresh per-level fabs, serially, past the cache.
 //!
 //! # Temporal snapshots
 //!
@@ -60,7 +60,9 @@ use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
 use amric::pipeline::{decompress_field_units_into, no_reference};
 use amric::preprocess::{plan_bounding_box, region_dims, UnitRef};
-use amric::reader::{load_chunk, read_plotfile_meta, Plotfile, PlotfileMeta};
+use amric::reader::{
+    load_chunk, read_plotfile_meta, restart_with, stored_chunks, Plotfile, PlotfileMeta,
+};
 use amric::temporal::{read_temporal_meta, TemporalMeta};
 use amric::writer::field_dataset;
 use h5lite::index::ChunkIndexEntry;
@@ -68,7 +70,7 @@ use h5lite::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use sz_codec::{Buffer3, CodecError, CodecResult, Dims3, StridedMut, UnitDest};
+use sz_codec::{Buffer3, CodecError, UnitDest};
 
 /// A rectangular region of interest in index space (alias of the mesh
 /// crate's inclusive [`IntBox`]).
@@ -452,22 +454,16 @@ impl QueryEngine {
         let mut levels = Vec::with_capacity(meta.num_levels());
         for l in 0..meta.num_levels() {
             let plans: Vec<Vec<UnitRef>> = (0..meta.nranks).map(|r| meta.unit_plan(l, r)).collect();
-            // All fields of a level share one layout; dataset 0 speaks for
-            // the level. Chunk count must be 0 (nothing kept) or nranks.
-            let name = field_dataset(l, 0);
-            let dmeta = reader.meta(&name).map_err(|e| match e {
+            // All fields of a level share one layout and one chunk count;
+            // dataset 0's index speaks for the level.
+            stored_chunks(&reader, &meta, l).map_err(|e| match e {
                 H5Error::NotFound(n) => {
                     QueryError::BadQuery(format!("not an AMRIC plotfile (missing dataset {n})"))
                 }
+                H5Error::Format(m) => QueryError::Inconsistent(m),
                 other => QueryError::H5(other),
             })?;
-            let nchunks = dmeta.chunks.len();
-            if nchunks != 0 && nchunks != meta.nranks {
-                return Err(QueryError::Inconsistent(format!(
-                    "{name}: {nchunks} chunks for {} ranks",
-                    meta.nranks
-                )));
-            }
+            let name = field_dataset(l, 0);
             let index = reader.chunk_index(&name)?.ok_or_else(|| {
                 QueryError::BadQuery(format!("not an AMRIC plotfile ({name} has no chunk index)"))
             })?;
@@ -855,27 +851,10 @@ impl QueryEngine {
     /// an engine given its reference ([`QueryEngine::with_reference`]);
     /// without one its first delta chunk is a [`QueryError::Codec`].
     pub fn restart(&self) -> QueryResult<Plotfile> {
-        let meta = &self.meta;
-        let mut raw = Vec::new();
-        let mut levels = Vec::with_capacity(self.levels.len());
-        for (l, (layout, lp)) in meta.levels.iter().zip(&self.levels).enumerate() {
-            let names = meta.field_names.clone();
-            let mut fabs = MultiFab::new(layout.boxes.clone(), layout.owners.clone(), names);
-            for (rank, plan) in lp.plans.iter().enumerate().take(lp.extents.len()) {
-                for field in 0..meta.field_names.len() {
-                    let mut dest = FabDest(&mut fabs, plan, field);
-                    self.decode_chunk((l, field, rank), &mut raw, &mut dest)?;
-                }
-            }
-            levels.push(fabs);
-        }
-        Ok(Plotfile {
-            field_names: meta.field_names.clone(),
-            levels,
-            domains: meta.levels.iter().map(|l| l.domain).collect(),
-            bf: meta.bf,
-            remove_redundancy: meta.remove_redundancy,
-            unit_plans: self.levels.iter().map(|lp| lp.plans.clone()).collect(),
+        let plans = self.levels.iter().map(|lp| lp.plans.clone()).collect();
+        let stored: Vec<usize> = self.levels.iter().map(|lp| lp.extents.len()).collect();
+        restart_with(&self.meta, plans, &stored, |key, _plan, raw, dest| {
+            self.decode_chunk(key, raw, dest)
         })
     }
 
@@ -986,19 +965,6 @@ impl QueryEngine {
             .into_iter()
             .map(|v| v.expect("every request resolved"))
             .collect())
-    }
-}
-
-/// A level's fabs as a destination: unit `i` of the plan goes to its
-/// region of one component of the box it was cut from.
-struct FabDest<'a>(&'a mut MultiFab, &'a [UnitRef], usize);
-
-impl UnitDest for FabDest<'_> {
-    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
-        let FabDest(level, plan, field) = self;
-        let fab = level.fab_mut(plan[i].box_index);
-        let (data, row, plane) = fab.region_mut(&plan[i].region, *field);
-        StridedMut::new(dims, data, row, plane)
     }
 }
 

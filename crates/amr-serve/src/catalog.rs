@@ -217,48 +217,18 @@ impl Catalog {
     /// generation matches; a stale generation is invalidated (engine
     /// dropped, cached chunks purged) and reopened fresh.
     ///
-    /// Only the decision — hit, stale, which idle entries to evict — and
-    /// the final insert hold the entries guard: the store purge (all
-    /// eight shard locks) and the engine open run outside it, so a slow
-    /// open never stalls the opens, hits and stats of other files. When
-    /// a concurrent opener of the same path and generation inserts
-    /// first, its entry is returned (an open hit) and this engine dropped.
+    /// Two short sections hold the entries guard: the hit check, and the
+    /// insert with its stale and idle evictions. The engine open and the
+    /// store purge (all eight shard locks) run outside it, so a slow open
+    /// never stalls the opens, hits and stats of other files. When a
+    /// concurrent opener of the same path and generation inserts first,
+    /// its entry is returned (an open hit) and this engine dropped.
     pub fn open(&self, path: &Path) -> Result<Arc<CatalogEntry>, amr_query::QueryError> {
         let generation = Generation::of(path).map_err(h5lite::H5Error::Io)?;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut purge = Vec::new();
-        {
-            let mut pool = self.lock_entries();
-            if let Some(entry) = pool.hit(path, generation, stamp) {
-                return Ok(entry);
-            }
-            // Same path, different bytes: the snapshot was rewritten.
-            if let Some(stale) = pool.map.remove(path) {
-                purge.push(stale.file_id);
-                pool.stats.reopens_stale += 1;
-            }
-            // Respect the open-file bound before adding a new engine: drop
-            // idle entries (no connection holds them) oldest-first.
-            while pool.map.len() >= self.max_open {
-                let victim = pool
-                    .map
-                    .iter()
-                    .filter(|(_, e)| Arc::strong_count(e) == 1)
-                    .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                    .map(|(p, _)| p.clone());
-                match victim {
-                    Some(p) => {
-                        purge.push(pool.map.remove(&p).expect("victim present").file_id);
-                        pool.stats.evicted_idle += 1;
-                    }
-                    // Every entry is in use: exceed the bound rather than
-                    // fail the open (soft bound; the stats surface shows it).
-                    None => break,
-                }
-            }
+        if let Some(entry) = self.lock_entries().hit(path, generation, stamp) {
+            return Ok(entry);
         }
-        // The shared budget must never serve bytes of a dropped entry.
-        self.purge(&purge);
         let file_id = self.next_file_id.fetch_add(1, Ordering::Relaxed);
         let engine = QueryEngine::open(path)?
             .with_shared_cache(Arc::clone(&self.store), file_id)
@@ -276,21 +246,34 @@ impl Catalog {
             return Ok(entry);
         }
         pool.stats.opens += 1;
-        // A concurrent opener saw other bytes at this path: last one wins.
-        let replaced = pool.map.insert(path.to_path_buf(), Arc::clone(&entry));
+        let mut purge = Vec::new();
+        // Same path, different bytes: the snapshot was rewritten.
+        if let Some(stale) = pool.map.remove(path) {
+            purge.push(stale.file_id);
+            pool.stats.reopens_stale += 1;
+        }
+        // Respect the open-file bound: drop idle entries (no connection
+        // holds them) oldest-first.
+        while pool.map.len() >= self.max_open {
+            let victim = pool
+                .map
+                .iter()
+                .filter(|(_, e)| Arc::strong_count(e) == 1)
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(p, _)| p.clone());
+            // Every entry is in use: exceed the bound rather than fail the
+            // open (soft bound; the stats surface shows it).
+            let Some(p) = victim else { break };
+            purge.push(pool.map.remove(&p).expect("victim present").file_id);
+            pool.stats.evicted_idle += 1;
+        }
+        pool.map.insert(path.to_path_buf(), Arc::clone(&entry));
         drop(pool);
-        if let Some(old) = replaced {
-            self.purge(&[old.file_id]);
+        // The shared budget must never serve bytes of a dropped entry.
+        if !purge.is_empty() {
+            self.store.remove_matching(|(fid, _)| purge.contains(fid));
         }
         Ok(entry)
-    }
-
-    /// Drop every cached chunk of the given file ids from the shared store.
-    fn purge(&self, file_ids: &[u64]) {
-        if !file_ids.is_empty() {
-            self.store
-                .remove_matching(|(fid, _)| file_ids.contains(fid));
-        }
     }
 
     /// Snapshot of every open entry (stats reporting).
@@ -395,6 +378,37 @@ mod tests {
         assert_eq!(st.opens, 1);
         assert_eq!(st.opens + st.open_hits, N as u64);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_opens_of_distinct_paths_keep_the_bound() {
+        // The pool is full of idle entries; as many new paths as the bound
+        // open at once. Each opener checks the bound again when it
+        // inserts, so the pool ends at the bound, never past it. Rounds
+        // repeat the race.
+        const M: usize = 4;
+        let paths: Vec<PathBuf> = (0..2 * M).map(|i| tmp(&format!("distinct-{i}"))).collect();
+        paths.iter().for_each(|p| write_plotfile(p));
+        for round in 0..16 {
+            let cat = Catalog::new(8 << 20, M, 1);
+            for p in &paths[..M] {
+                cat.open(p).unwrap();
+            }
+            let start = std::sync::Barrier::new(M);
+            std::thread::scope(|s| {
+                for p in &paths[M..] {
+                    let (cat, start) = (&cat, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        cat.open(p).unwrap();
+                    });
+                }
+            });
+            let st = cat.stats();
+            assert_eq!(cat.entries().len(), M, "round {round}");
+            assert_eq!((st.opens, st.evicted_idle), (2 * M as u64, M as u64));
+        }
+        paths.iter().for_each(|p| std::fs::remove_file(p).unwrap());
     }
 
     #[test]

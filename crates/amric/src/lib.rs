@@ -43,8 +43,8 @@
 //!    Encoding + adaptive block size) producing self-describing streams;
 //! 4. [`writer`]/[`reader`] — the in-situ HDF5-filter path with AMRIC's
 //!    field-major layout and size-aware global chunking; the reader holds
-//!    the metadata, the unit plans and the one chunk loader, and the
-//!    restart itself is `amr_query`'s (`QueryEngine::restart`);
+//!    the metadata, the unit plans, the one chunk loader and the restart
+//!    loop, which `amr_query`'s `QueryEngine::restart` drives;
 //! 5. [`baseline`] — AMReX's stock 1-D small-chunk compression for
 //!    comparison, plus the [`tac`] offline comparator;
 //! 6. [`temporal`] — a write session whose chunks may delta-code against

@@ -3,9 +3,10 @@
 //! and error-bound verification against the original data.
 //!
 //! An AMRIC plotfile restarts through `amr_query`: `QueryEngine::restart`
-//! runs every stored chunk through [`load_chunk`] into a [`Plotfile`].
+//! drives [`restart_with`] over the chunks [`stored_chunks`] finds, each
+//! through [`load_chunk`], into a [`Plotfile`].
 
-use crate::pipeline::resolve_abs_eb;
+use crate::pipeline::{decompress_field_units_into, no_reference, resolve_abs_eb};
 use crate::preprocess::{
     extract_units, plan_units_layout, region_dims, unit_edge_for_level, UnitRef,
 };
@@ -282,6 +283,95 @@ pub fn load_chunk(
         )));
     }
     decoded
+}
+
+/// How many chunks every field dataset of `level` stores: 0 (no rank kept
+/// a cell) or `nranks`, the same for each field. The one reading of which
+/// chunks a file stores, behind the query engine's open check.
+pub fn stored_chunks(r: &H5Reader, meta: &PlotfileMeta, level: usize) -> H5Result<usize> {
+    let count = |field| r.meta(&field_dataset(level, field)).map(|m| m.chunks.len());
+    let first = count(0)?;
+    for field in 0..meta.field_names.len() {
+        let n = count(field)?;
+        if n != first || (n != 0 && n != meta.nranks) {
+            return Err(H5Error::Format(format!(
+                "{}: {n} chunks for {} ranks (field 0 stores {first})",
+                field_dataset(level, field),
+                meta.nranks
+            )));
+        }
+    }
+    Ok(first)
+}
+
+/// A level's fabs as a destination: unit `i` of the plan goes to its
+/// region of one component of the box it was cut from.
+struct FabDest<'a>(&'a mut MultiFab, &'a [UnitRef], usize);
+
+impl UnitDest for FabDest<'_> {
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        let FabDest(level, plan, field) = self;
+        let fab = level.fab_mut(plan[i].box_index);
+        let (data, row, plane) = fab.region_mut(&plan[i].region, *field);
+        StridedMut::new(dims, data, row, plane)
+    }
+}
+
+/// The restart loop: `decode` every stored chunk — ranks `0..stored[l]`
+/// of each level `l`, every field — with its unit plan and one reused
+/// raw-byte buffer, straight into fresh per-level fabs. Cells no unit
+/// covers stay zero. `amr_query::QueryEngine::restart` drives it with the
+/// engine's per-chunk step, which holds the reference of a delta file.
+pub fn restart_with<E>(
+    meta: &PlotfileMeta,
+    unit_plans: Vec<Vec<Vec<UnitRef>>>,
+    stored: &[usize],
+    mut decode: impl FnMut(
+        (usize, usize, usize),
+        &[UnitRef],
+        &mut Vec<u8>,
+        &mut dyn UnitDest,
+    ) -> Result<(), E>,
+) -> Result<Plotfile, E> {
+    let mut raw = Vec::new();
+    let mut levels = Vec::with_capacity(meta.num_levels());
+    for (l, layout) in meta.levels.iter().enumerate() {
+        let names = meta.field_names.clone();
+        let mut fabs = MultiFab::new(layout.boxes.clone(), layout.owners.clone(), names);
+        for (rank, plan) in unit_plans[l].iter().enumerate().take(stored[l]) {
+            for field in 0..meta.field_names.len() {
+                let mut dest = FabDest(&mut fabs, plan, field);
+                decode((l, field, rank), plan, &mut raw, &mut dest)?;
+            }
+        }
+        levels.push(fabs);
+    }
+    Ok(Plotfile {
+        field_names: meta.field_names.clone(),
+        levels,
+        domains: meta.levels.iter().map(|l| l.domain).collect(),
+        bf: meta.bf,
+        remove_redundancy: meta.remove_redundancy,
+        unit_plans,
+    })
+}
+
+/// Restart a plotfile whose chunks predict from no other snapshot, by the
+/// path earlier callers name it. `amr_query::read_amric_hierarchy` is the
+/// same [`restart_with`] through a query engine; a delta snapshot restarts
+/// only through an engine given its reference, and here its first delta
+/// chunk is a missing reference (`CodecError::BadParameter`).
+pub fn read_amric_hierarchy(path: impl AsRef<std::path::Path>) -> H5Result<Plotfile> {
+    let r = H5Reader::open(path)?;
+    let meta = read_plotfile_meta(&r)?;
+    let stored = (0..meta.num_levels())
+        .map(|l| stored_chunks(&r, &meta, l))
+        .collect::<H5Result<Vec<_>>>()?;
+    restart_with(&meta, meta.unit_plans(), &stored, |key, plan, raw, dest| {
+        load_chunk(&r, key, plan, raw, dest, |raw, dest| {
+            Ok(decompress_field_units_into(raw, dest, &mut no_reference)?)
+        })
+    })
 }
 
 /// Load a baseline / no-compression plotfile (written by

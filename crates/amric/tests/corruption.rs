@@ -12,7 +12,7 @@
 //! hierarchy its own reader could not load.
 
 use amr_mesh::prelude::*;
-use amr_query::{read_amric_hierarchy, QueryError};
+use amr_query::{read_amric_hierarchy, QueryEngine, QueryError};
 use amric::config::AmricConfig;
 use amric::pipeline::{
     compress_field_units, compress_placed_into, decompress_field_units, stream_layout,
@@ -21,7 +21,7 @@ use amric::pipeline::{
 use amric::reader::{read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta};
 use amric::tac::{tac_compress, tac_decompress};
 use amric::temporal::{read_temporal_meta, TemporalMeta};
-use amric::writer::{write_amric, write_amric_to};
+use amric::writer::{field_dataset, write_amric, write_amric_to};
 use amric::MergePolicy;
 use h5lite::prelude::*;
 use std::sync::Arc;
@@ -641,4 +641,57 @@ fn streams_that_contradict_the_plan_are_a_format_error() {
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_field_that_stores_other_chunks_than_field_0_is_refused() {
+    // Every field of a level shares one layout, so every field dataset
+    // stores the same chunks. A file whose `level_0/field_0` stores none
+    // while `field_1` stores one per rank contradicts itself: it is
+    // refused at open, not restarted with field 1 left zero.
+    let mut h = AmrHierarchy::new(
+        IntBox::from_extents(16, 16, 16),
+        8,
+        2,
+        vec!["rho".into(), "e".into()],
+    );
+    h.fill_field_physical(0, |x, y, z| (6.0 * x).sin() + y * z);
+    h.fill_field_physical(1, |x, y, _| x - y);
+    let (w, mem) = H5Writer::in_memory();
+    write_amric_to(Arc::new(w), &h, &AmricConfig::lr(1e-3), 8).unwrap();
+    let pristine = H5Reader::from_storage(Box::new(mem.clone())).unwrap();
+    // The same payload under a new directory, `level_0/field_0` emptied
+    // when `drop_field_0` holds.
+    let rebuild = |drop_field_0: bool| {
+        let (w, image) = H5Writer::in_memory();
+        let bytes = mem.to_bytes();
+        let at = w.reserve_extent([bytes.len() as u64 - 5]).base;
+        w.write_at(at, &bytes[5..]).unwrap();
+        for name in pristine.dataset_names() {
+            let mut meta = pristine.meta(name).unwrap().clone();
+            let mut index = pristine.chunk_index(name).unwrap().cloned();
+            if drop_field_0 && name == field_dataset(0, 0) {
+                meta.chunks.clear();
+                index = Some(ChunkIndex::new(Vec::new()));
+            }
+            w.register_dataset(meta).unwrap();
+            if let Some(index) = index {
+                w.set_chunk_index(name, index).unwrap();
+            }
+        }
+        w.finish().unwrap();
+        QueryEngine::from_reader(H5Reader::from_storage(Box::new(image)).unwrap())
+    };
+    let whole = rebuild(false).unwrap().restart().unwrap();
+    for check in verify_against(&whole, &h, 1e-3) {
+        assert!(check.bound_ok, "field {} violates its bound", check.field);
+    }
+    match rebuild(true) {
+        Err(QueryError::Inconsistent(msg)) => assert_eq!(
+            msg, "level_0/field_1: 2 chunks for 2 ranks (field 0 stores 0)",
+            "{msg:?}"
+        ),
+        Err(other) => panic!("expected an Inconsistent error, got {other:?}"),
+        Ok(_) => panic!("a file whose fields store different chunks opened"),
+    }
 }

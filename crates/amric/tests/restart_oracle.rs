@@ -10,6 +10,8 @@
 //! restarts must agree bit for bit, cell for cell, on every configuration
 //! a plotfile can hold.
 
+mod common;
+
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::{read_amric_hierarchy, QueryEngine, QueryError};
@@ -17,9 +19,10 @@ use amric::config::{AmricConfig, BoundPolicy, MergePolicy};
 use amric::pipeline::{decompress_field_units, decompress_field_units_into, no_reference};
 use amric::preprocess::scatter_units;
 use amric::reader::{read_plotfile_meta, verify_against, FieldVerification, Plotfile};
-use amric::temporal::{read_temporal_meta, TemporalSession};
+use amric::temporal::TemporalSession;
 use amric::writer::{field_dataset, write_amric};
-use h5lite::{H5Reader, H5Writer, MemStorage};
+use common::{chain_engines, linkage, reader};
+use h5lite::{H5Error, H5Reader, H5Writer, MemStorage};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sz_codec::prelude::*;
@@ -82,11 +85,14 @@ fn check(h: &AmrHierarchy, cfg: &AmricConfig, bf: i64, what: &str) {
     let path = tmp(&what.replace([' ', ',', '/'], "-"));
     write_amric(&path, h, cfg, bf).unwrap_or_else(|e| panic!("{what}: write: {e}"));
     let pf = read_amric_hierarchy(&path).unwrap_or_else(|e| panic!("{what}: restart: {e}"));
+    let by_reader = amric::reader::read_amric_hierarchy(&path)
+        .unwrap_or_else(|e| panic!("{what}: restart by the reader path: {e}"));
     let reader = H5Reader::open(&path).expect("open");
     let reference = scattered_restart(&reader, |_, _, _, raw| {
         decompress_field_units(raw).unwrap_or_else(|e| panic!("{what}: decode: {e}"))
     });
     std::fs::remove_file(&path).ok();
+    assert_same_restart(&by_reader, &reference, &format!("{what}, reader path"));
     let nonzero = assert_same_restart(&pf, &reference, what);
     assert!(
         nonzero > 1000,
@@ -193,10 +199,6 @@ fn write_chain(snapshots: impl Iterator<Item = AmrHierarchy>, bf: i64) -> Vec<Me
         .collect()
 }
 
-fn reader(image: &MemStorage) -> H5Reader {
-    H5Reader::from_storage(Box::new(image.clone())).unwrap()
-}
-
 /// The oracle's restart of every link of a chain: each stream decoded to
 /// owned units given the oracle's own decoded units of the previous link,
 /// then scattered.
@@ -208,7 +210,7 @@ fn oracle_chain(images: &[MemStorage]) -> Vec<Vec<MultiFab>> {
     let mut chain = Vec::new();
     for image in images {
         let reader = reader(image);
-        let tmeta = read_temporal_meta(&reader).unwrap().expect("linkage");
+        let tmeta = linkage(image);
         let mut kept = HashMap::new();
         chain.push(scattered_restart(&reader, |l, rank, f, raw| {
             let mut units = Vec::new();
@@ -225,23 +227,19 @@ fn oracle_chain(images: &[MemStorage]) -> Vec<Vec<MultiFab>> {
     chain
 }
 
-/// Engines over a chain, each given the engine of the link before it when
-/// its file names one.
-fn chain_engines(images: &[MemStorage]) -> Vec<Arc<QueryEngine>> {
-    let mut engines: Vec<Arc<QueryEngine>> = Vec::new();
-    for image in images {
-        let mut engine = QueryEngine::from_reader(reader(image)).unwrap();
-        let tmeta = read_temporal_meta(&reader(image))
-            .unwrap()
-            .expect("linkage");
-        if tmeta.reference_id.is_some() {
-            engine = engine
-                .with_reference(Arc::clone(engines.last().unwrap()))
-                .unwrap();
-        }
-        engines.push(Arc::new(engine));
-    }
-    engines
+/// `n` snapshots of a two-level Nyx series.
+fn nyx_series(n: usize) -> impl Iterator<Item = AmrHierarchy> {
+    let cfg = AmrRunConfig {
+        coarse_dims: (16, 16, 16),
+        max_grid_size: 8,
+        blocking_factor: 8,
+        nranks: 2,
+        num_levels: 2,
+        fine_fraction: 0.05,
+        grid_eff: 0.7,
+    };
+    let steps: Vec<_> = TimeSeries::new(&NyxScenario::new(11), cfg, 0.02, n).collect();
+    steps.into_iter().map(|(_, _, h)| h)
 }
 
 /// Write `snapshots` as one temporal chain and restart every link both
@@ -256,8 +254,7 @@ fn check_temporal_chain(
     let engines = chain_engines(&images);
     let mut deltas = 0;
     for (step, (engine, reference)) in engines.iter().zip(&oracle).enumerate() {
-        let tmeta = read_temporal_meta(&reader(&images[step])).unwrap().unwrap();
-        deltas += usize::from(tmeta.reference_id.is_some());
+        deltas += usize::from(linkage(&images[step]).reference_id.is_some());
         let pf = engine.restart().unwrap();
         let nonzero = assert_same_restart(&pf, reference, &format!("{what}, step {step}"));
         assert!(
@@ -270,17 +267,7 @@ fn check_temporal_chain(
 
 #[test]
 fn temporal_chains_restart_alike() {
-    let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let scenario = NyxScenario::new(11);
-    let series = TimeSeries::new(&scenario, cfg, 0.02, 3).map(|(_, _, h)| h);
+    let series = nyx_series(3);
     let deltas = check_temporal_chain(series, 8, "nyx series");
     assert_eq!(deltas, 2, "snapshots 2 and 3 must delta-code");
     // A chain whose level 0 stores no chunks: level 1 still delta-codes
@@ -295,17 +282,7 @@ fn temporal_chains_restart_alike() {
 
 #[test]
 fn a_chain_restart_decodes_at_most_depth_plus_one_chunks_per_chunk() {
-    let cfg = AmrRunConfig {
-        coarse_dims: (16, 16, 16),
-        max_grid_size: 8,
-        blocking_factor: 8,
-        nranks: 2,
-        num_levels: 2,
-        fine_fraction: 0.05,
-        grid_eff: 0.7,
-    };
-    let scenario = NyxScenario::new(11);
-    let series = TimeSeries::new(&scenario, cfg, 0.02, 3).map(|(_, _, h)| h);
+    let series = nyx_series(3);
     let images = write_chain(series, 8);
     let oracle = oracle_chain(&images);
     // A reference the file does not name is refused before any chunk of
@@ -338,6 +315,26 @@ fn a_chain_restart_decodes_at_most_depth_plus_one_chunks_per_chunk() {
         );
         assert_eq!(depth > 0, spent > least, "depth {depth}: {spent} chunks");
     }
+}
+
+#[test]
+fn the_reader_path_restarts_a_keyframe_and_refuses_a_delta() {
+    // `amric::reader::read_amric_hierarchy` is the same restart with no
+    // reference: a keyframe restarts alike, and the first delta chunk of
+    // the next snapshot is a missing reference.
+    let images = write_chain(nyx_series(2), 8);
+    let oracle = oracle_chain(&images);
+    let path = tmp("reader-path");
+    std::fs::write(&path, images[0].to_bytes()).unwrap();
+    let keyframe = amric::reader::read_amric_hierarchy(&path).unwrap();
+    assert_same_restart(&keyframe, &oracle[0], "keyframe by the reader path");
+    std::fs::write(&path, images[1].to_bytes()).unwrap();
+    let err = amric::reader::read_amric_hierarchy(&path).err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(err, Some(H5Error::Codec(CodecError::BadParameter { .. }))),
+        "{err:?}"
+    );
 }
 
 /// The AMRIC round trip: every field of a written hierarchy restarts

@@ -8,12 +8,15 @@
 //! each given the engine of the snapshot it names
 //! (`QueryEngine::with_reference`), and `QueryEngine::restart` decodes it.
 
+mod common;
+
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
 use amr_query::{QueryEngine, QueryError};
 use amric::prelude::*;
 use amric::preprocess::region_dims;
 use amric::writer::field_dataset;
+use common::{chain_engines, linkage, reader};
 use h5lite::{H5Reader, H5Writer, MemStorage};
 use std::sync::Arc;
 use sz_codec::codec::{expect_envelope, CodecId, FLAG_REFERENCED};
@@ -27,33 +30,13 @@ fn write_snapshot(session: &mut TemporalSession, h: &AmrHierarchy) -> MemStorage
     mem
 }
 
-fn reader(image: &MemStorage) -> H5Reader {
-    H5Reader::from_storage(Box::new(image.clone())).unwrap()
-}
-
 fn engine(image: &MemStorage) -> QueryEngine {
     QueryEngine::from_reader(reader(image)).unwrap()
 }
 
-fn linkage(image: &MemStorage) -> TemporalMeta {
-    read_temporal_meta(&reader(image))
-        .unwrap()
-        .expect("a temporal snapshot")
-}
-
-/// Restart every snapshot of a chain, each through an engine given the
-/// engine of the snapshot before it when it names one.
+/// Restart every snapshot of a chain through its engines.
 fn restart_chain<'a>(images: impl IntoIterator<Item = &'a MemStorage>) -> Vec<Plotfile> {
-    let mut engines: Vec<Arc<QueryEngine>> = Vec::new();
-    for image in images {
-        let mut e = engine(image);
-        if linkage(image).reference_id.is_some() {
-            e = e
-                .with_reference(Arc::clone(engines.last().unwrap()))
-                .unwrap();
-        }
-        engines.push(Arc::new(e));
-    }
+    let engines = chain_engines(images);
     engines.iter().map(|e| e.restart().unwrap()).collect()
 }
 
