@@ -175,10 +175,10 @@ impl QualityReport {
         let nfields = meta.field_names.len();
         let mut out = vec![vec![Vec::new(); nfields]; meta.num_levels()];
         for (level, fields) in out.iter_mut().enumerate() {
+            let stored = amric::reader::stored_chunks(&r, &meta, level)?;
             for (field, regions) in fields.iter_mut().enumerate() {
-                let name = format!("level_{level}/field_{field}");
-                let nchunks = r.meta(&name)?.chunks.len();
-                for rank in 0..nchunks {
+                let name = amric::writer::field_dataset(level, field);
+                for rank in 0..stored {
                     let raw = r.read_chunk_raw(&name, rank)?;
                     let Some(bounds) = amric::stream_unit_bounds(&raw)? else {
                         continue;

@@ -287,7 +287,8 @@ pub fn load_chunk(
 
 /// How many chunks every field dataset of `level` stores: 0 (no rank kept
 /// a cell) or `nranks`, the same for each field. The one reading of which
-/// chunks a file stores, behind the query engine's open check.
+/// chunks a file stores, behind the query engine's open check and the
+/// quality report's scan of a file's streams.
 pub fn stored_chunks(r: &H5Reader, meta: &PlotfileMeta, level: usize) -> H5Result<usize> {
     let count = |field| r.meta(&field_dataset(level, field)).map(|m| m.chunks.len());
     let first = count(0)?;
