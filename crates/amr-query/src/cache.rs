@@ -17,7 +17,11 @@
 //!   entry of a shard is never evicted by its own insert, so a single
 //!   chunk larger than a shard's budget still caches and is first out on
 //!   the next insert). Values are `Arc`ed unit-block vectors: eviction
-//!   never invalidates data a query is still assembling from.
+//!   never invalidates data a query is still assembling from. An entry
+//!   may hold only some of its chunk's units ([`ChunkUnits`]) — those the
+//!   queries that decoded it asked for — and a lookup that needs a unit
+//!   the entry lacks is a miss. A file id the owner retired
+//!   ([`ChunkStore::retire`]) is refused any further insert.
 //! * [`ChunkCache`] — the engine-facing handle: a key prefix (the
 //!   *file id*) plus its own atomic hit/miss/insert/evict counters over
 //!   a [`ChunkStore`] that may be its own ([`ChunkCache::new`]) or
@@ -27,7 +31,7 @@
 
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,6 +49,81 @@ pub type GlobalChunkKey = (u64, ChunkKey);
 /// A cached decoded chunk: the unit blocks of one rank's chunk, in plan
 /// order.
 pub type CachedChunk = Arc<Vec<Buffer3>>;
+
+/// A resident chunk as a lookup finds it: the units its entry holds, in
+/// plan order, and where each unit of the chunk is among them.
+#[derive(Clone, Debug)]
+pub struct ChunkUnits {
+    units: CachedChunk,
+    /// Per unit of the chunk, its position in `units` or [`ABSENT`];
+    /// `None` when the entry holds every unit.
+    slots: Option<Arc<[u32]>>,
+}
+
+/// The slot of a unit an entry does not hold.
+const ABSENT: u32 = u32::MAX;
+
+impl ChunkUnits {
+    /// Every unit of a chunk.
+    pub fn whole(units: CachedChunk) -> Self {
+        ChunkUnits { units, slots: None }
+    }
+
+    /// The units `resident` and `fresh` hold between them, of a chunk of
+    /// `total` units: `fresh` holds newly decoded units by unit-plan
+    /// index, none of them one `resident` holds; resident units are
+    /// copied.
+    pub fn merge(
+        resident: Option<&ChunkUnits>,
+        fresh: Vec<(usize, Buffer3)>,
+        total: usize,
+    ) -> Self {
+        let old = resident.into_iter().flat_map(ChunkUnits::iter);
+        let mut all: Vec<(usize, Buffer3)> =
+            old.map(|(i, u)| (i, u.clone())).chain(fresh).collect();
+        all.sort_unstable_by_key(|&(i, _)| i);
+        let mut slots = vec![ABSENT; total];
+        for (at, &(i, _)) in all.iter().enumerate() {
+            slots[i] = at as u32;
+        }
+        ChunkUnits {
+            slots: (all.len() != total).then(|| slots.into()),
+            units: Arc::new(all.into_iter().map(|(_, u)| u).collect()),
+        }
+    }
+
+    /// Unit `i` of the chunk, if the entry holds it.
+    #[inline]
+    pub fn unit(&self, i: usize) -> Option<&Buffer3> {
+        match &self.slots {
+            None => self.units.get(i),
+            Some(slots) => self.units.get(*slots.get(i)? as usize),
+        }
+    }
+
+    /// The units held, as `(unit-plan index, values)` in plan order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Buffer3)> {
+        let n = self.slots.as_ref().map_or(self.units.len(), |s| s.len());
+        (0..n).filter_map(|i| Some((i, self.unit(i)?)))
+    }
+
+    /// Whether the entry holds every unit `want` lists (`None`: every unit
+    /// of the chunk).
+    pub fn covers(&self, want: Option<&[u32]>) -> bool {
+        match (&self.slots, want) {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some(slots), Some(want)) => want
+                .iter()
+                .all(|&u| slots.get(u as usize).is_some_and(|&at| at != ABSENT)),
+        }
+    }
+
+    /// Every unit of the chunk, if the entry holds them all.
+    pub fn into_whole(self) -> Option<CachedChunk> {
+        self.slots.is_none().then_some(self.units)
+    }
+}
 
 /// Snapshot of a cache handle's counters (hits/misses/insertions/
 /// evictions are the handle's own; resident/capacity describe the
@@ -78,7 +157,10 @@ impl CacheStats {
 }
 
 struct Entry {
+    /// The units held, in plan order.
     value: CachedChunk,
+    /// Where each unit is in `value` ([`ChunkUnits`]'s `slots`).
+    slots: Option<Arc<[u32]>>,
     bytes: u64,
     last_used: u64,
 }
@@ -99,6 +181,8 @@ pub struct ChunkStore {
     /// Sum of the shards' `bytes`, moved under the shard lock by every
     /// change to one, so reading it locks nothing.
     resident: AtomicU64,
+    /// File ids whose inserts are refused ([`ChunkStore::retire`]).
+    retired: Mutex<HashSet<u64>>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -125,6 +209,7 @@ impl ChunkStore {
             shard_capacity: max_bytes / SHARDS as u64,
             capacity: max_bytes,
             resident: AtomicU64::new(0),
+            retired: Mutex::new(HashSet::new()),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -149,31 +234,66 @@ impl ChunkStore {
         }
     }
 
-    /// Look a chunk up, refreshing its recency on a hit.
+    /// Look a whole chunk up, refreshing its recency on a hit; an entry
+    /// that lacks a unit is a miss.
     pub fn get(&self, key: &GlobalChunkKey) -> Option<CachedChunk> {
+        self.lookup(key, None).ok().and_then(ChunkUnits::into_whole)
+    }
+
+    /// Look up the units `want` lists of a chunk (ascending unit-plan
+    /// indices; `None`: every unit). A hit — the entry holds them all —
+    /// refreshes its recency; otherwise the miss carries the resident
+    /// entry, if any, so the caller decodes only what it lacks.
+    pub fn lookup(
+        &self,
+        key: &GlobalChunkKey,
+        want: Option<&[u32]>,
+    ) -> Result<ChunkUnits, Option<ChunkUnits>> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(key).lock();
-        match shard.entries.get_mut(key) {
-            Some(e) => {
-                e.last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let Some(e) = shard.entries.get_mut(key) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Err(None);
+        };
+        let units = ChunkUnits {
+            units: Arc::clone(&e.value),
+            slots: e.slots.clone(),
+        };
+        if units.covers(want) {
+            e.last_used = stamp;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            Ok(units)
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            Err(Some(units))
         }
     }
 
-    /// Insert a decoded chunk, evicting the shard's least-recently-used
-    /// entries until it fits (the newcomer itself is never evicted by its
-    /// own insert). Re-inserting an existing key refreshes it. Returns
-    /// the number of entries evicted to make room.
+    /// Insert a whole decoded chunk: [`ChunkStore::insert_units`], 0
+    /// evictions when the key's file id is retired.
     pub fn insert(&self, key: GlobalChunkKey, value: CachedChunk) -> u64 {
+        self.insert_units(key, ChunkUnits::whole(value))
+            .unwrap_or(0)
+    }
+
+    /// Insert a chunk's units, replacing the key's entry and evicting the
+    /// shard's least-recently-used entries until it fits (the newcomer
+    /// itself is never evicted by its own insert). Returns the number of
+    /// entries evicted to make room, or `None` — nothing stored — when
+    /// the key's file id is retired.
+    pub fn insert_units(&self, key: GlobalChunkKey, units: ChunkUnits) -> Option<u64> {
+        let ChunkUnits {
+            units: value,
+            slots,
+        } = units;
         let bytes = chunk_bytes(&value);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(&key).lock();
+        // Under the shard lock: a retire either sees this entry in its
+        // purge or is seen here.
+        if self.retired.lock().contains(&key.0) {
+            return None;
+        }
         let before = shard.bytes;
         if let Some(old) = shard.entries.remove(&key) {
             shard.bytes -= old.bytes;
@@ -195,6 +315,7 @@ impl ChunkStore {
             key,
             Entry {
                 value,
+                slots,
                 bytes,
                 last_used: stamp,
             },
@@ -202,7 +323,16 @@ impl ChunkStore {
         self.account(before, shard.bytes);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted_here, Ordering::Relaxed);
-        evicted_here
+        Some(evicted_here)
+    }
+
+    /// Retire the file ids `ids`: refuse every later insert under them
+    /// and drop their resident entries, returning the count removed. An
+    /// engine whose id is retired still answers — from what it decodes,
+    /// no longer cached.
+    pub fn retire(&self, ids: &[u64]) -> u64 {
+        self.retired.lock().extend(ids.iter().copied());
+        self.remove_matching(|(f, _)| ids.contains(f))
     }
 
     /// Drop every entry whose key matches `pred`; returns the count
@@ -283,22 +413,38 @@ impl ChunkCache {
         }
     }
 
-    /// Look a chunk up, refreshing its recency on a hit.
+    /// Look a whole chunk up, refreshing its recency on a hit.
     pub fn get(&self, key: &ChunkKey) -> Option<CachedChunk> {
-        let got = self.store.get(&(self.file_id, *key));
+        self.lookup(key, None).ok().and_then(ChunkUnits::into_whole)
+    }
+
+    /// Look up the units `want` lists of a chunk ([`ChunkStore::lookup`]).
+    pub fn lookup(
+        &self,
+        key: &ChunkKey,
+        want: Option<&[u32]>,
+    ) -> Result<ChunkUnits, Option<ChunkUnits>> {
+        let got = self.store.lookup(&(self.file_id, *key), want);
         match &got {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+            Ok(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         got
     }
 
-    /// Insert a decoded chunk (evictions it causes are charged to this
-    /// handle).
+    /// Insert a whole decoded chunk.
     pub fn insert(&self, key: ChunkKey, value: CachedChunk) {
-        let evicted = self.store.insert((self.file_id, key), value);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.insert_units(key, ChunkUnits::whole(value));
+    }
+
+    /// Insert a chunk's units (evictions it causes are charged to this
+    /// handle; nothing is stored once the store retired the handle's file
+    /// id).
+    pub fn insert_units(&self, key: ChunkKey, units: ChunkUnits) {
+        if let Some(evicted) = self.store.insert_units((self.file_id, key), units) {
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
     }
 
     /// Handle-local counter snapshot over store-wide residency.
@@ -409,6 +555,48 @@ mod tests {
         assert_eq!(store.remove_matching(|(f, _)| *f == 3), 5);
         assert_eq!(store.resident_bytes(), 0);
         assert!(old.get(&(0, 0, 0)).is_none());
+    }
+
+    #[test]
+    fn a_lookup_hits_only_where_the_entry_holds_every_wanted_unit() {
+        let c = ChunkCache::new(1 << 20);
+        let unit = |tag: f64| Buffer3::from_vec(Dims3::new(4, 1, 1), vec![tag; 4]);
+        let part = ChunkUnits::merge(None, vec![(1, unit(1.0)), (3, unit(3.0))], 5);
+        c.insert_units((0, 0, 0), part);
+        assert!(c.lookup(&(0, 0, 0), Some(&[1, 3])).is_ok());
+        let resident = c.lookup(&(0, 0, 0), Some(&[1, 2])).unwrap_err();
+        let resident = resident.expect("the partial entry comes with the miss");
+        assert!(
+            c.get(&(0, 0, 0)).is_none(),
+            "a partial entry is no whole chunk"
+        );
+        assert_eq!(resident.unit(3).map(|u| u.data()[0]), Some(3.0));
+        assert!(resident.unit(2).is_none() && resident.unit(9).is_none());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.resident_bytes), (1, 2, 2 * 4 * 8));
+        // The missing units beside the resident ones make the chunk whole.
+        let rest = vec![(0, unit(0.0)), (2, unit(2.0)), (4, unit(4.0))];
+        c.insert_units((0, 0, 0), ChunkUnits::merge(Some(&resident), rest, 5));
+        let whole = c.get(&(0, 0, 0)).expect("whole");
+        let tags: Vec<f64> = whole.iter().map(|u| u.data()[0]).collect();
+        assert_eq!(tags, [0.0, 1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(c.stats().resident_bytes, 5 * 4 * 8);
+    }
+
+    #[test]
+    fn a_retired_file_id_is_purged_and_refused() {
+        let store = Arc::new(ChunkStore::new(1 << 20));
+        let old = ChunkCache::shared(Arc::clone(&store), 1);
+        let new = ChunkCache::shared(Arc::clone(&store), 2);
+        old.insert((0, 0, 0), chunk(16, 1.0));
+        new.insert((0, 0, 0), chunk(16, 2.0));
+        assert_eq!(store.retire(&[1]), 1);
+        old.insert((0, 0, 1), chunk(16, 1.0));
+        assert!(old.get(&(0, 0, 1)).is_none());
+        assert_eq!(old.stats().insertions, 1, "a refused insert is not counted");
+        assert_eq!(store.resident_bytes(), 16 * 8);
+        new.insert((0, 0, 1), chunk(16, 2.0));
+        assert_eq!(store.resident_bytes(), 2 * 16 * 8);
     }
 
     /// The store's resident total against its entries, summed afresh.

@@ -1,5 +1,6 @@
 //! [`QueryEngine`]: answer spatial/level queries against an AMRIC
-//! plotfile by touching only the chunks that intersect the query.
+//! plotfile by reading only the chunks that intersect the query and
+//! reconstructing only the units of them that it meets.
 //!
 //! # A query is planned once
 //!
@@ -11,20 +12,21 @@
 //! clips the region per level, and prunes chunks — the stored chunk index
 //! (chunk → codec id + extent bounding box, checked against the unit
 //! plans at open) by rectangle intersection, then the reconstructed unit
-//! plan exactly. The resulting [`QueryPlan`] is the query; the rest are
-//! views:
+//! plan exactly, which leaves each chunk's list of the units the region
+//! meets. The resulting [`QueryPlan`] is the query; the rest are views:
 //!
-//! * [`QueryPlan::cost`] — chunks and decoded bytes a cold cache pays
-//!   (what admission control bounds and classifies on), and
-//!   [`QueryPlan::answer_bytes`] — the dense boxes the answer allocates
-//!   (bounded too: a sparse level decodes little and answers a lot).
+//! * [`QueryPlan::cost`] — chunks and decoded bytes (of the planned
+//!   units) a cold cache pays, what admission control bounds and
+//!   classifies on, and [`QueryPlan::answer_bytes`] — the dense boxes the
+//!   answer allocates (bounded too: a sparse level decodes little and
+//!   answers a lot).
 //! * [`QueryEngine::warm`] — decode a run of the plan's chunks into the
 //!   sharded decompressed-chunk cache; misses fan out over a `rankpar`
 //!   worker pool (per-worker raw-byte scratch, ordered reassembly)
 //!   through the one chunk loader, [`amric::reader::load_chunk`].
-//! * [`QueryEngine::pieces`] — fetch the plan's chunks (cache, else
-//!   decode) and visit every stored unit's overlap with a planned region:
-//!   the answer before it is pasted anywhere. The service tier ships the
+//! * [`QueryEngine::pieces`] — fetch the plan's units (cache, else
+//!   decode) and visit every planned unit's overlap with its region: the
+//!   answer before it is pasted anywhere. The service tier ships the
 //!   [`Piece`]s as they are; nothing dense is built on the server.
 //! * [`QueryEngine::answer`] — the dense sink of that walk: one zeroed
 //!   box per planned region, every piece pasted in. Cells no unit covers
@@ -36,6 +38,20 @@
 //! [`QueryEngine::roi`], [`QueryEngine::level_region`],
 //! [`QueryEngine::plane_slice`] and [`QueryEngine::roi_cost`] are
 //! plan-then-view wrappers.
+//!
+//! # A miss reconstructs the units it lacks
+//!
+//! A cache entry holds some or all of a chunk's units
+//! ([`crate::cache::ChunkUnits`]). A lookup that lacks a planned unit is
+//! a miss; the miss decodes the chunk to a destination that wants just
+//! the planned units the resident entry lacks
+//! ([`sz_codec::UnitDest::wants`]) — SZ_L/R under SLE entropy-decodes
+//! the chunk once and predicts no other unit, the other modes
+//! reconstruct their clusters and copy out the wanted units — and caches
+//! one entry holding the old units and the new. Decoded bytes therefore
+//! never exceed the plan's cost, and repeated queries converge to hits.
+//! [`QueryEngine::point_sample`] and a delta chunk's reference fetch
+//! whole chunks; the restart decodes every unit.
 //!
 //! # The restart is the engine's too
 //!
@@ -55,7 +71,7 @@
 //! fetch and cache: a cold query or a restart at chain depth *d* decodes
 //! at most *d* + 1 chunks per chunk it touches.
 
-use crate::cache::{CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore};
+use crate::cache::{CacheStats, CachedChunk, ChunkCache, ChunkKey, ChunkStore, ChunkUnits};
 use crate::error::{QueryError, QueryResult};
 use amr_mesh::prelude::*;
 use amric::pipeline::{decompress_field_units_into, no_reference};
@@ -70,7 +86,7 @@ use h5lite::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use sz_codec::{Buffer3, CodecError, UnitDest};
+use sz_codec::{Buffer3, CodecError, CodecResult, Dims3, StridedMut, UnitDest};
 
 /// A rectangular region of interest in index space (alias of the mesh
 /// crate's inclusive [`IntBox`]).
@@ -237,9 +253,6 @@ struct LevelPlan {
     plans: Vec<Vec<UnitRef>>,
     /// One pruning entry per chunk: the stored index, checked at open.
     extents: Vec<ChunkIndexEntry>,
-    /// `[rank] -> decoded size in bytes` of the rank's chunk (sum of its
-    /// unit volumes × 8), precomputed for cost estimation.
-    chunk_bytes: Vec<u64>,
     /// `(tile, rank, unit index)` of every unit of a rank that stored a
     /// chunk, sorted — built by the first point sample, never at open.
     by_tile: OnceLock<Vec<([i64; 3], u32, u32)>>,
@@ -284,9 +297,12 @@ pub struct EngineStats {
     pub plane_queries: u64,
     /// [`QueryEngine::point_sample`] calls answered.
     pub point_queries: u64,
-    /// Chunks decoded (cache misses that went to the codecs).
+    /// Chunks decoded (cache misses that went to the codecs, and the
+    /// restart's chunks).
     pub chunks_decoded: u64,
-    /// Decoded output bytes produced by those decodes.
+    /// Bytes of the units those decodes delivered: a restart's every
+    /// unit, a miss's planned units its cache entry lacked (a point
+    /// sample's or a reference fetch's whole chunk).
     pub decoded_bytes: u64,
     /// Stored (compressed) bytes read from the container.
     pub read_bytes: u64,
@@ -306,16 +322,17 @@ struct EngineCounters {
     read_bytes: AtomicU64,
 }
 
-/// Predicted cost of answering a query with a cold cache: every chunk
-/// whose indexed extent intersects the (refined, clipped) query region,
-/// and the decoded bytes those chunks expand to. The service tier's
-/// admission control classifies and bounds requests with this **before**
-/// any byte is read; a warm cache only ever makes the real cost smaller.
+/// Cost of answering a query with a cold cache: every chunk with a unit
+/// that meets the (refined, clipped) query region, and the decoded bytes
+/// of those units — what a cold engine then counts, exactly. The service
+/// tier's admission control classifies and bounds requests with this
+/// **before** any byte is read; a warm cache only ever makes the real
+/// cost smaller.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Chunks the planner would touch.
     pub chunks: usize,
-    /// Decoded bytes those chunks expand to.
+    /// Decoded bytes of the units of those chunks that meet the region.
     pub decode_bytes: u64,
 }
 
@@ -332,7 +349,10 @@ pub struct QueryPlan {
     regions: Vec<(usize, IntBox)>,
     /// The chunks whose units intersect a region, level-major then rank.
     chunks: Vec<ChunkKey>,
-    /// Decoded size of each chunk, aligned with `chunks`.
+    /// The units of each chunk that meet its level's region (unit-plan
+    /// indices, ascending), aligned with `chunks`.
+    units: Vec<Vec<u32>>,
+    /// Decoded size of those units per chunk, aligned with `chunks`.
     chunk_bytes: Vec<u64>,
 }
 
@@ -347,7 +367,8 @@ impl QueryPlan {
         &self.regions
     }
 
-    /// Decoded bytes of each planned chunk, in fetch order.
+    /// Decoded bytes of each planned chunk's units that meet the query, in
+    /// fetch order.
     pub fn chunk_bytes(&self) -> &[u64] {
         &self.chunk_bytes
     }
@@ -373,9 +394,9 @@ impl QueryPlan {
         })
     }
 
-    /// Partition the chunk list, in order, into runs whose decoded bytes
-    /// sum to at most `target_bytes` — never fewer than one chunk per
-    /// run, since the chunk is the smallest unit that can be decoded.
+    /// Partition the chunk list, in order, into runs whose planned decoded
+    /// bytes sum to at most `target_bytes` — never fewer than one chunk
+    /// per run, since the chunk is the smallest unit that can be decoded.
     pub fn batches(&self, target_bytes: u64) -> Vec<Range<usize>> {
         let mut out = Vec::new();
         let (mut start, mut sum) = (0, 0u64);
@@ -479,14 +500,9 @@ impl QueryEngine {
                     )));
                 }
             }
-            let chunk_bytes = plans
-                .iter()
-                .map(|p| p.iter().map(|u| u.region.num_cells() * 8).sum())
-                .collect();
             levels.push(LevelPlan {
                 plans,
                 extents: index.entries.clone(),
-                chunk_bytes,
                 by_tile: OnceLock::new(),
             });
         }
@@ -657,21 +673,24 @@ impl QueryEngine {
         Ok(self.plan(field, vec![(level, IntBox::new(lo, hi))]))
     }
 
-    /// The planner proper: prune each level's chunks against its
-    /// (validated, clipped) region so one fetch covers the whole query.
+    /// The planner proper: prune each level's chunks, and their units,
+    /// against its (validated, clipped) region so one fetch covers the
+    /// whole query and reconstructs no unit it does not meet.
     fn plan(&self, field: usize, regions: Vec<(usize, IntBox)>) -> QueryPlan {
-        let mut chunks = Vec::new();
-        let mut chunk_bytes = Vec::new();
+        let (mut chunks, mut units, mut chunk_bytes) = (Vec::new(), Vec::new(), Vec::new());
         for &(l, region) in &regions {
-            for rank in self.chunks_for_region(l, &region) {
+            for (rank, met) in self.chunks_for_region(l, &region) {
+                let plan = &self.levels[l].plans[rank];
+                chunk_bytes.push(met.iter().map(|&u| unit_bytes(&plan[u as usize])).sum());
                 chunks.push((l, field, rank));
-                chunk_bytes.push(self.levels[l].chunk_bytes[rank]);
+                units.push(met);
             }
         }
         QueryPlan {
             field,
             regions,
             chunks,
+            units,
             chunk_bytes,
         }
     }
@@ -687,30 +706,32 @@ impl QueryEngine {
                 plan.chunks.len()
             ))
         })?;
-        self.fetch(chunks).map(drop)
+        self.fetch(chunks, Some(&plan.units[range])).map(drop)
     }
 
-    /// Visit the plan's answer piece by piece: fetch its chunks once (from
-    /// the cache, else decoded — correctness never depends on residency;
-    /// they stay alive for the whole walk), then call `visit` for every
-    /// stored unit that meets a planned region — regions in plan order,
-    /// chunks in plan order, units in unit-plan order. A region no unit
-    /// meets yields no piece.
+    /// Visit the plan's answer piece by piece: fetch its chunks' planned
+    /// units once (from the cache, else decoded — correctness never
+    /// depends on residency; they stay alive for the whole walk), then
+    /// call `visit` for every stored unit that meets a planned region —
+    /// regions in plan order, chunks in plan order, units in unit-plan
+    /// order. A region no unit meets yields no piece.
     #[inline]
     pub fn pieces(&self, plan: &QueryPlan, mut visit: impl FnMut(Piece<'_>)) -> QueryResult<()> {
-        let fetched = self.fetch(&plan.chunks)?;
+        let fetched = self.fetch(&plan.chunks, Some(&plan.units))?;
         for (region, &(level, bounds)) in plan.regions.iter().enumerate() {
-            for (key, units) in plan.chunks.iter().zip(&fetched) {
+            for ((key, met), chunk) in plan.chunks.iter().zip(&plan.units).zip(&fetched) {
                 if key.0 != level {
                     continue;
                 }
-                for (u, values) in self.levels[level].plans[key.2].iter().zip(units.iter()) {
+                let units = &self.levels[level].plans[key.2];
+                for &ui in met {
+                    let u = &units[ui as usize];
                     if let Some(overlap) = u.region.intersection(&bounds) {
                         visit(Piece {
                             region,
                             unit: u.region,
                             overlap,
-                            values,
+                            values: chunk.unit(ui as usize).expect("a planned unit is fetched"),
                         });
                     }
                 }
@@ -829,16 +850,17 @@ impl QueryEngine {
                         && lp.plans[rank][ui].region.contains(&cell)
                 });
             if let Some((rank, ui)) = holder {
-                let units = self
-                    .fetch(std::slice::from_ref(&(l, field, rank)))?
+                let chunk = self
+                    .fetch(&[(l, field, rank)], None)?
                     .pop()
                     .expect("one request, one chunk");
                 let at = cell - lp.plans[rank][ui].region.lo;
                 let (d, e, g) = (at.get(0) as usize, at.get(1) as usize, at.get(2) as usize);
+                let unit = chunk.unit(ui).expect("a whole chunk is fetched");
                 return Ok(Some(PointSample {
                     level: l,
                     cell,
-                    value: units[ui].get(d, e, g),
+                    value: unit.get(d, e, g),
                 }));
             }
         }
@@ -853,45 +875,64 @@ impl QueryEngine {
     pub fn restart(&self) -> QueryResult<Plotfile> {
         let plans = self.levels.iter().map(|lp| lp.plans.clone()).collect();
         let stored: Vec<usize> = self.levels.iter().map(|lp| lp.extents.len()).collect();
-        restart_with(&self.meta, plans, &stored, |key, _plan, raw, dest| {
-            self.decode_chunk(key, raw, dest)
+        restart_with(&self.meta, plans, &stored, |key, plan, raw, dest| {
+            self.decode_chunk(key, raw, dest, plan.iter().map(unit_bytes).sum())
         })
     }
 
     /// Chunk positions (= ranks) of a level whose indexed extent
-    /// intersects `region`, refined by an exact unit-plan check.
-    fn chunks_for_region(&self, level: usize, region: &IntBox) -> Vec<usize> {
+    /// intersects `region`, refined by an exact unit-plan check: each with
+    /// the units that meet `region` (unit-plan indices, ascending), never
+    /// none.
+    fn chunks_for_region(&self, level: usize, region: &IntBox) -> Vec<(usize, Vec<u32>)> {
         let lp = &self.levels[level];
-        let lo = [region.lo.get(0), region.lo.get(1), region.lo.get(2)];
-        let hi = [region.hi.get(0), region.hi.get(1), region.hi.get(2)];
+        let (lo, hi) = (region.lo.0, region.hi.0);
+        // `IntBox::intersects` on the corner arrays, where the compiler
+        // sees every index: a plan holds thousands of units.
+        let meets = |u: &UnitRef| {
+            let (ulo, uhi) = (u.region.lo.0, u.region.hi.0);
+            (0..3).all(|d| ulo[d] <= hi[d] && lo[d] <= uhi[d])
+        };
         (0..lp.extents.len())
             .filter(|&rank| lp.extents[rank].intersects(lo, hi))
-            .filter(|&rank| lp.plans[rank].iter().any(|u| u.region.intersects(region)))
+            .filter_map(|rank| {
+                let plan = lp.plans[rank].iter().enumerate();
+                let met: Vec<u32> = plan
+                    .filter(|(_, u)| meets(u))
+                    .map(|(ui, _)| ui as u32)
+                    .collect();
+                (!met.is_empty()).then_some((rank, met))
+            })
             .collect()
     }
 
-    /// The decoded chunk `key` as a delta chunk of the next snapshot asks
-    /// for it: through [`QueryEngine::fetch`], after checking that this
-    /// file holds such a chunk at all.
+    /// The decoded chunk `key`, whole, as a delta chunk of the next
+    /// snapshot asks for it: through [`QueryEngine::fetch`], after checking
+    /// that this file holds such a chunk at all.
     fn reference_chunk(&self, key @ (level, field, rank): ChunkKey) -> QueryResult<CachedChunk> {
         let stored = self.levels.get(level).map_or(0, |lp| lp.extents.len());
         if field >= self.meta.field_names.len() || rank >= stored {
             let msg = format!("the reference holds no chunk {key:?} (level, field, rank)");
             return Err(QueryError::Codec(CodecError::corrupt(msg)));
         }
-        Ok(self.fetch(&[key])?.pop().expect("one request, one chunk"))
+        let chunk = self
+            .fetch(&[key], None)?
+            .pop()
+            .expect("one request, one chunk");
+        Ok(chunk.into_whole().expect("a whole chunk is fetched"))
     }
 
     /// The one per-chunk step of a restart and of a cache miss: read chunk
     /// `key` into `raw` and decode it to `dest` through the one chunk
-    /// loader, [`load_chunk`]. A delta chunk takes its reference from the
-    /// reference engine, and a failure there is reported as that engine's
-    /// own error.
+    /// loader, [`load_chunk`], counting `bytes` — the units `dest` takes —
+    /// as decoded. A delta chunk takes its reference from the reference
+    /// engine, and a failure there is reported as that engine's own error.
     fn decode_chunk(
         &self,
         key @ (level, _, rank): ChunkKey,
         raw: &mut Vec<u8>,
         dest: &mut dyn UnitDest,
+        bytes: u64,
     ) -> QueryResult<()> {
         let mut failed = None;
         let named = self.temporal.and_then(|t| t.reference_id);
@@ -905,8 +946,7 @@ impl QueryEngine {
             },
             _ => no_reference(),
         };
-        let lp = &self.levels[level];
-        let plan = &lp.plans[rank];
+        let plan = &self.levels[level].plans[rank];
         load_chunk(&self.reader, key, plan, raw, dest, |raw, dest| {
             self.counters
                 .read_bytes
@@ -924,22 +964,31 @@ impl QueryEngine {
         self.counters.chunks_decoded.fetch_add(1, Ordering::Relaxed);
         self.counters
             .decoded_bytes
-            .fetch_add(lp.chunk_bytes[rank], Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Fetch the requested chunks, serving from the cache and decoding
-    /// misses on the worker pool (ordered reassembly; per-worker byte
-    /// scratch). Returns decoded chunks aligned with `requests`.
-    fn fetch(&self, requests: &[ChunkKey]) -> QueryResult<Vec<CachedChunk>> {
-        let mut out: Vec<Option<CachedChunk>> = Vec::with_capacity(requests.len());
-        let mut missing: Vec<(usize, ChunkKey)> = Vec::new();
-        for (i, key) in requests.iter().enumerate() {
-            match self.cache.get(key) {
-                Some(v) => out.push(Some(v)),
-                None => {
+    /// Fetch the requested chunks, each holding at least the units `units`
+    /// lists for it (aligned with `requests`, unit-plan indices ascending;
+    /// `None`: every unit): from the cache when the resident entry holds
+    /// them all, else by decoding the units it lacks on the worker pool
+    /// (ordered reassembly; per-worker byte scratch) and caching them
+    /// beside the resident ones. Returns the chunks aligned with
+    /// `requests`.
+    fn fetch(
+        &self,
+        requests: &[ChunkKey],
+        units: Option<&[Vec<u32>]>,
+    ) -> QueryResult<Vec<ChunkUnits>> {
+        let wanted = |slot: usize| units.map(|u| &u[slot][..]);
+        let mut out: Vec<Option<ChunkUnits>> = Vec::with_capacity(requests.len());
+        let mut missing = Vec::new();
+        for (slot, key) in requests.iter().enumerate() {
+            match self.cache.lookup(key, wanted(slot)) {
+                Ok(hit) => out.push(Some(hit)),
+                Err(resident) => {
                     out.push(None);
-                    missing.push((i, *key));
+                    missing.push((slot, *key, resident));
                 }
             }
         }
@@ -949,13 +998,17 @@ impl QueryEngine {
                 self.workers.min(missing.len()),
                 (2 * self.workers).max(2),
                 Vec::new, // per-worker raw-byte scratch
-                |buf: &mut Vec<u8>, _j, &(slot, key @ (level, _, rank))| {
-                    let mut units = Vec::with_capacity(self.levels[level].plans[rank].len());
-                    self.decode_chunk(key, buf, &mut units)?;
-                    Ok::<_, QueryError>((slot, Arc::new(units)))
+                |buf: &mut Vec<u8>, _j, (slot, key, resident)| {
+                    let plan = &self.levels[key.0].plans[key.2];
+                    let mut miss = Miss::new(plan.len(), wanted(*slot), resident.as_ref());
+                    let bytes = plan.iter().zip(&miss.want).filter(|(_, &w)| w);
+                    let bytes = bytes.map(|(u, _)| unit_bytes(u)).sum();
+                    self.decode_chunk(*key, buf, &mut miss, bytes)?;
+                    let merged = ChunkUnits::merge(resident.as_ref(), miss.fresh, plan.len());
+                    Ok::<_, QueryError>((*slot, merged))
                 },
-                |_j, (slot, value): (usize, CachedChunk)| {
-                    self.cache.insert(requests[slot], Arc::clone(&value));
+                |_j, (slot, value): (usize, ChunkUnits)| {
+                    self.cache.insert_units(requests[slot], value.clone());
                     out[slot] = Some(value);
                     Ok(())
                 },
@@ -965,6 +1018,50 @@ impl QueryEngine {
             .into_iter()
             .map(|v| v.expect("every request resolved"))
             .collect())
+    }
+}
+
+/// Decoded size in bytes of a planned unit.
+fn unit_bytes(u: &UnitRef) -> u64 {
+    u.region.num_cells() * 8
+}
+
+/// A cache miss's destination: a fresh buffer for each unit `want` marks —
+/// the units a fetch asked for that the resident entry lacks — and every
+/// other unit passed over.
+struct Miss {
+    want: Vec<bool>,
+    /// The units delivered, by unit-plan index.
+    fresh: Vec<(usize, Buffer3)>,
+}
+
+impl Miss {
+    /// For a chunk of `n` units: those `wanted` lists (`None`: all) that
+    /// `resident` does not hold.
+    fn new(n: usize, wanted: Option<&[u32]>, resident: Option<&ChunkUnits>) -> Self {
+        let mut want = vec![wanted.is_none(); n];
+        for &u in wanted.unwrap_or_default() {
+            want[u as usize] = true;
+        }
+        for (u, _) in resident.into_iter().flat_map(ChunkUnits::iter) {
+            want[u] = false;
+        }
+        Miss {
+            want,
+            fresh: Vec::new(),
+        }
+    }
+}
+
+impl UnitDest for Miss {
+    fn wants(&mut self, i: usize, _dims: Dims3) -> CodecResult<bool> {
+        Ok(self.want[i])
+    }
+
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        self.fresh.push((i, Buffer3::zeros(dims)));
+        let (_, unit) = self.fresh.last_mut().expect("just pushed");
+        StridedMut::new(dims, unit.data_mut(), dims.nx, dims.nx * dims.ny)
     }
 }
 

@@ -52,7 +52,7 @@ pub mod cache;
 pub mod engine;
 pub mod error;
 
-pub use cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey};
+pub use cache::{CacheStats, ChunkCache, ChunkStore, ChunkUnits, GlobalChunkKey};
 pub use engine::{
     read_amric_hierarchy, Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample,
     QueryCost, QueryEngine, QueryPlan, RegionView,
@@ -61,7 +61,7 @@ pub use error::{QueryError, QueryResult};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, GlobalChunkKey};
+    pub use crate::cache::{CacheStats, ChunkCache, ChunkStore, ChunkUnits, GlobalChunkKey};
     pub use crate::engine::{
         read_amric_hierarchy, Box3, EngineStats, LevelRegion, LevelSelect, Piece, PointSample,
         QueryCost, QueryEngine, QueryPlan, RegionView,

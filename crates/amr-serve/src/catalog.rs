@@ -6,8 +6,10 @@
 //!   what it was opened
 //!   against. A rewritten plotfile (in-situ pipelines overwrite
 //!   snapshots in place) is detected on the next open: the stale
-//!   engine is dropped, its cached chunks are purged from the shared
-//!   store, and a fresh engine under a fresh file id takes its place.
+//!   engine is dropped, its file id is retired from the shared store
+//!   (its cached chunks purged, and a connection still holding the
+//!   engine decodes without caching), and a fresh engine under a fresh
+//!   file id takes its place.
 //! * **Shared budget** — each engine gets a [`amr_query::ChunkCache`]
 //!   handle into the catalog's one [`ChunkStore`], so a single byte
 //!   budget governs every open file while hit/miss accounting stays
@@ -269,9 +271,10 @@ impl Catalog {
         }
         pool.map.insert(path.to_path_buf(), Arc::clone(&entry));
         drop(pool);
-        // The shared budget must never serve bytes of a dropped entry.
+        // The shared budget must never serve bytes of a dropped entry, nor
+        // take new ones from a connection still holding its engine.
         if !purge.is_empty() {
-            self.store.remove_matching(|(fid, _)| purge.contains(fid));
+            self.store.retire(&purge);
         }
         Ok(entry)
     }
@@ -409,6 +412,54 @@ mod tests {
             assert_eq!((st.opens, st.evicted_idle), (2 * M as u64, M as u64));
         }
         paths.iter().for_each(|p| std::fs::remove_file(p).unwrap());
+    }
+
+    #[test]
+    fn a_connection_holding_a_retired_engine_does_not_grow_the_store() {
+        let path = tmp("retired");
+        write_plotfile(&path);
+        let cat = Catalog::new(8 << 20, 4, 1);
+        let held = cat.open(&path).unwrap();
+        let roi = amr_mesh::prelude::IntBox::from_extents(12, 16, 9);
+        let query = || {
+            held.engine
+                .roi(1, roi, amr_query::LevelSelect::All)
+                .unwrap()
+        };
+        let before = query();
+        // The same bytes under a new mtime: a new generation.
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        let mtime = file.metadata().unwrap().modified().unwrap();
+        file.set_modified(mtime + std::time::Duration::from_secs(1))
+            .unwrap();
+        let fresh = cat.open(&path).unwrap();
+        assert_ne!(fresh.file_id, held.file_id);
+        assert_eq!(cat.store().resident_bytes(), 0, "the stale entry is purged");
+        // The held engine still answers, decoding what it needs, and
+        // stores none of it under its retired id.
+        let insertions = held.engine.cache_stats().insertions;
+        let after = query();
+        assert_eq!(cat.store().resident_bytes(), 0);
+        assert_eq!(held.engine.cache_stats().insertions, insertions);
+        assert!(held.engine.stats().chunks_decoded > 0);
+        assert_eq!(before.levels.len(), after.levels.len());
+        for (a, b) in before.levels.iter().zip(&after.levels) {
+            let bits = |l: &amr_query::LevelRegion| {
+                l.data
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b), "level {}", a.level);
+        }
+        // The fresh engine caches as before.
+        fresh
+            .engine
+            .roi(1, roi, amr_query::LevelSelect::All)
+            .unwrap();
+        assert!(cat.store().resident_bytes() > 0);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -648,11 +648,13 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
 }
 
 /// Decompress a stream produced by [`compress_field_units`] to where
-/// `dest` says each unit goes, in the units' original order. SZ_L/R with
-/// SLE ([`AmricConfig::lr`]) reconstructs in the destination; modes 1, 2,
-/// 3 and 6 copy each unit's rows out of their clusters' reconstruction
-/// ([`Placement::place`]); the adaptive extension decodes units of its
-/// own and copies those.
+/// `dest` says each unit goes, in the units' original order, delivering
+/// only the units it wants ([`UnitDest::wants`], asked of every unit).
+/// SZ_L/R with SLE ([`AmricConfig::lr`]) reconstructs in the destination
+/// and skips the reconstruction of the units nobody wants; modes 1, 2, 3
+/// and 6 copy each wanted unit's rows out of their clusters'
+/// reconstruction ([`Placement::place`]); the adaptive extension decodes
+/// units of its own and copies the wanted ones.
 ///
 /// A delta-mode stream asks `reference` once for the units it
 /// predicts from (see [`Reference`]; [`no_reference`] when the caller has
@@ -838,12 +840,21 @@ fn decompress_delta(
         return Err(CodecError::dims(msg));
     }
     let mut spatial = spatial.iter();
+    // A delta unit `dest` does not want is still reconstructed — the block
+    // is one symbol stream, every symbol checked — into this scratch.
+    let mut unwanted = Vec::new();
     for (i, &m) in map.iter().enumerate() {
         match m.checked_sub(1) {
             None => place_unit(dest, i, spatial.next().expect("counted").view())?,
             Some(j) => {
                 let prev = units[j as usize].view();
-                delta.unit(prev, dest.unit(i, prev.dims())?)?;
+                let d = prev.dims();
+                if dest.wants(i, d)? {
+                    delta.unit(prev, dest.unit(i, d)?)?;
+                } else {
+                    unwanted.resize(d.len(), 0.0);
+                    delta.unit(prev, StridedMut::new(d, &mut unwanted, d.nx, d.nx * d.ny)?)?;
+                }
             }
         }
     }

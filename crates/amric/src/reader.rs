@@ -229,17 +229,18 @@ fn read_level_layout(
 }
 
 /// A destination held to a rank's unit plan, reconstructed from metadata:
-/// unit `i` is passed on only if the plan has an `i`-th unit of exactly
-/// that shape, so nothing is written that the layout does not expect.
+/// unit `i` — wanted by `dest` or not — is passed on only if the plan has
+/// an `i`-th unit of exactly that shape, so nothing is written that the
+/// layout does not expect.
 struct Planned<'a> {
     plan: &'a [UnitRef],
     dest: &'a mut dyn UnitDest,
-    placed: usize,
+    seen: usize,
     refused: bool,
 }
 
-impl UnitDest for Planned<'_> {
-    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+impl Planned<'_> {
+    fn check(&mut self, i: usize, dims: Dims3) -> CodecResult<()> {
         let planned = self.plan.get(i).map(|u| region_dims(&u.region));
         if planned != Some(dims) {
             self.refused = true;
@@ -247,15 +248,28 @@ impl UnitDest for Planned<'_> {
                 "unit {i} decodes as {dims:?}, the plan holds {planned:?}"
             )));
         }
-        self.placed += 1;
+        Ok(())
+    }
+}
+
+impl UnitDest for Planned<'_> {
+    fn wants(&mut self, i: usize, dims: Dims3) -> CodecResult<bool> {
+        self.check(i, dims)?;
+        self.seen += 1;
+        self.dest.wants(i, dims)
+    }
+
+    fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>> {
+        self.check(i, dims)?;
         self.dest.unit(i, dims)
     }
 }
 
 /// The one chunk loader, behind `amr-query`'s restart and cache misses
 /// alike: read rank `rank`'s raw chunk of `(level, field)` into `raw` and
-/// `decode` it to `dest`, every unit checked against the rank's unit plan
-/// reconstructed from metadata (count and dims) before it is placed. A
+/// `decode` it to `dest`, every unit — placed or passed over — checked
+/// against the rank's unit plan reconstructed from metadata (count and
+/// dims) before it is placed. A
 /// stream that decodes fine but does not match the layout means the file
 /// contradicts itself — an [`H5Error::Format`], never a write outside the
 /// plan.
@@ -271,11 +285,11 @@ pub fn load_chunk(
     let mut planned = Planned {
         plan,
         dest,
-        placed: 0,
+        seen: 0,
         refused: false,
     };
     let decoded = decode(raw, &mut planned);
-    if planned.refused || (decoded.is_ok() && planned.placed != plan.len()) {
+    if planned.refused || (decoded.is_ok() && planned.seen != plan.len()) {
         return Err(H5Error::Format(format!(
             "level {level} field {field} rank {rank}: decoded units do not match the \
              {}-unit plan",

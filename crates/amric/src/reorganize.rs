@@ -219,8 +219,9 @@ impl Placement {
         packed
     }
 
-    /// Copy every unit out of `decoded` — the clusters' reconstructions,
-    /// in order — to where `dest` says it goes, in the chunk's order. A
+    /// Copy every unit `dest` wants out of `decoded` — the clusters'
+    /// reconstructions, in order — to where `dest` says it goes, in the
+    /// chunk's order. A
     /// payload that decoded to other clusters than the layout's is a typed
     /// error before any unit is placed.
     pub fn place(&self, decoded: &[Buffer3], dest: &mut dyn UnitDest) -> CodecResult<()> {

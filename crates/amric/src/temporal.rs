@@ -176,49 +176,8 @@ mod tests {
         compress_delta_into, compress_field_units, decompress_field_units,
         decompress_field_units_into, no_reference, AmricScratch, Reference,
     };
-    use crate::writer::write_amric_to;
-    use amr_apps::prelude::*;
     use sz_codec::codec::{expect_envelope, CodecId, FLAG_REFERENCED};
     use sz_codec::{Buffer3, CodecError, CodecResult, Dims3, ErrorStats};
-
-    fn series_cfg() -> AmrRunConfig {
-        AmrRunConfig {
-            coarse_dims: (16, 16, 16),
-            max_grid_size: 8,
-            blocking_factor: 8,
-            nranks: 2,
-            num_levels: 2,
-            fine_fraction: 0.05,
-            grid_eff: 0.7,
-        }
-    }
-
-    /// Write `nsteps` snapshots of a Nyx series through `session`.
-    fn write_with(
-        session: &mut TemporalSession,
-        dt: f64,
-        nsteps: usize,
-    ) -> Vec<(AmrHierarchy, H5Reader)> {
-        TimeSeries::new(&NyxScenario::new(11), series_cfg(), dt, nsteps)
-            .map(|(_, _, h)| {
-                let (w, mem) = H5Writer::in_memory();
-                session.write_to(Arc::new(w), &h).unwrap();
-                (h, H5Reader::from_storage(Box::new(mem)).unwrap())
-            })
-            .collect()
-    }
-
-    fn write_series(dt: f64, nsteps: usize, rel_eb: f64) -> Vec<(AmrHierarchy, H5Reader)> {
-        write_with(
-            &mut TemporalSession::new(AmricConfig::lr(rel_eb), 8),
-            dt,
-            nsteps,
-        )
-    }
-
-    fn linkage(r: &H5Reader) -> TemporalMeta {
-        read_temporal_meta(r).unwrap().expect("a temporal snapshot")
-    }
 
     /// Deterministic per-cell roughness, constant in time.
     fn grain(i: usize, j: usize, k: usize) -> f64 {
@@ -450,133 +409,5 @@ mod tests {
             delta_stream(&units, 0.0, 1, &reference, &map),
             Err(CodecError::BadParameter { .. })
         ));
-    }
-
-    #[test]
-    fn later_snapshots_record_reference_linkage() {
-        let series = write_series(0.02, 2, 1e-3);
-        let first = linkage(&series[0].1);
-        assert_eq!((first.snapshot_id, first.reference_id), (1, None));
-        let second = linkage(&series[1].1);
-        assert_eq!((second.snapshot_id, second.reference_id), (2, Some(1)));
-        // The chunk index carries the reference per chunk that shipped a
-        // delta stream, under the pipeline's one codec id.
-        let idx = series[1].1.chunk_index("level_0/field_0").unwrap().unwrap();
-        assert!(!idx.entries.is_empty());
-        assert!(
-            idx.entries.iter().any(|e| e.reference == Some(1)),
-            "no chunk records its reference: {:?}",
-            idx.entries
-        );
-        let pipeline = CodecId::AmricPipeline as u32;
-        assert!(idx.entries.iter().all(|e| e.codec_id == pipeline));
-        // A plain plotfile has no linkage at all.
-        let (w, mem) = H5Writer::in_memory();
-        write_amric_to(Arc::new(w), &series[0].0, &AmricConfig::lr(1e-3), 8).unwrap();
-        let plain = H5Reader::from_storage(Box::new(mem)).unwrap();
-        assert_eq!(read_temporal_meta(&plain).unwrap(), None);
-    }
-
-    #[test]
-    fn keyframe_interval_one_disables_deltas_and_manual_reset_restarts_count() {
-        let mut every = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(1);
-        for (_, r) in write_with(&mut every, 0.02, 3) {
-            assert_eq!(linkage(&r).reference_id, None);
-        }
-        // Manual reset restarts the interval: with interval 3, snapshots
-        // 1 and 4 would be keyframes, but a reset before #3 makes the
-        // cadence 1, 3, 6.
-        let mut session = TemporalSession::new(AmricConfig::lr(1e-3), 8).with_keyframe_interval(3);
-        let mut refs = Vec::new();
-        for (i, (_, _, h)) in
-            TimeSeries::new(&NyxScenario::new(11), series_cfg(), 0.02, 6).enumerate()
-        {
-            if i == 2 {
-                session.reset_reference();
-            }
-            let (w, mem) = H5Writer::in_memory();
-            session.write_to(Arc::new(w), &h).unwrap();
-            let r = H5Reader::from_storage(Box::new(mem)).unwrap();
-            refs.push(linkage(&r).reference_id);
-        }
-        assert_eq!(
-            refs,
-            vec![None, Some(1), None, Some(3), Some(4), None],
-            "manual reset must restart the keyframe count"
-        );
-    }
-
-    /// Every field dataset's stored chunks, in name order.
-    fn field_chunks(r: &H5Reader) -> Vec<(String, Vec<Vec<u8>>)> {
-        let names = r
-            .dataset_names()
-            .into_iter()
-            .filter(|n| n.starts_with("level_"));
-        names
-            .map(|name| {
-                let n = r.meta(name).unwrap().chunks.len();
-                let chunks = (0..n).map(|i| r.read_chunk_raw(name, i).unwrap()).collect();
-                (name.to_string(), chunks)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn keyframe_field_datasets_equal_the_plain_writer() {
-        let h = build_hierarchy(&NyxScenario::new(11), &series_cfg(), 0.0);
-        for cfg in [AmricConfig::lr(1e-3), AmricConfig::interp(1e-3)] {
-            let (w, mem) = H5Writer::in_memory();
-            let plain = write_amric_to(Arc::new(w), &h, &cfg, 8).unwrap();
-            let plain_reader = H5Reader::from_storage(Box::new(mem)).unwrap();
-            let (w, mem) = H5Writer::in_memory();
-            let keyframe = TemporalSession::new(cfg, 8)
-                .write_to(Arc::new(w), &h)
-                .unwrap();
-            let key_reader = H5Reader::from_storage(Box::new(mem)).unwrap();
-            assert_eq!(plain.stored_bytes, keyframe.stored_bytes);
-            assert_eq!(field_chunks(&plain_reader), field_chunks(&key_reader));
-            for name in plain_reader
-                .dataset_names()
-                .into_iter()
-                .filter(|n| n.starts_with("level_"))
-            {
-                assert_eq!(
-                    plain_reader.chunk_index(name).unwrap(),
-                    key_reader.chunk_index(name).unwrap()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn session_containers_do_not_depend_on_workers() {
-        // One rank: the whole container is byte-identical. Two ranks race
-        // for chunk offsets, so there the stored chunks are compared.
-        for nranks in [1, 2] {
-            let run = AmrRunConfig {
-                nranks,
-                ..series_cfg()
-            };
-            let images = |workers: usize| {
-                let cfg = AmricConfig::lr(1e-3).with_workers(workers);
-                let mut session = TemporalSession::new(cfg, 8);
-                TimeSeries::new(&NyxScenario::new(11), run, 0.02, 3)
-                    .map(|(_, _, h)| {
-                        let (w, mem) = H5Writer::in_memory();
-                        session.write_to(Arc::new(w), &h).unwrap();
-                        let r = H5Reader::from_storage(Box::new(mem.clone())).unwrap();
-                        (mem.to_bytes(), field_chunks(&r))
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let serial = images(1);
-            for workers in [2, 4] {
-                for (t, (a, b)) in serial.iter().zip(images(workers)).enumerate() {
-                    let what = format!("nranks={nranks} workers={workers} snapshot {t}");
-                    assert!(a.1 == b.1, "{what}: chunks differ");
-                    assert!(nranks > 1 || a.0 == b.0, "{what}: containers differ");
-                }
-            }
-        }
     }
 }

@@ -54,6 +54,6 @@ fn main() {
         );
     }
     println!(
-        "\nPaper Fig. 5 reports cluster ≥ linear at matched PSNR. Our from-scratch\nSZ_Interp reproduces the *coarse-level* near-tie but shows linear ahead on\nthe fine level: a linear (16,16,N) column keeps two of three interpolation\naxes entirely inside unit blocks, while the cube packing crosses block\nboundaries in all three. See EXPERIMENTS.md for the full analysis of this\ndeviation (it hinges on SZ3's dynamic interpolation-direction tuning,\nwhich stock SZ_Interp here does not implement)."
+        "\nPaper Fig. 5 reports cluster ≥ linear at matched PSNR. Our from-scratch\nSZ_Interp reproduces the *coarse-level* near-tie but shows linear ahead on\nthe fine level: a linear (16,16,N) column keeps two of three interpolation\naxes entirely inside unit blocks, while the cube packing crosses block\nboundaries in all three. DESIGN.md (\"Cluster against linear arrangement\")\nrecords the analysis: fixed predictor and axis-order variants of SZ_Interp\nall lose CR, so SZ3-style direction tuning would not close the gap here."
     );
 }

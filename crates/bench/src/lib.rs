@@ -503,7 +503,7 @@ mod tests {
         let stats = level_stats(&h);
         // At the 32³ test size the box-snap granularity floors the density
         // well above the paper's 17.4 % — the 64³ figure binaries land in
-        // the paper regime (see EXPERIMENTS.md); here we only check the
+        // the paper regime (19.5 % in `fig5`); here we only check the
         // fixture builds a sane two-level mesh.
         assert!(
             stats[1].density > 0.05 && stats[1].density < 0.9,

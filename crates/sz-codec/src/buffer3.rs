@@ -123,13 +123,25 @@ impl<'a> StridedMut<'a> {
     }
 }
 
-/// "Where does unit `i`, of shape `dims`, go?" — asked by a decoder once
-/// per unit, after the guards on the stream's header have admitted `dims`
-/// and before the unit's first cell is written. A destination can only
-/// answer or refuse: a restart answers with the unit's box inside a fab,
-/// `Vec<Buffer3>` with a fresh buffer per unit.
+/// "Is unit `i`, of shape `dims`, wanted, and where does it go?" — asked
+/// by a decoder once per unit, in order, after the guards on the stream's
+/// header have admitted `dims` and before the unit's first cell is
+/// written. A destination can only answer or refuse: a restart answers
+/// with the unit's box inside a fab, `Vec<Buffer3>` with a fresh buffer
+/// per unit, a query's cache miss with buffers for the units its regions
+/// meet alone.
 pub trait UnitDest {
-    /// The destination of unit `i`.
+    /// Whether unit `i` is to be delivered: asked of every unit, wanted or
+    /// not, so a destination sees each unit's shape. A unit it declines is
+    /// passed over: its destination is never asked for, and SZ_L/R, whose
+    /// units are separate prediction domains under one entropy stream,
+    /// reconstructs none of its cells.
+    fn wants(&mut self, _i: usize, _dims: Dims3) -> CodecResult<bool> {
+        Ok(true)
+    }
+
+    /// The destination of unit `i`, asked only after [`UnitDest::wants`]
+    /// said yes.
     fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<StridedMut<'_>>;
 }
 
@@ -145,10 +157,11 @@ impl UnitDest for Vec<Buffer3> {
     }
 }
 
-/// Copy a unit that was reconstructed elsewhere to its destination — the
-/// one step shared by every decoder that does not reconstruct in place.
-/// Row `(j, k)` of the unit starts at `src[j·src_row + k·src_plane]`, so
-/// the source may itself be a box inside a packed buffer.
+/// Copy a unit that was reconstructed elsewhere to its destination, if
+/// the destination wants it — the one step shared by every decoder that
+/// does not reconstruct in place. Row `(j, k)` of the unit starts at
+/// `src[j·src_row + k·src_plane]`, so the source may itself be a box
+/// inside a packed buffer.
 pub fn place_rows(
     dest: &mut dyn UnitDest,
     i: usize,
@@ -156,6 +169,9 @@ pub fn place_rows(
     src: &[f64],
     (src_row, src_plane): (usize, usize),
 ) -> CodecResult<()> {
+    if !dest.wants(i, dims)? {
+        return Ok(());
+    }
     let to = dest.unit(i, dims)?.for_dims(dims)?;
     for k in 0..dims.nz {
         for j in 0..dims.ny {

@@ -123,6 +123,22 @@ impl<'a> SymbolReader<'a> {
         Ok(syms)
     }
 
+    /// Pass over the next `n` symbols and the raw values their outlier
+    /// markers stand for, reconstructing nothing.
+    #[inline]
+    pub fn skip(&mut self, n: usize) -> CodecResult<()> {
+        let raw = self
+            .take(n)?
+            .iter()
+            .filter(|&&s| s == OUTLIER_SYMBOL)
+            .count();
+        self.outliers = self
+            .outliers
+            .get(raw..)
+            .ok_or_else(|| CodecError::corrupt(self.truncated))?;
+        Ok(())
+    }
+
     /// The per-point rule: an outlier marker takes the next raw value,
     /// anything else must be a valid quantization symbol.
     #[inline]

@@ -247,6 +247,12 @@ pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
 /// is asked domain by domain, after every header guard and before the
 /// domain's first cell is written; a stencil never leaves its domain, so
 /// the neighbouring cells of a larger destination are not even read.
+///
+/// The shared entropy stream is decoded whole, but a domain `dest` does
+/// not want is only passed over: its blocks' selection bits and regression
+/// coefficients are read (the coefficient codec delta-codes across
+/// blocks), its data symbols and their raw outliers are counted off, and
+/// none of its cells is predicted.
 pub fn decompress_domains_into(bytes: &[u8], dest: &mut dyn UnitDest) -> CodecResult<usize> {
     let env = expect_envelope(bytes, CodecId::LrSle, VERSION)?;
     let payload = lossless::decompress(&bytes[env.payload_offset..])?;
@@ -314,8 +320,12 @@ pub fn decompress_domains_into(bytes: &[u8], dest: &mut dyn UnitDest) -> CodecRe
         preds: [0.0; MAX_BLOCK_EDGE],
     };
     for (i, d) in dims.into_iter().enumerate() {
-        let to = dest.unit(i, d)?.for_dims(d)?;
-        traverse(d, block_size, (to.row, to.plane), to.data, &mut dec)?;
+        if dest.wants(i, d)? {
+            let to = dest.unit(i, d)?.for_dims(d)?;
+            traverse(d, block_size, (to.row, to.plane), to.data, &mut dec)?;
+        } else {
+            dec.skip(d, block_size)?;
+        }
     }
     Ok(ndomains)
 }
@@ -543,6 +553,18 @@ struct Decoder<'a, S> {
     coeff_outliers: std::vec::IntoIter<f64>,
     data: SymbolReader<'a>,
     preds: [f64; MAX_BLOCK_EDGE],
+}
+
+impl<S: Iterator<Item = bool>> Decoder<'_, S> {
+    /// Consume a `dims` domain's share of every stream without
+    /// reconstructing it: what [`traverse`] would read, block by block,
+    /// then its data symbols at once.
+    fn skip(&mut self, dims: Dims3, block_size: usize) -> CodecResult<()> {
+        for (origin, bd) in blocks_of(dims, block_size) {
+            self.block(origin, bd)?;
+        }
+        self.data.skip(dims.len())
+    }
 }
 
 impl<S: Iterator<Item = bool>> Direction for Decoder<'_, S> {
@@ -887,6 +909,122 @@ mod tests {
             let mut damaged = payload.clone();
             damaged[at] ^= 1 << bit;
             assert_same_outcome(&wrap(&damaged), &format!("bit {bit} of byte {at}"));
+        }
+    }
+
+    /// A destination that keeps the domains `keep` marks, each in a buffer
+    /// of its own, and passes over the rest; it counts what it is asked.
+    struct Subset {
+        keep: Vec<bool>,
+        kept: Vec<(usize, Buffer3)>,
+        asked: usize,
+    }
+
+    impl Subset {
+        fn new(keep: Vec<bool>) -> Self {
+            Subset {
+                keep,
+                kept: Vec::new(),
+                asked: 0,
+            }
+        }
+    }
+
+    impl UnitDest for Subset {
+        fn wants(&mut self, i: usize, _dims: Dims3) -> CodecResult<bool> {
+            assert_eq!(i, self.asked, "domains are offered once each, in order");
+            self.asked += 1;
+            Ok(self.keep[i])
+        }
+
+        fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<crate::StridedMut<'_>> {
+            assert!(self.keep[i], "domain {i} was declined, then asked for");
+            self.kept.push((i, Buffer3::zeros(dims)));
+            let (_, b) = self.kept.last_mut().expect("just pushed");
+            crate::StridedMut::new(dims, b.data_mut(), dims.nx, dims.nx * dims.ny)
+        }
+    }
+
+    #[test]
+    fn skipped_domains_leave_the_kept_ones_bitwise_equal() {
+        // Random subsets of streams with regression and Lorenzo blocks,
+        // ragged edges and outliers of every kind (a skipped domain must
+        // still step over its coefficients and raw values), plus the
+        // empty and the full subset.
+        let mut x = 41u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let mut skipped_with_outliers = 0;
+        for case in 0..96 {
+            let n = 1 + next() as usize % 12;
+            let (kind, bs) = (next() as usize % 3, [3usize, 4, 6][next() as usize % 3]);
+            let domains: Vec<Buffer3> = (0..n)
+                .map(|u| {
+                    let (nx, ny, nz) = ORACLE_DIMS[next() as usize % 4];
+                    field(kind, Dims3::new(nx, ny, nz), u)
+                })
+                .collect();
+            let stream = compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(bs));
+            let full = decompress_domains(&stream).expect("full decode");
+            let keep: Vec<bool> = match case {
+                0 => vec![false; n],
+                1 => vec![true; n],
+                _ => (0..n).map(|_| next() % 2 == 0).collect(),
+            };
+            let mut dest = Subset::new(keep.clone());
+            let what = format!("case {case}: {n} domains kind {kind} bs {bs} keep {keep:?}");
+            assert_eq!(decompress_domains_into(&stream, &mut dest), Ok(n), "{what}");
+            assert_eq!(dest.asked, n, "{what}");
+            let wanted: Vec<usize> = (0..n).filter(|&i| keep[i]).collect();
+            let got: Vec<usize> = dest.kept.iter().map(|(i, _)| *i).collect();
+            assert_eq!(got, wanted, "{what}");
+            for (i, b) in &dest.kept {
+                let bits = |b: &Buffer3| b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(b), bits(&full[*i]), "{what}: domain {i}");
+            }
+            skipped_with_outliers += (0..n)
+                .filter(|&i| !keep[i] && domains[i].data().iter().any(|&v| is_spike(v)))
+                .count();
+        }
+        assert!(
+            skipped_with_outliers > 0,
+            "no skipped domain held an outlier"
+        );
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error_under_a_skipping_destination() {
+        let domains: Vec<Buffer3> = (0..5).map(|u| field(2, Dims3::new(13, 7, 9), u)).collect();
+        let stream = compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(6));
+        let env = expect_envelope(&stream, CodecId::LrSle, VERSION).unwrap();
+        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
+        let cuts = (0..payload.len())
+            .map(|cut| (wrap(&payload[..cut]), format!("payload cut at {cut}")))
+            .chain(
+                (0..stream.len())
+                    .map(|cut| (stream[..cut].to_vec(), format!("stream cut at {cut}"))),
+            );
+        for (cut, what) in cuts {
+            for keep in [
+                [false; 5],
+                [true, false, true, false, true],
+                [false, true, false, true, false],
+            ] {
+                let skipping = decompress_domains_into(&cut, &mut Subset::new(keep.to_vec()));
+                let full = decompress_domains(&cut);
+                match (&skipping, &full) {
+                    (Err(a), Err(b)) => assert_eq!(
+                        std::mem::discriminant(a),
+                        std::mem::discriminant(b),
+                        "{what}, keep {keep:?}: {a:?} vs {b:?}"
+                    ),
+                    _ => panic!("{what}, keep {keep:?}: skipping {skipping:?}, full {full:?}"),
+                }
+            }
         }
     }
 
