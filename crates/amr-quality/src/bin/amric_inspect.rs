@@ -3,7 +3,7 @@
 //! ```text
 //! amric_inspect <file.h5l>              # dataset table + totals
 //! amric_inspect <file.h5l> --chunks     # per-chunk detail
-//! amric_inspect <file.h5l> --header     # decoded AMR header/box metadata
+//! amric_inspect <file.h5l> --header     # AMR header, boxes, temporal linkage (no decode)
 //! amric_inspect <file.h5l> --index      # chunk index + per-level ratios
 //! amric_inspect <file.h5l> --stats      # query-engine counters after probes
 //! amric_inspect --quality <ref> <cmp>   # per-level PSNR/SSIM table of cmp vs ref
@@ -194,30 +194,45 @@ fn print_index(r: &H5Reader) {
 }
 
 fn print_header(path: &str) {
-    match amr_query::read_amric_hierarchy(path) {
-        Ok(pf) => {
-            println!(
-                "AMRIC plotfile: {} levels, fields {:?}",
-                pf.levels.len(),
-                pf.field_names
-            );
-            println!(
-                "blocking factor {}, redundancy removed: {}",
-                pf.bf, pf.remove_redundancy
-            );
-            for (l, (mf, domain)) in pf.levels.iter().zip(&pf.domains).enumerate() {
-                let n = domain.size();
-                println!(
-                    "  level {l}: domain {}x{}x{}, {} boxes, density {:.2}%",
-                    n.get(0),
-                    n.get(1),
-                    n.get(2),
-                    mf.box_array().len(),
-                    mf.box_array().density_in(domain) * 100.0
-                );
-            }
+    let engine = match amr_query::QueryEngine::open(path) {
+        Ok(engine) => engine,
+        Err(e) => {
+            println!("not an AMRIC plotfile ({e}); raw dataset listing only");
+            return;
         }
-        Err(e) => println!("not an AMRIC plotfile ({e}); raw dataset listing only"),
+    };
+    let meta = engine.meta();
+    println!(
+        "AMRIC plotfile: {} levels, fields {:?}",
+        meta.num_levels(),
+        meta.field_names
+    );
+    println!(
+        "blocking factor {}, redundancy removed: {}",
+        meta.bf, meta.remove_redundancy
+    );
+    for (l, level) in meta.levels.iter().enumerate() {
+        let n = level.domain.size();
+        println!(
+            "  level {l}: domain {}x{}x{}, {} boxes, density {:.2}%",
+            n.get(0),
+            n.get(1),
+            n.get(2),
+            level.boxes.len(),
+            level.boxes.density_in(&level.domain) * 100.0
+        );
+    }
+    if let Some(t) = engine.linkage() {
+        match t.reference_id {
+            Some(r) => println!(
+                "temporal snapshot {}, delta chunks reference snapshot {r}",
+                t.snapshot_id
+            ),
+            None => println!(
+                "temporal snapshot {}, keyframe (no reference)",
+                t.snapshot_id
+            ),
+        }
     }
 }
 

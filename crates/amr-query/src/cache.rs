@@ -64,11 +64,6 @@ pub struct ChunkUnits {
 const ABSENT: u32 = u32::MAX;
 
 impl ChunkUnits {
-    /// Every unit of a chunk.
-    pub fn whole(units: CachedChunk) -> Self {
-        ChunkUnits { units, slots: None }
-    }
-
     /// The units `resident` and `fresh` hold between them, of a chunk of
     /// `total` units: `fresh` holds newly decoded units by unit-plan
     /// index, none of them one `resident` holds; resident units are
@@ -157,10 +152,8 @@ impl CacheStats {
 }
 
 struct Entry {
-    /// The units held, in plan order.
-    value: CachedChunk,
-    /// Where each unit is in `value` ([`ChunkUnits`]'s `slots`).
-    slots: Option<Arc<[u32]>>,
+    /// The units held.
+    units: ChunkUnits,
     bytes: u64,
     last_used: u64,
 }
@@ -172,8 +165,8 @@ struct Shard {
 }
 
 /// The sharded LRU storage engine every [`ChunkCache`] handle points at.
-/// All methods take `&self`; the store is shared by prefetch workers and,
-/// in the service tier, by every open plotfile's engine.
+/// All methods take `&self`; in the service tier the store is shared by
+/// every open plotfile's engine and every connection querying them.
 pub struct ChunkStore {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: u64,
@@ -190,8 +183,9 @@ pub struct ChunkStore {
     evictions: AtomicU64,
 }
 
-/// Shard count: enough to keep a handful of prefetch workers off each
-/// other's locks without fragmenting small budgets.
+/// Shard count: enough to keep concurrent connections off each other's
+/// locks without fragmenting small budgets (each shard holds an even
+/// share of the budget).
 const SHARDS: usize = 8;
 
 /// Approximate resident size of a decoded chunk (unit payloads dominate;
@@ -234,12 +228,6 @@ impl ChunkStore {
         }
     }
 
-    /// Look a whole chunk up, refreshing its recency on a hit; an entry
-    /// that lacks a unit is a miss.
-    pub fn get(&self, key: &GlobalChunkKey) -> Option<CachedChunk> {
-        self.lookup(key, None).ok().and_then(ChunkUnits::into_whole)
-    }
-
     /// Look up the units `want` lists of a chunk (ascending unit-plan
     /// indices; `None`: every unit). A hit — the entry holds them all —
     /// refreshes its recency; otherwise the miss carries the resident
@@ -255,10 +243,7 @@ impl ChunkStore {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Err(None);
         };
-        let units = ChunkUnits {
-            units: Arc::clone(&e.value),
-            slots: e.slots.clone(),
-        };
+        let units = e.units.clone();
         if units.covers(want) {
             e.last_used = stamp;
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -269,24 +254,13 @@ impl ChunkStore {
         }
     }
 
-    /// Insert a whole decoded chunk: [`ChunkStore::insert_units`], 0
-    /// evictions when the key's file id is retired.
-    pub fn insert(&self, key: GlobalChunkKey, value: CachedChunk) -> u64 {
-        self.insert_units(key, ChunkUnits::whole(value))
-            .unwrap_or(0)
-    }
-
     /// Insert a chunk's units, replacing the key's entry and evicting the
     /// shard's least-recently-used entries until it fits (the newcomer
     /// itself is never evicted by its own insert). Returns the number of
     /// entries evicted to make room, or `None` — nothing stored — when
     /// the key's file id is retired.
     pub fn insert_units(&self, key: GlobalChunkKey, units: ChunkUnits) -> Option<u64> {
-        let ChunkUnits {
-            units: value,
-            slots,
-        } = units;
-        let bytes = chunk_bytes(&value);
+        let bytes = chunk_bytes(&units.units);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_for(&key).lock();
         // Under the shard lock: a retire either sees this entry in its
@@ -314,8 +288,7 @@ impl ChunkStore {
         shard.entries.insert(
             key,
             Entry {
-                value,
-                slots,
+                units,
                 bytes,
                 last_used: stamp,
             },
@@ -336,9 +309,8 @@ impl ChunkStore {
     }
 
     /// Drop every entry whose key matches `pred`; returns the count
-    /// removed. The service catalog uses this to invalidate a stale
-    /// file's chunks when a plotfile is reopened under a new generation.
-    pub fn remove_matching(&self, pred: impl Fn(&GlobalChunkKey) -> bool) -> u64 {
+    /// removed.
+    fn remove_matching(&self, pred: impl Fn(&GlobalChunkKey) -> bool) -> u64 {
         let mut removed = 0u64;
         for s in &self.shards {
             let mut s = s.lock();
@@ -413,11 +385,6 @@ impl ChunkCache {
         }
     }
 
-    /// Look a whole chunk up, refreshing its recency on a hit.
-    pub fn get(&self, key: &ChunkKey) -> Option<CachedChunk> {
-        self.lookup(key, None).ok().and_then(ChunkUnits::into_whole)
-    }
-
     /// Look up the units `want` lists of a chunk ([`ChunkStore::lookup`]).
     pub fn lookup(
         &self,
@@ -430,11 +397,6 @@ impl ChunkCache {
             Err(_) => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         got
-    }
-
-    /// Insert a whole decoded chunk.
-    pub fn insert(&self, key: ChunkKey, value: CachedChunk) {
-        self.insert_units(key, ChunkUnits::whole(value));
     }
 
     /// Insert a chunk's units (evictions it causes are charged to this
@@ -465,19 +427,23 @@ mod tests {
     use super::*;
     use sz_codec::Dims3;
 
-    fn chunk(cells: usize, tag: f64) -> CachedChunk {
-        Arc::new(vec![Buffer3::from_vec(
-            Dims3::new(cells, 1, 1),
-            vec![tag; cells],
-        )])
+    /// A one-unit chunk of `cells` values, all `tag`.
+    fn chunk(cells: usize, tag: f64) -> ChunkUnits {
+        let unit = Buffer3::from_vec(Dims3::new(cells, 1, 1), vec![tag; cells]);
+        ChunkUnits::merge(None, vec![(0, unit)], 1)
+    }
+
+    /// The whole chunk `key`, if the handle's entry holds every unit.
+    fn get(c: &ChunkCache, key: &ChunkKey) -> Option<CachedChunk> {
+        c.lookup(key, None).ok().and_then(ChunkUnits::into_whole)
     }
 
     #[test]
     fn hit_miss_accounting() {
         let c = ChunkCache::new(1 << 20);
-        assert!(c.get(&(0, 0, 0)).is_none());
-        c.insert((0, 0, 0), chunk(16, 1.0));
-        let v = c.get(&(0, 0, 0)).expect("hit");
+        assert!(get(&c, &(0, 0, 0)).is_none());
+        c.insert_units((0, 0, 0), chunk(16, 1.0));
+        let v = get(&c, &(0, 0, 0)).expect("hit");
         assert_eq!(v[0].data()[0], 1.0);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
@@ -502,22 +468,22 @@ mod tests {
             .take(3)
             .collect();
         assert_eq!(keys.len(), 3);
-        c.insert(keys[0], chunk(64, 0.0));
-        c.insert(keys[1], chunk(64, 1.0));
+        c.insert_units(keys[0], chunk(64, 0.0));
+        c.insert_units(keys[1], chunk(64, 1.0));
         // Touch keys[0] so keys[1] is the LRU when keys[2] arrives.
-        assert!(c.get(&keys[0]).is_some());
-        c.insert(keys[2], chunk(64, 2.0));
-        assert!(c.get(&keys[0]).is_some(), "recently used entry survives");
-        assert!(c.get(&keys[1]).is_none(), "LRU entry evicted");
-        assert!(c.get(&keys[2]).is_some(), "newcomer resident");
+        assert!(get(&c, &keys[0]).is_some());
+        c.insert_units(keys[2], chunk(64, 2.0));
+        assert!(get(&c, &keys[0]).is_some(), "recently used entry survives");
+        assert!(get(&c, &keys[1]).is_none(), "LRU entry evicted");
+        assert!(get(&c, &keys[2]).is_some(), "newcomer resident");
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn oversized_entry_still_caches() {
         let c = ChunkCache::new(64); // 8 bytes per shard
-        c.insert((0, 0, 0), chunk(100, 3.0));
-        assert!(c.get(&(0, 0, 0)).is_some());
+        c.insert_units((0, 0, 0), chunk(100, 3.0));
+        assert!(get(&c, &(0, 0, 0)).is_some());
         // The next insert into the same shard evicts it.
         let s = c.stats();
         assert_eq!(s.insertions, 1);
@@ -529,12 +495,12 @@ mod tests {
         let store: Arc<ChunkStore> = Arc::new(ChunkStore::new(1 << 20));
         let a = ChunkCache::shared(Arc::clone(&store), 1);
         let b = ChunkCache::shared(Arc::clone(&store), 2);
-        a.insert((0, 0, 0), chunk(16, 1.0));
+        a.insert_units((0, 0, 0), chunk(16, 1.0));
         // Same chunk key, different file id: b must not see a's entry.
-        assert!(b.get(&(0, 0, 0)).is_none());
-        b.insert((0, 0, 0), chunk(16, 2.0));
-        assert_eq!(a.get(&(0, 0, 0)).expect("a's entry")[0].data()[0], 1.0);
-        assert_eq!(b.get(&(0, 0, 0)).expect("b's entry")[0].data()[0], 2.0);
+        assert!(get(&b, &(0, 0, 0)).is_none());
+        b.insert_units((0, 0, 0), chunk(16, 2.0));
+        assert_eq!(get(&a, &(0, 0, 0)).expect("a's entry")[0].data()[0], 1.0);
+        assert_eq!(get(&b, &(0, 0, 0)).expect("b's entry")[0].data()[0], 2.0);
         // Handle counters are per-tenant; the store aggregates.
         let (sa, sb) = (a.stats(), b.stats());
         assert_eq!((sa.hits, sa.misses, sa.insertions), (1, 0, 1));
@@ -550,11 +516,11 @@ mod tests {
         let store: Arc<ChunkStore> = Arc::new(ChunkStore::new(1 << 20));
         let old = ChunkCache::shared(Arc::clone(&store), 3);
         for r in 0..5 {
-            old.insert((0, 0, r), chunk(8, r as f64));
+            old.insert_units((0, 0, r), chunk(8, r as f64));
         }
         assert_eq!(store.remove_matching(|(f, _)| *f == 3), 5);
         assert_eq!(store.resident_bytes(), 0);
-        assert!(old.get(&(0, 0, 0)).is_none());
+        assert!(get(&old, &(0, 0, 0)).is_none());
     }
 
     #[test]
@@ -567,7 +533,7 @@ mod tests {
         let resident = c.lookup(&(0, 0, 0), Some(&[1, 2])).unwrap_err();
         let resident = resident.expect("the partial entry comes with the miss");
         assert!(
-            c.get(&(0, 0, 0)).is_none(),
+            get(&c, &(0, 0, 0)).is_none(),
             "a partial entry is no whole chunk"
         );
         assert_eq!(resident.unit(3).map(|u| u.data()[0]), Some(3.0));
@@ -577,7 +543,7 @@ mod tests {
         // The missing units beside the resident ones make the chunk whole.
         let rest = vec![(0, unit(0.0)), (2, unit(2.0)), (4, unit(4.0))];
         c.insert_units((0, 0, 0), ChunkUnits::merge(Some(&resident), rest, 5));
-        let whole = c.get(&(0, 0, 0)).expect("whole");
+        let whole = get(&c, &(0, 0, 0)).expect("whole");
         let tags: Vec<f64> = whole.iter().map(|u| u.data()[0]).collect();
         assert_eq!(tags, [0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(c.stats().resident_bytes, 5 * 4 * 8);
@@ -588,14 +554,14 @@ mod tests {
         let store = Arc::new(ChunkStore::new(1 << 20));
         let old = ChunkCache::shared(Arc::clone(&store), 1);
         let new = ChunkCache::shared(Arc::clone(&store), 2);
-        old.insert((0, 0, 0), chunk(16, 1.0));
-        new.insert((0, 0, 0), chunk(16, 2.0));
+        old.insert_units((0, 0, 0), chunk(16, 1.0));
+        new.insert_units((0, 0, 0), chunk(16, 2.0));
         assert_eq!(store.retire(&[1]), 1);
-        old.insert((0, 0, 1), chunk(16, 1.0));
-        assert!(old.get(&(0, 0, 1)).is_none());
+        old.insert_units((0, 0, 1), chunk(16, 1.0));
+        assert!(get(&old, &(0, 0, 1)).is_none());
         assert_eq!(old.stats().insertions, 1, "a refused insert is not counted");
         assert_eq!(store.resident_bytes(), 16 * 8);
-        new.insert((0, 0, 1), chunk(16, 2.0));
+        new.insert_units((0, 0, 1), chunk(16, 2.0));
         assert_eq!(store.resident_bytes(), 2 * 16 * 8);
     }
 
@@ -608,7 +574,7 @@ mod tests {
                 s.lock()
                     .entries
                     .values()
-                    .map(|e| chunk_bytes(&e.value))
+                    .map(|e| chunk_bytes(&e.units.units))
                     .sum::<u64>()
             })
             .sum();
@@ -625,14 +591,14 @@ mod tests {
             .take(3)
             .collect();
         assert_eq!(keys.len(), 3);
-        store.insert(keys[0], chunk(64, 0.0));
-        store.insert(keys[1], chunk(32, 1.0));
+        store.insert_units(keys[0], chunk(64, 0.0));
+        store.insert_units(keys[1], chunk(32, 1.0));
         assert_resident_is_entry_sum(&store, "insert");
-        store.insert(keys[1], chunk(48, 1.5));
+        store.insert_units(keys[1], chunk(48, 1.5));
         assert_resident_is_entry_sum(&store, "re-insert of the same key");
-        assert_eq!(store.insert(keys[2], chunk(64, 2.0)), 1);
+        assert_eq!(store.insert_units(keys[2], chunk(64, 2.0)), Some(1));
         assert_resident_is_entry_sum(&store, "eviction");
-        store.insert((2, (0, 0, 0)), chunk(16, 3.0));
+        store.insert_units((2, (0, 0, 0)), chunk(16, 3.0));
         assert_eq!(store.remove_matching(|(f, _)| *f == 1), 2);
         assert_resident_is_entry_sum(&store, "remove_matching");
         assert_eq!(store.resident_bytes(), 16 * 8);

@@ -21,9 +21,9 @@
 //!   answer allocates (bounded too: a sparse level decodes little and
 //!   answers a lot).
 //! * [`QueryEngine::warm`] — decode a run of the plan's chunks into the
-//!   sharded decompressed-chunk cache; misses fan out over a `rankpar`
-//!   worker pool (per-worker raw-byte scratch, ordered reassembly)
-//!   through the one chunk loader, [`amric::reader::load_chunk`].
+//!   sharded decompressed-chunk cache; misses decode serially, in plan
+//!   order, through one raw-byte buffer and the one chunk loader,
+//!   [`amric::reader::load_chunk`].
 //! * [`QueryEngine::pieces`] — fetch the plan's units (cache, else
 //!   decode) and visit every planned unit's overlap with its region: the
 //!   answer before it is pasted anywhere. The service tier ships the
@@ -430,7 +430,6 @@ pub struct QueryEngine {
     meta: PlotfileMeta,
     levels: Vec<LevelPlan>,
     cache: ChunkCache,
-    workers: usize,
     counters: EngineCounters,
     /// Temporal linkage of the file (`None` for a plain plotfile).
     temporal: Option<TemporalMeta>,
@@ -511,7 +510,6 @@ impl QueryEngine {
             meta,
             levels,
             cache: ChunkCache::new(DEFAULT_CACHE_BYTES),
-            workers: 1,
             counters: EngineCounters::default(),
             temporal,
             reference: None,
@@ -535,10 +533,10 @@ impl QueryEngine {
         Ok(self)
     }
 
-    /// Set the prefetch worker count (`n <= 1` fetches serially). Decoded
-    /// results are bitwise-identical for every worker count.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
+    /// Returns the engine unchanged: misses decode serially and no
+    /// worker count exists. Kept only because `amric_benchmark` still
+    /// calls it; ROADMAP item 5, which rewrites the benchmark, deletes it.
+    pub fn with_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -564,22 +562,19 @@ impl QueryEngine {
         &self.meta
     }
 
+    /// The file's temporal linkage, as read at open (`None` for a plain
+    /// plotfile): its snapshot id and the snapshot its delta chunks
+    /// predict from.
+    pub fn linkage(&self) -> Option<TemporalMeta> {
+        self.temporal
+    }
+
     /// The per-chunk index entries of one level (codec id, pruning
     /// extent, and — for delta-coded temporal chunks — the reference
     /// snapshot id). Empty when the level stored no chunks.
     pub fn chunk_entries(&self, level: usize) -> QueryResult<&[ChunkIndexEntry]> {
         let level = check_level(level, self.levels.len())?;
         Ok(&self.levels[level].extents)
-    }
-
-    /// Reference snapshot id of one chunk, if it is delta-coded — the
-    /// planner-level answer to "which prior file does random access into
-    /// this chunk need?", resolved from the index without decoding.
-    pub fn chunk_reference(&self, level: usize, chunk: usize) -> QueryResult<Option<u64>> {
-        let entries = self.chunk_entries(level)?;
-        entries.get(chunk).map(|e| e.reference).ok_or_else(|| {
-            QueryError::BadQuery(format!("level {level} chunk {chunk} out of range"))
-        })
     }
 
     /// Cache counters.
@@ -970,11 +965,10 @@ impl QueryEngine {
 
     /// Fetch the requested chunks, each holding at least the units `units`
     /// lists for it (aligned with `requests`, unit-plan indices ascending;
-    /// `None`: every unit): from the cache when the resident entry holds
-    /// them all, else by decoding the units it lacks on the worker pool
-    /// (ordered reassembly; per-worker byte scratch) and caching them
-    /// beside the resident ones. Returns the chunks aligned with
-    /// `requests`.
+    /// `None`: every unit): every lookup first, then each miss in request
+    /// order — the units its resident entry lacks decoded through one
+    /// raw-byte buffer and cached beside the resident ones. Returns the
+    /// chunks aligned with `requests`.
     fn fetch(
         &self,
         requests: &[ChunkKey],
@@ -988,31 +982,21 @@ impl QueryEngine {
                 Ok(hit) => out.push(Some(hit)),
                 Err(resident) => {
                     out.push(None);
-                    missing.push((slot, *key, resident));
+                    missing.push((slot, resident));
                 }
             }
         }
-        if !missing.is_empty() {
-            rankpar::pool::for_each_ordered(
-                &missing,
-                self.workers.min(missing.len()),
-                (2 * self.workers).max(2),
-                Vec::new, // per-worker raw-byte scratch
-                |buf: &mut Vec<u8>, _j, (slot, key, resident)| {
-                    let plan = &self.levels[key.0].plans[key.2];
-                    let mut miss = Miss::new(plan.len(), wanted(*slot), resident.as_ref());
-                    let bytes = plan.iter().zip(&miss.want).filter(|(_, &w)| w);
-                    let bytes = bytes.map(|(u, _)| unit_bytes(u)).sum();
-                    self.decode_chunk(*key, buf, &mut miss, bytes)?;
-                    let merged = ChunkUnits::merge(resident.as_ref(), miss.fresh, plan.len());
-                    Ok::<_, QueryError>((*slot, merged))
-                },
-                |_j, (slot, value): (usize, ChunkUnits)| {
-                    self.cache.insert_units(requests[slot], value.clone());
-                    out[slot] = Some(value);
-                    Ok(())
-                },
-            )?;
+        let mut raw = Vec::new();
+        for (slot, resident) in missing {
+            let key = requests[slot];
+            let plan = &self.levels[key.0].plans[key.2];
+            let mut miss = Miss::new(plan.len(), wanted(slot), resident.as_ref());
+            let bytes = plan.iter().zip(&miss.want).filter(|(_, &w)| w);
+            let bytes = bytes.map(|(u, _)| unit_bytes(u)).sum();
+            self.decode_chunk(key, &mut raw, &mut miss, bytes)?;
+            let merged = ChunkUnits::merge(resident.as_ref(), miss.fresh, plan.len());
+            self.cache.insert_units(key, merged.clone());
+            out[slot] = Some(merged);
         }
         Ok(out
             .into_iter()

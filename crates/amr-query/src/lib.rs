@@ -20,10 +20,9 @@
 //!   [`QueryEngine::plane_slice`].
 //! * **Decompressed-chunk cache** — a sharded, byte-bounded LRU
 //!   ([`cache::ChunkCache`]) between planner and codecs; repeated and
-//!   overlapping queries from one process decode each chunk once.
-//! * **Parallel prefetch** — cache misses fan out over the `rankpar`
-//!   worker pool with ordered reassembly and per-worker scratch, the same
-//!   engine the overlapped write path uses.
+//!   overlapping queries from one process decode each chunk once. Misses
+//!   decode serially, in plan order: a query meets one or two of the
+//!   large per-rank chunks, too few to spread across workers.
 //!
 //! * **Restart** — [`QueryEngine::restart`] ([`read_amric_hierarchy`] for
 //!   a path) decodes every stored chunk into a full
@@ -32,13 +31,13 @@
 //!   reference ([`QueryEngine::with_reference`]).
 //!
 //! Query results are **bitwise-identical** to slicing the corresponding
-//! region out of that full decode — cold or warm cache, any worker count
-//! (enforced by `tests/equivalence.rs`).
+//! region out of that full decode — cold or warm cache (enforced by
+//! `tests/equivalence.rs`).
 //!
 //! ```no_run
 //! use amr_query::prelude::*;
 //!
-//! let engine = QueryEngine::open("plt0001.h5l").unwrap().with_workers(4);
+//! let engine = QueryEngine::open("plt0001.h5l").unwrap();
 //! let view = engine
 //!     .roi(0, Box3::from_extents(8, 8, 8), LevelSelect::All)
 //!     .unwrap();

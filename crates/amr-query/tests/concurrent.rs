@@ -42,13 +42,11 @@ fn view_bits(view: &RegionView) -> Vec<Vec<u64>> {
 fn concurrent_readers_match_serial_answers() {
     let path = tmp("readers");
     write_plotfile(81, &path);
-    // Small cache budget so threads also race insert/evict paths, plus
-    // prefetch workers so rankpar fan-out runs under contention too.
+    // Small cache budget so threads also race insert/evict paths.
     let engine = Arc::new(
         QueryEngine::open(&path)
             .unwrap()
-            .with_cache_bytes(64 * 1024)
-            .with_workers(2),
+            .with_cache_bytes(64 * 1024),
     );
     let rois: Vec<IntBox> = vec![
         IntBox::new(IntVect::new(4, 4, 4), IntVect::new(11, 11, 11)),

@@ -90,33 +90,31 @@ fn roi_queries_match_full_decode_bitwise() {
         let path = tmp(&format!("roi-{tag}"));
         write_amric(&path, &h, &cfg, 8).unwrap();
         let pf = read_amric_hierarchy(&path).unwrap();
-        for workers in [1usize, 2, 4] {
-            let engine = QueryEngine::open(&path).unwrap().with_workers(workers);
-            for (ri, roi) in probe_rois().into_iter().enumerate() {
-                for field in [0usize, 3] {
-                    // Cold pass (fresh regions may still share chunks with
-                    // earlier ROIs — that is the point of the cache; the
-                    // first ROI of the first field is fully cold).
-                    let view = engine.roi(field, roi, LevelSelect::All).unwrap();
-                    assert_eq!(view.levels.len(), 2, "{tag} roi {ri}");
-                    for lr in &view.levels {
-                        assert_eq!(
-                            view_bits(lr),
-                            reference_slice(&pf, lr.level, &lr.region, field),
-                            "{tag} workers={workers} roi {ri} field {field} level {}",
-                            lr.level
-                        );
-                    }
-                    // Warm pass: served from cache, still bitwise equal.
-                    let hits_before = engine.cache_stats().hits;
-                    let warm = engine.roi(field, roi, LevelSelect::All).unwrap();
-                    assert!(
-                        engine.cache_stats().hits > hits_before,
-                        "{tag}: warm pass did not hit the cache"
+        let engine = QueryEngine::open(&path).unwrap();
+        for (ri, roi) in probe_rois().into_iter().enumerate() {
+            for field in [0usize, 3] {
+                // Cold pass (fresh regions may still share chunks with
+                // earlier ROIs — that is the point of the cache; the
+                // first ROI of the first field is fully cold).
+                let view = engine.roi(field, roi, LevelSelect::All).unwrap();
+                assert_eq!(view.levels.len(), 2, "{tag} roi {ri}");
+                for lr in &view.levels {
+                    assert_eq!(
+                        view_bits(lr),
+                        reference_slice(&pf, lr.level, &lr.region, field),
+                        "{tag} roi {ri} field {field} level {}",
+                        lr.level
                     );
-                    for (a, b) in view.levels.iter().zip(&warm.levels) {
-                        assert_eq!(view_bits(a), view_bits(b), "{tag}: warm differs from cold");
-                    }
+                }
+                // Warm pass: served from cache, still bitwise equal.
+                let hits_before = engine.cache_stats().hits;
+                let warm = engine.roi(field, roi, LevelSelect::All).unwrap();
+                assert!(
+                    engine.cache_stats().hits > hits_before,
+                    "{tag}: warm pass did not hit the cache"
+                );
+                for (a, b) in view.levels.iter().zip(&warm.levels) {
+                    assert_eq!(view_bits(a), view_bits(b), "{tag}: warm differs from cold");
                 }
             }
         }
@@ -209,7 +207,7 @@ fn plane_slices_match_full_decode() {
     let path = tmp("planes");
     write_amric(&path, &h, &AmricConfig::lr(1e-3), 8).unwrap();
     let pf = read_amric_hierarchy(&path).unwrap();
-    let engine = QueryEngine::open(&path).unwrap().with_workers(2);
+    let engine = QueryEngine::open(&path).unwrap();
     for (level, axis, coord) in [(0, 2, 7), (0, 0, 0), (1, 1, 16), (1, 2, 31)] {
         let slice = engine.plane_slice(0, level, axis, coord).unwrap();
         assert_eq!(slice.region.size().get(axis), 1);

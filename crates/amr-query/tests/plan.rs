@@ -1,6 +1,6 @@
 //! A query is planned once, and cost, warm-up and answer are views of
 //! that one [`QueryPlan`]. For ROI / region / plane queries × the four
-//! pipeline stream modes × workers {1, 2} × cold and warm caches:
+//! pipeline stream modes × cold and warm caches:
 //!
 //! * `plan.cost()` is exactly what a cold engine then pays
 //!   (`EngineStats.chunks_decoded` / `decoded_bytes` deltas), and
@@ -167,99 +167,96 @@ fn cost_warm_and_answer_are_views_of_one_plan() {
         let pf = read_amric_hierarchy(&path).unwrap();
         // Plans depend on metadata only: one engine sizes the batch targets.
         let planner = QueryEngine::open(&path).unwrap();
-        for workers in [1usize, 2] {
-            for q in queries() {
-                let planned = plan(&planner, field, q);
-                let one_chunk = *planned.chunk_bytes().iter().max().unwrap();
-                for target in [1, one_chunk, u64::MAX] {
-                    let ctx = format!("{tag} workers={workers} {q:?} target={target}");
-                    // A fresh engine is a cold cache.
-                    let engine = QueryEngine::open(&path).unwrap().with_workers(workers);
-                    let plan = plan(&engine, field, q);
-                    let cost = plan.cost();
-                    assert_eq!(cost.chunks, plan.chunk_bytes().len(), "{ctx}");
-                    assert!(cost.chunks > 0, "{ctx}: probe touches nothing");
+        for q in queries() {
+            let planned = plan(&planner, field, q);
+            let one_chunk = *planned.chunk_bytes().iter().max().unwrap();
+            for target in [1, one_chunk, u64::MAX] {
+                let ctx = format!("{tag} {q:?} target={target}");
+                // A fresh engine is a cold cache.
+                let engine = QueryEngine::open(&path).unwrap();
+                let plan = plan(&engine, field, q);
+                let cost = plan.cost();
+                assert_eq!(cost.chunks, plan.chunk_bytes().len(), "{ctx}");
+                assert!(cost.chunks > 0, "{ctx}: probe touches nothing");
 
-                    // Batches partition the chunk list, in order.
-                    let batches = plan.batches(target);
-                    let mut next = 0;
-                    for b in &batches {
-                        assert_eq!(b.start, next, "{ctx}: batches must be contiguous");
-                        assert!(b.end > b.start, "{ctx}: empty batch");
-                        let bytes: u64 = plan.chunk_bytes()[b.clone()].iter().sum();
-                        assert!(
-                            bytes <= target || b.len() == 1,
-                            "{ctx}: batch {b:?} holds {bytes} B"
-                        );
-                        next = b.end;
-                    }
-                    assert_eq!(next, cost.chunks, "{ctx}: batches must cover the plan");
-                    match target {
-                        1 => assert_eq!(batches.len(), cost.chunks, "{ctx}"),
-                        u64::MAX => assert_eq!(batches.len(), 1, "{ctx}"),
-                        _ => {}
-                    }
-
-                    // Warming batch by batch pays exactly the plan's cost…
-                    let cold = engine.stats();
-                    for b in batches {
-                        engine.warm(&plan, b).unwrap();
-                    }
-                    let warmed = engine.stats();
-                    assert_eq!(
-                        warmed.chunks_decoded - cold.chunks_decoded,
-                        cost.chunks as u64,
-                        "{ctx}"
+                // Batches partition the chunk list, in order.
+                let batches = plan.batches(target);
+                let mut next = 0;
+                for b in &batches {
+                    assert_eq!(b.start, next, "{ctx}: batches must be contiguous");
+                    assert!(b.end > b.start, "{ctx}: empty batch");
+                    let bytes: u64 = plan.chunk_bytes()[b.clone()].iter().sum();
+                    assert!(
+                        bytes <= target || b.len() == 1,
+                        "{ctx}: batch {b:?} holds {bytes} B"
                     );
-                    assert_eq!(
-                        warmed.decoded_bytes - cold.decoded_bytes,
-                        cost.decode_bytes,
-                        "{ctx}"
-                    );
-                    assert!(warmed.read_bytes > cold.read_bytes, "{ctx}");
-                    // …and the answer decodes nothing again.
-                    let answered = engine.answer(&plan).unwrap();
-                    let after = engine.stats();
-                    assert_eq!(after.chunks_decoded, warmed.chunks_decoded, "{ctx}");
-                    assert_eq!(after.read_bytes, warmed.read_bytes, "{ctx}");
-                    // None of plan / warm / answer is a counted query.
-                    assert_eq!(query_counters(&after), (0, 0, 0), "{ctx}");
-
-                    let regions: Vec<_> = answered.iter().map(|lr| (lr.level, lr.region)).collect();
-                    assert_eq!(regions, plan.regions(), "{ctx}");
-                    // …and allocates exactly what the plan said it would.
-                    let answer_bytes: usize =
-                        answered.iter().map(|lr| lr.data.data().len() * 8).sum();
-                    assert_eq!(plan.answer_bytes(), answer_bytes as u64, "{ctx}");
-                    assert_eq!(bits(&answered), reference(&pf, field, &answered), "{ctx}");
-
-                    // The public entry point: same bits from the warm
-                    // cache, counted exactly once.
-                    let via_entry = direct(&engine, field, q);
-                    assert_eq!(bits(&via_entry), bits(&answered), "{ctx}");
-                    let end = engine.stats();
-                    assert_eq!(end.chunks_decoded, warmed.chunks_decoded, "{ctx}");
-                    let expect = match q {
-                        Query::Roi(..) => (1, 0, 0),
-                        Query::Region(..) => (0, 1, 0),
-                        Query::Plane(..) => (0, 0, 1),
-                    };
-                    assert_eq!(query_counters(&end), expect, "{ctx}");
+                    next = b.end;
                 }
-                // Cold through the entry point alone: the plan's cost is
-                // what the engine reports, and the bits are the same.
-                let engine = QueryEngine::open(&path).unwrap().with_workers(workers);
-                let cost = plan(&engine, field, q).cost();
-                let cold_answer = direct(&engine, field, q);
-                let s = engine.stats();
-                assert_eq!(s.chunks_decoded, cost.chunks as u64, "{tag} {q:?}");
-                assert_eq!(s.decoded_bytes, cost.decode_bytes, "{tag} {q:?}");
+                assert_eq!(next, cost.chunks, "{ctx}: batches must cover the plan");
+                match target {
+                    1 => assert_eq!(batches.len(), cost.chunks, "{ctx}"),
+                    u64::MAX => assert_eq!(batches.len(), 1, "{ctx}"),
+                    _ => {}
+                }
+
+                // Warming batch by batch pays exactly the plan's cost…
+                let cold = engine.stats();
+                for b in batches {
+                    engine.warm(&plan, b).unwrap();
+                }
+                let warmed = engine.stats();
                 assert_eq!(
-                    bits(&cold_answer),
-                    reference(&pf, field, &cold_answer),
-                    "{tag} workers={workers} {q:?}"
+                    warmed.chunks_decoded - cold.chunks_decoded,
+                    cost.chunks as u64,
+                    "{ctx}"
                 );
+                assert_eq!(
+                    warmed.decoded_bytes - cold.decoded_bytes,
+                    cost.decode_bytes,
+                    "{ctx}"
+                );
+                assert!(warmed.read_bytes > cold.read_bytes, "{ctx}");
+                // …and the answer decodes nothing again.
+                let answered = engine.answer(&plan).unwrap();
+                let after = engine.stats();
+                assert_eq!(after.chunks_decoded, warmed.chunks_decoded, "{ctx}");
+                assert_eq!(after.read_bytes, warmed.read_bytes, "{ctx}");
+                // None of plan / warm / answer is a counted query.
+                assert_eq!(query_counters(&after), (0, 0, 0), "{ctx}");
+
+                let regions: Vec<_> = answered.iter().map(|lr| (lr.level, lr.region)).collect();
+                assert_eq!(regions, plan.regions(), "{ctx}");
+                // …and allocates exactly what the plan said it would.
+                let answer_bytes: usize = answered.iter().map(|lr| lr.data.data().len() * 8).sum();
+                assert_eq!(plan.answer_bytes(), answer_bytes as u64, "{ctx}");
+                assert_eq!(bits(&answered), reference(&pf, field, &answered), "{ctx}");
+
+                // The public entry point: same bits from the warm
+                // cache, counted exactly once.
+                let via_entry = direct(&engine, field, q);
+                assert_eq!(bits(&via_entry), bits(&answered), "{ctx}");
+                let end = engine.stats();
+                assert_eq!(end.chunks_decoded, warmed.chunks_decoded, "{ctx}");
+                let expect = match q {
+                    Query::Roi(..) => (1, 0, 0),
+                    Query::Region(..) => (0, 1, 0),
+                    Query::Plane(..) => (0, 0, 1),
+                };
+                assert_eq!(query_counters(&end), expect, "{ctx}");
             }
+            // Cold through the entry point alone: the plan's cost is
+            // what the engine reports, and the bits are the same.
+            let engine = QueryEngine::open(&path).unwrap();
+            let cost = plan(&engine, field, q).cost();
+            let cold_answer = direct(&engine, field, q);
+            let s = engine.stats();
+            assert_eq!(s.chunks_decoded, cost.chunks as u64, "{tag} {q:?}");
+            assert_eq!(s.decoded_bytes, cost.decode_bytes, "{tag} {q:?}");
+            assert_eq!(
+                bits(&cold_answer),
+                reference(&pf, field, &cold_answer),
+                "{tag} {q:?}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -443,29 +440,27 @@ fn pieces_are_the_answer_before_it_is_pasted() {
         let path = tmp(&format!("pieces-{tag}"));
         write_amric(&path, &h, &cfg, 8).unwrap();
         let units = stored_units(&path);
-        for workers in [1usize, 2] {
-            for q in queries() {
-                let engine = QueryEngine::open(&path).unwrap().with_workers(workers);
-                let plan = plan(&engine, field, q);
-                let ctx = format!("{tag} workers={workers} {q:?}");
-                // Cold: the walk decodes what it visits, and nothing else.
-                let (cold, counts) = check_pieces(&engine, &plan, &units, &ctx);
-                let s = engine.stats();
-                assert_eq!(s.chunks_decoded, plan.cost().chunks as u64, "{ctx}");
-                assert_eq!(query_counters(&s), (0, 0, 0), "{ctx}: not a counted query");
-                assert!(
-                    counts.iter().sum::<usize>() > 0,
-                    "{ctx}: probe meets nothing"
-                );
-                // Warm: the same pieces, no decode.
-                let (warm, warm_counts) = check_pieces(&engine, &plan, &units, &ctx);
-                assert_eq!(engine.stats().chunks_decoded, s.chunks_decoded, "{ctx}");
-                assert_eq!((&warm, &warm_counts), (&cold, &counts), "{ctx}");
-                // Zero-fill + paste(pieces) is the dense answer and the
-                // public entry point, bit for bit.
-                assert_eq!(cold, bits(&engine.answer(&plan).unwrap()), "{ctx}");
-                assert_eq!(cold, bits(&direct(&engine, field, q)), "{ctx}");
-            }
+        for q in queries() {
+            let engine = QueryEngine::open(&path).unwrap();
+            let plan = plan(&engine, field, q);
+            let ctx = format!("{tag} {q:?}");
+            // Cold: the walk decodes what it visits, and nothing else.
+            let (cold, counts) = check_pieces(&engine, &plan, &units, &ctx);
+            let s = engine.stats();
+            assert_eq!(s.chunks_decoded, plan.cost().chunks as u64, "{ctx}");
+            assert_eq!(query_counters(&s), (0, 0, 0), "{ctx}: not a counted query");
+            assert!(
+                counts.iter().sum::<usize>() > 0,
+                "{ctx}: probe meets nothing"
+            );
+            // Warm: the same pieces, no decode.
+            let (warm, warm_counts) = check_pieces(&engine, &plan, &units, &ctx);
+            assert_eq!(engine.stats().chunks_decoded, s.chunks_decoded, "{ctx}");
+            assert_eq!((&warm, &warm_counts), (&cold, &counts), "{ctx}");
+            // Zero-fill + paste(pieces) is the dense answer and the
+            // public entry point, bit for bit.
+            assert_eq!(cold, bits(&engine.answer(&plan).unwrap()), "{ctx}");
+            assert_eq!(cold, bits(&direct(&engine, field, q)), "{ctx}");
         }
         std::fs::remove_file(&path).ok();
     }

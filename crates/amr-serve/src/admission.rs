@@ -2,7 +2,7 @@
 //!
 //! The problem: one client panning a huge region of interest can decode
 //! hundreds of megabytes per request, and a naive server would let that
-//! scan monopolize the decode workers while point-sample traffic — the
+//! scan monopolize the decoder while point-sample traffic — the
 //! latency-sensitive workload visualization front-ends generate — waits
 //! behind it. Three mechanisms keep the service fair, all driven by the
 //! one [`amr_query::QueryPlan`] a request is planned into *before any

@@ -4,9 +4,8 @@
 //! amr_served --tcp 127.0.0.1:7171            # TCP endpoint
 //! amr_served --uds /tmp/amric.sock           # Unix-socket endpoint
 //! amr_served --tcp 0.0.0.0:7171 --uds /tmp/amric.sock \
-//!            --cache-mb 512 --max-open 64 --workers 4 \
-//!            --scan-threshold-kb 4096 --slab-kb 2048 \
-//!            --scan-slots 1 --max-request-mb 256
+//!            --cache-mb 512 --max-open 64 --scan-threshold-kb 4096 \
+//!            --slab-kb 2048 --scan-slots 1 --max-request-mb 256
 //! ```
 //!
 //! Runs until a client sends the Shutdown request. Clients open
@@ -43,9 +42,6 @@ fn run() -> Result<(), String> {
     if let Some(n) = parse_flag::<usize>(&args, "--max-open")? {
         cfg.max_open_files = n;
     }
-    if let Some(n) = parse_flag::<usize>(&args, "--workers")? {
-        cfg.workers = n;
-    }
     if let Some(kb) = parse_flag::<u64>(&args, "--scan-threshold-kb")? {
         cfg.admission.scan_threshold_bytes = kb << 10;
     }
@@ -71,10 +67,9 @@ fn run() -> Result<(), String> {
         println!("amr_served: uds {path}");
     }
     println!(
-        "amr_served: cache {} MiB, {} open files max, {} workers; serving until Shutdown",
+        "amr_served: cache {} MiB, {} open files max; serving until Shutdown",
         cfg.cache_bytes >> 20,
-        cfg.max_open_files,
-        cfg.workers
+        cfg.max_open_files
     );
     let state = std::sync::Arc::clone(server.state());
     while !state.stopping() {
@@ -101,9 +96,9 @@ fn main() -> ExitCode {
             eprintln!("amr_served: {e}");
             eprintln!(
                 "usage: amr_served [--tcp ADDR] [--uds PATH] [--cache-mb N] [--max-open N] \
-                 [--workers N] [--scan-threshold-kb N] [--slab-kb N] [--scan-slots N] \
-                 [--max-request-mb N]\n  --slab-kb N: decoded KiB a scan warms per fair-gate \
-                 hold — whole chunks, never less than one"
+                 [--scan-threshold-kb N] [--slab-kb N] [--scan-slots N] [--max-request-mb N]\n  \
+                 --slab-kb N: decoded KiB a scan warms per fair-gate hold — whole chunks, \
+                 never less than one"
             );
             ExitCode::FAILURE
         }

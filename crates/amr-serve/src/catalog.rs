@@ -183,7 +183,6 @@ pub struct Catalog {
     clock: AtomicU64,
     next_file_id: AtomicU64,
     max_open: usize,
-    workers: usize,
 }
 
 impl Catalog {
@@ -197,16 +196,14 @@ impl Catalog {
     }
 
     /// Catalog whose engines share one `cache_bytes` store, keeping at
-    /// most `max_open` idle engines and fetching with `workers` prefetch
-    /// workers per engine.
-    pub fn new(cache_bytes: u64, max_open: usize, workers: usize) -> Self {
+    /// most `max_open` idle engines.
+    pub fn new(cache_bytes: u64, max_open: usize) -> Self {
         Catalog {
             store: Arc::new(ChunkStore::new(cache_bytes)),
             entries: Mutex::default(),
             clock: AtomicU64::new(0),
             next_file_id: AtomicU64::new(1),
             max_open: max_open.max(1),
-            workers: workers.max(1),
         }
     }
 
@@ -232,9 +229,7 @@ impl Catalog {
             return Ok(entry);
         }
         let file_id = self.next_file_id.fetch_add(1, Ordering::Relaxed);
-        let engine = QueryEngine::open(path)?
-            .with_shared_cache(Arc::clone(&self.store), file_id)
-            .with_workers(self.workers);
+        let engine = QueryEngine::open(path)?.with_shared_cache(Arc::clone(&self.store), file_id);
         let entry = Arc::new(CatalogEntry {
             path: path.to_path_buf(),
             file_id,
@@ -344,7 +339,7 @@ mod tests {
     fn poisoned_catalog_lock_does_not_wedge_the_server() {
         let path = tmp("poison");
         write_plotfile(&path);
-        let cat = Arc::new(Catalog::new(8 << 20, 4, 1));
+        let cat = Arc::new(Catalog::new(8 << 20, 4));
         let first = cat.open(&path).unwrap();
         poison(&cat);
         // Every entry point recovers instead of propagating the panic:
@@ -361,7 +356,7 @@ mod tests {
         const N: usize = 8;
         let path = tmp("concurrent");
         write_plotfile(&path);
-        let cat = Catalog::new(8 << 20, 4, 1);
+        let cat = Catalog::new(8 << 20, 4);
         let start = std::sync::Barrier::new(N);
         let ids: Vec<u64> = std::thread::scope(|s| {
             let opens: Vec<_> = (0..N)
@@ -393,7 +388,7 @@ mod tests {
         let paths: Vec<PathBuf> = (0..2 * M).map(|i| tmp(&format!("distinct-{i}"))).collect();
         paths.iter().for_each(|p| write_plotfile(p));
         for round in 0..16 {
-            let cat = Catalog::new(8 << 20, M, 1);
+            let cat = Catalog::new(8 << 20, M);
             for p in &paths[..M] {
                 cat.open(p).unwrap();
             }
@@ -418,7 +413,7 @@ mod tests {
     fn a_connection_holding_a_retired_engine_does_not_grow_the_store() {
         let path = tmp("retired");
         write_plotfile(&path);
-        let cat = Catalog::new(8 << 20, 4, 1);
+        let cat = Catalog::new(8 << 20, 4);
         let held = cat.open(&path).unwrap();
         let roi = amr_mesh::prelude::IntBox::from_extents(12, 16, 9);
         let query = || {
@@ -468,7 +463,7 @@ mod tests {
         let b = tmp("stats-b");
         write_plotfile(&a);
         write_plotfile(&b);
-        let cat = Catalog::new(8 << 20, 4, 1);
+        let cat = Catalog::new(8 << 20, 4);
         cat.open(&a).unwrap();
         cat.open(&b).unwrap();
         cat.open(&a).unwrap();

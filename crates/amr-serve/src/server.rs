@@ -52,7 +52,9 @@ pub struct ServeConfig {
     pub cache_bytes: u64,
     /// Open-engine pool bound (idle engines beyond it are evicted LRU).
     pub max_open_files: usize,
-    /// Prefetch workers per engine.
+    /// Read by nothing: an engine decodes its cache misses serially. Kept
+    /// only because `amric_benchmark` still sets it; ROADMAP item 5, which
+    /// rewrites the benchmark, deletes it.
     pub workers: usize,
     /// Admission-control policy.
     pub admission: AdmissionConfig,
@@ -95,7 +97,7 @@ impl ServeState {
     /// Build state from a config.
     pub fn new(cfg: ServeConfig) -> Arc<ServeState> {
         Arc::new(ServeState {
-            catalog: Catalog::new(cfg.cache_bytes, cfg.max_open_files, cfg.workers),
+            catalog: Catalog::new(cfg.cache_bytes, cfg.max_open_files),
             gate: FairGate::new(cfg.admission.scan_slots),
             stopping: AtomicBool::new(false),
             counters: Counters::default(),

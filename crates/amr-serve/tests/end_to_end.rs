@@ -76,13 +76,13 @@ fn test_config() -> ServeConfig {
     ServeConfig {
         cache_bytes: 4 << 20,
         max_open_files: 8,
-        workers: 2,
         admission: AdmissionConfig {
             max_request_bytes: 64 << 20,
             scan_threshold_bytes: 64 << 10,
             scan_slots: 1,
             scan_slab_bytes: 32 << 10,
         },
+        ..ServeConfig::default()
     }
 }
 
@@ -773,7 +773,7 @@ fn same_stat_rewrite_is_detected_by_fingerprint() {
     let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
     let gen_before = Generation::of(&path).unwrap();
 
-    let catalog = Catalog::new(4 << 20, 4, 1);
+    let catalog = Catalog::new(4 << 20, 4);
     let first = catalog.open(&path).unwrap();
 
     // Rewrite: flip bytes inside an interior fingerprint probe window

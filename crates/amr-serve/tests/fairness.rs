@@ -59,13 +59,13 @@ fn point_latency_survives_concurrent_full_file_scan() {
     let mut server = Server::new(ServeConfig {
         cache_bytes: 256 << 10,
         max_open_files: 4,
-        workers: 2,
         admission: AdmissionConfig {
             max_request_bytes: 1 << 30,
             scan_threshold_bytes: 64 << 10,
             scan_slots: 1,
             scan_slab_bytes: 64 << 10,
         },
+        ..ServeConfig::default()
     });
     let addr = server.listen_tcp("127.0.0.1:0").unwrap();
     let path_str = path.to_str().unwrap().to_string();

@@ -19,14 +19,15 @@ pub fn linkage(image: &MemStorage) -> TemporalMeta {
 }
 
 /// Engines over a chain in snapshot order, each given the engine of the
-/// snapshot before it when its file names a reference.
+/// snapshot before it when the linkage it read at open names a reference.
 pub fn chain_engines<'a>(
     images: impl IntoIterator<Item = &'a MemStorage>,
 ) -> Vec<Arc<QueryEngine>> {
     let mut engines: Vec<Arc<QueryEngine>> = Vec::new();
     for image in images {
         let mut engine = QueryEngine::from_reader(reader(image)).unwrap();
-        if linkage(image).reference_id.is_some() {
+        let linkage = engine.linkage().expect("a temporal snapshot");
+        if linkage.reference_id.is_some() {
             let reference = Arc::clone(engines.last().unwrap());
             engine = engine.with_reference(reference).unwrap();
         }

@@ -443,8 +443,8 @@ impl H5Reader {
     }
 
     /// Read one chunk's stored bytes into a caller-provided buffer
-    /// (cleared and resized) — the partial-read hot path, where prefetch
-    /// workers reuse one byte buffer per worker across chunks.
+    /// (cleared and resized) — the partial-read hot path, where a query's
+    /// cache misses and a restart reuse one byte buffer across chunks.
     pub fn read_chunk_raw_into(&self, name: &str, index: usize, buf: &mut Vec<u8>) -> H5Result<()> {
         let rec = *self.chunk_record(name, index)?;
         buf.clear();

@@ -177,7 +177,7 @@ fn directory_is_not_a_container() {
     std::fs::create_dir_all(&plain).unwrap();
     std::fs::create_dir_all(&former).unwrap();
     std::fs::write(former.join("manifest.h5sm"), b"H5SM\x01").unwrap();
-    let catalog = amr_serve::Catalog::new(1 << 20, 2, 1);
+    let catalog = amr_serve::Catalog::new(1 << 20, 2);
     for path in [&plain, &former] {
         assert!(
             matches!(
