@@ -34,8 +34,9 @@
 //!    the gate — competes with at most `scan_slots` batches of decoding,
 //!    each `max(scan_slab_bytes, one chunk)` long, never a whole scan.
 
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
 
 /// Admission-control policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -97,6 +98,8 @@ struct GateState {
 /// arrival order, so a scan that releases its permit between batches goes
 /// to the back of the line and concurrent scans round-robin.
 pub struct FairGate {
+    /// A panicking holder does not wedge the gate: its critical sections
+    /// are counter updates and queue push/pop, sound at any point.
     state: Mutex<GateState>,
     cv: Condvar,
 }
@@ -114,25 +117,16 @@ impl FairGate {
         }
     }
 
-    /// Take the state guard, recovering from poisoning. A decode worker
-    /// that panics must not wedge admission for every other connection:
-    /// the gate's critical sections are short and internally panic-free
-    /// (counter updates and queue push/pop), so the state is structurally
-    /// sound and safe to adopt after a poisoning panic. Note the guard's
-    /// `Drop` also releases permits during unwinding, so a panicking
-    /// holder returns its permit on the way out.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Acquire one permit, waiting in FIFO order. The permit is released
     /// when the returned guard drops.
     pub fn acquire(&self) -> FairGateGuard<'_> {
-        let mut st = self.lock_state();
+        let mut st = self.state.lock();
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.queue.push_back(ticket);
         while !(st.queue.front() == Some(&ticket) && st.available > 0) {
+            // The guard is std's, so the wait adopts a poisoned state
+            // the way `Mutex::lock` does.
             st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
         }
         st.queue.pop_front();
@@ -146,11 +140,11 @@ impl FairGate {
 
     /// Waiters currently queued (stats surface).
     pub fn queued(&self) -> usize {
-        self.lock_state().queue.len()
+        self.state.lock().queue.len()
     }
 
     fn release(&self) {
-        let mut st = self.lock_state();
+        let mut st = self.state.lock();
         st.available += 1;
         self.cv.notify_all();
     }
@@ -223,7 +217,7 @@ mod tests {
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
                 let _g = gate.acquire();
-                order.lock().unwrap().push(name);
+                order.lock().push(name);
             })
         };
         let b = spawn_waiter("b");
@@ -237,7 +231,7 @@ mod tests {
         drop(first);
         b.join().unwrap();
         c.join().unwrap();
-        assert_eq!(*order.lock().unwrap(), vec!["b", "c"]);
+        assert_eq!(*order.lock(), vec!["b", "c"]);
     }
 
     #[test]
@@ -262,11 +256,10 @@ mod tests {
         let gate = Arc::new(FairGate::new(2));
         let g2 = Arc::clone(&gate);
         let poisoner = std::thread::spawn(move || {
-            let _st = g2.state.lock().unwrap();
+            let _st = g2.state.lock();
             panic!("worker dies holding the gate lock");
         });
         assert!(poisoner.join().is_err());
-        assert!(gate.state.lock().is_err(), "mutex should be poisoned");
         assert_eq!(gate.queued(), 0);
         let a = gate.acquire();
         let b = gate.acquire();

@@ -16,20 +16,50 @@
 use amr_serve::prelude::*;
 use std::process::ExitCode;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == name) {
+/// Every flag the daemon takes; each is followed by its value.
+const FLAGS: [&str; 8] = [
+    "--tcp",
+    "--uds",
+    "--cache-mb",
+    "--max-open",
+    "--scan-threshold-kb",
+    "--slab-kb",
+    "--scan-slots",
+    "--max-request-mb",
+];
+
+/// The command line as `(flag, value)` pairs. Every argument must be a
+/// known flag followed by its value, so a retired or misspelled flag is
+/// an error, not a silent default.
+fn flag_pairs(args: &[String]) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs = Vec::new();
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            return Err(format!("unknown argument {flag:?}"));
+        }
+        let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        pairs.push((flag.as_str(), value.as_str()));
+    }
+    Ok(pairs)
+}
+
+fn parse_flag<T: std::str::FromStr>(
+    pairs: &[(&str, &str)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    match pairs.iter().find(|(flag, _)| *flag == name) {
         None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{name} needs a value"))?
+        Some((_, value)) => value
             .parse()
             .map(Some)
-            .map_err(|_| format!("{name}: cannot parse {:?}", args[i + 1])),
+            .map_err(|_| format!("{name}: cannot parse {value:?}")),
     }
 }
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = flag_pairs(&args)?;
     let tcp: Option<String> = parse_flag(&args, "--tcp")?;
     let uds: Option<String> = parse_flag(&args, "--uds")?;
     if tcp.is_none() && uds.is_none() {

@@ -22,10 +22,11 @@
 //!   when that happened.
 
 use amr_query::{ChunkStore, QueryEngine};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Identity stamp of a file's content as the catalog validates it: byte
 /// length, mtime in nanoseconds since the epoch, and a sampled content
@@ -179,6 +180,8 @@ impl Pool {
 /// The engine pool. All methods take `&self`.
 pub struct Catalog {
     store: Arc<ChunkStore>,
+    /// A panicking holder does not wedge the catalog: the map changes only
+    /// through insert / remove, each of which leaves it sound.
     entries: Mutex<Pool>,
     clock: AtomicU64,
     next_file_id: AtomicU64,
@@ -186,15 +189,6 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Take the entries guard, recovering from poisoning: a worker that
-    /// panicked while holding the lock must not wedge every subsequent
-    /// request. The map is only ever mutated through insert/remove, both
-    /// of which leave it structurally sound even if the panicking thread
-    /// died mid-`open`, so the inner value is safe to adopt.
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, Pool> {
-        self.entries.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Catalog whose engines share one `cache_bytes` store, keeping at
     /// most `max_open` idle engines.
     pub fn new(cache_bytes: u64, max_open: usize) -> Self {
@@ -225,7 +219,7 @@ impl Catalog {
     pub fn open(&self, path: &Path) -> Result<Arc<CatalogEntry>, amr_query::QueryError> {
         let generation = Generation::of(path).map_err(h5lite::H5Error::Io)?;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.lock_entries().hit(path, generation, stamp) {
+        if let Some(entry) = self.entries.lock().hit(path, generation, stamp) {
             return Ok(entry);
         }
         let file_id = self.next_file_id.fetch_add(1, Ordering::Relaxed);
@@ -238,7 +232,7 @@ impl Catalog {
             served: Default::default(),
             last_used: AtomicU64::new(stamp),
         });
-        let mut pool = self.lock_entries();
+        let mut pool = self.entries.lock();
         if let Some(entry) = pool.hit(path, generation, stamp) {
             return Ok(entry);
         }
@@ -276,7 +270,7 @@ impl Catalog {
 
     /// Snapshot of every open entry (stats reporting).
     pub fn entries(&self) -> Vec<Arc<CatalogEntry>> {
-        let mut v: Vec<_> = self.lock_entries().map.values().cloned().collect();
+        let mut v: Vec<_> = self.entries.lock().map.values().cloned().collect();
         v.sort_by_key(|e| e.file_id);
         v
     }
@@ -286,7 +280,7 @@ impl Catalog {
     /// `open_files` can never disagree with the opens/evictions that
     /// produced it.
     pub fn stats(&self) -> CatalogStats {
-        let pool = self.lock_entries();
+        let pool = self.entries.lock();
         CatalogStats {
             open_files: pool.map.len() as u64,
             ..pool.stats
@@ -323,16 +317,15 @@ mod tests {
         p
     }
 
-    /// Panic a thread while it holds the catalog's entries mutex,
-    /// poisoning it.
+    /// Panic a thread while it holds the catalog's entries mutex, which
+    /// poisons the `std` mutex under the `parking_lot` guard.
     fn poison(cat: &Arc<Catalog>) {
         let c = Arc::clone(cat);
         let t = std::thread::spawn(move || {
-            let _guard = c.entries.lock().unwrap();
+            let _guard = c.entries.lock();
             panic!("worker dies holding the catalog lock");
         });
         assert!(t.join().is_err());
-        assert!(cat.entries.lock().is_err(), "mutex should be poisoned");
     }
 
     #[test]

@@ -34,7 +34,6 @@ fn compress_chunks_on_pool(
     for_each_ordered(
         chunks,
         workers,
-        workers.max(1) * 2,
         || (),
         |_state, _i, units| encode(units),
         |_i, stream| {

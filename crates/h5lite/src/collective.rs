@@ -1,8 +1,8 @@
 //! Collective dataset writes: every rank contributes chunks to shared
 //! datasets (parallel-HDF5-with-filters semantics). This module is the one
 //! place that knows how frames become committed datasets: `encode_frame`
-//! → `commit_frames` (one extent reservation per batch, one `write_at` and
-//! one `ChunkRecord` per frame) → `agree` (one vote per write call).
+//! → `commit_frame` (one extent reservation, one `write_at` and one
+//! `ChunkRecord` per frame) → `agree` (one vote per write call).
 //!
 //! [`collective_write_many`] is the engine and the one write entry — many
 //! datasets × many chunks, encoded on a rank-local pool and committed in
@@ -37,31 +37,30 @@ pub struct DatasetJob<'a> {
     pub mode: FilterMode,
 }
 
-/// Land a batch of encoded frames: one contiguous pre-reserved extent (a
-/// single atomic reservation — sizes are known before any byte moves, the
-/// paper's one-pass write against its compress-then-rewrite two-pass), one
-/// `write_at` and one [`ChunkRecord`] per frame, charged to `ledger`
-/// (encode time counts as measured compute inside the I/O phase, matching
-/// the paper's breakdown).
-pub(crate) fn commit_frames(
+/// Land one encoded frame: one pre-reserved extent (a single atomic
+/// reservation — the size is known before any byte moves, the paper's
+/// one-pass write against its compress-then-rewrite two-pass), one
+/// `write_at` and one [`ChunkRecord`], charged to `ledger` (encode time
+/// counts as measured compute inside the I/O phase, matching the paper's
+/// breakdown).
+pub(crate) fn commit_frame(
     writer: &H5Writer,
-    frames: &[EncodedFrame],
+    frame: &EncodedFrame,
     records: &mut Vec<ChunkRecord>,
     ledger: &mut IoLedger,
 ) -> H5Result<()> {
-    let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
-    for (frame, &offset) in frames.iter().zip(&plan.offsets) {
-        writer.write_at(offset, &frame.bytes)?;
-        ledger.filter_calls += 1;
-        ledger.measured_compute_s += frame.encode_seconds;
-        ledger.write_calls += 1;
-        ledger.bytes_written += frame.bytes.len() as u64;
-        records.push(ChunkRecord {
-            offset,
-            stored_bytes: frame.bytes.len() as u64,
-            logical_elems: frame.logical_elems,
-        });
-    }
+    let stored_bytes = frame.bytes.len() as u64;
+    let offset = writer.reserve_extent([stored_bytes]).base;
+    writer.write_at(offset, &frame.bytes)?;
+    ledger.filter_calls += 1;
+    ledger.measured_compute_s += frame.encode_seconds;
+    ledger.write_calls += 1;
+    ledger.bytes_written += stored_bytes;
+    records.push(ChunkRecord {
+        offset,
+        stored_bytes,
+        logical_elems: frame.logical_elems,
+    });
     Ok(())
 }
 
@@ -115,18 +114,17 @@ fn agree(
 
 /// The write engine: collectively write every dataset of `jobs`, encoding
 /// the chunks on a rank-local pool of `workers` threads and committing
-/// them in dataset order, **overlapped** — while one batch of frames lands
-/// in storage, the pool is already encoding the chunks behind it into the
-/// bounded reassembly window. `workers <= 1` runs everything inline on
-/// the rank thread; stored bytes and chunk records are identical for every
-/// worker count.
+/// them in dataset order, **overlapped** — while one frame lands in
+/// storage, the pool is already encoding the chunks behind it.
+/// `workers <= 1` runs everything inline on the rank thread, one frame
+/// resident at a time; stored bytes and chunk records are identical for
+/// every worker count.
 ///
-/// Frames stream to storage as they drain: each batch of `workers` frames
-/// (never spanning two datasets) lands through one `commit_frames` call
-/// and only its small [`ChunkRecord`]s are kept until the vote, so memory
-/// in flight is bounded by the batch plus the reassembly window regardless
-/// of how many chunks a dataset stages. A dataset's global chunk order is
-/// rank-major.
+/// Each frame lands through one `commit_frame` call as the pool hands it
+/// over, and only its small [`ChunkRecord`] is kept until the vote. With
+/// more than one worker, the frames not yet committed are at most the
+/// call's chunks (the AMRIC writer's call per level holds one chunk per
+/// field). A dataset's global chunk order is rank-major.
 ///
 /// Every rank must pass the same dataset list (names, `chunk_elems`,
 /// filter configuration, modes). The call ends in one vote: it registers
@@ -147,32 +145,19 @@ pub fn collective_write_many(
         .enumerate()
         .flat_map(|(d, j)| (0..j.chunks.len()).map(move |c| (d, c)))
         .collect();
-    let batch_size = workers.max(1);
-    let mut batch: Vec<EncodedFrame> = Vec::with_capacity(batch_size);
     let mut records = vec![Vec::new(); jobs.len()];
     let mut ledger = IoLedger::default();
     let committed = rankpar::pool::for_each_ordered(
         &items,
         workers,
-        // Double buffer: one batch in the writer's hands, one encoding.
-        2 * batch_size,
         Vec::new, // per-worker padding buffer
         |pad: &mut Vec<f64>, _i, &(d, c)| {
             let job = &jobs[d];
             writer.count_filter_call();
             encode_frame(&job.chunks[c], job.chunk_elems, job.filter, job.mode, pad)
         },
-        |i, frame| {
-            // Frames arrive in submission order; a dataset's last chunk
-            // closes its batch.
-            let (d, c) = items[i];
-            batch.push(frame);
-            if c + 1 == jobs[d].chunks.len() || batch.len() >= batch_size {
-                commit_frames(writer, &batch, &mut records[d], &mut ledger)?;
-                batch.clear();
-            }
-            Ok(())
-        },
+        // Frames arrive in submission order.
+        |i, frame| commit_frame(writer, &frame, &mut records[items[i].0], &mut ledger),
     );
     agree(comm, writer, jobs, committed.map(|()| records), ledger)
 }

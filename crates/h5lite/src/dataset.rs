@@ -7,7 +7,7 @@ use sz_codec::wire::{Reader, Writer};
 /// One contiguous byte extent pre-reserved for a batch of frames whose
 /// sizes were computed before the write (the paper's one-pass write:
 /// compress first, then reserve the exact extent once and stream the
-/// frames out while the next batch compresses).
+/// frames out while the next chunks compress).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExtentPlan {
     /// File offset where the extent starts.

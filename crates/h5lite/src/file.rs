@@ -13,7 +13,7 @@
 //! [`H5Writer::finish`]. Both backends hold the same bytes (the file
 //! layout is pinned by the golden fixture suite).
 
-use crate::collective::commit_frames;
+use crate::collective::commit_frame;
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
 use crate::filter::{decode_chunk, encode_frame, ChunkFilter, FilterMode};
@@ -199,7 +199,7 @@ impl H5Writer {
         for chunk in chunks {
             let frame = encode_frame(chunk, chunk_elems, filter, mode, &mut pad)?;
             self.count_filter_call();
-            commit_frames(self, &[frame], &mut records, &mut ledger)?;
+            commit_frame(self, &frame, &mut records, &mut ledger)?;
         }
         let total = total_override.unwrap_or_else(|| records.iter().map(|r| r.logical_elems).sum());
         self.register_dataset(DatasetMeta {

@@ -74,8 +74,8 @@ pub trait ChunkFilter: Send + Sync {
 }
 
 /// One chunk's encoded bytes plus the metadata the collective write path
-/// records for it — the unit of work the parallel compression engine
-/// hands from workers to the ordered reassembly stage.
+/// records for it — the unit of work the pool's helpers hand to the rank
+/// thread, which commits it in submission order.
 #[derive(Clone, Debug)]
 pub struct EncodedFrame {
     /// Filter output for this chunk.

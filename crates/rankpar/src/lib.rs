@@ -5,9 +5,9 @@
 //!   allgather, max-reduction) where ranks are threads, one barrier each;
 //! * [`runner`] — `mpirun` equivalent: spawn N rank threads, collect
 //!   results in rank order;
-//! * [`pool`] — rank-local work-stealing compression pool with an
-//!   ordered reassembly queue, the engine behind the overlapped
-//!   (compress-while-writing) write path;
+//! * [`pool`] — rank-local compression pool whose results the calling
+//!   thread consumes in submission order, the engine behind the
+//!   overlapped (compress-while-writing) write path;
 //! * [`pfs`] — parametric parallel-filesystem cost model reproducing the
 //!   storage-side effects the paper analyses (compressor launch cost,
 //!   shared aggregate bandwidth, collective-create overhead).
@@ -26,13 +26,13 @@ pub mod runner;
 
 pub use comm::Communicator;
 pub use pfs::{IoLedger, PfsParams};
-pub use pool::{for_each_ordered, Reassembly};
+pub use pool::for_each_ordered;
 pub use runner::run_ranks;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::comm::Communicator;
     pub use crate::pfs::{job_seconds, IoLedger, PfsParams};
-    pub use crate::pool::{for_each_ordered, Reassembly};
+    pub use crate::pool::for_each_ordered;
     pub use crate::runner::run_ranks;
 }

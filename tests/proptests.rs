@@ -2,12 +2,12 @@
 //! * every compressor respects its error bound on arbitrary data;
 //! * lossless stages roundtrip arbitrary bytes;
 //! * geometry operations preserve cell counts and disjointness;
-//! * the parallel engine's ordered-reassembly queue preserves submission
-//!   order under adversarial completion schedules.
+//! * the write pool consumes every job once, in submission order, under
+//!   adversarial completion schedules.
 
 use amr_mesh::prelude::*;
 use proptest::prelude::*;
-use rankpar::pool::{for_each_ordered_hooked, Reassembly};
+use rankpar::pool::for_each_ordered;
 use sz_codec::prelude::*;
 
 /// Deterministic Fisher–Yates permutation of `0..n` from a seed (the
@@ -411,88 +411,94 @@ proptest! {
     }
 
     #[test]
-    fn reassembly_preserves_order_under_forced_completion_schedule(
+    fn pool_preserves_order_under_forced_completion_schedule(
         n in 0usize..40,
         seed in any::<u64>(),
     ) {
-        // The shuffle hook: deposits are forced to happen in exactly the
-        // seeded permutation's order via a turn gate — an adversarial
-        // "worker completion delay" schedule with no sleeps and no
-        // timing dependence. The consumer must still receive 0, 1, 2, …
+        // A turn gate inside the job makes the jobs finish in exactly the
+        // seeded permutation's order — an adversarial completion schedule
+        // with no sleeps and no timing dependence. With `workers = n`
+        // every job can be in flight at once, so the gate never waits on
+        // a job no helper has taken. The consumer must still receive
+        // 0, 1, 2, …
         let perm = seeded_permutation(n, seed);
         let mut pos = vec![0usize; n];
         for (p, &i) in perm.iter().enumerate() {
             pos[i] = p;
         }
-        let queue = Reassembly::new(n.max(1));
         let gate = (std::sync::Mutex::new(0usize), std::sync::Condvar::new());
-        let taken: Vec<usize> = std::thread::scope(|scope| {
-            for i in 0..n {
-                let (queue, gate, pos) = (&queue, &gate, &pos);
-                scope.spawn(move || {
-                    let (lock, cv) = gate;
-                    let mut turn = lock.lock().unwrap();
-                    while *turn != pos[i] {
-                        turn = cv.wait(turn).unwrap();
-                    }
-                    queue.deposit(i, i);
-                    *turn += 1;
-                    cv.notify_all();
-                });
-            }
-            (0..n).map(|_| queue.take_next().expect("no poison")).collect()
-        });
-        prop_assert_eq!(taken, (0..n).collect::<Vec<_>>());
+        let mut consumed = Vec::with_capacity(n);
+        let res: Result<(), ()> = for_each_ordered(
+            &pos,
+            n,
+            || (),
+            |_s, i, &my_turn| {
+                let (lock, cv) = &gate;
+                let mut turn = lock.lock().unwrap();
+                while *turn != my_turn {
+                    turn = cv.wait(turn).unwrap();
+                }
+                *turn += 1;
+                cv.notify_all();
+                Ok(i)
+            },
+            |k, i| {
+                consumed.push((k, i));
+                Ok(())
+            },
+        );
+        prop_assert!(res.is_ok());
+        prop_assert_eq!(consumed, (0..n).map(|i| (i, i)).collect::<Vec<_>>());
     }
 
     #[test]
     fn reassembly_preserves_order_under_racing_workers(
         n in 0usize..64,
         workers in 1usize..5,
-        window in 1usize..5,
+        lag in 0u64..5,
     ) {
-        // Free-running depositors (OS scheduling is the randomness) with
-        // a small backpressure window; the consumer interleaves takes
-        // while deposits race, and order must still hold.
-        let queue = Reassembly::new(window);
-        let taken: Vec<usize> = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                scope.spawn(move || {
-                    for i in (w..n).step_by(workers) {
-                        queue.deposit(i, i);
-                    }
-                });
-            }
-            (0..n).map(|_| queue.take_next().expect("no poison")).collect()
-        });
-        prop_assert_eq!(taken, (0..n).collect::<Vec<_>>());
+        // Free-running helpers (OS scheduling is the randomness) racing
+        // ahead of a consumer that does its own work between frames, so
+        // later frames land while earlier ones are still being held for
+        // their turn; order must still hold.
+        let items: Vec<usize> = (0..n).collect();
+        let mut taken = Vec::with_capacity(n);
+        let res: Result<(), ()> = for_each_ordered(
+            &items,
+            workers,
+            || (),
+            |_s, _i, &v| Ok(v),
+            |_k, v| {
+                let mut acc = 0u64;
+                for s in 0..lag * 200 {
+                    acc = acc.wrapping_add(s ^ v as u64);
+                }
+                std::hint::black_box(acc);
+                taken.push(v);
+                Ok(())
+            },
+        );
+        prop_assert!(res.is_ok());
+        prop_assert_eq!(taken, items);
     }
 
     #[test]
     fn pool_consumes_every_job_once_in_submission_order(
-        n in 0usize..48,
+        n in 0usize..64,
         workers in 1usize..6,
-        window in 1usize..6,
         seed in any::<u64>(),
     ) {
-        // End-to-end over the pool driver: per-item payloads derived from
-        // the seed, a hook that burns per-job "work" of pseudo-random
-        // length (schedule jitter without sleeps), and the consumed
-        // sequence must be the submission sequence exactly once each.
+        // Free-running helpers over per-item payloads derived from the
+        // seed, each job burning "work" of pseudo-random length (schedule
+        // jitter without sleeps): the consumed sequence must be the
+        // submission sequence exactly once each.
         let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(seed | 1)).collect();
         let mut consumed = Vec::with_capacity(n);
-        let res: Result<(), ()> = for_each_ordered_hooked(
+        let res: Result<(), ()> = for_each_ordered(
             &items,
             workers,
-            window,
             || (),
-            |_s, i, v| Ok((i, *v)),
-            |_i, pair| {
-                consumed.push(pair);
-                Ok(())
-            },
-            &|i| {
+            |_s, i, v| {
                 // Unequal busy-work per job skews completion order.
                 let spins = (seed.wrapping_add(i as u64) % 97) * 50;
                 let mut acc = 0u64;
@@ -500,6 +506,11 @@ proptest! {
                     acc = acc.wrapping_add(s ^ seed);
                 }
                 std::hint::black_box(acc);
+                Ok((i, *v))
+            },
+            |_i, pair| {
+                consumed.push(pair);
+                Ok(())
             },
         );
         prop_assert!(res.is_ok());
