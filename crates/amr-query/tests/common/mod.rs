@@ -85,14 +85,15 @@ pub fn write_unaligned_file(path: &Path) {
     assert_eq!((shares_a_tile(&plans[0]), shares_a_tile(&plans[1])), (2, 1));
     assert!(plans.iter().flatten().any(|u| !u.region.is_aligned(4)));
     let value = |p: &IntVect| (p.get(0) + 16 * p.get(1) + 256 * p.get(2)) as f64 * 0.37 + 1.0;
-    let chunks: Vec<ChunkData> = plans
+    let staged: Vec<Vec<f64>> = plans
         .iter()
         .map(|plan| {
             let cells = plan.iter().flat_map(|u| u.region.iter_points());
-            ChunkData::full(cells.map(|p| value(&p)).collect())
+            cells.map(|p| value(&p)).collect()
         })
         .collect();
-    let chunk_elems = chunks.iter().map(|c| c.logical).max().unwrap();
+    let chunks: Vec<&[f64]> = staged.iter().map(Vec::as_slice).collect();
+    let chunk_elems = chunks.iter().map(|c| c.len()).max().unwrap();
     let index = ChunkIndex::new(
         plans
             .iter()

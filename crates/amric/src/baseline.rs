@@ -65,23 +65,17 @@ fn write_amrex_layout(
             // analysis). Without compression the global chunk is the
             // biggest rank's payload, no padding stored.
             let sz = compress.map(|cfg| SzFilter::one_dimensional(cfg.rel_eb));
-            let (chunks, chunk_elems, mode) = match compress {
-                Some(cfg) => {
-                    let chunks = staged
-                        .chunks(cfg.chunk_elems)
-                        .map(|c| ChunkData::full(c.to_vec()));
-                    (chunks.collect(), cfg.chunk_elems, FilterMode::Standard)
-                }
+            let (chunk_elems, mode) = match compress {
+                Some(cfg) => (cfg.chunk_elems, FilterMode::Standard),
                 None => {
-                    let n = elems.iter().copied().max().unwrap_or(0).max(1) as usize;
-                    let chunks = if staged.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![ChunkData::full(staged)]
-                    };
-                    (chunks, n, FilterMode::SizeAware)
+                    let n = elems.iter().copied().max().unwrap_or(0).max(1);
+                    (n as usize, FilterMode::SizeAware)
                 }
             };
+            // Borrowed from the staged payload; without compression the
+            // chunk size covers every rank's payload, so this is one chunk,
+            // or none when the rank holds nothing on this level.
+            let chunks: Vec<&[f64]> = staged.chunks(chunk_elems).collect();
             let job = DatasetJob {
                 name: &format!("level_{l}/data"),
                 chunks: &chunks,

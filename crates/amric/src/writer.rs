@@ -499,8 +499,9 @@ pub(crate) fn write_snapshot(
             let map = prev_level.and_then(|(_, p)| region_map(&units, &p.plan));
             let origins = units.iter().map(|u| u.region.lo).collect();
             let origins = Arc::new(UnitOrigins::new(origins, unit as usize));
+            let staged: Vec<&[f64]> = staged.iter().map(Vec::as_slice).collect();
             let mut staged_fields = Vec::with_capacity(nfields);
-            for (f, (staged, (range, chunk_elems))) in staged.into_iter().zip(agreed).enumerate() {
+            for (f, (range, chunk_elems)) in agreed.into_iter().enumerate() {
                 // Resolve the relative bound against the field's global
                 // range on this level. Constant (range-0) fields fall back
                 // to the raw relative value — same contract as
@@ -520,10 +521,13 @@ pub(crate) fn write_snapshot(
                     keep,
                     shipped: OnceLock::new(),
                 };
+                // The field's one chunk is this rank's staged slice (empty
+                // when the rank kept no cell); no rank writes one when no
+                // rank has data.
                 let chunks = if chunk_elems == 0 {
-                    Vec::new()
+                    &[][..]
                 } else {
-                    vec![ChunkData::full(staged)]
+                    &staged[f..=f]
                 };
                 staged_fields.push((field_dataset(l, f), chunks, chunk_elems.max(1), filter));
             }
@@ -652,7 +656,8 @@ mod tests {
                 chunk.push((u * 64 + i) as f64 * 0.01);
             }
         }
-        let enc = filter.encode(&chunk).unwrap();
+        let mut enc = Vec::new();
+        filter.encode_into(&chunk, &mut enc).unwrap();
         let units = decompress_field_units(&enc).unwrap();
         assert_eq!(units.len(), 5);
         let dec: Vec<f64> = units.iter().flat_map(|u| u.data()).copied().collect();
@@ -669,7 +674,7 @@ mod tests {
         // volume must surface as a typed error, not an assert panic.
         let filter = AmricFieldFilter::fixed(AmricConfig::lr(1e-3), 4, 1e-3);
         let chunk = vec![0.0; 63]; // 4³ = 64 ∤ 63
-        let err = filter.encode(&chunk).unwrap_err();
+        let err = filter.encode_into(&chunk, &mut Vec::new()).unwrap_err();
         assert!(
             matches!(err.as_codec(), Some(CodecError::DimsMismatch { .. })),
             "{err:?}"
@@ -681,7 +686,7 @@ mod tests {
             unit_edge: 0,
             ..filter
         };
-        assert!(zero.encode(&[1.0, 2.0]).is_err());
+        assert!(zero.encode_into(&[1.0, 2.0], &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -727,7 +732,7 @@ mod tests {
         let filter = AmricFieldFilter::fixed(AmricConfig::lr(1e-3), 4, 1e-3);
         let ledgers = rankpar::run_ranks(2, move |comm| {
             let data: Vec<f64> = (0..128).map(|i| (i as f64 * 0.03).sin()).collect();
-            let full = [ChunkData::full(data)];
+            let full = [data.as_slice()];
             let names = ["f0", "f1", "f2", "f3", "f4"];
             let jobs: Vec<DatasetJob> = (0..5)
                 .map(|f| DatasetJob {
@@ -758,18 +763,17 @@ mod tests {
         // stored chunk bytes, in rank-major chunk order, as workers=1.
         let filter = AmricFieldFilter::fixed(AmricConfig::lr(1e-3), 4, 1e-3);
         let chunk = |rank: usize, c: usize| {
-            ChunkData::full(
-                (0..128)
-                    .map(|i| ((rank * 2048 + c * 128 + i) as f64 * 0.011).sin())
-                    .collect(),
-            )
+            (0..128)
+                .map(|i| ((rank * 2048 + c * 128 + i) as f64 * 0.011).sin())
+                .collect::<Vec<f64>>()
         };
         let write = |workers: usize| {
             let (writer, mem) = H5Writer::in_memory();
             let writer = Arc::new(writer);
             let w = Arc::clone(&writer);
             let ledgers = rankpar::run_ranks(2, move |comm| {
-                let chunks: Vec<ChunkData> = (0..11).map(|c| chunk(comm.rank(), c)).collect();
+                let data: Vec<Vec<f64>> = (0..11).map(|c| chunk(comm.rank(), c)).collect();
+                let chunks: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
                 let job = DatasetJob {
                     name: "many",
                     chunks: &chunks,
@@ -813,7 +817,8 @@ mod tests {
         for workers in [1, 3] {
             let (w, _mem) = H5Writer::in_memory();
             let err = run_snapshot_ranks(&w, &h, &[0, 0], |comm, _, _| {
-                let chunks = [ChunkData::full(vec![0.0; 64 - comm.rank()])];
+                let data = vec![0.0; 64 - comm.rank()];
+                let chunks = [data.as_slice()];
                 let job = DatasetJob {
                     name: "f",
                     chunks: &chunks,

@@ -42,13 +42,11 @@ fn filter(unit_edge: usize) -> AmricFieldFilter {
     AmricFieldFilter::fixed(AmricConfig::lr(1e-3), unit_edge, 1e-3)
 }
 
-fn good_chunk(seed: usize) -> ChunkData {
+fn good_chunk(seed: usize) -> Vec<f64> {
     // 2 units of 4³ = 128 elems.
-    ChunkData::full(
-        (0..128)
-            .map(|i| ((seed * 128 + i) as f64 * 0.017).sin())
-            .collect(),
-    )
+    (0..128)
+        .map(|i| ((seed * 128 + i) as f64 * 0.017).sin())
+        .collect()
 }
 
 /// One single-chunk field per entry, where `poison_field` on
@@ -59,13 +57,13 @@ fn chunks_with_poison(
     nfields: usize,
     poison_rank: usize,
     poison_field: Option<usize>,
-) -> Vec<[ChunkData; 1]> {
+) -> Vec<Vec<f64>> {
     (0..nfields)
         .map(|f| {
             if Some(f) == poison_field && rank == poison_rank {
-                [ChunkData::full(vec![0.25; 63])] // 4³ = 64 ∤ 63 → typed error
+                vec![0.25; 63] // 4³ = 64 ∤ 63 → typed error
             } else {
-                [good_chunk(rank * nfields + f)]
+                good_chunk(rank * nfields + f)
             }
         })
         .collect()
@@ -77,12 +75,13 @@ fn write_fields(
     comm: &rankpar::Communicator,
     writer: &H5Writer,
     level: usize,
-    fields: &[[ChunkData; 1]],
+    fields: &[Vec<f64>],
     workers: usize,
 ) -> H5Result<rankpar::IoLedger> {
     let names: Vec<String> = (0..fields.len()).map(|f| field_dataset(level, f)).collect();
     let filter = filter(4);
-    let jobs: Vec<DatasetJob> = fields
+    let chunks: Vec<[&[f64]; 1]> = fields.iter().map(|f| [f.as_slice()]).collect();
+    let jobs: Vec<DatasetJob> = chunks
         .iter()
         .zip(&names)
         .map(|(chunks, name)| DatasetJob {
@@ -260,10 +259,11 @@ fn many_chunk_dataset_failing_chunk_mid_batch() {
     let w = Arc::clone(&writer);
     let results = with_watchdog("many-chunk abort", move || {
         run_ranks(2, move |comm| {
-            let mut chunks: Vec<ChunkData> = (0..12).map(good_chunk).collect();
+            let mut data: Vec<Vec<f64>> = (0..12).map(good_chunk).collect();
             if comm.rank() == 0 {
-                chunks[7] = ChunkData::full(vec![1.0; 63]); // mid-batch poison
+                data[7] = vec![1.0; 63]; // mid-batch poison
             }
+            let chunks: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
             let job = DatasetJob {
                 name: "d",
                 chunks: &chunks,

@@ -18,7 +18,7 @@
 
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
-use crate::file::{ChunkData, H5Writer};
+use crate::file::H5Writer;
 use crate::filter::{encode_frame, ChunkFilter, EncodedFrame, FilterMode};
 use rankpar::{Communicator, IoLedger};
 
@@ -27,8 +27,9 @@ use rankpar::{Communicator, IoLedger};
 pub struct DatasetJob<'a> {
     /// Dataset name (identical on every rank).
     pub name: &'a str,
-    /// This rank's chunks, in rank-local order (may be empty).
-    pub chunks: &'a [ChunkData],
+    /// This rank's chunks, in rank-local order (may be empty): slices of
+    /// its staged data, each at most `chunk_elems` values.
+    pub chunks: &'a [&'a [f64]],
     /// Collective chunk size in elements.
     pub chunk_elems: usize,
     /// The filter every chunk of the dataset runs through.
@@ -154,7 +155,7 @@ pub fn collective_write_many(
         |pad: &mut Vec<f64>, _i, &(d, c)| {
             let job = &jobs[d];
             writer.count_filter_call();
-            encode_frame(&job.chunks[c], job.chunk_elems, job.filter, job.mode, pad)
+            encode_frame(job.chunks[c], job.chunk_elems, job.filter, job.mode, pad)
         },
         // Frames arrive in submission order.
         |i, frame| commit_frame(writer, &frame, &mut records[items[i].0], &mut ledger),
@@ -192,7 +193,7 @@ mod tests {
             let data: Vec<f64> = (0..256).map(|i| (rank * 1000 + i) as f64).collect();
             let job = DatasetJob {
                 name: "d",
-                chunks: &[ChunkData::full(data)],
+                chunks: &[&data],
                 chunk_elems: 256,
                 filter: &NoFilter,
                 mode: FilterMode::Standard,
@@ -227,7 +228,7 @@ mod tests {
             assert_eq!(chunk_elems, 512);
             let job = DatasetJob {
                 name: "d",
-                chunks: &[ChunkData::full(data)],
+                chunks: &[&data],
                 chunk_elems,
                 filter: &SzFilter::one_dimensional(1e-3),
                 mode: FilterMode::SizeAware,
@@ -261,7 +262,7 @@ mod tests {
             let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let job = DatasetJob {
                 name: "d",
-                chunks: &[ChunkData::full(data)],
+                chunks: &[&data],
                 chunk_elems: 64,
                 filter: &NoFilter,
                 mode: FilterMode::Standard,
@@ -275,7 +276,7 @@ mod tests {
 
     /// `ndatasets` jobs of `nchunks` chunks each for one rank, every chunk
     /// distinct in (rank, dataset, chunk).
-    fn engine_chunks(rank: usize, ndatasets: usize, nchunks: usize) -> Vec<Vec<ChunkData>> {
+    fn engine_chunks(rank: usize, ndatasets: usize, nchunks: usize) -> Vec<Vec<Vec<f64>>> {
         (0..ndatasets)
             .map(|d| {
                 (0..nchunks)
@@ -283,14 +284,20 @@ mod tests {
                         // Chunk 0 is short: exercises padding / logical size.
                         let n = if c == 0 { 100 } else { 192 };
                         let seed = (rank * 31 + d * 7 + c) * 192;
-                        ChunkData::full(
-                            (0..n)
-                                .map(|i| ((seed + i) as f64 * 0.013).sin() * (d + 1) as f64)
-                                .collect(),
-                        )
+                        (0..n)
+                            .map(|i| ((seed + i) as f64 * 0.013).sin() * (d + 1) as f64)
+                            .collect()
                     })
                     .collect()
             })
+            .collect()
+    }
+
+    /// Borrow every dataset's chunks as the slices a [`DatasetJob`] takes.
+    fn slices(chunks: &[Vec<Vec<f64>>]) -> Vec<Vec<&[f64]>> {
+        chunks
+            .iter()
+            .map(|d| d.iter().map(Vec::as_slice).collect())
             .collect()
     }
 
@@ -310,7 +317,8 @@ mod tests {
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
         let ledgers = run_ranks(2, move |comm| {
-            let chunks = engine_chunks(comm.rank(), ndatasets, nchunks);
+            let data = engine_chunks(comm.rank(), ndatasets, nchunks);
+            let chunks = slices(&data);
             let names: Vec<String> = (0..ndatasets).map(|d| format!("d{d}")).collect();
             let jobs: Vec<DatasetJob> = (0..ndatasets)
                 .map(|d| DatasetJob {
@@ -393,11 +401,12 @@ mod tests {
             let (writer, mem) = mem_writer();
             let w = Arc::clone(&writer);
             let results = run_ranks(2, move |comm| {
-                let mut chunks = engine_chunks(comm.rank(), 3, 8);
+                let mut data = engine_chunks(comm.rank(), 3, 8);
                 if comm.rank() == 1 {
                     // 256 > chunk size 192, injected mid-batch.
-                    chunks[1][4] = ChunkData::full(vec![1.0; 256]);
+                    data[1][4] = vec![1.0; 256];
                 }
+                let chunks = slices(&data);
                 let names = ["a", "b", "c"];
                 let jobs: Vec<DatasetJob> = (0..3)
                     .map(|d| DatasetJob {
@@ -425,7 +434,7 @@ mod tests {
         let w = Arc::clone(&writer);
         let ledgers = run_ranks(2, move |comm| {
             let data: Vec<f64> = (0..64).map(|i| i as f64 + comm.rank() as f64).collect();
-            let chunks = [ChunkData::full(data)];
+            let chunks = [data.as_slice()];
             let jobs: Vec<DatasetJob> = ["rho", "T", "vx"]
                 .into_iter()
                 .map(|name| DatasetJob {

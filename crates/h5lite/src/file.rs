@@ -28,25 +28,6 @@ const MAGIC_HEAD: &[u8; 4] = b"H5LT";
 const MAGIC_TAIL: &[u8; 4] = b"H5LE";
 const VERSION: u8 = 1;
 
-/// One chunk of data heading to storage: the values plus how many of them
-/// are real (the rest is padding the caller added to reach the uniform
-/// chunk size).
-#[derive(Clone, Debug)]
-pub struct ChunkData {
-    /// Values; `data.len() ≤ chunk_elems`.
-    pub data: Vec<f64>,
-    /// Number of meaningful leading elements.
-    pub logical: usize,
-}
-
-impl ChunkData {
-    /// A chunk that is entirely real data.
-    pub fn full(data: Vec<f64>) -> Self {
-        let logical = data.len();
-        ChunkData { data, logical }
-    }
-}
-
 /// Writer for a new h5lite container. All methods take `&self`; the
 /// writer can be shared across rank threads (chunk space is reserved
 /// atomically, payloads written with positioned writes).
@@ -155,13 +136,7 @@ impl H5Writer {
         filter: &dyn ChunkFilter,
     ) -> H5Result<()> {
         assert!(chunk_elems > 0, "chunk size must be positive");
-        let chunks: Vec<ChunkData> = if data.is_empty() {
-            Vec::new()
-        } else {
-            data.chunks(chunk_elems)
-                .map(|c| ChunkData::full(c.to_vec()))
-                .collect()
-        };
+        let chunks: Vec<&[f64]> = data.chunks(chunk_elems).collect();
         self.write_dataset_chunks(
             name,
             &chunks,
@@ -172,20 +147,21 @@ impl H5Writer {
         )
     }
 
-    /// Write a dataset from explicit chunks.
+    /// Write a dataset from explicit chunks, each a slice of the caller's
+    /// data of at most `chunk_elems` values.
     ///
     /// * `FilterMode::Standard` — each chunk is zero-padded to
     ///   `chunk_elems` before the filter runs and decodes back to
     ///   `chunk_elems` values (padding survives the roundtrip).
-    /// * `FilterMode::SizeAware` — only `chunk.logical` values reach the
-    ///   filter; no padding is compressed (the AMRIC modification).
+    /// * `FilterMode::SizeAware` — the filter sees each chunk as it is; no
+    ///   padding is compressed (the AMRIC modification).
     ///
     /// `total_override` pins the dataset's logical length (used by the
     /// standard mode where trailing padding is not real data).
     pub fn write_dataset_chunks(
         &self,
         name: &str,
-        chunks: &[ChunkData],
+        chunks: &[&[f64]],
         chunk_elems: usize,
         filter: &dyn ChunkFilter,
         mode: FilterMode,
@@ -522,26 +498,12 @@ mod tests {
         // biggest-rank scenario of paper Fig. 12).
         let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.01).cos()).collect();
         let f = SzFilter::one_dimensional(1e-3);
-        let chunk = ChunkData {
-            data: data.clone(),
-            logical: data.len(),
-        };
-        let r1 = {
-            let chunk = chunk.clone();
-            mem_roundtrip(move |w| {
-                w.write_dataset_chunks(
-                    "d",
-                    std::slice::from_ref(&chunk),
-                    32768,
-                    &f,
-                    FilterMode::Standard,
-                    None,
-                )
+        let r1 = mem_roundtrip(|w| {
+            w.write_dataset_chunks("d", &[&data], 32768, &f, FilterMode::Standard, None)
                 .unwrap();
-            })
-        };
-        let r2 = mem_roundtrip(move |w| {
-            w.write_dataset_chunks("d", &[chunk], 32768, &f, FilterMode::SizeAware, None)
+        });
+        let r2 = mem_roundtrip(|w| {
+            w.write_dataset_chunks("d", &[&data], 32768, &f, FilterMode::SizeAware, None)
                 .unwrap();
         });
         // Standard mode compressed 8× padding; stored data reflects that.

@@ -7,12 +7,11 @@
 //!   padded chunk buffer — it cannot know how much of it is real data, so
 //!   padding gets compressed too.
 //! * **Size-aware mode** (AMRIC's modified filter, paper §3.3 Solution 2):
-//!   the writer passes the *actual* per-rank data size and only the logical
-//!   prefix of the chunk reaches the filter; the chunk record keeps the
-//!   logical element count as metadata for decompression.
+//!   a chunk is exactly the rank's data, and the filter sees exactly that
+//!   — no padding; the chunk record keeps its length
+//!   (`ChunkRecord::logical_elems`) for decompression.
 
 use crate::error::{H5Error, H5Result};
-use crate::file::ChunkData;
 use sz_codec::prelude::*;
 
 /// Filter id for "no filter" (raw little-endian f64 bytes).
@@ -20,7 +19,7 @@ pub const FILTER_NONE: u32 = 0;
 /// Filter id for the SZ error-bounded filter.
 pub const FILTER_SZ: u32 = 1;
 
-/// Whether the writer hands filters the padded chunk or the logical prefix.
+/// Whether the writer hands filters the padded chunk or the chunk as it is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FilterMode {
     /// Stock HDF5: filters see full chunks including padding.
@@ -62,15 +61,9 @@ pub trait ChunkFilter: Send + Sync {
     fn client_data(&self) -> Vec<u8> {
         Vec::new()
     }
-    /// Encode one chunk (already cut to the data the filter may see),
+    /// Encode one chunk (already padded, or not, as the mode says),
     /// appending the bytes to `out`.
     fn encode_into(&self, chunk: &[f64], out: &mut Vec<u8>) -> H5Result<()>;
-    /// Convenience: encode into a fresh buffer.
-    fn encode(&self, chunk: &[f64]) -> H5Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.encode_into(chunk, &mut out)?;
-        Ok(out)
-    }
 }
 
 /// One chunk's encoded bytes plus the metadata the collective write path
@@ -87,49 +80,39 @@ pub struct EncodedFrame {
     pub encode_seconds: f64,
 }
 
-/// Resolve which values of `chunk` the filter may see under `mode`, and
-/// the logical element count to record. Standard mode zero-pads short
-/// chunks to `chunk_elems` (into the reusable `pad` buffer); size-aware
-/// mode exposes only the logical prefix.
+/// Resolve which values of `chunk` the filter sees under `mode`, and the
+/// logical element count to record. Standard mode zero-pads short chunks
+/// to `chunk_elems` (into the reusable `pad` buffer); size-aware mode
+/// passes the chunk as it is.
 fn staged_chunk<'a>(
-    chunk: &'a ChunkData,
+    chunk: &'a [f64],
     chunk_elems: usize,
     mode: FilterMode,
     pad: &'a mut Vec<f64>,
 ) -> H5Result<(&'a [f64], u64)> {
-    if chunk.data.len() > chunk_elems {
+    if chunk.len() > chunk_elems {
         return Err(H5Error::Format(format!(
             "chunk holds {} elems, exceeds chunk size {chunk_elems}",
-            chunk.data.len()
-        )));
-    }
-    if chunk.logical > chunk.data.len() {
-        return Err(H5Error::Format(format!(
-            "chunk logical length {} exceeds its {} elems",
-            chunk.logical,
-            chunk.data.len()
+            chunk.len()
         )));
     }
     match mode {
-        FilterMode::Standard => {
-            if chunk.data.len() == chunk_elems {
-                Ok((&chunk.data, chunk_elems as u64))
-            } else {
-                pad.clear();
-                pad.extend_from_slice(&chunk.data);
-                pad.resize(chunk_elems, 0.0);
-                Ok((pad, chunk_elems as u64))
-            }
+        FilterMode::Standard if chunk.len() < chunk_elems => {
+            pad.clear();
+            pad.extend_from_slice(chunk);
+            pad.resize(chunk_elems, 0.0);
+            Ok((pad, chunk_elems as u64))
         }
-        FilterMode::SizeAware => Ok((&chunk.data[..chunk.logical], chunk.logical as u64)),
+        FilterMode::Standard | FilterMode::SizeAware => Ok((chunk, chunk.len() as u64)),
     }
 }
 
-/// Encode one chunk into an owned [`EncodedFrame`] — the encode step of
-/// the write engine ([`crate::collective`]), run inline or on a pool
-/// worker. `pad` is the caller's reusable padding buffer.
+/// Encode one chunk — a slice of the caller's staged data — into an owned
+/// [`EncodedFrame`]: the encode step of the write engine
+/// ([`crate::collective`]), run inline or on a pool worker. `pad` is the
+/// caller's reusable padding buffer.
 pub fn encode_frame(
-    chunk: &ChunkData,
+    chunk: &[f64],
     chunk_elems: usize,
     filter: &dyn ChunkFilter,
     mode: FilterMode,
@@ -264,6 +247,12 @@ pub fn decode_chunk(
 mod tests {
     use super::*;
 
+    fn encoded(f: &dyn ChunkFilter, chunk: &[f64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        f.encode_into(chunk, &mut out).unwrap();
+        out
+    }
+
     fn decode(f: &dyn ChunkFilter, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>> {
         decode_chunk(f.id(), &f.client_data(), bytes, n_elems)
     }
@@ -272,7 +261,7 @@ mod tests {
     fn no_filter_roundtrip() {
         let data = vec![1.5, -2.25, 1e300, 0.0];
         let f = NoFilter;
-        let enc = f.encode(&data).unwrap();
+        let enc = encoded(&f, &data);
         assert_eq!(enc.len(), 32);
         assert_eq!(decode(&f, &enc, 4).unwrap(), data);
         assert!(decode(&f, &enc, 3).is_err());
@@ -282,7 +271,7 @@ mod tests {
     fn sz_filter_roundtrip_1d() {
         let data: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.01).sin()).collect();
         let f = SzFilter::one_dimensional(1e-3);
-        let enc = f.encode(&data).unwrap();
+        let enc = encoded(&f, &data);
         assert!(enc.len() < data.len() * 8);
         let dec = decode(&f, &enc, 2000).unwrap();
         // REL mode: bound resolves against the chunk's own range.
@@ -301,7 +290,7 @@ mod tests {
         // Regression: the fallible filter contract extends to zero-length
         // chunks — no Buffer3 dims assert, symmetric decode.
         let f = SzFilter::one_dimensional(1e-3);
-        let enc = f.encode(&[]).unwrap();
+        let enc = encoded(&f, &[]);
         assert!(enc.is_empty());
         assert_eq!(decode(&f, &enc, 0).unwrap(), Vec::<f64>::new());
     }
@@ -310,7 +299,7 @@ mod tests {
     fn decoder_registry_roundtrip() {
         let f = SzFilter::one_dimensional(5e-3);
         let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let enc = f.encode(&data).unwrap();
+        let enc = encoded(&f, &data);
         let dec = decode_chunk(FILTER_SZ, &f.client_data(), &enc, 100).unwrap();
         for (o, r) in data.iter().zip(&dec) {
             assert!((o - r).abs() <= 5e-3 * 99.0 + 1e-12);

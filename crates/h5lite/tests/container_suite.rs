@@ -100,7 +100,7 @@ fn eight_rank_concurrent_collective_writes() {
                 .collect();
             let job = DatasetJob {
                 name: &format!("f{field}"),
-                chunks: &[ChunkData::full(data)],
+                chunks: &[&data],
                 chunk_elems: 128,
                 filter: &NoFilter,
                 mode: FilterMode::Standard,
@@ -210,7 +210,7 @@ fn stats_track_collective_and_serial_writes() {
         let data = vec![comm.rank() as f64; 64];
         let job = DatasetJob {
             name: "d",
-            chunks: &[ChunkData::full(data)],
+            chunks: &[&data],
             chunk_elems: 64,
             filter: &NoFilter,
             mode: FilterMode::SizeAware,

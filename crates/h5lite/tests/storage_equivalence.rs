@@ -81,10 +81,7 @@ fn write_serial(w: &H5Writer, with_index: bool) {
     w.write_dataset("eq/raw", &ramp, 256, &NoFilter).unwrap();
     w.write_dataset("eq/sz", &smooth, 1024, &SzFilter::one_dimensional(1e-3))
         .unwrap();
-    let chunks = [
-        ChunkData::full(smooth[..700].to_vec()),
-        ChunkData::full(smooth[700..900].to_vec()),
-    ];
+    let chunks = [&smooth[..700], &smooth[700..900]];
     w.write_dataset_chunks(
         "eq/aware",
         &chunks,
@@ -133,15 +130,10 @@ fn collective_write_identical_across_backends_and_worker_counts() {
     // 4 rank threads, the write engine at 1 and 4 pool workers, both
     // filter families — all backends, all combinations, one logical
     // content.
-    let chunkset = |rank: usize| -> Vec<ChunkData> {
-        (0..5)
-            .map(|c| {
-                ChunkData::full(
-                    (0..192)
-                        .map(|i| ((rank * 960 + c * 192 + i) as f64 * 0.013).sin())
-                        .collect(),
-                )
-            })
+    // Five 192-value chunks per rank.
+    let rank_data = |rank: usize| -> Vec<f64> {
+        (0..960)
+            .map(|i| ((rank * 960 + i) as f64 * 0.013).sin())
             .collect()
     };
     for workers in [1usize, 4] {
@@ -153,7 +145,8 @@ fn collective_write_identical_across_backends_and_worker_counts() {
                 let writer = Arc::new(w);
                 let wc = Arc::clone(&writer);
                 run_ranks(4, move |comm| {
-                    let chunks = chunkset(comm.rank());
+                    let staged = rank_data(comm.rank());
+                    let chunks: Vec<&[f64]> = staged.chunks(192).collect();
                     let f = SzFilter::one_dimensional(1e-3);
                     let jobs = [
                         DatasetJob {

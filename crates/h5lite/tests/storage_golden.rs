@@ -24,10 +24,7 @@ fn write_golden(w: &H5Writer) {
     // Size-aware chunks: logical length below the chunk size, so the
     // record's logical_elems differs from chunk_elems.
     let short: Vec<f64> = (0..300).map(|i| (i as f64 * 0.01).cos()).collect();
-    let chunks = [
-        ChunkData::full(short[..200].to_vec()),
-        ChunkData::full(short[200..].to_vec()),
-    ];
+    let chunks = [&short[..200], &short[200..]];
     w.write_dataset_chunks(
         "golden/aware",
         &chunks,

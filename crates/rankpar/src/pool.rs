@@ -122,7 +122,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn ordered_results_any_worker_count() {
@@ -148,6 +149,39 @@ mod tests {
                 .collect();
             assert_eq!(seen, expect, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn reversed_completion_is_consumed_in_index_order() {
+        // One helper per item, and each job returns only once the next
+        // item's job has: jobs finish last to first, so results reach the
+        // channel in reverse and `consume` must hold each until its turn.
+        const N: usize = 5;
+        let items: Vec<usize> = (0..N).collect();
+        let done: Vec<AtomicBool> = (0..N).map(|_| AtomicBool::new(false)).collect();
+        let finished = Mutex::new(Vec::new());
+        let mut seen = Vec::new();
+        let res: Result<(), ()> = for_each_ordered(
+            &items,
+            N,
+            || (),
+            |_, i, &v| {
+                while i + 1 < N && !done[i + 1].load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                finished.lock().unwrap().push(i);
+                done[i].store(true, Ordering::Release);
+                Ok(v)
+            },
+            |i, v| {
+                seen.push((i, v));
+                Ok(())
+            },
+        );
+        res.unwrap();
+        let reversed: Vec<usize> = (0..N).rev().collect();
+        assert_eq!(finished.into_inner().unwrap(), reversed);
+        assert_eq!(seen, (0..N).map(|i| (i, i)).collect::<Vec<_>>());
     }
 
     #[test]
