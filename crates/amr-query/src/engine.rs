@@ -45,11 +45,17 @@
 //! ([`crate::cache::ChunkUnits`]). A lookup that lacks a planned unit is
 //! a miss; the miss decodes the chunk to a destination that wants just
 //! the planned units the resident entry lacks
-//! ([`sz_codec::UnitDest::wants`]) — SZ_L/R under SLE entropy-decodes
-//! the chunk once and predicts no other unit, the other modes
-//! reconstruct their clusters and copy out the wanted units — and caches
-//! one entry holding the old units and the new. Decoded bytes therefore
-//! never exceed the plan's cost, and repeated queries converge to hits.
+//! ([`sz_codec::UnitDest::wants`]) and caches one entry holding the old
+//! units and the new. Every mode entropy-decodes the chunk whole; what is
+//! reconstructed follows the wanted units. SZ_L/R under SLE predicts no
+//! other unit. The SZ_Interp layouts (modes 2, 3 and 6) interpolate, in
+//! each cluster that holds a wanted unit, only the dependency window of
+//! those units — their bounding box widened by three lattice steps per
+//! stride ([`sz_codec::interp::Window`]) — pass over the clusters that
+//! hold none, and copy out the wanted units. SZ_L/R's linear merge and
+//! the adaptive extension reconstruct whole and copy out. Delivered
+//! bytes therefore never exceed the plan's cost, and repeated queries
+//! converge to hits.
 //! [`QueryEngine::point_sample`] and a delta chunk's reference fetch
 //! whole chunks; the restart decodes every unit.
 //!

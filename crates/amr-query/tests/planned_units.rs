@@ -185,18 +185,25 @@ fn unit_bytes<'a>(
 }
 
 /// Level-0 ROIs scaled to the level-0 domain: a small off-centre box, one
-/// cell, a half slab, the whole domain.
+/// cell, a half slab, the whole domain; then one 8³ unit each at the low
+/// corner, the middle and the high corner — on `warpx()` a window of one
+/// unit in a placed cluster of many, at the cluster's faces (the `Prev`
+/// and `Linear` predictors) and inside it.
 fn rois(engine: &QueryEngine) -> Vec<IntBox> {
     let d = engine.meta().levels[0].domain.size();
     let at = |fx: i64, fy: i64, fz: i64| {
         IntVect::new(d.get(0) * fx / 8, d.get(1) * fy / 8, d.get(2) * fz / 8)
     };
     let hi = |p: IntVect| p - IntVect::ONE;
+    let unit = |lo: IntVect| IntBox::new(lo, lo + IntVect::splat(7));
     vec![
         IntBox::new(at(1, 2, 0), hi(at(3, 5, 6))),
         IntBox::new(at(4, 4, 4), at(4, 4, 4)),
         IntBox::new(at(0, 4, 0), hi(at(8, 8, 4))),
         IntBox::new(at(0, 0, 0), hi(at(8, 8, 8))),
+        unit(IntVect::ZERO),
+        unit(at(4, 4, 4)),
+        unit(d - IntVect::splat(8)),
     ]
 }
 
@@ -445,6 +452,26 @@ fn a_small_roi_leaves_level_0_units_undecoded_in_every_fixture() {
             0 < planned && planned < stored,
             "{}: {planned} of {stored} level-0 units planned",
             fx.name
+        );
+    }
+}
+
+#[test]
+fn the_warpx_fixture_places_level_0_in_clusters_of_many_units() {
+    // The one-unit ROIs of `rois()` reconstruct a window of a cluster
+    // only if level 0 is stored in clusters of many units.
+    let fx = Fixture::plain("interp-placed", &warpx(), AmricConfig::interp(REL_EB));
+    let (r, engine) = (reader(&fx.images[0]), fx.engine());
+    let name = amric::writer::field_dataset(0, 0);
+    let chunks = r.meta(&name).unwrap().chunks.len();
+    assert!(chunks > 0);
+    for c in 0..chunks {
+        let layout = stream_layout(&r.read_chunk_raw(&name, c).unwrap()).unwrap();
+        let placed = layout.placed.expect("a placed chunk");
+        let units = engine.meta().unit_plan(0, c).len();
+        assert!(
+            units >= 8 * placed.clusters,
+            "chunk {c}: {units} units, {placed:?}"
         );
     }
 }

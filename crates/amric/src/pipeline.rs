@@ -651,10 +651,14 @@ pub fn decompress_field_units(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
 /// `dest` says each unit goes, in the units' original order, delivering
 /// only the units it wants ([`UnitDest::wants`], asked of every unit).
 /// SZ_L/R with SLE ([`AmricConfig::lr`]) reconstructs in the destination
-/// and skips the reconstruction of the units nobody wants; modes 1, 2, 3
-/// and 6 copy each wanted unit's rows out of their clusters'
-/// reconstruction ([`Placement::place`]); the adaptive extension decodes
-/// units of its own and copies the wanted ones.
+/// and skips the reconstruction of the units nobody wants. Modes 1, 2, 3
+/// and 6 ask first and copy each wanted unit's rows out of their
+/// clusters' reconstruction ([`Placement::place`]): the SZ_Interp modes
+/// (2, 3, 6) interpolate only each cluster's dependency window — what the
+/// wanted units' bounding box depends on, [`interp::Window`] — and pass
+/// over a cluster with no wanted unit; mode 1 reconstructs its merged
+/// buffer whole. The adaptive extension decodes units of its own and
+/// copies the wanted ones.
 ///
 /// A delta-mode stream asks `reference` once for the units it
 /// predicts from (see [`Reference`]; [`no_reference`] when the caller has
@@ -673,7 +677,7 @@ pub fn decompress_field_units_into(
         _ => {}
     }
     let n = r.get_u32()? as usize;
-    let (layout, decoded) = match mode {
+    match mode {
         Mode::LrSle => {
             let held = lr::decompress_domains_into(r.get_raw(r.remaining())?, dest)?;
             if held != n {
@@ -681,32 +685,37 @@ pub fn decompress_field_units_into(
                     "expected {n} units, stream holds {held}"
                 )));
             }
-            return Ok(());
+            Ok(())
         }
         Mode::LrLinearMerge => {
             let extents = read_extents(&mut r, n)?;
             let merged = lr::decompress(r.get_raw(r.remaining())?)?;
             let d = merged.dims();
-            (Placement::linear(d.nx, d.ny, &extents)?, vec![merged])
+            let layout = Placement::linear(d.nx, d.ny, &extents)?;
+            layout.place(dest, |_| Ok(vec![Some(merged)]))
         }
         Mode::InterpLinear => {
             let extents = read_extents(&mut r, n)?;
             let (nx, ny) = (r.get_u32()? as usize, r.get_u32()? as usize);
             let layout = Placement::linear(nx, ny, &extents)?;
-            (layout, vec![interp::decompress(r.get_raw(r.remaining())?)?])
+            let raw = r.get_raw(r.remaining())?;
+            layout.place(dest, |domains| interp::decompress_windowed(raw, domains))
         }
         Mode::InterpCluster => {
             let (edge, grids) = read_cluster_header(&mut r, n, mode)?;
             let layout = Placement::grid(grids[0], n, Dims3::cube(edge));
-            (layout, vec![interp::decompress(r.get_raw(r.remaining())?)?])
+            let raw = r.get_raw(r.remaining())?;
+            layout.place(dest, |domains| interp::decompress_windowed(raw, domains))
         }
         Mode::InterpPlaced => {
             let (edge, grids) = read_cluster_header(&mut r, n, mode)?;
             let map_len = r.get_u32()? as usize;
             let map = lossless::decompress(r.get_raw(map_len)?)?;
             let layout = Placement::decode_slots(grids, Dims3::cube(edge), n, &map)?;
-            let decoded = interp::decompress_domains(r.get_raw(r.remaining())?)?;
-            (layout, decoded)
+            let raw = r.get_raw(r.remaining())?;
+            layout.place(dest, |domains| {
+                interp::decompress_domains_windowed(raw, domains)
+            })
         }
         Mode::Adaptive => {
             let (_bounds, rough, mut r) = read_adaptive_header(&mut r, n)?;
@@ -735,11 +744,10 @@ pub fn decompress_field_units_into(
                 let group = if g { &mut tight_it } else { &mut loose_it };
                 place_unit(dest, i, group.next().expect("counted").view())?;
             }
-            return Ok(());
+            Ok(())
         }
         Mode::Empty | Mode::Delta => unreachable!("handled above"),
-    };
-    layout.place(&decoded, dest)
+    }
 }
 
 /// The cluster header of modes 3 and 6 after the unit count: the unit

@@ -4,12 +4,15 @@
 //! [`Placement::grid`] packs them into a near-cube for SZ_Interp (mode 3),
 //! [`Placement::cluster`] keeps dense clusters of units where they lie
 //! (mode 6). One [`Placement::pack`] pastes units into their clusters and
-//! one [`Placement::place`] copies them back out of the reconstruction.
+//! one [`Placement::place`] asks which units are wanted, has the decoder
+//! reconstruct the windows of the clusters they lie in, and copies them
+//! back out.
 
 use amr_mesh::cluster::{berger_rigoutsos, ClusterParams};
 use amr_mesh::geom::{IntBox, IntVect};
 use amr_mesh::tagging::TagField;
 use sz_codec::buffer3::place_rows;
+use sz_codec::interp::Window;
 use sz_codec::wire::Reader;
 use sz_codec::{AsView3, Buffer3, CodecError, CodecResult, Dims3, UnitDest};
 
@@ -219,29 +222,57 @@ impl Placement {
         packed
     }
 
-    /// Copy every unit `dest` wants out of `decoded` — the clusters'
-    /// reconstructions, in order — to where `dest` says it goes, in the
-    /// chunk's order. A
-    /// payload that decoded to other clusters than the layout's is a typed
-    /// error before any unit is placed.
-    pub fn place(&self, decoded: &[Buffer3], dest: &mut dyn UnitDest) -> CodecResult<()> {
-        if decoded.len() != self.clusters.len() {
+    /// The one decode-and-place step of the layouts: deliver the units
+    /// `dest` wants out of their clusters' reconstruction, in the chunk's
+    /// order. `dest` is asked [`UnitDest::wants`] once per unit, in order,
+    /// before anything is decoded. `decode` is then given each cluster's
+    /// dims and window — the union of its wanted units' boxes, `None`
+    /// where it has none — and returns the clusters' reconstructions, in
+    /// order: at least every windowed one (SZ_L/R's linear merge
+    /// reconstructs its buffer whole). The wanted units are copied out
+    /// without asking `dest` again. Clusters of other dims than the
+    /// layout's, or a windowed cluster missing, are a typed error before
+    /// any unit is placed.
+    pub fn place(
+        &self,
+        dest: &mut dyn UnitDest,
+        decode: impl FnOnce(&[(Dims3, Option<Window>)]) -> CodecResult<Vec<Option<Buffer3>>>,
+    ) -> CodecResult<()> {
+        let mut domains: Vec<(Dims3, Option<Window>)> =
+            self.clusters.iter().map(|&d| (d, None)).collect();
+        let mut wanted = Vec::with_capacity(self.units.len());
+        for (i, s) in self.units.iter().enumerate() {
+            let want = dest.wants(i, s.dims)?;
+            if want {
+                let unit = Window::of(s.dims, s.at);
+                let window = &mut domains[s.cluster as usize].1;
+                *window = Some(window.map_or(unit, |w| w.union(unit)));
+            }
+            wanted.push(want);
+        }
+        let decoded = decode(&domains)?;
+        if decoded.len() != domains.len() {
             return Err(CodecError::dims(format!(
                 "{} clusters decoded, {} stored",
                 decoded.len(),
-                self.clusters.len()
+                domains.len()
             )));
         }
-        for (c, (&want, buf)) in self.clusters.iter().zip(decoded).enumerate() {
-            if buf.dims() != want {
-                let d = buf.dims();
-                return Err(CodecError::dims(format!(
-                    "cluster {c} decodes to {d:?}, its layout is {want:?}"
-                )));
+        for (c, (&(want, window), buf)) in domains.iter().zip(&decoded).enumerate() {
+            match buf.as_ref().map(Buffer3::dims) {
+                None if window.is_some() => {
+                    return Err(CodecError::dims(format!("cluster {c} was not decoded")))
+                }
+                Some(d) if d != want => {
+                    return Err(CodecError::dims(format!(
+                        "cluster {c} decodes to {d:?}, its layout is {want:?}"
+                    )))
+                }
+                _ => {}
             }
         }
-        for (i, s) in self.units.iter().enumerate() {
-            let buf = &decoded[s.cluster as usize];
+        for (i, s) in self.units.iter().enumerate().filter(|&(i, _)| wanted[i]) {
+            let buf = decoded[s.cluster as usize].as_ref().expect("checked above");
             let (d, [x, y, z]) = (buf.dims(), s.at);
             let strides = (d.nx, d.nx * d.ny);
             place_rows(dest, i, s.dims, &buf.data()[d.idx(x, y, z)..], strides)?;
@@ -362,8 +393,9 @@ mod tests {
     /// `units` through `layout`'s pack and place.
     fn roundtrip(layout: &Placement, units: &[Buffer3]) -> Vec<Buffer3> {
         let mut back = Vec::new();
+        let packed = layout.pack(units).into_iter().map(Some).collect();
         layout
-            .place(&layout.pack(units), &mut back)
+            .place(&mut back, |_| Ok(packed))
             .expect("fresh buffers take any unit");
         back
     }
@@ -395,9 +427,15 @@ mod tests {
         // A decoded buffer of the wrong depth is refused before placing.
         let short = Buffer3::zeros(Dims3::new(4, 4, 5));
         let err = layout
-            .place(&[short], &mut Vec::<Buffer3>::new())
+            .place(&mut Vec::<Buffer3>::new(), |_| Ok(vec![Some(short)]))
             .unwrap_err();
         assert!(matches!(err, CodecError::DimsMismatch { .. }), "{err:?}");
+        // So is a decoder that leaves a wanted cluster out.
+        let err = layout.place(&mut Vec::<Buffer3>::new(), |_| Ok(vec![None]));
+        assert!(
+            matches!(err, Err(CodecError::DimsMismatch { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -465,6 +503,88 @@ mod tests {
             &layout.encode_slots(),
         );
         assert_eq!(decoded.unwrap(), layout);
+    }
+
+    /// Keeps the units `keep` picks, each in a buffer of its own; counts
+    /// what it is asked.
+    struct Picky {
+        keep: fn(usize) -> bool,
+        asked: usize,
+        kept: Vec<(usize, Buffer3)>,
+    }
+
+    impl UnitDest for Picky {
+        fn wants(&mut self, i: usize, _dims: Dims3) -> CodecResult<bool> {
+            assert_eq!(i, self.asked, "units are offered once each, in order");
+            self.asked += 1;
+            Ok((self.keep)(i))
+        }
+
+        fn unit(&mut self, i: usize, dims: Dims3) -> CodecResult<sz_codec::StridedMut<'_>> {
+            assert!((self.keep)(i) && i < self.asked, "unit {i} was not wanted");
+            self.kept.push((i, Buffer3::zeros(dims)));
+            let b = &mut self.kept.last_mut().expect("just pushed").1;
+            sz_codec::StridedMut::new(dims, b.data_mut(), dims.nx, dims.nx * dims.ny)
+        }
+    }
+
+    /// `units` laid out by `layout` and placed to a [`Picky`] destination:
+    /// the windows `decode` was given, after checking that exactly the
+    /// picked units arrived.
+    fn picked_windows(
+        layout: &Placement,
+        units: &[Buffer3],
+        keep: fn(usize) -> bool,
+    ) -> Vec<Option<Window>> {
+        let packed = layout.pack(units).into_iter().map(Some).collect();
+        let mut dest = Picky {
+            keep,
+            asked: 0,
+            kept: Vec::new(),
+        };
+        let mut windows = Vec::new();
+        layout
+            .place(&mut dest, |domains| {
+                windows = domains.iter().map(|&(_, w)| w).collect();
+                let clusters = domains.iter().map(|&(d, _)| d);
+                assert!(clusters.eq(layout.clusters().iter().copied()));
+                Ok(packed)
+            })
+            .unwrap();
+        assert_eq!(dest.asked, units.len());
+        let picked = (0..units.len()).filter(|&i| keep(i));
+        let want: Vec<_> = picked.map(|i| (i, units[i].clone())).collect();
+        assert_eq!(dest.kept, want);
+        windows
+    }
+
+    #[test]
+    fn place_windows_each_cluster_to_its_wanted_units() {
+        let units: Vec<Buffer3> = (0..27).map(|i| unit(i as f64, 4)).collect();
+        // Every third slot of a 3³ grid lies in its first slot column.
+        let grid = Placement::grid(Dims3::cube(3), 27, Dims3::cube(4));
+        let column = Window {
+            lo: [0; 3],
+            hi: [3, 11, 11],
+        };
+        assert_eq!(
+            picked_windows(&grid, &units, |i| i % 3 == 0),
+            [Some(column)]
+        );
+        // Two clusters of 2³ units: a cluster nobody wants gets no window.
+        let mut origins: Vec<IntVect> = (0..8)
+            .map(|i| IntVect::new(i % 2 * 4, i / 2 % 2 * 4, i / 4 * 4))
+            .collect();
+        origins.extend((0..8).map(|i| IntVect::new(64 + i % 2 * 4, i / 2 % 2 * 4, i / 4 * 4)));
+        let placed = Placement::cluster(&origins, 4, 0.75).expect("aligned, distinct");
+        let cluster_of = |i: usize| placed.units[i].cluster as usize;
+        let mut want = [None; 2];
+        want[cluster_of(9)] = Some(Window::of(Dims3::cube(4), [4, 0, 0]));
+        assert_eq!(picked_windows(&placed, &units[..16], |i| i == 9), want);
+        let mut want = [None; 2];
+        want[cluster_of(0)] = Some(Window::full(Dims3::new(8, 8, 4)));
+        let picked = picked_windows(&placed, &units[..16], |i| i == 0 || i == 3);
+        assert_eq!(picked, want);
     }
 
     #[test]

@@ -98,7 +98,8 @@ pub fn tac_decompress(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
         let merged = lr::decompress(r.get_block()?)?;
         let d = merged.dims();
         let mut group = Vec::with_capacity(glen);
-        Placement::linear(d.nx, d.ny, &extents)?.place(&[merged], &mut group)?;
+        let layout = Placement::linear(d.nx, d.ny, &extents)?;
+        layout.place(&mut group, |_| Ok(vec![Some(merged)]))?;
         sorted_units.append(&mut group);
     }
     if sorted_units.len() != n {

@@ -112,7 +112,8 @@ fn reorganize_inverses_are_exact() {
     use amric::reorganize::*;
     let roundtrip = |layout: &Placement, units: &[Buffer3]| {
         let mut back = Vec::new();
-        layout.place(&layout.pack(units), &mut back).unwrap();
+        let packed = layout.pack(units).into_iter().map(Some).collect();
+        layout.place(&mut back, |_| Ok(packed)).unwrap();
         back
     };
     // Linear, mixed depths: 4³ units and one 4×4×2 slab.

@@ -15,8 +15,9 @@ use amr_mesh::prelude::*;
 use amr_query::{read_amric_hierarchy, QueryEngine, QueryError};
 use amric::config::AmricConfig;
 use amric::pipeline::{
-    compress_field_units, compress_placed_into, decompress_field_units, stream_layout,
-    AmricScratch, ResolvedBound, UnitOrigins,
+    compress_field_units, compress_placed_into, decompress_field_units,
+    decompress_field_units_into, no_reference, stream_layout, AmricScratch, ResolvedBound,
+    UnitOrigins,
 };
 use amric::reader::{read_baseline_hierarchy, read_plotfile_meta, verify_against, PlotfileMeta};
 use amric::tac::{tac_compress, tac_decompress};
@@ -97,6 +98,46 @@ fn assault<T>(name: &str, valid: &[u8], decode: impl Fn(&[u8]) -> Result<T, Code
     }
 }
 
+/// Every third unit, each in a buffer of its own: the other units are
+/// declined, so an SZ_Interp layout reconstructs only the windows they
+/// lie in.
+#[derive(Default)]
+struct EveryThird(Vec<Buffer3>);
+
+impl UnitDest for EveryThird {
+    fn wants(&mut self, i: usize, _dims: Dims3) -> Result<bool, CodecError> {
+        Ok(i.is_multiple_of(3))
+    }
+
+    fn unit(&mut self, i: usize, dims: Dims3) -> Result<StridedMut<'_>, CodecError> {
+        assert_eq!(
+            i,
+            3 * self.0.len(),
+            "unit {i} was declined or is out of order"
+        );
+        self.0.push(Buffer3::zeros(dims));
+        let unit = self.0.last_mut().expect("just pushed");
+        StridedMut::new(dims, unit.data_mut(), dims.nx, dims.nx * dims.ny)
+    }
+}
+
+/// Decode through [`EveryThird`].
+fn every_third(bytes: &[u8]) -> Result<Vec<Buffer3>, CodecError> {
+    let mut dest = EveryThird::default();
+    decompress_field_units_into(bytes, &mut dest, &mut no_reference)?;
+    Ok(dest.0)
+}
+
+/// [`assault`] through the full decode and through [`every_third`], whose
+/// units must be the full decode's.
+fn assault_windowed(name: &str, valid: &[u8]) {
+    assault(name, valid, decompress_field_units);
+    assault(&format!("{name}, every third unit"), valid, every_third);
+    let full = decompress_field_units(valid).unwrap();
+    let third: Vec<Buffer3> = full.into_iter().step_by(3).collect();
+    assert_eq!(every_third(valid).unwrap(), third, "{name}");
+}
+
 #[test]
 fn amric_stream_lr_sle_total() {
     let u = units(24, 8);
@@ -116,7 +157,7 @@ fn amric_stream_lr_linear_merge_total() {
 fn amric_stream_interp_cluster_total() {
     let u = units(27, 8);
     let bytes = compress_field_units(&u, &AmricConfig::interp(1e-3), 8);
-    assault("amric/interp-cluster", &bytes, decompress_field_units);
+    assault_windowed("amric/interp-cluster", &bytes);
 }
 
 #[test]
@@ -124,7 +165,7 @@ fn amric_stream_interp_linear_total() {
     let u = units(27, 8);
     let cfg = AmricConfig::interp(1e-3).with_cluster_arrangement(false);
     let bytes = compress_field_units(&u, &cfg, 8);
-    assault("amric/interp-linear", &bytes, decompress_field_units);
+    assault_windowed("amric/interp-linear", &bytes);
 }
 
 /// A placed-mode stream (pipeline mode 6): 16 units of 4³ in a 2×2×4
@@ -176,11 +217,13 @@ fn with_slot_map(stream: &[u8], pairs: &[(i64, i64)]) -> Vec<u8> {
 
 #[test]
 fn amric_stream_interp_placed_total() {
+    // A flipped bit can make the payload's cluster dims disagree with the
+    // layout's: a windowed decode must refuse that before it interpolates.
     let bytes = placed_stream();
-    assault("amric/interp-placed", &bytes, decompress_field_units);
+    assault_windowed("amric/interp-placed", &bytes);
     for cut in 0..bytes.len() {
         assert!(
-            decompress_field_units(&bytes[..cut]).is_err(),
+            decompress_field_units(&bytes[..cut]).is_err() && every_third(&bytes[..cut]).is_err(),
             "truncation to {cut}/{} bytes must be rejected",
             bytes.len()
         );
@@ -190,6 +233,7 @@ fn amric_stream_interp_placed_total() {
             let mut flipped = bytes.clone();
             flipped[pos] ^= 1 << bit;
             let _ = decompress_field_units(&flipped);
+            let _ = every_third(&flipped);
             let _ = stream_layout(&flipped);
         }
     }

@@ -133,9 +133,10 @@ impl<'a> StridedMut<'a> {
 pub trait UnitDest {
     /// Whether unit `i` is to be delivered: asked of every unit, wanted or
     /// not, so a destination sees each unit's shape. A unit it declines is
-    /// passed over: its destination is never asked for, and SZ_L/R, whose
+    /// passed over: its destination is never asked for; SZ_L/R, whose
     /// units are separate prediction domains under one entropy stream,
-    /// reconstructs none of its cells.
+    /// reconstructs none of its cells, and an SZ_Interp layout only those
+    /// a wanted unit of its cluster depends on.
     fn wants(&mut self, _i: usize, _dims: Dims3) -> CodecResult<bool> {
         Ok(true)
     }
@@ -157,9 +158,9 @@ impl UnitDest for Vec<Buffer3> {
     }
 }
 
-/// Copy a unit that was reconstructed elsewhere to its destination, if
-/// the destination wants it — the one step shared by every decoder that
-/// does not reconstruct in place. Row `(j, k)` of the unit starts at
+/// Copy a unit that was reconstructed elsewhere to its destination, which
+/// has said it wants it — the one step shared by every decoder that does
+/// not reconstruct in place. Row `(j, k)` of the unit starts at
 /// `src[j·src_row + k·src_plane]`, so the source may itself be a box
 /// inside a packed buffer.
 pub fn place_rows(
@@ -169,9 +170,6 @@ pub fn place_rows(
     src: &[f64],
     (src_row, src_plane): (usize, usize),
 ) -> CodecResult<()> {
-    if !dest.wants(i, dims)? {
-        return Ok(());
-    }
     let to = dest.unit(i, dims)?.for_dims(dims)?;
     for k in 0..dims.nz {
         for j in 0..dims.ny {
@@ -182,9 +180,12 @@ pub fn place_rows(
     Ok(())
 }
 
-/// [`place_rows`] for a dense unit.
+/// [`place_rows`] for a dense unit, if the destination wants it.
 pub fn place_unit(dest: &mut dyn UnitDest, i: usize, unit: View3<'_>) -> CodecResult<()> {
     let d = unit.dims;
+    if !dest.wants(i, d)? {
+        return Ok(());
+    }
     place_rows(dest, i, d, unit.data, (d.nx, d.nx * d.ny))
 }
 

@@ -8,10 +8,16 @@
 //! points already known at stride `2s`. Residuals are quantized and the
 //! symbol stream is Huffman + LZ coded like SZ_L/R.
 //!
-//! Interpolation is a *global* operation over the whole buffer, which is
-//! why the paper's cluster (cube-like) arrangement of unit blocks helps it
-//! (§3.1, Fig. 5) and why block-structured AMR data ultimately suits the
-//! block-based SZ_L/R better (§4.3 insight).
+//! Interpolation runs over the whole buffer — a coarse lattice point
+//! predicts cells far from it — which is why the paper's cluster
+//! (cube-like) arrangement of unit blocks helps it (§3.1, Fig. 5) and why
+//! block-structured AMR data ultimately suits the block-based SZ_L/R
+//! better (§4.3 insight). A cell still depends on only part of the
+//! buffer: a target at stride `s` reads neighbours at most `3s` away along
+//! its pass axis, so a box of cells depends on that box widened by `3s`
+//! per stride, and a decoder that wants a box reconstructs only that
+//! dependency window ([`Window`], [`decompress_windowed`]). Every other
+//! symbol is passed over in stream order; the stream is the same.
 
 use crate::buffer3::{AsView3, Buffer3, Dims3, View3};
 use crate::codec::{expect_envelope, write_envelope, CodecId};
@@ -42,6 +48,52 @@ impl InterpConfig {
     /// Construct with an absolute error bound.
     pub fn new(abs_eb: f64) -> Self {
         InterpConfig { abs_eb }
+    }
+}
+
+/// An inclusive box of cells `lo ..= hi` (x, y, z) of one domain: what a
+/// windowed decode reconstructs of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Window {
+    pub lo: [usize; 3],
+    pub hi: [usize; 3],
+}
+
+impl Window {
+    /// Every cell of a `dims` domain.
+    pub fn full(dims: Dims3) -> Window {
+        Window::of(dims, [0; 3])
+    }
+
+    /// The cells of a `dims` box whose low corner is cell `at`.
+    pub fn of(dims: Dims3, at: [usize; 3]) -> Window {
+        let [x, y, z] = at;
+        Window {
+            lo: at,
+            hi: [x + dims.nx - 1, y + dims.ny - 1, z + dims.nz - 1],
+        }
+    }
+
+    /// The smallest window holding both.
+    pub fn union(self, other: Window) -> Window {
+        Window {
+            lo: std::array::from_fn(|a| self.lo[a].min(other.lo[a])),
+            hi: std::array::from_fn(|a| self.hi[a].max(other.hi[a])),
+        }
+    }
+
+    /// Whether every cell lies in a `dims` domain.
+    fn inside(&self, dims: Dims3) -> bool {
+        let n = [dims.nx, dims.ny, dims.nz];
+        (0..3).all(|a| self.lo[a] <= self.hi[a] && self.hi[a] < n[a])
+    }
+
+    /// Widened by `by` cells to either side along `axis`, clipped to the
+    /// `n` cells of that axis.
+    fn widened(mut self, axis: usize, by: usize, n: usize) -> Window {
+        self.lo[axis] = self.lo[axis].saturating_sub(by);
+        self.hi[axis] = (self.hi[axis] + by).min(n - 1);
+        self
     }
 }
 
@@ -130,7 +182,8 @@ fn compress_with(
         if s.recon.len() < dims.len() {
             s.recon.resize(dims.len(), 0.0);
         }
-        let Ok(()) = traverse(dims, &mut s.recon[..dims.len()], &mut enc);
+        let full = Window::full(dims);
+        let Ok(()) = traverse(dims, full, &mut s.recon[..dims.len()], &mut enc);
     }
     debug_assert_eq!(enc.syms.len(), domains.iter().map(|d| d.dims().len()).sum());
 
@@ -161,14 +214,42 @@ fn compress_with(
 
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(bytes: &[u8]) -> CodecResult<Buffer3> {
-    let mut domains = Payload::parse(bytes, VERSION)?.decode()?;
-    Ok(domains.pop().expect("one domain"))
+    let p = Payload::parse(bytes, VERSION)?;
+    let full = (p.dims[0], Some(Window::full(p.dims[0])));
+    let domain = p.decode_windows(&[full])?.pop().flatten();
+    Ok(domain.expect("a windowed domain is reconstructed"))
 }
 
-/// Decompress a stream produced by [`compress_domains_into`], its domains
-/// in order.
-pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
-    Payload::parse(bytes, DOMAINS_VERSION)?.decode()
+/// [`decompress`] of only what the caller wants: `domains` holds the one
+/// domain's dims and the window of it to reconstruct. See
+/// [`decompress_domains_windowed`].
+pub fn decompress_windowed(
+    bytes: &[u8],
+    domains: &[(Dims3, Option<Window>)],
+) -> CodecResult<Vec<Option<Buffer3>>> {
+    Payload::parse(bytes, VERSION)?.decode_windows(domains)
+}
+
+/// Decompress a stream produced by [`compress_domains_into`], only what
+/// the caller wants of it: `domains` holds, per domain in order, the dims
+/// the caller's layout gives it and the window of it to reconstruct
+/// ([`Window::full`] for all of it). The stream must declare exactly those
+/// dims, which is checked before any cell is reconstructed; each window
+/// must lie inside its domain. A domain with a window comes back with the
+/// cells of the window exactly as the full decode has them; any other
+/// cell holds its full-decode value where the window depends on it and
+/// zero elsewhere. A domain without a window is passed over and comes
+/// back `None`.
+///
+/// The symbols are entropy-decoded whole; of a windowed domain only the
+/// targets its window depends on are predicted ([`Window`] and the
+/// module docs), the symbols and raw outliers of the rest are counted
+/// off.
+pub fn decompress_domains_windowed(
+    bytes: &[u8],
+    domains: &[(Dims3, Option<Window>)],
+) -> CodecResult<Vec<Option<Buffer3>>> {
+    Payload::parse(bytes, DOMAINS_VERSION)?.decode_windows(domains)
 }
 
 /// One direction of the codec, driven by [`traverse`]: the encoder turns
@@ -183,6 +264,8 @@ trait Direction {
     /// The x-row of targets starting at flat index `base`, one prediction
     /// per slot.
     fn row(&mut self, base: usize, preds: &[f64], slots: &mut [f64]) -> Result<(), Self::Err>;
+    /// Pass over the next `n` targets: none of them is reconstructed.
+    fn skip(&mut self, n: usize) -> Result<(), Self::Err>;
 }
 
 /// The SZ_Interp traversal — the emission order that *is* the bitstream
@@ -192,13 +275,44 @@ trait Direction {
 /// The anchor `(0,0,0)` comes first, predicted as 0. Then, coarse to
 /// fine, every stride runs an X, a Y and a Z pass, each with x fastest,
 /// then y, then z.
-fn traverse<D: Direction>(dims: Dims3, recon: &mut [f64], dir: &mut D) -> Result<(), D::Err> {
+///
+/// Only the targets `window` depends on are reconstructed; the others go
+/// to [`Direction::skip`] in runs. A target at stride `s` reads
+/// neighbours at most `3s` away along its pass axis, so, working back
+/// from the window `W` of stride `s`: the Z pass reconstructs its targets
+/// in `W`, the Y pass those in `W` widened by `3s` along z, the X pass
+/// those in that widened by `3s` along y, and the stride-`2s` lattice must
+/// hold that widened by `3s` along x too — the `W` of stride `2s`. The
+/// encoder and a full decode pass the full window and skip nothing.
+fn traverse<D: Direction>(
+    dims: Dims3,
+    window: Window,
+    recon: &mut [f64],
+    dir: &mut D,
+) -> Result<(), D::Err> {
+    let strides = strides(dims);
+    // Each stride's [X, Y, Z] pass windows, found fine to coarse.
+    let mut w = window;
+    let mut windows: Vec<[Window; 3]> = (strides.iter().rev())
+        .map(|&s| {
+            let z = w;
+            let y = z.widened(2, 3 * s, dims.nz);
+            let x = y.widened(1, 3 * s, dims.ny);
+            w = x.widened(0, 3 * s, dims.nx);
+            [x, y, z]
+        })
+        .collect();
+    windows.reverse();
     let mut scratch = vec![0.0f64; dims.nx];
+    let mut skipped = 0;
     dir.point(0, 0.0, &mut recon[0])?;
-    for s in strides(dims) {
-        pass::<0, D>(dims, s, recon, &mut scratch, dir)?;
-        pass::<1, D>(dims, s, recon, &mut scratch, dir)?;
-        pass::<2, D>(dims, s, recon, &mut scratch, dir)?;
+    for (&s, [x, y, z]) in strides.iter().zip(&windows) {
+        pass::<0, D>(dims, s, x, recon, &mut scratch, dir, &mut skipped)?;
+        pass::<1, D>(dims, s, y, recon, &mut scratch, dir, &mut skipped)?;
+        pass::<2, D>(dims, s, z, recon, &mut scratch, dir, &mut skipped)?;
+    }
+    if skipped > 0 {
+        dir.skip(skipped)?;
     }
     Ok(())
 }
@@ -206,39 +320,69 @@ fn traverse<D: Direction>(dims: Dims3, recon: &mut [f64], dir: &mut D) -> Result
 /// One interpolation pass along `AXIS` (0 = x, 1 = y, 2 = z) at stride
 /// `s`. Targets sit on odd multiples of `s` along `AXIS`; axes already
 /// interpolated at this level (lower index) run over multiples of `s`,
-/// the others over multiples of `2s`.
+/// the others over multiples of `2s`. Those in `window` are
+/// reconstructed; the others are added to `skipped`, the run of targets
+/// passed over that the next reconstructed one hands to
+/// [`Direction::skip`] first.
 ///
-/// At stride 1 the Y and Z passes — ¾ of all points — are whole
-/// contiguous x-rows whose predictor kind is constant and whose
-/// neighbours are *other* rows, already final: no element depends on
-/// another element of its row, in either direction, so they are handed
-/// over as rows with lane-kernel predictions. Every other target is
-/// handed over alone. Prediction reads the buffer at even multiples of
-/// `s` along `AXIS` and writes land on odd ones, so in-place is safe.
+/// At stride 1 the Y and Z passes — ¾ of all points — are contiguous
+/// x-rows whose predictor kind is constant and whose neighbours are
+/// *other* rows, already final: no element depends on another element of
+/// its row, in either direction, so they are handed over as rows with
+/// lane-kernel predictions. Every other target is handed over alone.
+/// Prediction reads the buffer at even multiples of `s` along `AXIS` and
+/// writes land on odd ones, so in-place is safe.
 fn pass<const AXIS: usize, D: Direction>(
     dims: Dims3,
     s: usize,
+    window: &Window,
     recon: &mut [f64],
     scratch: &mut [f64],
     dir: &mut D,
+    skipped: &mut usize,
 ) -> Result<(), D::Err> {
     let nx = dims.nx;
-    let n = [nx, dims.ny, dims.nz][AXIS];
+    let n = [nx, dims.ny, dims.nz];
     // Flat distance between neighbours `s` apart along AXIS.
     let st = s * [1, nx, nx * dims.ny][AXIS];
-    let first = |axis: usize| if axis == AXIS { s } else { 0 };
-    let step = |axis: usize| if axis < AXIS { s } else { 2 * s };
-    let mut z = first(2);
-    while z < dims.nz {
-        let mut y = first(1);
-        while y < dims.ny {
+    // Along `axis` the targets sit at `first + k·step < n`: how many, and
+    // the `k` of those in the window.
+    let targets = |axis: usize| {
+        let first = if axis == AXIS { s } else { 0 };
+        let step = if axis < AXIS { s } else { 2 * s };
+        let count = n[axis].saturating_sub(first).div_ceil(step);
+        let hi = window.hi[axis]
+            .checked_sub(first)
+            .map_or(0, |d| d / step + 1);
+        let lo = window.lo[axis].saturating_sub(first).div_ceil(step);
+        (first, step, count, lo.min(hi)..hi)
+    };
+    let ((fx, sx, cx, xs), (fy, sy, cy, ys), (fz, sz, cz, zs)) =
+        (targets(0), targets(1), targets(2));
+    if xs.is_empty() || ys.is_empty() || zs.is_empty() {
+        *skipped += cx * cy * cz;
+        return Ok(());
+    }
+    *skipped += zs.start * cy * cx;
+    for kz in zs.clone() {
+        let z = fz + kz * sz;
+        *skipped += ys.start * cx;
+        for ky in ys.clone() {
+            let y = fy + ky * sy;
+            *skipped += xs.start;
+            if *skipped > 0 {
+                dir.skip(std::mem::take(skipped))?;
+            }
             let base = dims.idx(0, y, z);
             if AXIS != 0 && s == 1 {
-                let (head, tail) = recon.split_at_mut(base);
-                let (slots, rest) = tail.split_at_mut(nx);
-                let before = |k: usize| &head[base - k * st..][..nx];
-                let after = |k: usize| &rest[k * st - nx..][..nx];
-                let preds: &[f64] = match row_kind([0, y, z][AXIS], 1, n) {
+                // Targets run over every x here: `k` is the x coordinate.
+                let (at, len) = (base + xs.start, xs.len());
+                let (head, tail) = recon.split_at_mut(at);
+                let (slots, rest) = tail.split_at_mut(len);
+                let before = |k: usize| &head[at - k * st..][..len];
+                let after = |k: usize| &rest[k * st - len..][..len];
+                let scratch = &mut scratch[..len];
+                let preds: &[f64] = match row_kind([0, y, z][AXIS], 1, n[AXIS]) {
                     RowKind::Cubic => {
                         let (a, b, c, d) = (before(3), before(1), after(1), after(3));
                         kernels::predict_cubic_row(a, b, c, d, scratch);
@@ -250,12 +394,12 @@ fn pass<const AXIS: usize, D: Direction>(
                     }
                     RowKind::Prev => before(1),
                 };
-                dir.row(base, preds, slots)?;
+                dir.row(at, preds, slots)?;
             } else {
-                let mut x = first(0);
-                while x < nx {
+                for kx in xs.clone() {
+                    let x = fx + kx * sx;
                     let i = base + x;
-                    let pred = match row_kind([x, y, z][AXIS], s, n) {
+                    let pred = match row_kind([x, y, z][AXIS], s, n[AXIS]) {
                         // Cubic spline weights (−1/16, 9/16, 9/16, −1/16).
                         RowKind::Cubic => {
                             (-recon[i - 3 * st] + 9.0 * recon[i - st] + 9.0 * recon[i + st]
@@ -266,13 +410,13 @@ fn pass<const AXIS: usize, D: Direction>(
                         RowKind::Prev => recon[i - st],
                     };
                     dir.point(i, pred, &mut recon[i])?;
-                    x += step(0);
                 }
             }
-            y += step(1);
+            *skipped += cx - xs.end;
         }
-        z += step(2);
+        *skipped += (cy - ys.end) * cx;
     }
+    *skipped += (cz - zs.end) * cy * cx;
     Ok(())
 }
 
@@ -342,6 +486,10 @@ impl Direction for Encoder<'_> {
         self.syms.extend_from_slice(&self.syms_row);
         Ok(())
     }
+
+    fn skip(&mut self, _n: usize) -> Result<(), Infallible> {
+        unreachable!("the encoder keeps the full window")
+    }
 }
 
 const TRUNCATED: &str = "SZ_Interp stream truncated";
@@ -361,6 +509,11 @@ impl Direction for SymbolReader<'_> {
     #[inline]
     fn row(&mut self, _base: usize, preds: &[f64], slots: &mut [f64]) -> CodecResult<()> {
         SymbolReader::row(self, preds, slots)
+    }
+
+    #[inline]
+    fn skip(&mut self, n: usize) -> CodecResult<()> {
+        SymbolReader::skip(self, n)
     }
 }
 
@@ -435,21 +588,52 @@ impl Payload {
         })
     }
 
-    /// Reconstruct every domain, in order, from the shared symbols.
-    fn decode(&self) -> CodecResult<Vec<Buffer3>> {
-        let mut dec = SymbolReader {
+    fn reader(&self) -> SymbolReader<'_> {
+        SymbolReader {
             q: Quantizer::new(self.abs_eb),
             syms: &self.syms,
             outliers: &self.outliers,
             truncated: TRUNCATED,
-        };
-        let mut domains = Vec::with_capacity(self.dims.len());
-        for &dims in &self.dims {
-            let mut recon = vec![0.0f64; dims.len()];
-            traverse(dims, &mut recon, &mut dec)?;
-            domains.push(Buffer3::from_vec(dims, recon));
         }
-        Ok(domains)
+    }
+
+    /// [`decompress_domains_windowed`] after the parse: every guard on the
+    /// caller's domains first, then each domain reconstructed in its
+    /// window or passed over.
+    fn decode_windows(
+        &self,
+        domains: &[(Dims3, Option<Window>)],
+    ) -> CodecResult<Vec<Option<Buffer3>>> {
+        if self.dims.len() != domains.len() {
+            return Err(CodecError::dims(format!(
+                "the stream holds {} domains, the layout {}",
+                self.dims.len(),
+                domains.len()
+            )));
+        }
+        for (i, (&held, &(laid, window))) in self.dims.iter().zip(domains).enumerate() {
+            if held != laid {
+                return Err(CodecError::dims(format!(
+                    "domain {i} is {held:?} in the stream, {laid:?} in the layout"
+                )));
+            }
+            if window.is_some_and(|w| !w.inside(laid)) {
+                return Err(CodecError::dims(format!(
+                    "window {window:?} lies outside domain {i} of {laid:?}"
+                )));
+            }
+        }
+        let mut dec = self.reader();
+        let decode = |&(dims, window): &(Dims3, Option<Window>)| {
+            let Some(window) = window else {
+                dec.skip(dims.len())?;
+                return Ok(None);
+            };
+            let mut recon = vec![0.0f64; dims.len()];
+            traverse(dims, window, &mut recon, &mut dec)?;
+            Ok(Some(Buffer3::from_vec(dims, recon)))
+        };
+        domains.iter().map(decode).collect()
     }
 }
 
@@ -475,6 +659,14 @@ fn strides(dims: Dims3) -> Vec<usize> {
 pub(crate) mod tests {
     use super::*;
     use crate::metrics::ErrorStats;
+
+    /// Every domain of a stream from [`compress_domains_into`] of domains
+    /// `shapes`, whole.
+    fn whole(bytes: &[u8], shapes: &[Dims3]) -> CodecResult<Vec<Buffer3>> {
+        let full: Vec<_> = shapes.iter().map(|&d| (d, Some(Window::full(d)))).collect();
+        let domains = decompress_domains_windowed(bytes, &full)?.into_iter();
+        Ok(domains.map(|d| d.expect("windowed")).collect())
+    }
 
     // The per-point formulation the shipping code replaced, kept as the
     // oracle: targets enumerated by coordinate, prediction through
@@ -851,7 +1043,7 @@ pub(crate) mod tests {
         compress_domains_into(&domains, &cfg, &mut stream);
         assert_eq!(stream[0], 9, "appends");
         let stream = &stream[1..];
-        let back = decompress_domains(stream).expect("decode");
+        let back = whole(stream, &shapes).expect("decode");
         assert_eq!(back.len(), domains.len());
         for (o, b) in domains.iter().zip(&back) {
             assert_eq!(o.dims(), b.dims());
@@ -864,9 +1056,9 @@ pub(crate) mod tests {
         }
         // One shape is not the other's.
         assert!(decompress(stream).is_err());
-        assert!(decompress_domains(&compress(&domains[0], &cfg)).is_err());
+        assert!(whole(&compress(&domains[0], &cfg), &shapes[..1]).is_err());
         for cut in 0..stream.len() {
-            assert!(decompress_domains(&stream[..cut]).is_err(), "cut {cut}");
+            assert!(whole(&stream[..cut], &shapes).is_err(), "cut {cut}");
         }
     }
 
@@ -877,5 +1069,254 @@ pub(crate) mod tests {
         let mut bad = c.clone();
         bad[2] ^= 0x40;
         assert!(decompress(&bad).is_err());
+    }
+
+    /// The shapes the row decoder is held to the per-point one on.
+    const WINDOW_DIMS: [(usize, usize, usize); 6] = [
+        (1, 1, 1),
+        (5, 1, 3),
+        (16, 4, 7),
+        (9, 9, 9),
+        (64, 8, 3),
+        (32, 32, 64),
+    ];
+
+    /// A SymbolReader that counts the targets it reconstructs.
+    struct Counted<'a> {
+        inner: SymbolReader<'a>,
+        made: usize,
+    }
+
+    impl Direction for Counted<'_> {
+        type Err = CodecError;
+
+        fn point(&mut self, idx: usize, pred: f64, slot: &mut f64) -> CodecResult<()> {
+            self.made += 1;
+            self.inner.point(idx, pred, slot)
+        }
+
+        fn row(&mut self, base: usize, preds: &[f64], slots: &mut [f64]) -> CodecResult<()> {
+            self.made += slots.len();
+            Direction::row(&mut self.inner, base, preds, slots)
+        }
+
+        fn skip(&mut self, n: usize) -> CodecResult<()> {
+            self.inner.skip(n)
+        }
+    }
+
+    /// A random window of `dims`: a single cell, a box at the low or the
+    /// high corner (where `Linear` and `Prev` predictors apply), the full
+    /// window, or any box.
+    fn random_window(dims: Dims3, next: &mut impl FnMut() -> usize) -> Window {
+        let n = [dims.nx, dims.ny, dims.nz];
+        let kind = next() % 5;
+        let [ex, ey, ez] = std::array::from_fn(|a| 1 + next() % n[a]);
+        let edges = Dims3::new(ex, ey, ez);
+        match kind {
+            0 => {
+                let at = std::array::from_fn(|a| next() % n[a]);
+                Window::of(Dims3::new(1, 1, 1), at)
+            }
+            1 => Window::of(edges, [0; 3]),
+            2 => Window::of(edges, [n[0] - ex, n[1] - ey, n[2] - ez]),
+            3 => Window::full(dims),
+            _ => {
+                let (a, b): ([usize; 3], [usize; 3]) = (
+                    std::array::from_fn(|a| next() % n[a]),
+                    std::array::from_fn(|a| next() % n[a]),
+                );
+                let lo = std::array::from_fn(|i| a[i].min(b[i]));
+                let hi = std::array::from_fn(|i| a[i].max(b[i]));
+                Window { lo, hi }
+            }
+        }
+    }
+
+    fn cells(w: &Window) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        (w.lo[2]..=w.hi[2]).flat_map(move |k| {
+            (w.lo[1]..=w.hi[1]).flat_map(move |j| (w.lo[0]..=w.hi[0]).map(move |i| (i, j, k)))
+        })
+    }
+
+    #[test]
+    fn windowed_domains_match_the_full_decode_bitwise() {
+        let mut x = 46u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let (mut skipped_with_outliers, mut corners) = (0, [false; 2]);
+        for case in 0..48 {
+            // Several domains of the oracle shapes under one encoding;
+            // some are passed over between windowed ones.
+            let k = 1 + next() % 4;
+            let shapes: Vec<Dims3> = (0..k)
+                .map(|_| {
+                    let (nx, ny, nz) = WINDOW_DIMS[next() % WINDOW_DIMS.len()];
+                    Dims3::new(nx, ny, nz)
+                })
+                .collect();
+            let domains: Vec<Buffer3> = shapes.iter().map(|&d| spiky(d, case % 4 != 0)).collect();
+            let eb = [1e-2, 1e-4][case % 2];
+            let mut stream = Vec::new();
+            compress_domains_into(&domains, &InterpConfig::new(eb), &mut stream);
+            let full = whole(&stream, &shapes).expect("full decode");
+            let windows: Vec<(Dims3, Option<Window>)> = shapes
+                .iter()
+                .map(|&d| (d, (next() % 3 != 0).then(|| random_window(d, &mut next))))
+                .collect();
+            let what = format!("case {case}: {windows:?}");
+            let got = decompress_domains_windowed(&stream, &windows).expect("windowed decode");
+            assert_eq!(got.len(), k, "{what}");
+            for (i, (got, &(_, w))) in got.iter().zip(&windows).enumerate() {
+                let (Some(got), Some(w)) = (got, w) else {
+                    assert!(got.is_none() && w.is_none(), "{what}: domain {i}");
+                    continue;
+                };
+                assert_eq!(got.dims(), shapes[i], "{what}");
+                for (a, b, c) in cells(&Window::full(shapes[i])) {
+                    let inside = (0..3).all(|x| (w.lo[x]..=w.hi[x]).contains(&[a, b, c][x]));
+                    let (got, want) = (got.get(a, b, c).to_bits(), full[i].get(a, b, c).to_bits());
+                    assert!(
+                        got == want || (!inside && got == 0),
+                        "{what}: domain {i} cell ({a},{b},{c})"
+                    );
+                }
+            }
+            for (i, (d, w)) in windows.iter().enumerate() {
+                match w {
+                    None => {
+                        let spikes = domains[i].data().iter().any(|v| !v.is_finite());
+                        skipped_with_outliers += usize::from(spikes && i + 1 < k);
+                    }
+                    Some(w) => {
+                        corners[0] |= w.lo == [0; 3] && *w != Window::full(*d);
+                        corners[1] |= w.hi == Window::full(*d).hi && w.lo != [0; 3];
+                    }
+                }
+            }
+        }
+        assert!(
+            skipped_with_outliers > 0,
+            "no domain with outliers passed over"
+        );
+        assert_eq!(corners, [true; 2], "no window at the low / high corner");
+
+        // One-domain streams, and the work a window saves.
+        for (nx, ny, nz) in WINDOW_DIMS {
+            let dims = Dims3::new(nx, ny, nz);
+            let stream = compress(&spiky(dims, true), &InterpConfig::new(1e-4));
+            let full = decompress(&stream).expect("full decode");
+            for w in [
+                Window::full(dims),
+                Window::of(Dims3::new(1, 1, 1), [nx / 2, ny / 2, nz / 2]),
+            ] {
+                let got = decompress_windowed(&stream, &[(dims, Some(w))]).expect("decode");
+                let got = got[0].as_ref().expect("windowed");
+                for (a, b, c) in cells(&w) {
+                    assert_eq!(got.get(a, b, c).to_bits(), full.get(a, b, c).to_bits());
+                }
+                let p = Payload::parse(&stream, VERSION).unwrap();
+                let mut dec = Counted {
+                    inner: p.reader(),
+                    made: 0,
+                };
+                traverse(dims, w, &mut vec![0.0; dims.len()], &mut dec).unwrap();
+                assert!(
+                    dec.inner.syms.is_empty(),
+                    "{dims:?} {w:?}: every symbol consumed"
+                );
+                if w == Window::full(dims) {
+                    assert_eq!(dec.made, dims.len(), "{dims:?}");
+                } else if dims.len() >= 4096 {
+                    assert!(dec.made * 4 < dims.len(), "{dims:?}: {} made", dec.made);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_decodes_refuse_a_layout_the_stream_does_not_hold() {
+        let shapes = [Dims3::new(9, 9, 9), Dims3::new(16, 4, 7)];
+        let domains: Vec<Buffer3> = shapes.iter().map(|&d| spiky(d, true)).collect();
+        let mut stream = Vec::new();
+        compress_domains_into(&domains, &InterpConfig::new(1e-3), &mut stream);
+        let full = |d: Dims3| (d, Some(Window::full(d)));
+        let refused = [
+            vec![full(shapes[0])],
+            vec![full(shapes[0]), full(shapes[1]), full(shapes[1])],
+            vec![full(shapes[0]), full(Dims3::new(16, 7, 4))],
+            vec![full(shapes[0]), (shapes[1], Some(Window::full(shapes[0])))],
+        ];
+        for layout in refused {
+            let err = decompress_domains_windowed(&stream, &layout).unwrap_err();
+            assert!(
+                matches!(err, CodecError::DimsMismatch { .. }),
+                "{layout:?}: {err:?}"
+            );
+        }
+        // The one-domain shape is not the several-domain one.
+        assert!(decompress_windowed(&stream, &[full(shapes[0])]).is_err());
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error_under_a_windowed_decode() {
+        let shapes = [
+            Dims3::new(9, 9, 9),
+            Dims3::new(16, 4, 7),
+            Dims3::new(5, 1, 3),
+        ];
+        let domains: Vec<Buffer3> = shapes.iter().map(|&d| spiky(d, true)).collect();
+        let mut stream = Vec::new();
+        compress_domains_into(&domains, &InterpConfig::new(1e-4), &mut stream);
+        let env = expect_envelope(&stream, CodecId::Interp, DOMAINS_VERSION).unwrap();
+        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
+        let wrap = |payload: &[u8]| {
+            let mut w = Writer::new();
+            write_envelope(&mut w, CodecId::Interp, DOMAINS_VERSION, 0);
+            w.put_u64(payload.len() as u64);
+            w.put_u8(0);
+            w.put_block(payload);
+            w.into_bytes()
+        };
+        assert!(whole(&wrap(&payload), &shapes).is_ok());
+        let corner = |d: Dims3| {
+            Some(Window::of(
+                Dims3::new(1, 1, 1),
+                [d.nx - 1, d.ny - 1, d.nz - 1],
+            ))
+        };
+        let layouts: [Vec<(Dims3, Option<Window>)>; 3] = [
+            shapes.iter().map(|&d| (d, None)).collect(),
+            shapes.iter().map(|&d| (d, corner(d))).collect(),
+            vec![
+                (shapes[0], None),
+                (shapes[1], Some(Window::full(shapes[1]))),
+                (shapes[2], None),
+            ],
+        ];
+        let cuts = (0..payload.len())
+            .map(|cut| (wrap(&payload[..cut]), format!("payload cut at {cut}")))
+            .chain(
+                (0..stream.len())
+                    .map(|cut| (stream[..cut].to_vec(), format!("stream cut at {cut}"))),
+            );
+        for (cut, what) in cuts {
+            let full = whole(&cut, &shapes);
+            for layout in &layouts {
+                let windowed = decompress_domains_windowed(&cut, layout);
+                match (&windowed, &full) {
+                    (Err(a), Err(b)) => assert_eq!(
+                        std::mem::discriminant(a),
+                        std::mem::discriminant(b),
+                        "{what}, {layout:?}: {a:?} vs {b:?}"
+                    ),
+                    _ => panic!("{what}, {layout:?}: windowed {windowed:?}, full {full:?}"),
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,8 @@
 //!   Encoding**; the `_into` variants append to a reused buffer.
 //! * [`interp`] — **SZ_Interp** (SZ3 dynamic spline, Zhao et al. 2021):
 //!   global multi-level cubic/linear interpolation prediction over one
-//!   buffer.
+//!   buffer; a decoder that wants a box of it reconstructs only what the
+//!   box depends on ([`interp::Window`]).
 //! * [`temporal`] — the cross-snapshot delta kernel (residuals against a
 //!   decoded reference), which the AMRIC pipeline's delta mode carries.
 //! * [`adaptive`] — the paper's adaptive SZ-block-size rule (Equation 1).
