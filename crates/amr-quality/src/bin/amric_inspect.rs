@@ -16,6 +16,7 @@ use amric::pipeline::{stream_layout, StreamLayout};
 use amric::writer::FILTER_AMRIC;
 use h5lite::prelude::*;
 use std::process::ExitCode;
+use sz_codec::lr::FrameLayout;
 
 fn human(bytes: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
@@ -41,8 +42,14 @@ fn filter_name(id: u32) -> &'static str {
     }
 }
 
-/// Why an AMRIC chunk is stored the way it is: its stream mode, and for
-/// the placed mode the clusters it compressed in place.
+/// A lossless frame: its mode, and its bytes stored → expanded.
+fn frame(f: &FrameLayout) -> String {
+    format!("lossless {} {} → {}", f.mode, f.stored, f.bytes)
+}
+
+/// Why an AMRIC chunk is stored the way it is: its stream mode; for the
+/// placed mode the clusters it compressed in place; for SZ_L/R under SLE
+/// its groups, its head and its data part.
 fn stream_mode(r: &H5Reader, name: &str, chunk: usize) -> String {
     let layout = r
         .read_chunk_raw(name, chunk)
@@ -52,12 +59,23 @@ fn stream_mode(r: &H5Reader, name: &str, chunk: usize) -> String {
         Ok(StreamLayout {
             mode,
             placed: Some(p),
+            ..
         }) => format!(
             "  mode {mode}  clusters {}  cells {}  holes {:.1}%",
             p.clusters,
             p.cells,
             100.0 * p.holes as f64 / p.cells.max(1) as f64
         ),
+        Ok(StreamLayout {
+            mode, lr: Some(l), ..
+        }) => {
+            let data = l.data.as_ref().map_or("in head".into(), frame);
+            format!(
+                "  mode {mode}  groups {}  head {}  data {data}",
+                l.groups,
+                frame(&l.head)
+            )
+        }
         Ok(StreamLayout { mode, .. }) => format!("  mode {mode}"),
         Err(e) => format!("  mode ? ({e})"),
     }

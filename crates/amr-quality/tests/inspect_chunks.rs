@@ -1,5 +1,6 @@
-//! `amric_inspect --chunks` names each AMRIC chunk's stream mode, and for
-//! the placed SZ_Interp mode the clusters it compressed in place;
+//! `amric_inspect --chunks` names each AMRIC chunk's stream mode, for
+//! the placed SZ_Interp mode the clusters it compressed in place, and for
+//! SZ_L/R under SLE the groups, head and data part of its stream;
 //! `amric_inspect --header` prints a file's metadata and temporal linkage
 //! without decoding a chunk.
 
@@ -64,6 +65,50 @@ fn chunks_name_their_stream_mode() {
     let lr = inspect_chunks(&AmricConfig::lr(1e-3), "lr");
     assert!(lr.contains("mode lr-sle"), "{lr}");
     assert!(!lr.contains("clusters"), "{lr}");
+}
+
+#[test]
+fn sz_lr_chunks_say_where_their_bytes_went() {
+    // Nyx at 32³ on one rank: each level-0 field is one chunk of the 8³
+    // units level 1 does not cover, several groups of eight; what
+    // `--chunks` prints is the decoder's own parse, and its frames plus
+    // the two envelopes, the mode byte and the unit count are the chunk.
+    let run = AmrRunConfig {
+        coarse_dims: (32, 32, 32),
+        max_grid_size: 16,
+        blocking_factor: 8,
+        nranks: 1,
+        num_levels: 2,
+        fine_fraction: 0.1,
+        grid_eff: 0.7,
+    };
+    let h = build_hierarchy(&NyxScenario::new(1), &run, 0.0);
+    let path = tmp("lr-bytes");
+    write_amric(&path, &h, &AmricConfig::lr(1e-3), 8).unwrap();
+    let out = inspect(&path, "--chunks");
+    let r = h5lite::H5Reader::open(&path).unwrap();
+    let name = "level_0/field_0";
+    let raw = r.read_chunk_raw(name, 0).unwrap();
+    std::fs::remove_file(&path).ok();
+    let layout = amric::pipeline::stream_layout(&raw).unwrap();
+    let lr = layout.lr.expect("an lr-sle chunk");
+    assert!(lr.groups > 1, "{lr:?}");
+    let data = lr.data.expect("a grouped stream");
+    assert_eq!(lr.head.stored + data.stored + (8 + 1 + 4) + 8, raw.len());
+    let frame =
+        |f: &sz_codec::lr::FrameLayout| format!("lossless {} {} → {}", f.mode, f.stored, f.bytes);
+    let row = out
+        .lines()
+        .skip_while(|l| !l.starts_with(name))
+        .nth(1)
+        .expect("a chunk row under level_0/field_0");
+    let expect = format!(
+        "mode lr-sle  groups {}  head {}  data {}",
+        lr.groups,
+        frame(&lr.head),
+        frame(&data)
+    );
+    assert!(row.ends_with(&expect), "{row}\nwanted …{expect}");
 }
 
 /// The header lines `--header` printed when it restarted the file: one

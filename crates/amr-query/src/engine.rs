@@ -56,8 +56,9 @@
 //! the adaptive extension reconstruct whole and copy out. Delivered
 //! bytes therefore never exceed the plan's cost, and repeated queries
 //! converge to hits.
-//! [`QueryEngine::point_sample`] and a delta chunk's reference fetch
-//! whole chunks; the restart decodes every unit.
+//! [`QueryEngine::point_sample`] fetches the one unit that holds its
+//! cell; a delta chunk's reference fetch takes whole chunks; the restart
+//! decodes every unit.
 //!
 //! # The restart is the engine's too
 //!
@@ -308,7 +309,7 @@ pub struct EngineStats {
     pub chunks_decoded: u64,
     /// Bytes of the units those decodes delivered: a restart's every
     /// unit, a miss's planned units its cache entry lacked (a point
-    /// sample's or a reference fetch's whole chunk).
+    /// sample's one unit, a reference fetch's whole chunk).
     pub decoded_bytes: u64,
     /// Stored (compressed) bytes read from the container.
     pub read_bytes: u64,
@@ -852,12 +853,12 @@ impl QueryEngine {
                 });
             if let Some((rank, ui)) = holder {
                 let chunk = self
-                    .fetch(&[(l, field, rank)], None)?
+                    .fetch(&[(l, field, rank)], Some(&[vec![ui as u32]]))?
                     .pop()
                     .expect("one request, one chunk");
                 let at = cell - lp.plans[rank][ui].region.lo;
                 let (d, e, g) = (at.get(0) as usize, at.get(1) as usize, at.get(2) as usize);
-                let unit = chunk.unit(ui).expect("a whole chunk is fetched");
+                let unit = chunk.unit(ui).expect("the unit is fetched");
                 return Ok(Some(PointSample {
                     level: l,
                     cell,

@@ -4,8 +4,8 @@
 //! batch, then walked piece by piece) answer bitwise what the restart
 //! holds; a cold plan decodes exactly its planned units, an overlapping
 //! plan only the planned units the cache lacks, a repeat nothing; and a
-//! point sample on a partly filled cache entry still answers the
-//! restart's value.
+//! point sample, on a fresh engine or a partly filled cache entry,
+//! answers the restart's value and decodes its own unit at most.
 
 use amr_apps::prelude::*;
 use amr_mesh::prelude::*;
@@ -334,10 +334,22 @@ fn check_overlap(fx: &Fixture, field: usize) {
     assert!(spent < plan_b.cost().decode_bytes, "{what}");
 }
 
+/// The stored unit that holds `cell` of `level`: `(level, rank, unit)`.
+fn holder(engine: &QueryEngine, level: usize, cell: &IntVect) -> (usize, usize, usize) {
+    (0..engine.chunk_entries(level).unwrap().len())
+        .find_map(|rank| {
+            let plan = engine.meta().unit_plan(level, rank);
+            let ui = plan.iter().position(|u| u.region.contains(cell))?;
+            Some((level, rank, ui))
+        })
+        .expect("a stored unit holds the sample")
+}
+
 /// Points over the finest index space after a small ROI left partly
-/// filled entries: every sample is the restart's value, each touched
-/// chunk is completed once (the units the ROI left out), and the same
-/// points again decode nothing.
+/// filled entries: every sample is the restart's value, each one decodes
+/// its own unit if the cache lacks it and nothing else, and the same
+/// points again decode nothing. On a fresh engine one point decodes one
+/// unit.
 fn check_points(fx: &Fixture, pf: &Plotfile, field: usize) {
     let engine = fx.engine();
     let meta = engine.meta().clone();
@@ -365,30 +377,29 @@ fn check_points(fx: &Fixture, pf: &Plotfile, field: usize) {
         let want = pf.levels[s.level].value_at(&s.cell, field).unwrap();
         let what = format!("{} field {field} point {p:?}", fx.name);
         assert_eq!(s.value.to_bits(), want.to_bits(), "{what}");
-        let rank = (0..engine.chunk_entries(s.level).unwrap().len())
-            .find(|&r| {
-                meta.unit_plan(s.level, r)
-                    .iter()
-                    .any(|u| u.region.contains(&s.cell))
-            })
-            .expect("a stored unit holds the sample");
-        touched.insert((s.level, rank));
+        touched.insert(holder(&engine, s.level, &s.cell));
+        if touched.len() == 1 {
+            // The first point on a fresh engine: its unit, nothing else.
+            let fresh = fx.engine();
+            assert_eq!(fresh.point_sample(field, *p).unwrap(), Some(s), "{what}");
+            assert_eq!(
+                fresh.stats().decoded_bytes,
+                unit_bytes(&fresh, &touched),
+                "{what}"
+            );
+        }
     }
-    let partly: Vec<_> = held.iter().map(|&(l, r, _)| (l, r)).collect();
+    let partly: BTreeSet<_> = held.iter().map(|&(l, r, _)| (l, r)).collect();
     assert!(
-        partly.iter().any(|c| touched.contains(c)),
+        touched.iter().any(|&(l, r, _)| partly.contains(&(l, r))),
         "{}: no point met a partly filled entry",
         fx.name
     );
-    let lacking: BTreeSet<_> = touched
-        .iter()
-        .flat_map(|&(l, r)| (0..meta.unit_plan(l, r).len()).map(move |ui| (l, r, ui)))
-        .filter(|u| !held.contains(u))
-        .collect();
+    let lacking: Vec<_> = touched.difference(&held).collect();
     let spent = engine.stats().decoded_bytes - before;
     assert_eq!(
         spent,
-        unit_bytes(&engine, &lacking),
+        unit_bytes(&engine, lacking),
         "{} field {field}",
         fx.name
     );

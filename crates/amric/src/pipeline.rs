@@ -937,6 +937,9 @@ pub struct StreamLayout {
     /// Placed streams only: the clusters, their cells, and how many of
     /// those cells are holes.
     pub placed: Option<PlacedShape>,
+    /// `lr-sle` streams only: where the SZ_L/R stream's bytes went — its
+    /// groups, its head and its data part.
+    pub lr: Option<lr::LrLayout>,
 }
 
 /// The cluster shape of an `interp-placed` stream.
@@ -950,11 +953,18 @@ pub struct PlacedShape {
     pub holes: u64,
 }
 
-/// Read a pipeline stream's [`StreamLayout`] from its header.
+/// Read a pipeline stream's [`StreamLayout`] from its header, and for
+/// `lr-sle` from the SZ_L/R stream's head ([`lr::layout`]).
 pub fn stream_layout(bytes: &[u8]) -> CodecResult<StreamLayout> {
     let env = expect_envelope(bytes, CodecId::AmricPipeline, VERSION)?;
     let mut r = Reader::new(&bytes[env.payload_offset..]);
     let mode = Mode::from_u8(r.get_u8()?)?;
+    let lr = if mode == Mode::LrSle {
+        r.get_u32()?;
+        Some(lr::layout(r.get_raw(r.remaining())?)?)
+    } else {
+        None
+    };
     let placed = if mode == Mode::InterpPlaced {
         let n = r.get_u32()? as usize;
         let (edge, grids) = read_cluster_header(&mut r, n, mode)?;
@@ -972,6 +982,7 @@ pub fn stream_layout(bytes: &[u8]) -> CodecResult<StreamLayout> {
     Ok(StreamLayout {
         mode: mode.name(),
         placed,
+        lr,
     })
 }
 

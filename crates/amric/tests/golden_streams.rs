@@ -164,12 +164,77 @@ fn pipeline(units: &[Buffer3], cfg: &AmricConfig, abs_eb: f64) -> Vec<u8> {
     out
 }
 
+/// An SZ_L/R stream of `groups` groups, its data part stored or not.
+fn lr_stream(u: &[Buffer3], abs: f64, groups: usize, data_stored: bool) -> Vec<u8> {
+    let stream = lr::compress_domains(u, &LrConfig::new(abs));
+    let layout = lr::layout(&stream).expect("layout");
+    assert_eq!(layout.groups, groups, "{layout:?}");
+    assert_eq!(
+        layout.data.map(|d| d.mode == 0),
+        Some(data_stored),
+        "{layout:?}"
+    );
+    stream
+}
+
 #[test]
 fn golden_lr_sle() {
+    // 6 000 cells: a group closes at the fifth domain, the sixth is one
+    // of its own. `lr_sle.v2` is the version-2 stream of the same units.
     let u = units(6, Dims3::cube(10), 0xA001);
     let abs = resolve_abs_eb(&u, 1e-3);
-    let stream = lr::compress_domains(&u, &LrConfig::new(abs));
+    let stream = lr_stream(&u, abs, 2, true);
     check("lr_sle", &stream, lr::decompress_domains, &u, abs);
+}
+
+#[test]
+fn golden_lr_groups() {
+    // Five, five and three domains of 10³: three groups.
+    let u = units(13, Dims3::cube(10), 0xA005);
+    let abs = resolve_abs_eb(&u, 1e-3);
+    let stream = lr_stream(&u, abs, 3, true);
+    check("lr_groups", &stream, lr::decompress_domains, &u, abs);
+}
+
+#[test]
+fn golden_lr_groups_lz() {
+    // A loose bound leaves the trend's runs of one short code: the data
+    // part takes the LZ stage.
+    let u = units(10, Dims3::cube(10), 0xA006);
+    let abs = resolve_abs_eb(&u, 1e-1);
+    let stream = lr_stream(&u, abs, 2, false);
+    check("lr_groups_lz", &stream, lr::decompress_domains, &u, abs);
+}
+
+/// A decode-only fixture `<name>.v2.bin` holds `<name>`'s units as the
+/// encoder wrote them before the data block was cut into groups (format
+/// version 2). It must decode, through the one decoder, to the digest
+/// beside it, which is also `<name>`'s: the same values.
+#[test]
+fn version_2_fixtures_decode_to_the_values_of_their_successors() {
+    let mut pairs = Vec::new();
+    for entry in std::fs::read_dir(golden_dir()).expect("golden dir") {
+        let path = entry.expect("dir entry").path();
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let Some(name) = file.strip_suffix(".v2.bin") else {
+            continue;
+        };
+        let bytes = std::fs::read(&path).expect("fixture");
+        let env = sz_codec::codec::read_envelope(&bytes).expect("envelope");
+        assert_eq!(
+            (env.codec, env.version),
+            (CodecId::LrSle as u16, 2),
+            "{file}"
+        );
+        let back = lr::decompress_domains(&bytes).expect("version-2 fixture decodes");
+        let digest = format!("{:016x}\n", decoded_digest(&back));
+        for pinned in [format!("{name}.v2.digest"), format!("{name}.digest")] {
+            let expected = std::fs::read_to_string(golden_dir().join(&pinned)).expect("digest");
+            assert_eq!(digest, expected, "{file} against {pinned}");
+        }
+        pairs.push(name.to_string());
+    }
+    assert_eq!(pairs, ["lr_sle"]);
 }
 
 #[test]
@@ -181,6 +246,7 @@ fn golden_lr_ragged() {
     u.extend(units(1, Dims3::new(5, 7, 8), 0xA004));
     let abs = resolve_abs_eb(&u, 1e-3);
     let stream = lr::compress_domains(&u, &LrConfig::new(abs));
+    assert_eq!(lr::layout(&stream).expect("layout").groups, 1);
     check("lr_ragged", &stream, lr::decompress_domains, &u, abs);
 }
 

@@ -211,8 +211,11 @@ fn golden_corpus_places_to_its_committed_digests() {
     assert_eq!(
         placed_streams,
         [
+            "lr_groups",
+            "lr_groups_lz",
             "lr_ragged",
             "lr_sle",
+            "lr_sle.v2",
             "pipeline_adaptive",
             "pipeline_delta",
             "pipeline_empty",

@@ -135,8 +135,9 @@ pub trait UnitDest {
     /// not, so a destination sees each unit's shape. A unit it declines is
     /// passed over: its destination is never asked for; SZ_L/R, whose
     /// units are separate prediction domains under one entropy stream,
-    /// reconstructs none of its cells, and an SZ_Interp layout only those
-    /// a wanted unit of its cluster depends on.
+    /// reconstructs none of its cells (and decodes no symbol of a group
+    /// that holds no wanted unit), and an SZ_Interp layout only those a
+    /// wanted unit of its cluster depends on.
     fn wants(&mut self, _i: usize, _dims: Dims3) -> CodecResult<bool> {
         Ok(true)
     }

@@ -129,12 +129,16 @@ impl HuffmanCode {
     }
 
     /// Code length in bits for `sym`; 0 when the symbol is not in the book.
-    fn code_len(&self, sym: u32) -> u32 {
+    pub fn code_len(&self, sym: u32) -> u32 {
         self.encode.get(sym as usize).map(|&(_, l)| l).unwrap_or(0)
     }
 
-    /// Decode exactly `n` symbols from the bit stream into the symbol type
-    /// the caller stores; a symbol that does not fit it is corrupt.
+    /// Decode `parts` into one run of the symbol type the caller stores; a
+    /// symbol that does not fit it is corrupt. A part `(bytes, skip, n)`
+    /// is a bit stream of exactly `n` symbols that starts `skip` (< 8) bits
+    /// into `bytes`. A block is one part from bit 0; a stream cut into
+    /// groups that may be read alone passes the groups it wants, and they
+    /// share one table.
     ///
     /// One loop for every block. From `DECODE_TABLE_MIN_SYMBOLS` symbols
     /// on it builds a table: the next 12 peeked bits select a slot holding
@@ -149,18 +153,22 @@ impl HuffmanCode {
     /// errors included, are the walk's.
     pub fn decode<S: TryFrom<u32> + Copy + Default>(
         &self,
-        bytes: &[u8],
-        n: usize,
+        parts: &[(&[u8], u32, usize)],
     ) -> CodecResult<Vec<S>> {
-        // Every symbol costs at least one bit, so a count beyond 8 bits
-        // per payload byte can only come from a corrupted header.
-        if n as u128 > bytes.len() as u128 * 8 {
-            return Err(CodecError::LimitExceeded {
-                what: "symbol count",
-                claimed: n as u128,
-                available: bytes.len() as u128 * 8,
-            });
+        // Every symbol costs at least one bit, so a count beyond the bits
+        // of a part can only come from a corrupted header.
+        for &(bytes, skip, n) in parts {
+            let bits = (bytes.len() as u128 * 8).saturating_sub(skip as u128);
+            if skip >= 8 || n as u128 > bits {
+                return Err(CodecError::LimitExceeded {
+                    what: "symbol count",
+                    claimed: n as u128,
+                    available: bits,
+                });
+            }
         }
+        // At most 8 symbols per byte of parts that exist: no overflow.
+        let n: usize = parts.iter().map(|&(_, _, n)| n).sum();
         let canon = Canonical::build(&self.lens);
         let slots = (n >= DECODE_TABLE_MIN_SYMBOLS).then(|| Slots::<S>::build(&self.lens, &canon));
         let per_slot = match &slots {
@@ -171,83 +179,94 @@ impl HuffmanCode {
         // has `SLOT_SYMBOLS − 1` spare symbols past the last one.
         let mut out = vec![S::default(); n + SLOT_SYMBOLS - 1];
         let mut o = 0;
-        // Persistent bit buffer: the next unconsumed bits sit left-aligned
-        // in `buf`, `nbits` of them counted, the byte after them at
-        // `byte_pos`. Whatever `buf` holds below the counted bits is zero
-        // or the stream bits that follow them, so a refill may OR bits in
-        // that are already there.
-        let mut buf: u64 = 0;
-        let mut nbits: u32 = 0;
-        let mut byte_pos = 0usize;
-        while o < n {
-            if let Some(word) = bytes.get(byte_pos..byte_pos + 8) {
-                // Word refill. `nbits ≤ 63` here (a symbol has been taken
-                // since any byte refill to 64), and the word supplies whole
-                // bytes up to 56–63 counted bits:
-                // `nbits + 8·((63 − nbits) >> 3) = nbits | 56`.
-                buf |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> nbits;
-                byte_pos += ((63 - nbits) >> 3) as usize;
-                nbits |= 56;
-                // Fast phase, with a table: a group of lookups with no
-                // refill test between them, while a whole group of
-                // symbols remains. It stops at a slot without a whole
-                // code of type `S`; after a refill that slot takes the
-                // one-symbol step.
-                if let Some(slots) = slots.as_ref().filter(|s| n - o >= s.group * per_slot) {
-                    let mut hits = 0;
-                    while hits < slots.group {
-                        let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
-                        let meta = slots.meta[slot];
-                        if meta < 16 {
-                            break;
+        for &(bytes, skip, part) in parts {
+            // Symbols up to `n` are this part's; a slot copied whole may
+            // spill into the next part's, which its own decode overwrites.
+            let n = o + part;
+            // Persistent bit buffer: the next unconsumed bits sit left-aligned
+            // in `buf`, `nbits` of them counted, the byte after them at
+            // `byte_pos`. Whatever `buf` holds below the counted bits is zero
+            // or the stream bits that follow them, so a refill may OR bits in
+            // that are already there. A part that starts inside its first
+            // byte counts that byte's last `8 − skip` bits.
+            let mut buf: u64 = 0;
+            let mut nbits: u32 = 0;
+            let mut byte_pos = 0usize;
+            if let (1..8, Some(&first)) = (skip, bytes.first()) {
+                buf = (first as u64) << (56 + skip);
+                nbits = 8 - skip;
+                byte_pos = 1;
+            }
+            while o < n {
+                if let Some(word) = bytes.get(byte_pos..byte_pos + 8) {
+                    // Word refill. `nbits ≤ 63` here (a symbol has been taken
+                    // since any byte refill to 64), and the word supplies whole
+                    // bytes up to 56–63 counted bits:
+                    // `nbits + 8·((63 − nbits) >> 3) = nbits | 56`.
+                    buf |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> nbits;
+                    byte_pos += ((63 - nbits) >> 3) as usize;
+                    nbits |= 56;
+                    // Fast phase, with a table: a group of lookups with no
+                    // refill test between them, while a whole group of
+                    // symbols remains. It stops at a slot without a whole
+                    // code of type `S`; after a refill that slot takes the
+                    // one-symbol step.
+                    if let Some(slots) = slots.as_ref().filter(|s| n - o >= s.group * per_slot) {
+                        let mut hits = 0;
+                        while hits < slots.group {
+                            let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
+                            let meta = slots.meta[slot];
+                            if meta < 16 {
+                                break;
+                            }
+                            out[o..o + SLOT_SYMBOLS].copy_from_slice(&slots.syms[slot]);
+                            o += (meta >> 4) as usize;
+                            buf <<= meta & 15;
+                            nbits -= (meta & 15) as u32;
+                            hits += 1;
                         }
-                        out[o..o + SLOT_SYMBOLS].copy_from_slice(&slots.syms[slot]);
-                        o += (meta >> 4) as usize;
-                        buf <<= meta & 15;
-                        nbits -= (meta & 15) as u32;
-                        hits += 1;
+                        if hits > 0 {
+                            continue;
+                        }
                     }
-                    if hits > 0 {
-                        continue;
-                    }
-                }
-            } else {
-                // The last bytes, one at a time: then either > 56 bits
-                // are counted or all that remain are.
-                while nbits <= 56 && byte_pos < bytes.len() {
-                    buf |= (bytes[byte_pos] as u64) << (56 - nbits);
-                    nbits += 8;
-                    byte_pos += 1;
-                }
-            }
-            // One symbol: any symbol without a table, else a code longer
-            // than the window or not of type `S`, the last bytes, the
-            // last symbols. Its length is the smallest whose canonical
-            // limit the left-aligned bits are below (the limits never
-            // decrease, so that is one count), looked for from where the
-            // slot's own entry leaves off, or from length 1.
-            let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
-            let from = match slots.as_ref().map(|slots| slots.meta[slot]) {
-                Some(0) => DECODE_TABLE_BITS as usize + 1,
-                Some(meta @ 1..16) => meta as usize,
-                _ => 1,
-            };
-            let top = buf >> 32;
-            let len = from + canon.limit.iter().skip(from).filter(|&&l| top >= l).count();
-            // No code within the counted bits: if they are the last ones
-            // and no more than the longest code, the walk runs out first.
-            if len > canon.max_len || len > nbits as usize {
-                return Err(CodecError::corrupt(if nbits as usize <= canon.max_len {
-                    "huffman stream exhausted"
                 } else {
-                    "invalid huffman code"
-                }));
+                    // The last bytes, one at a time: then either > 56 bits
+                    // are counted or all that remain are.
+                    while nbits <= 56 && byte_pos < bytes.len() {
+                        buf |= (bytes[byte_pos] as u64) << (56 - nbits);
+                        nbits += 8;
+                        byte_pos += 1;
+                    }
+                }
+                // One symbol: any symbol without a table, else a code longer
+                // than the window or not of type `S`, the last bytes, the
+                // last symbols. Its length is the smallest whose canonical
+                // limit the left-aligned bits are below (the limits never
+                // decrease, so that is one count), looked for from where the
+                // slot's own entry leaves off, or from length 1.
+                let slot = (buf >> (64 - DECODE_TABLE_BITS)) as usize;
+                let from = match slots.as_ref().map(|slots| slots.meta[slot]) {
+                    Some(0) => DECODE_TABLE_BITS as usize + 1,
+                    Some(meta @ 1..16) => meta as usize,
+                    _ => 1,
+                };
+                let top = buf >> 32;
+                let len = from + canon.limit.iter().skip(from).filter(|&&l| top >= l).count();
+                // No code within the counted bits: if they are the last ones
+                // and no more than the longest code, the walk runs out first.
+                if len > canon.max_len || len > nbits as usize {
+                    return Err(CodecError::corrupt(if nbits as usize <= canon.max_len {
+                        "huffman stream exhausted"
+                    } else {
+                        "invalid huffman code"
+                    }));
+                }
+                let rel = (top >> (32 - len)) - canon.first_code[len];
+                out[o] = narrow(self.lens[canon.first_index[len] + rel as usize].0)?;
+                o += 1;
+                buf <<= len;
+                nbits -= len as u32;
             }
-            let rel = (top >> (32 - len)) - canon.first_code[len];
-            out[o] = narrow(self.lens[canon.first_index[len] + rel as usize].0)?;
-            o += 1;
-            buf <<= len;
-            nbits -= len as u32;
         }
         out.truncate(n);
         Ok(out)
@@ -629,7 +648,7 @@ pub fn decode_with_table_as<S: TryFrom<u32> + Copy + Default>(bytes: &[u8]) -> C
     let code = HuffmanCode::read_table(&mut r)?;
     let n = r.get_u64()? as usize;
     let payload = r.get_block()?;
-    code.decode(payload, n)
+    code.decode(&[(payload, 0, n)])
 }
 
 #[cfg(test)]
@@ -649,13 +668,20 @@ mod tests {
             w.into_bytes()
         }
 
-        /// The bit-by-bit canonical walk: the oracle of `decode`.
-        fn decode_reference<S: TryFrom<u32>>(&self, bytes: &[u8], n: usize) -> CodecResult<Vec<S>> {
-            if n as u128 > bytes.len() as u128 * 8 {
+        /// The bit-by-bit canonical walk over the bits of `bytes` after
+        /// the first `skip`: the oracle of `decode` on one part.
+        pub(crate) fn decode_reference<S: TryFrom<u32>>(
+            &self,
+            bytes: &[u8],
+            skip: u32,
+            n: usize,
+        ) -> CodecResult<Vec<S>> {
+            let bits = (bytes.len() as u128 * 8).saturating_sub(skip as u128);
+            if skip >= 8 || n as u128 > bits {
                 return Err(CodecError::LimitExceeded {
                     what: "symbol count",
                     claimed: n as u128,
-                    available: bytes.len() as u128 * 8,
+                    available: bits,
                 });
             }
             let Canonical {
@@ -667,6 +693,7 @@ mod tests {
             } = Canonical::build(&self.lens);
             let mut out = Vec::with_capacity(n);
             let mut r = BitReader::new(bytes);
+            (0..skip).for_each(|_| _ = r.read_bit());
             // Single-symbol streams use 1-bit codes; the general path handles it.
             for _ in 0..n {
                 let mut code = 0u64;
@@ -715,7 +742,7 @@ mod tests {
         }
         let code = HuffmanCode::read_table(&mut r)?;
         let n = r.get_u64()? as usize;
-        code.decode_reference(r.get_block()?, n)
+        code.decode_reference(r.get_block()?, 0, n)
     }
 
     fn roundtrip(symbols: &[u32]) {
@@ -802,13 +829,16 @@ mod tests {
         // both decoders; the bit-flipped stream fails typed on both.
         for n in [5usize, 100] {
             let payload = vec![0u8; n.div_ceil(8)];
-            assert_eq!(code.decode::<u32>(&payload, n).unwrap(), vec![u32::MAX; n]);
             assert_eq!(
-                code.decode_reference::<u32>(&payload, n).unwrap(),
+                code.decode::<u32>(&[(&payload, 0, n)]).unwrap(),
+                vec![u32::MAX; n]
+            );
+            assert_eq!(
+                code.decode_reference::<u32>(&payload, 0, n).unwrap(),
                 vec![u32::MAX; n]
             );
             let bad = vec![0xFFu8; n.div_ceil(8)];
-            assert!(code.decode::<u32>(&bad, n).is_err());
+            assert!(code.decode::<u32>(&[(&bad, 0, n)]).is_err());
         }
     }
 
@@ -894,8 +924,8 @@ mod tests {
     /// The table decoder against the bit-by-bit walk on the same bytes and
     /// count: the same symbols, or the same error — variant and text.
     fn assert_parity(code: &HuffmanCode, bytes: &[u8], n: usize, what: &str) {
-        let fast = code.decode::<u32>(bytes, n);
-        let slow = code.decode_reference::<u32>(bytes, n);
+        let fast = code.decode::<u32>(&[(bytes, 0, n)]);
+        let slow = code.decode_reference::<u32>(bytes, 0, n);
         assert_eq!(fast, slow, "{what}");
     }
 
@@ -907,6 +937,69 @@ mod tests {
         (code, payload)
     }
 
+    #[test]
+    fn parts_decode_as_the_walk_over_each_part() {
+        // One stream cut into groups of 1–70 symbols at bit offsets (part
+        // ends before, inside and after the fast phase's reach): any
+        // selection of them, damaged or not, decodes to the walk over each
+        // part in turn, or fails as the first failing walk does.
+        for (b, syms) in [skewed_symbols(3000, 31), lcg_symbols(3000, 65536, 32)]
+            .into_iter()
+            .enumerate()
+        {
+            let (code, payload) = coded(&syms);
+            let mut groups = Vec::new();
+            let (mut at, mut bit) = (0, 0u64);
+            for len in (1..=70).cycle() {
+                if at >= syms.len() {
+                    break;
+                }
+                let group = &syms[at..syms.len().min(at + len)];
+                let bits: u64 = group.iter().map(|&s| code.code_len(s) as u64).sum();
+                groups.push((bit, bit + bits, group.len()));
+                (at, bit) = (at + group.len(), bit + bits);
+            }
+            let part = |&(from, to, n): &(u64, u64, usize)| {
+                let bytes = &payload[(from / 8) as usize..to.div_ceil(8) as usize];
+                (bytes, (from % 8) as u32, n)
+            };
+            let walk = |parts: &[(&[u8], u32, usize)]| -> CodecResult<Vec<u32>> {
+                let mut out = Vec::new();
+                for &(bytes, skip, n) in parts {
+                    out.extend(code.decode_reference::<u32>(bytes, skip, n)?);
+                }
+                Ok(out)
+            };
+            let all: Vec<_> = groups.iter().map(part).collect();
+            assert!(all.iter().any(|&(_, skip, _)| skip > 0));
+            assert_eq!(code.decode::<u32>(&all).as_ref(), Ok(&syms), "book {b}");
+            let every_other: Vec<_> = all.iter().copied().step_by(2).collect();
+            assert_eq!(code.decode(&every_other), walk(&every_other), "book {b}");
+            assert_eq!(code.decode::<u32>(&[]), Ok(Vec::new()));
+            // A part one symbol short or long, a part cut, a bit flipped.
+            for at in (0..all.len()).step_by(5) {
+                let mut parts = all.clone();
+                let (bytes, skip, n) = all[at];
+                for edit in [
+                    (bytes, skip, n + 1),
+                    (bytes, skip, n - 1),
+                    (&bytes[..bytes.len() / 2], skip, n),
+                ] {
+                    parts[at] = edit;
+                    let what = format!("book {b}, part {at}, {edit:?}");
+                    assert_eq!(code.decode(&parts), walk(&parts), "{what}");
+                }
+                let mut flipped = bytes.to_vec();
+                flipped[0] ^= 0x80 >> skip;
+                parts[at] = (&flipped, skip, n);
+                assert_eq!(
+                    code.decode(&parts),
+                    walk(&parts),
+                    "book {b}, part {at} flipped"
+                );
+            }
+        }
+    }
     #[test]
     fn table_decode_error_parity_on_damage() {
         // Truncations and bit flips must produce the same outcome as the
@@ -957,7 +1050,11 @@ mod tests {
         for n in [63usize, 64, 65, 66, 67, 1001, 1002, 1003, 1004] {
             for syms in [skewed_symbols(n, n as u64), lcg_symbols(n, 300, n as u64)] {
                 let (code, payload) = coded(&syms);
-                assert_eq!(code.decode::<u32>(&payload, n).unwrap(), syms, "n={n}");
+                assert_eq!(
+                    code.decode::<u32>(&[(&payload, 0, n)]).unwrap(),
+                    syms,
+                    "n={n}"
+                );
                 assert_parity(&code, &payload, n, &format!("n={n}"));
                 assert_parity(&code, &payload, n - 1, &format!("n={n}, one short"));
             }
@@ -992,7 +1089,7 @@ mod tests {
                         .map(|i| code.lens[(7 * i + n) % code.lens.len()].0)
                         .collect();
                     let bytes = payload(code, &syms);
-                    assert_eq!(code.decode::<u32>(&bytes, n).as_ref(), Ok(&syms));
+                    assert_eq!(code.decode::<u32>(&[(&bytes, 0, n)]).as_ref(), Ok(&syms));
                     bytes
                 };
                 for cut in 0..bytes.len() {
@@ -1039,7 +1136,7 @@ mod tests {
             let mut payload = Vec::new();
             code.encode_into(&syms, &mut payload);
             assert_eq!(
-                code.decode::<u32>(&payload, syms.len()).unwrap(),
+                code.decode::<u32>(&[(&payload, 0, syms.len())]).unwrap(),
                 syms,
                 "slot {slot}"
             );
@@ -1059,7 +1156,10 @@ mod tests {
         let syms = skewed_symbols(16_200, 31);
         let (code, payload) = coded(&syms);
         assert!((4096..4400).contains(&payload.len()), "{} B", payload.len());
-        assert_eq!(code.decode::<u32>(&payload, syms.len()).unwrap(), syms);
+        assert_eq!(
+            code.decode::<u32>(&[(&payload, 0, syms.len())]).unwrap(),
+            syms
+        );
         for cut in 0..payload.len() {
             assert_parity(&code, &payload[..cut], syms.len(), &format!("cut={cut}"));
             // A count the shortened stream can back: how far it gets, and
@@ -1081,13 +1181,13 @@ mod tests {
             let mut syms: Vec<u32> = (0..n).map(|i| 65 + (i % 3) as u32).collect();
             let (code, payload) = coded(&syms);
             let bytes: Vec<u8> = syms.iter().map(|&s| s as u8).collect();
-            assert_eq!(code.decode::<u8>(&payload, n), Ok(bytes.clone()));
-            assert_eq!(code.decode_reference::<u8>(&payload, n), Ok(bytes));
+            assert_eq!(code.decode::<u8>(&[(&payload, 0, n)]), Ok(bytes.clone()));
+            assert_eq!(code.decode_reference::<u8>(&payload, 0, n), Ok(bytes));
             syms[n / 2] = 256;
             let (code, payload) = coded(&syms);
-            assert_eq!(code.decode::<u32>(&payload, n).as_ref(), Ok(&syms));
-            assert_eq!(code.decode::<u8>(&payload, n), bad_token);
-            assert_eq!(code.decode_reference::<u8>(&payload, n), bad_token);
+            assert_eq!(code.decode::<u32>(&[(&payload, 0, n)]).as_ref(), Ok(&syms));
+            assert_eq!(code.decode::<u8>(&[(&payload, 0, n)]), bad_token);
+            assert_eq!(code.decode_reference::<u8>(&payload, 0, n), bad_token);
             assert_eq!(
                 decode_with_table(&encode_with_table(&syms)),
                 Ok(syms.clone())
@@ -1169,7 +1269,10 @@ mod tests {
             code.encode_into(&syms, &mut fast);
             assert_eq!(fast[0], 0xEE, "appends");
             assert_eq!(&fast[1..], code.encode_reference(&syms), "n={n}");
-            assert_eq!(code.decode::<u32>(&fast[1..], syms.len()).unwrap(), syms);
+            assert_eq!(
+                code.decode::<u32>(&[(&fast[1..], 0, syms.len())]).unwrap(),
+                syms
+            );
         }
     }
 
@@ -1197,7 +1300,7 @@ mod tests {
                 code.encode_into(&syms, &mut fast);
                 assert_eq!(fast, code.encode_reference(&syms), "book {b} × {count}");
                 assert_eq!(
-                    code.decode::<u32>(&fast, count).unwrap(),
+                    code.decode::<u32>(&[(&fast, 0, count)]).unwrap(),
                     syms,
                     "book {b} × {count}"
                 );
@@ -1241,8 +1344,8 @@ mod tests {
     fn assert_parity_both_widths(code: &HuffmanCode, bytes: &[u8], n: usize, what: &str) {
         assert_parity(code, bytes, n, what);
         assert_eq!(
-            code.decode::<u8>(bytes, n),
-            code.decode_reference::<u8>(bytes, n),
+            code.decode::<u8>(&[(bytes, 0, n)]),
+            code.decode_reference::<u8>(bytes, 0, n),
             "{what} as u8"
         );
     }
@@ -1275,7 +1378,10 @@ mod tests {
             let alphabet = code.lens.len() as u32;
             let syms = lcg_symbols(1200, alphabet, 40);
             let bytes = payload(&code, &syms);
-            assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+            assert_eq!(
+                code.decode::<u32>(&[(&bytes, 0, syms.len())]).unwrap(),
+                syms
+            );
             assert_parity_when_damaged(&code, &bytes, syms.len(), 1);
             for cut in 0..bytes.len() {
                 for n in [8 * cut, 8 * cut + 1] {
@@ -1300,7 +1406,10 @@ mod tests {
                 .map(|(&coin, wide)| if coin < 5 { 0 } else { wide })
                 .collect();
             let bytes = payload(&code, &syms);
-            assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+            assert_eq!(
+                code.decode::<u32>(&[(&bytes, 0, syms.len())]).unwrap(),
+                syms
+            );
             assert_parity_when_damaged(&code, &bytes, syms.len(), 5);
         }
     }
@@ -1321,7 +1430,10 @@ mod tests {
         }
         syms.extend(lcg_symbols(100, 3, 43));
         let bytes = payload(&code, &syms);
-        assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+        assert_eq!(
+            code.decode::<u32>(&[(&bytes, 0, syms.len())]).unwrap(),
+            syms
+        );
         assert_parity_when_damaged(&code, &bytes, syms.len(), 1);
     }
 
@@ -1342,8 +1454,11 @@ mod tests {
             let slots = Slots::<u8>::build(&code.lens, &Canonical::build(&code.lens));
             let first = (u16::from_be_bytes([bytes[0], bytes[1]]) >> 4) as usize;
             assert_eq!(slots.meta[first] >> 4, k as u8, "lane {}", k + 1);
-            assert_eq!(code.decode::<u32>(&bytes, syms.len()).as_ref(), Ok(&syms));
-            assert_eq!(code.decode::<u8>(&bytes, syms.len()), bad_token);
+            assert_eq!(
+                code.decode::<u32>(&[(&bytes, 0, syms.len())]).as_ref(),
+                Ok(&syms)
+            );
+            assert_eq!(code.decode::<u8>(&[(&bytes, 0, syms.len())]), bad_token);
             assert_parity_both_widths(&code, &bytes, syms.len(), &format!("lane {}", k + 1));
         }
     }
@@ -1372,7 +1487,11 @@ mod tests {
                 })
                 .collect();
             let bytes = payload(&code, &syms);
-            assert_eq!(code.decode::<u32>(&bytes, n).unwrap(), syms, "n={n}");
+            assert_eq!(
+                code.decode::<u32>(&[(&bytes, 0, n)]).unwrap(),
+                syms,
+                "n={n}"
+            );
             assert_parity(&code, &bytes, n - 1, &format!("n={n}, one short"));
             assert_parity(
                 &code,
@@ -1409,7 +1528,10 @@ mod tests {
             let (code, bytes) = coded(&syms);
             assert_eq!(several::<u32>(&code), several_mode);
             assert!((4000..4400).contains(&bytes.len()), "{} B", bytes.len());
-            assert_eq!(code.decode::<u32>(&bytes, syms.len()).unwrap(), syms);
+            assert_eq!(
+                code.decode::<u32>(&[(&bytes, 0, syms.len())]).unwrap(),
+                syms
+            );
             for cut in 0..bytes.len() {
                 assert_parity(&code, &bytes[..cut], syms.len(), &format!("cut={cut}"));
             }
@@ -1445,7 +1567,7 @@ mod tests {
                     let window = ((w << 4) as u16).to_be_bytes();
                     (1..=SLOT_SYMBOLS)
                         .take_while(|&k| {
-                            let bits: u32 = match code.decode_reference::<u32>(&window, k) {
+                            let bits: u32 = match code.decode_reference::<u32>(&window, 0, k) {
                                 Ok(s) => s.iter().map(|&s| code.code_len(s)).sum(),
                                 Err(_) => u32::MAX,
                             };

@@ -11,6 +11,7 @@
 use crate::huffman::{self, BlockPlan};
 use crate::scratch;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
+use std::borrow::Cow;
 
 const MIN_MATCH: usize = 4;
 const WINDOW: usize = 1 << 16; // u16 distances
@@ -65,7 +66,24 @@ const MAX_DECODE_LEN: usize = 1 << 34; // 16 GiB
 
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(bytes: &[u8]) -> CodecResult<Vec<u8>> {
-    let mut r = Reader::new(bytes);
+    read_frame(&mut Reader::new(bytes)).map(|f| f.bytes.into_owned())
+}
+
+/// One [`compress_into`] output as it sits in a longer stream.
+pub struct Frame<'a> {
+    /// How it was stored: 0 as is, 1 LZ, 2 LZ + byte Huffman.
+    pub mode: u8,
+    /// Bytes the frame takes in the stream, its header included.
+    pub stored: usize,
+    /// The original bytes: borrowed from the stream when stored as is,
+    /// expanded otherwise.
+    pub bytes: Cow<'a, [u8]>,
+}
+
+/// Read the frame at `r` and leave `r` just past it, so frames can follow
+/// each other in one stream.
+pub fn read_frame<'a>(r: &mut Reader<'a>) -> CodecResult<Frame<'a>> {
+    let before = r.remaining();
     let orig_len = r.get_u64()? as usize;
     if orig_len > MAX_DECODE_LEN {
         return Err(CodecError::LimitExceeded {
@@ -76,17 +94,25 @@ pub fn decompress(bytes: &[u8]) -> CodecResult<Vec<u8>> {
     }
     let mode = r.get_u8()?;
     let payload = r.get_block()?;
-    match mode {
+    let bytes = match mode {
         0 => {
             if payload.len() != orig_len {
                 return Err(CodecError::corrupt("stored block length mismatch"));
             }
-            Ok(payload.to_vec())
+            Cow::Borrowed(payload)
         }
-        1 => lz_expand(payload, orig_len),
-        2 => lz_expand(&huffman::decode_with_table_as::<u8>(payload)?, orig_len),
-        m => Err(CodecError::BadMode { found: m }),
-    }
+        1 => Cow::Owned(lz_expand(payload, orig_len)?),
+        2 => Cow::Owned(lz_expand(
+            &huffman::decode_with_table_as::<u8>(payload)?,
+            orig_len,
+        )?),
+        m => return Err(CodecError::BadMode { found: m }),
+    };
+    Ok(Frame {
+        mode,
+        stored: before - r.remaining(),
+        bytes,
+    })
 }
 
 /// The hash-chain match finder's reusable state. Positions are `u32`s on

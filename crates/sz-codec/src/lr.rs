@@ -5,8 +5,19 @@
 //! blocks. Per block it picks the better of the 3-D Lorenzo predictor
 //! (crosses block boundaries via reconstructed neighbours, like SZ2) and a
 //! per-block linear regression (coefficients delta-quantized into the
-//! stream). Residuals are quantized, Huffman-coded, and the whole payload
-//! passes through the LZ lossless stage.
+//! stream). Residuals are quantized and Huffman-coded under one book.
+//!
+//! **Layout.** The data symbols are cut into *groups*: a group closes at
+//! the first domain boundary at or past `GROUP_CELLS` (4 096) cells. The
+//! *head* — error bound, domain dims, selection bitmap, coefficient block,
+//! the data block's book, its symbol count, the group table (per group:
+//! domains, bits, raw outliers) and the raw outliers — passes through the
+//! lossless stage; the data bits, one Huffman stream whose groups start
+//! where the group before them ends, pass through a lossless stage of
+//! their own, which stores them when LZ would not pay. A decoder decodes the head whole, builds the data
+//! book's table once, and Huffman-decodes only the groups that hold a
+//! domain it wants. A stream of one group keeps the older layout (format
+//! version 2): its data block rides in the head's one lossless frame.
 //!
 //! **Shared Lossless Encoding (SLE), paper §3.2 Solution 1** falls out of
 //! the multi-domain API: [`compress_domains`] predicts every domain (unit
@@ -17,8 +28,8 @@
 //! "compress each box individually" strawman the paper rejects.
 
 use crate::buffer3::{AsView3, Buffer3, Dims3, UnitDest, View3};
-use crate::codec::{expect_envelope, write_envelope, CodecId};
-use crate::huffman;
+use crate::codec::{expect_envelope, read_envelope, write_envelope, CodecId};
+use crate::huffman::{self, HuffmanCode};
 use crate::kernels::{self, SymbolReader};
 use crate::lossless;
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL, QUANT_RADIUS};
@@ -27,8 +38,19 @@ pub use crate::scratch::with_lr_scratch as with_thread_scratch;
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 use std::convert::Infallible;
 
-/// SZ_L/R payload format version (rides in the envelope header).
-const VERSION: u8 = 2;
+/// SZ_L/R payload format versions (ride in the envelope header). A stream
+/// of one group is written as version 2: its data block rides in the one
+/// lossless frame with everything else. Version 3 cuts the data block into
+/// groups: their bits get a lossless frame of their own, and the head's
+/// frame holds the book and the group table.
+const ONE_GROUP: u8 = 2;
+const GROUPED: u8 = 3;
+
+/// A group of the data block closes at the first domain boundary at or
+/// past this many cells. The group table says where its Huffman bits
+/// start, so a decoder that wants none of its domains leaves them
+/// undecoded.
+const GROUP_CELLS: usize = 4096;
 
 /// Regression is never attempted for blocks with fewer cells than this
 /// (coefficient overhead would dominate).
@@ -138,6 +160,8 @@ impl Streams {
 pub struct LrScratch {
     streams: Streams,
     payload: Vec<u8>,
+    /// The groups' Huffman bits of a grouped stream, before their frame.
+    data: Vec<u8>,
     /// Reconstruction of the domain being predicted. Every cell is written
     /// before a later cell's stencil reads it, so it is sized per domain
     /// and never cleared.
@@ -184,7 +208,10 @@ pub fn compress_domains_into<U: AsView3>(
         s: &mut scratch.streams,
         syms_row: [0; MAX_BLOCK_EDGE],
     };
-    for domain in domains {
+    // Per group: its domains, and where its symbols and raw values end.
+    let mut groups = Vec::new();
+    let (mut first, mut cells) = (0, 0);
+    for (i, domain) in domains.iter().enumerate() {
         enc.data = domain.view();
         let dims = enc.data.dims();
         w.put_u32(dims.nx as u32);
@@ -194,6 +221,12 @@ pub fn compress_domains_into<U: AsView3>(
         // Dense strides: a row's base is the same in `recon` and the input.
         let dense = (dims.nx, dims.nx * dims.ny);
         let Ok(()) = traverse(dims, cfg.block_size, dense, &mut scratch.recon, &mut enc);
+        cells += dims.len();
+        if cells >= GROUP_CELLS || i + 1 == domains.len() {
+            let s = &enc.s;
+            groups.push((i + 1 - first, s.data_syms.len(), s.data_outliers.len()));
+            (first, cells) = (i + 1, 0);
+        }
     }
     // The header and domain dims are in; the selection bitmap and the
     // four symbol/outlier streams follow.
@@ -206,17 +239,42 @@ pub fn compress_domains_into<U: AsView3>(
     huffman::encode_block_into(&s.coeff_syms, &mut w);
     w.put_u64(s.coeff_outliers.len() as u64);
     w.put_f64s(&s.coeff_outliers);
-    // Fused pass: the histogram was accumulated during quantization, so
-    // the entropy stage emits straight into the payload writer with no
-    // counting pass and no intermediate encoded buffer.
-    huffman::encode_block_with_histogram_into(&s.data_syms, &s.data_freqs(), &mut w);
+    // The histogram was accumulated during quantization, so the entropy
+    // stage has no counting pass.
+    let version = if let [_] = groups[..] {
+        // One group: the data block emits straight into the payload.
+        huffman::encode_block_with_histogram_into(&s.data_syms, &s.data_freqs(), &mut w);
+        ONE_GROUP
+    } else {
+        let code = HuffmanCode::from_frequencies(&s.data_freqs());
+        code.write_table(&mut w);
+        w.put_u64(s.data_syms.len() as u64);
+        w.put_varint(groups.len() as u64);
+        let (mut sym, mut raw) = (0, 0);
+        for &(domains, sym_end, raw_end) in &groups {
+            let syms = &s.data_syms[sym..sym_end];
+            let bits: u64 = syms.iter().map(|&x| code.code_len(x) as u64).sum();
+            w.put_varint(domains as u64);
+            w.put_varint(bits);
+            w.put_varint((raw_end - raw) as u64);
+            (sym, raw) = (sym_end, raw_end);
+        }
+        // One bit stream, as a single group's: a group starts where the
+        // one before it ends, so padding never breaks the runs LZ finds.
+        scratch.data.clear();
+        code.encode_into(&s.data_syms, &mut scratch.data);
+        GROUPED
+    };
     w.put_u64(s.data_outliers.len() as u64);
     w.put_f64s(&s.data_outliers);
     scratch.payload = w.into_bytes();
     let mut env = Writer::from_vec(std::mem::take(out));
-    write_envelope(&mut env, CodecId::LrSle, VERSION, 0);
+    write_envelope(&mut env, CodecId::LrSle, version, 0);
     *out = env.into_bytes();
     lossless::compress_into(&scratch.payload, out);
+    if version == GROUPED {
+        lossless::compress_into(&scratch.data, out);
+    }
 }
 
 /// Convenience wrapper: single domain.
@@ -244,90 +302,337 @@ pub fn decompress_domains(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
 
 /// [`decompress_domains`], reconstructing each prediction domain where
 /// `dest` says it goes and returning how many there were. The destination
-/// is asked domain by domain, after every header guard and before the
-/// domain's first cell is written; a stencil never leaves its domain, so
-/// the neighbouring cells of a larger destination are not even read.
+/// is asked whether it wants each domain, in order, after every header
+/// guard; then for each wanted domain, before its first cell is written,
+/// where it goes. A stencil never leaves its domain, so the neighbouring
+/// cells of a larger destination are not even read.
 ///
-/// The shared entropy stream is decoded whole, but a domain `dest` does
-/// not want is only passed over: its blocks' selection bits and regression
-/// coefficients are read (the coefficient codec delta-codes across
-/// blocks), its data symbols and their raw outliers are counted off, and
-/// none of its cells is predicted.
+/// Only the groups holding a wanted domain have their data symbols
+/// decoded. A domain `dest` does not want is passed over: its blocks'
+/// selection bits and regression coefficients are read (the coefficient
+/// codec delta-codes across blocks), and its raw outliers are counted off
+/// — by its symbols in a decoded group, by the group table in another —
+/// and none of its cells is predicted.
 pub fn decompress_domains_into(bytes: &[u8], dest: &mut dyn UnitDest) -> CodecResult<usize> {
-    let env = expect_envelope(bytes, CodecId::LrSle, VERSION)?;
-    let payload = lossless::decompress(&bytes[env.payload_offset..])?;
-    let mut r = Reader::new(&payload);
-    let abs_eb = r.get_f64()?;
-    if !(abs_eb > 0.0 && abs_eb.is_finite()) {
-        return Err(CodecError::BadParameter {
-            what: "error bound",
-        });
+    let frames = Frames::read(bytes)?;
+    let stream = Stream::parse(&frames)?;
+    let ndomains = stream.dims.len();
+    let mut wanted = Vec::with_capacity(ndomains);
+    for (i, &d) in stream.dims.iter().enumerate() {
+        wanted.push(dest.wants(i, d)?);
     }
-    let block_size = r.get_u8()? as usize;
-    if block_size == 0 {
-        return Err(CodecError::BadParameter { what: "block size" });
-    }
-    let ndomains = r.get_u32()? as usize;
-    // Each domain header is 3 × u32; reject counts the stream can't hold.
-    r.check_count(ndomains, 12)?;
-    let mut dims = Vec::with_capacity(ndomains);
-    let mut total_cells: u128 = 0;
-    for _ in 0..ndomains {
-        let nx = r.get_u32()? as usize;
-        let ny = r.get_u32()? as usize;
-        let nz = r.get_u32()? as usize;
-        if nx == 0 || ny == 0 || nz == 0 {
-            return Err(CodecError::dims(format!(
-                "degenerate domain dims {nx}x{ny}x{nz}"
-            )));
+    let mut parts = Vec::with_capacity(stream.groups.len());
+    let mut first = 0;
+    for g in &stream.groups {
+        if wanted[first..first + g.domains].contains(&true) {
+            parts.push((g.bytes, g.skip, g.cells));
         }
-        total_cells += nx as u128 * ny as u128 * nz as u128;
-        dims.push(Dims3::new(nx, ny, nz));
+        first += g.domains;
     }
-    // Every cell consumes at least one bit of the remaining payload, so
-    // corrupted dims can't demand more cells than the stream could encode
-    // (this also keeps buffer allocations bounded by the input size).
-    if total_cells > r.remaining() as u128 * 8 + 64 {
-        return Err(CodecError::LimitExceeded {
-            what: "domain cells",
-            claimed: total_cells,
-            available: r.remaining() as u128 * 8 + 64,
-        });
-    }
-    // Selection bitmap: one bit per block, MSB first.
-    let nblocks = r.get_u64()? as usize;
-    let sel_bytes = r.get_raw(nblocks.div_ceil(8))?;
-    // Coefficient stream.
-    let coeff_syms = huffman::decode_with_table(r.get_block()?)?;
-    let n_coeff_out = r.get_u64()? as usize;
-    let coeff_outliers = r.get_f64s(n_coeff_out)?;
-    // Data stream.
-    let data_syms = huffman::decode_with_table(r.get_block()?)?;
-    let n_out = r.get_u64()? as usize;
-    let data_outliers = r.get_f64s(n_out)?;
-
+    let data_syms = stream.code.decode::<u32>(&parts)?;
+    let block_size = stream.block_size;
     let mut dec = Decoder {
-        coeff_codec: CoefficientCodec::new(abs_eb, block_size),
-        selection: (0..nblocks).map(|i| sel_bytes[i / 8] >> (7 - i % 8) & 1 == 1),
-        coeff_syms: coeff_syms.into_iter(),
-        coeff_outliers: coeff_outliers.into_iter(),
+        coeff_codec: CoefficientCodec::new(stream.abs_eb, block_size),
+        selection: (0..stream.nblocks).map(|i| stream.selection[i / 8] >> (7 - i % 8) & 1 == 1),
+        coeff_syms: stream.coeff_syms.into_iter(),
+        coeff_outliers: stream.coeff_outliers.into_iter(),
         data: SymbolReader {
-            q: Quantizer::new(abs_eb),
+            q: Quantizer::new(stream.abs_eb),
             syms: &data_syms,
-            outliers: &data_outliers,
+            outliers: &stream.data_outliers,
             truncated: TRUNCATED,
         },
         preds: [0.0; MAX_BLOCK_EDGE],
     };
-    for (i, d) in dims.into_iter().enumerate() {
-        if dest.wants(i, d)? {
-            let to = dest.unit(i, d)?.for_dims(d)?;
-            traverse(d, block_size, (to.row, to.plane), to.data, &mut dec)?;
-        } else {
-            dec.skip(d, block_size)?;
+    let mut first = 0;
+    for g in &stream.groups {
+        let domains = first..first + g.domains;
+        first = domains.end;
+        let raw_before = dec.data.outliers.len();
+        if !wanted[domains.clone()].contains(&true) {
+            for &d in &stream.dims[domains] {
+                dec.pass_blocks(d, block_size)?;
+            }
+            // The group table's outlier counts sum to the stream's.
+            dec.data.outliers = &dec.data.outliers[g.outliers..];
+            continue;
+        }
+        for i in domains {
+            let d = stream.dims[i];
+            if wanted[i] {
+                let to = dest.unit(i, d)?.for_dims(d)?;
+                traverse(d, block_size, (to.row, to.plane), to.data, &mut dec)?;
+            } else {
+                dec.pass_blocks(d, block_size)?;
+                dec.data.skip(d.len())?;
+            }
+        }
+        if raw_before - dec.data.outliers.len() != g.outliers {
+            return Err(CodecError::corrupt(GROUP_OUTLIERS));
         }
     }
     Ok(ndomains)
+}
+
+const GROUP_OUTLIERS: &str = "SZ_L/R group outlier count disagrees with its symbols";
+
+/// Where an SZ_L/R stream's bytes went, read by the decoder's own parse.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LrLayout {
+    /// Groups of the data block, each decodable on its own.
+    pub groups: usize,
+    /// The head's lossless frame: its mode, bytes stored and expanded. On
+    /// a stream of one group the head holds the data block too.
+    pub head: FrameLayout,
+    /// The data part's lossless frame, on a stream of several groups.
+    pub data: Option<FrameLayout>,
+}
+
+/// One lossless frame of a stream, as [`lossless::read_frame`] finds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameLayout {
+    /// 0 stored, 1 LZ, 2 LZ + byte Huffman.
+    pub mode: u8,
+    /// Bytes in the stream, frame header included.
+    pub stored: usize,
+    /// Bytes once expanded.
+    pub bytes: usize,
+}
+
+impl FrameLayout {
+    fn of(f: &lossless::Frame<'_>) -> Self {
+        FrameLayout {
+            mode: f.mode,
+            stored: f.stored,
+            bytes: f.bytes.len(),
+        }
+    }
+}
+
+/// Parse an SZ_L/R stream as [`decompress_domains_into`] does, up to its
+/// data symbols, and say where its bytes went.
+pub fn layout(bytes: &[u8]) -> CodecResult<LrLayout> {
+    let frames = Frames::read(bytes)?;
+    let stream = Stream::parse(&frames)?;
+    Ok(LrLayout {
+        groups: stream.groups.len(),
+        head: FrameLayout::of(&frames.head),
+        data: frames.data.as_ref().map(FrameLayout::of),
+    })
+}
+
+/// The lossless frames of a stream: the head, and on a grouped stream the
+/// data part after it.
+struct Frames<'a> {
+    head: lossless::Frame<'a>,
+    data: Option<lossless::Frame<'a>>,
+}
+
+impl<'a> Frames<'a> {
+    fn read(bytes: &'a [u8]) -> CodecResult<Self> {
+        let version = read_envelope(bytes)?.version;
+        let version = if version == ONE_GROUP {
+            ONE_GROUP
+        } else {
+            GROUPED
+        };
+        let env = expect_envelope(bytes, CodecId::LrSle, version)?;
+        let mut r = Reader::new(&bytes[env.payload_offset..]);
+        let head = lossless::read_frame(&mut r)?;
+        let data = match version {
+            GROUPED => Some(lossless::read_frame(&mut r)?),
+            _ => None,
+        };
+        Ok(Frames { head, data })
+    }
+}
+
+/// A stream parsed up to its data symbols, every count checked against
+/// what the bytes can hold.
+struct Stream<'a> {
+    abs_eb: f64,
+    block_size: usize,
+    dims: Vec<Dims3>,
+    nblocks: usize,
+    /// The selection bitmap: one bit per block, MSB first.
+    selection: &'a [u8],
+    coeff_syms: Vec<u32>,
+    coeff_outliers: Vec<f64>,
+    /// The data block's book, shared by its groups.
+    code: HuffmanCode,
+    groups: Vec<Group<'a>>,
+    data_outliers: Vec<f64>,
+}
+
+/// A run of domains whose data symbols decode on their own.
+struct Group<'a> {
+    domains: usize,
+    /// Cells over its domains: its symbol count.
+    cells: usize,
+    /// The bytes its bits lie in, from the one holding its first bit,
+    /// `skip` bits into it, on.
+    bytes: &'a [u8],
+    skip: u32,
+    bits: u64,
+    /// Its symbols' raw values.
+    outliers: usize,
+}
+
+impl<'a> Stream<'a> {
+    fn parse(frames: &'a Frames<'_>) -> CodecResult<Self> {
+        let mut r = Reader::new(&frames.head.bytes);
+        let data: &[u8] = frames.data.as_ref().map_or(&[], |f| &f.bytes);
+        let abs_eb = r.get_f64()?;
+        if !(abs_eb > 0.0 && abs_eb.is_finite()) {
+            return Err(CodecError::BadParameter {
+                what: "error bound",
+            });
+        }
+        let block_size = r.get_u8()? as usize;
+        if block_size == 0 {
+            return Err(CodecError::BadParameter { what: "block size" });
+        }
+        let ndomains = r.get_u32()? as usize;
+        // Each domain header is 3 × u32; reject counts the stream can't hold.
+        r.check_count(ndomains, 12)?;
+        let mut dims = Vec::with_capacity(ndomains);
+        let mut total_cells: u128 = 0;
+        for _ in 0..ndomains {
+            let nx = r.get_u32()? as usize;
+            let ny = r.get_u32()? as usize;
+            let nz = r.get_u32()? as usize;
+            if nx == 0 || ny == 0 || nz == 0 {
+                return Err(CodecError::dims(format!(
+                    "degenerate domain dims {nx}x{ny}x{nz}"
+                )));
+            }
+            total_cells += nx as u128 * ny as u128 * nz as u128;
+            dims.push(Dims3::new(nx, ny, nz));
+        }
+        // Every cell consumes at least one bit of the rest of the head and
+        // the data part, so corrupted dims can't demand more cells than
+        // the stream could encode (this also keeps buffer allocations
+        // bounded by the input size).
+        let available = (r.remaining() + data.len()) as u128 * 8 + 64;
+        if total_cells > available {
+            return Err(CodecError::LimitExceeded {
+                what: "domain cells",
+                claimed: total_cells,
+                available,
+            });
+        }
+        let nblocks = r.get_u64()? as usize;
+        let selection = r.get_raw(nblocks.div_ceil(8))?;
+        let coeff_syms = huffman::decode_with_table(r.get_block()?)?;
+        let n_coeff_out = r.get_u64()? as usize;
+        let coeff_outliers = r.get_f64s(n_coeff_out)?;
+        let (code, n, mut groups) = match frames.data {
+            None => {
+                // Version 2: the data block, whole, as one group.
+                let mut b = Reader::new(r.get_block()?);
+                let code = HuffmanCode::read_table(&mut b)?;
+                let n = b.get_u64()?;
+                let bytes = b.get_block()?;
+                let one = Group {
+                    domains: ndomains,
+                    cells: total_cells as usize,
+                    bytes,
+                    skip: 0,
+                    bits: bytes.len() as u64 * 8,
+                    outliers: 0,
+                };
+                (code, n, vec![one])
+            }
+            Some(_) => {
+                let code = HuffmanCode::read_table(&mut r)?;
+                let n = r.get_u64()?;
+                (code, n, read_groups(&mut r, &dims, data)?)
+            }
+        };
+        if n as u128 != total_cells {
+            return Err(CodecError::corrupt(format!(
+                "{n} data symbols for {total_cells} cells"
+            )));
+        }
+        for g in &groups {
+            if g.cells as u64 > g.bits {
+                return Err(CodecError::LimitExceeded {
+                    what: "group symbols",
+                    claimed: g.cells as u128,
+                    available: g.bits as u128,
+                });
+            }
+        }
+        let n_out = r.get_u64()?;
+        if let [one] = &mut groups[..] {
+            one.outliers = n_out as usize;
+        }
+        if groups.iter().map(|g| g.outliers as u128).sum::<u128>() != n_out as u128 {
+            return Err(CodecError::corrupt(
+                "SZ_L/R group outlier counts disagree with the stream's",
+            ));
+        }
+        let data_outliers = r.get_f64s(n_out as usize)?;
+        Ok(Stream {
+            abs_eb,
+            block_size,
+            dims,
+            nblocks,
+            selection,
+            coeff_syms,
+            coeff_outliers,
+            code,
+            groups,
+            data_outliers,
+        })
+    }
+}
+
+/// The group table of a grouped stream, each group's bits cut from
+/// `data`: the groups must cover the domains, and their bits the data
+/// part up to its last byte.
+fn read_groups<'a>(
+    r: &mut Reader<'_>,
+    dims: &[Dims3],
+    data: &'a [u8],
+) -> CodecResult<Vec<Group<'a>>> {
+    let bad = |what: &str| CodecError::corrupt(format!("SZ_L/R group table: {what}"));
+    let ngroups = r.get_varint()?;
+    // A group is three varints, a byte each at least.
+    r.check_count(ngroups.try_into().unwrap_or(usize::MAX), 3)?;
+    let mut groups = Vec::with_capacity(ngroups as usize);
+    let (mut dims, mut at) = (dims, 0u64);
+    let data_bits = data.len() as u64 * 8;
+    for _ in 0..ngroups {
+        let domains = r.get_varint()?;
+        let bits = r.get_varint()?;
+        let outliers = r.get_varint()?;
+        if domains == 0 || domains > dims.len() as u64 {
+            return Err(bad("domain counts overrun the stream's"));
+        }
+        if bits > data_bits - at {
+            return Err(bad("bit lengths overrun the data part"));
+        }
+        let (mine, rest) = dims.split_at(domains as usize);
+        let end = at + bits;
+        groups.push(Group {
+            domains: mine.len(),
+            // The cell guard has bounded every sum of cells.
+            cells: mine.iter().map(Dims3::len).sum(),
+            bytes: &data[(at / 8) as usize..end.div_ceil(8) as usize],
+            skip: (at % 8) as u32,
+            bits,
+            outliers: outliers.try_into().unwrap_or(usize::MAX),
+        });
+        (dims, at) = (rest, end);
+    }
+    if !dims.is_empty() {
+        return Err(bad("domain counts fall short of the stream's"));
+    }
+    if at.div_ceil(8) != data.len() as u64 {
+        return Err(bad("bit lengths fall short of the data part"));
+    }
+    Ok(groups)
 }
 
 const TRUNCATED: &str = "SZ_L/R stream truncated";
@@ -556,14 +861,13 @@ struct Decoder<'a, S> {
 }
 
 impl<S: Iterator<Item = bool>> Decoder<'_, S> {
-    /// Consume a `dims` domain's share of every stream without
-    /// reconstructing it: what [`traverse`] would read, block by block,
-    /// then its data symbols at once.
-    fn skip(&mut self, dims: Dims3, block_size: usize) -> CodecResult<()> {
+    /// Consume a `dims` domain's selection bits and coefficients without
+    /// reconstructing it: what [`traverse`] would read, block by block.
+    fn pass_blocks(&mut self, dims: Dims3, block_size: usize) -> CodecResult<()> {
         for (origin, bd) in blocks_of(dims, block_size) {
             self.block(origin, bd)?;
         }
-        self.data.skip(dims.len())
+        Ok(())
     }
 }
 
@@ -617,13 +921,24 @@ mod tests {
     use crate::metrics::ErrorStats;
 
     /// The per-point decoder the shipping code replaced, kept whole as the
-    /// oracle — its own copy of every header guard, symbols pulled one at
-    /// a time through iterators, prediction through
-    /// `Coefficients::predict` or the bounds-checked `lorenzo3`, one
-    /// branch and one `Buffer3::set` per cell.
+    /// oracle — its own copy of every header guard and of the group table's
+    /// checks, every group's symbols walked bit by bit on their own and
+    /// all of them pulled one at a time through iterators, prediction through
+    /// `Coefficients::predict` or the bounds-checked `lorenzo3`, one branch
+    /// and one `Buffer3::set` per cell.
     fn decompress_domains_reference(bytes: &[u8]) -> CodecResult<Vec<Buffer3>> {
-        let env = expect_envelope(bytes, CodecId::LrSle, VERSION)?;
-        let payload = lossless::decompress(&bytes[env.payload_offset..])?;
+        let version = read_envelope(bytes)?.version;
+        let grouped = version != ONE_GROUP;
+        let version = if grouped { GROUPED } else { ONE_GROUP };
+        let env = expect_envelope(bytes, CodecId::LrSle, version)?;
+        let mut frames = Reader::new(&bytes[env.payload_offset..]);
+        let payload = lossless::read_frame(&mut frames)?.bytes;
+        // A grouped stream's data part; a one-group stream's data block,
+        // once read.
+        let mut data = match grouped {
+            true => lossless::read_frame(&mut frames)?.bytes,
+            false => std::borrow::Cow::Borrowed(&[][..]),
+        };
         let mut r = Reader::new(&payload);
         let abs_eb = r.get_f64()?;
         if !(abs_eb > 0.0 && abs_eb.is_finite()) {
@@ -651,11 +966,11 @@ mod tests {
             total_cells += nx as u128 * ny as u128 * nz as u128;
             dims.push(Dims3::new(nx, ny, nz));
         }
-        if total_cells > r.remaining() as u128 * 8 + 64 {
+        if total_cells > (r.remaining() + data.len()) as u128 * 8 + 64 {
             return Err(CodecError::LimitExceeded {
                 what: "domain cells",
                 claimed: total_cells,
-                available: r.remaining() as u128 * 8 + 64,
+                available: (r.remaining() + data.len()) as u128 * 8 + 64,
             });
         }
         let nblocks = r.get_u64()? as usize;
@@ -666,9 +981,80 @@ mod tests {
         let coeff_syms = huffman::decode_with_table(r.get_block()?)?;
         let n_coeff_out = r.get_u64()? as usize;
         let coeff_outliers = r.get_f64s(n_coeff_out)?;
-        let data_syms = huffman::decode_with_table(r.get_block()?)?;
-        let n_out = r.get_u64()? as usize;
-        let data_outliers = r.get_f64s(n_out)?;
+        // The data block: its book, its symbol count, and per group its
+        // domain count, its bits and its raw values (`None`: version 2's
+        // one group, whose count is the stream's).
+        let table_error = |what: &str| Err(CodecError::corrupt(format!("group table: {what}")));
+        let (book, n, groups) = if grouped {
+            let book = HuffmanCode::read_table(&mut r)?;
+            let n = r.get_u64()?;
+            let ngroups = r.get_varint()?;
+            r.check_count(ngroups as usize, 3)?;
+            let (mut groups, mut domains, mut at) = (Vec::new(), 0u64, 0u64);
+            for _ in 0..ngroups {
+                let (d, len, raw) = (r.get_varint()?, r.get_varint()?, r.get_varint()?);
+                if d == 0 || domains + d > ndomains as u64 {
+                    return table_error("domains");
+                }
+                if len > data.len() as u64 * 8 - at {
+                    return table_error("bits");
+                }
+                groups.push((d as usize, (at, len), Some(raw)));
+                (domains, at) = (domains + d, at + len);
+            }
+            if domains != ndomains as u64 {
+                return table_error("domains");
+            }
+            if at.div_ceil(8) != data.len() as u64 {
+                return table_error("bits");
+            }
+            (book, n, groups)
+        } else {
+            let mut b = Reader::new(r.get_block()?);
+            let book = HuffmanCode::read_table(&mut b)?;
+            let n = b.get_u64()?;
+            let block = b.get_block()?;
+            data = std::borrow::Cow::Borrowed(block);
+            (book, n, vec![(ndomains, (0, block.len() as u64 * 8), None)])
+        };
+        if n as u128 != total_cells {
+            return Err(CodecError::corrupt("symbol count"));
+        }
+        let mut first = 0;
+        let mut group_cells = Vec::new();
+        for &(d, (_, bits), _) in &groups {
+            let cells: usize = dims[first..first + d].iter().map(Dims3::len).sum();
+            if cells as u64 > bits {
+                return Err(CodecError::LimitExceeded {
+                    what: "group symbols",
+                    claimed: cells as u128,
+                    available: bits as u128,
+                });
+            }
+            group_cells.push(cells);
+            first += d;
+        }
+        let n_out = r.get_u64()?;
+        let raw_counts: Vec<u64> = groups.iter().map(|g| g.2.unwrap_or(n_out)).collect();
+        if raw_counts.iter().map(|&c| c as u128).sum::<u128>() != n_out as u128 {
+            return Err(CodecError::corrupt("group outliers"));
+        }
+        let data_outliers = r.get_f64s(n_out as usize)?;
+        // Each group on its own, walked bit by bit over the bytes its bits
+        // lie in.
+        let mut data_syms = Vec::new();
+        for (&(_, (at, bits), _), &cells) in groups.iter().zip(&group_cells) {
+            let bytes = &data[(at / 8) as usize..(at + bits).div_ceil(8) as usize];
+            data_syms.extend(book.decode_reference::<u32>(bytes, (at % 8) as u32, cells)?);
+        }
+        // The domain each group ends at, and the raw values consumed by then.
+        let mut group_ends = Vec::new();
+        let (mut last, mut raw) = (0, 0);
+        for (&(d, _, _), &count) in groups.iter().zip(&raw_counts) {
+            (last, raw) = (last + d, raw + count as usize);
+            group_ends.push((last, raw));
+        }
+        let mut group_ends = group_ends.into_iter().peekable();
 
         let q = Quantizer::new(abs_eb);
         let mut coeff_codec = CoefficientCodec::new(abs_eb, block_size);
@@ -679,7 +1065,7 @@ mod tests {
         let mut cout_iter = coeff_outliers.into_iter();
         let truncated = || CodecError::corrupt("SZ_L/R stream truncated");
         let mut result = Vec::with_capacity(ndomains);
-        for dims in dims {
+        for (i, dims) in dims.into_iter().enumerate() {
             let mut recon = Buffer3::zeros(dims);
             for ((oi, oj, ok), bd) in blocks_of(dims, block_size) {
                 let use_regression = sel_iter.next().ok_or_else(truncated)?;
@@ -716,6 +1102,11 @@ mod tests {
                 }
             }
             result.push(recon);
+            if let Some((_, raw)) = group_ends.next_if(|&(end, _)| end == i + 1) {
+                if n_out as usize - out_iter.len() != raw {
+                    return Err(CodecError::corrupt("group outliers"));
+                }
+            }
         }
         Ok(result)
     }
@@ -745,10 +1136,17 @@ mod tests {
     const ORACLE_DIMS: [(usize, usize, usize); 5] =
         [(1, 1, 1), (5, 1, 3), (17, 9, 5), (13, 7, 9), (20, 20, 20)];
 
+    /// A stream's lossless frames, expanded: the head (a one-group
+    /// stream's whole payload) and a grouped stream's data part.
+    fn frames_of(stream: &[u8]) -> (Vec<u8>, Option<Vec<u8>>) {
+        let frames = Frames::read(stream).unwrap();
+        let data = frames.data.map(|f| f.bytes.into_owned());
+        (frames.head.bytes.into_owned(), data)
+    }
+
     /// The selection bits of a stream, one per block in traversal order.
     fn selection_bits(stream: &[u8]) -> Vec<bool> {
-        let env = expect_envelope(stream, CodecId::LrSle, VERSION).unwrap();
-        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
+        let payload = frames_of(stream).0;
         let mut r = Reader::new(&payload);
         r.get_raw(8 + 1).unwrap();
         let ndomains = r.get_u32().unwrap() as usize;
@@ -832,14 +1230,18 @@ mod tests {
         }
     }
 
-    /// An SZ_L/R stream around a hand-edited payload, stored (lossless
-    /// mode 0) rather than parsed again for every edit.
-    fn wrap(payload: &[u8]) -> Vec<u8> {
+    /// An SZ_L/R stream around a hand-edited head and, for a grouped
+    /// stream, data part, stored (lossless mode 0) rather than parsed
+    /// again for every edit.
+    fn wrap(head: &[u8], data: Option<&[u8]>) -> Vec<u8> {
         let mut w = Writer::new();
-        write_envelope(&mut w, CodecId::LrSle, VERSION, 0);
-        w.put_u64(payload.len() as u64);
-        w.put_u8(0);
-        w.put_block(payload);
+        let version = if data.is_some() { GROUPED } else { ONE_GROUP };
+        write_envelope(&mut w, CodecId::LrSle, version, 0);
+        for frame in std::iter::once(head).chain(data) {
+            w.put_u64(frame.len() as u64);
+            w.put_u8(0);
+            w.put_block(frame);
+        }
         w.into_bytes()
     }
 
@@ -877,39 +1279,193 @@ mod tests {
         }
     }
 
+    /// Thirteen-by-seven-by-nine domains of [`field`]'s outliers: five make
+    /// one group (4 095 cells), thirteen make three.
+    fn spiky_stream(n: usize) -> Vec<u8> {
+        let domains: Vec<Buffer3> = (0..n).map(|u| field(2, Dims3::new(13, 7, 9), u)).collect();
+        compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(6))
+    }
+
     #[test]
     fn hostile_streams_get_the_reference_outcome() {
         // Regression and Lorenzo blocks, ragged edges, outliers of every
-        // kind, five domains under one tree.
-        let domains: Vec<Buffer3> = (0..5).map(|u| field(2, Dims3::new(13, 7, 9), u)).collect();
-        let stream = compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(6));
-        let env = expect_envelope(&stream, CodecId::LrSle, VERSION).unwrap();
-        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
-        assert_same_outcome(&wrap(&payload), "pristine");
-        assert!(decompress_domains(&wrap(&payload)).is_ok());
-        assert!(
-            selection_bits(&stream).contains(&true) && selection_bits(&stream).contains(&false)
+        // kind, several domains under one book, in one group and in three.
+        for (n, groups) in [(5, 1), (13, 3)] {
+            let stream = spiky_stream(n);
+            assert_eq!(layout(&stream).unwrap().groups, groups);
+            let (head, data) = frames_of(&stream);
+            let data = data.as_deref();
+            assert_same_outcome(&wrap(&head, data), "pristine");
+            assert!(decompress_domains(&wrap(&head, data)).is_ok());
+            let selection = selection_bits(&stream);
+            assert!(selection.contains(&true) && selection.contains(&false));
+            // Every truncation of each frame (the streams run dry mid-row,
+            // mid-table, mid-header, mid-group) and of the stream around
+            // them.
+            for cut in 0..head.len() {
+                assert_same_outcome(
+                    &wrap(&head[..cut], data),
+                    &format!("{n}: head cut at {cut}"),
+                );
+            }
+            for cut in 0..data.map_or(0, <[u8]>::len) {
+                let cut_data = data.map(|d| &d[..cut]);
+                assert_same_outcome(&wrap(&head, cut_data), &format!("{n}: data cut at {cut}"));
+            }
+            for cut in 0..stream.len() {
+                assert_same_outcome(&stream[..cut], &format!("{n}: stream cut at {cut}"));
+            }
+            // Seeded bit flips: header fields, selection bits, the books,
+            // the group table and every group's bits, outlier counts and
+            // raw values.
+            let mut x = 2024u64;
+            for _ in 0..2000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (mut head, mut data) = (head.clone(), data.map(<[u8]>::to_vec));
+                let frame = match data.as_mut() {
+                    Some(data) if x >> 63 == 1 => data,
+                    _ => &mut head,
+                };
+                let (at, bit) = ((x >> 33) as usize % frame.len(), (x >> 8) % 8);
+                frame[at] ^= 1 << bit;
+                let what = format!("{n}: bit {bit} of byte {at}, data part {}", x >> 63);
+                assert_same_outcome(&wrap(&head, data.as_deref()), &what);
+            }
+        }
+    }
+
+    /// A grouped stream's head, its group table (per group: domains,
+    /// bits, raw values) and its data symbol count edited by `edit`.
+    fn forge_table(head: &[u8], edit: impl FnOnce(&mut Vec<[u64; 3]>, &mut u64)) -> Vec<u8> {
+        let mut r = Reader::new(head);
+        r.get_raw(8 + 1).unwrap();
+        let ndomains = r.get_u32().unwrap() as usize;
+        r.get_raw(12 * ndomains).unwrap();
+        let nblocks = r.get_u64().unwrap() as usize;
+        r.get_raw(nblocks.div_ceil(8)).unwrap();
+        r.get_block().unwrap();
+        let n_coeff_out = r.get_u64().unwrap() as usize;
+        r.get_raw(8 * n_coeff_out).unwrap();
+        HuffmanCode::read_table(&mut r).unwrap();
+        let mut w = Writer::new();
+        w.put_raw(&head[..head.len() - r.remaining()]);
+        let mut n = r.get_u64().unwrap();
+        let mut table: Vec<[u64; 3]> = (0..r.get_varint().unwrap())
+            .map(|_| [(); 3].map(|_| r.get_varint().unwrap()))
+            .collect();
+        edit(&mut table, &mut n);
+        w.put_u64(n);
+        w.put_varint(table.len() as u64);
+        for v in table.iter().flatten() {
+            w.put_varint(*v);
+        }
+        w.put_raw(r.get_raw(r.remaining()).unwrap());
+        w.into_bytes()
+    }
+
+    fn corrupt(r: &CodecResult<Vec<Buffer3>>) -> bool {
+        matches!(r, Err(CodecError::Corrupt { .. }))
+    }
+
+    fn too_many(r: &CodecResult<Vec<Buffer3>>) -> bool {
+        matches!(r, Err(CodecError::LimitExceeded { .. }))
+    }
+
+    #[test]
+    fn forged_group_tables_are_typed_errors_before_any_traversal() {
+        let stream = spiky_stream(13);
+        let (head, data) = frames_of(&stream);
+        let data = data.expect("grouped");
+        assert_eq!(
+            forge_table(&head, |_, _| {}),
+            head,
+            "the forger rewrites what it read"
         );
-        // Every truncation of the payload (the streams run dry mid-row,
-        // mid-table, mid-header) and of the stream around it.
-        for cut in 0..payload.len() {
-            assert_same_outcome(&wrap(&payload[..cut]), &format!("payload cut at {cut}"));
+        type Edit = fn(&mut Vec<[u64; 3]>, &mut u64);
+        type Expect = fn(&CodecResult<Vec<Buffer3>>) -> bool;
+        let cases: [(&str, Edit, Expect); 9] = [
+            (
+                "bit lengths short of the data part",
+                |t, _| t[2][1] -= 8,
+                corrupt,
+            ),
+            (
+                "bit lengths past the data part",
+                |t, _| t[2][1] += 8,
+                corrupt,
+            ),
+            (
+                "outlier counts short of the stream's",
+                |t, _| t[1][2] ^= 1,
+                corrupt,
+            ),
+            (
+                "an outlier counted in the wrong group",
+                |t, _| {
+                    let most = (0..t.len()).max_by_key(|&k| t[k][2]).unwrap();
+                    assert!(t[most][2] > 0);
+                    let next = (most + 1) % t.len();
+                    t[most][2] -= 1;
+                    t[next][2] += 1;
+                },
+                corrupt,
+            ),
+            (
+                "domain counts short of the stream's",
+                |t, _| t[0][0] -= 1,
+                corrupt,
+            ),
+            (
+                "domain counts past the stream's",
+                |t, _| t[2][0] += 1,
+                corrupt,
+            ),
+            ("an empty group", |t, _| t.insert(1, [0, 0, 0]), corrupt),
+            (
+                "a group of more cells than bits",
+                |t, _| {
+                    let moved = t[0][1] - 10;
+                    t[0][1] = 10;
+                    t[1][1] += moved;
+                },
+                too_many,
+            ),
+            (
+                "a symbol count that is not the cells'",
+                |_, n| *n += 1,
+                corrupt,
+            ),
+        ];
+        for (what, edit, expect) in cases {
+            let forged = wrap(&forge_table(&head, edit), Some(&data));
+            let got = decompress_domains(&forged);
+            assert!(expect(&got), "{what}: {got:?}");
+            assert_same_outcome(&forged, what);
         }
-        for cut in 0..stream.len() {
-            assert_same_outcome(&stream[..cut], &format!("stream cut at {cut}"));
-        }
-        // Seeded bit flips: header fields, selection bits, both Huffman
-        // tables and bit streams, outlier counts and raw values.
-        let mut x = 2024u64;
-        for _ in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let (at, bit) = ((x >> 33) as usize % payload.len(), (x >> 8) % 8);
-            let mut damaged = payload.clone();
-            damaged[at] ^= 1 << bit;
-            assert_same_outcome(&wrap(&damaged), &format!("bit {bit} of byte {at}"));
-        }
+        // The cells a stream may claim count the data part: smooth domains
+        // whose head alone could not back them.
+        let domains: Vec<Buffer3> = (0..4).map(|_| smooth_cube(20)).collect();
+        let stream = compress_domains(&domains, &LrConfig::new(1e-3));
+        let (head, data) = frames_of(&stream);
+        assert!(
+            head.len() * 8 + 64 < 4 * 20usize.pow(3),
+            "head of {} B",
+            head.len()
+        );
+        assert!(decompress_domains(&wrap(&head, data.as_deref())).is_ok());
+        let got = decompress_domains(&wrap(&head, Some(&[])));
+        assert!(
+            matches!(
+                got,
+                Err(CodecError::LimitExceeded {
+                    what: "domain cells",
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
     }
 
     /// A destination that keeps the domains `keep` marks, each in a buffer
@@ -998,32 +1554,158 @@ mod tests {
 
     #[test]
     fn every_truncation_is_a_typed_error_under_a_skipping_destination() {
-        let domains: Vec<Buffer3> = (0..5).map(|u| field(2, Dims3::new(13, 7, 9), u)).collect();
-        let stream = compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(6));
-        let env = expect_envelope(&stream, CodecId::LrSle, VERSION).unwrap();
-        let payload = lossless::decompress(&stream[env.payload_offset..]).unwrap();
-        let cuts = (0..payload.len())
-            .map(|cut| (wrap(&payload[..cut]), format!("payload cut at {cut}")))
-            .chain(
-                (0..stream.len())
-                    .map(|cut| (stream[..cut].to_vec(), format!("stream cut at {cut}"))),
-            );
-        for (cut, what) in cuts {
-            for keep in [
-                [false; 5],
-                [true, false, true, false, true],
-                [false, true, false, true, false],
-            ] {
-                let skipping = decompress_domains_into(&cut, &mut Subset::new(keep.to_vec()));
-                let full = decompress_domains(&cut);
-                match (&skipping, &full) {
-                    (Err(a), Err(b)) => assert_eq!(
-                        std::mem::discriminant(a),
-                        std::mem::discriminant(b),
-                        "{what}, keep {keep:?}: {a:?} vs {b:?}"
-                    ),
-                    _ => panic!("{what}, keep {keep:?}: skipping {skipping:?}, full {full:?}"),
+        // One group and three: a cut anywhere, in either frame or in the
+        // stream around them, fails the same way for a destination that
+        // wants nothing, every other domain, or the others.
+        for n in [5, 13] {
+            let stream = spiky_stream(n);
+            let (head, data) = frames_of(&stream);
+            let data = data.as_deref();
+            let data_cuts = (0..data.map_or(0, <[u8]>::len)).map(|cut| {
+                let what = format!("{n}: data cut at {cut}");
+                (wrap(&head, data.map(|d| &d[..cut])), what)
+            });
+            let cuts = (0..head.len())
+                .map(|cut| (wrap(&head[..cut], data), format!("{n}: head cut at {cut}")))
+                .chain(data_cuts)
+                .chain(
+                    (0..stream.len())
+                        .map(|cut| (stream[..cut].to_vec(), format!("{n}: stream cut at {cut}"))),
+                );
+            for (cut, what) in cuts {
+                for parity in [None, Some(0), Some(1)] {
+                    let keep: Vec<bool> = (0..n).map(|i| Some(i % 2) == parity).collect();
+                    let skipping = decompress_domains_into(&cut, &mut Subset::new(keep.clone()));
+                    let full = decompress_domains(&cut);
+                    match (&skipping, &full) {
+                        (Err(a), Err(b)) => assert_eq!(
+                            std::mem::discriminant(a),
+                            std::mem::discriminant(b),
+                            "{what}, keep {keep:?}: {a:?} vs {b:?}"
+                        ),
+                        _ => panic!("{what}, keep {keep:?}: skipping {skipping:?}, full {full:?}"),
+                    }
                 }
+            }
+        }
+    }
+
+    /// Per group of a grouped stream: its domains and its bits in the
+    /// data part, from the decoder's parse.
+    fn group_spans(stream: &[u8]) -> Vec<(std::ops::Range<usize>, std::ops::Range<u64>)> {
+        let frames = Frames::read(stream).unwrap();
+        let parsed = Stream::parse(&frames).unwrap();
+        let (mut domain, mut bit) = (0, 0);
+        let mut spans = Vec::new();
+        for g in &parsed.groups {
+            spans.push((domain..domain + g.domains, bit..bit + g.bits));
+            (domain, bit) = (domain + g.domains, bit + g.bits);
+        }
+        spans
+    }
+
+    /// Decode `stream` through a [`Subset`] keeping `keep`, and hold every
+    /// kept domain to `full`, bit for bit.
+    fn assert_kept_domains_match(stream: &[u8], keep: &[bool], full: &[Buffer3], what: &str) {
+        let mut dest = Subset::new(keep.to_vec());
+        assert_eq!(
+            decompress_domains_into(stream, &mut dest),
+            Ok(keep.len()),
+            "{what}"
+        );
+        let wanted: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
+        let got: Vec<usize> = dest.kept.iter().map(|(i, _)| *i).collect();
+        assert_eq!(got, wanted, "{what}");
+        let bits = |b: &Buffer3| b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, b) in &dest.kept {
+            assert_eq!(bits(b), bits(&full[*i]), "{what}: domain {i}");
+        }
+    }
+
+    #[test]
+    fn garbage_in_unwanted_groups_leaves_the_wanted_domains_bitwise_equal() {
+        // Forty 9×8×7 domains with outliers, nine to a group but the last,
+        // the data part stored: every data bit of a group holding no
+        // wanted domain is overwritten, and the wanted domains must not
+        // notice.
+        let domains: Vec<Buffer3> = (0..40).map(|u| field(2, Dims3::new(9, 8, 7), u)).collect();
+        let stream = compress_domains(&domains, &LrConfig::new(1e-3).with_block_size(4));
+        let full = decompress_domains(&stream).unwrap();
+        let (head, data) = frames_of(&stream);
+        let data = data.expect("grouped");
+        let spans = group_spans(&stream);
+        assert_eq!(spans.len(), 5);
+        let mut x = 7u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let mut garbled_groups = 0;
+        for case in 0..40 {
+            let keep: Vec<bool> = match case {
+                0 => vec![false; 40],
+                1 => (0..40).map(|i| i == 22).collect(),
+                // Runs of wanted domains, as a region query asks.
+                _ => {
+                    let (from, len) = (next() as usize % 40, 1 + next() as usize % 12);
+                    (0..40).map(|i| (from..from + len).contains(&i)).collect()
+                }
+            };
+            let mut garbage = data.clone();
+            for (domains, bits) in &spans {
+                if !keep[domains.clone()].contains(&true) {
+                    for bit in bits.clone() {
+                        let (byte, mask) = ((bit / 8) as usize, 0x80 >> (bit % 8));
+                        garbage[byte] = garbage[byte] & !mask | mask & next() as u8;
+                    }
+                    garbled_groups += 1;
+                }
+            }
+            let garbled = wrap(&head, Some(&garbage));
+            let what = format!("case {case}: keep {keep:?}");
+            assert_kept_domains_match(&garbled, &keep, &full, &what);
+            // The garbage is real: a full decode of the garbled stream
+            // does not give the pristine values back.
+            if case > 0 {
+                assert_ne!(
+                    decompress_domains(&garbled).ok(),
+                    Some(full.clone()),
+                    "{what}"
+                );
+            }
+        }
+        assert!(garbled_groups > 40, "only {garbled_groups} groups garbled");
+    }
+
+    #[test]
+    fn windowed_decodes_match_the_full_decode_with_a_stored_and_an_lz_data_part() {
+        // Noisy domains leave the groups' bits incompressible (stored);
+        // smooth ones at a loose bound make runs of one short code (LZ).
+        let noisy: Vec<Buffer3> = (0..20).map(|u| field(1, Dims3::new(13, 7, 9), u)).collect();
+        let smooth: Vec<Buffer3> = (0..20).map(|_| smooth_cube(10)).collect();
+        for (domains, eb, stored) in [(noisy, 1e-3, true), (smooth, 1e-1, false)] {
+            let stream = compress_domains(&domains, &LrConfig::new(eb));
+            let layout = layout(&stream).unwrap();
+            assert!(layout.groups >= 3, "{layout:?}");
+            let mode = layout.data.expect("grouped").mode;
+            assert_eq!(mode == 0, stored, "{layout:?}");
+            let full = decompress_domains(&stream).unwrap();
+            assert_eq!(full, decompress_domains_reference(&stream).unwrap());
+            let n = domains.len();
+            let mut x = 5u64 + mode as u64;
+            for case in 0..24 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let keep: Vec<bool> = match case {
+                    0 => vec![true; n],
+                    1 => vec![false; n],
+                    _ => (0..n).map(|i| (x >> (i + 20)) & 3 == 0).collect(),
+                };
+                let what = format!("data mode {mode}, keep {keep:?}");
+                assert_kept_domains_match(&stream, &keep, &full, &what);
             }
         }
     }

@@ -58,6 +58,16 @@ impl Writer {
         }
     }
 
+    /// LEB128: seven bits per byte, low first, the top bit set on every
+    /// byte but the last.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Length-prefixed (u64) byte block.
     pub fn put_block(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
@@ -162,6 +172,23 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// A [`Writer::put_varint`] value; one that does not fit a `u64` is
+    /// corrupt.
+    pub fn get_varint(&mut self) -> CodecResult<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.get_u8()?;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= ((b & 0x7F) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(CodecError::corrupt("varint overflow"))
+    }
+
     /// Length-prefixed byte block (see [`Writer::put_block`]).
     pub fn get_block(&mut self) -> CodecResult<&'a [u8]> {
         let n = self.get_u64()? as usize;
@@ -217,6 +244,37 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), -0.125);
         assert_eq!(r.get_block().unwrap(), b"hello");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn varints_roundtrip_and_refuse_what_no_u64_holds() {
+        let values = [0, 1, 0x7F, 0x80, 300, 1 << 35, u64::MAX - 1, u64::MAX];
+        let mut w = Writer::new();
+        for v in values {
+            w.put_varint(v);
+        }
+        let bytes = w.into_bytes();
+        // 1 + 1 + 1 + 2 + 2 + 6 + 10 + 10 bytes.
+        assert_eq!(bytes.len(), 33);
+        let mut r = Reader::new(&bytes);
+        for v in values {
+            assert_eq!(r.get_varint(), Ok(v));
+        }
+        assert_eq!(r.remaining(), 0);
+        for bad in [[0xFF; 10], {
+            let mut b = [0xFF; 10];
+            b[9] = 0x02;
+            b
+        }] {
+            assert!(matches!(
+                Reader::new(&bad).get_varint(),
+                Err(CodecError::Corrupt { .. })
+            ));
+        }
+        assert!(matches!(
+            Reader::new(&[0x80, 0x80]).get_varint(),
+            Err(CodecError::Truncated { .. })
+        ));
     }
 
     #[test]
