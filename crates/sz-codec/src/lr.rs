@@ -1531,17 +1531,8 @@ mod tests {
                 1 => vec![true; n],
                 _ => (0..n).map(|_| next() % 2 == 0).collect(),
             };
-            let mut dest = Subset::new(keep.clone());
             let what = format!("case {case}: {n} domains kind {kind} bs {bs} keep {keep:?}");
-            assert_eq!(decompress_domains_into(&stream, &mut dest), Ok(n), "{what}");
-            assert_eq!(dest.asked, n, "{what}");
-            let wanted: Vec<usize> = (0..n).filter(|&i| keep[i]).collect();
-            let got: Vec<usize> = dest.kept.iter().map(|(i, _)| *i).collect();
-            assert_eq!(got, wanted, "{what}");
-            for (i, b) in &dest.kept {
-                let bits = |b: &Buffer3| b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(b), bits(&full[*i]), "{what}: domain {i}");
-            }
+            assert_kept_domains_match(&stream, &keep, &full, &what);
             skipped_with_outliers += (0..n)
                 .filter(|&i| !keep[i] && domains[i].data().iter().any(|&v| is_spike(v)))
                 .count();
@@ -1613,6 +1604,7 @@ mod tests {
             Ok(keep.len()),
             "{what}"
         );
+        assert_eq!(dest.asked, keep.len(), "{what}");
         let wanted: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
         let got: Vec<usize> = dest.kept.iter().map(|(i, _)| *i).collect();
         assert_eq!(got, wanted, "{what}");
